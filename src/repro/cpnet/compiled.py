@@ -378,20 +378,41 @@ def completion_key(
     return (doc_id, version_token, overlay, tuple(sorted(evidence.items())))
 
 
+class CachedCompletion:
+    """One cache entry: a completed outcome plus what was derived from it.
+
+    ``outcome`` belongs to the cache: hand out copies, and rewrite it
+    only in ways every reader of the entry would repeat anyway (the
+    presentation engine finishes subtree hiding in place, which is
+    idempotent). ``view`` is a slot for whatever is derived from the
+    outcome alone — the engine keeps its viewer-independent view here;
+    it must be safe to share, and LRU eviction and
+    :meth:`CompletionCache.invalidate` reclaim it with the entry.
+    """
+
+    __slots__ = ("outcome", "view")
+
+    def __init__(self, outcome: dict[str, str]) -> None:
+        self.outcome = outcome
+        self.view: Any = None
+
+
 class CompletionCache:
     """Bounded LRU memo of completed outcomes, shared at shard scope.
 
-    Entries are stored and returned as *copies*: callers are free to
-    mutate the outcome they get back (subtree hiding does), and cache
+    :meth:`lookup` and :meth:`store` deal in *copies*: callers are free
+    to mutate the outcome they get back (subtree hiding does), and cache
     state can never leak into anything a caller ships — replication
     replay on a cacheless replica recomputes the same bytes.
+    :meth:`entry` hands out the live :class:`CachedCompletion` for
+    callers that share a derived view instead of re-deriving it.
     """
 
     def __init__(self, max_entries: int = 2048) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: OrderedDict[tuple[Any, ...], dict[str, str]] = OrderedDict()
+        self._entries: OrderedDict[tuple[Any, ...], CachedCompletion] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -406,8 +427,8 @@ class CompletionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple[Any, ...]) -> dict[str, str] | None:
-        """The cached outcome for *key* (a fresh copy), or ``None``."""
+    def entry(self, key: tuple[Any, ...]) -> CachedCompletion | None:
+        """The live entry for *key*, or ``None`` — one counted lookup."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -416,17 +437,24 @@ class CompletionCache:
         self._entries.move_to_end(key)
         self.hits += 1
         self._m_hits.inc()
-        return dict(entry)
+        return entry
 
-    def store(self, key: tuple[Any, ...], outcome: Mapping[str, str]) -> None:
-        """Memoize *outcome* under *key*, evicting the LRU entry if full."""
-        self._entries[key] = dict(outcome)
+    def lookup(self, key: tuple[Any, ...]) -> dict[str, str] | None:
+        """The cached outcome for *key* (a fresh copy), or ``None``."""
+        entry = self.entry(key)
+        return None if entry is None else dict(entry.outcome)
+
+    def store(self, key: tuple[Any, ...], outcome: Mapping[str, str]) -> CachedCompletion:
+        """Memoize a copy of *outcome* under *key*, evicting the LRU entry
+        if full; returns the new entry."""
+        entry = self._entries[key] = CachedCompletion(dict(outcome))
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
             self._m_evictions.inc()
         self._g_size.set(len(self._entries))
+        return entry
 
     def invalidate(self, doc_id: str | None = None) -> int:
         """Drop entries for *doc_id* (or everything); returns the count.

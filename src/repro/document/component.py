@@ -53,7 +53,7 @@ class MultimediaComponent:
         The root component's path is its own name.
         """
         if self._parent is None or self._parent._parent is None:
-            return self.name if self._parent is not None else self.name
+            return self.name
         return f"{self._parent.path}.{self.name}"
 
     @property
@@ -101,6 +101,10 @@ class CompositeMultimediaComponent(MultimediaComponent):
     def __init__(self, name: str, description: str = "") -> None:
         super().__init__(name, description)
         self._children: dict[str, MultimediaComponent] = {}
+        #: Bumped on the *root* of whatever tree an ``add``/``remove``
+        #: happens in; a document's component index is valid while its
+        #: root's counter stands still.
+        self._tree_version = 0
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -125,6 +129,7 @@ class CompositeMultimediaComponent(MultimediaComponent):
             raise DocumentError(f"{self.path!r} already has a child {child.name!r}")
         child._parent = self
         self._children[child.name] = child
+        self._tree_changed()
         return child
 
     def remove(self, name: str) -> MultimediaComponent:
@@ -134,7 +139,14 @@ class CompositeMultimediaComponent(MultimediaComponent):
         except KeyError:
             raise DocumentError(f"{self.path!r} has no child {name!r}") from None
         child._parent = None
+        self._tree_changed()
         return child
+
+    def _tree_changed(self) -> None:
+        root = self
+        while root._parent is not None:
+            root = root._parent
+        root._tree_version += 1
 
     def child(self, name: str) -> MultimediaComponent:
         try:

@@ -14,6 +14,7 @@ paper's class diagram shows.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.errors import DocumentError
@@ -32,6 +33,52 @@ from repro.document.component import (
     MultimediaComponent,
     PrimitiveMultimediaComponent,
 )
+
+
+class _ComponentIndex:
+    """One walk of a component tree, kept until the tree changes.
+
+    Built for the tree's :attr:`version` (the root's ``_tree_version``
+    at build time) and shared by every reader; nothing here is handed
+    out mutable.
+    """
+
+    __slots__ = ("version", "nodes", "components", "paths", "primitives", "hiding")
+
+    def __init__(self, root: CompositeMultimediaComponent) -> None:
+        self.version = root._tree_version
+        #: Every non-root component by dotted path, pre-order.
+        self.nodes: dict[str, MultimediaComponent] = {}
+        #: The leaves among them.
+        self.primitives: dict[str, PrimitiveMultimediaComponent] = {}
+        #: Per composite with anything to hide below it (pre-order):
+        #: ``(path, {descendant path: its "not displayed" value})``.
+        self.hiding: list[tuple[str, dict[str, str]]] = []
+        self._walk(root, "", {})
+        self.hiding = [entry for entry in self.hiding if entry[1]]
+        #: What callers get: a read-only window on :attr:`nodes`.
+        self.components = MappingProxyType(self.nodes)
+        self.paths = tuple(self.nodes)
+
+    def _walk(
+        self, composite: CompositeMultimediaComponent, prefix: str, below: dict[str, str]
+    ) -> None:
+        """Index *composite*'s subtree, collecting into *below* the hidden
+        value of every descendant that has one."""
+        for child in composite.children:
+            path = prefix + child.name
+            self.nodes[path] = child
+            if isinstance(child, CompositeMultimediaComponent):
+                below[path] = COMPOSITE_HIDDEN
+                deeper: dict[str, str] = {}
+                self.hiding.append((path, deeper))  # pre-order: before its subtree
+                self._walk(child, path + ".", deeper)
+                below.update(deeper)
+            else:
+                if isinstance(child, PrimitiveMultimediaComponent):
+                    self.primitives[path] = child
+                if COMPOSITE_HIDDEN in child.domain:
+                    below[path] = COMPOSITE_HIDDEN
 
 
 class MultimediaDocument:
@@ -68,6 +115,7 @@ class MultimediaDocument:
         #: this when it opens the document so direct §5.1 queries share
         #: entries with the presentation engines.
         self.completion_cache: CompletionCache | None = None
+        self._component_index: _ComponentIndex | None = None
         self._check_alignment()
 
     # ----- structure ------------------------------------------------------------
@@ -85,15 +133,23 @@ class MultimediaDocument:
         """Resolve a component by dotted path from the root."""
         return self._root.find(path)
 
-    def components(self) -> dict[str, MultimediaComponent]:
-        """All non-root components keyed by path (pre-order)."""
-        return {node.path: node for node in self._root.iter_tree() if node is not self._root}
+    def _index(self) -> _ComponentIndex:
+        """The component index, re-walked only after ``add``/``remove``
+        changed the tree (anywhere in it, through the document or not)."""
+        index = self._component_index
+        if index is None or index.version != self._root._tree_version:
+            index = self._component_index = _ComponentIndex(self._root)
+        return index
+
+    def components(self) -> Mapping[str, MultimediaComponent]:
+        """All non-root components keyed by path (pre-order), read-only."""
+        return self._index().components
 
     def component_paths(self) -> tuple[str, ...]:
-        return tuple(self.components())
+        return self._index().paths
 
     def _check_alignment(self) -> None:
-        components = self.components()
+        components = self._index().nodes
         missing = [path for path in components if path not in self._network]
         if missing:
             raise DocumentError(
@@ -166,47 +222,33 @@ class MultimediaDocument:
 
     def _enforce_subtree_hiding(self, outcome: dict[str, str]) -> dict[str, str]:
         """Hiding a composite hides every descendant, whatever the CPT says."""
-        for path, node in self.components().items():
-            if isinstance(node, CompositeMultimediaComponent):
-                if outcome.get(path) == COMPOSITE_HIDDEN:
-                    for descendant in node.iter_tree():
-                        if descendant is node:
-                            continue
-                        child_path = descendant.path
-                        hidden = self._hidden_value(descendant)
-                        if hidden is not None:
-                            outcome[child_path] = hidden
+        for path, hidden_below in self._index().hiding:
+            if outcome.get(path) == COMPOSITE_HIDDEN:
+                outcome.update(hidden_below)
         return outcome
-
-    @staticmethod
-    def _hidden_value(node: MultimediaComponent) -> str | None:
-        """The domain value meaning "not displayed", if the component has one."""
-        if isinstance(node, CompositeMultimediaComponent):
-            return COMPOSITE_HIDDEN
-        if COMPOSITE_HIDDEN in node.domain:
-            return COMPOSITE_HIDDEN
-        return None
 
     # ----- derived measures ----------------------------------------------------------
 
     def presentation_bytes(self, outcome: Mapping[str, str]) -> int:
         """Total bytes a client must receive to render *outcome*."""
         total = 0
-        for path, node in self.components().items():
+        for path, node in self._index().nodes.items():
             if path in outcome:
                 total += node.presentation_size(outcome[path])
         return total
 
     def visible_components(self, outcome: Mapping[str, str]) -> tuple[str, ...]:
         """Paths whose chosen presentation actually displays something."""
+        index = self._index()
+        primitives = index.primitives
         visible = []
-        for path, node in self.components().items():
+        for path in index.paths:
             value = outcome.get(path)
             if value is None or value == COMPOSITE_HIDDEN:
                 continue
-            if isinstance(node, PrimitiveMultimediaComponent):
-                if node.presentation(value).is_hidden:
-                    continue
+            node = primitives.get(path)
+            if node is not None and node.presentation(value).is_hidden:
+                continue
             visible.append(path)
         return tuple(visible)
 
@@ -255,6 +297,6 @@ class MultimediaDocument:
 
     def __repr__(self) -> str:
         return (
-            f"MultimediaDocument({self.doc_id!r}, {len(self.components())} components, "
+            f"MultimediaDocument({self.doc_id!r}, {len(self._index().paths)} components, "
             f"net={len(self._network)} vars)"
         )

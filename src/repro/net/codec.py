@@ -616,16 +616,73 @@ def decode_batch_traced(
 
 # ----- stateless measurement (no metrics, no shared tables) -----------------------
 
-def value_size(value: Any) -> int:
-    """Canonical encoded size of one value, measured statelessly.
+def _varint_len(n: int) -> int:
+    """Bytes :func:`_write_varint` emits for *n* (7 payload bits each)."""
+    return (n.bit_length() + 6) // 7 or 1
 
-    This is what :func:`repro.server.protocol.encoded_size` charges for
-    payloads that never got a cached frame. ``bytes`` payloads are
-    counted at raw length inside the framing, exactly as on the wire.
+
+#: Size of each static string on the wire: tag + varint(static id).
+_STATIC_SIZES: dict[str, int] = {
+    s: 1 + _varint_len(i) for s, i in _STATIC_IDS.items()
+}
+
+
+def _sized(value: Any, table: dict[str, int]) -> int:
+    """Bytes :func:`_write_value` would append for *value*.
+
+    *table* stands in for a fresh :class:`StringInterner`: the same
+    registration rule and bound, so every ``_T_IREF`` id (and its varint
+    length) matches the encoder's. Branch for branch the encoder's type
+    dispatch, most frequent types first (the types are disjoint).
     """
-    out = bytearray()
-    _write_value(out, value, StringInterner())
-    return len(out)
+    if isinstance(value, str):
+        size = _STATIC_SIZES.get(value)
+        if size is not None:
+            return size
+        table_id = table.get(value)
+        if table_id is not None:
+            return 1 + _varint_len(table_id)
+        # Non-ASCII text is measured by encoding it: the one temporary,
+        # and it raises exactly what the encoder raises on a lone surrogate.
+        length = len(value) if value.isascii() else len(value.encode("utf-8"))
+        if len(table) < MAX_DYNAMIC_STRINGS:
+            table[value] = len(table)
+        return 1 + _varint_len(length) + length
+    if isinstance(value, dict):
+        size = 1 + _varint_len(len(value))
+        for key, item in value.items():
+            size += _sized(key, table) + _sized(item, table)
+        return size
+    if value is None or value is True or value is False:
+        return 1
+    if isinstance(value, int):
+        return 1 + _varint_len(value if value >= 0 else -value - 1)
+    if isinstance(value, float):
+        return 9
+    if isinstance(value, (list, tuple)):
+        size = 1 + _varint_len(len(value))
+        for item in value:
+            size += _sized(item, table)
+        return size
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        # The encoder prefixes len() and appends the raw buffer.
+        raw = value.nbytes if isinstance(value, memoryview) else len(value)
+        return 1 + _varint_len(len(value)) + raw
+    raise CodecError(f"cannot encode {type(value).__name__} value {value!r}")
+
+
+def value_size(value: Any) -> int:
+    """Canonical encoded size of one value, computed without encoding it.
+
+    Pure arithmetic over the value: tag bytes, varint lengths, UTF-8
+    lengths, static and per-value intern references — the length of the
+    stateless :func:`_write_value` encoding, with no buffer, no
+    :class:`StringInterner` and no ``codec.*`` metric touched. This is
+    what :func:`repro.server.protocol.encoded_size` charges for payloads
+    that never got a cached frame. ``bytes`` payloads are counted at raw
+    length inside the framing, exactly as on the wire.
+    """
+    return _sized(value, {})
 
 
 def checksum_of(kind: str, payload: Any) -> int:

@@ -19,7 +19,7 @@ from repro.obs import get_registry
 from repro.cpnet.compiled import CompletionCache, compiled_enabled, completion_key
 from repro.cpnet.updates import OperationVariable, ViewerExtension
 from repro.document.document import MultimediaDocument
-from repro.presentation.spec import PresentationSpec, build_spec
+from repro.presentation.spec import PresentationSpec, PresentationView, derive_view
 
 #: Choice scopes.
 SHARED = "shared"
@@ -205,10 +205,11 @@ class PresentationEngine:
 
     # ----- presentation computation ---------------------------------------------------
 
-    def _best_completion(
+    def _view(
         self, viewer_id: str, extension: ViewerExtension, evidence: dict[str, str]
-    ) -> dict[str, str]:
-        """One completion sweep, shared through the shard cache when set.
+    ) -> PresentationView:
+        """One completion sweep and one derived view per distinct
+        constraint set, shared through the shard cache when set.
 
         Viewers with an empty extension key on overlay ``()`` — so two
         members imposing the same constraints hit the same entry — while
@@ -218,24 +219,35 @@ class PresentationEngine:
         viewer who leaves and rejoins gets a *fresh* extension whose
         version restarts at 0, so version alone could re-reach an old
         key with different extension content.
+
+        The view lives in the cache entry, so whatever reclaims the
+        completion (LRU, §4.2 invalidation, room close) reclaims it too
+        — and it is measured on the entry's own outcome, finished in
+        place: subtree hiding is idempotent and every reader of a cached
+        completion applies it, so the entry needs no second dict.
         """
+        document = self.document
         if not compiled_enabled() or self.completion_cache is None:
-            return extension.best_completion(evidence)
-        net = self.document.network
+            outcome = extension.best_completion(evidence)
+            return derive_view(document, document._enforce_subtree_hiding(outcome))
         overlay = (
             (viewer_id, extension.instance_id, extension.extension_version)
             if extension.size()
             else ()
         )
         key = completion_key(
-            self.document.doc_id, net.version_token, overlay, evidence
+            document.doc_id, document.network.version_token, overlay, evidence
         )
-        cached = self.completion_cache.lookup(key)
-        if cached is not None:
-            return cached
-        outcome = extension.best_completion(evidence)
-        self.completion_cache.store(key, outcome)
-        return outcome
+        entry = self.completion_cache.entry(key)
+        if entry is None:
+            entry = self.completion_cache.store(
+                key, extension.best_completion(evidence)
+            )
+        if entry.view is None:
+            entry.view = derive_view(
+                document, document._enforce_subtree_hiding(entry.outcome)
+            )
+        return entry.view
 
     def presentation_for(self, viewer_id: str, now: float = 0.0) -> PresentationSpec:
         """The optimal presentation of the document for *viewer_id*.
@@ -264,9 +276,8 @@ class PresentationEngine:
                 evidence[component] = value
         for component, value in self._personal_choices[viewer_id].items():
             evidence[component] = value
-        outcome = self._best_completion(viewer_id, extension, evidence)
-        outcome = self.document._enforce_subtree_hiding(outcome)
-        spec = build_spec(self.document, viewer_id, outcome, computed_at=now)
+        view = self._view(viewer_id, extension, evidence)
+        spec = view.spec_for(self.document.doc_id, viewer_id, computed_at=now)
         self._spec_cache[viewer_id] = (versions[0], versions[1], spec)
         return spec
 

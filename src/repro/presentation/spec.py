@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.document.document import MultimediaDocument
+from repro.net.codec import value_size
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,9 @@ class PresentationSpec:
     outcome: dict[str, str]
     visible: tuple[str, ...]
     total_bytes: int
+    #: Canonical encoded size of the whole outcome: what a full (non-diff)
+    #: resend of this presentation would cost on the wire.
+    wire_bytes: int
     computed_at: float = 0.0
 
     def value(self, path: str) -> str:
@@ -34,6 +38,47 @@ class PresentationSpec:
         return len(self.outcome)
 
 
+@dataclass(frozen=True)
+class PresentationView:
+    """Everything a presentation derives from its outcome alone.
+
+    Viewer-independent, so the engine derives it once per distinct
+    completion and every viewer whose constraints complete to that
+    outcome shares it. ``outcome`` is shared with it — read-only here;
+    :meth:`spec_for` gives each viewer's spec a copy of its own.
+    """
+
+    outcome: Mapping[str, str]
+    visible: tuple[str, ...]
+    total_bytes: int
+    wire_bytes: int
+
+    def spec_for(
+        self, doc_id: str, viewer_id: str, computed_at: float = 0.0
+    ) -> PresentationSpec:
+        return PresentationSpec(
+            doc_id=doc_id,
+            viewer_id=viewer_id,
+            outcome=dict(self.outcome),
+            visible=self.visible,
+            total_bytes=self.total_bytes,
+            wire_bytes=self.wire_bytes,
+            computed_at=computed_at,
+        )
+
+
+def derive_view(
+    document: MultimediaDocument, outcome: Mapping[str, str]
+) -> PresentationView:
+    """Measure *outcome* as given (the view keeps it, uncopied)."""
+    return PresentationView(
+        outcome=outcome,
+        visible=document.visible_components(outcome),
+        total_bytes=document.presentation_bytes(outcome),
+        wire_bytes=value_size(outcome),
+    )
+
+
 def build_spec(
     document: MultimediaDocument,
     viewer_id: str,
@@ -41,14 +86,8 @@ def build_spec(
     computed_at: float = 0.0,
 ) -> PresentationSpec:
     """Assemble a spec from a raw CP-net outcome."""
-    outcome = dict(outcome)
-    return PresentationSpec(
-        doc_id=document.doc_id,
-        viewer_id=viewer_id,
-        outcome=outcome,
-        visible=document.visible_components(outcome),
-        total_bytes=document.presentation_bytes(outcome),
-        computed_at=computed_at,
+    return derive_view(document, outcome).spec_for(
+        document.doc_id, viewer_id, computed_at
     )
 
 

@@ -627,17 +627,28 @@ class InteractionServer:
         """Recompute every member's presentation and ship what changed."""
         with self._trace.span("server.propagate"):
             doc_id = room.document.doc_id
+            now = self._now()
             diff_bytes = self._f_prop_bytes.labels(room.room_id, "diff")
             full_bytes = self._f_prop_bytes.labels(room.room_id, "full")
             shipped = 0
             updates: dict[str, dict[str, str]] = {}
             # Members whose recomputed views agree (the common case for a
             # shared choice) receive the *same* update frame: one encode,
-            # N sends. Keyed by the delta's canonical item sequence.
+            # N sends — and one sizing, for the accounting below. Both
+            # keyed by the delta's canonical item sequence.
             update_frames: dict[tuple[tuple[str, str], ...], Frame] = {}
+            delta_sizes: dict[tuple[tuple[str, str], ...], int] = {}
+
+            def sized(delta: dict[str, str]) -> tuple[Any, int]:
+                key = tuple(sorted(delta.items()))
+                size = delta_sizes.get(key)
+                if size is None:
+                    size = delta_sizes[key] = encoded_size(delta)
+                return key, size
+
             for member_id in room.member_sessions:
                 member = self._session(member_id)
-                spec = room.presentation_for(member.viewer_id, now=self._now())
+                spec = room.presentation_for(member.viewer_id, now=now)
                 known = member.known_spec(doc_id)
                 if self.diff_propagation:
                     delta = diff_presentations(known, spec.outcome)
@@ -657,18 +668,16 @@ class InteractionServer:
                     filtered = room.interest.filter_delta(member_id, delta)
                 if not filtered:
                     self._m_interest_filtered.inc()
-                    self._m_interest_bytes_saved.inc(encoded_size(delta))
+                    self._m_interest_bytes_saved.inc(sized(delta)[1])
                     continue
+                delta_key, delta_size = sized(filtered)
                 if len(filtered) != len(delta):
-                    self._m_interest_bytes_saved.inc(
-                        encoded_size(delta) - encoded_size(filtered)
-                    )
+                    self._m_interest_bytes_saved.inc(sized(delta)[1] - delta_size)
                 updates[member_id] = filtered
                 merged = dict(known) if known else {}
                 merged.update(filtered)
                 member.remember_spec(doc_id, merged)
                 if self.network is not None:
-                    delta_key = tuple(sorted(filtered.items()))
                     frame = update_frames.get(delta_key)
                     if frame is None:
                         body = {"doc_id": doc_id, "changes": filtered, "seq": change.seq}
@@ -681,12 +690,10 @@ class InteractionServer:
                     )
                 # Diff-vs-full accounting: what this update costs on the
                 # wire against what a whole-outcome resend would cost.
-                delta_size = encoded_size(filtered)
-                full_size = encoded_size(dict(spec.outcome))
                 self._m_prop_diff_bytes.inc(delta_size)
-                self._m_prop_full_bytes.inc(full_size)
+                self._m_prop_full_bytes.inc(spec.wire_bytes)
                 diff_bytes.inc(delta_size)
-                full_bytes.inc(full_size)
+                full_bytes.inc(spec.wire_bytes)
                 shipped += delta_size
             self._m_prop_updates.inc(len(updates))
             self._m_prop_fanout.observe(len(updates))
@@ -708,6 +715,7 @@ class InteractionServer:
                 # interested recipient), the same frame to every member —
                 # the bytes were identical per recipient anyway.
                 event_frame: Frame | None = None
+                event_size: int | None = None
                 for member_id in room.member_sessions:
                     member = self._session(member_id)
                     if member.viewer_id == change.viewer_id:
@@ -715,8 +723,10 @@ class InteractionServer:
                     if changed_component is not None and not room.interest.covers(
                         member_id, changed_component
                     ):
+                        if event_size is None:
+                            event_size = encoded_size(event_body)
                         self._m_interest_filtered.inc()
-                        self._m_interest_bytes_saved.inc(encoded_size(event_body))
+                        self._m_interest_bytes_saved.inc(event_size)
                         continue
                     if event_frame is None:
                         event_frame = encode_message(MessageKind.PEER_EVENT, event_body)

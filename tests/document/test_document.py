@@ -188,6 +188,109 @@ class TestOnlineUpdates:
             doc.remove_component("record")
 
 
+class TestComponentIndex:
+    """The path index is rebuilt when — and only when — the tree changes."""
+
+    @staticmethod
+    def _leaf(name, size=100):
+        return PrimitiveMultimediaComponent(
+            name, [JPGImage("flat", size_bytes=size), Hidden()]
+        )
+
+    def test_kept_while_the_tree_stands_still(self, doc):
+        assert doc.components() is doc.components()
+        assert doc.component_paths() is doc.component_paths()
+        doc.default_presentation()
+        doc.visible_components(doc.reconfig_presentation({"labs": "hidden"}))
+        assert doc._index() is doc._index()
+
+    def test_callers_cannot_mutate_it(self, doc):
+        components = doc.components()
+        with pytest.raises(TypeError):
+            components["imaging.mri"] = self._leaf("mri")
+        with pytest.raises(TypeError):
+            del components["imaging.ct_head"]
+        assert len(doc.components()) == 10
+
+    def test_add_and_remove_below_the_first_level(self, doc):
+        before = doc.component_paths()
+        doc.add_component("imaging", CompositeMultimediaComponent("series"))
+        doc.add_component("imaging.series", self._leaf("slice1", size=700))
+        assert doc.component_paths() == before[:4] + (
+            "imaging.series", "imaging.series.slice1",
+        ) + before[4:]
+        assert doc.components()["imaging.series.slice1"].depth == 3
+        shown = doc.default_presentation()
+        assert "imaging.series.slice1" in doc.visible_components(shown)
+        hidden = doc.reconfig_presentation({"imaging": "hidden"})
+        assert hidden["imaging.series"] == "hidden"
+        assert hidden["imaging.series.slice1"] == "hidden"
+        assert doc.presentation_bytes(shown) - doc.presentation_bytes(hidden) >= 700
+        doc.remove_component("imaging.series.slice1")
+        doc.remove_component("imaging.series")
+        assert doc.component_paths() == before
+        assert "imaging.series.slice1" not in doc.reconfig_presentation(
+            {"imaging": "hidden"}
+        )
+
+    def test_tree_edits_that_bypass_the_document_are_seen(self, doc):
+        imaging = doc.component("imaging")
+        imaging.add(self._leaf("mri"))
+        assert "imaging.mri" in doc.components()
+        assert "MultimediaDocument('record-17', 11 components" in repr(doc)
+        imaging.remove("mri")
+        assert "imaging.mri" not in doc.components()
+
+    def test_attaching_a_prebuilt_subtree(self, doc):
+        series = CompositeMultimediaComponent("series")
+        series.add(self._leaf("slice1", size=300))
+        paths = doc.component_paths()
+        series.add(self._leaf("slice2", size=400))  # still detached: not ours
+        assert doc.component_paths() is paths
+        doc.component("imaging").add(series)
+        assert [p for p in doc.component_paths() if p.startswith("imaging.series")] == [
+            "imaging.series", "imaging.series.slice1", "imaging.series.slice2",
+        ]
+        outcome = {path: "hidden" for path in doc.component_paths()}
+        outcome.update({
+            "imaging": "shown", "imaging.series": "shown",
+            "imaging.series.slice1": "flat", "imaging.series.slice2": "flat",
+        })
+        assert doc.presentation_bytes(outcome) == 700
+        assert doc.visible_components(outcome) == (
+            "imaging", "imaging.series", "imaging.series.slice1",
+            "imaging.series.slice2",
+        )
+        # An edit inside the attached subtree is an edit of this tree.
+        series.add(self._leaf("slice3"))
+        assert "imaging.series.slice3" in doc.components()
+        series.remove("slice1")
+        assert "imaging.series.slice1" not in doc.components()
+
+    def test_remove_then_readd_under_the_same_name(self, doc):
+        old = doc.components()["labs.ecg"]
+        doc.remove_component("labs.ecg")
+        assert "labs.ecg" not in doc.components()
+        doc.add_component("labs", self._leaf("ecg", size=5))
+        new = doc.components()["labs.ecg"]
+        assert new is not old
+        assert new.domain == ("flat", "hidden")
+        assert doc.component_paths().index("labs.ecg") == 6  # last child of labs now
+        outcome = doc.reconfig_presentation({"labs.ecg": "flat"})
+        assert "labs.ecg" in doc.visible_components(outcome)
+        assert doc.reconfig_presentation({"labs": "hidden"})["labs.ecg"] == "hidden"
+
+    def test_rolled_back_add_leaves_no_trace(self, doc):
+        before = dict(doc.components())
+        with pytest.raises(Exception):
+            doc.add_component(
+                "imaging", self._leaf("mri"), network_parents=("no.such.variable",)
+            )
+        assert dict(doc.components()) == before
+        assert doc.component_paths() == tuple(before)
+        assert "imaging.mri" not in doc.reconfig_presentation({"imaging": "hidden"})
+
+
 class TestBuilder:
     def test_unknown_depends_target(self):
         builder = DocumentBuilder("d").primitive("a", [Text("full"), Hidden()])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import codec
 from repro.net.codec import (
     MAX_DYNAMIC_STRINGS,
     STATIC_STRINGS,
@@ -20,7 +21,7 @@ from repro.net.codec import (
     value_size,
 )
 from repro.obs import MetricsRegistry, use_registry
-from repro.server.protocol import MessageKind
+from repro.server.protocol import MessageKind, encoded_size
 
 #: One representative payload per message kind, shaped like the real
 #: protocol traffic each kind carries.
@@ -281,6 +282,119 @@ class TestFrameHonesty:
             frame = encode_message("error", payload)  # stateless
             kind_prefix = value_size("error")
             assert value_size(payload) == frame.size_bytes - kind_prefix
+
+
+def stateless_len(value) -> int:
+    """The reference: actually encode *value* against a fresh table."""
+    out = bytearray()
+    codec._write_value(out, value, StringInterner())
+    return len(out)
+
+
+_sized_texts = st.one_of(
+    st.sampled_from(STATIC_STRINGS),
+    # a small pool, so the same dynamic string recurs within one value (IREF)
+    st.sampled_from(["imaging.ct_head", "labs.ecg", "segmented", "dr-lee", "né-ü"]),
+    st.text(max_size=12),  # any code point but lone surrogates
+)
+_sized_ints = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(
+        [0, 127, 128, 16383, 16384, -1, -128, -129, 2**63, 2**64, -(2**63) - 1]
+    ),
+)
+_sized_buffers = st.binary(max_size=300).flatmap(
+    lambda raw: st.sampled_from([raw, bytearray(raw), memoryview(raw)])
+)
+_sized_keys = st.one_of(_sized_texts, _sized_ints)
+_sized_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), _sized_ints, st.floats(), _sized_texts,
+        _sized_buffers,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_sized_keys, children, max_size=6),
+    ),
+    max_leaves=40,
+)
+_unencodable = st.sampled_from([{1, 2}, frozenset(), 1j, object, range(3)])
+
+
+def _buried(bad, wrappers):
+    """*bad* nested inside lists/tuples/dicts, with encodable siblings."""
+    value = bad
+    for wrapper in wrappers:
+        if wrapper == "list":
+            value = ["labs", value]
+        elif wrapper == "tuple":
+            value = (7, value, "after")
+        else:
+            value = {"doc_id": "d", "labs.ecg": value}
+    return value
+
+
+class TestArithmeticSizing:
+    """``value_size`` computes what the stateless encoder would emit —
+    tag for tag, varint for varint, intern id for intern id — without
+    emitting it."""
+
+    @settings(max_examples=300)
+    @given(_sized_values)
+    def test_matches_stateless_encoding(self, value):
+        assert value_size(value) == stateless_len(value)
+        assert encoded_size(value) == stateless_len(value)
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.integers(min_value=0, max_value=MAX_DYNAMIC_STRINGS + 39), max_size=8),
+    )
+    def test_dynamic_table_bound(self, overflow, repeats):
+        # More distinct strings than the table holds: the first
+        # MAX_DYNAMIC_STRINGS become back-references (1- and 2-byte ids),
+        # the overflow stays literal however often it recurs.
+        distinct = [f"s{i}" for i in range(MAX_DYNAMIC_STRINGS + overflow)]
+        value = distinct + [distinct[i % len(distinct)] for i in repeats]
+        assert value_size(value) == stateless_len(value)
+        as_dict = dict(zip(distinct, reversed(distinct)))
+        assert value_size(as_dict) == stateless_len(as_dict)
+
+    def test_multibyte_memoryview_counts_raw_bytes(self):
+        import array
+
+        view = memoryview(array.array("i", [1, 2, 3]))
+        assert value_size(view) == stateless_len(view)
+
+    @given(_unencodable, st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=4))
+    def test_same_error_for_unencodable_values(self, bad, wrappers):
+        value = _buried(bad, wrappers)
+        with pytest.raises(CodecError) as encoding:
+            stateless_len(value)
+        with pytest.raises(CodecError) as sizing:
+            value_size(value)
+        assert str(sizing.value) == str(encoding.value)
+
+    def test_lone_surrogate_raises_what_the_encoder_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            stateless_len({"detail": "\ud800"})
+        with pytest.raises(UnicodeEncodeError):
+            value_size({"detail": "\ud800"})
+
+    def test_sizing_encodes_nothing(self, monkeypatch):
+        def no_encoding(*args):
+            raise AssertionError("value_size must not encode")
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            monkeypatch.setattr(codec, "_write_value", no_encoding)
+            monkeypatch.setattr(codec, "StringInterner", no_encoding)
+            for payload in KIND_PAYLOADS.values():
+                assert value_size(payload) > 0
+                assert encoded_size(payload) == value_size(payload)
+        assert registry.snapshot()["counters"] == {}
 
 
 class TestInterestKinds:

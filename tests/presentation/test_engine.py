@@ -3,10 +3,18 @@
 import pytest
 
 from repro.cpnet import CompletionCache
-from repro.document import build_sample_medical_record
+from repro.document import (
+    Hidden,
+    JPGImage,
+    PrimitiveMultimediaComponent,
+    build_sample_medical_record,
+)
 from repro.errors import DocumentError
 from repro.presentation import PresentationEngine, ViewerChoice
+from repro.presentation import engine as engine_module
 from repro.presentation.engine import PERSONAL, SHARED
+from repro.presentation.spec import build_spec
+from repro.server.protocol import encoded_size
 
 
 @pytest.fixture
@@ -128,6 +136,109 @@ class TestSharedCompletionCache:
         second = engine.presentation_for("lee").outcome
         assert "imaging.ct_head.crop" in second
         assert "imaging.ct_head.segment" not in second
+
+
+class TestSharedViews:
+    """One derived view per distinct completion, inside its cache entry."""
+
+    @pytest.fixture
+    def shared(self):
+        cache = CompletionCache()
+        document = build_sample_medical_record()
+        document.completion_cache = cache
+        engine = PresentationEngine(document, completion_cache=cache)
+        for viewer in ("lee", "cho", "wu"):
+            engine.register_viewer(viewer)
+        return engine, cache
+
+    def test_one_derivation_serves_every_agreeing_viewer(self, shared, monkeypatch):
+        engine, cache = shared
+        derived = []
+
+        def counting(document, outcome):
+            derived.append(dict(outcome))
+            return real(document, outcome)
+
+        real = engine_module.derive_view
+        monkeypatch.setattr(engine_module, "derive_view", counting)
+        engine.apply_choice(ViewerChoice("lee", "imaging", "hidden"))
+        specs = engine.presentations()
+        assert len(derived) == 1 and len(cache) == 1
+        assert specs["lee"].visible is specs["cho"].visible is specs["wu"].visible
+        # A personal choice is a second completion: one more derivation,
+        # for its owner only.
+        engine.apply_choice(ViewerChoice("cho", "labs.ecg", "icon", scope=PERSONAL))
+        engine.presentations()
+        assert len(derived) == 2 and len(cache) == 2
+
+    def test_spec_outcomes_are_private_copies(self, shared):
+        engine, cache = shared
+        lee = engine.presentation_for("lee")
+        cho = engine.presentation_for("cho")
+        assert lee.outcome == cho.outcome and lee.outcome is not cho.outcome
+        pristine = dict(cho.outcome)
+        lee.outcome["imaging.ct_head"] = "scribbled"
+        lee.outcome["not.a.component"] = "x"
+        del lee.outcome["labs"]
+        assert cho.outcome == pristine
+        assert engine.presentation_for("wu").outcome == pristine  # from the shared view
+        engine.unregister_viewer("cho")
+        engine.register_viewer("cho")
+        assert engine.presentation_for("cho").outcome == pristine
+
+    def test_shared_view_measures_what_build_spec_measures(self, shared):
+        engine, _ = shared
+        engine.apply_choice(ViewerChoice("lee", "consult", "hidden"))
+        spec = engine.presentation_for("cho")
+        rebuilt = build_spec(engine.document, "cho", spec.outcome)
+        assert (spec.visible, spec.total_bytes, spec.wire_bytes) == (
+            rebuilt.visible, rebuilt.total_bytes, rebuilt.wire_bytes
+        )
+        assert spec.wire_bytes == encoded_size(spec.outcome)
+        assert spec.value("consult.voice_note") == "hidden"
+
+    @pytest.mark.parametrize("document_first", [True, False])
+    def test_document_queries_share_entries_either_way_round(
+        self, shared, document_first
+    ):
+        # The document's §5.1 queries and the engine read the same entry;
+        # the engine finishes subtree hiding in place on it, which the
+        # document's own (idempotent) enforcement must not notice.
+        engine, cache = shared
+        engine.apply_choice(ViewerChoice("lee", "imaging", "hidden"))
+        expected = build_sample_medical_record().reconfig_presentation(
+            {"imaging": "hidden"}
+        )
+        if document_first:
+            assert engine.document.reconfig_presentation({"imaging": "hidden"}) == expected
+        assert engine.presentation_for("lee").outcome == expected
+        assert engine.document.reconfig_presentation({"imaging": "hidden"}) == expected
+        assert len(cache) == 1
+
+    def test_invalidation_reclaims_views_with_their_entries(self, shared):
+        engine, cache = shared
+        engine.presentations()
+        engine.apply_choice(ViewerChoice("lee", "labs", "hidden"))
+        engine.presentations()
+        assert len(cache) == 2
+        engine.apply_operation("lee", "imaging.ct_head", "zoom", global_importance=True)
+        assert len(cache) == 0
+        assert "imaging.ct_head.zoom" in engine.presentation_for("cho").outcome
+
+    def test_view_follows_a_structural_update(self, shared):
+        engine, cache = shared
+        before = engine.presentation_for("lee")
+        engine.document.add_component(
+            "imaging",
+            PrimitiveMultimediaComponent(
+                "mri", [JPGImage("flat", size_bytes=4096), Hidden()]
+            ),
+        )
+        engine.invalidate()
+        after = engine.presentation_for("lee")
+        assert "imaging.mri" in after.visible and "imaging.mri" not in before.visible
+        assert after.total_bytes == before.total_bytes + 4096
+        assert after.wire_bytes > before.wire_bytes
 
 
 class TestSpecs:

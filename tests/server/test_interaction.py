@@ -1,10 +1,17 @@
-"""Unit tests for the interaction server (direct, non-networked mode)."""
+"""Unit tests for the interaction server (direct mode; the pinned
+propagation ledger at the end runs networked)."""
+
+import gc
+import weakref
 
 import pytest
 
+from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import PermissionError_, RoomError, ServerError
+from repro.net import SimulatedNetwork, codec
+from repro.obs import MetricsRegistry, use_registry
 from repro.server import InteractionServer, PermissionPolicy
 from repro.server.permissions import PERM_VIEW, VIEWER_GRANT
 
@@ -124,6 +131,28 @@ class TestRooms:
         server.leave_room(session.session_id)
         assert server.room_ids == ()
         assert len(server.completion_cache) == 0
+
+    def test_room_close_reclaims_shared_views(self, server):
+        """The derived views live inside the completion entries, so the
+        last leave frees them with the entries — nothing else holds one."""
+        sessions = [server.connect_session(name) for name in ("lee", "cho", "wu")]
+        for session in sessions:
+            server.join_room(session.session_id, "record-17")
+        server.handle_choice(sessions[0].session_id, "imaging", "hidden")
+        server.handle_choice(
+            sessions[1].session_id, "labs.ecg", "icon", scope="personal"
+        )
+        server.handle_operation(sessions[2].session_id, "labs.ecg", "zoom")
+        entries = list(server.completion_cache._entries.values())
+        views = [weakref.ref(entry.view) for entry in entries if entry.view is not None]
+        assert len(views) >= 3
+        del entries
+        for session in sessions:
+            server.leave_room(session.session_id)
+        assert server.room_ids == ()
+        assert len(server.completion_cache) == 0
+        gc.collect()
+        assert all(view() is None for view in views)
 
 
 class TestPropagation:
@@ -267,3 +296,91 @@ class TestPayloads:
             session.session_id, "imaging.ct_head", "flat"
         )
         assert size == 512 * 1024
+
+
+class TestPropagationLedger:
+    """A pinned scripted room: the propagation and codec counters must
+    read exactly what they read before sizing stopped encoding (numbers
+    recorded at the parent of PR 12), and every encode that happens
+    during a propagate must be one ``codec.encodes`` counts."""
+
+    SCRIPT = (
+        lambda m: m[0].choose("imaging.ct_head", "segmented"),
+        lambda m: m[1].choose("imaging.xray_chest", "flat", scope="personal"),
+        lambda m: m[4].subscribe(["labs"], replace=True),
+        lambda m: m[5].unsubscribe(),
+        lambda m: m[2].operate("imaging.ct_head", "zoom"),
+        lambda m: m[0].choose("imaging", "hidden"),
+        lambda m: m[6].subscribe(["imaging.ct_head", "consult"], replace=True),
+        lambda m: m[3].operate("labs.ecg", "measure", global_importance=True),
+        lambda m: m[7].choose("labs.ecg", "icon"),
+        lambda m: m[0].choose("imaging", "shown"),
+        lambda m: m[4].unsubscribe(["labs"]),
+        lambda m: m[5].subscribe(["imaging"]),
+        lambda m: m[1].choose("consult.voice_note", "transcript"),
+        lambda m: m[2].choose("imaging.ct_head", "icon", scope="personal"),
+        lambda m: m[6].choose("demographics", "summary"),
+        lambda m: m[3].choose("imaging.ct_head", "flat"),
+    )
+
+    PINNED = {
+        "server.propagation.updates": 54,
+        "server.propagation.diff_bytes": 2161,
+        "server.propagation.full_bytes": 12216,
+        'server.propagation.room_bytes{room="server:room-1",mode="diff"}': 2161,
+        'server.propagation.room_bytes{room="server:room-1",mode="full"}': 12216,
+        "interest.bytes_saved": 2341,
+        "interest.updates_filtered": 31,
+        "codec.encodes": 63,
+        "codec.encodes_saved": 89,
+        "codec.bytes_encoded": 7756,
+    }
+
+    def test_counters_and_encode_work_are_pinned(self, store, monkeypatch):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            network = SimulatedNetwork()
+            server = InteractionServer(store, network=network, interest_mode="cpnet")
+            members = []
+            for index in range(8):
+                client = ClientModule(f"m{index}", network=network, auto_fetch=False)
+                network.attach_client(client)
+                client.join("record-17")
+                members.append(client)
+            network.run()
+
+            # Every buffer the encoder writes into while a propagate is
+            # on the stack (kept alive, so ids cannot be reused).
+            buffers: dict[int, bytearray] = {}
+            propagating = []
+            uncounted = []  # (change kind, buffers written, codec.encodes delta)
+            real_write = codec._write_value
+            real_propagate = InteractionServer._propagate
+
+            def recording_write(out, value, interner):
+                if propagating:
+                    buffers[id(out)] = out
+                real_write(out, value, interner)
+
+            def counting_propagate(self, room, change):
+                encodes = registry.counter("codec.encodes")
+                before, already = encodes.value, len(buffers)
+                propagating.append(change)
+                try:
+                    return real_propagate(self, room, change)
+                finally:
+                    propagating.pop()
+                    written, counted = len(buffers) - already, encodes.value - before
+                    if written != counted:
+                        uncounted.append((change.kind, written, counted))
+
+            monkeypatch.setattr(codec, "_write_value", recording_write)
+            monkeypatch.setattr(InteractionServer, "_propagate", counting_propagate)
+            for step in self.SCRIPT:
+                step(members)
+                network.run()
+            assert all(not client.errors for client in members)
+            assert buffers  # propagates did encode, so the next line has teeth
+            assert uncounted == []
+        counters = registry.snapshot()["counters"]
+        assert {name: counters[name] for name in self.PINNED} == self.PINNED
