@@ -44,11 +44,10 @@ def run_scaleout(tmp_path, num_shards, tag):
     store = MultimediaObjectStore(db)
     result = run_cluster_conference(
         store,
-        num_shards=num_shards,
+        ClusterConfig(shards=num_shards, service_rate=SERVICE_RATE),
         num_rooms=NUM_ROOMS,
         clients_per_room=CLIENTS_PER_ROOM,
         events_per_room=EVENTS_PER_ROOM,
-        service_rate=SERVICE_RATE,
         seed=17,
     )
     db.close()
@@ -137,7 +136,7 @@ def run_tiered(tmp_path, shards, gateways, tag):
             store = MultimediaObjectStore(db)
             result = run_cluster_conference(
                 store,
-                config=ClusterConfig(
+                ClusterConfig(
                     shards=shards,
                     gateways=gateways,
                     route_rate=GW_ROUTE_RATE,

@@ -21,6 +21,7 @@ from conftest import QUICK
 from test_bench_codec_fanout import run_fanout
 
 from repro import obs
+from repro.cluster import ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.obs.export import summary_quantile
 from repro.workloads.cluster import run_cluster_conference
@@ -60,11 +61,12 @@ def run_traced_cluster(tmp_path, num_shards):
             with obs.use_dtrace(tracer):
                 result = run_cluster_conference(
                     store,
-                    num_shards=num_shards,
+                    ClusterConfig(
+                        shards=num_shards, service_rate=200.0, batch_window_s=0.02
+                    ),
                     num_rooms=NUM_ROOMS,
                     clients_per_room=3,
                     events_per_room=EVENTS_PER_ROOM,
-                    batch_window_s=0.02,
                 )
     finally:
         db.close()

@@ -2,7 +2,7 @@
 
 Three consultations run concurrently through a 3-shard cluster behind a
 gateway. Mid-conference the shard owning ``case-0`` fail-stops: its
-heartbeats go silent, the gateway's failure detector notices, the
+heartbeats go silent, the directory's failure detector notices, the
 replica shard replays the shipped op log and is promoted, and the
 clients keep working — their post-crash choices land on the promoted
 replica without rejoining.
@@ -23,7 +23,7 @@ Run:  python examples/cluster_tour.py
 import tempfile
 
 from repro import obs
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.workloads import consultation_events, generate_record
 
@@ -48,7 +48,7 @@ def build_store(workdir):
 def run_conference(workdir, crash: bool, monitor_viewer: str | None = None):
     """One 3-room conference; optionally crash the owner of case-0."""
     db, store, records = build_store(workdir)
-    harness = ClusterHarness(store, num_shards=3, failure_timeout=1.5)
+    harness = ClusterHarness(store, ClusterConfig(shards=3, failure_timeout=1.5))
     monitor = harness.add_monitor(monitor_viewer) if monitor_viewer else None
     victim = harness.owner_of("case-0")
 
@@ -93,7 +93,7 @@ def run_conference(workdir, crash: bool, monitor_viewer: str | None = None):
         "victim": victim,
         "final": final,
         "errors": errors,
-        "failovers": list(harness.gateway.failovers),
+        "failovers": list(harness.failovers),
         "stats": harness.stats(),
         "monitor": monitor,
     }
@@ -132,7 +132,9 @@ def main() -> None:
 
     print("\n-- cluster state at close --")
     stats = result["stats"]
-    print(f"  gateway: {stats['gateway']}")
+    print(f"  directory: {stats['directory']}")
+    for gateway_id, gateway_stats in stats["gateways"].items():
+        print(f"  {gateway_id}: {gateway_stats}")
     for shard_id, shard_stats in stats["shards"].items():
         print(f"  {shard_id}: {shard_stats}")
 

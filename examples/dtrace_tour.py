@@ -25,6 +25,7 @@ import tempfile
 
 from repro import obs
 from repro.chaos.plan import FaultPlan
+from repro.cluster import ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.obs.dtrace import (
     HOP_RETRANSMIT,
@@ -49,11 +50,10 @@ def traced_cluster_run(workdir):
             with use_dtrace(tracer):
                 result = run_cluster_conference(
                     store,
-                    num_shards=4,
+                    ClusterConfig(shards=4, service_rate=200.0, batch_window_s=0.02),
                     num_rooms=2,
                     clients_per_room=3,
                     events_per_room=4,
-                    batch_window_s=0.02,
                 )
     finally:
         db.close()

@@ -6,24 +6,33 @@ is that a conference driven under loss, duplication, reordering, a
 partition window and a primary crash finishes with every client
 displaying **byte-for-byte** the state of the fault-free control run.
 
-:func:`run_convergence` runs the control once and the chaos scenario
-under N seeds, each in its own isolated metrics registry/event log, and
-compares. ``python -m repro.chaos.convergence --seeds 1 2 3 4 5`` is the
-CI entry point: exit status 1 on any divergence.
+:data:`SCENARIOS` is the chaos matrix: one frozen :class:`ChaosScenario`
+row per acceptance scenario, naming its workload runner, the faults it
+injects and the plan seeds it must survive. :func:`run_convergence` runs
+one row — the control once and the seeded runs, each in its own isolated
+metrics registry/event log — and compares.
+``python -m repro.chaos.convergence --scenario all --quick`` is the CI
+entry point: exit status 1 on any divergence in any row.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
-from typing import Any, Iterable
+import tempfile
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.chaos.plan import FaultPlan
+from repro.cpnet.compiled import interpreted_mode
 from repro.db.engine import Database
 from repro.db.orm import MultimediaObjectStore
 from repro.workloads.chaos import run_chaos_conference
+from repro.workloads.megaconf import run_megaconf_convergence
 
 #: Fault rates of the acceptance scenario: lossy enough that repair
 #: mechanisms demonstrably fire, survivable within the retry budget.
@@ -34,113 +43,146 @@ DEFAULT_RATES = {
     "corrupt_rate": 0.02,
 }
 
-DEFAULT_SEEDS = (1, 2, 3, 4, 5)
+
+class Fault(enum.Flag):
+    """What a scenario injects on top of the seeded per-frame rates.
+
+    Crashes and churn happen in the control run too (the op_seq stamps
+    must match byte for byte); the partition window rides on the fault
+    plan, so only seeded runs have one.
+    """
+
+    PARTITION = enum.auto()
+    SHARD_CRASH = enum.auto()
+    GATEWAY_CRASH = enum.auto()
+    INTEREST_CHURN = enum.auto()
+
+
+def _conference(
+    store: MultimediaObjectStore, plan: FaultPlan | None, quick: bool, faults: Fault
+) -> dict[str, Any]:
+    """The three-phase conference of :mod:`repro.workloads.chaos`."""
+    return run_chaos_conference(
+        store,
+        plan=plan,
+        events_per_room=3 if quick else 6,
+        crash_owner_of="case-0" if Fault.SHARD_CRASH in faults else None,
+        partition=Fault.PARTITION in faults and plan is not None,
+        interest_churn=Fault.INTEREST_CHURN in faults,
+        gateway_crash=Fault.GATEWAY_CRASH in faults,
+    )
+
+
+def _megaconf(
+    store: MultimediaObjectStore, plan: FaultPlan | None, quick: bool, faults: Fault
+) -> dict[str, Any]:
+    """The keynote flash crowd of :mod:`repro.workloads.megaconf`.
+
+    Admission control is on, JOIN deferral engages during the keynote
+    wave and the (built-in) partition window lands over it — overload
+    shedding and chaos repair must *compose* without breaking
+    byte-identity.
+    """
+    return run_megaconf_convergence(
+        store, plan=plan, quick=quick, gateway_crash=Fault.GATEWAY_CRASH in faults
+    )
+
+
+@dataclass(frozen=True)
+class ChaosScenario:
+    """One row of the chaos matrix."""
+
+    name: str
+    #: ``runner(store, plan, quick, faults)`` -> the run's result dict.
+    runner: Callable[..., dict[str, Any]]
+    faults: Fault
+    #: Plan seeds the scenario is gated on.
+    seeds: tuple[int, ...]
+    #: Trace every delivery of the seeded runs while the control stays
+    #: untraced: convergence then also proves trace trailers are
+    #: invisible to the data plane.
+    traced: bool = False
+    #: Run the control on the interpreted CP-net engine while the seeded
+    #: runs keep compiled evaluation and the shared completion cache:
+    #: convergence then also proves the compiled hot path byte-identical,
+    #: and each seed must register cache hits so sharing really happened.
+    interpreted_control: bool = False
+
+
+_CRASH = Fault.PARTITION | Fault.SHARD_CRASH
+_GW_CRASH = Fault.PARTITION | Fault.GATEWAY_CRASH
+
+#: The chaos matrix, by row name. CI and the tests iterate it.
+SCENARIOS: dict[str, ChaosScenario] = {
+    row.name: row
+    for row in (
+        ChaosScenario("baseline", _conference, _CRASH, (1, 2, 3, 4, 5)),
+        ChaosScenario(
+            "interest-churn", _conference, _CRASH | Fault.INTEREST_CHURN, (1, 2, 3)
+        ),
+        ChaosScenario("tracing", _conference, _CRASH, (1, 2), traced=True),
+        ChaosScenario("gateway-crash", _conference, _GW_CRASH, (1, 2)),
+        ChaosScenario("megaconf", _megaconf, Fault.PARTITION, (1, 2)),
+        ChaosScenario("megaconf-gateway-crash", _megaconf, _GW_CRASH, (1, 2)),
+        ChaosScenario(
+            "cpnet-compiled", _conference, _CRASH, (1, 2), interpreted_control=True
+        ),
+    )
+}
 
 
 def _one_run(
-    root: str,
-    name: str,
-    plan: FaultPlan | None,
-    tracing: bool = False,
-    runner: Any = run_chaos_conference,
-    interpreted: bool = False,
-    **kwargs: Any,
+    root: str, name: str, row: ChaosScenario, plan: FaultPlan | None, quick: bool
 ) -> dict[str, Any]:
     """One isolated conference run (fresh obs context, fresh database)."""
-    from contextlib import nullcontext
-
-    from repro.cpnet.compiled import interpreted_mode
-
+    seeded = plan is not None
+    tracer = (
+        obs.use_dtrace(obs.DeliveryTracer(sample_every=1))
+        if row.traced and seeded
+        else nullcontext()
+    )
+    engine_mode = (
+        interpreted_mode() if row.interpreted_control and not seeded else nullcontext()
+    )
     registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        log = obs.EventLog()
-        with obs.use_event_log(log):
-            tracer = (
-                obs.use_dtrace(obs.DeliveryTracer(sample_every=1))
-                if tracing
-                else nullcontext()
-            )
-            engine_mode = interpreted_mode() if interpreted else nullcontext()
-            db = Database(f"{root}/{name}")
-            try:
-                with tracer, engine_mode:
-                    store = MultimediaObjectStore(db)
-                    result = runner(store, plan=plan, **kwargs)
-            finally:
-                db.close()
-            counters = registry.snapshot()["counters"]
-            result["counters"] = {
-                key: value
-                for key, value in counters.items()
-                if key.startswith(("net.", "chaos.", "gateway.route", "cpnet."))
-            }
-            result.pop("harness", None)
-            return result
+    with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
+        db = Database(f"{root}/{row.name}-{name}")
+        try:
+            with tracer, engine_mode:
+                result = row.runner(MultimediaObjectStore(db), plan, quick, row.faults)
+        finally:
+            db.close()
+        counters = registry.snapshot()["counters"]
+    result["counters"] = {
+        key: value
+        for key, value in counters.items()
+        if key.startswith(("net.", "chaos.", "gateway.route", "cpnet."))
+    }
+    result.pop("harness", None)
+    return result
 
 
 def run_convergence(
     root: str,
-    seeds: Iterable[int] = DEFAULT_SEEDS,
+    scenario: str = "baseline",
+    seeds: Iterable[int] | None = None,
     quick: bool = False,
-    crash: bool = True,
-    partition: bool = True,
-    interest_churn: bool = False,
-    tracing: bool = False,
-    gateway_crash: bool = False,
-    megaconf: bool = False,
-    cpnet_compiled: bool = False,
 ) -> dict[str, Any]:
-    """Control + one chaos run per seed; report agreement.
+    """Control + one chaos run per seed of one scenario; report agreement.
 
-    *root* is a scratch directory for the runs' databases. ``quick``
-    trims the workload (fewer events) for CI smoke jobs. The returned
-    report has ``converged`` per seed plus the overall ``ok`` verdict:
-    every seed byte-identical to control, zero client-visible errors,
-    zero delivery failures, and — to prove chaos was actually on — at
-    least one injected fault and one retransmission per seed.
-    ``interest_churn`` runs the scenario with CP-net interest management
-    on and subscriptions churning across the fault windows (see
-    :func:`~repro.workloads.chaos.run_chaos_conference`).
-    ``tracing`` turns full-sampling delivery tracing on for the seeded
-    chaos runs only — the control stays untraced, so convergence then
-    also proves trace trailers are invisible to the data plane.
-    ``gateway_crash`` routes the whole scenario through the sharded
-    gateway tier and fail-stops one gateway mid-conference — in both
-    the control and the seeded runs, so the replay/op_seq machinery must
-    reconverge byte-identically under faults too.
-    ``megaconf`` swaps the three-phase conference for the mega-conference
-    keynote flash crowd (:func:`~repro.workloads.megaconf
-    .run_megaconf_convergence`): admission control is on, JOIN deferral
-    engages during the keynote wave, and the fault window (plus the
-    optional gateway crash) lands mid-keynote — overload shedding and
-    chaos repair must *compose* without breaking byte-identity.
-    ``cpnet_compiled`` makes the *control* run on the interpreted CP-net
-    engine while the seeded chaos runs keep compiled evaluation and the
-    shared completion cache on — so convergence then also proves the
-    compiled hot path (with caching, across a shard crash) is
-    byte-identical to the reference sweeps; each seed must additionally
-    register completion-cache hits to prove sharing actually happened.
+    *root* is a scratch directory for the runs' databases, *scenario* a
+    row name of :data:`SCENARIOS`, *seeds* an override of the row's own
+    seeds. ``quick`` trims the workload (fewer events) for CI smoke
+    jobs. The returned report has ``converged`` per seed plus the overall
+    ``ok`` verdict: every seed byte-identical to control, zero
+    client-visible errors, zero delivery failures, and — to prove chaos
+    was actually on — at least one injected fault and one retransmission
+    per seed.
     """
-    if megaconf:
-        from repro.workloads.megaconf import run_megaconf_convergence
-
-        runner: Any = run_megaconf_convergence
-        kwargs: dict[str, Any] = dict(quick=quick, gateway_crash=gateway_crash)
-        seed_kwargs: dict[str, Any] = {}
-    else:
-        runner = run_chaos_conference
-        events_per_room = 3 if quick else 6
-        kwargs = dict(
-            events_per_room=events_per_room,
-            crash_owner_of="case-0" if crash else None,
-            interest_churn=interest_churn,
-            gateway_crash=gateway_crash,
-        )
-        seed_kwargs = dict(partition=partition)
-    control = _one_run(
-        root, "control", None, runner=runner, interpreted=cpnet_compiled, **kwargs
-    )
+    row = SCENARIOS[scenario]
+    control = _one_run(root, "control", row, None, quick)
     report: dict[str, Any] = {
+        "scenario": row.name,
         "control": {
             "displayed": control["displayed"],
             "errors": control["errors"],
@@ -149,12 +191,9 @@ def run_convergence(
         "seeds": {},
     }
     ok = not control["errors"]
-    for seed in seeds:
+    for seed in row.seeds if seeds is None else seeds:
         plan = FaultPlan(seed=seed, **DEFAULT_RATES)
-        result = _one_run(
-            root, f"seed-{seed}", plan,
-            tracing=tracing, runner=runner, **seed_kwargs, **kwargs,
-        )
+        result = _one_run(root, f"seed-{seed}", row, plan, quick)
         retries = sum(
             value
             for key, value in result["counters"].items()
@@ -173,7 +212,7 @@ def run_convergence(
             and retries > 0
             # Compiled mode must prove the cache actually shared work,
             # not just that the compiled sweep happened to agree.
-            and (not cpnet_compiled or cache_hits > 0)
+            and (not row.interpreted_control or cache_hits > 0)
         )
         ok = ok and seed_ok
         report["seeds"][seed] = {
@@ -185,12 +224,10 @@ def run_convergence(
             "injected": result["injected"],
             "retries": retries,
             "failovers": len(result["failovers"]),
-            "gateway_failovers": len(result.get("gateway_failovers", [])),
-            "expected_delivery_failures": len(
-                result.get("expected_delivery_failures", [])
-            ),
+            "gateway_failovers": len(result["gateway_failovers"]),
+            "expected_delivery_failures": result["expected_delivery_failures"],
             "victim": result["victim"],
-            "gateway_victim": result.get("gateway_victim"),
+            "gateway_victim": result["gateway_victim"],
             "sim_seconds": result["sim_seconds"],
         }
     report["ok"] = ok
@@ -199,72 +236,42 @@ def run_convergence(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Chaos convergence suite: N seeded runs vs fault-free control."
+        description="Chaos convergence suite: seeded runs vs fault-free control."
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument(
+        "--scenario",
+        default="baseline",
+        choices=[*SCENARIOS, "all"],
+        help="one row of the chaos matrix, or every row in turn",
+    )
     parser.add_argument("--quick", action="store_true", help="trimmed CI workload")
-    parser.add_argument("--no-crash", action="store_true")
-    parser.add_argument("--no-partition", action="store_true")
     parser.add_argument(
-        "--interest-churn",
-        action="store_true",
-        help="churn subscriptions across the fault windows (repro.interest)",
-    )
-    parser.add_argument(
-        "--tracing",
-        action="store_true",
-        help="trace the chaos runs at full sampling (control stays untraced)",
-    )
-    parser.add_argument(
-        "--gateway-crash",
-        action="store_true",
-        help="run through the gateway tier and kill one gateway mid-conference",
-    )
-    parser.add_argument(
-        "--megaconf",
-        action="store_true",
-        help="keynote flash crowd with admission control instead of the "
-        "three-phase conference (faults land mid-keynote)",
-    )
-    parser.add_argument(
-        "--cpnet-compiled",
-        action="store_true",
-        help="interpreted control vs compiled+cached chaos runs: proves the "
-        "compiled CP-net hot path is byte-identical under faults",
+        "--seeds", type=int, nargs="+", default=None,
+        help="plan seeds (default: each scenario's own)",
     )
     parser.add_argument("--root", default=None, help="scratch dir (default: mkdtemp)")
     args = parser.parse_args(argv)
-    root = args.root
-    if root is None:
-        import tempfile
-
-        root = tempfile.mkdtemp(prefix="chaos-convergence-")
-    report = run_convergence(
-        root,
-        seeds=args.seeds,
-        quick=args.quick,
-        crash=not args.no_crash,
-        partition=not args.no_partition,
-        interest_churn=args.interest_churn,
-        tracing=args.tracing,
-        gateway_crash=args.gateway_crash,
-        megaconf=args.megaconf,
-        cpnet_compiled=args.cpnet_compiled,
-    )
-    for seed, entry in report["seeds"].items():
-        status = "ok" if entry["ok"] else "DIVERGED"
-        print(
-            f"seed {seed}: {status}  injected={sum(entry['injected'].values())} "
-            f"retries={entry['retries']} failovers={entry['failovers']} "
-            f"gateway_failovers={entry['gateway_failovers']} "
-            f"errors={len(entry['errors'])} "
-            f"delivery_failures={len(entry['delivery_failures'])}"
-        )
-    if not report["ok"]:
-        print(json.dumps(report, indent=2, default=str), file=sys.stderr)
-        return 1
-    print(f"all {len(report['seeds'])} seeds converged to the control run")
-    return 0
+    root = args.root or tempfile.mkdtemp(prefix="chaos-convergence-")
+    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
+    status = 0
+    for name in names:
+        report = run_convergence(root, name, seeds=args.seeds, quick=args.quick)
+        print(f"== {name}")
+        for seed, entry in report["seeds"].items():
+            verdict = "ok" if entry["ok"] else "DIVERGED"
+            print(
+                f"seed {seed}: {verdict}  injected={sum(entry['injected'].values())} "
+                f"retries={entry['retries']} failovers={entry['failovers']} "
+                f"gateway_failovers={entry['gateway_failovers']} "
+                f"errors={len(entry['errors'])} "
+                f"delivery_failures={len(entry['delivery_failures'])}"
+            )
+        if report["ok"]:
+            print(f"all {len(report['seeds'])} seeds converged to the control run")
+        else:
+            print(json.dumps(report, indent=2, default=str), file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

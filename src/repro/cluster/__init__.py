@@ -3,13 +3,22 @@
 The paper's Fig. 1 architecture has exactly one interaction server as
 the hub of the star network, which caps the reproduction at a single
 node's throughput. This package splices a cluster tier between the
-clients and the rooms/DB without changing the client protocol:
+clients and the rooms/DB without changing the client protocol. There is
+one topology — clients → gateway tier → shards, with a directory beside
+the tier as control plane — and a single-gateway cluster is that
+topology with one gateway node:
 
 * :mod:`repro.cluster.ring` — a consistent-hash ring shards rooms across
-  server nodes with bounded movement on membership change;
-* :mod:`repro.cluster.gateway` — the :class:`Gateway` owns the
-  client-facing links, routes each message to the owning shard, and
-  re-homes sessions transparently on failover;
+  server nodes (and clients across gateways) with bounded movement on
+  membership change;
+* :mod:`repro.cluster.gateway` — :class:`Gateway`, the routing core of a
+  gateway node: session→shard route table, ``ROUTE`` envelopes both
+  ways, routing retry, the telemetry monitor channel;
+* :mod:`repro.cluster.gatewaytier` — :class:`GatewayNode`, the
+  deployable access point (routing core + route cache + routing queue),
+  and the :class:`GatewayDirectory` control plane: shard and gateway
+  registration, client homing, the failure detector, ``PROMOTE`` and
+  gateway failover;
 * :mod:`repro.cluster.shard` — a :class:`ShardServer` wraps a full
   :class:`~repro.server.interaction.InteractionServer` behind a
   bounded-capacity service queue and ships its room ops to replicas;
@@ -17,18 +26,15 @@ clients and the rooms/DB without changing the client protocol:
   acked sequence numbers; replicas replay ops into shadow servers;
 * :mod:`repro.cluster.failover` — simclock-driven heartbeats and the
   failure detector that triggers deterministic promotion;
-* :mod:`repro.cluster.gatewaytier` — the sharded gateway tier: N
-  :class:`GatewayNode` access points with per-client homing and route
-  caches, plus the :class:`GatewayDirectory` control plane that assigns
-  clients to gateways and fails them over when a gateway dies;
 * :mod:`repro.cluster.admission` — the :class:`AdmissionController`
   guarding each shard's service queue and each gateway's routing queue:
   priority lanes (control never shed, JOINs deferred before data drops)
   and typed ``RETRY_AFTER`` bounces so overload degrades into
   bounded-latency deferral instead of unbounded queueing;
-* :mod:`repro.cluster.config` — :class:`ClusterConfig`, the named
-  topology configuration all of the above is built from;
-* :mod:`repro.cluster.harness` — one-call wiring of a whole cluster.
+* :mod:`repro.cluster.config` — :class:`ClusterConfig`, the one
+  description of a cluster's shape and capacity;
+* :mod:`repro.cluster.harness` — :class:`ClusterHarness`, one-call
+  wiring of a whole cluster from a ``ClusterConfig``.
 
 Everything runs on the existing ``repro.net`` simulated network and the
 shared :class:`~repro.net.simclock.SimClock`, so cluster behaviour —

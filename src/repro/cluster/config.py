@@ -2,12 +2,11 @@
 
 One frozen dataclass carries every knob that shapes a cluster —
 shard count, gateway-tier width, service and routing capacity, the
-batching window — so :class:`~repro.cluster.harness.ClusterHarness` and
-:func:`~repro.workloads.cluster.run_cluster_conference` stop growing
-positional parameters. ``gateways=0`` keeps the original single-hub
-:class:`~repro.cluster.gateway.Gateway` topology byte for byte;
-``gateways >= 1`` builds the sharded gateway tier of
-:mod:`repro.cluster.gatewaytier` (a directory plus N gateway nodes).
+batching window — and is the only way
+:class:`~repro.cluster.harness.ClusterHarness` and
+:func:`~repro.workloads.cluster.run_cluster_conference` are told what
+to build. Every cluster is a directory plus ``gateways`` gateway nodes
+(:mod:`repro.cluster.gatewaytier`) in front of ``shards`` shard servers.
 """
 
 from __future__ import annotations
@@ -22,18 +21,17 @@ from repro.errors import ClusterError
 class ClusterConfig:
     """Topology + capacity knobs for one simulated cluster."""
 
-    #: Shard servers behind the gateway (or gateway tier).
+    #: Shard servers behind the gateway tier.
     shards: int = 2
-    #: Gateway nodes. 0 = the legacy single hub; >= 1 = the gateway tier
-    #: with a directory, per-client homing and gateway failover.
-    gateways: int = 0
+    #: Gateway nodes terminating client links; clients are homed across them
+    #: by consistent hash and re-homed when one dies.
+    gateways: int = 1
     #: Propagation batching window on the shards (0 = send immediately).
     batch_window_s: float = 0.0
     #: Shard serial service capacity in ops/second (None = infinite).
     service_rate: float | None = None
-    #: Gateway routing capacity in envelopes/second (None = infinite).
-    #: Only meaningful with ``gateways >= 1``; this is the knob that
-    #: makes gateway scale-out measurable in benchmark E16.
+    #: Gateway routing capacity in envelopes/second (None = infinite);
+    #: the knob that makes gateway scale-out measurable in benchmark E16.
     route_rate: float | None = None
     #: Ring replication factor for room op logs.
     replication_factor: int = 2
@@ -44,19 +42,13 @@ class ClusterConfig:
     #: Interest management mode ("off" or "cpnet").
     interest_mode: str = "off"
     #: Admission control in front of shard service queues and gateway
-    #: routing queues. ``None`` (the default) leaves every queue
-    #: unbounded — the pre-admission cluster, byte for byte.
+    #: routing queues. ``None`` (the default) leaves every queue unbounded.
     admission: AdmissionConfig | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ClusterError(f"a cluster needs >= 1 shard, got {self.shards}")
-        if self.gateways < 0:
-            raise ClusterError(f"gateways must be >= 0, got {self.gateways}")
+        if self.gateways < 1:
+            raise ClusterError(f"a cluster needs >= 1 gateway, got {self.gateways}")
         if self.route_rate is not None and self.route_rate <= 0:
             raise ClusterError(f"route_rate must be > 0, got {self.route_rate}")
-
-    @property
-    def tiered(self) -> bool:
-        """True when the gateway tier (directory + N gateways) is on."""
-        return self.gateways > 0

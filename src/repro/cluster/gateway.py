@@ -1,15 +1,20 @@
-"""The client-facing gateway: routing, session homing, failover control.
+"""Gateway routing core: route table, ROUTE envelopes, routing retry.
 
-The gateway is the hub of the star network — clients keep the exact
-protocol they speak to a single ``InteractionServer``. Behind it, every
-client message is wrapped in a ``ROUTE`` envelope and forwarded to the
-shard owning the target room: ``JOIN`` routes by document id through the
-consistent-hash ring, everything else by the session→shard table learned
-from ``JOIN_ACK`` responses. The gateway also runs the failure detector:
-when a shard's heartbeats stop, it is removed from the ring, a
-``PROMOTE`` order goes to the shard the ring now names as owner (the old
-replica, by construction), and the dead shard's sessions are re-homed —
-clients never see the topology change, only the paused shard.
+Clients keep the exact protocol they speak to a single
+``InteractionServer``. Behind a gateway, every client message is wrapped
+in a ``ROUTE`` envelope and forwarded to the shard owning the target
+room: ``JOIN`` routes by document id through the consistent-hash ring,
+everything else by the session→shard table learned from ``JOIN_ACK``
+responses; shard responses are unwrapped and handed to the client link.
+An op whose shard is momentarily unroutable is parked and retried with
+backoff, re-resolving the route on every attempt.
+
+:class:`Gateway` is this data-plane core plus the telemetry monitor
+channel. The deployable node is its subclass
+:class:`~repro.cluster.gatewaytier.GatewayNode`, which attaches to the
+network and talks to the :class:`~repro.cluster.gatewaytier
+.GatewayDirectory` — the one place shard registration, failure
+detection and ``PROMOTE`` live.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ClusterError
-from repro.cluster.failover import FailureDetector, schedule_periodic
 from repro.cluster.ring import HashRing
 from repro.cluster.wire import encode_shardbound, shardbound_wrapper
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
-from repro.obs import LATENCY_BUCKETS
 from repro.obs.dtrace import HOP_GATEWAY_ROUTE, get_dtrace
 from repro.server.protocol import MessageKind
 from repro.server.session import Session
@@ -33,27 +36,18 @@ from repro.util.ids import IdGenerator
 
 
 class Gateway:
-    """Owns the client links; shards own the rooms."""
+    """Routes client traffic to the shards that own the rooms."""
 
-    def __init__(
-        self,
-        network: SimulatedNetwork,
-        ring: HashRing | None = None,
-        node_id: str = "gateway",
-        failure_timeout: float = 2.0,
-        replication_factor: int = 2,
-        route_retry_base_s: float = 0.25,
-        route_retry_attempts: int = 6,
-        route_retry_max_s: float = 4.0,
-    ) -> None:
+    #: Routing retry budget: capped exponential backoff from *base* to
+    #: *max* seconds, a typed ERROR to the client after *attempts* tries.
+    route_retry_base_s = 0.25
+    route_retry_attempts = 6
+    route_retry_max_s = 4.0
+
+    def __init__(self, network: SimulatedNetwork, ring: HashRing, node_id: str) -> None:
         self.node_id = node_id
         self.network = network
-        self.ring = ring if ring is not None else HashRing()
-        self.replication_factor = replication_factor
-        self.detector = FailureDetector(failure_timeout)
-        self.route_retry_base_s = route_retry_base_s
-        self.route_retry_attempts = route_retry_attempts
-        self.route_retry_max_s = route_retry_max_s
+        self.ring = ring
         self._ids = IdGenerator(namespace=node_id)
         self._shards: set[str] = set()
         self._dead: set[str] = set()
@@ -63,9 +57,6 @@ class Gateway:
         # gateway↔shard path is a reliable in-order channel, so repeated
         # client node ids compress to references after their first frame.
         self._shard_tables: dict[str, StringInterner] = {}
-        self._pending_failover: dict[tuple[str, str], float] = {}
-        #: completed failovers, in order: primary/promoted/started/completed.
-        self.failovers: list[dict[str, Any]] = []
         registry = obs.get_registry()
         self._registry = registry
         self._events = obs.get_event_log()
@@ -77,12 +68,9 @@ class Gateway:
         self._m_route_errors = registry.counter("gateway.route_errors")
         self._m_route_retries = registry.counter("gateway.route_retries")
         self._m_zombies_fenced = registry.counter("gateway.zombies_fenced")
-        self._h_failover = registry.histogram(
-            "cluster.failover_duration_s", LATENCY_BUCKETS
-        )
-        self._g_shards = registry.gauge("cluster.shards_live")
-        self._g_sessions = registry.gauge("gateway.sessions_routed")
-        self._g_shards.set(0)
+        self._g_sessions = registry.gauge_family(
+            "gateway.sessions_routed", ("gateway",)
+        ).labels(node_id)
         self._g_sessions.set(0)
         # Telemetry monitors (same channel the single server offers).
         self._monitors: dict[str, Session] = {}
@@ -90,29 +78,8 @@ class Gateway:
         self._telemetry_baseline: dict[str, Any] | None = None
         self._last_telemetry_at: float | None = None
         self.telemetry_interval: float = 0.0
-        self._attach_to_network(network)
-
-    def _attach_to_network(self, network: SimulatedNetwork) -> None:
-        """Attach as the star's single hub. The gateway tier overrides
-        this to attach as one of many backbone gateways instead."""
-        network.attach_hub(self)
 
     # ----- topology ---------------------------------------------------------------
-
-    def register_shard(self, shard_id: str) -> None:
-        """Add a shard to the ring and start watching its heartbeats."""
-        if shard_id in self._shards:
-            raise ClusterError(f"shard {shard_id!r} already registered")
-        self._shards.add(shard_id)
-        self.ring.add_node(shard_id)
-        self._shard_tables[shard_id] = StringInterner()
-        self.detector.watch(shard_id, self.network.clock.now)
-        self._g_shards.set(len(self.live_shards))
-        self._emit("cluster.shard_registered", shard=shard_id)
-
-    @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._shards))
 
     @property
     def live_shards(self) -> tuple[str, ...]:
@@ -124,99 +91,6 @@ class Gateway:
 
     def shard_of_session(self, session_id: str) -> str | None:
         return self._session_route.get(session_id)
-
-    def owner_of(self, doc_id: str) -> str:
-        """The shard currently serving rooms on *doc_id*."""
-        return self.ring.owner(doc_id)
-
-    # ----- failure detection ------------------------------------------------------
-
-    def start_failure_detection(self, interval: float, until: float) -> None:
-        """Sweep the detector every *interval* seconds up to the horizon."""
-        clock = self.network.clock
-        # Shards registered long before sweeping begins still get a full
-        # timeout from *now* — without this re-arm, the first sweep would
-        # compare against the registration timestamp and declare a healthy
-        # fleet dead before any heartbeat has had a chance to arrive.
-        for node in self.detector.watched:
-            self.detector.beat(node, clock.now)
-
-        def sweep() -> None:
-            for node in self.detector.dead(clock.now):
-                self._handle_failure(node)
-
-        schedule_periodic(clock, interval, until, sweep)
-
-    def _handle_failure(self, shard_id: str) -> None:
-        if shard_id in self._dead or shard_id not in self._shards:
-            return
-        now = self.network.clock.now
-        last_beat = self.detector.last_beat(shard_id)
-        self._dead.add(shard_id)
-        self.detector.forget(shard_id)
-        self.ring.remove_node(shard_id)
-        self._shard_tables.pop(shard_id, None)  # dead channel, dead table
-        self._g_shards.set(len(self.live_shards))
-        self._emit(
-            "cluster.shard_dead", severity="WARN", shard=shard_id, last_beat=last_beat
-        )
-        if not len(self.ring):
-            # Whole cluster gone: orphan the sessions loudly.
-            orphans = [s for s, o in self._session_route.items() if o == shard_id]
-            for session_id in orphans:
-                self._session_route.pop(session_id, None)
-                self._session_key.pop(session_id, None)
-            self._g_sessions.set(len(self._session_route))
-            self._emit(
-                "cluster.no_shards_left", severity="ERROR", orphaned=len(orphans)
-            )
-            return
-        # Re-home every session of the dead shard to the ring's new owner
-        # of its room key — by construction the old replica.
-        promotions: dict[str, int] = {}
-        for session_id, owner in self._session_route.items():
-            if owner != shard_id:
-                continue
-            key = self._session_key[session_id]
-            new_owner = self.ring.owner(key)
-            self._session_route[session_id] = new_owner
-            promotions[new_owner] = promotions.get(new_owner, 0) + 1
-        for new_owner in sorted(promotions):
-            body = {"primary": shard_id}
-            self._send_framed(new_owner, MessageKind.PROMOTE, body)
-            self._pending_failover[(shard_id, new_owner)] = now
-            self._emit(
-                "cluster.promote_sent",
-                shard=new_owner,
-                primary=shard_id,
-                sessions=promotions[new_owner],
-            )
-
-    def _on_shard_ack(self, shard_id: str, payload: dict[str, Any]) -> None:
-        primary = payload.get("promote")
-        if primary is None:
-            return
-        started = self._pending_failover.pop((primary, shard_id), None)
-        if started is None:
-            return
-        now = self.network.clock.now
-        self._h_failover.observe(now - started)
-        self.failovers.append(
-            {
-                "primary": primary,
-                "promoted": shard_id,
-                "started": started,
-                "completed": now,
-                "sessions": payload.get("sessions", 0),
-            }
-        )
-        self._emit(
-            "cluster.failover_complete",
-            primary=primary,
-            promoted=shard_id,
-            duration=now - started,
-            sessions=payload.get("sessions", 0),
-        )
 
     # ----- network glue -----------------------------------------------------------
 
@@ -235,12 +109,8 @@ class Gateway:
             )
             return
         try:
-            if kind == MessageKind.HEARTBEAT:
-                self.detector.beat(payload["node"], self.network.clock.now)
-            elif kind == MessageKind.ROUTE:
+            if kind == MessageKind.ROUTE:
                 self._forward_to_client(message.sender, payload)
-            elif kind == MessageKind.ACK:
-                self._on_shard_ack(message.sender, payload)
             elif kind == MessageKind.MONITOR:
                 self._connect_monitor(payload["viewer_id"], message.sender)
             elif kind == MessageKind.LEAVE and payload.get("session_id") in self._monitors:
@@ -535,5 +405,4 @@ class Gateway:
             "dead": list(self.dead_shards),
             "sessions_routed": len(self._session_route),
             "monitors": len(self._monitors),
-            "failovers": len(self.failovers),
         }

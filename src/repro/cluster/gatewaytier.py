@@ -1,9 +1,7 @@
-"""The sharded gateway tier: N gateways, a directory, gateway failover.
+"""The gateway tier: N gateways, a directory, gateway failover.
 
-The single :class:`~repro.cluster.gateway.Gateway` is both the E11
-scale-out ceiling (every client link and ROUTE envelope crosses one
-node) and the one component chaos cannot kill. This module splits it
-into a horizontal tier:
+Every cluster fronts its shards with this tier; a single-gateway
+cluster is the N = 1 case, not a different topology.
 
 * :class:`GatewayNode` — one of N access points. A backbone peer that
   also terminates client links (``network.attach_gateway``), it keeps a
@@ -16,11 +14,12 @@ into a horizontal tier:
 * :class:`GatewayDirectory` — the control plane. It assigns clients to
   gateways by consistent hash over client node ids (the same ring
   machinery that shards rooms), keeps the authoritative session→shard
-  table from gateways' ``ROUTE_REPORT``\\ s, and runs the failure
-  detector for **both** shards and gateways. A dead shard triggers the
-  usual ``PROMOTE`` plus a ``ROUTE_INVALIDATE`` broadcast so stale
-  cache entries die with it; a dead gateway's clients are re-homed onto
-  the ring's surviving owner, and each client's ``on_gateway_failover``
+  table from gateways' ``ROUTE_REPORT``\\ s, and runs the one failure
+  detector for **both** shards and gateways. A dead shard triggers
+  ``PROMOTE`` to the ring's new owner (the old replica, by
+  construction) plus a ``ROUTE_INVALIDATE`` broadcast so stale cache
+  entries die with it; a dead gateway's clients are re-homed onto the
+  ring's surviving owner, and each client's ``on_gateway_failover``
   hook replays its parked ops through the new home (the shard-side
   per-session ``op_seq`` dedup keeps the replay exactly-once).
 
@@ -56,7 +55,7 @@ from repro.server.protocol import MessageKind
 
 
 class GatewayNode(Gateway):
-    """One gateway of the tier: route cache, no failure-detection duty."""
+    """One gateway of the tier: the routing core plus a route cache."""
 
     def __init__(
         self,
@@ -65,21 +64,9 @@ class GatewayNode(Gateway):
         ring: HashRing,
         node_id: str,
         route_rate: float | None = None,
-        replication_factor: int = 2,
-        route_retry_base_s: float = 0.25,
-        route_retry_attempts: int = 6,
-        route_retry_max_s: float = 4.0,
         admission: AdmissionConfig | None = None,
     ) -> None:
-        super().__init__(
-            network,
-            ring=ring,
-            node_id=node_id,
-            replication_factor=replication_factor,
-            route_retry_base_s=route_retry_base_s,
-            route_retry_attempts=route_retry_attempts,
-            route_retry_max_s=route_retry_max_s,
-        )
+        super().__init__(network, ring, node_id)
         self.directory_id = directory_id
         self.alive = True
         self._route_queue = (
@@ -110,15 +97,13 @@ class GatewayNode(Gateway):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-
-    def _attach_to_network(self, network: SimulatedNetwork) -> None:
         network.attach_gateway(self)
 
     # ----- topology ---------------------------------------------------------------
 
     def note_shard(self, shard_id: str) -> None:
-        """Track a shard registered at the directory (this gateway keeps
-        a per-shard envelope string table but no detector duty)."""
+        """Track a shard registered at the directory (the gateway keeps
+        one envelope string table per shard channel)."""
         self._shards.add(shard_id)
         self._shard_tables.setdefault(shard_id, StringInterner())
 
@@ -415,17 +400,15 @@ class GatewayDirectory:
     def __init__(
         self,
         network: SimulatedNetwork,
-        ring: HashRing | None = None,
-        gateway_ring: HashRing | None = None,
+        ring: HashRing,
+        gateway_ring: HashRing,
         node_id: str = "directory",
         failure_timeout: float = 2.0,
-        replication_factor: int = 2,
     ) -> None:
         self.node_id = node_id
         self.network = network
-        self.ring = ring if ring is not None else HashRing()
-        self.gateway_ring = gateway_ring if gateway_ring is not None else HashRing()
-        self.replication_factor = replication_factor
+        self.ring = ring  # rooms -> shards
+        self.gateway_ring = gateway_ring  # clients -> gateways
         self.detector = FailureDetector(failure_timeout)
         self._shards: set[str] = set()
         self._gateways: set[str] = set()
@@ -434,7 +417,7 @@ class GatewayDirectory:
         self._session_key: dict[str, str] = {}    # session -> sharding key (doc)
         self._clients: dict[str, Any] = {}        # node id -> client object
         self._pending_failover: dict[tuple[str, str], float] = {}
-        #: completed shard failovers (same shape as Gateway.failovers).
+        #: completed shard failovers, in order: primary/promoted/started/completed.
         self.failovers: list[dict[str, Any]] = []
         #: completed gateway failovers: gateway/clients moved/timing.
         self.gateway_failovers: list[dict[str, Any]] = []
@@ -496,16 +479,8 @@ class GatewayDirectory:
         return gateway_id
 
     @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._shards))
-
-    @property
     def live_shards(self) -> tuple[str, ...]:
         return tuple(sorted(self._shards - self._dead))
-
-    @property
-    def gateway_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._gateways))
 
     @property
     def live_gateways(self) -> tuple[str, ...]:
@@ -518,16 +493,15 @@ class GatewayDirectory:
     def shard_of_session(self, session_id: str) -> str | None:
         return self._session_route.get(session_id)
 
-    def home_of_client(self, node_id: str) -> str | None:
-        return self.network.home_of(node_id)
-
     # ----- failure detection ------------------------------------------------------
 
     def start_failure_detection(self, interval: float, until: float) -> None:
         """Sweep the detector every *interval* seconds up to the horizon."""
         clock = self.network.clock
-        # Re-arm beats so nodes registered long before sweeping begins
-        # still get a full timeout from *now* (see Gateway's twin).
+        # Nodes registered long before sweeping begins still get a full
+        # timeout from *now* — without this re-arm, the first sweep would
+        # compare against the registration timestamp and declare a healthy
+        # fleet dead before any heartbeat has had a chance to arrive.
         for node in self.detector.watched:
             self.detector.beat(node, clock.now)
 
@@ -569,6 +543,8 @@ class GatewayDirectory:
                 "cluster.no_shards_left", severity="ERROR", orphaned=len(orphans)
             )
             return
+        # Re-home every session of the dead shard to the ring's new owner
+        # of its room key — by construction the old replica.
         promotions: dict[str, int] = {}
         for session_id, owner in self._session_route.items():
             if owner != shard_id:
@@ -664,7 +640,7 @@ class GatewayDirectory:
         payload = message.payload or {}
         kind = message.kind
         if message.sender in self._dead:
-            # Zombie fencing, same rule as the gateway: declared dead
+            # Zombie fencing, same rule as the gateways: declared dead
             # stays dead, late frames must not resurrect routes.
             self._m_zombies_fenced.inc()
             self._emit(

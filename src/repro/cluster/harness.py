@@ -1,15 +1,12 @@
 """Convenience wiring for a whole cluster on one simulated network.
 
 One call builds the Fig. 1 star topology with the cluster tier spliced
-in: a gateway hub (or, with ``ClusterConfig(gateways >= 1)``, a gateway
-*tier* — a directory plus N gateway nodes), shard servers as backbone
-nodes, per-client links, and (optionally) the heartbeat/detector
-schedules. Benchmarks, tests and examples all build clusters through
-this so the topology is wired one way everywhere.
-
-The topology knobs live in :class:`~repro.cluster.config.ClusterConfig`;
-the legacy keyword arguments (``num_shards=...`` etc.) still work and
-build an equivalent single-gateway config under the hood.
+in: a directory plus N gateway nodes terminating the client links, shard
+servers as backbone nodes, per-client links homed on their gateway, and
+(optionally) the heartbeat/detector schedules. Benchmarks, tests and
+examples all build clusters through this so the topology is wired one
+way everywhere; its shape comes from one
+:class:`~repro.cluster.config.ClusterConfig`.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.gateway import Gateway
 from repro.cluster.gatewaytier import GatewayDirectory, GatewayNode
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ShardServer
@@ -31,39 +27,18 @@ from repro.server.permissions import PermissionPolicy
 
 
 class ClusterHarness:
-    """A gateway (or gateway tier) + shard fleet + clients on one clock."""
+    """A directory + gateways + shard fleet + clients on one clock."""
 
     def __init__(
         self,
         store: MultimediaObjectStore,
-        config: ClusterConfig | None = None,
+        config: ClusterConfig,
         *,
-        num_shards: int | None = None,
         clock: SimClock | None = None,
         policy: PermissionPolicy | None = None,
-        service_rate: float | None = None,
-        replication_factor: int = 2,
-        failure_timeout: float = 2.0,
-        vnodes: int = 64,
         reliability: Any = None,
         plan: Any = None,
-        interest_mode: str = "off",
-        batch_window_s: float = 0.0,
     ) -> None:
-        if isinstance(config, int):
-            # Pre-config call shape: ClusterHarness(store, 4).
-            num_shards = config
-            config = None
-        if config is None:
-            config = ClusterConfig(
-                shards=num_shards if num_shards is not None else 2,
-                service_rate=service_rate,
-                replication_factor=replication_factor,
-                failure_timeout=failure_timeout,
-                vnodes=vnodes,
-                interest_mode=interest_mode,
-                batch_window_s=batch_window_s,
-            )
         self.config = config
         self.store = store
         self._policy = policy
@@ -75,53 +50,31 @@ class ClusterHarness:
         else:
             self.network = SimulatedNetwork(clock, reliability=reliability)
         self.ring = HashRing(vnodes=config.vnodes)
+        self.gateway_ring = HashRing(vnodes=config.vnodes)
         self.shards: dict[str, ShardServer] = {}
         self.clients: dict[str, ClientModule] = {}
         self.gateways: dict[str, GatewayNode] = {}
-        if config.tiered:
-            # Order matters: the directory first (it owns the shared
-            # gauges' final word), then every gateway, then the shards —
-            # gateway ctors reset cluster-level gauges to zero, so shard
-            # registration must come after all of them exist.
-            self.gateway: Gateway | None = None
-            self.gateway_ring: HashRing | None = HashRing(vnodes=config.vnodes)
-            self.directory: GatewayDirectory | None = GatewayDirectory(
-                self.network,
-                ring=self.ring,
-                gateway_ring=self.gateway_ring,
-                failure_timeout=config.failure_timeout,
-                replication_factor=config.replication_factor,
-            )
-            for index in range(config.gateways):
-                self.add_gateway(f"gw-{index + 1}")
-        else:
-            self.directory = None
-            self.gateway_ring = None
-            self.gateway = Gateway(
-                self.network,
-                ring=self.ring,
-                failure_timeout=config.failure_timeout,
-                replication_factor=config.replication_factor,
-            )
+        self.directory = GatewayDirectory(
+            self.network,
+            self.ring,
+            self.gateway_ring,
+            failure_timeout=config.failure_timeout,
+        )
+        for index in range(config.gateways):
+            self.add_gateway(f"gw-{index + 1}")
         for index in range(config.shards):
             self.add_shard(f"shard-{index + 1}")
 
     # ----- topology -----------------------------------------------------------------
 
-    @property
-    def control(self) -> Any:
-        """The control-plane node: the directory, or the single gateway."""
-        return self.directory if self.directory is not None else self.gateway
-
     def add_gateway(self, gateway_id: str) -> GatewayNode:
-        """Add one gateway node to the tier (tier mode only)."""
+        """Add one gateway node to the tier."""
         gateway = GatewayNode(
             self.network,
             self.directory.node_id,
             self.ring,  # the room→shard ring: JOINs route by doc id
             gateway_id,
             route_rate=self.config.route_rate,
-            replication_factor=self.config.replication_factor,
             admission=self.config.admission,
         )
         self.directory.register_gateway(gateway)
@@ -140,18 +93,18 @@ class ClusterHarness:
             shard_id,
             self.store,
             self.network,
-            self.control.node_id,
+            self.directory.node_id,
             self.ring,
+            self.gateway_ring,
             policy=self._policy,
             service_rate=self.config.service_rate,
             replication_factor=self.config.replication_factor,
             interest_mode=self.config.interest_mode,
             batch_window_s=self.config.batch_window_s,
-            gateway_ring=self.gateway_ring,
             admission=self.config.admission,
         )
         self.network.attach_backbone(shard, uplink=uplink, downlink=downlink)
-        self.control.register_shard(shard_id)
+        self.directory.register_shard(shard_id)
         for gateway in self.gateways.values():
             gateway.note_shard(shard_id)
         self.shards[shard_id] = shard
@@ -168,13 +121,12 @@ class ClusterHarness:
             viewer_id,
             network=self.network,
             auto_fetch=auto_fetch,
-            # Admission sheds are retried off the client's op log, which
-            # only exists with op parking on — so admission implies it.
-            park_ops=self.config.tiered or self.config.admission is not None,
+            # Gateway failover and admission sheds both replay off the
+            # client's op log, which only exists with op parking on.
+            park_ops=True,
         )
         self.network.attach_client(client, uplink=uplink, downlink=downlink)
-        if self.directory is not None:
-            self.directory.attach_client(client)
+        self.directory.attach_client(client)
         self.clients[viewer_id] = client
         return client
 
@@ -186,8 +138,7 @@ class ClusterHarness:
     ) -> TelemetryMonitor:
         monitor = TelemetryMonitor(viewer_id, network=self.network)
         self.network.attach_client(monitor, uplink=uplink, downlink=downlink)
-        if self.directory is not None:
-            self.directory.attach_client(monitor)
+        self.directory.attach_client(monitor)
         monitor.connect()
         return monitor
 
@@ -210,7 +161,7 @@ class ClusterHarness:
         for gateway in self.gateways.values():
             if gateway.alive:
                 gateway.start_heartbeats(heartbeat_interval, until)
-        self.control.start_failure_detection(sweep_interval, until)
+        self.directory.start_failure_detection(sweep_interval, until)
 
     def crash(self, node_id: str) -> None:
         """Fail-stop one shard or gateway (it goes silent mid-flight)."""
@@ -238,18 +189,16 @@ class ClusterHarness:
 
     @property
     def failovers(self) -> list[dict[str, Any]]:
-        """Completed shard failovers, wherever the control plane lives."""
-        return self.control.failovers
+        """Completed shard failovers (the directory's record)."""
+        return self.directory.failovers
 
     @property
     def gateway_failovers(self) -> list[dict[str, Any]]:
-        """Completed gateway failovers (always empty in legacy mode)."""
-        if self.directory is None:
-            return []
+        """Completed gateway failovers (the directory's record)."""
         return self.directory.gateway_failovers
 
     def home_of(self, viewer_id: str) -> str | None:
-        """The gateway currently homing one client (None in legacy mode)."""
+        """The gateway currently homing one client."""
         client = self.clients[viewer_id]
         return self.network.home_of(client.node_id)
 
@@ -278,18 +227,15 @@ class ClusterHarness:
         return shard.server
 
     def stats(self) -> dict[str, Any]:
-        stats: dict[str, Any] = {
-            "gateway": self.control.stats(),
+        return {
+            "directory": self.directory.stats(),
+            "gateways": {
+                gid: gateway.stats() for gid, gateway in self.gateways.items()
+            },
+            "route_cache": self.route_cache_stats(),
             "shards": {sid: shard.stats() for sid, shard in self.shards.items()},
             "network": {
                 "messages": self.network.stats.messages,
                 "bytes_total": self.network.stats.bytes_total,
             },
         }
-        if self.config.tiered:
-            stats["directory"] = self.directory.stats()
-            stats["gateways"] = {
-                gid: gateway.stats() for gid, gateway in self.gateways.items()
-            }
-            stats["route_cache"] = self.route_cache_stats()
-        return stats

@@ -184,23 +184,22 @@ class ShardServer:
         shard_id: str,
         store: MultimediaObjectStore,
         network: SimulatedNetwork,
-        gateway_id: str,
+        directory_id: str,
         ring: HashRing,
+        gateway_ring: HashRing,
         policy: PermissionPolicy | None = None,
         service_rate: float | None = None,
         replication_factor: int = 2,
         interest_mode: str = "off",
         batch_window_s: float = 0.0,
-        gateway_ring: HashRing | None = None,
         admission: AdmissionConfig | None = None,
     ) -> None:
         self.node_id = shard_id
         self.network = network
-        self.gateway_id = gateway_id
+        # Heartbeats and PROMOTE acks go to the directory; client-bound
+        # envelopes resolve their gateway per client through the ring.
+        self.directory_id = directory_id
         self.ring = ring
-        # Non-None only under the gateway tier: client-bound envelopes
-        # resolve their gateway per client through this ring; gateway_id
-        # then names the directory (heartbeats, PROMOTE acks).
         self._gateway_ring = gateway_ring
         self.alive = True
         self.replication_factor = replication_factor
@@ -231,8 +230,7 @@ class ShardServer:
         self._replica_rooms: dict[str, set[str]] = {}  # replica -> bootstrapped keys
         # Dynamic string tables for clientbound ROUTE envelope headers,
         # one per reliable in-order shard→gateway channel (client node
-        # ids repeat on every response). Legacy mode only ever populates
-        # the single gateway_id entry.
+        # ids repeat on every response).
         self._gw_tables: dict[str, StringInterner] = {}
         #: highest op_seq applied per session — replayed client ops after
         #: a gateway failover dedup here (at-least-once → exactly-once).
@@ -286,7 +284,7 @@ class ShardServer:
             body = {"node": self.node_id, "at": clock.now}
             frame = encode_message(MessageKind.HEARTBEAT, body)
             self.network.send(
-                self.node_id, self.gateway_id, MessageKind.HEARTBEAT,
+                self.node_id, self.directory_id, MessageKind.HEARTBEAT,
                 payload=body, frame=frame,
             )
             return True
@@ -491,11 +489,12 @@ class ShardServer:
             return
         self._send_clientbound(recipient, kind, payload, size_bytes, frame, attempt=0)
 
-    def _client_gateway(self, recipient: str) -> str:
-        """The gateway serving *recipient* (the single hub in legacy mode)."""
-        if self._gateway_ring is not None and len(self._gateway_ring):
-            return self._gateway_ring.owner(recipient)
-        return self.gateway_id
+    def _client_gateway(self, recipient: str) -> str | None:
+        """The attached gateway serving *recipient*, if there is one now."""
+        if not len(self._gateway_ring):
+            return None
+        gateway_id = self._gateway_ring.owner(recipient)
+        return gateway_id if self.network.has_node(gateway_id) else None
 
     def _send_clientbound(
         self,
@@ -509,7 +508,7 @@ class ShardServer:
         if not self.alive:
             return
         gateway_id = self._client_gateway(recipient)
-        if not self.network.has_node(gateway_id):
+        if gateway_id is None:
             # The client's gateway is down but the directory has not yet
             # re-homed its clients: park and retry with backoff — each
             # attempt re-resolves the ring, so a completed gateway
@@ -720,8 +719,8 @@ class ShardServer:
         Replication repair is already failover's job (the ring re-homes
         the room and the next op bootstraps the replica from history),
         so the shard only records the fact for the post-mortem — except
-        under the gateway tier, where a client-bound envelope that died
-        with its gateway is re-routed through the client's new home.
+        that a client-bound envelope that died with its gateway is
+        re-routed through the client's new home.
         """
         self._events.emit(
             "cluster.shard_delivery_failed",
@@ -734,8 +733,7 @@ class ShardServer:
         )
         wrapper = error.payload
         if (
-            self._gateway_ring is not None
-            and error.kind == MessageKind.ROUTE
+            error.kind == MessageKind.ROUTE
             and isinstance(wrapper, dict)
             and "to" in wrapper
         ):
@@ -747,7 +745,7 @@ class ShardServer:
     # ----- failover ------------------------------------------------------------------
 
     def _handle_promote(self, primary_id: str) -> None:
-        """Gateway order: take over the dead primary's rooms and sessions."""
+        """Directory order: take over the dead primary's rooms and sessions."""
         state = self._replicas.pop(primary_id, None)
         sessions = 0
         if state is not None:
@@ -786,7 +784,7 @@ class ShardServer:
         body = {"promote": primary_id, "sessions": sessions}
         frame = encode_message(MessageKind.ACK, body)
         self.network.send(
-            self.node_id, self.gateway_id, MessageKind.ACK,
+            self.node_id, self.directory_id, MessageKind.ACK,
             payload=body, frame=frame,
         )
 

@@ -63,12 +63,14 @@ def run_chaos_conference(
     """Drive the three-phase conference; return the final client state.
 
     With ``plan=None`` this is the fault-free control run (same code
-    path, same reliable transport, no faults). ``partition=True`` adds a
-    gateway↔shard partition window to *plan* over phase 2; the window
-    (1.0 s) is shorter than *failure_timeout* by design — a partition
-    this brief must be repaired by retransmission, not by failover.
-    ``crash_owner_of`` names a document whose owning shard fail-stops at
-    :data:`CRASH_AT`, which *is* long enough to trigger failover.
+    path, same reliable transport, no faults). The cluster is
+    *num_shards* shards behind *num_gateways* gateways.
+    ``partition=True`` adds a gateway↔shard partition window to *plan*
+    over phase 2; the window (1.0 s) is shorter than *failure_timeout*
+    by design — a partition this brief must be repaired by
+    retransmission, not by failover. ``crash_owner_of`` names a document
+    whose owning shard fail-stops at :data:`CRASH_AT`, which *is* long
+    enough to trigger failover.
 
     ``interest_churn=True`` turns on CP-net interest management and has
     each room's viewer 1 narrow, then churn, its subscription set across
@@ -80,15 +82,17 @@ def run_chaos_conference(
     heals whatever the churn raced past, so seeded runs must still end
     byte-identical to the control.
 
-    ``gateway_crash=True`` runs the conference through the sharded
-    gateway tier (*num_gateways* gateways behind a directory) and
-    fail-stops the gateway homing room 0's writer at :data:`GW_CRASH_AT`
-    — inside the partition window when ``partition=True``. Its clients
-    re-home to a survivor and replay; the control run performs the same
-    crash (the op_seq stamps must match byte-for-byte), just without
-    network faults. Frames that die *with* the victim gateway are
-    reported separately as ``expected_delivery_failures`` — they are
-    healed by the replay, not lost.
+    ``gateway_crash=True`` fail-stops the gateway homing room 0's writer
+    at :data:`GW_CRASH_AT` — inside the partition window when
+    ``partition=True``. Its clients re-home to a survivor and replay; the
+    control run performs the same crash (the op_seq stamps must match
+    byte-for-byte), just without network faults.
+
+    In every scenario, frames addressed to a node this run crashed (the
+    shard victim or the gateway victim) are reported separately as
+    ``expected_delivery_failures`` — they died *with* the node and are
+    healed by failover and replay, not lost. Only failures to any other
+    recipient count as ``delivery_failures``.
     """
     docs = [f"case-{i}" for i in range(num_rooms)]
     records = {}
@@ -98,23 +102,13 @@ def run_chaos_conference(
         )
         records[doc_id] = record
         store.store_document(record)
-    if gateway_crash:
-        config = ClusterConfig(
-            shards=num_shards,
-            gateways=num_gateways,
-            failure_timeout=failure_timeout,
-            interest_mode="cpnet" if interest_churn else "off",
-        )
-        harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
-    else:
-        harness = ClusterHarness(
-            store,
-            num_shards=num_shards,
-            failure_timeout=failure_timeout,
-            reliability=reliability,
-            plan=plan,
-            interest_mode="cpnet" if interest_churn else "off",
-        )
+    config = ClusterConfig(
+        shards=num_shards,
+        gateways=num_gateways,
+        failure_timeout=failure_timeout,
+        interest_mode="cpnet" if interest_churn else "off",
+    )
+    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
     primitives = {doc_id: primitive_paths(records[doc_id]) for doc_id in docs}
     churning = interest_churn and clients_per_room > 1
     clients: dict[str, list[Any]] = {}
@@ -151,9 +145,7 @@ def run_chaos_conference(
     # The gateway to kill: whoever homes room 0's writer — guaranteed to
     # have parked ops and a learned route cache when it dies.
     gw_victim = (
-        harness.network.home_of(clients[docs[0]][0].node_id)
-        if gateway_crash
-        else None
+        harness.home_of(clients[docs[0]][0].viewer_id) if gateway_crash else None
     )
     if partition:
         if plan is None:
@@ -161,22 +153,15 @@ def run_chaos_conference(
         if gw_victim is not None:
             # Cut the doomed gateway off from room 0's owning shard: the
             # crash then lands mid-repair, the worst-case interleaving.
-            plan.partition(
-                {gw_victim},
-                {harness.owner_of(docs[0])},
-                base + PARTITION_START,
-                base + PARTITION_END,
-            )
+            cut, target = {gw_victim}, harness.owner_of(docs[0])
         else:
-            # Cut the gateway off from one shard that is NOT the crash
+            # Cut every gateway off from one shard that is NOT the crash
             # victim: the partition must be survivable by retries alone.
+            cut = set(harness.gateways)
             target = next(s for s in sorted(harness.shards) if s != victim)
-            plan.partition(
-                {harness.gateway.node_id},
-                {target},
-                base + PARTITION_START,
-                base + PARTITION_END,
-            )
+        plan.partition(
+            cut, {target}, base + PARTITION_START, base + PARTITION_END
+        )
 
     harness.start(until=base + horizon)
 
@@ -210,6 +195,23 @@ def run_chaos_conference(
     harness.run()
 
     all_clients = [client for room in clients.values() for client in room]
+    return convergence_result(harness, all_clients, victim, gw_victim)
+
+
+def convergence_result(
+    harness: ClusterHarness,
+    clients: list[Any],
+    victim: str | None,
+    gw_victim: str | None,
+) -> dict[str, Any]:
+    """What the convergence gate compares, for one finished run.
+
+    Frames that died *with* a node this run crashed are expected and
+    healed — the gateway failover replay covers the gateway victim's; the
+    routing retry and replica re-bootstrap cover frames in flight to the
+    crashed shard. Anything else is a real loss.
+    """
+    healed = {victim, gw_victim} - {None}
     failures = [
         {
             "sender": failure.sender,
@@ -219,33 +221,17 @@ def run_chaos_conference(
         }
         for failure in harness.network.delivery_failures
     ]
-    # Frames that died *with* a crashed node are expected and healed —
-    # the gateway failover replay covers the gateway victim's, and the
-    # routing retry covers envelopes in flight to the crashed shard when
-    # the replay races the shard crash. Anything else is a real loss.
-    # (Legacy mode keeps full strictness: no gateway victim, no filter.)
-    healed_recipients = set()
-    if gw_victim is not None:
-        healed_recipients.add(gw_victim)
-        if victim is not None:
-            healed_recipients.add(victim)
-    expected_failures = [f for f in failures if f["recipient"] in healed_recipients]
-    residual_failures = [
-        f for f in failures if f["recipient"] not in healed_recipients
-    ]
     return {
         "harness": harness,
         "victim": victim,
         "gateway_victim": gw_victim,
-        "displayed": {c.viewer_id: c.displayed() for c in all_clients},
-        "fully_rendered": {c.viewer_id: c.fully_rendered() for c in all_clients},
+        "displayed": {c.viewer_id: c.displayed() for c in clients},
+        "fully_rendered": {c.viewer_id: c.fully_rendered() for c in clients},
         "errors": [
-            {"viewer": c.viewer_id, **error}
-            for c in all_clients
-            for error in c.errors
+            {"viewer": c.viewer_id, **error} for c in clients for error in c.errors
         ],
-        "delivery_failures": residual_failures,
-        "expected_delivery_failures": expected_failures,
+        "delivery_failures": [f for f in failures if f["recipient"] not in healed],
+        "expected_delivery_failures": [f for f in failures if f["recipient"] in healed],
         "injected": (
             harness.network.injected_counts()
             if hasattr(harness.network, "injected_counts")

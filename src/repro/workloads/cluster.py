@@ -22,17 +22,14 @@ from repro.workloads.sessions import consultation_events
 
 def run_cluster_conference(
     store: MultimediaObjectStore,
-    num_shards: int = 2,
+    config: ClusterConfig | None = None,
     num_rooms: int = 6,
     clients_per_room: int = 2,
     events_per_room: int = 8,
-    service_rate: float | None = 200.0,
     sections: int = 2,
     components_per_section: int = 3,
     seed: int = 0,
     harness: ClusterHarness | None = None,
-    batch_window_s: float = 0.0,
-    config: ClusterConfig | None = None,
 ) -> dict[str, Any]:
     """Run *num_rooms* concurrent consultations through a cluster.
 
@@ -40,14 +37,13 @@ def run_cluster_conference(
     per document, *clients_per_room* viewers each. The first viewer in
     every room issues that room's scripted choice stream; the run then
     drives the network to quiescence. Throughput is propagated choices
-    per simulated second of makespan — with a finite *service_rate* the
-    shards' serial service queues are the bottleneck, which is what makes
-    scale-out measurable.
+    per simulated second of makespan — with a finite
+    ``config.service_rate`` the shards' serial service queues are the
+    bottleneck, which is what makes scale-out measurable.
 
-    Pass a prebuilt *harness* to observe or perturb the run (e.g. crash a
-    shard mid-conference); otherwise one is built with *num_shards* — or
-    from *config*, which overrides the individual topology knobs and can
-    turn on the gateway tier (``ClusterConfig(gateways >= 1)``).
+    The cluster is built from *config* (default: ``ClusterConfig()``).
+    Pass a prebuilt *harness* instead to observe or perturb the run (e.g.
+    crash a shard mid-conference).
     """
     docs = [f"case-{i}" for i in range(num_rooms)]
     records = {}
@@ -61,13 +57,7 @@ def run_cluster_conference(
         records[doc_id] = record
         store.store_document(record)
     if harness is None:
-        if config is not None:
-            harness = ClusterHarness(store, config)
-        else:
-            harness = ClusterHarness(
-                store, num_shards=num_shards, service_rate=service_rate,
-                batch_window_s=batch_window_s,
-            )
+        harness = ClusterHarness(store, config or ClusterConfig())
     clients: dict[str, list[Any]] = {}
     for index, doc_id in enumerate(docs):
         room_clients = []
@@ -115,8 +105,6 @@ def run_cluster_conference(
         "network_bytes": harness.network.stats.bytes_total,
         "network_messages": harness.network.stats.messages,
         "gateways": len(harness.gateways),
-        "route_cache": (
-            harness.route_cache_stats() if harness.config.tiered else None
-        ),
+        "route_cache": harness.route_cache_stats(),
         "harness": harness,
     }

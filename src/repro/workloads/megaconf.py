@@ -34,6 +34,7 @@ from repro.cluster.admission import LANE_CONTROL, AdmissionConfig
 from repro.cluster.config import ClusterConfig
 from repro.cluster.harness import ClusterHarness
 from repro.db.orm import MultimediaObjectStore
+from repro.workloads.chaos import convergence_result
 from repro.workloads.records import generate_record
 from repro.workloads.sessions import consultation_events
 
@@ -397,26 +398,23 @@ def run_megaconf_convergence(
             defer_limit=10_000,  # joins never bounce: park, don't drop
         ),
     )
-    base_store = store
-    harness_kwargs = dict(reliability=reliability, plan=plan)
-    # Build via run_megaconf's own plotting, but we need the harness
-    # before run() to place the partition/crash — so replicate the small
-    # amount of setup here with hooks at the right times.
+    # run_megaconf's own plotting, replicated: the harness has to exist
+    # before run() so the partition/crash can be placed on its nodes.
     streams: dict[str, list[tuple[str, str]]] = {}
     for index, slot in enumerate(schedule.slots):
         record = generate_record(
             slot.doc_id, sections=2, components_per_section=3, seed=index
         )
-        base_store.store_document(record)
+        store.store_document(record)
         streams[slot.doc_id] = consultation_events(
             record, num_events=max(1, slot.events), seed=37 + index
         )
-    harness = ClusterHarness(base_store, config, **harness_kwargs)
+    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
     clients = {name: harness.add_client(name) for name in schedule.attendees}
     clock = harness.clock
 
     keynote = schedule.keynote
-    speaker_home = harness.network.home_of(clients[keynote.attendees[0]].node_id)
+    speaker_home = harness.home_of(keynote.attendees[0])
     gw_victim = speaker_home if gateway_crash else None
     if plan is not None:
         # The fault window crosses the keynote join wave: the speaker's
@@ -454,43 +452,6 @@ def run_megaconf_convergence(
         )
     harness.run()
 
-    all_clients = list(clients.values())
-    failures = [
-        {
-            "sender": failure.sender,
-            "recipient": failure.recipient,
-            "kind": failure.kind,
-            "reason": failure.reason,
-        }
-        for failure in harness.network.delivery_failures
-    ]
-    healed_recipients = {gw_victim} if gw_victim is not None else set()
-    return {
-        "harness": harness,
-        "victim": None,
-        "gateway_victim": gw_victim,
-        "displayed": {c.viewer_id: c.displayed() for c in all_clients},
-        "fully_rendered": {c.viewer_id: c.fully_rendered() for c in all_clients},
-        "errors": [
-            {"viewer": c.viewer_id, **error}
-            for c in all_clients
-            for error in c.errors
-        ],
-        "delivery_failures": [
-            f for f in failures if f["recipient"] not in healed_recipients
-        ],
-        "expected_delivery_failures": [
-            f for f in failures if f["recipient"] in healed_recipients
-        ],
-        "injected": (
-            harness.network.injected_counts()
-            if hasattr(harness.network, "injected_counts")
-            else {}
-        ),
-        "admission": _admission_totals(harness),
-        "failovers": list(harness.failovers),
-        "gateway_failovers": list(harness.gateway_failovers),
-        "network_messages": harness.network.stats.messages,
-        "network_bytes": harness.network.stats.bytes_total,
-        "sim_seconds": clock.now,
-    }
+    result = convergence_result(harness, list(clients.values()), None, gw_victim)
+    result["admission"] = _admission_totals(harness)
+    return result

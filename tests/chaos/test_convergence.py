@@ -1,16 +1,29 @@
 """The acceptance gate: chaos runs converge byte-identically to control.
 
-The full five-seed sweep runs in CI as
-``python -m repro.chaos.convergence --seeds 1 2 3 4 5 --quick``; here we
-keep the suite fast with two seeds in quick mode and spot-check the
-report shape and the CLI exit codes.
+CI runs the whole matrix as ``python -m repro.chaos.convergence
+--scenario all --quick``; here every row of :data:`SCENARIOS` runs once
+in quick mode, and the named tests below spot-check what each row
+additionally proves, the report shape and the CLI exit codes.
 """
 
-from repro.chaos.convergence import main, run_convergence
+import pytest
+
+from repro.chaos.convergence import SCENARIOS, Fault, main, run_convergence
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_converges(tmp_path, name):
+    report = run_convergence(str(tmp_path), name, quick=True)
+    assert report["ok"], report
+    row = SCENARIOS[name]
+    assert tuple(report["seeds"]) == row.seeds
+    for entry in report["seeds"].values():
+        assert entry["failovers"] == (Fault.SHARD_CRASH in row.faults)
+        assert entry["gateway_failovers"] == (Fault.GATEWAY_CRASH in row.faults)
 
 
 def test_two_seeds_converge_to_control(tmp_path):
-    report = run_convergence(str(tmp_path), seeds=(1, 2), quick=True)
+    report = run_convergence(str(tmp_path), "baseline", seeds=(1, 2), quick=True)
     assert report["ok"], report
     for seed in (1, 2):
         entry = report["seeds"][seed]
@@ -37,7 +50,7 @@ def test_subscription_churn_still_converges(tmp_path):
     seeded run still ends byte-identical to its (equally churning)
     fault-free control.
     """
-    report = run_convergence(str(tmp_path), seeds=(1,), quick=True, interest_churn=True)
+    report = run_convergence(str(tmp_path), "interest-churn", seeds=(1,), quick=True)
     assert report["ok"], report
     entry = report["seeds"][1]
     assert entry["converged"]
@@ -55,7 +68,7 @@ def test_traced_chaos_run_converges_to_untraced_control(tmp_path):
     retry outcome — it only appends validated trailers the receivers
     skip.
     """
-    report = run_convergence(str(tmp_path), seeds=(2,), quick=True, tracing=True)
+    report = run_convergence(str(tmp_path), "tracing", seeds=(2,), quick=True)
     assert report["ok"], report
     entry = report["seeds"][2]
     assert entry["converged"]
@@ -75,7 +88,7 @@ def test_compiled_hot_path_converges_to_interpreted_control(tmp_path):
     change no presentation decision — and the gate additionally requires
     cache *hits*, so sharing demonstrably happened (not just agreed).
     """
-    report = run_convergence(str(tmp_path), seeds=(1,), quick=True, cpnet_compiled=True)
+    report = run_convergence(str(tmp_path), "cpnet-compiled", seeds=(1,), quick=True)
     assert report["ok"], report
     entry = report["seeds"][1]
     assert entry["converged"]
@@ -86,9 +99,38 @@ def test_compiled_hot_path_converges_to_interpreted_control(tmp_path):
     assert entry["failovers"] == 1
 
 
+def test_frames_that_died_with_the_crashed_shard_are_expected(tmp_path):
+    """Regression: full-size plan seed 1 through two gateways.
+
+    Two REPLICATE frames are still in flight to the shard victim when it
+    fail-stops. The run ends byte-identical to control — failover's
+    replica re-bootstrap healed them — so they are expected failures,
+    not residual ones, whether or not a gateway crashed too.
+    """
+    report = run_convergence(str(tmp_path), "baseline", seeds=(1,))
+    assert report["ok"], report
+    entry = report["seeds"][1]
+    assert entry["delivery_failures"] == []
+    died_with_victim = entry["expected_delivery_failures"]
+    assert len(died_with_victim) == 2
+    for failure in died_with_victim:
+        assert failure["recipient"] == entry["victim"]
+        assert failure["kind"] == "replicate"
+        assert failure["reason"] == "recipient_detached"
+
+
 def test_cli_reports_success(tmp_path, capsys):
     status = main(["--seeds", "3", "--quick", "--root", str(tmp_path)])
     out = capsys.readouterr().out
     assert status == 0
     assert "seed 3: ok" in out
     assert "converged to the control run" in out
+
+
+def test_cli_runs_every_row(tmp_path, capsys):
+    status = main(["--scenario", "all", "--quick", "--seeds", "1", "--root", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert [line[3:] for line in out.splitlines() if line.startswith("== ")] == list(
+        SCENARIOS
+    )

@@ -257,7 +257,7 @@ class TestRouteRetryBackoff:
     def test_delay_is_capped_and_jittered(self, tmp_path):
         store, _ = build_store(tmp_path, "backoff")
         harness = ClusterHarness(store, ClusterConfig(shards=2))
-        gw = harness.gateway
+        gw = harness.gateways["gw-1"]
         uncapped = [gw._route_retry_delay("n-1", "choice", a) for a in range(10)]
         # jitter adds at most +50% on top of the capped base
         assert max(uncapped) <= gw.route_retry_max_s * 1.5
@@ -267,7 +267,7 @@ class TestRouteRetryBackoff:
     def test_delay_is_deterministic_but_decorrelated(self, tmp_path):
         store, _ = build_store(tmp_path, "jitter")
         harness = ClusterHarness(store, ClusterConfig(shards=2))
-        gw = harness.gateway
+        gw = harness.gateways["gw-1"]
         a = gw._route_retry_delay("n-1", "choice", 3)
         assert a == gw._route_retry_delay("n-1", "choice", 3)  # seeded, stable
         # different senders / attempts retry at different moments — no
@@ -282,7 +282,7 @@ class TestRouteRetryBackoff:
 
 
 def saturated_cluster(tmp_path, name, *, admission, clients=8, service_rate=4.0):
-    """A tiered cluster with one slow room being flooded by joins+ops."""
+    """A two-gateway cluster with one slow room being flooded by joins+ops."""
     store, records = build_store(tmp_path, name)
     config = ClusterConfig(
         shards=2,

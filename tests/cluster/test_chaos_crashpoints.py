@@ -19,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import use_failpoints
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.workloads import consultation_events, generate_record
 
@@ -50,7 +50,7 @@ def drive(tmp_path, name, arm=None):
             records[doc_id] = record
             store.store_document(record)
         harness = ClusterHarness(
-            store, num_shards=3, failure_timeout=1.5, reliability=True
+            store, ClusterConfig(shards=3, failure_timeout=1.5), reliability=True
         )
         clients = {}
         for index, doc_id in enumerate(DOCS):
@@ -101,8 +101,8 @@ def drive(tmp_path, name, arm=None):
 def assert_failed_over(crashed):
     harness = crashed["harness"]
     assert not harness.shards[crashed["victim"]].alive
-    assert crashed["victim"] in harness.gateway.dead_shards
-    assert len(harness.gateway.failovers) == 1
+    assert crashed["victim"] in harness.directory.dead_nodes
+    assert len(harness.failovers) == 1
     assert crashed["errors"] == []
 
 

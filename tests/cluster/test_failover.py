@@ -3,14 +3,14 @@
 The acceptance run: the same conference is driven twice — once
 uninterrupted, once with the primary shard fail-stopped between the two
 halves of every room's choice stream. The detector promotes the replica,
-the gateway re-homes the sessions, and every client's final displayed
+the directory re-homes the sessions, and every client's final displayed
 presentation must be byte-identical across the two runs.
 """
 
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.workloads import consultation_events, generate_record
 from repro.db import Database, MultimediaObjectStore
 
@@ -40,7 +40,7 @@ def drive_conference(tmp_path, name, crash_owner_of=None):
         )
         records[doc_id] = record
         store.store_document(record)
-    harness = ClusterHarness(store, num_shards=3, failure_timeout=1.5)
+    harness = ClusterHarness(store, ClusterConfig(shards=3, failure_timeout=1.5))
     clients = {}
     for index, doc_id in enumerate(DOCS):
         pair = [harness.add_client(f"dr-{index}-{j}") for j in range(2)]
@@ -99,9 +99,10 @@ class TestFailover:
         harness = failed["harness"]
 
         # The failover actually happened...
-        assert failed["victim"] in harness.gateway.dead_shards
-        assert len(harness.gateway.failovers) == 1
-        failover = harness.gateway.failovers[0]
+        assert failed["victim"] in harness.directory.dead_nodes
+        assert failed["victim"] in harness.gateways["gw-1"].dead_shards
+        assert len(harness.failovers) == 1
+        failover = harness.failovers[0]
         assert failover["primary"] == failed["victim"]
         assert failover["completed"] > failover["started"]
 
@@ -116,9 +117,11 @@ class TestFailover:
     def test_sessions_rehomed_to_the_promoted_shard(self, tmp_path, fresh_obs):
         failed = drive_conference(tmp_path, "rehome", crash_owner_of="case-0")
         harness = failed["harness"]
-        promoted_to = harness.gateway.failovers[0]["promoted"]
+        promoted_to = harness.failovers[0]["promoted"]
         for client in failed["clients"]["case-0"]:
-            assert harness.gateway.shard_of_session(client.session_id) == promoted_to
+            assert harness.directory.shard_of_session(client.session_id) == promoted_to
+            # ...and the gateway's cache re-learned it on the first post-crash op.
+            assert harness.gateways["gw-1"].shard_of_session(client.session_id) == promoted_to
 
     def test_replication_lag_zero_before_crash(self, tmp_path, fresh_obs):
         """Quiescence means fully acked logs — the precondition that makes
@@ -142,8 +145,8 @@ class TestFailover:
         assert first["victim"] == second["victim"]
         assert first["final"] == second["final"]
         assert (
-            first["harness"].gateway.failovers[0]["completed"]
-            == second["harness"].gateway.failovers[0]["completed"]
+            first["harness"].failovers[0]["completed"]
+            == second["harness"].failovers[0]["completed"]
         )
 
     def test_post_failover_rooms_keep_replicating(self, tmp_path, fresh_obs):
@@ -151,7 +154,7 @@ class TestFailover:
         rooms are bootstrapped to a fresh replica named by the new ring."""
         failed = drive_conference(tmp_path, "rereplicate", crash_owner_of="case-0")
         harness = failed["harness"]
-        promoted = harness.shards[harness.gateway.failovers[0]["promoted"]]
+        promoted = harness.shards[harness.failovers[0]["promoted"]]
         survivors = [
             shard_id
             for shard_id, shard in harness.shards.items()

@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import FaultPlan
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.net.message import Message
 from repro.server.protocol import MessageKind
@@ -28,7 +28,7 @@ def fresh_obs():
             yield registry, log
 
 
-def build(tmp_path, name="db", num_docs=3, **harness_kwargs):
+def build(tmp_path, name="db", num_docs=3, failure_timeout=2.0, **harness_kwargs):
     db = Database(str(tmp_path / name))
     store = MultimediaObjectStore(db)
     docs = [f"case-{i}" for i in range(num_docs)]
@@ -39,13 +39,14 @@ def build(tmp_path, name="db", num_docs=3, **harness_kwargs):
         )
         records[doc_id] = record
         store.store_document(record)
-    harness = ClusterHarness(store, num_shards=3, **harness_kwargs)
+    config = ClusterConfig(shards=3, failure_timeout=failure_timeout)
+    harness = ClusterHarness(store, config, **harness_kwargs)
     return harness, docs, records, db
 
 
 def join_ack_envelope(harness, client, doc_id):
     """Reconstruct the ROUTE/JOIN_ACK wrapper the owner shard sent."""
-    owner = harness.gateway.shard_of_session(client.session_id)
+    owner = harness.gateways["gw-1"].shard_of_session(client.session_id)
     inner = {
         "session_id": client.session_id,
         "doc_id": doc_id,
@@ -58,7 +59,7 @@ def join_ack_envelope(harness, client, doc_id):
         "size": 64,
     }
     return owner, Message(
-        sender=owner, recipient=harness.gateway.node_id,
+        sender=owner, recipient=harness.gateways["gw-1"].node_id,
         kind=MessageKind.ROUTE, payload=wrapper, size_bytes=64,
     )
 
@@ -69,13 +70,13 @@ class TestJoinAckSniffing:
         client = harness.add_client("alice")
         client.join(docs[0])
         harness.run()
-        owner = harness.gateway.shard_of_session(client.session_id)
+        owner = harness.gateways["gw-1"].shard_of_session(client.session_id)
         assert owner == harness.owner_of(docs[0])
         # A duplicated JOIN_ACK envelope arrives from the live owner.
         _, dup = join_ack_envelope(harness, client, docs[0])
-        harness.gateway.receive(dup)
+        harness.gateways["gw-1"].receive(dup)
         harness.run()
-        assert harness.gateway.shard_of_session(client.session_id) == owner
+        assert harness.gateways["gw-1"].shard_of_session(client.session_id) == owner
         assert client.errors == []
         db.close()
 
@@ -91,14 +92,18 @@ class TestJoinAckSniffing:
         harness.start(until=10.0)
         harness.schedule_crash(owner, at=1.0)
         harness.run()
-        assert owner in harness.gateway.dead_shards
-        rehomed = harness.gateway.shard_of_session(client.session_id)
+        gateway = harness.gateways["gw-1"]
+        assert owner in harness.directory.dead_nodes
+        assert owner in gateway.dead_shards  # the invalidation broadcast landed
+        rehomed = harness.directory.shard_of_session(client.session_id)
         assert rehomed is not None and rehomed != owner
         # A JOIN_ACK the dead shard sent before dying limps in late. It
-        # must NOT re-point the session at the corpse.
-        harness.gateway.receive(stale)
+        # must NOT re-point the session at the corpse — neither in the
+        # gateway's cache nor (via a ROUTE_REPORT) at the directory.
+        gateway.receive(stale)
         harness.run()
-        assert harness.gateway.shard_of_session(client.session_id) == rehomed
+        assert gateway.shard_of_session(client.session_id) != owner
+        assert harness.directory.shard_of_session(client.session_id) == rehomed
         counters = registry.snapshot()["counters"]
         assert counters["gateway.zombies_fenced"] >= 1
         assert any(e.name == "gateway.zombie_fenced" for e in log.events)
@@ -115,17 +120,18 @@ class TestJoinAckSniffing:
         harness.start(until=8.0)
         harness.schedule_crash(owner, at=1.0)
         harness.run()
-        assert owner in harness.gateway.dead_shards
+        directory = harness.directory
+        assert owner in directory.dead_nodes
         # A partitioned twin of the shard beats again: fenced, not revived.
         beat = Message(
-            sender=owner, recipient=harness.gateway.node_id,
+            sender=owner, recipient=directory.node_id,
             kind=MessageKind.HEARTBEAT,
             payload={"node": owner, "at": harness.clock.now}, size_bytes=16,
         )
-        harness.gateway.receive(beat)
-        assert owner in harness.gateway.dead_shards
-        assert owner not in harness.gateway.live_shards
-        assert owner not in harness.gateway.detector.watched
+        directory.receive(beat)
+        assert owner in directory.dead_nodes
+        assert owner not in directory.live_shards
+        assert owner not in directory.detector.watched
         db.close()
 
 
@@ -152,7 +158,7 @@ class TestChaosJoins:
             assert client.errors == []
             assert client.session_id is not None
             owner = harness.owner_of(doc_id)
-            assert harness.gateway.shard_of_session(client.session_id) == owner
+            assert harness.gateways["gw-1"].shard_of_session(client.session_id) == owner
         # The conference still works end to end afterwards.
         events = consultation_events(records[docs[0]], num_events=2, seed=5)
         for path, value in events:
@@ -184,7 +190,7 @@ class TestRouteRetry:
         client.choose(path, value)
         harness.run()
         assert client.errors == [] and partner.errors == []
-        assert len(harness.gateway.failovers) == 1
+        assert len(harness.failovers) == 1
         assert client.displayed()[path] == value
         assert partner.displayed()[path] == value
         counters = registry.snapshot()["counters"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.net.message import Message
 from repro.server.protocol import MessageKind
@@ -32,7 +32,7 @@ def rig(tmp_path, fresh_obs):
         )
         records[doc_id] = record
         store.store_document(record)
-    harness = ClusterHarness(store, num_shards=3)
+    harness = ClusterHarness(store, ClusterConfig(shards=3))
     yield harness, docs, records, fresh_obs[0]
     db.close()
 
@@ -51,7 +51,8 @@ class TestJoinRouting:
             owner = harness.owner_of(doc_id)
             # The session id is namespaced by the shard that minted it.
             assert client.session_id.startswith(f"{owner}:")
-            assert harness.gateway.shard_of_session(client.session_id) == owner
+            assert harness.gateways["gw-1"].shard_of_session(client.session_id) == owner
+            assert harness.directory.shard_of_session(client.session_id) == owner
             assert harness.shards[owner].server.has_session(client.session_id)
 
     def test_ids_from_different_shards_never_collide(self, rig):
@@ -91,7 +92,8 @@ class TestSessionRouting:
         session_id = client.session_id
         client.leave()
         harness.run()
-        assert harness.gateway.shard_of_session(session_id) is None
+        assert harness.gateways["gw-1"].shard_of_session(session_id) is None
+        assert harness.directory.shard_of_session(session_id) is None
 
     def test_unknown_session_is_an_error_not_a_crash(self, rig):
         harness, docs, _, _ = rig
@@ -100,7 +102,7 @@ class TestSessionRouting:
         harness.run()
         # Forge a choice for a session the gateway never saw.
         harness.network.send(
-            "client-alice", harness.gateway.node_id, MessageKind.CHOICE,
+            "client-alice", harness.gateways["gw-1"].node_id, MessageKind.CHOICE,
             payload={"session_id": "nowhere:session-9", "component": "x", "value": "y"},
             size_bytes=10,
         )
@@ -112,9 +114,9 @@ class TestSessionRouting:
         monitor = harness.add_monitor("ops")
         harness.run()
         assert monitor.session_id is not None
-        assert monitor.session_id in harness.gateway.monitor_ids
+        assert monitor.session_id in harness.gateways["gw-1"].monitor_ids
         # Monitors talk to the cluster tier, not to any one shard.
-        assert harness.gateway.shard_of_session(monitor.session_id) is None
+        assert harness.gateways["gw-1"].shard_of_session(monitor.session_id) is None
 
 
 class TestRoutingAccounting:
@@ -143,11 +145,11 @@ class TestRoutingAccounting:
         harness.run()
         owner = harness.owner_of(docs[0])
         counters = registry.snapshot()["counters"]
-        # Gateway->shard ROUTE traffic rides the shard's downlink; the
-        # gateway's own accounting must agree byte-for-byte with what the
-        # network charged that link (joins are the only downlink traffic
-        # here — replication flows on backbone peer links instead).
-        link_bytes = counters[f"net.link.{owner}.down.bytes"]
+        # Gateway->shard ROUTE traffic rides the gateway's backbone peer
+        # link to the shard; the gateway's own accounting must agree
+        # byte-for-byte with what the network charged that link (the
+        # join is the only traffic on it here).
+        link_bytes = counters[f"net.peer.gw-1.{owner}.bytes"]
         routed = counters[f'gateway.routed_bytes{{shard="{owner}",direction="to_shard"}}']
         assert routed > 0
         assert routed == link_bytes

@@ -247,26 +247,75 @@ class TestShardFailureInTier:
         assert errors == []
 
 
+class TestSharedGauges:
+    def test_late_gateway_does_not_reset_shards_live(self, fresh_obs, tmp_path):
+        """Regression: the gauge is the directory's alone — a gateway
+        added after the shards exist used to zero it from its ctor."""
+        registry, _ = fresh_obs
+        store, _ = build_store(tmp_path, "late-gw")
+        harness = ClusterHarness(store, ClusterConfig(shards=3))
+        assert registry.snapshot()["gauges"]["cluster.shards_live"] == 3
+        harness.add_gateway("gw-late")
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["cluster.shards_live"] == 3
+        assert gauges["cluster.gateways_live"] == 2
+
+    def test_sessions_routed_is_labelled_per_gateway(self, fresh_obs, tmp_path):
+        """Regression: one unlabelled gauge reported the last writer."""
+        registry, _ = fresh_obs
+        result = drive_tier(tmp_path, "per-gw", gateways=3)
+        harness = result["harness"]
+        gauges = registry.snapshot()["gauges"]
+        assert "gateway.sessions_routed" not in gauges
+        routed = {
+            gid: gauges[f'gateway.sessions_routed{{gateway="{gid}"}}']
+            for gid in harness.gateways
+        }
+        assert routed == {
+            gid: gateway.stats()["sessions_routed"]
+            for gid, gateway in harness.gateways.items()
+        }
+        # Every session is routed by exactly one gateway: its client's home.
+        assert sum(routed.values()) == 6
+        assert gauges["directory.sessions_known"] == 6
+
+
+class TestZeroResidue:
+    def test_everyone_leaving_empties_every_route_table(self, fresh_obs, tmp_path):
+        registry, _ = fresh_obs
+        result = drive_tier(tmp_path, "residue", gateways=2)
+        harness = result["harness"]
+        assert harness.directory.stats()["sessions_known"] == 6
+        for pair in result["clients"].values():
+            for client in pair:
+                client.leave()
+        harness.run()
+        assert result["errors"] == []
+        for gateway in harness.gateways.values():
+            assert gateway._session_route == {}
+            assert gateway._session_key == {}
+            assert gateway._route_waiting == {}
+        assert harness.directory._session_route == {}
+        assert harness.directory._session_key == {}
+        gauges = registry.snapshot()["gauges"]
+        for gid in harness.gateways:
+            assert gauges[f'gateway.sessions_routed{{gateway="{gid}"}}'] == 0
+        assert gauges["directory.sessions_known"] == 0
+
+
 class TestClusterConfig:
-    def test_legacy_kwargs_build_equivalent_config(self, fresh_obs, tmp_path):
-        store, _ = build_store(tmp_path, "legacy")
-        legacy = ClusterHarness(store, num_shards=3, failure_timeout=1.5)
-        assert legacy.config == ClusterConfig(shards=3, failure_timeout=1.5)
-        assert not legacy.config.tiered
-        assert legacy.directory is None
-        assert legacy.gateways == {}
-        # Positional int still means num_shards (the pre-config shape).
-        positional = ClusterHarness(store, 4)
-        assert positional.config.shards == 4
+    def test_default_is_a_one_gateway_tier(self, fresh_obs, tmp_path):
+        store, _ = build_store(tmp_path, "default")
+        harness = ClusterHarness(store, ClusterConfig(shards=3))
+        assert list(harness.gateways) == ["gw-1"]
+        assert harness.directory.live_gateways == ("gw-1",)
+        assert harness.directory.live_shards == ("shard-1", "shard-2", "shard-3")
 
     def test_validation(self):
         with pytest.raises(ClusterError):
             ClusterConfig(shards=0)
-        with pytest.raises(ClusterError):
-            ClusterConfig(gateways=-1)
+        for too_few in (0, -1):  # a cluster without a gateway has no way in
+            with pytest.raises(ClusterError):
+                ClusterConfig(gateways=too_few)
         with pytest.raises(ClusterError):
             ClusterConfig(route_rate=0.0)
-
-    def test_tiered_flag(self):
-        assert not ClusterConfig().tiered
-        assert ClusterConfig(gateways=1).tiered

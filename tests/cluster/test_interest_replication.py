@@ -9,10 +9,10 @@ off — including what each member had explicitly narrowed to.
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.document.component import PrimitiveMultimediaComponent
-from repro.workloads import consultation_events, generate_record
+from repro.workloads import generate_record
 
 DOC = "case-0"
 HORIZON = 30.0
@@ -33,7 +33,8 @@ def build_cluster(tmp_path, name, interest_mode="off"):
     record = generate_record(DOC, sections=2, components_per_section=3, seed=7)
     store.store_document(record)
     harness = ClusterHarness(
-        store, num_shards=3, failure_timeout=1.5, interest_mode=interest_mode
+        store,
+        ClusterConfig(shards=3, failure_timeout=1.5, interest_mode=interest_mode),
     )
     return db, record, harness
 
@@ -121,7 +122,7 @@ class TestFailover:
             harness.crash(victim)
             harness.run_until(10.0)
             harness.run()
-            assert harness.gateway.failovers  # promotion actually happened
+            assert harness.failovers  # promotion actually happened
 
             # The promoted replica inherited the narrowed interest set...
             server = harness.serving_server_of(DOC)

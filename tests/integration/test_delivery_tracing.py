@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.chaos.plan import FaultPlan
 from repro.client import ClientModule
+from repro.cluster import ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.net import SimulatedNetwork
 from repro.obs.dtrace import (
@@ -30,6 +31,9 @@ from repro.obs.dtrace import (
 from repro.server import InteractionServer
 from repro.workloads.chaos import run_chaos_conference
 from repro.workloads.cluster import run_cluster_conference
+
+
+FOUR_SHARDS = ClusterConfig(shards=4, service_rate=200.0, batch_window_s=0.02)
 
 
 @pytest.fixture
@@ -50,8 +54,7 @@ def test_four_shard_cluster_reconstructs_full_delivery_trees(obs_sandbox, store)
     tracer = DeliveryTracer(sample_every=1)
     with use_dtrace(tracer):
         result = run_cluster_conference(
-            store, num_shards=4, num_rooms=4, clients_per_room=3,
-            events_per_room=3, batch_window_s=0.02,
+            store, FOUR_SHARDS, num_rooms=4, clients_per_room=3, events_per_room=3,
         )
     assert result["errors"] == []
     assert len(tracer.store) > 0
@@ -88,8 +91,7 @@ def test_rendered_tree_names_every_hop_per_subscriber(obs_sandbox, store):
     tracer = DeliveryTracer(sample_every=1)
     with use_dtrace(tracer):
         run_cluster_conference(
-            store, num_shards=4, num_rooms=2, clients_per_room=3,
-            events_per_room=2, batch_window_s=0.02,
+            store, FOUR_SHARDS, num_rooms=2, clients_per_room=3, events_per_room=2,
         )
     record = next(
         r for r in tracer.store
