@@ -21,6 +21,9 @@ from repro.errors import ClusterError
 
 DEFAULT_VNODES = 64
 
+#: Bound on :meth:`HashRing.owner`'s memo; at the bound it starts over.
+OWNER_MEMO_KEYS = 1 << 16
+
 
 def ring_hash(value: str) -> int:
     """Deterministic 64-bit position of *value* on the ring."""
@@ -37,6 +40,9 @@ class HashRing:
         self._vnodes = vnodes
         self._nodes: set[str] = set()
         self._points: list[tuple[int, str]] = []  # sorted (position, node)
+        # key -> owner under the current membership: an assignment moves
+        # only when a node joins or leaves, and both clear this.
+        self._owner_memo: dict[str, str] = {}
         for node in nodes:
             self.add_node(node)
 
@@ -56,6 +62,7 @@ class HashRing:
         if node_id in self._nodes:
             raise ClusterError(f"node {node_id!r} is already on the ring")
         self._nodes.add(node_id)
+        self._owner_memo.clear()
         for index in range(self._vnodes):
             point = (ring_hash(f"{node_id}#{index}"), node_id)
             bisect.insort(self._points, point)
@@ -64,13 +71,20 @@ class HashRing:
         if node_id not in self._nodes:
             raise ClusterError(f"node {node_id!r} is not on the ring")
         self._nodes.discard(node_id)
+        self._owner_memo.clear()
         self._points = [p for p in self._points if p[1] != node_id]
 
     # ----- lookup ----------------------------------------------------------------
 
     def owner(self, key: str) -> str:
         """The node owning *key* (primary shard of that room)."""
-        return self.owners(key, 1)[0]
+        owner = self._owner_memo.get(key)
+        if owner is None:
+            owner = self.owners(key, 1)[0]
+            if len(self._owner_memo) >= OWNER_MEMO_KEYS:
+                self._owner_memo.clear()
+            self._owner_memo[key] = owner
+        return owner
 
     def owners(self, key: str, count: int = 1) -> list[str]:
         """Preference list: the first *count* distinct nodes clockwise of *key*.

@@ -243,12 +243,12 @@ class ShardServer:
         self._m_ops_in = registry.counter_family("cluster.shard.ops", ("shard",)).labels(
             shard_id
         )
-        self._f_repl_ops = registry.counter_family(
+        self._m_repl_ops = registry.counter_family(
             "cluster.replication.ops", ("shard",)
-        )
-        self._f_repl_bytes = registry.counter_family(
+        ).labels(shard_id)
+        self._m_repl_bytes = registry.counter_family(
             "cluster.replication.bytes", ("shard",)
-        )
+        ).labels(shard_id)
         self._f_repl_lag = registry.gauge_family(
             "cluster.replication.lag", ("shard", "replica")
         )
@@ -657,8 +657,8 @@ class ShardServer:
             self.crash()
             return
         log.mark_shipped(entries[-1].seq)
-        self._f_repl_ops.labels(self.node_id).inc(len(entries))
-        self._f_repl_bytes.labels(self.node_id).inc(size)
+        self._m_repl_ops.inc(len(entries))
+        self._m_repl_bytes.inc(size)
         self._f_repl_lag.labels(self.node_id, replica_id).set(log.lag)
 
     def _handle_ack(self, replica_id: str, payload: dict[str, Any]) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.obs import get_registry
 from repro.obs.dtrace import TraceContext
@@ -177,7 +177,8 @@ class Frame:
 
 # ----- metrics --------------------------------------------------------------------
 
-_metric_cache: tuple[Any, ...] | None = None
+_metric_registry: Any = None
+_metric_handles: tuple[Any, ...] = ()
 
 
 def _metrics() -> tuple[Any, Any, Any, Any]:
@@ -186,17 +187,17 @@ def _metrics() -> tuple[Any, Any, Any, Any]:
     Resolved against the *current* registry (tests swap registries), but
     cached per registry so the hot path pays one identity check.
     """
-    global _metric_cache
+    global _metric_registry, _metric_handles
     registry = get_registry()
-    if _metric_cache is None or _metric_cache[0] is not registry:
-        _metric_cache = (
-            registry,
+    if registry is not _metric_registry:
+        _metric_registry = registry
+        _metric_handles = (
             registry.counter("codec.encodes"),
             registry.counter("codec.bytes_encoded"),
             registry.counter("codec.encodes_saved"),
             registry.counter("codec.bytes_saved"),
         )
-    return _metric_cache[1:]
+    return _metric_handles
 
 
 def mark_reuse(frame: Frame) -> None:
@@ -231,14 +232,10 @@ _unpack_float = struct.Struct(">d").unpack_from
 
 
 def _write_varint(out: bytearray, n: int) -> None:
-    while True:
-        byte = n & 0x7F
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
         n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(n)
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -256,56 +253,139 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
-def _write_value(out: bytearray, value: Any, interner: StringInterner) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        if value >= 0:
-            out.append(_T_INT_POS)
-            _write_varint(out, value)
-        else:
-            out.append(_T_INT_NEG)
-            _write_varint(out, -value - 1)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _pack_float(value)
-    elif isinstance(value, str):
-        static_id = _STATIC_IDS.get(value)
-        if static_id is not None:
-            out.append(_T_SREF)
-            _write_varint(out, static_id)
-            return
-        table_id = interner.id_of(value)
-        if table_id is not None:
-            out.append(_T_IREF)
-            _write_varint(out, table_id)
-            return
-        encoded = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(encoded))
-        out += encoded
-        interner.register(value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        out.append(_T_BYTES)
-        _write_varint(out, len(value))
-        out += value
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _write_value(out, item, interner)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            _write_value(out, key, interner)
-            _write_value(out, item, interner)
+def _static_ref(static_id: int) -> bytes:
+    out = bytearray((_T_SREF,))
+    _write_varint(out, static_id)
+    return bytes(out)
+
+
+#: Each static string's complete wire form — tag + varint(id) — encoded
+#: once at import, so a protocol word costs one lookup and one append.
+_STATIC_REFS: dict[str, bytes] = {s: _static_ref(i) for s, i in _STATIC_IDS.items()}
+
+
+# One writer per wire type, each ``(out, value, interner)``. Counts,
+# lengths and ids below 0x80 are their own one-byte varint and skip the
+# :func:`_write_varint` call.
+
+def _write_none(out: bytearray, value: None, interner: StringInterner) -> None:
+    out.append(_T_NONE)
+
+
+def _write_bool(out: bytearray, value: bool, interner: StringInterner) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _write_int(out: bytearray, value: int, interner: StringInterner) -> None:
+    if value >= 0:
+        out.append(_T_INT_POS)
     else:
-        raise CodecError(f"cannot encode {type(value).__name__} value {value!r}")
+        out.append(_T_INT_NEG)
+        value = -value - 1
+    if value < 0x80:
+        out.append(value)
+    else:
+        _write_varint(out, value)
+
+
+def _write_float(out: bytearray, value: float, interner: StringInterner) -> None:
+    out.append(_T_FLOAT)
+    out += _pack_float(value)
+
+
+def _write_str(out: bytearray, value: str, interner: StringInterner) -> None:
+    ref = _STATIC_REFS.get(value)
+    if ref is not None:
+        out += ref
+        return
+    table_id = interner._ids.get(value)
+    if table_id is not None:
+        out.append(_T_IREF)
+        if table_id < 0x80:
+            out.append(table_id)
+        else:
+            _write_varint(out, table_id)
+        return
+    encoded = value.encode("utf-8")
+    out.append(_T_STR)
+    length = len(encoded)
+    if length < 0x80:
+        out.append(length)
+    else:
+        _write_varint(out, length)
+    out += encoded
+    interner.register(value)
+
+
+def _write_bytes(
+    out: bytearray, value: bytes | bytearray | memoryview, interner: StringInterner
+) -> None:
+    out.append(_T_BYTES)
+    # A view's len() counts items; nbytes is what the buffer appends.
+    _write_varint(out, value.nbytes if type(value) is memoryview else len(value))
+    out += value
+
+
+def _write_list(out: bytearray, value: list | tuple, interner: StringInterner) -> None:
+    out.append(_T_LIST)
+    count = len(value)
+    if count < 0x80:
+        out.append(count)
+    else:
+        _write_varint(out, count)
+    writers = _WRITERS
+    for item in value:
+        (writers.get(type(item)) or _subclass_writer(item))(out, item, interner)
+
+
+def _write_dict(out: bytearray, value: dict, interner: StringInterner) -> None:
+    out.append(_T_DICT)
+    count = len(value)
+    if count < 0x80:
+        out.append(count)
+    else:
+        _write_varint(out, count)
+    writers = _WRITERS
+    static_refs = _STATIC_REFS
+    for key, item in value.items():
+        # Keys are nearly always protocol vocabulary: write the
+        # pre-encoded reference here and skip the dispatch.
+        ref = static_refs.get(key)
+        if ref is not None and type(key) is str:
+            out += ref
+        else:
+            (writers.get(type(key)) or _subclass_writer(key))(out, key, interner)
+        (writers.get(type(item)) or _subclass_writer(item))(out, item, interner)
+
+
+#: Exact type → writer. Insertion order is the precedence
+#: :func:`_subclass_writer` scans in.
+_WRITERS: dict[type, Callable[[bytearray, Any, StringInterner], None]] = {
+    str: _write_str,
+    dict: _write_dict,
+    int: _write_int,
+    bool: _write_bool,
+    type(None): _write_none,
+    float: _write_float,
+    list: _write_list,
+    tuple: _write_list,
+    bytes: _write_bytes,
+    bytearray: _write_bytes,
+    memoryview: _write_bytes,
+}
+
+
+def _subclass_writer(value: Any) -> Callable[[bytearray, Any, StringInterner], None]:
+    """The writer for a *subclass* of a wire type (``IntEnum``,
+    ``defaultdict``, …) — the exact-type table missed."""
+    for base, writer in _WRITERS.items():
+        if isinstance(value, base):
+            return writer
+    raise CodecError(f"cannot encode {type(value).__name__} value {value!r}")
+
+
+def _write_value(out: bytearray, value: Any, interner: StringInterner) -> None:
+    (_WRITERS.get(type(value)) or _subclass_writer(value))(out, value, interner)
 
 
 def _read_value(data: bytes, pos: int, interner: StringInterner) -> tuple[Any, int]:
@@ -632,8 +712,9 @@ def _sized(value: Any, table: dict[str, int]) -> int:
 
     *table* stands in for a fresh :class:`StringInterner`: the same
     registration rule and bound, so every ``_T_IREF`` id (and its varint
-    length) matches the encoder's. Branch for branch the encoder's type
-    dispatch, most frequent types first (the types are disjoint).
+    length) matches the encoder's. Deliberately not built on the writer
+    table: this is the independent arithmetic that the size ==
+    stateless-encode property checks the writers against.
     """
     if isinstance(value, str):
         size = _STATIC_SIZES.get(value)
@@ -665,9 +746,9 @@ def _sized(value: Any, table: dict[str, int]) -> int:
             size += _sized(item, table)
         return size
     if isinstance(value, (bytes, bytearray, memoryview)):
-        # The encoder prefixes len() and appends the raw buffer.
+        # A view's len() counts items; the wire carries nbytes.
         raw = value.nbytes if isinstance(value, memoryview) else len(value)
-        return 1 + _varint_len(len(value)) + raw
+        return 1 + _varint_len(raw) + raw
     raise CodecError(f"cannot encode {type(value).__name__} value {value!r}")
 
 

@@ -85,6 +85,10 @@ class SimulatedNetwork:
         self._home: dict[str, str] = {}        # client -> its serving hub
         self._backbone: set[str] = set()
         self._peer_links: dict[tuple[str, str], Link] = {}  # (from, to)
+        # (sender, recipient) -> (link, byte counter), filled on first use.
+        # Every topology mutator below clears it, so a route is resolved
+        # once per node pair per topology, not twice per message.
+        self._routes: dict[tuple[str, str], tuple[Link, Any]] = {}
         self.stats = NetworkStats()
         self._obs = get_registry()
         self._events = get_event_log()
@@ -115,6 +119,7 @@ class SimulatedNetwork:
         self._hub_id = node.node_id
         self._hubs.add(node.node_id)
         self._nodes[node.node_id] = node
+        self._routes.clear()
 
     def attach_gateway(
         self,
@@ -130,12 +135,14 @@ class SimulatedNetwork:
         """
         self.attach_backbone(node, uplink=uplink, downlink=downlink)
         self._hubs.add(node.node_id)
+        self._routes.clear()
 
     def assign_home(self, node_id: str, hub_id: str) -> None:
         """Home *node_id*'s links on *hub_id* (also re-homes on failover)."""
         if hub_id not in self._hubs:
             raise NetworkError(f"{hub_id!r} is not a hub or gateway")
         self._home[node_id] = hub_id
+        self._routes.clear()
 
     def home_of(self, node_id: str) -> str | None:
         """The hub explicitly assigned to *node_id* (None = the single hub)."""
@@ -166,6 +173,7 @@ class SimulatedNetwork:
         self._m_link_down[node.node_id] = self._obs.counter(
             f"net.link.{node.node_id}.down.bytes"
         )
+        self._routes.clear()
 
     def attach_backbone(
         self,
@@ -182,6 +190,7 @@ class SimulatedNetwork:
         """
         self.attach_client(node, uplink=uplink, downlink=downlink)
         self._backbone.add(node.node_id)
+        self._routes.clear()
 
     def detach_client(self, node_id: str) -> None:
         if node_id == self._hub_id:
@@ -201,6 +210,7 @@ class SimulatedNetwork:
         self._peer_links = {
             pair: link for pair, link in self._peer_links.items() if node_id not in pair
         }
+        self._routes.clear()
 
     @property
     def hub_id(self) -> str:
@@ -229,6 +239,7 @@ class SimulatedNetwork:
                 f"peer links connect backbone nodes, got {sender!r}->{recipient!r}"
             )
         self._peer_links[(sender, recipient)] = link
+        self._routes.clear()
 
     def _peer_link(self, sender: str, recipient: str) -> Link:
         key = (sender, recipient)
@@ -265,6 +276,13 @@ class SimulatedNetwork:
 
     def _resolve_link(self, sender: str, recipient: str) -> tuple[Link, Any]:
         """The link (and its byte counter) carrying sender→recipient."""
+        pair = (sender, recipient)
+        route = self._routes.get(pair)
+        if route is None:
+            route = self._routes[pair] = self._derive_route(sender, recipient)
+        return route
+
+    def _derive_route(self, sender: str, recipient: str) -> tuple[Link, Any]:
         if (
             sender in self._hubs
             and recipient not in self._hubs
@@ -454,5 +472,6 @@ class SimulatedNetwork:
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
-        for link in list(self._uplinks.values()) + list(self._downlinks.values()):
-            link.reset_stats()
+        for links in (self._uplinks, self._downlinks, self._peer_links):
+            for link in links.values():
+                link.reset_stats()

@@ -246,6 +246,11 @@ class MetricFamily:
 
     def labels(self, *values: Any) -> Any:
         """The child instrument for one label-value tuple."""
+        # Children are keyed by their str() label tuple, so all-string
+        # labels of a live child hit here without being rebuilt.
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if len(values) != len(self.label_names):
             raise ValueError(
                 f"family {self.name!r} takes labels {self.label_names}, "

@@ -39,6 +39,9 @@ class TestBoundedMovement:
         assert 0 < moved < len(KEYS) / 2
         # Every moved key moved *to* the new node, nowhere else.
         assert all(after[key] == "shard-4" for key in KEYS if before[key] != after[key])
+        # owner() is memoised; every key asked before the change must
+        # still agree with the unmemoised preference list after it.
+        assert all(ring.owner(key) == ring.owners(key, 1)[0] for key in KEYS)
 
     def test_remove_node_moves_only_its_keys(self):
         ring = HashRing(NODES)
@@ -50,6 +53,26 @@ class TestBoundedMovement:
                 assert after[key] != "shard-2"
             else:
                 assert after[key] == before[key]  # untouched keys stay put
+        assert all(ring.owner(key) == ring.owners(key, 1)[0] for key in KEYS)
+
+    def test_owner_memo_never_outlives_membership(self):
+        ring = HashRing(("a",))
+        assert ring.owner("case-0") == "a"
+        ring.remove_node("a")
+        with pytest.raises(ClusterError, match="no nodes"):
+            ring.owner("case-0")
+        ring.add_node("b")
+        assert ring.owner("case-0") == "b"
+
+    def test_owner_memo_is_bounded(self, monkeypatch):
+        from repro.cluster import ring as ring_module
+
+        monkeypatch.setattr(ring_module, "OWNER_MEMO_KEYS", 16)
+        ring = HashRing(NODES)
+        for _ in range(2):  # second pass: hits, and refills after the bound
+            for key in KEYS:
+                assert ring.owner(key) == ring.owners(key, 1)[0]
+                assert len(ring._owner_memo) <= 16
 
     def test_removal_promotes_the_old_second_owner(self):
         # The invariant failover relies on: the ring's new owner of a dead

@@ -1,5 +1,9 @@
 """Unit and property tests for the canonical binary wire codec (PR 5)."""
 
+import enum
+import hashlib
+from collections import OrderedDict, defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,13 @@ from repro.net.codec import (
     encode_message,
     mark_reuse,
     value_size,
+)
+from repro.cluster.admission import retry_after_body
+from repro.cluster.wire import (
+    clientbound_wrapper,
+    encode_clientbound,
+    encode_shardbound,
+    shardbound_wrapper,
 )
 from repro.obs import MetricsRegistry, use_registry
 from repro.server.protocol import MessageKind, encoded_size
@@ -365,8 +376,13 @@ class TestArithmeticSizing:
     def test_multibyte_memoryview_counts_raw_bytes(self):
         import array
 
-        view = memoryview(array.array("i", [1, 2, 3]))
+        items = array.array("I", [1, 2, 3])
+        view = memoryview(items)
         assert value_size(view) == stateless_len(view)
+        # The length prefix is the byte count, not the item count, so the
+        # frame decodes — to the raw bytes behind the view.
+        frame = encode_message("payload", {"data": view})
+        assert decode_message(frame.data) == ("payload", {"data": items.tobytes()})
 
     @given(_unencodable, st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=4))
     def test_same_error_for_unencodable_values(self, bad, wrappers):
@@ -395,6 +411,207 @@ class TestArithmeticSizing:
                 assert value_size(payload) > 0
                 assert encoded_size(payload) == value_size(payload)
         assert registry.snapshot()["counters"] == {}
+
+
+class _Path(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+    HIGH = 300
+
+
+def _golden_frames() -> dict[str, bytes]:
+    """Name → encoded bytes of every golden case, built from scratch."""
+
+    def message(kind, payload=None):
+        return encode_message(kind, KIND_PAYLOADS[kind] if payload is None else payload).data
+
+    frames = {
+        kind: message(kind)
+        for kind in (
+            MessageKind.JOIN, MessageKind.CHOICE, MessageKind.FETCH_PAYLOAD,
+            MessageKind.JOIN_ACK, MessageKind.PRESENTATION_UPDATE, MessageKind.REPLICATE,
+        )
+    }
+    choice = KIND_PAYLOADS[MessageKind.CHOICE]
+    frames["retry_after"] = message(
+        MessageKind.RETRY_AFTER,
+        retry_after_body(MessageKind.CHOICE, {**choice, "op_seq": 9}, 0.75, "shard-0"),
+    )
+    # Envelopes on a persistent connection table: the second frame's
+    # client node id is a back-reference into the first frame's literal.
+    to_shard, to_gateway = StringInterner(), StringInterner()
+    for index, value in enumerate(("segmented", "raw")):
+        payload = {**choice, "value": value}
+        inner = encode_message(MessageKind.CHOICE, payload)
+        wrapper = shardbound_wrapper("client-dr-lee", MessageKind.CHOICE, payload)
+        frames[f"route_shardbound_{index}"] = encode_shardbound(
+            wrapper, inner, to_shard
+        ).data
+        update = {**KIND_PAYLOADS[MessageKind.PRESENTATION_UPDATE], "seq": index}
+        inner = encode_message(MessageKind.PRESENTATION_UPDATE, update)
+        wrapper = clientbound_wrapper(
+            "client-dr-lee", MessageKind.PRESENTATION_UPDATE, update, inner.size_bytes
+        )
+        frames[f"route_clientbound_{index}"] = encode_clientbound(
+            wrapper, inner, to_gateway
+        )[0].data
+    frames["batch"] = encode_batch(
+        [
+            encode_message(MessageKind.PEER_EVENT, {"viewer": "dr-lee", "seq": i})
+            for i in range(3)
+        ],
+        [],
+    ).data
+    # What a type → writer table could get wrong.
+    frames["bools_are_not_ints"] = message("error", [True, 1, False, 0, 1.0, None])
+    frames["subclasses"] = message(
+        "error",
+        {
+            _Path("labs"): _Path("full"), "factor": _Level.LOW, "size": _Level.HIGH,
+            "changes": defaultdict(list, {"labs": [1]}),
+            "outcome": OrderedDict([("b", 1), ("a", 2)]),
+        },
+    )
+    frames["int_edges"] = message(
+        "error",
+        [127, 128, 16383, 16384, -1, -128, -129, 2**63 - 1, 2**63, 2**64, -(2**63) - 1],
+    )
+    frames["buffers_and_tuples"] = message(
+        "payload",
+        {"data": b"\x00\xff", "rect": (1, 2.5, bytearray(b"ab"), memoryview(b"cd"))},
+    )
+    frames["unicode"] = message(
+        "error", {"detail": "консультація 診断 🏥", "naïve": "café"}
+    )
+    frames["list_of_128"] = message("error", list(range(128)))
+    frames["dict_of_128"] = message("error", {i: None for i in range(128)})
+    distinct = [f"s{i}" for i in range(129)]
+    frames["iref_128"] = message(
+        "error", distinct + [distinct[127], distinct[128], distinct[0]]
+    )
+    distinct = [f"s{i}" for i in range(MAX_DYNAMIC_STRINGS + 1)]
+    frames["dynamic_table_bound"] = message(
+        "error",
+        distinct + [distinct[MAX_DYNAMIC_STRINGS - 1], distinct[MAX_DYNAMIC_STRINGS]],
+    )
+    return frames
+
+
+#: Recorded at the commit before the writer became table-driven (PR 14's
+#: parent). Hex up to 120 bytes, ``sha256:<digest>:<length>`` beyond.
+#: A mismatch means the wire changed: that is a protocol break (checked-in
+#: benchmark snapshots, the E13 wire guard), never a fixture to refresh.
+GOLDEN_WIRE = {
+    "join": "07000b02073e060664722d6c6565072006097265636f72642d3137",
+    "choice": (
+        "07020b04073606107365727665723a73657373696f6e2d31071c060f696d6167696e67"
+        "2e63745f68656164073c06097365676d656e7465640733073f"
+    ),
+    "fetch_payload": "07060b030736060173071c06046c616273073c0743",
+    "join_ack": (
+        "07090b05073606107365727665723a73657373696f6e2d310731060d7365727665723a"
+        "726f6f6d2d31072006097265636f72642d3137073a0a010b02072d06046c6162730739"
+        "0b02074303806007420300072c0b0108030743"
+    ),
+    "presentation_update": (
+        "070a0b03072006097265636f72642d3137071b0b0106046c616273074207340307"
+    ),
+    "replicate": (
+        "07130b02072e060773686172642d3007220a010b0407340301073206097265636f7264"
+        "2d3137072b0700071d0b00"
+    ),
+    "retry_after": (
+        "07550b06072707020756053fe8000000000000075707590729060773686172642d3007"
+        "3606107365727665723a73657373696f6e2d3107510309"
+    ),
+    "route_shardbound_0": (
+        "07120b020735060d636c69656e742d64722d6c6565072707023c07020b040736061073"
+        "65727665723a73657373696f6e2d31071c060f696d6167696e672e63745f6865616407"
+        "3c06097365676d656e7465640733073f"
+    ),
+    "route_clientbound_0": (
+        "07120b03073b060d636c69656e742d64722d6c65650727070a0738032121070a0b0307"
+        "2006097265636f72642d3137071b0b0106046c616273074207340300"
+    ),
+    "route_shardbound_1": (
+        "07120b0207350800072707023607020b04073606107365727665723a73657373696f6e"
+        "2d31071c060f696d6167696e672e63745f68656164073c06037261770733073f"
+    ),
+    "route_clientbound_1": (
+        "07120b03073b08000727070a0738032121070a0b03072006097265636f72642d313707"
+        "1b0b0106046c616273074207340301"
+    ),
+    "batch": (
+        "07180312070b0b02073d060664722d6c65650734030012070b0b02073d060664722d6c"
+        "65650734030112070b0b02073d060664722d6c656507340302"
+    ),
+    "bools_are_not_ints": "070e0a06010301020300053ff000000000000000",
+    "subclasses": (
+        "070e0b0506046c616273074307240303073803ac02071b0b0108000a010301072c0b02"
+        "06016203010601610302"
+    ),
+    "int_edges": (
+        "070e0a0b037f03800103ff7f038080010400047f04800103ffffffffffffffff7f0380"
+        "80808080808080800103808080808080808080020480808080808080808001"
+    ),
+    "buffers_and_tuples": (
+        "070c0b02071d090200ff072f0a0403010540040000000000000902616209026364"
+    ),
+    "unicode": (
+        "070e0b02071e0624d0bad0bed0bdd181d183d0bbd18cd182d0b0d186d196d18f20e8a8"
+        "bae696ad20f09f8fa506066e61c3af76650605636166c3a9"
+    ),
+    "list_of_128": (
+        "sha256:b6ee38ff38974f0a7788c4d541afe9c5f8ed757f3d32286ff1c86d56cac170ca:261"
+    ),
+    "dict_of_128": (
+        "sha256:ed43a22a0772ed6ca63642e9fc2e721d0dbc6eeb7c8421e7607ece93f026731a:389"
+    ),
+    "iref_128": (
+        "sha256:bab43ab36354e881718620e5d22d8dfce22f0f2e5153e950180af7c099f0f159:676"
+    ),
+    "dynamic_table_bound": (
+        "sha256:166af34ac3de9a49ace63f524d29387bfc561b2a2873fd2dee25a0b0657f88ca:27584"
+    ),
+}
+
+
+class TestGoldenWireBytes:
+    """The bytes on the wire are pinned, case by case."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        return _golden_frames()
+
+    def test_table_covers_every_case(self, frames):
+        assert set(frames) == set(GOLDEN_WIRE)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WIRE))
+    def test_encoding_is_unchanged(self, frames, name):
+        data = frames[name]
+        expected = GOLDEN_WIRE[name]
+        if expected.startswith("sha256:"):
+            assert f"sha256:{hashlib.sha256(data).hexdigest()}:{len(data)}" == expected
+        else:
+            assert data.hex() == expected
+
+    def test_counts_and_references_grow_a_second_byte_at_128(self, frames):
+        # kind (2 bytes), then tag + two-byte varint count.
+        assert frames["list_of_128"][2:5] == bytes.fromhex("0a8001")
+        assert frames["dict_of_128"][2:5] == bytes.fromhex("0b8001")
+        # ... id 127 in one byte, id 128 in two, id 0 still one.
+        assert frames["iref_128"].endswith(bytes.fromhex("087f 088001 0800"))
+
+    def test_table_bound_leaves_the_overflow_literal(self, frames):
+        # The last string that fit is a (two-byte) reference; the first
+        # that did not is spelled out again.
+        last_id = bytes.fromhex("08ff1f")  # varint(MAX_DYNAMIC_STRINGS - 1)
+        literal = b"\x06\x05s4096"
+        assert MAX_DYNAMIC_STRINGS == 4096
+        assert frames["dynamic_table_bound"].endswith(last_id + literal)
 
 
 class TestInterestKinds:

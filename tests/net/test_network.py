@@ -151,6 +151,105 @@ class TestBackbone:
             net.set_peer_link("shard-1", "c1", Link())
 
 
+def add_gateway(net, name):
+    node = Recorder(name)
+    node.attach(net)
+    net.attach_gateway(node)
+    return node
+
+
+class TestNoStaleRoute:
+    """``_resolve_link`` answers from a per-pair table; every topology
+    change must drop it, so the send after the change sees the change."""
+
+    def test_rehomed_client_takes_its_new_gateway(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            network = SimulatedNetwork()
+        old, new = add_gateway(network, "gw-1"), add_gateway(network, "gw-2")
+        client = add_client(network, "c1")
+        network.assign_home("c1", "gw-1")
+        network.send("gw-1", "c1", "update", size_bytes=100)
+        network.send("c1", "gw-1", "choice", size_bytes=10)
+        network.run()
+        assert len(client.received) == 1 and len(old.received) == 1
+
+        network.assign_home("c1", "gw-2")  # the gateway-failover path
+        network.send("gw-2", "c1", "update", size_bytes=40)
+        network.send("c1", "gw-2", "choice", size_bytes=4)
+        network.run()
+        assert len(client.received) == 2 and len(new.received) == 1
+        assert network.downlink("c1").bytes_carried == 140
+        assert network.uplink("c1").bytes_carried == 14
+        counters = registry.snapshot()["counters"]
+        assert counters["net.link.c1.down.bytes"] == 140
+        assert counters["net.link.c1.up.bytes"] == 14
+        # The old gateway no longer has a path to the client, either way.
+        with pytest.raises(NetworkError, match="hub<->client"):
+            network.send("gw-1", "c1", "update", size_bytes=1)
+        with pytest.raises(NetworkError, match="hub<->client"):
+            network.send("c1", "gw-1", "choice", size_bytes=1)
+
+    def test_reattached_client_is_charged_on_its_new_links(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            network = SimulatedNetwork()
+            hub = Recorder("server")
+            hub.attach(network)
+            network.attach_hub(hub)
+        add_client(network, "c1")
+        first_down = network.downlink("c1")
+        network.send("server", "c1", "update", size_bytes=100)
+        network.run()
+        network.send("server", "c1", "update", size_bytes=7)  # in flight at detach
+        network.detach_client("c1")
+        network.run()
+        counters = registry.snapshot()["counters"]
+        assert counters["net.drops"] == 1
+        with pytest.raises(NetworkError, match="unknown recipient"):
+            network.send("server", "c1", "update", size_bytes=1)
+        with pytest.raises(NetworkError, match="unknown sender"):
+            network.send("c1", "server", "choice", size_bytes=1)
+
+        again = add_client(network, "c1", bandwidth=1 * MBPS)
+        network.send("server", "c1", "update", size_bytes=125_000)
+        network.send("c1", "server", "choice", size_bytes=5)
+        started = network.clock.now
+        network.run()
+        assert again.received[0][0] - started == pytest.approx(1.0)
+        assert first_down.bytes_carried == 107
+        assert network.downlink("c1").bytes_carried == 125_000
+        assert network.uplink("c1").bytes_carried == 5
+        counters = registry.snapshot()["counters"]
+        assert counters["net.link.c1.down.bytes"] == 107 + 125_000
+        assert counters["net.link.c1.up.bytes"] == 5
+
+    def test_peer_link_installed_mid_run_carries_the_next_send(self, net):
+        add_backbone(net, "shard-1")
+        peer = add_backbone(net, "shard-2")
+        net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+        net.run()
+        slow = Link(bandwidth_bps=1 * MBPS, latency_s=0.0)
+        net.set_peer_link("shard-1", "shard-2", slow)
+        started = net.clock.now
+        net.send("shard-1", "shard-2", "replicate", size_bytes=125_000)
+        net.run()
+        assert slow.bytes_carried == 125_000 and slow.messages_carried == 1
+        assert peer.received[1][0] - started == pytest.approx(1.0)
+
+    def test_detached_peer_is_unroutable_and_its_frames_drop(self, net):
+        add_backbone(net, "shard-1")
+        add_backbone(net, "shard-2")
+        net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+        net.detach_client("shard-2")
+        net.run()  # the frame in flight is dropped, not delivered
+        with pytest.raises(NetworkError, match="unknown recipient"):
+            net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+        add_client(net, "shard-2")  # same id, now an ordinary client
+        with pytest.raises(NetworkError, match="hub<->client"):
+            net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+
+
 class TestDelivery:
     def test_hub_to_client(self, net):
         client = add_client(net, "c1", latency=0.25)
@@ -230,6 +329,21 @@ class TestStats:
         net.reset_stats()
         assert net.stats.messages == 0
         assert net.downlink("c1").bytes_carried == 0
+
+    def test_reset_covers_backbone_peer_links(self, net):
+        add_backbone(net, "shard-1")
+        add_backbone(net, "shard-2")
+        custom = Link()
+        net.set_peer_link("shard-2", "shard-1", custom)
+        net.send("shard-1", "shard-2", "replicate", size_bytes=64)  # default link
+        net.send("shard-2", "shard-1", "ack", size_bytes=8)
+        net.run()
+        default = net._peer_link("shard-1", "shard-2")
+        assert (default.bytes_carried, default.messages_carried) == (64, 1)
+        assert (custom.bytes_carried, custom.messages_carried) == (8, 1)
+        net.reset_stats()
+        assert (default.bytes_carried, default.messages_carried) == (0, 0)
+        assert (custom.bytes_carried, custom.messages_carried) == (0, 0)
 
 
 class TestHonestWireSizes:

@@ -242,6 +242,16 @@ class TestRttAwareTimeouts:
         assert counters.get('net.retries{kind="payload"}', 0) == 0
 
 
+    def test_vanished_endpoint_has_no_route_to_estimate(self):
+        network, _, _ = rig()
+        message = network.send("server", "c1", "update", {"k": 1}, size_bytes=1000)
+        assert network.reliability._estimate_rtt(message) > 0.0
+        # Detaching drops the resolved route with the node: the estimate
+        # falls back to zero and the timeout path handles the rest.
+        network.detach_client("c1")
+        assert network.reliability._estimate_rtt(message) == 0.0
+
+
 class TestDetachPeerLinks:
     def test_detach_removes_stale_backbone_peer_links(self):
         network = SimulatedNetwork()

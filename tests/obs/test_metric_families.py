@@ -78,6 +78,9 @@ class TestFamilies:
         family.remove("room-1")
         assert 'g{room="room-1"}' not in registry.gauges
         assert family.children == {}
+        # Asking again builds a fresh child; the removed one stays gone.
+        assert family.labels("room-1").value == 0
+        assert 'g{room="room-1"}' in registry.gauges
 
     def test_reset_clears_families(self, registry):
         registry.counter_family("c", ("k",)).labels("v").inc()
