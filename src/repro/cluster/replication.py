@@ -4,9 +4,10 @@ The primary shard does not ship room *state* — it ships the room *ops*
 (join/leave/choice/operation/annotation/freeze/release) that produced
 the state, stamped with sequence numbers and the primary's clock. The
 replica replays each op against its own shadow ``InteractionServer``
-(same document store, forced primary-minted ids, outbound traffic
-swallowed), so replayed state is byte-identical to the primary's:
-presentation outcomes are deterministic functions of the op sequence.
+(same document store, forced primary-minted ids, no network: it decides
+every member's update and ships none), so replayed state is
+byte-identical to the primary's: presentation outcomes are
+deterministic functions of the op sequence.
 Acked sequence numbers flow back (``ACK``); the primary trims its log at
 the ack watermark and exports the ship/ack gap as replication lag.
 """
@@ -18,8 +19,27 @@ from typing import Any, Callable
 
 from repro.errors import ClusterError
 from repro.db.orm import MultimediaObjectStore
+from repro.net.simclock import SimClock
 from repro.server.interaction import InteractionServer
 from repro.server.permissions import PermissionPolicy
+from repro.server.protocol import MessageKind
+
+#: client message kind -> replicated op name (absent = read-only, not logged)
+REPLICATED_OPS = {
+    MessageKind.JOIN: "join",
+    MessageKind.LEAVE: "leave",
+    MessageKind.CHOICE: "choice",
+    MessageKind.OPERATION: "operation",
+    MessageKind.ANNOTATE: "annotation",
+    MessageKind.FREEZE: "freeze",
+    MessageKind.RELEASE: "release",
+    # Interest is room state: a promoted replica must keep filtering
+    # exactly where the dead primary left off, so subscription changes
+    # ship through the same op log as everything else.
+    MessageKind.SUBSCRIBE: "subscribe",
+    MessageKind.UNSUBSCRIBE: "unsubscribe",
+}
+_KIND_OF_OP = {op: kind for kind, op in REPLICATED_OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -29,7 +49,7 @@ class LogEntry:
     seq: int
     at: float        # primary's clock when the op was applied
     room_key: str    # the sharding key (document id)
-    op: str          # join|leave|choice|operation|annotation|freeze|release|subscribe|unsubscribe
+    op: str          # a REPLICATED_OPS name
     data: dict[str, Any]
 
     def to_wire(self) -> dict[str, Any]:
@@ -94,10 +114,12 @@ class ShipLog:
 class ReplicaState:
     """Replica-side mirror of one primary shard, built by op replay.
 
-    ``transport`` is handed to the shadow server as its network; while
-    the state is a standby the transport swallows outbound traffic, and
-    after :meth:`promote` the owning shard switches it live so the same
-    server starts answering real clients (no state copy at failover).
+    The shadow server has no network while it is a standby, so replay
+    does all of the room-state work — sweeps, diffs, interest filtering,
+    known-spec merges — and none of the shipping; after :meth:`promote`
+    the owning shard attaches its transport and the same server starts
+    answering real clients (no state copy, no catch-up at failover).
+    ``clock`` is the owning shard's, lent for event and spec stamps.
     """
 
     def __init__(
@@ -105,7 +127,7 @@ class ReplicaState:
         primary_id: str,
         store: MultimediaObjectStore,
         policy: PermissionPolicy | None = None,
-        transport: Any | None = None,
+        clock: SimClock | None = None,
         on_gap: Callable[[int, int], None] | None = None,
         interest_mode: str = "off",
     ) -> None:
@@ -120,10 +142,10 @@ class ReplicaState:
         self.server = InteractionServer(
             store,
             policy=policy,
-            network=transport,
             node_id=f"replica:{primary_id}",
             interest_mode=interest_mode,
         )
+        self.server.clock = clock
 
     # ----- replay ---------------------------------------------------------------
 
@@ -150,46 +172,21 @@ class ReplicaState:
     def _apply(self, entry: LogEntry) -> None:
         data = entry.data
         server = self.server
-        if entry.op == "join":
-            server.open_room(entry.room_key, room_id=data["room_id"])
-            server.connect_session(
-                data["viewer_id"],
-                node_id=data["node_id"],
-                session_id=data["session_id"],
-            )
-            server.join_room(data["session_id"], entry.room_key)
-        elif entry.op == "leave":
-            server.disconnect_session(data["session_id"])
-        elif entry.op == "choice":
-            server.handle_choice(
-                data["session_id"], data["component"], data["value"],
-                scope=data.get("scope", "shared"),
-            )
-        elif entry.op == "operation":
-            server.handle_operation(
-                data["session_id"], data["component"], data["operation"],
-                global_importance=data.get("global", False),
-            )
-        elif entry.op == "annotation":
-            server.handle_annotation(
-                data["session_id"], data["component"], data.get("annotation", {})
-            )
-        elif entry.op == "freeze":
-            server.handle_freeze(data["session_id"], data["component"])
-        elif entry.op == "release":
-            server.handle_release(data["session_id"], data["component"])
-        elif entry.op == "subscribe":
-            server.handle_subscribe(
-                data["session_id"], data.get("components", []),
-                replace=data.get("replace", False),
-            )
-        elif entry.op == "unsubscribe":
-            server.handle_unsubscribe(
-                data["session_id"], components=data.get("components"),
-                all_components=data.get("all", False),
-            )
-        else:
+        kind = _KIND_OF_OP.get(entry.op)
+        if kind is None:
             raise ClusterError(f"unknown replicated op {entry.op!r}")
+        if kind != MessageKind.JOIN:
+            # ``data`` is the client's own payload: replay is the very
+            # dispatch the primary ran.
+            server.apply_session_op(kind, data)
+            return
+        server.open_room(entry.room_key, room_id=data["room_id"])
+        server.connect_session(
+            data["viewer_id"],
+            node_id=data["node_id"],
+            session_id=data["session_id"],
+        )
+        server.join_room(data["session_id"], entry.room_key)
 
     # ----- failover --------------------------------------------------------------
 

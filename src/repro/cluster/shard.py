@@ -8,8 +8,9 @@ queue (the knob that makes scale-out measurable: one shard saturates at
 server response back through the gateway. Successful room ops are
 appended to a per-replica :class:`ShipLog` and shipped as ``REPLICATE``
 batches over backbone peer links; inbound ``REPLICATE`` entries replay
-into standby :class:`ReplicaState` mirrors, which a ``PROMOTE`` order
-turns into live servers without copying any state.
+into standby :class:`ReplicaState` mirrors (state only: a standby ships
+nothing), which a ``PROMOTE`` order turns into live servers by attaching
+this shard's transport — no state is copied.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.cluster.admission import (
     AdmissionController,
     retry_after_body,
 )
-from repro.cluster.replication import LogEntry, ReplicaState, ShipLog
+from repro.cluster.replication import REPLICATED_OPS, LogEntry, ReplicaState, ShipLog
 from repro.cluster.ring import HashRing
 from repro.cluster.failover import schedule_periodic
 from repro.cluster.wire import (
@@ -41,22 +42,6 @@ from repro.server.interaction import InteractionServer
 from repro.server.permissions import PermissionPolicy
 from repro.server.protocol import MessageKind
 from repro.util.failpoints import get_failpoints
-
-#: client message kind -> replicated op name (None = read-only, not logged)
-_REPLICATED_OPS = {
-    MessageKind.JOIN: "join",
-    MessageKind.LEAVE: "leave",
-    MessageKind.CHOICE: "choice",
-    MessageKind.OPERATION: "operation",
-    MessageKind.ANNOTATE: "annotation",
-    MessageKind.FREEZE: "freeze",
-    MessageKind.RELEASE: "release",
-    # Interest is room state: a promoted replica must keep filtering
-    # exactly where the dead primary left off, so subscription changes
-    # ship through the same op log as everything else.
-    MessageKind.SUBSCRIBE: "subscribe",
-    MessageKind.UNSUBSCRIBE: "unsubscribe",
-}
 
 #: backoff for client-bound envelopes whose gateway is temporarily gone
 #: (crashed but not yet swept): 0.25 * 2^attempt seconds, then give up.
@@ -128,7 +113,7 @@ class ServiceQueue:
 
 
 class _GatewayTransport:
-    """Network stand-in handed to the shard's primary server.
+    """Network stand-in handed to every server this shard serves from.
 
     The interaction server believes it talks straight to client nodes;
     every send is really wrapped into a ``ROUTE`` envelope to the
@@ -150,30 +135,6 @@ class _GatewayTransport:
         size_bytes: int = 0, frame: Frame | None = None,
     ) -> None:
         self._shard.route_to_client(recipient, kind, payload, size_bytes, frame)
-
-
-class _StandbyTransport(_GatewayTransport):
-    """Transport of a replica's shadow server: silent until promoted.
-
-    While on standby the replayed server's propagation traffic is
-    swallowed (its clients are served by the primary); after promotion
-    the same transport routes through the owning shard like any primary.
-    """
-
-    def __init__(self, shard: ShardServer) -> None:
-        super().__init__(shard)
-        self.live = False
-
-    def send(
-        self, sender: str, recipient: str, kind: str, payload: Any = None,
-        size_bytes: int = 0, frame: Frame | None = None,
-    ) -> None:
-        if not self.live:
-            if frame is not None and size_bytes == 0:
-                size_bytes = frame.size_bytes
-            self._shard.observe_standby_send(kind, size_bytes)
-            return
-        super().send(sender, recipient, kind, payload, size_bytes, frame)
 
 
 class ShardServer:
@@ -206,6 +167,7 @@ class ShardServer:
         self._store = store
         self._policy = policy
         self._interest_mode = interest_mode
+        self._batch_window_s = batch_window_s
         self._transport = _GatewayTransport(self)
         self.server = InteractionServer(
             store, policy=policy, network=self._transport, node_id=shard_id,
@@ -255,7 +217,6 @@ class ShardServer:
         self._m_repl_applied = registry.counter_family(
             "cluster.replication.applied", ("replica",)
         ).labels(shard_id)
-        self._m_standby_bytes = registry.counter("cluster.replica.shadow_bytes")
         self._m_promotions = registry.counter("cluster.promotions")
         self._m_dup_ops = registry.counter("cluster.shard.dup_ops_dropped")
 
@@ -563,12 +524,6 @@ class ShardServer:
             ),
         )
 
-    def observe_standby_send(self, kind: str, size_bytes: int) -> None:
-        """Standby replicas swallow propagation; count what never hit a wire."""
-        if self._capture is not None:
-            self._capture.append((kind, None))
-        self._m_standby_bytes.inc(size_bytes)
-
     # ----- replication: primary side ------------------------------------------------
 
     def _replicate_op(
@@ -578,7 +533,7 @@ class ShardServer:
         payload: dict[str, Any],
         captured: list[tuple[str, Any]],
     ) -> None:
-        op = _REPLICATED_OPS.get(kind)
+        op = REPLICATED_OPS.get(kind)
         if op is None:
             return  # read-only traffic (fetches, monitor)
         if op == "join":
@@ -686,7 +641,7 @@ class ShardServer:
                 primary_id,
                 self._store,
                 policy=self._policy,
-                transport=_StandbyTransport(self),
+                clock=self.network.clock,
                 on_gap=self._on_replay_gap,
                 interest_mode=self._interest_mode,
             )
@@ -750,7 +705,9 @@ class ShardServer:
         sessions = 0
         if state is not None:
             server = state.promote()
-            server.network.live = True  # the _StandbyTransport goes live
+            # The standby only decided; from here it ships, coalescing
+            # exactly as this shard's own server does.
+            server.attach_network(self._transport, self._batch_window_s)
             self._promoted[primary_id] = server
             # Inherit the replayed ops as this shard's history for the
             # taken-over rooms: the new primary must be able to bootstrap

@@ -19,7 +19,7 @@ from repro.obs import get_registry
 from repro.cpnet.compiled import CompletionCache, compiled_enabled, completion_key
 from repro.cpnet.updates import OperationVariable, ViewerExtension
 from repro.document.document import MultimediaDocument
-from repro.presentation.spec import PresentationSpec, PresentationView, derive_view
+from repro.presentation.spec import PresentationSpec, PresentationView
 
 #: Choice scopes.
 SHARED = "shared"
@@ -208,8 +208,8 @@ class PresentationEngine:
     def _view(
         self, viewer_id: str, extension: ViewerExtension, evidence: dict[str, str]
     ) -> PresentationView:
-        """One completion sweep and one derived view per distinct
-        constraint set, shared through the shard cache when set.
+        """One completion sweep and one view per distinct constraint
+        set, shared through the shard cache when set.
 
         Viewers with an empty extension key on overlay ``()`` — so two
         members imposing the same constraints hit the same entry — while
@@ -222,14 +222,14 @@ class PresentationEngine:
 
         The view lives in the cache entry, so whatever reclaims the
         completion (LRU, §4.2 invalidation, room close) reclaims it too
-        — and it is measured on the entry's own outcome, finished in
-        place: subtree hiding is idempotent and every reader of a cached
-        completion applies it, so the entry needs no second dict.
+        — and it measures, when first asked, the entry's own outcome,
+        finished in place: subtree hiding is idempotent and every reader
+        of a cached completion applies it, so the entry needs no second dict.
         """
         document = self.document
         if not compiled_enabled() or self.completion_cache is None:
             outcome = extension.best_completion(evidence)
-            return derive_view(document, document._enforce_subtree_hiding(outcome))
+            return PresentationView(document, document._enforce_subtree_hiding(outcome))
         overlay = (
             (viewer_id, extension.instance_id, extension.extension_version)
             if extension.size()
@@ -244,7 +244,7 @@ class PresentationEngine:
                 key, extension.best_completion(evidence)
             )
         if entry.view is None:
-            entry.view = derive_view(
+            entry.view = PresentationView(
                 document, document._enforce_subtree_hiding(entry.outcome)
             )
         return entry.view
@@ -277,7 +277,7 @@ class PresentationEngine:
         for component, value in self._personal_choices[viewer_id].items():
             evidence[component] = value
         view = self._view(viewer_id, extension, evidence)
-        spec = view.spec_for(self.document.doc_id, viewer_id, computed_at=now)
+        spec = view.spec_for(viewer_id, computed_at=now)
         self._spec_cache[viewer_id] = (versions[0], versions[1], spec)
         return spec
 

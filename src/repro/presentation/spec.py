@@ -2,11 +2,53 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from repro.document.document import MultimediaDocument
 from repro.net.codec import value_size
+
+
+class PresentationView:
+    """Everything a presentation derives from its outcome alone.
+
+    Viewer-independent, so the engine keeps one per distinct completion
+    and every viewer whose constraints complete to that outcome shares
+    it. ``outcome`` is shared with it — read-only here;
+    :meth:`spec_for` gives each viewer's spec a copy of its own.
+
+    The measures are taken on first read and kept: a server that only
+    diffs outcomes never walks the document tree for them, and
+    ``wire_bytes`` is sized only for a completion that actually ships.
+    """
+
+    def __init__(self, document: MultimediaDocument, outcome: Mapping[str, str]) -> None:
+        self.document = document
+        self.outcome = outcome
+
+    @cached_property
+    def visible(self) -> tuple[str, ...]:
+        return self.document.visible_components(self.outcome)
+
+    @cached_property
+    def total_bytes(self) -> int:
+        return self.document.presentation_bytes(self.outcome)
+
+    @cached_property
+    def wire_bytes(self) -> int:
+        """Canonical encoded size of the whole outcome: what a full
+        (non-diff) resend of this presentation would cost on the wire."""
+        return value_size(self.outcome)
+
+    def spec_for(self, viewer_id: str, computed_at: float = 0.0) -> PresentationSpec:
+        return PresentationSpec(
+            doc_id=self.document.doc_id,
+            viewer_id=viewer_id,
+            outcome=dict(self.outcome),
+            view=self,
+            computed_at=computed_at,
+        )
 
 
 @dataclass(frozen=True)
@@ -14,19 +56,28 @@ class PresentationSpec:
     """The outcome of one presentation computation for one viewer.
 
     ``outcome`` maps every component path (and any operation variables) to
-    its chosen presentation value; the remaining fields are derived
-    measures used by clients, the pre-fetcher and the benchmarks.
+    its chosen presentation value; ``visible``, ``total_bytes`` and
+    ``wire_bytes`` are derived measures used by clients, the pre-fetcher
+    and the benchmarks, read through the completion's shared ``view``.
     """
 
     doc_id: str
     viewer_id: str
     outcome: dict[str, str]
-    visible: tuple[str, ...]
-    total_bytes: int
-    #: Canonical encoded size of the whole outcome: what a full (non-diff)
-    #: resend of this presentation would cost on the wire.
-    wire_bytes: int
+    view: PresentationView = field(repr=False, compare=False)
     computed_at: float = 0.0
+
+    @property
+    def visible(self) -> tuple[str, ...]:
+        return self.view.visible
+
+    @property
+    def total_bytes(self) -> int:
+        return self.view.total_bytes
+
+    @property
+    def wire_bytes(self) -> int:
+        return self.view.wire_bytes
 
     def value(self, path: str) -> str:
         return self.outcome[path]
@@ -38,57 +89,15 @@ class PresentationSpec:
         return len(self.outcome)
 
 
-@dataclass(frozen=True)
-class PresentationView:
-    """Everything a presentation derives from its outcome alone.
-
-    Viewer-independent, so the engine derives it once per distinct
-    completion and every viewer whose constraints complete to that
-    outcome shares it. ``outcome`` is shared with it — read-only here;
-    :meth:`spec_for` gives each viewer's spec a copy of its own.
-    """
-
-    outcome: Mapping[str, str]
-    visible: tuple[str, ...]
-    total_bytes: int
-    wire_bytes: int
-
-    def spec_for(
-        self, doc_id: str, viewer_id: str, computed_at: float = 0.0
-    ) -> PresentationSpec:
-        return PresentationSpec(
-            doc_id=doc_id,
-            viewer_id=viewer_id,
-            outcome=dict(self.outcome),
-            visible=self.visible,
-            total_bytes=self.total_bytes,
-            wire_bytes=self.wire_bytes,
-            computed_at=computed_at,
-        )
-
-
-def derive_view(
-    document: MultimediaDocument, outcome: Mapping[str, str]
-) -> PresentationView:
-    """Measure *outcome* as given (the view keeps it, uncopied)."""
-    return PresentationView(
-        outcome=outcome,
-        visible=document.visible_components(outcome),
-        total_bytes=document.presentation_bytes(outcome),
-        wire_bytes=value_size(outcome),
-    )
-
-
 def build_spec(
     document: MultimediaDocument,
     viewer_id: str,
     outcome: Mapping[str, str],
     computed_at: float = 0.0,
 ) -> PresentationSpec:
-    """Assemble a spec from a raw CP-net outcome."""
-    return derive_view(document, outcome).spec_for(
-        document.doc_id, viewer_id, computed_at
-    )
+    """Assemble a spec from a raw CP-net outcome (copied: the measures
+    are read later and must be those of the outcome as given)."""
+    return PresentationView(document, dict(outcome)).spec_for(viewer_id, computed_at)
 
 
 def diff_presentations(

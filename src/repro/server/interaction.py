@@ -6,7 +6,8 @@ presentations and propagation of "only the relevant parts of the object"
 to every client in the room. Works in two modes:
 
 * **direct** — methods called in-process (unit tests, benchmarks that
-  measure pure server work);
+  measure pure server work, a cluster standby replaying its primary):
+  every change is decided, nothing is framed, sized or counted as sent;
 * **networked** — attached as the hub of a
   :class:`~repro.net.network.SimulatedNetwork`; protocol messages arrive
   via :meth:`receive` and responses are sent with honest wire sizes.
@@ -32,6 +33,7 @@ from repro.net.batch import Batcher
 from repro.net.codec import Frame, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
+from repro.net.simclock import SimClock
 from repro.obs.dtrace import get_dtrace
 from repro.presentation.spec import PresentationSpec, diff_presentations
 from repro.presentation.tuning import BANDWIDTH_HIGH, TUNING_VARIABLE
@@ -46,6 +48,11 @@ from repro.server.protocol import MessageKind, encoded_size
 from repro.server.room import Room
 from repro.server.session import Session
 from repro.util.ids import IdGenerator
+
+
+#: One decided update: the member, their new spec, everything that moved
+#: on their display, and the part of it their interest lets them be told.
+_Decided = tuple[Session, PresentationSpec, dict[str, str], dict[str, str]]
 
 
 class InteractionServer:
@@ -70,7 +77,10 @@ class InteractionServer:
         self.store = store
         self.policy = policy if policy is not None else PermissionPolicy()
         self.node_id = node_id
-        self.network = network
+        self.network: SimulatedNetwork | None = None
+        #: Stamps specs and flight-recorder events. A network brings its
+        #: own; the owner of a network-less server may lend one.
+        self.clock: SimClock | None = None
         self.diff_propagation = diff_propagation
         self.use_profiles = use_profiles
         #: "off": members start with implicit interest in everything (the
@@ -140,18 +150,30 @@ class InteractionServer:
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
-        # Outbound coalescing (repro.net.batch): window 0 = pass-through,
-        # byte-identical to the unbatched server. E13 opts in.
-        self._batcher: Batcher | None = (
-            Batcher(
-                network, node_id,
-                window_s=batch_window_s, max_bytes=batch_max_bytes,
-            )
-            if network is not None
-            else None
-        )
+        self._batcher: Batcher | None = None
         if network is not None:
-            network.attach_hub(self)
+            self.attach_network(network, batch_window_s, batch_max_bytes)
+
+    def attach_network(
+        self,
+        network: SimulatedNetwork,
+        batch_window_s: float = 0.0,
+        batch_max_bytes: int = 4096,
+    ) -> None:
+        """Become *network*'s hub: from here on decided changes ship.
+
+        Called by the constructor, and by a shard on the shadow server
+        of a standby it promotes — until then that server only decides.
+        Outbound coalescing (repro.net.batch): window 0 = pass-through,
+        byte-identical to the unbatched server. E13 opts in.
+        """
+        self.network = network
+        self.clock = network.clock
+        self._batcher = Batcher(
+            network, self.node_id,
+            window_s=batch_window_s, max_bytes=batch_max_bytes,
+        )
+        network.attach_hub(self)
 
     # ----- sessions -----------------------------------------------------------------
 
@@ -412,39 +434,8 @@ class InteractionServer:
         session, room = self._session_room(session_id)
         self.policy.require(session.viewer_id, PERM_VIEW)
         subscribed = room.subscribe(session_id, components, replace=replace)
-        doc_id = room.document.doc_id
-        spec = room.presentation_for(session.viewer_id, now=self._now())
-        known = session.known_spec(doc_id) or {}
-        catchup = {
-            path: value
-            for path, value in spec.outcome.items()
-            if known.get(path) != value and room.interest.covers(session_id, path)
-        }
-        if catchup:
-            merged = dict(known)
-            merged.update(catchup)
-            session.remember_spec(doc_id, merged)
-        self._g_interest_subs.labels(room.room_id).set(
-            room.interest.explicit_subscriptions()
-        )
-        self._emit(
-            "server.subscribe",
-            severity="DEBUG",
-            room=room.room_id,
-            viewer=session.viewer_id,
-            subscribed=len(subscribed),
-        )
-        if self.network is not None:
-            self._net_send(
-                session.node_id,
-                MessageKind.SUBSCRIBE_ACK,
-                {
-                    "session_id": session_id,
-                    "room_id": room.room_id,
-                    "subscribed": list(subscribed),
-                    "outcome": catchup,
-                },
-            )
+        catchup = self._catch_up(session, room, unseen_only=True)
+        self._ack_subscription("server.subscribe", session, room, subscribed, catchup)
         return subscribed
 
     def handle_unsubscribe(
@@ -459,28 +450,56 @@ class InteractionServer:
         subscribed = room.unsubscribe(
             session_id, components, all_components=all_components
         )
+        self._ack_subscription("server.unsubscribe", session, room, subscribed, {})
+        return subscribed
+
+    def _ack_subscription(
+        self,
+        event: str,
+        session: Session,
+        room: Room,
+        subscribed: tuple[str, ...],
+        catchup: dict[str, str],
+    ) -> None:
         self._g_interest_subs.labels(room.room_id).set(
             room.interest.explicit_subscriptions()
         )
         self._emit(
-            "server.unsubscribe",
+            event,
             severity="DEBUG",
             room=room.room_id,
             viewer=session.viewer_id,
             subscribed=len(subscribed),
         )
-        if self.network is not None:
-            self._net_send(
-                session.node_id,
-                MessageKind.SUBSCRIBE_ACK,
-                {
-                    "session_id": session_id,
-                    "room_id": room.room_id,
-                    "subscribed": list(subscribed),
-                    "outcome": {},
-                },
-            )
-        return subscribed
+        self._net_send(
+            session.node_id,
+            MessageKind.SUBSCRIBE_ACK,
+            {
+                "session_id": session.session_id,
+                "room_id": room.room_id,
+                "subscribed": list(subscribed),
+                "outcome": catchup,
+            },
+        )
+
+    def _catch_up(self, session: Session, room: Room, unseen_only: bool) -> dict[str, str]:
+        """Decide a catch-up for one session: the current values of the
+        components it covers — with *unseen_only*, those that differ from
+        what it is known to display — recorded as known from here on."""
+        doc_id = room.document.doc_id
+        spec = room.presentation_for(session.viewer_id, now=self._now())
+        known = session.known_spec(doc_id) or {}
+        catchup = {
+            path: value
+            for path, value in spec.outcome.items()
+            if not (unseen_only and known.get(path) == value)
+            and room.interest.covers(session.session_id, path)
+        }
+        if catchup:
+            merged = dict(known)
+            merged.update(catchup)
+            session.remember_spec(doc_id, merged)
+        return catchup
 
     def resync_session(self, session_id: str) -> dict[str, str]:
         """Re-send current covered values this session has not yet seen.
@@ -497,23 +516,13 @@ class InteractionServer:
         if not session.in_room:
             return {}
         room = self.room(session.room_id)
-        doc_id = room.document.doc_id
-        spec = room.presentation_for(session.viewer_id, now=self._now())
-        catchup = {
-            path: value
-            for path, value in spec.outcome.items()
-            if room.interest.covers(session_id, path)
-        }
+        catchup = self._catch_up(session, room, unseen_only=False)
         if catchup:
-            merged = dict(session.known_spec(doc_id) or {})
-            merged.update(catchup)
-            session.remember_spec(doc_id, merged)
-            if self.network is not None:
-                self._net_send(
-                    session.node_id,
-                    MessageKind.PRESENTATION_UPDATE,
-                    {"doc_id": doc_id, "changes": catchup, "resync": True},
-                )
+            self._net_send(
+                session.node_id,
+                MessageKind.PRESENTATION_UPDATE,
+                {"doc_id": room.document.doc_id, "changes": catchup, "resync": True},
+            )
         return catchup
 
     def store_document(self, session_id: str, document: MultimediaDocument) -> None:
@@ -527,11 +536,10 @@ class InteractionServer:
         session = self._session(session_id)
         self.policy.require(session.viewer_id, PERM_VIEW)
         _, payload = self.store.fetch(media_ref)
-        if self.network is not None:
-            self._net_send(
-                session.node_id, MessageKind.PAYLOAD,
-                {"media_ref": media_ref, "data": payload},
-            )
+        self._net_send(
+            session.node_id, MessageKind.PAYLOAD,
+            {"media_ref": media_ref, "data": payload},
+        )
         return payload
 
     def fetch_component_payload(
@@ -605,14 +613,13 @@ class InteractionServer:
         _, payload = self.store.fetch(media_ref)
         zoomed = zoom(Image.from_bytes(payload), top, left, height, width, factor=factor)
         region_bytes = zoomed.to_bytes()
-        if self.network is not None:
-            body = {
-                "media_ref": media_ref,
-                "rect": [top, left, height, width],
-                "factor": factor,
-                "data": region_bytes,
-            }
-            self._net_send(session.node_id, MessageKind.PAYLOAD, body)
+        body = {
+            "media_ref": media_ref,
+            "rect": [top, left, height, width],
+            "factor": factor,
+            "data": region_bytes,
+        }
+        self._net_send(session.node_id, MessageKind.PAYLOAD, body)
         return region_bytes
 
     def _session_room(self, session_id: str) -> tuple[Session, Room]:
@@ -624,118 +631,142 @@ class InteractionServer:
     # ----- propagation -----------------------------------------------------------------------
 
     def _propagate(self, room: Room, change: Any) -> dict[str, dict[str, str]]:
-        """Recompute every member's presentation and ship what changed."""
+        """Recompute every member's presentation and ship what changed.
+
+        Two halves. *Deciding* is room state — what each member is now
+        known to display — and runs wherever the op is applied, a warm
+        standby included; *shipping* is everything that exists only
+        because bytes leave this node, and runs only with a network.
+        """
         with self._trace.span("server.propagate"):
-            doc_id = room.document.doc_id
-            now = self._now()
-            diff_bytes = self._f_prop_bytes.labels(room.room_id, "diff")
-            full_bytes = self._f_prop_bytes.labels(room.room_id, "full")
-            shipped = 0
-            updates: dict[str, dict[str, str]] = {}
-            # Members whose recomputed views agree (the common case for a
-            # shared choice) receive the *same* update frame: one encode,
-            # N sends — and one sizing, for the accounting below. Both
-            # keyed by the delta's canonical item sequence.
-            update_frames: dict[tuple[tuple[str, str], ...], Frame] = {}
-            delta_sizes: dict[tuple[tuple[str, str], ...], int] = {}
+            decided = self._decide(room, change)
+            if self.network is not None:
+                self._ship(room, change, decided)
+            self.triggers.dispatch(room, change)
+        return {
+            member.session_id: filtered
+            for member, _, _, filtered in decided
+            if filtered
+        }
 
-            def sized(delta: dict[str, str]) -> tuple[Any, int]:
-                key = tuple(sorted(delta.items()))
-                size = delta_sizes.get(key)
-                if size is None:
-                    size = delta_sizes[key] = encoded_size(delta)
-                return key, size
-
-            for member_id in room.member_sessions:
-                member = self._session(member_id)
-                spec = room.presentation_for(member.viewer_id, now=now)
-                known = member.known_spec(doc_id)
-                if self.diff_propagation:
-                    delta = diff_presentations(known, spec.outcome)
-                else:
-                    delta = dict(spec.outcome)
-                if not delta:
-                    continue
-                # Interest filtering: ship only the parts this member
-                # subscribes to. The change's author always sees their own
-                # change; everyone else pays zero wire bytes for updates
-                # outside their interest. The known-spec merge tracks what
-                # was actually sent, so a later SUBSCRIBE can compute an
-                # exact catch-up diff.
-                if member.viewer_id == change.viewer_id:
-                    filtered = delta
-                else:
-                    filtered = room.interest.filter_delta(member_id, delta)
-                if not filtered:
-                    self._m_interest_filtered.inc()
-                    self._m_interest_bytes_saved.inc(sized(delta)[1])
-                    continue
-                delta_key, delta_size = sized(filtered)
-                if len(filtered) != len(delta):
-                    self._m_interest_bytes_saved.inc(sized(delta)[1] - delta_size)
-                updates[member_id] = filtered
+    def _decide(self, room: Room, change: Any) -> list[_Decided]:
+        """One entry per member whose display moved, in member order;
+        advances each told member's known spec."""
+        doc_id = room.document.doc_id
+        now = self._now()
+        decided = []
+        for member_id in room.member_sessions:
+            member = self._session(member_id)
+            spec = room.presentation_for(member.viewer_id, now=now)
+            known = member.known_spec(doc_id)
+            if self.diff_propagation:
+                delta = diff_presentations(known, spec.outcome)
+            else:
+                delta = dict(spec.outcome)
+            if not delta:
+                continue
+            # Interest filtering: ship only the parts this member
+            # subscribes to. The change's author always sees their own
+            # change; everyone else pays zero wire bytes for updates
+            # outside their interest. The known-spec merge tracks what
+            # was actually sent, so a later SUBSCRIBE can compute an
+            # exact catch-up diff.
+            if member.viewer_id == change.viewer_id:
+                filtered = delta
+            else:
+                filtered = room.interest.filter_delta(member_id, delta)
+            decided.append((member, spec, delta, filtered))
+            if filtered:
                 merged = dict(known) if known else {}
                 merged.update(filtered)
                 member.remember_spec(doc_id, merged)
-                if self.network is not None:
-                    frame = update_frames.get(delta_key)
-                    if frame is None:
-                        body = {"doc_id": doc_id, "changes": filtered, "seq": change.seq}
-                        frame = update_frames[delta_key] = encode_message(
-                            MessageKind.PRESENTATION_UPDATE, body
-                        )
-                    self._net_send(
-                        member.node_id, MessageKind.PRESENTATION_UPDATE,
-                        frame.payload, frame=frame,
-                    )
-                # Diff-vs-full accounting: what this update costs on the
-                # wire against what a whole-outcome resend would cost.
-                self._m_prop_diff_bytes.inc(delta_size)
-                self._m_prop_full_bytes.inc(spec.wire_bytes)
-                diff_bytes.inc(delta_size)
-                full_bytes.inc(spec.wire_bytes)
-                shipped += delta_size
-            self._m_prop_updates.inc(len(updates))
-            self._m_prop_fanout.observe(len(updates))
-            self._emit(
-                "server.propagate",
-                severity="DEBUG",
-                room=room.room_id,
-                seq=change.seq,
-                fanout=len(updates),
-                diff_bytes=shipped,
+        return decided
+
+    def _ship(self, room: Room, change: Any, decided: list[_Decided]) -> None:
+        """Frame, send and account for one decided change."""
+        doc_id = room.document.doc_id
+        diff_bytes = self._f_prop_bytes.labels(room.room_id, "diff")
+        full_bytes = self._f_prop_bytes.labels(room.room_id, "full")
+        shipped = fanout = 0
+        # Members whose recomputed views agree (the common case for a
+        # shared choice) receive the *same* update frame: one encode,
+        # N sends — and one sizing, for the accounting below. Both
+        # keyed by the delta's canonical item sequence.
+        update_frames: dict[tuple[tuple[str, str], ...], Frame] = {}
+        delta_sizes: dict[tuple[tuple[str, str], ...], int] = {}
+
+        def sized(delta: dict[str, str]) -> tuple[Any, int]:
+            key = tuple(sorted(delta.items()))
+            size = delta_sizes.get(key)
+            if size is None:
+                size = delta_sizes[key] = encoded_size(delta)
+            return key, size
+
+        for member, spec, delta, filtered in decided:
+            if not filtered:
+                self._m_interest_filtered.inc()
+                self._m_interest_bytes_saved.inc(sized(delta)[1])
+                continue
+            delta_key, delta_size = sized(filtered)
+            if len(filtered) != len(delta):
+                self._m_interest_bytes_saved.inc(sized(delta)[1] - delta_size)
+            frame = update_frames.get(delta_key)
+            if frame is None:
+                body = {"doc_id": doc_id, "changes": filtered, "seq": change.seq}
+                frame = update_frames[delta_key] = encode_message(
+                    MessageKind.PRESENTATION_UPDATE, body
+                )
+            self._net_send(
+                member.node_id, MessageKind.PRESENTATION_UPDATE,
+                frame.payload, frame=frame,
             )
-            if self.network is not None:
-                event_body = {
-                    "doc_id": doc_id, "seq": change.seq,
-                    "viewer": change.viewer_id, "kind": change.kind, "data": change.data,
-                }
-                changed_component = change.data.get("component")
-                # Multicast fan-out: one encode (lazily, on the first
-                # interested recipient), the same frame to every member —
-                # the bytes were identical per recipient anyway.
-                event_frame: Frame | None = None
-                event_size: int | None = None
-                for member_id in room.member_sessions:
-                    member = self._session(member_id)
-                    if member.viewer_id == change.viewer_id:
-                        continue
-                    if changed_component is not None and not room.interest.covers(
-                        member_id, changed_component
-                    ):
-                        if event_size is None:
-                            event_size = encoded_size(event_body)
-                        self._m_interest_filtered.inc()
-                        self._m_interest_bytes_saved.inc(event_size)
-                        continue
-                    if event_frame is None:
-                        event_frame = encode_message(MessageKind.PEER_EVENT, event_body)
-                    self._net_send(
-                        member.node_id, MessageKind.PEER_EVENT,
-                        event_body, frame=event_frame,
-                    )
-            self.triggers.dispatch(room, change)
-        return updates
+            # Diff-vs-full accounting: what this update costs on the
+            # wire against what a whole-outcome resend would cost.
+            full_size = spec.wire_bytes
+            self._m_prop_diff_bytes.inc(delta_size)
+            self._m_prop_full_bytes.inc(full_size)
+            diff_bytes.inc(delta_size)
+            full_bytes.inc(full_size)
+            shipped += delta_size
+            fanout += 1
+        self._m_prop_updates.inc(fanout)
+        self._m_prop_fanout.observe(fanout)
+        self._emit(
+            "server.propagate",
+            severity="DEBUG",
+            room=room.room_id,
+            seq=change.seq,
+            fanout=fanout,
+            diff_bytes=shipped,
+        )
+        event_body = {
+            "doc_id": doc_id, "seq": change.seq,
+            "viewer": change.viewer_id, "kind": change.kind, "data": change.data,
+        }
+        changed_component = change.data.get("component")
+        # Multicast fan-out: one encode (lazily, on the first
+        # interested recipient), the same frame to every member —
+        # the bytes were identical per recipient anyway.
+        event_frame: Frame | None = None
+        event_size: int | None = None
+        for member_id in room.member_sessions:
+            member = self._session(member_id)
+            if member.viewer_id == change.viewer_id:
+                continue
+            if changed_component is not None and not room.interest.covers(
+                member_id, changed_component
+            ):
+                if event_size is None:
+                    event_size = encoded_size(event_body)
+                self._m_interest_filtered.inc()
+                self._m_interest_bytes_saved.inc(event_size)
+                continue
+            if event_frame is None:
+                event_frame = encode_message(MessageKind.PEER_EVENT, event_body)
+            self._net_send(
+                member.node_id, MessageKind.PEER_EVENT,
+                event_body, frame=event_frame,
+            )
 
     def broadcast(
         self, payload: dict[str, Any], room_id: str | None = None
@@ -821,8 +852,6 @@ class InteractionServer:
         self._telemetry_baseline = current
         events, self._pending_events = self._pending_events, []
         for monitor in self._monitors.values():
-            if self.network is None:
-                continue
             self._net_send(
                 monitor.node_id,
                 MessageKind.TELEMETRY,
@@ -844,13 +873,16 @@ class InteractionServer:
         size_bytes: int | None = None,
         frame: Frame | None = None,
     ) -> None:
-        """One hub->client send, with outbound message/byte accounting.
+        """One hub->client send, with outbound message/byte accounting —
+        or nothing at all on a server that has no network to send on.
 
         The payload is encoded exactly once: callers fanning the same
         body out to several recipients pass the shared *frame*, otherwise
         one is produced here. Sizing, checksum and retransmits all reuse
         it — no send path ever serializes twice.
         """
+        if self.network is None:
+            return
         if frame is None:
             frame = encode_message(kind, body)
         if size_bytes is None:
@@ -884,11 +916,11 @@ class InteractionServer:
         )
 
     def _now(self) -> float:
-        return self.network.clock.now if self.network is not None else 0.0
+        return self.clock.now if self.clock is not None else 0.0
 
     def _emit(self, name: str, severity: str = "INFO", **fields: Any) -> None:
-        """Flight-recorder emit stamped with the network clock when attached."""
-        at = self.network.clock.now if self.network is not None else None
+        """Flight-recorder emit stamped with the server's clock when it has one."""
+        at = self.clock.now if self.clock is not None else None
         self._events.emit(name, severity=severity, at=at, **fields)
 
     def stats(self) -> dict[str, Any]:
@@ -955,21 +987,24 @@ class InteractionServer:
                     for p, c in room.document.components().items()
                 ],
             }
-            if self.network is not None:
-                self._net_send(sender_node, MessageKind.JOIN_ACK, body)
+            self._net_send(sender_node, MessageKind.JOIN_ACK, body)
             return
         if kind == MessageKind.MONITOR:
             session = self.connect_monitor(payload["viewer_id"], node_id=sender_node)
-            if self.network is not None:
-                self._net_send(
-                    sender_node,
-                    MessageKind.MONITOR_ACK,
-                    {
-                        "session_id": session.session_id,
-                        "interval": self.telemetry_interval,
-                    },
-                )
+            self._net_send(
+                sender_node,
+                MessageKind.MONITOR_ACK,
+                {
+                    "session_id": session.session_id,
+                    "interval": self.telemetry_interval,
+                },
+            )
             return
+        self.apply_session_op(kind, payload)
+
+    def apply_session_op(self, kind: str, payload: dict[str, Any]) -> None:
+        """Apply one message addressed to an existing session (everything
+        but JOIN/MONITOR) — also how a standby replays its primary's ops."""
         session_id = payload["session_id"]
         if kind == MessageKind.LEAVE:
             if session_id in self._monitors:

@@ -29,7 +29,7 @@ def fresh_obs():
             yield registry, log
 
 
-def drive_conference(tmp_path, name, crash_owner_of=None):
+def drive_conference(tmp_path, name, crash_owner_of=None, batch_window_s=0.0):
     """One 3-room conference on a 3-shard cluster; optionally crash."""
     db = Database(str(tmp_path / name))
     store = MultimediaObjectStore(db)
@@ -40,7 +40,10 @@ def drive_conference(tmp_path, name, crash_owner_of=None):
         )
         records[doc_id] = record
         store.store_document(record)
-    harness = ClusterHarness(store, ClusterConfig(shards=3, failure_timeout=1.5))
+    harness = ClusterHarness(
+        store,
+        ClusterConfig(shards=3, failure_timeout=1.5, batch_window_s=batch_window_s),
+    )
     clients = {}
     for index, doc_id in enumerate(DOCS):
         pair = [harness.add_client(f"dr-{index}-{j}") for j in range(2)]
@@ -164,3 +167,30 @@ class TestFailover:
         replicated_to = [s for s in survivors if promoted.replication_lag(s) == 0
                          and s in promoted._ship]
         assert replicated_to, "taken-over rooms found no new replica"
+
+    def test_promoted_server_keeps_the_cluster_batch_window(self, tmp_path, fresh_obs):
+        """Regression: a standby used to be built with the default window
+        0, so the rooms it took over silently stopped coalescing."""
+        registry, _ = fresh_obs
+        coalesced = registry.counter("batch.messages_coalesced")
+        failed = drive_conference(
+            tmp_path, "batched", crash_owner_of="case-0", batch_window_s=0.02
+        )
+        harness = failed["harness"]
+        promoted = harness.shards[harness.failovers[0]["promoted"]]
+        successor = harness.serving_server_of("case-0")
+        assert successor is not promoted.server
+        assert successor._batcher.window_s == promoted.server._batcher.window_s == 0.02
+        # And it does batch: one more shared choice in the taken-over
+        # room sends its peer an update and a peer event, which leave
+        # the successor as one BATCH frame.
+        assert failed["errors"] == []
+        before = coalesced.value
+        actor, peer = failed["clients"]["case-0"]
+        path, shown = next(
+            (p, v) for p, v in actor.displayed().items() if v != "hidden"
+        )
+        actor.choose(path, next(v for v in actor.sizes[path] if v != shown))
+        harness.run()
+        assert actor.errors == []
+        assert coalesced.value >= before + 2

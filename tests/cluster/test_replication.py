@@ -2,11 +2,21 @@
 
 import pytest
 
-from repro.cluster import LogEntry, ReplicaState, ShipLog
+from repro.cluster import (
+    ClusterConfig,
+    ClusterHarness,
+    LogEntry,
+    ReplicaState,
+    ShipLog,
+)
 from repro.db import Database, MultimediaObjectStore
+from repro.document import build_sample_medical_record
 from repro.errors import ClusterError
+from repro.obs import EventLog, MetricsRegistry, use_event_log, use_registry
 from repro.server import InteractionServer
+from repro.server.protocol import MessageKind
 from repro.workloads import consultation_events, generate_record
+from tests.server import test_interaction as ledger_script
 
 
 class TestShipLog:
@@ -181,3 +191,75 @@ class TestReplicaReplay:
             state.offer(
                 LogEntry(seq=1, at=0.0, room_key="case-0", op="compact", data={})
             )
+
+
+class TestStandbyShipsNothing:
+    """The same scripted room with and without a standby: every series
+    that counts shipped traffic reads the same, because a standby decides
+    updates and ships none; all replication adds is its own two frames."""
+
+    SHIPPED_SERIES = (
+        "server.messages_out",
+        "server.bytes_out",
+        "server.propagation.updates",
+        "server.propagation.diff_bytes",
+        "server.propagation.full_bytes",
+        "interest.updates_filtered",
+        "interest.bytes_saved",
+    )
+
+    def _run(self, tmp_path, replication_factor):
+        registry = MetricsRegistry()
+        db = Database(str(tmp_path / f"rf{replication_factor}"))
+        with use_registry(registry), use_event_log(EventLog()):
+            store = MultimediaObjectStore(db)
+            store.store_document(build_sample_medical_record())
+            harness = ClusterHarness(
+                store,
+                ClusterConfig(
+                    shards=2, interest_mode="cpnet",
+                    replication_factor=replication_factor,
+                ),
+            )
+            replication = []  # (kind, frame bytes) of every REPLICATE and ACK
+            real_send = harness.network.send
+
+            def recording_send(sender, recipient, kind, payload=None, **kwargs):
+                if kind in (MessageKind.REPLICATE, MessageKind.ACK):
+                    replication.append((kind, kwargs["frame"].size_bytes))
+                return real_send(sender, recipient, kind, payload=payload, **kwargs)
+
+            harness.network.send = recording_send
+            members = [
+                harness.add_client(f"m{index}", auto_fetch=False) for index in range(8)
+            ]
+            for client in members:
+                client.join("record-17")
+            harness.run()
+            for step in ledger_script.TestPropagationLedger.SCRIPT:
+                step(members)
+                harness.run()
+            assert all(not client.errors for client in members)
+        db.close()
+        return registry.snapshot()["counters"], replication
+
+    def test_counters_do_not_depend_on_the_replication_factor(self, tmp_path):
+        alone, no_frames = self._run(tmp_path, replication_factor=1)
+        mirrored, frames = self._run(tmp_path, replication_factor=2)
+        assert no_frames == [] and frames
+        series = [
+            name for name in alone
+            if name in self.SHIPPED_SERIES
+            or name.startswith("server.propagation.room_bytes")
+        ]
+        assert set(self.SHIPPED_SERIES) < set(series)
+        assert {n: mirrored[n] for n in series} == {n: alone[n] for n in series}
+        assert alone["server.propagation.updates"] > 0
+        # A REPLICATE frame costs its sender one encode and the replica
+        # exactly one more, its ACK — replay itself encodes nothing.
+        replicates = [size for kind, size in frames if kind == MessageKind.REPLICATE]
+        assert len(frames) == 2 * len(replicates)
+        assert mirrored["codec.encodes"] - alone["codec.encodes"] == len(frames)
+        assert mirrored["codec.bytes_encoded"] - alone["codec.bytes_encoded"] == sum(
+            size for _, size in frames
+        )

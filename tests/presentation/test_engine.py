@@ -1,6 +1,10 @@
 """Unit tests for the presentation engine."""
 
+from collections import Counter
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cpnet import CompletionCache
 from repro.document import (
@@ -12,6 +16,7 @@ from repro.document import (
 from repro.errors import DocumentError
 from repro.presentation import PresentationEngine, ViewerChoice
 from repro.presentation import engine as engine_module
+from repro.presentation import spec as spec_module
 from repro.presentation.engine import PERSONAL, SHARED
 from repro.presentation.spec import build_spec
 from repro.server.protocol import encoded_size
@@ -153,23 +158,33 @@ class TestSharedViews:
 
     def test_one_derivation_serves_every_agreeing_viewer(self, shared, monkeypatch):
         engine, cache = shared
-        derived = []
+        views, walks = [], []
 
-        def counting(document, outcome):
-            derived.append(dict(outcome))
-            return real(document, outcome)
+        class CountingView(engine_module.PresentationView):
+            def __init__(self, document, outcome):
+                views.append(dict(outcome))
+                super().__init__(document, outcome)
 
-        real = engine_module.derive_view
-        monkeypatch.setattr(engine_module, "derive_view", counting)
+        def counting_walk(outcome):
+            walks.append(dict(outcome))
+            return real_walk(outcome)
+
+        real_walk = engine.document.visible_components
+        monkeypatch.setattr(engine_module, "PresentationView", CountingView)
+        monkeypatch.setattr(engine.document, "visible_components", counting_walk)
         engine.apply_choice(ViewerChoice("lee", "imaging", "hidden"))
         specs = engine.presentations()
-        assert len(derived) == 1 and len(cache) == 1
+        assert len(views) == 1 and len(cache) == 1
+        # Nothing is measured until someone reads a measure; then once,
+        # for everybody who shares the completion.
+        assert walks == []
         assert specs["lee"].visible is specs["cho"].visible is specs["wu"].visible
-        # A personal choice is a second completion: one more derivation,
-        # for its owner only.
+        assert len(walks) == 1
+        # A personal choice is a second completion: one more view, for
+        # its owner only.
         engine.apply_choice(ViewerChoice("cho", "labs.ecg", "icon", scope=PERSONAL))
         engine.presentations()
-        assert len(derived) == 2 and len(cache) == 2
+        assert len(views) == 2 and len(cache) == 2
 
     def test_spec_outcomes_are_private_copies(self, shared):
         engine, cache = shared
@@ -239,6 +254,73 @@ class TestSharedViews:
         assert "imaging.mri" in after.visible and "imaging.mri" not in before.visible
         assert after.total_bytes == before.total_bytes + 4096
         assert after.wire_bytes > before.wire_bytes
+
+
+MEASURES = ("visible", "total_bytes", "wire_bytes")
+VIEWERS = ("lee", "cho", "wu")
+CHOICES = [
+    (path, value)
+    for path in build_sample_medical_record().component_paths()
+    for value in build_sample_medical_record().network.variable(path).domain
+]
+
+
+class TestLazyMeasures:
+    """A view measures nothing until read, each measure once however many
+    viewers and reads share it, and reads what an eager walk would."""
+
+    @given(
+        choices=st.lists(
+            st.tuples(
+                st.sampled_from(VIEWERS),
+                st.sampled_from(CHOICES),
+                st.sampled_from((SHARED, PERSONAL)),
+            ),
+            max_size=8,
+        ),
+        order=st.permutations(MEASURES),
+    )
+    def test_lazy_reads_equal_eager_walks_once_per_entry(self, choices, order):
+        cache = CompletionCache()
+        document = build_sample_medical_record()
+        document.completion_cache = cache
+        engine = PresentationEngine(document, completion_cache=cache)
+        for viewer in VIEWERS:
+            engine.register_viewer(viewer)
+        for viewer, (component, value), scope in choices:
+            engine.apply_choice(ViewerChoice(viewer, component, value, scope))
+        calls = Counter()
+
+        def counted(name, real):
+            def measure(outcome):
+                calls[name] += 1
+                return real(outcome)
+            return measure
+
+        with (
+            patch.object(
+                document, "visible_components",
+                counted("visible", document.visible_components),
+            ),
+            patch.object(
+                document, "presentation_bytes",
+                counted("total_bytes", document.presentation_bytes),
+            ),
+            patch.object(
+                spec_module, "value_size", counted("wire_bytes", spec_module.value_size)
+            ),
+        ):
+            specs = engine.presentations()
+            assert not calls
+            for _ in range(2):
+                for spec in specs.values():
+                    for name in order:
+                        getattr(spec, name)
+        assert calls == {name: len(cache) for name in MEASURES}
+        for spec in specs.values():
+            assert spec.visible == document.visible_components(spec.outcome)
+            assert spec.total_bytes == document.presentation_bytes(spec.outcome)
+            assert spec.wire_bytes == encoded_size(spec.outcome)
 
 
 class TestSpecs:
