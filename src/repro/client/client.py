@@ -18,13 +18,13 @@ from repro.client.view import RenderTree
 from repro.net.codec import StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
-from repro.obs.dtrace import HOP_SHED_WAIT, TRACED_CLIENT_KINDS, get_dtrace
+from repro.obs.dtrace import HOP_SHED_WAIT, get_dtrace
 from repro.presentation.tuning import (
     BANDWIDTH_LOW,
     BANDWIDTH_MEDIUM,
     TUNING_VARIABLE,
 )
-from repro.server.protocol import MessageKind
+from repro.server.protocol import PROTOCOL, MessageKind
 from repro.util.backoff import seeded_jitter
 
 DEFAULT_BUFFER_BYTES = 64 * 1024 * 1024
@@ -37,17 +37,10 @@ DEFAULT_BUFFER_BYTES = 64 * 1024 * 1024
 #: (FETCH_PAYLOAD, MONITOR) are excluded because replaying them changes
 #: no room state.
 _PARKED_KINDS = frozenset(
-    {
-        MessageKind.LEAVE,
-        MessageKind.CHOICE,
-        MessageKind.OPERATION,
-        MessageKind.ANNOTATE,
-        MessageKind.FREEZE,
-        MessageKind.RELEASE,
-        MessageKind.SUBSCRIBE,
-        MessageKind.UNSUBSCRIBE,
-    }
+    kind for kind, row in PROTOCOL.items() if row.op is not None and not row.opens_session
 )
+#: Kinds that open a root delivery trace at the actor.
+_TRACED_KINDS = frozenset(kind for kind, row in PROTOCOL.items() if row.traced)
 
 
 class ClientModule:
@@ -145,10 +138,11 @@ class ClientModule:
         session_id = self._require_session()
         self._send(MessageKind.LEAVE, {"session_id": session_id})
         # A left session is abandoned: none of its backlog may replay
-        # after a gateway failover — the shard drops the session (and
-        # its op_seq dedup fence) with the LEAVE, so a replayed op can
-        # only bounce as an unroutable-session error. Ops the user
-        # walked away from are at-most-once by design.
+        # after a gateway failover — the shard drops the session with
+        # the LEAVE (its op_seq dedup fence stays, so a late duplicate
+        # LEAVE is still fenced), and a replayed op can only bounce as
+        # an unroutable-session error. Ops the user walked away from
+        # are at-most-once by design.
         self._closed_sessions.add(session_id)
         self._op_log = [
             entry
@@ -160,83 +154,48 @@ class ClientModule:
 
     def choose(self, component: str, value: str, scope: str = "shared") -> None:
         self._mark_action()
-        self._send(
-            MessageKind.CHOICE,
-            {
-                "session_id": self._require_session(),
-                "component": component,
-                "value": value,
-                "scope": scope,
-            },
-        )
+        self._request(MessageKind.CHOICE, component=component, value=value, scope=scope)
 
     def operate(self, component: str, operation: str, global_importance: bool = False) -> None:
         self._mark_action()
-        self._send(
+        self._request(
             MessageKind.OPERATION,
-            {
-                "session_id": self._require_session(),
-                "component": component,
-                "operation": operation,
-                "global": global_importance,
-            },
+            component=component, operation=operation, **{"global": global_importance},
         )
 
     def annotate(self, component: str, annotation: dict[str, Any]) -> None:
-        self._send(
-            MessageKind.ANNOTATE,
-            {
-                "session_id": self._require_session(),
-                "component": component,
-                "annotation": annotation,
-            },
-        )
+        self._request(MessageKind.ANNOTATE, component=component, annotation=annotation)
 
     def freeze(self, component: str) -> None:
-        self._send(
-            MessageKind.FREEZE,
-            {"session_id": self._require_session(), "component": component},
-        )
+        self._request(MessageKind.FREEZE, component=component)
 
     def release(self, component: str) -> None:
-        self._send(
-            MessageKind.RELEASE,
-            {"session_id": self._require_session(), "component": component},
-        )
+        self._request(MessageKind.RELEASE, component=component)
 
     def subscribe(self, components: list[str], replace: bool = False) -> None:
         """Explicitly subscribe to component paths (narrowing interest)."""
-        payload: dict[str, Any] = {
-            "session_id": self._require_session(),
-            "components": list(components),
-        }
-        if replace:
-            payload["replace"] = True
-        self._send(MessageKind.SUBSCRIBE, payload)
+        flags = {"replace": True} if replace else {}
+        self._request(MessageKind.SUBSCRIBE, components=list(components), **flags)
 
     def unsubscribe(self, components: list[str] | None = None) -> None:
         """Drop subscriptions; with no argument, drop them all."""
-        payload: dict[str, Any] = {"session_id": self._require_session()}
         if components is None:
-            payload["all"] = True
+            self._request(MessageKind.UNSUBSCRIBE, all=True)
         else:
-            payload["components"] = list(components)
-        self._send(MessageKind.UNSUBSCRIBE, payload)
+            self._request(MessageKind.UNSUBSCRIBE, components=list(components))
 
     def fetch_payload(self, component: str, value: str) -> None:
-        self._send(
-            MessageKind.FETCH_PAYLOAD,
-            {
-                "session_id": self._require_session(),
-                "component": component,
-                "value": value,
-            },
-        )
+        self._request(MessageKind.FETCH_PAYLOAD, component=component, value=value)
 
     def _require_session(self) -> str:
         if self.session_id is None:
             raise ClientError(f"client {self.viewer_id!r} has no session (join first)")
         return self.session_id
+
+    def _request(self, kind: str, **fields: Any) -> None:
+        """One message on our session: its id first, then *fields* in the
+        order given (field order is wire bytes)."""
+        self._send(kind, {"session_id": self._require_session(), **fields})
 
     def _send(self, kind: str, payload: dict[str, Any]) -> None:
         if self.network is None:
@@ -276,7 +235,7 @@ class ClientModule:
         """
         frame = encode_message(kind, payload, interner=self._wire_table)
         dtrace = self._dtrace
-        if dtrace.enabled and kind in TRACED_CLIENT_KINDS:
+        if dtrace.enabled and kind in _TRACED_KINDS:
             # Root of the delivery trace: one trace per sampled user
             # action, carried end-to-end on the wire from here.
             ctx = dtrace.start_trace(
@@ -308,33 +267,39 @@ class ClientModule:
 
     # ----- responses ------------------------------------------------------------------
 
+    #: server message kind -> the method that takes its payload.
+    _HANDLERS = {
+        MessageKind.JOIN_ACK: "_on_join_ack",
+        MessageKind.PRESENTATION_UPDATE: "_on_presentation_update",
+        MessageKind.PAYLOAD: "_on_payload",
+        MessageKind.SUBSCRIBE_ACK: "_on_subscribe_ack",
+        MessageKind.PEER_EVENT: "_on_peer_event",
+        MessageKind.BROADCAST: "_on_broadcast",
+        MessageKind.RETRY_AFTER: "_on_retry_after",
+        MessageKind.ERROR: "_on_error",
+    }
+
     def receive(self, message: Message) -> None:
-        payload = message.payload or {}
-        if message.kind == MessageKind.JOIN_ACK:
-            self._on_join_ack(payload)
-        elif message.kind == MessageKind.PRESENTATION_UPDATE:
-            self._on_presentation_update(payload)
-        elif message.kind == MessageKind.PAYLOAD:
-            self._on_payload(payload)
-        elif message.kind == MessageKind.SUBSCRIBE_ACK:
-            self._on_subscribe_ack(payload)
-        elif message.kind == MessageKind.PEER_EVENT:
-            self.peer_events.append(payload)
-        elif message.kind == MessageKind.BROADCAST:
-            self.broadcasts.append(payload)
-        elif message.kind == MessageKind.RETRY_AFTER:
-            self._on_retry_after(payload)
-        elif message.kind == MessageKind.ERROR:
-            detail = str(payload.get("detail", ""))
-            if self._tuning_level is not None and TUNING_VARIABLE in detail:
-                # Our own degradation step-down bounced: the document has
-                # no tuning variable installed. Remember, stop trying —
-                # this is not a user-visible protocol error.
-                self._tuning_unsupported = True
-            else:
-                self.errors.append(payload)
-        else:
+        handler = self._HANDLERS.get(message.kind)
+        if handler is None:
             raise ClientError(f"unexpected message kind {message.kind!r}")
+        getattr(self, handler)(message.payload or {})
+
+    def _on_peer_event(self, payload: dict[str, Any]) -> None:
+        self.peer_events.append(payload)
+
+    def _on_broadcast(self, payload: dict[str, Any]) -> None:
+        self.broadcasts.append(payload)
+
+    def _on_error(self, payload: dict[str, Any]) -> None:
+        detail = str(payload.get("detail", ""))
+        if self._tuning_level is not None and TUNING_VARIABLE in detail:
+            # Our own degradation step-down bounced: the document has
+            # no tuning variable installed. Remember, stop trying —
+            # this is not a user-visible protocol error.
+            self._tuning_unsupported = True
+        else:
+            self.errors.append(payload)
 
     def _on_join_ack(self, payload: dict[str, Any]) -> None:
         self.session_id = payload["session_id"]

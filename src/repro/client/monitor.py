@@ -117,19 +117,32 @@ class TelemetryMonitor:
 
     # ----- responses ------------------------------------------------------------------
 
+    #: server message kind -> the method that takes its payload.
+    _HANDLERS = {
+        MessageKind.MONITOR_ACK: "_on_monitor_ack",
+        MessageKind.TELEMETRY: "_on_telemetry",
+        MessageKind.TELEMETRY_EVENT: "_on_telemetry_event",
+        MessageKind.ERROR: "_on_error",
+    }
+
     def receive(self, message: Message) -> None:
-        payload = message.payload or {}
-        if message.kind == MessageKind.MONITOR_ACK:
-            self.session_id = payload["session_id"]
-            self.interval = payload.get("interval")
-        elif message.kind == MessageKind.TELEMETRY:
-            self.snapshots.append(payload)
-        elif message.kind == MessageKind.TELEMETRY_EVENT:
-            self.events.append(payload.get("event", {}))
-        elif message.kind == MessageKind.ERROR:
-            raise ClientError(f"server error: {payload}")
-        else:
+        handler = self._HANDLERS.get(message.kind)
+        if handler is None:
             raise ClientError(f"unexpected message kind {message.kind!r}")
+        getattr(self, handler)(message.payload or {})
+
+    def _on_monitor_ack(self, payload: dict[str, Any]) -> None:
+        self.session_id = payload["session_id"]
+        self.interval = payload.get("interval")
+
+    def _on_telemetry(self, payload: dict[str, Any]) -> None:
+        self.snapshots.append(payload)
+
+    def _on_telemetry_event(self, payload: dict[str, Any]) -> None:
+        self.events.append(payload.get("event", {}))
+
+    def _on_error(self, payload: dict[str, Any]) -> None:
+        raise ClientError(f"server error: {payload}")
 
     # ----- aggregation ----------------------------------------------------------------
 

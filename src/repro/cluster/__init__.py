@@ -11,11 +11,14 @@ topology with one gateway node:
 * :mod:`repro.cluster.ring` — a consistent-hash ring shards rooms across
   server nodes (and clients across gateways) with bounded movement on
   membership change;
+* :mod:`repro.cluster.node` — what every node shares: clock-stamped
+  events and encode-once sends, liveness and heartbeats, and the one
+  admission-gated, traced way into a service queue;
 * :mod:`repro.cluster.gateway` — :class:`Gateway`, the routing core of a
-  gateway node: session→shard route table, ``ROUTE`` envelopes both
+  gateway node: session→shard route cache, ``ROUTE`` envelopes both
   ways, routing retry, the telemetry monitor channel;
 * :mod:`repro.cluster.gatewaytier` — :class:`GatewayNode`, the
-  deployable access point (routing core + route cache + routing queue),
+  deployable access point (the routing core behind its routing queue),
   and the :class:`GatewayDirectory` control plane: shard and gateway
   registration, client homing, the failure detector, ``PROMOTE`` and
   gateway failover;

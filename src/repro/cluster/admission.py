@@ -33,42 +33,21 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import obs
-from repro.server.protocol import MessageKind
-
-#: admission lanes, in strictly decreasing priority
-LANE_CONTROL = "control"
-LANE_JOIN = "join"
-LANE_DATA = "data"
-
-#: client kinds that may be shed under overload (everything carrying an
-#: op_seq, plus reads). LEAVE is deliberately absent: dropping a leave
-#: leaks the session server-side, so it rides the control lane.
-_DATA_KINDS = frozenset(
-    {
-        MessageKind.CHOICE,
-        MessageKind.OPERATION,
-        MessageKind.ANNOTATE,
-        MessageKind.FREEZE,
-        MessageKind.RELEASE,
-        MessageKind.FETCH_PAYLOAD,
-        MessageKind.SUBSCRIBE,
-        MessageKind.UNSUBSCRIBE,
-    }
-)
+from repro.server.protocol import LANE_CONTROL, LANE_DATA, LANE_JOIN, PROTOCOL, MessageKind
 
 
 def lane_of(kind: str) -> str:
     """The admission lane for one message kind.
 
-    Anything not explicitly a join or sheddable data op — heartbeats,
-    PROMOTE, ACK, ROUTE envelopes, monitor traffic, LEAVE — is control
-    plane and can never be deferred or shed.
+    A client kind rides the lane its protocol-table row names: JOIN its
+    own; everything carrying an op_seq, plus reads, the data lane that
+    may be shed under overload; LEAVE (dropping one leaks the session
+    server-side) and monitor traffic the control lane. Anything that is
+    not a client kind — heartbeats, PROMOTE, ACK, ROUTE envelopes — is
+    control plane too and can never be deferred or shed.
     """
-    if kind == MessageKind.JOIN:
-        return LANE_JOIN
-    if kind in _DATA_KINDS:
-        return LANE_DATA
-    return LANE_CONTROL
+    row = PROTOCOL.get(kind)
+    return row.lane if row is not None else LANE_CONTROL
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,24 @@
-"""Gateway routing core: route table, ROUTE envelopes, routing retry.
+"""Gateway routing core: route cache, ROUTE envelopes, routing retry.
 
 Clients keep the exact protocol they speak to a single
 ``InteractionServer``. Behind a gateway, every client message is wrapped
 in a ``ROUTE`` envelope and forwarded to the shard owning the target
 room: ``JOIN`` routes by document id through the consistent-hash ring,
-everything else by the session→shard table learned from ``JOIN_ACK``
-responses; shard responses are unwrapped and handed to the client link.
-An op whose shard is momentarily unroutable is parked and retried with
-backoff, re-resolving the route on every attempt.
+everything else by the **route cache** — session → owning shard, learned
+by sniffing ``JOIN_ACK`` responses and reported to the directory, which
+stays authoritative. Steady-state room traffic flows client → gateway →
+shard with zero directory hops; a cache miss parks the op and resolves
+it with one ``ROUTE_LOOKUP`` round trip. Shard responses are unwrapped
+and handed to the client link. An op whose shard is momentarily
+unroutable is parked and retried with backoff, re-resolving the route on
+every attempt.
 
 :class:`Gateway` is this data-plane core plus the telemetry monitor
 channel. The deployable node is its subclass
 :class:`~repro.cluster.gatewaytier.GatewayNode`, which attaches to the
-network and talks to the :class:`~repro.cluster.gatewaytier
-.GatewayDirectory` — the one place shard registration, failure
-detection and ``PROMOTE`` live.
+network behind its routing queue; shard registration, failure detection
+and ``PROMOTE`` live in one place, the :class:`~repro.cluster
+.gatewaytier.GatewayDirectory`.
 """
 
 from __future__ import annotations
@@ -23,20 +27,30 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ClusterError
+from repro.cluster.node import ServiceNode
 from repro.cluster.ring import HashRing
 from repro.cluster.wire import encode_shardbound, shardbound_wrapper
-from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
+from repro.net.codec import Frame, StringInterner, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
-from repro.obs.dtrace import HOP_GATEWAY_ROUTE, get_dtrace
-from repro.server.protocol import MessageKind
-from repro.server.session import Session
+from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_ROUTE
+from repro.server.protocol import PROTOCOL, MessageKind
+from repro.server.telemetry import TelemetryChannel
 from repro.util.backoff import seeded_jitter
-from repro.util.ids import IdGenerator
 
 
-class Gateway:
+class Gateway(ServiceNode):
     """Routes client traffic to the shards that own the rooms."""
+
+    role = "gateway"
+    #: message kind -> the method that takes the message. Client kinds
+    #: are routed to a shard, except the telemetry channel's own two
+    #: (MONITOR, and a monitor's LEAVE — see :meth:`_is_monitor_leave`).
+    _HANDLERS = {
+        **{kind: "_route_message" for kind in PROTOCOL},
+        MessageKind.MONITOR: "_on_monitor",
+        MessageKind.ROUTE: "_forward_to_client",
+    }
 
     #: Routing retry budget: capped exponential backoff from *base* to
     #: *max* seconds, a typed ERROR to the client after *attempts* tries.
@@ -44,11 +58,11 @@ class Gateway:
     route_retry_attempts = 6
     route_retry_max_s = 4.0
 
-    def __init__(self, network: SimulatedNetwork, ring: HashRing, node_id: str) -> None:
-        self.node_id = node_id
-        self.network = network
+    def __init__(
+        self, network: SimulatedNetwork, directory_id: str, ring: HashRing, node_id: str
+    ) -> None:
+        super().__init__(node_id, network, directory_id)
         self.ring = ring
-        self._ids = IdGenerator(namespace=node_id)
         self._shards: set[str] = set()
         self._dead: set[str] = set()
         self._session_route: dict[str, str] = {}  # session -> shard
@@ -57,10 +71,10 @@ class Gateway:
         # gateway↔shard path is a reliable in-order channel, so repeated
         # client node ids compress to references after their first frame.
         self._shard_tables: dict[str, StringInterner] = {}
+        #: ops parked on a route-cache miss: session -> FIFO of
+        #: (sender, kind, payload, frame, trace ctx, parked-at time).
+        self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
-        self._registry = registry
-        self._events = obs.get_event_log()
-        self._dtrace = get_dtrace()
         self._m_routed_messages = registry.counter("gateway.routed_messages")
         self._f_routed_bytes = registry.counter_family(
             "gateway.routed_bytes", ("shard", "direction")
@@ -72,14 +86,35 @@ class Gateway:
             "gateway.sessions_routed", ("gateway",)
         ).labels(node_id)
         self._g_sessions.set(0)
+        self._m_cache_hits = registry.counter_family(
+            "gateway.route_cache.hits", ("gateway",)
+        ).labels(node_id)
+        self._m_cache_misses = registry.counter_family(
+            "gateway.route_cache.misses", ("gateway",)
+        ).labels(node_id)
+        self._m_cache_invalidations = registry.counter_family(
+            "gateway.route_cache.invalidations", ("gateway",)
+        ).labels(node_id)
+        # Not a second copy of the three counters above: a labelled
+        # counter child belongs to the *registry*, so every harness built
+        # under one registry that names a gateway "gw-1" shares it (and
+        # under NullRegistry it reads 0). These integers are the only
+        # per-node reading ``route_cache_stats()`` can give.
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_invalidations = 0
         # Telemetry monitors (same channel the single server offers).
-        self._monitors: dict[str, Session] = {}
-        self._pending_events: list[dict[str, Any]] = []
-        self._telemetry_baseline: dict[str, Any] | None = None
-        self._last_telemetry_at: float | None = None
-        self.telemetry_interval: float = 0.0
+        self.telemetry = TelemetryChannel(
+            node_id, lambda: network.clock.now, self._send_if_present
+        )
 
     # ----- topology ---------------------------------------------------------------
+
+    def note_shard(self, shard_id: str) -> None:
+        """Track a shard registered at the directory (the gateway keeps
+        one envelope string table per shard channel)."""
+        self._shards.add(shard_id)
+        self._shard_tables.setdefault(shard_id, StringInterner())
 
     @property
     def live_shards(self) -> tuple[str, ...]:
@@ -95,7 +130,6 @@ class Gateway:
     # ----- network glue -----------------------------------------------------------
 
     def receive(self, message: Message) -> None:
-        payload = message.payload or {}
         kind = message.kind
         if message.sender in self._dead:
             # Zombie fencing: a shard declared dead stays dead. A slow
@@ -109,29 +143,46 @@ class Gateway:
             )
             return
         try:
-            if kind == MessageKind.ROUTE:
-                self._forward_to_client(message.sender, payload)
-            elif kind == MessageKind.MONITOR:
-                self._connect_monitor(payload["viewer_id"], message.sender)
-            elif kind == MessageKind.LEAVE and payload.get("session_id") in self._monitors:
-                self._disconnect_monitor(payload["session_id"])
-            elif kind in MessageKind.CLIENT_KINDS:
-                self._route_client(message.sender, kind, payload, frame=message.frame)
-            else:
+            handler = self._HANDLERS.get(kind)
+            if handler is None:
                 raise ClusterError(f"unexpected message kind {kind!r} at gateway")
+            if kind == MessageKind.LEAVE and self._is_monitor_leave(message):
+                handler = "_on_monitor_leave"
+            getattr(self, handler)(message)
         except Exception as exc:
             self._m_route_errors.inc()
+            sender = message.sender
             if (
-                self.network.has_node(message.sender)
-                and message.sender not in self._shards
-                and message.sender != self.node_id
+                sender in self._shards
+                or sender == self.node_id
+                or not self.network.has_node(sender)
             ):
-                body = {"error": type(exc).__name__, "detail": str(exc)}
-                self._send_framed(message.sender, MessageKind.ERROR, body)
-            else:
                 raise
+            self._send_error(sender, type(exc).__name__, str(exc))
         finally:
-            self.push_telemetry(force=False)
+            self.telemetry.push(force=False)
+
+    def _is_monitor_leave(self, message: Message) -> bool:
+        """A ``LEAVE`` that ends one of our monitor sessions (answered
+        here) rather than a room session (routed to its shard)."""
+        return (message.payload or {}).get("session_id") in self.telemetry.monitors
+
+    def _send_if_present(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
+        """Answer a client that may be gone by now (then: say nothing)."""
+        if self.network.has_node(recipient):
+            self._send_framed(recipient, kind, body)
+
+    def _send_error(self, recipient: str, error: str, detail: str) -> None:
+        self._send_if_present(
+            recipient, MessageKind.ERROR, {"error": error, "detail": detail}
+        )
+
+    def _route_message(self, message: Message) -> None:
+        kind, payload = message.kind, message.payload or {}
+        # A malformed request is refused here, by name, before it costs a
+        # shard hop or a directory lookup.
+        PROTOCOL[kind].require(payload)
+        self._route_client(message.sender, kind, payload, frame=message.frame)
 
     def _route_client(
         self,
@@ -146,9 +197,16 @@ class Gateway:
         else:
             session_id = payload.get("session_id")
             shard = self._session_route.get(session_id)
+            if attempt == 0:
+                if shard is None:
+                    self._m_cache_misses.inc()
+                    self.cache_misses += 1
+                else:
+                    self._m_cache_hits.inc()
+                    self.cache_hits += 1
             if shard is None:
-                # Unknown session: retrying cannot help, error out now.
-                raise ClusterError(f"no shard owns session {session_id!r}")
+                self._park_for_route(session_id, sender_node, kind, payload, frame)
+                return
         if shard in self._dead or not self.network.has_node(shard):
             # The shard may only be *temporarily* unroutable: crashed but
             # not yet swept by the detector, mid-failover before the ring
@@ -192,12 +250,10 @@ class Gateway:
                 "gateway.route_gave_up", severity="ERROR",
                 node=sender_node, kind=kind, attempts=attempt,
             )
-            if self.network.has_node(sender_node):
-                body = {
-                    "error": "ClusterError",
-                    "detail": f"no live shard for {kind!r} after {attempt} retries",
-                }
-                self._send_framed(sender_node, MessageKind.ERROR, body)
+            self._send_error(
+                sender_node, "ClusterError",
+                f"no live shard for {kind!r} after {attempt} retries",
+            )
             return
         delay = self._route_retry_delay(sender_node, kind, attempt)
         self._m_route_retries.inc()
@@ -240,9 +296,7 @@ class Gateway:
             self._route_client(sender_node, kind, payload, attempt=attempt, frame=frame)
         except Exception as exc:
             self._m_route_errors.inc()
-            if self.network.has_node(sender_node):
-                body = {"error": type(exc).__name__, "detail": str(exc)}
-                self._send_framed(sender_node, MessageKind.ERROR, body)
+            self._send_error(sender_node, type(exc).__name__, str(exc))
 
     def on_delivery_failed(self, error: Any) -> None:
         """The reliable layer gave up on one of the gateway's frames.
@@ -267,7 +321,8 @@ class Gateway:
                 wrapper["sender"], wrapper["kind"], wrapper["payload"], attempt=0
             )
 
-    def _forward_to_client(self, shard_id: str, wrapper: dict[str, Any]) -> None:
+    def _forward_to_client(self, message: Message) -> None:
+        shard_id, wrapper = message.sender, message.payload or {}
         to = wrapper["to"]
         kind = wrapper["kind"]
         inner = wrapper["payload"]
@@ -315,88 +370,147 @@ class Gateway:
         self._m_routed_messages.inc()
         self._f_routed_bytes.labels(shard_id, "to_client").inc(size)
 
-    # ----- route table ------------------------------------------------------------
+    # ----- route cache ------------------------------------------------------------
+
+    def _park_for_route(
+        self,
+        session_id: str | None,
+        sender_node: str,
+        kind: str,
+        payload: dict[str, Any],
+        frame: Frame | None,
+    ) -> None:
+        """Cache miss: park the op in session order, ask the directory.
+
+        One lookup per session is in flight at a time; every op that
+        arrives while it is pending joins the same FIFO and flushes in
+        order when the ``ROUTE_INFO`` lands.
+        """
+        dtrace = self._dtrace
+        ctx = dtrace.current() if dtrace.enabled else None
+        waiting = self._route_waiting.setdefault(session_id, [])
+        first = not waiting
+        waiting.append(
+            (sender_node, kind, payload, frame, ctx, self.network.clock.now)
+        )
+        self._emit("gateway.route_cache_miss", session=session_id, kind=kind)
+        if first:
+            self._send_framed(
+                self.directory_id, MessageKind.ROUTE_LOOKUP,
+                {"session_id": session_id},
+            )
+
+    def _on_route_info(self, payload: dict[str, Any]) -> None:
+        session_id = payload["session_id"]
+        shard = payload.get("shard")
+        waiting = self._route_waiting.pop(session_id, [])
+        if shard is None:
+            for sender_node, _kind, _p, _f, _ctx, _at in waiting:
+                self._m_route_errors.inc()
+                self._send_error(
+                    sender_node, "ClusterError", f"no shard owns session {session_id!r}"
+                )
+            return
+        key = payload.get("key")
+        self._session_route[session_id] = shard
+        if key is not None:
+            self._session_key[session_id] = key
+        self._g_sessions.set(len(self._session_route))
+        dtrace = self._dtrace
+        now = self.network.clock.now
+        for sender_node, kind, op_payload, frame, ctx, parked_at in waiting:
+            if ctx is not None:
+                # The whole park→resolve wait is directory time on the
+                # op's critical path, not wire time.
+                advanced = dtrace.record_hop(
+                    ctx, HOP_DIRECTORY_LOOKUP, self.node_id, parked_at, now,
+                    kind=kind,
+                )
+                with dtrace.inbound(advanced):
+                    self._route_client(
+                        sender_node, kind, op_payload, attempt=1, frame=frame
+                    )
+            else:
+                self._route_client(
+                    sender_node, kind, op_payload, attempt=1, frame=frame
+                )
+
+    def _on_route_invalidate(self, payload: dict[str, Any]) -> None:
+        """Directory broadcast: a shard died; its cache entries go stale.
+
+        The shard joins the zombie-fence set and every route pointing at
+        it is dropped — the next op for those sessions takes the miss
+        path and resolves to the promoted owner.
+        """
+        shard = payload["shard"]
+        self._dead.add(shard)
+        self._shard_tables.pop(shard, None)
+        dropped = [
+            sid for sid, owner in self._session_route.items() if owner == shard
+        ]
+        for sid in dropped:
+            self._session_route.pop(sid, None)
+            self._session_key.pop(sid, None)
+        if dropped:
+            self._m_cache_invalidations.inc(len(dropped))
+            self.cache_invalidations += len(dropped)
+        self._g_sessions.set(len(self._session_route))
+        self._emit(
+            "gateway.route_cache_invalidated", shard=shard, routes=len(dropped)
+        )
 
     def _learn_route(self, session_id: str, doc_id: str, shard_id: str) -> None:
         """Record the session→shard route sniffed off a ``JOIN_ACK``."""
         self._session_route[session_id] = shard_id
         self._session_key[session_id] = doc_id
         self._g_sessions.set(len(self._session_route))
+        # Keep the directory authoritative: it answers other gateways'
+        # lookups for this session after we are gone.
+        self._send_framed(
+            self.directory_id, MessageKind.ROUTE_REPORT,
+            {"session_id": session_id, "key": doc_id, "shard": shard_id},
+        )
 
     def _forget_route(self, session_id: str | None) -> None:
         """Drop the route of a departed session (``LEAVE`` forwarded)."""
-        self._session_route.pop(session_id, None)
+        known = self._session_route.pop(session_id, None) is not None
         self._session_key.pop(session_id, None)
         self._g_sessions.set(len(self._session_route))
+        if known:
+            self._send_framed(
+                self.directory_id, MessageKind.ROUTE_REPORT,
+                {"session_id": session_id, "removed": True},
+            )
 
     # ----- telemetry monitors ------------------------------------------------------
 
-    def _connect_monitor(self, viewer_id: str, node_id: str) -> Session:
-        session = Session(
-            session_id=self._ids.next("monitor"),
-            viewer_id=viewer_id,
-            node_id=node_id,
-            kind="monitor",
-        )
-        if not self._monitors:
-            self._events.subscribe(self._on_event)
-            self._telemetry_baseline = self._registry.snapshot()
-        self._monitors[session.session_id] = session
+    def _on_monitor(self, message: Message) -> None:
+        payload = message.payload or {}
+        PROTOCOL[message.kind].require(payload)
+        session = self.telemetry.connect(payload["viewer_id"], message.sender)
         self._send_framed(
-            node_id,
+            message.sender,
             MessageKind.MONITOR_ACK,
-            {"session_id": session.session_id, "interval": self.telemetry_interval},
+            {"session_id": session.session_id, "interval": self.telemetry.interval},
         )
-        return session
 
-    def _disconnect_monitor(self, session_id: str) -> None:
-        self._monitors.pop(session_id, None)
-        if not self._monitors:
-            self._events.unsubscribe(self._on_event)
-            self._pending_events.clear()
-            self._telemetry_baseline = None
+    def _on_monitor_leave(self, message: Message) -> None:
+        self.telemetry.disconnect(message.payload["session_id"])
 
     @property
     def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self._monitors)
+        return tuple(self.telemetry.monitors)
 
-    def _on_event(self, event: Any) -> None:
-        self._pending_events.append(event.to_dict())
+    # ----- introspection ----------------------------------------------------------
 
-    def push_telemetry(self, force: bool = True) -> int:
-        """Push one metric-diff + buffered events to every monitor."""
-        if not self._monitors:
-            return 0
-        now = self.network.clock.now
-        if not force and self._last_telemetry_at is not None:
-            if now - self._last_telemetry_at < self.telemetry_interval:
-                return 0
-        self._last_telemetry_at = now
-        current = self._registry.snapshot()
-        delta = obs.diff(self._telemetry_baseline or {}, current)
-        self._telemetry_baseline = current
-        events, self._pending_events = self._pending_events, []
-        for monitor in self._monitors.values():
-            if not self.network.has_node(monitor.node_id):
-                continue
-            body = {"session_id": monitor.session_id, "at": now, "diff": delta}
-            self._send_framed(monitor.node_id, MessageKind.TELEMETRY, body)
-            for event in events:
-                event_body = {"session_id": monitor.session_id, "event": event}
-                self._send_framed(
-                    monitor.node_id, MessageKind.TELEMETRY_EVENT, event_body
-                )
-        return len(self._monitors)
-
-    # ----- misc ---------------------------------------------------------------------
-
-    def _send_framed(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
-        """Encode once and send; the frame carries its own honest size."""
-        frame = encode_message(kind, body)
-        self.network.send(self.node_id, recipient, kind, payload=body, frame=frame)
-
-    def _emit(self, name: str, severity: str = "INFO", **fields: Any) -> None:
-        self._events.emit(name, severity=severity, at=self.network.clock.now, **fields)
+    def route_cache_stats(self) -> dict[str, Any]:
+        total = self.cache_hits + self.cache_misses
+        return {
+            "hits": self.cache_hits,
+            "misses": self.cache_misses,
+            "invalidations": self.cache_invalidations,
+            "hit_rate": self.cache_hits / total if total else None,
+        }
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -404,5 +518,7 @@ class Gateway:
             "live": list(self.live_shards),
             "dead": list(self.dead_shards),
             "sessions_routed": len(self._session_route),
-            "monitors": len(self._monitors),
+            "monitors": len(self.telemetry.monitors),
+            "route_cache": self.route_cache_stats(),
+            "alive": self.alive,
         }

@@ -4,13 +4,11 @@ Every cluster fronts its shards with this tier; a single-gateway
 cluster is the N = 1 case, not a different topology.
 
 * :class:`GatewayNode` — one of N access points. A backbone peer that
-  also terminates client links (``network.attach_gateway``), it keeps a
-  per-gateway **route cache** (session → owning shard) learned by
-  sniffing ``JOIN_ACK`` responses. Steady-state room traffic flows
-  client → gateway → shard with zero directory hops; a cache miss parks
-  the op and resolves it with one ``ROUTE_LOOKUP`` round trip. An
-  optional ``route_rate`` service queue models finite routing capacity,
-  which is what makes multi-gateway scale-out measurable (E16).
+  also terminates client links (``network.attach_gateway``): the
+  :class:`~repro.cluster.gateway.Gateway` routing core and its route
+  cache, made a live node. An optional ``route_rate`` service queue
+  models finite routing capacity, which is what makes multi-gateway
+  scale-out measurable (E16).
 * :class:`GatewayDirectory` — the control plane. It assigns clients to
   gateways by consistent hash over client node ids (the same ring
   machinery that shards rooms), keeps the authoritative session→shard
@@ -35,27 +33,38 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ClusterError
-from repro.cluster.admission import (
-    DEFER,
-    SHED,
-    AdmissionConfig,
-    AdmissionController,
-    retry_after_body,
-)
+from repro.cluster.admission import AdmissionConfig
 from repro.cluster.failover import FailureDetector, schedule_periodic
 from repro.cluster.gateway import Gateway
+from repro.cluster.node import ClusterNode
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ServiceQueue
-from repro.net.codec import Frame, StringInterner, encode_message
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs import LATENCY_BUCKETS
-from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_QUEUE, HOP_SHED_WAIT
+from repro.obs.dtrace import HOP_GATEWAY_QUEUE
 from repro.server.protocol import MessageKind
 
 
 class GatewayNode(Gateway):
-    """One gateway of the tier: the routing core plus a route cache."""
+    """One gateway of the tier: the routing core as a live node behind
+    its routing queue."""
+
+    #: directory control, applied on arrival: it pays no routing
+    #: capacity and is not server activity the telemetry push rides on.
+    _CONTROL = {
+        MessageKind.ROUTE_INFO: "_on_route_info",
+        MessageKind.ROUTE_INVALIDATE: "_on_route_invalidate",
+    }
+    #: kinds that pay the routing-capacity cost: what the core routes or
+    #: forwards (the telemetry channel's own MONITOR and monitor LEAVE
+    #: are answered here and do not).
+    _QUEUED = frozenset(
+        kind for kind, handler in Gateway._HANDLERS.items()
+        if handler in ("_route_message", "_forward_to_client")
+    )
+    queue_hop = HOP_GATEWAY_QUEUE
+    admission_events = "gateway.admission"
 
     def __init__(
         self,
@@ -66,71 +75,13 @@ class GatewayNode(Gateway):
         route_rate: float | None = None,
         admission: AdmissionConfig | None = None,
     ) -> None:
-        super().__init__(network, ring, node_id)
-        self.directory_id = directory_id
-        self.alive = True
-        self._route_queue = (
-            ServiceQueue(network.clock, route_rate) if route_rate is not None else None
-        )
+        super().__init__(network, directory_id, ring, node_id)
         # Admission needs a measurable queue: with no routing-capacity
         # model every message dispatches at arrival and depth is always
         # zero, so the gate would never trip anyway.
-        self.admission: AdmissionController | None = None
-        if admission is not None and self._route_queue is not None:
-            self.admission = AdmissionController(
-                node_id, self._route_queue, admission, self._resume_deferred
-            )
-            self._route_queue.on_drain = self.admission.pump
-        #: ops parked on a route-cache miss: session -> FIFO of
-        #: (sender, kind, payload, frame, trace ctx, parked-at time).
-        self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
-        registry = self._registry
-        self._m_cache_hits = registry.counter_family(
-            "gateway.route_cache.hits", ("gateway",)
-        ).labels(node_id)
-        self._m_cache_misses = registry.counter_family(
-            "gateway.route_cache.misses", ("gateway",)
-        ).labels(node_id)
-        self._m_cache_invalidations = registry.counter_family(
-            "gateway.route_cache.invalidations", ("gateway",)
-        ).labels(node_id)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_invalidations = 0
+        if route_rate is not None:
+            self._serve_through(ServiceQueue(network.clock, route_rate), admission)
         network.attach_gateway(self)
-
-    # ----- topology ---------------------------------------------------------------
-
-    def note_shard(self, shard_id: str) -> None:
-        """Track a shard registered at the directory (the gateway keeps
-        one envelope string table per shard channel)."""
-        self._shards.add(shard_id)
-        self._shard_tables.setdefault(shard_id, StringInterner())
-
-    # ----- liveness ---------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Fail-stop: detach from the network and go silent."""
-        self.alive = False
-        self.network.detach_client(self.node_id)
-        self._emit("cluster.gateway_crash", severity="WARN", gateway=self.node_id)
-
-    def start_heartbeats(self, interval: float, until: float) -> None:
-        """Beat to the directory every *interval* seconds up to *until*."""
-        clock = self.network.clock
-
-        def beat() -> bool:
-            if not self.alive:
-                return False
-            body = {"node": self.node_id, "at": clock.now}
-            frame = encode_message(MessageKind.HEARTBEAT, body)
-            self.network.send(
-                self.node_id, self.directory_id, MessageKind.HEARTBEAT,
-                payload=body, frame=frame,
-            )
-            return True
-
-        schedule_periodic(clock, interval, until, beat)
 
     # ----- network glue -----------------------------------------------------------
 
@@ -138,264 +89,49 @@ class GatewayNode(Gateway):
         if not self.alive:
             return
         kind = message.kind
-        payload = message.payload or {}
-        if kind == MessageKind.ROUTE_INFO:
-            self._on_route_info(payload)
-            return
-        if kind == MessageKind.ROUTE_INVALIDATE:
-            self._on_route_invalidate(payload)
-            return
-        if self._route_queue is not None and self._is_data_plane(kind, payload):
+        control = self._CONTROL.get(kind)
+        if control is not None:
+            getattr(self, control)(message.payload or {})
+        elif (
+            self.queue is not None
+            and kind in self._QUEUED
+            and not (kind == MessageKind.LEAVE and self._is_monitor_leave(message))
+        ):
             # Only client-originated kinds face admission lanes: ROUTE
             # envelopes from shards are responses already paid for, and
             # shedding them would strand acked server state.
-            if self.admission is not None and kind in MessageKind.CLIENT_KINDS:
-                session_id = payload.get("session_id")
-                decision = self.admission.admit(
-                    kind, session_id=session_id, op_seq=payload.get("op_seq")
-                )
-                if decision.action == DEFER:
-                    ctx = self._dtrace.current() if self._dtrace.enabled else None
-                    self.admission.park((message, ctx))
-                    return
-                if decision.action == SHED:
-                    self._send_retry_after(
-                        message.sender, kind, payload, decision.retry_after_s
-                    )
-                    return
-                if kind == MessageKind.LEAVE:
-                    self.admission.forget_session(session_id)
-            self._enqueue(message)
-            return
-        super().receive(message)
-
-    def _resume_deferred(self, item: tuple[Message, Any], parked_at: float) -> None:
-        """Pump callback: re-enter one deferred JOIN into the route queue."""
-        message, ctx = item
-        if not self.alive:
-            return
-        if not self.network.has_node(message.sender):
-            # The parked client is gone: drop with zero residue.
-            self.admission.drop_parked()
-            self._emit(
-                "gateway.admission.deferred_dropped",
-                node=message.sender, kind=message.kind,
+            self._submit(
+                message.sender, kind, message.payload or {}, message,
+                gated=kind != MessageKind.ROUTE,
             )
-            return
-        if ctx is not None:
-            advanced = self._dtrace.record_hop(
-                ctx, HOP_SHED_WAIT, self.node_id, parked_at,
-                self.network.clock.now, kind=message.kind,
-            )
-            with self._dtrace.inbound(advanced):
-                self._enqueue(message)
         else:
-            self._enqueue(message)
+            Gateway.receive(self, message)
 
-    def _send_retry_after(
-        self, sender: str, kind: str, payload: dict[str, Any], after_s: float
-    ) -> None:
-        """Bounce one shed client op straight back with a backoff hint."""
-        body = retry_after_body(kind, payload, after_s, self.node_id)
-        self._emit(
-            "gateway.admission.shed", node=sender, kind=kind, after_s=after_s
-        )
-        if self.network.has_node(sender):
-            self._send_framed(sender, MessageKind.RETRY_AFTER, body)
+    def _serve(self, message: Message) -> None:
+        Gateway.receive(self, message)
 
-    def _is_data_plane(self, kind: str, payload: dict[str, Any]) -> bool:
-        """Envelopes that pay the routing-capacity cost (not control)."""
-        if kind == MessageKind.ROUTE:
-            return True
-        if kind == MessageKind.MONITOR:
-            return False
-        if kind == MessageKind.LEAVE and payload.get("session_id") in self._monitors:
-            return False
-        return kind in MessageKind.CLIENT_KINDS
-
-    def _enqueue(self, message: Message) -> None:
-        """Pay the routing service cost, then dispatch as usual.
-
-        Mirrors the shard's traced dispatch: the wait between enqueue
-        and dispatch becomes a ``gateway_queue`` span so the critical-
-        path analyzer can attribute time lost to gateway saturation.
-        """
-        dtrace = self._dtrace
-        ctx = dtrace.current() if dtrace.enabled else None
-        enqueued = self.network.clock.now
-
-        def work() -> None:
-            if not self.alive:
-                return
-            if ctx is not None:
-                advanced = dtrace.record_hop(
-                    ctx, HOP_GATEWAY_QUEUE, self.node_id, enqueued,
-                    self.network.clock.now, kind=message.kind,
-                )
-                with dtrace.inbound(advanced):
-                    Gateway.receive(self, message)
-            else:
-                Gateway.receive(self, message)
-
-        self._route_queue.submit(work)
-
-    # ----- route cache ------------------------------------------------------------
-
-    def _route_client(
-        self,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        attempt: int = 0,
-        frame: Frame | None = None,
-    ) -> None:
-        if kind != MessageKind.JOIN:
-            session_id = payload.get("session_id")
-            shard = self._session_route.get(session_id)
-            if attempt == 0:
-                if shard is None:
-                    self._m_cache_misses.inc()
-                    self.cache_misses += 1
-                else:
-                    self._m_cache_hits.inc()
-                    self.cache_hits += 1
-            if shard is None:
-                self._park_for_route(session_id, sender_node, kind, payload, frame)
-                return
-        super()._route_client(sender_node, kind, payload, attempt, frame)
-
-    def _park_for_route(
-        self,
-        session_id: str | None,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        frame: Frame | None,
-    ) -> None:
-        """Cache miss: park the op in session order, ask the directory.
-
-        One lookup per session is in flight at a time; every op that
-        arrives while it is pending joins the same FIFO and flushes in
-        order when the ``ROUTE_INFO`` lands.
-        """
-        dtrace = self._dtrace
-        ctx = dtrace.current() if dtrace.enabled else None
-        waiting = self._route_waiting.setdefault(session_id, [])
-        first = not waiting
-        waiting.append(
-            (sender_node, kind, payload, frame, ctx, self.network.clock.now)
-        )
-        self._emit("gateway.route_cache_miss", session=session_id, kind=kind)
-        if first:
-            self._send_framed(
-                self.directory_id, MessageKind.ROUTE_LOOKUP,
-                {"session_id": session_id},
-            )
-
-    def _on_route_info(self, payload: dict[str, Any]) -> None:
-        session_id = payload["session_id"]
-        shard = payload.get("shard")
-        waiting = self._route_waiting.pop(session_id, [])
-        if shard is None:
-            for sender_node, kind, _p, _f, _ctx, _at in waiting:
-                self._m_route_errors.inc()
-                if self.network.has_node(sender_node):
-                    body = {
-                        "error": "ClusterError",
-                        "detail": f"no shard owns session {session_id!r}",
-                    }
-                    self._send_framed(sender_node, MessageKind.ERROR, body)
-            return
-        key = payload.get("key")
-        self._session_route[session_id] = shard
-        if key is not None:
-            self._session_key[session_id] = key
-        self._g_sessions.set(len(self._session_route))
-        dtrace = self._dtrace
-        now = self.network.clock.now
-        for sender_node, kind, op_payload, frame, ctx, parked_at in waiting:
-            if ctx is not None:
-                # The whole park→resolve wait is directory time on the
-                # op's critical path, not wire time.
-                advanced = dtrace.record_hop(
-                    ctx, HOP_DIRECTORY_LOOKUP, self.node_id, parked_at, now,
-                    kind=kind,
-                )
-                with dtrace.inbound(advanced):
-                    self._route_client(
-                        sender_node, kind, op_payload, attempt=1, frame=frame
-                    )
-            else:
-                self._route_client(
-                    sender_node, kind, op_payload, attempt=1, frame=frame
-                )
-
-    def _on_route_invalidate(self, payload: dict[str, Any]) -> None:
-        """Directory broadcast: a shard died; its cache entries go stale.
-
-        The shard joins the zombie-fence set and every route pointing at
-        it is dropped — the next op for those sessions takes the miss
-        path and resolves to the promoted owner.
-        """
-        shard = payload["shard"]
-        self._dead.add(shard)
-        self._shard_tables.pop(shard, None)
-        dropped = [
-            sid for sid, owner in self._session_route.items() if owner == shard
-        ]
-        for sid in dropped:
-            self._session_route.pop(sid, None)
-            self._session_key.pop(sid, None)
-        if dropped:
-            self._m_cache_invalidations.inc(len(dropped))
-            self.cache_invalidations += len(dropped)
-        self._g_sessions.set(len(self._session_route))
-        self._emit(
-            "gateway.route_cache_invalidated", shard=shard, routes=len(dropped)
-        )
-
-    def _learn_route(self, session_id: str, doc_id: str, shard_id: str) -> None:
-        super()._learn_route(session_id, doc_id, shard_id)
-        # Keep the directory authoritative: it answers other gateways'
-        # lookups for this session after we are gone.
-        self._send_framed(
-            self.directory_id, MessageKind.ROUTE_REPORT,
-            {"session_id": session_id, "key": doc_id, "shard": shard_id},
-        )
-
-    def _forget_route(self, session_id: str | None) -> None:
-        known = session_id in self._session_route
-        super()._forget_route(session_id)
-        if known:
-            self._send_framed(
-                self.directory_id, MessageKind.ROUTE_REPORT,
-                {"session_id": session_id, "removed": True},
-            )
-
-    # ----- introspection ----------------------------------------------------------
-
-    def route_cache_stats(self) -> dict[str, Any]:
-        total = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "invalidations": self.cache_invalidations,
-            "hit_rate": self.cache_hits / total if total else None,
-        }
+    def _bounce(self, sender: str, body: dict[str, Any]) -> None:
+        self._send_if_present(sender, MessageKind.RETRY_AFTER, body)
 
     def stats(self) -> dict[str, Any]:
         base = super().stats()
-        base["route_cache"] = self.route_cache_stats()
-        base["alive"] = self.alive
-        if self._route_queue is not None:
-            base["queue_max_pending"] = self._route_queue.max_pending
+        if self.queue is not None:
+            base["queue_max_pending"] = self.queue.max_pending
         if self.admission is not None:
             base["admission"] = self.admission.stats()
         return base
 
 
-class GatewayDirectory:
+class GatewayDirectory(ClusterNode):
     """Control plane of the tier: client homing, routes, liveness."""
+
+    #: message kind -> the method that takes (sender, payload).
+    _HANDLERS = {
+        MessageKind.HEARTBEAT: "_on_heartbeat",
+        MessageKind.ROUTE_REPORT: "_on_route_report",
+        MessageKind.ROUTE_LOOKUP: "_on_route_lookup",
+        MessageKind.ACK: "_on_shard_ack",
+    }
 
     def __init__(
         self,
@@ -405,8 +141,7 @@ class GatewayDirectory:
         node_id: str = "directory",
         failure_timeout: float = 2.0,
     ) -> None:
-        self.node_id = node_id
-        self.network = network
+        super().__init__(node_id, network)
         self.ring = ring  # rooms -> shards
         self.gateway_ring = gateway_ring  # clients -> gateways
         self.detector = FailureDetector(failure_timeout)
@@ -422,8 +157,6 @@ class GatewayDirectory:
         #: completed gateway failovers: gateway/clients moved/timing.
         self.gateway_failovers: list[dict[str, Any]] = []
         registry = obs.get_registry()
-        self._registry = registry
-        self._events = obs.get_event_log()
         self._m_lookups = registry.counter("directory.lookups")
         self._m_reports = registry.counter("directory.route_reports")
         self._m_zombies_fenced = registry.counter("directory.zombies_fenced")
@@ -637,7 +370,6 @@ class GatewayDirectory:
     # ----- network glue -----------------------------------------------------------
 
     def receive(self, message: Message) -> None:
-        payload = message.payload or {}
         kind = message.kind
         if message.sender in self._dead:
             # Zombie fencing, same rule as the gateways: declared dead
@@ -648,20 +380,17 @@ class GatewayDirectory:
                 node=message.sender, kind=kind,
             )
             return
-        if kind == MessageKind.HEARTBEAT:
-            node = payload["node"]
-            if node not in self._dead:
-                self.detector.beat(node, self.network.clock.now)
-        elif kind == MessageKind.ROUTE_REPORT:
-            self._on_route_report(payload)
-        elif kind == MessageKind.ROUTE_LOOKUP:
-            self._on_route_lookup(message.sender, payload)
-        elif kind == MessageKind.ACK:
-            self._on_shard_ack(message.sender, payload)
-        else:
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
             raise ClusterError(f"unexpected message kind {kind!r} at directory")
+        getattr(self, handler)(message.sender, message.payload or {})
 
-    def _on_route_report(self, payload: dict[str, Any]) -> None:
+    def _on_heartbeat(self, sender: str, payload: dict[str, Any]) -> None:
+        node = payload["node"]
+        if node not in self._dead:
+            self.detector.beat(node, self.network.clock.now)
+
+    def _on_route_report(self, gateway_id: str, payload: dict[str, Any]) -> None:
         session_id = payload["session_id"]
         if payload.get("removed"):
             self._session_route.pop(session_id, None)
@@ -684,13 +413,6 @@ class GatewayDirectory:
             self._send_framed(gateway_id, MessageKind.ROUTE_INFO, body)
 
     # ----- misc -------------------------------------------------------------------
-
-    def _send_framed(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
-        frame = encode_message(kind, body)
-        self.network.send(self.node_id, recipient, kind, payload=body, frame=frame)
-
-    def _emit(self, name: str, severity: str = "INFO", **fields: Any) -> None:
-        self._events.emit(name, severity=severity, at=self.network.clock.now, **fields)
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -155,22 +155,17 @@ class ClusterHarness:
         Only needed for failover scenarios — without it nothing keeps the
         event queue alive and :meth:`run` returns at the last delivery.
         """
-        for shard in self.shards.values():
-            if shard.alive:
-                shard.start_heartbeats(heartbeat_interval, until)
-        for gateway in self.gateways.values():
-            if gateway.alive:
-                gateway.start_heartbeats(heartbeat_interval, until)
+        for node in (*self.shards.values(), *self.gateways.values()):
+            if node.alive:
+                node.start_heartbeats(heartbeat_interval, until)
         self.directory.start_failure_detection(sweep_interval, until)
 
     def crash(self, node_id: str) -> None:
         """Fail-stop one shard or gateway (it goes silent mid-flight)."""
-        if node_id in self.shards:
-            self.shards[node_id].crash()
-        elif node_id in self.gateways:
-            self.gateways[node_id].crash()
-        else:
+        node = self.shards.get(node_id) or self.gateways.get(node_id)
+        if node is None:
             raise KeyError(f"no shard or gateway named {node_id!r}")
+        node.crash()
 
     def schedule_crash(self, node_id: str, at: float) -> None:
         """Arrange for *node_id* to fail-stop at simulated time *at*."""

@@ -22,23 +22,10 @@ from repro.db.orm import MultimediaObjectStore
 from repro.net.simclock import SimClock
 from repro.server.interaction import InteractionServer
 from repro.server.permissions import PermissionPolicy
-from repro.server.protocol import MessageKind
+from repro.server.protocol import PROTOCOL, MessageKind
 
 #: client message kind -> replicated op name (absent = read-only, not logged)
-REPLICATED_OPS = {
-    MessageKind.JOIN: "join",
-    MessageKind.LEAVE: "leave",
-    MessageKind.CHOICE: "choice",
-    MessageKind.OPERATION: "operation",
-    MessageKind.ANNOTATE: "annotation",
-    MessageKind.FREEZE: "freeze",
-    MessageKind.RELEASE: "release",
-    # Interest is room state: a promoted replica must keep filtering
-    # exactly where the dead primary left off, so subscription changes
-    # ship through the same op log as everything else.
-    MessageKind.SUBSCRIBE: "subscribe",
-    MessageKind.UNSUBSCRIBE: "unsubscribe",
-}
+REPLICATED_OPS = {kind: row.op for kind, row in PROTOCOL.items() if row.op is not None}
 _KIND_OF_OP = {op: kind for kind, op in REPLICATED_OPS.items()}
 
 

@@ -18,26 +18,17 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
-from repro.cluster.admission import (
-    DEFER,
-    SHED,
-    AdmissionConfig,
-    AdmissionController,
-    retry_after_body,
-)
+from repro.cluster.admission import AdmissionConfig
+from repro.cluster.node import ServiceNode
 from repro.cluster.replication import REPLICATED_OPS, LogEntry, ReplicaState, ShipLog
 from repro.cluster.ring import HashRing
-from repro.cluster.failover import schedule_periodic
-from repro.cluster.wire import (
-    clientbound_wrapper,
-    encode_clientbound,
-)
+from repro.cluster.wire import clientbound_wrapper, encode_clientbound
 from repro.db.orm import MultimediaObjectStore
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
-from repro.obs.dtrace import HOP_SHARD_QUEUE, HOP_SHED_WAIT, TraceContext, get_dtrace
+from repro.obs.dtrace import HOP_SHARD_QUEUE
 from repro.server.interaction import InteractionServer
 from repro.server.permissions import PermissionPolicy
 from repro.server.protocol import MessageKind
@@ -137,8 +128,19 @@ class _GatewayTransport:
         self._shard.route_to_client(recipient, kind, payload, size_bytes, frame)
 
 
-class ShardServer:
+class ShardServer(ServiceNode):
     """One shard node: primary server + standby replicas + log shipping."""
+
+    role = "shard"
+    queue_hop = HOP_SHARD_QUEUE
+    admission_events = "cluster.admission"
+    #: backbone message kind -> the method that takes (sender, payload).
+    _HANDLERS = {
+        MessageKind.ROUTE: "_on_route",
+        MessageKind.REPLICATE: "_handle_replicate",
+        MessageKind.ACK: "_handle_ack",
+        MessageKind.PROMOTE: "_handle_promote",
+    }
 
     def __init__(
         self,
@@ -155,14 +157,10 @@ class ShardServer:
         batch_window_s: float = 0.0,
         admission: AdmissionConfig | None = None,
     ) -> None:
-        self.node_id = shard_id
-        self.network = network
-        # Heartbeats and PROMOTE acks go to the directory; client-bound
-        # envelopes resolve their gateway per client through the ring.
-        self.directory_id = directory_id
+        super().__init__(shard_id, network, directory_id)
         self.ring = ring
+        # Client-bound envelopes resolve their gateway per client.
         self._gateway_ring = gateway_ring
-        self.alive = True
         self.replication_factor = replication_factor
         self._store = store
         self._policy = policy
@@ -173,13 +171,7 @@ class ShardServer:
             store, policy=policy, network=self._transport, node_id=shard_id,
             interest_mode=interest_mode, batch_window_s=batch_window_s,
         )
-        self.queue = ServiceQueue(network.clock, service_rate)
-        self.admission: AdmissionController | None = None
-        if admission is not None:
-            self.admission = AdmissionController(
-                shard_id, self.queue, admission, self._resume_deferred
-            )
-            self.queue.on_drain = self.admission.pump
+        self._serve_through(ServiceQueue(network.clock, service_rate), admission)
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
         self._promoted: dict[str, InteractionServer] = {}
@@ -199,9 +191,7 @@ class ShardServer:
         self._op_seen: dict[str, int] = {}
         self._capture: list[tuple[str, Any]] | None = None
         self._failpoints = get_failpoints()
-        self._dtrace = get_dtrace()
         registry = obs.get_registry()
-        self._events = obs.get_event_log()
         self._m_ops_in = registry.counter_family("cluster.shard.ops", ("shard",)).labels(
             shard_id
         )
@@ -220,162 +210,32 @@ class ShardServer:
         self._m_promotions = registry.counter("cluster.promotions")
         self._m_dup_ops = registry.counter("cluster.shard.dup_ops_dropped")
 
-    # ----- liveness -------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Fail-stop: detach from the network and go silent (no heartbeats)."""
-        self.alive = False
-        self.network.detach_client(self.node_id)
-        self._events.emit(
-            "cluster.shard_crash",
-            severity="WARN",
-            at=self.network.clock.now,
-            shard=self.node_id,
-        )
-
-    def start_heartbeats(self, interval: float, until: float) -> None:
-        """Beat every *interval* clock seconds up to the *until* horizon."""
-        clock = self.network.clock
-
-        def beat() -> bool:
-            if not self.alive:
-                return False
-            # Heartbeats are unreliable (droppable) so they never touch
-            # the dynamic string table — each beat is a stateless frame.
-            body = {"node": self.node_id, "at": clock.now}
-            frame = encode_message(MessageKind.HEARTBEAT, body)
-            self.network.send(
-                self.node_id, self.directory_id, MessageKind.HEARTBEAT,
-                payload=body, frame=frame,
-            )
-            return True
-
-        schedule_periodic(clock, interval, until, beat)
+    def _emit(self, name: str, severity: str = "INFO", **fields: Any) -> None:
+        # Every shard event names its shard, first.
+        super()._emit(name, severity, **{"shard": self.node_id, **fields})
 
     # ----- network glue ----------------------------------------------------------
 
     def receive(self, message: Message) -> None:
         if not self.alive:
             return
-        payload = message.payload or {}
-        if message.kind == MessageKind.ROUTE:
-            sender = payload["sender"]
-            kind = payload["kind"]
-            inner = payload["payload"]
-            ctx = self._dtrace.current() if self._dtrace.enabled else None
-            if self.admission is not None:
-                session_id = inner.get("session_id") if isinstance(inner, dict) else None
-                op_seq = inner.get("op_seq") if isinstance(inner, dict) else None
-                decision = self.admission.admit(
-                    kind, session_id=session_id, op_seq=op_seq
-                )
-                if decision.action == DEFER:
-                    self.admission.park((sender, kind, inner, ctx))
-                    return
-                if decision.action == SHED:
-                    self._send_retry_after(sender, kind, inner, decision.retry_after_s)
-                    return
-                if kind == MessageKind.LEAVE:
-                    self.admission.forget_session(session_id)
-            self._submit_client(ctx, sender, kind, inner)
-        elif message.kind == MessageKind.REPLICATE:
-            self._handle_replicate(message.sender, payload)
-        elif message.kind == MessageKind.ACK:
-            self._handle_ack(message.sender, payload)
-        elif message.kind == MessageKind.PROMOTE:
-            self._handle_promote(payload["primary"])
-        else:
-            raise_kind = message.kind
-            self._events.emit(
-                "cluster.shard_bad_kind",
-                severity="ERROR",
-                at=self.network.clock.now,
-                shard=self.node_id,
-                kind=raise_kind,
-            )
+        handler = self._HANDLERS.get(message.kind)
+        if handler is None:
+            self._emit("cluster.shard_bad_kind", severity="ERROR", kind=message.kind)
+            return
+        getattr(self, handler)(message.sender, message.payload or {})
 
     # ----- client ops -------------------------------------------------------------
 
-    def _submit_client(
-        self,
-        ctx: TraceContext | None,
-        sender: str,
-        kind: str,
-        inner: dict[str, Any],
-    ) -> None:
-        if ctx is not None:
-            # The service queue may dispatch much later than arrival;
-            # capture the context now so the queueing span covers the
-            # whole enqueue→dispatch wait.
-            enqueued = self.network.clock.now
-            self.queue.submit(
-                lambda: self._dispatch_client(ctx, enqueued, sender, kind, inner)
-            )
-        else:
-            self.queue.submit(lambda: self._handle_client(sender, kind, inner))
+    def _on_route(self, gateway_id: str, wrapper: dict[str, Any]) -> None:
+        self._submit(wrapper["sender"], wrapper["kind"], wrapper["payload"], wrapper)
 
-    def _resume_deferred(self, item: tuple[str, str, Any, Any], parked_at: float) -> None:
-        """Pump callback: re-enter one deferred JOIN into the dispatch path."""
-        sender, kind, inner, ctx = item
-        if not self.alive:
-            return
-        if not self.network.has_node(sender):
-            # The parked client departed (crash or gateway re-home swept
-            # it away) before capacity freed up: drop with zero residue —
-            # nothing was applied, so there is nothing to clean up.
-            self.admission.drop_parked()
-            self._events.emit(
-                "cluster.admission.deferred_dropped",
-                at=self.network.clock.now,
-                shard=self.node_id,
-                node=sender,
-                kind=kind,
-            )
-            return
-        if ctx is not None:
-            ctx = self._dtrace.record_hop(
-                ctx, HOP_SHED_WAIT, self.node_id, parked_at,
-                self.network.clock.now, kind=kind,
-            )
-        self._submit_client(ctx, sender, kind, inner)
+    def _bounce(self, sender: str, body: dict[str, Any]) -> None:
+        self._send_clientbound(sender, MessageKind.RETRY_AFTER, body, 0, None, attempt=0)
 
-    def _send_retry_after(
-        self, sender: str, kind: str, inner: dict[str, Any], after_s: float
-    ) -> None:
-        """Bounce one shed op back to its client with a backoff hint."""
-        body = retry_after_body(kind, inner, after_s, self.node_id)
-        self._events.emit(
-            "cluster.admission.shed",
-            at=self.network.clock.now,
-            shard=self.node_id,
-            node=sender,
-            kind=kind,
-            after_s=after_s,
-        )
-        self._send_clientbound(
-            sender, MessageKind.RETRY_AFTER, body, 0, None, attempt=0
-        )
-
-    def _dispatch_client(
-        self,
-        ctx: TraceContext,
-        enqueued: float,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-    ) -> None:
-        """Traced dispatch: record the service-queue wait, then serve."""
-        dtrace = self._dtrace
-        advanced = dtrace.record_hop(
-            ctx, HOP_SHARD_QUEUE, self.node_id, enqueued,
-            self.network.clock.now, kind=kind,
-        )
-        with dtrace.inbound(advanced):
-            self._handle_client(sender_node, kind, payload)
-
-    def _handle_client(self, sender_node: str, kind: str, payload: dict[str, Any]) -> None:
-        if not self.alive:
-            return
+    def _serve(self, wrapper: dict[str, Any]) -> None:
+        """Apply one routed client message: fence replays, serve, replicate."""
+        sender_node, kind, payload = wrapper["sender"], wrapper["kind"], wrapper["payload"]
         session_id = payload.get("session_id")
         op_seq = payload.get("op_seq")
         if session_id is not None and op_seq is not None:
@@ -385,13 +245,9 @@ class ShardServer:
                 # applied: drop it silently, the client's at-least-once
                 # replay is our exactly-once by this fence.
                 self._m_dup_ops.inc()
-                self._events.emit(
+                self._emit(
                     "cluster.duplicate_op_dropped",
-                    at=self.network.clock.now,
-                    shard=self.node_id,
-                    session=session_id,
-                    kind=kind,
-                    op_seq=op_seq,
+                    session=session_id, kind=kind, op_seq=op_seq,
                 )
                 # The op applied the first time, but its responses may
                 # have died with the client's old gateway — answer the
@@ -506,14 +362,9 @@ class ShardServer:
         attempt: int,
     ) -> None:
         if attempt >= CLIENTBOUND_RETRY_ATTEMPTS:
-            self._events.emit(
-                "cluster.clientbound_gave_up",
-                severity="WARN",
-                at=self.network.clock.now,
-                shard=self.node_id,
-                node=recipient,
-                kind=kind,
-                attempts=attempt,
+            self._emit(
+                "cluster.clientbound_gave_up", severity="WARN",
+                node=recipient, kind=kind, attempts=attempt,
             )
             return
         delay = CLIENTBOUND_RETRY_BASE_S * (2.0**attempt)
@@ -650,22 +501,15 @@ class ShardServer:
             applied += state.offer(LogEntry.from_wire(body))
         if applied:
             self._m_repl_applied.inc(applied)
-        ack = {"seq": state.applied_seq, "replica": self.node_id}
         if self.network.has_node(primary_id):
-            frame = encode_message(MessageKind.ACK, ack)
-            self.network.send(
-                self.node_id, primary_id, MessageKind.ACK,
-                payload=ack, frame=frame,
+            self._send_framed(
+                primary_id, MessageKind.ACK,
+                {"seq": state.applied_seq, "replica": self.node_id},
             )
 
     def _on_replay_gap(self, applied_seq: int, dropped: int) -> None:
-        self._events.emit(
-            "cluster.replay_gap",
-            severity="WARN",
-            at=self.network.clock.now,
-            shard=self.node_id,
-            applied_seq=applied_seq,
-            dropped=dropped,
+        self._emit(
+            "cluster.replay_gap", severity="WARN", applied_seq=applied_seq, dropped=dropped
         )
 
     def on_delivery_failed(self, error: Any) -> None:
@@ -677,14 +521,9 @@ class ShardServer:
         that a client-bound envelope that died with its gateway is
         re-routed through the client's new home.
         """
-        self._events.emit(
-            "cluster.shard_delivery_failed",
-            severity="WARN",
-            at=self.network.clock.now,
-            shard=self.node_id,
-            recipient=error.recipient,
-            kind=error.kind,
-            reason=error.reason,
+        self._emit(
+            "cluster.shard_delivery_failed", severity="WARN",
+            recipient=error.recipient, kind=error.kind, reason=error.reason,
         )
         wrapper = error.payload
         if (
@@ -699,8 +538,9 @@ class ShardServer:
 
     # ----- failover ------------------------------------------------------------------
 
-    def _handle_promote(self, primary_id: str) -> None:
+    def _handle_promote(self, directory_id: str, payload: dict[str, Any]) -> None:
         """Directory order: take over the dead primary's rooms and sessions."""
+        primary_id = payload["primary"]
         state = self._replicas.pop(primary_id, None)
         sessions = 0
         if state is not None:
@@ -731,18 +571,10 @@ class ShardServer:
                     self._session_doc[session_id] = room.document.doc_id
                     sessions += 1
         self._m_promotions.inc()
-        self._events.emit(
-            "cluster.promoted",
-            at=self.network.clock.now,
-            shard=self.node_id,
-            primary=primary_id,
-            sessions=sessions,
-        )
-        body = {"promote": primary_id, "sessions": sessions}
-        frame = encode_message(MessageKind.ACK, body)
-        self.network.send(
-            self.node_id, self.directory_id, MessageKind.ACK,
-            payload=body, frame=frame,
+        self._emit("cluster.promoted", primary=primary_id, sessions=sessions)
+        self._send_framed(
+            self.directory_id, MessageKind.ACK,
+            {"promote": primary_id, "sessions": sessions},
         )
 
     # ----- introspection ----------------------------------------------------------------

@@ -14,17 +14,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.codec import Frame, StringInterner, encode_envelope, encode_message
-from repro.server.protocol import MessageKind, encoded_size
+from repro.server.protocol import MessageKind
 
 
 def shardbound_wrapper(sender: str, kind: str, payload: Any) -> dict[str, Any]:
     """Gateway→shard envelope around one client message."""
     return {"sender": sender, "kind": kind, "payload": payload}
-
-
-def shardbound_size(wrapper: dict[str, Any]) -> int:
-    header = {"sender": wrapper["sender"], "kind": wrapper["kind"]}
-    return encoded_size(header) + encoded_size(wrapper["payload"])
 
 
 def encode_shardbound(
@@ -47,11 +42,6 @@ def encode_shardbound(
 def clientbound_wrapper(to: str, kind: str, payload: Any, size: int) -> dict[str, Any]:
     """Shard→gateway envelope around one server response."""
     return {"to": to, "kind": kind, "size": size, "payload": payload}
-
-
-def clientbound_size(wrapper: dict[str, Any]) -> int:
-    header = {"to": wrapper["to"], "kind": wrapper["kind"], "size": wrapper["size"]}
-    return encoded_size(header) + wrapper["size"]
 
 
 def encode_clientbound(

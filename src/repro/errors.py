@@ -104,6 +104,10 @@ class ServerError(ReproError):
     """Base class for interaction-server errors."""
 
 
+class ProtocolError(ServerError):
+    """A client message is malformed (a required payload field is missing)."""
+
+
 class PermissionError_(ServerError):
     """The session lacks the permission required for the operation."""
 

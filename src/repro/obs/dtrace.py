@@ -108,12 +108,6 @@ HOP_CATEGORY = {
 
 CATEGORIES = ("wire", "queueing", "batch_window", "retransmit_backoff")
 
-#: Client message kinds that open a root trace at the actor.
-TRACED_CLIENT_KINDS = frozenset(
-    {"choice", "operation", "annotate", "freeze", "release"}
-)
-
-
 def hop_category(hop: str) -> str:
     return HOP_CATEGORY.get(hop, "wire")
 

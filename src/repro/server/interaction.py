@@ -15,9 +15,9 @@ to every client in the room. Works in two modes:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
-from repro.errors import RoomError, ServerError
+from repro.errors import ProtocolError, RoomError, ServerError
 from repro import obs
 from repro.cpnet.compiled import CompletionCache
 from repro.db.orm import MultimediaObjectStore
@@ -44,9 +44,10 @@ from repro.server.permissions import (
     PERM_VIEW,
     PermissionPolicy,
 )
-from repro.server.protocol import MessageKind, encoded_size
+from repro.server.protocol import PROTOCOL, MessageKind, encoded_size
 from repro.server.room import Room
 from repro.server.session import Session
+from repro.server.telemetry import TelemetryChannel
 from repro.util.ids import IdGenerator
 
 
@@ -67,7 +68,6 @@ class InteractionServer:
         diff_propagation: bool = True,
         use_profiles: bool = False,
         batch_window_s: float = 0.0,
-        batch_max_bytes: int = 4096,
         interest_mode: str = "off",
     ) -> None:
         if interest_mode not in ("off", "cpnet"):
@@ -102,7 +102,6 @@ class InteractionServer:
         #: document on §4.2 structural updates.
         self.completion_cache = CompletionCache()
         registry = obs.get_registry()
-        self._registry = registry
         self._trace = obs.trace
         self._events = obs.get_event_log()
         self._dtrace = get_dtrace()
@@ -139,27 +138,16 @@ class InteractionServer:
         self._g_rooms.set(0)
         self._g_occupancy.set(0)
         self._g_monitors.set(0)
-        # Telemetry monitors: pushed metric diffs + buffered events,
-        # throttled to at most one push per `telemetry_interval` clock
-        # seconds (0 = push on every server activity).
-        self._monitors: dict[str, Session] = {}
-        self._pending_events: list[dict[str, Any]] = []
-        self._telemetry_baseline: dict[str, Any] | None = None
-        self._last_telemetry_at: float | None = None
-        self.telemetry_interval: float = 0.0
+        #: Telemetry monitors: pushed metric diffs + buffered events.
+        self.telemetry = TelemetryChannel(node_id, self._now, self._net_send)
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
         self._batcher: Batcher | None = None
         if network is not None:
-            self.attach_network(network, batch_window_s, batch_max_bytes)
+            self.attach_network(network, batch_window_s)
 
-    def attach_network(
-        self,
-        network: SimulatedNetwork,
-        batch_window_s: float = 0.0,
-        batch_max_bytes: int = 4096,
-    ) -> None:
+    def attach_network(self, network: SimulatedNetwork, batch_window_s: float = 0.0) -> None:
         """Become *network*'s hub: from here on decided changes ship.
 
         Called by the constructor, and by a shard on the shadow server
@@ -169,10 +157,7 @@ class InteractionServer:
         """
         self.network = network
         self.clock = network.clock
-        self._batcher = Batcher(
-            network, self.node_id,
-            window_s=batch_window_s, max_bytes=batch_max_bytes,
-        )
+        self._batcher = Batcher(network, self.node_id, window_s=batch_window_s)
         network.attach_hub(self)
 
     # ----- sessions -----------------------------------------------------------------
@@ -198,7 +183,7 @@ class InteractionServer:
         return session
 
     def disconnect_session(self, session_id: str) -> None:
-        if session_id in self._monitors:
+        if session_id in self.telemetry.monitors:
             # Monitors connect through the same protocol surface; a
             # generic disconnect must tear down their telemetry hooks,
             # not error out on the regular session table.
@@ -401,11 +386,11 @@ class InteractionServer:
         return self._propagate(room, change)
 
     def handle_annotation(
-        self, session_id: str, component: str, annotation: dict[str, Any]
+        self, session_id: str, component: str, annotation: dict[str, Any] | None = None
     ) -> dict[str, dict[str, str]]:
         session, room = self._session_room(session_id)
         self.policy.require(session.viewer_id, PERM_ANNOTATE)
-        change = room.annotate(session.viewer_id, component, annotation)
+        change = room.annotate(session.viewer_id, component, annotation or {})
         return self._propagate(room, change)
 
     def handle_freeze(self, session_id: str, component: str) -> None:
@@ -422,7 +407,7 @@ class InteractionServer:
     # ----- interest management -------------------------------------------------------------
 
     def handle_subscribe(
-        self, session_id: str, components: list[str], replace: bool = False
+        self, session_id: str, components: Sequence[str] = (), replace: bool = False
     ) -> tuple[str, ...]:
         """Explicitly subscribe a session to component paths.
 
@@ -793,77 +778,29 @@ class InteractionServer:
     # ----- telemetry monitors ----------------------------------------------------------
 
     def connect_monitor(self, viewer_id: str, node_id: str | None = None) -> Session:
-        """Register a telemetry monitor session (the paper's machinery,
-        watching itself): it receives metric-diff snapshots and flight
-        recorder events as ``TELEMETRY`` / ``TELEMETRY_EVENT`` messages,
-        pushed after server activity (at most one push per
-        ``telemetry_interval`` clock seconds).
-        """
-        session = Session(
-            session_id=self._ids.next("monitor"),
-            viewer_id=viewer_id,
-            node_id=node_id if node_id is not None else viewer_id,
-            kind="monitor",
+        """Register a telemetry monitor session on this server's
+        :class:`~repro.server.telemetry.TelemetryChannel`."""
+        session = self.telemetry.connect(
+            viewer_id, node_id if node_id is not None else viewer_id
         )
-        if not self._monitors:
-            # Lazy subscribe: servers without monitors cost the recorder
-            # nothing, and dead servers don't accumulate pending events.
-            self._events.subscribe(self._on_event)
-            self._telemetry_baseline = self._registry.snapshot()
-        self._monitors[session.session_id] = session
-        self._g_monitors.set(len(self._monitors))
+        self._g_monitors.set(len(self.telemetry.monitors))
         self._emit("server.monitor_join", monitor=session.session_id, viewer=viewer_id)
         return session
 
     def disconnect_monitor(self, session_id: str) -> None:
-        monitor = self._monitors.pop(session_id, None)
-        if monitor is None:
+        if self.telemetry.disconnect(session_id) is None:
             raise ServerError(f"unknown monitor session {session_id!r}")
-        self._g_monitors.set(len(self._monitors))
-        if not self._monitors:
-            self._events.unsubscribe(self._on_event)
-            self._pending_events.clear()
-            self._telemetry_baseline = None
+        self._g_monitors.set(len(self.telemetry.monitors))
 
     @property
     def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self._monitors)
-
-    def _on_event(self, event: Any) -> None:
-        self._pending_events.append(event.to_dict())
+        return tuple(self.telemetry.monitors)
 
     def push_telemetry(self, force: bool = True) -> int:
-        """Send one metric-diff snapshot + buffered events to every monitor.
-
-        Returns the number of monitors reached. Called automatically
-        after networked activity; call directly (or via a trigger) in
-        direct mode. With ``force=False`` the ``telemetry_interval``
-        throttle applies.
-        """
-        if not self._monitors:
-            return 0
-        now = self._now()
-        if not force and self._last_telemetry_at is not None:
-            if now - self._last_telemetry_at < self.telemetry_interval:
-                return 0
-        self._last_telemetry_at = now
-        current = self._registry.snapshot()
-        delta = obs.diff(self._telemetry_baseline or {}, current)
-        self._telemetry_baseline = current
-        events, self._pending_events = self._pending_events, []
-        for monitor in self._monitors.values():
-            self._net_send(
-                monitor.node_id,
-                MessageKind.TELEMETRY,
-                {"session_id": monitor.session_id, "at": now, "diff": delta},
-            )
-            for event in events:
-                self._net_send(
-                    monitor.node_id,
-                    MessageKind.TELEMETRY_EVENT,
-                    {"session_id": monitor.session_id, "event": event},
-                )
-        return len(self._monitors)
+        """Push to every monitor now; returns how many were reached.
+        Called automatically after networked activity; call directly
+        (or via a trigger) in direct mode."""
+        return self.telemetry.push(force)
 
     def _net_send(
         self,
@@ -956,7 +893,7 @@ class InteractionServer:
         self._m_messages_in.inc()
         payload = message.payload or {}
         try:
-            self._dispatch(message.sender, message.kind, payload)
+            self.apply_session_op(message.kind, payload, message.sender)
         except Exception as exc:  # protocol errors go back to the client
             if self.network is not None:
                 body = {"error": type(exc).__name__, "detail": str(exc)}
@@ -967,90 +904,67 @@ class InteractionServer:
             # Telemetry rides on server activity (a scheduled tick would
             # keep the simulated clock alive forever); the interval
             # throttle bounds the cost under load.
-            self.push_telemetry(force=False)
+            self.telemetry.push(force=False)
 
-    def _dispatch(self, sender_node: str, kind: str, payload: dict[str, Any]) -> None:
-        if kind == MessageKind.JOIN:
-            session = self.connect_session(payload["viewer_id"], node_id=sender_node)
-            room, spec = self.join_room(session.session_id, payload["doc_id"])
-            body = {
-                "session_id": session.session_id,
-                "room_id": room.room_id,
-                "doc_id": room.document.doc_id,
-                "outcome": spec.outcome,
-                "structure": [
-                    {
-                        "path": p,
-                        "domain": list(c.domain),
-                        "sizes": {v: c.presentation_size(v) for v in c.domain},
-                    }
-                    for p, c in room.document.components().items()
-                ],
-            }
-            self._net_send(sender_node, MessageKind.JOIN_ACK, body)
-            return
-        if kind == MessageKind.MONITOR:
-            session = self.connect_monitor(payload["viewer_id"], node_id=sender_node)
-            self._net_send(
-                sender_node,
-                MessageKind.MONITOR_ACK,
-                {
-                    "session_id": session.session_id,
-                    "interval": self.telemetry_interval,
-                },
-            )
-            return
-        self.apply_session_op(kind, payload)
-
-    def apply_session_op(self, kind: str, payload: dict[str, Any]) -> None:
-        """Apply one message addressed to an existing session (everything
-        but JOIN/MONITOR) — also how a standby replays its primary's ops."""
-        session_id = payload["session_id"]
-        if kind == MessageKind.LEAVE:
-            if session_id in self._monitors:
-                self.disconnect_monitor(session_id)
-            else:
-                self.disconnect_session(session_id)
-        elif kind == MessageKind.CHOICE:
-            self.handle_choice(
-                session_id, payload["component"], payload["value"],
-                scope=payload.get("scope", "shared"),
-            )
-        elif kind == MessageKind.OPERATION:
-            self.handle_operation(
-                session_id, payload["component"], payload["operation"],
-                global_importance=payload.get("global", False),
-            )
-        elif kind == MessageKind.ANNOTATE:
-            self.handle_annotation(
-                session_id, payload["component"], payload.get("annotation", {})
-            )
-        elif kind == MessageKind.FREEZE:
-            self.handle_freeze(session_id, payload["component"])
-        elif kind == MessageKind.RELEASE:
-            self.handle_release(session_id, payload["component"])
-        elif kind == MessageKind.SUBSCRIBE:
-            self.handle_subscribe(
-                session_id, payload.get("components", []),
-                replace=payload.get("replace", False),
-            )
-        elif kind == MessageKind.UNSUBSCRIBE:
-            self.handle_unsubscribe(
-                session_id, components=payload.get("components"),
-                all_components=payload.get("all", False),
-            )
-        elif kind == MessageKind.FETCH_PAYLOAD:
-            if "rect" in payload:
-                top, left, height, width = payload["rect"]
-                self.fetch_zoom_region(
-                    session_id, payload["media_ref"], top, left, height, width,
-                    factor=payload.get("factor", 2),
-                )
-            elif "media_ref" in payload:
-                self.fetch_payload(session_id, payload["media_ref"])
-            else:
-                self.fetch_component_payload(
-                    session_id, payload["component"], payload["value"]
-                )
-        else:
+    def apply_session_op(
+        self, kind: str, payload: dict[str, Any], sender_node: str | None = None
+    ) -> None:
+        """Apply one client message: look its row up in the protocol
+        table, take the handler's arguments out of *payload*, call it.
+        Also how a standby replays its primary's ops (everything but
+        JOIN, whose ids a replay must force)."""
+        row = PROTOCOL.get(kind)
+        if row is None:
             raise ServerError(f"unknown message kind {kind!r}")
+        args, kwargs = row.bind(payload)
+        if row.opens_session:
+            kwargs["node_id"] = sender_node
+        getattr(self, row.handler)(*args, **kwargs)
+
+    def _on_join(self, viewer_id: str, doc_id: str, node_id: str) -> None:
+        session = self.connect_session(viewer_id, node_id=node_id)
+        room, spec = self.join_room(session.session_id, doc_id)
+        body = {
+            "session_id": session.session_id,
+            "room_id": room.room_id,
+            "doc_id": room.document.doc_id,
+            "outcome": spec.outcome,
+            "structure": [
+                {
+                    "path": p,
+                    "domain": list(c.domain),
+                    "sizes": {v: c.presentation_size(v) for v in c.domain},
+                }
+                for p, c in room.document.components().items()
+            ],
+        }
+        self._net_send(node_id, MessageKind.JOIN_ACK, body)
+
+    def _on_monitor(self, viewer_id: str, node_id: str) -> None:
+        session = self.connect_monitor(viewer_id, node_id=node_id)
+        self._net_send(
+            node_id,
+            MessageKind.MONITOR_ACK,
+            {"session_id": session.session_id, "interval": self.telemetry.interval},
+        )
+
+    def _on_fetch_payload(
+        self,
+        session_id: str,
+        media_ref: str | None = None,
+        rect: Sequence[int] | None = None,
+        factor: int = 2,
+        component: str | None = None,
+        value: str | None = None,
+    ) -> None:
+        if media_ref is not None and rect is not None:
+            self.fetch_zoom_region(session_id, media_ref, *rect, factor=factor)
+        elif media_ref is not None:
+            self.fetch_payload(session_id, media_ref)
+        elif component is not None and value is not None:
+            self.fetch_component_payload(session_id, component, value)
+        else:
+            raise ProtocolError(
+                f"{MessageKind.FETCH_PAYLOAD!r} message names neither 'media_ref' "
+                "nor 'component' and 'value'"
+            )

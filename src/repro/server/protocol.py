@@ -1,4 +1,12 @@
-"""The client/server message vocabulary and wire-size accounting.
+"""The client/server message vocabulary, the protocol table and
+wire-size accounting.
+
+What a client message kind *is* — which server method handles it, which
+payload fields it carries, whether it mutates room state, which
+admission lane it queues in — is written down once, as a row of
+:data:`PROTOCOL`. Every other place that used to keep its own list of
+kinds (the server dispatch, the client's replay log, admission lanes,
+the replication op names, the traced kinds) reads it off the rows.
 
 The simulated network charges links by declared byte size, so every
 payload crossing the wire is sized by :func:`encoded_size` — the length
@@ -12,8 +20,10 @@ the codec against.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import ProtocolError
 from repro.net.codec import value_size
 
 
@@ -61,16 +71,112 @@ class MessageKind:
     ROUTE_INFO = "route_info"
     ROUTE_INVALIDATE = "route_invalidate"
 
-    CLIENT_KINDS = (
-        JOIN, LEAVE, CHOICE, OPERATION, FREEZE, RELEASE, FETCH_PAYLOAD, ANNOTATE,
-        MONITOR, SUBSCRIBE, UNSUBSCRIBE,
-    )
+    CLIENT_KINDS: tuple[str, ...]  # one per PROTOCOL row, filled in below
     SERVER_KINDS = (
         JOIN_ACK, PRESENTATION_UPDATE, PEER_EVENT, PAYLOAD, BROADCAST, ERROR,
         MONITOR_ACK, TELEMETRY, TELEMETRY_EVENT, SUBSCRIBE_ACK, RETRY_AFTER,
     )
     CLUSTER_KINDS = (ROUTE, REPLICATE, ACK, HEARTBEAT, PROMOTE)
     GATEWAY_KINDS = (ROUTE_REPORT, ROUTE_LOOKUP, ROUTE_INFO, ROUTE_INVALIDATE)
+
+
+#: admission lanes, in strictly decreasing priority (repro.cluster.admission)
+LANE_CONTROL = "control"
+LANE_JOIN = "join"
+LANE_DATA = "data"
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One client→server message kind."""
+
+    kind: str
+    #: ``InteractionServer`` method name — looked up on the instance at
+    #: dispatch time, so a subclass or a tracer patching the class is seen.
+    handler: str
+    #: payload fields passed positionally; a message without one is
+    #: rejected before any handler runs.
+    required: tuple[str, ...]
+    #: payload field -> handler keyword, passed only when present (the
+    #: default lives once, on the handler's signature).
+    optional: dict[str, str] = field(default_factory=dict)
+    #: LEAVE rides the control lane: dropping one leaks the session.
+    lane: str = LANE_DATA
+    #: name in the replication log; ``None`` = changes no room state
+    #: (reads, monitor traffic), so it is neither logged nor replayed.
+    op: str | None = None
+    #: fans a change out to the room: the actor roots a delivery trace.
+    traced: bool = False
+
+    @property
+    def opens_session(self) -> bool:
+        """JOIN and MONITOR address no session yet; their handler is
+        told the sending node instead."""
+        return "session_id" not in self.required
+
+    def require(self, payload: dict[str, Any]) -> None:
+        """Refuse a message without one of its required fields, naming
+        kind and field (not whatever a handler would trip over)."""
+        for name in self.required:
+            if name not in payload:
+                raise ProtocolError(
+                    f"{self.kind!r} message lacks required field {name!r}"
+                )
+
+    def bind(self, payload: dict[str, Any]) -> tuple[list[Any], dict[str, Any]]:
+        """The handler's arguments, taken out of *payload*."""
+        self.require(payload)
+        args = [payload[name] for name in self.required]
+        kwargs = {
+            keyword: payload[name]
+            for name, keyword in self.optional.items()
+            if name in payload
+        }
+        return args, kwargs
+
+
+_ON_COMPONENT = ("session_id", "component")
+_ROWS = (
+    KindSpec(MessageKind.JOIN, "_on_join", ("viewer_id", "doc_id"), lane=LANE_JOIN, op="join"),
+    KindSpec(
+        MessageKind.LEAVE, "disconnect_session", ("session_id",), lane=LANE_CONTROL, op="leave"
+    ),
+    KindSpec(
+        MessageKind.CHOICE, "handle_choice", (*_ON_COMPONENT, "value"),
+        {"scope": "scope"}, op="choice", traced=True,
+    ),
+    KindSpec(
+        MessageKind.OPERATION, "handle_operation", (*_ON_COMPONENT, "operation"),
+        {"global": "global_importance"}, op="operation", traced=True,
+    ),
+    KindSpec(MessageKind.FREEZE, "handle_freeze", _ON_COMPONENT, op="freeze", traced=True),
+    KindSpec(MessageKind.RELEASE, "handle_release", _ON_COMPONENT, op="release", traced=True),
+    # Three shapes — a blob by reference, a zoomed region of one, one
+    # presentation alternative: the handler picks by which fields came.
+    KindSpec(
+        MessageKind.FETCH_PAYLOAD, "_on_fetch_payload", ("session_id",),
+        {name: name for name in ("media_ref", "rect", "factor", "component", "value")},
+    ),
+    KindSpec(
+        MessageKind.ANNOTATE, "handle_annotation", _ON_COMPONENT,
+        {"annotation": "annotation"}, op="annotation", traced=True,
+    ),
+    KindSpec(MessageKind.MONITOR, "_on_monitor", ("viewer_id",), lane=LANE_CONTROL),
+    # Interest is room state: a promoted replica must keep filtering
+    # exactly where the dead primary left off, so subscription changes
+    # ship through the same op log as everything else.
+    KindSpec(
+        MessageKind.SUBSCRIBE, "handle_subscribe", ("session_id",),
+        {"components": "components", "replace": "replace"}, op="subscribe",
+    ),
+    KindSpec(
+        MessageKind.UNSUBSCRIBE, "handle_unsubscribe", ("session_id",),
+        {"components": "components", "all": "all_components"}, op="unsubscribe",
+    ),
+)
+#: The protocol table: client message kind -> its row.
+PROTOCOL: dict[str, KindSpec] = {row.kind: row for row in _ROWS}
+MessageKind.CLIENT_KINDS = tuple(PROTOCOL)
 
 
 def encoded_size(payload: Any) -> int:

@@ -222,8 +222,8 @@ def _queue_depths(harness: ClusterHarness) -> dict[str, int]:
         for shard_id, shard in harness.shards.items()
     }
     for gateway_id, gateway in harness.gateways.items():
-        if gateway._route_queue is not None:
-            depths[gateway_id] = gateway._route_queue.max_pending
+        if gateway.queue is not None:
+            depths[gateway_id] = gateway.queue.max_pending
     return depths
 
 

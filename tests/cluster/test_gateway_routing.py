@@ -5,7 +5,6 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
-from repro.net.message import Message
 from repro.server.protocol import MessageKind
 from repro.workloads import generate_record
 
@@ -108,6 +107,37 @@ class TestSessionRouting:
         )
         harness.run()
         assert any(e["error"] == "ClusterError" for e in client.errors)
+
+    @pytest.mark.parametrize(
+        "kind,fields,missing",
+        [
+            (MessageKind.CHOICE, {"value": "flat"}, "component"),
+            (MessageKind.FREEZE, {"component": "x"}, "session_id"),
+            (MessageKind.JOIN, {"viewer_id": "alice"}, "doc_id"),
+        ],
+    )
+    def test_malformed_message_is_a_typed_protocol_error(
+        self, rig, kind, fields, missing
+    ):
+        """Regression: a request without a required field used to come
+        back as ``{"error": "KeyError"}`` (or cost a directory lookup for
+        session ``None``); the first node to see it names kind and field."""
+        harness, docs, _, registry = rig
+        client = harness.add_client("alice")
+        client.join(docs[0])
+        harness.run()
+        payload = dict(fields)
+        if missing != "session_id" and kind != MessageKind.JOIN:
+            payload["session_id"] = client.session_id
+        counters = registry.snapshot()["counters"]
+        client._dispatch(kind, payload)
+        harness.run()
+        assert [error["error"] for error in client.errors] == ["ProtocolError"]
+        detail = client.errors[0]["detail"]
+        assert repr(kind) in detail and repr(missing) in detail
+        after = registry.snapshot()["counters"]
+        for name in ("gateway.routed_messages", "directory.lookups"):
+            assert after.get(name, 0) == counters.get(name, 0)
 
     def test_monitor_sessions_are_gateway_local(self, rig):
         harness, _, _, _ = rig

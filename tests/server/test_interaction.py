@@ -9,11 +9,12 @@ import pytest
 from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
-from repro.errors import PermissionError_, RoomError, ServerError
+from repro.errors import PermissionError_, ProtocolError, RoomError, ServerError
 from repro.net import SimulatedNetwork, codec
 from repro.obs import MetricsRegistry, use_registry
 from repro.server import InteractionServer, PermissionPolicy
 from repro.server.permissions import PERM_VIEW, VIEWER_GRANT
+from repro.server.protocol import MessageKind
 
 
 @pytest.fixture
@@ -296,6 +297,55 @@ class TestPayloads:
             session.session_id, "imaging.ct_head", "flat"
         )
         assert size == 512 * 1024
+
+
+class TestMalformedMessages:
+    """A client message without a required field is refused as a typed
+    protocol error naming kind and field, before any handler runs — not
+    answered with the ``KeyError`` the handler would have tripped over."""
+
+    MALFORMED = (
+        (MessageKind.CHOICE, {"value": "flat"}, "component"),
+        (MessageKind.FREEZE, {"component": "imaging.ct_head"}, "session_id"),
+        (MessageKind.JOIN, {"viewer_id": "lee"}, "doc_id"),
+    )
+
+    @pytest.mark.parametrize("kind,fields,missing", MALFORMED)
+    def test_direct_mode_raises_protocol_error(self, server, kind, fields, missing):
+        session = server.connect_session("lee")
+        server.join_room(session.session_id, "record-17")
+        payload = dict(fields)
+        if missing != "session_id" and kind != MessageKind.JOIN:
+            payload["session_id"] = session.session_id
+        seq_before = server.room(session.room_id).latest_seq
+        with pytest.raises(ProtocolError, match=f"{kind!r}.*{missing!r}"):
+            server.apply_session_op(kind, payload, sender_node="lee")
+        assert server.room(session.room_id).latest_seq == seq_before
+
+    @pytest.mark.parametrize("kind,fields,missing", MALFORMED)
+    def test_networked_mode_answers_with_a_typed_error(self, store, kind, fields, missing):
+        network = SimulatedNetwork()
+        InteractionServer(store, network=network)
+        client = ClientModule("lee", network=network, auto_fetch=False)
+        network.attach_client(client)
+        client.join("record-17")
+        network.run()
+        payload = dict(fields)
+        if missing != "session_id" and kind != MessageKind.JOIN:
+            payload["session_id"] = client.session_id
+        client._dispatch(kind, payload)
+        network.run()
+        assert [error["error"] for error in client.errors] == ["ProtocolError"]
+        detail = client.errors[0]["detail"]
+        assert repr(kind) in detail and repr(missing) in detail
+
+    def test_fetch_payload_without_a_shape_is_a_protocol_error(self, server):
+        session = server.connect_session("lee")
+        server.join_room(session.session_id, "record-17")
+        with pytest.raises(ProtocolError, match="media_ref"):
+            server.apply_session_op(
+                MessageKind.FETCH_PAYLOAD, {"session_id": session.session_id}
+            )
 
 
 class TestPropagationLedger:

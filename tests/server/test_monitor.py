@@ -77,7 +77,7 @@ class TestMonitorRegistration:
         monitor.connect()
         network.run()
         assert monitor.session_id is not None
-        assert monitor.interval == server.telemetry_interval
+        assert monitor.interval == server.telemetry.interval
         assert monitor.session_id in server.monitor_ids
         assert server.stats()["monitors"] == 1
         db.close()

@@ -1,7 +1,12 @@
 """Unit tests for protocol wire-size accounting and sessions."""
 
 
-from repro.server import MessageKind, Session, encoded_size
+from repro.client import client as client_module
+from repro.cluster import replication
+from repro.cluster.admission import LANE_CONTROL, LANE_DATA, LANE_JOIN, lane_of
+from repro.net.codec import STATIC_STRINGS
+from repro.server import InteractionServer, MessageKind, Session, encoded_size
+from repro.server.protocol import PROTOCOL
 
 
 class TestEncodedSize:
@@ -72,6 +77,68 @@ class TestMessageKinds:
             MessageKind.ROUTE_INFO,
             MessageKind.ROUTE_INVALIDATE,
         } == gateway
+
+
+class TestProtocolTable:
+    """Everything that used to keep its own list of kinds now reads the
+    rows. The literals below are what each list held, written out, at
+    the commit before the table existed."""
+
+    def test_client_kinds(self):
+        assert MessageKind.CLIENT_KINDS == (
+            "join", "leave", "choice", "operation", "freeze", "release",
+            "fetch_payload", "annotate", "monitor", "subscribe", "unsubscribe",
+        )
+
+    def test_client_replay_log_kinds(self):
+        assert client_module._PARKED_KINDS == frozenset({
+            "leave", "choice", "operation", "annotate", "freeze", "release",
+            "subscribe", "unsubscribe",
+        })
+
+    def test_traced_kinds(self):
+        assert client_module._TRACED_KINDS == frozenset(
+            {"choice", "operation", "annotate", "freeze", "release"}
+        )
+
+    def test_admission_lanes(self):
+        every_kind = (
+            MessageKind.CLIENT_KINDS + MessageKind.SERVER_KINDS
+            + MessageKind.CLUSTER_KINDS + MessageKind.GATEWAY_KINDS
+        )
+        lanes = {lane: {k for k in every_kind if lane_of(k) == lane}
+                 for lane in (LANE_JOIN, LANE_DATA, LANE_CONTROL)}
+        assert lanes[LANE_JOIN] == {"join"}
+        assert lanes[LANE_DATA] == {
+            "choice", "operation", "annotate", "freeze", "release",
+            "fetch_payload", "subscribe", "unsubscribe",
+        }
+        assert lanes[LANE_CONTROL] == set(every_kind) - lanes[LANE_JOIN] - lanes[LANE_DATA]
+
+    def test_replicated_ops(self):
+        assert replication.REPLICATED_OPS == {
+            "join": "join", "leave": "leave", "choice": "choice",
+            "operation": "operation", "annotate": "annotation",
+            "freeze": "freeze", "release": "release",
+            "subscribe": "subscribe", "unsubscribe": "unsubscribe",
+        }
+        assert replication._KIND_OF_OP == {
+            op: kind for kind, op in replication.REPLICATED_OPS.items()
+        }
+        assert len(replication._KIND_OF_OP) == len(replication.REPLICATED_OPS)
+
+    def test_every_name_on_the_wire_is_a_static_string(self):
+        # A row's kind and field names cross the wire on every message:
+        # outside the static table each would cost a literal per frame.
+        for row in PROTOCOL.values():
+            for name in (row.kind, *row.required, *row.optional):
+                assert name in STATIC_STRINGS, (row.kind, name)
+            if row.op is not None:
+                assert row.op in STATIC_STRINGS, (row.kind, row.op)
+
+    def test_every_handler_resolves_on_the_server(self):
+        for row in PROTOCOL.values():
+            assert callable(getattr(InteractionServer, row.handler)), row.kind
 
 
 class TestSession:
