@@ -16,7 +16,10 @@ buys (`repro.cpnet.compiled`):
   room path drops;
 * **precise invalidation** — a §4.2 global operation mid-conference
   invalidates exactly the open document's entries and the run still ends
-  byte-identical.
+  byte-identical;
+* **no CPT revisit** — that operation flattens exactly one table: the
+  conference builds one ``_FlatTable`` per variable plus one for the
+  operation variable, not a whole net's worth per structural version.
 
 The committed snapshot (``benchmarks/metrics/e18_cpnet_guard.json``)
 turns the deterministic counters and the speedup floor into a CI
@@ -31,7 +34,7 @@ from pathlib import Path
 from conftest import QUICK
 
 from repro import obs
-from repro.cpnet import compile_cpnet, interpreted_mode
+from repro.cpnet import compile_cpnet, compiled as compiled_engine, interpreted_mode
 from repro.cpnet.reasoning import best_completion as interpreted_completion
 from repro.db import Database, MultimediaObjectStore
 from repro.server import InteractionServer
@@ -184,15 +187,26 @@ def scripted_conference(tmp_path, tag):
     }
 
 
-def test_room_level_sharing(report, tmp_path):
+def test_room_level_sharing(report, tmp_path, monkeypatch):
     """The scripted conference, interpreted vs compiled+cached.
 
     Byte-identical presentations; the compiled run provably *shares*
     work — total sweeps drop by exactly the cache hit count — and the
-    mid-conference operation invalidates this document's entries.
+    mid-conference operation invalidates this document's entries and
+    flattens one table.
     """
     with interpreted_mode():
         plain = scripted_conference(tmp_path, "interpreted")
+    # Count flat-table builds where they happen — the constructor — so a
+    # return to whole-net recompiles fails the guard below.
+    flattened = []
+    flatten = compiled_engine._FlatTable.__init__
+
+    def counted(table, cpt):
+        flattened.append(cpt.variable.name)
+        flatten(table, cpt)
+
+    monkeypatch.setattr(compiled_engine._FlatTable, "__init__", counted)
     shared = scripted_conference(tmp_path, "compiled")
 
     assert json.dumps(shared["displayed"]) == json.dumps(plain["displayed"])
@@ -229,6 +243,9 @@ def test_room_level_sharing(report, tmp_path):
     # per-viewer operation overlays — bounded by versions, not queries.
     compiles = int(shared["counters"].get("cpnet.compile", 0))
     assert 0 < compiles < interpreted_sweeps
+    # ...and a version bump re-strings the sweep without re-flattening:
+    # every variable's table is built once, the operation's included.
+    assert len(flattened) == len(set(flattened))
 
     current = {
         "members": MEMBERS,
@@ -238,6 +255,7 @@ def test_room_level_sharing(report, tmp_path):
         "cache_hits": hits,
         "cache_invalidations": shared["cache"]["invalidations"],
         "compiles": compiles,
+        "flat_tables": len(flattened),
         "sweeps_saved_pct": round(100.0 * hits / interpreted_sweeps, 1),
     }
     if os.environ.get("REPRO_UPDATE_GUARD"):

@@ -99,67 +99,62 @@ def monitored_consultation() -> None:
             # stamped with wire time, so the recording is reproducible.
             log = obs.EventLog(clock=lambda: network.clock.now, tracer=obs.trace)
             with obs.use_event_log(log):
-                watchdog = obs.Watchdog(event_log=log, registry=registry)
-                # A tight view-response budget: the 1.5 Mbps client's
-                # round trip misses it, the faster links make it.
-                watchdog.set_budget("client.view_response", 0.0105)
-                with obs.use_watchdog(watchdog):
-                    db = Database(f"{workdir}/db")
-                    store = MultimediaObjectStore(db)
-                    store.store_document(build_sample_medical_record())
-                    server = InteractionServer(store, network=network)
+                db = Database(f"{workdir}/db")
+                store = MultimediaObjectStore(db)
+                store.store_document(build_sample_medical_record())
+                server = InteractionServer(store, network=network)
 
-                    # The monitor is just another node on the hub.
-                    monitor = TelemetryMonitor("ops", network=network)
-                    network.attach_client(monitor)
-                    monitor.connect()
-                    network.run()
+                # The monitor is just another node on the hub.
+                monitor = TelemetryMonitor("ops", network=network)
+                network.attach_client(monitor)
+                monitor.connect()
+                network.run()
 
-                    doctors = []
-                    for name, mbps in (("lee", 20), ("cho", 1.5), ("rao", 8)):
-                        doctor = ClientModule(name, network=network)
-                        network.attach_client(
-                            doctor, downlink=Link(bandwidth_bps=mbps * MBPS)
-                        )
-                        doctors.append(doctor)
-                        doctor.join("record-17")
-                    network.run()
-
-                    doctors[0].choose("imaging.ct_head", "segmented")
-                    network.run()
-                    doctors[1].choose("labs", "hidden")
-                    network.run()
-                    for doctor in doctors:
-                        doctor.leave()
-                    network.run()
-
-                    print(
-                        f"\nmonitor received {len(monitor.snapshots)} telemetry "
-                        f"snapshots and {len(monitor.events)} events "
-                        f"({len(monitor.warn_events())} WARN+) over the wire"
+                doctors = []
+                for name, mbps in (("lee", 20), ("cho", 1.5), ("rao", 8)):
+                    doctor = ClientModule(name, network=network)
+                    network.attach_client(
+                        doctor, downlink=Link(bandwidth_bps=mbps * MBPS)
                     )
-                    print()
-                    # Excluded: wall-clock latency histograms, plus the
-                    # byte/delay accounting that telemetry traffic itself
-                    # perturbs (a telemetry payload's encoded size depends
-                    # on the wall-clock floats inside it). Everything left
-                    # is simclock-driven and byte-identical across runs.
-                    print(
-                        monitor.render(
-                            title="three-doctor consultation, as the monitor saw it",
-                            exclude=(
-                                "db.query_latency_s",
-                                "trace.",
-                                "net.bytes_total",
-                                "net.queue_delay_s",
-                                "net.link.monitor-",
-                                "server.bytes_out",
-                            ),
-                            max_events=12,
-                        )
+                    doctors.append(doctor)
+                    doctor.join("record-17")
+                network.run()
+
+                doctors[0].choose("imaging.ct_head", "segmented")
+                network.run()
+                doctors[1].choose("labs", "hidden")
+                network.run()
+                for doctor in doctors:
+                    doctor.leave()
+                network.run()
+
+                print(
+                    f"\nmonitor received {len(monitor.snapshots)} telemetry "
+                    f"snapshots and {len(monitor.events)} events "
+                    f"({len(monitor.warn_events())} WARN+) over the wire"
+                )
+                print()
+                # Excluded: wall-clock latency histograms, plus the
+                # byte/delay accounting that telemetry traffic itself
+                # perturbs (a telemetry payload's encoded size depends
+                # on the wall-clock floats inside it). Everything left
+                # is simclock-driven and byte-identical across runs.
+                print(
+                    monitor.render(
+                        title="three-doctor consultation, as the monitor saw it",
+                        exclude=(
+                            "db.query_latency_s",
+                            "trace.",
+                            "net.bytes_total",
+                            "net.queue_delay_s",
+                            "net.link.monitor-",
+                            "server.bytes_out",
+                        ),
+                        max_events=12,
                     )
-                    print(f"\nserver stats at close: {server.stats()}")
-                    db.close()
+                )
+                print(f"\nserver stats at close: {server.stats()}")
+                db.close()
 
 
 if __name__ == "__main__":

@@ -60,14 +60,12 @@ class ClientModule:
         self.network = network
         self.buffer = ClientBuffer(buffer_bytes, owner=self.node_id)
         registry = obs.get_registry()
-        # Response times come from the shared simulation clock, so both
-        # the histogram and any watchdog budget on "client.view_response"
-        # are deterministic under simclock.
+        # Response times come from the shared simulation clock, so the
+        # histogram is deterministic under simclock.
         self._m_view_response = registry.histogram_family(
             "client.view_response_s", ("viewer",)
         ).labels(viewer_id)
         self._m_join_latency = registry.histogram("client.join_latency_s")
-        self._watchdog = obs.get_watchdog()
         self._dtrace = get_dtrace()
         self.auto_fetch = auto_fetch
         self.session_id: str | None = None
@@ -348,7 +346,6 @@ class ClientModule:
             elapsed = self._now() - self._awaiting_response_since
             self.response_times.append(elapsed)
             self._m_view_response.observe(elapsed)
-            self._watchdog.check("client.view_response", elapsed)
             self._awaiting_response_since = None
         self._fetch_missing(
             {path: payload["changes"][path] for path in changed if path in payload["changes"]}

@@ -23,9 +23,13 @@ Invalidation is driven by the §4.2 update policies: every structural
 mutation of :class:`~repro.cpnet.network.CPNet` (and of a
 :class:`~repro.cpnet.updates.ViewerExtension`) bumps a version counter;
 :func:`compile_cpnet` / :func:`compile_extension` recompile exactly when
-the version moved. Viewer extensions compile as *overlay* layers that
-share the base compilation — the base is never copied (§4.2: the shared
-network "should not be duplicated").
+the version moved. A recompile re-derives the order and re-strings the
+sweep; the flat tables themselves live on their CPTs
+(:func:`_flat_table`) and only a CPT that gained a rule is flattened
+again — performing an operation adds one variable, so it builds one
+table and, as §4.2 asks, revisits no other. Viewer extensions compile as
+*overlay* layers that share the base compilation — the base is never
+copied (§4.2: the shared network "should not be duplicated").
 
 On top sits :class:`CompletionCache`, a bounded LRU memo of completed
 outcomes keyed by (doc id, instance-salted version token, overlay token,
@@ -88,20 +92,44 @@ def interpreted_mode() -> Iterator[None]:
         set_compiled_enabled(previous)
 
 
-class _FlatTable:
-    """One variable's compiled CPT: parent-value tuple -> total order."""
+#: Sweep-entry kinds (see :attr:`_FlatTable.entry`).
+_CONST, _ONE_PARENT, _GENERAL = 0, 1, 2
 
-    __slots__ = ("name", "variable", "parent_names", "orders", "cpt")
+
+class _FlatTable:
+    """One variable's compiled CPT: parent-value tuple -> total order.
+
+    A table belongs to the CPT it flattens (:func:`_flat_table`), not to
+    a compilation, and is valid for as long as that CPT holds
+    ``rule_count`` rules — so ``orders`` and the sweep entry's ``firsts``
+    may memoize lazily resolved cells across net versions.
+
+    ``entry`` is the table's branch-specialized step of the forward sweep,
+    ``(name, kind, const, parent, parents, firsts, table)``:
+
+    * ``_CONST`` — no parents and a resolved row: the best value is a
+      compile-time constant;
+    * ``_ONE_PARENT`` — ``firsts`` maps the parent's bare value straight
+      to the best value (no tuple build per query);
+    * ``_GENERAL`` — ``firsts`` maps the parent-value tuple to the best
+      value; misses fall back to the interpreted ``rule_for`` (lazy
+      tables, incomplete cells) and are memoized.
+    """
+
+    __slots__ = (
+        "name", "variable", "parent_names", "orders", "cpt", "rule_count", "entry",
+    )
 
     def __init__(self, cpt: CPT) -> None:
         self.name = cpt.variable.name
         self.variable = cpt.variable
-        self.parent_names = cpt.parent_names
+        names = self.parent_names = cpt.parent_names
         self.cpt = cpt
-        self.orders: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.rule_count = len(cpt.rules)
+        orders: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.orders = orders
         if cpt.parent_space_size() <= FLAT_SPACE_LIMIT:
             domains = [p.domain for p in cpt.parents]
-            names = self.parent_names
             for combo in itertools.product(*domains):
                 try:
                     rule = cpt.rule_for(dict(zip(names, combo)))
@@ -110,7 +138,15 @@ class _FlatTable:
                     # error semantics: they raise on first *query*, not
                     # at compile time.
                     continue
-                self.orders[combo] = rule.order
+                orders[combo] = rule.order
+        if not names and () in orders:
+            self.entry = (self.name, _CONST, orders[()][0], None, (), None, self)
+        elif len(names) == 1 and orders:
+            firsts = {key[0]: order[0] for key, order in orders.items()}
+            self.entry = (self.name, _ONE_PARENT, None, names[0], names, firsts, self)
+        else:
+            firsts = {key: order[0] for key, order in orders.items()}
+            self.entry = (self.name, _GENERAL, None, None, names, firsts, self)
 
     def order_for_key(self, key: tuple[str, ...]) -> tuple[str, ...]:
         """Total order for a full parent-value tuple (memoizing misses)."""
@@ -137,47 +173,19 @@ class _FlatTable:
         return order
 
 
-#: Sweep-plan entry kinds (see :func:`_build_plan`).
-_CONST, _ONE_PARENT, _GENERAL = 0, 1, 2
+def _flat_table(cpt: CPT) -> _FlatTable:
+    """The flat table of *cpt* — the one way to obtain one.
 
-
-def _build_plan(tables: tuple[_FlatTable, ...]) -> tuple[tuple, ...]:
-    """Flatten tables into branch-specialized sweep entries.
-
-    Each entry is ``(name, kind, const, parent, parents, firsts, table)``:
-
-    * ``_CONST`` — no parents and a resolved row: the best value is a
-      compile-time constant;
-    * ``_ONE_PARENT`` — ``firsts`` maps the parent's bare value straight
-      to the best value (no tuple build per query);
-    * ``_GENERAL`` — ``firsts`` maps the parent-value tuple to the best
-      value; misses fall back to the interpreted ``rule_for`` (lazy
-      tables, incomplete cells) and are memoized.
+    Kept on the CPT and rebuilt only when *that* CPT gained a rule:
+    staleness is the CPT's own rule count, never a net version, so a
+    §4.2 operation (one new leaf) flattens exactly one table and
+    "should not revisit the CP-tables" of anything else. Re-parenting
+    and projection mint new ``CPT`` objects, which start without one.
     """
-    plan = []
-    for table in tables:
-        firsts = {key: order[0] for key, order in table.orders.items()}
-        if not table.parent_names and () in table.orders:
-            plan.append(
-                (table.name, _CONST, table.orders[()][0], None, (), None, table)
-            )
-        elif len(table.parent_names) == 1 and table.orders:
-            plan.append(
-                (
-                    table.name,
-                    _ONE_PARENT,
-                    None,
-                    table.parent_names[0],
-                    table.parent_names,
-                    {key[0]: value for key, value in firsts.items()},
-                    table,
-                )
-            )
-        else:
-            plan.append(
-                (table.name, _GENERAL, None, None, table.parent_names, firsts, table)
-            )
-    return tuple(plan)
+    table = cpt._flat
+    if table is None or table.rule_count != len(cpt.rules):
+        table = cpt._flat = _FlatTable(cpt)
+    return table
 
 
 def _run_plan(
@@ -227,13 +235,12 @@ class CompiledCPNet:
         self.net = net
         self.version = net.structure_version
         self.order: tuple[str, ...] = tuple(net.topological_order())
+        cpts = net._cpts
         self._tables: dict[str, _FlatTable] = {
-            name: _FlatTable(net.cpt(name)) for name in self.order
+            name: _flat_table(cpts[name]) for name in self.order
         }
-        self._sweep: tuple[_FlatTable, ...] = tuple(
-            self._tables[name] for name in self.order
-        )
-        self._plan = _build_plan(self._sweep)
+        self._sweep: tuple[_FlatTable, ...] = tuple(self._tables.values())
+        self._plan = tuple(table.entry for table in self._sweep)
         # The no-evidence completion is a constant of the compilation;
         # memoized lazily (an incomplete table must still raise on the
         # first actual query, not at compile time).
@@ -300,9 +307,9 @@ class CompiledExtension:
         self.version = extension.extension_version
         # Insertion order respects parent creation (see ViewerExtension).
         self._sweep: tuple[_FlatTable, ...] = tuple(
-            _FlatTable(extension._cpts[name]) for name in extension.extension_names
+            map(_flat_table, extension._cpts.values())
         )
-        self._plan = _build_plan(self._sweep)
+        self._plan = tuple(table.entry for table in self._sweep)
         self._m_completions = get_registry().counter("cpnet.compiled.completions")
 
     @property
@@ -406,6 +413,11 @@ class CompletionCache:
     replay on a cacheless replica recomputes the same bytes.
     :meth:`entry` hands out the live :class:`CachedCompletion` for
     callers that share a derived view instead of re-deriving it.
+
+    Keys are :func:`completion_key` tuples. Entries under a non-empty
+    overlay token are reachable by one viewer at one extension version
+    only, so they are also indexed by that token: :meth:`drop_overlay`
+    reclaims them, O(1) each, the moment the token dies.
     """
 
     def __init__(self, max_entries: int = 2048) -> None:
@@ -413,6 +425,7 @@ class CompletionCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple[Any, ...], CachedCompletion] = OrderedDict()
+        self._by_overlay: dict[tuple[Any, ...], set[tuple[Any, ...]]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -449,12 +462,42 @@ class CompletionCache:
         if full; returns the new entry."""
         entry = self._entries[key] = CachedCompletion(dict(outcome))
         self._entries.move_to_end(key)
+        if key[2]:
+            self._by_overlay.setdefault(key[2], set()).add(key)
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._unindex(self._entries.popitem(last=False)[0])
             self.evictions += 1
             self._m_evictions.inc()
         self._g_size.set(len(self._entries))
         return entry
+
+    def _unindex(self, key: tuple[Any, ...]) -> None:
+        """Forget a removed entry's overlay-index slot, if it had one."""
+        if key[2]:
+            keys = self._by_overlay[key[2]]
+            keys.discard(key)
+            if not keys:
+                del self._by_overlay[key[2]]
+
+    def drop_overlay(self, overlay: tuple[Any, ...]) -> int:
+        """Drop every entry keyed under *overlay*; returns the count.
+
+        Called when a viewer's extension version moves or the viewer
+        leaves: the old token can never be looked up again, and its
+        entries would otherwise sit in the LRU ageing out live ones.
+        """
+        keys = self._by_overlay.pop(overlay, ())
+        for key in keys:
+            del self._entries[key]
+        return self._reclaimed(len(keys))
+
+    def _reclaimed(self, dropped: int) -> int:
+        """Account *dropped* eagerly reclaimed entries; returns the count."""
+        if dropped:
+            self.invalidations += dropped
+            self._m_invalidations.inc(dropped)
+        self._g_size.set(len(self._entries))
+        return dropped
 
     def invalidate(self, doc_id: str | None = None) -> int:
         """Drop entries for *doc_id* (or everything); returns the count.
@@ -471,16 +514,14 @@ class CompletionCache:
         if doc_id is None:
             dropped = len(self._entries)
             self._entries.clear()
+            self._by_overlay.clear()
         else:
             stale = [key for key in self._entries if key[0] == doc_id]
             for key in stale:
                 del self._entries[key]
+                self._unindex(key)
             dropped = len(stale)
-        if dropped:
-            self.invalidations += dropped
-            self._m_invalidations.inc(dropped)
-        self._g_size.set(len(self._entries))
-        return dropped
+        return self._reclaimed(dropped)
 
     def stats(self) -> dict[str, int]:
         return {

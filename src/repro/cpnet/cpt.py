@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import IncompleteTableError, UnknownValueError, UnknownVariableError
 from repro.cpnet.variable import Variable
@@ -79,6 +79,10 @@ class CPT:
     variable: Variable
     parents: tuple[Variable, ...]
     rules: list[PreferenceRule] = field(default_factory=list)
+    #: The compiled engine's flat table of this CPT (repro.cpnet.compiled
+    #: keeps it here so an edit elsewhere in the net never rebuilds it).
+    #: Derived state: not part of the table's value, repr or serialization.
+    _flat: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.parents = tuple(self.parents)

@@ -711,28 +711,53 @@ def _sized(value: Any, table: dict[str, int]) -> int:
     """Bytes :func:`_write_value` would append for *value*.
 
     *table* stands in for a fresh :class:`StringInterner`: the same
-    registration rule and bound, so every ``_T_IREF`` id (and its varint
-    length) matches the encoder's. Deliberately not built on the writer
-    table: this is the independent arithmetic that the size ==
-    stateless-encode property checks the writers against.
+    registration rule and bound, mapping each registered string to the
+    size of a ``_T_IREF`` to it (tag + varint of its registration
+    order), so every later occurrence costs what the encoder would
+    write. Deliberately not built on the writer table: this is the
+    independent arithmetic that the size == stateless-encode property
+    checks the writers against.
     """
     if isinstance(value, str):
-        size = _STATIC_SIZES.get(value)
-        if size is not None:
-            return size
-        table_id = table.get(value)
-        if table_id is not None:
-            return 1 + _varint_len(table_id)
-        # Non-ASCII text is measured by encoding it: the one temporary,
-        # and it raises exactly what the encoder raises on a lone surrogate.
-        length = len(value) if value.isascii() else len(value.encode("utf-8"))
-        if len(table) < MAX_DYNAMIC_STRINGS:
-            table[value] = len(table)
-        return 1 + _varint_len(length) + length
+        size = _STATIC_SIZES.get(value) or table.get(value)
+        if not size:
+            # Non-ASCII text is measured by encoding it: the one temporary,
+            # and it raises exactly what the encoder raises on a lone surrogate.
+            length = len(value) if value.isascii() else len(value.encode("utf-8"))
+            size = length + (2 if length < 0x80 else 1 + _varint_len(length))
+            count = len(table)
+            if count < MAX_DYNAMIC_STRINGS:
+                table[value] = 2 if count < 0x80 else 1 + _varint_len(count)
+        return size
     if isinstance(value, dict):
+        # One pass: the string arm above, inline for each str key and str
+        # item (a whole outcome is a flat str -> str mapping, and a call
+        # per string was most of sizing one); anything else recurses.
         size = 1 + _varint_len(len(value))
+        static_sizes = _STATIC_SIZES
         for key, item in value.items():
-            size += _sized(key, table) + _sized(item, table)
+            if type(key) is str:
+                known = static_sizes.get(key) or table.get(key)
+                if not known:
+                    length = len(key) if key.isascii() else len(key.encode("utf-8"))
+                    known = length + (2 if length < 0x80 else 1 + _varint_len(length))
+                    count = len(table)
+                    if count < MAX_DYNAMIC_STRINGS:
+                        table[key] = 2 if count < 0x80 else 1 + _varint_len(count)
+                size += known
+            else:
+                size += _sized(key, table)
+            if type(item) is str:
+                known = static_sizes.get(item) or table.get(item)
+                if not known:
+                    length = len(item) if item.isascii() else len(item.encode("utf-8"))
+                    known = length + (2 if length < 0x80 else 1 + _varint_len(length))
+                    count = len(table)
+                    if count < MAX_DYNAMIC_STRINGS:
+                        table[item] = 2 if count < 0x80 else 1 + _varint_len(count)
+                size += known
+            else:
+                size += _sized(item, table)
         return size
     if value is None or value is True or value is False:
         return 1

@@ -1,13 +1,11 @@
-"""``repro.obs`` — metrics, tracing, events and watchdogs for every tier.
+"""``repro.obs`` — metrics, tracing and events for every tier.
 
 The package keeps one process-wide default of each telemetry primitive
 (always on — instruments are cheap):
 
 - a :class:`MetricsRegistry` (:func:`get_registry`),
 - a :class:`Tracer` (:data:`trace`),
-- an :class:`EventLog` flight recorder (:func:`get_event_log`),
-- a :class:`Watchdog` listening to the default tracer
-  (:func:`get_watchdog`).
+- an :class:`EventLog` flight recorder (:func:`get_event_log`).
 
 Instrumented components resolve their handles from the getters at
 construction time; swap in the Null variants via the ``set_*`` /
@@ -49,7 +47,6 @@ from repro.obs.events import (
     NullEventLog,
     severity_rank,
 )
-from repro.obs.watch import Watchdog
 from repro.obs.dashboard import render_dashboard
 from repro.obs.dtrace import (
     DeliveryTracer,
@@ -89,20 +86,17 @@ __all__ = [
     "TraceStore",
     "Tracer",
     "WARN",
-    "Watchdog",
     "analyze_delivery",
     "diff",
     "get_dtrace",
     "get_event_log",
     "get_registry",
-    "get_watchdog",
     "render_dashboard",
     "render_delivery_tree",
     "render_span_tree",
     "set_dtrace",
     "set_event_log",
     "set_registry",
-    "set_watchdog",
     "severity_rank",
     "snapshot",
     "timeit",
@@ -113,7 +107,6 @@ __all__ = [
     "use_dtrace",
     "use_event_log",
     "use_registry",
-    "use_watchdog",
 ]
 
 _registry: MetricsRegistry | NullRegistry = MetricsRegistry()
@@ -124,18 +117,6 @@ trace = Tracer()
 
 #: Process-default flight recorder, correlated to the default tracer.
 _event_log: EventLog | NullEventLog = EventLog(tracer=trace)
-
-#: Process-default watchdog. No budgets by default — it only acts once
-#: :meth:`Watchdog.set_budget` is called — but it is already wired to
-#: every span the default tracer finishes.
-_watchdog: Watchdog = Watchdog(event_log=_event_log)
-
-
-def _watchdog_listener(span: Span) -> None:
-    _watchdog.check(span.name, span.duration)
-
-
-trace.add_listener(_watchdog_listener)
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:
@@ -175,13 +156,11 @@ def get_event_log() -> EventLog | NullEventLog:
 def set_event_log(event_log: EventLog | NullEventLog) -> EventLog | NullEventLog:
     """Replace the default flight recorder; returns it.
 
-    The default watchdog follows along: its violations land in the new
-    log. Components cache their log handle at construction, so swap
-    before building whatever should record into it.
+    Components cache their log handle at construction, so swap before
+    building whatever should record into it.
     """
     global _event_log
     _event_log = event_log
-    _watchdog._event_log = event_log
     return event_log
 
 
@@ -196,29 +175,6 @@ def use_event_log(
         yield event_log
     finally:
         set_event_log(previous)
-
-
-def get_watchdog() -> Watchdog:
-    """The process-default watchdog (listening to the default tracer)."""
-    return _watchdog
-
-
-def set_watchdog(watchdog: Watchdog) -> Watchdog:
-    """Replace the default watchdog; returns it."""
-    global _watchdog
-    _watchdog = watchdog
-    return watchdog
-
-
-@contextmanager
-def use_watchdog(watchdog: Watchdog) -> Iterator[Watchdog]:
-    """Temporarily install *watchdog* as the default (test isolation)."""
-    previous = get_watchdog()
-    set_watchdog(watchdog)
-    try:
-        yield watchdog
-    finally:
-        set_watchdog(previous)
 
 
 def snapshot() -> dict:

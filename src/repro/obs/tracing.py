@@ -96,7 +96,7 @@ class Tracer:
         )
 
     def add_listener(self, listener: Callable[[Span], None]) -> Callable[[Span], None]:
-        """Call *listener* with every finished span (watchdogs hook here)."""
+        """Call *listener* with every finished span."""
         self._listeners.append(listener)
         return listener
 

@@ -70,6 +70,12 @@ class PresentationEngine:
         self._shared_version = 0
         self._viewer_versions: dict[str, int] = {}
         self._spec_cache: dict[str, tuple[int, int, PresentationSpec]] = {}
+        # ((shared version, base structure version), whether every shared
+        # choice names a base variable) — see _shared_evidence.
+        self._shared_on_base: tuple[tuple[int, int], bool] | None = None
+        # Each viewer's live overlay token in the completion cache; the
+        # entries under a token are reclaimed when it moves or she leaves.
+        self._overlays: dict[str, tuple] = {}
         # Cache accounting: plain per-instance tallies (what tests and
         # `stats()` expect) plus registry children split per document, so
         # dashboards see cache behaviour without holding engine refs.
@@ -107,6 +113,7 @@ class PresentationEngine:
         self._extensions.pop(viewer_id, None)
         self._viewer_versions.pop(viewer_id, None)
         self._spec_cache.pop(viewer_id, None)
+        self._track_overlay(viewer_id, ())
 
     @property
     def viewer_ids(self) -> tuple[str, ...]:
@@ -235,6 +242,8 @@ class PresentationEngine:
             if extension.size()
             else ()
         )
+        if self._overlays.get(viewer_id, ()) != overlay:
+            self._track_overlay(viewer_id, overlay)
         key = completion_key(
             document.doc_id, document.network.version_token, overlay, evidence
         )
@@ -248,6 +257,37 @@ class PresentationEngine:
                 document, document._enforce_subtree_hiding(entry.outcome)
             )
         return entry.view
+
+    def _track_overlay(self, viewer_id: str, overlay: tuple) -> None:
+        """Make *overlay* the viewer's live token, reclaiming the old
+        one's completions: a moved extension version (or a departed
+        viewer) can never look them up again."""
+        previous = self._overlays.pop(viewer_id, ())
+        if previous and self.completion_cache is not None:
+            self.completion_cache.drop_overlay(previous)
+        if overlay:
+            self._overlays[viewer_id] = overlay
+
+    def _shared_evidence(self, extension: ViewerExtension) -> dict[str, str]:
+        """A fresh dict of the shared choices that constrain one viewer.
+
+        A shared choice applies to a viewer when it names a base variable
+        or one of her own extension variables. While every shared choice
+        names a base variable — the common case — that is all of them,
+        for every member alike; the check is made once per (shared
+        change, base structure version), and only a choice outside the
+        base net (someone's extension variable, a removed component)
+        sends each viewer through her own filter.
+        """
+        network = self.document.network
+        token = (self._shared_version, network.structure_version)
+        memo = self._shared_on_base
+        if memo is None or memo[0] != token:
+            on_base = all(map(network.__contains__, self._shared_choices))
+            memo = self._shared_on_base = (token, on_base)
+        if memo[1]:
+            return dict(self._shared_choices)
+        return {c: v for c, v in self._shared_choices.items() if c in extension}
 
     def presentation_for(self, viewer_id: str, now: float = 0.0) -> PresentationSpec:
         """The optimal presentation of the document for *viewer_id*.
@@ -270,12 +310,8 @@ class PresentationEngine:
         self._cache_misses += 1
         self._m_cache_misses.inc()
         extension = self._extensions[viewer_id]
-        evidence: dict[str, str] = {}
-        for component, value in self._shared_choices.items():
-            if component in extension:  # shared choices on base or own extension vars
-                evidence[component] = value
-        for component, value in self._personal_choices[viewer_id].items():
-            evidence[component] = value
+        evidence = self._shared_evidence(extension)
+        evidence.update(self._personal_choices[viewer_id])
         view = self._view(viewer_id, extension, evidence)
         spec = view.spec_for(viewer_id, computed_at=now)
         self._spec_cache[viewer_id] = (versions[0], versions[1], spec)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IncompleteTableError
+from repro.errors import CyclicNetworkError, IncompleteTableError
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.cpnet import (
     CPNet,
@@ -157,6 +157,122 @@ class TestCompilationInvalidation:
             assert dumps(compile_extension(ext).best_completion(evidence)) == dumps(
                 ext.interpreted_best_completion(evidence)
             )
+
+
+# ----- a flat table belongs to its CPT (§4.2: "no CPT revisit") ---------------------
+
+
+class TestTablesLiveWithTheirCPT:
+    def test_operations_flatten_exactly_the_new_table(self):
+        net = figure2_network()
+        ext = ViewerExtension(net, "ines")
+        ext.apply_operation("c2", "crop", "c2_1")
+        base, overlay = compile_cpnet(net), compile_extension(ext)
+        kept = {name: base.table(name) for name in base.order}
+        crop = overlay._sweep[0]
+
+        apply_operation(net, "c2", "segment", "c2_2")  # global
+        rebased = compile_cpnet(net)
+        assert rebased is not base  # a new compilation, re-strung...
+        for name, table in kept.items():
+            assert rebased.table(name) is table  # ...from the same tables
+        assert all(rebased.table("c2.segment") is not t for t in kept.values())
+
+        ext.apply_operation("c3", "zoom", "c3_2")  # viewer-local
+        regrown = compile_extension(ext)
+        assert regrown is not overlay and regrown.base is rebased
+        assert [t.name for t in regrown._sweep] == ["c2.crop", "c3.zoom"]
+        assert regrown._sweep[0] is crop
+        assert compile_cpnet(net) is rebased  # the base was not recompiled
+
+    def test_a_touched_cpt_is_flattened_again(self):
+        net = figure2_network()
+        add_component_variable(net, "note", ("shown", "hidden"), parents=("c1",))
+        first = compile_cpnet(net)
+        assert first.best_completion({"c1": "c1_2"})["note"] == "shown"
+        # Re-ruled: a more specific row changes a cell the table resolved.
+        net.add_rule("note", {"c1": "c1_2"}, ("hidden", "shown"))
+        second = compile_cpnet(net)
+        assert second.table("note") is not first.table("note")
+        assert second.table("c3") is first.table("c3")
+        assert second.best_completion({"c1": "c1_2"})["note"] == "hidden"
+        # Re-parented: set_parents mints a new CPT, so a new table.
+        net.set_parents("note", ("c2",))
+        net.add_rule("note", {}, ("shown", "hidden"))
+        third = compile_cpnet(net)
+        assert third.table("note") is not second.table("note")
+        assert third.table("note").parent_names == ("c2",)
+        # Projected: removing c3 rewrites the CPTs of c4 and c5 only.
+        net.remove_variable("c3", reparent_children=True)
+        fourth = compile_cpnet(net)
+        for name in ("c4", "c5"):
+            assert fourth.table(name) is not third.table(name)
+            assert fourth.table(name).parent_names == ()
+        for name in ("c1", "c2", "note"):
+            assert fourth.table(name) is third.table(name)
+
+    def test_lazily_memoized_cells_do_not_outlive_a_new_rule(self, monkeypatch):
+        """Over FLAT_SPACE_LIMIT nothing is flattened eagerly: the table
+        and its sweep entry memoize the cells queries visit. A rule that
+        changes such a cell must retire both memos."""
+        from repro.cpnet import compiled as compiled_mod
+
+        monkeypatch.setattr(compiled_mod, "FLAT_SPACE_LIMIT", 0)
+        net = figure2_network().copy("lazy")
+        add_component_variable(net, "note", ("shown", "hidden"), parents=("c1",))
+        table = compile_cpnet(net).table("note")
+        assert not table.orders
+        assert compile_cpnet(net).best_completion({})["note"] == "shown"
+        assert table.orders and table.entry[5]  # both memoized c1=c1_1
+        net.add_rule("note", {"c1": "c1_1"}, ("hidden", "shown"))
+        assert compile_cpnet(net).best_completion({})["note"] == "hidden"
+
+    def test_install_tuning_reflattens_the_tuned_components_only(self):
+        from repro.document import build_sample_medical_record
+        from repro.presentation.tuning import TUNING_VARIABLE, install_bandwidth_tuning
+
+        document = build_sample_medical_record()
+        net = document.network
+        before = compile_cpnet(net)
+        kept = {name: before.table(name) for name in before.order}
+        tuned = install_bandwidth_tuning(document)
+        after = compile_cpnet(net)
+        assert tuned
+        for name, table in kept.items():
+            assert (after.table(name) is table) == (name not in tuned)
+        for evidence in ({}, {TUNING_VARIABLE: "low"}, {TUNING_VARIABLE: "medium"}):
+            with interpreted_mode():
+                reference = best_completion(net, evidence)
+            assert dumps(after.best_completion(evidence)) == dumps(reference)
+
+    def test_promoted_variables_get_tables_of_their_own(self):
+        net = figure2_network()
+        ext = ViewerExtension(net, "ines")
+        ext.apply_operation("c2", "crop", "c2_1")
+        local = compile_extension(ext)._sweep[0]
+        ext.promote_to_base()
+        assert compile_extension(ext)._sweep == ()
+        promoted = compile_cpnet(net).table("c2.crop")
+        assert promoted is not local and promoted.cpt is net.cpt("c2.crop")
+
+    def test_the_table_is_not_part_of_the_cpts_value(self):
+        from repro.cpnet.serialize import network_to_json
+
+        net, twin = figure2_network(), figure2_network()
+        compile_cpnet(net).optimal_outcome()
+        for name in net.variable_names:
+            assert net.cpt(name)._flat is not None and twin.cpt(name)._flat is None
+            assert net.cpt(name) == twin.cpt(name)
+            assert repr(net.cpt(name)) == repr(twin.cpt(name))
+        assert network_to_json(net) == network_to_json(twin)
+
+    def test_two_instances_of_a_document_keep_separate_tables(self):
+        """A primary and its standby hold separate network instances."""
+        primary = figure2_network()
+        standby = primary.copy()
+        ours, theirs = compile_cpnet(primary), compile_cpnet(standby)
+        for name in ours.order:
+            assert ours.table(name) is not theirs.table(name)
 
 
 # ----- global switch ----------------------------------------------------------------
@@ -337,3 +453,194 @@ def test_compiled_byte_identical_through_extensions(net_evidence, seed):
     assert dumps(compile_extension(ext).best_completion(evidence2)) == dumps(
         ext.interpreted_best_completion(evidence2)
     )
+
+
+# ----- tables live with their CPT: long §4.2 sequences, queried at every step ------
+
+TUNING = "tuning.bandwidth"
+STEPS = (
+    "global_operation", "local_operation", "add_component", "add_partial",
+    "append_rule", "set_parents", "install_tuning", "project", "promote",
+)
+
+
+def _answer(query, evidence):
+    """The outcome as bytes, or the error class when the tables cannot
+    answer (incomplete or ambiguous cells raise on both engines)."""
+    try:
+        return dumps(query(evidence))
+    except IncompleteTableError as exc:
+        return type(exc).__name__
+
+
+class _EditScript:
+    """One random §4.2 history over a net and one viewer's extension."""
+
+    def __init__(self, net, rng):
+        self.net, self.rng = net, rng
+        self.ext = ViewerExtension(net, "viewer")
+        self.serial = 0
+
+    def fresh(self, stem):
+        self.serial += 1
+        return f"{stem}{self.serial}"
+
+    def shuffled(self, domain):
+        order = list(domain)
+        self.rng.shuffle(order)
+        return order
+
+    def pick(self, names):
+        name = self.rng.choice(sorted(names))
+        return name, self.rng.choice(self.ext.variable(name).domain)
+
+    def evidence(self, names, share):
+        """Pin each variable with probability *share* (sparse evidence
+        consults most tables; dense evidence still gets an outcome out of
+        a net whose edits left some cells ambiguous)."""
+        chosen = [n for n in sorted(names) if self.rng.random() < share]
+        return {n: self.rng.choice(self.ext.variable(n).domain) for n in chosen}
+
+    def some_rule(self, cpt):
+        """A rule on a random non-empty subset of *cpt*'s parents: more
+        specific than a catch-all (the cell's answer changes), a tie with
+        a fully enumerated row (the cell turns ambiguous)."""
+        parents = self.rng.sample(cpt.parents, self.rng.randint(1, len(cpt.parents)))
+        condition = {p.name: self.rng.choice(p.domain) for p in parents}
+        return condition, self.shuffled(cpt.variable.domain)
+
+    # -- the steps -----------------------------------------------------------
+
+    def global_operation(self):
+        target, value = self.pick(self.net.variable_names)
+        apply_operation(self.net, target, self.fresh("op"), value)
+
+    def local_operation(self):
+        names = self.net.variable_names + self.ext.extension_names
+        target, value = self.pick(names)
+        self.ext.apply_operation(target, self.fresh("lop"), value)
+
+    def add_component(self):
+        names = sorted(self.net.variable_names)
+        parents = self.rng.sample(names, self.rng.randint(0, min(2, len(names))))
+        domain = ("on", "off", "dim")
+        add_component_variable(
+            self.net, self.fresh("added"), domain, parents, self.shuffled(domain)
+        )
+
+    def add_partial(self):
+        """A child whose table covers one parent value only: every other
+        cell raises on query until append_rule completes it."""
+        parent, value = self.pick(self.net.variable_names)
+        name = self.fresh("partial")
+        self.net.add_variable(name, ("a", "b"), parents=(parent,))
+        self.net.add_rule(name, {parent: value}, self.shuffled(("a", "b")))
+
+    def append_rule(self):
+        """A rule appended to a CPT that was already flattened (and whose
+        cells, under a tiny FLAT_SPACE_LIMIT, were memoized by queries)."""
+        partial = [n for n in self.net.variable_names
+                   if [rule.specificity for rule in self.net.cpt(n).rules] == [1]]
+        if partial:
+            domain = self.net.variable(partial[0]).domain
+            self.net.add_rule(partial[0], {}, self.shuffled(domain))
+            return
+        base = [n for n in self.net.variable_names if self.net.cpt(n).parents]
+        local = [n for n in self.ext.extension_names if self.ext._cpts[n].parents]
+        if local and (not base or self.rng.random() < 0.4):
+            name = self.rng.choice(local)
+            self.ext.add_rule(name, *self.some_rule(self.ext._cpts[name]))
+        elif base:
+            name = self.rng.choice(base)
+            self.net.add_rule(name, *self.some_rule(self.net.cpt(name)))
+
+    def set_parents(self):
+        names = sorted(self.net.variable_names)
+        name = self.rng.choice(names)
+        if name == TUNING:
+            return  # the tuning variable stays a root, as the policy makes it
+        others = [n for n in names if n != name]
+        parents = self.rng.sample(others, self.rng.randint(0, min(2, len(others))))
+        try:
+            self.net.set_parents(name, parents)
+        except CyclicNetworkError:
+            return
+        domain = self.net.variable(name).domain
+        self.net.add_rule(name, {}, self.shuffled(domain))
+        if parents:
+            self.net.add_rule(name, *self.some_rule(self.net.cpt(name)))
+
+    def install_tuning(self):
+        """`install_bandwidth_tuning`'s network edit, on one more variable:
+        re-parent under the tuning root, keep each old row, add two
+        more-specific rows beside it."""
+        net = self.net
+        if TUNING not in net:
+            add_component_variable(net, TUNING, ("high", "medium", "low"))
+        untuned = [n for n in net.variable_names
+                   if n != TUNING and TUNING not in net.parents(n)]
+        if not untuned:
+            return
+        name = self.rng.choice(sorted(untuned))
+        cpt = net.cpt(name)
+        old_rules = list(cpt.rules)
+        net.set_parents(name, cpt.parent_names + (TUNING,))
+        for rule in old_rules:
+            condition = dict(rule.condition)
+            net.add_rule(name, condition, rule.order)
+            for level in ("medium", "low"):
+                net.add_rule(name, {**condition, TUNING: level}, self.shuffled(rule.order))
+
+    def project(self):
+        """Remove a variable, projecting its children's tables. (One the
+        viewer's extension hangs off stays: §4.2 removes components, and
+        an overlay on a removed component is out of this property.)"""
+        held = {p.name for cpt in self.ext._cpts.values() for p in cpt.parents}
+        free = [n for n in self.net.variable_names if n not in held]
+        if len(self.net) > 1 and free:
+            self.net.remove_variable(self.rng.choice(sorted(free)), reparent_children=True)
+
+    def promote(self):
+        self.ext.promote_to_base()
+
+    # -- the check -----------------------------------------------------------
+
+    def check(self):
+        net, ext = self.net, self.ext
+        for share in (0.15, 0.7):
+            evidence = self.evidence(net.variable_names, share)
+            with interpreted_mode():
+                reference = _answer(lambda e: best_completion(net, e), evidence)
+            assert _answer(compile_cpnet(net).best_completion, evidence) == reference
+            evidence.update(self.evidence(ext.extension_names, share))
+            assert _answer(compile_extension(ext).best_completion, evidence) == _answer(
+                ext.interpreted_best_completion, evidence
+            )
+
+
+@given(
+    nets,
+    st.lists(st.sampled_from(STEPS), min_size=12, max_size=40),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from((0, 2, 4096)),
+)
+@settings(max_examples=60, deadline=None)
+def test_compiled_byte_identical_at_every_step_of_long_edit_sequences(
+    net, steps, seed, flat_limit
+):
+    """Compile and query after *every* §4.2 step: a table kept from an
+    earlier compilation must answer exactly as a fresh one would."""
+    import random
+
+    from repro.cpnet import compiled as compiled_mod
+
+    script = _EditScript(net, random.Random(seed))
+    old_limit = compiled_mod.FLAT_SPACE_LIMIT
+    compiled_mod.FLAT_SPACE_LIMIT = flat_limit  # 0/2: cells memoize on query
+    try:
+        script.check()
+        for step in steps:
+            getattr(script, step)()
+            script.check()
+    finally:
+        compiled_mod.FLAT_SPACE_LIMIT = old_limit

@@ -2,6 +2,7 @@
 
 import enum
 import hashlib
+import random
 from collections import OrderedDict, defaultdict
 
 import pytest
@@ -333,6 +334,35 @@ _sized_values = st.recursive(
 )
 _unencodable = st.sampled_from([{1, 2}, frozenset(), 1j, object, range(3)])
 
+def _outcome(count: int, seed: int) -> dict[str, str]:
+    """A presentation outcome's shape: a flat ``str -> str`` mapping of
+    many distinct paths onto few distinct values. Up to 300 entries, so
+    intern ids cross the one-byte varint; stems of 130 bytes and more, so
+    literal lengths do too; non-ASCII paths; a few static-string keys;
+    values that are static, repeat, or equal an earlier key (a reference
+    to a string a *key* registered)."""
+    rng = random.Random(seed)
+    stems = ["imaging.ct_head", "labs", "né-ü.scan", "x" * 130, "ü" * 70]
+    stems += STATIC_STRINGS[:4]
+    pool = ["hidden", "shown", "segmented", "applied", "plain", "né-ü", ""]
+    keys: list[str] = []
+    outcome: dict[str, str] = {}
+    for index in range(count):
+        stem = rng.choice(stems)
+        key = stem if stem in STATIC_STRINGS and stem not in outcome else f"{stem}.{index}"
+        keys.append(key)
+        # Recent keys carry the high intern ids of a long outcome.
+        recent = keys[-1 - rng.randrange(min(len(keys), 12))]
+        outcome[key] = rng.choice(pool + [recent, recent])
+    return outcome
+
+
+_outcomes = st.builds(
+    _outcome,
+    count=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+
 
 def _buried(bad, wrappers):
     """*bad* nested inside lists/tuples/dicts, with encodable siblings."""
@@ -357,6 +387,14 @@ class TestArithmeticSizing:
     def test_matches_stateless_encoding(self, value):
         assert value_size(value) == stateless_len(value)
         assert encoded_size(value) == stateless_len(value)
+
+    @settings(max_examples=100)
+    @given(_outcomes)
+    def test_whole_outcomes_match_stateless_encoding(self, outcome):
+        assert value_size(outcome) == stateless_len(outcome)
+        # ...and nested, where the table already holds strings on entry.
+        wrapped = {"doc_id": "d", "labs": ["labs.0", outcome], "outcome": outcome}
+        assert value_size(wrapped) == stateless_len(wrapped)
 
     @settings(max_examples=25)
     @given(

@@ -117,6 +117,127 @@ class TestOperations:
             engine.apply_operation("lee", "no.such", "zoom")
 
 
+class TestSharedEvidence:
+    """The shared choices' evidence is assembled once for the room while
+    every choice names a base variable; it must stay exactly what the
+    per-viewer filter (base or *own* extension variable) would give."""
+
+    ZOOM = "imaging.ct_head.zoom"
+
+    def test_shared_choice_on_an_extension_variable_reaches_only_its_owner(self, engine):
+        engine.apply_operation("lee", "imaging.ct_head", "zoom")
+        engine.apply_choice(ViewerChoice("lee", self.ZOOM, "plain"))
+        engine.apply_choice(ViewerChoice("cho", "imaging.ct_head", "segmented"))
+        lee, cho = engine.presentation_for("lee"), engine.presentation_for("cho")
+        assert lee.value(self.ZOOM) == "plain"
+        assert self.ZOOM not in cho.outcome
+        # The base choice beside it still reaches both.
+        assert lee.value("imaging.ct_head") == cho.value("imaging.ct_head") == "segmented"
+        # Cho performs the same operation herself: now it constrains her too.
+        engine.apply_operation("cho", "imaging.ct_head", "zoom")
+        assert engine.presentation_for("cho").value(self.ZOOM) == "plain"
+
+    def test_clear_choice_retires_the_assembled_evidence(self, engine):
+        default = engine.presentation_for("cho").outcome
+        engine.apply_choice(ViewerChoice("lee", "imaging.ct_head", "segmented"))
+        for viewer in ("lee", "cho"):
+            assert engine.presentation_for(viewer).value("imaging.ct_head") == "segmented"
+        engine.clear_choice("lee", "imaging.ct_head")
+        for viewer in ("lee", "cho"):
+            assert engine.presentation_for(viewer).outcome == default
+
+    def test_base_variable_removed_under_a_recorded_choice(self, engine):
+        engine.apply_operation("lee", "imaging.ct_head", "zoom", global_importance=True)
+        engine.apply_choice(ViewerChoice("lee", self.ZOOM, "plain"))
+        assert engine.presentation_for("cho").value(self.ZOOM) == "plain"
+        engine.document.network.remove_variable(self.ZOOM)
+        # A viewer whose own version moves recomputes at once — the
+        # recorded choice names nothing she has, and must not raise.
+        engine.apply_choice(ViewerChoice("cho", "labs", "hidden", scope=PERSONAL))
+        assert self.ZOOM not in engine.presentation_for("cho").outcome
+        engine.invalidate()
+        assert self.ZOOM not in engine.presentation_for("lee").outcome
+
+    def test_invalidate_after_the_base_gains_a_chosen_variable(self, engine):
+        engine.apply_operation("lee", "labs.ecg", "zoom")
+        engine.apply_choice(ViewerChoice("lee", "labs.ecg.zoom", "plain"))
+        engine.apply_operation("cho", "imaging.ct_head", "zoom")  # cho: her own overlay
+        assert "labs.ecg.zoom" not in engine.presentation_for("cho").outcome
+        # Someone edits the shared network outside the engine, then says so.
+        engine.extension("lee").promote_to_base()
+        engine.invalidate()
+        assert engine.presentation_for("cho").value("labs.ecg.zoom") == "plain"
+        assert engine.presentation_for("lee").value("labs.ecg.zoom") == "plain"
+
+    def test_compiled_matches_interpreted_across_an_eight_member_edit_script(self):
+        import json
+
+        from repro.cpnet import interpreted_mode
+
+        members = [f"dr-{index}" for index in range(8)]
+        script = [
+            ("choice", "dr-0", "imaging.ct_head", "segmented", SHARED),
+            ("choice", "dr-1", "labs.ecg", "icon", PERSONAL),
+            ("operation", "dr-2", "imaging.ct_head", "zoom", False),
+            ("choice", "dr-2", "imaging.ct_head.zoom", "plain", SHARED),
+            ("operation", "dr-3", "labs.ecg", "measure", True),
+            ("choice", "dr-4", "labs.ecg.measure", "plain", SHARED),
+            ("operation", "dr-5", "imaging.ct_head", "zoom", False),
+            ("choice", "dr-6", "imaging", "hidden", SHARED),
+            ("clear", "dr-6", "imaging"),
+            ("operation", "dr-2", "labs.ecg", "crop", False),
+            ("choice", "dr-7", "labs", "hidden", PERSONAL),
+            ("leave", "dr-2"),
+            ("clear", "dr-0", "imaging.ct_head.zoom"),
+            ("choice", "dr-5", "imaging.ct_head.zoom", "applied", SHARED),
+            ("join", "dr-2"),
+            ("operation", "dr-0", "consult.voice_note", "denoise", True),
+            ("choice", "dr-1", "imaging.ct_head", "flat", SHARED),
+        ]
+
+        def by_definition(engine, viewer):
+            """Figure 4(b), spelled out: shared choices on a base or own
+            extension variable, then personal ones; one reference sweep."""
+            extension = engine.extension(viewer)
+            evidence = {
+                c: v for c, v in engine.shared_choices.items() if c in extension
+            }
+            evidence.update(engine.personal_choices(viewer))
+            return engine.document._enforce_subtree_hiding(
+                extension.interpreted_best_completion(evidence)
+            )
+
+        def run(cache):
+            engine = PresentationEngine(
+                build_sample_medical_record(), completion_cache=cache
+            )
+            for member in members:
+                engine.register_viewer(member)
+            frames = []
+            for step in [("start",)] + script:
+                kind, args = step[0], step[1:]
+                if kind == "choice":
+                    engine.apply_choice(ViewerChoice(*args))
+                elif kind == "operation":
+                    engine.apply_operation(*args[:3], global_importance=args[3])
+                elif kind == "clear":
+                    engine.clear_choice(*args)
+                elif kind == "leave":
+                    engine.unregister_viewer(*args)
+                elif kind == "join":
+                    engine.register_viewer(*args)
+                shown = {v: engine.presentation_for(v).outcome for v in engine.viewer_ids}
+                for viewer, outcome in shown.items():
+                    assert outcome == by_definition(engine, viewer), (step, viewer)
+                frames.append(json.dumps(shown))
+            return frames
+
+        with interpreted_mode():
+            reference = run(None)
+        assert run(CompletionCache()) == reference
+        assert run(None) == reference  # compiled, no shard cache
+
+
 class TestSharedCompletionCache:
     def test_rejoining_viewer_never_hits_discarded_extension_entries(self):
         """Regression: a viewer who leaves and rejoins gets a *fresh*

@@ -156,6 +156,46 @@ class TestRooms:
         assert all(view() is None for view in views)
 
 
+    def test_overlay_completions_are_reclaimed_as_their_token_dies(self, server):
+        """Regression: a viewer with a §4.2 extension keys her completions
+        on (viewer, extension instance, extension version). Every local
+        operation moved the version and stranded the previous one's
+        entries; a departing viewer left all of hers behind — dead
+        weight in the shard LRU until eviction or room close."""
+        cache = server.completion_cache
+        lee, cho, wu = (server.connect_session(name) for name in ("lee", "cho", "wu"))
+        for session in (lee, cho, wu):
+            server.join_room(session.session_id, "record-17")
+
+        def versions_held():
+            held = {}
+            for _, _, overlay, _ in cache._entries:
+                if overlay:
+                    held.setdefault(overlay[:2], set()).add(overlay[2])
+            return held
+
+        operations = ("zoom", "crop", "segment", "measure", "invert")
+        for index, operation in enumerate(operations):
+            server.handle_operation(lee.session_id, "imaging.ct_head", operation)
+            server.handle_choice(
+                cho.session_id, "labs", ("hidden", "shown")[index % 2]
+            )
+            if index == 2:
+                server.handle_operation(cho.session_id, "labs.ecg", "zoom")
+            held = versions_held()
+            assert held and all(len(versions) == 1 for versions in held.values())
+        assert {viewer for viewer, _ in versions_held()} == {"lee", "cho"}
+        before = cache.invalidations
+
+        server.leave_room(lee.session_id)  # cho and wu stay: the room lives on
+        assert {viewer for viewer, _ in versions_held()} == {"cho"}
+        assert cache.invalidations > before  # counted where reclamation is counted
+        assert set(cache._by_overlay) == {key[2] for key in cache._entries if key[2]}
+        server.leave_room(cho.session_id)
+        assert versions_held() == {} and cache._by_overlay == {}
+        assert len(cache) > 0  # wu's base-only entries are untouched
+
+
 class TestPropagation:
     def test_choice_returns_diffs_per_member(self, server):
         s1 = server.connect_session("lee")

@@ -34,15 +34,13 @@ NONDETERMINISTIC_METRICS = (
 
 @pytest.fixture
 def fresh_obs():
-    """Isolated registry/event-log/watchdog around the package defaults."""
+    """Isolated registry/event-log around the package defaults."""
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
         obs.trace.clear()
         log = obs.EventLog(tracer=obs.trace)
         with obs.use_event_log(log):
-            watchdog = obs.Watchdog(event_log=log, registry=registry)
-            with obs.use_watchdog(watchdog):
-                yield registry, log, watchdog
+            yield registry, log
 
 
 def build_rig(tmp_path, name="db"):
@@ -110,10 +108,7 @@ class TestMonitorRegistration:
 
 class TestTelemetryDelivery:
     def _consultation(self, tmp_path, fresh_obs):
-        registry, log, watchdog = fresh_obs
-        # A deliberately impossible budget: every view response violates,
-        # so the WARN path is exercised deterministically.
-        watchdog.set_budget("client.view_response", 1e-9)
+        registry, log = fresh_obs
         db, store, network, server = build_rig(tmp_path)
         monitor = attach_monitor(network)
         monitor.connect()
@@ -121,6 +116,9 @@ class TestTelemetryDelivery:
         # monitor's default link is slower than the clients', so its
         # MONITOR message would otherwise lose the race to the JOINs.
         network.run()
+        # One WARN in the flight recorder, so the WARN path to the
+        # monitor is exercised deterministically.
+        log.emit("drill.alarm", severity="WARN", at=network.clock.now)
         clients = [attach_client(network, f"dr-{i}") for i in range(3)]
         for client in clients:
             client.join("record-17")
@@ -140,10 +138,8 @@ class TestTelemetryDelivery:
         # At least one metric-diff snapshot arrived as a repro.net message...
         assert len(monitor.snapshots) >= 1
         assert any(s.get("diff", {}).get("counters") for s in monitor.snapshots)
-        # ...and at least one WARN event (the watchdog's slow-op log).
-        warns = monitor.warn_events()
-        assert len(warns) >= 1
-        assert any(e["name"] == "watch.slow_op" for e in warns)
+        # ...and the WARN event, over the same wire.
+        assert [e["name"] for e in monitor.warn_events()] == ["drill.alarm"]
 
     def test_room_lifecycle_events_arrive(self, tmp_path, fresh_obs):
         monitor = self._consultation(tmp_path, fresh_obs)
@@ -162,7 +158,7 @@ class TestTelemetryDelivery:
         assert 'client.view_response_s{viewer="dr-0"}' in combined["histograms"]
 
     def test_telemetry_messages_are_counted_as_server_traffic(self, tmp_path, fresh_obs):
-        registry, _, _ = fresh_obs
+        registry, _ = fresh_obs
         monitor = self._consultation(tmp_path, fresh_obs)
         # Dogfooding: telemetry crossed the simulated network and was
         # charged to the monitor's downlink like any other traffic.
@@ -178,33 +174,30 @@ class TestTelemetryDelivery:
                 network = SimulatedNetwork()
                 log = obs.EventLog(clock=lambda: network.clock.now, tracer=obs.trace)
                 with obs.use_event_log(log):
-                    watchdog = obs.Watchdog(event_log=log, registry=registry)
-                    watchdog.set_budget("client.view_response", 1e-9)
-                    with obs.use_watchdog(watchdog):
-                        db = Database(str(tmp_path / name))
-                        store = MultimediaObjectStore(db)
-                        store.store_document(build_sample_medical_record())
-                        server = InteractionServer(store, network=network)
-                        monitor = attach_monitor(network)
-                        monitor.connect()
-                        network.run()
-                        clients = [
-                            attach_client(network, f"dr-{i}") for i in range(3)
-                        ]
-                        for client in clients:
-                            client.join("record-17")
-                        network.run()
-                        clients[0].choose("imaging.ct_head", "segmented")
-                        network.run()
-                        for client in clients:
-                            client.leave()
-                        network.run()
-                        out = monitor.render(
-                            title="three-client consultation",
-                            exclude=NONDETERMINISTIC_METRICS,
-                        )
-                        db.close()
-                        return out
+                    db = Database(str(tmp_path / name))
+                    store = MultimediaObjectStore(db)
+                    store.store_document(build_sample_medical_record())
+                    server = InteractionServer(store, network=network)
+                    monitor = attach_monitor(network)
+                    monitor.connect()
+                    network.run()
+                    clients = [
+                        attach_client(network, f"dr-{i}") for i in range(3)
+                    ]
+                    for client in clients:
+                        client.join("record-17")
+                    network.run()
+                    clients[0].choose("imaging.ct_head", "segmented")
+                    network.run()
+                    for client in clients:
+                        client.leave()
+                    network.run()
+                    out = monitor.render(
+                        title="three-client consultation",
+                        exclude=NONDETERMINISTIC_METRICS,
+                    )
+                    db.close()
+                    return out
 
         first = run("run1")
         second = run("run2")

@@ -18,17 +18,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
     "chaos": 662,
-    "client": 1152,
+    "client": 1149,
     "cluster": 2884,
-    "cpnet": 2116,
+    "cpnet": 2161,
     "db": 3138,
     "document": 1142,
     "interest": 306,
     "media": 3112,
-    "net": 2082,
-    "obs": 2208,
+    "net": 2107,
+    "obs": 2063,
     "prefetch": 472,
-    "presentation": 759,
+    "presentation": 795,
     "retrieval": 827,
     "server": 1858,
     "util": 288,
