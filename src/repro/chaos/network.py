@@ -15,8 +15,6 @@ explains itself in the same telemetry as a healthy one.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.chaos.plan import (
     CORRUPT,
     DELAY,
@@ -75,7 +73,7 @@ class ChaosNetwork(SimulatedNetwork):
         if action == DROP:
             return
         if action == CORRUPT:
-            super()._transmit(replace(message, payload=CORRUPTED_PAYLOAD))
+            super()._transmit(message._replace(payload=CORRUPTED_PAYLOAD))
             return
         if action == DUPLICATE:
             super()._transmit(message)

@@ -152,11 +152,12 @@ class Frame:
     chaos-corrupted frame does not), with zero re-encoding.
 
     ``trace`` mirrors the frame's trace-context trailer (empty for
-    unstamped frames); ``_stamps`` caches stamped variants so one cached
-    body fans out under one context with a single trailer encode.
+    unstamped frames); ``_stamped`` keeps the latest stamped variant so
+    one cached body fans out under one context with a single trailer
+    encode — and a long-lived frame holds one copy, not one per context.
     """
 
-    __slots__ = ("kind", "payload", "data", "checksum", "_uses", "trace", "_stamps")
+    __slots__ = ("kind", "payload", "data", "checksum", "_uses", "trace", "_stamped")
 
     def __init__(self, kind: str, payload: Any, data: bytes) -> None:
         self.kind = kind
@@ -165,7 +166,7 @@ class Frame:
         self.checksum = zlib.crc32(data)
         self._uses = 0  # transmissions + embeddings; >1 means bytes reused
         self.trace: tuple[TraceContext, ...] = ()
-        self._stamps: dict[tuple[TraceContext, ...], "Frame"] | None = None
+        self._stamped: "Frame | None" = None
 
     @property
     def size_bytes(self) -> int:
@@ -500,14 +501,12 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
     trailer appended; the checksum extends incrementally and ``payload``
     keeps its identity, so the reliable layer's integrity check is
     unaffected. Stamping an already-stamped frame appends a second
-    trailer (last wins on decode). Variants are cached per context set
-    on the source frame, so a fan-out reuses one stamped encoding.
+    trailer (last wins on decode). The source frame remembers its latest
+    variant, so a fan-out under one context set reuses one stamped
+    encoding.
     """
-    cache = frame._stamps
-    if cache is None:
-        cache = frame._stamps = {}
-    stamped = cache.get(contexts)
-    if stamped is None:
+    stamped = frame._stamped
+    if stamped is None or stamped.trace != contexts:
         trailer = encode_trace_trailer(contexts)
         stamped = Frame.__new__(Frame)
         stamped.kind = frame.kind
@@ -516,8 +515,8 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
         stamped.checksum = zlib.crc32(trailer, frame.checksum)
         stamped._uses = 0
         stamped.trace = contexts
-        stamped._stamps = None
-        cache[contexts] = stamped
+        stamped._stamped = None
+        frame._stamped = stamped
         _stamp_counter().inc()
     return stamped
 

@@ -8,47 +8,62 @@ must account honestly for what they would serialize.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.codec import Frame
 
-_message_counter = itertools.count(1)
+_next_message_id = itertools.count(1).__next__
+_new = tuple.__new__
+_FIELDS = "sender recipient kind payload size_bytes message_id seq checksum attempt frame"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One unit of transfer between two nodes.
+class Message(namedtuple("Message", _FIELDS)):
+    """One unit of transfer between two nodes. Immutable.
 
     ``seq`` and ``checksum`` are set by the reliable transport when it is
     enabled: ``seq`` numbers the frame within its directed
     sender→recipient stream (dedup + in-order delivery), ``checksum``
     protects the payload against injected corruption. ``attempt`` counts
-    retransmissions of the same logical frame (0 = first transmission);
-    retransmits keep their ``message_id``.
+    retransmissions of the same logical frame (0 = first transmission).
 
     ``frame`` is the payload's cached canonical encoding (see
     :mod:`repro.net.codec`) when the sender produced one: the wire size,
     the reliable layer's checksum and every retransmission reuse it
     instead of re-encoding. Excluded from equality — it is a cache, not
     message state.
+
+    The stack builds one per transmission, so the record is a tuple
+    filled in one call. ``_replace(field=...)`` derives a copy (a
+    retransmission, a corrupted frame) that keeps its ``message_id``.
     """
 
-    sender: str
-    recipient: str
-    kind: str
-    payload: Any = None
-    size_bytes: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_counter))
-    seq: int | None = None
-    checksum: int | None = None
-    attempt: int = 0
-    frame: "Frame | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
+    def __new__(
+        cls, sender: str, recipient: str, kind: str, payload: Any = None,
+        size_bytes: int = 0, message_id: int | None = None, seq: int | None = None,
+        checksum: int | None = None, attempt: int = 0, frame: "Frame | None" = None,
+    ) -> "Message":
+        if size_bytes < 0:
+            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
+        if message_id is None:
+            message_id = _next_message_id()
+        return _new(
+            cls,
+            (sender, recipient, kind, payload, size_bytes, message_id,
+             seq, checksum, attempt, frame),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Message and self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     def __str__(self) -> str:
         retry = f" retry#{self.attempt}" if self.attempt else ""

@@ -87,7 +87,8 @@ class SimulatedNetwork:
         self._peer_links: dict[tuple[str, str], Link] = {}  # (from, to)
         # (sender, recipient) -> (link, byte counter), filled on first use.
         # Every topology mutator below clears it, so a route is resolved
-        # once per node pair per topology, not twice per message.
+        # once per node pair per topology, and a pair found here has both
+        # its endpoints attached: send and _transmit check nothing else.
         self._routes: dict[tuple[str, str], tuple[Link, Any]] = {}
         self.stats = NetworkStats()
         self._obs = get_registry()
@@ -323,19 +324,21 @@ class SimulatedNetwork:
         retransmission reuse the bytes. With ``size_bytes=0`` the frame
         also supplies the honest wire size.
         """
-        if sender not in self._nodes:
-            raise NetworkError(f"unknown sender {sender!r}")
-        if recipient not in self._nodes:
-            raise NetworkError(f"unknown recipient {recipient!r}")
-        self._resolve_link(sender, recipient)  # validate the route up front
+        route = self._routes.get((sender, recipient))
+        if route is None:
+            if sender not in self._nodes:
+                raise NetworkError(f"unknown sender {sender!r}")
+            if recipient not in self._nodes:
+                raise NetworkError(f"unknown recipient {recipient!r}")
+            route = self._resolve_link(sender, recipient)  # validate up front
         if frame is not None and size_bytes == 0:
             size_bytes = frame.size_bytes
-        message = Message(
-            sender=sender, recipient=recipient, kind=kind,
-            payload=payload, size_bytes=size_bytes, frame=frame,
-        )
-        if self.reliability is not None:
-            message = self.reliability.prepare(message)
+        if self.reliability is None:
+            message = Message(sender, recipient, kind, payload, size_bytes, frame=frame)
+        else:
+            message = self.reliability.prepare(
+                sender, recipient, kind, payload, size_bytes, frame, route[0]
+            )
         self._transmit(message)
         return message
 
@@ -347,22 +350,26 @@ class SimulatedNetwork:
         under retransmission. Chaos (see :class:`repro.chaos.ChaosNetwork`)
         overrides this hook, so injected faults apply to retries too.
         """
-        if message.sender not in self._nodes or message.recipient not in self._nodes:
-            self._drop(message)  # an endpoint died while the frame waited
-            return
+        route = self._routes.get((message.sender, message.recipient))
+        if route is None:
+            if message.sender not in self._nodes or message.recipient not in self._nodes:
+                self._drop(message)  # an endpoint died while the frame waited
+                return
+            route = self._resolve_link(message.sender, message.recipient)
+        link, link_bytes = route
         if message.frame is not None:
             # Every transmission past the first (fan-out, duplicate,
             # retransmission) ships cached bytes — an encode saved.
             mark_reuse(message.frame)
-        link, link_bytes = self._resolve_link(message.sender, message.recipient)
+        now, size = self.clock.now, message.size_bytes
         if message.kind in CONTROL_PLANE_KINDS:
-            arrival = link.priority_transfer(self.clock.now, message.size_bytes)
+            arrival = link.priority_transfer(now, size)
         else:
-            self._m_queue_delay.observe(link.queueing_delay(self.clock.now))
-            arrival = link.schedule_transfer(self.clock.now, message.size_bytes)
+            self._m_queue_delay.observe(link.queueing_delay(now))
+            arrival = link.schedule_transfer(now, size)
         self._m_messages.inc()
-        self._m_bytes.inc(message.size_bytes)
-        link_bytes.inc(message.size_bytes)
+        self._m_bytes.inc(size)
+        link_bytes.inc(size)
         self.stats.record(message)
         self.clock.schedule_at(arrival, lambda: self._deliver(message))
 
@@ -422,11 +429,8 @@ class SimulatedNetwork:
             now = self.clock.now
             for index, entry in enumerate(entries):
                 sub_message = Message(
-                    sender=message.sender,
-                    recipient=message.recipient,
-                    kind=entry["kind"],
-                    payload=entry["payload"],
-                    size_bytes=entry.get("size", 0),
+                    message.sender, message.recipient,
+                    entry["kind"], entry["payload"], entry.get("size", 0),
                 )
                 ctx = contexts[index] if traced and index < len(contexts) else None
                 if ctx is not None and ctx.trace_id:

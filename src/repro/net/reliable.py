@@ -30,16 +30,20 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import DeliveryFailed
+from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import checksum_of
+from repro.net.message import Message
 from repro.obs import get_event_log, get_registry
 from repro.obs.dtrace import HOP_RETRANSMIT, get_dtrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.net.message import Message
+    from repro.net.codec import Frame
+    from repro.net.link import Link
     from repro.net.network import SimulatedNetwork
 
 #: Transport-level ack frame kind. Consumed by the network layer; no
@@ -82,33 +86,40 @@ class RetryPolicy:
         return self.base_timeout_s * (self.backoff**attempt)
 
 
-def payload_checksum(kind: str, payload: Any) -> int:
-    """Deterministic checksum over a frame's kind + canonical payload.
-
-    The fallback for messages without a cached codec frame: crc32 over
-    the canonical binary encoding (one ephemeral encode). Messages *with*
-    a frame reuse ``Frame.checksum`` — computed once at encode time —
-    and are verified by payload identity, costing zero re-encodes.
-    """
-    return checksum_of(kind, payload)
+#: The checksum of a message without a cached codec frame: one ephemeral
+#: canonical encode. Messages *with* a frame reuse ``Frame.checksum``,
+#: computed once at encode time, and verify by payload identity.
+payload_checksum = checksum_of
 
 
-@dataclass
+@lru_cache(maxsize=1024)
+def _ack_checksum(seq: int) -> int:
+    """Checksum of the one valid ack body for *seq*. An ack says nothing
+    but a sequence number, so it is the same on every stream of every
+    network: encoded for the first ack sent or received, looked up after."""
+    return checksum_of(NET_ACK, {"seq": seq})
+
+
+@dataclass(slots=True)
 class _Outstanding:
     """Sender-side state of one unacked reliable frame."""
 
-    message: "Message"
+    message: Message
+    last_sent: float  # sim time of the latest transmission
     attempts: int = 1  # transmissions so far
-    acked: bool = False
-    last_sent: float = 0.0  # sim time of the latest transmission
 
 
-@dataclass
-class _ReceiveState:
-    """Receiver-side state of one directed stream: dedup + hold-back."""
+class _Stream:
+    """One directed sender→recipient stream: the sender's numbering and
+    unacked frames, the receiver's dedup horizon and hold-back buffer."""
 
-    expected: int = 1
-    buffer: dict[int, "Message"] = field(default_factory=dict)
+    __slots__ = ("next_seq", "outstanding", "expected", "buffer")
+
+    def __init__(self) -> None:
+        self.next_seq = 1
+        self.outstanding: dict[int, _Outstanding] = {}
+        self.expected = 1
+        self.buffer: dict[int, Message] = {}
 
 
 class ReliableTransport:
@@ -117,9 +128,7 @@ class ReliableTransport:
     def __init__(self, network: "SimulatedNetwork", policy: RetryPolicy) -> None:
         self._network = network
         self.policy = policy
-        self._next_seq: dict[tuple[str, str], int] = {}
-        self._outstanding: dict[tuple[str, str, int], _Outstanding] = {}
-        self._recv: dict[tuple[str, str], _ReceiveState] = {}
+        self._streams: dict[tuple[str, str], _Stream] = defaultdict(_Stream)
         registry = get_registry()
         self._events = get_event_log()
         self._dtrace = get_dtrace()
@@ -130,40 +139,50 @@ class ReliableTransport:
         self._m_acks = registry.counter("net.acks")
         self._m_held = registry.counter("net.reorder_held")
 
+    def _emit(self, name: str, severity: str, message: Message, **extra: Any) -> None:
+        """One flight-recorder event about *message*, stamped with sim time."""
+        self._events.emit(
+            name, severity=severity, at=self._network.clock.now,
+            sender=message.sender, recipient=message.recipient,
+            kind=message.kind, seq=message.seq, **extra,
+        )
+
     # ----- sender side ------------------------------------------------------------
 
-    def is_reliable_kind(self, kind: str) -> bool:
-        return kind not in self.policy.unreliable_kinds
-
-    def prepare(self, message: "Message") -> "Message":
-        """Stamp checksum (always) and seq (reliable kinds) onto a frame.
-
-        Messages carrying a cached codec frame reuse its checksum — the
-        encode already happened; the transport never encodes again.
+    def prepare(
+        self, sender: str, recipient: str, kind: str, payload: Any,
+        size_bytes: int, frame: "Frame | None", forward: "Link",
+    ) -> Message:
+        """Build the message ``send`` was asked for, already stamped:
+        checksum (always) and seq (reliable kinds). *forward* is the
+        link ``send`` resolved for it. A cached codec frame supplies its
+        checksum — the transport never encodes what is already encoded.
         """
-        if message.frame is not None:
-            checksum = message.frame.checksum
-        else:
-            checksum = payload_checksum(message.kind, message.payload)
-        if not self.is_reliable_kind(message.kind):
-            return replace(message, checksum=checksum)
-        stream = (message.sender, message.recipient)
-        seq = self._next_seq.get(stream, 1)
-        self._next_seq[stream] = seq + 1
-        framed = replace(message, seq=seq, checksum=checksum)
-        key = (framed.sender, framed.recipient, seq)
-        self._outstanding[key] = _Outstanding(
-            message=framed, last_sent=self._network.clock.now
+        checksum = frame.checksum if frame is not None else checksum_of(kind, payload)
+        if kind in self.policy.unreliable_kinds:
+            return Message(
+                sender, recipient, kind, payload, size_bytes, checksum=checksum, frame=frame
+            )
+        stream = self._streams[(sender, recipient)]
+        seq = stream.next_seq
+        message = Message(
+            sender, recipient, kind, payload, size_bytes, seq=seq, checksum=checksum, frame=frame
         )
-        self._arm_timer(key, attempt=0)
-        return framed
+        stream.next_seq = seq + 1
+        out = stream.outstanding[seq] = _Outstanding(message, self._network.clock.now)
+        self._arm_timer(stream, out, forward)
+        return message
 
-    def _arm_timer(self, key: tuple[str, str, int], attempt: int) -> None:
-        out = self._outstanding[key]
-        timeout = self._estimate_rtt(out.message) + self.policy.timeout_after(attempt)
-        self._network.clock.schedule(timeout, lambda: self._on_timeout(key))
+    def _arm_timer(
+        self, stream: _Stream, out: _Outstanding, forward: "Link | None" = None
+    ) -> None:
+        timeout = self._estimate_rtt(out.message, forward) + self.policy.timeout_after(
+            out.attempts - 1
+        )
+        seq = out.message.seq
+        self._network.clock.schedule(timeout, lambda: self._on_timeout(stream, seq))
 
-    def _estimate_rtt(self, message: "Message") -> float:
+    def _estimate_rtt(self, message: Message, forward: "Link | None" = None) -> float:
         """Expected send→ack round trip, from the known link schedules.
 
         Without this a multi-second image transfer trips the fixed
@@ -173,9 +192,10 @@ class ReliableTransport:
         """
         network = self._network
         try:
-            forward, _ = network._resolve_link(message.sender, message.recipient)
+            if forward is None:
+                forward, _ = network._resolve_link(message.sender, message.recipient)
             reverse, _ = network._resolve_link(message.recipient, message.sender)
-        except Exception:
+        except NetworkError:
             return 0.0  # endpoint vanished: timeout path handles it
         now = network.clock.now
         return (
@@ -187,34 +207,25 @@ class ReliableTransport:
             + reverse.latency_s
         )
 
-    def _on_timeout(self, key: tuple[str, str, int]) -> None:
-        out = self._outstanding.get(key)
-        if out is None or out.acked:
-            return
+    def _on_timeout(self, stream: _Stream, seq: int) -> None:
+        out = stream.outstanding.get(seq)
+        if out is None:
+            return  # acked since: every attempt's timer still pops
         message = out.message
         if not self._network.has_node(message.sender):
             # The sender fail-stopped; a dead node retransmits nothing.
-            self._outstanding.pop(key, None)
+            del stream.outstanding[seq]
             return
         if not self._network.has_node(message.recipient):
-            self._fail(key, out, reason="recipient_detached")
+            self._fail(stream, out, reason="recipient_detached")
             return
         if out.attempts >= self.policy.max_attempts:
-            self._fail(key, out, reason="retry_budget_exhausted")
+            self._fail(stream, out, reason="retry_budget_exhausted")
             return
         out.attempts += 1
         now = self._network.clock.now
         self._f_retries.labels(message.kind).inc()
-        self._events.emit(
-            "net.retry",
-            severity="DEBUG",
-            at=now,
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            seq=message.seq,
-            attempt=out.attempts,
-        )
+        self._emit("net.retry", "DEBUG", message, attempt=out.attempts)
         dtrace = self._dtrace
         frame = message.frame
         if dtrace.enabled and frame is not None and frame.trace:
@@ -229,56 +240,46 @@ class ReliableTransport:
                         attempt=out.attempts - 1, kind=message.kind,
                     )
         out.last_sent = now
-        self._network._transmit(replace(message, attempt=out.attempts - 1))
-        self._arm_timer(key, attempt=out.attempts - 1)
+        self._network._transmit(message._replace(attempt=out.attempts - 1))
+        self._arm_timer(stream, out)
 
-    def _fail(self, key: tuple[str, str, int], out: _Outstanding, reason: str) -> None:
-        self._outstanding.pop(key, None)
+    def _fail(self, stream: _Stream, out: _Outstanding, reason: str) -> None:
         message = out.message
+        del stream.outstanding[message.seq]
         error = DeliveryFailed(
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            seq=message.seq or 0,
-            attempts=out.attempts,
-            reason=reason,
+            sender=message.sender, recipient=message.recipient, kind=message.kind,
+            seq=message.seq or 0, attempts=out.attempts, reason=reason,
             payload=message.payload,
         )
         self._m_failed.inc()
-        self._events.emit(
-            "net.delivery_failed",
-            severity="ERROR",
-            at=self._network.clock.now,
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            seq=message.seq,
-            attempts=out.attempts,
-            reason=reason,
-        )
+        self._emit("net.delivery_failed", "ERROR", message, attempts=out.attempts, reason=reason)
         self._network.delivery_failures.append(error)
         sender = self._network._nodes.get(message.sender)
         hook = getattr(sender, "on_delivery_failed", None)
         if hook is not None:
             hook(error)
 
-    def on_ack(self, ack: "Message") -> None:
-        """An ack arrived (ack.sender is the *receiver* of the stream)."""
-        if ack.checksum is not None and ack.checksum != payload_checksum(
-            ack.kind, ack.payload
-        ):
-            self._m_corrupt.inc()  # corrupted ack: retransmit path handles it
-            return
-        seq = (ack.payload or {}).get("seq")
-        key = (ack.recipient, ack.sender, seq)
-        out = self._outstanding.pop(key, None)
-        if out is not None:
-            out.acked = True
+    def on_ack(self, ack: Message) -> None:
+        """An ack arrived (ack.sender is the *receiver* of the stream).
+
+        Under a checksum only ``{"seq": <int>}`` stamped with that body's
+        checksum is an ack; anything else is a corrupted one (the
+        retransmit path handles it)."""
+        body = ack.payload
+        if ack.checksum is None:
+            seq = (body or {}).get("seq")
+        else:
+            seq = body.get("seq") if type(body) is dict and len(body) == 1 else None
+            if type(seq) is not int or ack.checksum != _ack_checksum(seq):
+                self._m_corrupt.inc()
+                return
+        stream = self._streams.get((ack.recipient, ack.sender))
+        if stream is not None and stream.outstanding.pop(seq, None) is not None:
             self._m_acks.inc()
 
     # ----- receiver side ----------------------------------------------------------
 
-    def verify(self, message: "Message") -> bool:
+    def verify(self, message: Message) -> bool:
         """Checksum check; False means the frame must be quarantined.
 
         Frames with a cached encoding verify by *identity*: the payload
@@ -293,77 +294,48 @@ class ReliableTransport:
         if frame is not None:
             if message.payload is frame.payload and message.checksum == frame.checksum:
                 return True
-        elif message.checksum == payload_checksum(message.kind, message.payload):
+        elif message.checksum == checksum_of(message.kind, message.payload):
             return True
         self._m_corrupt.inc()
-        self._events.emit(
-            "net.corrupt_dropped",
-            severity="WARN",
-            at=self._network.clock.now,
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            seq=message.seq,
-        )
+        self._emit("net.corrupt_dropped", "WARN", message)
         return False
 
-    def on_frame(self, message: "Message") -> None:
+    def on_frame(self, message: Message) -> None:
         """Dedup, ack, and deliver a sequenced frame in stream order."""
-        stream = (message.sender, message.recipient)
-        state = self._recv.setdefault(stream, _ReceiveState())
+        stream = self._streams[(message.sender, message.recipient)]
         seq = message.seq
         assert seq is not None
-        if seq < state.expected or seq in state.buffer:
+        buffer = stream.buffer
+        if seq < stream.expected or seq in buffer:
             self._f_dup_dropped.labels(message.kind).inc()
-            self._events.emit(
-                "net.dup_dropped",
-                severity="DEBUG",
-                at=self._network.clock.now,
-                sender=message.sender,
-                recipient=message.recipient,
-                kind=message.kind,
-                seq=seq,
-            )
+            self._emit("net.dup_dropped", "DEBUG", message)
             self._send_ack(message)  # the previous ack may have been lost
             return
-        if seq - state.expected > self.policy.reorder_buffer:
+        if seq - stream.expected > self.policy.reorder_buffer:
             return  # hold-back overflow: no ack, the sender will retry
-        if seq != state.expected:
+        if seq != stream.expected:
             self._m_held.inc()
-        state.buffer[seq] = message
+        buffer[seq] = message
         self._send_ack(message)
-        while state.expected in state.buffer:
-            frame = state.buffer.pop(state.expected)
-            state.expected += 1
+        while stream.expected in buffer:
+            frame = buffer.pop(stream.expected)
+            stream.expected += 1
             self._network._hand_off(frame)
 
-    def _send_ack(self, message: "Message") -> None:
-        from repro.net.message import Message as _Message
-
-        if not self._network.has_node(message.sender):
+    def _send_ack(self, message: Message) -> None:
+        network = self._network
+        if not network.has_node(message.sender):
             return  # acking a dead sender is pointless
-        body = {"seq": message.seq}
-        ack = _Message(
-            sender=message.recipient,
-            recipient=message.sender,
-            kind=NET_ACK,
-            payload=body,
-            size_bytes=self.policy.ack_size_bytes,
-            checksum=payload_checksum(NET_ACK, body),
+        seq, size = message.seq, self.policy.ack_size_bytes
+        ack = Message(
+            message.recipient, message.sender, NET_ACK, {"seq": seq}, size,
+            checksum=_ack_checksum(seq),
         )
-        self._network._transmit(ack)
+        network._transmit(ack)
 
     # ----- introspection ----------------------------------------------------------
 
     @property
     def in_flight(self) -> int:
         """Reliable frames sent but not yet acked."""
-        return len(self._outstanding)
-
-    def stream_state(self, sender: str, recipient: str) -> dict[str, Any]:
-        state = self._recv.get((sender, recipient))
-        return {
-            "expected": state.expected if state else 1,
-            "held_back": len(state.buffer) if state else 0,
-            "next_seq": self._next_seq.get((sender, recipient), 1),
-        }
+        return sum(len(stream.outstanding) for stream in self._streams.values())

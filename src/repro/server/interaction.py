@@ -536,36 +536,30 @@ class InteractionServer:
         body itself only describes the payload, so benchmarks measure
         transfer time without allocating megabytes per image.
 
-        With ``interest_mode="cpnet"`` heavy payloads ship as a layer
-        prefix of the multi-layer codec stream (simulcast): the member's
-        §4.4 ``tuning.bandwidth`` level picks how many layers they
-        receive, and one cached frame per (body, layer) serves every
-        subscriber at that level — encodes stay flat as fetchers grow.
+        One cached frame per distinct body serves every member who
+        fetches it (:meth:`Room.payload_frame`). With
+        ``interest_mode="cpnet"`` heavy payloads ship as a layer prefix
+        of the multi-layer codec stream (simulcast): the member's §4.4
+        ``tuning.bandwidth`` level picks how many layers they receive,
+        and the body names the prefix.
         """
         session, room = self._session_room(session_id)
         self.policy.require(session.viewer_id, PERM_VIEW)
         node = room.document.component(component)
-        size = node.presentation_size(value)
-        if self.interest_mode != "cpnet":
-            if self.network is not None:
-                body = {"component": component, "value": value, "size": size}
-                frame = encode_message(MessageKind.PAYLOAD, body)
-                self._net_send(
-                    session.node_id, MessageKind.PAYLOAD,
-                    body, size_bytes=max(size, frame.size_bytes), frame=frame,
-                )
-            return size
-        num_layers = NUM_LAYERS
-        if size >= SIMULCAST_FLOOR:
-            spec = room.presentation_for(session.viewer_id, now=self._now())
-            level = spec.outcome.get(TUNING_VARIABLE, BANDWIDTH_HIGH)
-            num_layers = layers_for_level(level)
-            if num_layers < NUM_LAYERS:
-                self._m_interest_downgrades.inc()
-                self._m_interest_bytes_saved.inc(
-                    size - layer_prefix_size(size, num_layers)
-                )
-        shipped = layer_prefix_size(size, num_layers)
+        shipped = size = node.presentation_size(value)
+        num_layers = None
+        if self.interest_mode == "cpnet":
+            num_layers = NUM_LAYERS
+            if size >= SIMULCAST_FLOOR:
+                spec = room.presentation_for(session.viewer_id, now=self._now())
+                level = spec.outcome.get(TUNING_VARIABLE, BANDWIDTH_HIGH)
+                num_layers = layers_for_level(level)
+                if num_layers < NUM_LAYERS:
+                    self._m_interest_downgrades.inc()
+                    self._m_interest_bytes_saved.inc(
+                        size - layer_prefix_size(size, num_layers)
+                    )
+            shipped = layer_prefix_size(size, num_layers)
         if self.network is not None:
             frame = room.payload_frame(component, value, num_layers, shipped)
             self._net_send(

@@ -58,11 +58,11 @@ class Room:
         self.annotations: dict[str, list[dict[str, Any]]] = {}
         #: Who cares about what (repro.interest): drives update filtering.
         self.interest = InterestRegistry(document.component_paths())
-        #: Simulcast frame cache: one encoded PAYLOAD frame per
-        #: (component, value, layer-prefix) — every subscriber at the same
-        #: tuning level reuses the same bytes, keeping encodes per
-        #: distinct (body, layer) flat no matter how many fetch.
-        self._payload_frames: dict[tuple[str, str, int], Frame] = {}
+        #: One encoded PAYLOAD descriptor per distinct body: every member
+        #: fetching the same alternative (at the same layer prefix, under
+        #: simulcast) reuses the same bytes, so encodes stay flat no
+        #: matter how many fetch.
+        self._payload_frames: dict[tuple[str, str, int | None, int], Frame] = {}
         obs = get_registry()
         self._m_changes = obs.counter("server.room.changes")
         # Labelled by room so concurrent rooms stop stomping one shared
@@ -141,18 +141,17 @@ class Room:
         )
 
     def payload_frame(
-        self, component: str, value: str, layers: int, size: int
+        self, component: str, value: str, layers: int | None, size: int
     ) -> Frame:
-        """The cached PAYLOAD frame for one (body, layer-prefix) pair."""
-        key = (component, value, layers)
+        """The cached PAYLOAD frame describing *size* bytes of one
+        alternative; *layers* is its simulcast prefix (``None``: the
+        payload ships whole and the body says nothing of layers)."""
+        key = (component, value, layers, size)
         frame = self._payload_frames.get(key)
         if frame is None:
-            body = {
-                "component": component,
-                "value": value,
-                "size": size,
-                "layers": layers,
-            }
+            body = {"component": component, "value": value, "size": size}
+            if layers is not None:
+                body["layers"] = layers
             frame = self._payload_frames[key] = encode_message("payload", body)
         return frame
 

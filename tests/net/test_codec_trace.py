@@ -8,6 +8,7 @@ contexts intact (including BATCH and ROUTE embedding), and that junk or
 truncated trailers fail loudly as :class:`CodecError`.
 """
 
+import gc
 import zlib
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.net.codec import (
     TRACE_TRAILER_MAGIC,
     CodecError,
+    Frame,
     StringInterner,
     decode_batch_traced,
     decode_envelope_traced,
@@ -87,6 +89,27 @@ def test_stamp_cache_reuses_fanout_variant():
         assert first is again
         assert other is not first
         assert registry.snapshot()["counters"]["codec.trace_stamps"] == 2
+
+
+def test_stamp_memo_holds_one_variant_however_many_contexts():
+    """A long-lived cached frame (a room's payload descriptor) is stamped
+    under a new context by every traced send: it must not keep them all."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        frame = encode_message(MessageKind.CHOICE, KIND_PAYLOADS[MessageKind.CHOICE])
+        for n in range(1, 201):
+            stamp_frame(frame, (TraceContext(n, 1, 0, 0),))
+        gc.collect()
+        variants = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Frame) and obj is not frame and obj.payload is frame.payload
+        ]
+        assert len(variants) == 1 and variants[0].trace == (TraceContext(200, 1, 0, 0),)
+        # One fan-out under one context is still one trailer encode.
+        before = registry.snapshot()["counters"]["codec.trace_stamps"]
+        fanned = {id(stamp_frame(frame, (CTX,))) for _ in range(32)}
+        assert len(fanned) == 1
+        assert registry.snapshot()["counters"]["codec.trace_stamps"] == before + 1
 
 
 def test_restamp_appends_and_last_trailer_wins():

@@ -1,8 +1,14 @@
 """The ARQ layer: retry, dedup, ordering, corruption, bounded failure."""
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
+from repro.chaos import CORRUPT, ChaosNetwork, FaultPlan
+from repro.client import ClientModule
+from repro.db import Database, MultimediaObjectStore
+from repro.document import build_sample_medical_record
 from repro.errors import DeliveryFailed
 from repro.net import (
     Link,
@@ -12,7 +18,9 @@ from repro.net import (
     SimulatedNetwork,
     payload_checksum,
 )
+from repro.net import reliable
 from repro.net.link import MBPS
+from repro.server import InteractionServer
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +52,7 @@ class LossyNetwork(SimulatedNetwork):
         super().__init__(**kwargs)
         self.drop_next = set()
         self.corrupt_next = set()
+        self.mangled = {"mangled": True}
         self.sent = 0
 
     def _transmit(self, message):
@@ -54,7 +63,7 @@ class LossyNetwork(SimulatedNetwork):
         if index in self.corrupt_next:
             message = Message(
                 sender=message.sender, recipient=message.recipient,
-                kind=message.kind, payload={"mangled": True},
+                kind=message.kind, payload=self.mangled,
                 size_bytes=message.size_bytes, seq=message.seq,
                 checksum=message.checksum, attempt=message.attempt,
             )
@@ -225,6 +234,174 @@ class TestOrderingAndCorruption:
         network.send("c1", "server", "choice", {"v": "good"}, size_bytes=10)
         network.run()
         assert [m.payload for m in hub.received] == [{"mangled": True}]
+
+
+def _counters(registry):
+    return registry.snapshot()["counters"]
+
+
+class TestAcks:
+    """An ack is ``{"seq": <int>}`` under that body's checksum, nothing else."""
+
+    def _assert_repaired_exactly_once(self, registry, network, hub):
+        counters = _counters(registry)
+        assert counters["net.corrupt_dropped"] == 1
+        assert counters['net.retries{kind="choice"}'] == 1
+        assert counters['net.dup_dropped{kind="choice"}'] == 1
+        assert [m.payload for m in hub.received] == [{"v": 1}]
+        assert network.reliability.in_flight == 0
+
+    def test_chaos_corrupted_ack_is_refused_and_the_frame_repaired(self, fresh_obs):
+        registry, _ = fresh_obs
+        plan = FaultPlan()
+        fired = []
+
+        def corrupt_first_ack(kind):
+            if kind == NET_ACK and not fired:
+                fired.append(kind)
+                return (CORRUPT, 0.0)
+            return None
+
+        plan.decide = corrupt_first_ack
+        network, hub, _ = rig(ChaosNetwork, plan=plan)
+        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.run()
+        assert fired == [NET_ACK]
+        self._assert_repaired_exactly_once(registry, network, hub)
+
+    @pytest.mark.parametrize("body", [{"seq": 1, "x": 1}, {"seq": True}, None, {"seq": 2}])
+    def test_wrong_body_under_the_stamped_checksum_is_refused(self, fresh_obs, body):
+        registry, _ = fresh_obs
+        network, hub, _ = rig(LossyNetwork)
+        network.mangled = body
+        network.corrupt_next = {1}  # the ack keeps the checksum of {"seq": 1}
+        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.run()
+        self._assert_repaired_exactly_once(registry, network, hub)
+
+    def test_hand_built_ack_is_accepted_as_a_recompute_would(self, fresh_obs):
+        registry, _ = fresh_obs
+        network, hub, _ = rig(LossyNetwork)
+        network.drop_next = {1}  # the transport's own ack is lost
+        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+
+        def ack(seq, checksum):
+            hand_built = Message("server", "c1", NET_ACK, {"seq": seq}, 16, checksum=checksum)
+            SimulatedNetwork._transmit(network, hand_built)  # past the scripted losses
+
+        # A seq nobody ever acked: right checksum, nothing outstanding.
+        ack(999, payload_checksum(NET_ACK, {"seq": 999}))
+        network.clock.run_until(0.05)
+        assert network.reliability.in_flight == 1
+        assert _counters(registry)["net.corrupt_dropped"] == 0
+        # The same seq under another body's checksum is not an ack.
+        ack(999, payload_checksum(NET_ACK, {"seq": 1}))
+        # An equal body built elsewhere acks the frame before it times out.
+        ack(1, payload_checksum(NET_ACK, {"seq": 1}))
+        network.run()
+        counters = _counters(registry)
+        assert counters["net.corrupt_dropped"] == 1
+        assert counters["net.acks"] == 1
+        assert counters.get('net.retries{kind="choice"}', 0) == 0
+        assert [m.payload for m in hub.received] == [{"v": 1}]
+        assert network.reliability.in_flight == 0
+
+    def test_stream_longer_than_the_memo_still_verifies_every_ack(self, fresh_obs):
+        registry, _ = fresh_obs
+        bound = reliable._ack_checksum.cache_info().maxsize
+        frames = bound + 40
+        network, hub, _ = rig()
+        for n in range(frames):
+            network.send("c1", "server", "choice", {"n": n}, size_bytes=10)
+        network.run()
+        assert [m.payload["n"] for m in hub.received] == list(range(frames))
+        counters = _counters(registry)
+        assert counters["net.acks"] == frames
+        assert counters["net.corrupt_dropped"] == 0
+        assert not any(v for k, v in counters.items() if k.startswith("net.retries"))
+        assert reliable._ack_checksum.cache_info().currsize <= bound
+
+
+class TestCarryingCost:
+    """Exact counts (named in ISSUE 18) of what one conference allocates
+    and encodes: they repeat, so a regression shows as a number."""
+
+    def test_one_message_per_send_one_encode_per_ack_seq_one_record_per_stream(
+        self, fresh_obs, tmp_path, monkeypatch
+    ):
+        registry, _ = fresh_obs
+        built = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Message, "__new__", staticmethod(counting("new", Message.__new__))
+        )
+        monkeypatch.setattr(Message, "_replace", counting("copy", Message._replace))
+        for owner, name in (
+            (SimulatedNetwork, "send"),
+            (reliable.ReliableTransport, "prepare"),
+            (reliable.ReliableTransport, "_send_ack"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+
+        ack_encodes = Counter()
+        checksum_of = reliable.checksum_of
+        reliable._ack_checksum.cache_clear()  # the memo is the process's, not the test's
+
+        def counting_checksum(kind, payload):
+            if kind == NET_ACK:
+                ack_encodes[payload["seq"]] += 1
+            return checksum_of(kind, payload)
+
+        monkeypatch.setattr(reliable, "checksum_of", counting_checksum)
+
+        class CountedStream(reliable._Stream):
+            __slots__ = ()
+
+            def __init__(self):
+                built["stream"] += 1
+                super().__init__()
+
+        monkeypatch.setattr(reliable, "_Stream", CountedStream)
+
+        db = Database(str(tmp_path / "db"))
+        try:
+            store = MultimediaObjectStore(db)
+            store.store_document(build_sample_medical_record())
+            plan = FaultPlan(
+                seed=3, drop_rate=0.1, dup_rate=0.05, corrupt_rate=0.05, reorder_rate=0.05
+            )
+            network = ChaosNetwork(reliability=True, plan=plan)
+            InteractionServer(store, network=network, batch_window_s=0.01)
+            clients = [ClientModule(f"v{i}", network=network) for i in range(3)]
+            for client in clients:
+                network.attach_client(client)
+                client.join("record-17")
+            network.run()
+            for client, value in zip(clients, ("segmented", "flat", "icon")):
+                client.choose("imaging.ct_head", value)
+            network.run()
+            assert not any(client.errors for client in clients)
+        finally:
+            db.close()
+
+        counters = _counters(registry)
+        retries = sum(v for k, v in counters.items() if k.startswith("net.retries"))
+        corrupted = network.injected_counts().get(CORRUPT, 0)
+        assert retries and corrupted and counters["net.batch_unpacked"]
+        assert built["prepare"] == built["send"]
+        assert built["new"] == (
+            built["send"] + built["_send_ack"] + counters["net.batch_unpacked"]
+        )
+        assert built["copy"] == retries + corrupted
+        assert ack_encodes and set(ack_encodes.values()) == {1}
+        assert built["stream"] == len(network.reliability._streams)
 
 
 class TestRttAwareTimeouts:

@@ -14,6 +14,7 @@ from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.interest import SIMULCAST_FLOOR, default_subscriptions, layer_prefix_size
 from repro.net import SimulatedNetwork
+from repro.net.codec import encode_message
 from repro.presentation import (
     BANDWIDTH_LOW,
     TUNING_VARIABLE,
@@ -283,6 +284,48 @@ class TestSimulcast:
         other_layer = room.payload_frame("imaging.ct_head", "flat", 1, 24966)
         assert first is again
         assert other_layer is not first
+
+    def test_descriptor_encodes_once_per_body_with_interest_off(self, rig):
+        """The same cache serves the unlayered mode: three fetchers of
+        one alternative cost one encode, and the body keeps its shape."""
+        network, server = rig
+        clients = [attach(network, f"c{i}") for i in range(3)]
+        for client in clients:
+            client.join("record-17")
+        network.run()
+        registry = obs.get_registry()
+        before = registry.snapshot()["counters"]["codec.encodes"]
+        for client in clients:
+            client.fetch_payload("imaging.ct_head", "flat")
+        network.run()
+        counters = registry.snapshot()["counters"]
+        # Three requests in, one descriptor out three times.
+        assert counters["codec.encodes"] - before == 3 + 1
+        size = (
+            server.room(server.room_ids[0])
+            .document.component("imaging.ct_head")
+            .presentation_size("flat")
+        )
+        sent = [network.to_node(c.node_id, MessageKind.PAYLOAD) for c in clients]
+        body = {"component": "imaging.ct_head", "value": "flat", "size": size}
+        fresh = encode_message(MessageKind.PAYLOAD, body)
+        room = server.room(server.room_ids[0])
+        cached = room.payload_frame("imaging.ct_head", "flat", None, size)
+        assert sent == [[(c.node_id, MessageKind.PAYLOAD, size)] for c in clients]
+        assert cached.payload == body
+        assert (cached.data, cached.checksum) == (fresh.data, fresh.checksum)
+
+    def test_descriptor_cache_is_keyed_on_the_whole_body(self, rig):
+        """A component re-added under the same path with another
+        presentation size must not be described with the old size."""
+        network, server = rig
+        attach(network, "c").join("record-17")
+        network.run()
+        room = server.room(server.room_ids[0])
+        old = room.payload_frame("imaging.ct_head", "flat", None, 1000)
+        new = room.payload_frame("imaging.ct_head", "flat", None, 2000)
+        assert (old.payload["size"], new.payload["size"]) == (1000, 2000)
+        assert room.payload_frame("imaging.ct_head", "flat", None, 1000) is old
 
     def test_small_payloads_never_layered(self, cpnet_rig):
         network, server = cpnet_rig

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
-    "chaos": 662,
+    "chaos": 660,
     "client": 1149,
     "cluster": 2884,
     "cpnet": 2161,
@@ -25,12 +25,12 @@ LINE_BUDGET = {
     "document": 1142,
     "interest": 306,
     "media": 3112,
-    "net": 2107,
+    "net": 2097,
     "obs": 2063,
     "prefetch": 472,
     "presentation": 795,
     "retrieval": 827,
-    "server": 1858,
+    "server": 1851,
     "util": 288,
     "workloads": 1109,
 }
