@@ -9,14 +9,14 @@ buys (`repro.cpnet.compiled`):
   pinned medical record, byte-identical outputs, with a hard >=10x
   speedup floor (the tentpole acceptance);
 * **room-level sharing** — the same scripted conference run on both
-  engines: with the shard-scoped :class:`CompletionCache` most members'
-  recomputations become cache hits, so the compiled run performs
+  engines: with each compilation's :class:`CompletionCache` most members'
+  recomputations become memo hits, so the compiled run performs
   strictly fewer sweeps for the very same presentations (a deterministic
   counter claim, immune to CI timing noise), and wall-clock for the E2/E9
   room path drops;
 * **precise invalidation** — a §4.2 global operation mid-conference
-  invalidates exactly the open document's entries and the run still ends
-  byte-identical;
+  replaces the open document's compilation, its completions go with it,
+  and the run still ends byte-identical;
 * **no CPT revisit** — that operation flattens exactly one table: the
   conference builds one ``_FlatTable`` per variable plus one for the
   operation variable, not a whole net's worth per structural version.
@@ -175,14 +175,16 @@ def scripted_conference(tmp_path, tag):
                 viewer: dict(room.engine.presentation_for(viewer).outcome)
                 for viewer in sorted(room.engine.viewer_ids)
             }
-            cache_stats = server.completion_cache.stats()
         finally:
             db.close()
         counters = registry.snapshot()["counters"]
     return {
         "displayed": displayed,
         "counters": {k: v for k, v in counters.items() if k.startswith("cpnet.")},
-        "cache": cache_stats,
+        "cache": {
+            name: int(counters.get(f"cpnet.completion_cache.{name}", 0))
+            for name in ("hits", "invalidations")
+        },
         "seconds": elapsed,
     }
 
@@ -192,7 +194,7 @@ def test_room_level_sharing(report, tmp_path, monkeypatch):
 
     Byte-identical presentations; the compiled run provably *shares*
     work — total sweeps drop by exactly the cache hit count — and the
-    mid-conference operation invalidates this document's entries and
+    mid-conference operation lets go of this document's completions and
     flattens one table.
     """
     with interpreted_mode():
@@ -236,7 +238,7 @@ def test_room_level_sharing(report, tmp_path, monkeypatch):
     )
     assert hits > 0
     assert compiled_sweeps < interpreted_sweeps
-    # The §4.2 operation invalidated this document's cached completions.
+    # The §4.2 operation replaced the compilation, completions and all.
     assert shared["cache"]["invalidations"] > 0
     # Compilation happened once per structural version, not per query:
     # base net before + after the operation, plus recompiles triggered by

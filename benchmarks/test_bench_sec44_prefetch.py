@@ -117,7 +117,13 @@ def test_buffer_size_sensitivity(benchmark, report):
 
 def test_tuning_variable_adaptation(benchmark, report):
     """§4.4 option 1: the tuning variable shrinks the presentation payload
-    as measured bandwidth drops."""
+    as measured bandwidth drops.
+
+    What the timed loop times: a document answers its §5.1 queries from
+    its compilation's memo, served or not, so after the first call this
+    is a memo hit (key, copy, subtree hiding) plus ``presentation_bytes``
+    — not the sweep, which E18's ``test_sweep_timing`` times. The sizes
+    reported below do not depend on it."""
     document = build_sample_medical_record()
     # A 4 KB low-bandwidth budget separates the levels on this record:
     # medium still affords icons/transcripts, low hides them too.

@@ -1,4 +1,4 @@
-"""A tour of ``repro.cpnet.compiled``: the compiled hot path + shared cache.
+"""A tour of ``repro.cpnet.compiled``: the compiled hot path + owned memo.
 
 The interpreted CP-net engine re-derives the topological order and
 re-scans every CPT rule list on every ``best_completion`` — per viewer,
@@ -9,12 +9,12 @@ per choice. This tour shows what compilation buys:
    specificity arbitration is resolved at compile time.
 2. **Byte-identical answers, much faster** — the compiled and the
    interpreted engine produce the same dicts in the same key order.
-3. **Cross-viewer sharing** — a shard-scoped ``CompletionCache`` memoizes
-   completed outcomes by (doc, version, overlay, evidence): when eight
+3. **Cross-viewer sharing** — each compilation owns a ``CompletionCache``
+   of its completed outcomes, keyed by the evidence alone: when eight
    room members impose the same constraints, one sweep serves them all.
 4. **Precise §4.2 invalidation** — a global operation bumps the
-   structural version, recompiles once, and evicts exactly the open
-   document's cached completions.
+   structural version and recompiles once; the old compilation's
+   completions go with it, nobody else's are touched.
 
 Run:  python examples/cpnet_compile_tour.py
 """
@@ -72,7 +72,7 @@ def main():
             f"compiled {fast_s * 1000:.1f} ms ({slow_s / fast_s:.1f}x)"
         )
 
-        print(f"\n== 3. {MEMBERS} members share one completion cache ==")
+        print(f"\n== 3. {MEMBERS} members share one compilation's completions ==")
         with tempfile.TemporaryDirectory() as workdir:
             db = Database(f"{workdir}/db")
             try:
@@ -86,11 +86,14 @@ def main():
                     session = server.connect_session(f"viewer-{index}")
                     server.join_room(session.session_id, "rec")
                     sessions.append(session)
-                cache = server.completion_cache
+
+                def memo(name):
+                    return int(registry.counter(f"cpnet.completion_cache.{name}").value)
+
                 print(
-                    f"  after {MEMBERS} joins: {cache.hits} cache hits, "
-                    f"{cache.misses} misses — one sweep served "
-                    f"{cache.hits + 1} identical presentations"
+                    f"  after {MEMBERS} joins: {memo('hits')} memo hits, "
+                    f"{memo('misses')} misses — one sweep served "
+                    f"{memo('hits') + 1} identical presentations"
                 )
                 room = server.room(server.room_ids[0])
                 component = room.document.component_paths()[2]
@@ -98,10 +101,10 @@ def main():
                 server.handle_choice(sessions[0].session_id, component, value)
                 print(
                     f"  one shared choice on {component!r}: every member "
-                    f"reconfigures -> {cache.hits} hits total"
+                    f"reconfigures -> {memo('hits')} hits total"
                 )
 
-                print("\n== 4. A global operation invalidates precisely ==")
+                print("\n== 4. A global operation replaces the compilation ==")
                 before = room.document.network.structure_version
                 server.handle_operation(
                     sessions[0].session_id, component, "segment",
@@ -110,10 +113,11 @@ def main():
                 net_version = room.document.network.structure_version
                 print(
                     f"  structure_version {before} -> {net_version}; "
-                    f"{cache.invalidations} cached completions evicted "
-                    f"(doc-scoped, version-keyed)"
+                    f"{memo('invalidations')} completions left with the "
+                    f"old compilation"
                 )
-                print(f"  cache after churn: {cache!r}")
+                fresh = compile_cpnet(room.document.network).completions
+                print(f"  the new compilation's memo holds {len(fresh)} so far")
             finally:
                 db.close()
 

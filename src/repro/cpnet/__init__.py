@@ -20,7 +20,7 @@ needs:
 * the Section 4.2 online-update policies
   (:mod:`repro.cpnet.updates`),
 * compiled evaluation — flat tables over a frozen topological order,
-  plus a shard-scoped completion cache
+  each compilation owning a memo of its completions
   (:mod:`repro.cpnet.compiled`), and
 * JSON round-tripping (:mod:`repro.cpnet.serialize`).
 """

@@ -1,4 +1,4 @@
-"""Compiled CP-net evaluation: flat tables, one frozen sweep, shared cache.
+"""Compiled CP-net evaluation: flat tables, one frozen sweep, owned memo.
 
 The interpreted queries in :mod:`repro.cpnet.reasoning` re-derive the
 topological order (Kahn) and re-scan every CPT's rule list (with
@@ -31,13 +31,11 @@ table and, as §4.2 asks, revisits no other. Viewer extensions compile as
 *overlay* layers that share the base compilation — the base is never
 copied (§4.2: the shared network "should not be duplicated").
 
-On top sits :class:`CompletionCache`, a bounded LRU memo of completed
-outcomes keyed by (doc id, instance-salted version token, overlay token,
-frozen evidence items) — see :func:`completion_key` for why the salts
-matter across re-fetches and viewer rejoins.
-It is designed to live at **shard scope** (one per
-:class:`~repro.server.interaction.InteractionServer`): identical
-constraint sets across viewers, rooms and sessions hit the same entry.
+Each compilation owns a :class:`CompletionCache`, a small LRU memo of its
+completed outcomes keyed by the frozen evidence alone. Ownership is the
+invalidation: whatever lets go of a compilation (a structural edit, a
+moved extension version, a departed viewer, a closed room, a re-fetched
+document) lets go of its completions, and nothing else can reach them.
 Metrics: ``cpnet.compile``, ``cpnet.compiled.completions`` and
 ``cpnet.completion_cache.{hits,misses,evictions,invalidations}`` in
 :mod:`repro.obs`.
@@ -216,7 +214,22 @@ def _run_plan(
     return outcome
 
 
-class CompiledCPNet:
+class _Compilation:
+    """What both compilations share: each owns its completions."""
+
+    __slots__ = ("_completions",)
+
+    @property
+    def completions(self) -> "CompletionCache":
+        """This compilation's memo, made when first asked for (an empty
+        extension's overlay never is: its viewer asks the base net's)."""
+        memo = self._completions
+        if memo is None:
+            memo = self._completions = CompletionCache()
+        return memo
+
+
+class CompiledCPNet(_Compilation):
     """A CP-net frozen into a topologically ordered sequence of flat tables.
 
     Built by :func:`compile_cpnet`; valid for exactly one
@@ -245,6 +258,7 @@ class CompiledCPNet:
         # memoized lazily (an incomplete table must still raise on the
         # first actual query, not at compile time).
         self._optimal: dict[str, str] | None = None
+        self._completions: CompletionCache | None = None
         self._m_completions = get_registry().counter("cpnet.compiled.completions")
 
     @property
@@ -291,7 +305,7 @@ class CompiledCPNet:
         )
 
 
-class CompiledExtension:
+class CompiledExtension(_Compilation):
     """A viewer extension compiled as an overlay on a shared base compilation.
 
     Only the viewer-local variables get their own flat tables; the base
@@ -310,6 +324,7 @@ class CompiledExtension:
             map(_flat_table, extension._cpts.values())
         )
         self._plan = tuple(table.entry for table in self._sweep)
+        self._completions: CompletionCache | None = None
         self._m_completions = get_registry().counter("cpnet.compiled.completions")
 
     @property
@@ -332,6 +347,12 @@ class CompiledExtension:
         return outcome
 
 
+def _retire(compiled: "CompiledCPNet | CompiledExtension | None") -> None:
+    """A compilation is being replaced: its completions go with it."""
+    if compiled is not None and compiled._completions is not None:
+        compiled._completions.invalidate()
+
+
 def compile_cpnet(net: CPNet) -> CompiledCPNet:
     """The (memoized) compilation of *net* at its current version.
 
@@ -342,6 +363,7 @@ def compile_cpnet(net: CPNet) -> CompiledCPNet:
     cached: CompiledCPNet | None = getattr(net, "_compiled", None)
     if cached is not None and not cached.stale:
         return cached
+    _retire(cached)
     compiled = CompiledCPNet(net)
     net._compiled = compiled  # type: ignore[attr-defined]
     get_registry().counter("cpnet.compile").inc()
@@ -354,47 +376,34 @@ def compile_extension(extension: Any) -> CompiledExtension:
     cached: CompiledExtension | None = getattr(extension, "_compiled", None)
     if cached is not None and cached.base is base and not cached.stale:
         return cached
+    _retire(cached)
     compiled = CompiledExtension(extension, base)
     extension._compiled = compiled
     get_registry().counter("cpnet.compile").inc()
     return compiled
 
 
-def completion_key(
-    doc_id: str,
-    version_token: Any,
-    overlay: tuple[Any, ...],
-    evidence: Assignment,
-) -> tuple[Any, ...]:
-    """Canonical cache key: (doc, version token, overlay id, frozen evidence).
+#: Completions one compilation remembers before the least recently used
+#: goes. Per compilation, so memory is bounded by live rooms and viewers
+#: times this; the ledger workloads hold at most 29 per compilation.
+MAX_COMPLETIONS = 256
 
-    *version_token* must be unique per (network instance, structural
-    version) — callers pass :attr:`CPNet.version_token`, which salts the
-    bare version counter with a process-unique instance id. The salt is
-    load-bearing: ``structure_version`` restarts at 0 when a persisted
-    document is re-fetched into a fresh ``CPNet``, so the bare counter
-    could re-reach an old number with different network content while the
-    shard-scoped cache still holds the old entries.
 
-    *overlay* is ``()`` for viewers with an empty extension — which is
-    how identical constraint sets across viewers and sessions land on
-    the same entry — and ``(viewer_id, ext_instance_id, ext_version)``
-    otherwise (the instance id keeps a rejoining viewer's fresh extension
-    from re-reaching her discarded one's keys).
-    """
-    return (doc_id, version_token, overlay, tuple(sorted(evidence.items())))
+def completion_key(evidence: Assignment) -> tuple[tuple[str, str], ...]:
+    """Canonical memo key: the frozen evidence, nothing else — which net,
+    version and overlay is a matter of whose memo is asked."""
+    return tuple(sorted(evidence.items()))
 
 
 class CachedCompletion:
-    """One cache entry: a completed outcome plus what was derived from it.
+    """One memo entry: a completed outcome plus what was derived from it.
 
-    ``outcome`` belongs to the cache: hand out copies, and rewrite it
+    ``outcome`` belongs to the memo: hand out copies, and rewrite it
     only in ways every reader of the entry would repeat anyway (the
     presentation engine finishes subtree hiding in place, which is
     idempotent). ``view`` is a slot for whatever is derived from the
     outcome alone — the engine keeps its viewer-independent view here;
-    it must be safe to share, and LRU eviction and
-    :meth:`CompletionCache.invalidate` reclaim it with the entry.
+    it must be safe to share, and goes wherever the entry goes.
     """
 
     __slots__ = ("outcome", "view")
@@ -405,37 +414,27 @@ class CachedCompletion:
 
 
 class CompletionCache:
-    """Bounded LRU memo of completed outcomes, shared at shard scope.
+    """LRU memo of one compilation's completions (``.completions`` of
+    :func:`compile_cpnet` / :func:`compile_extension`), keyed by
+    :func:`completion_key`: everyone asking the same compilation the same
+    question — room members with empty extensions and equal constraints,
+    the document's own §5.1 queries — shares one sweep.
 
     :meth:`lookup` and :meth:`store` deal in *copies*: callers are free
-    to mutate the outcome they get back (subtree hiding does), and cache
+    to mutate the outcome they get back (subtree hiding does), and memo
     state can never leak into anything a caller ships — replication
-    replay on a cacheless replica recomputes the same bytes.
+    replay on another replica recomputes the same bytes.
     :meth:`entry` hands out the live :class:`CachedCompletion` for
     callers that share a derived view instead of re-deriving it.
-
-    Keys are :func:`completion_key` tuples. Entries under a non-empty
-    overlay token are reachable by one viewer at one extension version
-    only, so they are also indexed by that token: :meth:`drop_overlay`
-    reclaims them, O(1) each, the moment the token dies.
     """
 
-    def __init__(self, max_entries: int = 2048) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+    __slots__ = ("_entries", "_m_hits", "_m_misses")
+
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple[Any, ...], CachedCompletion] = OrderedDict()
-        self._by_overlay: dict[tuple[Any, ...], set[tuple[Any, ...]]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
         registry = get_registry()
         self._m_hits = registry.counter("cpnet.completion_cache.hits")
         self._m_misses = registry.counter("cpnet.completion_cache.misses")
-        self._m_evictions = registry.counter("cpnet.completion_cache.evictions")
-        self._m_invalidations = registry.counter("cpnet.completion_cache.invalidations")
-        self._g_size = registry.gauge("cpnet.completion_cache.size")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -444,11 +443,9 @@ class CompletionCache:
         """The live entry for *key*, or ``None`` — one counted lookup."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             self._m_misses.inc()
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         self._m_hits.inc()
         return entry
 
@@ -462,78 +459,16 @@ class CompletionCache:
         if full; returns the new entry."""
         entry = self._entries[key] = CachedCompletion(dict(outcome))
         self._entries.move_to_end(key)
-        if key[2]:
-            self._by_overlay.setdefault(key[2], set()).add(key)
-        while len(self._entries) > self.max_entries:
-            self._unindex(self._entries.popitem(last=False)[0])
-            self.evictions += 1
-            self._m_evictions.inc()
-        self._g_size.set(len(self._entries))
+        if len(self._entries) > MAX_COMPLETIONS:
+            self._entries.popitem(last=False)
+            get_registry().counter("cpnet.completion_cache.evictions").inc()
         return entry
 
-    def _unindex(self, key: tuple[Any, ...]) -> None:
-        """Forget a removed entry's overlay-index slot, if it had one."""
-        if key[2]:
-            keys = self._by_overlay[key[2]]
-            keys.discard(key)
-            if not keys:
-                del self._by_overlay[key[2]]
-
-    def drop_overlay(self, overlay: tuple[Any, ...]) -> int:
-        """Drop every entry keyed under *overlay*; returns the count.
-
-        Called when a viewer's extension version moves or the viewer
-        leaves: the old token can never be looked up again, and its
-        entries would otherwise sit in the LRU ageing out live ones.
-        """
-        keys = self._by_overlay.pop(overlay, ())
-        for key in keys:
-            del self._entries[key]
-        return self._reclaimed(len(keys))
-
-    def _reclaimed(self, dropped: int) -> int:
-        """Account *dropped* eagerly reclaimed entries; returns the count."""
-        if dropped:
-            self.invalidations += dropped
-            self._m_invalidations.inc(dropped)
-        self._g_size.set(len(self._entries))
+    def invalidate(self) -> int:
+        """Drop every entry; returns the count. Called on the memo of a
+        compilation being replaced, so the counter reads how many
+        completions the §4.2 edits made unanswerable."""
+        dropped = len(self._entries)
+        self._entries.clear()
+        get_registry().counter("cpnet.completion_cache.invalidations").inc(dropped)
         return dropped
-
-    def invalidate(self, doc_id: str | None = None) -> int:
-        """Drop entries for *doc_id* (or everything); returns the count.
-
-        Called by the §4.2 update paths and when a room closes. Keys are
-        salted with :attr:`CPNet.version_token` (instance id + version),
-        so a structural change — or re-fetching the document into a
-        fresh network — makes old keys unreachable; this call is the
-        eager reclamation that keeps those dead entries from aging out
-        live ones. Do not rely on the bare ``structure_version`` being
-        in the key: it restarts per network instance and is only unique
-        in combination with the instance salt.
-        """
-        if doc_id is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._by_overlay.clear()
-        else:
-            stale = [key for key in self._entries if key[0] == doc_id]
-            for key in stale:
-                del self._entries[key]
-                self._unindex(key)
-            dropped = len(stale)
-        return self._reclaimed(dropped)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"CompletionCache({len(self._entries)}/{self.max_entries} entries, "
-            f"{self.hits} hits, {self.misses} misses)"
-        )

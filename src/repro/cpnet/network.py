@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 from typing import Iterable, Iterator
 
 from repro.errors import CyclicNetworkError, UnknownVariableError
 from repro.cpnet.cpt import CPT, Assignment, PreferenceRule
 from repro.cpnet.variable import Variable
-
-#: Process-global id source: every CPNet instance gets a distinct nonce,
-#: so completion-cache keys salted with it can never collide across
-#: instances (a persisted document re-fetched into a fresh CPNet restarts
-#: ``structure_version`` at 0 — the version alone is not unique).
-_instance_ids = count(1)
 
 
 class CPNet:
@@ -36,7 +29,6 @@ class CPNet:
         # `repro.cpnet.compiled` keys its flattened evaluators on it, so
         # the §4.2 update policies invalidate compilations for free.
         self._version = 0
-        self._instance_id = next(_instance_ids)
 
     # ----- introspection ----------------------------------------------------
 
@@ -44,23 +36,6 @@ class CPNet:
     def structure_version(self) -> int:
         """Monotonic counter of structural mutations (compilation key)."""
         return self._version
-
-    @property
-    def instance_id(self) -> int:
-        """Process-unique nonce of this in-memory network instance."""
-        return self._instance_id
-
-    @property
-    def version_token(self) -> tuple[int, int]:
-        """``(instance_id, structure_version)`` — the completion-key salt.
-
-        The instance id makes tokens unique across the lifetime of the
-        process: a document persisted, closed and re-fetched builds a new
-        ``CPNet`` whose version counter restarts at 0, so the bare version
-        could re-reach an old number with different network content. Keys
-        salted with this token can never be re-reached by a later instance.
-        """
-        return (self._instance_id, self._version)
 
     def __len__(self) -> int:
         return len(self._variables)

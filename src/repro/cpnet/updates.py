@@ -22,7 +22,6 @@ never a duplicate of the base network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from time import perf_counter
 from typing import Iterable, Mapping
 
@@ -33,13 +32,6 @@ from repro.cpnet.variable import Variable
 from repro.obs import LATENCY_BUCKETS, get_registry
 
 Assignment = Mapping[str, str]
-
-#: Process-global id source for :class:`ViewerExtension` instances. A
-#: viewer who leaves and rejoins gets a *fresh* extension whose version
-#: counter restarts at 0, so ``(viewer_id, extension_version)`` alone can
-#: re-reach an old value with different content; the instance id keeps
-#: completion-cache overlay tokens unique per extension object.
-_extension_ids = count(1)
 
 #: Domain values used for operation variables: the operation result shown,
 #: or the plain (un-operated) form shown.
@@ -152,7 +144,6 @@ class ViewerExtension:
         # compiled overlay (repro.cpnet.compiled) invalidates precisely
         # while the shared base compilation stays untouched.
         self._version = 0
-        self._instance_id = next(_extension_ids)
 
     # ----- structure ---------------------------------------------------------
 
@@ -160,11 +151,6 @@ class ViewerExtension:
     def extension_version(self) -> int:
         """Monotonic counter of viewer-local mutations (compilation key)."""
         return self._version
-
-    @property
-    def instance_id(self) -> int:
-        """Process-unique nonce of this extension instance (cache-key salt)."""
-        return self._instance_id
 
     @property
     def extension_names(self) -> tuple[str, ...]:

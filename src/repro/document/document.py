@@ -18,12 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.errors import DocumentError
-from repro.cpnet.compiled import (
-    CompletionCache,
-    compile_cpnet,
-    compiled_enabled,
-    completion_key,
-)
+from repro.cpnet.compiled import compile_cpnet, compiled_enabled, completion_key
 from repro.cpnet.network import CPNet
 from repro.cpnet.reasoning import best_completion, optimal_outcome
 from repro.cpnet.updates import add_component_variable, remove_component_variable
@@ -111,10 +106,6 @@ class MultimediaDocument:
         self.title = title or doc_id
         self._root = root
         self._network = network
-        #: Optional shard-scoped completion memo; the owning server sets
-        #: this when it opens the document so direct §5.1 queries share
-        #: entries with the presentation engines.
-        self.completion_cache: CompletionCache | None = None
         self._component_index: _ComponentIndex | None = None
         self._check_alignment()
 
@@ -201,23 +192,19 @@ class MultimediaDocument:
 
     def _best_completion(self, evidence: Mapping[str, str]) -> dict[str, str]:
         """One sweep over the author network, compiled when enabled and
-        shared through the server's completion cache when one is attached
-        (overlay ``()`` — these queries see no viewer extension)."""
+        then answered from the compilation's memo — the one a
+        presentation engine serving this document reads too."""
         if not compiled_enabled():
             if not evidence:
                 return optimal_outcome(self._network)
             return best_completion(self._network, evidence)
         compiled = compile_cpnet(self._network)
-        if self.completion_cache is None:
-            return compiled.best_completion(evidence)
-        key = completion_key(
-            self.doc_id, self._network.version_token, (), evidence
-        )
-        cached = self.completion_cache.lookup(key)
+        key = completion_key(evidence)
+        cached = compiled.completions.lookup(key)
         if cached is not None:
             return cached
         outcome = compiled.best_completion(evidence)
-        self.completion_cache.store(key, outcome)
+        compiled.completions.store(key, outcome)
         return outcome
 
     def _enforce_subtree_hiding(self, outcome: dict[str, str]) -> dict[str, str]:

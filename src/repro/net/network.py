@@ -199,6 +199,8 @@ class SimulatedNetwork:
         self._nodes.pop(node_id, None)
         self._uplinks.pop(node_id, None)
         self._downlinks.pop(node_id, None)
+        self._m_link_up.pop(node_id, None)
+        self._m_link_down.pop(node_id, None)
         self._backbone.discard(node_id)
         self._hubs.discard(node_id)
         # Home assignments pointing AT a detached gateway are kept: the

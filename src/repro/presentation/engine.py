@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 from repro.errors import DocumentError
 from repro.obs import get_registry
-from repro.cpnet.compiled import CompletionCache, compiled_enabled, completion_key
+from repro.cpnet.compiled import (
+    compile_cpnet,
+    compile_extension,
+    compiled_enabled,
+    completion_key,
+)
 from repro.cpnet.updates import OperationVariable, ViewerExtension
 from repro.document.document import MultimediaDocument
 from repro.presentation.spec import PresentationSpec, PresentationView
@@ -45,50 +50,56 @@ class ViewerChoice:
             raise ValueError(f"scope must be 'shared' or 'personal', got {self.scope!r}")
 
 
+class _Viewer:
+    """Everything the engine keeps for one registered viewer.
+
+    ``version`` is bumped by her personal choices and local operations;
+    ``spec`` is her memoized ``(shared version, version, spec)``.
+    """
+
+    __slots__ = ("personal", "extension", "version", "spec")
+
+    def __init__(self, extension: ViewerExtension) -> None:
+        self.personal: dict[str, str] = {}
+        self.extension = extension
+        self.version = 0
+        self.spec: tuple[int, int, PresentationSpec] | None = None
+
+
 class PresentationEngine:
     """Presentation reasoning for one open document."""
 
-    def __init__(
-        self,
-        document: MultimediaDocument,
-        completion_cache: CompletionCache | None = None,
-    ) -> None:
+    def __init__(self, document: MultimediaDocument) -> None:
         self.document = document
-        #: Shard-scoped completion memo (repro.cpnet.compiled): shared
-        #: across every engine of the owning server, so identical
-        #: constraint sets from different viewers/rooms/sessions hit the
-        #: same entry. ``None`` keeps the engine self-contained.
-        self.completion_cache = completion_cache
         self._shared_choices: dict[str, str] = {}
-        self._personal_choices: dict[str, dict[str, str]] = {}
-        self._extensions: dict[str, ViewerExtension] = {}
+        self._viewers: dict[str, _Viewer] = {}
         # Spec memoization: one shared version counter (bumped by shared
         # choices and global operations) plus a per-viewer counter (bumped
         # by that viewer's personal choices/operations). A viewer's spec
         # is valid while both counters are unchanged — so propagating a
         # personal change does not recompute every other member's view.
         self._shared_version = 0
-        self._viewer_versions: dict[str, int] = {}
-        self._spec_cache: dict[str, tuple[int, int, PresentationSpec]] = {}
         # ((shared version, base structure version), whether every shared
         # choice names a base variable) — see _shared_evidence.
         self._shared_on_base: tuple[tuple[int, int], bool] | None = None
-        # Each viewer's live overlay token in the completion cache; the
-        # entries under a token are reclaimed when it moves or she leaves.
-        self._overlays: dict[str, tuple] = {}
         # Cache accounting: plain per-instance tallies (what tests and
         # `stats()` expect) plus registry children split per document, so
         # dashboards see cache behaviour without holding engine refs.
-        family_hits = get_registry().counter_family(
-            "presentation.spec_cache.hits", ("doc",)
+        registry = get_registry()
+        self._families = (
+            registry.counter_family("presentation.spec_cache.hits", ("doc",)),
+            registry.counter_family("presentation.spec_cache.misses", ("doc",)),
         )
-        family_misses = get_registry().counter_family(
-            "presentation.spec_cache.misses", ("doc",)
+        self._m_cache_hits, self._m_cache_misses = (
+            family.labels(document.doc_id) for family in self._families
         )
-        self._m_cache_hits = family_hits.labels(document.doc_id)
-        self._m_cache_misses = family_misses.labels(document.doc_id)
         self._cache_hits = 0
         self._cache_misses = 0
+
+    def close(self) -> None:
+        """The document is no longer served: its labelled series go."""
+        for family in self._families:
+            family.remove(self.document.doc_id)
 
     @property
     def cache_hits(self) -> int:
@@ -103,77 +114,62 @@ class PresentationEngine:
     # ----- viewers ----------------------------------------------------------
 
     def register_viewer(self, viewer_id: str) -> None:
-        self._personal_choices.setdefault(viewer_id, {})
-        self._extensions.setdefault(
-            viewer_id, ViewerExtension(self.document.network, viewer_id)
-        )
+        if viewer_id not in self._viewers:
+            self._viewers[viewer_id] = _Viewer(
+                ViewerExtension(self.document.network, viewer_id)
+            )
 
     def unregister_viewer(self, viewer_id: str) -> None:
-        self._personal_choices.pop(viewer_id, None)
-        self._extensions.pop(viewer_id, None)
-        self._viewer_versions.pop(viewer_id, None)
-        self._spec_cache.pop(viewer_id, None)
-        self._track_overlay(viewer_id, ())
+        self._viewers.pop(viewer_id, None)
 
     @property
     def viewer_ids(self) -> tuple[str, ...]:
-        return tuple(self._personal_choices)
+        return tuple(self._viewers)
 
     def extension(self, viewer_id: str) -> ViewerExtension:
-        self._require_viewer(viewer_id)
-        return self._extensions[viewer_id]
+        return self._viewer(viewer_id).extension
 
-    def _require_viewer(self, viewer_id: str) -> None:
-        if viewer_id not in self._personal_choices:
-            raise DocumentError(f"viewer {viewer_id!r} is not registered")
+    def _viewer(self, viewer_id: str) -> _Viewer:
+        try:
+            return self._viewers[viewer_id]
+        except KeyError:
+            raise DocumentError(f"viewer {viewer_id!r} is not registered") from None
 
     # ----- choices -------------------------------------------------------------
 
     def apply_choice(self, choice: ViewerChoice) -> None:
         """Record a choice; later choices on the same component win."""
-        self._require_viewer(choice.viewer_id)
-        variable = self._variable_for(choice.viewer_id, choice.component)
-        variable.check_value(choice.value)
+        viewer = self._viewer(choice.viewer_id)
+        viewer.extension.variable(choice.component).check_value(choice.value)
         if choice.scope == SHARED:
             self._shared_choices[choice.component] = choice.value
             # A fresh shared choice overrides older personal ones everywhere.
-            for personal in self._personal_choices.values():
-                personal.pop(choice.component, None)
+            for other in self._viewers.values():
+                other.personal.pop(choice.component, None)
             self._shared_version += 1
         else:
-            self._personal_choices[choice.viewer_id][choice.component] = choice.value
-            self._bump_viewer(choice.viewer_id)
+            viewer.personal[choice.component] = choice.value
+            viewer.version += 1
 
     def clear_choice(self, viewer_id: str, component: str) -> None:
         """Withdraw constraints on *component* (back to author preference)."""
-        self._require_viewer(viewer_id)
+        viewer = self._viewer(viewer_id)
         self._shared_choices.pop(component, None)
-        self._personal_choices[viewer_id].pop(component, None)
+        viewer.personal.pop(component, None)
         self._shared_version += 1
-
-    def _bump_viewer(self, viewer_id: str) -> None:
-        self._viewer_versions[viewer_id] = self._viewer_versions.get(viewer_id, 0) + 1
 
     def invalidate(self) -> None:
         """Drop all memoized specs — call after mutating the document or
-        its network outside this engine (e.g. ``document.add_component``)."""
+        its network outside this engine (e.g. ``document.add_component``).
+        Completions need no call: they left with the old compilation."""
         self._shared_version += 1
-        if self.completion_cache is not None:
-            self.completion_cache.invalidate(self.document.doc_id)
-
-    def _variable_for(self, viewer_id: str, component: str):
-        extension = self._extensions[viewer_id]
-        if component in extension:
-            return extension.variable(component)
-        return self.document.network.variable(component)
 
     @property
     def shared_choices(self) -> dict[str, str]:
         return dict(self._shared_choices)
 
     def personal_choices(self, viewer_id: str) -> dict[str, str]:
-        self._require_viewer(viewer_id)
-        return dict(self._personal_choices[viewer_id])
+        return dict(self._viewer(viewer_id).personal)
 
     # ----- operations (§4.2) ------------------------------------------------------
 
@@ -191,7 +187,7 @@ class PresentationEngine:
         ``global_importance`` the shared network is updated for everyone;
         otherwise only this viewer's extension grows.
         """
-        self._require_viewer(viewer_id)
+        viewer = self._viewer(viewer_id)
         current = self.presentation_for(viewer_id).outcome
         if component not in current:
             raise DocumentError(f"no component {component!r} in {self.document.doc_id!r}")
@@ -200,73 +196,47 @@ class PresentationEngine:
             from repro.cpnet.updates import apply_operation as apply_global
 
             self._shared_version += 1
-            # §4.2 precise invalidation: the instance-salted version
-            # token already orphans every cached completion of this
-            # document (it is in the key); reclaim the dead entries
-            # eagerly so they never age out live ones.
-            if self.completion_cache is not None:
-                self.completion_cache.invalidate(self.document.doc_id)
             return apply_global(self.document.network, component, operation, active_value)
-        self._bump_viewer(viewer_id)
-        return self._extensions[viewer_id].apply_operation(component, operation, active_value)
+        viewer.version += 1
+        return viewer.extension.apply_operation(component, operation, active_value)
 
     # ----- presentation computation ---------------------------------------------------
 
     def _view(
-        self, viewer_id: str, extension: ViewerExtension, evidence: dict[str, str]
+        self, extension: ViewerExtension, evidence: dict[str, str]
     ) -> PresentationView:
-        """One completion sweep and one view per distinct constraint
-        set, shared through the shard cache when set.
+        """One completion sweep and one view per distinct constraint set.
 
-        Viewers with an empty extension key on overlay ``()`` — so two
-        members imposing the same constraints hit the same entry — while
-        a viewer with her own §4.2 extension keys on
-        ``(viewer_id, extension_instance_id, extension_version)`` and
-        never pollutes anyone else's lookups. The instance id matters: a
-        viewer who leaves and rejoins gets a *fresh* extension whose
-        version restarts at 0, so version alone could re-reach an old
-        key with different extension content.
+        A viewer with an empty extension asks the base net's compilation
+        — so members imposing the same constraints, and the document's
+        own §5.1 queries, share one entry — while a viewer with her own
+        §4.2 extension asks her overlay's and never meets anyone else.
 
-        The view lives in the cache entry, so whatever reclaims the
-        completion (LRU, §4.2 invalidation, room close) reclaims it too
-        — and it measures, when first asked, the entry's own outcome,
-        finished in place: subtree hiding is idempotent and every reader
-        of a cached completion applies it, so the entry needs no second dict.
+        The view lives in the memo entry, so it goes wherever the
+        completion goes — and it measures, when first asked, the entry's
+        own outcome, finished in place: subtree hiding is idempotent and
+        every reader of a cached completion applies it, so the entry
+        needs no second dict.
         """
         document = self.document
-        if not compiled_enabled() or self.completion_cache is None:
+        if not compiled_enabled():
             outcome = extension.best_completion(evidence)
             return PresentationView(document, document._enforce_subtree_hiding(outcome))
-        overlay = (
-            (viewer_id, extension.instance_id, extension.extension_version)
+        compiled = (
+            compile_extension(extension)
             if extension.size()
-            else ()
+            else compile_cpnet(document.network)
         )
-        if self._overlays.get(viewer_id, ()) != overlay:
-            self._track_overlay(viewer_id, overlay)
-        key = completion_key(
-            document.doc_id, document.network.version_token, overlay, evidence
-        )
-        entry = self.completion_cache.entry(key)
+        completions = compiled.completions
+        key = completion_key(evidence)
+        entry = completions.entry(key)
         if entry is None:
-            entry = self.completion_cache.store(
-                key, extension.best_completion(evidence)
-            )
+            entry = completions.store(key, extension.best_completion(evidence))
         if entry.view is None:
             entry.view = PresentationView(
                 document, document._enforce_subtree_hiding(entry.outcome)
             )
         return entry.view
-
-    def _track_overlay(self, viewer_id: str, overlay: tuple) -> None:
-        """Make *overlay* the viewer's live token, reclaiming the old
-        one's completions: a moved extension version (or a departed
-        viewer) can never look them up again."""
-        previous = self._overlays.pop(viewer_id, ())
-        if previous and self.completion_cache is not None:
-            self.completion_cache.drop_overlay(previous)
-        if overlay:
-            self._overlays[viewer_id] = overlay
 
     def _shared_evidence(self, extension: ViewerExtension) -> dict[str, str]:
         """A fresh dict of the shared choices that constrain one viewer.
@@ -297,24 +267,20 @@ class PresentationEngine:
         — propagating one member's personal choice does not re-reason
         about every other member.
         """
-        self._require_viewer(viewer_id)
-        versions = (
-            self._shared_version,
-            self._viewer_versions.get(viewer_id, 0),
-        )
-        cached = self._spec_cache.get(viewer_id)
-        if cached is not None and cached[:2] == versions:
+        viewer = self._viewer(viewer_id)
+        shared, own = self._shared_version, viewer.version
+        cached = viewer.spec
+        if cached is not None and cached[0] == shared and cached[1] == own:
             self._cache_hits += 1
             self._m_cache_hits.inc()
             return cached[2]
         self._cache_misses += 1
         self._m_cache_misses.inc()
-        extension = self._extensions[viewer_id]
+        extension = viewer.extension
         evidence = self._shared_evidence(extension)
-        evidence.update(self._personal_choices[viewer_id])
-        view = self._view(viewer_id, extension, evidence)
-        spec = view.spec_for(viewer_id, computed_at=now)
-        self._spec_cache[viewer_id] = (versions[0], versions[1], spec)
+        evidence.update(viewer.personal)
+        spec = self._view(extension, evidence).spec_for(viewer_id, computed_at=now)
+        viewer.spec = (shared, own, spec)
         return spec
 
     def presentations(self, now: float = 0.0) -> dict[str, PresentationSpec]:

@@ -19,7 +19,6 @@ from typing import Any, Sequence
 
 from repro.errors import ProtocolError, RoomError, ServerError
 from repro import obs
-from repro.cpnet.compiled import CompletionCache
 from repro.db.orm import MultimediaObjectStore
 from repro.document.document import MultimediaDocument
 from repro.interest import (
@@ -96,11 +95,6 @@ class InteractionServer:
         self._sessions: dict[str, Session] = {}
         self._rooms: dict[str, Room] = {}
         self._rooms_by_doc: dict[str, str] = {}
-        #: Shard-scoped memo of compiled CP-net completions, shared by
-        #: every room/engine/document this server opens (ISSUE: share
-        #: completions across viewers). Bounded LRU; invalidated per
-        #: document on §4.2 structural updates.
-        self.completion_cache = CompletionCache()
         registry = obs.get_registry()
         self._trace = obs.trace
         self._events = obs.get_event_log()
@@ -241,15 +235,9 @@ class InteractionServer:
         """
         if doc_id in self._rooms_by_doc:
             return self._rooms[self._rooms_by_doc[doc_id]]
-        document = self.store.fetch_document(doc_id)
-        # Every room (and the document's direct §5.1 queries) on this
-        # shard shares the one completion cache — identical constraint
-        # sets across viewers and rooms resolve to the same entry.
-        document.completion_cache = self.completion_cache
         room = Room(
             room_id if room_id is not None else self._ids.next("room"),
-            document,
-            completion_cache=self.completion_cache,
+            self.store.fetch_document(doc_id),
         )
         self._rooms[room.room_id] = room
         self._rooms_by_doc[doc_id] = room.room_id
@@ -338,15 +326,14 @@ class InteractionServer:
                     )
             del self._rooms[room.room_id]
             del self._rooms_by_doc[room.document.doc_id]
-            # Reclaim the closed document's completion memos: a re-open
-            # fetches a fresh CPNet whose instance-salted version token
-            # can never re-reach these keys, so they are dead weight
-            # that would only age live entries out of the LRU.
-            self.completion_cache.invalidate(room.document.doc_id)
             self._g_rooms.set(len(self._rooms))
             # The room's labelled series die with it: a closed room must
-            # leave no live gauge child and no trace-store residue.
+            # leave no live child in any family and no trace-store
+            # residue (the flat counters keep the cumulative totals).
             self._g_interest_subs.remove(room.room_id)
+            self._f_prop_bytes.remove(room.room_id, "diff")
+            self._f_prop_bytes.remove(room.room_id, "full")
+            room.close()
             self._dtrace.drop_room(room.room_id)
             self._emit(
                 "server.room_closed", room=room.room_id, doc=room.document.doc_id
@@ -876,7 +863,6 @@ class InteractionServer:
             ),
             "spec_cache_hits": sum(r.engine.cache_hits for r in self._rooms.values()),
             "spec_cache_misses": sum(r.engine.cache_misses for r in self._rooms.values()),
-            "completion_cache": self.completion_cache.stats(),
             "triggers": len(self.triggers.triggers),
         }
 

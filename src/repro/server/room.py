@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.errors import FrozenObjectError, RoomError
 from repro.obs import get_registry
-from repro.cpnet.compiled import CompletionCache
 from repro.cpnet.updates import OperationVariable
 from repro.document.document import MultimediaDocument
 from repro.interest.registry import InterestRegistry
@@ -41,15 +40,10 @@ class RoomChange:
 class Room:
     """One shared room around one multimedia document."""
 
-    def __init__(
-        self,
-        room_id: str,
-        document: MultimediaDocument,
-        completion_cache: "CompletionCache | None" = None,
-    ) -> None:
+    def __init__(self, room_id: str, document: MultimediaDocument) -> None:
         self.room_id = room_id
         self.document = document
-        self.engine = PresentationEngine(document, completion_cache=completion_cache)
+        self.engine = PresentationEngine(document)
         self._members: dict[str, str] = {}  # session_id -> viewer_id
         self._frozen: dict[str, str] = {}   # component -> viewer_id holding the freeze
         self._changes: list[RoomChange] = []
@@ -69,9 +63,10 @@ class Room:
         # gauge; the flat gauge stays as "depth of the last-active room"
         # for older dashboards.
         self._g_buffer_depth = obs.gauge("server.room.buffer_depth")
-        self._g_buffer_depth_room = obs.gauge_family(
+        self._f_buffer_depth = obs.gauge_family(
             "server.room.buffer_depth_by_room", ("room",)
-        ).labels(room_id)
+        )
+        self._g_buffer_depth_room = self._f_buffer_depth.labels(room_id)
 
     # ----- membership -----------------------------------------------------------
 
@@ -111,6 +106,11 @@ class Room:
             self.engine.unregister_viewer(viewer_id)
         self._trim_buffer()
         return viewer_id
+
+    def close(self) -> None:
+        """The room is gone: its labelled series go with it."""
+        self._f_buffer_depth.remove(self.room_id)
+        self.engine.close()
 
     def viewer_of(self, session_id: str) -> str:
         return self._require_member(session_id)

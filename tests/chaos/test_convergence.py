@@ -82,8 +82,8 @@ def test_compiled_hot_path_converges_to_interpreted_control(tmp_path):
     """The compiled CP-net engine is byte-identical under faults.
 
     The control runs every completion on the interpreted reference sweep;
-    the seeded chaos run keeps compiled evaluation plus the shard-scoped
-    completion cache on, through the fault window and the primary crash.
+    the seeded chaos run keeps compiled evaluation and its completion
+    memos on, through the fault window and the primary crash.
     Byte-identical final displays prove compilation and cache sharing
     change no presentation decision — and the gate additionally requires
     cache *hits*, so sharing demonstrably happened (not just agreed).

@@ -87,7 +87,7 @@ class TestStepDown:
         # ...and the personal tuning choice reached the server.
         assert client.tuning_level == BANDWIDTH_MEDIUM
         room = server.room(client.room_id)
-        personal = room.engine._personal_choices[client.viewer_id]
+        personal = room.engine.personal_choices(client.viewer_id)
         assert personal.get(TUNING_VARIABLE) == BANDWIDTH_MEDIUM
         assert client.errors == []
         db.close()

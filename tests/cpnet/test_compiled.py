@@ -1,4 +1,4 @@
-"""Compiled CP-net evaluation: exactness, invalidation, and the shared cache.
+"""Compiled CP-net evaluation: exactness, invalidation, and the owned memo.
 
 The headline property (ISSUE satellite): the compiled engine is
 **byte-identical** to the interpreted reference — same values, same dict
@@ -28,6 +28,7 @@ from repro.cpnet import (
     interpreted_mode,
     optimal_outcome,
 )
+from repro.cpnet.compiled import MAX_COMPLETIONS
 from repro.cpnet.examples import FIGURE2_OPTIMAL, random_dag_network
 from repro.cpnet.updates import ViewerExtension, add_component_variable
 
@@ -298,84 +299,110 @@ class TestEngineSwitch:
         assert dumps(compiled) == dumps(reference)
 
 
-# ----- completion cache -----------------------------------------------------------
+# ----- completions live with their compilation ---------------------------------------
+
+
+def memo_counters():
+    registry = get_registry()
+    return {
+        name: int(registry.counter(f"cpnet.completion_cache.{name}").value)
+        for name in ("hits", "misses", "evictions", "invalidations")
+    }
 
 
 class TestCompletionCache:
     def test_hit_miss_accounting(self):
         with use_registry(MetricsRegistry()):
-            cache = CompletionCache()
-            key = completion_key("doc", 0, (), {"c1": "c1_1"})
+            cache = compile_cpnet(figure2_network()).completions
+            key = completion_key({"c1": "c1_1"})
             assert cache.lookup(key) is None
             cache.store(key, {"c1": "c1_1", "c2": "c2_2"})
             assert cache.lookup(key) == {"c1": "c1_1", "c2": "c2_2"}
-            assert cache.stats() == {
-                "entries": 1,
-                "hits": 1,
-                "misses": 1,
-                "evictions": 0,
-                "invalidations": 0,
+            assert len(cache) == 1
+            assert memo_counters() == {
+                "hits": 1, "misses": 1, "evictions": 0, "invalidations": 0,
             }
-            registry = get_registry()
-            assert registry.counter("cpnet.completion_cache.hits").value == 1
-            assert registry.counter("cpnet.completion_cache.misses").value == 1
-            assert registry.gauge("cpnet.completion_cache.size").value == 1
+
+    def test_the_key_is_the_frozen_evidence_alone(self):
+        assert completion_key({}) == ()
+        assert completion_key({"b": "2", "a": "1"}) == (("a", "1"), ("b", "2"))
+        assert completion_key({"a": "1", "b": "2"}) == completion_key({"b": "2", "a": "1"})
 
     def test_lookup_returns_copies(self):
         cache = CompletionCache()
-        key = completion_key("doc", 0, (), {})
+        key = completion_key({})
         cache.store(key, {"a": "1"})
         first = cache.lookup(key)
         first["a"] = "mutated"  # subtree hiding mutates outcomes in place
         assert cache.lookup(key) == {"a": "1"}
 
     def test_lru_eviction(self):
-        cache = CompletionCache(max_entries=2)
-        k1, k2, k3 = (completion_key("doc", 0, (), {"x": str(i)}) for i in range(3))
-        cache.store(k1, {"a": "1"})
-        cache.store(k2, {"a": "2"})
-        cache.lookup(k1)  # k1 is now most-recent
-        cache.store(k3, {"a": "3"})
-        assert cache.lookup(k2) is None  # the LRU entry went
-        assert cache.lookup(k1) is not None
-        assert cache.evictions == 1
+        with use_registry(MetricsRegistry()):
+            cache = CompletionCache()
+            keys = [completion_key({"x": str(i)}) for i in range(MAX_COMPLETIONS + 1)]
+            for key in keys[:-1]:
+                cache.store(key, {"a": "1"})
+            assert len(cache) == MAX_COMPLETIONS
+            cache.lookup(keys[0])  # keys[0] is now most-recent
+            cache.store(keys[-1], {"a": "3"})
+            assert len(cache) == MAX_COMPLETIONS
+            assert cache.lookup(keys[1]) is None  # the LRU entry went
+            assert cache.lookup(keys[0]) is not None
+            assert memo_counters()["evictions"] == 1
 
-    def test_invalidate_per_document(self):
-        cache = CompletionCache()
-        cache.store(completion_key("doc-a", 0, (), {}), {"a": "1"})
-        cache.store(completion_key("doc-a", 0, (), {"x": "1"}), {"a": "2"})
-        cache.store(completion_key("doc-b", 0, (), {}), {"b": "1"})
-        assert cache.invalidate("doc-a") == 2
-        assert len(cache) == 1
-        assert cache.lookup(completion_key("doc-b", 0, (), {})) is not None
-        assert cache.invalidations == 2
-        assert cache.invalidate() == 1  # drop everything
-        assert len(cache) == 0
-
-    def test_version_in_key_isolates_stale_entries(self):
+    def test_a_memo_is_made_when_first_asked_for(self):
         net = figure2_network()
-        cache = CompletionCache()
-        old = completion_key("doc", net.version_token, (), {})
-        cache.store(old, compile_cpnet(net).best_completion({}))
-        apply_operation(net, "c2", "segment", "c2_2")
-        fresh = completion_key("doc", net.version_token, (), {})
-        assert fresh != old
-        assert cache.lookup(fresh) is None
+        extension = ViewerExtension(net, "ines")
+        extension.best_completion({"c1": "c1_1"})
+        # Sweeping memoizes nothing by itself: an empty overlay, whose
+        # viewer asks the base net's memo, never gets one of its own.
+        assert compile_cpnet(net)._completions is None
+        assert compile_extension(extension)._completions is None
+        memo = compile_cpnet(net).completions
+        assert memo is compile_cpnet(net).completions and len(memo) == 0
 
-    def test_version_token_unique_across_net_instances(self):
-        """Regression: a persisted document re-fetched into a fresh CPNet
-        restarts structure_version at 0 and can re-accumulate the same
-        count with different content, while the shard cache keeps the old
-        entries — the instance salt in version_token keeps the two
-        instances' keys disjoint."""
+    def test_a_structural_edit_leaves_the_memo_behind(self):
+        with use_registry(MetricsRegistry()):
+            net = figure2_network()
+            old = compile_cpnet(net)
+            old.completions.store(completion_key({}), old.best_completion({}))
+            old.completions.store(completion_key({"c1": "c1_1"}), {"c1": "c1_1"})
+            apply_operation(net, "c2", "segment", "c2_2")
+            fresh = compile_cpnet(net)
+            assert fresh is not old and net._compiled is fresh
+            assert fresh._completions is None  # nothing carried over
+            assert fresh.completions.lookup(completion_key({})) is None
+            # The replaced compilation's entries were let go, and counted.
+            assert len(old.completions) == 0
+            assert memo_counters()["invalidations"] == 2
+
+    def test_a_moved_extension_version_leaves_the_overlay_memo_behind(self):
+        with use_registry(MetricsRegistry()):
+            net = figure2_network()
+            extension = ViewerExtension(net, "ines")
+            extension.apply_operation("c2", "segment", "c2_2")
+            old = compile_extension(extension)
+            old.completions.store(completion_key({}), old.best_completion({}))
+            base_memo = compile_cpnet(net).completions
+            base_memo.store(completion_key({}), compile_cpnet(net).best_completion({}))
+            extension.apply_operation("c1", "zoom", "c1_1")
+            fresh = compile_extension(extension)
+            assert fresh is not old and fresh._completions is None
+            assert len(old.completions) == 0
+            assert memo_counters()["invalidations"] == 1
+            # ...while the shared base compilation and its memo stand.
+            assert compile_cpnet(net).completions is base_memo and len(base_memo) == 1
+
+    def test_two_instances_of_a_net_never_meet(self):
+        """Regression (PR 10 review): a persisted document re-fetched
+        into a fresh CPNet restarts structure_version at 0 and can reach
+        the same count with different content. Each instance owns its
+        compilation, so the old instance's completions are not a lookup
+        away from the new one's — no salt needed."""
         first, second = figure2_network(), figure2_network()
         assert first.structure_version == second.structure_version
-        assert first.version_token != second.version_token
-        cache = CompletionCache()
-        cache.store(
-            completion_key("doc", first.version_token, (), {}), {"c1": "stale"}
-        )
-        assert cache.lookup(completion_key("doc", second.version_token, (), {})) is None
+        compile_cpnet(first).completions.store(completion_key({}), {"c1": "stale"})
+        assert compile_cpnet(second).completions.lookup(completion_key({})) is None
 
 
 # ----- the headline property: compiled == interpreted, byte for byte ---------------

@@ -110,6 +110,40 @@ class TestBackbone:
         assert net.backbone_ids == ()
         assert not net.has_node("shard-1")
 
+    def test_a_detached_node_is_in_none_of_the_per_node_tables(self, net):
+        """Every dict or set the network keys by node id — found by
+        walking its attributes, so a table added later is covered."""
+        gateway = Recorder("gw-1")
+        gateway.attach(net)
+        net.attach_gateway(gateway, uplink=Link(), downlink=Link())
+        add_backbone(net, "shard-1")
+        add_client(net, "c1")
+        net.assign_home("c1", "gw-1")
+        net.set_peer_link("shard-1", "gw-1", Link())
+        net.send("shard-1", "gw-1", "route", size_bytes=8)
+        net.send("gw-1", "c1", "update", size_bytes=8)
+        net.run()
+
+        def tables_naming(node_id):
+            return sorted(
+                name
+                for name, table in vars(net).items()
+                if isinstance(table, (dict, set))
+                and any(
+                    node_id == key or (isinstance(key, tuple) and node_id in key)
+                    for key in table
+                )
+            )
+
+        assert tables_naming("c1") == [
+            "_downlinks", "_home", "_m_link_down", "_m_link_up", "_nodes",
+            "_routes", "_uplinks",
+        ]
+        assert "_peer_links" in tables_naming("shard-1")
+        for node_id in ("c1", "shard-1", "gw-1"):
+            net.detach_client(node_id)
+            assert tables_naming(node_id) == []
+
     def test_has_node(self, net):
         add_backbone(net, "shard-1")
         add_client(net, "c1")

@@ -1,12 +1,14 @@
 """Unit tests for the presentation engine."""
 
+import gc
+import weakref
 from collections import Counter
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cpnet import CompletionCache
+from repro.cpnet import compile_cpnet, compile_extension, completion_key
 from repro.document import (
     Hidden,
     JPGImage,
@@ -14,6 +16,7 @@ from repro.document import (
     build_sample_medical_record,
 )
 from repro.errors import DocumentError
+from repro.obs import MetricsRegistry, use_registry
 from repro.presentation import PresentationEngine, ViewerChoice
 from repro.presentation import engine as engine_module
 from repro.presentation import spec as spec_module
@@ -28,6 +31,11 @@ def engine():
     engine.register_viewer("lee")
     engine.register_viewer("cho")
     return engine
+
+
+def base_memo(engine):
+    """The completions of the served document's current compilation."""
+    return compile_cpnet(engine.document.network).completions
 
 
 class TestViewers:
@@ -207,10 +215,8 @@ class TestSharedEvidence:
                 extension.interpreted_best_completion(evidence)
             )
 
-        def run(cache):
-            engine = PresentationEngine(
-                build_sample_medical_record(), completion_cache=cache
-            )
+        def run():
+            engine = PresentationEngine(build_sample_medical_record())
             for member in members:
                 engine.register_viewer(member)
             frames = []
@@ -233,52 +239,84 @@ class TestSharedEvidence:
             return frames
 
         with interpreted_mode():
-            reference = run(None)
-        assert run(CompletionCache()) == reference
-        assert run(None) == reference  # compiled, no shard cache
+            reference = run()
+        assert run() == reference
 
 
 class TestSharedCompletionCache:
     def test_rejoining_viewer_never_hits_discarded_extension_entries(self):
         """Regression: a viewer who leaves and rejoins gets a *fresh*
-        ViewerExtension whose version counter restarts at 0, while the
-        shard-scoped completion cache outlives the extension. Applying a
+        ViewerExtension whose version counter restarts at 0. Applying a
         different operation after the rejoin reproduces the old version
-        number (add_variable + 2 add_rules = 3 either way), so the
-        overlay token must be salted per extension instance or the cache
-        serves the previous extension's outcome."""
-        cache = CompletionCache()
-        engine = PresentationEngine(
-            build_sample_medical_record(), completion_cache=cache
-        )
+        number (add_variable + 2 add_rules = 3 either way); her old
+        completions must not be a lookup away — they belonged to the
+        discarded extension's compilation and left with it."""
+        engine = PresentationEngine(build_sample_medical_record())
         engine.register_viewer("lee")
         engine.apply_operation("lee", "imaging.ct_head", "segment")
         first = engine.presentation_for("lee").outcome
         assert "imaging.ct_head.segment" in first
+        discarded = engine.extension("lee")
+        version = discarded.extension_version
 
         engine.unregister_viewer("lee")
         engine.register_viewer("lee")
         engine.apply_operation("lee", "imaging.ct_head", "crop")
+        assert engine.extension("lee") is not discarded
+        assert engine.extension("lee").extension_version == version
         second = engine.presentation_for("lee").outcome
         assert "imaging.ct_head.crop" in second
         assert "imaging.ct_head.segment" not in second
 
+    def test_a_departed_viewers_completions_leave_with_her(self, engine):
+        engine.apply_operation("lee", "imaging.ct_head", "zoom")
+        engine.apply_choice(ViewerChoice("lee", "labs", "hidden", scope=PERSONAL))
+        engine.presentations()
+        extension = engine.extension("lee")
+        memo = compile_extension(extension).completions
+        (entry,) = memo._entries.values()
+        held = [weakref.ref(entry.view), weakref.ref(extension)]
+        del extension, memo, entry
+        engine.unregister_viewer("lee")
+        gc.collect()
+        # The record was the one owner: extension -> compilation -> memo
+        # -> entry -> view all went with it.
+        assert [ref() for ref in held] == [None, None]
+        # cho, who never had an overlay, still reads the base net's memo.
+        assert len(base_memo(engine)) == 1
+        assert engine.presentation_for("cho").outcome
+
+    def test_equal_constraints_on_empty_extensions_cost_one_sweep(self):
+        with use_registry(MetricsRegistry()) as registry:
+            engine = PresentationEngine(build_sample_medical_record())
+            for viewer in ("lee", "cho", "wu"):
+                engine.register_viewer(viewer)
+            engine.apply_choice(ViewerChoice("lee", "imaging", "hidden"))
+            specs = engine.presentations()
+            assert registry.counter("cpnet.compiled.completions").value == 1
+            assert registry.counter("cpnet.completion_cache.hits").value == 2
+            assert specs["lee"].outcome == specs["cho"].outcome == specs["wu"].outcome
+            # A viewer with an overlay of her own asks it, and only it.
+            engine.apply_operation("wu", "labs.ecg", "zoom")
+            engine.presentations()
+            assert registry.counter("cpnet.compiled.completions").value == 2
+            assert len(base_memo(engine)) == 1
+            assert len(compile_extension(engine.extension("wu")).completions) == 1
+            assert compile_extension(engine.extension("cho"))._completions is None
+
 
 class TestSharedViews:
-    """One derived view per distinct completion, inside its cache entry."""
+    """One derived view per distinct completion, inside its memo entry."""
 
     @pytest.fixture
     def shared(self):
-        cache = CompletionCache()
-        document = build_sample_medical_record()
-        document.completion_cache = cache
-        engine = PresentationEngine(document, completion_cache=cache)
+        engine = PresentationEngine(build_sample_medical_record())
         for viewer in ("lee", "cho", "wu"):
             engine.register_viewer(viewer)
-        return engine, cache
+        return engine
 
     def test_one_derivation_serves_every_agreeing_viewer(self, shared, monkeypatch):
-        engine, cache = shared
+        engine, cache = shared, base_memo(shared)
         views, walks = [], []
 
         class CountingView(engine_module.PresentationView):
@@ -308,7 +346,7 @@ class TestSharedViews:
         assert len(views) == 2 and len(cache) == 2
 
     def test_spec_outcomes_are_private_copies(self, shared):
-        engine, cache = shared
+        engine = shared
         lee = engine.presentation_for("lee")
         cho = engine.presentation_for("cho")
         assert lee.outcome == cho.outcome and lee.outcome is not cho.outcome
@@ -323,7 +361,7 @@ class TestSharedViews:
         assert engine.presentation_for("cho").outcome == pristine
 
     def test_shared_view_measures_what_build_spec_measures(self, shared):
-        engine, _ = shared
+        engine = shared
         engine.apply_choice(ViewerChoice("lee", "consult", "hidden"))
         spec = engine.presentation_for("cho")
         rebuilt = build_spec(engine.document, "cho", spec.outcome)
@@ -340,7 +378,7 @@ class TestSharedViews:
         # The document's §5.1 queries and the engine read the same entry;
         # the engine finishes subtree hiding in place on it, which the
         # document's own (idempotent) enforcement must not notice.
-        engine, cache = shared
+        engine, cache = shared, base_memo(shared)
         engine.apply_choice(ViewerChoice("lee", "imaging", "hidden"))
         expected = build_sample_medical_record().reconfig_presentation(
             {"imaging": "hidden"}
@@ -352,17 +390,28 @@ class TestSharedViews:
         assert len(cache) == 1
 
     def test_invalidation_reclaims_views_with_their_entries(self, shared):
-        engine, cache = shared
+        engine = shared
         engine.presentations()
         engine.apply_choice(ViewerChoice("lee", "labs", "hidden"))
         engine.presentations()
-        assert len(cache) == 2
+        replaced = compile_cpnet(engine.document.network)
+        assert len(replaced.completions) == 2
+        views = [
+            weakref.ref(entry.view) for entry in replaced.completions._entries.values()
+        ]
         engine.apply_operation("lee", "imaging.ct_head", "zoom", global_importance=True)
-        assert len(cache) == 0
         assert "imaging.ct_head.zoom" in engine.presentation_for("cho").outcome
+        # The edit replaced the compilation; the new one starts with
+        # what was asked since, and the old one's entries are let go.
+        current = engine.document.network._compiled
+        assert current is not replaced and len(replaced.completions) == 0
+        assert list(current.completions._entries) == [completion_key({"labs": "hidden"})]
+        engine.presentations()  # a spec reads its view: refresh everyone's
+        gc.collect()
+        assert [view() for view in views] == [None, None]
 
     def test_view_follows_a_structural_update(self, shared):
-        engine, cache = shared
+        engine = shared
         before = engine.presentation_for("lee")
         engine.document.add_component(
             "imaging",
@@ -402,10 +451,9 @@ class TestLazyMeasures:
         order=st.permutations(MEASURES),
     )
     def test_lazy_reads_equal_eager_walks_once_per_entry(self, choices, order):
-        cache = CompletionCache()
         document = build_sample_medical_record()
-        document.completion_cache = cache
-        engine = PresentationEngine(document, completion_cache=cache)
+        engine = PresentationEngine(document)
+        cache = base_memo(engine)
         for viewer in VIEWERS:
             engine.register_viewer(viewer)
         for viewer, (component, value), scope in choices:

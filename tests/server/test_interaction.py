@@ -2,19 +2,23 @@
 propagation ledger at the end runs networked)."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from repro.client import ClientModule
+from repro.cpnet import compile_cpnet, compile_extension
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import PermissionError_, ProtocolError, RoomError, ServerError
 from repro.net import SimulatedNetwork, codec
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import DEFAULT_MAX_SERIES, MetricsRegistry, use_registry
+from repro.obs.metrics import OVERFLOW_LABEL
 from repro.server import InteractionServer, PermissionPolicy
 from repro.server.permissions import PERM_VIEW, VIEWER_GRANT
 from repro.server.protocol import MessageKind
+from repro.workloads import generate_record
 
 
 @pytest.fixture
@@ -122,16 +126,19 @@ class TestRooms:
             server.leave_room(session.session_id)
 
     def test_room_close_reclaims_completion_cache(self, server):
-        """Closing a room drops its document's completion memos: a
-        re-open fetches a fresh CPNet whose instance-salted version token
-        can never re-reach them, so keeping them would only age live
-        entries out of the shard LRU."""
+        """Closing a room lets go of its document, and the completions
+        go with it: they hang off the document's own compilation, which
+        nothing on the server can reach once the room is gone."""
         session = server.connect_session("lee")
         server.join_room(session.session_id, "record-17")
-        assert len(server.completion_cache) > 0
+        document = server.room(server.room_ids[0]).document
+        assert len(compile_cpnet(document.network).completions) > 0
+        held = weakref.ref(document)
+        del document
         server.leave_room(session.session_id)
         assert server.room_ids == ()
-        assert len(server.completion_cache) == 0
+        gc.collect()
+        assert held() is None
 
     def test_room_close_reclaims_shared_views(self, server):
         """The derived views live inside the completion entries, so the
@@ -144,56 +151,196 @@ class TestRooms:
             sessions[1].session_id, "labs.ecg", "icon", scope="personal"
         )
         server.handle_operation(sessions[2].session_id, "labs.ecg", "zoom")
-        entries = list(server.completion_cache._entries.values())
-        views = [weakref.ref(entry.view) for entry in entries if entry.view is not None]
-        assert len(views) >= 3
-        del entries
+        engine = server.room(server.room_ids[0]).engine
+        memos = [compile_cpnet(engine.document.network).completions] + [
+            compile_extension(engine.extension(viewer)).completions
+            for viewer in engine.viewer_ids
+            if engine.extension(viewer).size()
+        ]
+        views = [
+            weakref.ref(entry.view)
+            for memo in memos
+            for entry in memo._entries.values()
+            if entry.view is not None
+        ]
+        assert len(memos) == 2 and len(views) >= 3
+        del engine, memos
         for session in sessions:
             server.leave_room(session.session_id)
         assert server.room_ids == ()
-        assert len(server.completion_cache) == 0
         gc.collect()
         assert all(view() is None for view in views)
 
-
-    def test_overlay_completions_are_reclaimed_as_their_token_dies(self, server):
-        """Regression: a viewer with a §4.2 extension keys her completions
-        on (viewer, extension instance, extension version). Every local
-        operation moved the version and stranded the previous one's
-        entries; a departing viewer left all of hers behind — dead
-        weight in the shard LRU until eviction or room close."""
-        cache = server.completion_cache
-        lee, cho, wu = (server.connect_session(name) for name in ("lee", "cho", "wu"))
-        for session in (lee, cho, wu):
+    def test_a_refetched_document_starts_with_no_completions(self, server, store):
+        """Regression (PR 10 review): a document persisted on close and
+        re-fetched comes back as a fresh CPNet whose structure_version
+        restarts at 0 — and a second, different global operation brings
+        it to the number the first instance ended on. The old instance's
+        completions must not answer the new one's lookups."""
+        versions = []
+        for operation in ("zoom", "crop"):
+            session = server.connect_session("lee")
             server.join_room(session.session_id, "record-17")
-
-        def versions_held():
-            held = {}
-            for _, _, overlay, _ in cache._entries:
-                if overlay:
-                    held.setdefault(overlay[:2], set()).add(overlay[2])
-            return held
-
-        operations = ("zoom", "crop", "segment", "measure", "invert")
-        for index, operation in enumerate(operations):
-            server.handle_operation(lee.session_id, "imaging.ct_head", operation)
-            server.handle_choice(
-                cho.session_id, "labs", ("hidden", "shown")[index % 2]
+            server.handle_operation(
+                session.session_id, "imaging.ct_head", operation, global_importance=True
             )
-            if index == 2:
-                server.handle_operation(cho.session_id, "labs.ecg", "zoom")
-            held = versions_held()
-            assert held and all(len(versions) == 1 for versions in held.values())
-        assert {viewer for viewer, _ in versions_held()} == {"lee", "cho"}
-        before = cache.invalidations
+            room = server.room(server.room_ids[0])
+            outcome = room.presentation_for("lee").outcome
+            assert f"imaging.ct_head.{operation}" in outcome
+            assert outcome == room.document.reconfig_presentation({})
+            versions.append(room.document.network.structure_version)
+            server.leave_room(session.session_id)
+            # Forget the operation between rounds so both instances end
+            # on the same version count with different content.
+            document = store.fetch_document("record-17")
+            document.network.remove_variable(f"imaging.ct_head.{operation}")
+            store.store_document(document)
+        assert versions[0] == versions[1]
 
-        server.leave_room(lee.session_id)  # cho and wu stay: the room lives on
-        assert {viewer for viewer, _ in versions_held()} == {"cho"}
-        assert cache.invalidations > before  # counted where reclamation is counted
-        assert set(cache._by_overlay) == {key[2] for key in cache._entries if key[2]}
-        server.leave_room(cho.session_id)
-        assert versions_held() == {} and cache._by_overlay == {}
-        assert len(cache) > 0  # wu's base-only entries are untouched
+    def test_overlay_completions_go_with_their_compilation(self, server):
+        """A viewer with a §4.2 extension asks her own overlay's memo.
+        Every local operation replaces that compilation, and its
+        completions with it (counted as invalidations); a departing
+        viewer takes all of hers along. Nobody else's are touched."""
+        with use_registry(MetricsRegistry()) as registry:
+            server = InteractionServer(server.store)
+            lee, cho, wu = (server.connect_session(n) for n in ("lee", "cho", "wu"))
+            for session in (lee, cho, wu):
+                server.join_room(session.session_id, "record-17")
+            engine = server.room(server.room_ids[0]).engine
+            invalidations = registry.counter("cpnet.completion_cache.invalidations")
+
+            def overlay(viewer):
+                return compile_extension(engine.extension(viewer))
+
+            for index, operation in enumerate(("zoom", "crop", "segment", "measure")):
+                before, dropped = overlay("lee"), invalidations.value
+                server.handle_operation(lee.session_id, "imaging.ct_head", operation)
+                server.handle_choice(
+                    cho.session_id, "labs", ("hidden", "shown")[index % 2]
+                )
+                assert overlay("lee") is not before
+                assert before._completions is None or len(before._completions) == 0
+                # Only what was asked of the live version: her view
+                # after the operation, and after cho's choice.
+                assert len(overlay("lee").completions) == 2
+                if index:
+                    assert invalidations.value > dropped
+            extension = weakref.ref(engine.extension("lee"))
+            del before
+            server.leave_room(lee.session_id)  # cho and wu stay: the room lives on
+            gc.collect()
+            assert extension() is None
+            assert overlay("cho")._completions is None  # empty overlays keep none
+            assert len(compile_cpnet(engine.document.network).completions) > 0
+
+
+class TestLabelledSeries:
+    def test_series_die_with_their_room(self, tmp_path):
+        """Regression: `server.propagation.room_bytes{room,mode}`,
+        `server.room.buffer_depth_by_room{room}` and
+        `presentation.spec_cache.{hits,misses}{doc}` outlived their room.
+        A family folds every label set past its 64th into `__other__`,
+        so a server that had *ever* opened 32 rooms could no longer say
+        which room is hot. More cycles than the cap, on one server: no
+        family keeps a child of a closed room or document, none overflows."""
+        cycles = DEFAULT_MAX_SERIES + 6
+        registry = MetricsRegistry()
+        db = Database(str(tmp_path / "cycles"))
+        with use_registry(registry):
+            store = MultimediaObjectStore(db)
+            for index in range(cycles):
+                store.store_document(
+                    generate_record(f"doc-{index}", sections=1, components_per_section=2)
+                )
+            network = SimulatedNetwork()
+            server = InteractionServer(store, network=network, interest_mode="cpnet")
+            client = ClientModule("lee", network=network, auto_fetch=False)
+            network.attach_client(client)
+            labelled = set()
+            for index in range(cycles):
+                client.join(f"doc-{index}")
+                network.run()
+                room = server.room(server.room_ids[0])
+                path = room.document.component_paths()[-1]
+                client.choose(path, room.document.network.variable(path).domain[-1])
+                network.run()
+                open_now = {
+                    label for family in registry.families.values()
+                    for key in family.children for label in key
+                }
+                assert {room.room_id, f"doc-{index}"} <= open_now
+                labelled |= {room.room_id, f"doc-{index}"}
+                client.leave()
+                network.run()
+            assert server.room_ids == () and len(labelled) == 2 * cycles
+        db.close()
+        residue = {
+            name: sorted(family.children)
+            for name, family in registry.families.items()
+            if any(
+                label in labelled or label == OVERFLOW_LABEL
+                for key in family.children for label in key
+            )
+        }
+        assert residue == {}
+        # The flat counters stay the cumulative totals.
+        assert registry.counter("server.propagation.diff_bytes").value > 0
+
+
+class TestCompletionSharing:
+    """What is swept, shared and let go over one scripted room — the
+    numbers the server-held cache produced at the commit before the
+    memo moved onto the compilations. Moving it must not move them."""
+
+    #: cpnet.* counters of the script below, recorded at 37fe25c.
+    RECORDED = {
+        "cpnet.compiled.completions": 518,
+        "cpnet.completion_cache.hits": 142,
+        "cpnet.completion_cache.misses": 518,
+        "cpnet.completion_cache.invalidations": 510,
+        "cpnet.completion_cache.evictions": 0,
+        "cpnet.compile": 79,
+    }
+
+    def test_an_edit_storm_room_reproduces_the_recorded_counters(self, tmp_path):
+        registry = MetricsRegistry()
+        db = Database(str(tmp_path / "storm"))
+        with use_registry(registry):
+            store = MultimediaObjectStore(db)
+            store.store_document(
+                generate_record("storm", sections=4, components_per_section=4, seed=7)
+            )
+            server = InteractionServer(store)
+            members = [
+                server.connect_session(f"editor-{index}").session_id
+                for index in range(8)
+            ]
+            for member in members:
+                server.join_room(member, "storm")
+            document = server.room(server.room_ids[0]).document
+            paths = document.component_paths()
+            rng = random.Random(21)
+            deck = (
+                ["choice"] * 70 + ["personal"] * 20
+                + ["operation_local"] * 24 + ["operation_global"] * 6
+            )
+            rng.shuffle(deck)
+            for step, kind in enumerate(deck):
+                member, path = rng.choice(members), rng.choice(paths)
+                domain = document.network.variable(path).domain
+                if kind == "choice":
+                    server.handle_choice(member, path, rng.choice(domain))
+                elif kind == "personal":
+                    server.handle_choice(member, path, rng.choice(domain), scope="personal")
+                else:
+                    server.handle_operation(
+                        member, path, f"op{step}",
+                        global_importance=kind == "operation_global",
+                    )
+        db.close()
+        counters = registry.snapshot()["counters"]
+        assert {name: int(counters.get(name, 0)) for name in self.RECORDED} == self.RECORDED
 
 
 class TestPropagation:
@@ -313,13 +460,6 @@ class TestStats:
             "frozen_components": 0,
             "spec_cache_hits": 0,
             "spec_cache_misses": 0,
-            "completion_cache": {
-                "entries": 0,
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-                "invalidations": 0,
-            },
             "triggers": 0,
         }
 

@@ -20,17 +20,17 @@ LINE_BUDGET = {
     "chaos": 660,
     "client": 1149,
     "cluster": 2884,
-    "cpnet": 2161,
+    "cpnet": 2057,
     "db": 3138,
-    "document": 1142,
+    "document": 1129,
     "interest": 306,
     "media": 3112,
-    "net": 2097,
+    "net": 2099,
     "obs": 2063,
     "prefetch": 472,
-    "presentation": 795,
+    "presentation": 761,
     "retrieval": 827,
-    "server": 1851,
+    "server": 1837,
     "util": 288,
     "workloads": 1109,
 }
