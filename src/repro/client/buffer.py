@@ -42,6 +42,7 @@ class ClientBuffer:
         self.owner = owner
         self._entries: dict[str, BufferEntry] = {}
         self._used = 0
+        self._pinned = 0  # bytes of pinned entries, kept through every pin change
         self._tick = itertools.count(1)
         self.hits = 0
         self.misses = 0
@@ -112,10 +113,11 @@ class ClientBuffer:
         existing = self._entries.get(key)
         if existing is not None:
             existing.priority = max(existing.priority, priority)
-            existing.pinned = existing.pinned or pinned
+            if pinned:
+                self.pin(key)
             existing.last_used = next(self._tick)
             return True
-        if size > self.capacity_bytes - self._pinned_bytes():
+        if size > self.capacity_bytes - self._pinned:
             if pinned:
                 raise BufferFullError(
                     f"pinned entry {key!r} ({size}B) cannot fit in "
@@ -129,11 +131,10 @@ class ClientBuffer:
             last_used=next(self._tick),
         )
         self._used += size
+        if pinned:
+            self._pinned += size
         self._g_occupancy.set(self._used)
         return True
-
-    def _pinned_bytes(self) -> int:
-        return sum(e.size for e in self._entries.values() if e.pinned)
 
     def _evict_until(self, needed: int, evict_below: float | None = None) -> bool:
         """Free space for *needed* bytes; False when constrained eviction
@@ -172,24 +173,31 @@ class ClientBuffer:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._used -= entry.size
+            if entry.pinned:
+                self._pinned -= entry.size
             self._g_occupancy.set(self._used)
 
     def pin(self, key: str) -> None:
         """Protect an entry from eviction (it is on screen)."""
-        if key in self._entries:
-            self._entries[key].pinned = True
+        entry = self._entries.get(key)
+        if entry is not None and not entry.pinned:
+            entry.pinned = True
+            self._pinned += entry.size
 
     def unpin(self, key: str) -> None:
-        if key in self._entries:
-            self._entries[key].pinned = False
+        entry = self._entries.get(key)
+        if entry is not None and entry.pinned:
+            entry.pinned = False
+            self._pinned -= entry.size
 
     def unpin_all(self) -> None:
         for entry in self._entries.values():
             entry.pinned = False
+        self._pinned = 0
 
     def clear(self) -> None:
         self._entries.clear()
-        self._used = 0
+        self._used = self._pinned = 0
         self._g_occupancy.set(0)
 
     def reset_stats(self) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro import obs
 from repro.server.protocol import LANE_CONTROL, LANE_DATA, LANE_JOIN, PROTOCOL, MessageKind
@@ -122,8 +122,7 @@ def retry_after_body(
     return body
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One admission verdict plus the backoff hint a bounce carries."""
 
     action: str

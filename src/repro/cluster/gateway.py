@@ -23,6 +23,7 @@ and ``PROMOTE`` live in one place, the :class:`~repro.cluster
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any
 
 from repro import obs
@@ -76,8 +77,9 @@ class Gateway(ServiceNode):
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
         self._m_routed_messages = registry.counter("gateway.routed_messages")
-        self._f_routed_bytes = registry.counter_family(
-            "gateway.routed_bytes", ("shard", "direction")
+        # (shard, direction) -> child counter, each resolved once.
+        self._routed_bytes = cache(
+            registry.counter_family("gateway.routed_bytes", ("shard", "direction")).labels
         )
         self._m_route_errors = registry.counter("gateway.route_errors")
         self._m_route_retries = registry.counter("gateway.route_retries")
@@ -114,7 +116,8 @@ class Gateway(ServiceNode):
         """Track a shard registered at the directory (the gateway keeps
         one envelope string table per shard channel)."""
         self._shards.add(shard_id)
-        self._shard_tables.setdefault(shard_id, StringInterner())
+        if shard_id not in self._shard_tables:
+            self._shard_tables[shard_id] = StringInterner()
 
     @property
     def live_shards(self) -> tuple[str, ...]:
@@ -160,7 +163,8 @@ class Gateway(ServiceNode):
                 raise
             self._send_error(sender, type(exc).__name__, str(exc))
         finally:
-            self.telemetry.push(force=False)
+            if self.telemetry.monitors:
+                self.telemetry.push(force=False)
 
     def _is_monitor_leave(self, message: Message) -> bool:
         """A ``LEAVE`` that ends one of our monitor sessions (answered
@@ -221,18 +225,18 @@ class Gateway(ServiceNode):
         envelope = encode_shardbound(
             wrapper, inner=frame, interner=self._shard_tables.get(shard)
         )
-        ctx = self._dtrace.current()
+        ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             # Carry the uplink's trace context on the ROUTE envelope so
             # the shard can chain its queueing span to the same trace.
             envelope = stamp_frame(envelope, (ctx,))
-        size = envelope.size_bytes
+        size = len(envelope.data)
         self.network.send(
             self.node_id, shard, MessageKind.ROUTE,
             payload=wrapper, size_bytes=size, frame=envelope,
         )
         self._m_routed_messages.inc()
-        self._f_routed_bytes.labels(shard, "to_shard").inc(size)
+        self._routed_bytes(shard, "to_shard").inc(size)
         if kind == MessageKind.LEAVE:
             self._forget_route(payload.get("session_id"))
 
@@ -368,7 +372,7 @@ class Gateway(ServiceNode):
             self.node_id, to, kind, payload=inner, size_bytes=size, frame=inner_frame
         )
         self._m_routed_messages.inc()
-        self._f_routed_bytes.labels(shard_id, "to_client").inc(size)
+        self._routed_bytes(shard_id, "to_client").inc(size)
 
     # ----- route cache ------------------------------------------------------------
 

@@ -15,6 +15,7 @@ this shard's transport — no state is copied.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro import obs
@@ -59,9 +60,9 @@ class ServiceQueue:
     def __init__(self, clock: SimClock, rate: float | None = None) -> None:
         if rate is not None and rate <= 0:
             raise ValueError(f"service rate must be > 0, got {rate}")
-        self._clock = clock
-        self._rate = rate
-        self._busy_until = 0.0
+        self.clock = clock
+        self.rate = rate
+        self.busy_until = 0.0  # when the op at the tail of the queue completes
         self.pending = 0
         self.max_pending = 0
         self.on_drain = None
@@ -70,12 +71,12 @@ class ServiceQueue:
         self.pending += 1
         if self.pending > self.max_pending:
             self.max_pending = self.pending
-        if self._rate is None:
+        if self.rate is None:
             self._run(work)
             return
-        start = max(self._clock.now, self._busy_until)
-        self._busy_until = start + 1.0 / self._rate
-        self._clock.schedule_at(self._busy_until, lambda: self._run(work))
+        now = self.clock.now
+        self.busy_until = max(now, self.busy_until) + 1.0 / self.rate
+        self.clock.schedule(self.busy_until - now, partial(self._run, work))
 
     def _run(self, work) -> None:
         try:
@@ -86,21 +87,9 @@ class ServiceQueue:
                 self.on_drain()
 
     @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
-    @property
-    def clock(self) -> SimClock:
-        return self._clock
-
-    @property
-    def rate(self) -> float | None:
-        return self._rate
-
-    @property
     def wait_s(self) -> float:
         """Simulated seconds of backlog already committed to the server."""
-        return max(0.0, self._busy_until - self._clock.now)
+        return max(0.0, self.busy_until - self.clock.now)
 
 
 class _GatewayTransport:
@@ -113,10 +102,7 @@ class _GatewayTransport:
 
     def __init__(self, shard: ShardServer) -> None:
         self._shard = shard
-
-    @property
-    def clock(self) -> SimClock:
-        return self._shard.network.clock
+        self.clock = shard.network.clock
 
     def attach_hub(self, node: Any) -> None:  # the gateway is the real hub
         pass
@@ -302,16 +288,7 @@ class ShardServer(ServiceNode):
         """Wrap one server→client send into a ROUTE envelope to the gateway."""
         if self._capture is not None:
             self._capture.append((kind, payload))
-        if not self.alive:
-            return
         self._send_clientbound(recipient, kind, payload, size_bytes, frame, attempt=0)
-
-    def _client_gateway(self, recipient: str) -> str | None:
-        """The attached gateway serving *recipient*, if there is one now."""
-        if not len(self._gateway_ring):
-            return None
-        gateway_id = self._gateway_ring.owner(recipient)
-        return gateway_id if self.network.has_node(gateway_id) else None
 
     def _send_clientbound(
         self,
@@ -324,8 +301,9 @@ class ShardServer(ServiceNode):
     ) -> None:
         if not self.alive:
             return
-        gateway_id = self._client_gateway(recipient)
-        if gateway_id is None:
+        ring = self._gateway_ring
+        gateway_id = ring.owner(recipient) if len(ring) else None
+        if gateway_id is None or not self.network.has_node(gateway_id):
             # The client's gateway is down but the directory has not yet
             # re-homed its clients: park and retry with backoff — each
             # attempt re-resolves the ring, so a completed gateway
@@ -338,9 +316,11 @@ class ShardServer(ServiceNode):
         # Ride the inner frame inside the envelope so the gateway can
         # forward the same encoding to the client link untouched.
         wrapper["frame"] = frame
-        table = self._gw_tables.setdefault(gateway_id, StringInterner())
+        table = self._gw_tables.get(gateway_id)
+        if table is None:
+            table = self._gw_tables[gateway_id] = StringInterner()
         envelope, wire_size = encode_clientbound(wrapper, frame, table)
-        ctx = self._dtrace.current()
+        ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             # Chain the backbone leg: the gateway picks the context off
             # the ROUTE envelope and restamps the inner client frame.
@@ -410,7 +390,9 @@ class ShardServer(ServiceNode):
         now = self.network.clock.now
         history = self._room_history.setdefault(room_key, [])
         for replica_id in self.replicas_for(room_key):
-            log = self._ship.setdefault(replica_id, ShipLog())
+            log = self._ship.get(replica_id)
+            if log is None:
+                log = self._ship[replica_id] = ShipLog()
             seen = self._replica_rooms.setdefault(replica_id, set())
             entries = []
             if room_key not in seen:

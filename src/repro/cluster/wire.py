@@ -46,7 +46,7 @@ def clientbound_wrapper(to: str, kind: str, payload: Any, size: int) -> dict[str
 
 def encode_clientbound(
     wrapper: dict[str, Any],
-    inner: Frame | None = None,
+    inner: Frame,
     interner: StringInterner | None = None,
 ) -> tuple[Frame, int]:
     """Frame a shard→gateway envelope; returns ``(frame, wire_size)``.
@@ -55,9 +55,7 @@ def encode_clientbound(
     the inner message (media payloads are charged at presentation size,
     which the encoding of their descriptor does not reach).
     """
-    if inner is None:
-        inner = encode_message(wrapper["kind"], wrapper["payload"])
     header = {"to": wrapper["to"], "kind": wrapper["kind"], "size": wrapper["size"]}
     frame = encode_envelope(MessageKind.ROUTE, header, inner, wrapper, interner)
-    wire_size = frame.size_bytes + max(0, wrapper["size"] - inner.size_bytes)
-    return frame, wire_size
+    excess = wrapper["size"] - len(inner.data)
+    return frame, len(frame.data) + (excess if excess > 0 else 0)

@@ -81,18 +81,20 @@ class Batcher:
         """Send (possibly deferred and coalesced) one message."""
         if frame is None:
             frame = encode_message(kind, payload)
+        encoded = len(frame.data)
         if size_bytes is None:
-            size_bytes = frame.size_bytes
+            size_bytes = encoded
         batchable = (
             self.window_s > 0
             and kind in self.batch_kinds
-            and size_bytes == frame.size_bytes  # declared-size media never batches
-            and frame.size_bytes <= self.max_bytes
+            and size_bytes == encoded  # declared-size media never batches
+            and encoded <= self.max_bytes
         )
         if not batchable:
             # Barrier semantics: anything unbatchable must not overtake
             # frames already queued for this destination.
-            self.flush(recipient)
+            if self._pending:
+                self.flush(recipient)
             self._network.send(
                 self._sender, recipient, kind,
                 payload=payload, size_bytes=size_bytes, frame=frame,
@@ -102,7 +104,7 @@ class Batcher:
         ctx = frame.trace[-1] if frame.trace else None
         queue.append((frame, ctx, self._network.clock.now))
         self._m_enqueued.inc()
-        pending = self._pending_bytes.get(recipient, 0) + frame.size_bytes
+        pending = self._pending_bytes.get(recipient, 0) + encoded
         self._pending_bytes[recipient] = pending
         if pending >= self.max_bytes:
             self.flush(recipient)

@@ -211,7 +211,7 @@ def mark_reuse(frame: Frame) -> None:
     if frame._uses > 1:
         _, _, saved, bytes_saved = _metrics()
         saved.inc()
-        bytes_saved.inc(frame.size_bytes)
+        bytes_saved.inc(len(frame.data))
 
 
 _stamp_cache: tuple[Any, Any] | None = None
@@ -266,8 +266,13 @@ _STATIC_REFS: dict[str, bytes] = {s: _static_ref(i) for s, i in _STATIC_IDS.item
 
 
 # One writer per wire type, each ``(out, value, interner)``. Counts,
-# lengths and ids below 0x80 are their own one-byte varint and skip the
-# :func:`_write_varint` call.
+# lengths and ids below 0x80 are their own one-byte varint: tag and
+# varint are appended as one pre-built pair.
+_SHORT_INTS, _SHORT_STRS, _SHORT_IREFS, _SHORT_LISTS, _SHORT_DICTS = (
+    tuple(bytes((tag, n)) for n in range(0x80))
+    for tag in (_T_INT_POS, _T_STR, _T_IREF, _T_LIST, _T_DICT)
+)
+
 
 def _write_none(out: bytearray, value: None, interner: StringInterner) -> None:
     out.append(_T_NONE)
@@ -278,15 +283,14 @@ def _write_bool(out: bytearray, value: bool, interner: StringInterner) -> None:
 
 
 def _write_int(out: bytearray, value: int, interner: StringInterner) -> None:
-    if value >= 0:
+    if 0 <= value < 0x80:
+        out += _SHORT_INTS[value]
+    elif value >= 0:
         out.append(_T_INT_POS)
+        _write_varint(out, value)
     else:
         out.append(_T_INT_NEG)
-        value = -value - 1
-    if value < 0x80:
-        out.append(value)
-    else:
-        _write_varint(out, value)
+        _write_varint(out, -value - 1)
 
 
 def _write_float(out: bytearray, value: float, interner: StringInterner) -> None:
@@ -301,18 +305,18 @@ def _write_str(out: bytearray, value: str, interner: StringInterner) -> None:
         return
     table_id = interner._ids.get(value)
     if table_id is not None:
-        out.append(_T_IREF)
         if table_id < 0x80:
-            out.append(table_id)
+            out += _SHORT_IREFS[table_id]
         else:
+            out.append(_T_IREF)
             _write_varint(out, table_id)
         return
     encoded = value.encode("utf-8")
-    out.append(_T_STR)
     length = len(encoded)
     if length < 0x80:
-        out.append(length)
+        out += _SHORT_STRS[length]
     else:
+        out.append(_T_STR)
         _write_varint(out, length)
     out += encoded
     interner.register(value)
@@ -328,11 +332,11 @@ def _write_bytes(
 
 
 def _write_list(out: bytearray, value: list | tuple, interner: StringInterner) -> None:
-    out.append(_T_LIST)
     count = len(value)
     if count < 0x80:
-        out.append(count)
+        out += _SHORT_LISTS[count]
     else:
+        out.append(_T_LIST)
         _write_varint(out, count)
     writers = _WRITERS
     for item in value:
@@ -340,11 +344,11 @@ def _write_list(out: bytearray, value: list | tuple, interner: StringInterner) -
 
 
 def _write_dict(out: bytearray, value: dict, interner: StringInterner) -> None:
-    out.append(_T_DICT)
     count = len(value)
     if count < 0x80:
-        out.append(count)
+        out += _SHORT_DICTS[count]
     else:
+        out.append(_T_DICT)
         _write_varint(out, count)
     writers = _WRITERS
     static_refs = _STATIC_REFS
@@ -356,7 +360,10 @@ def _write_dict(out: bytearray, value: dict, interner: StringInterner) -> None:
             out += ref
         else:
             (writers.get(type(key)) or _subclass_writer(key))(out, key, interner)
-        (writers.get(type(item)) or _subclass_writer(item))(out, item, interner)
+        if type(item) is str and item in static_refs:
+            out += static_refs[item]
+        else:
+            (writers.get(type(item)) or _subclass_writer(item))(out, item, interner)
 
 
 #: Exact type → writer. Insertion order is the precedence
@@ -531,9 +538,10 @@ def encode_message(kind: str, payload: Any, interner: StringInterner | None = No
     frames that fan out to many recipients. With one, repeated strings
     compress *across* frames on that connection.
     """
-    out = bytearray()
     table = interner if interner is not None else StringInterner()
-    _write_value(out, kind, table)
+    out = bytearray(_STATIC_REFS.get(kind, b""))  # a protocol kind is pre-encoded
+    if not out:
+        _write_value(out, kind, table)
     _write_value(out, payload, table)
     data = bytes(out)
     encodes, bytes_encoded, _, _ = _metrics()
@@ -580,9 +588,10 @@ def encode_envelope(
     never re-encoded. *payload* is the message-payload object the
     envelope frame stands for (the wrapper dict handed to the network).
     """
-    out = bytearray()
     table = interner if interner is not None else StringInterner()
-    _write_value(out, kind, table)
+    out = bytearray(_STATIC_REFS.get(kind, b""))  # a protocol kind is pre-encoded
+    if not out:
+        _write_value(out, kind, table)
     _write_value(out, header, table)
     _write_varint(out, len(inner.data))
     out += inner.data
@@ -641,9 +650,7 @@ def encode_batch(frames: Iterable[Frame], payload: Any) -> Frame:
     the entry list the network layer unwraps at delivery.
     """
     frames = list(frames)
-    out = bytearray()
-    table = StringInterner()
-    _write_value(out, BATCH, table)
+    out = bytearray(_STATIC_REFS[BATCH])
     _write_varint(out, len(frames))
     embedded = 0
     for frame in frames:

@@ -43,18 +43,20 @@ class Link:
         """Seconds to clock *size_bytes* onto the wire (no latency/queueing)."""
         return (size_bytes * 8) / self.bandwidth_bps
 
-    def schedule_transfer(self, now: float, size_bytes: int) -> float:
-        """Reserve the link for a message; returns its arrival time.
+    def reserve(self, now: float, size_bytes: int) -> tuple[float, float]:
+        """Reserve the link for a message; returns ``(wait, arrival)``.
 
-        The message starts transmitting when the link frees up (FIFO), and
-        arrives one propagation delay after its transmission completes.
+        It starts transmitting when the link frees up (FIFO), *wait* seconds
+        from *now*, and arrives one propagation delay after it is sent.
         """
-        start = max(now, self._busy_until)
-        done_sending = start + self.transmission_time(size_bytes)
+        start = self._busy_until
+        if start < now:
+            start = now
+        done_sending = start + (size_bytes * 8) / self.bandwidth_bps
         self._busy_until = done_sending
         self.bytes_carried += size_bytes
         self.messages_carried += 1
-        return done_sending + self.latency_s
+        return start - now, done_sending + self.latency_s
 
     def priority_transfer(self, now: float, size_bytes: int) -> float:
         """Carry a control-plane frame without FIFO queueing.
@@ -67,7 +69,7 @@ class Link:
         """
         self.bytes_carried += size_bytes
         self.messages_carried += 1
-        return now + self.transmission_time(size_bytes) + self.latency_s
+        return now + (size_bytes * 8) / self.bandwidth_bps + self.latency_s
 
     def queueing_delay(self, now: float) -> float:
         """How long a message arriving now would wait before transmitting."""

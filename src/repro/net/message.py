@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.codec import Frame
 
-_next_message_id = itertools.count(1).__next__
+next_message_id = itertools.count(1).__next__
 _new = tuple.__new__
 _FIELDS = "sender recipient kind payload size_bytes message_id seq checksum attempt frame"
 
@@ -49,7 +49,7 @@ class Message(namedtuple("Message", _FIELDS)):
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
         if message_id is None:
-            message_id = _next_message_id()
+            message_id = next_message_id()
         return _new(
             cls,
             (sender, recipient, kind, payload, size_bytes, message_id,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Protocol
 
 from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import BATCH, Frame, mark_reuse
 from repro.net.link import Link
-from repro.net.message import Message
+from repro.net.message import Message, next_message_id
 from repro.net.reliable import NET_ACK, ReliableTransport, RetryPolicy
 from repro.net.simclock import SimClock
 from repro.obs import LATENCY_BUCKETS, get_event_log, get_registry
@@ -52,12 +53,6 @@ class NetworkStats:
     bytes_total: int = 0
     bytes_by_kind: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     messages_by_kind: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-
-    def record(self, message: Message) -> None:
-        self.messages += 1
-        self.bytes_total += message.size_bytes
-        self.bytes_by_kind[message.kind] += message.size_bytes
-        self.messages_by_kind[message.kind] += 1
 
 
 class SimulatedNetwork:
@@ -151,10 +146,7 @@ class SimulatedNetwork:
 
     def hub_for(self, node_id: str) -> str:
         """The hub *node_id* should address: its home, else the single hub."""
-        home = self._home.get(node_id)
-        if home is not None:
-            return home
-        return self.hub_id
+        return self._home.get(node_id) or self.hub_id
 
     def attach_client(
         self,
@@ -244,12 +236,6 @@ class SimulatedNetwork:
         self._peer_links[(sender, recipient)] = link
         self._routes.clear()
 
-    def _peer_link(self, sender: str, recipient: str) -> Link:
-        key = (sender, recipient)
-        if key not in self._peer_links:
-            self._peer_links[key] = Link()
-        return self._peer_links[key]
-
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes[node_id]
@@ -270,12 +256,11 @@ class SimulatedNetwork:
 
     # ----- transfer --------------------------------------------------------------------
 
-    def _home_hub(self, node_id: str) -> str | None:
-        """The hub whose links carry *node_id*'s traffic (None = unhomed)."""
-        home = self._home.get(node_id)
-        if home is not None:
-            return home
-        return self._hub_id
+    def _peer_link(self, sender: str, recipient: str) -> Link:
+        key = (sender, recipient)
+        if key not in self._peer_links:
+            self._peer_links[key] = Link()
+        return self._peer_links[key]
 
     def _resolve_link(self, sender: str, recipient: str) -> tuple[Link, Any]:
         """The link (and its byte counter) carrying sender→recipient."""
@@ -289,13 +274,13 @@ class SimulatedNetwork:
         if (
             sender in self._hubs
             and recipient not in self._hubs
-            and self._home_hub(recipient) == sender
+            and self._home.get(recipient, self._hub_id) == sender
         ):
             return self.downlink(recipient), self._m_link_down[recipient]
         if (
             recipient in self._hubs
             and sender not in self._hubs
-            and self._home_hub(sender) == recipient
+            and self._home.get(sender, self._hub_id) == recipient
         ):
             return self.uplink(sender), self._m_link_up[sender]
         if sender in self._backbone and recipient in self._backbone:
@@ -334,9 +319,14 @@ class SimulatedNetwork:
                 raise NetworkError(f"unknown recipient {recipient!r}")
             route = self._resolve_link(sender, recipient)  # validate up front
         if frame is not None and size_bytes == 0:
-            size_bytes = frame.size_bytes
+            size_bytes = len(frame.data)
         if self.reliability is None:
-            message = Message(sender, recipient, kind, payload, size_bytes, frame=frame)
+            if size_bytes < 0:
+                raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
+            message = tuple.__new__(Message, (  # Message(...), filled in place
+                sender, recipient, kind, payload, size_bytes, next_message_id(),
+                None, None, 0, frame,
+            ))
         else:
             message = self.reliability.prepare(
                 sender, recipient, kind, payload, size_bytes, frame, route[0]
@@ -359,28 +349,38 @@ class SimulatedNetwork:
                 return
             route = self._resolve_link(message.sender, message.recipient)
         link, link_bytes = route
-        if message.frame is not None:
+        frame, kind, size = message.frame, message.kind, message.size_bytes
+        if frame is not None:
             # Every transmission past the first (fan-out, duplicate,
             # retransmission) ships cached bytes — an encode saved.
-            mark_reuse(message.frame)
-        now, size = self.clock.now, message.size_bytes
-        if message.kind in CONTROL_PLANE_KINDS:
+            if frame._uses:
+                mark_reuse(frame)
+            else:
+                frame._uses = 1
+        now = self.clock.now
+        if kind in CONTROL_PLANE_KINDS:
             arrival = link.priority_transfer(now, size)
         else:
-            self._m_queue_delay.observe(link.queueing_delay(now))
-            arrival = link.schedule_transfer(now, size)
+            wait, arrival = link.reserve(now, size)
+            self._m_queue_delay.observe(wait)
         self._m_messages.inc()
         self._m_bytes.inc(size)
         link_bytes.inc(size)
-        self.stats.record(message)
-        self.clock.schedule_at(arrival, lambda: self._deliver(message))
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes_total += size
+        stats.bytes_by_kind[kind] += size
+        stats.messages_by_kind[kind] += 1
+        # Same arithmetic as an absolute-time schedule: now + (arrival - now).
+        self.clock.schedule(arrival - now, partial(self._deliver, message))
 
     def _deliver(self, message: Message) -> None:
         # The node may have detached between send and arrival; drop the
         # message (the paper's server discards updates for departed
         # clients) but leave a WARN in the flight recorder — a silent
         # drop is exactly the kind of thing post-mortems need to see.
-        if message.recipient not in self._nodes:
+        target = self._nodes.get(message.recipient)
+        if target is None:
             self._drop(message)
             return
         if self.reliability is not None:
@@ -392,6 +392,11 @@ class SimulatedNetwork:
             if message.seq is not None:
                 self.reliability.on_frame(message)
                 return
+        elif message.kind != BATCH and not (
+            self._dtrace.enabled and message.frame is not None and message.frame.trace
+        ):
+            target.receive(message)  # nothing for _hand_off to unwrap or trace
+            return
         self._hand_off(message)
 
     def _hop_name(self, sender: str, recipient: str) -> str:

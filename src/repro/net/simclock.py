@@ -8,8 +8,8 @@ measured latencies are deterministic and independent of wall-clock noise.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import NetworkError
@@ -19,24 +19,20 @@ class SimClock:
     """A priority queue of timed callbacks."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds: read anywhere, written here.
+        self.now = 0.0
         self._sequence = itertools.count()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* at ``now + delay`` (delay >= 0)."""
         if delay < 0:
             raise NetworkError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback))
+        heappush(self._queue, (self.now + delay, next(self._sequence), callback))
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run *callback* at absolute simulated *time* (>= now)."""
-        self.schedule(time - self._now, callback)
+        self.schedule(time - self.now, callback)
 
     @property
     def pending(self) -> int:
@@ -47,8 +43,7 @@ class SimClock:
         """Dispatch the next event; False when the queue is empty."""
         if not self._queue:
             return False
-        time, _, callback = heapq.heappop(self._queue)
-        self._now = time
+        self.now, _, callback = heappop(self._queue)
         callback()
         return True
 
@@ -73,5 +68,5 @@ class SimClock:
             count += 1
             if count >= max_events:
                 raise NetworkError(f"simulation exceeded {max_events} events")
-        self._now = max(self._now, time)
+        self.now = max(self.now, time)
         return count

@@ -551,7 +551,7 @@ class InteractionServer:
             frame = room.payload_frame(component, value, num_layers, shipped)
             self._net_send(
                 session.node_id, MessageKind.PAYLOAD,
-                frame.payload, size_bytes=max(shipped, frame.size_bytes), frame=frame,
+                frame.payload, size_bytes=max(shipped, len(frame.data)), frame=frame,
             )
         return shipped
 
@@ -651,9 +651,7 @@ class InteractionServer:
     def _ship(self, room: Room, change: Any, decided: list[_Decided]) -> None:
         """Frame, send and account for one decided change."""
         doc_id = room.document.doc_id
-        diff_bytes = self._f_prop_bytes.labels(room.room_id, "diff")
-        full_bytes = self._f_prop_bytes.labels(room.room_id, "full")
-        shipped = fanout = 0
+        shipped = shipped_full = fanout = 0
         # Members whose recomputed views agree (the common case for a
         # shared choice) receive the *same* update frame: one encode,
         # N sends — and one sizing, for the accounting below. Both
@@ -688,13 +686,13 @@ class InteractionServer:
             )
             # Diff-vs-full accounting: what this update costs on the
             # wire against what a whole-outcome resend would cost.
-            full_size = spec.wire_bytes
-            self._m_prop_diff_bytes.inc(delta_size)
-            self._m_prop_full_bytes.inc(full_size)
-            diff_bytes.inc(delta_size)
-            full_bytes.inc(full_size)
+            shipped_full += spec.wire_bytes
             shipped += delta_size
             fanout += 1
+        self._m_prop_diff_bytes.inc(shipped)
+        self._m_prop_full_bytes.inc(shipped_full)
+        self._f_prop_bytes.labels(room.room_id, "diff").inc(shipped)
+        self._f_prop_bytes.labels(room.room_id, "full").inc(shipped_full)
         self._m_prop_updates.inc(fanout)
         self._m_prop_fanout.observe(fanout)
         self._emit(
@@ -804,8 +802,8 @@ class InteractionServer:
         if frame is None:
             frame = encode_message(kind, body)
         if size_bytes is None:
-            size_bytes = frame.size_bytes
-        ctx = self._dtrace.current()
+            size_bytes = len(frame.data)
+        ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             # Chain the outbound frame to the op being served; declared
             # (media) sizes grow by the same trailer the wire carries.

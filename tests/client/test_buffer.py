@@ -1,5 +1,7 @@
 """Unit tests for the client buffer (cache)."""
 
+import random
+
 import pytest
 
 from repro.client import ClientBuffer
@@ -110,6 +112,41 @@ class TestEviction:
         buf.remove("a")
         assert buf.used_bytes == 0
         buf.remove("ghost")  # no error
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pinned_tally_tracks_every_pin_change(self, seed):
+        """``admit`` reads a running tally of pinned bytes; after any mix
+        of admits (new and refreshing), pins, unpins, removals,
+        evictions and clears it equals the sum it replaced."""
+        rng = random.Random(seed)
+        buf = ClientBuffer(1000)
+        keys = [f"k{i}" for i in range(12)]
+        evictions = 0
+        for _ in range(400):
+            key = rng.choice(keys)
+            op = rng.choices(
+                ["admit", "pin", "unpin", "remove", "unpin_all", "clear"],
+                weights=[30, 10, 10, 10, 1, 1],
+            )[0]
+            if op == "admit":
+                before = set(buf.keys())
+                try:
+                    buf.admit(
+                        key, rng.randrange(0, 400), priority=rng.random(),
+                        pinned=rng.random() < 0.4,
+                        evict_below=rng.choice([None, None, 0.5]),
+                    )
+                except BufferFullError:
+                    pass
+                evictions += len(before - set(buf.keys()))
+            elif op in ("pin", "unpin", "remove"):
+                getattr(buf, op)(key)
+            else:
+                getattr(buf, op)()
+            entries = buf._entries.values()
+            assert buf._pinned == sum(e.size for e in entries if e.pinned)
+            assert buf.used_bytes == sum(e.size for e in entries) <= buf.capacity_bytes
+        assert evictions  # the sequence did reach the eviction path
 
 
 class TestHelpers:

@@ -6,31 +6,38 @@
 * No ``if``/``elif`` chain in the server, cluster or client packages
   tests a message kind with ``==`` in more than three arms: a longer one
   is a dispatch table written as control flow (ROADMAP item 7).
+* The Python function calls one small clustered conference costs are
+  capped: the cost of a message cannot creep back up unnoticed.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+from repro import obs
+from repro.db import Database, MultimediaObjectStore
+from tests.net.test_wire_identity import build_rooms_conference, drive_rooms_conference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
     "chaos": 660,
-    "client": 1149,
-    "cluster": 2884,
+    "client": 1157,
+    "cluster": 2867,
     "cpnet": 2057,
     "db": 3138,
     "document": 1129,
     "interest": 306,
     "media": 3112,
-    "net": 2099,
+    "net": 2110,
     "obs": 2063,
     "prefetch": 472,
     "presentation": 761,
     "retrieval": 827,
-    "server": 1837,
+    "server": 1835,
     "util": 288,
     "workloads": 1109,
 }
@@ -134,3 +141,38 @@ def test_the_chain_check_sees_both_spellings():
     assert arms(ladder) == [4]
     assert arms(returns) == [5]
     assert arms(unrelated) == [0]
+
+
+#: Python-level calls (``sys.setprofile`` "call" events) of the 3x3 rooms
+#: conference, joins to quiescence. A change that lowers the count lowers
+#: the ceiling with it; one that needs more says why in CHANGES.md.
+ROOMS_CALL_CEILING = 52_000
+
+
+def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
+    """717 transmissions of ``tests/net/test_wire_identity.py``'s 3x3
+    rooms script, counted from the first join to quiescence. The count
+    repeats exactly from run to run. ISSUE 23 (one link call, one tally
+    and one scheduled call per transmission) brought it from 61,659 at
+    its parent commit to 49,595; the ceiling sits under 5% above that."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
+        db = Database(str(tmp_path / "rooms"))
+        try:
+            harness, rooms = build_rooms_conference(MultimediaObjectStore(db))
+            sys.setprofile(count)
+            try:
+                drive_rooms_conference(harness, rooms)
+            finally:
+                sys.setprofile(None)
+        finally:
+            db.close()
+    assert harness.network.stats.messages == 717
+    assert calls <= ROOMS_CALL_CEILING, (
+        f"{calls} Python calls against a ceiling of {ROOMS_CALL_CEILING}"
+    )
