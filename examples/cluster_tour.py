@@ -104,7 +104,7 @@ def run_conference(workdir, crash: bool, monitor_viewer: str | None = None):
 def main() -> None:
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        log = obs.EventLog(tracer=obs.trace)
+        log = obs.EventLog()
         with obs.use_event_log(log):
             with tempfile.TemporaryDirectory() as workdir:
                 result = run_conference(workdir, crash=True, monitor_viewer="ops")
@@ -141,7 +141,7 @@ def main() -> None:
     print("\n== act two: the no-crash control run ==")
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        log = obs.EventLog(tracer=obs.trace)
+        log = obs.EventLog()
         with obs.use_event_log(log):
             with tempfile.TemporaryDirectory() as workdir:
                 control = run_conference(workdir, crash=False)

@@ -4,11 +4,11 @@ Runs the Section 1 scenario — retrieve the record, join the room, choose
 a presentation, let the server propagate it — with every tier's
 always-on instrumentation visible:
 
-* ``repro.obs.timeit`` times each phase CLI-style (``[timeit] ...``);
-* a :class:`Tracer` driven by the *simulated* clock produces a
-  deterministic span tree of the session (byte-identical on every run);
-* the server's own ``server.join_room`` / ``server.propagate`` spans are
-  shown from the default tracer;
+* a :class:`DeliveryTracer` follows the choice across the simulated
+  network: its delivery tree names every hop (the actor's uplink, each
+  viewer's downlink) with its simulated duration, and each delivery's
+  end-to-end time is attributed to wire, queueing, batch window or
+  retransmit backoff;
 * the metrics the session moved — db scans, wire bytes, propagation
   payloads, CP-net sweeps — are printed as a before/after diff.
 
@@ -17,6 +17,9 @@ consultation *over the simulated network itself* — the flight recorder's
 events and the registry's metric diffs arrive as ``TELEMETRY`` /
 ``TELEMETRY_EVENT`` messages on the monitor's own (modelled) downlink,
 and are folded into one text dashboard.
+
+Everything printed runs on the simulated clock (wall-clock histograms
+are left out), so two runs print byte-identical output.
 
 Run:  python examples/observability_tour.py
 """
@@ -28,32 +31,39 @@ from repro.client import ClientModule, TelemetryMonitor
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.net import Link, SimulatedNetwork
-from repro.obs import Tracer, render_span_tree, timeit, to_lines
+from repro.obs import (
+    DeliveryTracer,
+    analyze_delivery,
+    render_delivery_tree,
+    to_lines,
+    use_dtrace,
+)
 from repro.server import InteractionServer
+from repro.server.protocol import MessageKind
 
 MBPS = 1_000_000
+
+#: Histograms timed on the wall clock: the one part of a run that differs.
+WALL_CLOCK = ("db.query_latency_s",)
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         before = obs.snapshot()
 
-        with timeit("db.setup"):
-            db = Database(f"{workdir}/db")
-            store = MultimediaObjectStore(db)
-            store.store_document(build_sample_medical_record())
+        db = Database(f"{workdir}/db")
+        store = MultimediaObjectStore(db)
+        store.store_document(build_sample_medical_record())
 
-        network = SimulatedNetwork()
-        server = InteractionServer(store, network=network)
+        # Trace every user action; installed before the network and the
+        # nodes exist, because each resolves its tracer once at build.
+        tracer = DeliveryTracer(sample_every=1)
+        with use_dtrace(tracer):
+            network = SimulatedNetwork()
+            InteractionServer(store, network=network)
 
-        # Session-level spans run on the *simulated* clock: durations are
-        # wire time, and the tree is identical on every run.
-        session_trace = Tracer(clock=lambda: network.clock.now)
-
-        with timeit("consultation"), session_trace.span("session"):
-            with session_trace.span("retrieve"):
-                document = store.fetch_document("record-17")
-                print(f"retrieved {document.title!r}")
+            document = store.fetch_document("record-17")
+            print(f"retrieved {document.title!r}")
 
             lee = ClientModule("lee", network=network)
             cho = ClientModule("cho", network=network)
@@ -61,29 +71,32 @@ def main() -> None:
             network.attach_client(
                 cho, downlink=Link(bandwidth_bps=1.5 * MBPS, latency_s=0.04)
             )
+            lee.join("record-17")
+            cho.join("record-17")
+            network.run()
 
-            with session_trace.span("join_room"):
-                lee.join("record-17")
-                cho.join("record-17")
-                network.run()
+            lee.choose("imaging.ct_head", "segmented")
+            network.run()
 
-            with session_trace.span("choose"):
-                lee.choose("imaging.ct_head", "segmented")
-
-            with session_trace.span("propagate"):
-                network.run()
-
-        print("\n-- session span tree (simulated clock) --")
-        print(render_span_tree(session_trace.last()))
-
-        print("\n-- server-side spans (default tracer, wall clock) --")
-        for span in server._trace.roots[-3:]:
-            print(render_span_tree(span))
+        print("\n-- the choice, delivered (simulated clock) --")
+        record = next(r for r in tracer.store if r.kind == MessageKind.CHOICE)
+        print(render_delivery_tree(record))
+        for delivery in record.deliveries:
+            analysis = analyze_delivery(record, delivery)
+            spent = ", ".join(
+                f"{category} {1000 * seconds:.3f} ms"
+                for category, seconds in analysis["categories"].items()
+                if seconds
+            )
+            print(f"  {delivery['node']}: e2e {1000 * analysis['e2e']:.3f} ms; {spent}")
 
         print("\n-- metrics moved by this session --")
         delta = obs.diff(before, obs.snapshot())
         for line in to_lines(delta).splitlines():
-            if line.split()[1].partition(".")[0] in ("db", "net", "server", "cpnet"):
+            name = line.split()[1]
+            if name.startswith(WALL_CLOCK):
+                continue
+            if name.partition(".")[0] in ("db", "net", "server", "cpnet"):
                 print(line)
 
         db.close()
@@ -97,7 +110,7 @@ def monitored_consultation() -> None:
             network = SimulatedNetwork()
             # Flight recorder on the simulated clock: every event is
             # stamped with wire time, so the recording is reproducible.
-            log = obs.EventLog(clock=lambda: network.clock.now, tracer=obs.trace)
+            log = obs.EventLog(clock=lambda: network.clock.now)
             with obs.use_event_log(log):
                 db = Database(f"{workdir}/db")
                 store = MultimediaObjectStore(db)
@@ -143,8 +156,7 @@ def monitored_consultation() -> None:
                     monitor.render(
                         title="three-doctor consultation, as the monitor saw it",
                         exclude=(
-                            "db.query_latency_s",
-                            "trace.",
+                            *WALL_CLOCK,
                             "net.bytes_total",
                             "net.queue_delay_s",
                             "net.link.monitor-",

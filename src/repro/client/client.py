@@ -29,8 +29,8 @@ from repro.util.backoff import seeded_jitter
 
 DEFAULT_BUFFER_BYTES = 64 * 1024 * 1024
 
-#: Mutating session ops that a gateway-tier client stamps with an op_seq
-#: and keeps in its replay log: after a gateway failover these re-send
+#: Mutating session ops that a client homed on a gateway stamps with an
+#: op_seq and keeps in its replay log: after a gateway failover these re-send
 #: through the new home (at-least-once; the shard's per-session dedup
 #: fence makes the replay exactly-once). JOIN is excluded — a join is a
 #: new logical connection, not an op on an existing session — and reads
@@ -53,7 +53,6 @@ class ClientModule:
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         auto_fetch: bool = True,
         degrade_on_loss: bool = True,
-        park_ops: bool = False,
     ) -> None:
         self.viewer_id = viewer_id
         self.node_id = f"client-{viewer_id}"
@@ -91,10 +90,10 @@ class ClientModule:
         # non-vocabulary strings — session ids, component paths — shrink
         # to 2-byte references after their first frame.
         self._wire_table = StringInterner()
-        # Gateway-tier resilience (off by default so single-hub byte
-        # accounting is untouched): mutating ops are sequence-stamped and
-        # logged for replay through a surviving gateway after failover.
-        self._park_ops = park_ops
+        # Gateway-tier resilience, on while the network homes us on a
+        # gateway (a single server's clients never are, so their bytes
+        # are untouched): mutating ops are sequence-stamped and logged
+        # for replay through a surviving gateway after failover.
         self._op_seq = 0
         self._op_log: list[tuple[str, dict[str, Any]]] = []
         self._offline: list[tuple[str, dict[str, Any]]] = []
@@ -198,7 +197,8 @@ class ClientModule:
     def _send(self, kind: str, payload: dict[str, Any]) -> None:
         if self.network is None:
             raise ClientError("client is not attached to a network")
-        if self._park_ops:
+        home = self.network.home_of(self.node_id)
+        if home is not None:
             if kind in _PARKED_KINDS:
                 self._op_seq += 1
                 payload = dict(payload)
@@ -211,8 +211,7 @@ class ClientModule:
                     # anyway. Hold it — the flush replays the log in
                     # order from the shed seq.
                     return
-            hub = self.network.hub_for(self.node_id)
-            if not self.network.has_node(hub):
+            if not self.network.has_node(home):
                 # Our home gateway is dead and the directory has not
                 # re-homed us yet. Mutating ops are already in the replay
                 # log; everything else queues for the post-failover flush.
@@ -405,8 +404,8 @@ class ClientModule:
             if doc_id is not None:
                 self._schedule_rejoin(doc_id, after_s)
             return
-        op_seq = payload.get("op_seq")
-        if op_seq is not None and self._park_ops:
+        op_seq = payload.get("op_seq")  # stamped only while homed
+        if op_seq is not None:
             if self._retry_from_seq is None or op_seq < self._retry_from_seq:
                 self._retry_from_seq = op_seq
             if self._retry_shed_at is None:
@@ -477,9 +476,8 @@ class ClientModule:
             self.stale_updates += 1
             return
         hub = self.network.hub_for(self.node_id)
-        if not self.network.has_node(hub):
-            if self._park_ops:
-                self._offline.append((kind, payload))
+        if not self.network.has_node(hub):  # only a gateway home can die
+            self._offline.append((kind, payload))
             return
         self._dispatch(kind, payload, shed_at=shed_at)
 
@@ -525,16 +523,16 @@ class ClientModule:
         crash are healed instead of recorded: they are topology events,
         not link-quality signals, so they must not trigger §4.4 tuning.
         """
-        if self._park_ops and self.network is not None:
-            hub = self.network.hub_for(self.node_id)
-            if error.recipient != hub and self.network.has_node(hub):
+        home = self.network.home_of(self.node_id) if self.network is not None else None
+        if home is not None:
+            if error.recipient != home and self.network.has_node(home):
                 # Frame addressed to our *previous* home gave up after we
                 # were re-homed. The failover replay already covers the
                 # mutating backlog; only non-replayed requests re-issue.
                 if error.kind not in _PARKED_KINDS:
                     self._dispatch(error.kind, dict(error.payload or {}))
                 return
-            if error.recipient == hub and not self.network.has_node(hub):
+            if error.recipient == home and not self.network.has_node(home):
                 # Our home is dead but not yet swept: the failover replay
                 # will cover mutating ops; park the rest for the flush.
                 if error.kind not in _PARKED_KINDS:

@@ -117,15 +117,10 @@ class ClusterHarness:
         downlink: Link | None = None,
         auto_fetch: bool = True,
     ) -> ClientModule:
-        client = ClientModule(
-            viewer_id,
-            network=self.network,
-            auto_fetch=auto_fetch,
-            # Gateway failover and admission sheds both replay off the
-            # client's op log, which only exists with op parking on.
-            park_ops=True,
-        )
+        client = ClientModule(viewer_id, network=self.network, auto_fetch=auto_fetch)
         self.network.attach_client(client, uplink=uplink, downlink=downlink)
+        # Homing the client on a gateway is what turns on its op log:
+        # gateway failover and admission sheds both replay off it.
         self.directory.attach_client(client)
         self.clients[viewer_id] = client
         return client

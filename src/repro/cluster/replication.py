@@ -8,8 +8,8 @@ replica replays each op against its own shadow ``InteractionServer``
 every member's update and ships none), so replayed state is
 byte-identical to the primary's: presentation outcomes are
 deterministic functions of the op sequence.
-Acked sequence numbers flow back (``ACK``); the primary trims its log at
-the ack watermark and exports the ship/ack gap as replication lag.
+Acked sequence numbers flow back (``ACK``); the primary advances its
+ack watermark and exports the ship/ack gap as replication lag.
 """
 
 from __future__ import annotations
@@ -60,10 +60,14 @@ class LogEntry:
 
 
 class ShipLog:
-    """Primary-side log to one replica: entries kept until acked."""
+    """Primary-side sequencing to one replica: counters, not entries.
+
+    Nothing re-ships from here — the transport retransmits a lost frame,
+    and a replica that missed a room bootstraps from the shard's room
+    history — so an entry is forgotten as soon as it is minted.
+    """
 
     def __init__(self) -> None:
-        self._entries: list[LogEntry] = []
         self._next_seq = 1
         self.shipped_seq = 0
         self.acked_seq = 0
@@ -71,31 +75,19 @@ class ShipLog:
     def append(self, at: float, room_key: str, op: str, data: dict[str, Any]) -> LogEntry:
         entry = LogEntry(seq=self._next_seq, at=at, room_key=room_key, op=op, data=data)
         self._next_seq += 1
-        self._entries.append(entry)
         return entry
 
     def mark_shipped(self, seq: int) -> None:
         self.shipped_seq = max(self.shipped_seq, seq)
 
     def mark_acked(self, seq: int) -> None:
-        """Advance the ack watermark and discard entries at or below it."""
+        """Advance the ack watermark (a stale ack never moves it back)."""
         self.acked_seq = max(self.acked_seq, seq)
-        self._entries = [e for e in self._entries if e.seq > self.acked_seq]
 
     @property
     def lag(self) -> int:
         """Ops shipped but not yet acknowledged by the replica."""
         return self.shipped_seq - self.acked_seq
-
-    def unacked(self) -> list[LogEntry]:
-        return [e for e in self._entries if e.seq <= self.shipped_seq]
-
-    def unshipped(self) -> list[LogEntry]:
-        return [e for e in self._entries if e.seq > self.shipped_seq]
-
-    @property
-    def pending(self) -> int:
-        return len(self._entries)
 
 
 class ReplicaState:

@@ -1,19 +1,21 @@
-"""``repro.obs`` — metrics, tracing and events for every tier.
+"""``repro.obs`` — metrics, events and delivery tracing for every tier.
 
-The package keeps one process-wide default of each telemetry primitive
-(always on — instruments are cheap):
+Three substrates, one process-wide default of each:
 
-- a :class:`MetricsRegistry` (:func:`get_registry`),
-- a :class:`Tracer` (:data:`trace`),
-- an :class:`EventLog` flight recorder (:func:`get_event_log`).
+- a :class:`MetricsRegistry` (:func:`get_registry`) — how much;
+- an :class:`EventLog` flight recorder (:func:`get_event_log`) — what
+  happened, in what order;
+- a :class:`DeliveryTracer` (:func:`get_dtrace`, off by default) — where
+  one delivery's simulated time went, hop by hop across nodes.
 
 Instrumented components resolve their handles from the getters at
 construction time; swap in the Null variants via the ``set_*`` /
 ``use_*`` helpers *before* constructing components to turn observability
-off, or fresh instances to isolate a test's counts.
+off, or fresh instances to isolate a run's counts.
 
-Benchmarks never swap: they snapshot the default registry before and
-after the measured region and report :func:`diff` of the two.
+The figure benchmarks snapshot the default registry before and after the
+measured region and report :func:`diff` of the two; the ledger and the
+chaos convergence harness install a fresh registry and event log per run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.export import diff, to_exposition, to_json, to_lines
-from repro.obs.tracing import Span, Tracer, render_span_tree, timeit
 from repro.obs.events import (
     DEBUG,
     ERROR,
@@ -44,7 +45,6 @@ from repro.obs.events import (
     WARN,
     Event,
     EventLog,
-    NullEventLog,
     severity_rank,
 )
 from repro.obs.dashboard import render_dashboard
@@ -71,7 +71,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MetricFamily",
     "MetricsRegistry",
-    "NullEventLog",
     "NullRegistry",
     "OVERFLOW_LABEL",
     "SEVERITIES",
@@ -81,10 +80,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "NullDeliveryTracer",
-    "Span",
     "TraceContext",
     "TraceStore",
-    "Tracer",
     "WARN",
     "analyze_delivery",
     "diff",
@@ -93,17 +90,14 @@ __all__ = [
     "get_registry",
     "render_dashboard",
     "render_delivery_tree",
-    "render_span_tree",
     "set_dtrace",
     "set_event_log",
     "set_registry",
     "severity_rank",
     "snapshot",
-    "timeit",
     "to_exposition",
     "to_json",
     "to_lines",
-    "trace",
     "use_dtrace",
     "use_event_log",
     "use_registry",
@@ -111,12 +105,7 @@ __all__ = [
 
 _registry: MetricsRegistry | NullRegistry = MetricsRegistry()
 
-#: Process-default tracer (wall clock). Components trace through this
-#: unless handed their own Tracer.
-trace = Tracer()
-
-#: Process-default flight recorder, correlated to the default tracer.
-_event_log: EventLog | NullEventLog = EventLog(tracer=trace)
+_event_log: EventLog = EventLog()
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:
@@ -148,12 +137,12 @@ def use_registry(
         set_registry(previous)
 
 
-def get_event_log() -> EventLog | NullEventLog:
+def get_event_log() -> EventLog:
     """The process-default flight recorder."""
     return _event_log
 
 
-def set_event_log(event_log: EventLog | NullEventLog) -> EventLog | NullEventLog:
+def set_event_log(event_log: EventLog) -> EventLog:
     """Replace the default flight recorder; returns it.
 
     Components cache their log handle at construction, so swap before
@@ -166,8 +155,8 @@ def set_event_log(event_log: EventLog | NullEventLog) -> EventLog | NullEventLog
 
 @contextmanager
 def use_event_log(
-    event_log: EventLog | NullEventLog,
-) -> Iterator[EventLog | NullEventLog]:
+    event_log: EventLog,
+) -> Iterator[EventLog]:
     """Temporarily install *event_log* as the default (test isolation)."""
     previous = get_event_log()
     set_event_log(event_log)

@@ -7,8 +7,8 @@ simulated run renders byte-identical dashboards run to run (the monitor
 channel's acceptance test relies on this).
 
 ``include`` / ``exclude`` are metric-name prefix filters: pass
-``exclude=("db.query_latency_s", "trace.")`` to drop wall-clock
-measurements from an otherwise sim-clock-deterministic panel.
+``exclude=("db.query_latency_s",)`` to drop wall-clock measurements
+from an otherwise sim-clock-deterministic panel.
 """
 
 from __future__ import annotations
@@ -105,11 +105,9 @@ def render_dashboard(
         data = _event_fields(event)
         fields = data.get("fields", {})
         rendered_fields = " ".join(f"{key}={fields[key]}" for key in sorted(fields))
-        span = data.get("span_id")
-        span_text = f" span={span}" if span is not None else ""
         lines.append(
             f"  [{data.get('at', 0.0):9.3f}] {data.get('severity', 'INFO'):<5}"
-            f" {data.get('name', '?')}{span_text}"
+            f" {data.get('name', '?')}"
             + (f"  {rendered_fields}" if rendered_fields else "")
         )
     lines.append(_RULE)

@@ -1,8 +1,7 @@
 """Delivery tracing: wire-propagated trace context across every hop.
 
-Node-local spans (:mod:`repro.obs.tracing`) explain what one process did;
-they cannot explain why a choice took 80 ms to reach the last interested
-subscriber three nodes away. This module adds Dapper-style *delivery
+Why did a choice take 80 ms to reach the last interested subscriber
+three nodes away? This module answers with Dapper-style *delivery
 tracing* on the simulated clock:
 
 * a :class:`TraceContext` — trace id, parent span id, hop count and send

@@ -8,10 +8,9 @@ evicting oldest first, so an always-on recorder cannot grow without
 bound.
 
 Each event carries a name, a severity (:data:`DEBUG` .. :data:`ERROR`),
-free-form key/value fields, a timestamp from the injectable clock, and
-the ``span_id`` of the trace span that was open when it was emitted (the
-automatic correlation that lets a dashboard line up "what happened"
-against "where time went"). Subscribers registered with
+free-form key/value fields and a timestamp from the injectable clock. An
+event that belongs to a delivery trace says so in its own fields
+(``dtrace.slo_breach`` carries its ``trace_id``). Subscribers registered with
 :meth:`EventLog.subscribe` see every event as it is emitted — the live
 telemetry channel hangs off this hook.
 """
@@ -44,22 +43,15 @@ def severity_rank(severity: str) -> int:
 class Event:
     """One recorded occurrence; immutable once emitted."""
 
-    __slots__ = ("seq", "name", "severity", "at", "span_id", "fields")
+    __slots__ = ("seq", "name", "severity", "at", "fields")
 
     def __init__(
-        self,
-        seq: int,
-        name: str,
-        severity: str,
-        at: float,
-        span_id: int | None,
-        fields: dict[str, Any],
+        self, seq: int, name: str, severity: str, at: float, fields: dict[str, Any]
     ) -> None:
         self.seq = seq
         self.name = name
         self.severity = severity
         self.at = at
-        self.span_id = span_id
         self.fields = fields
 
     def to_dict(self) -> dict[str, Any]:
@@ -69,15 +61,13 @@ class Event:
             "name": self.name,
             "severity": self.severity,
             "at": self.at,
-            "span_id": self.span_id,
             "fields": {key: self.fields[key] for key in sorted(self.fields)},
         }
 
     def render(self) -> str:
         """One-line human form: ``[  1.500] WARN  net.drop  node=c1``."""
         fields = " ".join(f"{key}={self.fields[key]}" for key in sorted(self.fields))
-        span = f" span={self.span_id}" if self.span_id is not None else ""
-        return f"[{self.at:9.3f}] {self.severity:<5} {self.name}{span}" + (
+        return f"[{self.at:9.3f}] {self.severity:<5} {self.name}" + (
             f"  {fields}" if fields else ""
         )
 
@@ -97,22 +87,15 @@ class EventLog:
         Zero-argument callable supplying timestamps when ``emit`` is not
         given an explicit ``at``. Inject a simulated clock for
         determinism.
-    tracer:
-        When given, emitted events record the ``span_id`` of the
-        tracer's innermost open span (``None`` outside any span).
     """
 
     def __init__(
-        self,
-        capacity: int = 1024,
-        clock: Callable[[], float] | None = None,
-        tracer: Any = None,
+        self, capacity: int = 1024, clock: Callable[[], float] | None = None
     ) -> None:
         if capacity < 1:
             raise ValueError("EventLog capacity must be >= 1")
         self.capacity = capacity
         self._clock = clock if clock is not None else time.perf_counter
-        self._tracer = tracer
         self._events: deque[Event] = deque(maxlen=capacity)
         self._seq = itertools.count(1)
         self._subscribers: list[Callable[[Event], None]] = []
@@ -126,18 +109,15 @@ class EventLog:
     ) -> Event:
         """Record one event and fan it out to subscribers.
 
-        The event correlates automatically to the innermost open span of
-        the attached tracer; pass ``at`` to override the clock (events
-        replayed from another timeline keep their original stamps).
+        Pass ``at`` to override the clock (events replayed from another
+        timeline keep their original stamps).
         """
         severity_rank(severity)  # validate early; bad severities are bugs
-        span = self._tracer.current if self._tracer is not None else None
         event = Event(
             seq=next(self._seq),
             name=name,
             severity=severity,
             at=at if at is not None else self._clock(),
-            span_id=span.span_id if span is not None else None,
             fields=fields,
         )
         self._events.append(event)
@@ -174,19 +154,15 @@ class EventLog:
         return tuple(self._events)[-count:]
 
     def filter(
-        self,
-        name: str | None = None,
-        min_severity: str = DEBUG,
-        span_id: int | None = None,
+        self, name: str | None = None, min_severity: str = DEBUG
     ) -> tuple[Event, ...]:
-        """Retained events matching a name prefix / severity floor / span."""
+        """Retained events matching a name prefix and a severity floor."""
         floor = severity_rank(min_severity)
         return tuple(
             event
             for event in self._events
             if _SEVERITY_RANK[event.severity] >= floor
             and (name is None or event.name.startswith(name))
-            and (span_id is None or event.span_id == span_id)
         )
 
     def clear(self) -> None:
@@ -195,47 +171,3 @@ class EventLog:
     def __repr__(self) -> str:
         return f"EventLog({len(self._events)}/{self.capacity} events)"
 
-
-class NullEventLog:
-    """Flight recorder off: ``emit`` does nothing and retains nothing."""
-
-    capacity = 0
-
-    def emit(
-        self,
-        name: str,
-        severity: str = INFO,
-        at: float | None = None,
-        **fields: Any,
-    ) -> None:
-        return None
-
-    def subscribe(self, subscriber: Callable[[Event], None]) -> Callable[[Event], None]:
-        return subscriber
-
-    def unsubscribe(self, subscriber: Callable[[Event], None]) -> None:
-        pass
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return ()
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(())
-
-    def tail(self, count: int) -> tuple[Event, ...]:
-        return ()
-
-    def filter(
-        self,
-        name: str | None = None,
-        min_severity: str = DEBUG,
-        span_id: int | None = None,
-    ) -> tuple[Event, ...]:
-        return ()
-
-    def clear(self) -> None:
-        pass

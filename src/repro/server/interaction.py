@@ -96,7 +96,6 @@ class InteractionServer:
         self._rooms: dict[str, Room] = {}
         self._rooms_by_doc: dict[str, str] = {}
         registry = obs.get_registry()
-        self._trace = obs.trace
         self._events = obs.get_event_log()
         self._dtrace = get_dtrace()
         self._m_messages_in = registry.counter("server.messages_in")
@@ -122,16 +121,21 @@ class InteractionServer:
         self._m_interest_filtered = registry.counter("interest.updates_filtered")
         self._m_interest_bytes_saved = registry.counter("interest.bytes_saved")
         self._m_interest_downgrades = registry.counter("interest.layer_downgrades")
-        self._g_sessions = registry.gauge("server.sessions_connected")
-        self._g_rooms = registry.gauge("server.rooms_open")
-        self._g_occupancy = registry.gauge("server.room_occupancy")
-        self._g_monitors = registry.gauge("server.monitors_connected")
-        # One server per process is the paper's architecture; claim the
-        # gauges so a recycled registry never shows a dead server's state.
-        self._g_sessions.set(0)
-        self._g_rooms.set(0)
-        self._g_occupancy.set(0)
-        self._g_monitors.set(0)
+        # One child per server: every shard primary and standby shadow
+        # in the process writes its own, and a new one claims its label
+        # so a recycled registry never shows a dead server's state.
+        gauges = [
+            registry.gauge_family(name, ("node",)).labels(node_id)
+            for name in (
+                "server.sessions_connected",
+                "server.rooms_open",
+                "server.room_occupancy",
+                "server.monitors_connected",
+            )
+        ]
+        for gauge in gauges:
+            gauge.set(0)
+        self._g_sessions, self._g_rooms, self._g_occupancy, self._g_monitors = gauges
         #: Telemetry monitors: pushed metric diffs + buffered events.
         self.telemetry = TelemetryChannel(node_id, self._now, self._net_send)
         from repro.server.triggers import TriggerManager
@@ -250,44 +254,43 @@ class InteractionServer:
         self.policy.require(session.viewer_id, PERM_VIEW)
         if session.in_room:
             raise RoomError(f"session {session_id!r} is already in {session.room_id!r}")
-        with self._trace.span("server.join_room"):
-            room = self.open_room(doc_id)
-            room.join(session_id, session.viewer_id)
-            session.room_id = room.room_id
-            self._g_occupancy.set(
-                sum(len(r.member_sessions) for r in self._rooms.values())
-            )
-            self._emit(
-                "server.room_join",
-                room=room.room_id,
-                doc=doc_id,
-                viewer=session.viewer_id,
-                occupancy=len(room.member_sessions),
-            )
-            if self.use_profiles:
-                profile = self._profile_of(session.viewer_id)
-                # Replay stable habits as personal evidence: the frequent
-                # viewer's usual presentation greets them on join (§4's
-                # optional long-term learning).
-                from repro.presentation.engine import PERSONAL, ViewerChoice
+        room = self.open_room(doc_id)
+        room.join(session_id, session.viewer_id)
+        session.room_id = room.room_id
+        self._g_occupancy.set(
+            sum(len(r.member_sessions) for r in self._rooms.values())
+        )
+        self._emit(
+            "server.room_join",
+            room=room.room_id,
+            doc=doc_id,
+            viewer=session.viewer_id,
+            occupancy=len(room.member_sessions),
+        )
+        if self.use_profiles:
+            profile = self._profile_of(session.viewer_id)
+            # Replay stable habits as personal evidence: the frequent
+            # viewer's usual presentation greets them on join (§4's
+            # optional long-term learning).
+            from repro.presentation.engine import PERSONAL, ViewerChoice
 
-                for component, value in profile.habits_for(room.document).items():
-                    room.engine.apply_choice(
-                        ViewerChoice(session.viewer_id, component, value, scope=PERSONAL)
-                    )
-            spec = room.presentation_for(session.viewer_id, now=self._now())
-            session.remember_spec(doc_id, spec.outcome)
-            if self.interest_mode == "cpnet":
-                # §5.3 "relevant parts": the viewer's computed presentation
-                # names the components they care about; seed their default
-                # subscriptions from it. Explicit SUBSCRIBE overrides.
-                room.interest.seed(
-                    session.session_id,
-                    default_subscriptions(room.document, spec.outcome),
+            for component, value in profile.habits_for(room.document).items():
+                room.engine.apply_choice(
+                    ViewerChoice(session.viewer_id, component, value, scope=PERSONAL)
                 )
-                self._g_interest_subs.labels(room.room_id).set(
-                    room.interest.explicit_subscriptions()
-                )
+        spec = room.presentation_for(session.viewer_id, now=self._now())
+        session.remember_spec(doc_id, spec.outcome)
+        if self.interest_mode == "cpnet":
+            # §5.3 "relevant parts": the viewer's computed presentation
+            # names the components they care about; seed their default
+            # subscriptions from it. Explicit SUBSCRIBE overrides.
+            room.interest.seed(
+                session.session_id,
+                default_subscriptions(room.document, spec.outcome),
+            )
+            self._g_interest_subs.labels(room.room_id).set(
+                room.interest.explicit_subscriptions()
+            )
         return room, spec
 
     def _profile_of(self, viewer_id: str):
@@ -604,11 +607,10 @@ class InteractionServer:
         standby included; *shipping* is everything that exists only
         because bytes leave this node, and runs only with a network.
         """
-        with self._trace.span("server.propagate"):
-            decided = self._decide(room, change)
-            if self.network is not None:
-                self._ship(room, change, decided)
-            self.triggers.dispatch(room, change)
+        decided = self._decide(room, change)
+        if self.network is not None:
+            self._ship(room, change, decided)
+        self.triggers.dispatch(room, change)
         return {
             member.session_id: filtered
             for member, _, _, filtered in decided
@@ -840,17 +842,15 @@ class InteractionServer:
         self._events.emit(name, severity=severity, at=at, **fields)
 
     def stats(self) -> dict[str, Any]:
-        """Operational snapshot, read off the metrics registry.
+        """Operational snapshot of this server, counted off its own state.
 
-        The counts are the same gauges/counters the telemetry channel
-        exports; room-derived values (frozen components, distinct
-        viewers) are computed from room state because they are not
-        gauge-shaped.
+        Not read back from the registry: a registry is shared by every
+        server in the process (and reads 0 under ``NullRegistry``).
         """
         return {
-            "sessions": int(self._g_sessions.value),
-            "rooms": int(self._g_rooms.value),
-            "monitors": int(self._g_monitors.value),
+            "sessions": len(self._sessions),
+            "rooms": len(self._rooms),
+            "monitors": len(self.telemetry.monitors),
             "viewers_in_rooms": sum(len(r.viewer_ids) for r in self._rooms.values()),
             "buffered_changes": sum(r.buffer_size for r in self._rooms.values()),
             "frozen_components": sum(

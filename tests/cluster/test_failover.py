@@ -23,8 +23,7 @@ HORIZON = 30.0
 def fresh_obs():
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        obs.trace.clear()
-        log = obs.EventLog(tracer=obs.trace)
+        log = obs.EventLog()
         with obs.use_event_log(log):
             yield registry, log
 

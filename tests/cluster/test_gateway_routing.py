@@ -13,8 +13,7 @@ from repro.workloads import generate_record
 def fresh_obs():
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        obs.trace.clear()
-        log = obs.EventLog(tracer=obs.trace)
+        log = obs.EventLog()
         with obs.use_event_log(log):
             yield registry, log
 

@@ -11,9 +11,13 @@ ROUTE_INVALIDATE so stale cache entries die with it.
 import pytest
 
 from repro import obs
+from repro.client import ClientModule
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.errors import ClusterError
 from repro.db import Database, MultimediaObjectStore
+from repro.net import SimulatedNetwork
+from repro.server import InteractionServer
+from repro.server.protocol import MessageKind
 from repro.workloads import consultation_events, generate_record
 
 DOCS = ("case-0", "case-1", "case-2")
@@ -99,6 +103,52 @@ def drive_tier(tmp_path, name, gateways=2, crash_gateway_of=None, monitor=False)
             for error in client.errors
         ],
     }
+
+
+class TestOpParking:
+    """Op parking follows the topology: a client homed on a gateway
+    stamps its mutating ops with an ``op_seq`` and logs them for replay;
+    a single server's client is never homed and does neither."""
+
+    @staticmethod
+    def _uplink(network, client, record):
+        """What *client* puts on the wire for a join and one choice."""
+        sent = []
+        real_send = network.send
+
+        def recording_send(sender, recipient, kind, payload=None, **kwargs):
+            if sender == client.node_id:
+                sent.append((kind, dict(payload or {})))
+            return real_send(sender, recipient, kind, payload=payload, **kwargs)
+
+        network.send = recording_send
+        client.join(DOCS[0])
+        network.run()
+        client.choose(*consultation_events(record, num_events=1, seed=21)[0])
+        network.run()
+        return sent
+
+    def test_single_server_client_parks_nothing(self, fresh_obs, tmp_path):
+        store, records = build_store(tmp_path, "single")
+        network = SimulatedNetwork()
+        InteractionServer(store, network=network)
+        client = ClientModule("lee", network=network, auto_fetch=False)
+        network.attach_client(client)
+        sent = self._uplink(network, client, records[DOCS[0]])
+        assert [kind for kind, _ in sent] == [MessageKind.JOIN, MessageKind.CHOICE]
+        assert not any("op_seq" in payload for _, payload in sent)
+        assert client._op_log == []
+
+    def test_harness_client_stamps_and_logs_its_ops(self, fresh_obs, tmp_path):
+        store, records = build_store(tmp_path, "tier")
+        harness = ClusterHarness(store, ClusterConfig(shards=2))
+        client = harness.add_client("lee", auto_fetch=False)
+        sent = self._uplink(harness.network, client, records[DOCS[0]])
+        assert [(kind, payload.get("op_seq")) for kind, payload in sent] == [
+            (MessageKind.JOIN, None),
+            (MessageKind.CHOICE, 1),
+        ]
+        assert [kind for kind, _ in client._op_log] == [MessageKind.CHOICE]
 
 
 class TestTierRouting:
@@ -278,6 +328,40 @@ class TestSharedGauges:
         # Every session is routed by exactly one gateway: its client's home.
         assert sum(routed.values()) == 6
         assert gauges["directory.sessions_known"] == 6
+
+    def test_server_stats_and_gauges_are_per_server(self, tmp_path):
+        """Regression: ``InteractionServer.stats()`` read unlabelled gauges
+        that every server in the process wrote — each shard primary and
+        each standby's shadow — and that every new server zeroed, so all
+        shards reported the last writer's counts (and 0 under
+        ``NullRegistry``)."""
+        for registry in (obs.MetricsRegistry(), obs.NullRegistry()):
+            with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
+                store, _ = build_store(tmp_path, type(registry).__name__)
+                harness = ClusterHarness(store, ClusterConfig(shards=3))
+                for index, doc_id in enumerate(DOCS):
+                    for j in range(2**index):  # 1, 2 and 4 viewers
+                        harness.add_client(f"dr-{index}-{j}").join(doc_id)
+                harness.run()
+                # A server built mid-run, as a standby's shadow is on its
+                # first REPLICATE, leaves the live ones' numbers alone.
+                InteractionServer(store, node_id="late")
+                held = {
+                    shard_id: (len(shard.server.session_ids), len(shard.server.room_ids))
+                    for shard_id, shard in harness.shards.items()
+                }
+                assert sum(sessions for sessions, _ in held.values()) == 7
+                assert len(set(held.values())) > 1  # the shards' loads differ
+                gauges = registry.snapshot()["gauges"]
+                for shard_id, shard in harness.shards.items():
+                    stats = shard.server.stats()
+                    assert (stats["sessions"], stats["rooms"]) == held[shard_id]
+                    if registry.enabled:
+                        node = f'{{node="{shard_id}"}}'
+                        assert (
+                            gauges["server.sessions_connected" + node],
+                            gauges["server.rooms_open" + node],
+                        ) == held[shard_id]
 
 
 class TestZeroResidue:

@@ -1,11 +1,8 @@
-"""Flight recorder: emit, correlate, evict, subscribe."""
-
-import contextvars
+"""Flight recorder: emit, evict, subscribe."""
 
 import pytest
 
-from repro.obs.events import DEBUG, ERROR, INFO, WARN, Event, EventLog, NullEventLog, severity_rank
-from repro.obs.tracing import Tracer
+from repro.obs.events import DEBUG, ERROR, INFO, WARN, Event, EventLog, severity_rank
 
 
 class FakeClock:
@@ -63,7 +60,6 @@ class TestEmit:
             "name": "x",
             "severity": "INFO",
             "at": 0.0,
-            "span_id": None,
             "fields": {"a": 1, "b": 2},
         }
 
@@ -71,63 +67,6 @@ class TestEmit:
         log = EventLog(clock=FakeClock())
         event = log.emit("net.drop", severity=WARN, at=1.25, node="c1")
         assert event.render() == "[    1.250] WARN  net.drop  node=c1"
-
-
-class TestSpanCorrelation:
-    def test_event_carries_open_span_id(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        log = EventLog(clock=clock, tracer=tracer)
-        with tracer.span("outer") as outer:
-            outside = log.emit("in_outer")
-            with tracer.span("inner") as inner:
-                inside = log.emit("in_inner")
-        after = log.emit("after")
-        assert outside.span_id == outer.span_id
-        assert inside.span_id == inner.span_id
-        assert after.span_id is None
-
-    def test_interleaved_session_contexts_keep_their_span_ids(self):
-        """Two simulated sessions interleave nested spans; every event
-        lands on the span open in *its own* context at emit time."""
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        log = EventLog(clock=clock, tracer=tracer)
-        ctx_a = contextvars.copy_context()
-        ctx_b = contextvars.copy_context()
-        state: dict[str, object] = {}
-
-        def open_session(name):
-            cm = tracer.span(f"{name}.request")
-            span = cm.__enter__()
-            state[name] = (cm, span)
-            log.emit(f"{name}.started", session=name)
-            return span
-
-        def work(name):
-            with tracer.span(f"{name}.work") as span:
-                log.emit(f"{name}.worked", session=name)
-            return span
-
-        def close_session(name):
-            cm, span = state.pop(name)
-            cm.__exit__(None, None, None)
-            return span
-
-        root_a = ctx_a.run(open_session, "a")
-        root_b = ctx_b.run(open_session, "b")
-        work_a = ctx_a.run(work, "a")
-        work_b = ctx_b.run(work, "b")
-        ctx_b.run(close_session, "b")
-        ctx_a.run(close_session, "a")
-
-        by_name = {event.name: event for event in log.events}
-        assert by_name["a.started"].span_id == root_a.span_id
-        assert by_name["b.started"].span_id == root_b.span_id
-        assert by_name["a.worked"].span_id == work_a.span_id
-        assert by_name["b.worked"].span_id == work_b.span_id
-        # Four distinct spans, four distinct correlation targets.
-        assert len({e.span_id for e in log.events}) == 4
 
 
 class TestRingBuffer:
@@ -190,14 +129,3 @@ class TestSubscribers:
         assert seen == ["e0", "e1", "e2", "e3"]  # delivery is not bounded
         assert len(log) == 1                     # retention is
 
-
-class TestNullEventLog:
-    def test_is_inert(self):
-        log = NullEventLog()
-        assert log.emit("x", severity=WARN) is None
-        assert log.events == ()
-        assert len(log) == 0
-        assert list(log) == []
-        assert log.tail(5) == ()
-        assert log.filter() == ()
-        log.clear()

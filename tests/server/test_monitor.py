@@ -24,7 +24,6 @@ MBPS = 1_000_000
 #: depends on the wall-clock floats inside it).
 NONDETERMINISTIC_METRICS = (
     "db.query_latency_s",
-    "trace.",
     "net.bytes_total",
     "net.queue_delay_s",
     "net.link.monitor-",
@@ -37,8 +36,7 @@ def fresh_obs():
     """Isolated registry/event-log around the package defaults."""
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        obs.trace.clear()
-        log = obs.EventLog(tracer=obs.trace)
+        log = obs.EventLog()
         with obs.use_event_log(log):
             yield registry, log
 
@@ -170,9 +168,8 @@ class TestTelemetryDelivery:
         def run(name):
             registry = obs.MetricsRegistry()
             with obs.use_registry(registry):
-                obs.trace.clear()
                 network = SimulatedNetwork()
-                log = obs.EventLog(clock=lambda: network.clock.now, tracer=obs.trace)
+                log = obs.EventLog(clock=lambda: network.clock.now)
                 with obs.use_event_log(log):
                     db = Database(str(tmp_path / name))
                     store = MultimediaObjectStore(db)
