@@ -9,53 +9,66 @@ and measures the diff computation itself.
 
 import pytest
 
+from repro import obs
+from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
+from repro.net import SimulatedNetwork
 from repro.presentation.spec import diff_presentations
 from repro.server import InteractionServer
-from repro.server.protocol import encoded_size
 from repro.workloads import consultation_events, generate_record
 
+VIEWERS = 4
+CHANGES = 15
 
-def run_session(tmp_path, sections, diff_propagation, tag):
+
+def run_session(tmp_path, sections, tag):
+    """One networked conference; returns the server's propagation counters.
+
+    ``_ship`` accounts both ablation arms for every update it sends: the
+    delta it put on the wire and what a whole-outcome resend of the same
+    member's presentation would have cost.
+    """
+    record = generate_record("prop-doc", sections=sections, components_per_section=4, seed=4)
     db = Database(str(tmp_path / f"db-{tag}"))
     store = MultimediaObjectStore(db)
-    store.store_document(
-        generate_record("prop-doc", sections=sections, components_per_section=4, seed=4)
-    )
-    server = InteractionServer(store, diff_propagation=diff_propagation)
-    sessions = [server.connect_session(f"viewer-{i}") for i in range(4)]
-    for session in sessions:
-        server.join_room(session.session_id, "prop-doc")
-    events = consultation_events(
-        generate_record("prop-doc", sections=sections, components_per_section=4, seed=4),
-        num_events=15,
-        seed=9,
-    )
-    total_bytes = 0
-    total_messages = 0
-    for component, value in events:
-        updates = server.handle_choice(sessions[0].session_id, component, value)
-        for delta in updates.values():
-            total_bytes += encoded_size({"doc_id": "prop-doc", "changes": delta})
-            total_messages += 1
+    store.store_document(record)
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
+        network = SimulatedNetwork()
+        InteractionServer(store, network=network)
+        clients = [
+            ClientModule(f"viewer-{i}", network=network, auto_fetch=False)
+            for i in range(VIEWERS)
+        ]
+        for client in clients:
+            network.attach_client(client)
+            client.join("prop-doc")
+        network.run()
+        for component, value in consultation_events(record, num_events=CHANGES, seed=9):
+            clients[0].choose(component, value)
+            network.run()
     db.close()
-    return total_bytes, total_messages
+    counters = registry.snapshot()["counters"]
+    return {
+        name: int(counters.get(f"server.propagation.{name}", 0))
+        for name in ("diff_bytes", "full_bytes", "updates")
+    }
 
 
 @pytest.mark.parametrize("sections", [2, 8, 24])
 def test_diff_vs_full_resend(benchmark, report, tmp_path, sections):
-    diff_bytes, diff_messages = run_session(tmp_path, sections, True, f"d{sections}")
-    full_bytes, full_messages = run_session(tmp_path, sections, False, f"f{sections}")
-    benchmark.pedantic(
-        run_session, args=(tmp_path, sections, True, f"bench{sections}"), rounds=2
-    )
+    shipped = run_session(tmp_path, sections, f"s{sections}")
+    benchmark.pedantic(run_session, args=(tmp_path, sections, f"bench{sections}"), rounds=2)
+    diff_bytes, full_bytes = shipped["diff_bytes"], shipped["full_bytes"]
     components = sections * 5
     report.table(
-        f"Sec 5.3: bytes on wire, {components}-component document, 4 viewers, 15 changes",
+        f"Sec 5.3: bytes on wire, {components}-component document, "
+        f"{VIEWERS} viewers, {CHANGES} changes",
         ["mode", "bytes", "messages"],
         [
-            ["diff (relevant parts only)", diff_bytes, diff_messages],
-            ["full outcome resend", full_bytes, full_messages],
+            ["diff (relevant parts only)", diff_bytes, shipped["updates"]],
+            # A whole-outcome resend tells every member on every change.
+            ["full outcome resend", full_bytes, VIEWERS * CHANGES],
             ["saving", f"{(1 - diff_bytes / full_bytes):.1%}", ""],
         ],
     )

@@ -99,9 +99,9 @@ class ClientModule:
         self._offline: list[tuple[str, dict[str, Any]]] = []
         #: sessions this client has left: their ops never re-dispatch.
         self._closed_sessions: set[str] = set()
-        #: RETRY_AFTER bounces received (admission control shed us).
-        self.retry_afters: list[dict[str, Any]] = []
-        self._m_retry_after = obs.get_registry().counter("client.retry_after_received")
+        #: RETRY_AFTER bounces received (admission control shed us), by
+        #: the bounced message's kind: bounded by the set of kinds.
+        self.retry_afters: dict[str | None, int] = {}
         self._rejoin_attempts = 0
         self._rejoin_pending = False
         #: lowest shed op_seq awaiting re-send; while set, newly issued
@@ -395,9 +395,8 @@ class ClientModule:
         the op log in original order; op_seq-less reads re-dispatch their
         echoed payload verbatim.
         """
-        self.retry_afters.append(payload)
-        self._m_retry_after.inc()
         kind = payload.get("kind")
+        self.retry_afters[kind] = self.retry_afters.get(kind, 0) + 1
         after_s = float(payload.get("after_s", 0.25))
         if kind == MessageKind.JOIN:
             doc_id = payload.get("doc_id", self.doc_id)

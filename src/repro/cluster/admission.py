@@ -162,12 +162,6 @@ class AdmissionController:
         self._f_accepted = registry.counter_family("admission.accepted", ("node", "lane"))
         self._f_deferred = registry.counter_family("admission.deferred", ("node", "lane"))
         self._f_shed = registry.counter_family("admission.shed", ("node", "lane"))
-        self._g_depth = registry.gauge_family("admission.queue_depth", ("node",)).labels(
-            node_id
-        )
-        self._g_parked = registry.gauge_family(
-            "admission.deferred_depth", ("node",)
-        ).labels(node_id)
         # Plain-attribute mirrors so tests and benchmark reports can read
         # per-controller tallies without going through the registry.
         self.accepted = 0
@@ -196,7 +190,6 @@ class AdmissionController:
             self.max_depth_seen = depth
         if wait > self.max_wait_seen:
             self.max_wait_seen = wait
-        self._g_depth.set(depth)
         if lane == LANE_CONTROL:
             return self._accept(lane)
         if lane == LANE_DATA and session_id is not None and op_seq is not None:
@@ -259,7 +252,6 @@ class AdmissionController:
     def park(self, item: Any) -> None:
         """FIFO-park one deferred item until :meth:`pump` resumes it."""
         self._parked.append((item, self._clock.now))
-        self._g_parked.set(len(self._parked))
 
     def pump(self) -> None:
         """Drain hook: resume parked items while the queue has headroom.
@@ -275,7 +267,6 @@ class AdmissionController:
         try:
             while self._parked and self.queue.pending < self.config.depth_defer:
                 item, parked_at = self._parked.popleft()
-                self._g_parked.set(len(self._parked))
                 self.resumed += 1
                 self._resume(item, parked_at)
         finally:

@@ -81,7 +81,6 @@ class Gateway(ServiceNode):
         self._routed_bytes = cache(
             registry.counter_family("gateway.routed_bytes", ("shard", "direction")).labels
         )
-        self._m_route_errors = registry.counter("gateway.route_errors")
         self._m_route_retries = registry.counter("gateway.route_retries")
         self._m_zombies_fenced = registry.counter("gateway.zombies_fenced")
         self._g_sessions = registry.gauge_family(
@@ -153,7 +152,6 @@ class Gateway(ServiceNode):
                 handler = "_on_monitor_leave"
             getattr(self, handler)(message)
         except Exception as exc:
-            self._m_route_errors.inc()
             sender = message.sender
             if (
                 sender in self._shards
@@ -249,7 +247,6 @@ class Gateway(ServiceNode):
         frame: Frame | None = None,
     ) -> None:
         if attempt >= self.route_retry_attempts:
-            self._m_route_errors.inc()
             self._emit(
                 "gateway.route_gave_up", severity="ERROR",
                 node=sender_node, kind=kind, attempts=attempt,
@@ -261,10 +258,6 @@ class Gateway(ServiceNode):
             return
         delay = self._route_retry_delay(sender_node, kind, attempt)
         self._m_route_retries.inc()
-        self._emit(
-            "gateway.route_retry", node=sender_node, kind=kind,
-            attempt=attempt + 1, delay=delay,
-        )
         self.network.clock.schedule(
             delay,
             lambda: self._route_retry_tick(
@@ -299,7 +292,6 @@ class Gateway(ServiceNode):
         try:
             self._route_client(sender_node, kind, payload, attempt=attempt, frame=frame)
         except Exception as exc:
-            self._m_route_errors.inc()
             self._send_error(sender_node, type(exc).__name__, str(exc))
 
     def on_delivery_failed(self, error: Any) -> None:
@@ -397,7 +389,6 @@ class Gateway(ServiceNode):
         waiting.append(
             (sender_node, kind, payload, frame, ctx, self.network.clock.now)
         )
-        self._emit("gateway.route_cache_miss", session=session_id, kind=kind)
         if first:
             self._send_framed(
                 self.directory_id, MessageKind.ROUTE_LOOKUP,
@@ -410,7 +401,6 @@ class Gateway(ServiceNode):
         waiting = self._route_waiting.pop(session_id, [])
         if shard is None:
             for sender_node, _kind, _p, _f, _ctx, _at in waiting:
-                self._m_route_errors.inc()
                 self._send_error(
                     sender_node, "ClusterError", f"no shard owns session {session_id!r}"
                 )
@@ -459,9 +449,6 @@ class Gateway(ServiceNode):
             self._m_cache_invalidations.inc(len(dropped))
             self.cache_invalidations += len(dropped)
         self._g_sessions.set(len(self._session_route))
-        self._emit(
-            "gateway.route_cache_invalidated", shard=shard, routes=len(dropped)
-        )
 
     def _learn_route(self, session_id: str, doc_id: str, shard_id: str) -> None:
         """Record the session→shard route sniffed off a ``JOIN_ACK``."""

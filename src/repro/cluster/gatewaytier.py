@@ -158,13 +158,8 @@ class GatewayDirectory(ClusterNode):
         self.gateway_failovers: list[dict[str, Any]] = []
         registry = obs.get_registry()
         self._m_lookups = registry.counter("directory.lookups")
-        self._m_reports = registry.counter("directory.route_reports")
-        self._m_zombies_fenced = registry.counter("directory.zombies_fenced")
         self._h_failover = registry.histogram(
             "cluster.failover_duration_s", LATENCY_BUCKETS
-        )
-        self._h_gw_failover = registry.histogram(
-            "cluster.gateway_failover_duration_s", LATENCY_BUCKETS
         )
         self._g_shards = registry.gauge("cluster.shards_live")
         self._g_gateways = registry.gauge("cluster.gateways_live")
@@ -184,7 +179,6 @@ class GatewayDirectory(ClusterNode):
         self.ring.add_node(shard_id)
         self.detector.watch(shard_id, self.network.clock.now)
         self._g_shards.set(len(self.live_shards))
-        self._emit("cluster.shard_registered", shard=shard_id)
 
     def register_gateway(self, gateway: GatewayNode) -> None:
         """Add a gateway to the client ring and watch its heartbeats."""
@@ -195,7 +189,6 @@ class GatewayDirectory(ClusterNode):
         self.gateway_ring.add_node(gateway_id)
         self.detector.watch(gateway_id, self.network.clock.now)
         self._g_gateways.set(len(self.live_gateways))
-        self._emit("cluster.gateway_registered", gateway=gateway_id)
 
     def attach_client(self, client: Any) -> str:
         """Home *client* on its consistent-hash gateway; return its id.
@@ -208,7 +201,6 @@ class GatewayDirectory(ClusterNode):
         gateway_id = self.gateway_ring.owner(node_id)
         self._clients[node_id] = client
         self.network.assign_home(node_id, gateway_id)
-        self._emit("directory.client_homed", node=node_id, gateway=gateway_id)
         return gateway_id
 
     @property
@@ -278,25 +270,18 @@ class GatewayDirectory(ClusterNode):
             return
         # Re-home every session of the dead shard to the ring's new owner
         # of its room key — by construction the old replica.
-        promotions: dict[str, int] = {}
+        new_owners: set[str] = set()
         for session_id, owner in self._session_route.items():
             if owner != shard_id:
                 continue
-            key = self._session_key[session_id]
-            new_owner = self.ring.owner(key)
+            new_owner = self.ring.owner(self._session_key[session_id])
             self._session_route[session_id] = new_owner
-            promotions[new_owner] = promotions.get(new_owner, 0) + 1
-        for new_owner in sorted(promotions):
+            new_owners.add(new_owner)
+        for new_owner in sorted(new_owners):
             self._send_framed(
                 new_owner, MessageKind.PROMOTE, {"primary": shard_id}
             )
             self._pending_failover[(shard_id, new_owner)] = now
-            self._emit(
-                "cluster.promote_sent",
-                shard=new_owner,
-                primary=shard_id,
-                sessions=promotions[new_owner],
-            )
 
     def _handle_gateway_failure(self, gateway_id: str) -> None:
         if gateway_id in self._dead or gateway_id not in self._gateways:
@@ -327,8 +312,6 @@ class GatewayDirectory(ClusterNode):
             hook = getattr(self._clients[node_id], "on_gateway_failover", None)
             if hook is not None:
                 hook(new_home)
-        duration = now - (last_beat if last_beat is not None else now)
-        self._h_gw_failover.observe(duration)
         self.gateway_failovers.append(
             {
                 "gateway": gateway_id,
@@ -374,7 +357,6 @@ class GatewayDirectory(ClusterNode):
         if message.sender in self._dead:
             # Zombie fencing, same rule as the gateways: declared dead
             # stays dead, late frames must not resurrect routes.
-            self._m_zombies_fenced.inc()
             self._emit(
                 "directory.zombie_fenced", severity="WARN",
                 node=message.sender, kind=kind,
@@ -398,7 +380,6 @@ class GatewayDirectory(ClusterNode):
         else:
             self._session_route[session_id] = payload["shard"]
             self._session_key[session_id] = payload["key"]
-        self._m_reports.inc()
         self._g_sessions.set(len(self._session_route))
 
     def _on_route_lookup(self, gateway_id: str, payload: dict[str, Any]) -> None:

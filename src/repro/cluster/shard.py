@@ -178,20 +178,11 @@ class ShardServer(ServiceNode):
         self._capture: list[tuple[str, Any]] | None = None
         self._failpoints = get_failpoints()
         registry = obs.get_registry()
-        self._m_ops_in = registry.counter_family("cluster.shard.ops", ("shard",)).labels(
-            shard_id
-        )
         self._m_repl_ops = registry.counter_family(
             "cluster.replication.ops", ("shard",)
         ).labels(shard_id)
         self._m_repl_bytes = registry.counter_family(
             "cluster.replication.bytes", ("shard",)
-        ).labels(shard_id)
-        self._f_repl_lag = registry.gauge_family(
-            "cluster.replication.lag", ("shard", "replica")
-        )
-        self._m_repl_applied = registry.counter_family(
-            "cluster.replication.applied", ("replica",)
         ).labels(shard_id)
         self._m_promotions = registry.counter("cluster.promotions")
         self._m_dup_ops = registry.counter("cluster.shard.dup_ops_dropped")
@@ -231,10 +222,6 @@ class ShardServer(ServiceNode):
                 # applied: drop it silently, the client's at-least-once
                 # replay is our exactly-once by this fence.
                 self._m_dup_ops.inc()
-                self._emit(
-                    "cluster.duplicate_op_dropped",
-                    session=session_id, kind=kind, op_seq=op_seq,
-                )
                 # The op applied the first time, but its responses may
                 # have died with the client's old gateway — answer the
                 # replay with a catch-up diff instead of silence.
@@ -242,7 +229,6 @@ class ShardServer(ServiceNode):
                 if target.has_session(session_id):
                     target.resync_session(session_id)
                 return
-        self._m_ops_in.inc()
         target = self._server_for(kind, payload)
         self._capture = []
         try:
@@ -447,7 +433,6 @@ class ShardServer(ServiceNode):
         log.mark_shipped(entries[-1].seq)
         self._m_repl_ops.inc(len(entries))
         self._m_repl_bytes.inc(size)
-        self._f_repl_lag.labels(self.node_id, replica_id).set(log.lag)
 
     def _handle_ack(self, replica_id: str, payload: dict[str, Any]) -> None:
         if self._failpoints.fire(
@@ -459,7 +444,6 @@ class ShardServer(ServiceNode):
         if log is None:
             return
         log.mark_acked(payload["seq"])
-        self._f_repl_lag.labels(self.node_id, replica_id).set(log.lag)
 
     def replication_lag(self, replica_id: str) -> int:
         log = self._ship.get(replica_id)
@@ -478,11 +462,8 @@ class ShardServer(ServiceNode):
                 on_gap=self._on_replay_gap,
                 interest_mode=self._interest_mode,
             )
-        applied = 0
         for body in payload.get("entries", []):
-            applied += state.offer(LogEntry.from_wire(body))
-        if applied:
-            self._m_repl_applied.inc(applied)
+            state.offer(LogEntry.from_wire(body))
         if self.network.has_node(primary_id):
             self._send_framed(
                 primary_id, MessageKind.ACK,
@@ -553,7 +534,6 @@ class ShardServer(ServiceNode):
                     self._session_doc[session_id] = room.document.doc_id
                     sessions += 1
         self._m_promotions.inc()
-        self._emit("cluster.promoted", primary=primary_id, sessions=sessions)
         self._send_framed(
             self.directory_id, MessageKind.ACK,
             {"promote": primary_id, "sessions": sessions},

@@ -14,7 +14,6 @@ from collections import deque
 from typing import Iterator, Mapping
 
 from repro.cpnet.network import CPNet
-from repro.obs import COUNT_BUCKETS, get_registry
 
 Assignment = Mapping[str, str]
 
@@ -68,28 +67,18 @@ def dominates(
     target_key = _key(target)
     seen = {_key(source)}
     queue: deque[dict[str, str]] = deque([source])
-    expanded = 0
-    try:
-        while queue:
-            if len(seen) > max_visited:
-                return UNKNOWN
-            current = queue.popleft()
-            expanded += 1
-            for flipped in improving_flips(net, current):
-                key = _key(flipped)
-                if key == target_key:
-                    return DOMINATES
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(flipped)
-        return NOT_DOMINATES
-    finally:
-        obs = get_registry()
-        obs.counter("cpnet.dominance.queries").inc()
-        obs.counter("cpnet.dominance.expansions").inc(expanded)
-        obs.histogram("cpnet.dominance.expansions_per_query", COUNT_BUCKETS).observe(
-            expanded
-        )
+    while queue:
+        if len(seen) > max_visited:
+            return UNKNOWN
+        current = queue.popleft()
+        for flipped in improving_flips(net, current):
+            key = _key(flipped)
+            if key == target_key:
+                return DOMINATES
+            if key not in seen:
+                seen.add(key)
+                queue.append(flipped)
+    return NOT_DOMINATES
 
 
 def flipping_sequence(

@@ -16,11 +16,10 @@ Both run in time linear in the number of variables (times CPT lookup).
 from __future__ import annotations
 
 import itertools
-from time import perf_counter
 from typing import Iterator, Mapping
 
 from repro.cpnet.network import CPNet
-from repro.obs import LATENCY_BUCKETS, get_registry
+from repro.obs import get_registry
 
 Assignment = Mapping[str, str]
 
@@ -40,22 +39,14 @@ def best_completion(net: CPNet, evidence: Assignment) -> dict[str, str]:
     choices). Every other variable takes its most preferred value given
     its parents' (already fixed) values.
     """
-    obs = get_registry()
-    started = perf_counter()
     fixed = net.check_partial(evidence)
     outcome: dict[str, str] = {}
-    steps = 0
     for name in net.topological_order():
         if name in fixed:
             outcome[name] = fixed[name]
         else:
             outcome[name] = net.cpt(name).best_value(outcome)
-            steps += 1
-    obs.counter("cpnet.completions").inc()
-    obs.counter("cpnet.completion_steps").inc(steps)
-    obs.histogram("cpnet.completion_latency_s", LATENCY_BUCKETS).observe(
-        perf_counter() - started
-    )
+    get_registry().counter("cpnet.completions").inc()
     return outcome
 
 

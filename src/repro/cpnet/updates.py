@@ -22,14 +22,13 @@ never a duplicate of the base network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Iterable, Mapping
 
 from repro.errors import CPNetError, UnknownVariableError
 from repro.cpnet.cpt import CPT, PreferenceRule
 from repro.cpnet.network import CPNet
 from repro.cpnet.variable import Variable
-from repro.obs import LATENCY_BUCKETS, get_registry
+from repro.obs import get_registry
 
 Assignment = Mapping[str, str]
 
@@ -95,7 +94,6 @@ def apply_operation(
     the operation); in every other presentation the plain form is
     preferred. Neither ``D(component)`` nor any existing CPT changes.
     """
-    started = perf_counter()
     parent = net.variable(component)
     parent.check_value(active_value)
     name = operation_variable_name(component, operation)
@@ -112,11 +110,6 @@ def apply_operation(
     when_active = applied_first if prefer_applied else plain_first
     net.add_rule(name, {component: active_value}, when_active)
     net.add_rule(name, {}, plain_first)
-    obs = get_registry()
-    obs.counter("cpnet.operations").inc()
-    obs.histogram("cpnet.operation_latency_s", LATENCY_BUCKETS).observe(
-        perf_counter() - started
-    )
     return OperationVariable(
         name=name, component=component, operation=operation, active_value=active_value
     )

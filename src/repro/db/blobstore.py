@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import BlobError
-from repro.obs import SIZE_BUCKETS, get_registry
+from repro.obs import get_registry
 
 _MAGIC = b"RBLB"
 _HEADER = struct.Struct("<4sQQBI")  # magic, blob_id, length, flags, crc32
@@ -51,16 +51,8 @@ class BlobStore:
         self._offsets: dict[int, tuple[int, int]] = {}  # blob_id -> (record offset, size)
         self._next_id = 1
         self._live_bytes = 0
-        obs = get_registry()
-        self._m_puts = obs.counter("db.blob.puts")
-        self._m_gets = obs.counter("db.blob.gets")
-        self._m_bytes_written = obs.counter("db.blob.bytes_written")
-        self._m_bytes_read = obs.counter("db.blob.bytes_read")
-        self._m_put_bytes = obs.histogram("db.blob.put_bytes", SIZE_BUCKETS)
-        self._m_get_bytes = obs.histogram("db.blob.get_bytes", SIZE_BUCKETS)
-        self._m_live = obs.gauge("db.blob.live_bytes")
+        self._m_bytes_read = get_registry().counter("db.blob.bytes_read")
         self._file = self._open_and_recover()
-        self._m_live.set(self._live_bytes)
 
     # ----- lifecycle -----------------------------------------------------------
 
@@ -129,10 +121,6 @@ class BlobStore:
         self._file.flush()
         self._offsets[blob_id] = (offset, len(payload))
         self._live_bytes += len(payload)
-        self._m_puts.inc()
-        self._m_bytes_written.inc(len(payload))
-        self._m_put_bytes.observe(len(payload))
-        self._m_live.set(self._live_bytes)
         return BlobRef(blob_id=blob_id, size=len(payload))
 
     def get(self, ref: BlobRef | int) -> bytes:
@@ -146,9 +134,7 @@ class BlobStore:
         payload = self._file.read(length)
         if len(payload) != length:
             raise BlobError(f"blob {blob_id} is truncated on disk")
-        self._m_gets.inc()
         self._m_bytes_read.inc(length)
-        self._m_get_bytes.observe(length)
         return payload
 
     def delete(self, ref: BlobRef | int) -> None:
@@ -159,7 +145,6 @@ class BlobStore:
         except KeyError:
             raise BlobError(f"no blob with id {blob_id}") from None
         self._live_bytes -= length
-        self._m_live.set(self._live_bytes)
         # Rewrite just the flags byte (offset of flags within the header).
         flags_offset = offset + _HEADER.size - 5  # 1 flags byte + 4 crc bytes from end
         self._file.seek(flags_offset)

@@ -49,11 +49,7 @@ class Database:
         obs = get_registry()
         self._m_queries = obs.counter("db.queries")
         self._m_query_latency = obs.histogram("db.query_latency_s", LATENCY_BUCKETS)
-        self._m_mutations = obs.counter("db.mutations")
         self._m_commits = obs.counter("db.transactions.committed")
-        self._m_rollbacks = obs.counter("db.transactions.rolled_back")
-        self._m_checkpoints = obs.counter("db.checkpoints")
-        self._m_recovered = obs.counter("db.recovered_operations")
         self._events = get_event_log()
         self._tables: dict[str, Table] = {}
         self.blobs = BlobStore(os.path.join(directory, _BLOBS))
@@ -149,7 +145,6 @@ class Database:
     def rollback(self) -> None:
         """Abort: journal the rollback and undo in-memory effects (LIFO)."""
         self._journal.rollback()
-        self._m_rollbacks.inc()
         undo = self._undo or []
         self._events.emit("db.rollback", severity="WARN", undo_actions=len(undo))
         for action in reversed(undo):
@@ -215,7 +210,6 @@ class Database:
     # ----- DML --------------------------------------------------------------------
 
     def insert(self, table_name: str, row: Mapping[str, Any]) -> dict[str, Any]:
-        self._m_mutations.inc()
         table = self.table(table_name)
         with self._autocommit():
             stored = table.insert(row)
@@ -226,7 +220,6 @@ class Database:
         return stored
 
     def update(self, table_name: str, pk: Any, changes: Mapping[str, Any]) -> dict[str, Any]:
-        self._m_mutations.inc()
         table = self.table(table_name)
         with self._autocommit():
             before = table.get(pk)
@@ -247,7 +240,6 @@ class Database:
         return after
 
     def delete(self, table_name: str, pk: Any) -> dict[str, Any]:
-        self._m_mutations.inc()
         table = self.table(table_name)
         with self._autocommit():
             row = table.delete(pk)
@@ -314,7 +306,6 @@ class Database:
         os.replace(tmp, os.path.join(self.directory, _SNAPSHOT))
         self._journal.truncate()
         self._journal.checkpoint()
-        self._m_checkpoints.inc()
         self._events.emit(
             "db.checkpoint", tables=len(self._tables), journal_bytes=journal_bytes
         )
@@ -336,10 +327,7 @@ class Database:
 
     def _recover(self) -> None:
         """Apply committed journal operations on top of the snapshot."""
-        recovered = 0
         for record in self._journal.committed_operations():
-            self._m_recovered.inc()
-            recovered += 1
             data = record.data
             if record.op == jrn.CREATE_TABLE:
                 schema = TableSchema.from_dict(data["schema"])
@@ -376,5 +364,3 @@ class Database:
                     pk = table.schema.primary_key.type.decode(data["pk"])
                     if pk in table:
                         table.delete(pk)
-        if recovered:
-            self._events.emit("db.recovered", operations=recovered)

@@ -35,7 +35,6 @@ class Table:
         ).labels(schema.name)
         self._m_access = {
             "pk-lookup": obs.counter("db.access.pk_lookup"),
-            "index": obs.counter("db.access.index"),
             "range-scan": obs.counter("db.access.range_scan"),
             "full-scan": obs.counter("db.access.full_scan"),
         }
@@ -245,7 +244,6 @@ class Table:
             for column, value in hints.items():
                 index = self.index_on(column)
                 if index is not None:
-                    self._m_access["index"].inc()
                     candidates = [self._rows[pk] for pk in index.lookup(value)]
                     break
             else:

@@ -15,11 +15,9 @@ Frame labels are mode-smoothed and merged into segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from repro.obs import LATENCY_BUCKETS, get_registry
 from repro.media.audio.features import (
     FRAME_S,
     HOP_S,
@@ -120,7 +118,6 @@ def segment_audio(
     Runs of equal frame labels merge into segments; segments shorter than
     *min_segment_s* are absorbed into their longer neighbour.
     """
-    started = perf_counter()
     labels, times = classify_frames(signal, **classify_kwargs)
     segments: list[AudioSegment] = []
     start = 0
@@ -134,14 +131,7 @@ def segment_audio(
             )
             segments.append(AudioSegment(start_s, end_s, str(labels[start])))
             start = index
-    result = _absorb_short(segments, min_segment_s)
-    obs = get_registry()
-    obs.counter("media.audio.segmentations").inc()
-    obs.counter("media.audio.segments").inc(len(result))
-    obs.histogram("media.audio.segmentation_latency_s", LATENCY_BUCKETS).observe(
-        perf_counter() - started
-    )
-    return result
+    return _absorb_short(segments, min_segment_s)
 
 
 def _absorb_short(segments: list[AudioSegment], min_s: float) -> list[AudioSegment]:

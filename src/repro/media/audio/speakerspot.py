@@ -13,12 +13,10 @@ UBM-style likelihood-ratio detector).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.errors import AudioError
-from repro.obs import LATENCY_BUCKETS, get_registry
 from repro.media.audio.features import mfcc
 from repro.media.audio.gmm import DiagonalGMM
 from repro.media.audio.signal import AudioSignal
@@ -114,7 +112,6 @@ class SpeakerSpotter:
     def identify(self, signal: AudioSignal) -> SpeakerDecision:
         """Which enrolled speaker (if any) is talking in this stretch?"""
         self._require_ready()
-        started = perf_counter()
         features = self._features(signal)
         background = self._background.average_log_likelihood(features)
         best_name: str | None = None
@@ -124,11 +121,6 @@ class SpeakerSpotter:
             if margin > best_margin:
                 best_margin = margin
                 best_name = name
-        obs = get_registry()
-        obs.counter("media.audio.identifications").inc()
-        obs.histogram("media.audio.identify_latency_s", LATENCY_BUCKETS).observe(
-            perf_counter() - started
-        )
         if best_margin <= self.threshold:
             return SpeakerDecision(speaker=None, score_margin=float(best_margin))
         return SpeakerDecision(speaker=best_name, score_margin=float(best_margin))

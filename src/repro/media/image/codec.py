@@ -21,12 +21,10 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.errors import CodecError
-from repro.obs import LATENCY_BUCKETS, get_registry
 from repro.media.image.dct import block_dct, block_idct
 from repro.media.image.image import Image
 from repro.media.image.quantize import dequantize, pack, quantize, unpack
@@ -158,7 +156,6 @@ class MultiLayerCodec:
                 f"image {image.shape} must tile by 2**levels ({factor}) "
                 f"and by the DCT block ({self.dct_block})"
             )
-        started = perf_counter()
         layers: list[bytes] = []
         # Layer 0: wavelet main approximation, coarse quantization.
         coeffs = cdf53_forward(image.pixels, self.wavelet_levels)
@@ -195,20 +192,13 @@ class MultiLayerCodec:
                 candidate = reconstruction
             layers.append(pack(dct_indices, step))
             reconstruction = candidate
-        encoded = EncodedImage(
+        return EncodedImage(
             height=image.height,
             width=image.width,
             wavelet_levels=self.wavelet_levels,
             dct_block=self.dct_block,
             layers=tuple(layers),
         )
-        obs = get_registry()
-        obs.counter("media.image.encodes").inc()
-        obs.counter("media.image.encoded_bytes").inc(sum(encoded.layer_sizes()))
-        obs.histogram("media.image.encode_latency_s", LATENCY_BUCKETS).observe(
-            perf_counter() - started
-        )
-        return encoded
 
     @staticmethod
     def decode(encoded: EncodedImage, num_layers: int | None = None) -> Image:
@@ -216,7 +206,6 @@ class MultiLayerCodec:
         count = encoded.num_layers if num_layers is None else num_layers
         if not 1 <= count <= encoded.num_layers:
             raise CodecError(f"cannot decode {count} of {encoded.num_layers} layers")
-        started = perf_counter()
         indices, step = unpack(encoded.layers[0])
         reconstruction = cdf53_inverse(dequantize(indices, step), encoded.wavelet_levels)
         for layer in encoded.layers[1:count]:
@@ -224,9 +213,4 @@ class MultiLayerCodec:
             reconstruction = reconstruction + block_idct(
                 dequantize(dct_indices, layer_step), encoded.dct_block
             )
-        obs = get_registry()
-        obs.counter("media.image.decodes").inc()
-        obs.histogram("media.image.decode_latency_s", LATENCY_BUCKETS).observe(
-            perf_counter() - started
-        )
         return Image(np.clip(reconstruction, 0.0, 255.0))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.codec import Frame, encode_batch, encode_message, stamp_frame
-from repro.obs import COUNT_BUCKETS, get_registry
+from repro.obs import get_registry
 from repro.obs.dtrace import HOP_BATCH_WAIT, NULL_CONTEXT, get_dtrace
 
 #: Kinds eligible for coalescing by default: the high-rate, small
@@ -64,11 +64,8 @@ class Batcher:
         self._armed: set[str] = set()
         self._dtrace = get_dtrace()
         registry = get_registry()
-        self._m_enqueued = registry.counter("batch.enqueued")
         self._m_flushes = registry.counter("batch.flushes")
         self._m_coalesced = registry.counter("batch.messages_coalesced")
-        self._m_bytes = registry.counter("batch.bytes")
-        self._h_occupancy = registry.histogram("batch.occupancy", COUNT_BUCKETS)
 
     def send(
         self,
@@ -103,7 +100,6 @@ class Batcher:
         queue = self._pending.setdefault(recipient, [])
         ctx = frame.trace[-1] if frame.trace else None
         queue.append((frame, ctx, self._network.clock.now))
-        self._m_enqueued.inc()
         pending = self._pending_bytes.get(recipient, 0) + encoded
         self._pending_bytes[recipient] = pending
         if pending >= self.max_bytes:
@@ -132,7 +128,6 @@ class Batcher:
         if has_node is not None and not has_node(recipient):
             return  # destination detached while the window was open
         self._m_flushes.inc()
-        self._h_occupancy.observe(len(items))
         dtrace = self._dtrace
         now = self._network.clock.now
         if len(items) == 1:
@@ -170,7 +165,6 @@ class Batcher:
             )
             batch = stamp_frame(batch, contexts)
         self._m_coalesced.inc(len(frames))
-        self._m_bytes.inc(batch.size_bytes)
         self._network.send(
             self._sender, recipient, batch.kind,
             payload=batch.payload, size_bytes=batch.size_bytes, frame=batch,

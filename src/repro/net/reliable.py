@@ -137,7 +137,6 @@ class ReliableTransport:
         self._m_corrupt = registry.counter("net.corrupt_dropped")
         self._m_failed = registry.counter("net.delivery_failed")
         self._m_acks = registry.counter("net.acks")
-        self._m_held = registry.counter("net.reorder_held")
 
     def _emit(self, name: str, severity: str, message: Message, **extra: Any) -> None:
         """One flight-recorder event about *message*, stamped with sim time."""
@@ -225,7 +224,6 @@ class ReliableTransport:
         out.attempts += 1
         now = self._network.clock.now
         self._f_retries.labels(message.kind).inc()
-        self._emit("net.retry", "DEBUG", message, attempt=out.attempts)
         dtrace = self._dtrace
         frame = message.frame
         if dtrace.enabled and frame is not None and frame.trace:
@@ -313,8 +311,6 @@ class ReliableTransport:
             return
         if seq - stream.expected > self.policy.reorder_buffer:
             return  # hold-back overflow: no ack, the sender will retry
-        if seq != stream.expected:
-            self._m_held.inc()
         buffer[seq] = message
         self._send_ack(message)
         while stream.expected in buffer:

@@ -289,11 +289,6 @@ class DeliveryTracer:
         self._event_log = event_log
         self._h_hop = registry.histogram_family("dtrace.hop.latency", ("hop",))
         self._h_e2e = registry.histogram_family("dtrace.e2e.latency", ("room",))
-        self._c_traces = registry.counter("dtrace.traces_started")
-        self._c_sampled_out = registry.counter("dtrace.sampled_out")
-        self._c_spans = registry.counter("dtrace.spans")
-        self._c_deliveries = registry.counter("dtrace.deliveries")
-        self._c_breaches = registry.counter("dtrace.slo_breaches")
         self._op_counter = 0
         self._inbound: TraceContext | None = None
 
@@ -306,10 +301,8 @@ class DeliveryTracer:
         index = self._op_counter
         self._op_counter += 1
         if index % self.sample_every:
-            self._c_sampled_out.inc()
             return None
         record = self.store.begin(origin, kind, now, room=room)
-        self._c_traces.inc()
         return context_at(record.trace_id, record.root_span_id, 0, now)
 
     # -- hop recording -------------------------------------------------------------
@@ -328,7 +321,6 @@ class DeliveryTracer:
         span_id = self.store.add_span(
             ctx.trace_id, ctx.span_id, hop, node, start, end, detail or None
         )
-        self._c_spans.inc()
         self._h_hop.labels(hop).observe(max(0.0, end - start))
         return context_at(ctx.trace_id, span_id, ctx.hop + 1, end)
 
@@ -358,11 +350,9 @@ class DeliveryTracer:
         delivery = self.store.record_delivery(ctx.trace_id, node, ctx.span_id, now)
         if delivery is None:
             return
-        self._c_deliveries.inc()
         self._h_e2e.labels(record.room or "?").observe(delivery["e2e"])
         budget = self.slo_budget_s
         if budget is not None and delivery["e2e"] > budget:
-            self._c_breaches.inc()
             breakdown = analyze_delivery(record, delivery)
             self._event_log.emit(
                 "dtrace.slo_breach",

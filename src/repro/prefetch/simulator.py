@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import PrefetchError
-from repro.obs import LATENCY_BUCKETS, get_registry
+from repro.obs import get_registry
 from repro.client.buffer import ClientBuffer, entry_key
 from repro.document.component import PrimitiveMultimediaComponent
 from repro.document.document import MultimediaDocument
@@ -270,18 +270,5 @@ class PrefetchSimulator:
     def _record_metrics(self, report: PrefetchReport) -> None:
         """Publish one replayed session's totals to the registry."""
         obs = get_registry()
-        obs.counter("prefetch.sessions").inc()
-        obs.counter("prefetch.events").inc(report.events)
-        obs.counter("prefetch.demand_requests").inc(report.demand_requests)
-        obs.counter("prefetch.demand_hits").inc(report.demand_hits)
-        obs.counter("prefetch.demand_misses").inc(
-            report.demand_requests - report.demand_hits
-        )
-        obs.counter("prefetch.demand_bytes").inc(report.demand_bytes)
-        obs.counter("prefetch.prefetch_bytes").inc(report.prefetch_bytes)
-        obs.counter("prefetch.wasted_prefetch_bytes").inc(report.wasted_prefetch_bytes)
         obs.counter("prefetch.retries").inc(report.retries)
         obs.counter("prefetch.degradations").inc(len(report.degradations))
-        wait_histogram = obs.histogram("prefetch.wait_s", LATENCY_BUCKETS)
-        for wait in report.waits:
-            wait_histogram.observe(wait)

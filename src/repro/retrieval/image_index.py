@@ -8,12 +8,10 @@ survives restarts and can be rebuilt from stored payloads at any time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.errors import DatabaseError
-from repro.obs import LATENCY_BUCKETS, get_registry
 from repro.db.engine import Database
 from repro.db.orm import MultimediaObjectStore, StoredObject
 from repro.db.query import Eq
@@ -56,11 +54,6 @@ class SimilarImageIndex:
         existing = self.db.table(IMAGE_FEATURES_TABLE)
         if existing.index_on("FLD_MEDIAREF") is None:
             self.db.create_index(IMAGE_FEATURES_TABLE, "FLD_MEDIAREF", kind="hash")
-        obs = get_registry()
-        self._m_indexed = obs.counter("retrieval.images_indexed")
-        self._m_queries = obs.counter("retrieval.queries")
-        self._m_scored = obs.counter("retrieval.candidates_scored")
-        self._m_latency = obs.histogram("retrieval.query_latency_s", LATENCY_BUCKETS)
 
     # ----- registration ---------------------------------------------------------
 
@@ -79,7 +72,6 @@ class SimilarImageIndex:
             self.db.update(IMAGE_FEATURES_TABLE, existing[0]["ID"], row)
         else:
             self.db.insert(IMAGE_FEATURES_TABLE, row)
-        self._m_indexed.inc()
         return descriptor
 
     def add_image(
@@ -118,7 +110,6 @@ class SimilarImageIndex:
         """The *k* most similar stored images to an example image."""
         if k < 1:
             raise DatabaseError(f"k must be >= 1, got {k}")
-        started = perf_counter()
         probe = image_descriptor(example)
         hits = []
         for row in self.db.select(IMAGE_FEATURES_TABLE):
@@ -133,9 +124,6 @@ class SimilarImageIndex:
                 )
             )
         hits.sort(key=lambda hit: (-hit.similarity, hit.media_ref))
-        self._m_queries.inc()
-        self._m_scored.inc(len(hits))
-        self._m_latency.observe(perf_counter() - started)
         return hits[:k]
 
     def query_by_ref(self, media_ref: str, k: int = 5) -> list[SimilarImage]:

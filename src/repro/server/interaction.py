@@ -64,7 +64,6 @@ class InteractionServer:
         policy: PermissionPolicy | None = None,
         network: SimulatedNetwork | None = None,
         node_id: str = "server",
-        diff_propagation: bool = True,
         use_profiles: bool = False,
         batch_window_s: float = 0.0,
         interest_mode: str = "off",
@@ -80,7 +79,6 @@ class InteractionServer:
         #: Stamps specs and flight-recorder events. A network brings its
         #: own; the owner of a network-less server may lend one.
         self.clock: SimClock | None = None
-        self.diff_propagation = diff_propagation
         self.use_profiles = use_profiles
         #: "off": members start with implicit interest in everything (the
         #: pre-interest behaviour, byte-identical); "cpnet": defaults are
@@ -98,7 +96,6 @@ class InteractionServer:
         registry = obs.get_registry()
         self._events = obs.get_event_log()
         self._dtrace = get_dtrace()
-        self._m_messages_in = registry.counter("server.messages_in")
         self._m_messages_out = registry.counter("server.messages_out")
         self._m_bytes_out = registry.counter("server.bytes_out")
         self._m_choices = registry.counter("server.choices")
@@ -109,9 +106,6 @@ class InteractionServer:
         # hot?"); the flat counters above stay the cross-room totals.
         self._f_prop_bytes = registry.counter_family(
             "server.propagation.room_bytes", ("room", "mode")
-        )
-        self._m_prop_fanout = registry.histogram(
-            "server.propagation.fanout", obs.COUNT_BUCKETS
         )
         # Interest management (repro.interest). Cardinality is bounded:
         # one gauge label per open room, flat counters otherwise.
@@ -627,10 +621,7 @@ class InteractionServer:
             member = self._session(member_id)
             spec = room.presentation_for(member.viewer_id, now=now)
             known = member.known_spec(doc_id)
-            if self.diff_propagation:
-                delta = diff_presentations(known, spec.outcome)
-            else:
-                delta = dict(spec.outcome)
+            delta = diff_presentations(known, spec.outcome)
             if not delta:
                 continue
             # Interest filtering: ship only the parts this member
@@ -696,15 +687,6 @@ class InteractionServer:
         self._f_prop_bytes.labels(room.room_id, "diff").inc(shipped)
         self._f_prop_bytes.labels(room.room_id, "full").inc(shipped_full)
         self._m_prop_updates.inc(fanout)
-        self._m_prop_fanout.observe(fanout)
-        self._emit(
-            "server.propagate",
-            severity="DEBUG",
-            room=room.room_id,
-            seq=change.seq,
-            fanout=fanout,
-            diff_bytes=shipped,
-        )
         event_body = {
             "doc_id": doc_id, "seq": change.seq,
             "viewer": change.viewer_id, "kind": change.kind, "data": change.data,
@@ -765,7 +747,6 @@ class InteractionServer:
             viewer_id, node_id if node_id is not None else viewer_id
         )
         self._g_monitors.set(len(self.telemetry.monitors))
-        self._emit("server.monitor_join", monitor=session.session_id, viewer=viewer_id)
         return session
 
     def disconnect_monitor(self, session_id: str) -> None:
@@ -868,7 +849,6 @@ class InteractionServer:
 
     def receive(self, message: Message) -> None:
         """Dispatch one protocol message from a client node."""
-        self._m_messages_in.inc()
         payload = message.payload or {}
         try:
             self.apply_session_op(message.kind, payload, message.sender)

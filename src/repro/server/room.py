@@ -18,7 +18,6 @@ from operator import attrgetter
 from typing import Any
 
 from repro.errors import FrozenObjectError, RoomError
-from repro.obs import get_registry
 from repro.cpnet.updates import OperationVariable
 from repro.document.document import MultimediaDocument
 from repro.interest.registry import InterestRegistry
@@ -57,16 +56,6 @@ class Room:
         #: simulcast) reuses the same bytes, so encodes stay flat no
         #: matter how many fetch.
         self._payload_frames: dict[tuple[str, str, int | None, int], Frame] = {}
-        obs = get_registry()
-        self._m_changes = obs.counter("server.room.changes")
-        # Labelled by room so concurrent rooms stop stomping one shared
-        # gauge; the flat gauge stays as "depth of the last-active room"
-        # for older dashboards.
-        self._g_buffer_depth = obs.gauge("server.room.buffer_depth")
-        self._f_buffer_depth = obs.gauge_family(
-            "server.room.buffer_depth_by_room", ("room",)
-        )
-        self._g_buffer_depth_room = self._f_buffer_depth.labels(room_id)
 
     # ----- membership -----------------------------------------------------------
 
@@ -108,8 +97,7 @@ class Room:
         return viewer_id
 
     def close(self) -> None:
-        """The room is gone: its labelled series go with it."""
-        self._f_buffer_depth.remove(self.room_id)
+        """The room is gone: its document's labelled series go with it."""
         self.engine.close()
 
     def viewer_of(self, session_id: str) -> str:
@@ -257,9 +245,6 @@ class Room:
         change = RoomChange(seq=self._next_seq, viewer_id=viewer_id, kind=kind, data=data)
         self._next_seq += 1
         self._changes.append(change)
-        self._m_changes.inc()
-        self._g_buffer_depth.set(len(self._changes))
-        self._g_buffer_depth_room.set(len(self._changes))
         return change
 
     def changes_since(self, seq: int) -> list[RoomChange]:
@@ -277,8 +262,6 @@ class Room:
         """Discard changes every remaining member has acknowledged."""
         if not self._ack:
             self._changes.clear()
-            self._g_buffer_depth.set(0)
-            self._g_buffer_depth_room.set(0)
             return
         low_water = min(self._ack.values())
         # Seqs are monotonic, so everything acked is a prefix: one bisect
@@ -286,8 +269,6 @@ class Room:
         cut = bisect_right(self._changes, low_water, key=attrgetter("seq"))
         if cut:
             del self._changes[:cut]
-        self._g_buffer_depth.set(len(self._changes))
-        self._g_buffer_depth_room.set(len(self._changes))
 
     @property
     def buffer_size(self) -> int:

@@ -319,7 +319,7 @@ def run_megaconf(
         "late_joins": late_joins,
         "admission": _admission_totals(harness),
         "queue_max_pending": _queue_depths(harness),
-        "retry_afters": sum(len(c.retry_afters) for c in all_clients),
+        "retry_afters": sum(sum(c.retry_afters.values()) for c in all_clients),
         "errors": [
             {"viewer": c.viewer_id, **error}
             for c in all_clients

@@ -144,7 +144,9 @@ class TestWindows:
         network.run()
         assert hub.received == [] and client.received == []
         assert network.injected_counts() == {FLAP_DROP: 2}
-        assert "chaos.link_flap_open" in [e.name for e in log.events]
+        names = [e.name for e in log.events]
+        assert "chaos.link_flap_open" in names
+        assert "chaos.link_flap_close" in names
 
     def test_heartbeats_are_cut_by_partitions_despite_protection(self):
         plan = FaultPlan(drop_rate=0.999999)  # heartbeat protected from this

@@ -487,7 +487,7 @@ class TestAdmissionOff:
                     for family in ("counters", "gauges")
                     for name in snapshot.get(family, {})
                 ), "admission=None must emit no admission metrics"
-                assert room[0].retry_afters == []
+                assert room[0].retry_afters == {}
                 totals.append(
                     (
                         harness.network.stats.messages,

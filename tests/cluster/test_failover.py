@@ -134,8 +134,10 @@ class TestFailover:
                 assert shard.replication_lag(replica_id) == 0
 
     def test_failover_duration_is_observed(self, tmp_path, fresh_obs):
-        registry, _ = fresh_obs
-        drive_conference(tmp_path, "metrics", crash_owner_of="case-0")
+        registry, log = fresh_obs
+        failed = drive_conference(tmp_path, "metrics", crash_owner_of="case-0")
+        [dead] = log.filter("cluster.shard_dead")
+        assert dead.severity == "WARN" and dead.fields["shard"] == failed["victim"]
         histograms = registry.snapshot()["histograms"]
         assert histograms["cluster.failover_duration_s"]["count"] == 1
         counters = registry.snapshot()["counters"]

@@ -112,6 +112,7 @@ class TestJoinAckSniffing:
     def test_zombie_heartbeat_cannot_resurrect_a_dead_shard(
         self, tmp_path, fresh_obs
     ):
+        _, log = fresh_obs
         harness, docs, _, db = build(tmp_path, failure_timeout=1.0)
         client = harness.add_client("alice")
         client.join(docs[0])
@@ -132,6 +133,8 @@ class TestJoinAckSniffing:
         assert owner in directory.dead_nodes
         assert owner not in directory.live_shards
         assert owner not in directory.detector.watched
+        [fenced] = log.filter("directory.zombie_fenced")
+        assert fenced.fields == {"node": owner, "kind": MessageKind.HEARTBEAT}
         db.close()
 
 
@@ -203,6 +206,7 @@ class TestRouteRetry:
         # No detector running: the dead shard is never swept, failover
         # never happens, and the retry budget must terminate with an
         # ERROR frame instead of parking the op forever.
+        _, log = fresh_obs
         harness, docs, _, db = build(tmp_path, reliability=True)
         client = harness.add_client("alice")
         client.join(docs[0])
@@ -211,4 +215,6 @@ class TestRouteRetry:
         client.choose("anything", "anything")
         harness.run()
         assert any(e["error"] == "ClusterError" for e in client.errors)
+        [gave_up] = log.filter("gateway.route_gave_up")
+        assert gave_up.severity == "ERROR" and gave_up.fields["node"] == client.node_id
         db.close()

@@ -180,8 +180,12 @@ class TestTierRouting:
         drive_tier(tmp_path, "families", gateways=2)
         counters = registry.snapshot()["counters"]
         for gateway_id in ("gw-1", "gw-2"):
-            for family in ("hits", "misses", "invalidations"):
-                name = f'gateway.route_cache.{family}{{gateway="{gateway_id}"}}'
+            for family in (
+                "gateway.route_cache.hits",
+                "gateway.route_cache.misses",
+                "gateway.route_cache.invalidations",
+            ):
+                name = f'{family}{{gateway="{gateway_id}"}}'
                 assert name in counters, name
         total_hits = sum(
             value
@@ -200,6 +204,7 @@ class TestTierRouting:
 
 class TestGatewayFailover:
     def test_crash_rehomes_and_converges(self, fresh_obs, tmp_path):
+        _, log = fresh_obs
         control = drive_tier(tmp_path, "control", gateways=2)
         crashed = drive_tier(
             tmp_path, "crashed", gateways=2, crash_gateway_of="dr-0-0"
@@ -212,6 +217,8 @@ class TestGatewayFailover:
         record = harness.gateway_failovers[0]
         assert record["gateway"] == victim
         assert record["clients"] > 0
+        [dead] = log.filter("cluster.gateway_dead")
+        assert dead.severity == "WARN" and dead.fields["gateway"] == victim
         # Everybody now terminates on the survivor.
         survivor = next(g for g in harness.gateways if g != victim)
         for pair in crashed["clients"].values():

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.db import Column, Database, Eq, Gt, INTEGER, TEXT, TableSchema
 from repro.errors import DatabaseError, DuplicateKeyError, TransactionError
 
@@ -83,6 +84,16 @@ class TestTransactions:
         db.insert("patients", {"name": "a"})
         db.rollback()
         assert db.count("patients") == 0
+
+    def test_rollback_is_a_warning_in_the_flight_recorder(self, tmp_path):
+        log = obs.EventLog()
+        with obs.use_event_log(log), Database(str(tmp_path / "db")) as db:
+            db.create_table(patients_schema())
+            db.begin()
+            db.insert("patients", {"name": "a"})
+            db.rollback()
+        [event] = log.filter("db.rollback")
+        assert event.severity == "WARN" and event.fields == {"undo_actions": 1}
 
     def test_rollback_undoes_updates(self, db):
         pk = db.insert("patients", {"name": "a", "age": 30})["id"]

@@ -237,8 +237,7 @@ class TestRooms:
 
 class TestLabelledSeries:
     def test_series_die_with_their_room(self, tmp_path):
-        """Regression: `server.propagation.room_bytes{room,mode}`,
-        `server.room.buffer_depth_by_room{room}` and
+        """Regression: `server.propagation.room_bytes{room,mode}` and
         `presentation.spec_cache.{hits,misses}{doc}` outlived their room.
         A family folds every label set past its 64th into `__other__`,
         so a server that had *ever* opened 32 rooms could no longer say
@@ -361,14 +360,6 @@ class TestPropagation:
         # Choosing the value already displayed changes nothing.
         updates = server.handle_choice(s1.session_id, "imaging.ct_head", "flat")
         assert updates == {}
-
-    def test_full_resend_mode(self, store):
-        server = InteractionServer(store, diff_propagation=False)
-        s1 = server.connect_session("lee")
-        server.join_room(s1.session_id, "record-17")
-        updates = server.handle_choice(s1.session_id, "imaging.ct_head", "segmented")
-        # Whole outcome resent, changed or not.
-        assert len(updates[s1.session_id]) == 10
 
     def test_personal_choice_updates_only_owner(self, server):
         s1 = server.connect_session("lee")
