@@ -6,12 +6,14 @@ download components most likely to be requested by the user, using the
 user's buffer as a cache." The series compares no-prefetch, random
 prefetch and CP-net-guided prefetch across bandwidths and buffer sizes,
 plus the §4.4 tuning-variable adaptation of the presentation itself.
+Every session runs on the live stack: one ``InteractionServer`` and one
+``ClientModule`` over a bandwidth-limited uplink/downlink pair.
 """
 
 import pytest
 
+from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
-from repro.prefetch import POLICIES, PrefetchSimulator
 from repro.presentation import (
     BANDWIDTH_HIGH,
     BANDWIDTH_LOW,
@@ -19,35 +21,46 @@ from repro.presentation import (
     TUNING_VARIABLE,
     install_bandwidth_tuning,
 )
-from repro.workloads import consultation_events, generate_record
+from repro.workloads import (
+    POLICIES,
+    consultation_events,
+    generate_record,
+    run_prefetch_session,
+)
 
 MBPS = 1_000_000
 
 
-def study_events():
-    return consultation_events(
-        generate_record("study", sections=5, components_per_section=4, seed=2),
-        num_events=25,
-        rationality=0.9,
-        seed=7,
-    )
+def study_record():
+    return generate_record("study", sections=5, components_per_section=4, seed=2)
 
 
-def run_policy(policy, bandwidth_bps=4 * MBPS, buffer_bytes=3 * MBPS):
-    simulator = PrefetchSimulator(
-        generate_record("study", sections=5, components_per_section=4, seed=2),
+STUDY_EVENTS = consultation_events(study_record(), num_events=25, rationality=0.9, seed=7)
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    db = Database(str(tmp_path_factory.mktemp("sec44") / "db"))
+    yield MultimediaObjectStore(db)
+    db.close()
+
+
+def run_policy(store, policy, bandwidth_bps=4 * MBPS, buffer_bytes=3 * MBPS):
+    return run_prefetch_session(
+        store,
+        study_record(),
+        STUDY_EVENTS,
         policy=policy,
         buffer_bytes=buffer_bytes,
         bandwidth_bps=bandwidth_bps,
         think_time_s=4.0,
         seed=1,
     )
-    return simulator.run(study_events())
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_prefetch_policy(benchmark, report, policy):
-    result = benchmark.pedantic(run_policy, args=(policy,), rounds=3)
+def test_prefetch_policy(benchmark, report, store, policy):
+    result = benchmark.pedantic(run_policy, args=(store, policy), rounds=3)
     report.line(
         f"  policy={policy:7s} hit_rate={result.hit_rate:6.1%} "
         f"mean_wait={result.mean_wait_s:.3f}s "
@@ -57,7 +70,7 @@ def test_prefetch_policy(benchmark, report, policy):
     assert result.demand_requests > 0
 
 
-def test_prefetch_sweep(benchmark, report):
+def test_prefetch_sweep(benchmark, report, store):
     """The full grid: hit rate per (policy, bandwidth) and (policy, buffer)."""
     rows = []
 
@@ -65,7 +78,7 @@ def test_prefetch_sweep(benchmark, report):
         rows.clear()
         for bandwidth in (1 * MBPS, 4 * MBPS, 16 * MBPS):
             for policy in POLICIES:
-                result = run_policy(policy, bandwidth_bps=bandwidth)
+                result = run_policy(store, policy, bandwidth_bps=bandwidth)
                 rows.append(
                     [
                         f"{bandwidth / MBPS:.0f} Mbit/s",
@@ -89,14 +102,14 @@ def test_prefetch_sweep(benchmark, report):
         assert by_key[(bandwidth, "cpnet")] <= by_key[(bandwidth, "none")] + 1e-6
 
 
-def test_buffer_size_sensitivity(benchmark, report):
+def test_buffer_size_sensitivity(benchmark, report, store):
     rows = []
 
     def sweep():
         rows.clear()
         for buffer_bytes in (1 * MBPS, 3 * MBPS, 8 * MBPS):
             for policy in POLICIES:
-                result = run_policy(policy, buffer_bytes=buffer_bytes)
+                result = run_policy(store, policy, buffer_bytes=buffer_bytes)
                 rows.append(
                     [
                         f"{buffer_bytes / MBPS:.0f} MB",

@@ -28,6 +28,11 @@ from repro.server.protocol import PROTOCOL, MessageKind
 from repro.util.backoff import seeded_jitter
 
 DEFAULT_BUFFER_BYTES = 64 * 1024 * 1024
+#: Buffer priorities of arriving payloads: one the display is waiting for
+#: outranks any other (a prefetch, or a fetch the display has moved past),
+#: and the latter may only displace entries ranked below it.
+_DEMAND_PRIORITY = 1.0
+_SPECULATIVE_PRIORITY = 0.5
 
 #: Mutating session ops that a client homed on a gateway stamps with an
 #: op_seq and keeps in its replay log: after a gateway failover these re-send
@@ -52,7 +57,6 @@ class ClientModule:
         network: SimulatedNetwork | None = None,
         buffer_bytes: int = DEFAULT_BUFFER_BYTES,
         auto_fetch: bool = True,
-        degrade_on_loss: bool = True,
     ) -> None:
         self.viewer_id = viewer_id
         self.node_id = f"client-{viewer_id}"
@@ -75,7 +79,9 @@ class ClientModule:
         self.peer_events: list[dict[str, Any]] = []
         self.broadcasts: list[dict[str, Any]] = []
         self.errors: list[dict[str, Any]] = []
-        self.degrade_on_loss = degrade_on_loss
+        #: component -> buffer key pinned for its displayed payload: the
+        #: buffer pins exactly what is on screen.
+        self._pins: dict[str, str] = {}
         #: Explicit subscription set acked by the server; ``None`` until
         #: the first SUBSCRIBE_ACK (implicit interest in everything).
         self.subscriptions: tuple[str, ...] | None = None
@@ -304,6 +310,9 @@ class ClientModule:
         self.doc_id = payload["doc_id"]
         structure = payload.get("structure", [])
         self.render = RenderTree(self.doc_id, structure)
+        # A new display: nothing the old one pinned is on screen any more.
+        self.buffer.unpin_all()
+        self._pins.clear()
         self.sizes = {
             entry["path"]: dict(entry.get("sizes", {})) for entry in structure
         }
@@ -355,7 +364,13 @@ class ClientModule:
             self._dtrace.finish_delivery(ctx, self.node_id, self._now())
 
     def _fetch_missing(self, changes: dict[str, str]) -> None:
-        """Request payload bytes for newly displayed presentation forms."""
+        """Release the pins of replaced forms; request payload bytes for
+        newly displayed ones."""
+        pins = self._pins
+        for path in changes:
+            key = pins.pop(path, None)
+            if key is not None:
+                self.buffer.unpin(key)
         if not self.auto_fetch or self.render is None:
             return
         for path, value in changes.items():
@@ -367,6 +382,7 @@ class ClientModule:
             if self.buffer.lookup(key) is not None:
                 self.render.mark_payload_ready(path)
                 self.buffer.pin(key)
+                pins[path] = key
                 continue
             self.fetch_payload(path, value)
 
@@ -377,11 +393,21 @@ class ClientModule:
         if component is None or value is None:
             return  # raw media_ref payloads are consumed by media tooling
         key = entry_key(component, value)
-        self.buffer.admit(key, size, pinned=False)
-        self.buffer.pin(key)
-        if self.render is not None and component in self.render:
-            if self.render.value_of(component) == value:
-                self.render.mark_payload_ready(component)
+        render = self.render
+        if (
+            render is not None
+            and component in render
+            and render.value_of(component) == value
+        ):
+            if self.buffer.admit(key, size, priority=_DEMAND_PRIORITY):
+                self.buffer.pin(key)
+                self._pins[component] = key
+            render.mark_payload_ready(component)
+        else:
+            self.buffer.admit(
+                key, size,
+                priority=_SPECULATIVE_PRIORITY, evict_below=_SPECULATIVE_PRIORITY,
+            )
 
     # ----- admission backpressure ---------------------------------------------------------
 
@@ -545,7 +571,7 @@ class ClientModule:
                 "attempts": error.attempts,
             }
         )
-        if not self.degrade_on_loss or error.kind != MessageKind.FETCH_PAYLOAD:
+        if error.kind != MessageKind.FETCH_PAYLOAD:
             return
         component = (error.payload or {}).get("component")
         if component is not None:

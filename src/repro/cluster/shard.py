@@ -481,8 +481,10 @@ class ShardServer(ServiceNode):
         Replication repair is already failover's job (the ring re-homes
         the room and the next op bootstraps the replica from history),
         so the shard only records the fact for the post-mortem — except
-        that a client-bound envelope that died with its gateway is
-        re-routed through the client's new home.
+        for client-bound envelopes. One that died with its gateway is
+        re-routed through the client's new home. One a live gateway
+        never got is not re-sent, since it would land after newer ones;
+        as on a single server, the client's next update is made whole.
         """
         self._emit(
             "cluster.shard_delivery_failed", severity="WARN",
@@ -490,14 +492,19 @@ class ShardServer(ServiceNode):
         )
         wrapper = error.payload
         if (
-            error.kind == MessageKind.ROUTE
-            and isinstance(wrapper, dict)
-            and "to" in wrapper
+            error.kind != MessageKind.ROUTE
+            or not isinstance(wrapper, dict)
+            or "to" not in wrapper
         ):
-            self._send_clientbound(
-                wrapper["to"], wrapper["kind"], wrapper["payload"],
-                wrapper["size"], wrapper.get("frame"), attempt=0,
-            )
+            return
+        if self.network.has_node(error.recipient):
+            for server in self.serving_servers():
+                server.forget_unseen(wrapper["to"], wrapper["kind"])
+            return
+        self._send_clientbound(
+            wrapper["to"], wrapper["kind"], wrapper["payload"],
+            wrapper["size"], wrapper.get("frame"), attempt=0,
+        )
 
     # ----- failover ------------------------------------------------------------------
 

@@ -16,7 +16,9 @@ end-to-end repair layer, modelled on the classic ARQ design:
   bounded retry budget; exhausting the budget surfaces a typed
   :class:`~repro.errors.DeliveryFailed` to the sending node (via an
   ``on_delivery_failed`` hook) instead of livelocking — the guarantee
-  that makes 100% loss a reportable condition, not a hang.
+  that makes 100% loss a reportable condition, not a hang. The receiver
+  then skips the abandoned frame: a stream is in order, and its only
+  gaps are frames whose sender was told so.
 
 Liveness kinds (heartbeats, telemetry pushes) stay best-effort: a
 retried heartbeat is a lie, and a lost telemetry diff is superseded by
@@ -111,7 +113,13 @@ class _Outstanding:
 
 class _Stream:
     """One directed sender→recipient stream: the sender's numbering and
-    unacked frames, the receiver's dedup horizon and hold-back buffer."""
+    unacked frames, the receiver's dedup horizon and hold-back buffer.
+
+    A ``None`` in the hold-back buffer is a tombstone: a seq the sender
+    gave up on, skipped instead of waited for. Both ends share this
+    record, so the give-up reaches the receiver at once — as a forward
+    notice would on a real wire, carrying the strings the skipped frame
+    added to the stream's dynamic table."""
 
     __slots__ = ("next_seq", "outstanding", "expected", "buffer")
 
@@ -119,7 +127,7 @@ class _Stream:
         self.next_seq = 1
         self.outstanding: dict[int, _Outstanding] = {}
         self.expected = 1
-        self.buffer: dict[int, Message] = {}
+        self.buffer: dict[int, Message | None] = {}
 
 
 class ReliableTransport:
@@ -244,6 +252,10 @@ class ReliableTransport:
     def _fail(self, stream: _Stream, out: _Outstanding, reason: str) -> None:
         message = out.message
         del stream.outstanding[message.seq]
+        if message.seq >= stream.expected:
+            # The receiver stops waiting for it (a no-op if it arrived).
+            stream.buffer.setdefault(message.seq, None)
+            self._release(stream)
         error = DeliveryFailed(
             sender=message.sender, recipient=message.recipient, kind=message.kind,
             seq=message.seq or 0, attempts=out.attempts, reason=reason,
@@ -313,10 +325,16 @@ class ReliableTransport:
             return  # hold-back overflow: no ack, the sender will retry
         buffer[seq] = message
         self._send_ack(message)
+        self._release(stream)
+
+    def _release(self, stream: _Stream) -> None:
+        """Hand off held-back frames in stream order, skipping tombstones."""
+        buffer = stream.buffer
         while stream.expected in buffer:
             frame = buffer.pop(stream.expected)
             stream.expected += 1
-            self._network._hand_off(frame)
+            if frame is not None:
+                self._network._hand_off(frame)
 
     def _send_ack(self, message: Message) -> None:
         network = self._network

@@ -5,30 +5,12 @@ the user's buffer as a cache. Thus, the model for CP-net based multimedia
 systems is extended by a preference-based optimized pre-fetching of the
 document components."
 
-* :mod:`repro.prefetch.predictor` — ranks presentation payloads by how
-  likely the viewer is to request them next, straight off the CP-net;
-* :mod:`repro.prefetch.simulator` — replays a viewer session against a
-  bounded buffer and a bandwidth-limited link under a pluggable prefetch
-  policy (none / random / CP-net), reporting hit rates and waiting time.
+:mod:`repro.prefetch.predictor` ranks presentation payloads by how likely
+the viewer is to request them next, straight off the CP-net. The study
+that prefetches them into a live client's buffer is
+:func:`repro.workloads.run_prefetch_session`.
 """
 
 from repro.prefetch.predictor import CPNetPredictor, PrefetchCandidate
-from repro.prefetch.simulator import (
-    POLICIES,
-    POLICY_CPNET,
-    POLICY_NONE,
-    POLICY_RANDOM,
-    PrefetchReport,
-    PrefetchSimulator,
-)
 
-__all__ = [
-    "CPNetPredictor",
-    "POLICIES",
-    "POLICY_CPNET",
-    "POLICY_NONE",
-    "POLICY_RANDOM",
-    "PrefetchCandidate",
-    "PrefetchReport",
-    "PrefetchSimulator",
-]
+__all__ = ["CPNetPredictor", "PrefetchCandidate"]

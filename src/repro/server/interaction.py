@@ -29,7 +29,7 @@ from repro.interest import (
     layers_for_level,
 )
 from repro.net.batch import Batcher
-from repro.net.codec import Frame, encode_message, stamp_frame
+from repro.net.codec import BATCH, Frame, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
@@ -804,7 +804,8 @@ class InteractionServer:
 
         The paper's server discards updates for unreachable clients; the
         reliable transport has already retried within budget, so the
-        server just records the loss for the post-mortem.
+        server records the loss for the post-mortem and stops diffing
+        against an update that may never have arrived.
         """
         self._emit(
             "server.delivery_failed",
@@ -813,6 +814,17 @@ class InteractionServer:
             kind=error.kind,
             reason=error.reason,
         )
+        self.forget_unseen(error.recipient, error.kind)
+
+    def forget_unseen(self, node_id: str, kind: str) -> None:
+        """A *kind* frame to *node_id* was given up on and skipped. If it
+        carried updates, forget what the node's sessions are known to
+        display: each one's next update is then the whole outcome."""
+        if kind != MessageKind.PRESENTATION_UPDATE and kind != BATCH:
+            return
+        for session in self._sessions.values():
+            if session.node_id == node_id:
+                session.last_spec.clear()
 
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0

@@ -14,7 +14,9 @@
   what" subscription shapes (the interest-management scenario);
 * :mod:`repro.workloads.megaconf` — a schedule-driven mega-conference
   day: parallel tracks, session-boundary migration and a keynote flash
-  crowd (the admission-control benchmark's overload scenario).
+  crowd (the admission-control benchmark's overload scenario);
+* :mod:`repro.workloads.prefetch` — one viewer's consultation on the live
+  client under a §4.4 prefetch policy (E7's study).
 """
 
 from repro.workloads.chaos import run_chaos_conference
@@ -27,21 +29,35 @@ from repro.workloads.megaconf import (
     run_megaconf,
     run_megaconf_convergence,
 )
+from repro.workloads.prefetch import (
+    POLICIES,
+    POLICY_CPNET,
+    POLICY_NONE,
+    POLICY_RANDOM,
+    PrefetchReport,
+    run_prefetch_session,
+)
 from repro.workloads.records import generate_record, generate_record_corpus
 from repro.workloads.sessions import consultation_events, random_choice_events
 
 __all__ = [
+    "POLICIES",
+    "POLICY_CPNET",
+    "POLICY_NONE",
+    "POLICY_RANDOM",
     "ConferenceSchedule",
     "SessionSlot",
     "build_conference_schedule",
     "consultation_events",
     "generate_record",
     "generate_record_corpus",
+    "PrefetchReport",
     "primitive_paths",
     "random_choice_events",
     "run_chaos_conference",
     "run_cluster_conference",
     "run_megaconf",
     "run_megaconf_convergence",
+    "run_prefetch_session",
     "sparse_subscriptions",
 ]

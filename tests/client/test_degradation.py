@@ -121,17 +121,6 @@ class TestStepDown:
         assert client.errors == []
         db.close()
 
-    def test_degrade_off_records_but_does_not_react(self, tmp_path):
-        db, network, server, client = build_rig(tmp_path)
-        client.degrade_on_loss = False
-        client.join("record-17")
-        network.run()
-        client.on_delivery_failed(fetch_failure(client))
-        assert client.delivery_failures  # still recorded for inspection
-        assert client.degraded_components == []
-        assert client.tuning_level is None
-        db.close()
-
     def test_non_fetch_failures_do_not_degrade(self, tmp_path):
         db, network, server, client = build_rig(tmp_path)
         client.join("record-17")

@@ -177,6 +177,31 @@ class TestRetry:
         assert client.failures == [failure]
         assert hub.received == []
 
+    def test_abandoned_frame_does_not_wedge_its_stream(self):
+        # Every transmission of frame 1 is held up; frame 2 gets through
+        # first and is held back behind it. Once the sender gives up on
+        # frame 1, the receiver stops waiting: frame 2 and everything
+        # after it is delivered, in order, and a late copy of frame 1 is
+        # a duplicate.
+        class HoldFirstFrame(SimulatedNetwork):
+            held = []
+
+            def _transmit(self, message):
+                if message.seq == 1 and message.kind == "choice":
+                    self.held.append(message)
+                    return
+                super()._transmit(message)
+
+        network, hub, client = rig(HoldFirstFrame)
+        network.send("c1", "server", "choice", {"n": 1}, size_bytes=5)
+        network.send("c1", "server", "choice", {"n": 2}, size_bytes=5)
+        network.run()
+        assert [f.seq for f in client.failures] == [1]
+        network.send("c1", "server", "choice", {"n": 3}, size_bytes=5)
+        SimulatedNetwork._transmit(network, network.held[0])
+        network.run()
+        assert [m.payload["n"] for m in hub.received] == [2, 3]
+
     def test_recipient_detach_fails_fast_not_forever(self):
         network, hub, client = rig()
         network.send("server", "c1", "payload", {}, size_bytes=10)
