@@ -80,7 +80,7 @@ class GatewayNode(Gateway):
         # model every message dispatches at arrival and depth is always
         # zero, so the gate would never trip anyway.
         if route_rate is not None:
-            self._serve_through(ServiceQueue(network.clock, route_rate), admission)
+            self._serve_through(ServiceQueue(network.clock, route_rate, self._work), admission)
         network.attach_gateway(self)
 
     # ----- network glue -----------------------------------------------------------

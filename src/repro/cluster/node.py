@@ -151,22 +151,22 @@ class ServiceNode(ClusterNode):
     def _enqueue(self, ctx: TraceContext | None, kind: str, item: Any) -> None:
         # The queue may dispatch much later than arrival; capture the
         # context now so the queueing span covers the whole wait.
-        enqueued = self.network.clock.now
+        self.queue.submit((ctx, kind, item, self.network.clock.now))
 
-        def work() -> None:
-            if not self.alive:
-                return
-            if ctx is None:
-                self._serve(item)
-                return
-            advanced = self._dtrace.record_hop(
-                ctx, self.queue_hop, self.node_id, enqueued,
-                self.network.clock.now, kind=kind,
-            )
-            with self._dtrace.inbound(advanced):
-                self._serve(item)
-
-        self.queue.submit(work)
+    def _work(self, record: tuple[Any, ...]) -> None:
+        """The queue's serve callable: one dispatched record's work."""
+        if not self.alive:
+            return
+        ctx, kind, item, enqueued = record
+        if ctx is None:
+            self._serve(item)
+            return
+        advanced = self._dtrace.record_hop(
+            ctx, self.queue_hop, self.node_id, enqueued,
+            self.network.clock.now, kind=kind,
+        )
+        with self._dtrace.inbound(advanced):
+            self._serve(item)
 
     def _resume_deferred(self, parked: tuple[Any, ...], parked_at: float) -> None:
         """Pump callback: re-enter one deferred JOIN into the queue."""

@@ -15,8 +15,8 @@ this shard's transport — no state is copied.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any
+from collections import deque
+from typing import Any, Callable
 
 from repro import obs
 from repro.cluster.admission import AdmissionConfig
@@ -45,10 +45,12 @@ CLIENTBOUND_RETRY_ATTEMPTS = 6
 class ServiceQueue:
     """Serial service model: one op at a time at a fixed ops/second rate.
 
-    ``rate=None`` means infinite capacity (ops dispatch at arrival time,
-    the pre-cluster behaviour). With a rate, each submitted op occupies
-    the server for ``1/rate`` simulated seconds, FIFO — the shard-side
-    twin of what :class:`~repro.net.link.Link` does for wires.
+    ``rate=None`` means infinite capacity (``serve`` runs each record at
+    arrival, the pre-cluster behaviour). With a rate, each submitted
+    record occupies the server for ``1/rate`` simulated seconds, FIFO —
+    the shard-side twin of what :class:`~repro.net.link.Link` does for
+    wires. A queued record waits in ``records``; its one clock event pops
+    the head, since one queue's completion instants strictly increase.
 
     The queue tracks its own depth (``pending``, high-water
     ``max_pending``) and exposes an ``on_drain`` hook fired after each
@@ -57,30 +59,37 @@ class ServiceQueue:
     to the untracked queue.
     """
 
-    def __init__(self, clock: SimClock, rate: float | None = None) -> None:
+    def __init__(self, clock: SimClock, rate: float | None, serve: Callable[[Any], None]) -> None:
         if rate is not None and rate <= 0:
             raise ValueError(f"service rate must be > 0, got {rate}")
         self.clock = clock
         self.rate = rate
+        self.serve = serve
         self.busy_until = 0.0  # when the op at the tail of the queue completes
         self.pending = 0
         self.max_pending = 0
         self.on_drain = None
+        self.records: deque[Any] | None = None if rate is None else deque()
+        self._next = self._run_next  # bound once, not once per op
 
-    def submit(self, work) -> None:
+    def submit(self, record: Any) -> None:
         self.pending += 1
         if self.pending > self.max_pending:
             self.max_pending = self.pending
         if self.rate is None:
-            self._run(work)
+            self._run(record)
             return
+        self.records.append(record)
         now = self.clock.now
         self.busy_until = max(now, self.busy_until) + 1.0 / self.rate
-        self.clock.schedule(self.busy_until - now, partial(self._run, work))
+        self.clock.schedule(self.busy_until - now, self._next)
 
-    def _run(self, work) -> None:
+    def _run_next(self) -> None:
+        self._run(self.records.popleft())
+
+    def _run(self, record: Any) -> None:
         try:
-            work()
+            self.serve(record)
         finally:
             self.pending -= 1
             if self.on_drain is not None:
@@ -157,7 +166,7 @@ class ShardServer(ServiceNode):
             store, policy=policy, network=self._transport, node_id=shard_id,
             interest_mode=interest_mode, batch_window_s=batch_window_s,
         )
-        self._serve_through(ServiceQueue(network.clock, service_rate), admission)
+        self._serve_through(ServiceQueue(network.clock, service_rate, self._work), admission)
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
         self._promoted: dict[str, InteractionServer] = {}

@@ -15,6 +15,7 @@ stretch flags keyword *w* when the length-normalized likelihood-ratio
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class WordSpotter:
         spotter = cls(keywords, seed=seed, **kwargs)
         examples = {
             word: [
-                synth_word(word, speaker, seed=seed + 31 * index + hash(word) % 97)
+                synth_word(word, speaker, seed=seed + 31 * index + zlib.crc32(word.encode()) % 97)
                 for index in range(examples_per_word)
                 for speaker in speakers
             ]

@@ -54,7 +54,7 @@ def build_store(tmp_path, name, docs=("case-0",)):
 def make_controller(rate=1.0, resume=None, **cfg):
     """A controller on a real rated ServiceQueue and its own clock."""
     clock = SimClock()
-    queue = ServiceQueue(clock, rate=rate)
+    queue = ServiceQueue(clock, rate, lambda record: None)
     resumed = []
     controller = AdmissionController(
         "shard-t",
@@ -68,7 +68,7 @@ def make_controller(rate=1.0, resume=None, **cfg):
 
 def fill(queue, n):
     for _ in range(n):
-        queue.submit(lambda: None)
+        queue.submit(None)
 
 
 class TestLanes:

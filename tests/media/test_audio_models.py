@@ -4,6 +4,11 @@ Model-training fixtures are session-scoped: training is the expensive
 part and the trained models are immutable for the assertions below.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,19 @@ from repro.media.audio.synth import DEFAULT_SPEAKERS, KEYWORDS
 
 ADAMS, BAKER, COSTA, CHILD = DEFAULT_SPEAKERS
 TRIO = (ADAMS, BAKER, COSTA)
+
+#: Trains the ``word_spotter`` fixture's model and prints one digest of
+#: every word model's means, in keyword order.
+_TRAIN_AND_DIGEST = """
+import hashlib
+from repro.media.audio import WordSpotter
+from repro.media.audio.synth import DEFAULT_SPEAKERS, KEYWORDS
+spotter = WordSpotter.train_default(KEYWORDS, DEFAULT_SPEAKERS[:3], seed=2)
+digest = hashlib.sha256()
+for word in KEYWORDS:
+    digest.update(spotter._word_models[word].means.tobytes())
+print(digest.hexdigest())
+"""
 
 
 @pytest.fixture(scope="session")
@@ -197,6 +215,21 @@ class TestWordSpotting:
         results = word_spotter.spot_segments(signal, segments)
         assert len(results) == 1
         assert results[0][1].keyword == "urgent"
+
+    def test_training_is_reproducible_across_processes(self):
+        """``str`` hashes are salted per process: nothing that seeds
+        training may depend on one, or the same seed trains a different
+        model under another ``PYTHONHASHSEED``."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+
+        def train(hash_seed: str) -> str:
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            return subprocess.run(
+                [sys.executable, "-c", _TRAIN_AND_DIGEST],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+
+        assert train("1") == train("2")
 
     def test_untrained_rejected(self):
         with pytest.raises(AudioError, match="not trained"):
