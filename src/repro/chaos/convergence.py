@@ -162,6 +162,18 @@ def _one_run(
     return result
 
 
+def _unfinished(result: dict[str, Any]) -> dict[str, list]:
+    """Viewers whose screen still waits at quiescence, with the reads
+    they have in flight: what a viewer sees must converge too, not only
+    what it chose."""
+    reads = result["reads_in_flight"]
+    return {
+        viewer: reads[viewer]
+        for viewer, rendered in result["fully_rendered"].items()
+        if not rendered or reads[viewer]
+    }
+
+
 def run_convergence(
     root: str,
     scenario: str = "baseline",
@@ -174,7 +186,8 @@ def run_convergence(
     row name of :data:`SCENARIOS`, *seeds* an override of the row's own
     seeds. ``quick`` trims the workload (fewer events) for CI smoke
     jobs. The returned report has ``converged`` per seed plus the overall
-    ``ok`` verdict: every seed byte-identical to control, zero
+    ``ok`` verdict: every seed byte-identical to control, every viewer
+    (control's too) fully rendered with no read left in flight, zero
     client-visible errors, zero delivery failures, and — to prove chaos
     was actually on — at least one injected fault and one retransmission
     per seed.
@@ -186,11 +199,12 @@ def run_convergence(
         "control": {
             "displayed": control["displayed"],
             "errors": control["errors"],
+            "unfinished": _unfinished(control),
             "sim_seconds": control["sim_seconds"],
         },
         "seeds": {},
     }
-    ok = not control["errors"]
+    ok = not control["errors"] and not report["control"]["unfinished"]
     for seed in row.seeds if seeds is None else seeds:
         plan = FaultPlan(seed=seed, **DEFAULT_RATES)
         result = _one_run(root, f"seed-{seed}", row, plan, quick)
@@ -201,11 +215,13 @@ def run_convergence(
         )
         injected = sum(result["injected"].values())
         converged = result["displayed"] == control["displayed"]
+        unfinished = _unfinished(result)
         cache_hits = int(
             result["counters"].get("cpnet.completion_cache.hits", 0)
         )
         seed_ok = (
             converged
+            and not unfinished
             and not result["errors"]
             and not result["delivery_failures"]
             and injected > 0
@@ -218,6 +234,7 @@ def run_convergence(
         report["seeds"][seed] = {
             "ok": seed_ok,
             "converged": converged,
+            "unfinished": unfinished,
             "completion_cache_hits": cache_hits,
             "errors": result["errors"],
             "delivery_failures": result["delivery_failures"],

@@ -82,6 +82,10 @@ class ClientModule:
         #: component -> buffer key pinned for its displayed payload: the
         #: buffer pins exactly what is on screen.
         self._pins: dict[str, str] = {}
+        #: Reads in flight, ``(component, value)`` in issue order: asked
+        #: once, re-sent only by a gateway failover (a dict, not a set, so
+        #: the replay order never depends on string hashing).
+        self.reads_in_flight: dict[tuple[str, str], None] = {}
         #: Explicit subscription set acked by the server; ``None`` until
         #: the first SUBSCRIBE_ACK (implicit interest in everything).
         self.subscriptions: tuple[str, ...] | None = None
@@ -147,6 +151,7 @@ class ClientModule:
         # an unroutable-session error. Ops the user walked away from
         # are at-most-once by design.
         self._closed_sessions.add(session_id)
+        self.reads_in_flight.clear()
         self._op_log = [
             entry
             for entry in self._op_log
@@ -189,6 +194,7 @@ class ClientModule:
 
     def fetch_payload(self, component: str, value: str) -> None:
         self._request(MessageKind.FETCH_PAYLOAD, component=component, value=value)
+        self.reads_in_flight[(component, value)] = None
 
     def _require_session(self) -> str:
         if self.session_id is None:
@@ -313,6 +319,7 @@ class ClientModule:
         # A new display: nothing the old one pinned is on screen any more.
         self.buffer.unpin_all()
         self._pins.clear()
+        self.reads_in_flight.clear()
         self.sizes = {
             entry["path"]: dict(entry.get("sizes", {})) for entry in structure
         }
@@ -384,7 +391,15 @@ class ClientModule:
                 self.buffer.pin(key)
                 pins[path] = key
                 continue
-            self.fetch_payload(path, value)
+            # A read already in flight renders and pins this value on arrival.
+            if (path, value) not in self.reads_in_flight:
+                self.fetch_payload(path, value)
+
+    def _on_screen(self, component: str, value: str) -> bool:
+        render = self.render
+        return (
+            render is not None and component in render and render.value_of(component) == value
+        )
 
     def _on_payload(self, payload: dict[str, Any]) -> None:
         component = payload.get("component")
@@ -392,17 +407,13 @@ class ClientModule:
         size = payload.get("size", 0)
         if component is None or value is None:
             return  # raw media_ref payloads are consumed by media tooling
+        self.reads_in_flight.pop((component, value), None)
         key = entry_key(component, value)
-        render = self.render
-        if (
-            render is not None
-            and component in render
-            and render.value_of(component) == value
-        ):
+        if self._on_screen(component, value):
             if self.buffer.admit(key, size, priority=_DEMAND_PRIORITY):
                 self.buffer.pin(key)
                 self._pins[component] = key
-            render.mark_payload_ready(component)
+            self.render.mark_payload_ready(component)
         else:
             self.buffer.admit(
                 key, size,
@@ -500,6 +511,12 @@ class ClientModule:
             # a departed viewer never fetched stays unfetched by design.
             self.stale_updates += 1
             return
+        read = (payload.get("component"), payload.get("value"))
+        if kind == MessageKind.FETCH_PAYLOAD and not self._on_screen(*read):
+            # The form left the screen while we backed off: nothing waits
+            # for these bytes, so they do not re-enter the overloaded queue.
+            self.reads_in_flight.pop(read, None)
+            return
         hub = self.network.hub_for(self.node_id)
         if not self.network.has_node(hub):  # only a gateway home can die
             self._offline.append((kind, payload))
@@ -516,7 +533,9 @@ class ClientModule:
         then the full since-join op log replays through the new home in
         original order (at-least-once — the shard's per-session op_seq
         fence dedups whatever did land the first time), and any requests
-        queued while we were detached flush after it.
+        queued while we were detached flush after it. Reads still in
+        flight re-send last, in issue order (a read queued in the dead
+        gateway is otherwise lost), skipping any the flush just sent.
         """
         self._wire_table.reset()
         # The full-log replay below supersedes any pending shed retry.
@@ -528,10 +547,14 @@ class ClientModule:
         for kind, payload in list(self._op_log):
             self._dispatch(kind, payload)
         offline, self._offline = self._offline, []
+        flushed = set()
         for kind, payload in offline:
             if payload.get("session_id") in self._closed_sessions:
                 continue
             self._dispatch(kind, payload)
+            flushed.add((payload.get("component"), payload.get("value")))
+        for component, value in [read for read in self.reads_in_flight if read not in flushed]:
+            self.fetch_payload(component, value)
 
     # ----- graceful degradation ----------------------------------------------------------
 
@@ -574,6 +597,7 @@ class ClientModule:
         if error.kind != MessageKind.FETCH_PAYLOAD:
             return
         component = (error.payload or {}).get("component")
+        self.reads_in_flight.pop((component, (error.payload or {}).get("value")), None)
         if component is not None:
             self.degraded_components.append(component)
             if self.render is not None and component in self.render:

@@ -119,6 +119,23 @@ def test_frames_that_died_with_the_crashed_shard_are_expected(tmp_path):
         assert failure["reason"] == "recipient_detached"
 
 
+@pytest.mark.parametrize(
+    "scenario, seed", [("gateway-crash", 4), ("megaconf-gateway-crash", 14)]
+)
+def test_a_read_queued_in_the_crashed_gateway_still_renders(tmp_path, scenario, seed):
+    """Regression: full size, these deals crash a gateway while it holds
+    a viewer's payload read (``cv-0-0``'s in the conference, ``a-5``'s
+    in the crowd). The displayed values converged all the same, but the
+    read was lost and the viewer never rendered the component, until
+    the failover replayed the client's reads in flight."""
+    report = run_convergence(str(tmp_path), scenario, seeds=(seed,))
+    assert report["ok"], report
+    entry = report["seeds"][seed]
+    assert entry["gateway_failovers"] == 1
+    assert entry["unfinished"] == {}
+    assert report["control"]["unfinished"] == {}
+
+
 def test_cli_reports_success(tmp_path, capsys):
     status = main(["--seeds", "3", "--quick", "--root", str(tmp_path)])
     out = capsys.readouterr().out

@@ -31,8 +31,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
-    "chaos": 660,
-    "client": 1180,
+    "chaos": 677,
+    "client": 1204,
     "cluster": 2809,
     "cpnet": 2030,
     "db": 3107,
@@ -46,7 +46,7 @@ LINE_BUDGET = {
     "retrieval": 815,
     "server": 1808,
     "util": 288,
-    "workloads": 1336,
+    "workloads": 1337,
 }
 
 MAX_KIND_ARMS = 3
@@ -166,8 +166,9 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     reads (server, room, shard, gateway tier, admission) brought it to
     48,338; unpinning each payload that leaves a client's screen brought
     it to 48,392, where a queued op becoming one record left it (its
-    queues are unrated: nothing waits). The ceiling sits under 5% above
-    that."""
+    queues are unrated: nothing waits); the client's one on-screen check
+    per arriving payload, shared by its reply and shed-retry paths,
+    brought it to 48,476. The ceiling sits under 5% above that."""
     calls = 0
 
     def count(frame, event, arg):
