@@ -18,8 +18,7 @@ Run:  python examples/similar_cases.py
 
 import tempfile
 
-from repro.db import Database, MultimediaObjectStore
-from repro.db.sql import execute
+from repro.db import Column, Database, INTEGER, MultimediaObjectStore, REAL, TEXT, TableSchema
 from repro.media.image import ct_phantom, ultrasound_phantom, xray_phantom
 from repro.retrieval import (
     AnnotationSpatialIndex,
@@ -34,11 +33,18 @@ from repro.retrieval.fuzzy import equals, fuzzy_or
 
 def build_corpus(db, store, index):
     """Prior cases: images + an attribute table, linked by media_ref."""
-    execute(
-        db,
-        "CREATE TABLE cases (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-        "patient TEXT NOT NULL, media_ref TEXT NOT NULL, age INTEGER, "
-        "lesion_mm REAL, ward TEXT)",
+    db.create_table(
+        TableSchema(
+            "cases",
+            [
+                Column("id", INTEGER, primary_key=True, autoincrement=True),
+                Column("patient", TEXT, nullable=False),
+                Column("media_ref", TEXT, nullable=False),
+                Column("age", INTEGER),
+                Column("lesion_mm", REAL),
+                Column("ward", TEXT),
+            ],
+        )
     )
     corpus = [
         ("pt-101", ct_phantom(128, seed=1), 63, 9.5, "icu"),
@@ -50,11 +56,15 @@ def build_corpus(db, store, index):
     ]
     for patient, image, age, lesion, ward in corpus:
         handle = index.add_image(image, label=patient)
-        execute(
-            db,
-            "INSERT INTO cases (patient, media_ref, age, lesion_mm, ward) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [patient, handle.media_ref, age, lesion, ward],
+        db.insert(
+            "cases",
+            {
+                "patient": patient,
+                "media_ref": handle.media_ref,
+                "age": age,
+                "lesion_mm": lesion,
+                "ward": ward,
+            },
         )
     # Past consultation marks on pt-101's CT.
     store.store_annotation("case-101", "ct", "dr-prior", {"type": "text", "text": "calcification", "x": 40, "y": 44})
@@ -80,7 +90,7 @@ def main() -> None:
 
         # 2. fuzzy refinement over the attribute table
         print("\nStep 2 — fuzzy refinement: age~60, lesion>=8mm, prefer ICU")
-        rows = execute(db, "SELECT * FROM cases").rows
+        rows = db.select("cases")
         visual = {hit.media_ref: hit.similarity for hit in index.query(new_ct, k=10)}
         query = FuzzyQuery(
             fuzzy_and(

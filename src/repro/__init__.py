@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 
 from repro.cpnet import CPNet, CPNetBuilder, best_completion, optimal_outcome
 from repro.client import ClientModule
-from repro.db import Database, MultimediaObjectStore, connect
+from repro.db import Database, MultimediaObjectStore
 from repro.document import DocumentBuilder, MultimediaDocument, build_sample_medical_record
 from repro.net import Link, SimulatedNetwork
 from repro.presentation import PresentationEngine, install_bandwidth_tuning
@@ -56,7 +56,6 @@ __all__ = [
     "__version__",
     "best_completion",
     "build_sample_medical_record",
-    "connect",
     "install_bandwidth_tuning",
     "optimal_outcome",
 ]

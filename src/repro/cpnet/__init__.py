@@ -47,7 +47,7 @@ from repro.cpnet.reasoning import (
     optimal_outcome,
     outcome_rank_vector,
 )
-from repro.cpnet.serialize import network_from_dict, network_from_json, network_to_dict, network_to_json
+from repro.cpnet.serialize import network_from_dict, network_to_dict
 from repro.cpnet.updates import (
     OperationVariable,
     ViewerExtension,
@@ -83,9 +83,7 @@ __all__ = [
     "improving_flips",
     "iter_outcomes",
     "network_from_dict",
-    "network_from_json",
     "network_to_dict",
-    "network_to_json",
     "optimal_outcome",
     "outcome_rank_vector",
     "remove_component_variable",

@@ -43,11 +43,6 @@ class PreferenceRule:
         return cls(condition=items, order=tuple(order))
 
     @property
-    def condition_map(self) -> dict[str, str]:
-        """The condition as a plain dict."""
-        return dict(self.condition)
-
-    @property
     def specificity(self) -> int:
         """How many parents the condition mentions (ties break to error)."""
         return len(self.condition)

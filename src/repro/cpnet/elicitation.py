@@ -51,18 +51,6 @@ class CPNetBuilder:
         self._net.add_variable(name, domain, parents=parents, description=description)
         return self
 
-    def binary_component(
-        self,
-        name: str,
-        parents: Iterable[str] = (),
-        shown: str = "shown",
-        hidden: str = "hidden",
-        description: str = "",
-    ) -> "CPNetBuilder":
-        """Declare a shown/hidden component (composite components are binary,
-        paper §5.1)."""
-        return self.component(name, (shown, hidden), parents=parents, description=description)
-
     def prefer(self, name: str, order: Iterable[str]) -> "CPNetBuilder":
         """State an unconditional preference: ``order[0]`` is best, all else equal."""
         self._check_open()

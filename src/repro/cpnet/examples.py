@@ -53,47 +53,6 @@ FIGURE2_OPTIMAL = {
 }
 
 
-def random_tree_network(
-    num_variables: int,
-    domain_size: int = 2,
-    branching: int = 3,
-    seed: int = 0,
-    name: str = "random-tree",
-) -> CPNet:
-    """Generate a tree-shaped CP-net for scaling benchmarks.
-
-    Variable ``v0`` is the root; every later variable picks a parent among
-    the earlier ones (bounded fan-out *branching*). CPT rows are random
-    permutations per parent value, so optimization has to consult every
-    table. Deterministic for a given *seed*.
-    """
-    if num_variables < 1:
-        raise ValueError(f"num_variables must be >= 1, got {num_variables}")
-    if domain_size < 2:
-        raise ValueError(f"domain_size must be >= 2, got {domain_size}")
-    rng = random.Random(seed)
-    net = CPNet(name=name)
-    fanout: dict[str, int] = {}
-    for index in range(num_variables):
-        var = f"v{index}"
-        domain = [f"{var}_{j}" for j in range(domain_size)]
-        if index == 0:
-            net.add_variable(var, domain)
-            order = domain[:]
-            rng.shuffle(order)
-            net.add_rule(var, {}, order)
-        else:
-            candidates = [f"v{i}" for i in range(index) if fanout.get(f"v{i}", 0) < branching]
-            parent = rng.choice(candidates) if candidates else f"v{index - 1}"
-            fanout[parent] = fanout.get(parent, 0) + 1
-            net.add_variable(var, domain, parents=[parent])
-            for parent_value in net.variable(parent).domain:
-                order = domain[:]
-                rng.shuffle(order)
-                net.add_rule(var, {parent: parent_value}, order)
-    return net
-
-
 def random_dag_network(
     num_variables: int,
     domain_size: int = 2,

@@ -72,10 +72,6 @@ class CPNet:
         self.variable(name)
         return tuple(sorted(self._children.get(name, ())))
 
-    def roots(self) -> tuple[str, ...]:
-        """Variables with no parents."""
-        return tuple(n for n in self._variables if not self._cpts[n].parents)
-
     def edges(self) -> list[tuple[str, str]]:
         """All (parent, child) edges."""
         return [
@@ -224,23 +220,6 @@ class CPNet:
         self.topological_order()
         for cpt in self._cpts.values():
             cpt.validate(max_space=max_space)
-
-    def outcome_space_size(self) -> int:
-        """Number of complete outcomes |D(c1)| x ... x |D(cn)|."""
-        size = 1
-        for variable in self._variables.values():
-            size *= len(variable.domain)
-        return size
-
-    def preference_over(
-        self, name: str, outcome: Assignment, left: str, right: str
-    ) -> bool:
-        """Ceteris-paribus comparison on one variable within *outcome*.
-
-        True when, given the parent values fixed by *outcome*, the author
-        prefers ``name=left`` to ``name=right`` all else equal.
-        """
-        return self.cpt(name).prefers(outcome, left, right)
 
     def copy(self, name: str | None = None) -> "CPNet":
         """Deep-copy the network (variables are immutable and shared)."""

@@ -7,7 +7,6 @@ is a plain JSON object — stable, diffable and schema-checked on load.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import CPNetError
@@ -61,17 +60,3 @@ def network_from_dict(data: dict[str, Any]) -> CPNet:
         for rule in rules:
             net.add_rule(name, rule["condition"], rule["order"])
     return net
-
-
-def network_to_json(net: CPNet, indent: int | None = None) -> str:
-    """Serialize *net* to a JSON string."""
-    return json.dumps(network_to_dict(net), indent=indent, sort_keys=False)
-
-
-def network_from_json(text: str | bytes) -> CPNet:
-    """Parse a network from :func:`network_to_json` output."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CPNetError(f"invalid CP-net JSON: {exc}") from exc
-    return network_from_dict(data)

@@ -150,10 +150,6 @@ class ViewerExtension:
         """Names of the viewer-local variables, in insertion order."""
         return tuple(self._variables)
 
-    @property
-    def operations(self) -> tuple[OperationVariable, ...]:
-        return tuple(self._operations)
-
     def variable(self, name: str) -> Variable:
         """Look up a variable in the extension first, then the base."""
         if name in self._variables:

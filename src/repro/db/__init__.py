@@ -10,9 +10,8 @@ self-contained replacement exposing the same operations:
   (:mod:`repro.db.blobstore`),
 * a write-ahead journal giving atomic commit/rollback and crash recovery
   (:mod:`repro.db.journal`),
-* predicate queries with index-aware planning (:mod:`repro.db.query`),
-* a small SQL dialect (:mod:`repro.db.sql`) and a DB-API-flavoured
-  connection facade standing in for JDBC (:mod:`repro.db.connection`),
+* equality predicates routed through the primary key or a secondary
+  index (:mod:`repro.db.query`),
 * the exact Figure 7 schema plus the object↔row mapping layer
   (:mod:`repro.db.catalog`, :mod:`repro.db.orm`).
 """
@@ -26,45 +25,31 @@ from repro.db.catalog import (
     MULTIMEDIA_OBJECTS_TABLE,
     create_multimedia_catalog,
 )
-from repro.db.connection import Connection, connect
 from repro.db.engine import Database
 from repro.db.orm import MultimediaObjectStore, StoredObject
-from repro.db.query import And, Between, Eq, Ge, Gt, In, Le, Like, Lt, Ne, Not, Or, Predicate
+from repro.db.query import Eq, Predicate
 from repro.db.schema import Column, TableSchema
 from repro.db.types import BLOB, BOOLEAN, INTEGER, JSONB, REAL, TEXT
 
 __all__ = [
     "AUDIO_OBJECTS_TABLE",
-    "And",
     "BLOB",
     "BOOLEAN",
-    "Between",
     "BlobStore",
     "CMP_OBJECTS_TABLE",
     "Column",
-    "Connection",
     "DOCUMENT_OBJECTS_TABLE",
     "Database",
     "Eq",
-    "Ge",
-    "Gt",
     "IMAGE_OBJECTS_TABLE",
     "INTEGER",
-    "In",
     "JSONB",
-    "Le",
-    "Like",
-    "Lt",
     "MULTIMEDIA_OBJECTS_TABLE",
     "MultimediaObjectStore",
-    "Ne",
-    "Not",
-    "Or",
     "Predicate",
     "REAL",
     "StoredObject",
     "TEXT",
     "TableSchema",
-    "connect",
     "create_multimedia_catalog",
 ]

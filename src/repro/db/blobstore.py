@@ -1,4 +1,4 @@
-"""Append-only BLOB store with tombstone deletes and vacuum.
+"""Append-only BLOB store with tombstone deletes.
 
 The paper stores multimedia payloads "as Large Binary Objects (BLOBs),
 Oracle data type that allow to store binary objects of size up to 4GB".
@@ -8,7 +8,6 @@ This store keeps payloads out of the row heap in a single data file:
   and returns a :class:`BlobRef` handle;
 * ``get`` seeks straight to the payload (the directory is in memory);
 * ``delete`` flips the record's tombstone flag in place;
-* ``vacuum`` rewrites the file dropping tombstoned records;
 * on open the directory is rebuilt by a single forward scan, verifying
   per-record CRCs — a truncated tail (torn final write) is detected and
   discarded, which is the crash-safety contract.
@@ -50,7 +49,6 @@ class BlobStore:
         self.path = path
         self._offsets: dict[int, tuple[int, int]] = {}  # blob_id -> (record offset, size)
         self._next_id = 1
-        self._live_bytes = 0
         self._m_bytes_read = get_registry().counter("db.blob.bytes_read")
         self._file = self._open_and_recover()
 
@@ -82,7 +80,6 @@ class BlobStore:
                 break
             if not flags & _FLAG_DELETED:
                 self._offsets[blob_id] = (offset, length)
-                self._live_bytes += length
             self._next_id = max(self._next_id, blob_id + 1)
             offset += _HEADER.size + length
             valid_end = offset
@@ -120,7 +117,6 @@ class BlobStore:
         self._file.write(payload)
         self._file.flush()
         self._offsets[blob_id] = (offset, len(payload))
-        self._live_bytes += len(payload)
         return BlobRef(blob_id=blob_id, size=len(payload))
 
     def get(self, ref: BlobRef | int) -> bytes:
@@ -138,13 +134,12 @@ class BlobStore:
         return payload
 
     def delete(self, ref: BlobRef | int) -> None:
-        """Tombstone a blob (space reclaimed by :meth:`vacuum`)."""
+        """Tombstone a blob (its record stays in the file)."""
         blob_id = ref.blob_id if isinstance(ref, BlobRef) else ref
         try:
             offset, length = self._offsets.pop(blob_id)
         except KeyError:
             raise BlobError(f"no blob with id {blob_id}") from None
-        self._live_bytes -= length
         # Rewrite just the flags byte (offset of flags within the header).
         flags_offset = offset + _HEADER.size - 5  # 1 flags byte + 4 crc bytes from end
         self._file.seek(flags_offset)
@@ -156,35 +151,3 @@ class BlobStore:
 
     def __len__(self) -> int:
         return len(self._offsets)
-
-    @property
-    def live_bytes(self) -> int:
-        """Total payload bytes of non-deleted blobs."""
-        return self._live_bytes
-
-    @property
-    def file_bytes(self) -> int:
-        """Current size of the data file (live + garbage)."""
-        self._file.seek(0, os.SEEK_END)
-        return self._file.tell()
-
-    def vacuum(self) -> int:
-        """Rewrite the file without tombstones; returns bytes reclaimed."""
-        before = self.file_bytes
-        tmp_path = self.path + ".vacuum"
-        new_offsets: dict[int, tuple[int, int]] = {}
-        with open(tmp_path, "w+b") as tmp:
-            for blob_id in sorted(self._offsets):
-                payload = self.get(blob_id)
-                offset = tmp.tell()
-                tmp.write(_HEADER.pack(_MAGIC, blob_id, len(payload), 0, zlib.crc32(payload)))
-                tmp.write(payload)
-                new_offsets[blob_id] = (offset, len(payload))
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        self._file.close()
-        os.replace(tmp_path, self.path)
-        self._file = open(self.path, "r+b")
-        self._file.seek(0, os.SEEK_END)
-        self._offsets = new_offsets
-        return before - self.file_bytes

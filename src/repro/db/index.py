@@ -1,4 +1,4 @@
-"""Secondary indexes: hash (equality) and ordered (equality + range).
+"""Secondary indexes: hash (dict buckets) and ordered (sorted array).
 
 Indexes map a column value to the set of primary keys of rows holding it.
 They are maintained incrementally by the table on every mutation and are
@@ -9,7 +9,7 @@ derived state).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import DatabaseError, DuplicateKeyError
 
@@ -80,11 +80,10 @@ class HashIndex(Index):
 
 
 class OrderedIndex(Index):
-    """Sorted-array index supporting equality and range scans.
+    """Sorted-array equality index.
 
     Keys must be mutually comparable (the table's type system guarantees
-    this per column). Point operations are O(log n) via bisect; range
-    scans are O(log n + k).
+    this per column). Point operations are O(log n) via bisect.
     """
 
     kind = "ordered"
@@ -123,25 +122,6 @@ class OrderedIndex(Index):
         if pos < len(self._keys) and self._keys[pos] == value:
             return tuple(sorted(self._pk_sets[pos], key=repr))
         return ()
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[Any]:
-        """Yield primary keys with ``low <= value <= high`` (bounds optional)."""
-        if low is None:
-            start = 0
-        else:
-            start = bisect.bisect_left(self._keys, low) if include_low else bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        else:
-            stop = bisect.bisect_right(self._keys, high) if include_high else bisect.bisect_left(self._keys, high)
-        for pos in range(start, stop):
-            yield from sorted(self._pk_sets[pos], key=repr)
 
     def clear(self) -> None:
         self._keys.clear()

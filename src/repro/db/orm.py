@@ -10,7 +10,6 @@ audio, compressed streams, whole documents).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -51,10 +50,6 @@ class MultimediaObjectStore:
         create_multimedia_catalog(db)
 
     # ----- type catalog -------------------------------------------------------
-
-    def list_types(self) -> list[dict[str, Any]]:
-        """All supported multimedia types (the catalog's contents)."""
-        return sorted(self.db.select(MULTIMEDIA_OBJECTS_TABLE), key=lambda r: r["ID"])
 
     def register_type(
         self,
@@ -121,10 +116,6 @@ class MultimediaObjectStore:
         ref = row.get("FLD_DATA")
         if isinstance(ref, BlobRef):
             self.db.blobs.delete(ref)
-
-    def list_objects(self, type_name: str) -> list[dict[str, Any]]:
-        """All rows of the type's object table (payloads stay in the store)."""
-        return sorted(self.db.select(self.object_table_for(type_name)), key=lambda r: r["ID"])
 
     def _resolve(self, handle: StoredObject | str) -> tuple[str, int]:
         if isinstance(handle, StoredObject):
@@ -235,19 +226,6 @@ class MultimediaObjectStore:
             for r in sorted(self.db.select(DOCUMENT_OBJECTS_TABLE), key=lambda r: r["ID"])
         ]
 
-    def document_exists(self, doc_id: str) -> bool:
-        return bool(self.db.select(DOCUMENT_OBJECTS_TABLE, Eq("FLD_DOCID", doc_id)))
-
-    def delete_document(self, doc_id: str) -> None:
-        rows = self.db.select(DOCUMENT_OBJECTS_TABLE, Eq("FLD_DOCID", doc_id))
-        if not rows:
-            raise DatabaseError(f"no document {doc_id!r} stored")
-        self.db.delete(DOCUMENT_OBJECTS_TABLE, rows[0]["ID"])
-        ref = rows[0]["FLD_DATA"]
-        if isinstance(ref, BlobRef):
-            self.db.blobs.delete(ref)
-
-
     # ----- annotations (discussion results "stored in the file", §1) ------------------
 
     def store_annotation(
@@ -274,13 +252,6 @@ class MultimediaObjectStore:
             rows = [row for row in rows if row["FLD_COMPONENT"] == component]
         return sorted(rows, key=lambda row: row["ID"])
 
-    def delete_annotations(self, doc_id: str) -> int:
-        """Remove every stored annotation of a document; returns the count."""
-        rows = self.db.select(ANNOTATIONS_TABLE, Eq("FLD_DOCID", doc_id))
-        for row in rows:
-            self.db.delete(ANNOTATIONS_TABLE, row["ID"])
-        return len(rows)
-
     # ----- viewer profiles (optional long-term learning, §4) ---------------------
 
     def save_profile(self, profile: "object") -> None:
@@ -305,8 +276,3 @@ class MultimediaObjectStore:
         if rows:
             return ViewerProfile.from_dict(rows[0]["FLD_DATA"])
         return ViewerProfile(viewer_id)
-
-
-def document_payload_size(document: MultimediaDocument) -> int:
-    """Bytes of the serialized document (used by room-transfer accounting)."""
-    return len(json.dumps(document_to_json(document)))

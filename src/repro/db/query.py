@@ -2,22 +2,16 @@
 
 A :class:`Predicate` evaluates against a row dict. The engine additionally
 asks predicates for *equality hints* (``column = constant`` facts implied
-by the predicate) and *range hints* (``low < column <= high`` bounds) so
-it can route lookups through secondary indexes instead of scanning — the
-classic sargable-predicate trick.
+by the predicate) so it can route lookups through the primary key or a
+secondary index instead of scanning — the classic sargable-predicate trick.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 Row = Mapping[str, Any]
-
-#: One range bound: ``(low, include_low, high, include_high)``; a ``None``
-#: endpoint means unbounded on that side.
-RangeHint = "tuple[Any, bool, Any, bool]"
 
 
 class Predicate:
@@ -29,60 +23,9 @@ class Predicate:
     def equality_hints(self) -> dict[str, Any]:
         """``{column: value}`` facts that *must* hold for the predicate.
 
-        Only facts implied by every satisfying row may be returned (AND
-        composes hints; OR and NOT yield none).
+        Only facts implied by every satisfying row may be returned.
         """
         return {}
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        """``{column: (low, incl_low, high, incl_high)}`` implied bounds.
-
-        The same soundness rule as :meth:`equality_hints`: only bounds
-        every satisfying row obeys may be returned (AND intersects
-        bounds; OR and NOT yield none). ``None`` endpoints are open.
-        """
-        return {}
-
-    def __and__(self, other: "Predicate") -> "Predicate":
-        return And(self, other)
-
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Or(self, other)
-
-    def __invert__(self) -> "Predicate":
-        return Not(self)
-
-
-def _tighten(
-    a: tuple[Any, bool, Any, bool], b: tuple[Any, bool, Any, bool]
-) -> tuple[Any, bool, Any, bool]:
-    """Intersect two range bounds on one column (AND semantics).
-
-    The higher low and lower high win; on a tie the exclusive bound is
-    tighter. Incomparable endpoint types keep the first bound (a scan
-    routed through either bound is still sound — ``matches`` refilters).
-    """
-    low, incl_low, high, incl_high = a
-    b_low, b_incl_low, b_high, b_incl_high = b
-    try:
-        if low is None or (b_low is not None and (b_low, not b_incl_low) > (low, not incl_low)):
-            low, incl_low = (b_low, b_incl_low) if b_low is not None else (low, incl_low)
-        if high is None or (b_high is not None and (b_high, b_incl_high) < (high, incl_high)):
-            high, incl_high = (b_high, b_incl_high) if b_high is not None else (high, incl_high)
-    except TypeError:
-        return a
-    return (low, incl_low, high, incl_high)
-
-
-def _comparable(left: Any, right: Any) -> bool:
-    """NULLs and cross-type comparisons are simply non-matches (SQL-ish)."""
-    if left is None or right is None:
-        return False
-    if isinstance(left, bool) != isinstance(right, bool):
-        return False
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return True
-    return type(left) is type(right)
 
 
 @dataclass(frozen=True)
@@ -95,207 +38,6 @@ class Eq(Predicate):
 
     def equality_hints(self) -> dict[str, Any]:
         return {self.column: self.value}
-
-
-@dataclass(frozen=True)
-class Ne(Predicate):
-    column: str
-    value: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return current is not None and current != self.value
-
-
-@dataclass(frozen=True)
-class Lt(Predicate):
-    column: str
-    value: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return _comparable(current, self.value) and current < self.value
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        return {self.column: (None, False, self.value, False)}
-
-
-@dataclass(frozen=True)
-class Le(Predicate):
-    column: str
-    value: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return _comparable(current, self.value) and current <= self.value
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        return {self.column: (None, False, self.value, True)}
-
-
-@dataclass(frozen=True)
-class Gt(Predicate):
-    column: str
-    value: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return _comparable(current, self.value) and current > self.value
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        return {self.column: (self.value, False, None, False)}
-
-
-@dataclass(frozen=True)
-class Ge(Predicate):
-    column: str
-    value: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return _comparable(current, self.value) and current >= self.value
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        return {self.column: (self.value, True, None, False)}
-
-
-@dataclass(frozen=True)
-class Between(Predicate):
-    column: str
-    low: Any
-    high: Any
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return (
-            _comparable(current, self.low)
-            and _comparable(current, self.high)
-            and self.low <= current <= self.high
-        )
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        return {self.column: (self.low, True, self.high, True)}
-
-
-class In(Predicate):
-    """``column IN (v1, v2, ...)``."""
-
-    def __init__(self, column: str, values: Any) -> None:
-        self.column = column
-        self.values = frozenset(values)
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return current is not None and current in self.values
-
-    def equality_hints(self) -> dict[str, Any]:
-        if len(self.values) == 1:
-            return {self.column: next(iter(self.values))}
-        return {}
-
-    def __repr__(self) -> str:
-        return f"In({self.column!r}, {sorted(self.values, key=repr)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, In)
-            and other.column == self.column
-            and other.values == self.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.column, self.values))
-
-
-class Like(Predicate):
-    """SQL LIKE with ``%`` (any run) and ``_`` (one char), case-sensitive."""
-
-    def __init__(self, column: str, pattern: str) -> None:
-        self.column = column
-        self.pattern = pattern
-        regex = "".join(
-            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch) for ch in pattern
-        )
-        self._regex = re.compile(f"^{regex}$", re.DOTALL)
-
-    def matches(self, row: Row) -> bool:
-        current = row.get(self.column)
-        return isinstance(current, str) and bool(self._regex.match(current))
-
-    def __repr__(self) -> str:
-        return f"Like({self.column!r}, {self.pattern!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Like)
-            and other.column == self.column
-            and other.pattern == self.pattern
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.column, self.pattern))
-
-
-class IsNull(Predicate):
-    def __init__(self, column: str) -> None:
-        self.column = column
-
-    def matches(self, row: Row) -> bool:
-        return row.get(self.column) is None
-
-    def __repr__(self) -> str:
-        return f"IsNull({self.column!r})"
-
-
-class And(Predicate):
-    def __init__(self, *parts: Predicate) -> None:
-        if not parts:
-            raise ValueError("And() needs at least one part")
-        self.parts = tuple(parts)
-
-    def matches(self, row: Row) -> bool:
-        return all(part.matches(row) for part in self.parts)
-
-    def equality_hints(self) -> dict[str, Any]:
-        hints: dict[str, Any] = {}
-        for part in self.parts:
-            hints.update(part.equality_hints())
-        return hints
-
-    def range_hints(self) -> dict[str, tuple[Any, bool, Any, bool]]:
-        hints: dict[str, tuple[Any, bool, Any, bool]] = {}
-        for part in self.parts:
-            for column, bound in part.range_hints().items():
-                current = hints.get(column)
-                hints[column] = bound if current is None else _tighten(current, bound)
-        return hints
-
-    def __repr__(self) -> str:
-        return f"And{self.parts!r}"
-
-
-class Or(Predicate):
-    def __init__(self, *parts: Predicate) -> None:
-        if not parts:
-            raise ValueError("Or() needs at least one part")
-        self.parts = tuple(parts)
-
-    def matches(self, row: Row) -> bool:
-        return any(part.matches(row) for part in self.parts)
-
-    def __repr__(self) -> str:
-        return f"Or{self.parts!r}"
-
-
-class Not(Predicate):
-    def __init__(self, part: Predicate) -> None:
-        self.part = part
-
-    def matches(self, row: Row) -> bool:
-        return not self.part.matches(row)
-
-    def __repr__(self) -> str:
-        return f"Not({self.part!r})"
 
 
 class TruePredicate(Predicate):

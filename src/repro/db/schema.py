@@ -68,10 +68,6 @@ class TableSchema:
     def primary_key(self) -> Column:
         return next(c for c in self.columns if c.primary_key)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     def column(self, name: str) -> Column:
         try:
             return self._by_name[name]

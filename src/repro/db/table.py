@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping
 
 from repro.errors import DatabaseError, DuplicateKeyError, SchemaError
-from repro.db.index import Index, OrderedIndex, make_index
+from repro.db.index import Index, make_index
 from repro.db.query import ALL, Predicate
 from repro.db.schema import TableSchema
 from repro.obs import get_registry
@@ -35,7 +35,6 @@ class Table:
         ).labels(schema.name)
         self._m_access = {
             "pk-lookup": obs.counter("db.access.pk_lookup"),
-            "range-scan": obs.counter("db.access.range_scan"),
             "full-scan": obs.counter("db.access.full_scan"),
         }
 
@@ -86,20 +85,6 @@ class Table:
             return None
         candidates.sort(key=lambda ix: ix.kind != "hash")
         return candidates[0]
-
-    def ordered_index_on(self, column: str) -> OrderedIndex | None:
-        """The ordered index over *column*, if one exists (range scans)."""
-        for index in self._indexes.values():
-            if index.column == column and isinstance(index, OrderedIndex):
-                return index
-        return None
-
-    def rebuild_indexes(self) -> None:
-        """Re-derive every index from the heap (used after bulk recovery)."""
-        for index in self._indexes.values():
-            index.clear()
-            for pk, row in self._rows.items():
-                index.insert(row.get(index.column), pk)
 
     # ----- mutations -------------------------------------------------------------
 
@@ -184,10 +169,6 @@ class Table:
         candidates = self._candidate_rows(predicate)
         return [dict(row) for row in candidates if predicate.matches(row)]
 
-    def select_pks(self, predicate: Predicate = ALL) -> list[Any]:
-        candidates = self._candidate_rows(predicate)
-        return [row[self.pk_column] for row in candidates if predicate.matches(row)]
-
     def count(self, predicate: Predicate = ALL) -> int:
         return sum(1 for row in self._candidate_rows(predicate) if predicate.matches(row))
 
@@ -195,37 +176,6 @@ class Table:
         """Full-table scan (copies rows; callers can't corrupt the heap)."""
         for row in self._rows.values():
             yield dict(row)
-
-    def range_select(
-        self, column: str, low: Any = None, high: Any = None
-    ) -> list[dict[str, Any]]:
-        """Range scan via an ordered index on *column* (required)."""
-        index = self.ordered_index_on(column)
-        if index is None:
-            raise DatabaseError(
-                f"range_select needs an ordered index on {self.name}.{column}"
-            )
-        return [dict(self._rows[pk]) for pk in index.range(low, high)]
-
-    def explain(self, predicate: Predicate = ALL) -> str:
-        """The access path :meth:`select` would use for *predicate*.
-
-        Returns ``"pk-lookup"``, ``"index:<name>"``, ``"range:<name>"``
-        or ``"full-scan"`` — a debugging/teaching aid mirroring SQL
-        EXPLAIN.
-        """
-        hints = predicate.equality_hints()
-        if self.pk_column in hints:
-            return "pk-lookup"
-        for column in hints:
-            index = self.index_on(column)
-            if index is not None:
-                return f"index:{index.name}"
-        for column in predicate.range_hints():
-            index = self.ordered_index_on(column)
-            if index is not None:
-                return f"range:{index.name}"
-        return "full-scan"
 
     def _candidate_rows(self, predicate: Predicate) -> list[dict[str, Any]]:
         """Pick the cheapest access path consistent with the predicate.
@@ -246,20 +196,6 @@ class Table:
                 if index is not None:
                     candidates = [self._rows[pk] for pk in index.lookup(value)]
                     break
-            else:
-                # Comparison predicates (<, <=, >, >=, BETWEEN) route
-                # through an ordered index: O(log n + k) instead of a
-                # full scan. ``matches`` still refilters the candidates.
-                for column, bound in predicate.range_hints().items():
-                    index = self.ordered_index_on(column)
-                    if index is not None:
-                        low, incl_low, high, incl_high = bound
-                        self._m_access["range-scan"].inc()
-                        candidates = [
-                            self._rows[pk]
-                            for pk in index.range(low, high, incl_low, incl_high)
-                        ]
-                        break
         if candidates is None:
             self._m_access["full-scan"].inc()
             candidates = list(self._rows.values())

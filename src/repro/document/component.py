@@ -79,10 +79,6 @@ class MultimediaComponent:
         """Bytes a client must receive to render this component as *value*."""
         raise NotImplementedError
 
-    @property
-    def is_primitive(self) -> bool:
-        return isinstance(self, PrimitiveMultimediaComponent)
-
     def iter_tree(self) -> Iterator["MultimediaComponent"]:
         """Pre-order traversal of this subtree (self first)."""
         yield self

@@ -14,7 +14,6 @@ from repro.interest.layers import (
     SIMULCAST_FLOOR,
     layer_prefix_size,
     layer_sizes,
-    layers_for_encoded,
     layers_for_level,
 )
 from repro.interest.registry import ALL, InterestRegistry
@@ -27,6 +26,5 @@ __all__ = [
     "default_subscriptions",
     "layer_prefix_size",
     "layer_sizes",
-    "layers_for_encoded",
     "layers_for_level",
 ]

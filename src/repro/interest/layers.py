@@ -66,15 +66,3 @@ def layer_sizes(total_bytes: int) -> tuple[int, ...]:
     return tuple(
         prefix - (prefixes[i - 1] if i else 0) for i, prefix in enumerate(prefixes)
     )
-
-
-def layers_for_encoded(encoded, level: str) -> tuple[int, int]:
-    """Map a tuning level onto a real ``EncodedImage``.
-
-    Returns ``(num_layers, prefix_bytes)`` against the image's actual
-    layer table — the exact bytes :meth:`EncodedImage.to_bytes` would
-    ship for that prefix. Used where real pixels exist (examples, media
-    tests); the wire plan above is the size model for synthetic payloads.
-    """
-    num_layers = min(layers_for_level(level), encoded.num_layers)
-    return num_layers, encoded.prefix_size(num_layers)

@@ -114,9 +114,6 @@ class InterestRegistry:
         subs = self._subs.get(session_id, ALL)
         return None if subs is ALL else tuple(sorted(subs))
 
-    def is_all(self, session_id: str) -> bool:
-        return self._subs.get(session_id, ALL) is ALL
-
     def explicit_subscriptions(self) -> int:
         """Total explicit subscription entries across the room (gauge)."""
         return sum(len(subs) for subs in self._subs.values() if subs is not ALL)

@@ -109,33 +109,12 @@ def mfcc(
     return coeffs
 
 
-def add_deltas(features: np.ndarray) -> np.ndarray:
-    """Append first-order temporal deltas (doubles the feature width)."""
-    padded = np.vstack([features[:1], features, features[-1:]])
-    deltas = (padded[2:] - padded[:-2]) / 2.0
-    return np.hstack([features, deltas])
-
-
 # ----- segmentation descriptors ----------------------------------------------------
 
 
 def frame_energy(frames: np.ndarray) -> np.ndarray:
     """Log energy per frame."""
     return np.log(np.sum(frames * frames, axis=1) + 1e-10)
-
-
-def spectral_flux(spectra: np.ndarray) -> np.ndarray:
-    """Normalized change of the spectrum between consecutive frames.
-
-    Speech alternates phones so its flux is high and bursty; sustained
-    music chords have low flux; noise sits in between.
-    """
-    norms = np.linalg.norm(spectra, axis=1, keepdims=True) + 1e-10
-    unit = spectra / norms
-    flux = np.zeros(len(spectra))
-    flux[1:] = np.linalg.norm(unit[1:] - unit[:-1], axis=1)
-    flux[0] = flux[1] if len(flux) > 1 else 0.0
-    return flux
 
 
 def spectral_flatness(spectra: np.ndarray) -> np.ndarray:

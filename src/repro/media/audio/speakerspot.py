@@ -105,10 +105,6 @@ class SpeakerSpotter:
 
     # ----- spotting -------------------------------------------------------------------------
 
-    @property
-    def enrolled(self) -> tuple[str, ...]:
-        return tuple(sorted(self._models))
-
     def identify(self, signal: AudioSignal) -> SpeakerDecision:
         """Which enrolled speaker (if any) is talking in this stretch?"""
         self._require_ready()

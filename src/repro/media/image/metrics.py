@@ -26,10 +26,3 @@ def psnr(reference: Image, candidate: Image, peak: float = 255.0) -> float:
     if error == 0.0:
         return math.inf
     return 10.0 * math.log10((peak * peak) / error)
-
-
-def compression_ratio(original_bytes: int, encoded_bytes: int) -> float:
-    """How many times smaller the encoded stream is."""
-    if encoded_bytes <= 0:
-        raise MediaError(f"encoded_bytes must be > 0, got {encoded_bytes}")
-    return original_bytes / encoded_bytes

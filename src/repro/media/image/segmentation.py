@@ -47,14 +47,6 @@ class SegmentationGrid:
         right = (col + 1) * self.width // self.cols
         return top, left, bottom, right
 
-    def cell_of(self, pixel_row: int, pixel_col: int) -> tuple[int, int]:
-        if not (0 <= pixel_row < self.height and 0 <= pixel_col < self.width):
-            raise MediaError(f"pixel ({pixel_row},{pixel_col}) outside image")
-        return (
-            min(pixel_row * self.rows // self.height, self.rows - 1),
-            min(pixel_col * self.cols // self.width, self.cols - 1),
-        )
-
 
 def overlay_grid(image: Image, rows: int, cols: int, intensity: float = 255.0) -> tuple[Image, SegmentationGrid]:
     """Draw the grid lines onto a copy of the image; returns (image, grid)."""

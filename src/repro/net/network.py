@@ -219,10 +219,6 @@ class SimulatedNetwork:
             n for n in self._nodes if n != self._hub_id and n not in self._backbone
         )
 
-    @property
-    def backbone_ids(self) -> tuple[str, ...]:
-        return tuple(n for n in self._nodes if n in self._backbone)
-
     def has_node(self, node_id: str) -> bool:
         """True while *node_id* is attached (backbone senders guard on this)."""
         return node_id in self._nodes

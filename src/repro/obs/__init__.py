@@ -36,7 +36,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.export import diff, to_exposition, to_json, to_lines
+from repro.obs.export import diff, to_json, to_lines
 from repro.obs.events import (
     DEBUG,
     ERROR,
@@ -95,7 +95,6 @@ __all__ = [
     "set_registry",
     "severity_rank",
     "snapshot",
-    "to_exposition",
     "to_json",
     "to_lines",
     "use_dtrace",

@@ -1,4 +1,4 @@
-"""Exporters over registry snapshots: JSON, lines, diffs and exposition.
+"""Exporters over registry snapshots: JSON, lines and diffs.
 
 A *snapshot* is the plain-dict form returned by
 ``MetricsRegistry.snapshot()``::
@@ -10,9 +10,7 @@ A *snapshot* is the plain-dict form returned by
 
 Labelled family children appear under their canonical names
 (``db.rows_scanned{table="patients"}``), so every exporter handles
-labels uniformly; :func:`to_exposition` additionally re-renders them in
-Prometheus text format (sanitized metric names, ``le`` buckets,
-``_sum``/``_count`` series).
+labels uniformly.
 
 Everything here is deterministic: keys are emitted sorted and JSON is
 rendered with fixed separators, so identical metric states produce
@@ -22,7 +20,6 @@ byte-identical output (the property benchmark diffs rely on).
 from __future__ import annotations
 
 import json
-import re
 from typing import Any
 
 from repro.obs.metrics import quantile_from_buckets
@@ -150,92 +147,3 @@ def diff(before: Snapshot, after: Snapshot) -> Snapshot:
     if gauges_absent:
         result["gauges_absent"] = gauges_absent
     return result
-
-
-# ----- Prometheus-style exposition ------------------------------------------------
-
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _split_series(name: str) -> tuple[str, str]:
-    """Split a canonical instrument name into (base, label-body)."""
-    if name.endswith("}") and "{" in name:
-        base, _, labels = name[:-1].partition("{")
-        return base, labels
-    return name, ""
-
-
-def _metric_name(base: str) -> str:
-    return _NAME_SANITIZE.sub("_", base)
-
-
-def _series(name: str, labels: str, value: Any) -> str:
-    body = f"{{{labels}}}" if labels else ""
-    return f"{name}{body} {value}"
-
-
-def _with_label(labels: str, extra: str) -> str:
-    return f"{labels},{extra}" if labels else extra
-
-
-def to_exposition(snapshot: Snapshot) -> str:
-    """Prometheus text-format rendering of a snapshot.
-
-    Metric names are sanitized (``db.rows_scanned`` becomes
-    ``db_rows_scanned``); labelled family children keep their labels;
-    histograms expand to cumulative ``_bucket`` series plus ``_sum`` and
-    ``_count``. Output is sorted, so identical snapshots render
-    byte-identical text.
-    """
-    by_base: dict[tuple[str, str], list[tuple[str, list[str]]]] = {}
-
-    def add(kind: str, base: str, labels: str, lines: list[str]) -> None:
-        by_base.setdefault((base, kind), []).append((labels, lines))
-
-    for name, value in snapshot.get("counters", {}).items():
-        base, labels = _split_series(name)
-        metric = _metric_name(base)
-        add("counter", metric, labels, [_series(metric, labels, value)])
-    for name, value in snapshot.get("gauges", {}).items():
-        base, labels = _split_series(name)
-        metric = _metric_name(base)
-        add("gauge", metric, labels, [_series(metric, labels, value)])
-    for name, summary in snapshot.get("histograms", {}).items():
-        base, labels = _split_series(name)
-        metric = _metric_name(base)
-        bounds = summary.get("bounds", []) if summary else []
-        buckets = summary.get("bucket_counts", []) if summary else []
-        count = summary.get("count", 0) if summary else 0
-        total = summary.get("total", 0.0) if summary else 0.0
-        lines: list[str] = []
-        cumulative = 0
-        for bound, bucket_count in zip(bounds, buckets):
-            cumulative += bucket_count
-            lines.append(
-                _series(f"{metric}_bucket", _with_label(labels, f'le="{bound}"'), cumulative)
-            )
-        lines.append(
-            _series(f"{metric}_bucket", _with_label(labels, 'le="+Inf"'), count)
-        )
-        lines.append(_series(f"{metric}_sum", labels, total))
-        lines.append(_series(f"{metric}_count", labels, count))
-        # Summary-style interpolated quantiles alongside the buckets, so
-        # p50/p99 are readable without a PromQL histogram_quantile().
-        if count:
-            for q, label in ((0.5, "0.5"), (0.99, "0.99")):
-                estimate = summary_quantile(summary, q)
-                lines.append(
-                    _series(
-                        metric,
-                        _with_label(labels, f'quantile="{label}"'),
-                        f"{estimate:.9g}",
-                    )
-                )
-        add("histogram", metric, labels, lines)
-
-    output: list[str] = []
-    for (metric, kind), series in sorted(by_base.items()):
-        output.append(f"# TYPE {metric} {kind}")
-        for _, lines in sorted(series):
-            output.extend(lines)
-    return "\n".join(output)

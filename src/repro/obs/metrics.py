@@ -12,7 +12,7 @@ named group of instruments keyed by label values
 (``registry.counter_family("db.rows_scanned", ("table",)).labels("patients")``).
 Children are ordinary instruments registered under the canonical name
 ``db.rows_scanned{table="patients"}``, so every exporter (JSON, lines,
-diff, exposition) sees them with no special casing. Cardinality is
+diff) sees them with no special casing. Cardinality is
 bounded per family: once ``max_series`` distinct label sets exist, new
 label sets collapse into one shared overflow child (labels
 ``"__other__"``) instead of growing without limit.
@@ -74,9 +74,6 @@ class Gauge:
 
     def inc(self, amount: int | float = 1) -> None:
         self.value += amount
-
-    def dec(self, amount: int | float = 1) -> None:
-        self.value -= amount
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value})"
@@ -432,9 +429,6 @@ class _NullInstrument:
     max = None
 
     def inc(self, amount: int | float = 1) -> None:
-        pass
-
-    def dec(self, amount: int | float = 1) -> None:
         pass
 
     def set(self, value: int | float) -> None:

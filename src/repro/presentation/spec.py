@@ -82,9 +82,6 @@ class PresentationSpec:
     def value(self, path: str) -> str:
         return self.outcome[path]
 
-    def is_visible(self, path: str) -> bool:
-        return path in self.visible
-
     def __len__(self) -> int:
         return len(self.outcome)
 

@@ -21,7 +21,6 @@ from repro.retrieval.fuzzy import (
     FuzzyQuery,
     about,
     at_least,
-    at_most,
     fuzzy_and,
     fuzzy_or,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SimilarImageIndex",
     "about",
     "at_least",
-    "at_most",
     "descriptor_distance",
     "fuzzy_and",
     "fuzzy_or",

@@ -7,7 +7,7 @@ t-norms, returning the best-k instead of a boolean filter — exactly what
 *ward preferably ICU*.
 
 Graded predicates here are small callables built by :func:`about`,
-:func:`at_least`, :func:`at_most` and :func:`equals`; combine with
+:func:`at_least` and :func:`equals`; combine with
 :func:`fuzzy_and` (min or product t-norm) / :func:`fuzzy_or`; evaluate
 with :class:`FuzzyQuery`.
 """
@@ -59,34 +59,11 @@ def at_least(column: str, threshold: float, ramp: float) -> Grade:
     return grade
 
 
-def at_most(column: str, threshold: float, ramp: float) -> Grade:
-    """1 at/below *threshold*, 0 above ``threshold + ramp``."""
-    if ramp <= 0:
-        raise DatabaseError(f"ramp must be > 0, got {ramp}")
-
-    def grade(row: Row) -> float:
-        value = _numeric(row, column)
-        if value is None:
-            return 0.0
-        return min(1.0, max(0.0, ((threshold + ramp) - value) / ramp))
-
-    return grade
-
-
 def equals(column: str, value: Any, weight_if_match: float = 1.0, weight_otherwise: float = 0.0) -> Grade:
     """Crisp equality embedded in the graded algebra."""
 
     def grade(row: Row) -> float:
         return weight_if_match if row.get(column) == value else weight_otherwise
-
-    return grade
-
-
-def graded(function: Callable[[Row], float]) -> Grade:
-    """Wrap an arbitrary scoring function, clamping to [0, 1]."""
-
-    def grade(row: Row) -> float:
-        return min(1.0, max(0.0, float(function(row))))
 
     return grade
 

@@ -89,13 +89,6 @@ class SimilarImageIndex:
         for row in rows:
             self.db.delete(IMAGE_FEATURES_TABLE, row["ID"])
 
-    def rebuild(self) -> int:
-        """Re-derive every descriptor from the stored payloads."""
-        rows = self.db.select(IMAGE_FEATURES_TABLE)
-        for row in rows:
-            self.add(row["FLD_MEDIAREF"], label=row["FLD_LABEL"])
-        return len(rows)
-
     def __len__(self) -> int:
         return self.db.count(IMAGE_FEATURES_TABLE)
 
@@ -125,8 +118,3 @@ class SimilarImageIndex:
             )
         hits.sort(key=lambda hit: (-hit.similarity, hit.media_ref))
         return hits[:k]
-
-    def query_by_ref(self, media_ref: str, k: int = 5) -> list[SimilarImage]:
-        """Similar cases to an already-stored image (itself excluded)."""
-        _, payload = self.store.fetch(media_ref)
-        return self.query(Image.from_bytes(payload), k=k, exclude=media_ref)

@@ -120,15 +120,6 @@ class ArticleSearchEngine:
         self._index_row(row)
         return row["ID"]
 
-    def remove_article(self, article_id: int) -> None:
-        self.db.delete(ARTICLES_TABLE, article_id)
-        tokens = self._doc_tokens.pop(article_id, [])
-        self._doc_lengths.pop(article_id, None)
-        for token in set(tokens):
-            self._postings[token].pop(article_id, None)
-            if not self._postings[token]:
-                del self._postings[token]
-
     def _index_row(self, row: dict) -> None:
         article_id = row["ID"]
         tokens = tokenize(f"{row['FLD_TITLE']} {row['FLD_BODY']}")

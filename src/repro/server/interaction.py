@@ -758,12 +758,6 @@ class InteractionServer:
     def monitor_ids(self) -> tuple[str, ...]:
         return tuple(self.telemetry.monitors)
 
-    def push_telemetry(self, force: bool = True) -> int:
-        """Push to every monitor now; returns how many were reached.
-        Called automatically after networked activity; call directly
-        (or via a trigger) in direct mode."""
-        return self.telemetry.push(force)
-
     def _net_send(
         self,
         recipient: str,

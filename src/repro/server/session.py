@@ -26,10 +26,6 @@ class Session:
     kind: str = "interactive"
 
     @property
-    def is_monitor(self) -> bool:
-        return self.kind == "monitor"
-
-    @property
     def in_room(self) -> bool:
         return self.room_id is not None
 

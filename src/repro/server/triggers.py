@@ -114,12 +114,6 @@ def on_kind(kind: str) -> TriggerCondition:
     return condition
 
 
-def on_viewer(viewer_id: str) -> TriggerCondition:
-    def condition(room: Room, change: RoomChange) -> bool:
-        return change.viewer_id == viewer_id
-    return condition
-
-
 def on_room_population(at_least: int) -> TriggerCondition:
     """Fires when the room holds at least *at_least* members."""
     def condition(room: Room, change: RoomChange) -> bool:
@@ -130,10 +124,4 @@ def on_room_population(at_least: int) -> TriggerCondition:
 def all_of(*conditions: TriggerCondition) -> TriggerCondition:
     def condition(room: Room, change: RoomChange) -> bool:
         return all(c(room, change) for c in conditions)
-    return condition
-
-
-def any_of(*conditions: TriggerCondition) -> TriggerCondition:
-    def condition(room: Room, change: RoomChange) -> bool:
-        return any(c(room, change) for c in conditions)
     return condition

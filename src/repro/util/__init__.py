@@ -7,14 +7,13 @@ from repro.util.failpoints import (
     set_failpoints,
     use_failpoints,
 )
-from repro.util.ids import IdGenerator, new_id
+from repro.util.ids import IdGenerator
 from repro.util.sizes import human_size
 from repro.util.validation import check_identifier, check_positive, check_probability
 
 __all__ = [
     "Failpoints",
     "IdGenerator",
-    "new_id",
     "get_failpoints",
     "human_size",
     "check_identifier",

@@ -42,11 +42,3 @@ class IdGenerator:
         """Restart every counter at 1."""
         with self._lock:
             self._counters.clear()
-
-
-_default_generator = IdGenerator()
-
-
-def new_id(prefix: str) -> str:
-    """Return a process-wide unique id with the given *prefix*."""
-    return _default_generator.next(prefix)

@@ -37,8 +37,8 @@ from repro.workloads.prefetch import (
     PrefetchReport,
     run_prefetch_session,
 )
-from repro.workloads.records import generate_record, generate_record_corpus
-from repro.workloads.sessions import consultation_events, random_choice_events
+from repro.workloads.records import generate_record
+from repro.workloads.sessions import consultation_events
 
 __all__ = [
     "POLICIES",
@@ -50,10 +50,8 @@ __all__ = [
     "build_conference_schedule",
     "consultation_events",
     "generate_record",
-    "generate_record_corpus",
     "PrefetchReport",
     "primitive_paths",
-    "random_choice_events",
     "run_chaos_conference",
     "run_cluster_conference",
     "run_megaconf",

@@ -108,21 +108,3 @@ def generate_record(
                     ["hidden", domain[0], domain[1]],
                 )
     return builder.build()
-
-
-def generate_record_corpus(
-    count: int,
-    sections: int = 3,
-    components_per_section: int = 3,
-    seed: int = 0,
-) -> list[MultimediaDocument]:
-    """A corpus of generated records (distinct seeds per record)."""
-    return [
-        generate_record(
-            f"gen-record-{index}",
-            sections=sections,
-            components_per_section=components_per_section,
-            seed=seed * 1000 + index,
-        )
-        for index in range(count)
-    ]

@@ -68,12 +68,3 @@ def consultation_events(
         evidence[path] = value
         outcome = document.reconfig_presentation(evidence)
     return events
-
-
-def random_choice_events(
-    document: MultimediaDocument, num_events: int = 10, seed: int = 0
-) -> list[tuple[str, str]]:
-    """Uniformly random choices (the adversarial lower bound for prefetch)."""
-    return consultation_events(
-        document, num_events=num_events, rationality=0.0, seed=seed
-    )

@@ -257,7 +257,7 @@ class TestTablesLiveWithTheirCPT:
         assert promoted is not local and promoted.cpt is net.cpt("c2.crop")
 
     def test_the_table_is_not_part_of_the_cpts_value(self):
-        from repro.cpnet.serialize import network_to_json
+        from repro.cpnet.serialize import network_to_dict
 
         net, twin = figure2_network(), figure2_network()
         compile_cpnet(net).optimal_outcome()
@@ -265,7 +265,7 @@ class TestTablesLiveWithTheirCPT:
             assert net.cpt(name)._flat is not None and twin.cpt(name)._flat is None
             assert net.cpt(name) == twin.cpt(name)
             assert repr(net.cpt(name)) == repr(twin.cpt(name))
-        assert network_to_json(net) == network_to_json(twin)
+        assert network_to_dict(net) == network_to_dict(twin)
 
     def test_two_instances_of_a_document_keep_separate_tables(self):
         """A primary and its standby hold separate network instances."""

@@ -12,31 +12,13 @@ class TestBuilder:
             CPNetBuilder("doc")
             .component("ct", ["flat", "segmented", "hidden"])
             .prefer("ct", ["flat", "segmented", "hidden"])
-            .binary_component("xray", parents=["ct"])
+            .component("xray", ["shown", "hidden"], parents=["ct"])
             .prefer_when("xray", {"ct": "hidden"}, ["shown", "hidden"])
             .prefer_when("xray", {}, ["hidden", "shown"])
             .build()
         )
         best = optimal_outcome(net)
         assert best == {"ct": "flat", "xray": "hidden"}
-
-    def test_binary_component_defaults(self):
-        net = (
-            CPNetBuilder()
-            .binary_component("notes")
-            .prefer("notes", ["shown", "hidden"])
-            .build()
-        )
-        assert net.variable("notes").domain == ("shown", "hidden")
-
-    def test_binary_component_custom_labels(self):
-        net = (
-            CPNetBuilder()
-            .binary_component("audio", shown="play", hidden="mute")
-            .prefer("audio", ["mute", "play"])
-            .build()
-        )
-        assert net.variable("audio").domain == ("play", "mute")
 
     def test_parent_must_be_declared_first(self):
         builder = CPNetBuilder()

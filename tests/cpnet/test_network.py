@@ -31,9 +31,6 @@ class TestStructure:
         assert chain.children("a") == ("b",)
         assert chain.children("c") == ()
 
-    def test_roots(self, chain):
-        assert chain.roots() == ("a",)
-
     def test_edges(self, chain):
         assert set(chain.edges()) == {("a", "b"), ("b", "c")}
 
@@ -55,9 +52,6 @@ class TestStructure:
     def test_topological_order(self, chain):
         order = chain.topological_order()
         assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_outcome_space_size(self, chain):
-        assert chain.outcome_space_size() == 8
 
     def test_repr(self, chain):
         assert "3 variables" in repr(chain)
@@ -152,4 +146,4 @@ class TestCopyAndValidate:
 
     def test_preference_over(self, chain):
         outcome = {"a": "a2", "b": "b1", "c": "c1"}
-        assert chain.preference_over("b", outcome, "b2", "b1")
+        assert chain.cpt("b").prefers(outcome, "b2", "b1")

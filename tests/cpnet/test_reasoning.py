@@ -9,7 +9,7 @@ from repro.cpnet import (
     optimal_outcome,
     outcome_rank_vector,
 )
-from repro.cpnet.examples import FIGURE2_OPTIMAL, random_dag_network, random_tree_network
+from repro.cpnet.examples import FIGURE2_OPTIMAL, random_dag_network
 from repro.cpnet.reasoning import is_optimal
 from repro.errors import UnknownValueError, UnknownVariableError
 
@@ -88,7 +88,7 @@ class TestIterOutcomes:
 class TestGeneratedNetworks:
     @pytest.mark.parametrize("size", [1, 10, 100])
     def test_tree_sweep_completes(self, size):
-        net = random_tree_network(size, seed=1)
+        net = random_dag_network(size, max_parents=1, seed=1)
         outcome = optimal_outcome(net)
         assert len(outcome) == size
         assert is_optimal(net, outcome)
@@ -111,9 +111,5 @@ class TestGeneratedNetworks:
         assert optimal_outcome(a) == optimal_outcome(b)
 
     def test_generator_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            random_tree_network(0)
-        with pytest.raises(ValueError):
-            random_tree_network(3, domain_size=1)
         with pytest.raises(ValueError):
             random_dag_network(0)

@@ -7,19 +7,21 @@ import pytest
 from repro.cpnet import (
     figure2_network,
     network_from_dict,
-    network_from_json,
     network_to_dict,
-    network_to_json,
     optimal_outcome,
 )
 from repro.cpnet.examples import random_dag_network
 from repro.errors import CPNetError
 
 
+def through_json(net):
+    return network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+
+
 class TestRoundTrip:
     def test_figure2_round_trips(self):
         net = figure2_network()
-        clone = network_from_json(network_to_json(net))
+        clone = through_json(net)
         assert clone.name == net.name
         assert set(clone.edges()) == set(net.edges())
         assert optimal_outcome(clone) == optimal_outcome(net)
@@ -31,12 +33,12 @@ class TestRoundTrip:
 
     def test_rules_preserved_exactly(self):
         net = figure2_network()
-        clone = network_from_json(network_to_json(net))
+        clone = through_json(net)
         for name in net.variable_names:
             assert clone.cpt(name).rules == net.cpt(name).rules
 
     def test_json_is_valid_and_versioned(self):
-        data = json.loads(network_to_json(figure2_network(), indent=2))
+        data = json.loads(json.dumps(network_to_dict(figure2_network())))
         assert data["format"] == 1
         assert len(data["variables"]) == 5
 
@@ -47,10 +49,6 @@ class TestRoundTrip:
 
 
 class TestErrorHandling:
-    def test_bad_json(self):
-        with pytest.raises(CPNetError, match="invalid"):
-            network_from_json("{not json")
-
     def test_wrong_version(self):
         with pytest.raises(CPNetError, match="version"):
             network_from_dict({"format": 99, "variables": []})

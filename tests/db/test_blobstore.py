@@ -66,30 +66,6 @@ class TestDeleteVacuum:
         with pytest.raises(BlobError):
             store.delete(ref)
 
-    def test_live_bytes_accounting(self, store):
-        a = store.put(b"x" * 100)
-        store.put(b"y" * 50)
-        assert store.live_bytes == 150
-        store.delete(a)
-        assert store.live_bytes == 50
-
-    def test_vacuum_reclaims(self, store):
-        keep = store.put(b"keep" * 1000)
-        drop = store.put(b"drop" * 100_000)
-        store.delete(drop)
-        reclaimed = store.vacuum()
-        assert reclaimed > 0
-        assert store.get(keep) == b"keep" * 1000
-        assert store.file_bytes < 5000 + 100
-
-    def test_put_after_vacuum_gets_fresh_id(self, store):
-        a = store.put(b"a")
-        store.delete(a)
-        store.vacuum()
-        b = store.put(b"b")
-        assert b.blob_id != a.blob_id
-        assert store.get(b) == b"b"
-
 
 class TestRecovery:
     def test_reopen_preserves_blobs(self, tmp_path):

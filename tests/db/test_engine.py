@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.db import Column, Database, Eq, Gt, INTEGER, TEXT, TableSchema
+from repro.db import Column, Database, Eq, INTEGER, TEXT, TableSchema
 from repro.errors import DatabaseError, DuplicateKeyError, TransactionError
 
 
@@ -68,7 +68,7 @@ class TestDML:
     def test_select_count(self, db):
         for name, age in [("a", 30), ("b", 40)]:
             db.insert("patients", {"name": name, "age": age})
-        assert db.count("patients", Gt("age", 35)) == 1
+        assert db.count("patients", Eq("age", 40)) == 1
         assert db.select("patients", Eq("name", "a"))[0]["age"] == 30
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import Column, Eq, Gt, INTEGER, TEXT, TableSchema
+from repro.db import Column, Eq, INTEGER, TEXT, TableSchema
 from repro.db.index import HashIndex, OrderedIndex, make_index
 from repro.db.table import Table
 from repro.errors import DatabaseError, DuplicateKeyError, SchemaError
@@ -54,20 +54,11 @@ class TestOrderedIndex:
         assert ix.lookup(30) == (1, 3)
         assert ix.lookup(99) == ()
 
-    def test_range(self):
-        ix = OrderedIndex("ix", "age")
-        for age, pk in [(10, 1), (20, 2), (30, 3), (40, 4)]:
-            ix.insert(age, pk)
-        assert list(ix.range(15, 35)) == [2, 3]
-        assert list(ix.range(None, 20)) == [1, 2]
-        assert list(ix.range(30, None)) == [3, 4]
-        assert list(ix.range(10, 30, include_low=False, include_high=False)) == [2]
-
     def test_delete_compacts_keys(self):
         ix = OrderedIndex("ix", "age")
         ix.insert(10, 1)
         ix.delete(10, 1)
-        assert list(ix.range()) == []
+        assert ix.lookup(10) == ()
         assert len(ix) == 0
 
     def test_unique(self):
@@ -136,8 +127,8 @@ class TestTableCrud:
         table = make_table()
         for name, age in [("a", 30), ("b", 40), ("c", 50)]:
             table.insert({"name": name, "age": age})
-        assert [r["name"] for r in table.select(Gt("age", 35))] == ["b", "c"]
-        assert table.count(Gt("age", 35)) == 2
+        assert [r["name"] for r in table.select(Eq("age", 40))] == ["b"]
+        assert table.count(Eq("age", 40)) == 1
         assert len(table.select()) == 3
 
 
@@ -194,101 +185,52 @@ class TestTableIndexing:
         with pytest.raises(SchemaError):
             make_table().create_index("ghost")
 
-    def test_range_select_requires_ordered_index(self):
-        table = make_table()
-        with pytest.raises(DatabaseError, match="ordered index"):
-            table.range_select("age", 0, 100)
-        table.create_index("age", kind="ordered")
-        for name, age in [("a", 30), ("b", 40), ("c", 50)]:
-            table.insert({"name": name, "age": age})
-        assert [r["name"] for r in table.range_select("age", 35, 55)] == ["b", "c"]
-
     def test_hash_preferred_over_ordered_for_points(self):
         table = make_table()
         table.create_index("ward", kind="ordered")
         table.create_index("ward", kind="hash")
         assert table.index_on("ward").kind == "hash"
 
-    def test_rebuild_indexes(self):
-        table = make_table()
-        table.create_index("ward")
-        table.insert({"name": "a", "ward": "w1"})
-        table.index_on("ward").clear()
-        table.rebuild_indexes()
-        assert len(table.index_on("ward").lookup("w1")) == 1
-
 
 class TestRangeScanRouting:
-    """Comparison predicates route through ordered indexes (PR 5)."""
+    """Routing on a table whose ``age`` column has an ordered index.
 
-    def _populated(self):
+    The index serves equality only: a predicate without an equality
+    hint on an indexed column is a full scan.
+    """
+
+    def _populated(self, kind="ordered"):
         from repro.obs import MetricsRegistry, use_registry
 
         registry = MetricsRegistry()
         with use_registry(registry):
             table = make_table()
-            table.create_index("age", kind="ordered")
+            if kind:
+                table.create_index("age", kind=kind)
             for i in range(20):
                 table.insert({"name": f"p{i}", "age": i})
         return table, registry
 
-    def test_range_predicate_uses_ordered_index(self):
-        from repro.db import And, Ge, Lt
-
+    def test_eq_uses_ordered_index(self):
         table, registry = self._populated()
-        rows = table.select(And(Ge("age", 5), Lt("age", 8)))
-        assert sorted(r["age"] for r in rows) == [5, 6, 7]
+        rows = table.select(Eq("age", 7))
+        assert [r["name"] for r in rows] == ["p7"]
         counters = registry.snapshot()["counters"]
-        assert counters["db.access.range_scan"] == 1
         assert counters["db.access.full_scan"] == 0
-        # Only the k in-range rows were examined, not all 20.
-        assert counters["db.rows_scanned"] == 3
-
-    def test_between_uses_ordered_index(self):
-        from repro.db import Between
-
-        table, registry = self._populated()
-        rows = table.select(Between("age", 17, 25))
-        assert sorted(r["age"] for r in rows) == [17, 18, 19]
-        counters = registry.snapshot()["counters"]
-        assert counters["db.access.range_scan"] == 1
-        assert counters["db.rows_scanned"] == 3
+        # Only the one matching row was examined, not all 20.
+        assert counters["db.rows_scanned"] == 1
 
     def test_equality_hint_still_preferred(self):
-        from repro.db import And, Eq, Gt
-
         table, registry = self._populated()
-        table.select(And(Eq("id", 3), Gt("age", 0)))
+        table.select(Eq("id", 3))
         counters = registry.snapshot()["counters"]
         assert counters["db.access.pk_lookup"] == 1
-        assert counters["db.access.range_scan"] == 0
+        assert counters["db.rows_scanned"] == 1
 
     def test_no_ordered_index_falls_back_to_full_scan(self):
-        from repro.db import Gt
-        from repro.obs import MetricsRegistry, use_registry
-
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            table = make_table()  # no index on age at all
-            for i in range(10):
-                table.insert({"name": f"p{i}", "age": i})
-        rows = table.select(Gt("age", 7))
-        assert sorted(r["age"] for r in rows) == [8, 9]
+        table, registry = self._populated(kind=None)
+        rows = table.select(Eq("age", 7))
+        assert [r["age"] for r in rows] == [7]
         counters = registry.snapshot()["counters"]
         assert counters["db.access.full_scan"] == 1
-        assert counters["db.access.range_scan"] == 0
-
-    def test_explain_reports_range_path(self):
-        from repro.db import Gt
-        from repro.db.query import ALL
-
-        table, _ = self._populated()
-        assert table.explain(Gt("age", 5)) == "range:pts_age_ordered"
-        assert table.explain(ALL) == "full-scan"
-
-    def test_exclusive_bounds_respected(self):
-        from repro.db import And, Gt, Le
-
-        table, _ = self._populated()
-        rows = table.select(And(Gt("age", 5), Le("age", 7)))
-        assert sorted(r["age"] for r in rows) == [6, 7]
+        assert counters["db.rows_scanned"] == 20

@@ -1,11 +1,12 @@
-"""Tests for engine maintenance: auto-checkpoint and EXPLAIN."""
+"""Tests for engine maintenance: auto-checkpoint and access paths."""
 
 import os
 
 import pytest
 
-from repro.db import Column, Database, Eq, Gt, INTEGER, TEXT, TableSchema
-from repro.db.query import ALL, And
+from repro.db import Column, Database, Eq, INTEGER, TEXT, TableSchema
+from repro.db.query import ALL
+from repro.obs import MetricsRegistry, use_registry
 
 
 def schema():
@@ -60,24 +61,47 @@ class TestAutoCheckpoint:
 
 
 class TestExplain:
+    """The access path a select takes (what SQL's EXPLAIN reports), read
+    off the ``db.access.*`` and per-table ``rows_scanned`` counters of a
+    database reopened from its journal, so the rebuilt index is the one
+    exercised."""
+
     @pytest.fixture
     def db(self, tmp_path):
-        database = Database(str(tmp_path / "db"))
-        database.create_table(schema())
-        database.create_index("t", "ward")
-        yield database
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            database = Database(str(tmp_path / "db"))
+            database.create_table(schema())
+            database.create_index("t", "ward")
+            for ward in ("icu", "er", "icu", "ward"):
+                database.insert("t", {"ward": ward})
+            database.close()
+            database = Database(str(tmp_path / "db"))
+        yield database, registry
         database.close()
 
+    @staticmethod
+    def route(db, predicate):
+        """``(rows, (pk lookups, full scans, rows scanned))`` of one select."""
+        database, registry = db
+        names = ("db.access.pk_lookup", "db.access.full_scan", 'db.table.rows_scanned{table="t"}')
+        before = registry.snapshot()["counters"]
+        rows = database.select("t", predicate)
+        after = registry.snapshot()["counters"]
+        return rows, tuple(after[name] - before[name] for name in names)
+
     def test_pk_lookup(self, db):
-        assert db.table("t").explain(Eq("id", 3)) == "pk-lookup"
+        rows, deltas = self.route(db, Eq("id", 3))
+        assert [row["ward"] for row in rows] == ["icu"]
+        assert deltas == (1, 0, 1)
 
     def test_index_path(self, db):
-        assert db.table("t").explain(Eq("ward", "icu")) == "index:t_ward_hash"
-        # An inequality contributes no hint; the ward index still applies.
-        assert db.table("t").explain(And(Eq("ward", "icu"), Gt("id", 0))) == "index:t_ward_hash"
-        # AND with a pk hint prefers the pk.
-        assert db.table("t").explain(And(Eq("ward", "icu"), Eq("id", 1))) == "pk-lookup"
+        rows, deltas = self.route(db, Eq("ward", "icu"))
+        assert [row["id"] for row in rows] == [1, 3]
+        # Only the two indexed rows were examined, not all four.
+        assert deltas == (0, 0, 2)
 
     def test_full_scan(self, db):
-        assert db.table("t").explain(ALL) == "full-scan"
-        assert db.table("t").explain(Gt("id", 5)) == "full-scan"
+        rows, deltas = self.route(db, ALL)
+        assert len(rows) == 4
+        assert deltas == (0, 1, 4)

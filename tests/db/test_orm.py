@@ -8,6 +8,7 @@ from repro.db import (
     Database,
     IMAGE_OBJECTS_TABLE,
     INTEGER,
+    MULTIMEDIA_OBJECTS_TABLE,
     MultimediaObjectStore,
     TEXT,
     TableSchema,
@@ -26,13 +27,13 @@ def store(tmp_path):
 
 class TestCatalog:
     def test_builtin_types(self, store):
-        names = [t["FLD_NAME"] for t in store.list_types()]
+        names = [t["FLD_NAME"] for t in store.db.select(MULTIMEDIA_OBJECTS_TABLE)]
         assert names == ["Image", "Audio", "Compressed", "Document"]
 
     def test_catalog_idempotent(self, store):
         # Re-wrapping the same database must not duplicate catalog rows.
         MultimediaObjectStore(store.db)
-        assert len(store.list_types()) == 4
+        assert store.db.count(MULTIMEDIA_OBJECTS_TABLE) == 4
 
     def test_object_table_dispatch(self, store):
         assert store.object_table_for("Image") == IMAGE_OBJECTS_TABLE
@@ -115,7 +116,7 @@ class TestObjects:
     def test_list_objects(self, store):
         store.store_image(b"a")
         store.store_image(b"b")
-        assert len(store.list_objects("Image")) == 2
+        assert store.db.count(IMAGE_OBJECTS_TABLE) == 2
 
 
 class TestDocuments:
@@ -145,15 +146,6 @@ class TestDocuments:
         with pytest.raises(DatabaseError, match="no document"):
             store.fetch_document("ghost")
 
-    def test_exists_and_delete(self, store):
-        doc = build_sample_medical_record()
-        store.store_document(doc)
-        assert store.document_exists(doc.doc_id)
-        store.delete_document(doc.doc_id)
-        assert not store.document_exists(doc.doc_id)
-        with pytest.raises(DatabaseError):
-            store.delete_document(doc.doc_id)
-
     def test_documents_survive_reopen(self, tmp_path):
         path = str(tmp_path / "db")
         doc = build_sample_medical_record()
@@ -169,4 +161,4 @@ class TestDocuments:
             MultimediaObjectStore(db)
         with Database(path) as db:
             store = MultimediaObjectStore(db)
-            assert len(store.list_types()) == 4
+            assert store.db.count(MULTIMEDIA_OBJECTS_TABLE) == 4

@@ -1,9 +1,7 @@
 """Unit tests for query predicates."""
 
-import pytest
-
-from repro.db import And, Between, Eq, Ge, Gt, In, Le, Like, Lt, Ne, Not, Or
-from repro.db.query import ALL, IsNull
+from repro.db import Eq
+from repro.db.query import ALL
 
 ROW = {"id": 3, "name": "alice", "age": 41, "note": None}
 
@@ -16,78 +14,11 @@ class TestComparisons:
     def test_eq_null_never_matches(self):
         assert not Eq("note", None).matches(ROW)
 
-    def test_ne(self):
-        assert Ne("name", "bob").matches(ROW)
-        assert not Ne("note", "x").matches(ROW)  # NULL != x is not TRUE (SQL-ish)
-
-    def test_ordering(self):
-        assert Lt("age", 50).matches(ROW)
-        assert Le("age", 41).matches(ROW)
-        assert Gt("age", 40).matches(ROW)
-        assert Ge("age", 41).matches(ROW)
-        assert not Lt("age", 41).matches(ROW)
-
-    def test_cross_type_comparison_is_false(self):
-        assert not Lt("name", 10).matches(ROW)
-        assert not Gt("age", "x").matches(ROW)
-
-    def test_between(self):
-        assert Between("age", 40, 42).matches(ROW)
-        assert not Between("age", 42, 50).matches(ROW)
-
     def test_missing_column(self):
         assert not Eq("ghost", 1).matches(ROW)
-        assert not Lt("ghost", 1).matches(ROW)
-
-
-class TestSetAndPattern:
-    def test_in(self):
-        assert In("age", [40, 41]).matches(ROW)
-        assert not In("age", [1, 2]).matches(ROW)
-
-    def test_in_single_value_hint(self):
-        assert In("age", [41]).equality_hints() == {"age": 41}
-        assert In("age", [40, 41]).equality_hints() == {}
-
-    def test_like_percent(self):
-        assert Like("name", "al%").matches(ROW)
-        assert Like("name", "%ice").matches(ROW)
-        assert not Like("name", "bob%").matches(ROW)
-
-    def test_like_underscore(self):
-        assert Like("name", "_lice").matches(ROW)
-        assert not Like("name", "_ice").matches(ROW)
-
-    def test_like_escapes_regex_chars(self):
-        assert Like("name", "alice").matches(ROW)
-        assert not Like("name", "a.ice").matches(ROW)
-
-    def test_like_non_string(self):
-        assert not Like("age", "4%").matches(ROW)
-
-    def test_is_null(self):
-        assert IsNull("note").matches(ROW)
-        assert not IsNull("age").matches(ROW)
 
 
 class TestCombinators:
-    def test_and_or_not(self):
-        pred = And(Eq("name", "alice"), Gt("age", 40))
-        assert pred.matches(ROW)
-        assert Or(Eq("name", "bob"), Eq("id", 3)).matches(ROW)
-        assert Not(Eq("name", "bob")).matches(ROW)
-
-    def test_operator_sugar(self):
-        assert (Eq("name", "alice") & Gt("age", 40)).matches(ROW)
-        assert (Eq("name", "bob") | Eq("id", 3)).matches(ROW)
-        assert (~Eq("name", "bob")).matches(ROW)
-
-    def test_empty_combinators_rejected(self):
-        with pytest.raises(ValueError):
-            And()
-        with pytest.raises(ValueError):
-            Or()
-
     def test_all(self):
         assert ALL.matches(ROW)
         assert ALL.matches({})
@@ -96,47 +27,4 @@ class TestCombinators:
 class TestHints:
     def test_eq_hint(self):
         assert Eq("id", 3).equality_hints() == {"id": 3}
-
-    def test_and_merges_hints(self):
-        pred = And(Eq("id", 3), Eq("name", "alice"), Gt("age", 1))
-        assert pred.equality_hints() == {"id": 3, "name": "alice"}
-
-    def test_or_not_yield_no_hints(self):
-        assert Or(Eq("id", 3), Eq("id", 4)).equality_hints() == {}
-        assert Not(Eq("id", 3)).equality_hints() == {}
-
-    def test_inequality_yields_no_hint(self):
-        assert Gt("age", 1).equality_hints() == {}
-
-
-class TestRangeHints:
-    def test_comparison_bounds(self):
-        assert Lt("age", 50).range_hints() == {"age": (None, False, 50, False)}
-        assert Le("age", 50).range_hints() == {"age": (None, False, 50, True)}
-        assert Gt("age", 18).range_hints() == {"age": (18, False, None, False)}
-        assert Ge("age", 18).range_hints() == {"age": (18, True, None, False)}
-
-    def test_between_is_inclusive(self):
-        assert Between("age", 18, 65).range_hints() == {"age": (18, True, 65, True)}
-
-    def test_and_intersects_bounds(self):
-        pred = And(Ge("age", 18), Lt("age", 65))
-        assert pred.range_hints() == {"age": (18, True, 65, False)}
-
-    def test_and_takes_tighter_bound(self):
-        pred = And(Gt("age", 18), Ge("age", 18), Lt("age", 70), Le("age", 65))
-        # Exclusive wins the low tie; the lower high wins outright.
-        assert pred.range_hints() == {"age": (18, False, 65, True)}
-
-    def test_and_tracks_columns_independently(self):
-        pred = And(Gt("age", 18), Lt("id", 100))
-        assert pred.range_hints() == {
-            "age": (18, False, None, False),
-            "id": (None, False, 100, False),
-        }
-
-    def test_or_not_eq_yield_no_range_hints(self):
-        assert Or(Gt("age", 1), Lt("age", 0)).range_hints() == {}
-        assert Not(Gt("age", 1)).range_hints() == {}
-        assert Eq("age", 41).range_hints() == {}
-        assert ALL.range_hints() == {}
+        assert ALL.equality_hints() == {}

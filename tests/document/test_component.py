@@ -85,7 +85,7 @@ class TestPrimitive:
     def test_domain_from_labels(self, tree):
         ct = tree.find("imaging.ct")
         assert ct.domain == ("flat", "hidden")
-        assert ct.is_primitive
+        assert isinstance(ct, PrimitiveMultimediaComponent)
 
     def test_presentation_size(self, tree):
         ct = tree.find("imaging.ct")

@@ -6,7 +6,7 @@ preference semantics surface as story-level failures.
 
 import pytest
 
-from repro.document import build_sample_medical_record
+from repro.document import PrimitiveMultimediaComponent, build_sample_medical_record
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ class TestAuthorNarrative:
 
     def test_every_component_has_hidden_or_compact_form(self, doc):
         for path, node in doc.components().items():
-            if node.is_primitive:
+            if isinstance(node, PrimitiveMultimediaComponent):
                 sizes = [node.presentation_size(v) for v in node.domain]
                 assert min(sizes) < 10_000, path
 

@@ -7,7 +7,7 @@ bandwidth class, and analysed by the browsing tools.
 
 import pytest
 
-from repro.db import Database, MultimediaObjectStore
+from repro.db import AUDIO_OBJECTS_TABLE, Database, MultimediaObjectStore
 from repro.media.audio import AudioSignal, ConversationBuilder, segment_audio
 from repro.media.audio.synth import DEFAULT_SPEAKERS
 from repro.media.image import (
@@ -70,15 +70,6 @@ class TestImagePipeline:
         assert restored.shape == base.shape
         assert row["FLD_TEXTS"][0]["text"] == "lesion"
 
-    def test_delete_reclaims_blob_space(self, store):
-        image = ct_phantom(128, seed=6)
-        handle = store.store_image(image.to_bytes())
-        live_before = store.db.blobs.live_bytes
-        store.delete(handle)
-        assert store.db.blobs.live_bytes < live_before
-        reclaimed = store.db.blobs.vacuum()
-        assert reclaimed > 0
-
 
 class TestAudioPipeline:
     def test_store_analyse_fetch(self, store):
@@ -102,5 +93,5 @@ class TestAudioPipeline:
         signal = AudioSignal.silence(0.5)
         store.store_audio(signal.to_bytes(), filename="a.pcm", sectors=[{"label": "silence"}])
         store.store_audio(signal.to_bytes(), filename="b.pcm", sectors=[{"label": "speech"}])
-        rows = store.list_objects("Audio")
+        rows = store.db.select(AUDIO_OBJECTS_TABLE)
         assert [r["FLD_FILENAME"] for r in rows] == ["a.pcm", "b.pcm"]

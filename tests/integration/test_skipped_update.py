@@ -11,6 +11,7 @@ import pytest
 from repro.client import ClientModule
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
+from repro.document import PrimitiveMultimediaComponent
 from repro.net import SimulatedNetwork
 from repro.server import InteractionServer
 from repro.server.protocol import MessageKind
@@ -66,7 +67,7 @@ def alternatives(store, client, count):
     picked, sections = [], set()
     for path, node in store.fetch_document(DOC).components().items():
         section = path.split(".")[0]
-        if not node.is_primitive or section in sections:
+        if not isinstance(node, PrimitiveMultimediaComponent) or section in sections:
             continue
         value = next((v for v in node.domain if v != shown.get(path)), None)
         if value is not None:

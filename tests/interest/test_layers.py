@@ -10,11 +10,8 @@ from repro.interest import (
     SIMULCAST_FLOOR,
     layer_prefix_size,
     layer_sizes,
-    layers_for_encoded,
     layers_for_level,
 )
-from repro.media.image.codec import MultiLayerCodec
-from repro.media.image.synthetic import ct_phantom
 from repro.presentation.tuning import (
     BANDWIDTH_HIGH,
     BANDWIDTH_LOW,
@@ -69,20 +66,6 @@ class TestPrefixSizes:
 
 
 class TestAgainstRealCodec:
-    def test_layers_for_encoded_uses_actual_layer_table(self):
-        encoded = MultiLayerCodec().encode(ct_phantom(size=64))
-        for level, expected in (
-            (BANDWIDTH_HIGH, encoded.num_layers),
-            (BANDWIDTH_LOW, 1),
-        ):
-            num, prefix = layers_for_encoded(encoded, level)
-            assert num == min(expected, encoded.num_layers)
-            assert prefix == encoded.prefix_size(num)
-        # The low prefix really is smaller than the full stream.
-        _, low_prefix = layers_for_encoded(encoded, BANDWIDTH_LOW)
-        _, high_prefix = layers_for_encoded(encoded, BANDWIDTH_HIGH)
-        assert low_prefix < high_prefix
-
     def test_floor_is_sane(self):
         # Icons (4-12KB in the workload generator) must ship whole.
         assert SIMULCAST_FLOOR > 12 * 1024

@@ -27,7 +27,6 @@ def registry():
 
 class TestMembership:
     def test_join_defaults_to_all(self, registry):
-        assert registry.is_all("s-1")
         assert registry.subscriptions("s-1") is None
 
     def test_forget_removes_entry(self, registry):
@@ -43,7 +42,7 @@ class TestMembership:
     def test_seed_installs_defaults(self, registry):
         got = registry.seed("s-1", ["labs.item0", "imaging0.item1"])
         assert got == ("imaging0.item1", "labs.item0")
-        assert not registry.is_all("s-1")
+        assert registry.subscriptions("s-1") is not None
 
 
 class TestSubscribe:

@@ -14,7 +14,6 @@ from repro.media.audio import (
     synth_word,
 )
 from repro.media.audio.features import (
-    add_deltas,
     frame_signal,
     frame_times,
     mel_filterbank,
@@ -130,11 +129,6 @@ class TestFeatures:
     def test_mfcc_mean_normalization(self):
         features = mfcc(synth_word("lesion", ADAMS), include_energy=False)
         assert np.allclose(features.mean(axis=0), 0.0, atol=1e-9)
-
-    def test_add_deltas(self):
-        features = mfcc(synth_word("lesion", ADAMS))
-        widened = add_deltas(features)
-        assert widened.shape == (features.shape[0], features.shape[1] * 2)
 
     def test_mel_filterbank_partition(self):
         bank = mel_filterbank(20, 101, 8000)

@@ -271,9 +271,6 @@ class TestSpeakerSpotting:
         segments = segment_audio(signal)
         assert speaker_spotter.count_speakers(signal, segments) == 2
 
-    def test_enrolled_listing(self, speaker_spotter):
-        assert speaker_spotter.enrolled == ("dr-adams", "dr-baker", "dr-costa")
-
     def test_unready_rejected(self):
         with pytest.raises(AudioError):
             SpeakerSpotter().identify(synth_word("lesion", ADAMS))

@@ -155,12 +155,6 @@ class TestGridSegmentation:
                 covered[top:bottom, left:right] += 1
         assert np.all(covered == 1)
 
-    def test_cell_of_inverts_bounds(self):
-        grid = SegmentationGrid(rows=3, cols=3, height=30, width=30)
-        assert grid.cell_of(0, 0) == (0, 0)
-        assert grid.cell_of(29, 29) == (2, 2)
-        assert grid.cell_of(15, 5) == (1, 0)
-
     def test_bad_grid(self):
         with pytest.raises(MediaError):
             SegmentationGrid(rows=0, cols=2, height=10, width=10)

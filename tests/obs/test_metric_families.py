@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.export import to_exposition, to_json, to_lines
+from repro.obs.export import to_json, to_lines
 from repro.obs.metrics import (
     OVERFLOW_LABEL,
     MetricsRegistry,
@@ -118,35 +118,6 @@ class TestExportersSeeChildren:
         assert snapshot["counters"] == {'db.rows{table="patients"}': 7}
         assert 'counter db.rows{table="patients"} 7' in to_lines(snapshot)
         assert '"db.rows{table=\\"patients\\"}"' in to_json(snapshot)
-
-    def test_exposition_renders_labels_and_types(self, registry):
-        registry.counter_family("db.rows", ("table",)).labels("patients").inc(7)
-        registry.gauge("server.rooms_open").set(2)
-        text = to_exposition(registry.snapshot())
-        assert "# TYPE db_rows counter" in text
-        assert 'db_rows{table="patients"} 7' in text
-        assert "# TYPE server_rooms_open gauge" in text
-        assert "server_rooms_open 2" in text
-
-    def test_exposition_histogram_buckets_are_cumulative(self, registry):
-        hist = registry.histogram("lat", bounds=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(5.0)
-        text = to_exposition(registry.snapshot())
-        assert 'lat_bucket{le="0.1"} 1' in text
-        assert 'lat_bucket{le="1.0"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 3' in text
-        assert "lat_count 3" in text
-
-    def test_exposition_is_deterministic(self, registry):
-        registry.counter_family("c", ("k",)).labels("b").inc()
-        registry.counter_family("c", ("k",)).labels("a").inc()
-        registry.counter("zz").inc()
-        assert to_exposition(registry.snapshot()) == to_exposition(registry.snapshot())
-
-    def test_exposition_empty_snapshot(self):
-        assert to_exposition({"counters": {}, "gauges": {}, "histograms": {}}) == ""
 
 
 class TestNullRegistryFamilies:

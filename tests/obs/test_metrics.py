@@ -23,7 +23,7 @@ class TestCounterGauge:
         gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(12)
+        gauge.inc(-12)
         assert gauge.value == 3
 
 
@@ -119,7 +119,6 @@ class TestNullRegistry:
         instrument = registry.counter("x")
         instrument.inc()
         instrument.inc(10)
-        instrument.dec()
         instrument.set(5)
         instrument.observe(1.0)
         assert instrument.value == 0

@@ -3,15 +3,15 @@
 ``Histogram.quantile`` interpolates inside the bucket holding the
 fractional rank, clamped to the observed min/max; ``percentile`` keeps
 its pinned upper-edge semantics untouched. The estimates surface as
-``q50``/``q99`` in text lines, ``quantile=...`` series in exposition
-format, and ``p50``/``p99`` columns on the dashboard.
+``q50``/``q99`` in text lines and ``p50``/``p99`` columns on the
+dashboard.
 """
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.obs.dashboard import render_dashboard
-from repro.obs.export import summary_quantile, to_exposition, to_lines
+from repro.obs.export import summary_quantile, to_lines
 from repro.obs.metrics import Histogram, quantile_from_buckets
 
 BOUNDS = (0.1, 1.0, 10.0)
@@ -115,12 +115,6 @@ def test_to_lines_carries_interpolated_quantiles():
     assert "q50=0.55" in line
     assert "q99=" in line
     assert "p50=1" in line  # the pinned upper-edge percentile stays too
-
-
-def test_exposition_emits_quantile_series():
-    text = to_exposition(make_registry().snapshot())
-    assert 'request_latency_s{quantile="0.5"} 0.55' in text
-    assert 'request_latency_s{quantile="0.99"}' in text
 
 
 def test_dashboard_shows_p50_and_p99():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database, MultimediaObjectStore
+from repro.document import PrimitiveMultimediaComponent
 from repro.errors import PrefetchError
 from repro.workloads import (
     POLICIES,
@@ -65,7 +66,7 @@ class TestMechanics:
         doc = make_doc()
         path = next(
             p for p, n in doc.components().items()
-            if n.is_primitive and "flat" in n.domain
+            if isinstance(n, PrimitiveMultimediaComponent) and "flat" in n.domain
         )
         events = [(path, "flat"), (path, "icon"), (path, "flat")]
         before = run(store, POLICY_NONE, events=events[:2], buffer_bytes=8_000_000)
@@ -81,7 +82,7 @@ class TestMechanics:
         doc = make_doc()
         path = next(
             p for p, n in doc.components().items()
-            if n.is_primitive and {"flat", "icon"} <= set(n.domain)
+            if isinstance(n, PrimitiveMultimediaComponent) and {"flat", "icon"} <= set(n.domain)
         )
         events = [(path, "flat"), (path, "icon"), (path, "icon")]
         report = run(store, POLICY_NONE, events=events)

@@ -52,8 +52,8 @@ class TestBuildSpec:
     def test_value_and_is_visible(self, doc):
         spec = build_spec(doc, "lee", doc.default_presentation())
         assert spec.value("imaging.ct_head") == "flat"
-        assert spec.is_visible("imaging.ct_head")
-        assert not spec.is_visible("no.such.path")
+        assert "imaging.ct_head" in spec.visible
+        assert "no.such.path" not in spec.visible
 
     def test_spec_outcome_is_copy(self, doc):
         outcome = doc.default_presentation()

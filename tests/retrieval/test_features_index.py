@@ -66,11 +66,6 @@ class TestSimilarImageIndex:
         hits = index.query(xray_phantom(128, 128, seed=9), k=2)
         assert all(hit.label.startswith("xray-") for hit in hits)
 
-    def test_query_by_ref_excludes_self(self, index):
-        some_ref = index.db.select("IMAGE_FEATURES_TABLE")[0]["FLD_MEDIAREF"]
-        hits = index.query_by_ref(some_ref, k=10)
-        assert all(hit.media_ref != some_ref for hit in hits)
-
     def test_scores_sorted_descending(self, index):
         hits = index.query(ct_phantom(128, seed=42), k=6)
         scores = [hit.similarity for hit in hits]
@@ -88,9 +83,6 @@ class TestSimilarImageIndex:
         ref = index.db.select("IMAGE_FEATURES_TABLE")[0]["FLD_MEDIAREF"]
         index.add(ref, label="relabelled")
         assert len(index) == 6
-
-    def test_rebuild(self, index):
-        assert index.rebuild() == 6
 
     def test_k_validated(self, index):
         with pytest.raises(DatabaseError):

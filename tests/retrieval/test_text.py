@@ -92,12 +92,6 @@ class TestSearch:
         with pytest.raises(DatabaseError):
             engine.search("ct", k=0)
 
-    def test_remove_article(self, engine):
-        target = engine.search("telemedicine")[0]
-        engine.remove_article(target.article_id)
-        assert engine.search("telemedicine") == []
-        assert len(engine) == 3
-
     def test_index_rebuilt_on_reopen(self, tmp_path):
         path = str(tmp_path / "db2")
         with Database(path) as db:

@@ -37,13 +37,6 @@ class TestStoreLevel:
         notes = store.annotations_for("record-17")
         assert [n["FLD_DATA"]["n"] for n in notes] == [0, 1, 2, 3, 4]
 
-    def test_delete(self, store):
-        store.store_annotation("record-17", "labs", "lee", {"n": 1})
-        store.store_annotation("other-doc", "labs", "lee", {"n": 2})
-        assert store.delete_annotations("record-17") == 1
-        assert store.annotations_for("record-17") == []
-        assert len(store.annotations_for("other-doc")) == 1
-
     def test_survives_reopen(self, tmp_path):
         path = str(tmp_path / "db2")
         with Database(path) as db:

@@ -95,12 +95,12 @@ class TestMonitorRegistration:
         store.store_document(build_sample_medical_record())
         server = InteractionServer(store)
         session = server.connect_monitor("ops", node_id="ops-node")
-        assert session.is_monitor
+        assert session.kind == "monitor"
         # Direct mode has no network to push over, but the push still
         # counts its audience and drains the pending-event buffer.
-        assert server.push_telemetry() == 1
+        assert server.telemetry.push(True) == 1
         server.disconnect_monitor(session.session_id)
-        assert server.push_telemetry() == 0
+        assert server.telemetry.push(True) == 0
         db.close()
 
 

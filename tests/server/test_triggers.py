@@ -11,11 +11,9 @@ from repro.server import InteractionServer, Room
 from repro.server.triggers import (
     TriggerManager,
     all_of,
-    any_of,
     on_component,
     on_kind,
     on_room_population,
-    on_viewer,
 )
 
 
@@ -92,14 +90,6 @@ class TestTriggerManager:
 
 
 class TestConditionBuilders:
-    def test_on_viewer(self, room):
-        manager = TriggerManager()
-        fired = []
-        manager.register(on_viewer("cho"), lambda r, c: fired.append(c.viewer_id))
-        manager.dispatch(room, room.apply_choice("lee", "labs", "hidden"))
-        manager.dispatch(room, room.apply_choice("cho", "labs", "shown"))
-        assert fired == ["cho"]
-
     def test_on_room_population(self, room):
         manager = TriggerManager()
         fired = []
@@ -109,12 +99,9 @@ class TestConditionBuilders:
         manager.dispatch(room, room.apply_choice("lee", "labs", "shown"))
         assert fired == [3]
 
-    def test_all_of_any_of(self, room):
-        condition = all_of(on_kind("choice"), on_viewer("lee"))
-        either = any_of(on_viewer("cho"), on_component("labs"))
-        change = room.apply_choice("lee", "labs", "hidden")
-        assert condition(room, change)
-        assert either(room, change)
+    def test_all_of(self, room):
+        condition = all_of(on_kind("choice"), on_component("labs"))
+        assert condition(room, room.apply_choice("lee", "labs", "hidden"))
         op_change = room.apply_operation("cho", "imaging.ct_head", "zoom")[1]
         assert not condition(room, op_change)
 

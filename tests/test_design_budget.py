@@ -34,19 +34,19 @@ LINE_BUDGET = {
     "chaos": 677,
     "client": 1204,
     "cluster": 2809,
-    "cpnet": 2030,
-    "db": 3107,
-    "document": 1129,
-    "interest": 306,
-    "media": 3079,
-    "net": 2118,
-    "obs": 1775,
+    "cpnet": 1930,
+    "db": 1892,
+    "document": 1125,
+    "interest": 289,
+    "media": 3039,
+    "net": 2114,
+    "obs": 1676,
     "prefetch": 167,
-    "presentation": 761,
-    "retrieval": 815,
-    "server": 1808,
-    "util": 288,
-    "workloads": 1337,
+    "presentation": 758,
+    "retrieval": 769,
+    "server": 1786,
+    "util": 279,
+    "workloads": 1308,
 }
 
 MAX_KIND_ARMS = 3

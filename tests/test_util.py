@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.util import IdGenerator, check_identifier, check_positive, check_probability, human_size, new_id
+from repro.util import IdGenerator, check_identifier, check_positive, check_probability, human_size
 
 
 class TestIdGenerator:
@@ -21,11 +21,6 @@ class TestIdGenerator:
 
     def test_fresh_generators_restart(self):
         assert IdGenerator().next("a") == IdGenerator().next("a")
-
-    def test_module_level_generator_is_global(self):
-        first = new_id("unittest-prefix")
-        second = new_id("unittest-prefix")
-        assert first != second
 
     def test_default_generator_is_unnamespaced(self):
         # Single-server deployments keep the paper's bare ids.
