@@ -124,8 +124,6 @@ class ClientModule:
         #: completed gateway failovers seen by this client, in order.
         self.gateway_failovers: list[dict[str, Any]] = []
         self.updates_received = 0
-        #: in-flight updates from a room we had already left, dropped.
-        self.stale_updates = 0
         self.join_time: float | None = None
         self.join_latency: float | None = None
         self.response_times: list[float] = []
@@ -260,13 +258,7 @@ class ClientModule:
                 )
             if ctx is not None:
                 frame = stamp_frame(frame, (ctx,))
-        self.network.send(
-            self.node_id,
-            self.network.hub_for(self.node_id),
-            kind,
-            payload=payload,
-            frame=frame,
-        )
+        self.network.send(self.node_id, self.network.hub_for(self.node_id), frame)
 
     def _now(self) -> float:
         return self.network.clock.now if self.network is not None else 0.0
@@ -353,7 +345,6 @@ class ClientModule:
             # still in flight when the server sent this. Dropping it is
             # the only deterministic choice — what a departed viewer
             # "last saw" must not depend on delivery races.
-            self.stale_updates += 1
             return
         self.updates_received += 1
         changed = self.render.apply_update(payload.get("changes", {}))
@@ -509,7 +500,6 @@ class ClientModule:
             # The bounce outlived the session: we left the room while
             # backing off, so the read would chase a dead session. What
             # a departed viewer never fetched stays unfetched by design.
-            self.stale_updates += 1
             return
         read = (payload.get("component"), payload.get("value"))
         if kind == MessageKind.FETCH_PAYLOAD and not self._on_screen(*read):

@@ -30,8 +30,8 @@ from repro import obs
 from repro.errors import ClusterError
 from repro.cluster.node import ServiceNode
 from repro.cluster.ring import HashRing
-from repro.cluster.wire import encode_shardbound, shardbound_wrapper
-from repro.net.codec import Frame, StringInterner, stamp_frame
+from repro.cluster.wire import encode_shardbound
+from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_ROUTE
@@ -67,13 +67,12 @@ class Gateway(ServiceNode):
         self._shards: set[str] = set()
         self._dead: set[str] = set()
         self._session_route: dict[str, str] = {}  # session -> shard
-        self._session_key: dict[str, str] = {}    # session -> sharding key (doc)
         # Per-shard dynamic string tables for ROUTE envelope headers: the
         # gateway↔shard path is a reliable in-order channel, so repeated
         # client node ids compress to references after their first frame.
         self._shard_tables: dict[str, StringInterner] = {}
         #: ops parked on a route-cache miss: session -> FIFO of
-        #: (sender, kind, payload, frame, trace ctx, parked-at time).
+        #: (sender, frame, trace ctx, parked-at time).
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
         self._m_routed_messages = registry.counter("gateway.routed_messages")
@@ -180,20 +179,13 @@ class Gateway(ServiceNode):
         )
 
     def _route_message(self, message: Message) -> None:
-        kind, payload = message.kind, message.payload or {}
         # A malformed request is refused here, by name, before it costs a
         # shard hop or a directory lookup.
-        PROTOCOL[kind].require(payload)
-        self._route_client(message.sender, kind, payload, frame=message.frame)
+        PROTOCOL[message.kind].require(message.payload or {})
+        self._route_client(message.sender, message.frame)
 
-    def _route_client(
-        self,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        attempt: int = 0,
-        frame: Frame | None = None,
-    ) -> None:
+    def _route_client(self, sender_node: str, frame: Frame, attempt: int = 0) -> None:
+        kind, payload = frame.kind, frame.payload
         if kind == MessageKind.JOIN:
             shard = self.ring.owner(payload["doc_id"])
         else:
@@ -207,7 +199,7 @@ class Gateway(ServiceNode):
                     self._m_cache_hits.inc()
                     self.cache_hits += 1
             if shard is None:
-                self._park_for_route(session_id, sender_node, kind, payload, frame)
+                self._park_for_route(session_id, sender_node, frame)
                 return
         if shard in self._dead or not self.network.has_node(shard):
             # The shard may only be *temporarily* unroutable: crashed but
@@ -215,37 +207,24 @@ class Gateway(ServiceNode):
             # re-homes the key. Park the op and retry with backoff — the
             # route is re-resolved on every attempt, so a completed
             # failover picks up the promoted shard transparently.
-            self._retry_route(sender_node, kind, payload, attempt, frame)
+            self._retry_route(sender_node, frame, attempt)
             return
         # The envelope embeds the client's already-encoded frame as
         # opaque bytes — routing re-serializes nothing.
-        wrapper = shardbound_wrapper(sender_node, kind, payload)
-        envelope = encode_shardbound(
-            wrapper, inner=frame, interner=self._shard_tables.get(shard)
-        )
+        envelope = encode_shardbound(sender_node, frame, self._shard_tables.get(shard))
         ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             # Carry the uplink's trace context on the ROUTE envelope so
             # the shard can chain its queueing span to the same trace.
             envelope = stamp_frame(envelope, (ctx,))
-        size = len(envelope.data)
-        self.network.send(
-            self.node_id, shard, MessageKind.ROUTE,
-            payload=wrapper, size_bytes=size, frame=envelope,
-        )
+        self.network.send(self.node_id, shard, envelope)
         self._m_routed_messages.inc()
-        self._routed_bytes(shard, "to_shard").inc(size)
+        self._routed_bytes(shard, "to_shard").inc(envelope.size_bytes)
         if kind == MessageKind.LEAVE:
             self._forget_route(payload.get("session_id"))
 
-    def _retry_route(
-        self,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        attempt: int,
-        frame: Frame | None = None,
-    ) -> None:
+    def _retry_route(self, sender_node: str, frame: Frame, attempt: int) -> None:
+        kind = frame.kind
         if attempt >= self.route_retry_attempts:
             self._emit(
                 "gateway.route_gave_up", severity="ERROR",
@@ -259,10 +238,7 @@ class Gateway(ServiceNode):
         delay = self._route_retry_delay(sender_node, kind, attempt)
         self._m_route_retries.inc()
         self.network.clock.schedule(
-            delay,
-            lambda: self._route_retry_tick(
-                sender_node, kind, payload, attempt + 1, frame
-            ),
+            delay, lambda: self._route_retry_tick(sender_node, frame, attempt + 1)
         )
 
     def _route_retry_delay(self, sender_node: str, kind: str, attempt: int) -> float:
@@ -278,19 +254,12 @@ class Gateway(ServiceNode):
         delay = min(self.route_retry_base_s * (2.0**attempt), self.route_retry_max_s)
         return delay * (1.0 + 0.5 * seeded_jitter(self.node_id, sender_node, kind, attempt))
 
-    def _route_retry_tick(
-        self,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        attempt: int,
-        frame: Frame | None = None,
-    ) -> None:
+    def _route_retry_tick(self, sender_node: str, frame: Frame, attempt: int) -> None:
         # Outside receive()'s try block now (we're a clock callback): an
         # exception here would kill the whole simulation, so route errors
         # turn into client-facing ERROR frames the same way.
         try:
-            self._route_client(sender_node, kind, payload, attempt=attempt, frame=frame)
+            self._route_client(sender_node, frame, attempt)
         except Exception as exc:
             self._send_error(sender_node, type(exc).__name__, str(exc))
 
@@ -300,8 +269,10 @@ class Gateway(ServiceNode):
         Shard-bound ROUTE envelopes get one more chance through the
         routing retry path — by the time the transport retry budget is
         exhausted, failover has usually re-homed the session to a live
-        shard, so re-resolving the route recovers the op. Client-bound
-        traffic is dropped with a WARN (the client is gone or hopeless).
+        shard, so re-resolving the route recovers the op. The error
+        carries the envelope's wrapper but not its frame, so the op is
+        encoded afresh. Client-bound traffic is dropped with a WARN (the
+        client is gone or hopeless).
         """
         self._emit(
             "gateway.delivery_failed", severity="WARN",
@@ -313,28 +284,22 @@ class Gateway(ServiceNode):
             and isinstance(wrapper, dict)
             and "sender" in wrapper
         ):
-            self._route_retry_tick(
-                wrapper["sender"], wrapper["kind"], wrapper["payload"], attempt=0
-            )
+            inner = encode_message(wrapper["kind"], wrapper["payload"])
+            self._route_retry_tick(wrapper["sender"], inner, 0)
 
     def _forward_to_client(self, message: Message) -> None:
-        shard_id, wrapper = message.sender, message.payload or {}
-        to = wrapper["to"]
-        kind = wrapper["kind"]
-        inner = wrapper["payload"]
-        size = wrapper["size"]
+        shard_id, wrapper = message.sender, message.payload
+        to, kind = wrapper["to"], wrapper["kind"]
         # The shard rides its already-encoded inner frame inside the
         # envelope; forwarding hands the same frame to the client link.
-        inner_frame = wrapper.get("frame")
+        inner_frame = wrapper["frame"]
         dtrace = self._dtrace
-        if dtrace.enabled and inner_frame is not None:
+        if dtrace.enabled:
             ctx = dtrace.current()
             if ctx is not None:
                 # In-band forward: the ROUTE envelope carried the trace
                 # context, chain the client-bound frame to it.
-                before = inner_frame.size_bytes
                 inner_frame = stamp_frame(inner_frame, (ctx,))
-                size += inner_frame.size_bytes - before
             elif inner_frame.trace:
                 # The shard's batcher flushed this frame outside any
                 # inbound scope: the envelope is unstamped but the inner
@@ -350,31 +315,23 @@ class Gateway(ServiceNode):
                     else c
                     for c in inner_frame.trace
                 )
-                before = inner_frame.size_bytes
                 inner_frame = stamp_frame(inner_frame, advanced)
-                size += inner_frame.size_bytes - before
         if kind == MessageKind.JOIN_ACK:
+            inner = wrapper["payload"]
             self._learn_route(inner["session_id"], inner["doc_id"], shard_id)
         if not self.network.has_node(to):
             self._emit(
                 "gateway.client_gone", severity="WARN", node=to, kind=kind
             )
             return
-        self.network.send(
-            self.node_id, to, kind, payload=inner, size_bytes=size, frame=inner_frame
-        )
+        self.network.send(self.node_id, to, inner_frame)
         self._m_routed_messages.inc()
-        self._routed_bytes(shard_id, "to_client").inc(size)
+        self._routed_bytes(shard_id, "to_client").inc(inner_frame.size_bytes)
 
     # ----- route cache ------------------------------------------------------------
 
     def _park_for_route(
-        self,
-        session_id: str | None,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        frame: Frame | None,
+        self, session_id: str | None, sender_node: str, frame: Frame
     ) -> None:
         """Cache miss: park the op in session order, ask the directory.
 
@@ -386,9 +343,7 @@ class Gateway(ServiceNode):
         ctx = dtrace.current() if dtrace.enabled else None
         waiting = self._route_waiting.setdefault(session_id, [])
         first = not waiting
-        waiting.append(
-            (sender_node, kind, payload, frame, ctx, self.network.clock.now)
-        )
+        waiting.append((sender_node, frame, ctx, self.network.clock.now))
         if first:
             self._send_framed(
                 self.directory_id, MessageKind.ROUTE_LOOKUP,
@@ -400,34 +355,27 @@ class Gateway(ServiceNode):
         shard = payload.get("shard")
         waiting = self._route_waiting.pop(session_id, [])
         if shard is None:
-            for sender_node, _kind, _p, _f, _ctx, _at in waiting:
+            for sender_node, _frame, _ctx, _at in waiting:
                 self._send_error(
                     sender_node, "ClusterError", f"no shard owns session {session_id!r}"
                 )
             return
-        key = payload.get("key")
         self._session_route[session_id] = shard
-        if key is not None:
-            self._session_key[session_id] = key
         self._g_sessions.set(len(self._session_route))
         dtrace = self._dtrace
         now = self.network.clock.now
-        for sender_node, kind, op_payload, frame, ctx, parked_at in waiting:
+        for sender_node, frame, ctx, parked_at in waiting:
             if ctx is not None:
                 # The whole park→resolve wait is directory time on the
                 # op's critical path, not wire time.
                 advanced = dtrace.record_hop(
                     ctx, HOP_DIRECTORY_LOOKUP, self.node_id, parked_at, now,
-                    kind=kind,
+                    kind=frame.kind,
                 )
                 with dtrace.inbound(advanced):
-                    self._route_client(
-                        sender_node, kind, op_payload, attempt=1, frame=frame
-                    )
+                    self._route_client(sender_node, frame, 1)
             else:
-                self._route_client(
-                    sender_node, kind, op_payload, attempt=1, frame=frame
-                )
+                self._route_client(sender_node, frame, 1)
 
     def _on_route_invalidate(self, payload: dict[str, Any]) -> None:
         """Directory broadcast: a shard died; its cache entries go stale.
@@ -444,7 +392,6 @@ class Gateway(ServiceNode):
         ]
         for sid in dropped:
             self._session_route.pop(sid, None)
-            self._session_key.pop(sid, None)
         if dropped:
             self._m_cache_invalidations.inc(len(dropped))
             self.cache_invalidations += len(dropped)
@@ -453,7 +400,6 @@ class Gateway(ServiceNode):
     def _learn_route(self, session_id: str, doc_id: str, shard_id: str) -> None:
         """Record the session→shard route sniffed off a ``JOIN_ACK``."""
         self._session_route[session_id] = shard_id
-        self._session_key[session_id] = doc_id
         self._g_sessions.set(len(self._session_route))
         # Keep the directory authoritative: it answers other gateways'
         # lookups for this session after we are gone.
@@ -465,7 +411,6 @@ class Gateway(ServiceNode):
     def _forget_route(self, session_id: str | None) -> None:
         """Drop the route of a departed session (``LEAVE`` forwarded)."""
         known = self._session_route.pop(session_id, None) is not None
-        self._session_key.pop(session_id, None)
         self._g_sessions.set(len(self._session_route))
         if known:
             self._send_framed(

@@ -40,8 +40,7 @@ class ClusterNode:
 
     def _send_framed(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
         """Encode once and send; the frame carries its own honest size."""
-        frame = encode_message(kind, body)
-        self.network.send(self.node_id, recipient, kind, payload=body, frame=frame)
+        self.network.send(self.node_id, recipient, encode_message(kind, body))
 
 
 class ServiceNode(ClusterNode):

@@ -110,7 +110,6 @@ class ReplicaState:
         on_gap: Callable[[int, int], None] | None = None,
         interest_mode: str = "off",
     ) -> None:
-        self.primary_id = primary_id
         self.applied_seq = 0
         self.promoted = False
         #: every entry applied, in order — at promotion this becomes the

@@ -23,7 +23,7 @@ from repro.cluster.admission import AdmissionConfig
 from repro.cluster.node import ServiceNode
 from repro.cluster.replication import REPLICATED_OPS, LogEntry, ReplicaState, ShipLog
 from repro.cluster.ring import HashRing
-from repro.cluster.wire import clientbound_wrapper, encode_clientbound
+from repro.cluster.wire import encode_clientbound
 from repro.db.orm import MultimediaObjectStore
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
@@ -116,11 +116,8 @@ class _GatewayTransport:
     def attach_hub(self, node: Any) -> None:  # the gateway is the real hub
         pass
 
-    def send(
-        self, sender: str, recipient: str, kind: str, payload: Any = None,
-        size_bytes: int = 0, frame: Frame | None = None,
-    ) -> None:
-        self._shard.route_to_client(recipient, kind, payload, size_bytes, frame)
+    def send(self, sender: str, recipient: str, frame: Frame) -> None:
+        self._shard.route_to_client(recipient, frame)
 
 
 class ShardServer(ServiceNode):
@@ -217,7 +214,9 @@ class ShardServer(ServiceNode):
         self._submit(wrapper["sender"], wrapper["kind"], wrapper["payload"], wrapper)
 
     def _bounce(self, sender: str, body: dict[str, Any]) -> None:
-        self._send_clientbound(sender, MessageKind.RETRY_AFTER, body, 0, None, attempt=0)
+        frame = encode_message(MessageKind.RETRY_AFTER, body)
+        # Size 0 in a bounce's ROUTE header means "the frame's length" (pinned wire bytes).
+        self._send_clientbound(sender, frame, 0, attempt=0)
 
     def _serve(self, wrapper: dict[str, Any]) -> None:
         """Apply one routed client message: fence replays, serve, replicate."""
@@ -272,28 +271,17 @@ class ShardServer(ServiceNode):
                     return promoted
         return self.server  # unknown sessions error out here, routed back
 
-    def route_to_client(
-        self,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size_bytes: int,
-        frame: Frame | None = None,
-    ) -> None:
-        """Wrap one server→client send into a ROUTE envelope to the gateway."""
+    def route_to_client(self, recipient: str, frame: Frame) -> None:
+        """Wrap one server→client frame into a ROUTE envelope to the gateway."""
         if self._capture is not None:
-            self._capture.append((kind, payload))
-        self._send_clientbound(recipient, kind, payload, size_bytes, frame, attempt=0)
+            self._capture.append((frame.kind, frame.payload))
+        self._send_clientbound(recipient, frame, frame.size_bytes, attempt=0)
 
     def _send_clientbound(
-        self,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size_bytes: int,
-        frame: Frame | None,
-        attempt: int,
+        self, recipient: str, frame: Frame, size: int, attempt: int
     ) -> None:
+        """Send *frame* to *recipient* through its gateway; *size* is the
+        ROUTE header's ``size`` field."""
         if not self.alive:
             return
         ring = self._gateway_ring
@@ -303,51 +291,33 @@ class ShardServer(ServiceNode):
             # re-homed its clients: park and retry with backoff — each
             # attempt re-resolves the ring, so a completed gateway
             # failover transparently picks the survivor.
-            self._retry_clientbound(recipient, kind, payload, size_bytes, frame, attempt)
+            self._retry_clientbound(recipient, frame, size, attempt)
             return
-        wrapper = clientbound_wrapper(recipient, kind, payload, size_bytes)
-        if frame is None:
-            frame = encode_message(kind, payload)
-        # Ride the inner frame inside the envelope so the gateway can
-        # forward the same encoding to the client link untouched.
-        wrapper["frame"] = frame
         table = self._gw_tables.get(gateway_id)
         if table is None:
             table = self._gw_tables[gateway_id] = StringInterner()
-        envelope, wire_size = encode_clientbound(wrapper, frame, table)
+        # The inner frame rides inside the envelope, so the gateway can
+        # forward the same encoding to the client link untouched.
+        envelope = encode_clientbound(recipient, frame, size, table)
         ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             # Chain the backbone leg: the gateway picks the context off
             # the ROUTE envelope and restamps the inner client frame.
-            before = envelope.size_bytes
             envelope = stamp_frame(envelope, (ctx,))
-            wire_size += envelope.size_bytes - before
-        self.network.send(
-            self.node_id, gateway_id, MessageKind.ROUTE,
-            payload=wrapper, size_bytes=wire_size, frame=envelope,
-        )
+        self.network.send(self.node_id, gateway_id, envelope)
 
     def _retry_clientbound(
-        self,
-        recipient: str,
-        kind: str,
-        payload: Any,
-        size_bytes: int,
-        frame: Frame | None,
-        attempt: int,
+        self, recipient: str, frame: Frame, size: int, attempt: int
     ) -> None:
         if attempt >= CLIENTBOUND_RETRY_ATTEMPTS:
             self._emit(
                 "cluster.clientbound_gave_up", severity="WARN",
-                node=recipient, kind=kind, attempts=attempt,
+                node=recipient, kind=frame.kind, attempts=attempt,
             )
             return
         delay = CLIENTBOUND_RETRY_BASE_S * (2.0**attempt)
         self.network.clock.schedule(
-            delay,
-            lambda: self._send_clientbound(
-                recipient, kind, payload, size_bytes, frame, attempt + 1
-            ),
+            delay, lambda: self._send_clientbound(recipient, frame, size, attempt + 1)
         )
 
     # ----- replication: primary side ------------------------------------------------
@@ -431,17 +401,13 @@ class ShardServer(ServiceNode):
         ctx = self._dtrace.current()
         if ctx is not None:
             frame = stamp_frame(frame, (ctx,))
-        size = frame.size_bytes
-        self.network.send(
-            self.node_id, replica_id, MessageKind.REPLICATE,
-            payload=body, size_bytes=size, frame=frame,
-        )
+        self.network.send(self.node_id, replica_id, frame)
         if mode == "crash_after":
             self.crash()
             return
         log.mark_shipped(entries[-1].seq)
         self._m_repl_ops.inc(len(entries))
-        self._m_repl_bytes.inc(size)
+        self._m_repl_bytes.inc(frame.size_bytes)
 
     def _handle_ack(self, replica_id: str, payload: dict[str, Any]) -> None:
         if self._failpoints.fire(
@@ -510,10 +476,7 @@ class ShardServer(ServiceNode):
             for server in self.serving_servers():
                 server.forget_unseen(wrapper["to"], wrapper["kind"])
             return
-        self._send_clientbound(
-            wrapper["to"], wrapper["kind"], wrapper["payload"],
-            wrapper["size"], wrapper.get("frame"), attempt=0,
-        )
+        self._send_clientbound(wrapper["to"], wrapper["frame"], wrapper["size"], attempt=0)
 
     # ----- failover ------------------------------------------------------------------
 

@@ -132,7 +132,6 @@ class ViewerExtension:
         self.viewer_id = viewer_id
         self._variables: dict[str, Variable] = {}
         self._cpts: dict[str, CPT] = {}
-        self._operations: list[OperationVariable] = []
         # Overlay version: bumped by every viewer-local mutation, so the
         # compiled overlay (repro.cpnet.compiled) invalidates precisely
         # while the shared base compilation stays untouched.
@@ -215,11 +214,9 @@ class ViewerExtension:
         plain_first = (OPERATION_PLAIN, OPERATION_APPLIED)
         self.add_rule(name, {component: active_value}, applied_first if prefer_applied else plain_first)
         self.add_rule(name, {}, plain_first)
-        record = OperationVariable(
+        return OperationVariable(
             name=name, component=component, operation=operation, active_value=active_value
         )
-        self._operations.append(record)
-        return record
 
     # ----- reasoning -----------------------------------------------------------
 
@@ -277,5 +274,4 @@ class ViewerExtension:
                 self.base.add_rule(variable.name, dict(rule.condition), rule.order)
         self._variables.clear()
         self._cpts.clear()
-        self._operations.clear()
         self._version += 1

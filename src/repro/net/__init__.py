@@ -31,12 +31,7 @@ from repro.net.codec import (
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.network import NetworkStats, SimulatedNetwork
-from repro.net.reliable import (
-    NET_ACK,
-    ReliableTransport,
-    RetryPolicy,
-    payload_checksum,
-)
+from repro.net.reliable import NET_ACK, ReliableTransport, RetryPolicy
 from repro.net.simclock import SimClock
 
 __all__ = [
@@ -59,5 +54,4 @@ __all__ = [
     "encode_batch",
     "encode_envelope",
     "encode_message",
-    "payload_checksum",
 ]

@@ -12,15 +12,18 @@ flushed on the first of:
 * a **byte budget** — the pending run reaching ``max_bytes``;
 * a **barrier kind** — any message outside ``batch_kinds`` (JOIN_ACK,
   ERROR, PROMOTE, payloads...) flushes the destination first and is then
-  sent unbatched, preserving per-destination order. Heartbeats never
-  pass through a batcher at all (they ride the links' priority lane).
+  sent unbatched, preserving per-destination order. So is a frame whose
+  wire size exceeds its bytes (declared-size media): a batch embeds
+  bytes, and only its members' bytes. Heartbeats never pass through a
+  batcher at all (they ride the links' priority lane).
 
 ``window_s=0`` (the default) is a pure pass-through: every send goes
 straight to the network, byte-for-byte identical to the unbatched
 system. Batching is an opt-in measured by E13.
 
-The batch envelope embeds the already-encoded sub-frames as opaque bytes
-(see :func:`repro.net.codec.encode_batch`) — coalescing costs zero
+Senders hand the batcher frames, as they would the network. The batch
+envelope embeds the already-encoded sub-frames as opaque bytes (see
+:func:`repro.net.codec.encode_batch`) — coalescing costs zero
 re-encodes. The network layer unwraps batches at delivery, so receivers
 only ever see ordinary messages.
 """
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.net.codec import Frame, encode_batch, encode_message, stamp_frame
+from repro.net.codec import Frame, encode_batch, stamp_frame
 from repro.obs import get_registry
 from repro.obs.dtrace import HOP_BATCH_WAIT, NULL_CONTEXT, get_dtrace
 
@@ -67,24 +70,13 @@ class Batcher:
         self._m_flushes = registry.counter("batch.flushes")
         self._m_coalesced = registry.counter("batch.messages_coalesced")
 
-    def send(
-        self,
-        recipient: str,
-        kind: str,
-        payload: Any = None,
-        size_bytes: int | None = None,
-        frame: Frame | None = None,
-    ) -> None:
-        """Send (possibly deferred and coalesced) one message."""
-        if frame is None:
-            frame = encode_message(kind, payload)
+    def send(self, recipient: str, frame: Frame) -> None:
+        """Send (possibly deferred and coalesced) one frame."""
         encoded = len(frame.data)
-        if size_bytes is None:
-            size_bytes = encoded
         batchable = (
             self.window_s > 0
-            and kind in self.batch_kinds
-            and size_bytes == encoded  # declared-size media never batches
+            and frame.kind in self.batch_kinds
+            and frame.size_bytes == encoded  # declared-size media never batches
             and encoded <= self.max_bytes
         )
         if not batchable:
@@ -92,10 +84,7 @@ class Batcher:
             # frames already queued for this destination.
             if self._pending:
                 self.flush(recipient)
-            self._network.send(
-                self._sender, recipient, kind,
-                payload=payload, size_bytes=size_bytes, frame=frame,
-            )
+            self._network.send(self._sender, recipient, frame)
             return
         queue = self._pending.setdefault(recipient, [])
         ctx = frame.trace[-1] if frame.trace else None
@@ -140,10 +129,7 @@ class Batcher:
                     ctx, HOP_BATCH_WAIT, self._sender, enqueued_at, now, size=1
                 )
                 frame = stamp_frame(frame, (ctx,))
-            self._network.send(
-                self._sender, recipient, frame.kind,
-                payload=frame.payload, size_bytes=frame.size_bytes, frame=frame,
-            )
+            self._network.send(self._sender, recipient, frame)
             return
         frames = [frame for frame, _, _ in items]
         entries = [
@@ -165,10 +151,7 @@ class Batcher:
             )
             batch = stamp_frame(batch, contexts)
         self._m_coalesced.inc(len(frames))
-        self._network.send(
-            self._sender, recipient, batch.kind,
-            payload=batch.payload, size_bytes=batch.size_bytes, frame=batch,
-        )
+        self._network.send(self._sender, recipient, batch)
 
     @property
     def pending_count(self) -> int:

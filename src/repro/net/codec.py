@@ -2,10 +2,9 @@
 
 Every payload that crosses the simulated wire used to be sized by one
 ``json.dumps`` (``server.protocol.encoded_size``) and checksummed by a
-second one (``net.reliable.payload_checksum``) — per message, per
-recipient, and again per retransmission. This module replaces both with
-a single canonical encoding, produced exactly once and cached on a
-:class:`Frame`:
+second one — per message, per recipient, and again per retransmission.
+This module replaces both with a single canonical encoding, produced
+exactly once and cached on a :class:`Frame`:
 
 * **compact binary framing** — varint (LEB128) integers, 8-byte IEEE
   floats, length-prefixed UTF-8 strings, count-prefixed lists/dicts;
@@ -18,11 +17,11 @@ a single canonical encoding, produced exactly once and cached on a
   (a client uplink, a gateway↔shard route), fresh-per-frame everywhere
   else so one encoding can safely fan out to N recipients;
 * **frame caching** — ``Frame.data`` (the bytes), ``Frame.size_bytes``
-  and ``Frame.checksum`` (crc32 of the bytes) are computed once; wire
-  sizing, the reliable layer's integrity check and every retransmission
-  reuse them. ``Frame.payload`` keeps the identity of the payload object
-  the bytes encode, so corruption (a swapped payload) is detectable
-  without re-encoding.
+  (what the frame costs on the wire) and ``Frame.checksum`` (crc32 of
+  the bytes) are computed once; wire sizing, the reliable layer's
+  integrity check and every retransmission reuse them. ``Frame.payload``
+  keeps the identity of the payload object the bytes encode, so
+  corruption (a swapped payload) is detectable without re-encoding.
 
 Envelopes (cluster ``ROUTE``) and batches embed already-encoded frames
 as opaque byte strings — a routed or coalesced message is never encoded
@@ -151,26 +150,33 @@ class Frame:
     message still carries this exact object (retransmissions do; a
     chaos-corrupted frame does not), with zero re-encoding.
 
+    ``size_bytes`` is what one transmission of the frame is charged on
+    the wire: ``len(data)``, except for a media descriptor, which
+    :meth:`repro.server.room.Room.payload_frame` raises once to the
+    declared presentation size. :func:`stamp_frame` and
+    :func:`encode_envelope` carry that excess (``size_bytes -
+    len(data)``) onto the frames they build, so no sender sizes a
+    message itself.
+
     ``trace`` mirrors the frame's trace-context trailer (empty for
     unstamped frames); ``_stamped`` keeps the latest stamped variant so
     one cached body fans out under one context with a single trailer
     encode — and a long-lived frame holds one copy, not one per context.
     """
 
-    __slots__ = ("kind", "payload", "data", "checksum", "_uses", "trace", "_stamped")
+    __slots__ = (
+        "kind", "payload", "data", "size_bytes", "checksum", "_uses", "trace", "_stamped",
+    )
 
     def __init__(self, kind: str, payload: Any, data: bytes) -> None:
         self.kind = kind
         self.payload = payload
         self.data = data
+        self.size_bytes = len(data)
         self.checksum = zlib.crc32(data)
         self._uses = 0  # transmissions + embeddings; >1 means bytes reused
         self.trace: tuple[TraceContext, ...] = ()
         self._stamped: "Frame | None" = None
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame({self.kind!r}, {self.size_bytes}B, crc={self.checksum:#x})"
@@ -505,12 +511,12 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
     """Stamp trace *contexts* onto *frame* — zero body re-encodes.
 
     Returns a new :class:`Frame` sharing the original body bytes with a
-    trailer appended; the checksum extends incrementally and ``payload``
-    keeps its identity, so the reliable layer's integrity check is
-    unaffected. Stamping an already-stamped frame appends a second
-    trailer (last wins on decode). The source frame remembers its latest
-    variant, so a fan-out under one context set reuses one stamped
-    encoding.
+    trailer appended; the checksum extends incrementally, the wire size
+    grows by the trailer and ``payload`` keeps its identity, so the
+    reliable layer's integrity check is unaffected. Stamping an
+    already-stamped frame appends a second trailer (last wins on decode).
+    The source frame remembers its latest variant, so a fan-out under one
+    context set reuses one stamped encoding.
     """
     stamped = frame._stamped
     if stamped is None or stamped.trace != contexts:
@@ -519,6 +525,7 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
         stamped.kind = frame.kind
         stamped.payload = frame.payload
         stamped.data = frame.data + trailer
+        stamped.size_bytes = frame.size_bytes + len(trailer)
         stamped.checksum = zlib.crc32(trailer, frame.checksum)
         stamped._uses = 0
         stamped.trace = contexts
@@ -587,6 +594,8 @@ def encode_envelope(
     The inner frame is embedded as opaque bytes — routed messages are
     never re-encoded. *payload* is the message-payload object the
     envelope frame stands for (the wrapper dict handed to the network).
+    The envelope's wire size carries the inner frame's declared excess:
+    media routed across the backbone is charged at presentation size.
     """
     table = interner if interner is not None else StringInterner()
     out = bytearray(_STATIC_REFS.get(kind, b""))  # a protocol kind is pre-encoded
@@ -600,7 +609,9 @@ def encode_envelope(
     encodes, bytes_encoded, _, _ = _metrics()
     encodes.inc()
     bytes_encoded.inc(len(data) - len(inner.data))
-    return Frame(kind, payload, data)
+    frame = Frame(kind, payload, data)
+    frame.size_bytes += inner.size_bytes - len(inner.data)
+    return frame
 
 
 def decode_envelope(
@@ -800,9 +811,9 @@ def value_size(value: Any) -> int:
 def checksum_of(kind: str, payload: Any) -> int:
     """crc32 over the stateless canonical encoding of ``(kind, payload)``.
 
-    The fallback integrity check for messages without a cached frame
-    (tests poking the network directly, tiny transport acks). Matches
-    ``Frame.checksum`` for frames encoded without a connection table.
+    The integrity check of the one frameless message, the transport ack.
+    Matches ``Frame.checksum`` for frames encoded without a connection
+    table.
     """
     out = bytearray()
     table = StringInterner()

@@ -1,8 +1,10 @@
 """Network messages.
 
-A message is addressed application payload plus an explicit wire size —
-the simulation charges the links by ``size_bytes``, so protocol encoders
-must account honestly for what they would serialize.
+A message is one transmission of an encoded
+:class:`~repro.net.codec.Frame` between two nodes. The simulation
+charges the links by ``size_bytes``, which is always the frame's own
+``Frame.size_bytes``: a sender hands the network a frame and nothing
+else, so no sender sizes a message by hand.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ class Message(namedtuple("Message", _FIELDS)):
     protects the payload against injected corruption. ``attempt`` counts
     retransmissions of the same logical frame (0 = first transmission).
 
-    ``frame`` is the payload's cached canonical encoding (see
-    :mod:`repro.net.codec`) when the sender produced one: the wire size,
-    the reliable layer's checksum and every retransmission reuse it
-    instead of re-encoding. Excluded from equality — it is a cache, not
-    message state.
+    ``frame`` is the encoding the message was sent as (see
+    :mod:`repro.net.codec`): ``kind``, ``payload``, ``size_bytes`` and
+    ``checksum`` are read off it, and every retransmission reuses it
+    instead of re-encoding. It is ``None`` only for a transport ack
+    (built inside :mod:`repro.net.reliable`), a batch member handed to
+    ``receive`` and an op a shard hands its own server. Excluded from
+    equality — it is a cache, not message state.
 
     The stack builds one per transmission, so the record is a tuple
     filled in one call. ``_replace(field=...)`` derives a copy (a

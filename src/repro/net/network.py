@@ -287,25 +287,15 @@ class SimulatedNetwork:
             f"got {sender!r}->{recipient!r}"
         )
 
-    def send(
-        self,
-        sender: str,
-        recipient: str,
-        kind: str,
-        payload: Any = None,
-        size_bytes: int = 0,
-        frame: Frame | None = None,
-    ) -> Message:
-        """Queue a message; it is delivered via the clock at arrival time.
+    def send(self, sender: str, recipient: str, frame: Frame) -> Message:
+        """Queue one transmission of *frame*; it is delivered via the
+        clock at arrival time.
 
         Traffic is hub<->client: client-to-client messages are rejected
         (the paper's clients only ever talk to the interaction server,
-        which relays room traffic).
-
-        *frame* is the payload's cached canonical encoding, when the
-        sender has one; passing it lets the reliable layer and every
-        retransmission reuse the bytes. With ``size_bytes=0`` the frame
-        also supplies the honest wire size.
+        which relays room traffic). The message's kind, payload, wire
+        size and checksum are the frame's; the reliable layer and every
+        retransmission reuse its bytes.
         """
         route = self._routes.get((sender, recipient))
         if route is None:
@@ -314,19 +304,13 @@ class SimulatedNetwork:
             if recipient not in self._nodes:
                 raise NetworkError(f"unknown recipient {recipient!r}")
             route = self._resolve_link(sender, recipient)  # validate up front
-        if frame is not None and size_bytes == 0:
-            size_bytes = len(frame.data)
         if self.reliability is None:
-            if size_bytes < 0:
-                raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
             message = tuple.__new__(Message, (  # Message(...), filled in place
-                sender, recipient, kind, payload, size_bytes, next_message_id(),
-                None, None, 0, frame,
+                sender, recipient, frame.kind, frame.payload, frame.size_bytes,
+                next_message_id(), None, None, 0, frame,
             ))
         else:
-            message = self.reliability.prepare(
-                sender, recipient, kind, payload, size_bytes, frame, route[0]
-            )
+            message = self.reliability.prepare(sender, recipient, frame, route[0])
         self._transmit(message)
         return message
 

@@ -88,12 +88,6 @@ class RetryPolicy:
         return self.base_timeout_s * (self.backoff**attempt)
 
 
-#: The checksum of a message without a cached codec frame: one ephemeral
-#: canonical encode. Messages *with* a frame reuse ``Frame.checksum``,
-#: computed once at encode time, and verify by payload identity.
-payload_checksum = checksum_of
-
-
 @lru_cache(maxsize=1024)
 def _ack_checksum(seq: int) -> int:
     """Checksum of the one valid ack body for *seq*. An ack says nothing
@@ -157,23 +151,23 @@ class ReliableTransport:
     # ----- sender side ------------------------------------------------------------
 
     def prepare(
-        self, sender: str, recipient: str, kind: str, payload: Any,
-        size_bytes: int, frame: "Frame | None", forward: "Link",
+        self, sender: str, recipient: str, frame: "Frame", forward: "Link"
     ) -> Message:
         """Build the message ``send`` was asked for, already stamped:
-        checksum (always) and seq (reliable kinds). *forward* is the
-        link ``send`` resolved for it. A cached codec frame supplies its
-        checksum — the transport never encodes what is already encoded.
+        the frame's checksum (always) and a seq (reliable kinds).
+        *forward* is the link ``send`` resolved for it. The transport
+        never encodes what is already encoded.
         """
-        checksum = frame.checksum if frame is not None else checksum_of(kind, payload)
+        kind, payload, size = frame.kind, frame.payload, frame.size_bytes
         if kind in self.policy.unreliable_kinds:
             return Message(
-                sender, recipient, kind, payload, size_bytes, checksum=checksum, frame=frame
+                sender, recipient, kind, payload, size, checksum=frame.checksum, frame=frame
             )
         stream = self._streams[(sender, recipient)]
         seq = stream.next_seq
         message = Message(
-            sender, recipient, kind, payload, size_bytes, seq=seq, checksum=checksum, frame=frame
+            sender, recipient, kind, payload, size, seq=seq, checksum=frame.checksum,
+            frame=frame,
         )
         stream.next_seq = seq + 1
         out = stream.outstanding[seq] = _Outstanding(message, self._network.clock.now)
@@ -292,19 +286,14 @@ class ReliableTransport:
     def verify(self, message: Message) -> bool:
         """Checksum check; False means the frame must be quarantined.
 
-        Frames with a cached encoding verify by *identity*: the payload
-        object delivered must be the one the frame encodes (retransmits
-        preserve it; chaos corruption swaps it) and the stamped checksum
-        must match the frame's — zero re-encoding on the hot path. The
-        frameless fallback recomputes the canonical checksum.
+        A message verifies by *identity*: the payload object delivered
+        must be the one its frame encodes (retransmits preserve it;
+        chaos corruption swaps it) and the stamped checksum must match
+        the frame's. No encoder runs — acks, the one frameless message,
+        are checked by :meth:`on_ack` before delivery gets here.
         """
-        if message.checksum is None:
-            return True
         frame = message.frame
-        if frame is not None:
-            if message.payload is frame.payload and message.checksum == frame.checksum:
-                return True
-        elif message.checksum == checksum_of(message.kind, message.payload):
+        if message.payload is frame.payload and message.checksum == frame.checksum:
             return True
         self._m_corrupt.inc()
         self._emit("net.corrupt_dropped", "WARN", message)

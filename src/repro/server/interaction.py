@@ -131,7 +131,7 @@ class InteractionServer:
             gauge.set(0)
         self._g_sessions, self._g_rooms, self._g_occupancy, self._g_monitors = gauges
         #: Telemetry monitors: pushed metric diffs + buffered events.
-        self.telemetry = TelemetryChannel(node_id, self._now, self._net_send)
+        self.telemetry = TelemetryChannel(node_id, self._now, self._send_body)
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
@@ -440,7 +440,7 @@ class InteractionServer:
             viewer=session.viewer_id,
             subscribed=len(subscribed),
         )
-        self._net_send(
+        self._send_body(
             session.node_id,
             MessageKind.SUBSCRIBE_ACK,
             {
@@ -487,7 +487,7 @@ class InteractionServer:
         room = self.room(session.room_id)
         catchup = self._catch_up(session, room, unseen_only=False)
         if catchup:
-            self._net_send(
+            self._send_body(
                 session.node_id,
                 MessageKind.PRESENTATION_UPDATE,
                 {"doc_id": room.document.doc_id, "changes": catchup, "resync": True},
@@ -505,7 +505,7 @@ class InteractionServer:
         session = self._session(session_id)
         self.policy.require(session.viewer_id, PERM_VIEW)
         _, payload = self.store.fetch(media_ref)
-        self._net_send(
+        self._send_body(
             session.node_id, MessageKind.PAYLOAD,
             {"media_ref": media_ref, "data": payload},
         )
@@ -545,10 +545,8 @@ class InteractionServer:
                     )
             shipped = layer_prefix_size(size, num_layers)
         if self.network is not None:
-            frame = room.payload_frame(component, value, num_layers, shipped)
             self._net_send(
-                session.node_id, MessageKind.PAYLOAD,
-                frame.payload, size_bytes=max(shipped, len(frame.data)), frame=frame,
+                session.node_id, room.payload_frame(component, value, num_layers, shipped)
             )
         return shipped
 
@@ -582,7 +580,7 @@ class InteractionServer:
             "factor": factor,
             "data": region_bytes,
         }
-        self._net_send(session.node_id, MessageKind.PAYLOAD, body)
+        self._send_body(session.node_id, MessageKind.PAYLOAD, body)
         return region_bytes
 
     def _session_room(self, session_id: str) -> tuple[Session, Room]:
@@ -673,10 +671,7 @@ class InteractionServer:
                 frame = update_frames[delta_key] = encode_message(
                     MessageKind.PRESENTATION_UPDATE, body
                 )
-            self._net_send(
-                member.node_id, MessageKind.PRESENTATION_UPDATE,
-                frame.payload, frame=frame,
-            )
+            self._net_send(member.node_id, frame)
             # Diff-vs-full accounting: what this update costs on the
             # wire against what a whole-outcome resend would cost.
             shipped_full += spec.wire_bytes
@@ -711,10 +706,7 @@ class InteractionServer:
                 continue
             if event_frame is None:
                 event_frame = encode_message(MessageKind.PEER_EVENT, event_body)
-            self._net_send(
-                member.node_id, MessageKind.PEER_EVENT,
-                event_body, frame=event_frame,
-            )
+            self._net_send(member.node_id, event_frame)
 
     def broadcast(
         self, payload: dict[str, Any], room_id: str | None = None
@@ -733,9 +725,7 @@ class InteractionServer:
         if self.network is not None:
             frame = encode_message(MessageKind.BROADCAST, payload)
             for session in targets:
-                self._net_send(
-                    session.node_id, MessageKind.BROADCAST, payload, frame=frame
-                )
+                self._net_send(session.node_id, frame)
         return len(targets)
 
     # ----- telemetry monitors ----------------------------------------------------------
@@ -758,40 +748,28 @@ class InteractionServer:
     def monitor_ids(self) -> tuple[str, ...]:
         return tuple(self.telemetry.monitors)
 
-    def _net_send(
-        self,
-        recipient: str,
-        kind: str,
-        body: Any,
-        size_bytes: int | None = None,
-        frame: Frame | None = None,
-    ) -> None:
-        """One hub->client send, with outbound message/byte accounting —
-        or nothing at all on a server that has no network to send on.
+    def _send_body(self, recipient: str, kind: str, body: Any) -> None:
+        """Encode one body for one recipient (an ack, an error, a
+        telemetry push) and send it — or encode nothing at all on a
+        server that has no network to send on."""
+        if self.network is not None:
+            self._net_send(recipient, encode_message(kind, body))
 
-        The payload is encoded exactly once: callers fanning the same
-        body out to several recipients pass the shared *frame*, otherwise
-        one is produced here. Sizing, checksum and retransmits all reuse
-        it — no send path ever serializes twice.
+    def _net_send(self, recipient: str, frame: Frame) -> None:
+        """One hub->client send of an encoded *frame*, with outbound
+        message/byte accounting.
+
+        Callers fanning one body out to several recipients pass the
+        shared frame: sizing, checksum and retransmits all reuse it — no
+        send path ever serializes twice.
         """
-        if self.network is None:
-            return
-        if frame is None:
-            frame = encode_message(kind, body)
-        if size_bytes is None:
-            size_bytes = len(frame.data)
         ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
-            # Chain the outbound frame to the op being served; declared
-            # (media) sizes grow by the same trailer the wire carries.
-            before = frame.size_bytes
+            # Chain the outbound frame to the op being served.
             frame = stamp_frame(frame, (ctx,))
-            size_bytes += frame.size_bytes - before
         self._m_messages_out.inc()
-        self._m_bytes_out.inc(size_bytes)
-        self._batcher.send(
-            recipient, kind, payload=body, size_bytes=size_bytes, frame=frame
-        )
+        self._m_bytes_out.inc(frame.size_bytes)
+        self._batcher.send(recipient, frame)
 
     def on_delivery_failed(self, error: Any) -> None:
         """The reliable layer gave up on one of this server's frames.
@@ -861,7 +839,7 @@ class InteractionServer:
         except Exception as exc:  # protocol errors go back to the client
             if self.network is not None:
                 body = {"error": type(exc).__name__, "detail": str(exc)}
-                self._net_send(message.sender, MessageKind.ERROR, body)
+                self._send_body(message.sender, MessageKind.ERROR, body)
             else:
                 raise
         finally:
@@ -902,11 +880,11 @@ class InteractionServer:
                 for p, c in room.document.components().items()
             ],
         }
-        self._net_send(node_id, MessageKind.JOIN_ACK, body)
+        self._send_body(node_id, MessageKind.JOIN_ACK, body)
 
     def _on_monitor(self, viewer_id: str, node_id: str) -> None:
         session = self.connect_monitor(viewer_id, node_id=node_id)
-        self._net_send(
+        self._send_body(
             node_id,
             MessageKind.MONITOR_ACK,
             {"session_id": session.session_id, "interval": self.telemetry.interval},

@@ -183,9 +183,9 @@ def encoded_size(payload: Any) -> int:
     """Bytes this payload would occupy on the wire.
 
     The length of the payload's canonical binary encoding (embedded
-    ``bytes`` values are framed raw, not base64). Send sites that hold a
-    cached :class:`~repro.net.codec.Frame` should use its
-    ``size_bytes`` instead — same number, zero extra encodes.
+    ``bytes`` values are framed raw, not base64). A send site never
+    needs it: a :class:`~repro.net.codec.Frame` carries its own wire
+    size. It serves the accounting of what is *not* sent.
     """
     return value_size(payload)
 

@@ -133,7 +133,11 @@ class Room:
     ) -> Frame:
         """The cached PAYLOAD frame describing *size* bytes of one
         alternative; *layers* is its simulcast prefix (``None``: the
-        payload ships whole and the body says nothing of layers)."""
+        payload ships whole and the body says nothing of layers).
+
+        The body only describes the media, so the frame's wire size is
+        raised to the *size* it stands for — never below its own bytes.
+        This is the one frame that costs more than it carries."""
         key = (component, value, layers, size)
         frame = self._payload_frames.get(key)
         if frame is None:
@@ -141,6 +145,7 @@ class Room:
             if layers is not None:
                 body["layers"] = layers
             frame = self._payload_frames[key] = encode_message("payload", body)
+            frame.size_bytes = max(size, frame.size_bytes)
         return frame
 
     def _require_member(self, session_id: str) -> str:

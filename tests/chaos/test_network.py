@@ -11,6 +11,7 @@ from repro.chaos import (
     PARTITION_DROP,
 )
 from repro.net import Link
+from tests.net.frames import frame_of
 
 
 @pytest.fixture(autouse=True)
@@ -47,7 +48,7 @@ def rig(plan, reliability=True):
 class TestFaultEnforcement:
     def test_no_plan_behaves_like_the_plain_network(self):
         network, hub, _ = rig(plan=None)
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         assert [m.payload for m in hub.received] == [{"v": 1}]
         assert network.injected_counts() == {}
@@ -56,7 +57,7 @@ class TestFaultEnforcement:
         plan = FaultPlan(seed=42, drop_rate=0.15, dup_rate=0.1, corrupt_rate=0.05)
         network, hub, _ = rig(plan)
         for n in range(20):
-            network.send("c1", "server", "choice", {"n": n}, size_bytes=10)
+            network.send("c1", "server", frame_of("choice", {"n": n}, size_bytes=10))
         network.run()
         # Every frame arrives exactly once, in order, despite the chaos.
         assert [m.payload["n"] for m in hub.received] == list(range(20))
@@ -67,7 +68,7 @@ class TestFaultEnforcement:
         plan = FaultPlan(seed=42, drop_rate=0.5)
         network, hub, _ = rig(plan, reliability=None)
         for n in range(40):
-            network.send("c1", "server", "choice", {"n": n}, size_bytes=10)
+            network.send("c1", "server", frame_of("choice", {"n": n}, size_bytes=10))
         network.run()
         assert 0 < len(hub.received) < 40  # lossy and unrepaired
         assert network.injected_counts().get("drop", 0) > 0
@@ -75,7 +76,7 @@ class TestFaultEnforcement:
     def test_corruption_substitutes_the_poison_payload(self):
         plan = FaultPlan(seed=1, corrupt_rate=0.999999)
         network, hub, _ = rig(plan, reliability=None)
-        network.send("c1", "server", "choice", {"v": "good"}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": "good"}, size_bytes=10))
         network.run()
         assert [m.payload for m in hub.received] == [CORRUPTED_PAYLOAD]
 
@@ -84,7 +85,7 @@ class TestFaultEnforcement:
         # what terminates the run — injected count must exceed budget.
         plan = FaultPlan(seed=2, drop_rate=0.999999)
         network, hub, client = rig(plan)
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         assert hub.received == []
         assert [f.reason for f in network.delivery_failures] == [
@@ -97,7 +98,7 @@ class TestFaultEnforcement:
         registry, _ = fresh_obs
         plan = FaultPlan(seed=3, dup_rate=0.999999)
         network, hub, _ = rig(plan, reliability=None)
-        network.send("c1", "server", "choice", {}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {}, size_bytes=10))
         network.run()
         assert network.injected_counts() == {"duplicate": 1}
         counters = registry.snapshot()["counters"]
@@ -112,9 +113,9 @@ class TestWindows:
         plan = FaultPlan()
         plan.partition({"c1"}, {"server"}, start=0.0, end=1.0)
         network, hub, _ = rig(plan, reliability=None)
-        network.send("c1", "server", "choice", {"n": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"n": 1}, size_bytes=10))
         network.clock.schedule_at(
-            1.5, lambda: network.send("c1", "server", "choice", {"n": 2}, size_bytes=10)
+            1.5, lambda: network.send("c1", "server", frame_of("choice", {"n": 2}, size_bytes=10))
         )
         network.run()
         assert [m.payload["n"] for m in hub.received] == [2]
@@ -127,7 +128,7 @@ class TestWindows:
         plan = FaultPlan()
         plan.partition({"c1"}, {"server"}, start=0.0, end=1.0)
         network, hub, _ = rig(plan)
-        network.send("c1", "server", "choice", {"n": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"n": 1}, size_bytes=10))
         network.run()
         # Retransmission after the window closes delivers the frame.
         assert [m.payload["n"] for m in hub.received] == [1]
@@ -139,8 +140,8 @@ class TestWindows:
         plan = FaultPlan()
         plan.flap("c1", start=0.0, end=0.5)
         network, hub, client = rig(plan, reliability=None)
-        network.send("c1", "server", "choice", {}, size_bytes=10)
-        network.send("server", "c1", "payload", {}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {}, size_bytes=10))
+        network.send("server", "c1", frame_of("payload", {}, size_bytes=10))
         network.run()
         assert hub.received == [] and client.received == []
         assert network.injected_counts() == {FLAP_DROP: 2}
@@ -152,7 +153,7 @@ class TestWindows:
         plan = FaultPlan(drop_rate=0.999999)  # heartbeat protected from this
         plan.partition({"c1"}, {"server"}, start=0.0, end=1.0)
         network, hub, _ = rig(plan, reliability=None)
-        network.send("c1", "server", "heartbeat", {}, size_bytes=8)
+        network.send("c1", "server", frame_of("heartbeat", {}, size_bytes=8))
         network.run()
         assert hub.received == []
         assert network.injected_counts() == {PARTITION_DROP: 1}

@@ -51,8 +51,8 @@ class Wire:
     def has_node(self, node_id):
         return node_id not in self.dead
 
-    def send(self, sender, recipient, kind, payload=None, frame=None):
-        self.sent.append((recipient, kind, dict(payload)))
+    def send(self, sender, recipient, frame):
+        self.sent.append((recipient, frame.kind, dict(frame.payload)))
 
     def reads(self, since=0):
         return [

@@ -24,6 +24,7 @@ from repro.cluster.admission import (
 from repro.cluster.shard import ServiceQueue
 from repro.db import Database, MultimediaObjectStore
 from repro.net.simclock import SimClock
+from repro.obs.dtrace import DeliveryTracer, NullDeliveryTracer, use_dtrace
 from repro.server.protocol import MessageKind
 from repro.util.backoff import seeded_jitter
 from repro.workloads import consultation_events, generate_record
@@ -418,8 +419,19 @@ class TestOverloadIntegration:
         assert "stay" in viewers_in_rooms
 
     def test_shed_data_ops_replay_exactly_once(self, tmp_path):
-        """Shed choices come back via the op-log retry and apply once."""
-        store, records = build_store(tmp_path, "sheddata")
+        """Shed choices come back via the op-log retry and apply once.
+
+        The burst runs untraced and then traced. Either way every
+        ``RETRY_AFTER`` a gateway forwards is charged its whole frame:
+        the shard's ROUTE header says size 0, and delivery tracing
+        restamps the frame on the way through.
+        """
+        for traced in (False, True):
+            self._shed_burst(tmp_path, traced)
+
+    @staticmethod
+    def _shed_burst(tmp_path, traced):
+        store, records = build_store(tmp_path, f"sheddata-{traced}")
         config = ClusterConfig(
             shards=1,
             gateways=1,
@@ -428,9 +440,21 @@ class TestOverloadIntegration:
                 depth_defer=1, depth_shed=2, defer_limit=64, retry_after_s=0.25
             ),
         )
-        harness = ClusterHarness(store, config)
-        a = harness.add_client("sd-0")
-        b = harness.add_client("sd-1")
+        tracer = DeliveryTracer(sample_every=1) if traced else NullDeliveryTracer()
+        with use_dtrace(tracer):
+            harness = ClusterHarness(store, config)
+            a = harness.add_client("sd-0")
+            b = harness.add_client("sd-1")
+        bounces = []
+        real_send = harness.network.send
+
+        def recording_send(sender, recipient, frame):
+            message = real_send(sender, recipient, frame)
+            if sender in harness.gateways and frame.kind == MessageKind.RETRY_AFTER:
+                bounces.append(message)
+            return message
+
+        harness.network.send = recording_send
         a.join("case-0")
         b.join("case-0")
         harness.run()
@@ -438,6 +462,10 @@ class TestOverloadIntegration:
         for path, value in events:
             a.choose(path, value)  # a burst far past depth_shed=2
         harness.run()
+        assert bounces and all(
+            m.size_bytes == m.frame.size_bytes >= len(m.frame.data) for m in bounces
+        )
+        assert any(m.frame.trace for m in bounces) == traced
         shard = next(iter(harness.shards.values()))
         assert shard.admission.shed_by_lane.get(LANE_DATA, 0) > 0
         assert a.retry_afters, "the burst must have bounced something"

@@ -13,7 +13,9 @@ import pytest
 from repro import obs
 from repro.chaos import FaultPlan
 from repro.cluster import ClusterConfig, ClusterHarness
+from repro.cluster.wire import encode_clientbound
 from repro.db import Database, MultimediaObjectStore
+from repro.net.codec import encode_message
 from repro.net.message import Message
 from repro.server.protocol import MessageKind
 from repro.workloads import consultation_events, generate_record
@@ -52,15 +54,13 @@ def join_ack_envelope(harness, client, doc_id):
         "doc_id": doc_id,
         "room_id": "forged-room",
     }
-    wrapper = {
-        "to": client.node_id,
-        "kind": MessageKind.JOIN_ACK,
-        "payload": inner,
-        "size": 64,
-    }
+    envelope = encode_clientbound(
+        client.node_id, encode_message(MessageKind.JOIN_ACK, inner), 64
+    )
     return owner, Message(
         sender=owner, recipient=harness.gateways["gw-1"].node_id,
-        kind=MessageKind.ROUTE, payload=wrapper, size_bytes=64,
+        kind=MessageKind.ROUTE, payload=envelope.payload,
+        size_bytes=envelope.size_bytes, frame=envelope,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
+from repro.net import encode_message
 from repro.server.protocol import MessageKind
 from repro.workloads import generate_record
 
@@ -99,10 +100,10 @@ class TestSessionRouting:
         client.join(docs[0])
         harness.run()
         # Forge a choice for a session the gateway never saw.
+        body = {"session_id": "nowhere:session-9", "component": "x", "value": "y"}
         harness.network.send(
-            "client-alice", harness.gateways["gw-1"].node_id, MessageKind.CHOICE,
-            payload={"session_id": "nowhere:session-9", "component": "x", "value": "y"},
-            size_bytes=10,
+            "client-alice", harness.gateways["gw-1"].node_id,
+            encode_message(MessageKind.CHOICE, body),
         )
         harness.run()
         assert any(e["error"] == "ClusterError" for e in client.errors)

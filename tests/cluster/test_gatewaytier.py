@@ -116,10 +116,10 @@ class TestOpParking:
         sent = []
         real_send = network.send
 
-        def recording_send(sender, recipient, kind, payload=None, **kwargs):
+        def recording_send(sender, recipient, frame):
             if sender == client.node_id:
-                sent.append((kind, dict(payload or {})))
-            return real_send(sender, recipient, kind, payload=payload, **kwargs)
+                sent.append((frame.kind, dict(frame.payload or {})))
+            return real_send(sender, recipient, frame)
 
         network.send = recording_send
         client.join(DOCS[0])
@@ -384,7 +384,6 @@ class TestZeroResidue:
         assert result["errors"] == []
         for gateway in harness.gateways.values():
             assert gateway._session_route == {}
-            assert gateway._session_key == {}
             assert gateway._route_waiting == {}
         assert harness.directory._session_route == {}
         assert harness.directory._session_key == {}

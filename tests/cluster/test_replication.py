@@ -215,10 +215,10 @@ class TestStandbyShipsNothing:
             replication = []  # (kind, frame bytes) of every REPLICATE and ACK
             real_send = harness.network.send
 
-            def recording_send(sender, recipient, kind, payload=None, **kwargs):
-                if kind in (MessageKind.REPLICATE, MessageKind.ACK):
-                    replication.append((kind, kwargs["frame"].size_bytes))
-                return real_send(sender, recipient, kind, payload=payload, **kwargs)
+            def recording_send(sender, recipient, frame):
+                if frame.kind in (MessageKind.REPLICATE, MessageKind.ACK):
+                    replication.append((frame.kind, frame.size_bytes))
+                return real_send(sender, recipient, frame)
 
             harness.network.send = recording_send
             members = [

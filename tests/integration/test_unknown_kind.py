@@ -7,7 +7,7 @@ import pytest
 from repro.client import ClientModule, TelemetryMonitor
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.errors import ClientError, ClusterError, ServerError
-from repro.net import SimulatedNetwork
+from repro.net import SimulatedNetwork, encode_message
 from repro.net.message import Message
 from repro.server import InteractionServer
 
@@ -25,7 +25,7 @@ def _networked_server(store, log):
     InteractionServer(store, network=network)
     client = ClientModule("lee", network=network)
     network.attach_client(client)
-    network.send(client.node_id, "server", BOGUS, payload=PAYLOAD, size_bytes=8)
+    network.send(client.node_id, "server", encode_message(BOGUS, PAYLOAD))
     network.run()
     assert [error["error"] for error in client.errors] == ["ServerError"]
     assert repr(BOGUS) in client.errors[0]["detail"]
@@ -48,7 +48,7 @@ def _shard(store, log):
 def _gateway_from_client(store, log):
     harness = ClusterHarness(store, ClusterConfig(shards=1))
     client = harness.add_client("lee")
-    harness.network.send(client.node_id, "gw-1", BOGUS, payload=PAYLOAD, size_bytes=8)
+    harness.network.send(client.node_id, "gw-1", encode_message(BOGUS, PAYLOAD))
     harness.run()
     assert [error["error"] for error in client.errors] == ["ClusterError"]
     assert "unexpected message kind 'bogus' at gateway" in client.errors[0]["detail"]

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.net import Batcher, Link, Message, SimulatedNetwork
-from repro.net.codec import encode_message
 from repro.obs import MetricsRegistry, use_registry
+from tests.net.frames import frame_of
 
 
 class Recorder:
@@ -42,7 +42,7 @@ class TestPassThrough:
             client = Recorder("c1")
             network.attach_client(client, uplink=Link(), downlink=Link())
             batcher = Batcher(network, "server")  # window_s=0
-            batcher.send("c1", "peer_event", {"viewer": "a"})
+            batcher.send("c1", frame_of("peer_event", {"viewer": "a"}))
             network.run()
         assert _kinds(client) == ["peer_event"]
         assert batcher.pending_count == 0
@@ -55,7 +55,7 @@ class TestWindowing:
     def test_deadline_flush_coalesces(self, rig):
         network, client, batcher, registry = rig
         for seq in range(3):
-            batcher.send("c1", "peer_event", {"viewer": "a", "seq": seq})
+            batcher.send("c1", frame_of("peer_event", {"viewer": "a", "seq": seq}))
         assert batcher.pending_count == 3
         network.run()  # the deadline fires inside the event loop
         # Receiver sees three ordinary messages — the wire carried one.
@@ -68,7 +68,7 @@ class TestWindowing:
 
     def test_single_pending_frame_sends_plain(self, rig):
         network, client, batcher, registry = rig
-        batcher.send("c1", "peer_event", {"viewer": "a"})
+        batcher.send("c1", frame_of("peer_event", {"viewer": "a"}))
         network.run()
         assert _kinds(client) == ["peer_event"]
         counters = registry.snapshot()["counters"]
@@ -78,15 +78,15 @@ class TestWindowing:
     def test_byte_budget_flushes_early(self, rig):
         network, client, batcher, registry = rig
         big = {"viewer": "a", "pad": "x" * 300}
-        batcher.send("c1", "peer_event", big)
-        batcher.send("c1", "peer_event", big)  # crosses 512 bytes
+        batcher.send("c1", frame_of("peer_event", big))
+        batcher.send("c1", frame_of("peer_event", big))  # crosses 512 bytes
         assert batcher.pending_count == 0  # flushed synchronously
         network.run()
         assert _kinds(client) == ["peer_event"] * 2
 
     def test_oversized_frame_never_batches(self, rig):
         network, client, batcher, _ = rig
-        batcher.send("c1", "peer_event", {"pad": "y" * 2000})
+        batcher.send("c1", frame_of("peer_event", {"pad": "y" * 2000}))
         assert batcher.pending_count == 0
         network.run()
         assert _kinds(client) == ["peer_event"]
@@ -95,19 +95,18 @@ class TestWindowing:
 class TestBarriers:
     def test_barrier_kind_flushes_destination_first(self, rig):
         network, client, batcher, _ = rig
-        batcher.send("c1", "peer_event", {"viewer": "a", "seq": 1})
-        batcher.send("c1", "join_ack", {"session_id": "s"})  # not batchable
+        batcher.send("c1", frame_of("peer_event", {"viewer": "a", "seq": 1}))
+        batcher.send("c1", frame_of("join_ack", {"session_id": "s"}))  # not batchable
         network.run()
         # Order preserved: the queued frame lands before the barrier.
         assert _kinds(client) == ["peer_event", "join_ack"]
 
     def test_declared_size_media_is_a_barrier(self, rig):
         network, client, batcher, _ = rig
-        batcher.send("c1", "peer_event", {"seq": 1})
+        batcher.send("c1", frame_of("peer_event", {"seq": 1}))
         body = {"component": "labs", "size": 12288}
-        frame = encode_message("payload", body)
         # Media charged at presentation size (≠ frame size) never batches.
-        batcher.send("c1", "payload", body, size_bytes=12288, frame=frame)
+        batcher.send("c1", frame_of("payload", body, size_bytes=12288))
         network.run()
         assert _kinds(client) == ["peer_event", "payload"]
         assert client.received[1].size_bytes == 12288
@@ -116,9 +115,9 @@ class TestBarriers:
         network, client, batcher, registry = rig
         c2 = Recorder("c2")
         network.attach_client(c2, uplink=Link(), downlink=Link())
-        batcher.send("c1", "peer_event", {"seq": 1})
-        batcher.send("c2", "peer_event", {"seq": 1})
-        batcher.send("c2", "join_ack", {"session_id": "s"})  # barrier on c2 only
+        batcher.send("c1", frame_of("peer_event", {"seq": 1}))
+        batcher.send("c2", frame_of("peer_event", {"seq": 1}))
+        batcher.send("c2", frame_of("join_ack", {"session_id": "s"}))  # barrier on c2 only
         assert batcher.pending_count == 1  # c1's frame still queued
         network.run()
         assert _kinds(client) == ["peer_event"]
@@ -128,7 +127,7 @@ class TestBarriers:
 class TestDetachedRecipient:
     def test_deadline_flush_to_detached_client_is_dropped(self, rig):
         network, client, batcher, _ = rig
-        batcher.send("c1", "peer_event", {"seq": 1})
+        batcher.send("c1", frame_of("peer_event", {"seq": 1}))
         network.detach_client("c1")
         network.run()  # deadline fires; no NetworkError
         assert client.received == []
@@ -148,7 +147,7 @@ class TestWireAccounting:
                 network.attach_client(client, uplink=Link(), downlink=Link())
                 batcher = Batcher(network, "server", window_s=window_s)
                 for seq in range(6):
-                    batcher.send("c1", "peer_event", {"viewer": "dr", "seq": seq})
+                    batcher.send("c1", frame_of("peer_event", {"viewer": "dr", "seq": seq}))
                 network.run()
             assert len(client.received) == 6
             counters = registry.snapshot()["counters"]

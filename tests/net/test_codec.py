@@ -26,12 +26,7 @@ from repro.net.codec import (
     value_size,
 )
 from repro.cluster.admission import retry_after_body
-from repro.cluster.wire import (
-    clientbound_wrapper,
-    encode_clientbound,
-    encode_shardbound,
-    shardbound_wrapper,
-)
+from repro.cluster.wire import encode_clientbound, encode_shardbound
 from repro.obs import MetricsRegistry, use_registry
 from repro.server.protocol import MessageKind, encoded_size
 
@@ -484,18 +479,14 @@ def _golden_frames() -> dict[str, bytes]:
     for index, value in enumerate(("segmented", "raw")):
         payload = {**choice, "value": value}
         inner = encode_message(MessageKind.CHOICE, payload)
-        wrapper = shardbound_wrapper("client-dr-lee", MessageKind.CHOICE, payload)
         frames[f"route_shardbound_{index}"] = encode_shardbound(
-            wrapper, inner, to_shard
+            "client-dr-lee", inner, to_shard
         ).data
         update = {**KIND_PAYLOADS[MessageKind.PRESENTATION_UPDATE], "seq": index}
         inner = encode_message(MessageKind.PRESENTATION_UPDATE, update)
-        wrapper = clientbound_wrapper(
-            "client-dr-lee", MessageKind.PRESENTATION_UPDATE, update, inner.size_bytes
-        )
         frames[f"route_clientbound_{index}"] = encode_clientbound(
-            wrapper, inner, to_gateway
-        )[0].data
+            "client-dr-lee", inner, inner.size_bytes, to_gateway
+        ).data
     frames["batch"] = encode_batch(
         [
             encode_message(MessageKind.PEER_EVENT, {"viewer": "dr-lee", "seq": i})

@@ -215,10 +215,27 @@ contexts_strategy = st.tuples(
 ).map(lambda t: TraceContext(*t))
 
 
-@given(st.lists(contexts_strategy, min_size=0, max_size=6))
-def test_trailer_roundtrip_sweep(contexts):
-    """Any context tuple (varint-range ids, µs timestamps) roundtrips."""
+@given(
+    st.lists(contexts_strategy, min_size=0, max_size=6),
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.sampled_from(("stamp", "envelope")), max_size=6),
+)
+def test_trailer_roundtrip_sweep(contexts, declared, chain):
+    """Any context tuple (varint-range ids, µs timestamps) roundtrips,
+    and any chain of stamps and envelopes around a media frame of any
+    declared size keeps its declared excess: a frame's wire size is its
+    bytes plus exactly what its descriptor stands for."""
     frame = encode_message(MessageKind.CHOICE, KIND_PAYLOADS[MessageKind.CHOICE])
     stamped = stamp_frame(frame, tuple(contexts))
     _, _, got = decode_message_traced(stamped.data)
     assert got == tuple(contexts)
+    assert stamped.size_bytes == len(stamped.data)
+    media = encode_message(MessageKind.PAYLOAD, {"component": "labs", "size": declared})
+    media.size_bytes = max(declared, media.size_bytes)  # as Room.payload_frame does
+    excess = media.size_bytes - len(media.data)
+    for step in chain:
+        if step == "stamp":
+            media = stamp_frame(media, tuple(contexts))
+        else:
+            media = encode_envelope(MessageKind.ROUTE, {"kind": media.kind}, media, None)
+        assert media.size_bytes - len(media.data) == excess

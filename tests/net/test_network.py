@@ -6,6 +6,7 @@ from repro.errors import NetworkError
 from repro.net import Link, Message, SimulatedNetwork
 from repro.net.link import MBPS
 from repro.obs import MetricsRegistry, use_registry
+from tests.net.frames import frame_of
 
 
 class Recorder:
@@ -89,7 +90,7 @@ class TestBackbone:
     def test_backbone_peers_may_exchange_traffic(self, net):
         add_backbone(net, "shard-1")
         peer = add_backbone(net, "shard-2")
-        net.send("shard-1", "shard-2", "replicate", payload={"seq": 1}, size_bytes=64)
+        net.send("shard-1", "shard-2", frame_of("replicate", {"seq": 1}, size_bytes=64))
         net.run()
         assert len(peer.received) == 1
         assert peer.received[0][1].payload == {"seq": 1}
@@ -99,9 +100,9 @@ class TestBackbone:
         add_client(net, "c1")
         add_client(net, "c2")
         with pytest.raises(NetworkError, match="hub<->client"):
-            net.send("c1", "c2", "chat")
+            net.send("c1", "c2", frame_of("chat"))
         with pytest.raises(NetworkError, match="hub<->client"):
-            net.send("c1", "shard-1", "chat")  # client->backbone is not a path
+            net.send("c1", "shard-1", frame_of("chat"))  # client->backbone is not a path
 
     def test_detach_backbone(self, net):
         add_backbone(net, "shard-1")
@@ -118,8 +119,8 @@ class TestBackbone:
         add_client(net, "c1")
         net.assign_home("c1", "gw-1")
         net.set_peer_link("shard-1", "gw-1", Link())
-        net.send("shard-1", "gw-1", "route", size_bytes=8)
-        net.send("gw-1", "c1", "update", size_bytes=8)
+        net.send("shard-1", "gw-1", frame_of("route", size_bytes=8))
+        net.send("gw-1", "c1", frame_of("update", size_bytes=8))
         net.run()
 
         def tables_naming(node_id):
@@ -161,7 +162,7 @@ class TestBackbone:
             b = Recorder("s2")
             b.attach(network)
             network.attach_backbone(b)
-            network.send("s1", "s2", "replicate", size_bytes=500)
+            network.send("s1", "s2", frame_of("replicate", size_bytes=500))
             network.run()
             counters = registry.snapshot()["counters"]
             assert counters["net.peer.s1.s2.bytes"] == 500
@@ -172,7 +173,7 @@ class TestBackbone:
         net.set_peer_link(
             "shard-1", "shard-2", Link(bandwidth_bps=1 * MBPS, latency_s=0.0)
         )
-        net.send("shard-1", "shard-2", "replicate", size_bytes=125_000)
+        net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=125_000))
         net.run()
         assert peer.received[0][0] == pytest.approx(1.0)
 
@@ -201,14 +202,14 @@ class TestNoStaleRoute:
         old, new = add_gateway(network, "gw-1"), add_gateway(network, "gw-2")
         client = add_client(network, "c1")
         network.assign_home("c1", "gw-1")
-        network.send("gw-1", "c1", "update", size_bytes=100)
-        network.send("c1", "gw-1", "choice", size_bytes=10)
+        network.send("gw-1", "c1", frame_of("update", size_bytes=100))
+        network.send("c1", "gw-1", frame_of("choice", size_bytes=10))
         network.run()
         assert len(client.received) == 1 and len(old.received) == 1
 
         network.assign_home("c1", "gw-2")  # the gateway-failover path
-        network.send("gw-2", "c1", "update", size_bytes=40)
-        network.send("c1", "gw-2", "choice", size_bytes=4)
+        network.send("gw-2", "c1", frame_of("update", size_bytes=40))
+        network.send("c1", "gw-2", frame_of("choice", size_bytes=4))
         network.run()
         assert len(client.received) == 2 and len(new.received) == 1
         assert network.downlink("c1").bytes_carried == 140
@@ -218,9 +219,9 @@ class TestNoStaleRoute:
         assert counters["net.link.c1.up.bytes"] == 14
         # The old gateway no longer has a path to the client, either way.
         with pytest.raises(NetworkError, match="hub<->client"):
-            network.send("gw-1", "c1", "update", size_bytes=1)
+            network.send("gw-1", "c1", frame_of("update", size_bytes=1))
         with pytest.raises(NetworkError, match="hub<->client"):
-            network.send("c1", "gw-1", "choice", size_bytes=1)
+            network.send("c1", "gw-1", frame_of("choice", size_bytes=1))
 
     def test_reattached_client_is_charged_on_its_new_links(self):
         registry = MetricsRegistry()
@@ -231,21 +232,21 @@ class TestNoStaleRoute:
             network.attach_hub(hub)
         add_client(network, "c1")
         first_down = network.downlink("c1")
-        network.send("server", "c1", "update", size_bytes=100)
+        network.send("server", "c1", frame_of("update", size_bytes=100))
         network.run()
-        network.send("server", "c1", "update", size_bytes=7)  # in flight at detach
+        network.send("server", "c1", frame_of("update", size_bytes=7))  # in flight at detach
         network.detach_client("c1")
         network.run()
         counters = registry.snapshot()["counters"]
         assert counters["net.drops"] == 1
         with pytest.raises(NetworkError, match="unknown recipient"):
-            network.send("server", "c1", "update", size_bytes=1)
+            network.send("server", "c1", frame_of("update", size_bytes=1))
         with pytest.raises(NetworkError, match="unknown sender"):
-            network.send("c1", "server", "choice", size_bytes=1)
+            network.send("c1", "server", frame_of("choice", size_bytes=1))
 
         again = add_client(network, "c1", bandwidth=1 * MBPS)
-        network.send("server", "c1", "update", size_bytes=125_000)
-        network.send("c1", "server", "choice", size_bytes=5)
+        network.send("server", "c1", frame_of("update", size_bytes=125_000))
+        network.send("c1", "server", frame_of("choice", size_bytes=5))
         started = network.clock.now
         network.run()
         assert again.received[0][0] - started == pytest.approx(1.0)
@@ -259,12 +260,12 @@ class TestNoStaleRoute:
     def test_peer_link_installed_mid_run_carries_the_next_send(self, net):
         add_backbone(net, "shard-1")
         peer = add_backbone(net, "shard-2")
-        net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+        net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))
         net.run()
         slow = Link(bandwidth_bps=1 * MBPS, latency_s=0.0)
         net.set_peer_link("shard-1", "shard-2", slow)
         started = net.clock.now
-        net.send("shard-1", "shard-2", "replicate", size_bytes=125_000)
+        net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=125_000))
         net.run()
         assert slow.bytes_carried == 125_000 and slow.messages_carried == 1
         assert peer.received[1][0] - started == pytest.approx(1.0)
@@ -272,20 +273,20 @@ class TestNoStaleRoute:
     def test_detached_peer_is_unroutable_and_its_frames_drop(self, net):
         add_backbone(net, "shard-1")
         add_backbone(net, "shard-2")
-        net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+        net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))
         net.detach_client("shard-2")
         net.run()  # the frame in flight is dropped, not delivered
         with pytest.raises(NetworkError, match="unknown recipient"):
-            net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+            net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))
         add_client(net, "shard-2")  # same id, now an ordinary client
         with pytest.raises(NetworkError, match="hub<->client"):
-            net.send("shard-1", "shard-2", "replicate", size_bytes=64)
+            net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))
 
 
 class TestDelivery:
     def test_hub_to_client(self, net):
         client = add_client(net, "c1", latency=0.25)
-        net.send("server", "c1", "update", payload={"x": 1}, size_bytes=0)
+        net.send("server", "c1", frame_of("update", {"x": 1}, size_bytes=0))
         net.run()
         assert len(client.received) == 1
         time, message = client.received[0]
@@ -294,7 +295,7 @@ class TestDelivery:
 
     def test_client_to_hub(self, net):
         add_client(net, "c1", latency=0.1)
-        net.send("c1", "server", "choice", size_bytes=100)
+        net.send("c1", "server", frame_of("choice", size_bytes=100))
         net.run()
         hub = net.node("server")
         assert len(hub.received) == 1
@@ -303,20 +304,20 @@ class TestDelivery:
         add_client(net, "c1")
         add_client(net, "c2")
         with pytest.raises(NetworkError, match="hub<->client"):
-            net.send("c1", "c2", "chat")
+            net.send("c1", "c2", frame_of("chat"))
 
     def test_unknown_nodes_rejected(self, net):
         with pytest.raises(NetworkError, match="unknown sender"):
-            net.send("ghost", "server", "x")
+            net.send("ghost", "server", frame_of("x"))
         with pytest.raises(NetworkError, match="unknown recipient"):
-            net.send("server", "ghost", "x")
+            net.send("server", "ghost", frame_of("x"))
 
     def test_bandwidth_differentiates_arrival(self, net):
         fast = add_client(net, "fast", bandwidth=10 * MBPS)
         slow = add_client(net, "slow", bandwidth=1 * MBPS)
         payload_bytes = 1_250_000  # 10 Mbit
-        net.send("server", "fast", "image", size_bytes=payload_bytes)
-        net.send("server", "slow", "image", size_bytes=payload_bytes)
+        net.send("server", "fast", frame_of("image", size_bytes=payload_bytes))
+        net.send("server", "slow", frame_of("image", size_bytes=payload_bytes))
         net.run()
         fast_time = fast.received[0][0]
         slow_time = slow.received[0][0]
@@ -325,7 +326,7 @@ class TestDelivery:
 
     def test_messages_to_detached_client_dropped(self, net):
         client = add_client(net, "c1", latency=1.0)
-        net.send("server", "c1", "update", size_bytes=10)
+        net.send("server", "c1", frame_of("update", size_bytes=10))
         net.detach_client("c1")
         net.run()
         assert client.received == []
@@ -333,8 +334,8 @@ class TestDelivery:
     def test_per_client_links_do_not_interfere(self, net):
         a = add_client(net, "a", bandwidth=1 * MBPS)
         b = add_client(net, "b", bandwidth=1 * MBPS)
-        net.send("server", "a", "image", size_bytes=125_000)
-        net.send("server", "b", "image", size_bytes=125_000)
+        net.send("server", "a", frame_of("image", size_bytes=125_000))
+        net.send("server", "b", frame_of("image", size_bytes=125_000))
         net.run()
         # Separate downlinks -> both arrive at t=1, not serialized.
         assert a.received[0][0] == pytest.approx(1.0)
@@ -344,9 +345,9 @@ class TestDelivery:
 class TestStats:
     def test_traffic_accounting(self, net):
         add_client(net, "c1")
-        net.send("server", "c1", "update", size_bytes=100)
-        net.send("server", "c1", "update", size_bytes=50)
-        net.send("c1", "server", "choice", size_bytes=10)
+        net.send("server", "c1", frame_of("update", size_bytes=100))
+        net.send("server", "c1", frame_of("update", size_bytes=50))
+        net.send("c1", "server", frame_of("choice", size_bytes=10))
         net.run()
         assert net.stats.messages == 3
         assert net.stats.bytes_total == 160
@@ -355,7 +356,7 @@ class TestStats:
 
     def test_link_stats_and_reset(self, net):
         add_client(net, "c1")
-        net.send("server", "c1", "update", size_bytes=100)
+        net.send("server", "c1", frame_of("update", size_bytes=100))
         net.run()
         assert net.downlink("c1").bytes_carried == 100
         net.reset_stats()
@@ -367,8 +368,8 @@ class TestStats:
         add_backbone(net, "shard-2")
         custom = Link()
         net.set_peer_link("shard-2", "shard-1", custom)
-        net.send("shard-1", "shard-2", "replicate", size_bytes=64)  # default link
-        net.send("shard-2", "shard-1", "ack", size_bytes=8)
+        net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))  # default link
+        net.send("shard-2", "shard-1", frame_of("ack", size_bytes=8))
         net.run()
         default = net._peer_link("shard-1", "shard-2")
         assert (default.bytes_carried, default.messages_carried) == (64, 1)

@@ -10,17 +10,12 @@ from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import DeliveryFailed
-from repro.net import (
-    Link,
-    Message,
-    NET_ACK,
-    RetryPolicy,
-    SimulatedNetwork,
-    payload_checksum,
-)
+from repro.net import Link, Message, NET_ACK, RetryPolicy, SimulatedNetwork
 from repro.net import reliable
+from repro.net.codec import checksum_of
 from repro.net.link import MBPS
 from repro.server import InteractionServer
+from tests.net.frames import frame_of
 
 
 @pytest.fixture(autouse=True)
@@ -61,12 +56,7 @@ class LossyNetwork(SimulatedNetwork):
         if index in self.drop_next:
             return
         if index in self.corrupt_next:
-            message = Message(
-                sender=message.sender, recipient=message.recipient,
-                kind=message.kind, payload=self.mangled,
-                size_bytes=message.size_bytes, seq=message.seq,
-                checksum=message.checksum, attempt=message.attempt,
-            )
+            message = message._replace(payload=self.mangled)
         super()._transmit(message)
 
 
@@ -82,14 +72,14 @@ def rig(network_cls=SimulatedNetwork, **kwargs):
 class TestHappyPath:
     def test_frames_carry_seq_and_checksum(self):
         network, hub, _ = rig()
-        message = network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        message = network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         assert message.seq == 1 and message.checksum is not None
         network.run()
         assert [m.kind for m in hub.received] == ["choice"]
 
     def test_acks_are_consumed_by_the_transport(self):
         network, hub, client = rig()
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         # The client never sees the ack as an application message.
         assert all(m.kind != NET_ACK for m in client.received)
@@ -97,16 +87,17 @@ class TestHappyPath:
 
     def test_seq_is_per_directed_pair(self):
         network, _, _ = rig()
-        a = network.send("c1", "server", "choice", {}, size_bytes=1)
-        b = network.send("server", "c1", "payload", {}, size_bytes=1)
-        c = network.send("c1", "server", "choice", {}, size_bytes=1)
+        a = network.send("c1", "server", frame_of("choice", {}, size_bytes=1))
+        b = network.send("server", "c1", frame_of("payload", {}, size_bytes=1))
+        c = network.send("c1", "server", frame_of("choice", {}, size_bytes=1))
         assert (a.seq, b.seq, c.seq) == (1, 1, 2)
 
     def test_unreliable_kinds_skip_sequencing_but_keep_checksums(self):
         network, _, _ = rig()
-        message = network.send("c1", "server", "heartbeat", {"n": "c1"}, size_bytes=8)
+        frame = frame_of("heartbeat", {"n": "c1"}, size_bytes=8)
+        message = network.send("c1", "server", frame)
         assert message.seq is None
-        assert message.checksum == payload_checksum("heartbeat", {"n": "c1"})
+        assert message.checksum == frame.checksum
         network.run()
         assert network.reliability.in_flight == 0
 
@@ -116,7 +107,7 @@ class TestRetry:
         registry, _ = fresh_obs
         network, hub, _ = rig(LossyNetwork)
         network.drop_next = {0}  # first transmission lost
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         assert [m.payload for m in hub.received] == [{"v": 1}]
         assert hub.received[0].attempt == 1  # the retry delivered it
@@ -134,7 +125,7 @@ class TestRetry:
         payload = {"session_id": "s", "value": "full"}
         frame = encode_message("choice", payload)
         before = registry.snapshot()["counters"]["codec.encodes"]
-        network.send("c1", "server", "choice", payload, frame=frame)
+        network.send("c1", "server", frame)
         network.run()
         assert [m.payload for m in hub.received] == [payload]  # dup dropped
         assert hub.received[0].frame is frame
@@ -150,7 +141,7 @@ class TestRetry:
         registry, _ = fresh_obs
         network, hub, _ = rig(LossyNetwork)
         network.drop_next = {1}  # the ack of the first frame
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         # Delivered once to the application despite the retransmission.
         assert [m.payload for m in hub.received] == [{"v": 1}]
@@ -165,7 +156,7 @@ class TestRetry:
         network.attach_hub(hub)
         network.attach_client(client)
         network.drop_next = set(range(10_000))  # 100% loss, forever
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         events = network.run()
         # Terminates (no livelock) and surfaces the typed error both ways.
         assert events > 0
@@ -193,18 +184,18 @@ class TestRetry:
                 super()._transmit(message)
 
         network, hub, client = rig(HoldFirstFrame)
-        network.send("c1", "server", "choice", {"n": 1}, size_bytes=5)
-        network.send("c1", "server", "choice", {"n": 2}, size_bytes=5)
+        network.send("c1", "server", frame_of("choice", {"n": 1}, size_bytes=5))
+        network.send("c1", "server", frame_of("choice", {"n": 2}, size_bytes=5))
         network.run()
         assert [f.seq for f in client.failures] == [1]
-        network.send("c1", "server", "choice", {"n": 3}, size_bytes=5)
+        network.send("c1", "server", frame_of("choice", {"n": 3}, size_bytes=5))
         SimulatedNetwork._transmit(network, network.held[0])
         network.run()
         assert [m.payload["n"] for m in hub.received] == [2, 3]
 
     def test_recipient_detach_fails_fast_not_forever(self):
         network, hub, client = rig()
-        network.send("server", "c1", "payload", {}, size_bytes=10)
+        network.send("server", "c1", frame_of("payload", {}, size_bytes=10))
         network.detach_client("c1")  # departs with the frame in flight
         network.run()
         assert [f.reason for f in network.delivery_failures] == ["recipient_detached"]
@@ -233,8 +224,8 @@ class TestOrderingAndCorruption:
         hub, client = Recorder("server"), Recorder("c1")
         network.attach_hub(hub)
         network.attach_client(client)
-        network.send("c1", "server", "choice", {"n": 1}, size_bytes=5)
-        network.send("c1", "server", "choice", {"n": 2}, size_bytes=5)
+        network.send("c1", "server", frame_of("choice", {"n": 1}, size_bytes=5))
+        network.send("c1", "server", frame_of("choice", {"n": 2}, size_bytes=5))
         network.run()
         assert [m.payload["n"] for m in hub.received] == [1, 2]
         assert [m.seq for m in hub.received] == [1, 2]
@@ -243,7 +234,7 @@ class TestOrderingAndCorruption:
         registry, _ = fresh_obs
         network, hub, _ = rig(LossyNetwork)
         network.corrupt_next = {0}
-        network.send("c1", "server", "choice", {"v": "good"}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": "good"}, size_bytes=10))
         network.run()
         # The mangled frame never reached the application; the retry did.
         assert [m.payload for m in hub.received] == [{"v": "good"}]
@@ -256,7 +247,7 @@ class TestOrderingAndCorruption:
         network.attach_hub(hub)
         network.attach_client(client)
         network.corrupt_next = {0}
-        network.send("c1", "server", "choice", {"v": "good"}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": "good"}, size_bytes=10))
         network.run()
         assert [m.payload for m in hub.received] == [{"mangled": True}]
 
@@ -289,7 +280,7 @@ class TestAcks:
 
         plan.decide = corrupt_first_ack
         network, hub, _ = rig(ChaosNetwork, plan=plan)
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         assert fired == [NET_ACK]
         self._assert_repaired_exactly_once(registry, network, hub)
@@ -300,7 +291,7 @@ class TestAcks:
         network, hub, _ = rig(LossyNetwork)
         network.mangled = body
         network.corrupt_next = {1}  # the ack keeps the checksum of {"seq": 1}
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
         network.run()
         self._assert_repaired_exactly_once(registry, network, hub)
 
@@ -308,21 +299,21 @@ class TestAcks:
         registry, _ = fresh_obs
         network, hub, _ = rig(LossyNetwork)
         network.drop_next = {1}  # the transport's own ack is lost
-        network.send("c1", "server", "choice", {"v": 1}, size_bytes=10)
+        network.send("c1", "server", frame_of("choice", {"v": 1}, size_bytes=10))
 
         def ack(seq, checksum):
             hand_built = Message("server", "c1", NET_ACK, {"seq": seq}, 16, checksum=checksum)
             SimulatedNetwork._transmit(network, hand_built)  # past the scripted losses
 
         # A seq nobody ever acked: right checksum, nothing outstanding.
-        ack(999, payload_checksum(NET_ACK, {"seq": 999}))
+        ack(999, checksum_of(NET_ACK, {"seq": 999}))
         network.clock.run_until(0.05)
         assert network.reliability.in_flight == 1
         assert _counters(registry)["net.corrupt_dropped"] == 0
         # The same seq under another body's checksum is not an ack.
-        ack(999, payload_checksum(NET_ACK, {"seq": 1}))
+        ack(999, checksum_of(NET_ACK, {"seq": 1}))
         # An equal body built elsewhere acks the frame before it times out.
-        ack(1, payload_checksum(NET_ACK, {"seq": 1}))
+        ack(1, checksum_of(NET_ACK, {"seq": 1}))
         network.run()
         counters = _counters(registry)
         assert counters["net.corrupt_dropped"] == 1
@@ -337,7 +328,7 @@ class TestAcks:
         frames = bound + 40
         network, hub, _ = rig()
         for n in range(frames):
-            network.send("c1", "server", "choice", {"n": n}, size_bytes=10)
+            network.send("c1", "server", frame_of("choice", {"n": n}, size_bytes=10))
         network.run()
         assert [m.payload["n"] for m in hub.received] == list(range(frames))
         counters = _counters(registry)
@@ -376,13 +367,13 @@ class TestCarryingCost:
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
 
         ack_encodes = Counter()
-        checksum_of = reliable.checksum_of
+        encode_ack = reliable.checksum_of
         reliable._ack_checksum.cache_clear()  # the memo is the process's, not the test's
 
         def counting_checksum(kind, payload):
             if kind == NET_ACK:
                 ack_encodes[payload["seq"]] += 1
-            return checksum_of(kind, payload)
+            return encode_ack(kind, payload)
 
         monkeypatch.setattr(reliable, "checksum_of", counting_checksum)
 
@@ -437,7 +428,7 @@ class TestRttAwareTimeouts:
         hub, client = Recorder("server"), Recorder("c1")
         network.attach_hub(hub)
         network.attach_client(client, downlink=Link(bandwidth_bps=10 * MBPS))
-        network.send("server", "c1", "payload", {"k": 1}, size_bytes=4_000_000)
+        network.send("server", "c1", frame_of("payload", {"k": 1}, size_bytes=4_000_000))
         network.run()
         assert [m.payload for m in client.received] == [{"k": 1}]
         counters = registry.snapshot()["counters"]
@@ -446,7 +437,7 @@ class TestRttAwareTimeouts:
 
     def test_vanished_endpoint_has_no_route_to_estimate(self):
         network, _, _ = rig()
-        message = network.send("server", "c1", "update", {"k": 1}, size_bytes=1000)
+        message = network.send("server", "c1", frame_of("update", {"k": 1}, size_bytes=1000))
         assert network.reliability._estimate_rtt(message) > 0.0
         # Detaching drops the resolved route with the node: the estimate
         # falls back to zero and the timeout path handles the rest.

@@ -8,7 +8,7 @@ from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import MediaError, PermissionError_
 from repro.media.image import Image, ct_phantom, zoom
-from repro.net import SimulatedNetwork
+from repro.net import SimulatedNetwork, encode_message
 from repro.server import InteractionServer
 from repro.server.protocol import MessageKind
 
@@ -75,15 +75,14 @@ class TestOverNetwork:
         network.attach_client(client)
         client.join("record-17")
         network.run()
+        body = {
+            "session_id": client.session_id,
+            "media_ref": handle.media_ref,
+            "rect": [10, 10, 32, 32],
+            "factor": 2,
+        }
         network.send(
-            client.node_id, "server", MessageKind.FETCH_PAYLOAD,
-            payload={
-                "session_id": client.session_id,
-                "media_ref": handle.media_ref,
-                "rect": [10, 10, 32, 32],
-                "factor": 2,
-            },
-            size_bytes=64,
+            client.node_id, "server", encode_message(MessageKind.FETCH_PAYLOAD, body)
         )
         network.run()
         # The region payload is observed by the client (raw media payloads
