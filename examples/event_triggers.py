@@ -31,9 +31,10 @@ def main() -> None:
         network = SimulatedNetwork()
         server = InteractionServer(store, network=network)
         audit_log = []
+        labels = {}  # trigger id -> what it is for
 
         # 1. audit every operation on imaging components
-        server.triggers.register(
+        audit = server.triggers.register(
             lambda room, change: (
                 change.kind == "operation"
                 and change.data.get("component", "").startswith("imaging.")
@@ -42,11 +43,11 @@ def main() -> None:
                 f"{change.viewer_id} performed {change.data['operation']} "
                 f"on {change.data['component']}"
             ),
-            description="imaging operation audit",
         )
+        labels[audit.trigger_id] = "imaging operation audit"
 
         # 2. escalate the first segmentation of the CT (fires once)
-        server.triggers.register(
+        escalation = server.triggers.register(
             all_of(on_kind("choice"), on_component("imaging.ct_head")),
             lambda room, change: (
                 server.broadcast(
@@ -57,19 +58,19 @@ def main() -> None:
                 if change.data.get("value") == "segmented"
                 else None
             ),
-            description="CT segmentation escalation",
         )
+        labels[escalation.trigger_id] = "CT segmentation escalation"
 
         # 3. announce quorum once
-        server.triggers.register(
+        quorum = server.triggers.register(
             on_room_population(3),
             lambda room, change: server.broadcast(
                 {"note": "three participants present — consultation is quorate"},
                 room_id=room.room_id,
             ),
             once=True,
-            description="quorum announcement",
         )
+        labels[quorum.trigger_id] = "quorum announcement"
 
         clients = []
         for name in ("radiologist", "surgeon", "resident"):
@@ -95,7 +96,7 @@ def main() -> None:
             print(f"  {message}")
         print("\nRegistered triggers still active:")
         for trigger in server.triggers.triggers:
-            print(f"  #{trigger.trigger_id} {trigger.description} "
+            print(f"  #{trigger.trigger_id} {labels[trigger.trigger_id]} "
                   f"(fired {trigger.fired_count}x)")
         db.close()
 

@@ -34,6 +34,7 @@ from repro.net import Link, SimulatedNetwork
 from repro.obs import (
     DeliveryTracer,
     analyze_delivery,
+    render_dashboard,
     render_delivery_tree,
     to_lines,
     use_dtrace,
@@ -153,7 +154,9 @@ def monitored_consultation() -> None:
                 # on the wall-clock floats inside it). Everything left
                 # is simclock-driven and byte-identical across runs.
                 print(
-                    monitor.render(
+                    render_dashboard(
+                        monitor.combined(),
+                        monitor.events,
                         title="three-doctor consultation, as the monitor saw it",
                         exclude=(
                             *WALL_CLOCK,

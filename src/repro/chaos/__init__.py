@@ -3,8 +3,8 @@
 The subsystem has three moving parts:
 
 - :class:`FaultPlan` — a declarative, seeded description of one chaos
-  run: per-frame fault rates (drop / duplicate / reorder / delay /
-  corrupt), partition windows, link flaps. One ``random.Random(seed)``
+  run: per-frame fault rates (drop / duplicate / reorder / corrupt) and
+  partition windows. One ``random.Random(seed)``
   drives every probabilistic decision, so a failing run replays exactly.
 - :class:`ChaosNetwork` — a :class:`~repro.net.network.SimulatedNetwork`
   that consults the plan for every frame it puts on a wire (including
@@ -24,13 +24,9 @@ under N chaos seeds ends byte-identical to its fault-free control.
 from repro.chaos.network import CORRUPTED_PAYLOAD, ChaosNetwork
 from repro.chaos.plan import (
     CORRUPT,
-    DEFAULT_PROTECTED_KINDS,
-    DELAY,
     DROP,
     DUPLICATE,
-    FLAP_DROP,
     FaultPlan,
-    LinkFlap,
     PARTITION_DROP,
     PartitionWindow,
     REORDER,
@@ -46,14 +42,10 @@ __all__ = [
     "CORRUPT",
     "CORRUPTED_PAYLOAD",
     "ChaosNetwork",
-    "DEFAULT_PROTECTED_KINDS",
-    "DELAY",
     "DROP",
     "DUPLICATE",
-    "FLAP_DROP",
     "FaultPlan",
     "Failpoints",
-    "LinkFlap",
     "PARTITION_DROP",
     "PartitionWindow",
     "REORDER",

@@ -15,22 +15,9 @@ explains itself in the same telemetry as a healthy one.
 
 from __future__ import annotations
 
-from repro.chaos.plan import (
-    CORRUPT,
-    DELAY,
-    DROP,
-    DUPLICATE,
-    FaultPlan,
-    FLAP_DROP,
-    LinkFlap,
-    PARTITION_DROP,
-    PartitionWindow,
-    REORDER,
-)
+from repro.chaos.plan import CORRUPT, DROP, DUPLICATE, FaultPlan, PartitionWindow, REORDER
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
-from repro.net.reliable import RetryPolicy
-from repro.net.simclock import SimClock
 
 #: Payload substituted into a corrupted frame. With the reliable layer
 #: on, the stale checksum quarantines it; without, the receiver gets
@@ -41,16 +28,11 @@ CORRUPTED_PAYLOAD = {"__chaos_corrupted__": True}
 class ChaosNetwork(SimulatedNetwork):
     """The simulated star network, plus a deterministic adversary."""
 
-    def __init__(
-        self,
-        clock: SimClock | None = None,
-        reliability: RetryPolicy | bool | None = None,
-        plan: FaultPlan | None = None,
-    ) -> None:
-        super().__init__(clock, reliability=reliability)
+    def __init__(self, reliability: bool = False, plan: FaultPlan | None = None) -> None:
+        super().__init__(reliability=reliability)
         self.plan = plan
         self._f_injected = self._obs.counter_family("chaos.injected", ("fault",))
-        self._announced: set[PartitionWindow | LinkFlap] = set()
+        self._announced: set[PartitionWindow] = set()
 
     # ----- fault injection -------------------------------------------------------
 
@@ -79,10 +61,10 @@ class ChaosNetwork(SimulatedNetwork):
             super()._transmit(message)
             super()._transmit(message)
             return
-        # DELAY / REORDER: defer the transmission; frames sent in the
-        # meantime overtake it on the link. The deferred copy goes out
-        # clean (one fault per transmission keeps the rates honest).
-        assert action in (DELAY, REORDER)
+        # REORDER: defer the transmission; frames sent in the meantime
+        # overtake it on the link. The deferred copy goes out clean (one
+        # fault per transmission keeps the rates honest).
+        assert action == REORDER
         self.clock.schedule(
             extra_delay, lambda: SimulatedNetwork._transmit(self, message)
         )
@@ -101,7 +83,7 @@ class ChaosNetwork(SimulatedNetwork):
         )
 
     def _announce_windows(self) -> None:
-        """Emit open/close flight-recorder events for active windows."""
+        """Emit open/close flight-recorder events for active partitions."""
         now = self.clock.now
         for window in self.plan.partitions:
             if window in self._announced or not (window.start <= now < window.end):
@@ -125,21 +107,6 @@ class ChaosNetwork(SimulatedNetwork):
                     b=sorted(w.b),
                 ),
             )
-        for flap in self.plan.flaps:
-            if flap in self._announced or not (flap.start <= now < flap.end):
-                continue
-            self._announced.add(flap)
-            self._events.emit(
-                "chaos.link_flap_open",
-                severity="WARN", at=now, node=flap.node, until=flap.end,
-            )
-            self.clock.schedule_at(
-                flap.end,
-                lambda f=flap: self._events.emit(
-                    "chaos.link_flap_close", severity="INFO",
-                    at=self.clock.now, node=f.node,
-                ),
-            )
 
     # ----- introspection ----------------------------------------------------------
 
@@ -147,7 +114,3 @@ class ChaosNetwork(SimulatedNetwork):
         """Faults injected so far, by kind of fault."""
         children = getattr(self._f_injected, "children", None) or {}
         return {labels[0]: counter.value for labels, counter in children.items()}
-
-
-#: Fault label for a severed path, re-exported for test readability.
-SEVERED_FAULTS = (PARTITION_DROP, FLAP_DROP)

@@ -1,8 +1,8 @@
 """Declarative, seeded fault plans.
 
 A :class:`FaultPlan` is the complete description of one chaos run: the
-per-frame fault rates (drop, duplicate, reorder, delay, corrupt), the
-partition windows and link flaps on the time axis, and the single RNG —
+per-frame fault rates (drop, duplicate, reorder, corrupt), the
+partition windows on the time axis, and the single RNG —
 ``random.Random(seed)`` — every probabilistic decision is drawn from.
 Same seed, same workload, same faults: a chaos failure is a test case
 you can re-run, not a flake you chase.
@@ -25,17 +25,18 @@ from repro.util.validation import check_probability
 DROP = "drop"
 DUPLICATE = "duplicate"
 REORDER = "reorder"
-DELAY = "delay"
 CORRUPT = "corrupt"
 PARTITION_DROP = "partition_drop"
-FLAP_DROP = "flap_drop"
 
-#: Kinds chaos never touches unless explicitly told to. Heartbeats are
-#: exempt by default: lossy-link failure *detection* is a different
-#: experiment from lossy-link *delivery* — a spurious promotion makes
-#: "byte-identical to the control" the wrong assertion. Partitions and
-#: flaps still cut heartbeats (a partition severs everything).
-DEFAULT_PROTECTED_KINDS = ("heartbeat",)
+#: Kinds probabilistic faults never touch. Heartbeats are exempt:
+#: lossy-link failure *detection* is a different experiment from
+#: lossy-link *delivery* — a spurious promotion makes "byte-identical to
+#: the control" the wrong assertion. Partitions still cut heartbeats (a
+#: partition severs everything).
+PROTECTED_KINDS = ("heartbeat",)
+
+#: Upper bound of the extra delay a reordered frame waits, in sim-s.
+REORDER_MAX_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -61,51 +62,29 @@ class PartitionWindow:
         )
 
 
-@dataclass(frozen=True)
-class LinkFlap:
-    """One node's links go dark (both directions) in [start, end)."""
-
-    node: str
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ChaosError(f"empty flap window [{self.start}, {self.end})")
-
-    def cuts(self, sender: str, recipient: str, now: float) -> bool:
-        return self.start <= now < self.end and self.node in (sender, recipient)
-
-
 @dataclass
 class FaultPlan:
     """Seeded fault policy for one chaos run.
 
     Rates are independent per-frame probabilities, applied in priority
-    order drop > corrupt > duplicate > delay > reorder (at most one
-    fault per transmission, so a 30%-loss experiment means 30% loss).
-    ``kinds`` (when set) restricts probabilistic faults to those message
-    kinds; ``protected_kinds`` always exempts its kinds.
+    order drop > corrupt > duplicate > reorder (at most one fault per
+    transmission, so a 30%-loss experiment means 30% loss). ``kinds``
+    (when set) restricts probabilistic faults to those message kinds;
+    :data:`PROTECTED_KINDS` are always exempt. Partition windows are
+    added with :meth:`partition`.
     """
 
     seed: int = 0
     drop_rate: float = 0.0
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
-    delay_rate: float = 0.0
     corrupt_rate: float = 0.0
-    reorder_max_s: float = 0.05
-    delay_max_s: float = 1.0
     kinds: tuple[str, ...] | None = None
-    protected_kinds: tuple[str, ...] = DEFAULT_PROTECTED_KINDS
-    partitions: list[PartitionWindow] = field(default_factory=list)
-    flaps: list[LinkFlap] = field(default_factory=list)
+    partitions: list[PartitionWindow] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        for name in ("drop_rate", "dup_rate", "reorder_rate", "delay_rate", "corrupt_rate"):
+        for name in ("drop_rate", "dup_rate", "reorder_rate", "corrupt_rate"):
             check_probability(getattr(self, name), name)
-        if self.reorder_max_s <= 0 or self.delay_max_s <= 0:
-            raise ChaosError("reorder_max_s and delay_max_s must be > 0")
         self._rng = random.Random(self.seed)
 
     # ----- schedule construction --------------------------------------------------
@@ -118,22 +97,13 @@ class FaultPlan:
         self.partitions.append(window)
         return window
 
-    def flap(self, node: str, start: float, end: float) -> LinkFlap:
-        """Add (and return) a link-flap window for one node."""
-        flap = LinkFlap(node, start, end)
-        self.flaps.append(flap)
-        return flap
-
     # ----- per-frame decisions -----------------------------------------------------
 
     def severed(self, sender: str, recipient: str, now: float) -> str | None:
-        """Partition/flap verdict for a frame, or None when the path is up."""
+        """Partition verdict for a frame, or None when the path is up."""
         for window in self.partitions:
             if window.cuts(sender, recipient, now):
                 return PARTITION_DROP
-        for flap in self.flaps:
-            if flap.cuts(sender, recipient, now):
-                return FLAP_DROP
         return None
 
     def decide(self, kind: str) -> tuple[str, float] | None:
@@ -142,7 +112,7 @@ class FaultPlan:
         Returns None for clean transmission. Deterministic in the
         sequence of calls — all randomness comes from the plan's seed.
         """
-        if kind in self.protected_kinds:
+        if kind in PROTECTED_KINDS:
             return None
         if self.kinds is not None and kind not in self.kinds:
             return None
@@ -153,14 +123,11 @@ class FaultPlan:
             return (CORRUPT, 0.0)
         if self.dup_rate and roll() < self.dup_rate:
             return (DUPLICATE, 0.0)
-        if self.delay_rate and roll() < self.delay_rate:
-            return (DELAY, roll() * self.delay_max_s)
         if self.reorder_rate and roll() < self.reorder_rate:
-            return (REORDER, roll() * self.reorder_max_s)
+            return (REORDER, roll() * REORDER_MAX_S)
         return None
 
     @property
     def horizon(self) -> float:
         """Latest scheduled window edge (0.0 with no windows)."""
-        edges = [w.end for w in self.partitions] + [f.end for f in self.flaps]
-        return max(edges, default=0.0)
+        return max((w.end for w in self.partitions), default=0.0)

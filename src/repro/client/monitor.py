@@ -5,19 +5,19 @@ client, registers with the interaction server as a ``monitor`` session,
 and receives the server's metric-diff snapshots (``TELEMETRY``) and
 flight-recorder events (``TELEMETRY_EVENT``) as ordinary ``repro.net``
 messages — same links, same byte accounting, same clock as the
-consultation it is observing. :meth:`render` folds everything received
-so far into one :func:`repro.obs.dashboard.render_dashboard` panel.
+consultation it is observing. :meth:`combined` folds every received
+diff into one snapshot, which :func:`repro.obs.dashboard.render_dashboard`
+draws as a panel with the received :attr:`events`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import ClientError
 from repro.net.codec import StringInterner, encode_message
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
-from repro.obs.dashboard import render_dashboard
 from repro.server.protocol import MessageKind
 
 
@@ -162,20 +162,3 @@ class TelemetryMonitor:
     def warn_events(self) -> list[dict[str, Any]]:
         """Received events at WARN severity or above."""
         return [e for e in self.events if e.get("severity") in ("WARN", "ERROR")]
-
-    def render(
-        self,
-        title: str | None = None,
-        include: Sequence[str] | None = None,
-        exclude: Sequence[str] = (),
-        max_events: int = 20,
-    ) -> str:
-        """Dashboard panel over everything received so far."""
-        return render_dashboard(
-            self.combined(),
-            self.events,
-            title=title if title is not None else f"monitor {self.viewer_id}",
-            include=include,
-            exclude=exclude,
-            max_events=max_events,
-        )

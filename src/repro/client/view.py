@@ -9,7 +9,7 @@ before its bytes finish streaming — it renders as a placeholder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import ClientError
@@ -21,8 +21,8 @@ class RenderedComponent:
 
     path: str
     domain: tuple[str, ...]
-    value: str | None = None
-    payload_ready: bool = False
+    value: str | None = field(default=None, init=False)
+    payload_ready: bool = field(default=False, init=False)
 
 
 class RenderTree:

@@ -12,9 +12,8 @@ overload into bounded deferral instead:
   would leak the session. JOINs are *deferred* (parked FIFO, resumed as
   the queue drains) before data ops are *shed* (bounced to the sender
   with a typed ``RETRY_AFTER`` and a deterministic backoff hint).
-* **Bounded depth + latency watermark.** Admission looks at the queue's
-  pending depth and, optionally, its simulated-clock wait (how far
-  ``busy_until`` is past *now*); either tripping defers/sheds.
+* **Bounded depth.** Admission looks at the queue's pending depth: past
+  ``depth_defer`` JOINs park, past ``depth_shed`` data ops bounce.
 * **The shed floor.** Parked-kind client ops carry an ``op_seq`` and the
   shard dedups on a highest-seq watermark, so shedding op *n* while
   admitting *n+1* would make the client's retry of *n* look like a
@@ -56,9 +55,7 @@ class AdmissionConfig:
 
     Depths count ops pending in the guarded queue. ``depth_defer`` is
     where JOINs start parking; ``depth_shed`` is where data ops start
-    bouncing. The optional wait watermarks trip on the queue's simulated
-    service backlog (seconds until ``busy_until``) and are OR'd with the
-    depth thresholds. ``defer_limit`` bounds the parking lot itself —
+    bouncing. ``defer_limit`` bounds the parking lot itself —
     beyond it JOINs are bounced like data ops, so no queue in the system
     grows without bound. ``retry_after_s`` floors the backoff hint
     carried by ``RETRY_AFTER``.
@@ -66,8 +63,6 @@ class AdmissionConfig:
 
     depth_defer: int = 16
     depth_shed: int = 64
-    wait_defer_s: float | None = None
-    wait_shed_s: float | None = None
     defer_limit: int = 256
     retry_after_s: float = 0.25
 
@@ -83,12 +78,6 @@ class AdmissionConfig:
             raise ValueError(f"defer_limit must be > 0, got {self.defer_limit}")
         if self.retry_after_s <= 0:
             raise ValueError(f"retry_after_s must be > 0, got {self.retry_after_s}")
-        for name, value in (
-            ("wait_defer_s", self.wait_defer_s),
-            ("wait_shed_s", self.wait_shed_s),
-        ):
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 #: admission verdicts
@@ -171,7 +160,6 @@ class AdmissionController:
         self.resumed = 0
         self.dropped_dead = 0
         self.max_depth_seen = 0
-        self.max_wait_seen = 0.0
 
     # ----- admission --------------------------------------------------------------
 
@@ -185,11 +173,8 @@ class AdmissionController:
         """Decide one inbound message's fate. Control always passes."""
         lane = lane_of(kind)
         depth = self.queue.pending
-        wait = self.queue.wait_s
         if depth > self.max_depth_seen:
             self.max_depth_seen = depth
-        if wait > self.max_wait_seen:
-            self.max_wait_seen = wait
         if lane == LANE_CONTROL:
             return self._accept(lane)
         if lane == LANE_DATA and session_id is not None and op_seq is not None:
@@ -201,7 +186,7 @@ class AdmissionController:
                 # the floor seq comes back.
                 return self._shed(lane)
         if lane == LANE_JOIN:
-            if not self._over(depth, wait, self.config.depth_defer, self.config.wait_defer_s):
+            if depth < self.config.depth_defer:
                 return self._accept(lane)
             if len(self._parked) >= self.config.defer_limit:
                 return self._shed(lane)
@@ -209,7 +194,7 @@ class AdmissionController:
             self._f_deferred.labels(self.node_id, lane).inc()
             return Decision(DEFER, self._hint(depth, self.config.depth_defer))
         # data lane
-        if not self._over(depth, wait, self.config.depth_shed, self.config.wait_shed_s):
+        if depth < self.config.depth_shed:
             decision = self._accept(lane)
             if session_id is not None and op_seq is not None:
                 floor = self._shed_floor.get(session_id)
@@ -221,13 +206,6 @@ class AdmissionController:
             if floor is None or op_seq < floor:
                 self._shed_floor[session_id] = op_seq
         return self._shed(lane)
-
-    def _over(
-        self, depth: int, wait: float, depth_limit: int, wait_limit: float | None
-    ) -> bool:
-        if depth >= depth_limit:
-            return True
-        return wait_limit is not None and wait >= wait_limit
 
     def _accept(self, lane: str) -> Decision:
         self.accepted += 1
@@ -304,6 +282,5 @@ class AdmissionController:
             "dropped_dead": self.dropped_dead,
             "parked": len(self._parked),
             "max_depth_seen": self.max_depth_seen,
-            "max_wait_seen": self.max_wait_seen,
             "shed_floors": len(self._shed_floor),
         }

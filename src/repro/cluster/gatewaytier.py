@@ -45,6 +45,9 @@ from repro.obs import LATENCY_BUCKETS
 from repro.obs.dtrace import HOP_GATEWAY_QUEUE
 from repro.server.protocol import MessageKind
 
+#: The directory's node id; a cluster has exactly one directory.
+DIRECTORY_ID = "directory"
+
 
 class GatewayNode(Gateway):
     """One gateway of the tier: the routing core as a live node behind
@@ -138,10 +141,9 @@ class GatewayDirectory(ClusterNode):
         network: SimulatedNetwork,
         ring: HashRing,
         gateway_ring: HashRing,
-        node_id: str = "directory",
         failure_timeout: float = 2.0,
     ) -> None:
-        super().__init__(node_id, network)
+        super().__init__(DIRECTORY_ID, network)
         self.ring = ring  # rooms -> shards
         self.gateway_ring = gateway_ring  # clients -> gateways
         self.detector = FailureDetector(failure_timeout)

@@ -11,7 +11,7 @@ way everywhere; its shape comes from one
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.gatewaytier import GatewayDirectory, GatewayNode
@@ -20,10 +20,16 @@ from repro.cluster.shard import ShardServer
 from repro.client.client import ClientModule
 from repro.client.monitor import TelemetryMonitor
 from repro.db.orm import MultimediaObjectStore
-from repro.net.link import Link
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
-from repro.server.permissions import PermissionPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - repro.chaos sits above repro.cluster
+    from repro.chaos.plan import FaultPlan
+
+#: Simulated seconds between two heartbeats of a shard or gateway.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Simulated seconds between two failure-detector sweeps of the directory.
+SWEEP_INTERVAL_S = 0.5
 
 
 class ClusterHarness:
@@ -34,23 +40,20 @@ class ClusterHarness:
         store: MultimediaObjectStore,
         config: ClusterConfig,
         *,
-        clock: SimClock | None = None,
-        policy: PermissionPolicy | None = None,
-        reliability: Any = None,
-        plan: Any = None,
+        reliability: bool = False,
+        plan: FaultPlan | None = None,
     ) -> None:
         self.config = config
         self.store = store
-        self._policy = policy
         if plan is not None:
             # Imported lazily: repro.chaos sits above repro.cluster.
             from repro.chaos.network import ChaosNetwork
 
-            self.network = ChaosNetwork(clock, reliability=reliability, plan=plan)
+            self.network = ChaosNetwork(reliability=reliability, plan=plan)
         else:
-            self.network = SimulatedNetwork(clock, reliability=reliability)
-        self.ring = HashRing(vnodes=config.vnodes)
-        self.gateway_ring = HashRing(vnodes=config.vnodes)
+            self.network = SimulatedNetwork(reliability=reliability)
+        self.ring = HashRing()
+        self.gateway_ring = HashRing()
         self.shards: dict[str, ShardServer] = {}
         self.clients: dict[str, ClientModule] = {}
         self.gateways: dict[str, GatewayNode] = {}
@@ -83,12 +86,7 @@ class ClusterHarness:
         self.gateways[gateway_id] = gateway
         return gateway
 
-    def add_shard(
-        self,
-        shard_id: str,
-        uplink: Link | None = None,
-        downlink: Link | None = None,
-    ) -> ShardServer:
+    def add_shard(self, shard_id: str) -> ShardServer:
         shard = ShardServer(
             shard_id,
             self.store,
@@ -96,55 +94,37 @@ class ClusterHarness:
             self.directory.node_id,
             self.ring,
             self.gateway_ring,
-            policy=self._policy,
             service_rate=self.config.service_rate,
-            replication_factor=self.config.replication_factor,
             interest_mode=self.config.interest_mode,
             batch_window_s=self.config.batch_window_s,
             admission=self.config.admission,
         )
-        self.network.attach_backbone(shard, uplink=uplink, downlink=downlink)
+        self.network.attach_backbone(shard)
         self.directory.register_shard(shard_id)
         for gateway in self.gateways.values():
             gateway.note_shard(shard_id)
         self.shards[shard_id] = shard
         return shard
 
-    def add_client(
-        self,
-        viewer_id: str,
-        uplink: Link | None = None,
-        downlink: Link | None = None,
-        auto_fetch: bool = True,
-    ) -> ClientModule:
+    def add_client(self, viewer_id: str, auto_fetch: bool = True) -> ClientModule:
         client = ClientModule(viewer_id, network=self.network, auto_fetch=auto_fetch)
-        self.network.attach_client(client, uplink=uplink, downlink=downlink)
+        self.network.attach_client(client)
         # Homing the client on a gateway is what turns on its op log:
         # gateway failover and admission sheds both replay off it.
         self.directory.attach_client(client)
         self.clients[viewer_id] = client
         return client
 
-    def add_monitor(
-        self,
-        viewer_id: str = "monitor",
-        uplink: Link | None = None,
-        downlink: Link | None = None,
-    ) -> TelemetryMonitor:
+    def add_monitor(self, viewer_id: str = "monitor") -> TelemetryMonitor:
         monitor = TelemetryMonitor(viewer_id, network=self.network)
-        self.network.attach_client(monitor, uplink=uplink, downlink=downlink)
+        self.network.attach_client(monitor)
         self.directory.attach_client(monitor)
         monitor.connect()
         return monitor
 
     # ----- control ------------------------------------------------------------------
 
-    def start(
-        self,
-        until: float,
-        heartbeat_interval: float = 0.5,
-        sweep_interval: float = 0.5,
-    ) -> None:
+    def start(self, until: float) -> None:
         """Run heartbeats + failure sweeps up to the *until* horizon.
 
         Only needed for failover scenarios — without it nothing keeps the
@@ -152,8 +132,8 @@ class ClusterHarness:
         """
         for node in (*self.shards.values(), *self.gateways.values()):
             if node.alive:
-                node.start_heartbeats(heartbeat_interval, until)
-        self.directory.start_failure_detection(sweep_interval, until)
+                node.start_heartbeats(HEARTBEAT_INTERVAL_S, until)
+        self.directory.start_failure_detection(SWEEP_INTERVAL_S, until)
 
     def crash(self, node_id: str) -> None:
         """Fail-stop one shard or gateway (it goes silent mid-flight)."""

@@ -21,7 +21,6 @@ from repro.errors import ClusterError
 from repro.db.orm import MultimediaObjectStore
 from repro.net.simclock import SimClock
 from repro.server.interaction import InteractionServer
-from repro.server.permissions import PermissionPolicy
 from repro.server.protocol import PROTOCOL, MessageKind
 
 #: client message kind -> replicated op name (absent = read-only, not logged)
@@ -105,7 +104,6 @@ class ReplicaState:
         self,
         primary_id: str,
         store: MultimediaObjectStore,
-        policy: PermissionPolicy | None = None,
         clock: SimClock | None = None,
         on_gap: Callable[[int, int], None] | None = None,
         interest_mode: str = "off",
@@ -119,7 +117,6 @@ class ReplicaState:
         self._on_gap = on_gap
         self.server = InteractionServer(
             store,
-            policy=policy,
             node_id=f"replica:{primary_id}",
             interest_mode=interest_mode,
         )

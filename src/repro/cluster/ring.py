@@ -19,7 +19,8 @@ import hashlib
 
 from repro.errors import ClusterError
 
-DEFAULT_VNODES = 64
+#: Virtual points per ring member.
+VNODES = 64
 
 #: Bound on :meth:`HashRing.owner`'s memo; at the bound it starts over.
 OWNER_MEMO_KEYS = 1 << 16
@@ -34,17 +35,12 @@ def ring_hash(value: str) -> int:
 class HashRing:
     """Maps room keys to owning nodes with bounded movement on change."""
 
-    def __init__(self, nodes: tuple[str, ...] = (), vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes < 1:
-            raise ClusterError(f"vnodes must be >= 1, got {vnodes}")
-        self._vnodes = vnodes
+    def __init__(self) -> None:
         self._nodes: set[str] = set()
         self._points: list[tuple[int, str]] = []  # sorted (position, node)
         # key -> owner under the current membership: an assignment moves
         # only when a node joins or leaves, and both clear this.
         self._owner_memo: dict[str, str] = {}
-        for node in nodes:
-            self.add_node(node)
 
     # ----- membership -----------------------------------------------------------
 
@@ -63,7 +59,7 @@ class HashRing:
             raise ClusterError(f"node {node_id!r} is already on the ring")
         self._nodes.add(node_id)
         self._owner_memo.clear()
-        for index in range(self._vnodes):
+        for index in range(VNODES):
             point = (ring_hash(f"{node_id}#{index}"), node_id)
             bisect.insort(self._points, point)
 

@@ -31,7 +31,6 @@ from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.obs.dtrace import HOP_SHARD_QUEUE
 from repro.server.interaction import InteractionServer
-from repro.server.permissions import PermissionPolicy
 from repro.server.protocol import MessageKind
 from repro.util.failpoints import get_failpoints
 
@@ -40,6 +39,9 @@ from repro.util.failpoints import get_failpoints
 #: Six attempts span ~15.75 s — comfortably past detection + re-homing.
 CLIENTBOUND_RETRY_BASE_S = 0.25
 CLIENTBOUND_RETRY_ATTEMPTS = 6
+
+#: Ring owners per room: the primary plus one standby replica.
+REPLICATION_FACTOR = 2
 
 
 class ServiceQueue:
@@ -95,11 +97,6 @@ class ServiceQueue:
             if self.on_drain is not None:
                 self.on_drain()
 
-    @property
-    def wait_s(self) -> float:
-        """Simulated seconds of backlog already committed to the server."""
-        return max(0.0, self.busy_until - self.clock.now)
-
 
 class _GatewayTransport:
     """Network stand-in handed to every server this shard serves from.
@@ -142,9 +139,7 @@ class ShardServer(ServiceNode):
         directory_id: str,
         ring: HashRing,
         gateway_ring: HashRing,
-        policy: PermissionPolicy | None = None,
         service_rate: float | None = None,
-        replication_factor: int = 2,
         interest_mode: str = "off",
         batch_window_s: float = 0.0,
         admission: AdmissionConfig | None = None,
@@ -153,14 +148,12 @@ class ShardServer(ServiceNode):
         self.ring = ring
         # Client-bound envelopes resolve their gateway per client.
         self._gateway_ring = gateway_ring
-        self.replication_factor = replication_factor
         self._store = store
-        self._policy = policy
         self._interest_mode = interest_mode
         self._batch_window_s = batch_window_s
         self._transport = _GatewayTransport(self)
         self.server = InteractionServer(
-            store, policy=policy, network=self._transport, node_id=shard_id,
+            store, network=self._transport, node_id=shard_id,
             interest_mode=interest_mode, batch_window_s=batch_window_s,
         )
         self._serve_through(ServiceQueue(network.clock, service_rate, self._work), admission)
@@ -372,7 +365,7 @@ class ShardServer(ServiceNode):
 
     def replicas_for(self, room_key: str) -> list[str]:
         """Live replica shards for one room, per the ring preference list."""
-        owners = self.ring.owners(room_key, self.replication_factor)
+        owners = self.ring.owners(room_key, REPLICATION_FACTOR)
         return [
             node
             for node in owners[1:]
@@ -432,7 +425,6 @@ class ShardServer(ServiceNode):
             state = self._replicas[primary_id] = ReplicaState(
                 primary_id,
                 self._store,
-                policy=self._policy,
                 clock=self.network.clock,
                 on_gap=self._on_replay_gap,
                 interest_mode=self._interest_mode,

@@ -16,7 +16,7 @@ retransmissions all share; :mod:`repro.net.batch` coalesces small
 same-destination frames into one framed batch on a simclock window.
 """
 
-from repro.net.batch import Batcher, DEFAULT_BATCH_KINDS
+from repro.net.batch import Batcher
 from repro.net.codec import (
     BATCH,
     Frame,
@@ -31,20 +31,18 @@ from repro.net.codec import (
 from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.network import NetworkStats, SimulatedNetwork
-from repro.net.reliable import NET_ACK, ReliableTransport, RetryPolicy
+from repro.net.reliable import NET_ACK, ReliableTransport
 from repro.net.simclock import SimClock
 
 __all__ = [
     "BATCH",
     "Batcher",
-    "DEFAULT_BATCH_KINDS",
     "Frame",
     "Link",
     "Message",
     "NET_ACK",
     "NetworkStats",
     "ReliableTransport",
-    "RetryPolicy",
     "SimClock",
     "SimulatedNetwork",
     "StringInterner",

@@ -9,8 +9,8 @@ consecutive small messages per destination into one ``BATCH`` frame,
 flushed on the first of:
 
 * a **simclock deadline** — ``window_s`` after the first enqueued frame;
-* a **byte budget** — the pending run reaching ``max_bytes``;
-* a **barrier kind** — any message outside ``batch_kinds`` (JOIN_ACK,
+* a **byte budget** — the pending run reaching :data:`MAX_BYTES`;
+* a **barrier kind** — any message outside :data:`BATCH_KINDS` (JOIN_ACK,
   ERROR, PROMOTE, payloads...) flushes the destination first and is then
   sent unbatched, preserving per-destination order. So is a frame whose
   wire size exceeds its bytes (declared-size media): a batch embeds
@@ -36,31 +36,24 @@ from repro.net.codec import Frame, encode_batch, stamp_frame
 from repro.obs import get_registry
 from repro.obs.dtrace import HOP_BATCH_WAIT, NULL_CONTEXT, get_dtrace
 
-#: Kinds eligible for coalescing by default: the high-rate, small
-#: propagation traffic. Everything else acts as an ordering barrier.
-DEFAULT_BATCH_KINDS = ("presentation_update", "peer_event", "broadcast")
+#: Kinds eligible for coalescing: the high-rate, small propagation
+#: traffic. Everything else acts as an ordering barrier.
+BATCH_KINDS = frozenset(("presentation_update", "peer_event", "broadcast"))
+
+#: Byte budget of one destination's pending run; a frame larger than
+#: this is sent unbatched.
+MAX_BYTES = 4096
 
 
 class Batcher:
     """Coalesces one sender's small outbound messages per destination."""
 
-    def __init__(
-        self,
-        network: Any,
-        sender: str,
-        window_s: float = 0.0,
-        max_bytes: int = 4096,
-        batch_kinds: tuple[str, ...] = DEFAULT_BATCH_KINDS,
-    ) -> None:
+    def __init__(self, network: Any, sender: str, window_s: float = 0.0) -> None:
         if window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
         self._network = network
         self._sender = sender
         self.window_s = window_s
-        self.max_bytes = max_bytes
-        self.batch_kinds = frozenset(batch_kinds)
         # Per destination: (frame, its trace context or None, enqueue time).
         self._pending: dict[str, list[tuple[Frame, Any, float]]] = {}
         self._pending_bytes: dict[str, int] = {}
@@ -75,9 +68,9 @@ class Batcher:
         encoded = len(frame.data)
         batchable = (
             self.window_s > 0
-            and frame.kind in self.batch_kinds
+            and frame.kind in BATCH_KINDS
             and frame.size_bytes == encoded  # declared-size media never batches
-            and encoded <= self.max_bytes
+            and encoded <= MAX_BYTES
         )
         if not batchable:
             # Barrier semantics: anything unbatchable must not overtake
@@ -91,7 +84,7 @@ class Batcher:
         queue.append((frame, ctx, self._network.clock.now))
         pending = self._pending_bytes.get(recipient, 0) + encoded
         self._pending_bytes[recipient] = pending
-        if pending >= self.max_bytes:
+        if pending >= MAX_BYTES:
             self.flush(recipient)
         elif recipient not in self._armed:
             self._armed.add(recipient)

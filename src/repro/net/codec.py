@@ -615,9 +615,7 @@ def encode_envelope(
 
 
 def decode_envelope(
-    data: bytes,
-    interner: StringInterner | None = None,
-    inner_interner: StringInterner | None = None,
+    data: bytes, inner_interner: StringInterner | None = None
 ) -> tuple[str, dict[str, Any], tuple[str, Any]]:
     """Decode an envelope: ``(kind, header, (inner_kind, inner_payload))``.
 
@@ -625,14 +623,12 @@ def decode_envelope(
     the connection the inner frame was originally encoded on, distinct
     from the envelope's own channel table.
     """
-    kind, header, inner, _ = decode_envelope_traced(data, interner, inner_interner)
+    kind, header, inner, _ = decode_envelope_traced(data, inner_interner)
     return kind, header, inner
 
 
 def decode_envelope_traced(
-    data: bytes,
-    interner: StringInterner | None = None,
-    inner_interner: StringInterner | None = None,
+    data: bytes, inner_interner: StringInterner | None = None
 ) -> tuple[str, dict[str, Any], tuple[str, Any], tuple[TraceContext, ...]]:
     """Decode an envelope plus the envelope's own trace contexts.
 
@@ -640,7 +636,7 @@ def decode_envelope_traced(
     length-prefixed bytes; a trailer *after* them belongs to the
     envelope hop.
     """
-    table = interner if interner is not None else StringInterner()
+    table = StringInterner()
     kind, pos = _read_value(data, 0, table)
     header, pos = _read_value(data, pos, table)
     length, pos = _read_varint(data, pos)
@@ -676,17 +672,13 @@ def encode_batch(frames: Iterable[Frame], payload: Any) -> Frame:
     return Frame(BATCH, payload, data)
 
 
-def decode_batch(
-    data: bytes, inner_interner: StringInterner | None = None
-) -> list[tuple[str, Any]]:
+def decode_batch(data: bytes) -> list[tuple[str, Any]]:
     """Decode a ``BATCH`` frame into its ``(kind, payload)`` entries."""
-    entries, _ = decode_batch_traced(data, inner_interner)
+    entries, _ = decode_batch_traced(data)
     return entries
 
 
-def decode_batch_traced(
-    data: bytes, inner_interner: StringInterner | None = None
-) -> tuple[list[tuple[str, Any]], tuple[TraceContext, ...]]:
+def decode_batch_traced(data: bytes) -> tuple[list[tuple[str, Any]], tuple[TraceContext, ...]]:
     """Decode a batch plus its member trace contexts (span links).
 
     A traced batch carries exactly one context per coalesced member, in
@@ -703,7 +695,7 @@ def decode_batch_traced(
         length, pos = _read_varint(data, pos)
         if pos + length > len(data):
             raise CodecError("truncated batch entry")
-        entries.append(decode_message(data[pos : pos + length], inner_interner))
+        entries.append(decode_message(data[pos : pos + length]))
         pos += length
     contexts: tuple[TraceContext, ...] = ()
     if pos != len(data):

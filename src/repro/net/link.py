@@ -30,9 +30,9 @@ class Link:
 
     bandwidth_bps: float = 10 * MBPS
     latency_s: float = 0.005
-    _busy_until: float = field(default=0.0, repr=False)
-    bytes_carried: int = field(default=0, repr=False)
-    messages_carried: int = field(default=0, repr=False)
+    _busy_until: float = field(default=0.0, init=False, repr=False)
+    bytes_carried: int = field(default=0, init=False, repr=False)
+    messages_carried: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive(self.bandwidth_bps, "bandwidth_bps")

@@ -18,7 +18,7 @@ from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import BATCH, Frame, mark_reuse
 from repro.net.link import Link
 from repro.net.message import Message, next_message_id
-from repro.net.reliable import NET_ACK, ReliableTransport, RetryPolicy
+from repro.net.reliable import NET_ACK, ReliableTransport
 from repro.net.simclock import SimClock
 from repro.obs import LATENCY_BUCKETS, get_event_log, get_registry
 from repro.obs.dtrace import (
@@ -49,28 +49,27 @@ class Node(Protocol):
 class NetworkStats:
     """Aggregate traffic accounting."""
 
-    messages: int = 0
-    bytes_total: int = 0
-    bytes_by_kind: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    messages_by_kind: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    messages: int = field(default=0, init=False)
+    bytes_total: int = field(default=0, init=False)
+    bytes_by_kind: dict[str, int] = field(
+        default_factory=lambda: defaultdict(int), init=False
+    )
+    messages_by_kind: dict[str, int] = field(
+        default_factory=lambda: defaultdict(int), init=False
+    )
 
 
 class SimulatedNetwork:
     """A hub-and-spoke network: one hub, many clients, per-client links.
 
-    With ``reliability`` set (a :class:`RetryPolicy`, or ``True`` for the
-    defaults), application traffic is carried by the ARQ layer in
-    :mod:`repro.net.reliable`: sequenced, checksummed, acked,
+    With ``reliability`` on, application traffic is carried by the ARQ
+    layer in :mod:`repro.net.reliable`: sequenced, checksummed, acked,
     retransmitted with backoff, deduplicated and delivered in order per
     directed node pair. Without it the network keeps the original
     fire-and-forget semantics byte for byte.
     """
 
-    def __init__(
-        self,
-        clock: SimClock | None = None,
-        reliability: RetryPolicy | bool | None = None,
-    ) -> None:
+    def __init__(self, clock: SimClock | None = None, reliability: bool = False) -> None:
         self.clock = clock if clock is not None else SimClock()
         self._nodes: dict[str, Node] = {}
         self._uplinks: dict[str, Link] = {}    # node -> its hub
@@ -97,10 +96,8 @@ class SimulatedNetwork:
         # Per-link byte counters, created on attach: node -> Counter.
         self._m_link_up: dict[str, Any] = {}
         self._m_link_down: dict[str, Any] = {}
-        if reliability is True:
-            reliability = RetryPolicy()
         self.reliability: ReliableTransport | None = (
-            ReliableTransport(self, reliability) if reliability else None
+            ReliableTransport(self) if reliability else None
         )
         #: Typed DeliveryFailed errors surfaced by the reliable layer, in
         #: order (also delivered to senders via ``on_delivery_failed``).
@@ -117,19 +114,14 @@ class SimulatedNetwork:
         self._nodes[node.node_id] = node
         self._routes.clear()
 
-    def attach_gateway(
-        self,
-        node: Node,
-        uplink: Link | None = None,
-        downlink: Link | None = None,
-    ) -> None:
+    def attach_gateway(self, node: Node) -> None:
         """Register a gateway-tier node: a backbone peer that also
         terminates client links for the clients homed on it.
 
         Unlike :meth:`attach_hub` there may be many; clients name their
         serving gateway through :meth:`assign_home`.
         """
-        self.attach_backbone(node, uplink=uplink, downlink=downlink)
+        self.attach_backbone(node)
         self._hubs.add(node.node_id)
         self._routes.clear()
 
@@ -168,20 +160,17 @@ class SimulatedNetwork:
         )
         self._routes.clear()
 
-    def attach_backbone(
-        self,
-        node: Node,
-        uplink: Link | None = None,
-        downlink: Link | None = None,
-    ) -> None:
-        """Register a backbone node (a cluster shard server).
+    def attach_backbone(self, node: Node) -> None:
+        """Register a backbone node (a shard, gateway or the directory).
 
-        Backbone nodes get hub links like clients, and may additionally
-        exchange traffic with *each other* over dedicated peer links —
-        the replication path of the cluster tier. Ordinary clients still
-        only ever talk to the hub.
+        Backbone nodes exchange traffic with *each other* over dedicated
+        peer links — the routing and replication paths of the cluster
+        tier. They get no client links: a cluster has no single hub for
+        one to reach. Ordinary clients still only ever talk to a hub.
         """
-        self.attach_client(node, uplink=uplink, downlink=downlink)
+        if node.node_id in self._nodes:
+            raise NetworkError(f"node {node.node_id!r} already attached")
+        self._nodes[node.node_id] = node
         self._backbone.add(node.node_id)
         self._routes.clear()
 

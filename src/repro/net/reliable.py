@@ -52,40 +52,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: node ever receives one.
 NET_ACK = "net_ack"
 
-#: Kinds that stay best-effort even when reliability is on (see module
-#: docstring). ``net_ack`` itself must never be acked (ack-of-ack loop).
-DEFAULT_UNRELIABLE_KINDS = (NET_ACK, "heartbeat", "telemetry", "telemetry_event")
+#: Kinds that stay best-effort (see module docstring). ``net_ack``
+#: itself must never be acked (ack-of-ack loop).
+UNRELIABLE_KINDS = (NET_ACK, "heartbeat", "telemetry", "telemetry_event")
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retransmission and dedup-window configuration.
-
-    With the defaults a frame is transmitted up to 7 times over
-    ``0.2 * (2^7 - 1) ≈ 25`` simulated seconds before the sender gives
-    up — generous enough to ride out a multi-second partition window,
-    finite enough that total loss terminates.
-    """
-
-    base_timeout_s: float = 0.2
-    backoff: float = 2.0
-    max_attempts: int = 7
-    ack_size_bytes: int = 16
-    reorder_buffer: int = 512
-    unreliable_kinds: tuple[str, ...] = DEFAULT_UNRELIABLE_KINDS
-
-    def __post_init__(self) -> None:
-        if self.base_timeout_s <= 0:
-            raise ValueError(f"base_timeout_s must be > 0, got {self.base_timeout_s}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-
-    def timeout_after(self, attempt: int) -> float:
-        """Backoff component of the timeout after transmission *attempt*
-        (0-based). The transport adds its RTT estimate on top."""
-        return self.base_timeout_s * (self.backoff**attempt)
+# Retransmission: a frame is transmitted up to MAX_ATTEMPTS times over
+# ``BASE_TIMEOUT_S * (BACKOFF^MAX_ATTEMPTS - 1) ≈ 25`` simulated seconds
+# (plus RTT estimates) before the sender gives up — generous enough to
+# ride out a multi-second partition window, finite enough that total
+# loss terminates.
+BASE_TIMEOUT_S = 0.2
+BACKOFF = 2.0
+MAX_ATTEMPTS = 7
+ACK_SIZE_BYTES = 16
+#: Hold-back window: a frame further than this past the next expected
+#: seq is not acked (the sender retries it later).
+REORDER_BUFFER = 512
 
 
 @lru_cache(maxsize=1024)
@@ -127,9 +109,8 @@ class _Stream:
 class ReliableTransport:
     """ARQ layer owned by a :class:`SimulatedNetwork` (when enabled)."""
 
-    def __init__(self, network: "SimulatedNetwork", policy: RetryPolicy) -> None:
+    def __init__(self, network: "SimulatedNetwork") -> None:
         self._network = network
-        self.policy = policy
         self._streams: dict[tuple[str, str], _Stream] = defaultdict(_Stream)
         registry = get_registry()
         self._events = get_event_log()
@@ -159,7 +140,7 @@ class ReliableTransport:
         never encodes what is already encoded.
         """
         kind, payload, size = frame.kind, frame.payload, frame.size_bytes
-        if kind in self.policy.unreliable_kinds:
+        if kind in UNRELIABLE_KINDS:
             return Message(
                 sender, recipient, kind, payload, size, checksum=frame.checksum, frame=frame
             )
@@ -177,8 +158,8 @@ class ReliableTransport:
     def _arm_timer(
         self, stream: _Stream, out: _Outstanding, forward: "Link | None" = None
     ) -> None:
-        timeout = self._estimate_rtt(out.message, forward) + self.policy.timeout_after(
-            out.attempts - 1
+        timeout = self._estimate_rtt(out.message, forward) + BASE_TIMEOUT_S * (
+            BACKOFF ** (out.attempts - 1)
         )
         seq = out.message.seq
         self._network.clock.schedule(timeout, lambda: self._on_timeout(stream, seq))
@@ -204,7 +185,7 @@ class ReliableTransport:
             + forward.transmission_time(message.size_bytes)
             + forward.latency_s
             + reverse.queueing_delay(now)
-            + reverse.transmission_time(self.policy.ack_size_bytes)
+            + reverse.transmission_time(ACK_SIZE_BYTES)
             + reverse.latency_s
         )
 
@@ -220,7 +201,7 @@ class ReliableTransport:
         if not self._network.has_node(message.recipient):
             self._fail(stream, out, reason="recipient_detached")
             return
-        if out.attempts >= self.policy.max_attempts:
+        if out.attempts >= MAX_ATTEMPTS:
             self._fail(stream, out, reason="retry_budget_exhausted")
             return
         out.attempts += 1
@@ -310,7 +291,7 @@ class ReliableTransport:
             self._emit("net.dup_dropped", "DEBUG", message)
             self._send_ack(message)  # the previous ack may have been lost
             return
-        if seq - stream.expected > self.policy.reorder_buffer:
+        if seq - stream.expected > REORDER_BUFFER:
             return  # hold-back overflow: no ack, the sender will retry
         buffer[seq] = message
         self._send_ack(message)
@@ -329,7 +310,7 @@ class ReliableTransport:
         network = self._network
         if not network.has_node(message.sender):
             return  # acking a dead sender is pointless
-        seq, size = message.seq, self.policy.ack_size_bytes
+        seq, size = message.seq, ACK_SIZE_BYTES
         ack = Message(
             message.recipient, message.sender, NET_ACK, {"seq": seq}, size,
             checksum=_ack_checksum(seq),

@@ -14,6 +14,10 @@ from typing import Callable
 
 from repro.errors import NetworkError
 
+#: Events one run dispatches before it is called a runaway feedback loop
+#: (an event that always schedules another).
+MAX_EVENTS = 1_000_000
+
 
 class SimClock:
     """A priority queue of timed callbacks."""
@@ -47,11 +51,10 @@ class SimClock:
         callback()
         return True
 
-    def run(self, max_events: int = 1_000_000) -> int:
+    def run(self, max_events: int = MAX_EVENTS) -> int:
         """Dispatch until idle; returns the number of events processed.
 
-        *max_events* guards against runaway feedback loops (an event that
-        always schedules another).
+        *max_events* guards against runaway feedback loops.
         """
         count = 0
         while self.step():
@@ -60,13 +63,13 @@ class SimClock:
                 raise NetworkError(f"simulation exceeded {max_events} events")
         return count
 
-    def run_until(self, time: float, max_events: int = 1_000_000) -> int:
+    def run_until(self, time: float) -> int:
         """Dispatch events with timestamps <= *time*; advance now to *time*."""
         count = 0
         while self._queue and self._queue[0][0] <= time:
             self.step()
             count += 1
-            if count >= max_events:
-                raise NetworkError(f"simulation exceeded {max_events} events")
+            if count >= MAX_EVENTS:
+                raise NetworkError(f"simulation exceeded {MAX_EVENTS} events")
         self.now = max(self.now, time)
         return count

@@ -61,7 +61,6 @@ class InteractionServer:
     def __init__(
         self,
         store: MultimediaObjectStore,
-        policy: PermissionPolicy | None = None,
         network: SimulatedNetwork | None = None,
         node_id: str = "server",
         use_profiles: bool = False,
@@ -73,7 +72,8 @@ class InteractionServer:
                 f"interest_mode must be 'off' or 'cpnet', got {interest_mode!r}"
             )
         self.store = store
-        self.policy = policy if policy is not None else PermissionPolicy()
+        #: Per-viewer grants; deployments grant through it.
+        self.policy = PermissionPolicy()
         self.node_id = node_id
         self.network: SimulatedNetwork | None = None
         #: Stamps specs and flight-recorder events. A network brings its

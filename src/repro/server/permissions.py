@@ -27,12 +27,10 @@ AUTHOR_GRANT = frozenset({PERM_VIEW, PERM_CHOOSE, PERM_ANNOTATE, PERM_MODIFY})
 
 
 class PermissionPolicy:
-    """Grants per viewer, with a configurable default."""
+    """Grants per viewer; a viewer granted nothing holds
+    :data:`CONSULTANT_GRANT`."""
 
-    def __init__(self, default: frozenset[str] = CONSULTANT_GRANT) -> None:
-        for perm in default:
-            self._check_known(perm)
-        self._default = frozenset(default)
+    def __init__(self) -> None:
         self._grants: dict[str, frozenset[str]] = {}
 
     @staticmethod
@@ -46,7 +44,7 @@ class PermissionPolicy:
         self._grants[viewer_id] = frozenset(permissions)
 
     def permissions_of(self, viewer_id: str) -> frozenset[str]:
-        return self._grants.get(viewer_id, self._default)
+        return self._grants.get(viewer_id, CONSULTANT_GRANT)
 
     def allows(self, viewer_id: str, permission: str) -> bool:
         self._check_known(permission)

@@ -21,8 +21,8 @@ class Session:
     session_id: str
     viewer_id: str
     node_id: str
-    room_id: str | None = None
-    last_spec: dict[str, dict[str, str]] = field(default_factory=dict)
+    room_id: str | None = field(default=None, init=False)
+    last_spec: dict[str, dict[str, str]] = field(default_factory=dict, init=False)
     kind: str = "interactive"
 
     @property

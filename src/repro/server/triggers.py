@@ -33,8 +33,7 @@ class Trigger:
     condition: TriggerCondition
     action: TriggerAction
     once: bool = False
-    description: str = ""
-    fired_count: int = field(default=0)
+    fired_count: int = field(default=0, init=False)
 
 
 class TriggerManager:
@@ -49,7 +48,6 @@ class TriggerManager:
         condition: TriggerCondition,
         action: TriggerAction,
         once: bool = False,
-        description: str = "",
     ) -> Trigger:
         """Register a trigger; returns it (keep the id to remove it)."""
         trigger = Trigger(
@@ -57,7 +55,6 @@ class TriggerManager:
             condition=condition,
             action=action,
             once=once,
-            description=description,
         )
         self._triggers[trigger.trigger_id] = trigger
         return trigger

@@ -19,6 +19,10 @@ from repro.db.orm import MultimediaObjectStore
 from repro.workloads.records import generate_record
 from repro.workloads.sessions import consultation_events
 
+#: Shape of every generated record: sections x components per section.
+SECTIONS = 2
+COMPONENTS_PER_SECTION = 3
+
 
 def run_cluster_conference(
     store: MultimediaObjectStore,
@@ -26,10 +30,7 @@ def run_cluster_conference(
     num_rooms: int = 6,
     clients_per_room: int = 2,
     events_per_room: int = 8,
-    sections: int = 2,
-    components_per_section: int = 3,
     seed: int = 0,
-    harness: ClusterHarness | None = None,
 ) -> dict[str, Any]:
     """Run *num_rooms* concurrent consultations through a cluster.
 
@@ -41,23 +42,21 @@ def run_cluster_conference(
     ``config.service_rate`` the shards' serial service queues are the
     bottleneck, which is what makes scale-out measurable.
 
-    The cluster is built from *config* (default: ``ClusterConfig()``).
-    Pass a prebuilt *harness* instead to observe or perturb the run (e.g.
-    crash a shard mid-conference).
+    The cluster is built from *config* (default: ``ClusterConfig()``);
+    the summary's ``harness`` is it, for inspection after the run.
     """
     docs = [f"case-{i}" for i in range(num_rooms)]
     records = {}
     for index, doc_id in enumerate(docs):
         record = generate_record(
             doc_id,
-            sections=sections,
-            components_per_section=components_per_section,
+            sections=SECTIONS,
+            components_per_section=COMPONENTS_PER_SECTION,
             seed=seed + index,
         )
         records[doc_id] = record
         store.store_document(record)
-    if harness is None:
-        harness = ClusterHarness(store, config or ClusterConfig())
+    harness = ClusterHarness(store, config or ClusterConfig())
     clients: dict[str, list[Any]] = {}
     for index, doc_id in enumerate(docs):
         room_clients = []

@@ -28,16 +28,16 @@ def primitive_paths(document: MultimediaDocument) -> list[str]:
     )
 
 
-def sparse_subscriptions(
-    paths: Sequence[str], member_index: int, streams: int = STREAMS_PER_MEMBER
-) -> list[str]:
-    """The *streams* consecutive paths member *member_index* watches.
+def sparse_subscriptions(paths: Sequence[str], member_index: int) -> list[str]:
+    """The :data:`STREAMS_PER_MEMBER` consecutive paths member
+    *member_index* watches.
 
     Members tile the path list with wrap-around, so coverage of any one
-    path is ``population * streams / len(paths)`` on average — sparse as
-    long as the room watches fewer streams than it has member-slots.
+    path is ``population * STREAMS_PER_MEMBER / len(paths)`` on average —
+    sparse as long as the room watches fewer streams than it has
+    member-slots.
     """
     if not paths:
         return []
-    start = (member_index * streams) % len(paths)
-    return [paths[(start + i) % len(paths)] for i in range(streams)]
+    start = (member_index * STREAMS_PER_MEMBER) % len(paths)
+    return [paths[(start + i) % len(paths)] for i in range(STREAMS_PER_MEMBER)]

@@ -17,8 +17,9 @@ declarative schedule spec:
   each session, leaves and migrations at the boundaries), runs it, and
   reports p50/p99 join latency split into track vs keynote phases plus
   the cluster's admission/queue accounting.
-* :func:`run_megaconf_convergence` — the chaos variant: a seeded fault
-  window (and optionally a gateway crash) during the keynote, returning
+* :func:`run_megaconf_convergence` — the chaos variant, plotted the
+  same way: a seeded fault window (and optionally a gateway crash)
+  during the keynote, under the reliable transport, returning
   the same result shape as :func:`repro.workloads.chaos
   .run_chaos_conference` so the convergence harness can require the run
   to end byte-identical to its fault-free control.
@@ -41,6 +42,9 @@ from repro.workloads.sessions import consultation_events
 #: How long a deferred speaker waits before re-checking for its session.
 _SPEAKER_RETRY_S = 0.25
 _SPEAKER_RETRY_LIMIT = 120
+
+#: Idle time between one wave of track sessions and the next.
+GAP_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,6 @@ def build_conference_schedule(
     attendees_per_session: int = 4,
     session_s: float = 4.0,
     join_window_s: float = 3.0,
-    gap_s: float = 1.0,
     keynote_window_s: float = 0.25,
     keynote_s: float = 6.0,
     events_per_session: int = 4,
@@ -134,7 +137,7 @@ def build_conference_schedule(
     a 4/s steady state, a 12x flash crowd.
     """
     pool = [f"a-{i}" for i in range(tracks * attendees_per_session)]
-    period = join_window_s + session_s + gap_s
+    period = join_window_s + session_s + GAP_S
     slots: list[SessionSlot] = []
     for wave in range(slots_per_track):
         start = wave * period
@@ -227,14 +230,48 @@ def _queue_depths(harness: ClusterHarness) -> dict[str, int]:
     return depths
 
 
+def _build_day(
+    store: MultimediaObjectStore, schedule: ConferenceSchedule, config: ClusterConfig,
+    seed: int, reliability: bool, plan: FaultPlan | None,
+) -> tuple[ClusterHarness, dict[str, Any], dict[str, list[tuple[str, str]]]]:
+    """Store one record per slot, then build the cluster and its attendees:
+    ``(harness, clients by name, each room's speaker choice stream)``."""
+    streams: dict[str, list[tuple[str, str]]] = {}
+    for index, slot in enumerate(schedule.slots):
+        record = generate_record(
+            slot.doc_id, sections=2, components_per_section=3, seed=seed + index
+        )
+        store.store_document(record)
+        streams[slot.doc_id] = consultation_events(
+            record, num_events=max(1, slot.events), seed=37 + seed + index
+        )
+    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
+    clients = {name: harness.add_client(name) for name in schedule.attendees}
+    return harness, clients, streams
+
+
+def _plot_slot(
+    clock: Any, clients: dict[str, Any], stream: list[tuple[str, str]], slot: SessionSlot
+) -> None:
+    """Schedule one slot's joins, staggered across its window, and its
+    speaker's (the first attendee's) choices through the session."""
+    count = len(slot.attendees)
+    for j, name in enumerate(slot.attendees):
+        join_at = slot.start_s + slot.join_window_s * j / max(1, count)
+        clock.schedule_at(join_at, lambda c=clients[name], d=slot.doc_id: c.join(d))
+    speaker = clients[slot.attendees[0]]
+    talk_start = slot.start_s + slot.join_window_s
+    talk_s = max(slot.duration_s - slot.join_window_s, 1e-6)
+    for i, (path, value) in enumerate(stream[: slot.events]):
+        at = talk_start + talk_s * (i + 0.5) / slot.events
+        clock.schedule_at(at, _speaker_choice(clock, speaker, path, value))
+
+
 def run_megaconf(
     store: MultimediaObjectStore,
     schedule: ConferenceSchedule | None = None,
     config: ClusterConfig | None = None,
     seed: int = 0,
-    reliability: Any = None,
-    plan: FaultPlan | None = None,
-    heartbeats: bool = False,
 ) -> dict[str, Any]:
     """Drive one conference day; report join latency and admission stats.
 
@@ -251,52 +288,29 @@ def run_megaconf(
         schedule = build_conference_schedule()
     if config is None:
         config = ClusterConfig(shards=4, gateways=2, admission=AdmissionConfig())
-    streams: dict[str, list[tuple[str, str]]] = {}
-    for index, slot in enumerate(schedule.slots):
-        record = generate_record(
-            slot.doc_id, sections=2, components_per_section=3, seed=seed + index
-        )
-        store.store_document(record)
-        streams[slot.doc_id] = consultation_events(
-            record, num_events=max(1, slot.events), seed=37 + seed + index
-        )
-    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
-    clients = {name: harness.add_client(name) for name in schedule.attendees}
+    harness, clients, streams = _build_day(store, schedule, config, seed, False, None)
     clock = harness.clock
 
     join_samples: dict[str, list[float]] = {"track": [], "keynote": []}
     pending_samples: list[tuple[Any, str]] = []
 
-    def plot_slot(slot: SessionSlot) -> None:
+    def collect(slot: SessionSlot) -> None:
         phase = "keynote" if slot.keynote else "track"
-        count = len(slot.attendees)
-        for j, name in enumerate(slot.attendees):
-            join_at = slot.start_s + slot.join_window_s * j / max(1, count)
-            clock.schedule_at(join_at, lambda c=clients[name], d=slot.doc_id: c.join(d))
-        speaker = clients[slot.attendees[0]]
-        talk_start = slot.start_s + slot.join_window_s
-        talk_s = max(slot.duration_s - slot.join_window_s, 1e-6)
-        for i, (path, value) in enumerate(streams[slot.doc_id][: slot.events]):
-            at = talk_start + talk_s * (i + 0.5) / slot.events
-            clock.schedule_at(at, _speaker_choice(clock, speaker, path, value))
-        def collect() -> None:
-            for name in slot.attendees:
-                client = clients[name]
-                if client.join_latency is not None:
-                    join_samples[phase].append(client.join_latency)
-                    client.join_latency = None
-                else:
-                    # Still deferred or mid-rejoin at the boundary; the
-                    # post-drain sweep picks it up (or counts it late).
-                    pending_samples.append((client, phase))
-                if not slot.keynote and client.session_id is not None:
-                    client.leave()
-        clock.schedule_at(slot.end_s, collect)
+        for name in slot.attendees:
+            client = clients[name]
+            if client.join_latency is not None:
+                join_samples[phase].append(client.join_latency)
+                client.join_latency = None
+            else:
+                # Still deferred or mid-rejoin at the boundary; the
+                # post-drain sweep picks it up (or counts it late).
+                pending_samples.append((client, phase))
+            if not slot.keynote and client.session_id is not None:
+                client.leave()
 
     for slot in schedule.slots:
-        plot_slot(slot)
-    if heartbeats:
-        harness.start(until=schedule.horizon_s)
+        _plot_slot(clock, clients, streams[slot.doc_id], slot)
+        clock.schedule_at(slot.end_s, lambda s=slot: collect(s))
     harness.run()
 
     late_joins = 0
@@ -357,8 +371,6 @@ def run_megaconf_convergence(
     plan: FaultPlan | None = None,
     quick: bool = False,
     gateway_crash: bool = False,
-    reliability: Any = True,
-    failure_timeout: float = 2.0,
 ) -> dict[str, Any]:
     """The keynote flash crowd under seeded chaos, convergence-shaped.
 
@@ -391,26 +403,13 @@ def run_megaconf_convergence(
         shards=3,
         gateways=2,
         service_rate=20.0,
-        failure_timeout=failure_timeout,
         admission=AdmissionConfig(
             depth_defer=2,
             depth_shed=10_000,   # data ops never shed: deferral only
             defer_limit=10_000,  # joins never bounce: park, don't drop
         ),
     )
-    # run_megaconf's own plotting, replicated: the harness has to exist
-    # before run() so the partition/crash can be placed on its nodes.
-    streams: dict[str, list[tuple[str, str]]] = {}
-    for index, slot in enumerate(schedule.slots):
-        record = generate_record(
-            slot.doc_id, sections=2, components_per_section=3, seed=index
-        )
-        store.store_document(record)
-        streams[slot.doc_id] = consultation_events(
-            record, num_events=max(1, slot.events), seed=37 + index
-        )
-    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
-    clients = {name: harness.add_client(name) for name in schedule.attendees}
+    harness, clients, streams = _build_day(store, schedule, config, 0, True, plan)
     clock = harness.clock
 
     keynote = schedule.keynote
@@ -428,16 +427,7 @@ def run_megaconf_convergence(
         )
 
     for slot in schedule.slots:
-        count = len(slot.attendees)
-        for j, name in enumerate(slot.attendees):
-            join_at = slot.start_s + slot.join_window_s * j / max(1, count)
-            clock.schedule_at(join_at, lambda c=clients[name], d=slot.doc_id: c.join(d))
-        speaker = clients[slot.attendees[0]]
-        talk_start = slot.start_s + slot.join_window_s
-        talk_s = max(slot.duration_s - slot.join_window_s, 1e-6)
-        for i, (path, value) in enumerate(streams[slot.doc_id][: slot.events]):
-            at = talk_start + talk_s * (i + 0.5) / slot.events
-            clock.schedule_at(at, _speaker_choice(clock, speaker, path, value))
+        _plot_slot(clock, clients, streams[slot.doc_id], slot)
         if not slot.keynote:
             def leave_all(s: SessionSlot = slot) -> None:
                 for name in s.attendees:

@@ -53,20 +53,20 @@ class PrefetchReport:
     """Outcome of one replayed session."""
 
     policy: str
-    events: int = 0
+    events: int = field(default=0, init=False)
     #: the client buffer's own lookups of newly displayed payloads.
-    demand_requests: int = 0
-    demand_hits: int = 0
-    prefetch_bytes: int = 0
+    demand_requests: int = field(default=0, init=False)
+    demand_hits: int = field(default=0, init=False)
+    prefetch_bytes: int = field(default=0, init=False)
     #: prefetched bytes never on screen after their fetch.
-    wasted_prefetch_bytes: int = 0
+    wasted_prefetch_bytes: int = field(default=0, init=False)
     #: one per display: the initial one, then one per choice.
-    waits: list[float] = field(default_factory=list)
-    retries: int = 0
+    waits: list[float] = field(default_factory=list, init=False)
+    retries: int = field(default=0, init=False)
     #: the §4.4 tuning level on screen at the end (None: the document
     #: has no tuning variable).
-    tuning_level: str | None = None
-    fully_rendered: bool = False
+    tuning_level: str | None = field(default=None, init=False)
+    fully_rendered: bool = field(default=False, init=False)
 
     @property
     def total_wait_s(self) -> float:

@@ -14,12 +14,14 @@ import random
 from repro.document.component import PrimitiveMultimediaComponent
 from repro.document.document import MultimediaDocument
 
+#: Chance the next touched component sits in the previous one's section.
+LOCALITY = 0.7
+
 
 def consultation_events(
     document: MultimediaDocument,
     num_events: int = 10,
     rationality: float = 0.8,
-    locality: float = 0.7,
     seed: int = 0,
 ) -> list[tuple[str, str]]:
     """A plausible consultation: choices biased toward the author's order.
@@ -27,14 +29,12 @@ def consultation_events(
     With probability *rationality* the viewer picks, for the attended
     component, the author's next-preferred alternative given the current
     configuration; otherwise a uniformly random alternative. Attention
-    has *locality*: with that probability the next touched component sits
-    in the same top-level section as the previous one (physicians drill
-    into imaging, then move to labs, ...).
+    has locality: with probability :data:`LOCALITY` the next touched
+    component sits in the same top-level section as the previous one
+    (physicians drill into imaging, then move to labs, ...).
     """
     if not 0 <= rationality <= 1:
         raise ValueError(f"rationality must be in [0,1], got {rationality}")
-    if not 0 <= locality <= 1:
-        raise ValueError(f"locality must be in [0,1], got {locality}")
     rng = random.Random(seed)
     primitives = [
         path
@@ -49,7 +49,7 @@ def consultation_events(
     last_section: str | None = None
     for _ in range(num_events):
         pool = primitives
-        if last_section is not None and rng.random() < locality:
+        if last_section is not None and rng.random() < LOCALITY:
             local = [p for p in primitives if p.split(".")[0] == last_section]
             if local:
                 pool = local

@@ -6,7 +6,6 @@ from repro import obs
 from repro.chaos import (
     CORRUPTED_PAYLOAD,
     ChaosNetwork,
-    FLAP_DROP,
     FaultPlan,
     PARTITION_DROP,
 )
@@ -66,7 +65,7 @@ class TestFaultEnforcement:
 
     def test_without_reliability_loss_is_visible(self):
         plan = FaultPlan(seed=42, drop_rate=0.5)
-        network, hub, _ = rig(plan, reliability=None)
+        network, hub, _ = rig(plan, reliability=False)
         for n in range(40):
             network.send("c1", "server", frame_of("choice", {"n": n}, size_bytes=10))
         network.run()
@@ -75,7 +74,7 @@ class TestFaultEnforcement:
 
     def test_corruption_substitutes_the_poison_payload(self):
         plan = FaultPlan(seed=1, corrupt_rate=0.999999)
-        network, hub, _ = rig(plan, reliability=None)
+        network, hub, _ = rig(plan, reliability=False)
         network.send("c1", "server", frame_of("choice", {"v": "good"}, size_bytes=10))
         network.run()
         assert [m.payload for m in hub.received] == [CORRUPTED_PAYLOAD]
@@ -97,7 +96,7 @@ class TestFaultEnforcement:
     def test_injected_counts_label_by_fault(self, fresh_obs):
         registry, _ = fresh_obs
         plan = FaultPlan(seed=3, dup_rate=0.999999)
-        network, hub, _ = rig(plan, reliability=None)
+        network, hub, _ = rig(plan, reliability=False)
         network.send("c1", "server", frame_of("choice", {}, size_bytes=10))
         network.run()
         assert network.injected_counts() == {"duplicate": 1}
@@ -112,7 +111,7 @@ class TestWindows:
         _, log = fresh_obs
         plan = FaultPlan()
         plan.partition({"c1"}, {"server"}, start=0.0, end=1.0)
-        network, hub, _ = rig(plan, reliability=None)
+        network, hub, _ = rig(plan, reliability=False)
         network.send("c1", "server", frame_of("choice", {"n": 1}, size_bytes=10))
         network.clock.schedule_at(
             1.5, lambda: network.send("c1", "server", frame_of("choice", {"n": 2}, size_bytes=10))
@@ -135,24 +134,10 @@ class TestWindows:
         assert network.delivery_failures == []
         assert network.injected_counts()[PARTITION_DROP] >= 1
 
-    def test_flap_severs_both_directions(self, fresh_obs):
-        _, log = fresh_obs
-        plan = FaultPlan()
-        plan.flap("c1", start=0.0, end=0.5)
-        network, hub, client = rig(plan, reliability=None)
-        network.send("c1", "server", frame_of("choice", {}, size_bytes=10))
-        network.send("server", "c1", frame_of("payload", {}, size_bytes=10))
-        network.run()
-        assert hub.received == [] and client.received == []
-        assert network.injected_counts() == {FLAP_DROP: 2}
-        names = [e.name for e in log.events]
-        assert "chaos.link_flap_open" in names
-        assert "chaos.link_flap_close" in names
-
     def test_heartbeats_are_cut_by_partitions_despite_protection(self):
         plan = FaultPlan(drop_rate=0.999999)  # heartbeat protected from this
         plan.partition({"c1"}, {"server"}, start=0.0, end=1.0)
-        network, hub, _ = rig(plan, reliability=None)
+        network, hub, _ = rig(plan, reliability=False)
         network.send("c1", "server", frame_of("heartbeat", {}, size_bytes=8))
         network.run()
         assert hub.received == []

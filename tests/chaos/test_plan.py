@@ -6,10 +6,10 @@ from repro.chaos import (
     CORRUPT,
     DROP,
     DUPLICATE,
-    FLAP_DROP,
     FaultPlan,
     PARTITION_DROP,
 )
+from repro.chaos.plan import REORDER, REORDER_MAX_S
 from repro.errors import ChaosError
 
 
@@ -24,8 +24,6 @@ class TestValidation:
         plan = FaultPlan()
         with pytest.raises(ChaosError):
             plan.partition({"a"}, {"b"}, start=5.0, end=5.0)
-        with pytest.raises(ChaosError):
-            plan.flap("a", start=2.0, end=1.0)
 
     def test_overlapping_partition_sides_are_rejected(self):
         with pytest.raises(ChaosError):
@@ -44,8 +42,8 @@ class TestDeterminism:
         assert sequences[0] == sequences[1]
 
     def test_different_seed_different_decisions(self):
-        a = FaultPlan(seed=1, drop_rate=0.3, delay_rate=0.3)
-        b = FaultPlan(seed=2, drop_rate=0.3, delay_rate=0.3)
+        a = FaultPlan(seed=1, drop_rate=0.3, reorder_rate=0.3)
+        b = FaultPlan(seed=2, drop_rate=0.3, reorder_rate=0.3)
         assert [a.decide("choice") for _ in range(100)] != [
             b.decide("choice") for _ in range(100)
         ]
@@ -66,14 +64,11 @@ class TestDecide:
 
     def test_one_fault_per_transmission(self):
         plan = FaultPlan(
-            seed=11, drop_rate=0.3, dup_rate=0.3, corrupt_rate=0.3,
-            delay_rate=0.3, reorder_rate=0.3,
+            seed=11, drop_rate=0.3, dup_rate=0.3, corrupt_rate=0.3, reorder_rate=0.3,
         )
         for _ in range(500):
             decision = plan.decide("choice")
-            assert decision is None or decision[0] in (
-                DROP, CORRUPT, DUPLICATE, "delay", "reorder"
-            )
+            assert decision is None or decision[0] in (DROP, CORRUPT, DUPLICATE, REORDER)
 
     def test_protected_kinds_are_exempt(self):
         plan = FaultPlan(seed=5, drop_rate=0.999999)
@@ -85,11 +80,11 @@ class TestDecide:
         assert plan.decide("choice") is None
         assert plan.decide("payload") == (DROP, 0.0)
 
-    def test_delay_is_bounded(self):
-        plan = FaultPlan(seed=9, delay_rate=0.999999, delay_max_s=0.25)
+    def test_reorder_delay_is_bounded(self):
+        plan = FaultPlan(seed=9, reorder_rate=0.999999)
         for _ in range(100):
             action, extra = plan.decide("choice")
-            assert action == "delay" and 0.0 <= extra <= 0.25
+            assert action == REORDER and 0.0 <= extra <= REORDER_MAX_S
 
 
 class TestWindows:
@@ -102,22 +97,9 @@ class TestWindows:
         assert plan.severed("gw", "shard-1", 2.0) is None  # end exclusive
         assert plan.severed("gw", "shard-2", 1.5) is None
 
-    def test_flap_cuts_everything_touching_the_node(self):
-        plan = FaultPlan()
-        plan.flap("c1", start=0.0, end=1.0)
-        assert plan.severed("c1", "server", 0.5) == FLAP_DROP
-        assert plan.severed("server", "c1", 0.5) == FLAP_DROP
-        assert plan.severed("server", "c2", 0.5) is None
-
-    def test_partition_checked_before_flap(self):
-        plan = FaultPlan()
-        plan.flap("a", 0.0, 10.0)
-        plan.partition({"a"}, {"b"}, 0.0, 10.0)
-        assert plan.severed("a", "b", 5.0) == PARTITION_DROP
-
     def test_horizon_is_latest_window_edge(self):
         plan = FaultPlan()
         assert plan.horizon == 0.0
         plan.partition({"a"}, {"b"}, 1.0, 4.0)
-        plan.flap("c", 2.0, 6.5)
+        plan.partition({"c"}, {"d"}, 2.0, 6.5)
         assert plan.horizon == 6.5

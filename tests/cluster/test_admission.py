@@ -107,8 +107,6 @@ class TestLanes:
             AdmissionConfig(defer_limit=0)
         with pytest.raises(ValueError):
             AdmissionConfig(retry_after_s=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(wait_defer_s=-1.0)
 
 
 class TestController:
@@ -167,14 +165,6 @@ class TestController:
         assert resumed == ["j0", "j1", "j2", "j3"]
         assert controller.parked_count == 0
         assert controller.resumed == 4
-
-    def test_wait_watermark_trips_independently_of_depth(self):
-        clock, queue, controller, _ = make_controller(
-            rate=0.5, depth_defer=100, depth_shed=200, wait_defer_s=1.0
-        )
-        fill(queue, 2)  # depth 2 << 100, but backlog is 2/0.5 = 4 s
-        assert queue.wait_s > 1.0
-        assert controller.admit(MessageKind.JOIN).action == DEFER
 
 
 class TestShedFloor:

@@ -199,18 +199,17 @@ class TestStandbyShipsNothing:
         "interest.bytes_saved",
     )
 
-    def _run(self, tmp_path, replication_factor):
+    def _run(self, tmp_path, shards):
+        """One shard has no ring successor to mirror to; two shards make
+        each the other's standby."""
         registry = MetricsRegistry()
-        db = Database(str(tmp_path / f"rf{replication_factor}"))
+        db = Database(str(tmp_path / f"shards{shards}"))
         with use_registry(registry), use_event_log(EventLog()):
             store = MultimediaObjectStore(db)
             store.store_document(build_sample_medical_record())
             harness = ClusterHarness(
                 store,
-                ClusterConfig(
-                    shards=2, interest_mode="cpnet",
-                    replication_factor=replication_factor,
-                ),
+                ClusterConfig(shards=shards, interest_mode="cpnet"),
             )
             replication = []  # (kind, frame bytes) of every REPLICATE and ACK
             real_send = harness.network.send
@@ -235,8 +234,8 @@ class TestStandbyShipsNothing:
         return registry.snapshot()["counters"], replication
 
     def test_counters_do_not_depend_on_the_replication_factor(self, tmp_path):
-        alone, no_frames = self._run(tmp_path, replication_factor=1)
-        mirrored, frames = self._run(tmp_path, replication_factor=2)
+        alone, no_frames = self._run(tmp_path, shards=1)
+        mirrored, frames = self._run(tmp_path, shards=2)
         assert no_frames == [] and frames
         series = [
             name for name in alone

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Batcher, Link, Message, SimulatedNetwork
+from repro.net.batch import MAX_BYTES
 from repro.obs import MetricsRegistry, use_registry
 from tests.net.frames import frame_of
 
@@ -25,7 +26,7 @@ def rig():
         network.attach_hub(hub)
         client = Recorder("c1")
         network.attach_client(client, uplink=Link(), downlink=Link())
-        batcher = Batcher(network, "server", window_s=0.05, max_bytes=512)
+        batcher = Batcher(network, "server", window_s=0.05)
     return network, client, batcher, registry
 
 
@@ -77,16 +78,18 @@ class TestWindowing:
 
     def test_byte_budget_flushes_early(self, rig):
         network, client, batcher, registry = rig
-        big = {"viewer": "a", "pad": "x" * 300}
-        batcher.send("c1", frame_of("peer_event", big))
-        batcher.send("c1", frame_of("peer_event", big))  # crosses 512 bytes
+        big = frame_of("peer_event", {"viewer": "a", "pad": "x" * (MAX_BYTES // 2)})
+        assert len(big.data) < MAX_BYTES
+        batcher.send("c1", big)
+        assert batcher.pending_count == 1
+        batcher.send("c1", big)  # crosses MAX_BYTES
         assert batcher.pending_count == 0  # flushed synchronously
         network.run()
         assert _kinds(client) == ["peer_event"] * 2
 
     def test_oversized_frame_never_batches(self, rig):
         network, client, batcher, _ = rig
-        batcher.send("c1", frame_of("peer_event", {"pad": "y" * 2000}))
+        batcher.send("c1", frame_of("peer_event", {"pad": "y" * MAX_BYTES}))
         assert batcher.pending_count == 0
         network.run()
         assert _kinds(client) == ["peer_event"]

@@ -77,7 +77,7 @@ class TestTopology:
 def add_backbone(net, name):
     node = Recorder(name)
     node.attach(net)
-    net.attach_backbone(node, uplink=Link(), downlink=Link())
+    net.attach_backbone(node)
     return node
 
 
@@ -114,7 +114,7 @@ class TestBackbone:
         walking its attributes, so a table added later is covered."""
         gateway = Recorder("gw-1")
         gateway.attach(net)
-        net.attach_gateway(gateway, uplink=Link(), downlink=Link())
+        net.attach_gateway(gateway)
         add_backbone(net, "shard-1")
         add_client(net, "c1")
         net.assign_home("c1", "gw-1")

@@ -10,7 +10,8 @@ from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import DeliveryFailed
-from repro.net import Link, Message, NET_ACK, RetryPolicy, SimulatedNetwork
+from repro.net import Link, Message, NET_ACK, SimulatedNetwork
+from repro.net.reliable import MAX_ATTEMPTS
 from repro.net import reliable
 from repro.net.codec import checksum_of
 from repro.net.link import MBPS
@@ -150,8 +151,7 @@ class TestRetry:
         assert network.reliability.in_flight == 0
 
     def test_total_loss_surfaces_delivery_failed_within_budget(self):
-        policy = RetryPolicy(base_timeout_s=0.05, max_attempts=4)
-        network = LossyNetwork(reliability=policy)
+        network = LossyNetwork(reliability=True)
         hub, client = Recorder("server"), Recorder("c1")
         network.attach_hub(hub)
         network.attach_client(client)
@@ -164,7 +164,7 @@ class TestRetry:
         failure = network.delivery_failures[0]
         assert isinstance(failure, DeliveryFailed)
         assert failure.reason == "retry_budget_exhausted"
-        assert failure.attempts == 4
+        assert failure.attempts == MAX_ATTEMPTS
         assert client.failures == [failure]
         assert hub.received == []
 

@@ -391,9 +391,8 @@ class TestPropagation:
 
 class TestPermissions:
     def test_view_only_viewer_cannot_annotate(self, store):
-        policy = PermissionPolicy()
-        policy.grant("student", VIEWER_GRANT)
-        server = InteractionServer(store, policy=policy)
+        server = InteractionServer(store)
+        server.policy.grant("student", VIEWER_GRANT)
         session = server.connect_session("student")
         server.join_room(session.session_id, "record-17")
         with pytest.raises(PermissionError_, match="annotate"):
@@ -402,16 +401,14 @@ class TestPermissions:
         server.handle_choice(session.session_id, "imaging.ct_head", "icon")
 
     def test_join_requires_view(self, store):
-        policy = PermissionPolicy()
-        policy.grant("banned", frozenset())
-        server = InteractionServer(store, policy=policy)
+        server = InteractionServer(store)
+        server.policy.grant("banned", frozenset())
         session = server.connect_session("banned")
         with pytest.raises(PermissionError_, match=PERM_VIEW):
             server.join_room(session.session_id, "record-17")
 
     def test_store_document_requires_modify(self, store):
-        policy = PermissionPolicy()  # default consultant grant: no modify
-        server = InteractionServer(store, policy=policy)
+        server = InteractionServer(store)  # default consultant grant: no modify
         session = server.connect_session("lee")
         with pytest.raises(PermissionError_, match="modify"):
             server.store_document(session.session_id, build_sample_medical_record())

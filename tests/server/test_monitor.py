@@ -13,6 +13,7 @@ from repro.client import ClientModule, TelemetryMonitor
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.net import Link, SimulatedNetwork
+from repro.obs import render_dashboard
 from repro.server import InteractionServer
 from repro.server.protocol import MessageKind
 
@@ -189,7 +190,9 @@ class TestTelemetryDelivery:
                     for client in clients:
                         client.leave()
                     network.run()
-                    out = monitor.render(
+                    out = render_dashboard(
+                        monitor.combined(),
+                        monitor.events,
                         title="three-client consultation",
                         exclude=NONDETERMINISTIC_METRICS,
                     )

@@ -23,33 +23,33 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.cluster.ring import HashRing
 from repro.cluster.shard import ShardServer
 from repro.db import Database, MultimediaObjectStore
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
+from tests.cluster.test_ring import ring_of
 from tests.net.test_wire_identity import build_rooms_conference, drive_rooms_conference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
-    "chaos": 677,
-    "client": 1188,
-    "cluster": 2699,
+    "chaos": 599,
+    "client": 1171,
+    "cluster": 2639,
     "cpnet": 1926,
     "db": 1892,
     "document": 1125,
     "interest": 289,
     "media": 3039,
-    "net": 2079,
+    "net": 2035,
     "obs": 1676,
     "prefetch": 167,
     "presentation": 758,
     "retrieval": 769,
-    "server": 1769,
+    "server": 1764,
     "util": 279,
-    "workloads": 1308,
+    "workloads": 1297,
 }
 
 MAX_KIND_ARMS = 3
@@ -239,7 +239,7 @@ def test_a_queued_op_is_one_record(tmp_path):
         try:
             shard = ShardServer(
                 "shard-1", MultimediaObjectStore(db), SimulatedNetwork(SimClock()),
-                "directory", HashRing(("shard-1",)), HashRing(("gw-1",)),
+                "directory", ring_of(("shard-1",)), ring_of(("gw-1",)),
                 service_rate=100.0,
             )
             items = [object() for _ in range(burst)]
