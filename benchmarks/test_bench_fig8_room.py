@@ -10,15 +10,13 @@ of population, and records the wall-clock cost of simulating it.
 
 import pytest
 
-from conftest import QUICK
 from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.net import Link, SimulatedNetwork
-from repro.server import InteractionServer, Room
+from repro.server import InteractionServer
 from repro.workloads import generate_record
 
 MBPS = 1_000_000
-BUFFER_DEPTH = 300 if QUICK else 2000
 
 
 def build_room(tmp_path, population, tag=""):
@@ -93,31 +91,6 @@ def test_room_join_latency(benchmark, report, tmp_path):
         )
     finally:
         db.close()
-
-
-def test_change_buffer_tail_read_at_depth(benchmark, report):
-    """Guard for the seq-keyed bisect paths (PR 5): with one laggard
-    holding a deep buffer, reading the tail via ``changes_since`` is
-    O(log n + k) — the benchmark pins the cost so a regression back to
-    linear scans shows up as a timing cliff."""
-    document = generate_record(
-        "deep-doc", sections=4, components_per_section=3, seed=5
-    )
-    room = Room("room-deep", document)
-    room.join("s-actor", "actor")
-    room.join("s-laggard", "laggard")
-    values = document.component("imaging0.item0").domain[:2]
-    for index in range(BUFFER_DEPTH):
-        room.apply_choice("actor", "imaging0.item0", values[index % 2])
-    assert room.buffer_size == BUFFER_DEPTH
-    tail_seq = BUFFER_DEPTH - 5
-
-    tail = benchmark(room.changes_since, tail_seq)
-    assert [c.seq for c in tail] == list(range(tail_seq + 1, BUFFER_DEPTH + 1))
-    report.line(
-        f"  changes_since tail read at depth {BUFFER_DEPTH}: "
-        f"{benchmark.stats['mean'] * 1e6:.1f} us/call"
-    )
 
 
 def test_peer_events_reach_everyone(benchmark, tmp_path):

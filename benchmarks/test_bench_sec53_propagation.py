@@ -87,25 +87,40 @@ def test_diff_computation_speed(benchmark):
 
 def test_change_buffer_discard(benchmark, report, tmp_path):
     """"The changed objects are ... discarded from the room as soon as they
-    are not needed by the clients": buffer stays bounded under load."""
+    are not needed by the clients": with no client acknowledging anything,
+    the live server keeps one outcome per member (its known spec, what it
+    was last sent) and the room keeps nothing per change."""
     db = Database(str(tmp_path / "db-buffer"))
     store = MultimediaObjectStore(db)
     store.store_document(generate_record("buf-doc", sections=3, components_per_section=3, seed=4))
     server = InteractionServer(store)
     sessions = [server.connect_session(f"v{i}") for i in range(3)]
-    rooms = [server.join_room(s.session_id, "buf-doc")[0] for s in sessions]
-    room = rooms[0]
+    room = [server.join_room(s.session_id, "buf-doc")[0] for s in sessions][0]
     component = room.document.component_paths()[1]
     values = room.document.component(component).domain[:2]
     toggle = iter(list(values) * 1_000_000)
 
-    def change_and_ack():
-        change = room.apply_choice("v0", component, next(toggle))
-        for session in sessions:
-            room.acknowledge(session.session_id, change.seq)
-        return room.buffer_size
+    def change():
+        server.handle_choice(sessions[0].session_id, component, next(toggle))
 
-    size = benchmark(change_and_ack)
-    assert size == 0  # fully acknowledged changes are discarded
-    report.line(f"  change buffer after full acknowledgement: {size} entries")
+    def held():
+        return {
+            name: len(value)
+            for name, value in vars(room).items()
+            if isinstance(value, (dict, list, set, tuple))
+        }
+
+    change()
+    before = held()
+    benchmark(change)
+    for _ in range(CHANGES):
+        change()
+    assert held() == before  # no per-change entry anywhere in the room
+    paths = set(room.document.component_paths())
+    known = [server.session(s.session_id).known_spec("buf-doc") for s in sessions]
+    assert all(spec is not None and set(spec) <= paths for spec in known)
+    report.line(
+        f"  after {CHANGES}+ unacknowledged changes: room holds {before}; "
+        f"each member's known spec <= {len(paths)} components"
+    )
     db.close()

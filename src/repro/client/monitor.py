@@ -18,6 +18,7 @@ from repro.errors import ClientError
 from repro.net.codec import StringInterner, encode_message
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
+from repro.obs.metrics import histogram_summary
 from repro.server.protocol import MessageKind
 
 
@@ -29,34 +30,14 @@ def _merge_histogram(into: dict[str, Any], delta: dict[str, Any]) -> dict[str, A
     a = into.get("bucket_counts") or [0] * (len(bounds) + 1)
     b = delta.get("bucket_counts") or [0] * (len(bounds) + 1)
     buckets = [x + y for x, y in zip(a, b)]
-    count = into.get("count", 0) + delta.get("count", 0)
-    total = into.get("total", 0.0) + delta.get("total", 0.0)
-
-    def percentile(fraction: float) -> float | None:
-        if count <= 0:
-            return None
-        rank = max(1, int(fraction * count + 0.999999))
-        cumulative = 0
-        for index, bucket_count in enumerate(buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(bounds):
-                    return bounds[index]
-                break
-        return _max_of(into, delta)
-
-    return {
-        "count": count,
-        "total": total,
-        "mean": (total / count) if count else None,
-        "min": _min_of(into, delta),
-        "max": _max_of(into, delta),
-        "p50": percentile(0.50),
-        "p90": percentile(0.90),
-        "p99": percentile(0.99),
-        "bounds": list(bounds),
-        "bucket_counts": buckets,
-    }
+    return histogram_summary(
+        bounds,
+        buckets,
+        into.get("count", 0) + delta.get("count", 0),
+        into.get("total", 0.0) + delta.get("total", 0.0),
+        _min_of(into, delta),
+        _max_of(into, delta),
+    )
 
 
 def _min_of(a: dict[str, Any], b: dict[str, Any]) -> float | None:

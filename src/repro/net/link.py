@@ -31,8 +31,6 @@ class Link:
     bandwidth_bps: float = 10 * MBPS
     latency_s: float = 0.005
     _busy_until: float = field(default=0.0, init=False, repr=False)
-    bytes_carried: int = field(default=0, init=False, repr=False)
-    messages_carried: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive(self.bandwidth_bps, "bandwidth_bps")
@@ -54,8 +52,6 @@ class Link:
             start = now
         done_sending = start + (size_bytes * 8) / self.bandwidth_bps
         self._busy_until = done_sending
-        self.bytes_carried += size_bytes
-        self.messages_carried += 1
         return start - now, done_sending + self.latency_s
 
     def priority_transfer(self, now: float, size_bytes: int) -> float:
@@ -64,17 +60,11 @@ class Link:
         Liveness traffic (heartbeats) rides a priority lane — like
         QoS-marked control traffic in a real deployment — so a link
         congested with image payloads does not make a healthy node look
-        dead. The bytes are still counted; the frame just never waits,
-        and never delays data traffic either.
+        dead. The network still charges its bytes to the link; the frame
+        just never waits, and never delays data traffic either.
         """
-        self.bytes_carried += size_bytes
-        self.messages_carried += 1
         return now + (size_bytes * 8) / self.bandwidth_bps + self.latency_s
 
     def queueing_delay(self, now: float) -> float:
         """How long a message arriving now would wait before transmitting."""
         return max(0.0, self._busy_until - now)
-
-    def reset_stats(self) -> None:
-        self.bytes_carried = 0
-        self.messages_carried = 0

@@ -452,6 +452,3 @@ class SimulatedNetwork:
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
-        for links in (self._uplinks, self._downlinks, self._peer_links):
-            for link in links.values():
-                link.reset_stats()

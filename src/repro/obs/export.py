@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs.metrics import quantile_from_buckets
+from repro.obs.metrics import histogram_summary, quantile_from_buckets
 
 Snapshot = dict[str, Any]
 
@@ -79,32 +79,10 @@ def _diff_histogram(before: dict[str, Any], after: dict[str, Any]) -> dict[str, 
     delta_buckets = [a - b for a, b in zip(after_buckets, before_buckets)]
     count = after.get("count", 0) - before.get("count", 0)
     total = after.get("total", 0.0) - before.get("total", 0.0)
-
-    def percentile(fraction: float) -> float | None:
-        if count <= 0:
-            return None
-        rank = max(1, int(fraction * count + 0.999999))
-        cumulative = 0
-        for index, bucket_count in enumerate(delta_buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                return bounds[index] if index < len(bounds) else after.get("max")
-        return after.get("max")
-
-    return {
-        "count": count,
-        "total": total,
-        "mean": (total / count) if count > 0 else None,
-        # Exact extremes of the interval are unrecoverable from buckets;
-        # report the cumulative ones (None when nothing new arrived).
-        "min": after.get("min") if count > 0 else None,
-        "max": after.get("max") if count > 0 else None,
-        "p50": percentile(0.50),
-        "p90": percentile(0.90),
-        "p99": percentile(0.99),
-        "bounds": list(bounds),
-        "bucket_counts": delta_buckets,
-    }
+    # Exact extremes of the interval are unrecoverable from buckets;
+    # report the cumulative ones (None when nothing new arrived).
+    extremes = (after.get("min"), after.get("max")) if count > 0 else (None, None)
+    return histogram_summary(bounds, delta_buckets, count, total, *extremes)
 
 
 def diff(before: Snapshot, after: Snapshot) -> Snapshot:

@@ -114,17 +114,7 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float | None:
         """Estimated value at *fraction* (0 < fraction <= 1) of the data."""
-        if self.count == 0:
-            return None
-        rank = max(1, int(fraction * self.count + 0.999999))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max
-        return self.max  # pragma: no cover - defensive
+        return _upper_edge(self.bounds, self.bucket_counts, self.count, self.max, fraction)
 
     def quantile(self, q: float) -> float | None:
         """Linear-interpolated quantile estimate (``0 <= q <= 1``).
@@ -146,21 +136,51 @@ class Histogram:
 
     def summary(self) -> dict[str, Any]:
         """Deterministic serializable summary (used by the exporters)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": (self.total / self.count) if self.count else None,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-        }
+        return histogram_summary(
+            self.bounds, self.bucket_counts, self.count, self.total, self.min, self.max
+        )
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count})"
+
+
+def _upper_edge(
+    bounds: Sequence[float], counts: Sequence[int], count: int, maximum: float | None, q: float
+) -> float | None:
+    """Upper edge of the bucket holding rank *q*; the overflow bucket reports *maximum*."""
+    if count <= 0:
+        return None
+    rank = max(1, int(q * count + 0.999999))
+    cumulative = 0
+    for index, bucket_count in enumerate(counts):
+        cumulative += bucket_count
+        if cumulative >= rank:
+            return bounds[index] if index < len(bounds) else maximum
+    return maximum
+
+
+def histogram_summary(
+    bounds: Sequence[float],
+    bucket_counts: Sequence[int],
+    count: int,
+    total: float,
+    minimum: float | None,
+    maximum: float | None,
+) -> dict[str, Any]:
+    """The summary dict of a histogram's state, live or serialized
+    (:meth:`Histogram.summary`, the exporters' diff, the monitor's merge)."""
+    return {
+        "count": count,
+        "total": total,
+        "mean": (total / count) if count > 0 else None,
+        "min": minimum,
+        "max": maximum,
+        "p50": _upper_edge(bounds, bucket_counts, count, maximum, 0.50),
+        "p90": _upper_edge(bounds, bucket_counts, count, maximum, 0.90),
+        "p99": _upper_edge(bounds, bucket_counts, count, maximum, 0.99),
+        "bounds": list(bounds),
+        "bucket_counts": list(bucket_counts),
+    }
 
 
 def quantile_from_buckets(

@@ -10,7 +10,7 @@ immediately propagated to other clients in the room."
 * :mod:`repro.server.permissions` — per-session rights (view / choose /
   annotate / modify / admin);
 * :mod:`repro.server.room` — a shared room: one open document, its
-  presentation engine, the change buffer, freeze bookkeeping;
+  presentation engine, freeze bookkeeping and change numbering;
 * :mod:`repro.server.interaction` — the server itself: sessions, rooms,
   database fetch/store, change propagation (diff-only), and the network
   node glue.

@@ -817,7 +817,6 @@ class InteractionServer:
             "rooms": len(self._rooms),
             "monitors": len(self.telemetry.monitors),
             "viewers_in_rooms": sum(len(r.viewer_ids) for r in self._rooms.values()),
-            "buffered_changes": sum(r.buffer_size for r in self._rooms.values()),
             "frozen_components": sum(
                 1
                 for room in self._rooms.values()

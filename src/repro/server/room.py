@@ -2,19 +2,19 @@
 
 "Multiple clients may enter a shared 'room'. In that case, each one of
 them sees the actions of the other." The room holds one open document,
-its presentation engine, the freeze bookkeeping of the image-processing
-module, and the paper's change buffer: "The 'chat' room is implemented by
-a large memory buffer which maintains the changes made on the changed
-objects. ... The changed objects are saved and discarded from the room as
-soon as they are not needed by the clients" — here, changes are discarded
-once every member has acknowledged them.
+its presentation engine and the freeze bookkeeping of the
+image-processing module. The paper's room "is implemented by a large
+memory buffer which maintains the changes made on the changed objects.
+... The changed objects are saved and discarded from the room as soon as
+they are not needed by the clients". Here a change is not kept at all:
+it is numbered, propagated and handed to the triggers, and what each
+client still needs is its session's known spec (``Session.known_spec``)
+— the outcome it was last sent, dropped when it leaves the room.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any
 
 from repro.errors import FrozenObjectError, RoomError
@@ -28,7 +28,10 @@ from repro.presentation.spec import PresentationSpec
 
 @dataclass(frozen=True)
 class RoomChange:
-    """One buffered change, kept until every member has seen it."""
+    """One numbered change, propagated to the members and then dropped.
+
+    ``seq`` goes on the wire in ``PRESENTATION_UPDATE`` and
+    ``PEER_EVENT``; the room keeps only the next number."""
 
     seq: int
     viewer_id: str
@@ -45,9 +48,7 @@ class Room:
         self.engine = PresentationEngine(document)
         self._members: dict[str, str] = {}  # session_id -> viewer_id
         self._frozen: dict[str, str] = {}   # component -> viewer_id holding the freeze
-        self._changes: list[RoomChange] = []
         self._next_seq = 1
-        self._ack: dict[str, int] = {}      # session_id -> highest seq seen
         self.annotations: dict[str, list[dict[str, Any]]] = {}
         #: Who cares about what (repro.interest): drives update filtering.
         self.interest = InterestRegistry(document.component_paths())
@@ -75,7 +76,6 @@ class Room:
         if session_id in self._members:
             raise RoomError(f"session {session_id!r} is already in room {self.room_id!r}")
         self._members[session_id] = viewer_id
-        self._ack[session_id] = self._next_seq - 1  # no need to see old history
         self.interest.join(session_id)
         self.engine.register_viewer(viewer_id)
 
@@ -83,7 +83,6 @@ class Room:
         """Remove a session; returns its viewer id. Releases its freezes."""
         viewer_id = self._require_member(session_id)
         del self._members[session_id]
-        self._ack.pop(session_id, None)
         # A departed session must never linger in any fan-out decision:
         # its interest entry goes with its membership, atomically.
         self.interest.forget(session_id)
@@ -93,7 +92,6 @@ class Room:
         # Keep engine state only while some session of this viewer remains.
         if viewer_id not in self._members.values():
             self.engine.unregister_viewer(viewer_id)
-        self._trim_buffer()
         return viewer_id
 
     def close(self) -> None:
@@ -244,41 +242,9 @@ class Room:
     def presentations(self, now: float = 0.0) -> dict[str, PresentationSpec]:
         return self.engine.presentations(now=now)
 
-    # ----- change buffer ---------------------------------------------------------------
+    # ----- change numbering -----------------------------------------------------------
 
     def _record(self, viewer_id: str, kind: str, data: dict[str, Any]) -> RoomChange:
         change = RoomChange(seq=self._next_seq, viewer_id=viewer_id, kind=kind, data=data)
         self._next_seq += 1
-        self._changes.append(change)
         return change
-
-    def changes_since(self, seq: int) -> list[RoomChange]:
-        """Changes newer than *seq* — O(log n + k), seqs are monotonic."""
-        start = bisect_right(self._changes, seq, key=attrgetter("seq"))
-        return self._changes[start:]
-
-    def acknowledge(self, session_id: str, seq: int) -> None:
-        """A member confirms it has displayed changes up to *seq*."""
-        self._require_member(session_id)
-        self._ack[session_id] = max(self._ack.get(session_id, 0), seq)
-        self._trim_buffer()
-
-    def _trim_buffer(self) -> None:
-        """Discard changes every remaining member has acknowledged."""
-        if not self._ack:
-            self._changes.clear()
-            return
-        low_water = min(self._ack.values())
-        # Seqs are monotonic, so everything acked is a prefix: one bisect
-        # and one del instead of rebuilding the list per acknowledgement.
-        cut = bisect_right(self._changes, low_water, key=attrgetter("seq"))
-        if cut:
-            del self._changes[:cut]
-
-    @property
-    def buffer_size(self) -> int:
-        return len(self._changes)
-
-    @property
-    def latest_seq(self) -> int:
-        return self._next_seq - 1

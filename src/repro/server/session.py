@@ -34,6 +34,9 @@ class Session:
         self.last_spec[doc_id] = dict(outcome)
 
     def known_spec(self, doc_id: str) -> dict[str, str] | None:
+        """What this client was last sent of *doc_id*'s outcome: the
+        paper's room buffer of changes "not needed by the clients" (§5.3)
+        reduced to one outcome per member, dropped when it leaves."""
         return self.last_spec.get(doc_id)
 
     def forget_spec(self, doc_id: str) -> None:

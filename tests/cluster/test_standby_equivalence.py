@@ -131,7 +131,7 @@ def room_state(server):
         state[room_id] = {
             "doc": doc_id,
             "members": room.member_sessions,
-            "seq": room.latest_seq,
+            "seq": room._next_seq,
             "shared": room.engine.shared_choices,
             "personal": {v: room.engine.personal_choices(v) for v in room.viewer_ids},
             "interest": {

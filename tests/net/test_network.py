@@ -26,8 +26,14 @@ class Recorder:
 
 
 @pytest.fixture
-def net():
-    network = SimulatedNetwork()
+def registry():
+    return MetricsRegistry()
+
+
+@pytest.fixture
+def net(registry):
+    with use_registry(registry):
+        network = SimulatedNetwork()
     hub = Recorder("server")
     hub.attach(network)
     network.attach_hub(hub)
@@ -212,8 +218,6 @@ class TestNoStaleRoute:
         network.send("c1", "gw-2", frame_of("choice", size_bytes=4))
         network.run()
         assert len(client.received) == 2 and len(new.received) == 1
-        assert network.downlink("c1").bytes_carried == 140
-        assert network.uplink("c1").bytes_carried == 14
         counters = registry.snapshot()["counters"]
         assert counters["net.link.c1.down.bytes"] == 140
         assert counters["net.link.c1.up.bytes"] == 14
@@ -239,6 +243,7 @@ class TestNoStaleRoute:
         network.run()
         counters = registry.snapshot()["counters"]
         assert counters["net.drops"] == 1
+        assert counters["net.link.c1.down.bytes"] == 107  # charged at send
         with pytest.raises(NetworkError, match="unknown recipient"):
             network.send("server", "c1", frame_of("update", size_bytes=1))
         with pytest.raises(NetworkError, match="unknown sender"):
@@ -250,14 +255,12 @@ class TestNoStaleRoute:
         started = network.clock.now
         network.run()
         assert again.received[0][0] - started == pytest.approx(1.0)
-        assert first_down.bytes_carried == 107
-        assert network.downlink("c1").bytes_carried == 125_000
-        assert network.uplink("c1").bytes_carried == 5
+        assert network.downlink("c1") is not first_down
         counters = registry.snapshot()["counters"]
         assert counters["net.link.c1.down.bytes"] == 107 + 125_000
         assert counters["net.link.c1.up.bytes"] == 5
 
-    def test_peer_link_installed_mid_run_carries_the_next_send(self, net):
+    def test_peer_link_installed_mid_run_carries_the_next_send(self, net, registry):
         add_backbone(net, "shard-1")
         peer = add_backbone(net, "shard-2")
         net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))
@@ -267,8 +270,9 @@ class TestNoStaleRoute:
         started = net.clock.now
         net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=125_000))
         net.run()
-        assert slow.bytes_carried == 125_000 and slow.messages_carried == 1
         assert peer.received[1][0] - started == pytest.approx(1.0)
+        counters = registry.snapshot()["counters"]
+        assert counters["net.peer.shard-1.shard-2.bytes"] == 64 + 125_000
 
     def test_detached_peer_is_unroutable_and_its_frames_drop(self, net):
         add_backbone(net, "shard-1")
@@ -354,29 +358,29 @@ class TestStats:
         assert net.stats.bytes_by_kind["update"] == 150
         assert net.stats.messages_by_kind["choice"] == 1
 
-    def test_link_stats_and_reset(self, net):
+    def test_link_stats_and_reset(self, net, registry):
         add_client(net, "c1")
         net.send("server", "c1", frame_of("update", size_bytes=100))
         net.run()
-        assert net.downlink("c1").bytes_carried == 100
+        assert registry.snapshot()["counters"]["net.link.c1.down.bytes"] == 100
         net.reset_stats()
-        assert net.stats.messages == 0
-        assert net.downlink("c1").bytes_carried == 0
+        assert (net.stats.messages, net.stats.bytes_total) == (0, 0)
+        # The registry is the process's ledger: a reset leaves it alone.
+        assert registry.snapshot()["counters"]["net.link.c1.down.bytes"] == 100
 
-    def test_reset_covers_backbone_peer_links(self, net):
+    def test_reset_covers_backbone_peer_links(self, net, registry):
         add_backbone(net, "shard-1")
         add_backbone(net, "shard-2")
-        custom = Link()
-        net.set_peer_link("shard-2", "shard-1", custom)
+        net.set_peer_link("shard-2", "shard-1", Link())
         net.send("shard-1", "shard-2", frame_of("replicate", size_bytes=64))  # default link
         net.send("shard-2", "shard-1", frame_of("ack", size_bytes=8))
         net.run()
-        default = net._peer_link("shard-1", "shard-2")
-        assert (default.bytes_carried, default.messages_carried) == (64, 1)
-        assert (custom.bytes_carried, custom.messages_carried) == (8, 1)
+        counters = registry.snapshot()["counters"]
+        assert counters["net.peer.shard-1.shard-2.bytes"] == 64
+        assert counters["net.peer.shard-2.shard-1.bytes"] == 8
+        assert (net.stats.messages, net.stats.bytes_total) == (2, 72)
         net.reset_stats()
-        assert (default.bytes_carried, default.messages_carried) == (0, 0)
-        assert (custom.bytes_carried, custom.messages_carried) == (0, 0)
+        assert (net.stats.messages, net.stats.bytes_total) == (0, 0)
 
 
 class TestHonestWireSizes:

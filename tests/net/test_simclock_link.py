@@ -111,14 +111,6 @@ class TestLink:
         assert link.queueing_delay(0.5) == pytest.approx(0.5)
         assert link.queueing_delay(2.0) == 0.0
 
-    def test_stats(self):
-        link = Link(bandwidth_bps=1 * KBPS)
-        link.reserve(0.0, 10)
-        link.reserve(0.0, 20)
-        assert (link.bytes_carried, link.messages_carried) == (30, 2)
-        link.reset_stats()
-        assert link.bytes_carried == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Link(bandwidth_bps=0)
@@ -142,7 +134,7 @@ class TestLink:
         ``schedule_transfer`` returned before they were one call, with
         priority-lane frames (which touch no FIFO state) interleaved."""
         link = Link(bandwidth_bps=bandwidth, latency_s=latency)
-        busy_until = carried = now = 0.0
+        busy_until = now = 0.0
         for gap, size, priority in sends:
             now += gap
             if priority:
@@ -154,6 +146,3 @@ class TestLink:
                 busy_until = start + (size * 8) / bandwidth
                 assert link.queueing_delay(now) == delay
                 assert link.reserve(now, size) == (delay, busy_until + latency)
-            carried += size
-            assert link.bytes_carried == carried
-        assert link.messages_carried == len(sends)

@@ -21,7 +21,6 @@ actions = st.lists(
         ),
         st.tuples(st.just("freeze"), st.sampled_from(VIEWERS), st.sampled_from(COMPONENTS)),
         st.tuples(st.just("release"), st.sampled_from(VIEWERS), st.sampled_from(COMPONENTS)),
-        st.tuples(st.just("ack"), st.sampled_from(VIEWERS), st.none()),
     ),
     max_size=40,
 )
@@ -75,10 +74,6 @@ def test_room_invariants_hold_under_any_action_sequence(sequence):
                     del frozen[extra]
                 except FrozenObjectError:
                     assert frozen.get(extra) != viewer
-            elif action == "ack":
-                if viewer not in members:
-                    continue
-                room.acknowledge(members[viewer], room.latest_seq)
         except RoomError:
             raise AssertionError(f"unexpected RoomError on {action} by {viewer}")
 
@@ -90,11 +85,3 @@ def test_room_invariants_hold_under_any_action_sequence(sequence):
             assert set(room.document.component_paths()) <= set(spec.outcome)
         for component, holder in frozen.items():
             assert room.frozen_by(component) == holder
-        if not members:
-            assert room.buffer_size == 0
-
-    # Final: buffer only holds changes some member has not acknowledged.
-    if members:
-        for viewer, session in members.items():
-            room.acknowledge(session, room.latest_seq)
-        assert room.buffer_size == 0

@@ -35,19 +35,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
     "chaos": 599,
-    "client": 1171,
+    "client": 1152,
     "cluster": 2639,
     "cpnet": 1926,
     "db": 1892,
     "document": 1125,
     "interest": 289,
     "media": 3039,
-    "net": 2035,
-    "obs": 1676,
+    "net": 2022,
+    "obs": 1674,
     "prefetch": 167,
     "presentation": 758,
     "retrieval": 769,
-    "server": 1764,
+    "server": 1732,
     "util": 279,
     "workloads": 1297,
 }
