@@ -14,7 +14,7 @@ from repro.client import ClientModule
 from repro.db import Database, MultimediaObjectStore
 from repro.net import SimulatedNetwork
 from repro.presentation.spec import diff_presentations
-from repro.server import InteractionServer
+from repro.server import InteractionServer, encoded_size
 from repro.workloads import consultation_events, generate_record
 
 VIEWERS = 4
@@ -22,20 +22,23 @@ CHANGES = 15
 
 
 def run_session(tmp_path, sections, tag):
-    """One networked conference; returns the server's propagation counters.
+    """One networked conference; returns both ablation arms.
 
-    ``_ship`` accounts both ablation arms for every update it sends: the
-    delta it put on the wire and what a whole-outcome resend of the same
-    member's presentation would have cost.
+    The server counts what it shipped (``server.propagation.diff_bytes``
+    and ``updates``). The whole-outcome resend it did not do is sized
+    here: after each change, every member whose known spec moved was
+    told something, and a resend would have cost the encoded size of
+    that member's whole outcome.
     """
     record = generate_record("prop-doc", sections=sections, components_per_section=4, seed=4)
     db = Database(str(tmp_path / f"db-{tag}"))
     store = MultimediaObjectStore(db)
     store.store_document(record)
     registry = obs.MetricsRegistry()
+    full_bytes = 0
     with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
         network = SimulatedNetwork()
-        InteractionServer(store, network=network)
+        server = InteractionServer(store, network=network)
         clients = [
             ClientModule(f"viewer-{i}", network=network, auto_fetch=False)
             for i in range(VIEWERS)
@@ -44,15 +47,24 @@ def run_session(tmp_path, sections, tag):
             network.attach_client(client)
             client.join("prop-doc")
         network.run()
+        sessions = [server.session(client.session_id) for client in clients]
+        room = server.room(sessions[0].room_id)
         for component, value in consultation_events(record, num_events=CHANGES, seed=9):
+            known = [session.known_spec("prop-doc") for session in sessions]
             clients[0].choose(component, value)
             network.run()
+            full_bytes += sum(
+                encoded_size(room.presentation_for(session.viewer_id).outcome)
+                for session, before in zip(sessions, known)
+                if session.known_spec("prop-doc") != before
+            )
     db.close()
     counters = registry.snapshot()["counters"]
-    return {
+    shipped = {
         name: int(counters.get(f"server.propagation.{name}", 0))
-        for name in ("diff_bytes", "full_bytes", "updates")
+        for name in ("diff_bytes", "updates")
     }
+    return {**shipped, "full_bytes": full_bytes}
 
 
 @pytest.mark.parametrize("sections", [2, 8, 24])

@@ -9,9 +9,11 @@ per choice. This tour shows what compilation buys:
    specificity arbitration is resolved at compile time.
 2. **Byte-identical answers, much faster** — the compiled and the
    interpreted engine produce the same dicts in the same key order.
-3. **Cross-viewer sharing** — each compilation owns a ``CompletionCache``
-   of its completed outcomes, keyed by the evidence alone: when eight
-   room members impose the same constraints, one sweep serves them all.
+3. **Cross-viewer sharing** — the base net's compilation owns a
+   ``CompletionCache`` of its completed outcomes, keyed by the evidence
+   alone: when eight room members impose the same constraints on the
+   base net, one sweep serves them all (a viewer's §4.2 overlay is swept
+   over that shared completion).
 4. **Precise §4.2 invalidation** — a global operation bumps the
    structural version and recompiles once; the old compilation's
    completions go with it, nobody else's are touched.

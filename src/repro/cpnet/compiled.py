@@ -28,14 +28,15 @@ sweep; the flat tables themselves live on their CPTs
 (:func:`_flat_table`) and only a CPT that gained a rule is flattened
 again — performing an operation adds one variable, so it builds one
 table and, as §4.2 asks, revisits no other. Viewer extensions compile as
-*overlay* layers that share the base compilation — the base is never
-copied (§4.2: the shared network "should not be duplicated").
+*overlays* swept over the base net's completion (base variables never
+depend on extension variables): the base is never copied nor re-swept
+per viewer (§4.2: the shared network "should not be duplicated").
 
-Each compilation owns a :class:`CompletionCache`, a small LRU memo of its
-completed outcomes keyed by the frozen evidence alone. Ownership is the
-invalidation: whatever lets go of a compilation (a structural edit, a
-moved extension version, a departed viewer, a closed room, a re-fetched
-document) lets go of its completions, and nothing else can reach them.
+The base compilation owns a :class:`CompletionCache`, a small LRU memo of
+its completed outcomes keyed by the frozen evidence alone; overlays keep
+none. Ownership is the invalidation: whatever lets go of a compilation
+(a structural edit, a closed room, a re-fetched document) lets go of its
+completions, and nothing else can reach them.
 Metrics: ``cpnet.compile``, ``cpnet.compiled.completions`` and
 ``cpnet.completion_cache.{hits,misses,evictions,invalidations}`` in
 :mod:`repro.obs`.
@@ -214,22 +215,7 @@ def _run_plan(
     return outcome
 
 
-class _Compilation:
-    """What both compilations share: each owns its completions."""
-
-    __slots__ = ("_completions",)
-
-    @property
-    def completions(self) -> "CompletionCache":
-        """This compilation's memo, made when first asked for (an empty
-        extension's overlay never is: its viewer asks the base net's)."""
-        memo = self._completions
-        if memo is None:
-            memo = self._completions = CompletionCache()
-        return memo
-
-
-class CompiledCPNet(_Compilation):
+class CompiledCPNet:
     """A CP-net frozen into a topologically ordered sequence of flat tables.
 
     Built by :func:`compile_cpnet`; valid for exactly one
@@ -241,7 +227,7 @@ class CompiledCPNet(_Compilation):
 
     __slots__ = (
         "net", "version", "order", "_tables", "_sweep", "_plan",
-        "_optimal", "_m_completions",
+        "_optimal", "_completions", "_m_completions",
     )
 
     def __init__(self, net: CPNet) -> None:
@@ -265,6 +251,14 @@ class CompiledCPNet(_Compilation):
     def stale(self) -> bool:
         """True once the net mutated past this compilation."""
         return self.version != self.net.structure_version
+
+    @property
+    def completions(self) -> "CompletionCache":
+        """This compilation's memo, made when first asked for."""
+        memo = self._completions
+        if memo is None:
+            memo = self._completions = CompletionCache()
+        return memo
 
     def table(self, name: str) -> _FlatTable:
         return self._tables[name]
@@ -305,15 +299,15 @@ class CompiledCPNet(_Compilation):
         )
 
 
-class CompiledExtension(_Compilation):
+class CompiledExtension:
     """A viewer extension compiled as an overlay on a shared base compilation.
 
-    Only the viewer-local variables get their own flat tables; the base
-    sweep is the (shared, never copied) :class:`CompiledCPNet` of the
-    base network. Valid for one (base version, extension version) pair.
+    Only the viewer-local variables get their own flat tables, swept over
+    a completion of the (shared, never copied) base :class:`CompiledCPNet`.
+    Valid for one (base version, extension version) pair.
     """
 
-    __slots__ = ("extension", "base", "version", "_sweep", "_plan", "_m_completions")
+    __slots__ = ("extension", "base", "version", "_sweep", "_plan")
 
     def __init__(self, extension: Any, base: CompiledCPNet) -> None:
         self.extension = extension
@@ -324,33 +318,23 @@ class CompiledExtension(_Compilation):
             map(_flat_table, extension._cpts.values())
         )
         self._plan = tuple(table.entry for table in self._sweep)
-        self._completions: CompletionCache | None = None
-        self._m_completions = get_registry().counter("cpnet.compiled.completions")
 
-    @property
-    def stale(self) -> bool:
-        return (
-            self.version != self.extension.extension_version
-            or self.base.stale
-        )
+    def overlay(self, evidence: Assignment, values: Assignment) -> dict[str, str]:
+        """The viewer-local variables alone, swept over *values*: the base
+        net's completion as its sweep left it (read through a working
+        copy: plain dict probes beat a chained lookup)."""
+        swept = _run_plan(self._plan, evidence, dict(values))
+        return {table.name: swept[table.name] for table in self._sweep}
 
     def best_completion(self, evidence: Assignment) -> dict[str, str]:
-        """Best outcome over base + extension variables, compiled."""
-        extension = self.extension
-        fixed: dict[str, str] = {}
+        """Best outcome over base + extension variables, compiled: the
+        base compilation's sweep, then this overlay over it."""
         for name, value in evidence.items():
-            extension.variable(name).check_value(value)
-            fixed[name] = value
-        outcome = _run_plan(self.base._plan, fixed, {})
-        _run_plan(self._plan, fixed, outcome)
-        self._m_completions.inc()
+            self.extension.variable(name).check_value(value)
+        net = self.base.net
+        outcome = self.base.best_completion({n: v for n, v in evidence.items() if n in net})
+        outcome.update(self.overlay(evidence, outcome))
         return outcome
-
-
-def _retire(compiled: "CompiledCPNet | CompiledExtension | None") -> None:
-    """A compilation is being replaced: its completions go with it."""
-    if compiled is not None and compiled._completions is not None:
-        compiled._completions.invalidate()
 
 
 def compile_cpnet(net: CPNet) -> CompiledCPNet:
@@ -358,12 +342,14 @@ def compile_cpnet(net: CPNet) -> CompiledCPNet:
 
     The compiled object is cached on the network itself; a structural
     mutation (version bump) triggers exactly one recompile on the next
-    call. Each actual compile increments the ``cpnet.compile`` counter.
+    call, and the replaced compilation's completions go with it. Each
+    actual compile increments the ``cpnet.compile`` counter.
     """
     cached: CompiledCPNet | None = getattr(net, "_compiled", None)
     if cached is not None and not cached.stale:
         return cached
-    _retire(cached)
+    if cached is not None and cached._completions is not None:
+        cached._completions.invalidate()
     compiled = CompiledCPNet(net)
     net._compiled = compiled  # type: ignore[attr-defined]
     get_registry().counter("cpnet.compile").inc()
@@ -374,18 +360,17 @@ def compile_extension(extension: Any) -> CompiledExtension:
     """The (memoized) overlay compilation of a :class:`ViewerExtension`."""
     base = compile_cpnet(extension.base)
     cached: CompiledExtension | None = getattr(extension, "_compiled", None)
-    if cached is not None and cached.base is base and not cached.stale:
+    version = extension.extension_version
+    if cached is not None and cached.base is base and cached.version == version:
         return cached
-    _retire(cached)
     compiled = CompiledExtension(extension, base)
     extension._compiled = compiled
     get_registry().counter("cpnet.compile").inc()
     return compiled
 
 
-#: Completions one compilation remembers before the least recently used
-#: goes. Per compilation, so memory is bounded by live rooms and viewers
-#: times this; the ledger workloads hold at most 29 per compilation.
+#: Completions one base compilation remembers before the least recently
+#: used goes; the ledger workloads hold at most 29 per compilation.
 MAX_COMPLETIONS = 256
 
 
@@ -414,11 +399,11 @@ class CachedCompletion:
 
 
 class CompletionCache:
-    """LRU memo of one compilation's completions (``.completions`` of
-    :func:`compile_cpnet` / :func:`compile_extension`), keyed by
-    :func:`completion_key`: everyone asking the same compilation the same
-    question — room members with empty extensions and equal constraints,
-    the document's own §5.1 queries — shares one sweep.
+    """LRU memo of one base compilation's completions (``.completions``
+    of :func:`compile_cpnet`), keyed by :func:`completion_key`: everyone
+    asking the same question of the base net — room members with equal
+    constraints on it, whatever their overlays, and the document's own
+    §5.1 queries — shares one sweep.
 
     :meth:`lookup` and :meth:`store` deal in *copies*: callers are free
     to mutate the outcome they get back (subtree hiding does), and memo

@@ -21,10 +21,12 @@ never a duplicate of the base network.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import CPNetError, UnknownVariableError
+from repro.cpnet.compiled import compile_extension, compiled_enabled
 from repro.cpnet.cpt import CPT, PreferenceRule
 from repro.cpnet.network import CPNet
 from repro.cpnet.variable import Variable
@@ -227,11 +229,23 @@ class ViewerExtension:
         viewer-local tables) unless compiled evaluation is globally
         disabled; both paths produce byte-identical outcomes.
         """
-        from repro.cpnet.compiled import compile_extension, compiled_enabled
-
         if compiled_enabled():
             return compile_extension(self).best_completion(evidence)
         return self.interpreted_best_completion(evidence)
+
+    def overlay(self, evidence: Assignment, values: Assignment) -> dict[str, str]:
+        """The viewer-local variables alone, completed over *values*: a
+        completion of the base net, which no extension variable can move."""
+        if compiled_enabled():
+            return compile_extension(self).overlay(evidence, values)
+        return self._interpreted_overlay(evidence, values)
+
+    def _interpreted_overlay(self, evidence: Assignment, values: Assignment) -> dict[str, str]:
+        overlay: dict[str, str] = {}
+        seen = ChainMap(overlay, values)
+        for name, cpt in self._cpts.items():  # insertion order respects parents
+            overlay[name] = evidence[name] if name in evidence else cpt.best_value(seen)
+        return overlay
 
     def interpreted_best_completion(self, evidence: Assignment) -> dict[str, str]:
         """The reference sweep (fresh topo order, per-query rule scans)."""
@@ -245,11 +259,7 @@ class ViewerExtension:
                 outcome[name] = fixed[name]
             else:
                 outcome[name] = self.base.cpt(name).best_value(outcome)
-        for name in self._variables:  # insertion order respects parent creation
-            if name in fixed:
-                outcome[name] = fixed[name]
-            else:
-                outcome[name] = self._cpts[name].best_value(outcome)
+        outcome.update(self._interpreted_overlay(fixed, outcome))
         # Same demand metric as reasoning.best_completion: one counted
         # sweep per completion, whichever engine ran it.
         get_registry().counter("cpnet.completions").inc()

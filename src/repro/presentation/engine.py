@@ -8,20 +8,22 @@ extension). Shared choices model the cooperative room ("each one of them
 sees the actions of the other"); personal choices and per-viewer CP-net
 extensions (§4.2) give each partner their own view of the same object,
 as in the paper's Figure 9 multi-resolution example.
+
+Base variables never depend on extension variables, so that completion
+splits exactly: the base net's completion of the constraints on base
+variables — one per distinct constraint set, shared by every viewer who
+imposes it — plus the viewer's own overlay, swept over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import DocumentError
 from repro.obs import get_registry
-from repro.cpnet.compiled import (
-    compile_cpnet,
-    compile_extension,
-    compiled_enabled,
-    completion_key,
-)
+from repro.cpnet.compiled import compile_cpnet, compiled_enabled, completion_key
+from repro.cpnet.reasoning import best_completion
 from repro.cpnet.updates import OperationVariable, ViewerExtension
 from repro.document.document import MultimediaDocument
 from repro.presentation.spec import PresentationSpec, PresentationView
@@ -79,9 +81,10 @@ class PresentationEngine:
         # is valid while both counters are unchanged — so propagating a
         # personal change does not recompute every other member's view.
         self._shared_version = 0
-        # ((shared version, base structure version), whether every shared
-        # choice names a base variable) — see _shared_evidence.
-        self._shared_on_base: tuple[tuple[int, int], bool] | None = None
+        # ((shared version, base structure version), the completion key of
+        # the shared choices, or None unless every one names a base
+        # variable) — see _shared_evidence.
+        self._shared_on_base: tuple[tuple[int, int], tuple | None] | None = None
         # Cache accounting: plain per-instance tallies (what tests and
         # `stats()` expect) plus registry children split per document, so
         # dashboards see cache behaviour without holding engine refs.
@@ -188,10 +191,9 @@ class PresentationEngine:
         otherwise only this viewer's extension grows.
         """
         viewer = self._viewer(viewer_id)
-        current = self.presentation_for(viewer_id).outcome
-        if component not in current:
+        active_value = self.presentation_for(viewer_id).get(component)
+        if active_value is None:
             raise DocumentError(f"no component {component!r} in {self.document.doc_id!r}")
-        active_value = current[component]
         if global_importance:
             from repro.cpnet.updates import apply_operation as apply_global
 
@@ -202,44 +204,77 @@ class PresentationEngine:
 
     # ----- presentation computation ---------------------------------------------------
 
-    def _view(
-        self, extension: ViewerExtension, evidence: dict[str, str]
+    def _base_view(
+        self, evidence: dict[str, str], key: tuple, check: Callable[[], None] | None = None
     ) -> PresentationView:
-        """One completion sweep and one view per distinct constraint set.
-
-        A viewer with an empty extension asks the base net's compilation
-        — so members imposing the same constraints, and the document's
-        own §5.1 queries, share one entry — while a viewer with her own
-        §4.2 extension asks her overlay's and never meets anyone else.
+        """One base completion and one view per distinct constraint set on
+        the base net, shared by every viewer imposing it — whatever their
+        overlays — and by the document's own §5.1 queries.
 
         The view lives in the memo entry, so it goes wherever the
-        completion goes — and it measures, when first asked, the entry's
-        own outcome, finished in place: subtree hiding is idempotent and
-        every reader of a cached completion applies it, so the entry
-        needs no second dict.
+        completion goes. Subtree hiding is finished in place on the
+        entry's own outcome (it is idempotent, and every reader of a
+        cached completion applies it); the few values it overwrote are
+        kept beside it, for overlays. *key* is the evidence's completion
+        key. A completion is swept only after *check* passed, so an entry's
+        evidence is valid for its compilation.
         """
         document = self.document
         if not compiled_enabled():
-            outcome = extension.best_completion(evidence)
-            return PresentationView(document, document._enforce_subtree_hiding(outcome))
-        compiled = (
-            compile_extension(extension)
-            if extension.size()
-            else compile_cpnet(document.network)
-        )
+            if check is not None:
+                check()
+            return _finish(document, best_completion(document.network, evidence))
+        compiled = compile_cpnet(document.network)
         completions = compiled.completions
-        key = completion_key(evidence)
         entry = completions.entry(key)
         if entry is None:
-            entry = completions.store(key, extension.best_completion(evidence))
+            if check is not None:
+                check()
+            entry = completions.store(key, compiled.best_completion(evidence))
         if entry.view is None:
-            entry.view = PresentationView(
-                document, document._enforce_subtree_hiding(entry.outcome)
-            )
+            entry.view = _finish(document, entry.outcome)
         return entry.view
 
-    def _shared_evidence(self, extension: ViewerExtension) -> dict[str, str]:
-        """A fresh dict of the shared choices that constrain one viewer.
+    def _spec(
+        self,
+        viewer_id: str,
+        extension: ViewerExtension,
+        evidence: dict[str, str],
+        key: tuple | None,
+        now: float,
+    ) -> PresentationSpec:
+        """The pair (shared base view, own overlay) for one viewer. *key*
+        is the completion key of *evidence* if it names base variables
+        only, else None."""
+        network = self.document.network
+        if key is not None:
+            view = self._base_view(evidence, key)
+        else:
+            base = {name: value for name, value in evidence.items() if name in network}
+            own = {name: value for name, value in evidence.items() if name not in network}
+            # Errors as one whole sweep raises them: all of the evidence,
+            # in order, before a base sweep; past a memo hit, whose base
+            # evidence is known valid, only the rest.
+            view = self._base_view(base, completion_key(base), lambda: _check(extension, evidence))
+            _check(extension, own)
+        if not extension.size():
+            return view.spec_for(viewer_id, now)
+        values = view.outcome
+        if view.before_hiding:
+            values = {**values, **view.before_hiding}
+        overlay = extension.overlay(evidence, values)
+        shadowed = {name: overlay.pop(name) for name in list(overlay) if name in view.outcome}
+        if shadowed:
+            # A global operation minted a base variable of an overlay
+            # variable's name: the viewer's value shows in its base place.
+            view = PresentationView(self.document, {**view.outcome, **shadowed})
+        return view.spec_for(viewer_id, now, overlay)
+
+    def _shared_evidence(
+        self, extension: ViewerExtension
+    ) -> tuple[dict[str, str], tuple | None]:
+        """The shared choices that constrain one viewer (read-only), and
+        their completion key if they all name base variables, else None.
 
         A shared choice applies to a viewer when it names a base variable
         or one of her own extension variables. While every shared choice
@@ -254,10 +289,11 @@ class PresentationEngine:
         memo = self._shared_on_base
         if memo is None or memo[0] != token:
             on_base = all(map(network.__contains__, self._shared_choices))
-            memo = self._shared_on_base = (token, on_base)
-        if memo[1]:
-            return dict(self._shared_choices)
-        return {c: v for c, v in self._shared_choices.items() if c in extension}
+            key = completion_key(self._shared_choices) if on_base else None
+            memo = self._shared_on_base = (token, key)
+        if memo[1] is not None:
+            return self._shared_choices, memo[1]
+        return {c: v for c, v in self._shared_choices.items() if c in extension}, None
 
     def presentation_for(self, viewer_id: str, now: float = 0.0) -> PresentationSpec:
         """The optimal presentation of the document for *viewer_id*.
@@ -277,12 +313,32 @@ class PresentationEngine:
         self._cache_misses += 1
         self._m_cache_misses.inc()
         extension = viewer.extension
-        evidence = self._shared_evidence(extension)
-        evidence.update(viewer.personal)
-        spec = self._view(extension, evidence).spec_for(viewer_id, computed_at=now)
+        evidence, key = self._shared_evidence(extension)
+        personal = viewer.personal
+        if personal:
+            on_base = key is not None and all(map(self.document.network.__contains__, personal))
+            evidence = {**evidence, **personal}
+            key = completion_key(evidence) if on_base else None
+        spec = self._spec(viewer_id, extension, evidence, key, now)
         viewer.spec = (shared, own, spec)
         return spec
 
     def presentations(self, now: float = 0.0) -> dict[str, PresentationSpec]:
         """Specs for every registered viewer."""
         return {v: self.presentation_for(v, now=now) for v in self.viewer_ids}
+
+
+def _check(extension: ViewerExtension, evidence: dict[str, str]) -> None:
+    for name, value in evidence.items():
+        extension.variable(name).check_value(value)
+
+
+def _finish(document: MultimediaDocument, outcome: dict[str, str]) -> PresentationView:
+    """The view of a base completion, subtree hiding finished in place."""
+    before = dict(outcome)
+    view = PresentationView(document, document._enforce_subtree_hiding(outcome))
+    if before != outcome:
+        view.before_hiding = {
+            path: value for path, value in before.items() if outcome[path] != value
+        }
+    return view

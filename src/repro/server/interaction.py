@@ -34,7 +34,7 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.obs.dtrace import get_dtrace
-from repro.presentation.spec import PresentationSpec, diff_presentations
+from repro.presentation.spec import NOTHING, PresentationSpec, Transitions
 from repro.presentation.tuning import BANDWIDTH_HIGH, TUNING_VARIABLE
 from repro.server.permissions import (
     PERM_ANNOTATE,
@@ -50,9 +50,9 @@ from repro.server.telemetry import TelemetryChannel
 from repro.util.ids import IdGenerator
 
 
-#: One decided update: the member, their new spec, everything that moved
-#: on their display, and the part of it their interest lets them be told.
-_Decided = tuple[Session, PresentationSpec, dict[str, str], dict[str, str]]
+#: One decided update: the member, everything that moved on their
+#: display, and the part of it their interest lets them be told.
+_Decided = tuple[Session, dict[str, str], dict[str, str]]
 
 
 class InteractionServer:
@@ -101,7 +101,6 @@ class InteractionServer:
         self._m_choices = registry.counter("server.choices")
         self._m_prop_updates = registry.counter("server.propagation.updates")
         self._m_prop_diff_bytes = registry.counter("server.propagation.diff_bytes")
-        self._m_prop_full_bytes = registry.counter("server.propagation.full_bytes")
         # Per-room split of the same propagation bytes ("which room is
         # hot?"); the flat counters above stay the cross-room totals.
         self._f_prop_bytes = registry.counter_family(
@@ -273,7 +272,7 @@ class InteractionServer:
                     ViewerChoice(session.viewer_id, component, value, scope=PERSONAL)
                 )
         spec = room.presentation_for(session.viewer_id, now=self._now())
-        session.remember_spec(doc_id, spec.outcome)
+        session.remember_spec(doc_id, (spec, NOTHING))
         if self.interest_mode == "cpnet":
             # §5.3 "relevant parts": the viewer's computed presentation
             # names the components they care about; seed their default
@@ -329,7 +328,6 @@ class InteractionServer:
             # residue (the flat counters keep the cumulative totals).
             self._g_interest_subs.remove(room.room_id)
             self._f_prop_bytes.remove(room.room_id, "diff")
-            self._f_prop_bytes.remove(room.room_id, "full")
             room.close()
             self._dtrace.drop_room(room.room_id)
             self._emit(
@@ -457,17 +455,15 @@ class InteractionServer:
         what it is known to display — recorded as known from here on."""
         doc_id = room.document.doc_id
         spec = room.presentation_for(session.viewer_id, now=self._now())
-        known = session.known_spec(doc_id) or {}
+        told, transitions = session.told.get(doc_id), Transitions()
+        moved = transitions.delta(told if unseen_only else None, spec)
         catchup = {
             path: value
-            for path, value in spec.outcome.items()
-            if not (unseen_only and known.get(path) == value)
-            and room.interest.covers(session.session_id, path)
+            for path, value in moved.items()
+            if room.interest.covers(session.session_id, path)
         }
         if catchup:
-            merged = dict(known)
-            merged.update(catchup)
-            session.remember_spec(doc_id, merged)
+            session.remember_spec(doc_id, transitions.after(told, spec, moved, catchup))
         return catchup
 
     def resync_session(self, session_id: str) -> dict[str, str]:
@@ -536,7 +532,7 @@ class InteractionServer:
             num_layers = NUM_LAYERS
             if size >= SIMULCAST_FLOOR:
                 spec = room.presentation_for(session.viewer_id, now=self._now())
-                level = spec.outcome.get(TUNING_VARIABLE, BANDWIDTH_HIGH)
+                level = spec.get(TUNING_VARIABLE, BANDWIDTH_HIGH)
                 num_layers = layers_for_level(level)
                 if num_layers < NUM_LAYERS:
                     self._m_interest_downgrades.inc()
@@ -603,46 +599,44 @@ class InteractionServer:
         if self.network is not None:
             self._ship(room, change, decided)
         self.triggers.dispatch(room, change)
-        return {
-            member.session_id: filtered
-            for member, _, _, filtered in decided
-            if filtered
-        }
+        return {member.session_id: filtered for member, _, filtered in decided if filtered}
 
     def _decide(self, room: Room, change: Any) -> list[_Decided]:
         """One entry per member whose display moved, in member order;
-        advances each told member's known spec."""
+        advances each told member's known spec. Members moving between
+        the same two base completions share one diff (``Transitions``);
+        the deltas are shared too, so they are read-only."""
         doc_id = room.document.doc_id
         now = self._now()
         decided = []
+        transitions = Transitions()
+        presentation_for, sessions = room.engine.presentation_for, self._sessions
         for member_id in room.member_sessions:
-            member = self._session(member_id)
-            spec = room.presentation_for(member.viewer_id, now=now)
-            known = member.known_spec(doc_id)
-            delta = diff_presentations(known, spec.outcome)
+            member = sessions[member_id]
+            spec = presentation_for(member.viewer_id, now=now)
+            told = member.told.get(doc_id)
+            delta = transitions.delta(told, spec)
             if not delta:
                 continue
             # Interest filtering: ship only the parts this member
             # subscribes to. The change's author always sees their own
             # change; everyone else pays zero wire bytes for updates
-            # outside their interest. The known-spec merge tracks what
-            # was actually sent, so a later SUBSCRIBE can compute an
-            # exact catch-up diff.
+            # outside their interest. The known spec records what was
+            # withheld, so a later SUBSCRIBE can compute an exact
+            # catch-up diff.
             if member.viewer_id == change.viewer_id:
                 filtered = delta
             else:
                 filtered = room.interest.filter_delta(member_id, delta)
-            decided.append((member, spec, delta, filtered))
+            decided.append((member, delta, filtered))
             if filtered:
-                merged = dict(known) if known else {}
-                merged.update(filtered)
-                member.remember_spec(doc_id, merged)
+                member.remember_spec(doc_id, transitions.after(told, spec, delta, filtered))
         return decided
 
     def _ship(self, room: Room, change: Any, decided: list[_Decided]) -> None:
         """Frame, send and account for one decided change."""
         doc_id = room.document.doc_id
-        shipped = shipped_full = fanout = 0
+        shipped = fanout = 0
         # Members whose recomputed views agree (the common case for a
         # shared choice) receive the *same* update frame: one encode,
         # N sends — and one sizing, for the accounting below. Both
@@ -657,7 +651,7 @@ class InteractionServer:
                 size = delta_sizes[key] = encoded_size(delta)
             return key, size
 
-        for member, spec, delta, filtered in decided:
+        for member, delta, filtered in decided:
             if not filtered:
                 self._m_interest_filtered.inc()
                 self._m_interest_bytes_saved.inc(sized(delta)[1])
@@ -672,15 +666,10 @@ class InteractionServer:
                     MessageKind.PRESENTATION_UPDATE, body
                 )
             self._net_send(member.node_id, frame)
-            # Diff-vs-full accounting: what this update costs on the
-            # wire against what a whole-outcome resend would cost.
-            shipped_full += spec.wire_bytes
             shipped += delta_size
             fanout += 1
         self._m_prop_diff_bytes.inc(shipped)
-        self._m_prop_full_bytes.inc(shipped_full)
         self._f_prop_bytes.labels(room.room_id, "diff").inc(shipped)
-        self._f_prop_bytes.labels(room.room_id, "full").inc(shipped_full)
         self._m_prop_updates.inc(fanout)
         event_body = {
             "doc_id": doc_id, "seq": change.seq,
@@ -796,7 +785,7 @@ class InteractionServer:
             return
         for session in self._sessions.values():
             if session.node_id == node_id:
-                session.last_spec.clear()
+                session.told.clear()
 
     def _now(self) -> float:
         return self.clock.now if self.clock is not None else 0.0

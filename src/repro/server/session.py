@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.presentation.spec import Told, displayed
+
 
 @dataclass
 class Session:
@@ -22,22 +24,24 @@ class Session:
     viewer_id: str
     node_id: str
     room_id: str | None = field(default=None, init=False)
-    last_spec: dict[str, dict[str, str]] = field(default_factory=dict, init=False)
+    told: dict[str, Told] = field(default_factory=dict, init=False)
     kind: str = "interactive"
 
     @property
     def in_room(self) -> bool:
         return self.room_id is not None
 
-    def remember_spec(self, doc_id: str, outcome: dict[str, str]) -> None:
-        """Track what this client currently displays (for diff propagation)."""
-        self.last_spec[doc_id] = dict(outcome)
+    def remember_spec(self, doc_id: str, told: Told) -> None:
+        """What this client now displays: a reference to the spec it was
+        told and what was withheld since, both shared, never a copy."""
+        self.told[doc_id] = told
 
     def known_spec(self, doc_id: str) -> dict[str, str] | None:
         """What this client was last sent of *doc_id*'s outcome: the
         paper's room buffer of changes "not needed by the clients" (§5.3)
         reduced to one outcome per member, dropped when it leaves."""
-        return self.last_spec.get(doc_id)
+        told = self.told.get(doc_id)
+        return None if told is None else displayed(told)
 
     def forget_spec(self, doc_id: str) -> None:
-        self.last_spec.pop(doc_id, None)
+        self.told.pop(doc_id, None)

@@ -194,7 +194,6 @@ class TestStandbyShipsNothing:
         "server.bytes_out",
         "server.propagation.updates",
         "server.propagation.diff_bytes",
-        "server.propagation.full_bytes",
         "interest.updates_filtered",
         "interest.bytes_saved",
     )

@@ -354,10 +354,10 @@ class TestCompletionCache:
         net = figure2_network()
         extension = ViewerExtension(net, "ines")
         extension.best_completion({"c1": "c1_1"})
-        # Sweeping memoizes nothing by itself: an empty overlay, whose
-        # viewer asks the base net's memo, never gets one of its own.
+        # Sweeping memoizes nothing by itself, and an overlay has no memo
+        # at all: its viewer's base completion is the base net's to keep.
         assert compile_cpnet(net)._completions is None
-        assert compile_extension(extension)._completions is None
+        assert not hasattr(compile_extension(extension), "completions")
         memo = compile_cpnet(net).completions
         assert memo is compile_cpnet(net).completions and len(memo) == 0
 
@@ -377,20 +377,20 @@ class TestCompletionCache:
             assert memo_counters()["invalidations"] == 2
 
     def test_a_moved_extension_version_leaves_the_overlay_memo_behind(self):
+        """An overlay keeps no completions, so a viewer-local operation
+        has nothing to let go of: it recompiles the overlay alone, and the
+        base completion every viewer shares stays answerable."""
         with use_registry(MetricsRegistry()):
             net = figure2_network()
             extension = ViewerExtension(net, "ines")
             extension.apply_operation("c2", "segment", "c2_2")
             old = compile_extension(extension)
-            old.completions.store(completion_key({}), old.best_completion({}))
             base_memo = compile_cpnet(net).completions
             base_memo.store(completion_key({}), compile_cpnet(net).best_completion({}))
             extension.apply_operation("c1", "zoom", "c1_1")
             fresh = compile_extension(extension)
-            assert fresh is not old and fresh._completions is None
-            assert len(old.completions) == 0
-            assert memo_counters()["invalidations"] == 1
-            # ...while the shared base compilation and its memo stand.
+            assert fresh is not old and fresh.base is old.base
+            assert memo_counters()["invalidations"] == 0
             assert compile_cpnet(net).completions is base_memo and len(base_memo) == 1
 
     def test_two_instances_of_a_net_never_meet(self):
@@ -671,3 +671,111 @@ def test_compiled_byte_identical_at_every_step_of_long_edit_sequences(
             script.check()
     finally:
         compiled_mod.FLAT_SPACE_LIMIT = old_limit
+
+
+# ----- a §4.2 overlay over the room's shared base completion ---------------------
+
+OVERLAY_VIEWERS = ("ines", "omar")
+
+
+@st.composite
+def overlaid_engines(draw):
+    """The sample record served to two viewers with random extensions:
+    operations on its components, and local variables whose parents are
+    base variables or the viewer's earlier local variables."""
+    from repro.cpnet.updates import operation_variable_name
+    from repro.document import build_sample_medical_record
+    from repro.presentation import PresentationEngine
+
+    document = build_sample_medical_record()
+    engine = PresentationEngine(document)
+    for viewer in OVERLAY_VIEWERS:
+        engine.register_viewer(viewer)
+        extension = engine.extension(viewer)
+        for index in range(draw(st.integers(min_value=0, max_value=4))):
+            if draw(st.booleans()):
+                component = draw(st.sampled_from(document.component_paths()))
+                domain = document.network.variable(component).domain
+                extension.apply_operation(component, f"op{index}", draw(st.sampled_from(domain)))
+                assert operation_variable_name(component, f"op{index}") in extension
+                continue
+            name = f"{viewer}.local{index}"
+            pool = list(document.network.variable_names) + list(extension.extension_names)
+            parents = draw(st.lists(st.sampled_from(pool), unique=True, max_size=2))
+            domain = ("a", "b", "c")[: draw(st.integers(min_value=2, max_value=3))]
+            extension.add_variable(name, domain, parents=parents)
+            extension.add_rule(name, {}, draw(st.permutations(domain)))
+            cells = st.tuples(*(st.sampled_from(extension.variable(p).domain) for p in parents))
+            for combo in draw(st.lists(cells, unique=True, max_size=3)) if parents else ():
+                extension.add_rule(name, dict(zip(parents, combo)), draw(st.permutations(domain)))
+    return engine
+
+
+def _outcome_or_error(query):
+    try:
+        return dumps(query())
+    except Exception as exc:  # the error class is the answer
+        return type(exc).__name__
+
+
+@given(overlaid_engines(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_an_overlay_over_the_shared_base_is_one_whole_sweep(engine, data):
+    """A viewer's presentation is the room's base completion plus their
+    overlay, swept over the base values *before* subtree hiding. It must
+    equal one interpreted sweep over base and extension variables with
+    hiding after it — same values, same key order, compiled or
+    interpreted — and invalid evidence must raise what that sweep raises.
+    Shared choices may name the other viewer's extension variables: they
+    constrain only that viewer."""
+    from contextlib import nullcontext
+
+    from repro.presentation.engine import PERSONAL, SHARED, ViewerChoice
+
+    document = engine.document
+    network = document.network
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        viewer = data.draw(st.sampled_from(OVERLAY_VIEWERS))
+        extension = engine.extension(viewer)
+        names = list(network.variable_names) + list(extension.extension_names)
+        name = data.draw(st.sampled_from(names))
+        value = data.draw(st.sampled_from(extension.variable(name).domain))
+        scope = data.draw(st.sampled_from((SHARED, PERSONAL)))
+        engine.apply_choice(ViewerChoice(viewer, name, value, scope))
+    everything = list(network.variable_names) + ["no.such.variable"] + [
+        name for viewer in OVERLAY_VIEWERS for name in engine.extension(viewer).extension_names
+    ]
+    names = data.draw(st.lists(st.sampled_from(everything), unique=True, max_size=6))
+    evidence = {}
+    for name in names:
+        owner = next(
+            (engine.extension(v) for v in OVERLAY_VIEWERS if name in engine.extension(v)), None
+        )
+        domain = owner.variable(name).domain if owner is not None else ()
+        evidence[name] = data.draw(st.sampled_from(domain + ("bogus",)))
+    for mode in (interpreted_mode, nullcontext):
+        with mode():
+            engine.invalidate()
+            for viewer in OVERLAY_VIEWERS:
+                extension = engine.extension(viewer)
+                chosen = {c: v for c, v in engine.shared_choices.items() if c in extension}
+                chosen.update(engine.personal_choices(viewer))
+                expected = document._enforce_subtree_hiding(
+                    extension.interpreted_best_completion(chosen)
+                )
+                assert dumps(engine.presentation_for(viewer).outcome) == dumps(expected)
+                # Arbitrary evidence, past a base memo hit and a miss alike.
+                valid = {
+                    n: v for n, v in evidence.items()
+                    if n in network and v in network.variable(n).domain
+                }
+                engine._spec(viewer, extension, valid, completion_key(valid), 0.0)
+                on_base = all(name in network for name in evidence)
+                key = completion_key(evidence) if on_base else None
+                assert _outcome_or_error(
+                    lambda: engine._spec(viewer, extension, dict(evidence), key, 0.0).outcome
+                ) == _outcome_or_error(
+                    lambda: document._enforce_subtree_hiding(
+                        extension.interpreted_best_completion(evidence)
+                    )
+                )

@@ -22,6 +22,8 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from tests.source_index import parse
+
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 
@@ -58,7 +60,7 @@ def scan(source: str, *, src: bool = True) -> tuple[dict[str, str], list[str]]:
     except docstrings and, in ``src`` code, the names at write sites. A
     test that calls ``registry.counter(name)`` reads that counter.
     """
-    tree = ast.parse(source)
+    tree = parse(source)
     written: dict[str, str] = {}
     sites: set[int] = set()
     for node in ast.walk(tree):

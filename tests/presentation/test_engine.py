@@ -8,7 +8,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cpnet import compile_cpnet, compile_extension, completion_key
+from repro.cpnet import compile_cpnet, completion_key
 from repro.document import (
     Hidden,
     JPGImage,
@@ -19,10 +19,8 @@ from repro.errors import DocumentError
 from repro.obs import MetricsRegistry, use_registry
 from repro.presentation import PresentationEngine, ViewerChoice
 from repro.presentation import engine as engine_module
-from repro.presentation import spec as spec_module
 from repro.presentation.engine import PERSONAL, SHARED
 from repro.presentation.spec import build_spec
-from repro.server.protocol import encoded_size
 
 
 @pytest.fixture
@@ -273,17 +271,19 @@ class TestSharedCompletionCache:
         engine.apply_choice(ViewerChoice("lee", "labs", "hidden", scope=PERSONAL))
         engine.presentations()
         extension = engine.extension("lee")
-        memo = compile_extension(extension).completions
-        (entry,) = memo._entries.values()
-        held = [weakref.ref(entry.view), weakref.ref(extension)]
-        del extension, memo, entry
+        overlay = engine.presentation_for("lee").overlay
+        held = weakref.ref(extension)
+        del extension
         engine.unregister_viewer("lee")
         gc.collect()
-        # The record was the one owner: extension -> compilation -> memo
-        # -> entry -> view all went with it.
-        assert [ref() for ref in held] == [None, None]
-        # cho, who never had an overlay, still reads the base net's memo.
-        assert len(base_memo(engine)) == 1
+        # The record was the one owner: the extension and its overlay
+        # compilation went with it. Her overlay was never in any memo,
+        # only in her spec.
+        assert held() is None
+        assert overlay == {"imaging.ct_head.zoom": "applied"}
+        # Her base completion stays in the base net's memo beside cho's:
+        # it is the answer to a constraint set, not hers.
+        assert len(base_memo(engine)) == 2
         assert engine.presentation_for("cho").outcome
 
     def test_equal_constraints_on_empty_extensions_cost_one_sweep(self):
@@ -296,13 +296,15 @@ class TestSharedCompletionCache:
             assert registry.counter("cpnet.compiled.completions").value == 1
             assert registry.counter("cpnet.completion_cache.hits").value == 2
             assert specs["lee"].outcome == specs["cho"].outcome == specs["wu"].outcome
-            # A viewer with an overlay of her own asks it, and only it.
+            # A viewer with an overlay of her own still asks the base
+            # net's memo — a hit — and sweeps only her own variables.
             engine.apply_operation("wu", "labs.ecg", "zoom")
-            engine.presentations()
-            assert registry.counter("cpnet.compiled.completions").value == 2
+            specs = engine.presentations()
+            assert registry.counter("cpnet.compiled.completions").value == 1
+            assert registry.counter("cpnet.completion_cache.hits").value == 3
             assert len(base_memo(engine)) == 1
-            assert len(compile_extension(engine.extension("wu")).completions) == 1
-            assert compile_extension(engine.extension("cho"))._completions is None
+            assert specs["wu"].view is specs["cho"].view
+            assert specs["wu"].overlay == {"labs.ecg.zoom": "applied"}
 
 
 class TestSharedViews:
@@ -365,10 +367,7 @@ class TestSharedViews:
         engine.apply_choice(ViewerChoice("lee", "consult", "hidden"))
         spec = engine.presentation_for("cho")
         rebuilt = build_spec(engine.document, "cho", spec.outcome)
-        assert (spec.visible, spec.total_bytes, spec.wire_bytes) == (
-            rebuilt.visible, rebuilt.total_bytes, rebuilt.wire_bytes
-        )
-        assert spec.wire_bytes == encoded_size(spec.outcome)
+        assert (spec.visible, spec.total_bytes) == (rebuilt.visible, rebuilt.total_bytes)
         assert spec.value("consult.voice_note") == "hidden"
 
     @pytest.mark.parametrize("document_first", [True, False])
@@ -423,10 +422,9 @@ class TestSharedViews:
         after = engine.presentation_for("lee")
         assert "imaging.mri" in after.visible and "imaging.mri" not in before.visible
         assert after.total_bytes == before.total_bytes + 4096
-        assert after.wire_bytes > before.wire_bytes
 
 
-MEASURES = ("visible", "total_bytes", "wire_bytes")
+MEASURES = ("visible", "total_bytes")
 VIEWERS = ("lee", "cho", "wu")
 CHOICES = [
     (path, value)
@@ -475,9 +473,6 @@ class TestLazyMeasures:
                 document, "presentation_bytes",
                 counted("total_bytes", document.presentation_bytes),
             ),
-            patch.object(
-                spec_module, "value_size", counted("wire_bytes", spec_module.value_size)
-            ),
         ):
             specs = engine.presentations()
             assert not calls
@@ -489,7 +484,6 @@ class TestLazyMeasures:
         for spec in specs.values():
             assert spec.visible == document.visible_components(spec.outcome)
             assert spec.total_bytes == document.presentation_bytes(spec.outcome)
-            assert spec.wire_bytes == encoded_size(spec.outcome)
 
 
 class TestSpecs:

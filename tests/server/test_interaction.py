@@ -17,7 +17,7 @@ from repro.obs import DEFAULT_MAX_SERIES, MetricsRegistry, use_registry
 from repro.obs.metrics import OVERFLOW_LABEL
 from repro.server import InteractionServer, PermissionPolicy
 from repro.server.permissions import PERM_VIEW, VIEWER_GRANT
-from repro.server.protocol import MessageKind
+from repro.server.protocol import MessageKind, encoded_size
 from repro.workloads import generate_record
 
 
@@ -141,8 +141,10 @@ class TestRooms:
         assert held() is None
 
     def test_room_close_reclaims_shared_views(self, server):
-        """The derived views live inside the completion entries, so the
-        last leave frees them with the entries — nothing else holds one."""
+        """The derived views live inside the completion entries — an
+        overlay viewer's included: hers is the base completion she shares
+        — so the last leave frees them with the entries, and with the
+        members' known specs that referred to them."""
         sessions = [server.connect_session(name) for name in ("lee", "cho", "wu")]
         for session in sessions:
             server.join_room(session.session_id, "record-17")
@@ -152,19 +154,15 @@ class TestRooms:
         )
         server.handle_operation(sessions[2].session_id, "labs.ecg", "zoom")
         engine = server.room(server.room_ids[0]).engine
-        memos = [compile_cpnet(engine.document.network).completions] + [
-            compile_extension(engine.extension(viewer)).completions
-            for viewer in engine.viewer_ids
-            if engine.extension(viewer).size()
-        ]
+        memo = compile_cpnet(engine.document.network).completions
         views = [
             weakref.ref(entry.view)
-            for memo in memos
             for entry in memo._entries.values()
             if entry.view is not None
         ]
-        assert len(memos) == 2 and len(views) >= 3
-        del engine, memos
+        assert len(views) >= 3
+        assert engine.presentation_for("wu").view in [view() for view in views]
+        del engine, memo
         for session in sessions:
             server.leave_room(session.session_id)
         assert server.room_ids == ()
@@ -198,41 +196,40 @@ class TestRooms:
         assert versions[0] == versions[1]
 
     def test_overlay_completions_go_with_their_compilation(self, server):
-        """A viewer with a §4.2 extension asks her own overlay's memo.
-        Every local operation replaces that compilation, and its
-        completions with it (counted as invalidations); a departing
-        viewer takes all of hers along. Nobody else's are touched."""
+        """A viewer with a §4.2 extension reads the base completion she
+        shares with everyone imposing her base constraints, and sweeps
+        only her own variables over it. Every local operation replaces
+        her overlay's compilation and invalidates no completion — the
+        base net's memo serves everyone throughout — and a departing
+        viewer takes her extension and its compilation along."""
         with use_registry(MetricsRegistry()) as registry:
             server = InteractionServer(server.store)
             lee, cho, wu = (server.connect_session(n) for n in ("lee", "cho", "wu"))
             for session in (lee, cho, wu):
                 server.join_room(session.session_id, "record-17")
             engine = server.room(server.room_ids[0]).engine
-            invalidations = registry.counter("cpnet.completion_cache.invalidations")
+            memo = compile_cpnet(engine.document.network).completions
 
             def overlay(viewer):
                 return compile_extension(engine.extension(viewer))
 
             for index, operation in enumerate(("zoom", "crop", "segment", "measure")):
-                before, dropped = overlay("lee"), invalidations.value
+                before = overlay("lee")
                 server.handle_operation(lee.session_id, "imaging.ct_head", operation)
                 server.handle_choice(
                     cho.session_id, "labs", ("hidden", "shown")[index % 2]
                 )
-                assert overlay("lee") is not before
-                assert before._completions is None or len(before._completions) == 0
-                # Only what was asked of the live version: her view
-                # after the operation, and after cho's choice.
-                assert len(overlay("lee").completions) == 2
-                if index:
-                    assert invalidations.value > dropped
+                assert overlay("lee") is not before and overlay("lee").base is before.base
+                mine, theirs = (engine.presentation_for(v) for v in ("lee", "cho"))
+                assert mine.view is theirs.view and len(mine.overlay) == index + 1
+            assert registry.counter("cpnet.completion_cache.invalidations").value == 0
+            assert compile_cpnet(engine.document.network).completions is memo
             extension = weakref.ref(engine.extension("lee"))
             del before
             server.leave_room(lee.session_id)  # cho and wu stay: the room lives on
             gc.collect()
             assert extension() is None
-            assert overlay("cho")._completions is None  # empty overlays keep none
-            assert len(compile_cpnet(engine.document.network).completions) > 0
+            assert len(memo) > 0
 
 
 class TestLabelledSeries:
@@ -288,18 +285,23 @@ class TestLabelledSeries:
 
 
 class TestCompletionSharing:
-    """What is swept, shared and let go over one scripted room — the
-    numbers the server-held cache produced at the commit before the
-    memo moved onto the compilations. Moving it must not move them."""
+    """What is swept, shared and let go over one scripted room.
 
-    #: cpnet.* counters of the script below, recorded at 37fe25c.
+    Recorded when a §4.2 extension became an overlay on the base net's
+    completion: viewers with operations of their own stopped sweeping
+    the whole net into a memo of their own (518 sweeps, 142 hits, 510
+    invalidated, 79 compiles before) and ask the base net's memo like
+    everyone else, so every one of their recomputations that another
+    member's constraints already answered is a hit."""
+
+    #: cpnet.* counters of the script below.
     RECORDED = {
-        "cpnet.compiled.completions": 518,
-        "cpnet.completion_cache.hits": 142,
-        "cpnet.completion_cache.misses": 518,
-        "cpnet.completion_cache.invalidations": 510,
+        "cpnet.compiled.completions": 333,
+        "cpnet.completion_cache.hits": 327,
+        "cpnet.completion_cache.misses": 333,
+        "cpnet.completion_cache.invalidations": 328,
         "cpnet.completion_cache.evictions": 0,
-        "cpnet.compile": 79,
+        "cpnet.compile": 68,
     }
 
     def test_an_edit_storm_room_reproduces_the_recorded_counters(self, tmp_path):
@@ -542,15 +544,17 @@ class TestPropagationLedger:
     PINNED = {
         "server.propagation.updates": 54,
         "server.propagation.diff_bytes": 2161,
-        "server.propagation.full_bytes": 12216,
         'server.propagation.room_bytes{room="server:room-1",mode="diff"}': 2161,
-        'server.propagation.room_bytes{room="server:room-1",mode="full"}': 12216,
         "interest.bytes_saved": 2341,
         "interest.updates_filtered": 31,
         "codec.encodes": 63,
         "codec.encodes_saved": 89,
         "codec.bytes_encoded": 7756,
     }
+
+    #: What resending each told member's whole outcome would have cost —
+    #: the counterfactual the server once counted as ``full_bytes``.
+    WHOLE_RESEND_BYTES = 12216
 
     def test_counters_and_encode_work_are_pinned(self, store, monkeypatch):
         registry = MetricsRegistry()
@@ -578,12 +582,19 @@ class TestPropagationLedger:
                     buffers[id(out)] = out
                 real_write(out, value, interner)
 
+            whole_resend = []
+
             def counting_propagate(self, room, change):
                 encodes = registry.counter("codec.encodes")
                 before, already = encodes.value, len(buffers)
                 propagating.append(change)
                 try:
-                    return real_propagate(self, room, change)
+                    told = real_propagate(self, room, change)
+                    whole_resend.extend(
+                        encoded_size(room.presentation_for(self.session(s).viewer_id).outcome)
+                        for s in told
+                    )
+                    return told
                 finally:
                     propagating.pop()
                     written, counted = len(buffers) - already, encodes.value - before
@@ -600,3 +611,5 @@ class TestPropagationLedger:
             assert uncounted == []
         counters = registry.snapshot()["counters"]
         assert {name: counters[name] for name in self.PINNED} == self.PINNED
+        assert len(whole_resend) == self.PINNED["server.propagation.updates"]
+        assert sum(whole_resend) == self.WHOLE_RESEND_BYTES

@@ -4,7 +4,9 @@
 from repro.client import client as client_module
 from repro.cluster import replication
 from repro.cluster.admission import LANE_CONTROL, LANE_DATA, LANE_JOIN, lane_of
+from repro.document import build_sample_medical_record
 from repro.net.codec import STATIC_STRINGS
+from repro.presentation.spec import NOTHING, build_spec
 from repro.server import InteractionServer, MessageKind, Session, encoded_size
 from repro.server.protocol import PROTOCOL
 
@@ -145,14 +147,21 @@ class TestSession:
     def test_spec_tracking(self):
         session = Session("s1", "lee", "node-1")
         assert not session.in_room
-        session.remember_spec("doc", {"a": "x"})
+        spec = build_spec(build_sample_medical_record(), "lee", {"a": "x"})
+        session.remember_spec("doc", (spec, NOTHING))
         assert session.known_spec("doc") == {"a": "x"}
         session.forget_spec("doc")
         assert session.known_spec("doc") is None
 
     def test_remember_copies(self):
+        """A known spec is a reference to shared, immutable state plus
+        what was withheld since; reading it materializes a fresh copy."""
         session = Session("s1", "lee", "node-1")
-        outcome = {"a": "x"}
-        session.remember_spec("doc", outcome)
-        outcome["a"] = "mutated"
-        assert session.known_spec("doc") == {"a": "x"}
+        spec = build_spec(build_sample_medical_record(), "lee", {"a": "x", "b": "y"})
+        session.remember_spec("doc", (spec, {"b": None, "c": "z"}))
+        assert session.told["doc"][0] is spec
+        known = session.known_spec("doc")
+        assert known == {"a": "x", "c": "z"}
+        known["a"] = "mutated"
+        assert session.known_spec("doc") == {"a": "x", "c": "z"}
+        assert spec.outcome == {"a": "x", "b": "y"}

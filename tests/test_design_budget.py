@@ -37,7 +37,7 @@ LINE_BUDGET = {
     "chaos": 599,
     "client": 1152,
     "cluster": 2639,
-    "cpnet": 1926,
+    "cpnet": 1921,
     "db": 1892,
     "document": 1125,
     "interest": 289,
@@ -45,9 +45,9 @@ LINE_BUDGET = {
     "net": 2022,
     "obs": 1674,
     "prefetch": 167,
-    "presentation": 758,
+    "presentation": 943,
     "retrieval": 769,
-    "server": 1732,
+    "server": 1725,
     "util": 279,
     "workloads": 1297,
 }

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping
+
+from tests.source_index import parse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -194,7 +197,7 @@ def uncalled(sources: Mapping[str, str], callers: Mapping[str, str]) -> dict[str
     *sources* maps ``module`` (dotted) to the text of a ``src`` module;
     *callers* maps a path to the text of an example or benchmark.
     """
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+    trees = {module: parse(text) for module, text in sources.items()}
     read_anywhere: Counter[str] = Counter()
     local: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
     for module, tree in trees.items():
@@ -202,7 +205,7 @@ def uncalled(sources: Mapping[str, str], callers: Mapping[str, str]) -> dict[str
         local[module] = list(reads(tree, reexports=package_init))
         read_anywhere.update(name for name, _ in local[module])
     for text in callers.values():
-        read_anywhere.update(name for name, _ in reads(ast.parse(text), reexports=False))
+        read_anywhere.update(name for name, _ in reads(parse(text), reexports=False))
     missing: dict[str, int] = {}
     for module, tree in trees.items():
         for qualified, (owner, lines) in definitions(module, tree).items():
@@ -232,8 +235,14 @@ def caller_sources() -> dict[str, str]:
     }
 
 
+@lru_cache(maxsize=None)
+def repo_uncalled() -> dict[str, int]:
+    """:func:`uncalled` over this repository, once per session (read-only)."""
+    return uncalled(src_sources(), caller_sources())
+
+
 def test_every_public_name_has_a_caller():
-    missing = uncalled(src_sources(), caller_sources())
+    missing = repo_uncalled()
     unlisted = {name: lines for name, lines in missing.items() if name not in ALLOWLIST}
     assert unlisted == {}, (
         f"public names only tests reach ({sum(unlisted.values())} lines): {sorted(unlisted)}; "
@@ -242,7 +251,7 @@ def test_every_public_name_has_a_caller():
 
 
 def test_the_allowlist_only_names_uncalled_names():
-    missing = uncalled(src_sources(), caller_sources())
+    missing = repo_uncalled()
     assert sorted(set(ALLOWLIST) - set(missing)) == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
 

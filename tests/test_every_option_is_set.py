@@ -28,8 +28,11 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping
+
+from tests.source_index import parse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -251,7 +254,7 @@ def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
     *sources* maps ``module`` (dotted) to the text of an audited module;
     *setters* maps a name to the text of every module whose calls count.
     """
-    trees = [ast.parse(text) for text in setters.values()]
+    trees = [parse(text) for text in setters.values()]
     dicts: dict[str, set[str]] = {}
     for tree in trees:
         dicts.update(module_dicts(tree))
@@ -262,7 +265,7 @@ def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
     return sorted(
         qualified
         for module, text in sources.items()
-        for qualified, option in options(module, ast.parse(text)).items()
+        for qualified, option in options(module, parse(text)).items()
         if not {EVERYTHING, option.keyword, option.position} & passed[option.callee]
     )
 
@@ -286,10 +289,14 @@ def setter_sources(root: Path = ROOT) -> dict[str, str]:
     return {str(path): path.read_text() for path in paths}
 
 
+@lru_cache(maxsize=None)
+def repo_unset() -> tuple[str, ...]:
+    """:func:`unset` over this repository, once per session."""
+    return tuple(unset(audited_sources(), setter_sources()))
+
+
 def test_every_option_is_set():
-    missing = [
-        name for name in unset(audited_sources(), setter_sources()) if name not in ALLOWLIST
-    ]
+    missing = [name for name in repo_unset() if name not in ALLOWLIST]
     assert missing == [], (
         f"{len(missing)} options only tests set: {missing}; make each a module "
         "constant, or allowlist it with the reason it stays"
@@ -297,7 +304,7 @@ def test_every_option_is_set():
 
 
 def test_the_allowlist_only_names_unset_options():
-    missing = unset(audited_sources(), setter_sources())
+    missing = repo_unset()
     assert sorted(set(ALLOWLIST) - set(missing)) == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
 
