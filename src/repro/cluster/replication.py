@@ -92,10 +92,10 @@ class ShipLog:
 class ReplicaState:
     """Replica-side mirror of one primary shard, built by op replay.
 
-    The shadow server has no network while it is a standby, so replay
+    The shadow server has no outbox while it is a standby, so replay
     does all of the room-state work — sweeps, diffs, interest filtering,
     known-spec merges — and none of the shipping; after :meth:`promote`
-    the owning shard attaches its transport and the same server starts
+    the owning shard gives it an outbox and the same server starts
     answering real clients (no state copy, no catch-up at failover).
     ``clock`` is the owning shard's, lent for event and spec stamps.
     """

@@ -8,9 +8,9 @@ queue (the knob that makes scale-out measurable: one shard saturates at
 server response back through the gateway. Successful room ops are
 appended to a per-replica :class:`ShipLog` and shipped as ``REPLICATE``
 batches over backbone peer links; inbound ``REPLICATE`` entries replay
-into standby :class:`ReplicaState` mirrors (state only: a standby ships
-nothing), which a ``PROMOTE`` order turns into live servers by attaching
-this shard's transport — no state is copied.
+into standby :class:`ReplicaState` mirrors (state only: a standby has
+no outbox), which a ``PROMOTE`` order turns into live servers by giving
+each an outbox that routes through the gateways — no state is copied.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.obs.dtrace import HOP_SHARD_QUEUE
-from repro.server.interaction import InteractionServer
+from repro.server.interaction import InteractionServer, Outbox
 from repro.server.protocol import MessageKind
 from repro.util.failpoints import get_failpoints
 
@@ -98,25 +98,6 @@ class ServiceQueue:
                 self.on_drain()
 
 
-class _GatewayTransport:
-    """Network stand-in handed to every server this shard serves from.
-
-    The interaction server believes it talks straight to client nodes;
-    every send is really wrapped into a ``ROUTE`` envelope to the
-    gateway, which owns the actual client links.
-    """
-
-    def __init__(self, shard: ShardServer) -> None:
-        self._shard = shard
-        self.clock = shard.network.clock
-
-    def attach_hub(self, node: Any) -> None:  # the gateway is the real hub
-        pass
-
-    def send(self, sender: str, recipient: str, frame: Frame) -> None:
-        self._shard.route_to_client(recipient, frame)
-
-
 class ShardServer(ServiceNode):
     """One shard node: primary server + standby replicas + log shipping."""
 
@@ -151,11 +132,8 @@ class ShardServer(ServiceNode):
         self._store = store
         self._interest_mode = interest_mode
         self._batch_window_s = batch_window_s
-        self._transport = _GatewayTransport(self)
-        self.server = InteractionServer(
-            store, network=self._transport, node_id=shard_id,
-            interest_mode=interest_mode, batch_window_s=batch_window_s,
-        )
+        self.server = InteractionServer(store, node_id=shard_id, interest_mode=interest_mode)
+        self._serve_from(self.server)
         self._serve_through(ServiceQueue(network.clock, service_rate, self._work), admission)
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
@@ -263,6 +241,14 @@ class ShardServer(ServiceNode):
                 if promoted.has_session(session_id):
                     return promoted
         return self.server  # unknown sessions error out here, routed back
+
+    def _serve_from(self, server: InteractionServer) -> None:
+        """Let *server* ship: on this shard's clock, through an outbox
+        whose frames leave as ROUTEs to the clients' gateways."""
+        server.clock = self.network.clock
+        server.outbox = Outbox(
+            self.network.clock, self.route_to_client, server.node_id, self._batch_window_s
+        )
 
     def route_to_client(self, recipient: str, frame: Frame) -> None:
         """Wrap one server→client frame into a ROUTE envelope to the gateway."""
@@ -481,7 +467,7 @@ class ShardServer(ServiceNode):
             server = state.promote()
             # The standby only decided; from here it ships, coalescing
             # exactly as this shard's own server does.
-            server.attach_network(self._transport, self._batch_window_s)
+            self._serve_from(server)
             self._promoted[primary_id] = server
             # Inherit the replayed ops as this shard's history for the
             # taken-over rooms: the new primary must be able to bootstrap

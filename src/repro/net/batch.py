@@ -4,9 +4,9 @@ The propagation fan-out sends many tiny frames to the same client in the
 same instant (a presentation diff, then the peer event, then the next
 change's diff...). Each one is individually acked by the reliable layer
 — so a room of N members costs 2·N·changes frames on the wire. The
-:class:`Batcher` sits between a sender and the network and coalesces
-consecutive small messages per destination into one ``BATCH`` frame,
-flushed on the first of:
+:class:`Batcher` sits between a sender and its ``transmit(recipient,
+frame)`` step and coalesces consecutive small messages per destination
+into one ``BATCH`` frame, flushed on the first of:
 
 * a **simclock deadline** — ``window_s`` after the first enqueued frame;
 * a **byte budget** — the pending run reaching :data:`MAX_BYTES`;
@@ -17,9 +17,9 @@ flushed on the first of:
   bytes, and only its members' bytes. Heartbeats never pass through a
   batcher at all (they ride the links' priority lane).
 
-``window_s=0`` (the default) is a pure pass-through: every send goes
-straight to the network, byte-for-byte identical to the unbatched
-system. Batching is an opt-in measured by E13.
+``window_s=0`` (every server's default) is a pure pass-through: every
+send goes straight to *transmit*, byte-for-byte identical to the
+unbatched system. Batching is an opt-in measured by E13.
 
 Senders hand the batcher frames, as they would the network. The batch
 envelope embeds the already-encoded sub-frames as opaque bytes (see
@@ -30,9 +30,10 @@ only ever see ordinary messages.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.net.codec import Frame, encode_batch, stamp_frame
+from repro.net.simclock import SimClock
 from repro.obs import get_registry
 from repro.obs.dtrace import HOP_BATCH_WAIT, NULL_CONTEXT, get_dtrace
 
@@ -48,10 +49,14 @@ MAX_BYTES = 4096
 class Batcher:
     """Coalesces one sender's small outbound messages per destination."""
 
-    def __init__(self, network: Any, sender: str, window_s: float = 0.0) -> None:
+    def __init__(
+        self, clock: SimClock, transmit: Callable[[str, Frame], None], sender: str,
+        window_s: float,
+    ) -> None:
         if window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
-        self._network = network
+        self._clock = clock
+        self._transmit = transmit
         self._sender = sender
         self.window_s = window_s
         # Per destination: (frame, its trace context or None, enqueue time).
@@ -77,20 +82,18 @@ class Batcher:
             # frames already queued for this destination.
             if self._pending:
                 self.flush(recipient)
-            self._network.send(self._sender, recipient, frame)
+            self._transmit(recipient, frame)
             return
         queue = self._pending.setdefault(recipient, [])
         ctx = frame.trace[-1] if frame.trace else None
-        queue.append((frame, ctx, self._network.clock.now))
+        queue.append((frame, ctx, self._clock.now))
         pending = self._pending_bytes.get(recipient, 0) + encoded
         self._pending_bytes[recipient] = pending
         if pending >= MAX_BYTES:
             self.flush(recipient)
         elif recipient not in self._armed:
             self._armed.add(recipient)
-            self._network.clock.schedule(
-                self.window_s, lambda: self._on_deadline(recipient)
-            )
+            self._clock.schedule(self.window_s, lambda: self._on_deadline(recipient))
 
     def _on_deadline(self, recipient: str) -> None:
         self._armed.discard(recipient)
@@ -106,12 +109,9 @@ class Batcher:
         self._pending_bytes.pop(recipient, None)
         if not items:
             return
-        has_node = getattr(self._network, "has_node", None)
-        if has_node is not None and not has_node(recipient):
-            return  # destination detached while the window was open
         self._m_flushes.inc()
         dtrace = self._dtrace
-        now = self._network.clock.now
+        now = self._clock.now
         if len(items) == 1:
             frame, ctx, enqueued_at = items[0]
             if dtrace.enabled and ctx is not None:
@@ -122,7 +122,7 @@ class Batcher:
                     ctx, HOP_BATCH_WAIT, self._sender, enqueued_at, now, size=1
                 )
                 frame = stamp_frame(frame, (ctx,))
-            self._network.send(self._sender, recipient, frame)
+            self._transmit(recipient, frame)
             return
         frames = [frame for frame, _, _ in items]
         entries = [
@@ -144,7 +144,7 @@ class Batcher:
             )
             batch = stamp_frame(batch, contexts)
         self._m_coalesced.inc(len(frames))
-        self._network.send(self._sender, recipient, batch)
+        self._transmit(recipient, batch)
 
     @property
     def pending_count(self) -> int:

@@ -12,8 +12,8 @@ immediately propagated to other clients in the room."
 * :mod:`repro.server.room` — a shared room: one open document, its
   presentation engine, freeze bookkeeping and change numbering;
 * :mod:`repro.server.interaction` — the server itself: sessions, rooms,
-  database fetch/store, change propagation (diff-only), and the network
-  node glue.
+  database fetch/store, change propagation (diff-only) through its
+  outbox, and the hub-node glue.
 """
 
 from repro.server.interaction import InteractionServer

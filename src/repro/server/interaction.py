@@ -5,17 +5,17 @@ rooms, continuous receipt of viewer choices, recomputation of optimal
 presentations and propagation of "only the relevant parts of the object"
 to every client in the room. Works in two modes:
 
-* **direct** — methods called in-process (unit tests, benchmarks that
-  measure pure server work, a cluster standby replaying its primary):
-  every change is decided, nothing is framed, sized or counted as sent;
-* **networked** — attached as the hub of a
-  :class:`~repro.net.network.SimulatedNetwork`; protocol messages arrive
-  via :meth:`receive` and responses are sent with honest wire sizes.
+* **direct** — no :class:`Outbox` (unit tests, benchmarks that measure
+  pure server work, a cluster standby replaying its primary): every
+  change is decided, nothing is framed, sized or counted as sent;
+* **serving** — what it sends goes to its outbox: over the client links
+  of the :class:`~repro.net.network.SimulatedNetwork` it is the hub of,
+  or, when a cluster shard sets the outbox, through the gateways.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ProtocolError, RoomError, ServerError
 from repro import obs
@@ -53,6 +53,31 @@ from repro.util.ids import IdGenerator
 #: One decided update: the member, everything that moved on their
 #: display, and the part of it their interest lets them be told.
 _Decided = tuple[Session, dict[str, str], dict[str, str]]
+#: ``transmit(recipient, frame)``: one frame on its way to one node.
+Transmit = Callable[[str, Frame], None]
+
+
+class Outbox:
+    """Where a serving server's frames go: :meth:`send` takes one frame
+    and all its recipients, stamps the served op's trace context, counts
+    each copy and hands it to a per-destination
+    :class:`~repro.net.batch.Batcher` (window 0 = pass-through) over
+    *transmit*: the network's send at a hub, gateway routing at a shard."""
+
+    def __init__(self, clock: SimClock, transmit: Transmit, node_id: str, window_s: float) -> None:
+        self.batcher = Batcher(clock, transmit, node_id, window_s)
+        self._dtrace = get_dtrace()
+        self._m_messages_out = obs.get_registry().counter("server.messages_out")
+        self._m_bytes_out = obs.get_registry().counter("server.bytes_out")
+
+    def send(self, recipients: Sequence[str], frame: Frame) -> None:
+        ctx = self._dtrace.current() if self._dtrace.enabled else None
+        if ctx is not None:
+            frame = stamp_frame(frame, (ctx,))  # chain to the op being served
+        self._m_messages_out.inc(len(recipients))
+        self._m_bytes_out.inc(frame.size_bytes * len(recipients))
+        for recipient in recipients:
+            self.batcher.send(recipient, frame)
 
 
 class InteractionServer:
@@ -75,10 +100,11 @@ class InteractionServer:
         #: Per-viewer grants; deployments grant through it.
         self.policy = PermissionPolicy()
         self.node_id = node_id
-        self.network: SimulatedNetwork | None = None
-        #: Stamps specs and flight-recorder events. A network brings its
-        #: own; the owner of a network-less server may lend one.
+        #: The clock stamps specs and events; the outbox is where decided
+        #: changes ship (None: decide only). A hub's network brings both, a
+        #: shard sets both on the servers it serves from, a replica the clock.
         self.clock: SimClock | None = None
+        self.outbox: Outbox | None = None
         self.use_profiles = use_profiles
         #: "off": members start with implicit interest in everything (the
         #: pre-interest behaviour, byte-identical); "cpnet": defaults are
@@ -96,8 +122,6 @@ class InteractionServer:
         registry = obs.get_registry()
         self._events = obs.get_event_log()
         self._dtrace = get_dtrace()
-        self._m_messages_out = registry.counter("server.messages_out")
-        self._m_bytes_out = registry.counter("server.bytes_out")
         self._m_choices = registry.counter("server.choices")
         self._m_prop_updates = registry.counter("server.propagation.updates")
         self._m_prop_diff_bytes = registry.counter("server.propagation.diff_bytes")
@@ -134,22 +158,13 @@ class InteractionServer:
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
-        self._batcher: Batcher | None = None
-        if network is not None:
-            self.attach_network(network, batch_window_s)
-
-    def attach_network(self, network: SimulatedNetwork, batch_window_s: float = 0.0) -> None:
-        """Become *network*'s hub: from here on decided changes ship.
-
-        Called by the constructor, and by a shard on the shadow server
-        of a standby it promotes — until then that server only decides.
-        Outbound coalescing (repro.net.batch): window 0 = pass-through,
-        byte-identical to the unbatched server. E13 opts in.
-        """
-        self.network = network
-        self.clock = network.clock
-        self._batcher = Batcher(network, self.node_id, window_s=batch_window_s)
-        network.attach_hub(self)
+        if network is not None:  # the hub: frames leave over its client links
+            network.attach_hub(self)
+            self.clock = network.clock
+            def transmit(recipient: str, frame: Frame) -> None:
+                if network.has_node(recipient):  # else detached mid-window
+                    network.send(node_id, recipient, frame)
+            self.outbox = Outbox(network.clock, transmit, node_id, batch_window_s)
 
     # ----- sessions -----------------------------------------------------------------
 
@@ -343,7 +358,7 @@ class InteractionServer:
         """Fig. 4(b): record the choice, recompute, propagate diffs.
 
         Returns ``{session_id: presentation-diff}`` for every member whose
-        display changes (also sent over the network when attached).
+        display changes (also sent, when the server has an outbox).
         """
         session, room = self._session_room(session_id)
         self.policy.require(session.viewer_id, PERM_CHOOSE)
@@ -540,10 +555,9 @@ class InteractionServer:
                         size - layer_prefix_size(size, num_layers)
                     )
             shipped = layer_prefix_size(size, num_layers)
-        if self.network is not None:
-            self._net_send(
-                session.node_id, room.payload_frame(component, value, num_layers, shipped)
-            )
+        if self.outbox is not None:
+            frame = room.payload_frame(component, value, num_layers, shipped)
+            self.outbox.send((session.node_id,), frame)
         return shipped
 
     def fetch_zoom_region(
@@ -593,10 +607,10 @@ class InteractionServer:
         Two halves. *Deciding* is room state — what each member is now
         known to display — and runs wherever the op is applied, a warm
         standby included; *shipping* is everything that exists only
-        because bytes leave this node, and runs only with a network.
+        because bytes leave this node, and runs only with an outbox.
         """
         decided = self._decide(room, change)
-        if self.network is not None:
+        if self.outbox is not None:
             self._ship(room, change, decided)
         self.triggers.dispatch(room, change)
         return {member.session_id: filtered for member, _, filtered in decided if filtered}
@@ -634,14 +648,15 @@ class InteractionServer:
         return decided
 
     def _ship(self, room: Room, change: Any, decided: list[_Decided]) -> None:
-        """Frame, send and account for one decided change."""
+        """Frame, send and account for one decided change: one outbox
+        send per distinct frame, its recipients in member order."""
         doc_id = room.document.doc_id
-        shipped = fanout = 0
+        shipped = 0
         # Members whose recomputed views agree (the common case for a
         # shared choice) receive the *same* update frame: one encode,
-        # N sends — and one sizing, for the accounting below. Both
-        # keyed by the delta's canonical item sequence.
-        update_frames: dict[tuple[tuple[str, str], ...], Frame] = {}
+        # one send to all of them — and one sizing, for the accounting
+        # below. Both keyed by the delta's canonical item sequence.
+        updates: dict[tuple[tuple[str, str], ...], tuple[Frame, list[str]]] = {}
         delta_sizes: dict[tuple[tuple[str, str], ...], int] = {}
 
         def sized(delta: dict[str, str]) -> tuple[Any, int]:
@@ -659,27 +674,28 @@ class InteractionServer:
             delta_key, delta_size = sized(filtered)
             if len(filtered) != len(delta):
                 self._m_interest_bytes_saved.inc(sized(delta)[1] - delta_size)
-            frame = update_frames.get(delta_key)
-            if frame is None:
+            update = updates.get(delta_key)
+            if update is None:
                 body = {"doc_id": doc_id, "changes": filtered, "seq": change.seq}
-                frame = update_frames[delta_key] = encode_message(
-                    MessageKind.PRESENTATION_UPDATE, body
-                )
-            self._net_send(member.node_id, frame)
+                frame = encode_message(MessageKind.PRESENTATION_UPDATE, body)
+                update = updates[delta_key] = (frame, [])
+            update[1].append(member.node_id)
             shipped += delta_size
-            fanout += 1
+        send = self.outbox.send
+        for frame, recipients in updates.values():
+            send(recipients, frame)
+            self._m_prop_updates.inc(len(recipients))
         self._m_prop_diff_bytes.inc(shipped)
         self._f_prop_bytes.labels(room.room_id, "diff").inc(shipped)
-        self._m_prop_updates.inc(fanout)
         event_body = {
             "doc_id": doc_id, "seq": change.seq,
             "viewer": change.viewer_id, "kind": change.kind, "data": change.data,
         }
         changed_component = change.data.get("component")
-        # Multicast fan-out: one encode (lazily, on the first
-        # interested recipient), the same frame to every member —
-        # the bytes were identical per recipient anyway.
-        event_frame: Frame | None = None
+        # Multicast fan-out: one encode (if anyone is interested), the
+        # same frame to every member — the bytes were identical per
+        # recipient anyway.
+        peers = []
         event_size: int | None = None
         for member_id in room.member_sessions:
             member = self._session(member_id)
@@ -693,28 +709,27 @@ class InteractionServer:
                 self._m_interest_filtered.inc()
                 self._m_interest_bytes_saved.inc(event_size)
                 continue
-            if event_frame is None:
-                event_frame = encode_message(MessageKind.PEER_EVENT, event_body)
-            self._net_send(member.node_id, event_frame)
+            peers.append(member.node_id)
+        if peers:
+            send(peers, encode_message(MessageKind.PEER_EVENT, event_body))
 
     def broadcast(
         self, payload: dict[str, Any], room_id: str | None = None
     ) -> int:
         """Push a server-originated message to every session (of a room).
 
-        Returns the number of sessions reached. Without a network the
+        Returns the number of sessions reached. Without an outbox the
         broadcast is a no-op beyond the count (direct-mode callers poll
-        room state instead).
+        room state instead); with one it is one send to them all.
         """
         if room_id is not None:
             room = self.room(room_id)
             targets = [self._session(s) for s in room.member_sessions]
         else:
             targets = list(self._sessions.values())
-        if self.network is not None:
+        if self.outbox is not None:
             frame = encode_message(MessageKind.BROADCAST, payload)
-            for session in targets:
-                self._net_send(session.node_id, frame)
+            self.outbox.send([session.node_id for session in targets], frame)
         return len(targets)
 
     # ----- telemetry monitors ----------------------------------------------------------
@@ -740,25 +755,9 @@ class InteractionServer:
     def _send_body(self, recipient: str, kind: str, body: Any) -> None:
         """Encode one body for one recipient (an ack, an error, a
         telemetry push) and send it — or encode nothing at all on a
-        server that has no network to send on."""
-        if self.network is not None:
-            self._net_send(recipient, encode_message(kind, body))
-
-    def _net_send(self, recipient: str, frame: Frame) -> None:
-        """One hub->client send of an encoded *frame*, with outbound
-        message/byte accounting.
-
-        Callers fanning one body out to several recipients pass the
-        shared frame: sizing, checksum and retransmits all reuse it — no
-        send path ever serializes twice.
-        """
-        ctx = self._dtrace.current() if self._dtrace.enabled else None
-        if ctx is not None:
-            # Chain the outbound frame to the op being served.
-            frame = stamp_frame(frame, (ctx,))
-        self._m_messages_out.inc()
-        self._m_bytes_out.inc(frame.size_bytes)
-        self._batcher.send(recipient, frame)
+        server that has no outbox to send to."""
+        if self.outbox is not None:
+            self.outbox.send((recipient,), encode_message(kind, body))
 
     def on_delivery_failed(self, error: Any) -> None:
         """The reliable layer gave up on one of this server's frames.
@@ -825,7 +824,7 @@ class InteractionServer:
         try:
             self.apply_session_op(message.kind, payload, message.sender)
         except Exception as exc:  # protocol errors go back to the client
-            if self.network is not None:
+            if self.outbox is not None:
                 body = {"error": type(exc).__name__, "detail": str(exc)}
                 self._send_body(message.sender, MessageKind.ERROR, body)
             else:

@@ -181,7 +181,8 @@ class TestFailover:
         promoted = harness.shards[harness.failovers[0]["promoted"]]
         successor = harness.serving_server_of("case-0")
         assert successor is not promoted.server
-        assert successor._batcher.window_s == promoted.server._batcher.window_s == 0.02
+        windows = (successor.outbox.batcher.window_s, promoted.server.outbox.batcher.window_s)
+        assert windows == (0.02, 0.02)
         # And it does batch: one more shared choice in the taken-over
         # room sends its peer an update and a peer event, which leave
         # the successor as one BATCH frame.

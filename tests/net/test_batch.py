@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.db import Database, MultimediaObjectStore
 from repro.net import Batcher, Link, Message, SimulatedNetwork
 from repro.net.batch import MAX_BYTES
 from repro.obs import MetricsRegistry, use_registry
+from repro.server import InteractionServer
 from tests.net.frames import frame_of
 
 
@@ -17,6 +19,13 @@ class Recorder:
         self.received.append(message)
 
 
+def hub_batcher(network: SimulatedNetwork, window_s: float = 0.0) -> Batcher:
+    """A batcher whose transmit step is the "server" hub's network send."""
+    return Batcher(
+        network.clock, lambda to, frame: network.send("server", to, frame), "server", window_s
+    )
+
+
 @pytest.fixture
 def rig():
     registry = MetricsRegistry()
@@ -26,7 +35,7 @@ def rig():
         network.attach_hub(hub)
         client = Recorder("c1")
         network.attach_client(client, uplink=Link(), downlink=Link())
-        batcher = Batcher(network, "server", window_s=0.05)
+        batcher = hub_batcher(network, window_s=0.05)
     return network, client, batcher, registry
 
 
@@ -42,7 +51,7 @@ class TestPassThrough:
             network.attach_hub(Recorder("server"))
             client = Recorder("c1")
             network.attach_client(client, uplink=Link(), downlink=Link())
-            batcher = Batcher(network, "server")  # window_s=0
+            batcher = hub_batcher(network)  # window_s=0
             batcher.send("c1", frame_of("peer_event", {"viewer": "a"}))
             network.run()
         assert _kinds(client) == ["peer_event"]
@@ -128,11 +137,22 @@ class TestBarriers:
 
 
 class TestDetachedRecipient:
-    def test_deadline_flush_to_detached_client_is_dropped(self, rig):
-        network, client, batcher, _ = rig
-        batcher.send("c1", frame_of("peer_event", {"seq": 1}))
-        network.detach_client("c1")
-        network.run()  # deadline fires; no NetworkError
+    def test_deadline_flush_to_detached_client_is_dropped(self, tmp_path):
+        """The drop is the hub's transmit step, so a server is the hub here."""
+        db = Database(str(tmp_path / "db"))
+        try:
+            network = SimulatedNetwork()
+            server = InteractionServer(
+                MultimediaObjectStore(db), network=network, batch_window_s=0.05
+            )
+            client = Recorder("c1")
+            network.attach_client(client, uplink=Link(), downlink=Link())
+            server.outbox.send(["c1"], frame_of("peer_event", {"seq": 1}))
+            assert server.outbox.batcher.pending_count == 1
+            network.detach_client("c1")
+            network.run()  # deadline fires; no NetworkError
+        finally:
+            db.close()
         assert client.received == []
 
 
@@ -148,7 +168,7 @@ class TestWireAccounting:
                 network.attach_hub(Recorder("server"))
                 client = Recorder("c1")
                 network.attach_client(client, uplink=Link(), downlink=Link())
-                batcher = Batcher(network, "server", window_s=window_s)
+                batcher = hub_batcher(network, window_s=window_s)
                 for seq in range(6):
                     batcher.send("c1", frame_of("peer_event", {"viewer": "dr", "seq": seq}))
                 network.run()

@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1152,
-    "cluster": 2639,
+    "cluster": 2625,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
@@ -47,7 +47,7 @@ LINE_BUDGET = {
     "prefetch": 167,
     "presentation": 943,
     "retrieval": 769,
-    "server": 1725,
+    "server": 1724,
     "util": 279,
     "workloads": 1297,
 }
