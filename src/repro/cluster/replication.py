@@ -3,13 +3,14 @@
 The primary shard does not ship room *state* — it ships the room *ops*
 (join/leave/choice/operation/annotation/freeze/release) that produced
 the state, stamped with sequence numbers and the primary's clock. The
-replica replays each op against its own shadow ``InteractionServer``
-(same document store, forced primary-minted ids, no network: it decides
-every member's update and ships none), so replayed state is
-byte-identical to the primary's: presentation outcomes are
+replica logs each op in sequence and acks the logged prefix (``ACK``);
+the primary advances its ack watermark and exports the ship/ack gap as
+replication lag. The log is the standby: its shadow
+``InteractionServer`` (forced primary-minted ids, no outbox, a
+read-only view of the store) replays the backlog only when it must —
+at promotion, when read, or at a join that opens a room — so replayed
+state is byte-identical to the primary's: presentation outcomes are
 deterministic functions of the op sequence.
-Acked sequence numbers flow back (``ACK``); the primary advances its
-ack watermark and exports the ship/ack gap as replication lag.
 """
 
 from __future__ import annotations
@@ -89,15 +90,35 @@ class ShipLog:
         return self.shipped_seq - self.acked_seq
 
 
-class ReplicaState:
-    """Replica-side mirror of one primary shard, built by op replay.
+class _ReadOnlyStore:
+    """The store as a standby sees it: reads pass through; writes are
+    dropped, since its primary made each one (§1's persist on close)."""
 
-    The shadow server has no outbox while it is a standby, so replay
-    does all of the room-state work — sweeps, diffs, interest filtering,
-    known-spec merges — and none of the shipping; after :meth:`promote`
-    the owning shard gives it an outbox and the same server starts
-    answering real clients (no state copy, no catch-up at failover).
-    ``clock`` is the owning shard's, lent for event and spec stamps.
+    def __init__(self, store: MultimediaObjectStore) -> None:
+        self.fetch_document = store.fetch_document
+        self.load_profile = store.load_profile
+
+    def _drop(self, *write: Any) -> None:
+        pass
+
+    store_document = store_annotation = save_profile = _drop
+
+
+class ReplicaState:
+    """Replica-side mirror of one primary shard: its op log, replayed
+    into a shadow server only when it must be.
+
+    Entries are logged in sequence on arrival, not applied. The shadow
+    catches up on the backlog, in log order, at :meth:`promote`, at a
+    read of :attr:`server`, and at a join entry whose room it does not
+    have open, where it also opens that room: on the primary that join
+    minted a new room id and read the document from the store, so the
+    standby reads it there too (a reopen mints a new id, so a deferred
+    close never hides one). Replay does the room-state work — sweeps,
+    diffs, interest filtering, known-spec merges — and, with no outbox,
+    none of the shipping; it writes no store until :meth:`promote`
+    hands over the write path. ``clock`` is the owning shard's, lent
+    for event and spec stamps.
     """
 
     def __init__(
@@ -110,46 +131,61 @@ class ReplicaState:
     ) -> None:
         self.applied_seq = 0
         self.promoted = False
-        #: every entry applied, in order — at promotion this becomes the
+        #: every entry logged, in order — at promotion this becomes the
         #: new primary's room history (so *it* can bootstrap replicas).
         self.applied_log: list[LogEntry] = []
+        self._replayed = 0  # applied_log[:_replayed] is in the shadow
         self._pending: dict[int, LogEntry] = {}  # out-of-order buffer
         self._on_gap = on_gap
-        self.server = InteractionServer(
-            store,
+        self._store = store
+        self._shadow = InteractionServer(
+            _ReadOnlyStore(store),  # type: ignore[arg-type]
             node_id=f"replica:{primary_id}",
             interest_mode=interest_mode,
         )
-        self.server.clock = clock
+        self._shadow.clock = clock
 
-    # ----- replay ---------------------------------------------------------------
+    @property
+    def server(self) -> InteractionServer:
+        """The shadow server, caught up on the whole log."""
+        self._catch_up()
+        return self._shadow
 
     def offer(self, entry: LogEntry) -> int:
-        """Accept one shipped entry; returns how many entries were applied.
+        """Accept one shipped entry; returns how many entries were logged.
 
-        Entries apply strictly in sequence order: a duplicate is ignored,
+        Entries log strictly in sequence order: a duplicate is ignored,
         a gap is buffered until the missing entries arrive (links are
         FIFO, so in practice the buffer only fills while a batch is being
         torn apart).
         """
+        if entry.op not in _KIND_OF_OP:
+            raise ClusterError(f"unknown replicated op {entry.op!r}")
         if entry.seq <= self.applied_seq:
             return 0
         self._pending[entry.seq] = entry
-        applied = 0
+        logged = 0
         while self.applied_seq + 1 in self._pending:
             nxt = self._pending.pop(self.applied_seq + 1)
-            self._apply(nxt)
             self.applied_seq = nxt.seq
             self.applied_log.append(nxt)
-            applied += 1
-        return applied
+            logged += 1
+            if nxt.op == "join" and nxt.data["room_id"] not in self._shadow.room_ids:
+                # The primary read the store here: so does the standby.
+                self._catch_up(len(self.applied_log) - 1)
+                self._shadow.open_room(nxt.room_key, room_id=nxt.data["room_id"])
+        return logged
+
+    def _catch_up(self, upto: int | None = None) -> None:
+        backlog = self.applied_log[self._replayed:upto]
+        self._replayed += len(backlog)
+        for entry in backlog:
+            self._apply(entry)
 
     def _apply(self, entry: LogEntry) -> None:
         data = entry.data
-        server = self.server
-        kind = _KIND_OF_OP.get(entry.op)
-        if kind is None:
-            raise ClusterError(f"unknown replicated op {entry.op!r}")
+        server = self._shadow
+        kind = _KIND_OF_OP[entry.op]
         if kind != MessageKind.JOIN:
             # ``data`` is the client's own payload: replay is the very
             # dispatch the primary ran.
@@ -166,17 +202,20 @@ class ReplicaState:
     # ----- failover --------------------------------------------------------------
 
     def promote(self) -> InteractionServer:
-        """Finish replay and hand over the shadow server as the new primary.
+        """Catch up and hand over the shadow server as the new primary.
 
-        Everything acked is guaranteed applied (acks are sent *after*
-        apply); buffered entries past a gap can never apply safely and
-        are dropped — they were never acked, so no client-visible state
-        is lost.
+        Everything acked is logged (acks are sent *after* logging);
+        buffered entries past a gap can never apply safely and are
+        dropped — they were never acked, so no client-visible state is
+        lost. Replay pays, in wall time only, for the backlog since the
+        last room open; then the server gets the store's write path.
         """
         if self._pending:
             dropped = sorted(self._pending)
             if self._on_gap is not None:
                 self._on_gap(self.applied_seq, len(dropped))
             self._pending.clear()
+        self._catch_up()
+        self._shadow.store = self._store
         self.promoted = True
-        return self.server
+        return self._shadow

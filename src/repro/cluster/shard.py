@@ -7,10 +7,10 @@ queue (the knob that makes scale-out measurable: one shard saturates at
 ``service_rate`` ops/second, two shards at twice that), and routes every
 server response back through the gateway. Successful room ops are
 appended to a per-replica :class:`ShipLog` and shipped as ``REPLICATE``
-batches over backbone peer links; inbound ``REPLICATE`` entries replay
-into standby :class:`ReplicaState` mirrors (state only: a standby has
-no outbox), which a ``PROMOTE`` order turns into live servers by giving
-each an outbox that routes through the gateways — no state is copied.
+batches over backbone peer links; inbound ``REPLICATE`` entries log
+into standby :class:`ReplicaState` mirrors (no outbox, no store writes,
+replay deferred), which a ``PROMOTE`` order catches up and turns into
+live servers with an outbox that routes through the gateways.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class ShardServer(ServiceNode):
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
         self._promoted: dict[str, InteractionServer] = {}
         self._session_doc: dict[str, str] = {}        # session -> sharding key
-        #: full op history per room key, in application order — streamed to
+        #: op history per room key since the room last opened — streamed to
         #: a replica the first time it is asked to mirror that room, so a
         #: replica assigned mid-conference (the ring moves after a node
         #: dies) can reconstruct the room instead of replaying from a gap.
@@ -332,7 +332,7 @@ class ShardServer(ServiceNode):
             if op == "leave":
                 self._session_doc.pop(session_id, None)
         now = self.network.clock.now
-        history = self._room_history.setdefault(room_key, [])
+        history = self._history_of(room_key, op, data)
         for replica_id in self.replicas_for(room_key):
             log = self._ship.get(replica_id)
             if log is None:
@@ -341,13 +341,21 @@ class ShardServer(ServiceNode):
             entries = []
             if room_key not in seen:
                 # First op this replica sees for the room: prefix the
-                # room's full history so the replay starts from genesis.
+                # room's history so the replay starts where the room opened.
                 seen.add(room_key)
                 for past_op, past_data in history:
                     entries.append(log.append(now, room_key, past_op, past_data))
             entries.append(log.append(now, room_key, op, data))
             self._ship_entries(replica_id, log, entries)
         history.append((op, data))
+
+    def _history_of(self, room_key: str, op: str, data: dict[str, Any]) -> list:
+        """*room_key*'s history, restarted by a join that mints a new room
+        id: a replica bootstrapped from it reads the store where that join did."""
+        history = self._room_history.get(room_key)
+        if not history or (op == "join" and history[0][1].get("room_id") != data["room_id"]):
+            history = self._room_history[room_key] = []
+        return history
 
     def replicas_for(self, room_key: str) -> list[str]:
         """Live replica shards for one room, per the ring preference list."""
@@ -473,7 +481,7 @@ class ShardServer(ServiceNode):
             # taken-over rooms: the new primary must be able to bootstrap
             # *its* replicas (the ring will name one on the next op).
             for entry in state.applied_log:
-                self._room_history.setdefault(entry.room_key, []).append(
+                self._history_of(entry.room_key, entry.op, entry.data).append(
                     (entry.op, entry.data)
                 )
                 # op_seq rides inside replicated op data, so the dedup

@@ -12,10 +12,11 @@ from repro.cluster import (
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import ClusterError
-from repro.obs import EventLog, MetricsRegistry, use_event_log, use_registry
+from repro.obs import EventLog, MetricsRegistry, diff, use_event_log, use_registry
 from repro.server import InteractionServer
 from repro.server.protocol import MessageKind
-from repro.workloads import consultation_events, generate_record
+from repro.workloads import consultation_events, generate_record, primitive_paths
+from tests.cluster.test_standby_equivalence import room_state
 from tests.server import test_interaction as ledger_script
 
 
@@ -186,8 +187,9 @@ class TestReplicaReplay:
 
 class TestStandbyShipsNothing:
     """The same scripted room with and without a standby: every series
-    that counts shipped traffic reads the same, because a standby decides
-    updates and ships none; all replication adds is its own two frames."""
+    that counts shipped traffic reads the same, because a standby ships
+    nothing (and decides nothing until it must); all replication adds is
+    its own two frames."""
 
     SHIPPED_SERIES = (
         "server.messages_out",
@@ -196,6 +198,14 @@ class TestStandbyShipsNothing:
         "server.propagation.diff_bytes",
         "interest.updates_filtered",
         "interest.bytes_saved",
+    )
+
+    #: What deciding costs: a standby that replayed each op on arrival
+    #: counted its own share of these.
+    DECIDED_SERIES = (
+        "server.choices",
+        "cpnet.completions",
+        "cpnet.completion_cache.misses",
     )
 
     def _run(self, tmp_path, shards):
@@ -225,16 +235,29 @@ class TestStandbyShipsNothing:
             for client in members:
                 client.join("record-17")
             harness.run()
+            joined = registry.snapshot()
             for step in ledger_script.TestPropagationLedger.SCRIPT:
                 step(members)
                 harness.run()
             assert all(not client.errors for client in members)
+            scripted = diff(joined, registry.snapshot())["counters"]
         db.close()
-        return registry.snapshot()["counters"], replication
+        decided = {name: scripted.get(name, 0) for name in self.DECIDED_SERIES}
+        return registry.snapshot()["counters"], replication, decided
+
+    def test_a_standby_decides_nothing_until_it_must(self, tmp_path):
+        """The script opens no room and nothing reads or promotes the
+        standby, so its log is all it keeps: after the joins, the
+        decide-side series read the same with a standby as without."""
+        _, _, alone = self._run(tmp_path, shards=1)
+        _, _, mirrored = self._run(tmp_path, shards=2)
+        assert alone["server.choices"] > 0
+        assert alone["cpnet.completion_cache.misses"] > 0
+        assert mirrored == alone
 
     def test_counters_do_not_depend_on_the_replication_factor(self, tmp_path):
-        alone, no_frames = self._run(tmp_path, shards=1)
-        mirrored, frames = self._run(tmp_path, shards=2)
+        alone, no_frames, _ = self._run(tmp_path, shards=1)
+        mirrored, frames, _ = self._run(tmp_path, shards=2)
         assert no_frames == [] and frames
         series = [
             name for name in alone
@@ -252,3 +275,91 @@ class TestStandbyShipsNothing:
         assert mirrored["codec.bytes_encoded"] - alone["codec.bytes_encoded"] == sum(
             size for _, size in frames
         )
+
+
+@pytest.fixture
+def fresh_obs():
+    with use_registry(MetricsRegistry()), use_event_log(EventLog()):
+        yield
+
+
+class TestStandbyAndStore:
+    """A standby reads the store where its primary did and never writes it."""
+
+    def _cluster(self, tmp_path, shards):
+        db = Database(str(tmp_path / f"shards{shards}"))
+        store = MultimediaObjectStore(db)
+        record = record_for(store)
+        harness = ClusterHarness(store, ClusterConfig(shards=shards, failure_timeout=1.5))
+        return db, store, record, harness
+
+    def _reopen_after_a_global_operation(self, harness, record):
+        """Join, persist a §4.2 global operation by closing the room, and
+        reopen it: the reopened room reads the operation from the store."""
+        path = primitive_paths(record)[0]
+        client = harness.add_client("lee", auto_fetch=False)
+        client.join(record.doc_id)
+        harness.run()
+        client.operate(path, "zoomx", global_importance=True)
+        harness.run()
+        client.leave()
+        harness.run()
+        client.join(record.doc_id)
+        harness.run()
+        return client
+
+    def test_a_closed_room_is_stored_once(self, tmp_path, fresh_obs):
+        db, store, record, harness = self._cluster(tmp_path, shards=2)
+        path = primitive_paths(record)[0]
+        first, second = (harness.add_client(v, auto_fetch=False) for v in ("lee", "kim"))
+        for client in (first, second):
+            client.join(record.doc_id)
+        harness.run()
+        first.annotate(path, {"text": "see here"})
+        harness.run()
+        for client in (first, second):
+            client.leave()
+            harness.run()
+        owner = harness.owner_of(record.doc_id)
+        assert harness.shards[owner].server.room_ids == ()
+        # The standby replays the close too, but only its primary stores.
+        assert len(store.annotations_for(record.doc_id)) == 1
+        db.close()
+
+    @pytest.mark.parametrize("handover", ["read", "promote"])
+    def test_a_reopen_is_a_replay_barrier(self, tmp_path, fresh_obs, handover):
+        """Replayed late, the first incarnation's operation would meet the
+        reopened document that already holds it (``CPNetError``)."""
+        db, _, record, harness = self._cluster(tmp_path, shards=2)
+        client = self._reopen_after_a_global_operation(harness, record)
+        owner = harness.owner_of(record.doc_id)
+        standby = next(
+            state
+            for shard in harness.shards.values()
+            if (state := shard.standby_for(owner)) is not None
+        )
+        shadow = standby.server if handover == "read" else standby.promote()
+        assert shadow.room_ids == (client.room_id,)
+        assert room_state(shadow) == room_state(harness.shards[owner].server)
+        db.close()
+
+    def test_a_replica_bootstrapped_after_a_reopen_starts_at_the_reopen(
+        self, tmp_path, fresh_obs
+    ):
+        """A replica assigned after the room reopened gets the history of
+        the reopened room, not the closed room's ops again."""
+        db, _, record, harness = self._cluster(tmp_path, shards=3)
+        client = self._reopen_after_a_global_operation(harness, record)
+        owner = harness.owner_of(record.doc_id)
+        harness.crash(harness.shards[owner].replicas_for(record.doc_id)[0])
+        harness.start(until=harness.clock.now + 10.0)
+        harness.run()
+        path = primitive_paths(record)[1]
+        client.choose(path, record.network.variable(path).domain[-1])
+        harness.run()
+        assert client.errors == []
+        primary = harness.shards[owner]
+        (replica_id,) = primary.replicas_for(record.doc_id)
+        standby = harness.shards[replica_id].standby_for(owner)
+        assert room_state(standby.server) == room_state(primary.server)
+        db.close()

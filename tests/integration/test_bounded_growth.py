@@ -37,10 +37,11 @@ ALLOWED = {
         "§1", "annotations are room content: stored with the document on close",
     ),
     "ShardServer._room_history": (
-        "item 2", "a room's full op history from genesis, for replica bootstrap",
+        "item 2",
+        "a room's op history from the room's current incarnation, for replica bootstrap",
     ),
     "ReplicaState.applied_log": (
-        "item 2", "the standby keeps the same history, applied",
+        "item 2", "the standby keeps the same history, logged",
     ),
     "LogEntry.data": ("item 2", "the op body of each applied_log entry"),
     "ClientModule._op_log": (

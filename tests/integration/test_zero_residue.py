@@ -52,7 +52,7 @@ ALLOWED = {
     "ShardServer._room_history":
         "item 2: a closed room's full op history outlives the room",
     "ReplicaState.applied_log":
-        "item 2: the standby keeps the same history, applied",
+        "item 2: the standby keeps the same history, logged",
 }
 
 #: What only an open room may keep alive.

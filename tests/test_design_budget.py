@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1152,
-    "cluster": 2625,
+    "cluster": 2672,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
