@@ -82,6 +82,11 @@ def run_conference(workdir, crash: bool, monitor_viewer: str | None = None):
         for path, value in events[EVENTS_PER_ROOM // 2 :]:
             clients[doc_id][1].choose(path, value)
     harness.run()
+    if monitor is not None:
+        # The monitor signs off: its gateway's telemetry channel answers
+        # the LEAVE itself (no shard sees it), so gateways close at 0 monitors.
+        monitor.disconnect()
+        harness.run()
 
     final = {
         client.viewer_id: client.displayed()

@@ -16,7 +16,8 @@ topology with one gateway node:
   admission-gated, traced way into a service queue;
 * :mod:`repro.cluster.gateway` — :class:`Gateway`, the routing core of a
   gateway node: session→shard route cache, ``ROUTE`` envelopes both
-  ways, routing retry, the telemetry monitor channel;
+  ways, routing retry; it hosts the cluster's telemetry monitor
+  channel, which answers ``MONITOR`` and a monitor's ``LEAVE`` itself;
 * :mod:`repro.cluster.gatewaytier` — :class:`GatewayNode`, the
   deployable access point (the routing core behind its routing queue),
   and the :class:`GatewayDirectory` control plane: shard and gateway
@@ -24,13 +25,14 @@ topology with one gateway node:
   gateway failover;
 * :mod:`repro.cluster.shard` — a :class:`ShardServer` wraps a full
   :class:`~repro.server.interaction.InteractionServer` behind a
-  bounded-capacity service queue and ships its room ops to replicas;
+  bounded-capacity service queue and ships to replicas the room ops its
+  server says it applied (a refused op is never replicated);
 * :mod:`repro.cluster.replication` — primary→replica log shipping with
   acked sequence numbers; replicas replay ops into shadow servers;
 * :mod:`repro.cluster.failover` — simclock-driven heartbeats and the
   failure detector that triggers deterministic promotion;
 * :mod:`repro.cluster.admission` — the :class:`AdmissionController`
-  guarding each shard's service queue and each gateway's routing queue:
+  guarding each shard's service queue:
   priority lanes (control never shed, JOINs deferred before data drops)
   and typed ``RETRY_AFTER`` bounces so overload degrades into
   bounded-latency deferral instead of unbounded queueing;

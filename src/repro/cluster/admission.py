@@ -1,10 +1,10 @@
 """Admission control for the cluster's serial service queues.
 
-Every shard serves its ops through one serial :class:`ServiceQueue`, and
-every gateway routes through another; both queue without bound, so a
-flash crowd turns into unbounded latency rather than visible overload.
-The :class:`AdmissionController` sits in front of a queue and turns
-overload into bounded deferral instead:
+Every shard serves its ops through one serial :class:`ServiceQueue`,
+which queues without bound, so a flash crowd turns into unbounded
+latency rather than visible overload. The :class:`AdmissionController`
+sits in front of a shard's queue and turns overload into bounded
+deferral instead:
 
 * **Priority lanes.** Control-plane traffic (heartbeats, PROMOTE, ACK,
   route control, LEAVE) is always admitted — shedding a heartbeat would
@@ -122,7 +122,7 @@ _ACCEPTED = Decision(ACCEPT)
 
 
 class AdmissionController:
-    """Gatekeeper in front of one serial queue (shard or gateway).
+    """Gatekeeper in front of one shard's serial queue.
 
     The owner calls :meth:`admit` before submitting work; on ``defer`` it
     parks the pending item via :meth:`park` and wires :meth:`pump` as the

@@ -37,8 +37,8 @@ class ClusterConfig:
     failure_timeout: float = 2.0
     #: Interest management mode ("off" or "cpnet").
     interest_mode: str = "off"
-    #: Admission control in front of shard service queues and gateway
-    #: routing queues. ``None`` (the default) leaves every queue unbounded.
+    #: Admission control in front of every shard's service queue.
+    #: ``None`` (the default) leaves every queue unbounded.
     admission: AdmissionConfig | None = None
 
     def __post_init__(self) -> None:

@@ -13,8 +13,8 @@ and handed to the client link. An op whose shard is momentarily
 unroutable is parked and retried with backoff, re-resolving the route on
 every attempt.
 
-:class:`Gateway` is this data-plane core plus the telemetry monitor
-channel. The deployable node is its subclass
+:class:`Gateway` is this data-plane core; it hosts a telemetry monitor
+channel, which answers its own protocol. The deployable node is its subclass
 :class:`~repro.cluster.gatewaytier.GatewayNode`, which attaches to the
 network behind its routing queue; shard registration, failure detection
 and ``PROMOTE`` live in one place, the :class:`~repro.cluster
@@ -45,11 +45,10 @@ class Gateway(ServiceNode):
 
     role = "gateway"
     #: message kind -> the method that takes the message. Client kinds
-    #: are routed to a shard, except the telemetry channel's own two
-    #: (MONITOR, and a monitor's LEAVE — see :meth:`_is_monitor_leave`).
+    #: are routed to a shard, except what the telemetry channel answers
+    #: first (MONITOR, and a monitor's LEAVE).
     _HANDLERS = {
         **{kind: "_route_message" for kind in PROTOCOL},
-        MessageKind.MONITOR: "_on_monitor",
         MessageKind.ROUTE: "_forward_to_client",
     }
 
@@ -143,12 +142,15 @@ class Gateway(ServiceNode):
                 shard=message.sender, kind=kind,
             )
             return
+        telemetry = self.telemetry
         try:
+            if kind in telemetry.KINDS and telemetry.answer(
+                message.sender, kind, message.payload or {}
+            ):
+                return
             handler = self._HANDLERS.get(kind)
             if handler is None:
                 raise ClusterError(f"unexpected message kind {kind!r} at gateway")
-            if kind == MessageKind.LEAVE and self._is_monitor_leave(message):
-                handler = "_on_monitor_leave"
             getattr(self, handler)(message)
         except Exception as exc:
             sender = message.sender
@@ -160,13 +162,8 @@ class Gateway(ServiceNode):
                 raise
             self._send_error(sender, type(exc).__name__, str(exc))
         finally:
-            if self.telemetry.monitors:
-                self.telemetry.push(force=False)
-
-    def _is_monitor_leave(self, message: Message) -> bool:
-        """A ``LEAVE`` that ends one of our monitor sessions (answered
-        here) rather than a room session (routed to its shard)."""
-        return (message.payload or {}).get("session_id") in self.telemetry.monitors
+            if telemetry.monitors:
+                telemetry.push(force=False)
 
     def _send_if_present(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
         """Answer a client that may be gone by now (then: say nothing)."""
@@ -417,25 +414,6 @@ class Gateway(ServiceNode):
                 self.directory_id, MessageKind.ROUTE_REPORT,
                 {"session_id": session_id, "removed": True},
             )
-
-    # ----- telemetry monitors ------------------------------------------------------
-
-    def _on_monitor(self, message: Message) -> None:
-        payload = message.payload or {}
-        PROTOCOL[message.kind].require(payload)
-        session = self.telemetry.connect(payload["viewer_id"], message.sender)
-        self._send_framed(
-            message.sender,
-            MessageKind.MONITOR_ACK,
-            {"session_id": session.session_id, "interval": self.telemetry.interval},
-        )
-
-    def _on_monitor_leave(self, message: Message) -> None:
-        self.telemetry.disconnect(message.payload["session_id"])
-
-    @property
-    def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self.telemetry.monitors)
 
     # ----- introspection ----------------------------------------------------------
 

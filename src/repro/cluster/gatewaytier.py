@@ -33,7 +33,6 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ClusterError
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.failover import FailureDetector, schedule_periodic
 from repro.cluster.gateway import Gateway
 from repro.cluster.node import ClusterNode
@@ -59,15 +58,7 @@ class GatewayNode(Gateway):
         MessageKind.ROUTE_INFO: "_on_route_info",
         MessageKind.ROUTE_INVALIDATE: "_on_route_invalidate",
     }
-    #: kinds that pay the routing-capacity cost: what the core routes or
-    #: forwards (the telemetry channel's own MONITOR and monitor LEAVE
-    #: are answered here and do not).
-    _QUEUED = frozenset(
-        kind for kind, handler in Gateway._HANDLERS.items()
-        if handler in ("_route_message", "_forward_to_client")
-    )
     queue_hop = HOP_GATEWAY_QUEUE
-    admission_events = "gateway.admission"
 
     def __init__(
         self,
@@ -76,14 +67,10 @@ class GatewayNode(Gateway):
         ring: HashRing,
         node_id: str,
         route_rate: float | None = None,
-        admission: AdmissionConfig | None = None,
     ) -> None:
         super().__init__(network, directory_id, ring, node_id)
-        # Admission needs a measurable queue: with no routing-capacity
-        # model every message dispatches at arrival and depth is always
-        # zero, so the gate would never trip anyway.
         if route_rate is not None:
-            self._serve_through(ServiceQueue(network.clock, route_rate, self._work), admission)
+            self._serve_through(ServiceQueue(network.clock, route_rate, self._work), None)
         network.attach_gateway(self)
 
     # ----- network glue -----------------------------------------------------------
@@ -95,33 +82,20 @@ class GatewayNode(Gateway):
         control = self._CONTROL.get(kind)
         if control is not None:
             getattr(self, control)(message.payload or {})
-        elif (
-            self.queue is not None
-            and kind in self._QUEUED
-            and not (kind == MessageKind.LEAVE and self._is_monitor_leave(message))
-        ):
-            # Only client-originated kinds face admission lanes: ROUTE
-            # envelopes from shards are responses already paid for, and
-            # shedding them would strand acked server state.
-            self._submit(
-                message.sender, kind, message.payload or {}, message,
-                gated=kind != MessageKind.ROUTE,
-            )
+        elif self.queue is not None and kind in self._HANDLERS:
+            # Everything the core serves pays routing capacity: what it
+            # routes, what it forwards, what its telemetry channel answers.
+            self._submit(message.sender, kind, message.payload or {}, message)
         else:
             Gateway.receive(self, message)
 
     def _serve(self, message: Message) -> None:
         Gateway.receive(self, message)
 
-    def _bounce(self, sender: str, body: dict[str, Any]) -> None:
-        self._send_if_present(sender, MessageKind.RETRY_AFTER, body)
-
     def stats(self) -> dict[str, Any]:
         base = super().stats()
         if self.queue is not None:
             base["queue_max_pending"] = self.queue.max_pending
-        if self.admission is not None:
-            base["admission"] = self.admission.stats()
         return base
 
 

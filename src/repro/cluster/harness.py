@@ -78,7 +78,6 @@ class ClusterHarness:
             self.ring,  # the room→shard ring: JOINs route by doc id
             gateway_id,
             route_rate=self.config.route_rate,
-            admission=self.config.admission,
         )
         self.directory.register_gateway(gateway)
         for shard_id in self.shards:

@@ -47,14 +47,15 @@ class ServiceNode(ClusterNode):
     """A node that serves traffic until it dies.
 
     Subclasses name themselves (``role``: the crash event and its
-    label), their queue wait (``queue_hop``) and their admission events
-    (``admission_events`` prefix), and supply :meth:`_serve` and
-    :meth:`_bounce`.
+    label) and their queue wait (``queue_hop``), and supply
+    ``_serve(item)``, one queued item's work. A node with admission
+    control (a shard) also names its admission events
+    (``admission_events`` prefix) and supplies ``_bounce(sender, body)``,
+    which returns a shed op's ``RETRY_AFTER`` body to its sender.
     """
 
     role: str
     queue_hop: str
-    admission_events: str
 
     def __init__(self, node_id: str, network: SimulatedNetwork, directory_id: str) -> None:
         super().__init__(node_id, network)
@@ -105,27 +106,16 @@ class ServiceNode(ClusterNode):
             )
             queue.on_drain = self.admission.pump
 
-    def _serve(self, item: Any) -> None:
-        """Do one queued item's work."""
-        raise NotImplementedError
-
-    def _bounce(self, sender: str, body: dict[str, Any]) -> None:
-        """Return a shed op's ``RETRY_AFTER`` *body* to its sender."""
-        raise NotImplementedError
-
-    def _submit(
-        self, sender: str, kind: str, payload: Any, item: Any, gated: bool = True
-    ) -> None:
+    def _submit(self, sender: str, kind: str, payload: Any, item: Any) -> None:
         """Admit *item* — one message of *kind* from *sender* — and queue it.
 
         Accept / park a JOIN until the queue drains / bounce a data op
         with ``RETRY_AFTER`` / forget a leaving session's shed floor.
-        *gated* is false for traffic that is not a client's request.
         """
         dtrace = self._dtrace
         ctx = dtrace.current() if dtrace.enabled else None
         admission = self.admission
-        if admission is not None and gated:
+        if admission is not None:
             is_dict = isinstance(payload, dict)
             session_id = payload.get("session_id") if is_dict else None
             decision = admission.admit(

@@ -5,12 +5,13 @@ A shard is a backbone node on the simulated network. It receives
 message to its interaction server through a bounded-capacity service
 queue (the knob that makes scale-out measurable: one shard saturates at
 ``service_rate`` ops/second, two shards at twice that), and routes every
-server response back through the gateway. Successful room ops are
-appended to a per-replica :class:`ShipLog` and shipped as ``REPLICATE``
-batches over backbone peer links; inbound ``REPLICATE`` entries log
-into standby :class:`ReplicaState` mirrors (no outbox, no store writes,
-replay deferred), which a ``PROMOTE`` order catches up and turns into
-live servers with an outbox that routes through the gateways.
+server response back through the gateway. Room ops the server applied
+(its ``receive`` names the session it served, or ``None`` for a
+refusal) are appended to a per-replica :class:`ShipLog` and shipped as
+``REPLICATE`` batches over backbone peer links; inbound ``REPLICATE``
+entries log into standby :class:`ReplicaState` mirrors (no outbox, no
+store writes, replay deferred), which a ``PROMOTE`` order catches up and
+turns into live servers with an outbox that routes through the gateways.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class ShardServer(ServiceNode):
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
         self._promoted: dict[str, InteractionServer] = {}
-        self._session_doc: dict[str, str] = {}        # session -> sharding key
         #: op history per room key since the room last opened — streamed to
         #: a replica the first time it is asked to mirror that room, so a
         #: replica assigned mid-conference (the ring moves after a node
@@ -152,7 +152,6 @@ class ShardServer(ServiceNode):
         #: highest op_seq applied per session — replayed client ops after
         #: a gateway failover dedup here (at-least-once → exactly-once).
         self._op_seen: dict[str, int] = {}
-        self._capture: list[tuple[str, Any]] | None = None
         self._failpoints = get_failpoints()
         registry = obs.get_registry()
         self._m_repl_ops = registry.counter_family(
@@ -209,21 +208,29 @@ class ShardServer(ServiceNode):
                     target.resync_session(session_id)
                 return
         target = self._server_for(kind, payload)
-        self._capture = []
-        try:
-            target.receive(
-                Message(
-                    sender=sender_node, recipient=self.node_id,
-                    kind=kind, payload=payload, size_bytes=0,
-                )
+        op = REPLICATED_OPS.get(kind)
+        # Read before serving: a LEAVE drops the session (and may close the room).
+        room_key = None if op is None or session_id is None else target.doc_of(session_id)
+        served = target.receive(
+            Message(
+                sender=sender_node, recipient=self.node_id,
+                kind=kind, payload=payload, size_bytes=0,
             )
-        finally:
-            captured, self._capture = self._capture, None
-        if any(k == MessageKind.ERROR for k, _ in captured):
-            return
+        )
+        if served is None:
+            return  # refused: the client got an ERROR and nothing applied
         if session_id is not None and op_seq is not None:
             self._op_seen[session_id] = op_seq
-        self._replicate_op(sender_node, kind, payload, captured)
+        if op == "join":
+            data = {
+                "session_id": served,
+                "room_id": target.session(served).room_id,
+                "viewer_id": payload["viewer_id"],
+                "node_id": sender_node,
+            }
+            self._replicate_op(payload["doc_id"], op, data)
+        elif room_key is not None:  # None: read-only traffic (fetches)
+            self._replicate_op(room_key, op, dict(payload))
 
     def _server_for(self, kind: str, payload: dict[str, Any]) -> InteractionServer:
         """Pick the serving instance: the primary, or a promoted takeover."""
@@ -252,8 +259,6 @@ class ShardServer(ServiceNode):
 
     def route_to_client(self, recipient: str, frame: Frame) -> None:
         """Wrap one server→client frame into a ROUTE envelope to the gateway."""
-        if self._capture is not None:
-            self._capture.append((frame.kind, frame.payload))
         self._send_clientbound(recipient, frame, frame.size_bytes, attempt=0)
 
     def _send_clientbound(
@@ -301,36 +306,8 @@ class ShardServer(ServiceNode):
 
     # ----- replication: primary side ------------------------------------------------
 
-    def _replicate_op(
-        self,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-        captured: list[tuple[str, Any]],
-    ) -> None:
-        op = REPLICATED_OPS.get(kind)
-        if op is None:
-            return  # read-only traffic (fetches, monitor)
-        if op == "join":
-            ack = next((p for k, p in captured if k == MessageKind.JOIN_ACK), None)
-            if ack is None:
-                return  # monitor LEAVE etc. never produce a join ack
-            room_key = payload["doc_id"]
-            data = {
-                "session_id": ack["session_id"],
-                "room_id": ack["room_id"],
-                "viewer_id": payload["viewer_id"],
-                "node_id": sender_node,
-            }
-            self._session_doc[ack["session_id"]] = room_key
-        else:
-            session_id = payload["session_id"]
-            room_key = self._session_doc.get(session_id)
-            if room_key is None:
-                return  # session unknown to the cluster tier (monitor session)
-            data = dict(payload)
-            if op == "leave":
-                self._session_doc.pop(session_id, None)
+    def _replicate_op(self, room_key: str, op: str, data: dict[str, Any]) -> None:
+        """Ship one applied op of *room_key*'s room to its live replicas."""
         now = self.network.clock.now
         history = self._history_of(room_key, op, data)
         for replica_id in self.replicas_for(room_key):
@@ -492,12 +469,7 @@ class ShardServer(ServiceNode):
                 if op_seq is not None and entry_session is not None:
                     if op_seq > self._op_seen.get(entry_session, 0):
                         self._op_seen[entry_session] = op_seq
-            for session_id in server.session_ids:
-                session = server.session(session_id)
-                if session.room_id is not None:
-                    room = server.room(session.room_id)
-                    self._session_doc[session_id] = room.document.doc_id
-                    sessions += 1
+            sessions = sum(server.session(s).in_room for s in server.session_ids)
         self._m_promotions.inc()
         self._send_framed(
             self.directory_id, MessageKind.ACK,

@@ -147,14 +147,14 @@ class InteractionServer:
                 "server.sessions_connected",
                 "server.rooms_open",
                 "server.room_occupancy",
-                "server.monitors_connected",
             )
         ]
         for gauge in gauges:
             gauge.set(0)
-        self._g_sessions, self._g_rooms, self._g_occupancy, self._g_monitors = gauges
-        #: Telemetry monitors: pushed metric diffs + buffered events.
-        self.telemetry = TelemetryChannel(node_id, self._now, self._send_body)
+        self._g_sessions, self._g_rooms, self._g_occupancy = gauges
+        #: Telemetry monitors (pushed metric diffs + buffered events), on
+        #: the hub only: a monitor reaches a cluster through a gateway.
+        self.telemetry: TelemetryChannel | None = None
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
@@ -165,6 +165,7 @@ class InteractionServer:
                 if network.has_node(recipient):  # else detached mid-window
                     network.send(node_id, recipient, frame)
             self.outbox = Outbox(network.clock, transmit, node_id, batch_window_s)
+            self.telemetry = TelemetryChannel(node_id, self._now, self._send_body)
 
     # ----- sessions -----------------------------------------------------------------
 
@@ -189,12 +190,6 @@ class InteractionServer:
         return session
 
     def disconnect_session(self, session_id: str) -> None:
-        if session_id in self.telemetry.monitors:
-            # Monitors connect through the same protocol surface; a
-            # generic disconnect must tear down their telemetry hooks,
-            # not error out on the regular session table.
-            self.disconnect_monitor(session_id)
-            return
         session = self._session(session_id)
         # Persist the viewer profile before leaving: room exit may close
         # the room and fire observers that expect the profile on disk.
@@ -238,6 +233,14 @@ class InteractionServer:
     def hosts_document(self, doc_id: str) -> bool:
         """True while a room is open on *doc_id*."""
         return doc_id in self._rooms_by_doc
+
+    def doc_of(self, session_id: str) -> str | None:
+        """The document open in *session_id*'s room (``None``: no such
+        session, or in no room) — the key a cluster shards the room by."""
+        session = self._sessions.get(session_id)
+        if session is None or session.room_id is None:
+            return None
+        return self._rooms[session.room_id].document.doc_id
 
     def open_room(self, doc_id: str, room_id: str | None = None) -> Room:
         """Bring a document from the database into a (new or existing) room.
@@ -732,26 +735,6 @@ class InteractionServer:
             self.outbox.send([session.node_id for session in targets], frame)
         return len(targets)
 
-    # ----- telemetry monitors ----------------------------------------------------------
-
-    def connect_monitor(self, viewer_id: str, node_id: str | None = None) -> Session:
-        """Register a telemetry monitor session on this server's
-        :class:`~repro.server.telemetry.TelemetryChannel`."""
-        session = self.telemetry.connect(
-            viewer_id, node_id if node_id is not None else viewer_id
-        )
-        self._g_monitors.set(len(self.telemetry.monitors))
-        return session
-
-    def disconnect_monitor(self, session_id: str) -> None:
-        if self.telemetry.disconnect(session_id) is None:
-            raise ServerError(f"unknown monitor session {session_id!r}")
-        self._g_monitors.set(len(self.telemetry.monitors))
-
-    @property
-    def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self.telemetry.monitors)
-
     def _send_body(self, recipient: str, kind: str, body: Any) -> None:
         """Encode one body for one recipient (an ack, an error, a
         telemetry push) and send it — or encode nothing at all on a
@@ -803,7 +786,7 @@ class InteractionServer:
         return {
             "sessions": len(self._sessions),
             "rooms": len(self._rooms),
-            "monitors": len(self.telemetry.monitors),
+            "monitors": len(self.telemetry.monitors) if self.telemetry is not None else 0,
             "viewers_in_rooms": sum(len(r.viewer_ids) for r in self._rooms.values()),
             "frozen_components": sum(
                 1
@@ -818,39 +801,48 @@ class InteractionServer:
 
     # ----- network glue ------------------------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        """Dispatch one protocol message from a client node."""
-        payload = message.payload or {}
+    def receive(self, message: Message) -> str | None:
+        """Dispatch one protocol message from a client node; return the id
+        of the session it was served for (a JOIN's new one), or ``None``
+        if it was refused with an ``ERROR`` or was the telemetry channel's."""
+        kind, payload, telemetry = message.kind, message.payload or {}, self.telemetry
         try:
-            self.apply_session_op(message.kind, payload, message.sender)
+            if telemetry is not None and kind in telemetry.KINDS:
+                if telemetry.answer(message.sender, kind, payload):
+                    return None
+            return self.apply_session_op(kind, payload, message.sender)
         except Exception as exc:  # protocol errors go back to the client
-            if self.outbox is not None:
-                body = {"error": type(exc).__name__, "detail": str(exc)}
-                self._send_body(message.sender, MessageKind.ERROR, body)
-            else:
+            if self.outbox is None:
                 raise
+            body = {"error": type(exc).__name__, "detail": str(exc)}
+            self._send_body(message.sender, MessageKind.ERROR, body)
+            return None
         finally:
             # Telemetry rides on server activity (a scheduled tick would
             # keep the simulated clock alive forever); the interval
             # throttle bounds the cost under load.
-            self.telemetry.push(force=False)
+            if telemetry is not None:
+                telemetry.push(force=False)
 
     def apply_session_op(
         self, kind: str, payload: dict[str, Any], sender_node: str | None = None
-    ) -> None:
+    ) -> str:
         """Apply one client message: look its row up in the protocol
-        table, take the handler's arguments out of *payload*, call it.
-        Also how a standby replays its primary's ops (everything but
-        JOIN, whose ids a replay must force)."""
+        table, take the handler's arguments out of *payload*, call it;
+        return the id of the session it acted on. Also how a standby
+        replays its primary's ops (everything but JOIN, whose ids a
+        replay must force)."""
         row = PROTOCOL.get(kind)
         if row is None:
             raise ServerError(f"unknown message kind {kind!r}")
         args, kwargs = row.bind(payload)
         if row.opens_session:
             kwargs["node_id"] = sender_node
+            return getattr(self, row.handler)(*args, **kwargs)
         getattr(self, row.handler)(*args, **kwargs)
+        return args[0]  # every other row names its session first
 
-    def _on_join(self, viewer_id: str, doc_id: str, node_id: str) -> None:
+    def _on_join(self, viewer_id: str, doc_id: str, node_id: str) -> str:
         session = self.connect_session(viewer_id, node_id=node_id)
         room, spec = self.join_room(session.session_id, doc_id)
         body = {
@@ -868,14 +860,12 @@ class InteractionServer:
             ],
         }
         self._send_body(node_id, MessageKind.JOIN_ACK, body)
+        return session.session_id
 
     def _on_monitor(self, viewer_id: str, node_id: str) -> None:
-        session = self.connect_monitor(viewer_id, node_id=node_id)
-        self._send_body(
-            node_id,
-            MessageKind.MONITOR_ACK,
-            {"session_id": session.session_id, "interval": self.telemetry.interval},
-        )
+        """A ``MONITOR`` the telemetry channel did not answer: this server
+        has none (a shard's, a standby's; a gateway answers for them)."""
+        raise ServerError(f"{self.node_id!r} hosts no telemetry channel")
 
     def _on_fetch_payload(
         self,

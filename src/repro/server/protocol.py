@@ -161,6 +161,8 @@ _ROWS = (
         MessageKind.ANNOTATE, "handle_annotation", _ON_COMPONENT,
         {"annotation": "annotation"}, op="annotation", traced=True,
     ),
+    # Answered by its host's telemetry channel before any dispatch; the
+    # handler refuses it on a server that has none.
     KindSpec(MessageKind.MONITOR, "_on_monitor", ("viewer_id",), lane=LANE_CONTROL),
     # Interest is room state: a promoted replica must keep filtering
     # exactly where the dead primary left off, so subscription changes

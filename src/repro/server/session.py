@@ -13,11 +13,9 @@ class Session:
 
     ``node_id`` is the network address; ``viewer_id`` the human identity
     used for permissions and per-viewer presentation state. A session is
-    in at most one room at a time (matching the prototype's GUI).
-
-    ``kind`` distinguishes ordinary interactive clients from telemetry
-    monitors — monitor sessions receive metric/event telemetry pushes
-    instead of presentation traffic.
+    in at most one room at a time (matching the prototype's GUI). A
+    telemetry monitor's session is one too, kept by its host's
+    :class:`~repro.server.telemetry.TelemetryChannel`, never in a room.
     """
 
     session_id: str
@@ -25,7 +23,6 @@ class Session:
     node_id: str
     room_id: str | None = field(default=None, init=False)
     told: dict[str, Told] = field(default_factory=dict, init=False)
-    kind: str = "interactive"
 
     @property
     def in_room(self) -> bool:

@@ -4,7 +4,8 @@ A monitor session receives metric-diff snapshots (``TELEMETRY``) and
 flight-recorder events (``TELEMETRY_EVENT``), pushed when its host — the
 single interaction server, or a cluster gateway — says so: after its own
 activity, because a scheduled tick would keep the simulated clock alive
-forever.
+forever. The channel answers its own protocol: a host hands it its
+:attr:`~TelemetryChannel.KINDS` first and serves only what it leaves.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro import obs
-from repro.server.protocol import MessageKind
+from repro.server.protocol import PROTOCOL, MessageKind
 from repro.server.session import Session
 from repro.util.ids import IdGenerator
 
 
 class TelemetryChannel:
     """Monitor sessions of one host and what is owed to them."""
+
+    #: the kinds :meth:`answer` may claim: a host asks about no other.
+    KINDS = frozenset({MessageKind.MONITOR, MessageKind.LEAVE})
 
     def __init__(
         self,
@@ -38,30 +42,31 @@ class TelemetryChannel:
         #: minimum clock seconds between unforced pushes (0 = every one).
         self.interval: float = 0.0
 
-    def connect(self, viewer_id: str, node_id: str) -> Session:
-        session = Session(
-            session_id=self._ids.next("monitor"),
-            viewer_id=viewer_id,
-            node_id=node_id,
-            kind="monitor",
-        )
+    def answer(self, sender: str, kind: str, payload: dict[str, Any]) -> bool:
+        """Serve one message if it is the channel's: a ``MONITOR`` opens a
+        monitor session for *sender* and acks it, a ``LEAVE`` naming one
+        of its sessions closes it. ``False``: the host's to serve."""
+        if kind == MessageKind.MONITOR:
+            PROTOCOL[kind].require(payload)
+            if not self.monitors:
+                # Lazy subscribe: a host without monitors costs the recorder
+                # nothing, and a dead host accumulates no pending events.
+                self._events.subscribe(self._on_event)
+                self.baseline = self._registry.snapshot()
+            session = Session(self._ids.next("monitor"), payload["viewer_id"], sender)
+            self.monitors[session.session_id] = session
+            ack = {"session_id": session.session_id, "interval": self.interval}
+            self._send(sender, MessageKind.MONITOR_ACK, ack)
+            return True
+        if kind != MessageKind.LEAVE or self.monitors.pop(payload.get("session_id"), None) is None:
+            return False  # not the channel's: a room session's LEAVE, say
         if not self.monitors:
-            # Lazy subscribe: a host without monitors costs the recorder
-            # nothing, and a dead host accumulates no pending events.
-            self._events.subscribe(self._on_event)
-            self.baseline = self._registry.snapshot()
-        self.monitors[session.session_id] = session
-        return session
-
-    def disconnect(self, session_id: str) -> Session | None:
-        """Drop one monitor (``None`` if unknown); the last one out
-        takes the event-log hook, the backlog and the baseline along."""
-        monitor = self.monitors.pop(session_id, None)
-        if not self.monitors:
+            # The last one out takes the event-log hook, the backlog and
+            # the baseline along.
             self._events.unsubscribe(self._on_event)
             self.pending_events.clear()
             self.baseline = None
-        return monitor
+        return True
 
     def _on_event(self, event: Any) -> None:
         self.pending_events.append(event.to_dict())

@@ -144,7 +144,7 @@ class TestSessionRouting:
         monitor = harness.add_monitor("ops")
         harness.run()
         assert monitor.session_id is not None
-        assert monitor.session_id in harness.gateways["gw-1"].monitor_ids
+        assert monitor.session_id in harness.gateways["gw-1"].telemetry.monitors
         # Monitors talk to the cluster tier, not to any one shard.
         assert harness.gateways["gw-1"].shard_of_session(monitor.session_id) is None
 

@@ -363,3 +363,40 @@ class TestStandbyAndStore:
         standby = harness.shards[replica_id].standby_for(owner)
         assert room_state(standby.server) == room_state(primary.server)
         db.close()
+
+
+class TestOnlyAppliedOpsReplicate:
+    """A shard replicates what its server says it applied, not what the
+    frames it routes suggest: a refused op never reaches the standby,
+    and a JOIN ships the ids the server minted, with the batch window
+    off or holding frames back."""
+
+    @pytest.mark.parametrize("window", [0.0, 0.02])
+    def test_a_rejected_op_is_not_replicated(self, tmp_path, fresh_obs, window):
+        db = Database(str(tmp_path / "db"))
+        store = MultimediaObjectStore(db)
+        record = record_for(store)
+        harness = ClusterHarness(store, ClusterConfig(shards=2, batch_window_s=window))
+        client = harness.add_client("lee", auto_fetch=False)
+        client.join(record.doc_id)
+        harness.run()
+        primary = harness.shards[harness.owner_of(record.doc_id)]
+        (standby,) = (
+            state
+            for shard in harness.shards.values()
+            if (state := shard.standby_for(primary.node_id)) is not None
+        )
+        (join,) = standby.applied_log
+        session = primary.server.session(client.session_id)
+        assert (join.op, join.room_key) == ("join", record.doc_id)
+        assert join.data["session_id"] == client.session_id == session.session_id
+        assert join.data["room_id"] == client.room_id == session.room_id
+        assert client.session_id.startswith(f"{primary.node_id}:")
+        seen = primary._op_seen.get(client.session_id, 0)
+
+        client.choose(primitive_paths(record)[0], "no-such-value")
+        harness.run()
+        assert len(client.errors) == 1
+        assert [entry.op for entry in standby.applied_log] == ["join"]
+        assert primary._op_seen.get(client.session_id, 0) == seen
+        db.close()

@@ -173,17 +173,29 @@ def test_departed_session_leaves_no_trace_residue(obs_sandbox, tmp_path):
 
 
 def test_disconnect_session_also_handles_monitor_sessions(obs_sandbox, tmp_path):
-    """Regression: a monitor session disconnects through the same entry."""
+    """Regression: a monitor session disconnects through the same entry
+    as a room session — a ``LEAVE`` into ``receive`` — and is not
+    refused as an unknown room session."""
     from repro.document import build_sample_medical_record
+    from repro.net.message import Message
+    from repro.server.protocol import MessageKind
 
     db = Database(str(tmp_path / "db"))
     store = MultimediaObjectStore(db)
     store.store_document(build_sample_medical_record())
     try:
         server = InteractionServer(store, network=SimulatedNetwork())
-        monitor = server.connect_monitor("ops")
-        assert monitor.session_id in server.monitor_ids
-        server.disconnect_session(monitor.session_id)
-        assert monitor.session_id not in server.monitor_ids
+        sent = []
+        server.outbox.send = lambda recipients, frame: sent.append(frame.kind)
+
+        def deliver(kind, payload):
+            return server.receive(Message("ops", "server", kind, payload))
+
+        assert deliver(MessageKind.MONITOR, {"viewer_id": "ops"}) is None
+        (session_id,) = server.telemetry.monitors
+        assert deliver(MessageKind.LEAVE, {"session_id": session_id}) is None
+        assert server.telemetry.monitors == {}
+        # The ack and the push riding on the MONITOR; no ERROR for the LEAVE.
+        assert sent == [MessageKind.MONITOR_ACK, MessageKind.TELEMETRY]
     finally:
         db.close()

@@ -1,8 +1,10 @@
 """The one telemetry channel, on both of its hosts.
 
 The single interaction server and a cluster gateway each delegate their
-monitor sessions to a :class:`repro.server.telemetry.TelemetryChannel`;
-the same lifecycle must hold on either: lazy event-log subscribe,
+monitor sessions to a :class:`repro.server.telemetry.TelemetryChannel`,
+which answers the monitor protocol itself; the same behaviour must hold
+on either host: the same refusal of a malformed ``MONITOR``, a monitor's
+``LEAVE`` answered by the channel alone, lazy event-log subscribe,
 baseline snapshot, pushes riding on host activity under the interval
 throttle, and full teardown when the last monitor leaves."""
 
@@ -12,6 +14,7 @@ from repro.client import ClientModule, TelemetryMonitor
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.net import SimulatedNetwork
 from repro.server import InteractionServer
+from repro.server.protocol import MessageKind
 
 DOC = "record-17"
 
@@ -105,3 +108,34 @@ def test_channel_lifecycle(rig, host):
     assert listeners == []
     assert channel.pending_events == []
     assert channel.baseline is None
+
+
+@pytest.mark.parametrize("host", [_server_hub, _gateway], ids=["server", "gateway"])
+def test_the_channel_answers_its_own_protocol(rig, host):
+    store, _ = rig
+    channel, network, add_monitor, add_client = host(store)
+    client = add_client("lee")
+    client._dispatch(MessageKind.MONITOR, {})
+    network.run()
+    assert client.errors == [
+        {"error": "ProtocolError", "detail": "'monitor' message lacks required field 'viewer_id'"}
+    ]
+    assert channel.monitors == {}
+
+    monitor = add_monitor()
+    monitor.connect()
+    network.run()
+    assert monitor.session_id in channel.monitors
+    sent = []
+    real_send = network.send
+
+    def recording_send(sender, recipient, frame):
+        sent.append((sender, frame.kind))
+        return real_send(sender, recipient, frame)
+
+    network.send = recording_send
+    monitor.disconnect()
+    network.run()
+    # The LEAVE is the only frame: no ROUTE to a shard, no ERROR back.
+    assert sent == [(monitor.node_id, MessageKind.LEAVE)]
+    assert channel.monitors == {}

@@ -2,7 +2,9 @@
 
 A name is *written* where a string literal is the first argument of
 ``counter`` / ``gauge`` / ``histogram`` (or their ``_family`` forms), or of
-``emit`` / ``_emit``. It is *read* where the same name appears, by itself or
+``emit`` / ``_emit`` — or where that argument is the variable of a ``for``
+loop or comprehension over a literal tuple or list of strings, which
+writes each of them. It is *read* where the same name appears, by itself or
 followed by a label set (``name{label=value}``), in a string the program
 uses rather than documents:
 
@@ -53,6 +55,38 @@ def _docstrings(tree: ast.AST) -> set[int]:
     }
 
 
+def _loop_bound(tree: ast.AST) -> dict[int, list[ast.Constant]]:
+    """id of each call whose first argument is the variable of a ``for``
+    loop or comprehension over literal strings -> those strings."""
+    bound: dict[int, list[ast.Constant]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            loops, scope = [(node.target, node.iter)], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            loops, scope = [(g.target, g.iter) for g in node.generators], [node]
+        else:
+            continue
+        for target, iterable in loops:
+            if not (
+                isinstance(target, ast.Name)
+                and isinstance(iterable, (ast.Tuple, ast.List))
+                and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in iterable.elts
+                )
+            ):
+                continue
+            for inner in (n for part in scope for n in ast.walk(part)):
+                if (
+                    isinstance(inner, ast.Call)
+                    and inner.args
+                    and isinstance(inner.args[0], ast.Name)
+                    and inner.args[0].id == target.id
+                ):
+                    bound[id(inner)] = list(iterable.elts)
+    return bound
+
+
 def scan(source: str, *, src: bool = True) -> tuple[dict[str, str], list[str]]:
     """Return ``({name: "series" | "event"}, reader strings)`` for *source*.
 
@@ -61,22 +95,27 @@ def scan(source: str, *, src: bool = True) -> tuple[dict[str, str], list[str]]:
     test that calls ``registry.counter(name)`` reads that counter.
     """
     tree = parse(source)
+    bound = _loop_bound(tree)
     written: dict[str, str] = {}
     sites: set[int] = set()
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and node.args):
             continue
-        first = node.args[0]
-        if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-            continue
         call = _call_name(node)
         if call in WRITE_CALLS:
-            written[first.value] = "series"
+            kind = "series"
         elif call in EMIT_CALLS:
-            written[first.value] = "event"
+            kind = "event"
         else:
             continue
-        sites.add(id(first))
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            names = [first]
+        else:
+            names = bound.get(id(node), [])
+        for name in names:
+            written[name.value] = kind
+            sites.add(id(name))
     skip = _docstrings(tree) | (sites if src else set())
     strings = [
         node.value
@@ -158,4 +197,21 @@ def test_a_longer_name_does_not_read_its_prefix():
     source = 'registry.counter("synthetic.compile").inc()\n'
     assert unread({"a.py": source}, ["synthetic.compiled.total", "synthetic.compile_s"]) == {
         "synthetic.compile": "series"
+    }
+
+
+def test_a_loop_over_literal_names_writes_each_of_them():
+    source = (
+        "gauges = [\n"
+        "    registry.gauge_family(name, ('node',))\n"
+        "    for name in ('synthetic.looped', 'synthetic.looped_read')\n"
+        "]\n"
+        "for name in ['synthetic.event_looped']:\n"
+        "    log.emit(name)\n"
+        "for name in names:  # not literal: nothing to resolve\n"
+        "    registry.counter(name)\n"
+    )
+    assert unread({"a.py": source}, ["synthetic.looped_read{node=a}"]) == {
+        "synthetic.event_looped": "event",
+        "synthetic.looped": "series",
     }

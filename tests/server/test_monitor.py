@@ -15,6 +15,7 @@ from repro.document import build_sample_medical_record
 from repro.net import Link, SimulatedNetwork
 from repro.obs import render_dashboard
 from repro.server import InteractionServer
+from repro.server.telemetry import TelemetryChannel
 from repro.server.protocol import MessageKind
 
 MBPS = 1_000_000
@@ -75,7 +76,7 @@ class TestMonitorRegistration:
         network.run()
         assert monitor.session_id is not None
         assert monitor.interval == server.telemetry.interval
-        assert monitor.session_id in server.monitor_ids
+        assert monitor.session_id in server.telemetry.monitors
         assert server.stats()["monitors"] == 1
         db.close()
 
@@ -86,23 +87,33 @@ class TestMonitorRegistration:
         network.run()
         monitor.disconnect()
         network.run()
-        assert server.monitor_ids == ()
+        assert server.telemetry.monitors == {}
         assert server.stats()["monitors"] == 0
         db.close()
 
     def test_direct_mode_connect_and_push(self, tmp_path, fresh_obs):
         db = Database(str(tmp_path / "db"))
         store = MultimediaObjectStore(db)
-        store.store_document(build_sample_medical_record())
-        server = InteractionServer(store)
-        session = server.connect_monitor("ops", node_id="ops-node")
-        assert session.kind == "monitor"
-        # Direct mode has no network to push over, but the push still
-        # counts its audience and drains the pending-event buffer.
-        assert server.telemetry.push(True) == 1
-        server.disconnect_monitor(session.session_id)
-        assert server.telemetry.push(True) == 0
+        # No monitor can reach a server without a network (a shard's, a
+        # standby's): it builds no channel and pushes nothing.
+        assert InteractionServer(store).telemetry is None
         db.close()
+        # The channel itself needs only a clock and a way of sending: the
+        # push counts its audience and drains the pending-event buffer.
+        sent = []
+        channel = TelemetryChannel("hub", lambda: 0.0, lambda *frame: sent.append(frame))
+        assert channel.answer("ops-node", MessageKind.MONITOR, {"viewer_id": "ops"})
+        (session_id, session), = channel.monitors.items()
+        assert (session.viewer_id, session.node_id) == ("ops", "ops-node")
+        assert sent == [
+            ("ops-node", MessageKind.MONITOR_ACK, {"session_id": session_id, "interval": 0.0})
+        ]
+        assert channel.push(True) == 1
+        assert channel.answer("ops-node", MessageKind.LEAVE, {"session_id": session_id})
+        assert channel.push(True) == 0
+        # A LEAVE naming no monitor session, and any other kind, are the host's.
+        assert not channel.answer("ops-node", MessageKind.LEAVE, {"session_id": session_id})
+        assert not channel.answer("ops-node", MessageKind.CHOICE, {"session_id": session_id})
 
 
 class TestTelemetryDelivery:

@@ -36,7 +36,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1152,
-    "cluster": 2672,
+    "cluster": 2587,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
@@ -47,7 +47,7 @@ LINE_BUDGET = {
     "prefetch": 167,
     "presentation": 943,
     "retrieval": 769,
-    "server": 1724,
+    "server": 1718,
     "util": 279,
     "workloads": 1297,
 }
@@ -182,7 +182,7 @@ def test_the_chain_check_sees_both_spellings():
 #: Python-level calls (``sys.setprofile`` "call" events) of the 3x3 rooms
 #: conference, joins to quiescence. A change that lowers the count lowers
 #: the ceiling with it; one that needs more says why in CHANGES.md.
-ROOMS_CALL_CEILING = 50_300
+ROOMS_CALL_CEILING = 44_400
 
 
 def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
@@ -198,8 +198,11 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     queues are unrated: nothing waits); the client's one on-screen check
     per arriving payload, shared by its reply and shed-retry paths,
     brought it to 48,476; sends that take one frame and read its size
-    instead of re-deriving it brought it to 48,131. The ceiling sits
-    under 5% above that."""
+    instead of re-deriving it brought it to 48,131; a standby that replays
+    its log only when it must brought it to 42,862; a shard that asks its
+    server whether an op applied, instead of recording every frame it
+    routes, and no telemetry channel on a server no monitor can reach
+    brought it to 42,330. The ceiling sits under 5% above that."""
     calls = 0
 
     def count(frame, event, arg):

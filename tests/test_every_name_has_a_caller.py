@@ -88,9 +88,6 @@ ALLOWLIST: dict[str, str] = {
     "tests/cluster/test_gateway_routing.py, test_failover.py",
     "repro.cluster.admission.AdmissionController.shed_floor": "shed floor per session: "
     "tests/cluster/test_admission.py",
-    "repro.cluster.gateway.Gateway.monitor_ids": "monitors attached: tests/server/test_monitor.py",
-    "repro.server.interaction.InteractionServer.monitor_ids": "monitors attached: "
-    "tests/server/test_monitor.py",
     "repro.obs.metrics.MetricsRegistry.families": "ROADMAP item 1(iii) label residue: "
     "tests/server/test_interaction.py",
     "repro.obs.metrics.NullRegistry.families": "NullRegistry parity: "
@@ -107,7 +104,7 @@ ALLOWLIST: dict[str, str] = {
     "tests/net/test_reliable.py",
 }
 
-ALLOWLIST_SIZE = 39
+ALLOWLIST_SIZE = 37
 
 #: ``module.Qualname`` -> (``("Class", "method")`` path in the module, lines)
 Definitions = dict[str, tuple[tuple[str, ...], int]]
