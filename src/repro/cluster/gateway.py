@@ -30,7 +30,7 @@ from repro import obs
 from repro.errors import ClusterError
 from repro.cluster.node import ServiceNode
 from repro.cluster.ring import HashRing
-from repro.cluster.wire import encode_shardbound
+from repro.cluster.wire import ClientBound, ShardBound, encode_shardbound
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
@@ -266,30 +266,27 @@ class Gateway(ServiceNode):
         Shard-bound ROUTE envelopes get one more chance through the
         routing retry path — by the time the transport retry budget is
         exhausted, failover has usually re-homed the session to a live
-        shard, so re-resolving the route recovers the op. The error
-        carries the envelope's wrapper but not its frame, so the op is
-        encoded afresh. Client-bound traffic is dropped with a WARN (the
-        client is gone or hopeless).
+        shard, so re-resolving the route recovers the op. The op is
+        encoded afresh: the client's frame was encoded on its uplink's
+        string table, which the retry's shard never saw. Client-bound
+        traffic is dropped with a WARN (the client is gone or hopeless).
         """
         self._emit(
             "gateway.delivery_failed", severity="WARN",
             recipient=error.recipient, kind=error.kind, reason=error.reason,
         )
-        wrapper = error.payload
-        if (
-            error.kind == MessageKind.ROUTE
-            and isinstance(wrapper, dict)
-            and "sender" in wrapper
-        ):
-            inner = encode_message(wrapper["kind"], wrapper["payload"])
-            self._route_retry_tick(wrapper["sender"], inner, 0)
+        if error.kind == MessageKind.ROUTE:
+            routed: ShardBound = error.payload
+            inner = encode_message(routed.frame.kind, routed.frame.payload)
+            self._route_retry_tick(routed.sender, inner, 0)
 
     def _forward_to_client(self, message: Message) -> None:
-        shard_id, wrapper = message.sender, message.payload
-        to, kind = wrapper["to"], wrapper["kind"]
+        shard_id = message.sender
+        routed: ClientBound = message.payload
         # The shard rides its already-encoded inner frame inside the
         # envelope; forwarding hands the same frame to the client link.
-        inner_frame = wrapper["frame"]
+        to, inner_frame = routed.to, routed.frame
+        kind = inner_frame.kind
         dtrace = self._dtrace
         if dtrace.enabled:
             ctx = dtrace.current()
@@ -314,7 +311,7 @@ class Gateway(ServiceNode):
                 )
                 inner_frame = stamp_frame(inner_frame, advanced)
         if kind == MessageKind.JOIN_ACK:
-            inner = wrapper["payload"]
+            inner = inner_frame.payload
             self._learn_route(inner["session_id"], inner["doc_id"], shard_id)
         if not self.network.has_node(to):
             self._emit(

@@ -49,9 +49,8 @@ class ServiceNode(ClusterNode):
     Subclasses name themselves (``role``: the crash event and its
     label) and their queue wait (``queue_hop``), and supply
     ``_serve(item)``, one queued item's work. A node with admission
-    control (a shard) also names its admission events
-    (``admission_events`` prefix) and supplies ``_bounce(sender, body)``,
-    which returns a shed op's ``RETRY_AFTER`` body to its sender.
+    control (a shard) also supplies ``_bounce(sender, body)``, which
+    returns a shed op's ``RETRY_AFTER`` body to its sender.
     """
 
     role: str
@@ -128,9 +127,7 @@ class ServiceNode(ClusterNode):
             if decision.action == SHED:
                 after_s = decision.retry_after_s
                 body = retry_after_body(kind, payload, after_s, self.node_id)
-                self._emit(
-                    f"{self.admission_events}.shed", node=sender, kind=kind, after_s=after_s
-                )
+                self._emit("cluster.admission.shed", node=sender, kind=kind, after_s=after_s)
                 self._bounce(sender, body)
                 return
             if kind == MessageKind.LEAVE:
@@ -168,7 +165,7 @@ class ServiceNode(ClusterNode):
             # residue — nothing was applied, so there is nothing to
             # clean up.
             self.admission.drop_parked()
-            self._emit(f"{self.admission_events}.deferred_dropped", node=sender, kind=kind)
+            self._emit("cluster.admission.deferred_dropped", node=sender, kind=kind)
             return
         if ctx is not None:
             # The backoff is queueing on the op's critical path, not wire.

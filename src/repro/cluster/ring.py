@@ -15,20 +15,27 @@ failover path promotes.
 from __future__ import annotations
 
 import bisect
-import hashlib
+
+try:
+    # CPython's own SHA-1, the one hashlib falls back to: same digests,
+    # without loading OpenSSL's libcrypto for one hash function.
+    from _sha1 import sha1
+except ImportError:  # pragma: no cover - an interpreter without it
+    from hashlib import sha1
 
 from repro.errors import ClusterError
 
 #: Virtual points per ring member.
 VNODES = 64
 
-#: Bound on :meth:`HashRing.owner`'s memo; at the bound it starts over.
+#: Bound on the memo behind :meth:`HashRing.owner` and :meth:`HashRing.owners`;
+#: at the bound it starts over.
 OWNER_MEMO_KEYS = 1 << 16
 
 
 def ring_hash(value: str) -> int:
     """Deterministic 64-bit position of *value* on the ring."""
-    digest = hashlib.sha1(value.encode("utf-8")).digest()
+    digest = sha1(value.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -38,9 +45,10 @@ class HashRing:
     def __init__(self) -> None:
         self._nodes: set[str] = set()
         self._points: list[tuple[int, str]] = []  # sorted (position, node)
-        # key -> owner under the current membership: an assignment moves
-        # only when a node joins or leaves, and both clear this.
-        self._owner_memo: dict[str, str] = {}
+        # (key, count) -> preference list under the current membership:
+        # an assignment moves only when a node joins or leaves, and both
+        # clear this.
+        self._owners_memo: dict[tuple[str, int], tuple[str, ...]] = {}
 
     # ----- membership -----------------------------------------------------------
 
@@ -58,7 +66,7 @@ class HashRing:
         if node_id in self._nodes:
             raise ClusterError(f"node {node_id!r} is already on the ring")
         self._nodes.add(node_id)
-        self._owner_memo.clear()
+        self._owners_memo.clear()
         for index in range(VNODES):
             point = (ring_hash(f"{node_id}#{index}"), node_id)
             bisect.insort(self._points, point)
@@ -67,39 +75,42 @@ class HashRing:
         if node_id not in self._nodes:
             raise ClusterError(f"node {node_id!r} is not on the ring")
         self._nodes.discard(node_id)
-        self._owner_memo.clear()
+        self._owners_memo.clear()
         self._points = [p for p in self._points if p[1] != node_id]
 
     # ----- lookup ----------------------------------------------------------------
 
     def owner(self, key: str) -> str:
         """The node owning *key* (primary shard of that room)."""
-        owner = self._owner_memo.get(key)
-        if owner is None:
-            owner = self.owners(key, 1)[0]
-            if len(self._owner_memo) >= OWNER_MEMO_KEYS:
-                self._owner_memo.clear()
-            self._owner_memo[key] = owner
-        return owner
+        found = self._owners_memo.get((key, 1))
+        if found is None:
+            found = self.owners(key, 1)
+        return found[0]
 
-    def owners(self, key: str, count: int = 1) -> list[str]:
+    def owners(self, key: str, count: int = 1) -> tuple[str, ...]:
         """Preference list: the first *count* distinct nodes clockwise of *key*.
 
         Entry 0 is the primary, entry 1 the replica, and so on; fewer
         entries are returned when the ring has fewer nodes.
         """
+        found = self._owners_memo.get((key, count))
+        if found is not None:
+            return found
         if not self._points:
             raise ClusterError("ring has no nodes")
         if count < 1:
             raise ClusterError(f"count must be >= 1, got {count}")
         start = bisect.bisect_right(self._points, ring_hash(key), key=lambda p: p[0])
-        found: list[str] = []
+        nodes: list[str] = []
         for offset in range(len(self._points)):
             node = self._points[(start + offset) % len(self._points)][1]
-            if node not in found:
-                found.append(node)
-                if len(found) >= count:
+            if node not in nodes:
+                nodes.append(node)
+                if len(nodes) >= count:
                     break
+        if len(self._owners_memo) >= OWNER_MEMO_KEYS:
+            self._owners_memo.clear()
+        found = self._owners_memo[(key, count)] = tuple(nodes)
         return found
 
     def assignment(self, keys: list[str]) -> dict[str, str]:

@@ -24,7 +24,7 @@ from repro.cluster.admission import AdmissionConfig
 from repro.cluster.node import ServiceNode
 from repro.cluster.replication import REPLICATED_OPS, LogEntry, ReplicaState, ShipLog
 from repro.cluster.ring import HashRing
-from repro.cluster.wire import encode_clientbound
+from repro.cluster.wire import ClientBound, ShardBound, encode_clientbound
 from repro.db.orm import MultimediaObjectStore
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
@@ -104,7 +104,6 @@ class ShardServer(ServiceNode):
 
     role = "shard"
     queue_hop = HOP_SHARD_QUEUE
-    admission_events = "cluster.admission"
     #: backbone message kind -> the method that takes (sender, payload).
     _HANDLERS = {
         MessageKind.ROUTE: "_on_route",
@@ -180,17 +179,19 @@ class ShardServer(ServiceNode):
 
     # ----- client ops -------------------------------------------------------------
 
-    def _on_route(self, gateway_id: str, wrapper: dict[str, Any]) -> None:
-        self._submit(wrapper["sender"], wrapper["kind"], wrapper["payload"], wrapper)
+    def _on_route(self, gateway_id: str, routed: ShardBound) -> None:
+        frame = routed.frame
+        self._submit(routed.sender, frame.kind, frame.payload, routed)
 
     def _bounce(self, sender: str, body: dict[str, Any]) -> None:
         frame = encode_message(MessageKind.RETRY_AFTER, body)
         # Size 0 in a bounce's ROUTE header means "the frame's length" (pinned wire bytes).
         self._send_clientbound(sender, frame, 0, attempt=0)
 
-    def _serve(self, wrapper: dict[str, Any]) -> None:
+    def _serve(self, routed: ShardBound) -> None:
         """Apply one routed client message: fence replays, serve, replicate."""
-        sender_node, kind, payload = wrapper["sender"], wrapper["kind"], wrapper["payload"]
+        sender_node, frame = routed
+        kind, payload = frame.kind, frame.payload
         session_id = payload.get("session_id")
         op_seq = payload.get("op_seq")
         if session_id is not None and op_seq is not None:
@@ -428,18 +429,14 @@ class ShardServer(ServiceNode):
             "cluster.shard_delivery_failed", severity="WARN",
             recipient=error.recipient, kind=error.kind, reason=error.reason,
         )
-        wrapper = error.payload
-        if (
-            error.kind != MessageKind.ROUTE
-            or not isinstance(wrapper, dict)
-            or "to" not in wrapper
-        ):
+        if error.kind != MessageKind.ROUTE:
             return
+        routed: ClientBound = error.payload
         if self.network.has_node(error.recipient):
             for server in self.serving_servers():
-                server.forget_unseen(wrapper["to"], wrapper["kind"])
+                server.forget_unseen(routed.to, routed.frame.kind)
             return
-        self._send_clientbound(wrapper["to"], wrapper["frame"], wrapper["size"], attempt=0)
+        self._send_clientbound(routed.to, routed.frame, routed.size, attempt=0)
 
     # ----- failover ------------------------------------------------------------------
 

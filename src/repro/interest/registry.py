@@ -8,6 +8,13 @@ bidirectional dotted-prefix relation, so subscribing to a component also
 covers its operation variables and visibility changes of its enclosing
 sections, and subscribing to a section covers everything below it.
 
+Coverage is an index, not a scan: beside each explicit set the registry
+keeps the set of its entries' proper dotted ancestors, rebuilt whenever
+the explicit set is replaced. A path is then covered if it is a
+subscription, an ancestor of one, or has a subscription among its own
+proper dotted prefixes — a cost in the depth of the path, not in the
+number of subscriptions.
+
 ``tuning.*`` variables are always covered: a viewer's own bandwidth
 degradation must reach their display no matter how narrow their
 interest — otherwise a client could tune itself into a state it can
@@ -38,23 +45,40 @@ class InterestRegistry:
         #: :data:`ALL` when an unsubscribe needs to narrow it.
         self._universe: tuple[str, ...] = tuple(universe)
         self._subs: dict[str, set[str] | None] = {}
+        #: Proper dotted ancestors of each explicit set's entries (no
+        #: entry for an ALL session): the "sub is below path" half of
+        #: coverage as one set lookup.
+        self._above: dict[str, set[str]] = {}
 
     # ----- membership ---------------------------------------------------------
 
     def join(self, session_id: str) -> None:
         """A session entered the room: implicit interest in everything."""
         self._subs[session_id] = ALL
+        self._above.pop(session_id, None)
 
     def forget(self, session_id: str) -> None:
         """A session left: it must never linger in any fan-out decision."""
         self._subs.pop(session_id, None)
+        self._above.pop(session_id, None)
 
     def seed(self, session_id: str, components: Iterable[str]) -> tuple[str, ...]:
         """Install default subscriptions (CP-net "relevant parts")."""
         self._require(session_id)
         subs = set(components)
-        self._subs[session_id] = subs
+        self._replace(session_id, subs)
         return tuple(sorted(subs))
+
+    def _replace(self, session_id: str, subs: set[str]) -> None:
+        """Install *subs* as the session's explicit set, with its index."""
+        self._subs[session_id] = subs
+        above = set()
+        for sub in subs:
+            dot = sub.find(".")
+            while dot >= 0:
+                above.add(sub[:dot])
+                dot = sub.find(".", dot + 1)
+        self._above[session_id] = above
 
     def _require(self, session_id: str) -> None:
         if session_id not in self._subs:
@@ -79,7 +103,7 @@ class InterestRegistry:
         current = self._subs[session_id]
         base: set[str] = set() if (replace or current is ALL) else set(current)
         base.update(components)
-        self._subs[session_id] = base
+        self._replace(session_id, base)
         return tuple(sorted(base))
 
     def unsubscribe(
@@ -96,7 +120,7 @@ class InterestRegistry:
         """
         self._require(session_id)
         if all_components:
-            self._subs[session_id] = set()
+            self._replace(session_id, set())
             return ()
         dropped = tuple(components or ())
         current = self._subs[session_id]
@@ -106,7 +130,7 @@ class InterestRegistry:
             for sub in base
             if not any(sub == c or sub.startswith(c + ".") for c in dropped)
         }
-        self._subs[session_id] = remaining
+        self._replace(session_id, remaining)
         return tuple(sorted(remaining))
 
     def subscriptions(self, session_id: str) -> tuple[str, ...] | None:
@@ -131,25 +155,31 @@ class InterestRegistry:
         subs = self._subs.get(session_id, ALL)
         if subs is ALL:
             return True
-        if path.startswith(_ALWAYS_PREFIX):
-            return True
-        for sub in subs:
-            if path == sub or path.startswith(sub + ".") or sub.startswith(path + "."):
-                return True
-        return False
+        return _covered(subs, self._above[session_id], path)
 
     def filter_delta(
         self, session_id: str, delta: dict[str, str]
     ) -> dict[str, str]:
         """The covered subset of a presentation delta.
 
-        Returns *delta* itself (not a copy) for ALL sessions, so the
-        unfiltered fast path stays allocation-free.
+        Returns *delta* itself (not a copy) whenever nothing is withheld;
+        for ALL sessions that costs no allocation at all.
         """
-        if self._subs.get(session_id, ALL) is ALL:
+        subs = self._subs.get(session_id, ALL)
+        if subs is ALL:
             return delta
-        return {
-            path: value
-            for path, value in delta.items()
-            if self.covers(session_id, path)
-        }
+        above = self._above[session_id]
+        kept = {path: value for path, value in delta.items() if _covered(subs, above, path)}
+        return delta if len(kept) == len(delta) else kept
+
+
+def _covered(subs: set[str], above: set[str], path: str) -> bool:
+    """*path* against one explicit set and its ancestor index."""
+    if path in subs or path in above or path.startswith(_ALWAYS_PREFIX):
+        return True
+    dot = path.find(".")
+    while dot >= 0:
+        if path[:dot] in subs:
+            return True
+        dot = path.find(".", dot + 1)
+    return False

@@ -16,10 +16,12 @@ exactly once and cached on a :class:`Frame`:
   :class:`StringInterner` — persistent on a reliable in-order channel
   (a client uplink, a gateway↔shard route), fresh-per-frame everywhere
   else so one encoding can safely fan out to N recipients;
-* **frame caching** — ``Frame.data`` (the bytes), ``Frame.size_bytes``
-  (what the frame costs on the wire) and ``Frame.checksum`` (crc32 of
-  the bytes) are computed once; wire sizing, the reliable layer's
-  integrity check and every retransmission reuse them. ``Frame.payload``
+* **frame caching** — ``Frame.data`` (the bytes) and ``Frame.size_bytes``
+  (what the frame costs on the wire) are computed once, ``Frame.checksum``
+  (crc32 of the bytes) once on first read; wire sizing, the reliable
+  layer's integrity check and every retransmission reuse them. Only the
+  reliable transport reads a checksum, so a run without it never CRCs a
+  frame. ``Frame.payload``
   keeps the identity of the payload object the bytes encode, so
   corruption (a swapped payload) is detectable without re-encoding.
 
@@ -158,14 +160,22 @@ class Frame:
     len(data)``) onto the frames they build, so no sender sizes a
     message itself.
 
+    ``checksum`` (crc32 of ``data``) is computed the first time it is
+    read — by the reliable transport, which stamps it on every message —
+    and kept; a frame nothing checks is never CRC'd.
+
     ``trace`` mirrors the frame's trace-context trailer (empty for
     unstamped frames); ``_stamped`` keeps the latest stamped variant so
     one cached body fans out under one context with a single trailer
     encode — and a long-lived frame holds one copy, not one per context.
+    ``tail`` is what :func:`encode_keyed_envelope` writes after the
+    per-recipient field of an envelope around this frame, kept by the
+    envelope's writer so N copies build it once.
     """
 
     __slots__ = (
-        "kind", "payload", "data", "size_bytes", "checksum", "_uses", "trace", "_stamped",
+        "kind", "payload", "data", "size_bytes", "_checksum", "_uses", "trace", "_stamped",
+        "tail",
     )
 
     def __init__(self, kind: str, payload: Any, data: bytes) -> None:
@@ -173,10 +183,18 @@ class Frame:
         self.payload = payload
         self.data = data
         self.size_bytes = len(data)
-        self.checksum = zlib.crc32(data)
+        self._checksum: int | None = None
         self._uses = 0  # transmissions + embeddings; >1 means bytes reused
         self.trace: tuple[TraceContext, ...] = ()
         self._stamped: "Frame | None" = None
+        self.tail: Any = None
+
+    @property
+    def checksum(self) -> int:
+        crc = self._checksum
+        if crc is None:
+            crc = self._checksum = zlib.crc32(self.data)
+        return crc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame({self.kind!r}, {self.size_bytes}B, crc={self.checksum:#x})"
@@ -511,9 +529,9 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
     """Stamp trace *contexts* onto *frame* — zero body re-encodes.
 
     Returns a new :class:`Frame` sharing the original body bytes with a
-    trailer appended; the checksum extends incrementally, the wire size
-    grows by the trailer and ``payload`` keeps its identity, so the
-    reliable layer's integrity check is unaffected. Stamping an
+    trailer appended; the wire size grows by the trailer and ``payload``
+    keeps its identity, so the reliable layer's integrity check is
+    unaffected. Stamping an
     already-stamped frame appends a second trailer (last wins on decode).
     The source frame remembers its latest variant, so a fan-out under one
     context set reuses one stamped encoding.
@@ -521,15 +539,9 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
     stamped = frame._stamped
     if stamped is None or stamped.trace != contexts:
         trailer = encode_trace_trailer(contexts)
-        stamped = Frame.__new__(Frame)
-        stamped.kind = frame.kind
-        stamped.payload = frame.payload
-        stamped.data = frame.data + trailer
+        stamped = Frame(frame.kind, frame.payload, frame.data + trailer)
         stamped.size_bytes = frame.size_bytes + len(trailer)
-        stamped.checksum = zlib.crc32(trailer, frame.checksum)
-        stamped._uses = 0
         stamped.trace = contexts
-        stamped._stamped = None
         frame._stamped = stamped
         _stamp_counter().inc()
     return stamped
@@ -587,13 +599,14 @@ def encode_envelope(
     header: dict[str, Any],
     inner: Frame,
     payload: Any,
-    interner: StringInterner | None = None,
+    interner: StringInterner | None,
 ) -> Frame:
     """Encode a routing envelope around an already-encoded inner frame.
 
     The inner frame is embedded as opaque bytes — routed messages are
     never re-encoded. *payload* is the message-payload object the
-    envelope frame stands for (the wrapper dict handed to the network).
+    envelope frame stands for (the record handed to the network);
+    *interner* is the channel's string table (``None``: a fresh one).
     The envelope's wire size carries the inner frame's declared excess:
     media routed across the backbone is charged at presentation size.
     """
@@ -604,13 +617,79 @@ def encode_envelope(
     _write_value(out, header, table)
     _write_varint(out, len(inner.data))
     out += inner.data
-    mark_reuse(inner)
-    data = bytes(out)
-    encodes, bytes_encoded, _, _ = _metrics()
+    return _enveloped(kind, bytes(out), inner, payload)
+
+
+def fixed_header(kind: str, keys: tuple[str, ...]) -> bytes:
+    """The bytes every envelope of *kind* opens with when its header is
+    a dict of *keys* (in order): the kind, the dict's count and its first
+    key. Both *kind* and the first key must be protocol words."""
+    out = bytearray(_STATIC_REFS[kind])
+    out.append(_T_DICT)
+    _write_varint(out, len(keys))
+    out += _STATIC_REFS[keys[0]]
+    return bytes(out)
+
+
+def envelope_tail(inner: Frame, *fields: str | int) -> bytes:
+    """What an envelope around *inner* holds after its header's first
+    value: *fields* — the remaining header keys and values, alternating —
+    then the length-prefixed inner frame.
+
+    Every string among *fields* must be a protocol word: any other goes
+    through the connection's table, so its bytes would depend on what
+    came before it and could not be built ahead of one copy.
+    """
+    out = bytearray()
+    for field in fields:
+        if type(field) is str:
+            out += _STATIC_REFS[field]
+        else:
+            _write_int(out, field, None)
+    _write_varint(out, len(inner.data))
+    out += inner.data
+    return bytes(out)
+
+
+def encode_keyed_envelope(
+    kind: str,
+    head: bytes,
+    name: str,
+    tail: bytes,
+    inner: Frame,
+    payload: Any,
+    interner: StringInterner | None = None,
+) -> Frame:
+    """The fixed-layout twin of :func:`encode_envelope`: *head* (from
+    :func:`fixed_header`), *name* — the header's first value, interned on
+    *interner* — then *tail* (from :func:`envelope_tail`).
+
+    The bytes, wire size, table evolution and ``codec.*`` counters are
+    those of :func:`encode_envelope` for the header dict the three parts
+    spell, with no dict built or walked: a fan-out of one inner frame
+    builds its *tail* once and pays per copy only for *name*.
+    """
+    out = bytearray(head)
+    _write_str(out, name, interner if interner is not None else StringInterner())
+    out += tail
+    return _enveloped(kind, bytes(out), inner, payload)
+
+
+def _enveloped(kind: str, data: bytes, inner: Frame, payload: Any) -> Frame:
+    """The envelope frame over *data*, which embeds *inner*: one encode
+    of the envelope's own bytes, one reuse of the inner frame's."""
+    encodes, bytes_encoded, saved, bytes_saved = _metrics()
+    inner_len = len(inner.data)
+    # mark_reuse(inner), inlined: the counters are already in hand, and
+    # the call would cost each routed copy three more (ROUTED_COPY_CALLS).
+    inner._uses += 1
+    if inner._uses > 1:
+        saved.inc()
+        bytes_saved.inc(inner_len)
     encodes.inc()
-    bytes_encoded.inc(len(data) - len(inner.data))
+    bytes_encoded.inc(len(data) - inner_len)
     frame = Frame(kind, payload, data)
-    frame.size_bytes += inner.size_bytes - len(inner.data)
+    frame.size_bytes += inner.size_bytes - inner_len
     return frame
 
 

@@ -844,7 +844,17 @@ class InteractionServer:
 
     def _on_join(self, viewer_id: str, doc_id: str, node_id: str) -> str:
         session = self.connect_session(viewer_id, node_id=node_id)
-        room, spec = self.join_room(session.session_id, doc_id)
+        try:
+            room, spec = self.join_room(session.session_id, doc_id)
+        except Exception:
+            # A refused JOIN opens nothing: the client only hears ERROR, so
+            # a session left here could never be closed. Undo this JOIN
+            # alone; the node's other sessions keep their traces.
+            if session.in_room:
+                self.leave_room(session.session_id)
+            del self._sessions[session.session_id]
+            self._g_sessions.set(len(self._sessions))
+            raise
         body = {
             "session_id": session.session_id,
             "room_id": room.room_id,

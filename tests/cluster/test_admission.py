@@ -398,6 +398,11 @@ class TestOverloadIntegration:
         shard = next(iter(harness.shards.values()))
         assert shard.admission.dropped_dead == 1
         assert shard.admission.parked_count == 0
+        # The flight recorder names the dropped JOIN and its client.
+        dropped = obs.get_event_log().filter("cluster.admission.deferred_dropped")
+        assert [(e.fields["node"], e.fields["kind"]) for e in dropped] == [
+            (leaver.node_id, MessageKind.JOIN)
+        ]
         assert leaver.session_id is None
         # zero residue: no session, no room membership for the departed
         viewers_in_rooms = {
@@ -421,6 +426,7 @@ class TestOverloadIntegration:
 
     @staticmethod
     def _shed_burst(tmp_path, traced):
+        obs.get_event_log().clear()
         store, records = build_store(tmp_path, f"sheddata-{traced}")
         config = ClusterConfig(
             shards=1,
@@ -458,6 +464,10 @@ class TestOverloadIntegration:
         assert any(m.frame.trace for m in bounces) == traced
         shard = next(iter(harness.shards.values()))
         assert shard.admission.shed_by_lane.get(LANE_DATA, 0) > 0
+        # One flight-recorder event per bounce, naming what was shed.
+        shed = obs.get_event_log().filter("cluster.admission.shed")
+        assert len(shed) == shard.admission.shed
+        assert {e.fields["node"] for e in shed} <= {a.node_id, b.node_id}
         assert a.retry_afters, "the burst must have bounced something"
         assert not a.errors and not b.errors
         # exactly-once effect: both members display the final scripted

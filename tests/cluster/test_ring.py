@@ -1,5 +1,9 @@
 """Unit tests for the consistent-hash ring."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import HashRing, ring_hash
@@ -23,6 +27,31 @@ class TestDeterminism:
         # same in every process or two gateways would disagree on owners.
         assert ring_hash("case-0") == ring_hash("case-0")
         assert ring_hash("case-0") != ring_hash("case-1")
+
+    def test_ring_hash_is_pinned(self):
+        # The first 8 bytes of SHA-1, big-endian: these positions are
+        # every deployment's shard and gateway assignment, so whichever
+        # SHA-1 implementation computes them must give these digests.
+        pinned = {
+            "case-0": 0x87E85B19B2B86C9C,
+            "shard-1#0": 0x9384917FB811838C,
+            "gw-1#63": 0xA965EBB7D282E2B5,
+            "client-17": 0x02952BC82F81EF5A,
+            "": 0xDA39A3EE5E6B4B0D,
+            "ünïcode-κ": 0xBC821EE2E9C388DB,
+        }
+        assert {key: ring_hash(key) for key in pinned} == pinned
+
+    def test_importing_the_cluster_leaves_openssl_unloaded(self):
+        # hashlib loads libcrypto (_hashlib) for one SHA-1; the ring
+        # uses CPython's own _sha1 and nothing else in the cluster needs it.
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = "import sys, repro.cluster; print('_hashlib' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env={"PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_identical_mapping_across_instances(self):
         first = ring_of(NODES)
@@ -80,7 +109,7 @@ class TestBoundedMovement:
         for _ in range(2):  # second pass: hits, and refills after the bound
             for key in KEYS:
                 assert ring.owner(key) == ring.owners(key, 1)[0]
-                assert len(ring._owner_memo) <= 16
+                assert len(ring._owners_memo) <= 16
 
     def test_removal_promotes_the_old_second_owner(self):
         # The invariant failover relies on: the ring's new owner of a dead
@@ -102,6 +131,20 @@ class TestPreferenceList:
         for key in KEYS[:50]:
             owners = ring.owners(key, 3)
             assert len(owners) == len(set(owners)) == 3
+
+    def test_owners_follow_membership(self):
+        # The preference list is memoized per (key, count); a membership
+        # change must drop it, or a dead node would stay a replica.
+        ring = ring_of(NODES)
+        before = {key: ring.owners(key, 2) for key in KEYS[:50]}
+        assert all(ring.owners(key, 2) is before[key] for key in before)
+        ring.remove_node("shard-3")
+        for key, owners in before.items():
+            assert "shard-3" not in ring.owners(key, 2)
+            if "shard-3" not in owners:
+                assert ring.owners(key, 2) == owners
+        ring.add_node("shard-3")
+        assert {key: ring.owners(key, 2) for key in before} == before
 
     def test_owners_clipped_to_ring_size(self):
         ring = ring_of(NODES[:2])

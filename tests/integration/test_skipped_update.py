@@ -10,6 +10,7 @@ import pytest
 
 from repro.client import ClientModule
 from repro.cluster import ClusterConfig, ClusterHarness
+from repro.cluster.wire import ClientBound
 from repro.db import Database, MultimediaObjectStore
 from repro.document import PrimitiveMultimediaComponent
 from repro.net import SimulatedNetwork
@@ -34,11 +35,9 @@ def is_update(message):
 
 
 def is_routed_update(message):
-    wrapper = message.payload
     return (
-        message.kind == MessageKind.ROUTE
-        and "to" in wrapper
-        and wrapper["kind"] == MessageKind.PRESENTATION_UPDATE
+        isinstance(message.payload, ClientBound)
+        and message.payload.frame.kind == MessageKind.PRESENTATION_UPDATE
     )
 
 

@@ -1,7 +1,8 @@
 """Zero residue, checked reflectively.
 
 ROADMAP's third north-star promise: after any join/leave/close sequence
-"every per-session and per-room structure is empty". Every earlier
+— a refused join included — "every per-session and per-room structure
+is empty". Every earlier
 lifecycle leak (PRs 6, 7, 10, 17) was found by reading, against a
 hand-written list of structures somebody remembered. This probe keeps no
 list: it runs a small clustered conference to its end, then walks
@@ -130,13 +131,20 @@ def residue(root, dead_ids, skip=frozenset()):
 
 
 def run_conference(harness, doc_ids):
-    """Three rooms of four: every kind of op, then everyone leaves.
-    Returns the ids of every session and room that existed."""
+    """A refused join, then three rooms of four: every kind of op, then
+    everyone leaves. Returns the ids of every session and room that
+    existed."""
+    # The refused JOIN is the first its shard serves: the session it
+    # connected before the document lookup failed is that shard's first.
+    refused = harness.add_client("refused-viewer")
+    refused.join("no-such-doc")
+    harness.run()
+    assert refused.session_id is None and refused.errors
+    dead = {f"{harness.owner_of('no-such-doc')}:session-1"}
     members = {
         doc_id: [harness.add_client(f"{doc_id}-viewer-{j}") for j in range(4)]
         for doc_id in doc_ids
     }
-    dead = set()
     for doc_id, clients in members.items():
         for client in clients:
             client.join(doc_id)
@@ -202,7 +210,7 @@ def test_a_finished_conference_leaves_nothing_that_names_it(tmp_path):
                 ),
             )
             dead = run_conference(harness, doc_ids)
-            assert len(dead) == 12 + 3
+            assert len(dead) == 1 + 12 + 3
             root = (harness, registry, log)
             unexpected = residue(root, dead, skip=frozenset(ALLOWED))
             assert unexpected == {}, (

@@ -168,3 +168,70 @@ class TestProperties:
 def test_all_sentinel_is_none():
     # Documented contract: ALL is None so `subs is ALL` reads naturally.
     assert ALL is None
+
+
+#: Dotted paths over a few segments, empty ones included ("a..b", ".a",
+#: "a."): the prefix relation must hold on any string, not just tidy ones.
+dotted = st.lists(
+    st.sampled_from(("a", "b", "", "tuning", "ab")), min_size=1, max_size=4
+).map(".".join)
+
+registry_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("join", "seed", "subscribe", "replace", "unsubscribe", "unsubscribe_all",
+             "forget")
+        ),
+        st.sampled_from(("s1", "s2")),
+        st.lists(dotted, max_size=4),
+    ),
+    max_size=12,
+)
+
+
+def brute_covers(reg, session_id, path):
+    """Coverage by the definition, scanning the explicit set."""
+    subs = reg.subscriptions(session_id)
+    if subs is None or path.startswith("tuning."):
+        return True
+    return any(
+        path == sub or path.startswith(sub + ".") or sub.startswith(path + ".")
+        for sub in subs
+    )
+
+
+class TestCoverageIndex:
+    """The ancestor index answers exactly what the scan it replaced did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(universe=st.lists(dotted, max_size=6), ops=registry_ops,
+           probes=st.lists(dotted, min_size=1, max_size=8))
+    def test_index_agrees_with_the_prefix_relation(self, universe, ops, probes):
+        reg = InterestRegistry(universe)
+        joined = set()
+        for op, session_id, components in ops:
+            if op == "join" or (op != "forget" and session_id not in joined):
+                reg.join(session_id)
+                joined.add(session_id)
+            elif op == "seed":
+                reg.seed(session_id, components)
+            elif op == "subscribe":
+                reg.subscribe(session_id, components)
+            elif op == "replace":
+                reg.subscribe(session_id, components, replace=True)
+            elif op == "unsubscribe":
+                reg.unsubscribe(session_id, components)
+            elif op == "unsubscribe_all":
+                reg.unsubscribe(session_id, all_components=True)
+            else:
+                reg.forget(session_id)
+                joined.discard(session_id)
+            for sid in ("s1", "s2"):
+                for path in [*probes, *universe, *components]:
+                    assert reg.covers(sid, path) == brute_covers(reg, sid, path), (sid, path)
+                delta = {path: "v" for path in probes}
+                kept = {p: v for p, v in delta.items() if brute_covers(reg, sid, p)}
+                filtered = reg.filter_delta(sid, delta)
+                assert filtered == kept
+                # Nothing withheld: the delta itself comes back, no copy.
+                assert (filtered is delta) == (len(kept) == len(delta))

@@ -691,7 +691,7 @@ class TestEnvelopeAndBatch:
     def test_envelope_roundtrip(self):
         inner = encode_message("choice", {"session_id": "s", "value": "full"})
         header = {"sender": "client-dr-lee", "kind": "choice"}
-        env = encode_envelope("route", header, inner, {"wrapper": True})
+        env = encode_envelope("route", header, inner, {"wrapper": True}, None)
         kind, got_header, got_inner = decode_envelope(env.data)
         assert kind == "route"
         assert got_header == header
@@ -699,14 +699,14 @@ class TestEnvelopeAndBatch:
 
     def test_envelope_embeds_inner_bytes_verbatim(self):
         inner = encode_message("choice", {"session_id": "s-x", "value": "full"})
-        env = encode_envelope("route", {"kind": "choice"}, inner, None)
+        env = encode_envelope("route", {"kind": "choice"}, inner, None, None)
         assert inner.data in env.data
 
     def test_interned_inner_decodes_with_its_own_table(self):
         enc = StringInterner()
         encode_message("leave", {"session_id": "s-long-id"}, interner=enc)
         inner = encode_message("leave", {"session_id": "s-long-id"}, interner=enc)
-        env = encode_envelope("route", {"kind": "leave"}, inner, None)
+        env = encode_envelope("route", {"kind": "leave"}, inner, None, None)
         dec = StringInterner()
         dec.register("s-long-id")
         _, _, got = decode_envelope(env.data, inner_interner=dec)
@@ -780,8 +780,8 @@ class TestMetrics:
         registry = MetricsRegistry()
         with use_registry(registry):
             inner = encode_message("choice", {"value": "full"})
-            env = encode_envelope("route", {"kind": "choice"}, inner, None)
-            env2 = encode_envelope("route", {"kind": "choice"}, inner, None)
+            env = encode_envelope("route", {"kind": "choice"}, inner, None, None)
+            env2 = encode_envelope("route", {"kind": "choice"}, inner, None, None)
         counters = registry.snapshot()["counters"]
         assert counters["codec.bytes_encoded"] == (
             inner.size_bytes

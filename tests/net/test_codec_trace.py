@@ -150,7 +150,7 @@ def test_route_envelope_keeps_inner_and_envelope_contexts_apart():
     )
     header = {"sender": "client-a", "kind": MessageKind.CHOICE}
     envelope = stamp_frame(
-        encode_envelope(MessageKind.ROUTE, header, inner, header), (CTX2,)
+        encode_envelope(MessageKind.ROUTE, header, inner, header, None), (CTX2,)
     )
     kind, got_header, (inner_kind, inner_payload), contexts = decode_envelope_traced(
         envelope.data, inner_interner=StringInterner()
@@ -171,7 +171,7 @@ def test_untraced_envelope_around_stamped_inner():
         encode_message(MessageKind.CHOICE, KIND_PAYLOADS[MessageKind.CHOICE]), (CTX,)
     )
     header = {"sender": "client-a", "kind": MessageKind.CHOICE}
-    envelope = encode_envelope(MessageKind.ROUTE, header, inner, header)
+    envelope = encode_envelope(MessageKind.ROUTE, header, inner, header, None)
     _, _, inner_msg, contexts = decode_envelope_traced(envelope.data)
     assert contexts == ()
     assert inner_msg == (MessageKind.CHOICE, KIND_PAYLOADS[MessageKind.CHOICE])
@@ -237,5 +237,5 @@ def test_trailer_roundtrip_sweep(contexts, declared, chain):
         if step == "stamp":
             media = stamp_frame(media, tuple(contexts))
         else:
-            media = encode_envelope(MessageKind.ROUTE, {"kind": media.kind}, media, None)
+            media = encode_envelope(MessageKind.ROUTE, {"kind": media.kind}, media, None, None)
         assert media.size_bytes - len(media.data) == excess

@@ -8,12 +8,14 @@ import weakref
 import pytest
 
 from repro.client import ClientModule
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.cpnet import compile_cpnet, compile_extension
 from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import PermissionError_, ProtocolError, RoomError, ServerError
 from repro.net import SimulatedNetwork, codec
 from repro.obs import DEFAULT_MAX_SERIES, MetricsRegistry, use_registry
+from repro.obs.dtrace import DeliveryTracer, use_dtrace
 from repro.obs.metrics import OVERFLOW_LABEL
 from repro.server import InteractionServer, PermissionPolicy
 from repro.server.permissions import PERM_VIEW, VIEWER_GRANT
@@ -101,6 +103,54 @@ class TestRooms:
         session = server.connect_session("lee")
         with pytest.raises(Exception, match="no document"):
             server.join_room(session.session_id, "ghost-doc")
+
+    def test_a_refused_join_leaves_no_session_on_a_hub(self, store):
+        network = SimulatedNetwork()
+        server = InteractionServer(store, network=network)
+        client = ClientModule("lee", network=network, auto_fetch=False)
+        network.attach_client(client)
+        client.join("no-such-doc")
+        network.run()
+        assert server.session_ids == ()
+        assert [error["error"] for error in client.errors] == ["DatabaseError"]
+        # The refused viewer can still join a document that exists.
+        client.join("record-17")
+        network.run()
+        assert server.session_ids == (client.session_id,)
+
+    def test_a_refused_join_leaves_the_live_session_alone(self, store):
+        # A client already in a room sends a JOIN that fails: only that
+        # JOIN's session goes; the live one keeps its traces and profile.
+        network = SimulatedNetwork()
+        tracer = DeliveryTracer(sample_every=1)
+        with use_dtrace(tracer):
+            server = InteractionServer(store, network=network, use_profiles=True)
+            client = ClientModule("lee", network=network, auto_fetch=False)
+            network.attach_client(client)
+            client.join("record-17")
+            network.run()
+            live = client.session_id
+            client.choose("imaging.ct_head", "segmented")
+            network.run()
+            traces = [r.trace_id for r in tracer.store if r.origin == client.node_id]
+            assert traces
+            saved = []
+            store.save_profile = saved.append
+            client.join("no-such-doc")
+            network.run()
+        assert [error["error"] for error in client.errors] == ["DatabaseError"]
+        assert server.session_ids == (live,)
+        assert [r.trace_id for r in tracer.store if r.origin == client.node_id] == traces
+        assert saved == []
+
+    def test_a_refused_join_leaves_no_session_on_a_shard(self, store):
+        harness = ClusterHarness(store, ClusterConfig(shards=2))
+        client = harness.add_client("lee")
+        client.join("no-such-doc")
+        harness.run()
+        assert [error["error"] for error in client.errors] == ["DatabaseError"]
+        for shard in harness.shards.values():
+            assert shard.server.session_ids == ()
 
     def test_double_join_rejected(self, server):
         session = server.connect_session("lee")
