@@ -92,7 +92,7 @@ def main() -> None:
         network.run()
         print(f"{actor.viewer_id} chose imaging.ct_head=segmented; wire cost:")
         for client in (wide, narrow):
-            subs = client.subscriptions or ("<everything>",)
+            subs = client.membership.subscriptions or ("<everything>",)
             print(
                 f"  {client.viewer_id:<5} subscribed to {', '.join(subs):<14}"
                 f" received {network.bytes_by_node.get(client.node_id, 0):>3} bytes,"

@@ -82,7 +82,8 @@ class TelemetryMonitor:
         if self.network is None:
             raise ClientError("monitor is not attached to a network")
         frame = encode_message(kind, payload, interner=self._wire_table)
-        self.network.send(self.node_id, self.network.hub_for(self.node_id), frame)
+        home = self.network.home_of(self.node_id)
+        self.network.send(self.node_id, home or self.network.hub_id, frame)
 
     def on_gateway_failover(self, new_gateway: str) -> None:
         """Directory callback: our gateway died along with our monitor

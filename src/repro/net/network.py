@@ -136,10 +136,6 @@ class SimulatedNetwork:
         """The hub explicitly assigned to *node_id* (None = the single hub)."""
         return self._home.get(node_id)
 
-    def hub_for(self, node_id: str) -> str:
-        """The hub *node_id* should address: its home, else the single hub."""
-        return self._home.get(node_id) or self.hub_id
-
     def attach_client(
         self,
         node: Node,

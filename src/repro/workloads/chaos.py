@@ -227,7 +227,10 @@ def convergence_result(
         "gateway_victim": gw_victim,
         "displayed": {c.viewer_id: c.displayed() for c in clients},
         "fully_rendered": {c.viewer_id: c.fully_rendered() for c in clients},
-        "reads_in_flight": {c.viewer_id: list(c.reads_in_flight) for c in clients},
+        "reads_in_flight": {
+            c.viewer_id: list(c.membership.reads_in_flight) if c.membership else []
+            for c in clients
+        },
         "errors": [
             {"viewer": c.viewer_id, **error} for c in clients for error in c.errors
         ],

@@ -39,10 +39,6 @@ from repro.workloads.chaos import convergence_result
 from repro.workloads.records import generate_record
 from repro.workloads.sessions import consultation_events
 
-#: How long a deferred speaker waits before re-checking for its session.
-_SPEAKER_RETRY_S = 0.25
-_SPEAKER_RETRY_LIMIT = 120
-
 #: Idle time between one wave of track sessions and the next.
 GAP_S = 1.0
 
@@ -254,7 +250,9 @@ def _plot_slot(
     clock: Any, clients: dict[str, Any], stream: list[tuple[str, str]], slot: SessionSlot
 ) -> None:
     """Schedule one slot's joins, staggered across its window, and its
-    speaker's (the first attendee's) choices through the session."""
+    speaker's (the first attendee's) choices through the session. A
+    choice made while the speaker's join is still pending waits on that
+    membership for its ack, and dies with it if a later join supersedes it."""
     count = len(slot.attendees)
     for j, name in enumerate(slot.attendees):
         join_at = slot.start_s + slot.join_window_s * j / max(1, count)
@@ -264,7 +262,7 @@ def _plot_slot(
     talk_s = max(slot.duration_s - slot.join_window_s, 1e-6)
     for i, (path, value) in enumerate(stream[: slot.events]):
         at = talk_start + talk_s * (i + 0.5) / slot.events
-        clock.schedule_at(at, _speaker_choice(clock, speaker, path, value))
+        clock.schedule_at(at, lambda p=path, v=value: speaker.choose(p, v))
 
 
 def run_megaconf(
@@ -344,21 +342,6 @@ def run_megaconf(
         "network_bytes": harness.network.stats.bytes_total,
         "sim_seconds": clock.now,
     }
-
-
-def _speaker_choice(clock: Any, speaker: Any, path: str, value: str):
-    """A choice that waits (bounded) for the speaker's deferred join."""
-    state = {"retries": 0}
-
-    def fire() -> None:
-        if speaker.session_id is None:
-            state["retries"] += 1
-            if state["retries"] <= _SPEAKER_RETRY_LIMIT:
-                clock.schedule(_SPEAKER_RETRY_S, fire)
-            return
-        speaker.choose(path, value)
-
-    return fire
 
 
 #: Timing of the chaos window relative to the keynote slot start.

@@ -80,7 +80,7 @@ def test_a_payload_off_screen_is_admitted_speculatively(rig):
     shown = client.displayed()
     component, value = next(
         (path, alternative)
-        for path, sizes in client.sizes.items()
+        for path, sizes in client.membership.sizes.items()
         for alternative, size in sizes.items()
         if size > 0 and shown.get(path) != alternative
     )

@@ -36,6 +36,8 @@ class Wire:
     """Just enough network for one client: a clock, a home gateway that
     can die, and every request the client sends, in order."""
 
+    hub_id = "server"
+
     def __init__(self, home=None):
         self.clock = SimClock()
         self.home = home
@@ -44,9 +46,6 @@ class Wire:
 
     def home_of(self, node_id):
         return self.home
-
-    def hub_for(self, node_id):
-        return self.home or "server"
 
     def has_node(self, node_id):
         return node_id not in self.dead
@@ -97,12 +96,12 @@ def test_a_value_toggled_back_is_asked_for_once():
     update(client, {"scan": "b"})
     update(client, {"scan": "a"})
     assert wire.reads() == [("server", "scan", "a"), ("server", "scan", "b")]
-    assert list(client.reads_in_flight) == [("scan", "a"), ("scan", "b")]
+    assert list(client.membership.reads_in_flight) == [("scan", "a"), ("scan", "b")]
     # The one reply renders and pins the value that is back on screen.
     payload(client, "scan", "a", size=1_000)
     assert client.fully_rendered()
-    assert client._pins == {"scan": entry_key("scan", "a")}
-    assert list(client.reads_in_flight) == [("scan", "b")]
+    assert client.membership.pins == {"scan": entry_key("scan", "a")}
+    assert list(client.membership.reads_in_flight) == [("scan", "b")]
 
 
 def test_a_failed_read_leaves_the_table_and_still_degrades():
@@ -112,7 +111,7 @@ def test_a_failed_read_leaves_the_table_and_still_degrades():
         client.node_id, "server", MessageKind.FETCH_PAYLOAD, seq=1, attempts=7,
         payload={"session_id": "s-1", "component": "scan", "value": "a"},
     ))
-    assert not client.reads_in_flight
+    assert not client.membership.reads_in_flight
     assert client.degraded_components == ["scan"]
     assert client.fully_rendered()  # the placeholder
     assert client.tuning_level == BANDWIDTH_MEDIUM
@@ -130,7 +129,7 @@ def test_a_shed_read_for_a_replaced_form_is_not_retried():
     before = len(wire.sent)
     wire.clock.run()
     assert wire.reads(before) == []
-    assert list(client.reads_in_flight) == [("scan", "b")]
+    assert list(client.membership.reads_in_flight) == [("scan", "b")]
 
 
 def test_a_shed_read_still_on_screen_is_retried_once():
@@ -140,7 +139,7 @@ def test_a_shed_read_still_on_screen_is_retried_once():
     before = len(wire.sent)
     wire.clock.run()
     assert wire.reads(before) == [("server", "scan", "a")]
-    assert list(client.reads_in_flight) == [("scan", "a")]
+    assert list(client.membership.reads_in_flight) == [("scan", "a")]
 
 
 def failover_traffic():
@@ -197,13 +196,14 @@ def test_replay_order_does_not_depend_on_string_hashing():
 def test_join_ack_and_leave_clear_the_table():
     wire = Wire()
     client = joined(wire, {"scan": "a"})
-    assert client.reads_in_flight
+    assert client.membership.reads_in_flight
+    client.join("doc")  # a rejoin: leave, then a new membership
     deliver(client, MessageKind.JOIN_ACK, {
         "session_id": "s-2", "room_id": "room", "doc_id": "doc",
         "structure": [SCAN], "outcome": {},
     })
-    assert not client.reads_in_flight
+    assert not client.membership.reads_in_flight
     update(client, {"scan": "a"})
-    assert client.reads_in_flight
+    assert client.membership.reads_in_flight
     client.leave()
-    assert not client.reads_in_flight
+    assert client.membership is None

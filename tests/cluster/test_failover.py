@@ -192,7 +192,7 @@ class TestFailover:
         path, shown = next(
             (p, v) for p, v in actor.displayed().items() if v != "hidden"
         )
-        actor.choose(path, next(v for v in actor.sizes[path] if v != shown))
+        actor.choose(path, next(v for v in actor.membership.sizes[path] if v != shown))
         harness.run()
         assert actor.errors == []
         assert coalesced.value >= before + 2

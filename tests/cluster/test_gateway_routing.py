@@ -130,7 +130,7 @@ class TestSessionRouting:
         if missing != "session_id" and kind != MessageKind.JOIN:
             payload["session_id"] = client.session_id
         counters = registry.snapshot()["counters"]
-        client._dispatch(kind, payload)
+        client._dispatch(kind, payload, harness.network.home_of(client.node_id))
         harness.run()
         assert [error["error"] for error in client.errors] == ["ProtocolError"]
         detail = client.errors[0]["detail"]

@@ -137,7 +137,7 @@ class TestOpParking:
         sent = self._uplink(network, client, records[DOCS[0]])
         assert [kind for kind, _ in sent] == [MessageKind.JOIN, MessageKind.CHOICE]
         assert not any("op_seq" in payload for _, payload in sent)
-        assert client._op_log == []
+        assert client.membership.op_log == []
 
     def test_harness_client_stamps_and_logs_its_ops(self, fresh_obs, tmp_path):
         store, records = build_store(tmp_path, "tier")
@@ -148,7 +148,7 @@ class TestOpParking:
             (MessageKind.JOIN, None),
             (MessageKind.CHOICE, 1),
         ]
-        assert [kind for kind, _ in client._op_log] == [MessageKind.CHOICE]
+        assert [kind for kind, _ in client.membership.op_log] == [MessageKind.CHOICE]
 
 
 class TestTierRouting:

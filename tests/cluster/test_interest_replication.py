@@ -67,7 +67,7 @@ class TestGatewayRouting:
             harness.run()
             # The ack came back through the ROUTE path, and the serving
             # shard's registry narrowed.
-            assert b.subscriptions == tuple(paths[:2])
+            assert b.membership.subscriptions == tuple(paths[:2])
             server = harness.serving_server_of(DOC)
             room = server.room(server.room_ids[0])
             assert room.interest.subscriptions(b.session_id) == tuple(paths[:2])

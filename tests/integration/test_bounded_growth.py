@@ -44,14 +44,11 @@ ALLOWED = {
         "item 2", "the standby keeps the same history, logged",
     ),
     "LogEntry.data": ("item 2", "the op body of each applied_log entry"),
-    "ClientModule._op_log": (
-        "item 2", "the client replays its whole op log on gateway failover",
+    "Membership.op_log": (
+        "item 2", "the client replays its membership's whole op log on gateway failover",
     ),
     "ShardServer._op_seen": (
         "item 1", "the duplicate-LEAVE fence needs an expiry, not a pop",
-    ),
-    "ClientModule._closed_sessions": (
-        "item 1", "the client's fence against replaying a left session's ops",
     ),
     "ClientModule.peer_events": ("item 1", "an observation list that appends forever"),
     "ClientModule.response_times": (

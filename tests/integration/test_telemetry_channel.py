@@ -115,7 +115,7 @@ def test_the_channel_answers_its_own_protocol(rig, host):
     store, _ = rig
     channel, network, add_monitor, add_client = host(store)
     client = add_client("lee")
-    client._dispatch(MessageKind.MONITOR, {})
+    client._dispatch(MessageKind.MONITOR, {}, network.home_of(client.node_id))
     network.run()
     assert client.errors == [
         {"error": "ProtocolError", "detail": "'monitor' message lacks required field 'viewer_id'"}

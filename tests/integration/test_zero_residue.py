@@ -42,10 +42,8 @@ from repro.workloads import generate_record
 #: Nothing here concerns completions, overlays, compilations or per-room /
 #: per-document series: those must leave no trace.
 ALLOWED = {
-    "ClientModule._closed_sessions":
-        "the client's own fence against replaying a left session's ops",
     "ClientModule._wire_table":
-        "the client's own uplink string table: one connection's, reset by her next join",
+        "the client's own uplink string table: one connection's, reset by its next join",
     "EventLog._events":
         "the flight recorder is a bounded ring of past events, by design",
     "ShardServer._op_seen":

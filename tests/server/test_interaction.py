@@ -121,6 +121,7 @@ class TestRooms:
     def test_a_refused_join_leaves_the_live_session_alone(self, store):
         # A client already in a room sends a JOIN that fails: only that
         # JOIN's session goes; the live one keeps its traces and profile.
+        # (``join`` would leave the room first, so the JOIN goes raw.)
         network = SimulatedNetwork()
         tracer = DeliveryTracer(sample_every=1)
         with use_dtrace(tracer):
@@ -136,7 +137,9 @@ class TestRooms:
             assert traces
             saved = []
             store.save_profile = saved.append
-            client.join("no-such-doc")
+            client._dispatch(
+                MessageKind.JOIN, {"viewer_id": "lee", "doc_id": "no-such-doc"}, None
+            )
             network.run()
         assert [error["error"] for error in client.errors] == ["DatabaseError"]
         assert server.session_ids == (live,)
@@ -551,7 +554,7 @@ class TestMalformedMessages:
         payload = dict(fields)
         if missing != "session_id" and kind != MessageKind.JOIN:
             payload["session_id"] = client.session_id
-        client._dispatch(kind, payload)
+        client._dispatch(kind, payload, network.home_of(client.node_id))
         network.run()
         assert [error["error"] for error in client.errors] == ["ProtocolError"]
         detail = client.errors[0]["detail"]

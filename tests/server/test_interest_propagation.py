@@ -140,7 +140,7 @@ class TestFiltering:
         network.run()
         quiet.unsubscribe()  # drop everything
         network.run()
-        assert quiet.subscriptions == ()
+        assert quiet.membership.subscriptions == ()
         network.reset_recording()
         actor.choose("imaging.ct_head", "segmented")
         network.run()
@@ -164,7 +164,7 @@ class TestCatchup:
         laggard.subscribe(["imaging.ct_head"])
         network.run()
         # The ack's catch-up diff healed exactly the newly covered path.
-        assert laggard.subscriptions == ("imaging.ct_head", "labs")
+        assert laggard.membership.subscriptions == ("imaging.ct_head", "labs")
         assert laggard.displayed()["imaging.ct_head"] == "segmented"
         # Still outside its interest: the other missed change stays out.
         assert laggard.displayed()["consult.voice_note"] == "play"

@@ -93,10 +93,12 @@ class TestProtocolTable:
         )
 
     def test_client_replay_log_kinds(self):
-        assert client_module._PARKED_KINDS == frozenset({
+        assert client_module._STAMPED_KINDS == frozenset({
             "leave", "choice", "operation", "annotate", "freeze", "release",
             "subscribe", "unsubscribe",
         })
+        # A LEAVE ends its membership: stamped, never logged for replay.
+        assert client_module._LOGGED_KINDS == client_module._STAMPED_KINDS - {"leave"}
 
     def test_traced_kinds(self):
         assert client_module._TRACED_KINDS == frozenset(

@@ -38,21 +38,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
     "chaos": 599,
-    "client": 1152,
+    "client": 1148,
     "cluster": 2629,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
     "interest": 319,
     "media": 3039,
-    "net": 2101,
+    "net": 2097,
     "obs": 1674,
     "prefetch": 167,
     "presentation": 943,
     "retrieval": 769,
     "server": 1728,
     "util": 279,
-    "workloads": 1297,
+    "workloads": 1283,
 }
 
 MAX_KIND_ARMS = 3
@@ -185,7 +185,7 @@ def test_the_chain_check_sees_both_spellings():
 #: Python-level calls (``sys.setprofile`` "call" events) of the 3x3 rooms
 #: conference, joins to quiescence. A change that lowers the count lowers
 #: the ceiling with it; one that needs more says why in CHANGES.md.
-ROOMS_CALL_CEILING = 42_900
+ROOMS_CALL_CEILING = 42_690
 
 
 def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
@@ -207,7 +207,9 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     routes, and no telemetry channel on a server no monitor can reach
     brought it to 42,330; interest coverage as an index and routed
     copies written as a fixed header plus their frame brought it to
-    40,869. The ceiling sits under 5% above that."""
+    40,869; a client that addresses the home it already resolved,
+    instead of asking the network a second time, brought it to 40,662.
+    The ceiling sits under 5% above that."""
     calls = 0
 
     def count(frame, event, arg):

@@ -11,6 +11,7 @@ verdicts.
 import pytest
 
 from repro import obs
+from repro.cluster import AdmissionConfig, ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.workloads import build_conference_schedule, run_megaconf
 from repro.workloads.megaconf import percentile, run_megaconf_convergence
@@ -149,3 +150,43 @@ class TestMegaconfConvergence:
                     )
                 )
         assert outcomes[0] == outcomes[1]
+
+
+#: The ledger's ``megaconf_day`` schedule and cluster, shrunk to four
+#: tracks. A speaker whose track join is deferred past the keynote's
+#: start used to fire its queued choices into the keynote room
+#: (``UnknownValueError``), and the track session it never left stayed
+#: on its shard to the end.
+LEDGER_SCHEDULE = dict(
+    tracks=4, slots_per_track=2, attendees_per_session=12, events_per_session=8,
+    keynote_events=16, keynote_window_s=0.25, drain_s=60.0,
+)
+LEDGER_CONFIG = ClusterConfig(
+    shards=4, gateways=2, service_rate=240.0,
+    admission=AdmissionConfig(
+        depth_defer=8, depth_shed=16, defer_limit=1024, retry_after_s=0.25
+    ),
+)
+
+
+def ghost_sessions(harness):
+    """Sessions a live shard's server holds that no client is in."""
+    current = {client.session_id for client in harness.clients.values()}
+    return sorted(
+        session_id
+        for shard_id, shard in harness.shards.items()
+        if harness.network.has_node(shard_id)
+        for server in shard.serving_servers()
+        for session_id in server.session_ids
+        if session_id not in current
+    )
+
+
+@pytest.mark.parametrize("seed", range(17, 27))
+def test_a_ledger_scale_day_misroutes_no_op_and_leaves_no_ghost(tmp_path, seed):
+    store = fresh_store(tmp_path, f"ledger-{seed}")
+    result = run_megaconf(
+        store, build_conference_schedule(**LEDGER_SCHEDULE), config=LEDGER_CONFIG, seed=seed
+    )
+    assert result["errors"] == []
+    assert ghost_sessions(result["harness"]) == []
