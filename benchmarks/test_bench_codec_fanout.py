@@ -82,7 +82,7 @@ def run_fanout(tmp_path, population, tag, window_s=0.0, events=NUM_EVENTS):
         clients.append(client)
     network.run()
     network.reset_tallies()
-    network.reset_stats()
+    messages, wire_bytes = network.stats.messages, network.stats.bytes_total
     counters = obs.snapshot()["counters"]
     encodes_before = counters.get("codec.encodes", 0)
     saved_before = counters.get("codec.encodes_saved", 0)
@@ -100,8 +100,8 @@ def run_fanout(tmp_path, population, tag, window_s=0.0, events=NUM_EVENTS):
         "app_messages": network.app_messages,
         "wire_bytes": network.wire_bytes,
         "json_bytes": network.json_bytes,
-        "net_messages": network.stats.messages,
-        "net_bytes": network.stats.bytes_total,
+        "net_messages": network.stats.messages - messages,
+        "net_bytes": network.stats.bytes_total - wire_bytes,
         "updates_received": sum(c.updates_received for c in clients),
     }
     # PR 4 serialized each outbound application message twice (sizing +

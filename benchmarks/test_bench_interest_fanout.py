@@ -102,7 +102,6 @@ def run_room(tmp_path, population, tag, subscribe=True, events=NUM_EVENTS):
             client.subscribe(sparse_subscriptions(paths, index), replace=True)
         network.run()
     network.reset_tallies()
-    network.reset_stats()
     counters = obs.snapshot()["counters"]
     encodes_before = counters.get("codec.encodes", 0)
     filtered_before = counters.get("interest.updates_filtered", 0)

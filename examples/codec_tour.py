@@ -64,7 +64,7 @@ def run_consultation(workdir, name, population, window_s):
         client.join("record-17")
         clients.append(client)
     network.run()
-    network.reset_stats()
+    frames, wire_bytes = network.stats.messages, network.stats.bytes_total
     counters = obs.snapshot()["counters"]
     before = {
         key: counters.get(key, 0)
@@ -77,8 +77,8 @@ def run_consultation(workdir, name, population, window_s):
     out = {
         key: counters.get(key, 0) - start for key, start in before.items()
     }
-    out["frames"] = network.stats.messages
-    out["wire_bytes"] = network.stats.bytes_total
+    out["frames"] = network.stats.messages - frames
+    out["wire_bytes"] = network.stats.bytes_total - wire_bytes
     out["updates"] = sum(c.updates_received for c in clients)
     db.close()
     return out

@@ -48,9 +48,10 @@ class ClientBuffer:
         self.misses = 0
         obs = get_registry()
         self._events = get_event_log()
-        self._g_occupancy = obs.gauge_family(
-            "client.buffer.occupancy_bytes", ("owner",)
-        ).labels(owner)
+        entries = self._entries
+        obs.gauge_family("client.buffer.occupancy_bytes", ("owner",)).labels(
+            owner, read=lambda: sum(entry.size for entry in entries.values())
+        )
         self._m_evictions = obs.counter_family(
             "client.buffer.evictions", ("owner",)
         ).labels(owner)
@@ -133,7 +134,6 @@ class ClientBuffer:
         self._used += size
         if pinned:
             self._pinned += size
-        self._g_occupancy.set(self._used)
         return True
 
     def _evict_until(self, needed: int, evict_below: float | None = None) -> bool:
@@ -175,7 +175,6 @@ class ClientBuffer:
             self._used -= entry.size
             if entry.pinned:
                 self._pinned -= entry.size
-            self._g_occupancy.set(self._used)
 
     def pin(self, key: str) -> None:
         """Protect an entry from eviction (it is on screen)."""
@@ -198,8 +197,3 @@ class ClientBuffer:
     def clear(self) -> None:
         self._entries.clear()
         self._used = self._pinned = 0
-        self._g_occupancy.set(0)
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

@@ -60,6 +60,8 @@ class Membership:
     def __init__(self, doc_id: str, join_time: float) -> None:
         self.doc_id = doc_id
         self.join_time = join_time  # a rejoin after a shed keeps it
+        #: JOIN to JOIN_ACK, set when the ack makes this membership current.
+        self.join_latency: float | None = None
         self.session_id: str | None = None
         self.room_id: str | None = None
         self.render: RenderTree | None = None
@@ -332,6 +334,9 @@ class ClientModule:
             self._tuning_unsupported = True
         else:
             self.errors.append(payload)
+            if payload.get("kind") == MessageKind.JOIN and self._owner_of(payload):
+                # Our pending join was refused: later ops fail, not queue on it.
+                self.membership = None
 
     def _on_join_ack(self, payload: dict[str, Any]) -> None:
         membership, session_id = self.membership, payload["session_id"]
@@ -348,7 +353,7 @@ class ClientModule:
         membership.render = RenderTree(membership.doc_id, structure)
         membership.sizes = {entry["path"]: dict(entry.get("sizes", {})) for entry in structure}
         membership.render.apply_update(payload.get("outcome", {}))
-        self.join_latency = self._now() - membership.join_time
+        self.join_latency = membership.join_latency = self._now() - membership.join_time
         self._m_join_latency.observe(self.join_latency)
         self._fetch_missing(membership, payload.get("outcome", {}))
         queued, membership.queued = membership.queued, []

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro import obs
@@ -148,15 +149,14 @@ class AdmissionController:
         self._shed_floor: dict[str, int] = {}
         self._pumping = False
         registry = obs.get_registry()
-        self._f_accepted = registry.counter_family("admission.accepted", ("node", "lane"))
-        self._f_deferred = registry.counter_family("admission.deferred", ("node", "lane"))
-        self._f_shed = registry.counter_family("admission.shed", ("node", "lane"))
-        # Plain-attribute mirrors so tests and benchmark reports can read
-        # per-controller tallies without going through the registry.
-        self.accepted = 0
-        self.deferred = 0
-        self.shed = 0
-        self.shed_by_lane: dict[str, int] = {}
+        #: outcome -> (lane -> count): this controller's own tally, which
+        #: the registry reads per (node, lane) from a lane's first count.
+        self.by_lane: dict[str, dict[str, int]] = {ACCEPT: {}, DEFER: {}, SHED: {}}
+        self._families = {
+            ACCEPT: registry.counter_family("admission.accepted", ("node", "lane")),
+            DEFER: registry.counter_family("admission.deferred", ("node", "lane")),
+            SHED: registry.counter_family("admission.shed", ("node", "lane")),
+        }
         self.resumed = 0
         self.dropped_dead = 0
         self.max_depth_seen = 0
@@ -190,8 +190,7 @@ class AdmissionController:
                 return self._accept(lane)
             if len(self._parked) >= self.config.defer_limit:
                 return self._shed(lane)
-            self.deferred += 1
-            self._f_deferred.labels(self.node_id, lane).inc()
+            self._count(DEFER, lane)
             return Decision(DEFER, self._hint(depth, self.config.depth_defer))
         # data lane
         if depth < self.config.depth_shed:
@@ -207,15 +206,34 @@ class AdmissionController:
                 self._shed_floor[session_id] = op_seq
         return self._shed(lane)
 
+    @property
+    def accepted(self) -> int:
+        return sum(self.by_lane[ACCEPT].values())
+
+    @property
+    def deferred(self) -> int:
+        return sum(self.by_lane[DEFER].values())
+
+    @property
+    def shed(self) -> int:
+        return sum(self.by_lane[SHED].values())
+
+    def _count(self, outcome: str, lane: str) -> None:
+        counts = self.by_lane[outcome]
+        count = counts.get(lane)
+        if count is None:
+            self._families[outcome].labels(
+                self.node_id, lane, read=partial(counts.__getitem__, lane)
+            )
+            count = 0
+        counts[lane] = count + 1
+
     def _accept(self, lane: str) -> Decision:
-        self.accepted += 1
-        self._f_accepted.labels(self.node_id, lane).inc()
+        self._count(ACCEPT, lane)
         return _ACCEPTED
 
     def _shed(self, lane: str) -> Decision:
-        self.shed += 1
-        self.shed_by_lane[lane] = self.shed_by_lane.get(lane, 0) + 1
-        self._f_shed.labels(self.node_id, lane).inc()
+        self._count(SHED, lane)
         return Decision(SHED, self._hint(self.queue.pending, self.config.depth_defer))
 
     def _hint(self, depth: int, threshold: int) -> float:
@@ -277,7 +295,7 @@ class AdmissionController:
             "accepted": self.accepted,
             "deferred": self.deferred,
             "shed": self.shed,
-            "shed_by_lane": dict(self.shed_by_lane),
+            "shed_by_lane": dict(self.by_lane[SHED]),
             "resumed": self.resumed,
             "dropped_dead": self.dropped_dead,
             "parked": len(self._parked),

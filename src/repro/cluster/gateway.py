@@ -35,7 +35,7 @@ from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_ROUTE
-from repro.server.protocol import PROTOCOL, MessageKind
+from repro.server.protocol import PROTOCOL, MessageKind, error_body
 from repro.server.telemetry import TelemetryChannel
 from repro.util.backoff import seeded_jitter
 
@@ -81,27 +81,20 @@ class Gateway(ServiceNode):
         )
         self._m_route_retries = registry.counter("gateway.route_retries")
         self._m_zombies_fenced = registry.counter("gateway.zombies_fenced")
-        self._g_sessions = registry.gauge_family(
-            "gateway.sessions_routed", ("gateway",)
-        ).labels(node_id)
-        self._g_sessions.set(0)
-        self._m_cache_hits = registry.counter_family(
-            "gateway.route_cache.hits", ("gateway",)
-        ).labels(node_id)
-        self._m_cache_misses = registry.counter_family(
-            "gateway.route_cache.misses", ("gateway",)
-        ).labels(node_id)
-        self._m_cache_invalidations = registry.counter_family(
-            "gateway.route_cache.invalidations", ("gateway",)
-        ).labels(node_id)
-        # Not a second copy of the three counters above: a labelled
-        # counter child belongs to the *registry*, so every harness built
-        # under one registry that names a gateway "gw-1" shares it (and
-        # under NullRegistry it reads 0). These integers are the only
-        # per-node reading ``route_cache_stats()`` can give.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_invalidations = 0
+        registry.gauge_family("gateway.sessions_routed", ("gateway",)).labels(
+            node_id, read=self._session_route.__len__
+        )
+        #: This gateway's route-cache hits, misses and invalidations.
+        tally = self.route_cache = {"hits": 0, "misses": 0, "invalidations": 0}
+        registry.counter_family("gateway.route_cache.hits", ("gateway",)).labels(
+            node_id, read=lambda: tally["hits"]
+        )
+        registry.counter_family("gateway.route_cache.misses", ("gateway",)).labels(
+            node_id, read=lambda: tally["misses"]
+        )
+        registry.counter_family("gateway.route_cache.invalidations", ("gateway",)).labels(
+            node_id, read=lambda: tally["invalidations"]
+        )
         # Telemetry monitors (same channel the single server offers).
         self.telemetry = TelemetryChannel(
             node_id, lambda: network.clock.now, self._send_if_present
@@ -160,7 +153,7 @@ class Gateway(ServiceNode):
                 or not self.network.has_node(sender)
             ):
                 raise
-            self._send_error(sender, type(exc).__name__, str(exc))
+            self._send_error(sender, type(exc).__name__, str(exc), message.frame)
         finally:
             if telemetry.monitors:
                 telemetry.push(force=False)
@@ -170,9 +163,10 @@ class Gateway(ServiceNode):
         if self.network.has_node(recipient):
             self._send_framed(recipient, kind, body)
 
-    def _send_error(self, recipient: str, error: str, detail: str) -> None:
+    def _send_error(self, recipient: str, error: str, detail: str, request: Frame) -> None:
         self._send_if_present(
-            recipient, MessageKind.ERROR, {"error": error, "detail": detail}
+            recipient, MessageKind.ERROR,
+            error_body(error, detail, request.kind, request.payload or {}),
         )
 
     def _route_message(self, message: Message) -> None:
@@ -189,12 +183,7 @@ class Gateway(ServiceNode):
             session_id = payload.get("session_id")
             shard = self._session_route.get(session_id)
             if attempt == 0:
-                if shard is None:
-                    self._m_cache_misses.inc()
-                    self.cache_misses += 1
-                else:
-                    self._m_cache_hits.inc()
-                    self.cache_hits += 1
+                self.route_cache["misses" if shard is None else "hits"] += 1
             if shard is None:
                 self._park_for_route(session_id, sender_node, frame)
                 return
@@ -229,7 +218,7 @@ class Gateway(ServiceNode):
             )
             self._send_error(
                 sender_node, "ClusterError",
-                f"no live shard for {kind!r} after {attempt} retries",
+                f"no live shard for {kind!r} after {attempt} retries", frame,
             )
             return
         delay = self._route_retry_delay(sender_node, kind, attempt)
@@ -258,7 +247,7 @@ class Gateway(ServiceNode):
         try:
             self._route_client(sender_node, frame, attempt)
         except Exception as exc:
-            self._send_error(sender_node, type(exc).__name__, str(exc))
+            self._send_error(sender_node, type(exc).__name__, str(exc), frame)
 
     def on_delivery_failed(self, error: Any) -> None:
         """The reliable layer gave up on one of the gateway's frames.
@@ -349,13 +338,13 @@ class Gateway(ServiceNode):
         shard = payload.get("shard")
         waiting = self._route_waiting.pop(session_id, [])
         if shard is None:
-            for sender_node, _frame, _ctx, _at in waiting:
+            for sender_node, frame, _ctx, _at in waiting:
                 self._send_error(
-                    sender_node, "ClusterError", f"no shard owns session {session_id!r}"
+                    sender_node, "ClusterError", f"no shard owns session {session_id!r}",
+                    frame,
                 )
             return
         self._session_route[session_id] = shard
-        self._g_sessions.set(len(self._session_route))
         dtrace = self._dtrace
         now = self.network.clock.now
         for sender_node, frame, ctx, parked_at in waiting:
@@ -386,15 +375,11 @@ class Gateway(ServiceNode):
         ]
         for sid in dropped:
             self._session_route.pop(sid, None)
-        if dropped:
-            self._m_cache_invalidations.inc(len(dropped))
-            self.cache_invalidations += len(dropped)
-        self._g_sessions.set(len(self._session_route))
+        self.route_cache["invalidations"] += len(dropped)
 
     def _learn_route(self, session_id: str, doc_id: str, shard_id: str) -> None:
         """Record the session→shard route sniffed off a ``JOIN_ACK``."""
         self._session_route[session_id] = shard_id
-        self._g_sessions.set(len(self._session_route))
         # Keep the directory authoritative: it answers other gateways'
         # lookups for this session after we are gone.
         self._send_framed(
@@ -405,7 +390,6 @@ class Gateway(ServiceNode):
     def _forget_route(self, session_id: str | None) -> None:
         """Drop the route of a departed session (``LEAVE`` forwarded)."""
         known = self._session_route.pop(session_id, None) is not None
-        self._g_sessions.set(len(self._session_route))
         if known:
             self._send_framed(
                 self.directory_id, MessageKind.ROUTE_REPORT,
@@ -415,13 +399,9 @@ class Gateway(ServiceNode):
     # ----- introspection ----------------------------------------------------------
 
     def route_cache_stats(self) -> dict[str, Any]:
-        total = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "invalidations": self.cache_invalidations,
-            "hit_rate": self.cache_hits / total if total else None,
-        }
+        tally = self.route_cache
+        total = tally["hits"] + tally["misses"]
+        return {**tally, "hit_rate": tally["hits"] / total if total else None}
 
     def stats(self) -> dict[str, Any]:
         return {

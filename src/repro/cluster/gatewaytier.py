@@ -137,12 +137,10 @@ class GatewayDirectory(ClusterNode):
         self._h_failover = registry.histogram(
             "cluster.failover_duration_s", LATENCY_BUCKETS
         )
-        self._g_shards = registry.gauge("cluster.shards_live")
-        self._g_gateways = registry.gauge("cluster.gateways_live")
-        self._g_sessions = registry.gauge("directory.sessions_known")
-        self._g_shards.set(0)
-        self._g_gateways.set(0)
-        self._g_sessions.set(0)
+        shards, gateways, dead = self._shards, self._gateways, self._dead
+        registry.gauge("cluster.shards_live", read=lambda: len(shards - dead))
+        registry.gauge("cluster.gateways_live", read=lambda: len(gateways - dead))
+        registry.gauge("directory.sessions_known", read=self._session_route.__len__)
         network.attach_backbone(self)
 
     # ----- topology ---------------------------------------------------------------
@@ -154,7 +152,6 @@ class GatewayDirectory(ClusterNode):
         self._shards.add(shard_id)
         self.ring.add_node(shard_id)
         self.detector.watch(shard_id, self.network.clock.now)
-        self._g_shards.set(len(self.live_shards))
 
     def register_gateway(self, gateway: GatewayNode) -> None:
         """Add a gateway to the client ring and watch its heartbeats."""
@@ -164,7 +161,6 @@ class GatewayDirectory(ClusterNode):
         self._gateways.add(gateway_id)
         self.gateway_ring.add_node(gateway_id)
         self.detector.watch(gateway_id, self.network.clock.now)
-        self._g_gateways.set(len(self.live_gateways))
 
     def attach_client(self, client: Any) -> str:
         """Home *client* on its consistent-hash gateway; return its id.
@@ -223,7 +219,6 @@ class GatewayDirectory(ClusterNode):
         self._dead.add(shard_id)
         self.detector.forget(shard_id)
         self.ring.remove_node(shard_id)
-        self._g_shards.set(len(self.live_shards))
         self._emit(
             "cluster.shard_dead", severity="WARN", shard=shard_id, last_beat=last_beat
         )
@@ -239,7 +234,6 @@ class GatewayDirectory(ClusterNode):
             for session_id in orphans:
                 self._session_route.pop(session_id, None)
                 self._session_key.pop(session_id, None)
-            self._g_sessions.set(len(self._session_route))
             self._emit(
                 "cluster.no_shards_left", severity="ERROR", orphaned=len(orphans)
             )
@@ -267,7 +261,6 @@ class GatewayDirectory(ClusterNode):
         self._dead.add(gateway_id)
         self.detector.forget(gateway_id)
         self.gateway_ring.remove_node(gateway_id)
-        self._g_gateways.set(len(self.live_gateways))
         self._emit(
             "cluster.gateway_dead", severity="WARN",
             gateway=gateway_id, last_beat=last_beat,
@@ -356,7 +349,6 @@ class GatewayDirectory(ClusterNode):
         else:
             self._session_route[session_id] = payload["shard"]
             self._session_key[session_id] = payload["key"]
-        self._g_sessions.set(len(self._session_route))
 
     def _on_route_lookup(self, gateway_id: str, payload: dict[str, Any]) -> None:
         session_id = payload["session_id"]

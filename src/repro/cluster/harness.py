@@ -173,16 +173,12 @@ class ClusterHarness:
 
     def route_cache_stats(self) -> dict[str, Any]:
         """Tier-wide route-cache totals across every gateway."""
-        hits = sum(g.cache_hits for g in self.gateways.values())
-        misses = sum(g.cache_misses for g in self.gateways.values())
-        invalidations = sum(g.cache_invalidations for g in self.gateways.values())
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "invalidations": invalidations,
-            "hit_rate": hits / total if total else None,
+        totals = {
+            fact: sum(g.route_cache[fact] for g in self.gateways.values())
+            for fact in ("hits", "misses", "invalidations")
         }
+        total = totals["hits"] + totals["misses"]
+        return {**totals, "hit_rate": totals["hits"] / total if total else None}
 
     def owner_of(self, doc_id: str) -> str:
         return self.ring.owner(doc_id)

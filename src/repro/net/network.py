@@ -47,7 +47,8 @@ class Node(Protocol):
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic accounting."""
+    """Aggregate traffic accounting (the registry's ``net.messages`` and
+    ``net.bytes_total`` read it)."""
 
     messages: int = field(default=0, init=False)
     bytes_total: int = field(default=0, init=False)
@@ -84,14 +85,14 @@ class SimulatedNetwork:
         # once per node pair per topology, and a pair found here has both
         # its endpoints attached: send and _transmit check nothing else.
         self._routes: dict[tuple[str, str], tuple[Link, Any]] = {}
-        self.stats = NetworkStats()
+        stats = self.stats = NetworkStats()
         self._obs = get_registry()
         self._events = get_event_log()
         self._dtrace = get_dtrace()
         self._m_drops = self._obs.counter("net.drops")
         self._m_batch_unpacked = self._obs.counter("net.batch_unpacked")
-        self._m_messages = self._obs.counter("net.messages")
-        self._m_bytes = self._obs.counter("net.bytes_total")
+        self._obs.counter("net.messages", read=lambda: stats.messages)
+        self._obs.counter("net.bytes_total", read=lambda: stats.bytes_total)
         self._m_queue_delay = self._obs.histogram("net.queue_delay_s", LATENCY_BUCKETS)
         # Per-link byte counters, created on attach: node -> Counter.
         self._m_link_up: dict[str, Any] = {}
@@ -328,8 +329,6 @@ class SimulatedNetwork:
         else:
             wait, arrival = link.reserve(now, size)
             self._m_queue_delay.observe(wait)
-        self._m_messages.inc()
-        self._m_bytes.inc(size)
         link_bytes.inc(size)
         stats = self.stats
         stats.messages += 1
@@ -445,6 +444,3 @@ class SimulatedNetwork:
     def run(self) -> int:
         """Drive the clock until the network is quiescent."""
         return self.clock.run()
-
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()

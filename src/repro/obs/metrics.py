@@ -2,10 +2,21 @@
 
 The registry is designed to be *always on*: instruments are plain
 objects with ``__slots__`` whose hot methods do one attribute update
-(counters/gauges) or one bisect (histograms). Call sites resolve their
+(counters) or one bisect (histograms). Call sites resolve their
 instrument handles once — typically in ``__init__`` — and increment by
 batch totals (``rows_scanned.inc(len(candidates))``) rather than per
 element, so the cost per *operation* is a handful of nanoseconds.
+
+One tally per fact: ``counter``, ``gauge`` and a family's ``labels``
+take a zero-argument ``read`` that closes over an owner's small tally
+(a stats record, a dict of counts, a table it holds), never over the
+owner, so the registry keeps no server, network or client alive.
+
+- A gauge is read from its owner; nothing sets it, and a child belongs
+  to its newest reader.
+- A counter is incremented only where no owner already counts the
+  fact; its value is what was added plus the sum of its readers.
+- A reader binds to the registry that is active when its owner is built.
 
 Labelled *families* add bounded dimensionality on top: a family is a
 named group of instruments keyed by label values
@@ -15,7 +26,8 @@ Children are ordinary instruments registered under the canonical name
 diff) sees them with no special casing. Cardinality is
 bounded per family: once ``max_series`` distinct label sets exist, new
 label sets collapse into one shared overflow child (labels
-``"__other__"``) instead of growing without limit.
+``"__other__"``) instead of growing without limit. ``remove`` drops a
+child together with its readers.
 
 When observability must be off entirely, install a
 :class:`NullRegistry`: it hands out shared no-op instruments, so an
@@ -44,36 +56,55 @@ COUNT_BUCKETS: tuple[float, ...] = (
 )
 
 
-class Counter:
-    """A monotonically increasing count."""
+#: What a zero-argument reader returns: one owner's current count or level.
+Reader = Callable[[], "int | float"]
 
-    __slots__ = ("name", "value")
+
+class Counter:
+    """A monotonically increasing count: what call sites add, plus what
+    the owners' tallies it reads hold."""
+
+    __slots__ = ("name", "_added", "_readers")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._added: int | float = 0
+        self._readers: list[Reader] = []
 
     def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
+        self._added += amount
+
+    def bind(self, read: Reader) -> None:
+        """Add one more owner's tally to this count."""
+        self._readers.append(read)
+
+    @property
+    def value(self) -> int | float:
+        value = self._added
+        for read in self._readers:
+            value += read()
+        return value
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
 
 
 class Gauge:
-    """A value that goes up and down (occupancy, depth, live bytes)."""
+    """A level read from its owner (occupancy, depth, live bytes)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_read")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._read: Reader = int  # reads 0 until an owner binds
 
-    def set(self, value: int | float) -> None:
-        self.value = value
+    def bind(self, read: Reader) -> None:
+        """Make *read* the owner of this level (the newest owner wins)."""
+        self._read = read
 
-    def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
+    @property
+    def value(self) -> int | float:
+        return self._read()
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value})"
@@ -261,13 +292,19 @@ class MetricFamily:
         self._store = store
         self._make = make
 
-    def labels(self, *values: Any) -> Any:
-        """The child instrument for one label-value tuple."""
+    def labels(self, *values: Any, read: Reader | None = None) -> Any:
+        """The child instrument for one label-value tuple; *read* binds
+        an owner's tally to it (see :meth:`Counter.bind`, :meth:`Gauge.bind`)."""
         # Children are keyed by their str() label tuple, so all-string
         # labels of a live child hit here without being rebuilt.
         child = self._children.get(values)
-        if child is not None:
-            return child
+        if child is None:
+            child = self._child(values)
+        if read is not None:
+            child.bind(read)
+        return child
+
+    def _child(self, values: tuple[Any, ...]) -> Any:
         if len(values) != len(self.label_names):
             raise ValueError(
                 f"family {self.name!r} takes labels {self.label_names}, "
@@ -295,7 +332,7 @@ class MetricFamily:
         return f"{self.name}{{{labels}}}"
 
     def remove(self, *values: Any) -> None:
-        """Drop one child (e.g. when its labelled entity is retired)."""
+        """Drop one child and its readers (its labelled entity is retired)."""
         key = tuple(str(v) for v in values)
         child = self._children.pop(key, None)
         if child is not None:
@@ -329,16 +366,20 @@ class MetricsRegistry:
 
     # ----- instruments -----------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, read: Reader | None = None) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
+        if read is not None:
+            instrument.bind(read)
         return instrument
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(self, name: str, read: Reader | None = None) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = Gauge(name)
+        if read is not None:
+            instrument.bind(read)
         return instrument
 
     def histogram(self, name: str, bounds: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
@@ -451,9 +492,6 @@ class _NullInstrument:
     def inc(self, amount: int | float = 1) -> None:
         pass
 
-    def set(self, value: int | float) -> None:
-        pass
-
     def observe(self, value: int | float) -> None:
         pass
 
@@ -471,13 +509,8 @@ class _NullFamily:
     """Shared do-nothing family: every label set is the null instrument."""
 
     __slots__ = ()
-    name = "null"
-    kind = "null"
-    label_names = ()
-    max_series = 0
-    children: Mapping[tuple[str, ...], Any] = {}
 
-    def labels(self, *values: Any) -> _NullInstrument:
+    def labels(self, *values: Any, read: Reader | None = None) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def remove(self, *values: Any) -> None:
@@ -487,57 +520,19 @@ class _NullFamily:
 _NULL_FAMILY = _NullFamily()
 
 
-class NullRegistry:
-    """Observability off: every instrument is the shared no-op object."""
+class NullRegistry(MetricsRegistry):
+    """Observability off: every instrument is the shared no-op object and
+    every family the shared no-op family, so nothing is ever registered."""
 
     enabled = False
 
-    def counter(self, name: str) -> _NullInstrument:
+    def counter(self, name: str, read: Reader | None = None) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
+    gauge = counter
 
     def histogram(self, name: str, bounds: Sequence[float] = LATENCY_BUCKETS) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def counter_family(
-        self, name: str, label_names: Sequence[str], max_series: int = DEFAULT_MAX_SERIES
-    ) -> _NullFamily:
+    def _family(self, *args: Any) -> _NullFamily:
         return _NULL_FAMILY
-
-    def gauge_family(
-        self, name: str, label_names: Sequence[str], max_series: int = DEFAULT_MAX_SERIES
-    ) -> _NullFamily:
-        return _NULL_FAMILY
-
-    def histogram_family(
-        self,
-        name: str,
-        label_names: Sequence[str],
-        bounds: Sequence[float] = LATENCY_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> _NullFamily:
-        return _NULL_FAMILY
-
-    @property
-    def families(self) -> Mapping[str, MetricFamily]:
-        return {}
-
-    @property
-    def counters(self) -> Mapping[str, Counter]:
-        return {}
-
-    @property
-    def gauges(self) -> Mapping[str, Gauge]:
-        return {}
-
-    @property
-    def histograms(self) -> Mapping[str, Histogram]:
-        return {}
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def reset(self) -> None:
-        pass

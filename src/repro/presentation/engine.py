@@ -85,19 +85,19 @@ class PresentationEngine:
         # the shared choices, or None unless every one names a base
         # variable) — see _shared_evidence.
         self._shared_on_base: tuple[tuple[int, int], tuple | None] | None = None
-        # Cache accounting: plain per-instance tallies (what tests and
-        # `stats()` expect) plus registry children split per document, so
-        # dashboards see cache behaviour without holding engine refs.
+        # Cache accounting: this engine's own tally, which the registry
+        # reads per document (dashboards see cache behaviour without
+        # holding engine refs; a primary's and a standby's engine on one
+        # document sum).
+        tally = self._cache = {"hits": 0, "misses": 0}
         registry = get_registry()
         self._families = (
             registry.counter_family("presentation.spec_cache.hits", ("doc",)),
             registry.counter_family("presentation.spec_cache.misses", ("doc",)),
         )
-        self._m_cache_hits, self._m_cache_misses = (
-            family.labels(document.doc_id) for family in self._families
-        )
-        self._cache_hits = 0
-        self._cache_misses = 0
+        hits, misses = self._families
+        hits.labels(document.doc_id, read=lambda: tally["hits"])
+        misses.labels(document.doc_id, read=lambda: tally["misses"])
 
     def close(self) -> None:
         """The document is no longer served: its labelled series go."""
@@ -107,12 +107,12 @@ class PresentationEngine:
     @property
     def cache_hits(self) -> int:
         """Spec-cache hits by *this* engine."""
-        return self._cache_hits
+        return self._cache["hits"]
 
     @property
     def cache_misses(self) -> int:
         """Spec-cache misses by *this* engine."""
-        return self._cache_misses
+        return self._cache["misses"]
 
     # ----- viewers ----------------------------------------------------------
 
@@ -307,11 +307,9 @@ class PresentationEngine:
         shared, own = self._shared_version, viewer.version
         cached = viewer.spec
         if cached is not None and cached[0] == shared and cached[1] == own:
-            self._cache_hits += 1
-            self._m_cache_hits.inc()
+            self._cache["hits"] += 1
             return cached[2]
-        self._cache_misses += 1
-        self._m_cache_misses.inc()
+        self._cache["misses"] += 1
         extension = viewer.extension
         evidence, key = self._shared_evidence(extension)
         personal = viewer.personal

@@ -43,7 +43,7 @@ from repro.server.permissions import (
     PERM_VIEW,
     PermissionPolicy,
 )
-from repro.server.protocol import PROTOCOL, MessageKind, encoded_size
+from repro.server.protocol import PROTOCOL, MessageKind, encoded_size, error_body
 from repro.server.room import Room
 from repro.server.session import Session
 from repro.server.telemetry import TelemetryChannel
@@ -138,20 +138,17 @@ class InteractionServer:
         self._m_interest_filtered = registry.counter("interest.updates_filtered")
         self._m_interest_bytes_saved = registry.counter("interest.bytes_saved")
         self._m_interest_downgrades = registry.counter("interest.layer_downgrades")
-        # One child per server: every shard primary and standby shadow
-        # in the process writes its own, and a new one claims its label
-        # so a recycled registry never shows a dead server's state.
-        gauges = [
-            registry.gauge_family(name, ("node",)).labels(node_id)
-            for name in (
-                "server.sessions_connected",
-                "server.rooms_open",
-                "server.room_occupancy",
-            )
-        ]
-        for gauge in gauges:
-            gauge.set(0)
-        self._g_sessions, self._g_rooms, self._g_occupancy = gauges
+        # One child per server, read from its own tables: every shard
+        # primary and standby shadow has its own, and a new one claims its
+        # label so a recycled registry never shows a dead server's state.
+        sessions, rooms, node = self._sessions, self._rooms_by_doc, ("node",)
+        registry.gauge_family("server.sessions_connected", node).labels(
+            node_id, read=sessions.__len__
+        )
+        registry.gauge_family("server.rooms_open", node).labels(node_id, read=rooms.__len__)
+        registry.gauge_family("server.room_occupancy", node).labels(
+            node_id, read=lambda: sum(s.room_id is not None for s in sessions.values())
+        )
         #: Telemetry monitors (pushed metric diffs + buffered events), on
         #: the hub only: a monitor reaches a cluster through a gateway.
         self.telemetry: TelemetryChannel | None = None
@@ -186,7 +183,6 @@ class InteractionServer:
             node_id=node_id if node_id is not None else viewer_id,
         )
         self._sessions[session.session_id] = session
-        self._g_sessions.set(len(self._sessions))
         return session
 
     def disconnect_session(self, session_id: str) -> None:
@@ -198,7 +194,6 @@ class InteractionServer:
         if session.in_room:
             self.leave_room(session_id)
         del self._sessions[session_id]
-        self._g_sessions.set(len(self._sessions))
         self._dtrace.drop_session(session.node_id)
 
     def _session(self, session_id: str) -> Session:
@@ -256,7 +251,6 @@ class InteractionServer:
         )
         self._rooms[room.room_id] = room
         self._rooms_by_doc[doc_id] = room.room_id
-        self._g_rooms.set(len(self._rooms))
         return room
 
     def join_room(self, session_id: str, doc_id: str) -> tuple[Room, PresentationSpec]:
@@ -268,9 +262,6 @@ class InteractionServer:
         room = self.open_room(doc_id)
         room.join(session_id, session.viewer_id)
         session.room_id = room.room_id
-        self._g_occupancy.set(
-            sum(len(r.member_sessions) for r in self._rooms.values())
-        )
         self._emit(
             "server.room_join",
             room=room.room_id,
@@ -299,10 +290,13 @@ class InteractionServer:
                 session.session_id,
                 default_subscriptions(room.document, spec.outcome),
             )
-            self._g_interest_subs.labels(room.room_id).set(
-                room.interest.explicit_subscriptions()
-            )
+            self._claim_interest_gauge(room)
         return room, spec
+
+    def _claim_interest_gauge(self, room: Room) -> None:
+        """The room whose subscriptions changed last owns its gauge (a
+        primary's, a standby's and a promoted room share one room id)."""
+        self._g_interest_subs.labels(room.room_id, read=room.interest.explicit_subscriptions)
 
     def _profile_of(self, viewer_id: str):
         if viewer_id not in self._profiles:
@@ -318,9 +312,7 @@ class InteractionServer:
         room.leave(session_id)
         session.forget_spec(room.document.doc_id)
         session.room_id = None
-        self._g_interest_subs.labels(room.room_id).set(
-            room.interest.explicit_subscriptions()
-        )
+        self._claim_interest_gauge(room)
         self._emit(
             "server.room_leave",
             room=room.room_id,
@@ -340,7 +332,6 @@ class InteractionServer:
                     )
             del self._rooms[room.room_id]
             del self._rooms_by_doc[room.document.doc_id]
-            self._g_rooms.set(len(self._rooms))
             # The room's labelled series die with it: a closed room must
             # leave no live child in any family and no trace-store
             # residue (the flat counters keep the cumulative totals).
@@ -351,7 +342,6 @@ class InteractionServer:
             self._emit(
                 "server.room_closed", room=room.room_id, doc=room.document.doc_id
             )
-        self._g_occupancy.set(sum(len(r.member_sessions) for r in self._rooms.values()))
 
     # ----- cooperative actions -------------------------------------------------------------
 
@@ -446,9 +436,7 @@ class InteractionServer:
         subscribed: tuple[str, ...],
         catchup: dict[str, str],
     ) -> None:
-        self._g_interest_subs.labels(room.room_id).set(
-            room.interest.explicit_subscriptions()
-        )
+        self._claim_interest_gauge(room)
         self._emit(
             event,
             severity="DEBUG",
@@ -814,7 +802,7 @@ class InteractionServer:
         except Exception as exc:  # protocol errors go back to the client
             if self.outbox is None:
                 raise
-            body = {"error": type(exc).__name__, "detail": str(exc)}
+            body = error_body(type(exc).__name__, str(exc), kind, payload)
             self._send_body(message.sender, MessageKind.ERROR, body)
             return None
         finally:
@@ -853,7 +841,6 @@ class InteractionServer:
             if session.in_room:
                 self.leave_room(session.session_id)
             del self._sessions[session.session_id]
-            self._g_sessions.set(len(self._sessions))
             raise
         body = {
             "session_id": session.session_id,

@@ -181,6 +181,16 @@ PROTOCOL: dict[str, KindSpec] = {row.kind: row for row in _ROWS}
 MessageKind.CLIENT_KINDS = tuple(PROTOCOL)
 
 
+def error_body(error: str, detail: str, kind: str, request: dict[str, Any]) -> dict[str, Any]:
+    """An ``ERROR``'s body: what went wrong and which request it refuses —
+    its kind and, for a JOIN, its document, so the client can end the
+    pending join it answers."""
+    body = {"error": error, "detail": detail, "kind": kind}
+    if kind == MessageKind.JOIN:
+        body["doc_id"] = request.get("doc_id")
+    return body
+
+
 def encoded_size(payload: Any) -> int:
     """Bytes this payload would occupy on the wire.
 

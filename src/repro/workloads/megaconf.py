@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.chaos.plan import FaultPlan
-from repro.cluster.admission import LANE_CONTROL, AdmissionConfig
+from repro.cluster.admission import LANE_CONTROL, SHED, AdmissionConfig
 from repro.cluster.config import ClusterConfig
 from repro.cluster.harness import ClusterHarness
 from repro.db.orm import MultimediaObjectStore
@@ -200,7 +200,7 @@ def _admission_totals(harness: ClusterHarness) -> dict[str, Any]:
     ] + [gw.admission for gw in harness.gateways.values() if gw.admission]
     shed_by_lane: dict[str, int] = {}
     for controller in controllers:
-        for lane, count in controller.shed_by_lane.items():
+        for lane, count in controller.by_lane[SHED].items():
             shed_by_lane[lane] = shed_by_lane.get(lane, 0) + count
     return {
         "accepted": sum(c.accepted for c in controllers),
@@ -247,16 +247,23 @@ def _build_day(
 
 
 def _plot_slot(
-    clock: Any, clients: dict[str, Any], stream: list[tuple[str, str]], slot: SessionSlot
+    clock: Any, clients: dict[str, Any], stream: list[tuple[str, str]], slot: SessionSlot,
+    opened: dict[tuple[SessionSlot, str], Any],
 ) -> None:
     """Schedule one slot's joins, staggered across its window, and its
     speaker's (the first attendee's) choices through the session. A
     choice made while the speaker's join is still pending waits on that
-    membership for its ack, and dies with it if a later join supersedes it."""
+    membership for its ack, and dies with it if a later join supersedes it.
+    Each join's membership lands in *opened* under ``(slot, attendee)``."""
+
+    def join(name: str) -> None:
+        clients[name].join(slot.doc_id)
+        opened[slot, name] = clients[name].membership
+
     count = len(slot.attendees)
     for j, name in enumerate(slot.attendees):
         join_at = slot.start_s + slot.join_window_s * j / max(1, count)
-        clock.schedule_at(join_at, lambda c=clients[name], d=slot.doc_id: c.join(d))
+        clock.schedule_at(join_at, lambda n=name: join(n))
     speaker = clients[slot.attendees[0]]
     talk_start = slot.start_s + slot.join_window_s
     talk_s = max(slot.duration_s - slot.join_window_s, 1e-6)
@@ -277,10 +284,9 @@ def run_megaconf(
     joins staggered across each slot's window, one speaker (the slot's
     first attendee) issuing its choice stream through the session, every
     attendee leaving at the slot boundary and joining the next room.
-    Join latency is sampled per slot at the boundary (still-pending
-    joins — deferred by admission, still in a rejoin loop — are sampled
-    once more after the day drains) and split into ``track`` and
-    ``keynote`` phases.
+    Each join's latency is read off the membership it opened once the day
+    drains, split into ``track`` and ``keynote`` phases; a join never made
+    current is *superseded* if its attendee joined again, else *late*.
     """
     if schedule is None:
         schedule = build_conference_schedule()
@@ -288,34 +294,26 @@ def run_megaconf(
         config = ClusterConfig(shards=4, gateways=2, admission=AdmissionConfig())
     harness, clients, streams = _build_day(store, schedule, config, seed, False, None)
     clock = harness.clock
+    opened: dict[tuple[SessionSlot, str], Any] = {}
 
-    join_samples: dict[str, list[float]] = {"track": [], "keynote": []}
-    pending_samples: list[tuple[Any, str]] = []
-
-    def collect(slot: SessionSlot) -> None:
-        phase = "keynote" if slot.keynote else "track"
+    def end(slot: SessionSlot) -> None:
         for name in slot.attendees:
-            client = clients[name]
-            if client.join_latency is not None:
-                join_samples[phase].append(client.join_latency)
-                client.join_latency = None
-            else:
-                # Still deferred or mid-rejoin at the boundary; the
-                # post-drain sweep picks it up (or counts it late).
-                pending_samples.append((client, phase))
-            if not slot.keynote and client.session_id is not None:
-                client.leave()
+            if not slot.keynote and clients[name].session_id is not None:
+                clients[name].leave()
 
     for slot in schedule.slots:
-        _plot_slot(clock, clients, streams[slot.doc_id], slot)
-        clock.schedule_at(slot.end_s, lambda s=slot: collect(s))
+        _plot_slot(clock, clients, streams[slot.doc_id], slot, opened)
+        clock.schedule_at(slot.end_s, lambda s=slot: end(s))
     harness.run()
 
-    late_joins = 0
-    for client, phase in pending_samples:
-        if client.join_latency is not None:
-            join_samples[phase].append(client.join_latency)
-            client.join_latency = None
+    join_samples: dict[str, list[float]] = {"track": [], "keynote": []}
+    late_joins = superseded_joins = 0
+    last_opened = {name: membership for (_, name), membership in opened.items()}
+    for (slot, name), membership in opened.items():
+        if membership.join_latency is not None:
+            join_samples["keynote" if slot.keynote else "track"].append(membership.join_latency)
+        elif last_opened[name] is not membership:
+            superseded_joins += 1
         else:
             late_joins += 1
 
@@ -329,6 +327,7 @@ def run_megaconf(
         },
         "join_samples": join_samples,
         "late_joins": late_joins,
+        "superseded_joins": superseded_joins,
         "admission": _admission_totals(harness),
         "queue_max_pending": _queue_depths(harness),
         "retry_afters": sum(sum(c.retry_afters.values()) for c in all_clients),
@@ -410,7 +409,7 @@ def run_megaconf_convergence(
         )
 
     for slot in schedule.slots:
-        _plot_slot(clock, clients, streams[slot.doc_id], slot)
+        _plot_slot(clock, clients, streams[slot.doc_id], slot, {})
         if not slot.keynote:
             def leave_all(s: SessionSlot = slot) -> None:
                 for name in s.attendees:

@@ -152,9 +152,3 @@ class TestEviction:
 class TestHelpers:
     def test_entry_key(self):
         assert entry_key("imaging.ct", "flat") == "imaging.ct=flat"
-
-    def test_reset_stats(self):
-        buf = ClientBuffer(100)
-        buf.lookup("x")
-        buf.reset_stats()
-        assert (buf.hits, buf.misses) == (0, 0)

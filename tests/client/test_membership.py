@@ -8,7 +8,10 @@ is no longer the client's does nothing. Each case drives one client on
 the stub :class:`~tests.client.test_read_table.Wire` by hand.
 """
 
+import pytest
+
 from repro.client import ClientModule
+from repro.errors import ClientError
 from repro.server.protocol import MessageKind
 from tests.client.test_read_table import SCAN, Wire, deliver, joined
 
@@ -85,3 +88,30 @@ def test_a_shed_joins_rejoin_timer_belongs_to_its_membership():
     wire.clock.run()
     # A's timer fires into a superseded membership; B's own still rejoins.
     assert sent(wire, before) == [(MessageKind.JOIN, "b")]
+
+
+def test_a_refused_join_ends_its_pending_membership():
+    wire = Wire(home="gw-1")
+    client = ClientModule("viewer", network=wire)
+    client.join("no-such-doc")
+    deliver(client, MessageKind.ERROR, {
+        "error": "NotFoundError", "detail": "no document 'no-such-doc'",
+        "kind": MessageKind.JOIN, "doc_id": "no-such-doc",
+    })
+    assert client.membership is None
+    before = len(wire.sent)
+    with pytest.raises(ClientError):
+        client.choose("scan", "b")
+    assert wire.sent[before:] == []
+    assert [error["kind"] for error in client.errors] == [MessageKind.JOIN]
+
+
+def test_an_error_naming_another_request_leaves_the_pending_join_alone():
+    wire = Wire(home="gw-1")
+    client = ClientModule("viewer", network=wire)
+    client.join("track")
+    deliver(client, MessageKind.ERROR, {
+        "error": "RoomError", "detail": "refused", "kind": MessageKind.JOIN,
+        "doc_id": "keynote",
+    })
+    assert client.membership is not None and client.membership.doc_id == "track"

@@ -121,7 +121,7 @@ class TestController:
         ):
             assert controller.admit(kind).action == ACCEPT
         assert controller.shed == 0
-        assert controller.shed_by_lane.get(LANE_CONTROL, 0) == 0
+        assert controller.by_lane[SHED].get(LANE_CONTROL, 0) == 0
 
     def test_join_defers_then_sheds_past_defer_limit(self):
         clock, queue, controller, _ = make_controller(
@@ -463,7 +463,7 @@ class TestOverloadIntegration:
         )
         assert any(m.frame.trace for m in bounces) == traced
         shard = next(iter(harness.shards.values()))
-        assert shard.admission.shed_by_lane.get(LANE_DATA, 0) > 0
+        assert shard.admission.by_lane[SHED].get(LANE_DATA, 0) > 0
         # One flight-recorder event per bounce, naming what was shed.
         shed = obs.get_event_log().filter("cluster.admission.shed")
         assert len(shed) == shard.admission.shed

@@ -118,7 +118,11 @@ def test_the_channel_answers_its_own_protocol(rig, host):
     client._dispatch(MessageKind.MONITOR, {}, network.home_of(client.node_id))
     network.run()
     assert client.errors == [
-        {"error": "ProtocolError", "detail": "'monitor' message lacks required field 'viewer_id'"}
+        {
+            "error": "ProtocolError",
+            "detail": "'monitor' message lacks required field 'viewer_id'",
+            "kind": MessageKind.MONITOR,
+        }
     ]
     assert channel.monitors == {}
 

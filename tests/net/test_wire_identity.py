@@ -159,7 +159,7 @@ def test_flash_crowd_wire_is_pinned(tmp_path, wire):
         harness.run()
         controllers = [shard.admission for shard in harness.shards.values()]
         assert sum(c.deferred for c in controllers) > 0
-        assert sum(c.shed_by_lane.get("data", 0) for c in controllers) > 0
+        assert sum(c.by_lane["shed"].get("data", 0) for c in controllers) > 0
         assert not any(c.parked_count for c in controllers)
         assert harness.network.stats.messages_by_kind["retry_after"] > 0
         assert _fingerprint(wire, harness.network) == CROWD_WIRE

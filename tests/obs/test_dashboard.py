@@ -17,7 +17,7 @@ def _snapshot():
     registry = MetricsRegistry()
     registry.counter("db.rows_scanned").inc(42)
     registry.counter_family("db.table.rows_scanned", ("table",)).labels("patients").inc(40)
-    registry.gauge("server.rooms_open").set(1)
+    registry.gauge("server.rooms_open", read=lambda: 1)
     registry.histogram("net.queue_delay_s", bounds=(0.01, 0.1)).observe(0.05)
     return registry.snapshot()
 

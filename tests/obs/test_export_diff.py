@@ -8,7 +8,7 @@ from repro.obs import MetricsRegistry, diff, to_json, to_lines
 def _registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("db.rows_scanned").inc(100)
-    registry.gauge("server.room_occupancy").set(3)
+    registry.gauge("server.room_occupancy", read=lambda: 3)
     histogram = registry.histogram("db.query_latency_s", bounds=(0.001, 0.01, 0.1))
     for value in (0.0005, 0.005, 0.05):
         histogram.observe(value)
@@ -54,8 +54,8 @@ class TestDiff:
     def test_gauges_report_after_value_only_when_changed(self):
         registry = _registry()
         before = registry.snapshot()
-        registry.gauge("server.room_occupancy").set(5)
-        registry.gauge("untouched").set(0)
+        registry.gauge("server.room_occupancy", read=lambda: 5)
+        registry.gauge("untouched", read=lambda: 0)
         delta = diff(before, registry.snapshot())
         assert delta["gauges"] == {"server.room_occupancy": 5}
 
@@ -108,7 +108,7 @@ class TestGaugesAbsent:
 
     def test_registry_recreated_between_snapshots(self):
         first = MetricsRegistry()
-        first.gauge("server.sessions_connected").set(3)
+        first.gauge("server.sessions_connected", read=lambda: 3)
         before = first.snapshot()
         after = MetricsRegistry().snapshot()  # reset: gauge is gone
         delta = diff(before, after)

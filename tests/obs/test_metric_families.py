@@ -74,7 +74,7 @@ class TestFamilies:
 
     def test_remove_drops_child_from_registry(self, registry):
         family = registry.gauge_family("g", ("room",))
-        family.labels("room-1").set(5)
+        family.labels("room-1", read=lambda: 5)
         family.remove("room-1")
         assert 'g{room="room-1"}' not in registry.gauges
         assert family.children == {}

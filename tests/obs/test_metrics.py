@@ -20,11 +20,57 @@ class TestCounterGauge:
         assert counter.value == 42
 
     def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.inc(-12)
+        queue: list[int] = []
+        gauge = MetricsRegistry().gauge("g", read=queue.__len__)
+        queue.extend(range(10))
+        assert gauge.value == 10
+        del queue[3:]
         assert gauge.value == 3
+
+
+class TestReaders:
+    """A series read from its owners' tallies, taken at snapshot."""
+
+    def test_a_counter_sums_what_was_added_and_every_reader(self):
+        registry = MetricsRegistry()
+        primary, standby = {"hits": 2}, {"hits": 5}
+        counter = registry.counter("c", read=lambda: primary["hits"])
+        counter.inc(1)
+        registry.counter("c", read=lambda: standby["hits"])
+        assert registry.snapshot()["counters"] == {"c": 8}
+        standby["hits"] += 1
+        assert counter.value == 9
+
+    def test_a_gauge_belongs_to_its_newest_reader(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", read=lambda: 4)
+        registry.gauge("g", read=lambda: 7)
+        assert registry.snapshot()["gauges"] == {"g": 7}
+        assert MetricsRegistry().gauge("unbound").value == 0
+
+    def test_a_lookup_without_a_reader_keeps_the_owners(self):
+        registry = MetricsRegistry()
+        registry.gauge("g", read=lambda: 4)
+        registry.counter("c", read=lambda: 3)
+        assert (registry.gauge("g").value, registry.counter("c").value) == (4, 3)
+
+    def test_family_children_take_readers_and_remove_drops_them(self):
+        registry = MetricsRegistry()
+        family = registry.counter_family("f", ("doc",))
+        tally = {"d1": 3}
+        family.labels("d1", read=lambda: tally["d1"])
+        family.labels("d1", read=lambda: 1)
+        assert registry.snapshot()["counters"] == {'f{doc="d1"}': 4}
+        family.remove("d1")
+        assert registry.snapshot()["counters"] == {}
+        assert family.labels("d1").value == 0
+
+    def test_null_registry_accepts_readers(self):
+        registry = NullRegistry()
+        registry.counter("c", read=lambda: 1)
+        registry.gauge("g", read=lambda: 1)
+        registry.gauge_family("f", ("k",)).labels("v", read=lambda: 1)
+        assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class TestHistogram:
@@ -87,7 +133,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.counter("a").inc(2)
-        registry.gauge("g").set(7)
+        registry.gauge("g", read=lambda: 7)
         registry.histogram("h").observe(0.5)
         snapshot = registry.snapshot()
         assert list(snapshot["counters"]) == ["a", "b"]
@@ -119,7 +165,6 @@ class TestNullRegistry:
         instrument = registry.counter("x")
         instrument.inc()
         instrument.inc(10)
-        instrument.set(5)
         instrument.observe(1.0)
         assert instrument.value == 0
         assert instrument.percentile(0.5) is None

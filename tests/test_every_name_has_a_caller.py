@@ -90,8 +90,6 @@ ALLOWLIST: dict[str, str] = {
     "tests/cluster/test_admission.py",
     "repro.obs.metrics.MetricsRegistry.families": "ROADMAP item 1(iii) label residue: "
     "tests/server/test_interaction.py",
-    "repro.obs.metrics.NullRegistry.families": "NullRegistry parity: "
-    "tests/obs/test_metric_families.py",
     "repro.client.buffer.ClientBuffer.used_bytes": "§4.4 bounded buffer occupancy: "
     "tests/client/test_buffer.py",
     "repro.client.client.ClientModule.tuning_level": "§4.4 self-degradation level: "
@@ -104,7 +102,7 @@ ALLOWLIST: dict[str, str] = {
     "tests/net/test_reliable.py",
 }
 
-ALLOWLIST_SIZE = 37
+ALLOWLIST_SIZE = 36
 
 #: ``module.Qualname`` -> (``("Class", "method")`` path in the module, lines)
 Definitions = dict[str, tuple[tuple[str, ...], int]]
