@@ -34,7 +34,6 @@ from repro.obs.dtrace import (
     render_delivery_tree,
     use_dtrace,
 )
-from repro.obs.export import summary_quantile
 from repro.workloads.chaos import run_chaos_conference
 from repro.workloads.cluster import run_cluster_conference
 
@@ -123,8 +122,8 @@ def main():
             summary = histograms[key]
             print(
                 f"  {key:<42} n={summary['count']:<4} "
-                f"p50={1000 * summary_quantile(summary, 0.5):6.2f}ms "
-                f"p99={1000 * summary_quantile(summary, 0.99):6.2f}ms"
+                f"p50={1000 * summary['p50']:6.2f}ms "
+                f"p99={1000 * summary['p99']:6.2f}ms"
             )
         print("== End-to-end latency per room ==")
         for key in sorted(k for k in histograms
@@ -132,8 +131,8 @@ def main():
             summary = histograms[key]
             print(
                 f"  {key:<42} n={summary['count']:<4} "
-                f"p50={1000 * summary_quantile(summary, 0.5):6.2f}ms "
-                f"p99={1000 * summary_quantile(summary, 0.99):6.2f}ms"
+                f"p50={1000 * summary['p50']:6.2f}ms "
+                f"p99={1000 * summary['p99']:6.2f}ms"
             )
 
         # 4. Chaos: retransmits surface as attempt-numbered siblings.

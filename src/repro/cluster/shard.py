@@ -257,6 +257,7 @@ class ShardServer(ServiceNode):
         server.outbox = Outbox(
             self.network.clock, self.route_to_client, server.node_id, self._batch_window_s
         )
+        server.claim_interest_gauges()
 
     def route_to_client(self, recipient: str, frame: Frame) -> None:
         """Wrap one server→client frame into a ROUTE envelope to the gateway."""

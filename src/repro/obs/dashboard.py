@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.obs.export import summary_quantile
-
 _RULE = "-" * 72
 
 
@@ -92,9 +90,9 @@ def render_dashboard(
         lines.append(
             f"  {name:<48} count={_num(summary.get('count', 0))}"
             f" mean={_num(summary.get('mean'))}"
-            f" p50={_num(summary_quantile(summary, 0.50))}"
+            f" p50={_num(summary.get('p50'))}"
             f" p90={_num(summary.get('p90'))}"
-            f" p99={_num(summary_quantile(summary, 0.99))}"
+            f" p99={_num(summary.get('p99'))}"
             f" max={_num(summary.get('max'))}"
         )
 

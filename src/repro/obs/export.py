@@ -22,23 +22,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs.metrics import histogram_summary, quantile_from_buckets
+from repro.obs.metrics import histogram_summary
 
 Snapshot = dict[str, Any]
-
-
-def summary_quantile(summary: dict[str, Any], q: float) -> float | None:
-    """Interpolated quantile recovered from a ``Histogram.summary()`` dict."""
-    if not summary:
-        return None
-    return quantile_from_buckets(
-        summary.get("bounds", ()),
-        summary.get("bucket_counts", ()),
-        summary.get("count", 0),
-        summary.get("min"),
-        summary.get("max"),
-        q,
-    )
 
 
 def to_json(snapshot: Snapshot, indent: int | None = 2) -> str:
@@ -58,13 +44,10 @@ def to_lines(snapshot: Snapshot) -> str:
             lines.append(f"histogram {name} count=0")
             continue
         mean = summary["mean"]
-        q50 = summary_quantile(summary, 0.50)
-        q99 = summary_quantile(summary, 0.99)
         lines.append(
             f"histogram {name} count={summary['count']} total={summary['total']:.9g} "
             f"mean={mean:.9g} min={summary['min']:.9g} max={summary['max']:.9g} "
-            f"p50={summary['p50']:.9g} p90={summary['p90']:.9g} p99={summary['p99']:.9g} "
-            f"q50={q50:.9g} q99={q99:.9g}"
+            f"p50={summary['p50']:.9g} p90={summary['p90']:.9g} p99={summary['p99']:.9g}"
         )
     for name, value in sorted(snapshot.get("gauges_absent", {}).items()):
         lines.append(f"gauge {name} absent last={value}")

@@ -27,7 +27,9 @@ diff) sees them with no special casing. Cardinality is
 bounded per family: once ``max_series`` distinct label sets exist, new
 label sets collapse into one shared overflow child (labels
 ``"__other__"``) instead of growing without limit. ``remove`` drops a
-child together with its readers.
+child together with its readers; for a label the overflow child
+absorbed, it takes that label's readers off the shared child (a
+counter keeps what they counted).
 
 When observability must be off entirely, install a
 :class:`NullRegistry`: it hands out shared no-op instruments, so an
@@ -78,6 +80,11 @@ class Counter:
         """Add one more owner's tally to this count."""
         self._readers.append(read)
 
+    def unbind(self, read: Reader) -> None:
+        """Drop one owner's tally, keeping what it counted."""
+        self._readers.remove(read)
+        self._added += read()
+
     @property
     def value(self) -> int | float:
         value = self._added
@@ -102,6 +109,11 @@ class Gauge:
         """Make *read* the owner of this level (the newest owner wins)."""
         self._read = read
 
+    def unbind(self, read: Reader) -> None:
+        """Drop *read*; a level whose owner is gone reads 0."""
+        if self._read is read:
+            self._read = int
+
     @property
     def value(self) -> int | float:
         return self._read()
@@ -114,10 +126,8 @@ class Histogram:
     """Fixed-bucket histogram with p50/p90/p99 summaries.
 
     ``bounds`` are the inclusive upper edges of the buckets; one overflow
-    bucket catches everything above the last bound. Percentiles are
-    estimated as the upper edge of the bucket containing the rank (the
-    overflow bucket reports the observed maximum), which is deterministic
-    and honest about bucket resolution.
+    bucket catches everything above the last bound. The summary's
+    quantiles come from :func:`quantile_from_buckets`.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
@@ -143,28 +153,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def percentile(self, fraction: float) -> float | None:
-        """Estimated value at *fraction* (0 < fraction <= 1) of the data."""
-        return _upper_edge(self.bounds, self.bucket_counts, self.count, self.max, fraction)
-
-    def quantile(self, q: float) -> float | None:
-        """Linear-interpolated quantile estimate (``0 <= q <= 1``).
-
-        Unlike :meth:`percentile` (bucket upper edge, pinned by the
-        exporters), this interpolates within the bucket containing the
-        fractional rank ``q * count``: the first populated bucket's lower
-        edge clamps to the observed minimum and the overflow bucket's
-        upper edge to the observed maximum, so ``quantile(0) == min`` and
-        ``quantile(1) == max``. Returns ``None`` on an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile fraction out of range: {q!r}")
-        if self.count == 0:
-            return None
-        return quantile_from_buckets(
-            self.bounds, self.bucket_counts, self.count, self.min, self.max, q
-        )
-
     def summary(self) -> dict[str, Any]:
         """Deterministic serializable summary (used by the exporters)."""
         return histogram_summary(
@@ -173,21 +161,6 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count})"
-
-
-def _upper_edge(
-    bounds: Sequence[float], counts: Sequence[int], count: int, maximum: float | None, q: float
-) -> float | None:
-    """Upper edge of the bucket holding rank *q*; the overflow bucket reports *maximum*."""
-    if count <= 0:
-        return None
-    rank = max(1, int(q * count + 0.999999))
-    cumulative = 0
-    for index, bucket_count in enumerate(counts):
-        cumulative += bucket_count
-        if cumulative >= rank:
-            return bounds[index] if index < len(bounds) else maximum
-    return maximum
 
 
 def histogram_summary(
@@ -206,9 +179,9 @@ def histogram_summary(
         "mean": (total / count) if count > 0 else None,
         "min": minimum,
         "max": maximum,
-        "p50": _upper_edge(bounds, bucket_counts, count, maximum, 0.50),
-        "p90": _upper_edge(bounds, bucket_counts, count, maximum, 0.90),
-        "p99": _upper_edge(bounds, bucket_counts, count, maximum, 0.99),
+        "p50": quantile_from_buckets(bounds, bucket_counts, count, minimum, maximum, 0.50),
+        "p90": quantile_from_buckets(bounds, bucket_counts, count, minimum, maximum, 0.90),
+        "p99": quantile_from_buckets(bounds, bucket_counts, count, minimum, maximum, 0.99),
         "bounds": list(bounds),
         "bucket_counts": list(bucket_counts),
     }
@@ -222,33 +195,23 @@ def quantile_from_buckets(
     maximum: float | None,
     q: float,
 ) -> float | None:
-    """Interpolated quantile from serialized histogram state.
+    """The one quantile estimate of a histogram's state (``None`` when empty).
 
-    Shared by :meth:`Histogram.quantile` and the exporters, which only
-    hold the ``summary()`` dict, not the live instrument.
+    Linear inside the bucket that holds rank ``q * count``: the first
+    populated bucket's lower edge is the observed *minimum* and every
+    upper edge is clamped to the observed *maximum* (both are set
+    whenever *count* is), so the estimate always lies in
+    ``[minimum, maximum]`` and never decreases with *q*.
     """
     if count <= 0:
         return None
     target = q * count
-    cumulative = 0.0
+    cumulative = 0
     for index, bucket_count in enumerate(bucket_counts):
-        if not bucket_count:
-            continue
-        if cumulative + bucket_count >= target:
-            if index == 0 or cumulative == 0.0:
-                lo = minimum if minimum is not None else 0.0
-            else:
-                lo = bounds[index - 1]
-            if index < len(bounds):
-                hi = bounds[index]
-            else:
-                hi = maximum if maximum is not None else bounds[-1]
-            if maximum is not None:
-                hi = min(hi, maximum)
-            lo = min(lo, hi)
-            within = (target - cumulative) / bucket_count
-            within = min(max(within, 0.0), 1.0)
-            return lo + (hi - lo) * within
+        if bucket_count and cumulative + bucket_count >= target:
+            hi = min(bounds[index], maximum) if index < len(bounds) else maximum
+            lo = min(bounds[index - 1], hi) if cumulative else minimum
+            return lo + (hi - lo) * (target - cumulative) / bucket_count
         cumulative += bucket_count
     return maximum
 
@@ -269,7 +232,9 @@ class MetricFamily:
     exactly what an unlabelled instrument costs.
     """
 
-    __slots__ = ("name", "kind", "label_names", "max_series", "_children", "_store", "_make")
+    __slots__ = (
+        "name", "kind", "label_names", "max_series", "_children", "_absorbed", "_store", "_make"
+    )
 
     def __init__(
         self,
@@ -289,6 +254,8 @@ class MetricFamily:
         self.label_names = tuple(str(n) for n in label_names)
         self.max_series = max_series
         self._children: dict[tuple[str, ...], Any] = {}
+        # Readers each label past max_series bound to the overflow child.
+        self._absorbed: dict[tuple[str, ...], list[tuple[Any, Reader]]] = {}
         self._store = store
         self._make = make
 
@@ -299,12 +266,12 @@ class MetricFamily:
         # labels of a live child hit here without being rebuilt.
         child = self._children.get(values)
         if child is None:
-            child = self._child(values)
+            child = self._child(values, read)
         if read is not None:
             child.bind(read)
         return child
 
-    def _child(self, values: tuple[Any, ...]) -> Any:
+    def _child(self, values: tuple[Any, ...], read: Reader | None) -> Any:
         if len(values) != len(self.label_names):
             raise ValueError(
                 f"family {self.name!r} takes labels {self.label_names}, "
@@ -313,14 +280,14 @@ class MetricFamily:
         key = tuple(str(v) for v in values)
         child = self._children.get(key)
         if child is None:
-            if len(self._children) >= self.max_series:
-                key = (OVERFLOW_LABEL,) * len(self.label_names)
-                child = self._children.get(key)
-                if child is not None:
-                    return child
-            child = self._make(self.full_name(key))
-            self._children[key] = child
-            self._store[child.name] = child
+            absorbed = len(self._children) >= self.max_series
+            child_key = (OVERFLOW_LABEL,) * len(key) if absorbed else key
+            child = self._children.get(child_key)
+            if child is None:
+                child = self._children[child_key] = self._make(self.full_name(child_key))
+                self._store[child.name] = child
+            if absorbed and read is not None:
+                self._absorbed.setdefault(key, []).append((child, read))
         return child
 
     def full_name(self, values: Sequence[str]) -> str:
@@ -332,11 +299,14 @@ class MetricFamily:
         return f"{self.name}{{{labels}}}"
 
     def remove(self, *values: Any) -> None:
-        """Drop one child and its readers (its labelled entity is retired)."""
+        """Drop one child and its readers (its labelled entity is retired);
+        a label the overflow child absorbed unbinds its readers from it."""
         key = tuple(str(v) for v in values)
         child = self._children.pop(key, None)
         if child is not None:
             self._store.pop(child.name, None)
+        for overflow, read in self._absorbed.pop(key, ()):
+            overflow.unbind(read)
 
     @property
     def children(self) -> Mapping[tuple[str, ...], Any]:
@@ -494,9 +464,6 @@ class _NullInstrument:
 
     def observe(self, value: int | float) -> None:
         pass
-
-    def percentile(self, fraction: float) -> None:
-        return None
 
     def summary(self) -> dict[str, Any]:
         return {}

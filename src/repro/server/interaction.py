@@ -294,9 +294,16 @@ class InteractionServer:
         return room, spec
 
     def _claim_interest_gauge(self, room: Room) -> None:
-        """The room whose subscriptions changed last owns its gauge (a
-        primary's, a standby's and a promoted room share one room id)."""
-        self._g_interest_subs.labels(room.room_id, read=room.interest.explicit_subscriptions)
+        """The serving room whose subscriptions changed last owns its gauge
+        (a primary's and a promoted room share one room id). A standby's
+        shadow has no outbox and never claims it."""
+        if self.outbox is not None:
+            self._g_interest_subs.labels(room.room_id, read=room.interest.explicit_subscriptions)
+
+    def claim_interest_gauges(self) -> None:
+        """Claim every room's gauge (a promoted server, once it has an outbox)."""
+        for room in self._rooms.values():
+            self._claim_interest_gauge(room)
 
     def _profile_of(self, viewer_id: str):
         if viewer_id not in self._profiles:

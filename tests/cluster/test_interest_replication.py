@@ -191,3 +191,54 @@ class TestFailover:
                 pytest.fail("no standby replica mirrored the room")
         finally:
             db.close()
+
+    def test_standby_never_owns_the_interest_gauge(self, tmp_path, fresh_obs):
+        """A primary, its standby's shadow and a promoted server share one
+        room id: the gauge reads the server that serves the room, never a
+        shadow that caught up before the latest REPLICATE landed."""
+        registry, _ = fresh_obs
+        db = Database(str(tmp_path / "gauge"))
+        try:
+            store = MultimediaObjectStore(db)
+            store.store_document(generate_record(DOC, sections=2, components_per_section=3, seed=7))
+            harness = ClusterHarness(
+                store, ClusterConfig(shards=2, failure_timeout=1.5, interest_mode="cpnet")
+            )
+            a, b = harness.add_client("dr-a"), harness.add_client("dr-b")
+            a.join(DOC)
+            b.join(DOC)
+            harness.run()
+            owner = harness.owner_of(DOC)
+            room = harness.serving_server_of(DOC).room(a.room_id)
+            gauge = registry.gauges[f'interest.subscriptions{{room="{room.room_id}"}}']
+            assert gauge.value == room.interest.explicit_subscriptions() == 12
+
+            a.unsubscribe()
+            while room.interest.explicit_subscriptions() != 6:
+                assert harness.clock.step()
+            (standby,) = [
+                shard.standby_for(owner)
+                for shard in harness.shards.values()
+                if shard.standby_for(owner) is not None
+            ]
+            # Catching the shadow up replays the log it holds so far: the
+            # unsubscribe's REPLICATE has not landed, so its room counts 12.
+            assert standby.server.room(a.room_id).interest.explicit_subscriptions() == 12
+            assert gauge.value == 6
+            harness.run()
+            assert gauge.value == 6
+
+            harness.start(until=HORIZON)
+            harness.run_until(2.0)
+            harness.crash(owner)
+            harness.run()
+            assert harness.failovers
+            promoted = harness.serving_server_of(DOC).room(a.room_id)
+            assert promoted is not room
+            # Promotion claims the gauge before the promoted room serves an op.
+            assert gauge._read == promoted.interest.explicit_subscriptions
+            b.unsubscribe()
+            harness.run()
+            assert gauge.value == promoted.interest.explicit_subscriptions() == 0
+        finally:
+            db.close()

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import MetricsRegistry, diff, to_json, to_lines
 
 
@@ -34,7 +36,8 @@ class TestLines:
         histogram_lines = [l for l in lines if l.startswith("histogram")]
         assert len(histogram_lines) == 1
         assert "count=3" in histogram_lines[0]
-        assert "p50=0.01" in histogram_lines[0]
+        # rank 1.5 is halfway through the (0.001, 0.01] bucket
+        assert "p50=0.0055 " in histogram_lines[0]
 
     def test_empty_histogram_renders_count_zero(self):
         registry = MetricsRegistry()
@@ -69,9 +72,10 @@ class TestDiff:
         summary = delta["histograms"]["db.query_latency_s"]
         assert summary["count"] == 10
         assert summary["bucket_counts"] == [0, 10, 0, 0]
-        # Every new observation fell in the <=0.01 bucket.
-        assert summary["p50"] == 0.01
-        assert summary["p99"] == 0.01
+        # Every new observation fell in the <=0.01 bucket, the delta's first:
+        # its quantiles interpolate from the cumulative min 0.0005 to 0.01.
+        assert summary["p50"] == pytest.approx(0.0005 + 0.0095 * 0.50)
+        assert summary["p99"] == pytest.approx(0.0005 + 0.0095 * 0.99)
         assert abs(summary["total"] - 0.05) < 1e-12
 
     def test_no_activity_diffs_to_empty(self):

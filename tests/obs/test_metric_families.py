@@ -1,5 +1,8 @@
 """Labelled metric families: canonical names, cardinality bounds, exporters."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.obs.export import to_json, to_lines
@@ -13,6 +16,14 @@ from repro.obs.metrics import (
 @pytest.fixture
 def registry():
     return MetricsRegistry()
+
+
+class Tally:
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def read(self) -> int:
+        return self.count
 
 
 class TestFamilies:
@@ -109,6 +120,38 @@ class TestCardinalityBound:
         child = family.labels("a")
         family.labels("b")  # overflow
         assert family.labels("a") is child
+
+
+    def test_overflow_drops_the_readers_of_a_retired_label(self, registry):
+        family = registry.counter_family("c", ("k",), max_series=2)
+        family.labels("a").inc()
+        family.labels("b").inc()
+        overflow = family.labels("c")
+        tallies = []
+        for cycle in range(5):
+            tally = Tally(3)
+            tallies.append(weakref.ref(tally))
+            family.labels("c", read=tally.read)
+            assert overflow.value == 3 * (cycle + 1)
+            family.remove("c")
+            del tally
+            # The retired label's count stays; its reader and tally go.
+            assert overflow.value == 3 * (cycle + 1)
+        gc.collect()
+        assert [ref() for ref in tallies] == [None] * 5
+
+    def test_overflow_gauge_forgets_a_retired_owner(self, registry):
+        family = registry.gauge_family("g", ("k",), max_series=1)
+        family.labels("a", read=lambda: 1)
+        tally = Tally(7)
+        overflow = family.labels("b", read=tally.read)
+        assert overflow.value == 7
+        family.remove("b")
+        assert overflow.value == 0
+        ref = weakref.ref(tally)
+        del tally
+        gc.collect()
+        assert ref() is None
 
 
 class TestExportersSeeChildren:

@@ -90,23 +90,27 @@ class TestHistogram:
         assert histogram.min == 0.5
         assert histogram.max == 1000.0
 
-    def test_percentiles_are_bucket_upper_edges(self):
+    def test_percentiles_interpolate_within_buckets(self):
         histogram = Histogram("h", bounds=(1.0, 10.0, 100.0))
         for _ in range(90):
             histogram.observe(0.5)
         for _ in range(10):
             histogram.observe(50.0)
-        assert histogram.percentile(0.50) == 1.0
-        assert histogram.percentile(0.90) == 1.0
-        assert histogram.percentile(0.99) == 100.0
+        summary = histogram.summary()
+        # rank 50 of 90 in [min 0.5, 1.0]; rank 90 closes that bucket;
+        # rank 99 is 9/10 through (10.0, max 50.0].
+        assert summary["p50"] == pytest.approx(0.5 + 0.5 * 50 / 90)
+        assert summary["p90"] == pytest.approx(1.0)
+        assert summary["p99"] == pytest.approx(46.0)
 
     def test_overflow_bucket_reports_observed_max(self):
         histogram = Histogram("h", bounds=(1.0,))
         histogram.observe(123.0)
-        assert histogram.percentile(0.99) == 123.0
+        assert histogram.summary()["p99"] == 123.0
 
     def test_empty_percentile_is_none(self):
-        assert Histogram("h").percentile(0.5) is None
+        summary = Histogram("h").summary()
+        assert summary["p50"] is None and summary["p90"] is None and summary["p99"] is None
 
     def test_summary_shape(self):
         histogram = Histogram("h", bounds=(1.0, 2.0))
@@ -114,7 +118,7 @@ class TestHistogram:
         summary = histogram.summary()
         assert summary["count"] == 1
         assert summary["mean"] == 1.5
-        assert summary["p50"] == 2.0
+        assert summary["p50"] == 1.5  # clamped to the one observation
         assert summary["bucket_counts"] == [0, 1, 0]
 
     def test_bucket_presets_are_sorted(self):
@@ -167,7 +171,6 @@ class TestNullRegistry:
         instrument.inc(10)
         instrument.observe(1.0)
         assert instrument.value == 0
-        assert instrument.percentile(0.5) is None
         assert instrument.summary() == {}
         assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
         registry.reset()

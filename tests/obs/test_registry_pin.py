@@ -5,7 +5,9 @@ registry; at the end, every counter and gauge — by name and label set —
 must equal ``registry_pin.json``. A series that is renamed, loses or
 gains a label set, or moves by one count shows up here, whichever way
 its value is kept (an instrument the owner writes, or a reading of the
-owner's own tally taken at snapshot).
+owner's own tally taken at snapshot). The same runs' histogram
+summaries, and the dashboard rows printed from them, must be ordered:
+min <= p50 <= p90 <= p99 <= max.
 
 Regenerate the file only for a deliberate change of what a series
 counts, and say why where the change is recorded:
@@ -18,6 +20,9 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any
+
+import pytest
 
 from repro import obs
 from repro.client import ClientModule
@@ -25,6 +30,7 @@ from repro.cluster import ClusterConfig, ClusterHarness
 from repro.cluster.admission import AdmissionConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.net import SimulatedNetwork
+from repro.obs.dashboard import render_dashboard
 from repro.server import InteractionServer
 from repro.workloads import generate_record
 from tests.integration.test_bounded_growth import _choosable, run_cycles
@@ -43,12 +49,7 @@ def _store(root: Path) -> tuple[Database, MultimediaObjectStore]:
     return db, store
 
 
-def _counted(registry: obs.MetricsRegistry) -> dict[str, dict[str, float]]:
-    snap = registry.snapshot()
-    return {"counters": snap["counters"], "gauges": snap["gauges"]}
-
-
-def hub_run(root: Path) -> dict[str, dict[str, float]]:
+def hub_run(root: Path) -> dict[str, Any]:
     """Three viewers on one hub: joins, shared and personal choices, a
     subscription that comes and goes, an annotation, two leaves."""
     registry = obs.MetricsRegistry()
@@ -80,12 +81,12 @@ def hub_run(root: Path) -> dict[str, dict[str, float]]:
             second.leave()
             third.leave()
             network.run()
-            return _counted(registry)
+            return registry.snapshot()
         finally:
             db.close()
 
 
-def cluster_run(root: Path) -> dict[str, dict[str, float]]:
+def cluster_run(root: Path) -> dict[str, Any]:
     """Two rooms on three shards and two gateways with admission and
     interest on: one bounded-growth cycle, then a shard crash, then a
     choice in every room through the promoted owner."""
@@ -114,22 +115,57 @@ def cluster_run(root: Path) -> dict[str, dict[str, float]]:
                 value = store.fetch_document(doc_id).network.variable(path).domain[-1]
                 host.choose(path, value)
             harness.run()
-            return _counted(registry)
+            return registry.snapshot()
         finally:
             db.close()
 
 
-def runs(root: Path) -> dict[str, dict[str, dict[str, float]]]:
+def runs(root: Path) -> dict[str, dict[str, Any]]:
+    """Each run's whole registry snapshot, by run name."""
     (root / "hub").mkdir()
     (root / "cluster").mkdir()
     return {"hub": hub_run(root / "hub"), "cluster": cluster_run(root / "cluster")}
 
 
-def test_every_counter_and_gauge_matches_the_pin(tmp_path):
-    assert runs(tmp_path) == json.loads(PIN.read_text())
+def pinned(snapshots: dict[str, dict[str, Any]]) -> dict[str, dict[str, dict[str, float]]]:
+    """Each run's counters and gauges: what ``registry_pin.json`` holds."""
+    return {
+        run: {"counters": snapshot["counters"], "gauges": snapshot["gauges"]}
+        for run, snapshot in snapshots.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    return runs(tmp_path_factory.mktemp("runs"))
+
+
+def test_every_counter_and_gauge_matches_the_pin(snapshots):
+    assert pinned(snapshots) == json.loads(PIN.read_text())
+
+
+def test_every_histogram_summary_is_ordered(snapshots):
+    """min <= p50 <= p90 <= p99 <= max in every summary with a count, and
+    p50 <= p90 <= p99 <= max on every histogram row of its dashboard."""
+    disordered = []
+    for run, snapshot in snapshots.items():
+        for name, summary in snapshot["histograms"].items():
+            values = [summary[key] for key in ("min", "p50", "p90", "p99", "max")]
+            if summary["count"] and values != sorted(values):
+                disordered.append((run, name, values))
+        rows = [row for row in render_dashboard(snapshot).splitlines() if " p90=" in row]
+        assert len(rows) == len(snapshot["histograms"])
+        for row in rows:
+            fields = dict(field.split("=") for field in row.split()[1:])
+            if fields["count"] == "0":
+                continue
+            values = [float(fields[key]) for key in ("p50", "p90", "p99", "max")]
+            if values != sorted(values):
+                disordered.append((run, "dashboard", row))
+    assert disordered == []
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
-        json.dump(runs(Path(workdir)), sys.stdout, indent=1, sort_keys=True)
+        json.dump(pinned(runs(Path(workdir))), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")

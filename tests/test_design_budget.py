@@ -39,18 +39,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
-    "cluster": 2615,
+    "cluster": 2616,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
     "interest": 319,
     "media": 3039,
     "net": 2093,
-    "obs": 1672,
+    "obs": 1620,
     "prefetch": 167,
     "presentation": 941,
     "retrieval": 769,
-    "server": 1725,
+    "server": 1732,
     "util": 279,
     "workloads": 1282,
 }

@@ -74,8 +74,6 @@ ALLOWLIST: dict[str, str] = {
     "tests/presentation/test_engine.py, test_spec.py",
     "repro.presentation.engine.PresentationEngine.clear_choice": "inverse of apply_choice in "
     "the by-definition replay of tests/presentation/test_engine.py",
-    "repro.obs.metrics.Histogram.quantile": "interpolation oracle for summary_quantile: "
-    "tests/obs/test_quantile.py",
     "repro.cpnet.updates.ViewerExtension.extension_names": "viewer-local variables: "
     "tests/cpnet/test_compiled.py",
     "repro.cluster.shard.ShardServer.standby_for": "ROADMAP item 1(ii): "
@@ -102,7 +100,7 @@ ALLOWLIST: dict[str, str] = {
     "tests/net/test_reliable.py",
 }
 
-ALLOWLIST_SIZE = 36
+ALLOWLIST_SIZE = 35
 
 #: ``module.Qualname`` -> (``("Class", "method")`` path in the module, lines)
 Definitions = dict[str, tuple[tuple[str, ...], int]]
