@@ -8,8 +8,8 @@ correctly with the reliable transport: a retransmission can itself be
 dropped, a duplicated frame is deduplicated downstream, a corrupted
 frame fails its checksum at delivery.
 
-Every injected fault increments the ``chaos.injected`` counter family
-(labelled by fault) and leaves a flight-recorder event, so a chaos run
+Every injected fault is counted by fault (``chaos.injected{fault}`` reads
+the counts) and leaves a flight-recorder event, so a chaos run
 explains itself in the same telemetry as a healthy one.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.chaos.plan import CORRUPT, DROP, DUPLICATE, FaultPlan, PartitionWindow, REORDER
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
+from repro.util.tally import LabelCounts
 
 #: Payload substituted into a corrupted frame. With the reliable layer
 #: on, the stale checksum quarantines it; without, the receiver gets
@@ -31,7 +32,7 @@ class ChaosNetwork(SimulatedNetwork):
     def __init__(self, reliability: bool = False, plan: FaultPlan | None = None) -> None:
         super().__init__(reliability=reliability)
         self.plan = plan
-        self._f_injected = self._obs.counter_family("chaos.injected", ("fault",))
+        self._injected = LabelCounts(self._obs.counter_family("chaos.injected", ("fault",)))
         self._announced: set[PartitionWindow] = set()
 
     # ----- fault injection -------------------------------------------------------
@@ -70,7 +71,7 @@ class ChaosNetwork(SimulatedNetwork):
         )
 
     def _inject(self, fault: str, message: Message) -> None:
-        self._f_injected.labels(fault).inc()
+        self._injected[fault] += 1
         self._events.emit(
             "chaos.injected",
             severity="DEBUG",
@@ -112,5 +113,4 @@ class ChaosNetwork(SimulatedNetwork):
 
     def injected_counts(self) -> dict[str, int]:
         """Faults injected so far, by kind of fault."""
-        children = getattr(self._f_injected, "children", None) or {}
-        return {labels[0]: counter.value for labels, counter in children.items()}
+        return dict(self._injected)

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro import obs
 from repro.server.protocol import LANE_CONTROL, LANE_DATA, LANE_JOIN, PROTOCOL, MessageKind
+from repro.util.tally import LabelCounts
 
 
 def lane_of(kind: str) -> str:
@@ -151,11 +151,11 @@ class AdmissionController:
         registry = obs.get_registry()
         #: outcome -> (lane -> count): this controller's own tally, which
         #: the registry reads per (node, lane) from a lane's first count.
-        self.by_lane: dict[str, dict[str, int]] = {ACCEPT: {}, DEFER: {}, SHED: {}}
-        self._families = {
-            ACCEPT: registry.counter_family("admission.accepted", ("node", "lane")),
-            DEFER: registry.counter_family("admission.deferred", ("node", "lane")),
-            SHED: registry.counter_family("admission.shed", ("node", "lane")),
+        labels = ("node", "lane")
+        self.by_lane: dict[str, LabelCounts] = {
+            ACCEPT: LabelCounts(registry.counter_family("admission.accepted", labels), node_id),
+            DEFER: LabelCounts(registry.counter_family("admission.deferred", labels), node_id),
+            SHED: LabelCounts(registry.counter_family("admission.shed", labels), node_id),
         }
         self.resumed = 0
         self.dropped_dead = 0
@@ -190,7 +190,7 @@ class AdmissionController:
                 return self._accept(lane)
             if len(self._parked) >= self.config.defer_limit:
                 return self._shed(lane)
-            self._count(DEFER, lane)
+            self.by_lane[DEFER][lane] += 1
             return Decision(DEFER, self._hint(depth, self.config.depth_defer))
         # data lane
         if depth < self.config.depth_shed:
@@ -218,22 +218,12 @@ class AdmissionController:
     def shed(self) -> int:
         return sum(self.by_lane[SHED].values())
 
-    def _count(self, outcome: str, lane: str) -> None:
-        counts = self.by_lane[outcome]
-        count = counts.get(lane)
-        if count is None:
-            self._families[outcome].labels(
-                self.node_id, lane, read=partial(counts.__getitem__, lane)
-            )
-            count = 0
-        counts[lane] = count + 1
-
     def _accept(self, lane: str) -> Decision:
-        self._count(ACCEPT, lane)
+        self.by_lane[ACCEPT][lane] += 1
         return _ACCEPTED
 
     def _shed(self, lane: str) -> Decision:
-        self._count(SHED, lane)
+        self.by_lane[SHED][lane] += 1
         return Decision(SHED, self._hint(self.queue.pending, self.config.depth_defer))
 
     def _hint(self, depth: int, threshold: int) -> float:

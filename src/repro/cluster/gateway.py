@@ -23,7 +23,6 @@ and ``PROMOTE`` live in one place, the :class:`~repro.cluster
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Any
 
 from repro import obs
@@ -38,6 +37,7 @@ from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_ROUTE
 from repro.server.protocol import PROTOCOL, MessageKind, error_body
 from repro.server.telemetry import TelemetryChannel
 from repro.util.backoff import seeded_jitter
+from repro.util.tally import LabelCounts
 
 
 class Gateway(ServiceNode):
@@ -74,12 +74,13 @@ class Gateway(ServiceNode):
         #: (sender, frame, trace ctx, parked-at time).
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
-        self._m_routed_messages = registry.counter("gateway.routed_messages")
-        # (shard, direction) -> child counter, each resolved once.
-        self._routed_bytes = cache(
-            registry.counter_family("gateway.routed_bytes", ("shard", "direction")).labels
+        #: Copies routed, routing retries, and bytes routed by (shard, direction).
+        routing = self.routing = {"messages": 0, "retries": 0}
+        registry.counter("gateway.routed_messages", read=lambda: routing["messages"])
+        registry.counter("gateway.route_retries", read=lambda: routing["retries"])
+        self.routed_bytes = LabelCounts(
+            registry.counter_family("gateway.routed_bytes", ("shard", "direction"))
         )
-        self._m_route_retries = registry.counter("gateway.route_retries")
         self._m_zombies_fenced = registry.counter("gateway.zombies_fenced")
         registry.gauge_family("gateway.sessions_routed", ("gateway",)).labels(
             node_id, read=self._session_route.__len__
@@ -204,8 +205,8 @@ class Gateway(ServiceNode):
             # the shard can chain its queueing span to the same trace.
             envelope = stamp_frame(envelope, (ctx,))
         self.network.send(self.node_id, shard, envelope)
-        self._m_routed_messages.inc()
-        self._routed_bytes(shard, "to_shard").inc(envelope.size_bytes)
+        self.routing["messages"] += 1
+        self.routed_bytes[shard, "to_shard"] += envelope.size_bytes
         if kind == MessageKind.LEAVE:
             self._forget_route(payload.get("session_id"))
 
@@ -222,7 +223,7 @@ class Gateway(ServiceNode):
             )
             return
         delay = self._route_retry_delay(sender_node, kind, attempt)
-        self._m_route_retries.inc()
+        self.routing["retries"] += 1
         self.network.clock.schedule(
             delay, lambda: self._route_retry_tick(sender_node, frame, attempt + 1)
         )
@@ -308,8 +309,8 @@ class Gateway(ServiceNode):
             )
             return
         self.network.send(self.node_id, to, inner_frame)
-        self._m_routed_messages.inc()
-        self._routed_bytes(shard_id, "to_client").inc(inner_frame.size_bytes)
+        self.routing["messages"] += 1
+        self.routed_bytes[shard_id, "to_client"] += inner_frame.size_bytes
 
     # ----- route cache ------------------------------------------------------------
 

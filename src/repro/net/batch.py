@@ -64,9 +64,10 @@ class Batcher:
         self._pending_bytes: dict[str, int] = {}
         self._armed: set[str] = set()
         self._dtrace = get_dtrace()
+        counts = self.counts = {"flushes": 0, "messages_coalesced": 0}
         registry = get_registry()
-        self._m_flushes = registry.counter("batch.flushes")
-        self._m_coalesced = registry.counter("batch.messages_coalesced")
+        registry.counter("batch.flushes", read=lambda: counts["flushes"])
+        registry.counter("batch.messages_coalesced", read=lambda: counts["messages_coalesced"])
 
     def send(self, recipient: str, frame: Frame) -> None:
         """Send (possibly deferred and coalesced) one frame."""
@@ -109,7 +110,7 @@ class Batcher:
         self._pending_bytes.pop(recipient, None)
         if not items:
             return
-        self._m_flushes.inc()
+        self.counts["flushes"] += 1
         dtrace = self._dtrace
         now = self._clock.now
         if len(items) == 1:
@@ -143,7 +144,7 @@ class Batcher:
                 for _, ctx, enqueued_at in items
             )
             batch = stamp_frame(batch, contexts)
-        self._m_coalesced.inc(len(frames))
+        self.counts["messages_coalesced"] += len(frames)
         self._transmit(recipient, batch)
 
     @property

@@ -40,7 +40,7 @@ import struct
 import zlib
 from typing import Any, Callable, Iterable
 
-from repro.obs import get_registry
+from repro import obs
 from repro.obs.dtrace import TraceContext
 
 #: Transport-level batch kind (a coalesced run of small messages).
@@ -202,27 +202,34 @@ class Frame:
 
 # ----- metrics --------------------------------------------------------------------
 
-_metric_registry: Any = None
-_metric_handles: tuple[Any, ...] = ()
+class _Tally:
+    """What the codec did while one registry was installed, which reads
+    it as ``codec.{encodes,bytes_encoded,encodes_saved,bytes_saved,trace_stamps}``."""
+
+    __slots__ = (
+        "registry", "encodes", "bytes_encoded", "encodes_saved", "bytes_saved", "trace_stamps"
+    )
+
+    def __init__(self, registry: Any) -> None:
+        self.registry = registry
+        self.encodes = self.bytes_encoded = self.encodes_saved = self.bytes_saved = 0
+        self.trace_stamps = 0
 
 
-def _metrics() -> tuple[Any, Any, Any, Any]:
-    """(encodes, bytes_encoded, encodes_saved, bytes_saved) counters.
+#: The tally of the registry installed at the last encode: every counting
+#: site checks it against ``obs._registry`` and retallies after a swap.
+_tally = _Tally(None)
 
-    Resolved against the *current* registry (tests swap registries), but
-    cached per registry so the hot path pays one identity check.
-    """
-    global _metric_registry, _metric_handles
-    registry = get_registry()
-    if registry is not _metric_registry:
-        _metric_registry = registry
-        _metric_handles = (
-            registry.counter("codec.encodes"),
-            registry.counter("codec.bytes_encoded"),
-            registry.counter("codec.encodes_saved"),
-            registry.counter("codec.bytes_saved"),
-        )
-    return _metric_handles
+
+def _retally() -> _Tally:
+    """A tally for the registry installed now, bound to its counters."""
+    global _tally
+    tally = _tally = _Tally(obs._registry)
+    tally.registry.counter("codec.encodes", read=lambda: tally.encodes)
+    tally.registry.counter("codec.bytes_encoded", read=lambda: tally.bytes_encoded)
+    tally.registry.counter("codec.encodes_saved", read=lambda: tally.encodes_saved)
+    tally.registry.counter("codec.bytes_saved", read=lambda: tally.bytes_saved)
+    return tally
 
 
 def mark_reuse(frame: Frame) -> None:
@@ -233,21 +240,9 @@ def mark_reuse(frame: Frame) -> None:
     """
     frame._uses += 1
     if frame._uses > 1:
-        _, _, saved, bytes_saved = _metrics()
-        saved.inc()
-        bytes_saved.inc(len(frame.data))
-
-
-_stamp_cache: tuple[Any, Any] | None = None
-
-
-def _stamp_counter() -> Any:
-    """``codec.trace_stamps`` against the current registry (cached)."""
-    global _stamp_cache
-    registry = get_registry()
-    if _stamp_cache is None or _stamp_cache[0] is not registry:
-        _stamp_cache = (registry, registry.counter("codec.trace_stamps"))
-    return _stamp_cache[1]
+        tally = _tally if _tally.registry is obs._registry else _retally()
+        tally.encodes_saved += 1
+        tally.bytes_saved += len(frame.data)
 
 
 # ----- value encoding -------------------------------------------------------------
@@ -543,7 +538,10 @@ def stamp_frame(frame: Frame, contexts: tuple[TraceContext, ...]) -> Frame:
         stamped.size_bytes = frame.size_bytes + len(trailer)
         stamped.trace = contexts
         frame._stamped = stamped
-        _stamp_counter().inc()
+        tally = _tally if _tally.registry is obs._registry else _retally()
+        if not tally.trace_stamps:  # only tracing stamps: bound on the first
+            tally.registry.counter("codec.trace_stamps", read=lambda: tally.trace_stamps)
+        tally.trace_stamps += 1
     return stamped
 
 
@@ -563,9 +561,9 @@ def encode_message(kind: str, payload: Any, interner: StringInterner | None = No
         _write_value(out, kind, table)
     _write_value(out, payload, table)
     data = bytes(out)
-    encodes, bytes_encoded, _, _ = _metrics()
-    encodes.inc()
-    bytes_encoded.inc(len(data))
+    tally = _tally if _tally.registry is obs._registry else _retally()
+    tally.encodes += 1
+    tally.bytes_encoded += len(data)
     return Frame(kind, payload, data)
 
 
@@ -678,16 +676,16 @@ def encode_keyed_envelope(
 def _enveloped(kind: str, data: bytes, inner: Frame, payload: Any) -> Frame:
     """The envelope frame over *data*, which embeds *inner*: one encode
     of the envelope's own bytes, one reuse of the inner frame's."""
-    encodes, bytes_encoded, saved, bytes_saved = _metrics()
+    tally = _tally if _tally.registry is obs._registry else _retally()
     inner_len = len(inner.data)
-    # mark_reuse(inner), inlined: the counters are already in hand, and
-    # the call would cost each routed copy three more (ROUTED_COPY_CALLS).
+    # mark_reuse(inner), inlined: the tally is already in hand, and the
+    # call would cost each routed copy one more (ROUTED_COPY_CALLS).
     inner._uses += 1
     if inner._uses > 1:
-        saved.inc()
-        bytes_saved.inc(inner_len)
-    encodes.inc()
-    bytes_encoded.inc(len(data) - inner_len)
+        tally.encodes_saved += 1
+        tally.bytes_saved += inner_len
+    tally.encodes += 1
+    tally.bytes_encoded += len(data) - inner_len
     frame = Frame(kind, payload, data)
     frame.size_bytes += inner.size_bytes - inner_len
     return frame
@@ -745,9 +743,9 @@ def encode_batch(frames: Iterable[Frame], payload: Any) -> Frame:
         embedded += len(frame.data)
         mark_reuse(frame)
     data = bytes(out)
-    encodes, bytes_encoded, _, _ = _metrics()
-    encodes.inc()
-    bytes_encoded.inc(len(data) - embedded)
+    tally = _tally if _tally.registry is obs._registry else _retally()
+    tally.encodes += 1
+    tally.bytes_encoded += len(data) - embedded
     return Frame(BATCH, payload, data)
 
 

@@ -31,6 +31,7 @@ class Link:
     bandwidth_bps: float = 10 * MBPS
     latency_s: float = 0.005
     _busy_until: float = field(default=0.0, init=False, repr=False)
+    bytes_sent: int = field(default=0, init=False, repr=False)  # charged by the network
 
     def __post_init__(self) -> None:
         check_positive(self.bandwidth_bps, "bandwidth_bps")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Protocol
+from typing import Protocol
 
 from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import BATCH, Frame, mark_reuse
@@ -47,11 +47,13 @@ class Node(Protocol):
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic accounting (the registry's ``net.messages`` and
-    ``net.bytes_total`` read it)."""
+    """Aggregate traffic accounting (the registry's ``net.messages``,
+    ``net.bytes_total``, ``net.drops`` and ``net.batch_unpacked`` read it)."""
 
     messages: int = field(default=0, init=False)
     bytes_total: int = field(default=0, init=False)
+    drops: int = field(default=0, init=False)
+    batch_unpacked: int = field(default=0, init=False)
     bytes_by_kind: dict[str, int] = field(
         default_factory=lambda: defaultdict(int), init=False
     )
@@ -80,23 +82,20 @@ class SimulatedNetwork:
         self._home: dict[str, str] = {}        # client -> its serving hub
         self._backbone: set[str] = set()
         self._peer_links: dict[tuple[str, str], Link] = {}  # (from, to)
-        # (sender, recipient) -> (link, byte counter), filled on first use.
-        # Every topology mutator below clears it, so a route is resolved
-        # once per node pair per topology, and a pair found here has both
-        # its endpoints attached: send and _transmit check nothing else.
-        self._routes: dict[tuple[str, str], tuple[Link, Any]] = {}
+        # (sender, recipient) -> link, filled on first use. Every
+        # topology mutator below clears it, so a route is resolved once
+        # per node pair per topology, and a pair found here has both its
+        # endpoints attached: send and _transmit check nothing else.
+        self._routes: dict[tuple[str, str], Link] = {}
         stats = self.stats = NetworkStats()
         self._obs = get_registry()
         self._events = get_event_log()
         self._dtrace = get_dtrace()
-        self._m_drops = self._obs.counter("net.drops")
-        self._m_batch_unpacked = self._obs.counter("net.batch_unpacked")
+        self._obs.counter("net.drops", read=lambda: stats.drops)
+        self._obs.counter("net.batch_unpacked", read=lambda: stats.batch_unpacked)
         self._obs.counter("net.messages", read=lambda: stats.messages)
         self._obs.counter("net.bytes_total", read=lambda: stats.bytes_total)
         self._m_queue_delay = self._obs.histogram("net.queue_delay_s", LATENCY_BUCKETS)
-        # Per-link byte counters, created on attach: node -> Counter.
-        self._m_link_up: dict[str, Any] = {}
-        self._m_link_down: dict[str, Any] = {}
         self.reliability: ReliableTransport | None = (
             ReliableTransport(self) if reliability else None
         )
@@ -147,14 +146,10 @@ class SimulatedNetwork:
         if node.node_id in self._nodes:
             raise NetworkError(f"node {node.node_id!r} already attached")
         self._nodes[node.node_id] = node
-        self._uplinks[node.node_id] = uplink if uplink is not None else Link()
-        self._downlinks[node.node_id] = downlink if downlink is not None else Link()
-        self._m_link_up[node.node_id] = self._obs.counter(
-            f"net.link.{node.node_id}.up.bytes"
-        )
-        self._m_link_down[node.node_id] = self._obs.counter(
-            f"net.link.{node.node_id}.down.bytes"
-        )
+        up = self._uplinks[node.node_id] = uplink if uplink is not None else Link()
+        down = self._downlinks[node.node_id] = downlink if downlink is not None else Link()
+        self._obs.counter(f"net.link.{node.node_id}.up.bytes", read=lambda: up.bytes_sent)
+        self._obs.counter(f"net.link.{node.node_id}.down.bytes", read=lambda: down.bytes_sent)
         self._routes.clear()
 
     def attach_backbone(self, node: Node) -> None:
@@ -177,8 +172,6 @@ class SimulatedNetwork:
         self._nodes.pop(node_id, None)
         self._uplinks.pop(node_id, None)
         self._downlinks.pop(node_id, None)
-        self._m_link_up.pop(node_id, None)
-        self._m_link_down.pop(node_id, None)
         self._backbone.discard(node_id)
         self._hubs.discard(node_id)
         # Home assignments pointing AT a detached gateway are kept: the
@@ -215,7 +208,7 @@ class SimulatedNetwork:
             raise NetworkError(
                 f"peer links connect backbone nodes, got {sender!r}->{recipient!r}"
             )
-        self._peer_links[(sender, recipient)] = link
+        self._install_peer_link(sender, recipient, link)
         self._routes.clear()
 
     def node(self, node_id: str) -> Node:
@@ -238,36 +231,37 @@ class SimulatedNetwork:
 
     # ----- transfer --------------------------------------------------------------------
 
-    def _peer_link(self, sender: str, recipient: str) -> Link:
-        key = (sender, recipient)
-        if key not in self._peer_links:
-            self._peer_links[key] = Link()
-        return self._peer_links[key]
+    def _install_peer_link(self, sender: str, recipient: str, link: Link) -> Link:
+        """Carry sender→recipient on *link*, read by ``net.peer.<sender>.
+        <recipient>.bytes`` from now on: once per link, not per route."""
+        self._peer_links[(sender, recipient)] = link
+        self._obs.counter(f"net.peer.{sender}.{recipient}.bytes", read=lambda: link.bytes_sent)
+        return link
 
-    def _resolve_link(self, sender: str, recipient: str) -> tuple[Link, Any]:
-        """The link (and its byte counter) carrying sender→recipient."""
+    def _resolve_link(self, sender: str, recipient: str) -> Link:
+        """The link carrying sender→recipient."""
         pair = (sender, recipient)
-        route = self._routes.get(pair)
-        if route is None:
-            route = self._routes[pair] = self._derive_route(sender, recipient)
-        return route
+        link = self._routes.get(pair)
+        if link is None:
+            link = self._routes[pair] = self._derive_route(sender, recipient)
+        return link
 
-    def _derive_route(self, sender: str, recipient: str) -> tuple[Link, Any]:
+    def _derive_route(self, sender: str, recipient: str) -> Link:
         if (
             sender in self._hubs
             and recipient not in self._hubs
             and self._home.get(recipient, self._hub_id) == sender
         ):
-            return self.downlink(recipient), self._m_link_down[recipient]
+            return self.downlink(recipient)
         if (
             recipient in self._hubs
             and sender not in self._hubs
             and self._home.get(sender, self._hub_id) == recipient
         ):
-            return self.uplink(sender), self._m_link_up[sender]
+            return self.uplink(sender)
         if sender in self._backbone and recipient in self._backbone:
-            link = self._peer_link(sender, recipient)
-            return link, self._obs.counter(f"net.peer.{sender}.{recipient}.bytes")
+            link = self._peer_links.get((sender, recipient))
+            return link if link is not None else self._install_peer_link(sender, recipient, Link())
         raise NetworkError(
             f"only hub<->client and backbone peer traffic is modelled, "
             f"got {sender!r}->{recipient!r}"
@@ -283,20 +277,20 @@ class SimulatedNetwork:
         size and checksum are the frame's; the reliable layer and every
         retransmission reuse its bytes.
         """
-        route = self._routes.get((sender, recipient))
-        if route is None:
+        link = self._routes.get((sender, recipient))
+        if link is None:
             if sender not in self._nodes:
                 raise NetworkError(f"unknown sender {sender!r}")
             if recipient not in self._nodes:
                 raise NetworkError(f"unknown recipient {recipient!r}")
-            route = self._resolve_link(sender, recipient)  # validate up front
+            link = self._resolve_link(sender, recipient)  # validate up front
         if self.reliability is None:
             message = tuple.__new__(Message, (  # Message(...), filled in place
                 sender, recipient, frame.kind, frame.payload, frame.size_bytes,
                 next_message_id(), None, None, 0, frame,
             ))
         else:
-            message = self.reliability.prepare(sender, recipient, frame, route[0])
+            message = self.reliability.prepare(sender, recipient, frame, link)
         self._transmit(message)
         return message
 
@@ -304,17 +298,16 @@ class SimulatedNetwork:
         """Put one frame on its wire (also the retransmission entry point).
 
         Every transmission — first send, duplicate, retry — charges the
-        link and the byte counters: the wire accounting stays honest
+        link and the network's stats: the wire accounting stays honest
         under retransmission. Chaos (see :class:`repro.chaos.ChaosNetwork`)
         overrides this hook, so injected faults apply to retries too.
         """
-        route = self._routes.get((message.sender, message.recipient))
-        if route is None:
+        link = self._routes.get((message.sender, message.recipient))
+        if link is None:
             if message.sender not in self._nodes or message.recipient not in self._nodes:
                 self._drop(message)  # an endpoint died while the frame waited
                 return
-            route = self._resolve_link(message.sender, message.recipient)
-        link, link_bytes = route
+            link = self._resolve_link(message.sender, message.recipient)
         frame, kind, size = message.frame, message.kind, message.size_bytes
         if frame is not None:
             # Every transmission past the first (fan-out, duplicate,
@@ -329,7 +322,7 @@ class SimulatedNetwork:
         else:
             wait, arrival = link.reserve(now, size)
             self._m_queue_delay.observe(wait)
-        link_bytes.inc(size)
+        link.bytes_sent += size
         stats = self.stats
         stats.messages += 1
         stats.bytes_total += size
@@ -395,7 +388,7 @@ class SimulatedNetwork:
         traced = dtrace.enabled and bool(contexts)
         if message.kind == BATCH:
             entries = message.payload or []
-            self._m_batch_unpacked.inc(len(entries))
+            self.stats.batch_unpacked += len(entries)
             hop = self._hop_name(message.sender, message.recipient) if traced else ""
             now = self.clock.now
             for index, entry in enumerate(entries):
@@ -431,7 +424,7 @@ class SimulatedNetwork:
         target.receive(message)
 
     def _drop(self, message: Message) -> None:
-        self._m_drops.inc()
+        self.stats.drops += 1
         self._events.emit(
             "net.drop",
             severity="WARN",

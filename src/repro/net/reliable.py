@@ -42,6 +42,7 @@ from repro.net.codec import checksum_of
 from repro.net.message import Message
 from repro.obs import get_event_log, get_registry
 from repro.obs.dtrace import HOP_RETRANSMIT, get_dtrace
+from repro.util.tally import LabelCounts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.codec import Frame
@@ -115,11 +116,12 @@ class ReliableTransport:
         registry = get_registry()
         self._events = get_event_log()
         self._dtrace = get_dtrace()
-        self._f_retries = registry.counter_family("net.retries", ("kind",))
-        self._f_dup_dropped = registry.counter_family("net.dup_dropped", ("kind",))
-        self._m_corrupt = registry.counter("net.corrupt_dropped")
-        self._m_failed = registry.counter("net.delivery_failed")
-        self._m_acks = registry.counter("net.acks")
+        counts = self.counts = {"acks": 0, "corrupt_dropped": 0, "delivery_failed": 0}
+        registry.counter("net.acks", read=lambda: counts["acks"])
+        registry.counter("net.corrupt_dropped", read=lambda: counts["corrupt_dropped"])
+        registry.counter("net.delivery_failed", read=lambda: counts["delivery_failed"])
+        self.retries = LabelCounts(registry.counter_family("net.retries", ("kind",)))
+        self.dup_dropped = LabelCounts(registry.counter_family("net.dup_dropped", ("kind",)))
 
     def _emit(self, name: str, severity: str, message: Message, **extra: Any) -> None:
         """One flight-recorder event about *message*, stamped with sim time."""
@@ -175,8 +177,8 @@ class ReliableTransport:
         network = self._network
         try:
             if forward is None:
-                forward, _ = network._resolve_link(message.sender, message.recipient)
-            reverse, _ = network._resolve_link(message.recipient, message.sender)
+                forward = network._resolve_link(message.sender, message.recipient)
+            reverse = network._resolve_link(message.recipient, message.sender)
         except NetworkError:
             return 0.0  # endpoint vanished: timeout path handles it
         now = network.clock.now
@@ -206,7 +208,7 @@ class ReliableTransport:
             return
         out.attempts += 1
         now = self._network.clock.now
-        self._f_retries.labels(message.kind).inc()
+        self.retries[message.kind] += 1
         dtrace = self._dtrace
         frame = message.frame
         if dtrace.enabled and frame is not None and frame.trace:
@@ -236,7 +238,7 @@ class ReliableTransport:
             seq=message.seq or 0, attempts=out.attempts, reason=reason,
             payload=message.payload,
         )
-        self._m_failed.inc()
+        self.counts["delivery_failed"] += 1
         self._emit("net.delivery_failed", "ERROR", message, attempts=out.attempts, reason=reason)
         self._network.delivery_failures.append(error)
         sender = self._network._nodes.get(message.sender)
@@ -256,11 +258,11 @@ class ReliableTransport:
         else:
             seq = body.get("seq") if type(body) is dict and len(body) == 1 else None
             if type(seq) is not int or ack.checksum != _ack_checksum(seq):
-                self._m_corrupt.inc()
+                self.counts["corrupt_dropped"] += 1
                 return
         stream = self._streams.get((ack.recipient, ack.sender))
         if stream is not None and stream.outstanding.pop(seq, None) is not None:
-            self._m_acks.inc()
+            self.counts["acks"] += 1
 
     # ----- receiver side ----------------------------------------------------------
 
@@ -276,7 +278,7 @@ class ReliableTransport:
         frame = message.frame
         if message.payload is frame.payload and message.checksum == frame.checksum:
             return True
-        self._m_corrupt.inc()
+        self.counts["corrupt_dropped"] += 1
         self._emit("net.corrupt_dropped", "WARN", message)
         return False
 
@@ -287,7 +289,7 @@ class ReliableTransport:
         assert seq is not None
         buffer = stream.buffer
         if seq < stream.expected or seq in buffer:
-            self._f_dup_dropped.labels(message.kind).inc()
+            self.dup_dropped[message.kind] += 1
             self._emit("net.dup_dropped", "DEBUG", message)
             self._send_ack(message)  # the previous ack may have been lost
             return

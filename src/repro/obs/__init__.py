@@ -11,10 +11,10 @@ Three substrates, one process-wide default of each:
 Instrumented components resolve their handles from the getters at
 construction time; swap in the Null variants via the ``set_*`` /
 ``use_*`` helpers *before* constructing components to turn observability
-off, or fresh instances to isolate a run's counts. One tally per fact: a
-gauge is read from its owner; a counter is incremented only where no
-owner already counts the fact, and otherwise reads that owner's tally;
-a reader binds to the registry that is active when its owner is built.
+off, or fresh instances to isolate a run's counts. One tally per fact
+(:mod:`repro.obs.metrics`): what an owner counts on its hot path is an
+integer it keeps, read at snapshot. The codec reads ``_registry`` on
+every encode (an attribute load, not a call) to notice a swap.
 
 The figure benchmarks snapshot the default registry before and after the
 measured region and report :func:`diff` of the two; the ledger and the

@@ -62,10 +62,16 @@ def _diff_histogram(before: dict[str, Any], after: dict[str, Any]) -> dict[str, 
     delta_buckets = [a - b for a, b in zip(after_buckets, before_buckets)]
     count = after.get("count", 0) - before.get("count", 0)
     total = after.get("total", 0.0) - before.get("total", 0.0)
-    # Exact extremes of the interval are unrecoverable from buckets;
-    # report the cumulative ones (None when nothing new arrived).
-    extremes = (after.get("min"), after.get("max")) if count > 0 else (None, None)
-    return histogram_summary(bounds, delta_buckets, count, total, *extremes)
+    populated = [index for index, n in enumerate(delta_buckets) if n > 0]
+    if count <= 0 or not populated:
+        return histogram_summary(bounds, delta_buckets, count, total, None, None)
+    # The interval's exact extremes are unrecoverable from buckets: bound
+    # them by its first and last populated buckets' edges, clamped to the
+    # cumulative ones.
+    first, last = populated[0], populated[-1]
+    low = max(after["min"], bounds[first - 1]) if first else after["min"]
+    high = min(after["max"], bounds[last]) if last < len(bounds) else after["max"]
+    return histogram_summary(bounds, delta_buckets, count, total, low, high)
 
 
 def diff(before: Snapshot, after: Snapshot) -> Snapshot:

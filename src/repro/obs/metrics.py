@@ -1,40 +1,33 @@
 """Counters, gauges and fixed-bucket histograms.
 
-The registry is designed to be *always on*: instruments are plain
-objects with ``__slots__`` whose hot methods do one attribute update
-(counters) or one bisect (histograms). Call sites resolve their
-instrument handles once — typically in ``__init__`` — and increment by
-batch totals (``rows_scanned.inc(len(candidates))``) rather than per
-element, so the cost per *operation* is a handful of nanoseconds.
-
-One tally per fact: ``counter``, ``gauge`` and a family's ``labels``
-take a zero-argument ``read`` that closes over an owner's small tally
-(a stats record, a dict of counts, a table it holds), never over the
+One tally per fact: a count an owner takes on its hot path (per encode,
+transmission or routed copy) is a plain integer it keeps, and the
+registry reads it when asked. ``counter``, ``gauge`` and a family's
+``labels`` take that zero-argument ``read``, which closes over the
+owner's small tally (a stats record, a dict of counts), never over the
 owner, so the registry keeps no server, network or client alive.
 
 - A gauge is read from its owner; nothing sets it, and a child belongs
   to its newest reader.
-- A counter is incremented only where no owner already counts the
-  fact; its value is what was added plus the sum of its readers.
-- A reader binds to the registry that is active when its owner is built.
+- A counter's value is what ``inc`` added (per-op counts no owner
+  keeps) plus the sum of its readers.
+- A reader binds to the registry active when its owner is built, or
+  when the first event of its series happens.
+- Histograms stay instruments: ``observe`` is one bisect.
 
-Labelled *families* add bounded dimensionality on top: a family is a
-named group of instruments keyed by label values
-(``registry.counter_family("db.rows_scanned", ("table",)).labels("patients")``).
-Children are ordinary instruments registered under the canonical name
-``db.rows_scanned{table="patients"}``, so every exporter (JSON, lines,
-diff) sees them with no special casing. Cardinality is
-bounded per family: once ``max_series`` distinct label sets exist, new
-label sets collapse into one shared overflow child (labels
-``"__other__"``) instead of growing without limit. ``remove`` drops a
-child together with its readers; for a label the overflow child
-absorbed, it takes that label's readers off the shared child (a
-counter keeps what they counted).
+Labelled *families* add bounded dimensionality: a family's children,
+keyed by label values (``registry.counter_family("db.rows_scanned",
+("table",)).labels("patients")``), register under canonical names such
+as ``db.rows_scanned{table="patients"}``, so every exporter sees them
+with no special casing. Past ``max_series`` label sets, new ones
+collapse into one shared ``"__other__"`` child. ``remove`` drops a
+child with its readers; for a label the overflow child absorbed, it
+takes that label's readers off the shared child (a counter keeps what
+they counted).
 
-When observability must be off entirely, install a
-:class:`NullRegistry`: it hands out shared no-op instruments, so an
-instrumented call site degenerates to one attribute lookup plus a no-op
-call.
+A :class:`NullRegistry` hands out shared no-op instruments and binds no
+reader: it silences histograms and per-op counters; owners still keep
+their integers, unread.
 """
 
 from __future__ import annotations

@@ -67,15 +67,16 @@ class Outbox:
     def __init__(self, clock: SimClock, transmit: Transmit, node_id: str, window_s: float) -> None:
         self.batcher = Batcher(clock, transmit, node_id, window_s)
         self._dtrace = get_dtrace()
-        self._m_messages_out = obs.get_registry().counter("server.messages_out")
-        self._m_bytes_out = obs.get_registry().counter("server.bytes_out")
+        sent = self.sent = {"messages": 0, "bytes": 0}  # copies and their bytes
+        obs.get_registry().counter("server.messages_out", read=lambda: sent["messages"])
+        obs.get_registry().counter("server.bytes_out", read=lambda: sent["bytes"])
 
     def send(self, recipients: Sequence[str], frame: Frame) -> None:
         ctx = self._dtrace.current() if self._dtrace.enabled else None
         if ctx is not None:
             frame = stamp_frame(frame, (ctx,))  # chain to the op being served
-        self._m_messages_out.inc(len(recipients))
-        self._m_bytes_out.inc(frame.size_bytes * len(recipients))
+        self.sent["messages"] += len(recipients)
+        self.sent["bytes"] += frame.size_bytes * len(recipients)
         for recipient in recipients:
             self.batcher.send(recipient, frame)
 

@@ -96,16 +96,12 @@ def run_prefetch_session(
     seed: int = 0,
     plan: FaultPlan | None = None,
 ) -> PrefetchReport:
-    """Store *document*, then replay *events* as one viewer's choices.
-
-    The session runs in its own metrics registry, which is where
-    ``retries`` (the transport's ``net.retries``) is read from.
-    """
+    """Store *document*, then replay *events* as one viewer's choices,
+    in a metrics registry of the session's own."""
     if policy not in POLICIES:
         raise PrefetchError(f"unknown policy {policy!r}; know {POLICIES}")
     store.store_document(document)
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
+    with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         network = ChaosNetwork(reliability=True, plan=plan)
         server = InteractionServer(store, network=network)
         client = ClientModule("viewer", network=network, buffer_bytes=buffer_bytes)
@@ -151,11 +147,7 @@ def run_prefetch_session(
     report.demand_hits = client.buffer.hits
     report.demand_requests = client.buffer.hits + client.buffer.misses
     report.wasted_prefetch_bytes = sum(unused.values())
-    report.retries = sum(
-        value
-        for key, value in registry.snapshot()["counters"].items()
-        if key.startswith("net.retries")
-    )
+    report.retries = sum(network.reliability.retries.values())
     report.tuning_level = client.displayed().get(TUNING_VARIABLE)
     report.fully_rendered = client.fully_rendered()
     return report

@@ -27,7 +27,7 @@ from repro.net.codec import (
 )
 from repro.cluster.admission import retry_after_body
 from repro.cluster.wire import encode_clientbound, encode_shardbound
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, NullRegistry, use_registry
 from repro.server.protocol import MessageKind, encoded_size
 
 #: One representative payload per message kind, shaped like the real
@@ -775,6 +775,34 @@ class TestMetrics:
         assert counters["codec.bytes_encoded"] == frame.size_bytes
         assert counters["codec.encodes_saved"] == 2
         assert counters["codec.bytes_saved"] == 2 * frame.size_bytes
+
+    def test_each_registry_reads_what_was_encoded_while_it_was_installed(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        for registry in (first, second, first):
+            with use_registry(registry):
+                encode_message("leave", {"session_id": "s"})
+        assert first.snapshot()["counters"]["codec.encodes"] == 2
+        assert second.snapshot()["counters"]["codec.encodes"] == 1
+
+    def test_a_null_registry_in_between_loses_nothing(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            frame = encode_message("leave", {"session_id": "s"})
+            mark_reuse(frame)
+        with use_registry(NullRegistry()):
+            encode_message("leave", {"session_id": "t"})
+            mark_reuse(frame)
+        with use_registry(registry):
+            encode_message("leave", {"session_id": "u"})
+            mark_reuse(frame)
+        later = MetricsRegistry()
+        with use_registry(later):
+            encode_message("leave", {"session_id": "v"})
+            mark_reuse(frame)
+        counters = registry.snapshot()["counters"]
+        assert (counters["codec.encodes"], counters["codec.encodes_saved"]) == (2, 1)
+        counters = later.snapshot()["counters"]
+        assert (counters["codec.encodes"], counters["codec.encodes_saved"]) == (1, 1)
 
     def test_envelope_charges_only_header_bytes(self):
         registry = MetricsRegistry()

@@ -141,8 +141,7 @@ class TestBackbone:
             )
 
         assert tables_naming("c1") == [
-            "_downlinks", "_home", "_m_link_down", "_m_link_up", "_nodes",
-            "_routes", "_uplinks",
+            "_downlinks", "_home", "_nodes", "_routes", "_uplinks",
         ]
         assert "_peer_links" in tables_naming("shard-1")
         for node_id in ("c1", "shard-1", "gw-1"):
@@ -172,6 +171,28 @@ class TestBackbone:
             network.run()
             counters = registry.snapshot()["counters"]
             assert counters["net.peer.s1.s2.bytes"] == 500
+
+    def test_peer_bytes_count_once_across_route_rederivations(self, net, registry):
+        add_backbone(net, "s1")
+        add_backbone(net, "s2")
+        net.send("s1", "s2", frame_of("replicate", size_bytes=500))
+        add_client(net, "c1")  # a topology change re-derives every route
+        net.send("s1", "s2", frame_of("replicate", size_bytes=300))
+        net.run()
+        assert registry.snapshot()["counters"]["net.peer.s1.s2.bytes"] == 800
+
+    def test_a_reattached_clients_link_bytes_sum_over_both_links(self, net, registry):
+        add_client(net, "c1")
+        net.send("c1", "server", frame_of("choice", size_bytes=100))
+        net.send("server", "c1", frame_of("update", size_bytes=40))
+        net.run()
+        net.detach_client("c1")
+        add_client(net, "c1")
+        net.send("c1", "server", frame_of("choice", size_bytes=7))
+        net.run()
+        counters = registry.snapshot()["counters"]
+        assert counters["net.link.c1.up.bytes"] == 107
+        assert counters["net.link.c1.down.bytes"] == 40
 
     def test_explicit_peer_link_shapes_traffic(self, net):
         add_backbone(net, "shard-1")

@@ -454,9 +454,9 @@ class TestDetachPeerLinks:
         network.attach_backbone(b)
         custom = Link(bandwidth_bps=1 * MBPS)
         network.set_peer_link("s1", "s2", custom)
-        assert network._peer_link("s1", "s2") is custom
+        assert network._resolve_link("s1", "s2") is custom
         network.detach_client("s1")
         assert all("s1" not in pair for pair in network._peer_links)
         # Reattaching a node with the same id starts from clean links.
         network.attach_backbone(Recorder("s1"))
-        assert network._peer_link("s1", "s2") is not custom
+        assert network._resolve_link("s1", "s2") is not custom

@@ -72,11 +72,40 @@ class TestDiff:
         summary = delta["histograms"]["db.query_latency_s"]
         assert summary["count"] == 10
         assert summary["bucket_counts"] == [0, 10, 0, 0]
-        # Every new observation fell in the <=0.01 bucket, the delta's first:
-        # its quantiles interpolate from the cumulative min 0.0005 to 0.01.
-        assert summary["p50"] == pytest.approx(0.0005 + 0.0095 * 0.50)
-        assert summary["p99"] == pytest.approx(0.0005 + 0.0095 * 0.99)
+        # Every new observation fell in the (0.001, 0.01] bucket, the
+        # delta's only one: its quantiles interpolate across that bucket,
+        # not from the cumulative min 0.0005 the interval never saw.
+        assert (summary["min"], summary["max"]) == (0.001, 0.01)
+        assert summary["p50"] == pytest.approx(0.0055)
+        assert summary["p99"] == pytest.approx(0.001 + 0.009 * 0.99)
         assert abs(summary["total"] - 0.05) < 1e-12
+
+    @pytest.mark.parametrize(
+        "earlier, interval",
+        [
+            ((0.0005,), (0.005,) * 10),  # cumulative min below the interval's
+            ((0.05, 0.5), (0.005, 0.006)),  # cumulative max above it
+            ((0.0002, 0.2), (0.002, 0.05, 0.07)),  # both, two buckets apart
+            ((0.003,), (0.0004, 0.5)),  # the interval holds the extremes
+        ],
+    )
+    def test_every_quantile_of_a_diff_lies_in_its_populated_buckets(
+        self, earlier, interval
+    ):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", bounds=(0.001, 0.01, 0.1))
+        for value in earlier:
+            histogram.observe(value)
+        before = registry.snapshot()
+        for value in interval:
+            histogram.observe(value)
+        summary = diff(before, registry.snapshot())["histograms"]["h"]
+        edges = (float("-inf"), *histogram.bounds, float("inf"))
+        populated = [i for i, n in enumerate(summary["bucket_counts"]) if n]
+        low, high = edges[populated[0]], edges[populated[-1] + 1]
+        estimates = [summary[key] for key in ("min", "p50", "p90", "p99", "max")]
+        assert estimates == sorted(estimates)
+        assert low <= estimates[0] and estimates[-1] <= high
 
     def test_no_activity_diffs_to_empty(self):
         registry = _registry()

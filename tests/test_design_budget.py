@@ -34,25 +34,26 @@ from tests.cluster.test_ring import ring_of
 from tests.net.test_wire_identity import build_rooms_conference, drive_rooms_conference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
-    "cluster": 2616,
+    "cluster": 2607,
     "cpnet": 1921,
     "db": 1892,
     "document": 1125,
     "interest": 319,
     "media": 3039,
-    "net": 2093,
-    "obs": 1620,
+    "net": 2088,
+    "obs": 1619,
     "prefetch": 167,
     "presentation": 941,
     "retrieval": 769,
-    "server": 1732,
-    "util": 279,
-    "workloads": 1282,
+    "server": 1733,
+    "util": 300,
+    "workloads": 1274,
 }
 
 MAX_KIND_ARMS = 3
@@ -185,7 +186,11 @@ def test_the_chain_check_sees_both_spellings():
 #: Python-level calls (``sys.setprofile`` "call" events) of the 3x3 rooms
 #: conference, joins to quiescence. A change that lowers the count lowers
 #: the ceiling with it; one that needs more says why in CHANGES.md.
-ROOMS_CALL_CEILING = 40_825
+ROOMS_CALL_CEILING = 35_286
+#: Of those, the calls into ``repro/obs/``: histogram observes, per-op
+#: counters, the delivery tracer's ``current`` checks, and the series
+#: bound as owners are built. Exact.
+ROOMS_OBS_CALLS = 1_684
 
 
 def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
@@ -210,13 +215,19 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     40,869; a client that addresses the home it already resolved,
     instead of asking the network a second time, brought it to 40,662;
     reading gauges and owner-kept counts at snapshot instead of writing
-    them beside the owner's own tally brought it to 38,881. The ceiling
-    sits under 5% above that."""
-    calls = 0
+    them beside the owner's own tally brought it to 38,881; counting the
+    wire on its owners' integers (links, network stats, the codec's
+    tally, the ARQ, the batcher, the gateway, the outbox, admission)
+    instead of on registry counters brought it to 33,606, and its calls into
+    ``repro/obs/`` from 6,170 to 1,684. The ceiling sits under 5% above
+    that."""
+    calls = obs_calls = 0
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        nonlocal calls, obs_calls
+        if event == "call":
+            calls += 1
+            obs_calls += frame.f_code.co_filename.startswith(OBS)
 
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         db = Database(str(tmp_path / "rooms"))
@@ -233,6 +244,7 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     assert calls <= ROOMS_CALL_CEILING, (
         f"{calls} Python calls against a ceiling of {ROOMS_CALL_CEILING}"
     )
+    assert obs_calls == ROOMS_OBS_CALLS
 
 
 #: GC-tracked objects one op adds while it waits in a rated queue: its
@@ -277,9 +289,11 @@ def test_a_queued_op_is_one_record(tmp_path):
 #: GC-tracked objects its copy holds in flight (envelope frame, its
 #: ``(to, size, frame)`` record, the message, its clock entry and the
 #: entry's callable), and the Python calls it costs from the shard's
-#: outbox to the client link.
+#: outbox to the client link, of which the only ones into ``repro/obs/``
+#: are its two transmissions' ``net.queue_delay_s`` observes.
 ROUTED_COPY_OBJECTS = 7
-ROUTED_COPY_CALLS = 45
+ROUTED_COPY_CALLS = 31
+ROUTED_COPY_OBS_CALLS = {"observe": 2}
 
 
 class _Sink:
@@ -304,7 +318,9 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     plus its frame, one cost 55 calls and also held 7 objects: a wrapper
     dict where the record is now, with its header dict already freed.
     Reading ``net.messages`` and ``net.bytes_total`` off the network's
-    stats took each of its two transmissions' two increments, 49 to 45."""
+    stats took each of its two transmissions' two increments, 49 to 45;
+    counting the codec, the links and the gateway on their own integers
+    took its ten counter increments and two registry lookups, 45 to 31."""
     n = 16
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         db = Database(str(tmp_path / "fanout"))
@@ -325,10 +341,15 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
                     {"doc_id": "case-0", "seq": len(cost), "viewer": "v", "kind": "choice"},
                 )
                 calls = 0
+                obs_calls: dict[str, int] = {}
 
-                def tally(_frame, event, _arg):
+                def tally(frame, event, _arg):
                     nonlocal calls
-                    calls += event == "call"
+                    if event == "call":
+                        calls += 1
+                        if frame.f_code.co_filename.startswith(OBS):
+                            name = frame.f_code.co_name
+                            obs_calls[name] = obs_calls.get(name, 0) + 1
 
                 gc.collect()
                 gc.disable()
@@ -343,7 +364,7 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
                 finally:
                     sys.setprofile(None)
                     gc.enable()
-                cost[count] = (objects, calls)
+                cost[count] = (objects, calls, obs_calls)
         finally:
             db.close()
     objects = (cost[2 * n][0] - cost[n][0]) / n
@@ -351,3 +372,8 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     assert (objects, calls) == (ROUTED_COPY_OBJECTS, ROUTED_COPY_CALLS), (
         f"one routed copy holds {objects:g} objects and costs {calls:g} calls"
     )
+    wide, narrow = cost[2 * n][2], cost[n][2]
+    per_copy = {
+        name: (wide.get(name, 0) - narrow.get(name, 0)) / n for name in {*wide, *narrow}
+    }
+    assert {name: c for name, c in per_copy.items() if c} == ROUTED_COPY_OBS_CALLS

@@ -3,7 +3,27 @@
 import pytest
 
 from repro import errors
+from repro.obs import MetricsRegistry
 from repro.util import IdGenerator, check_identifier, check_positive, check_probability, human_size
+from repro.util.tally import LabelCounts
+
+
+class TestLabelCounts:
+    def test_a_keys_first_count_binds_its_series(self):
+        registry = MetricsRegistry()
+        by_fault = LabelCounts(registry.counter_family("chaos.injected", ("fault",)))
+        by_route = LabelCounts(
+            registry.counter_family("gateway.routed_bytes", ("shard", "direction"))
+        )
+        assert registry.snapshot()["counters"] == {}
+        by_fault["drop"] += 1
+        by_fault["drop"] += 2
+        by_route["shard-1", "to_client"] += 40
+        assert by_fault.get("corrupt", 0) == 0  # reading with get binds nothing
+        assert registry.snapshot()["counters"] == {
+            'chaos.injected{fault="drop"}': 3,
+            'gateway.routed_bytes{shard="shard-1",direction="to_client"}': 40,
+        }
 
 
 class TestIdGenerator:
