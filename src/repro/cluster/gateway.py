@@ -31,7 +31,6 @@ from repro.cluster.node import ServiceNode
 from repro.cluster.ring import HashRing
 from repro.cluster.wire import ClientBound, ShardBound, encode_shardbound
 from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
-from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_ROUTE
 from repro.server.protocol import PROTOCOL, MessageKind, error_body
@@ -123,38 +122,33 @@ class Gateway(ServiceNode):
 
     # ----- network glue -----------------------------------------------------------
 
-    def receive(self, message: Message) -> None:
-        kind = message.kind
-        if message.sender in self._dead:
+    def receive(self, sender: str, kind: str, body: Any) -> None:
+        """Serve one arrival: a client's frame, or the ``ClientBound`` a
+        shard's ``ROUTE`` carries."""
+        if sender in self._dead:
             # Zombie fencing: a shard declared dead stays dead. A slow
             # frame from before the declaration (or a partitioned shard
             # that kept running) must not poison the routing table or
             # resurrect itself via a late heartbeat.
             self._m_zombies_fenced.inc()
-            self._emit(
-                "gateway.zombie_fenced", severity="WARN",
-                shard=message.sender, kind=kind,
-            )
+            self._emit("gateway.zombie_fenced", severity="WARN", shard=sender, kind=kind)
             return
         telemetry = self.telemetry
         try:
-            if kind in telemetry.KINDS and telemetry.answer(
-                message.sender, kind, message.payload or {}
-            ):
+            if kind in telemetry.KINDS and telemetry.answer(sender, kind, body.payload or {}):
                 return
             handler = self._HANDLERS.get(kind)
             if handler is None:
                 raise ClusterError(f"unexpected message kind {kind!r} at gateway")
-            getattr(self, handler)(message)
+            getattr(self, handler)(sender, body)
         except Exception as exc:
-            sender = message.sender
             if (
                 sender in self._shards
                 or sender == self.node_id
                 or not self.network.has_node(sender)
             ):
                 raise
-            self._send_error(sender, type(exc).__name__, str(exc), message.frame)
+            self._send_error(sender, type(exc).__name__, str(exc), body)
         finally:
             if telemetry.monitors:
                 telemetry.push(force=False)
@@ -170,11 +164,11 @@ class Gateway(ServiceNode):
             error_body(error, detail, request.kind, request.payload or {}),
         )
 
-    def _route_message(self, message: Message) -> None:
+    def _route_message(self, sender: str, frame: Frame) -> None:
         # A malformed request is refused here, by name, before it costs a
         # shard hop or a directory lookup.
-        PROTOCOL[message.kind].require(message.payload or {})
-        self._route_client(message.sender, message.frame)
+        PROTOCOL[frame.kind].require(frame.payload or {})
+        self._route_client(sender, frame)
 
     def _route_client(self, sender_node: str, frame: Frame, attempt: int = 0) -> None:
         kind, payload = frame.kind, frame.payload
@@ -270,9 +264,7 @@ class Gateway(ServiceNode):
             inner = encode_message(routed.frame.kind, routed.frame.payload)
             self._route_retry_tick(routed.sender, inner, 0)
 
-    def _forward_to_client(self, message: Message) -> None:
-        shard_id = message.sender
-        routed: ClientBound = message.payload
+    def _forward_to_client(self, shard_id: str, routed: ClientBound) -> None:
         # The shard rides its already-encoded inner frame inside the
         # envelope; forwarding hands the same frame to the client link.
         to, inner_frame = routed.to, routed.frame

@@ -78,19 +78,24 @@ class GatewayNode(Gateway):
     def receive(self, message: Message) -> None:
         if not self.alive:
             return
-        kind = message.kind
+        sender, kind = message.sender, message.kind
         control = self._CONTROL.get(kind)
         if control is not None:
             getattr(self, control)(message.payload or {})
-        elif self.queue is not None and kind in self._HANDLERS:
+            return
+        # A shard's ROUTE is served from the ClientBound it carries, a
+        # client op from its own frame: the transmission dies here.
+        shard_route = kind == MessageKind.ROUTE and sender in self._shards
+        body = message.payload if shard_route else message.frame
+        if self.queue is not None and kind in self._HANDLERS:
             # Everything the core serves pays routing capacity: what it
             # routes, what it forwards, what its telemetry channel answers.
-            self._submit(message.sender, kind, message.payload or {}, message)
+            self._submit(sender, kind, None, (sender, kind, body))
         else:
-            Gateway.receive(self, message)
+            Gateway.receive(self, sender, kind, body)
 
-    def _serve(self, message: Message) -> None:
-        Gateway.receive(self, message)
+    def _serve(self, item: tuple[str, str, Any]) -> None:
+        Gateway.receive(self, *item)
 
     def stats(self) -> dict[str, Any]:
         base = super().stats()

@@ -15,7 +15,7 @@ paper's class diagram shows.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import DocumentError
 from repro.cpnet.compiled import compile_cpnet, compiled_enabled, completion_key
@@ -35,10 +35,10 @@ class _ComponentIndex:
 
     Built for the tree's :attr:`version` (the root's ``_tree_version``
     at build time) and shared by every reader; nothing here is handed
-    out mutable.
+    out mutable but :attr:`structure`, which readers only read.
     """
 
-    __slots__ = ("version", "nodes", "components", "paths", "primitives", "hiding")
+    __slots__ = ("version", "nodes", "components", "paths", "primitives", "hiding", "structure")
 
     def __init__(self, root: CompositeMultimediaComponent) -> None:
         self.version = root._tree_version
@@ -54,6 +54,8 @@ class _ComponentIndex:
         #: What callers get: a read-only window on :attr:`nodes`.
         self.components = MappingProxyType(self.nodes)
         self.paths = tuple(self.nodes)
+        #: What a JOIN_ACK describes, built at the first join after a change.
+        self.structure: list[dict[str, Any]] | None = None
 
     def _walk(
         self, composite: CompositeMultimediaComponent, prefix: str, below: dict[str, str]
@@ -138,6 +140,23 @@ class MultimediaDocument:
 
     def component_paths(self) -> tuple[str, ...]:
         return self._index().paths
+
+    def structure(self) -> list[dict[str, Any]]:
+        """Every component's path, domain and presentation sizes: the
+        tree a joining viewer renders. Built once per tree version and
+        shared by every join until the next ``add``/``remove``; readers
+        must not mutate it."""
+        index = self._index()
+        if index.structure is None:
+            index.structure = [
+                {
+                    "path": path,
+                    "domain": list(node.domain),
+                    "sizes": {value: node.presentation_size(value) for value in node.domain},
+                }
+                for path, node in index.nodes.items()
+            ]
+        return index.structure
 
     def _check_alignment(self) -> None:
         components = self._index().nodes

@@ -850,21 +850,15 @@ class InteractionServer:
                 self.leave_room(session.session_id)
             del self._sessions[session.session_id]
             raise
-        body = {
-            "session_id": session.session_id,
-            "room_id": room.room_id,
-            "doc_id": room.document.doc_id,
-            "outcome": spec.outcome,
-            "structure": [
-                {
-                    "path": p,
-                    "domain": list(c.domain),
-                    "sizes": {v: c.presentation_size(v) for v in c.domain},
-                }
-                for p, c in room.document.components().items()
-            ],
-        }
-        self._send_body(node_id, MessageKind.JOIN_ACK, body)
+        if self.outbox is not None:  # a standby or direct-mode server acks nobody
+            body = {
+                "session_id": session.session_id,
+                "room_id": room.room_id,
+                "doc_id": room.document.doc_id,
+                "outcome": spec.outcome,
+                "structure": room.document.structure(),
+            }
+            self._send_body(node_id, MessageKind.JOIN_ACK, body)
         return session.session_id
 
     def _on_monitor(self, viewer_id: str, node_id: str) -> None:

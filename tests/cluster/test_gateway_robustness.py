@@ -30,7 +30,9 @@ def fresh_obs():
             yield registry, log
 
 
-def build(tmp_path, name="db", num_docs=3, failure_timeout=2.0, **harness_kwargs):
+def build(
+    tmp_path, name="db", num_docs=3, failure_timeout=2.0, route_rate=None, **harness_kwargs
+):
     db = Database(str(tmp_path / name))
     store = MultimediaObjectStore(db)
     docs = [f"case-{i}" for i in range(num_docs)]
@@ -41,7 +43,7 @@ def build(tmp_path, name="db", num_docs=3, failure_timeout=2.0, **harness_kwargs
         )
         records[doc_id] = record
         store.store_document(record)
-    config = ClusterConfig(shards=3, failure_timeout=failure_timeout)
+    config = ClusterConfig(shards=3, failure_timeout=failure_timeout, route_rate=route_rate)
     harness = ClusterHarness(store, config, **harness_kwargs)
     return harness, docs, records, db
 
@@ -80,9 +82,40 @@ class TestJoinAckSniffing:
         assert client.errors == []
         db.close()
 
-    def test_stale_join_ack_from_dead_shard_is_fenced(self, tmp_path, fresh_obs):
+    @pytest.mark.parametrize("route_rate", [None, 50.0])
+    def test_join_ack_teaches_the_route_cache(self, tmp_path, fresh_obs, route_rate):
+        harness, docs, _, db = build(tmp_path, route_rate=route_rate)
+        gateway = harness.gateways["gw-1"]
+        owner = harness.owner_of(docs[0])
+        client = harness.add_client("alice")
+        client.join(docs[0])
+        if route_rate is not None:
+            # A rated gateway queues the owner's ROUTE as the shard that
+            # sent it and the ClientBound it carries; the route is
+            # learned when the queue serves it, not on arrival.
+            def queued_routes():
+                return [
+                    item for _ctx, kind, item, _at in gateway.queue.records
+                    if kind == MessageKind.ROUTE
+                ]
+
+            while not queued_routes():
+                assert harness.clock.step()
+            [(sender, kind, routed)] = queued_routes()
+            assert (sender, kind) == (owner, MessageKind.ROUTE)
+            assert (routed.to, routed.frame.kind) == (client.node_id, MessageKind.JOIN_ACK)
+            session_id = routed.frame.payload["session_id"]
+            assert gateway.shard_of_session(session_id) is None
+        harness.run()
+        assert gateway.shard_of_session(client.session_id) == owner
+        assert harness.directory.shard_of_session(client.session_id) == owner
+        assert client.errors == []
+        db.close()
+
+    @pytest.mark.parametrize("route_rate", [None, 50.0])
+    def test_stale_join_ack_from_dead_shard_is_fenced(self, tmp_path, fresh_obs, route_rate):
         registry, log = fresh_obs
-        harness, docs, _, db = build(tmp_path, failure_timeout=1.0)
+        harness, docs, _, db = build(tmp_path, failure_timeout=1.0, route_rate=route_rate)
         client = harness.add_client("alice")
         client.join(docs[0])
         harness.run()
@@ -97,16 +130,22 @@ class TestJoinAckSniffing:
         assert owner in gateway.dead_shards  # the invalidation broadcast landed
         rehomed = harness.directory.shard_of_session(client.session_id)
         assert rehomed is not None and rehomed != owner
+        cached = gateway.shard_of_session(client.session_id)
+        fenced_before = len(log.filter("gateway.zombie_fenced"))
         # A JOIN_ACK the dead shard sent before dying limps in late. It
         # must NOT re-point the session at the corpse — neither in the
-        # gateway's cache nor (via a ROUTE_REPORT) at the directory.
+        # gateway's cache nor (via a ROUTE_REPORT) at the directory. A
+        # rated gateway fences it when its queue serves it.
         gateway.receive(stale)
         harness.run()
-        assert gateway.shard_of_session(client.session_id) != owner
+        assert gateway.shard_of_session(client.session_id) == cached != owner
         assert harness.directory.shard_of_session(client.session_id) == rehomed
         counters = registry.snapshot()["counters"]
         assert counters["gateway.zombies_fenced"] >= 1
-        assert any(e.name == "gateway.zombie_fenced" for e in log.events)
+        fenced = log.filter("gateway.zombie_fenced")[fenced_before:]
+        assert [event.fields for event in fenced] == [
+            {"shard": owner, "kind": MessageKind.ROUTE}
+        ]
         db.close()
 
     def test_zombie_heartbeat_cannot_resurrect_a_dead_shard(

@@ -8,7 +8,12 @@ state machine with no network)."""
 import pytest
 
 from repro.db import Database, MultimediaObjectStore
-from repro.document import build_sample_medical_record
+from repro.document import (
+    Hidden,
+    JPGImage,
+    PrimitiveMultimediaComponent,
+    build_sample_medical_record,
+)
 from repro.net.simclock import SimClock
 from repro.obs import MetricsRegistry, use_registry
 from repro.server import InteractionServer, MessageKind
@@ -91,6 +96,52 @@ class TestOneCallPerDistinctFrame:
         server, outbox, _ = room
         assert server.broadcast({"notice": "closing"}, room_id=server.room_ids[0]) == 4
         assert [(to, f.kind) for to, f in outbox.take()] == [(NODES, MessageKind.BROADCAST)]
+
+
+class TestJoinAckStructure:
+    """A JOIN_ACK's ``structure`` is built once per tree version of the
+    room's document and shared by every join until the tree changes."""
+
+    @staticmethod
+    def _join(server, outbox, viewer):
+        server.apply_session_op(
+            MessageKind.JOIN, {"viewer_id": viewer, "doc_id": "record-17"}, f"n-{viewer}"
+        )
+        [(_, ack)] = [(to, f) for to, f in outbox.take() if f.kind == MessageKind.JOIN_ACK]
+        return ack
+
+    @staticmethod
+    def _walked(document):
+        """The structure as a fresh walk of the tree describes it."""
+        return [
+            {
+                "path": path,
+                "domain": list(node.domain),
+                "sizes": {value: node.presentation_size(value) for value in node.domain},
+            }
+            for path, node in document.components().items()
+        ]
+
+    def test_joins_share_one_list_until_the_tree_changes(self, room):
+        server, outbox, _ = room
+        document = server.room(server.room_ids[0]).document
+        first, second = self._join(server, outbox, "ana"), self._join(server, outbox, "bo")
+        assert first.payload["structure"] is second.payload["structure"]
+        assert first.payload["structure"] == self._walked(document)
+        document.add_component(
+            "imaging",
+            PrimitiveMultimediaComponent("mri", [JPGImage("flat", size_bytes=100), Hidden()]),
+        )
+        added = self._join(server, outbox, "cy").payload["structure"]
+        assert added is not first.payload["structure"]
+        assert added == self._walked(document)
+        assert {"path": "imaging.mri", "domain": ["flat", "hidden"],
+                "sizes": {"flat": 100, "hidden": 0}} in added
+        assert "imaging.mri" not in [entry["path"] for entry in first.payload["structure"]]
+        document.remove_component("imaging.mri")
+        removed = self._join(server, outbox, "di").payload["structure"]
+        assert removed is not added and removed == self._walked(document)
+        assert "imaging.mri" not in [entry["path"] for entry in removed]
 
 
 class TestOutbox:

@@ -9,7 +9,9 @@
 * The Python function calls one small clustered conference costs are
   capped: the cost of a message cannot creep back up unnoticed.
 * The objects one queued op keeps alive while it waits in a shard's
-  service queue are capped, so a backlog stays a list of records.
+  service queue are capped, so a backlog stays a list of records; a
+  gateway's backlog holds what it routes, not the transmissions that
+  brought it.
 * No ``.send(`` call in ``src/repro`` passes a keyword argument: a frame
   is the unit of transfer, so ``kind=``, ``payload=``, ``size_bytes=``
   and ``frame=`` cannot grow back beside it.
@@ -26,7 +28,8 @@ from repro import obs
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.cluster.shard import ShardServer
 from repro.db import Database, MultimediaObjectStore
-from repro.net.codec import encode_message
+from repro.net.codec import Frame, encode_message
+from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.server.protocol import MessageKind
@@ -40,10 +43,10 @@ OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
-    "cluster": 2607,
+    "cluster": 2604,
     "cpnet": 1921,
     "db": 1892,
-    "document": 1125,
+    "document": 1144,
     "interest": 319,
     "media": 3039,
     "net": 2088,
@@ -51,7 +54,7 @@ LINE_BUDGET = {
     "prefetch": 167,
     "presentation": 941,
     "retrieval": 769,
-    "server": 1733,
+    "server": 1727,
     "util": 300,
     "workloads": 1274,
 }
@@ -285,6 +288,45 @@ def test_a_queued_op_is_one_record(tmp_path):
     )
 
 
+def test_a_gateway_queues_what_it_routes_not_its_transmission(tmp_path):
+    """A burst of client-bound ROUTEs waits in a rated gateway's queue.
+    With the test's own references gone, the queue holds each one as
+    the shard that sent it and the ``ClientBound`` it carries: no
+    transmission (``Message``) and no ROUTE envelope frame stays alive,
+    and the burst still reaches its client when the queue drains."""
+    burst = 200
+    with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
+        db = Database(str(tmp_path / "gateway-queue"))
+        try:
+            harness = ClusterHarness(
+                MultimediaObjectStore(db),
+                ClusterConfig(shards=1, gateways=1, route_rate=10.0),
+            )
+            sink = _Sink("client-0")
+            harness.network.attach_client(sink)
+            harness.directory.attach_client(sink)
+            shard, gateway = harness.shards["shard-1"], harness.gateways["gw-1"]
+            for seq in range(burst):
+                shard.route_to_client(sink.node_id, encode_message(
+                    MessageKind.PEER_EVENT,
+                    {"doc_id": "case-0", "seq": seq, "viewer": "v", "kind": "choice"},
+                ))
+            while gateway.queue.pending < burst:
+                assert harness.clock.step()
+            gc.collect()
+            alive = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, Message)
+                or (isinstance(obj, Frame) and obj.kind == MessageKind.ROUTE)
+            ]
+            assert gateway.queue.pending == burst
+            assert alive == []
+            harness.run()
+        finally:
+            db.close()
+    assert sink.received == burst
+
+
 #: One more recipient of a shard's fan-out, behind one gateway: the
 #: GC-tracked objects its copy holds in flight (envelope frame, its
 #: ``(to, size, frame)`` record, the message, its clock entry and the
@@ -301,9 +343,10 @@ class _Sink:
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
+        self.received = 0
 
     def receive(self, message) -> None:
-        pass
+        self.received += 1
 
 
 def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
