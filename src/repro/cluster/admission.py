@@ -126,10 +126,9 @@ class AdmissionController:
     """Gatekeeper in front of one shard's serial queue.
 
     The owner calls :meth:`admit` before submitting work; on ``defer`` it
-    parks the pending item via :meth:`park` and wires :meth:`pump` as the
-    queue's drain hook so parked items resume FIFO as capacity frees up.
-    ``resume(item, parked_at)`` is the owner's callback that re-enters a
-    parked item into the normal dispatch path.
+    parks the op's waiting record (DESIGN §7; it carries its park time)
+    via :meth:`park`, and wires :meth:`pump` as the queue's drain hook so
+    parked records resume FIFO through the owner's ``resume(record)``.
     """
 
     def __init__(
@@ -137,14 +136,13 @@ class AdmissionController:
         node_id: str,
         queue: Any,
         config: AdmissionConfig,
-        resume: Callable[[Any, float], None],
+        resume: Callable[[Any], None],
     ) -> None:
         self.node_id = node_id
         self.queue = queue
         self.config = config
         self._resume = resume
-        self._clock = queue.clock
-        self._parked: deque[tuple[Any, float]] = deque()
+        self._parked: deque[Any] = deque()
         #: session -> lowest shed op_seq; later seqs shed until it returns
         self._shed_floor: dict[str, int] = {}
         self._pumping = False
@@ -235,12 +233,12 @@ class AdmissionController:
 
     # ----- the parking lot --------------------------------------------------------
 
-    def park(self, item: Any) -> None:
-        """FIFO-park one deferred item until :meth:`pump` resumes it."""
-        self._parked.append((item, self._clock.now))
+    def park(self, record: Any) -> None:
+        """FIFO-park one deferred record until :meth:`pump` resumes it."""
+        self._parked.append(record)
 
     def pump(self) -> None:
-        """Drain hook: resume parked items while the queue has headroom.
+        """Drain hook: resume parked records while the queue has headroom.
 
         Resuming re-enters the owner's dispatch path, which submits to
         the queue (raising ``pending``) and, at infinite service rate,
@@ -252,14 +250,13 @@ class AdmissionController:
         self._pumping = True
         try:
             while self._parked and self.queue.pending < self.config.depth_defer:
-                item, parked_at = self._parked.popleft()
                 self.resumed += 1
-                self._resume(item, parked_at)
+                self._resume(self._parked.popleft())
         finally:
             self._pumping = False
 
     def drop_parked(self) -> None:
-        """Account one resumed item whose sender is gone (zero residue)."""
+        """Account one resumed record whose sender is gone (zero residue)."""
         self.resumed -= 1
         self.dropped_dead += 1
 

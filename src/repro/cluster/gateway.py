@@ -69,8 +69,8 @@ class Gateway(ServiceNode):
         # gateway↔shard path is a reliable in-order channel, so repeated
         # client node ids compress to references after their first frame.
         self._shard_tables: dict[str, StringInterner] = {}
-        #: ops parked on a route-cache miss: session -> FIFO of
-        #: (sender, frame, trace ctx, parked-at time).
+        #: ops parked on a route-cache miss: session -> FIFO of §7's
+        #: waiting records, (ctx, kind, sender, frame, parked-at time).
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
         #: Copies routed, routing retries, and bytes routed by (shard, direction).
@@ -315,11 +315,9 @@ class Gateway(ServiceNode):
         arrives while it is pending joins the same FIFO and flushes in
         order when the ``ROUTE_INFO`` lands.
         """
-        dtrace = self._dtrace
-        ctx = dtrace.current() if dtrace.enabled else None
         waiting = self._route_waiting.setdefault(session_id, [])
         first = not waiting
-        waiting.append((sender_node, frame, ctx, self.network.clock.now))
+        waiting.append(self._held(sender_node, frame.kind, frame))
         if first:
             self._send_framed(
                 self.directory_id, MessageKind.ROUTE_LOOKUP,
@@ -331,27 +329,20 @@ class Gateway(ServiceNode):
         shard = payload.get("shard")
         waiting = self._route_waiting.pop(session_id, [])
         if shard is None:
-            for sender_node, frame, _ctx, _at in waiting:
+            for _ctx, _kind, sender_node, frame, _at in waiting:
                 self._send_error(
                     sender_node, "ClusterError", f"no shard owns session {session_id!r}",
                     frame,
                 )
             return
         self._session_route[session_id] = shard
-        dtrace = self._dtrace
-        now = self.network.clock.now
-        for sender_node, frame, ctx, parked_at in waiting:
-            if ctx is not None:
-                # The whole park→resolve wait is directory time on the
-                # op's critical path, not wire time.
-                advanced = dtrace.record_hop(
-                    ctx, HOP_DIRECTORY_LOOKUP, self.node_id, parked_at, now,
-                    kind=frame.kind,
-                )
-                with dtrace.inbound(advanced):
-                    self._route_client(sender_node, frame, 1)
-            else:
-                self._route_client(sender_node, frame, 1)
+        for record in waiting:
+            # The whole park→resolve wait is directory time on the op's
+            # critical path, not wire time.
+            self._work(record, HOP_DIRECTORY_LOOKUP, self._route_resolved)
+
+    def _route_resolved(self, sender_node: str, kind: str, frame: Frame) -> None:
+        self._route_client(sender_node, frame, 1)
 
     def _on_route_invalidate(self, payload: dict[str, Any]) -> None:
         """Directory broadcast: a shard died; its cache entries go stale.

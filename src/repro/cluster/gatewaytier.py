@@ -90,12 +90,14 @@ class GatewayNode(Gateway):
         if self.queue is not None and kind in self._HANDLERS:
             # Everything the core serves pays routing capacity: what it
             # routes, what it forwards, what its telemetry channel answers.
-            self._submit(sender, kind, None, (sender, kind, body))
+            self._submit(sender, kind, body)
         else:
             Gateway.receive(self, sender, kind, body)
 
-    def _serve(self, item: tuple[str, str, Any]) -> None:
-        Gateway.receive(self, *item)
+    def _serve(self, sender: str, kind: str, body: Any) -> None:
+        # By name, not an alias: a tracer that rebinds Gateway.receive
+        # sees the queued path too.
+        Gateway.receive(self, sender, kind, body)
 
     def stats(self) -> dict[str, Any]:
         base = super().stats()

@@ -23,7 +23,7 @@ from repro.cluster.admission import (
 from repro.cluster.failover import schedule_periodic
 from repro.net.codec import encode_message
 from repro.net.network import SimulatedNetwork
-from repro.obs.dtrace import HOP_SHED_WAIT, TraceContext, get_dtrace
+from repro.obs.dtrace import HOP_SHED_WAIT, get_dtrace
 from repro.server.protocol import MessageKind
 
 
@@ -48,9 +48,11 @@ class ServiceNode(ClusterNode):
 
     Subclasses name themselves (``role``: the crash event and its
     label) and their queue wait (``queue_hop``), and supply
-    ``_serve(item)``, one queued item's work. A node with admission
+    ``_serve(sender, kind, body)``, one op's work. A node with admission
     control (a shard) also supplies ``_bounce(sender, body)``, which
     returns a shed op's ``RETRY_AFTER`` body to its sender.
+    An op held back (queued, parked by admission, a gateway's route
+    miss) is one record, ``(ctx, kind, sender, body, since)``.
     """
 
     role: str
@@ -105,16 +107,20 @@ class ServiceNode(ClusterNode):
             )
             queue.on_drain = self.admission.pump
 
-    def _submit(self, sender: str, kind: str, payload: Any, item: Any) -> None:
-        """Admit *item* — one message of *kind* from *sender* — and queue it.
+    def _submit(self, sender: str, kind: str, body: Any) -> None:
+        """Admit one message of *kind* from *sender* and queue it.
 
         Accept / park a JOIN until the queue drains / bounce a data op
         with ``RETRY_AFTER`` / forget a leaving session's shed floor.
         """
+        # The op's waiting record, as _held builds it (inlined: queueing
+        # makes no extra Python call per op).
         dtrace = self._dtrace
         ctx = dtrace.current() if dtrace.enabled else None
+        held = (ctx, kind, sender, body, self.network.clock.now)
         admission = self.admission
         if admission is not None:
+            payload = body.payload
             is_dict = isinstance(payload, dict)
             session_id = payload.get("session_id") if is_dict else None
             decision = admission.admit(
@@ -122,43 +128,52 @@ class ServiceNode(ClusterNode):
                 op_seq=payload.get("op_seq") if is_dict else None,
             )
             if decision.action == DEFER:
-                admission.park((sender, kind, item, ctx))
+                admission.park(held)
                 return
             if decision.action == SHED:
                 after_s = decision.retry_after_s
-                body = retry_after_body(kind, payload, after_s, self.node_id)
+                bounce = retry_after_body(kind, payload, after_s, self.node_id)
                 self._emit("cluster.admission.shed", node=sender, kind=kind, after_s=after_s)
-                self._bounce(sender, body)
+                self._bounce(sender, bounce)
                 return
             if kind == MessageKind.LEAVE:
                 admission.forget_session(session_id)
-        self._enqueue(ctx, kind, item)
+        self.queue.submit(held)
 
-    def _enqueue(self, ctx: TraceContext | None, kind: str, item: Any) -> None:
-        # The queue may dispatch much later than arrival; capture the
-        # context now so the queueing span covers the whole wait.
-        self.queue.submit((ctx, kind, item, self.network.clock.now))
+    def _held(self, sender: str, kind: str, body: Any) -> tuple[Any, ...]:
+        """The record an op waits as: the trace context it arrived under
+        and the instant, so the span :meth:`_work` records covers the wait."""
+        dtrace = self._dtrace
+        ctx = dtrace.current() if dtrace.enabled else None
+        return (ctx, kind, sender, body, self.network.clock.now)
 
-    def _work(self, record: tuple[Any, ...]) -> None:
-        """The queue's serve callable: one dispatched record's work."""
+    def _enqueue(self, sender: str, kind: str, body: Any) -> None:
+        self.queue.submit(self._held(sender, kind, body))
+
+    def _work(self, record: tuple[Any, ...], hop: str | None = None, serve: Any = None) -> None:
+        """Resume one held record: charge its wait to *hop* (default: the
+        queue's) of its trace, then *serve* it (default: :meth:`_serve`)."""
         if not self.alive:
             return
-        ctx, kind, item, enqueued = record
+        ctx, kind, sender, body, since = record
+        if serve is None:
+            serve = self._serve
         if ctx is None:
-            self._serve(item)
+            serve(sender, kind, body)
             return
         advanced = self._dtrace.record_hop(
-            ctx, self.queue_hop, self.node_id, enqueued,
+            ctx, hop or self.queue_hop, self.node_id, since,
             self.network.clock.now, kind=kind,
         )
         with self._dtrace.inbound(advanced):
-            self._serve(item)
+            serve(sender, kind, body)
 
-    def _resume_deferred(self, parked: tuple[Any, ...], parked_at: float) -> None:
-        """Pump callback: re-enter one deferred JOIN into the queue."""
-        sender, kind, item, ctx = parked
+    def _resume_deferred(self, record: tuple[Any, ...]) -> None:
+        """Pump callback: re-enter one deferred JOIN into the queue; the
+        backoff is queueing on the op's critical path, not wire."""
         if not self.alive:
             return
+        _ctx, kind, sender, _body, _since = record
         if not self.network.has_node(sender):
             # The parked client departed (crash, or a gateway re-home
             # swept it away) before capacity freed up: drop with zero
@@ -167,10 +182,4 @@ class ServiceNode(ClusterNode):
             self.admission.drop_parked()
             self._emit("cluster.admission.deferred_dropped", node=sender, kind=kind)
             return
-        if ctx is not None:
-            # The backoff is queueing on the op's critical path, not wire.
-            ctx = self._dtrace.record_hop(
-                ctx, HOP_SHED_WAIT, self.node_id, parked_at,
-                self.network.clock.now, kind=kind,
-            )
-        self._enqueue(ctx, kind, item)
+        self._work(record, HOP_SHED_WAIT, self._enqueue)

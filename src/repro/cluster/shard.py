@@ -180,18 +180,17 @@ class ShardServer(ServiceNode):
     # ----- client ops -------------------------------------------------------------
 
     def _on_route(self, gateway_id: str, routed: ShardBound) -> None:
-        frame = routed.frame
-        self._submit(routed.sender, frame.kind, frame.payload, routed)
+        # The client's frame is what waits: the envelope dies here.
+        self._submit(routed.sender, routed.frame.kind, routed.frame)
 
     def _bounce(self, sender: str, body: dict[str, Any]) -> None:
         frame = encode_message(MessageKind.RETRY_AFTER, body)
         # Size 0 in a bounce's ROUTE header means "the frame's length" (pinned wire bytes).
         self._send_clientbound(sender, frame, 0, attempt=0)
 
-    def _serve(self, routed: ShardBound) -> None:
+    def _serve(self, sender_node: str, kind: str, frame: Frame) -> None:
         """Apply one routed client message: fence replays, serve, replicate."""
-        sender_node, frame = routed
-        kind, payload = frame.kind, frame.payload
+        payload = frame.payload
         session_id = payload.get("session_id")
         op_seq = payload.get("op_seq")
         if session_id is not None and op_seq is not None:

@@ -61,7 +61,7 @@ def make_controller(rate=1.0, resume=None, **cfg):
         "shard-t",
         queue,
         AdmissionConfig(**cfg),
-        resume if resume is not None else (lambda item, at: resumed.append(item)),
+        resume if resume is not None else resumed.append,
     )
     queue.on_drain = controller.pump
     return clock, queue, controller, resumed

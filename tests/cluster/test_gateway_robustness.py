@@ -95,14 +95,14 @@ class TestJoinAckSniffing:
             # learned when the queue serves it, not on arrival.
             def queued_routes():
                 return [
-                    item for _ctx, kind, item, _at in gateway.queue.records
-                    if kind == MessageKind.ROUTE
+                    (sender, routed) for _ctx, kind, sender, routed, _since
+                    in gateway.queue.records if kind == MessageKind.ROUTE
                 ]
 
             while not queued_routes():
                 assert harness.clock.step()
-            [(sender, kind, routed)] = queued_routes()
-            assert (sender, kind) == (owner, MessageKind.ROUTE)
+            [(sender, routed)] = queued_routes()
+            assert sender == owner
             assert (routed.to, routed.frame.kind) == (client.node_id, MessageKind.JOIN_ACK)
             session_id = routed.frame.payload["session_id"]
             assert gateway.shard_of_session(session_id) is None

@@ -71,11 +71,11 @@ def test_a_crashed_node_serves_none_of_its_backlog(tmp_path):
         )
         network.attach_backbone(shard)
         served, drained = [], []
-        shard._serve = served.append
+        shard._serve = lambda sender, kind, body: served.append(body)
         queue = shard.queue
         queue.on_drain = lambda: drained.append((network.clock.now, queue.pending))
         for index in range(5):
-            shard._enqueue(None, "choice", index)
+            shard._enqueue("client-0", "choice", index)
         instants = expected_instants(0.0, 0.0, 4.0, 5)
         network.clock.run_until(instants[1])
         shard.crash()

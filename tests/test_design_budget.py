@@ -8,10 +8,10 @@
   is a dispatch table written as control flow (ROADMAP item 7).
 * The Python function calls one small clustered conference costs are
   capped: the cost of a message cannot creep back up unnoticed.
-* The objects one queued op keeps alive while it waits in a shard's
-  service queue are capped, so a backlog stays a list of records; a
-  gateway's backlog holds what it routes, not the transmissions that
-  brought it.
+* The objects one op keeps alive while a cluster node holds it back —
+  in a shard's or a gateway's service queue, or in admission's parking
+  lot — are capped, so a backlog stays a list of records; a backlog
+  holds what the node serves, not the transmissions that brought it.
 * No ``.send(`` call in ``src/repro`` passes a keyword argument: a frame
   is the unit of transfer, so ``kind=``, ``payload=``, ``size_bytes=``
   and ``frame=`` cannot grow back beside it.
@@ -20,13 +20,15 @@
 import ast
 import gc
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterConfig, ClusterHarness
+from repro.cluster import AdmissionConfig, ClusterConfig, ClusterHarness
 from repro.cluster.shard import ShardServer
+from repro.cluster.wire import ClientBound, ShardBound
 from repro.db import Database, MultimediaObjectStore
 from repro.net.codec import Frame, encode_message
 from repro.net.message import Message
@@ -43,7 +45,7 @@ OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
-    "cluster": 2604,
+    "cluster": 2602,
     "cpnet": 1921,
     "db": 1892,
     "document": 1144,
@@ -189,7 +191,7 @@ def test_the_chain_check_sees_both_spellings():
 #: Python-level calls (``sys.setprofile`` "call" events) of the 3x3 rooms
 #: conference, joins to quiescence. A change that lowers the count lowers
 #: the ceiling with it; one that needs more says why in CHANGES.md.
-ROOMS_CALL_CEILING = 35_286
+ROOMS_CALL_CEILING = 34_728
 #: Of those, the calls into ``repro/obs/``: histogram observes, per-op
 #: counters, the delivery tracer's ``current`` checks, and the series
 #: bound as owners are built. Exact.
@@ -222,8 +224,10 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     wire on its owners' integers (links, network stats, the codec's
     tally, the ARQ, the batcher, the gateway, the outbox, admission)
     instead of on registry counters brought it to 33,606, and its calls into
-    ``repro/obs/`` from 6,170 to 1,684. The ceiling sits under 5% above
-    that."""
+    ``repro/obs/`` from 6,170 to 1,684; from the 33,192 it read next,
+    building each op's waiting record inside ``_submit``, with no
+    ``_enqueue`` call per queued op, brought it to 33,075. The ceiling
+    sits under 5% above that."""
     calls = obs_calls = 0
 
     def count(frame, event, arg):
@@ -250,40 +254,103 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     assert obs_calls == ROOMS_OBS_CALLS
 
 
-#: GC-tracked objects one op adds while it waits in a rated queue: its
-#: ``(ctx, kind, item, enqueued)`` record and its clock heap entry. A
-#: closure over the op, its cells and a ``partial`` around it made 11.
+#: GC-tracked objects one op a node holds back adds beyond its body: its
+#: ``(ctx, kind, sender, body, since)`` record and, in a rated queue, its
+#: clock heap entry. A closure over the op, its cells and a ``partial``
+#: around it made 11; a shard's queued ``ShardBound``, a gateway's
+#: ``(sender, kind, body)`` item and admission's ``(item, parked_at)``
+#: pair (around a ``(sender, kind, item, ctx)`` tuple) made 3.
 QUEUED_OP_OBJECTS = 2
 
 
-def test_a_queued_op_is_one_record(tmp_path):
-    """2,000 ops enqueued at one instant into a rated shard, counted
-    with the collector off. The count is exact and, unlike a byte
-    count, does not move with the interpreter's free lists."""
+def _rated_shard(store, admission=None):
+    return ShardServer(
+        "shard-1", store, SimulatedNetwork(SimClock()), "directory",
+        ring_of(("shard-1",)), ring_of(("gw-1",)), service_rate=100.0,
+        admission=admission,
+    )
+
+
+def _to_shard(shard, frame):
+    shard.receive(
+        Message("gw-1", shard.node_id, MessageKind.ROUTE, ShardBound("client-0", frame))
+    )
+
+
+def _queued_choices(store, burst):
+    """A rated shard queues ``ROUTE``d choices: each waits as its frame."""
+    shard = _rated_shard(store)
+    bodies = [
+        encode_message(MessageKind.CHOICE, {"session_id": "s-0", "op_seq": seq})
+        for seq in range(burst + 1)
+    ]
+    return bodies, partial(_to_shard, shard), lambda: shard.queue.pending
+
+
+def _queued_routes(store, burst):
+    """A rated gateway queues client-bound ``ROUTE`` envelopes: each waits as
+    its ``ClientBound``."""
+    harness = ClusterHarness(store, ClusterConfig(shards=1, gateways=1, route_rate=10.0))
+    gateway = harness.gateways["gw-1"]
+    bodies = [
+        ClientBound("client-0", 0, encode_message(
+            MessageKind.PEER_EVENT,
+            {"doc_id": "case-0", "seq": seq, "viewer": "v", "kind": "choice"},
+        ))
+        for seq in range(burst + 1)
+    ]
+
+    def deliver(body):
+        gateway.receive(Message("shard-1", "gw-1", MessageKind.ROUTE, body))
+
+    return bodies, deliver, lambda: gateway.queue.pending
+
+
+def _parked_joins(store, burst):
+    """Admission parks ``ROUTE``d JOINs behind one queued choice: each
+    waits in the parking lot as its frame."""
+    shard = _rated_shard(
+        store, AdmissionConfig(depth_defer=1, depth_shed=1, defer_limit=burst + 1)
+    )
+    _to_shard(shard, encode_message(MessageKind.CHOICE, {"session_id": "s-0", "op_seq": 1}))
+    bodies = [
+        encode_message(MessageKind.JOIN, {"doc_id": "case-0", "viewer_id": f"v-{index}"})
+        for index in range(burst + 1)
+    ]
+    return bodies, partial(_to_shard, shard), lambda: shard.admission.parked_count
+
+
+@pytest.mark.parametrize(
+    "hold", [_queued_choices, _queued_routes, _parked_joins],
+    ids=["rated_shard", "rated_gateway", "parked_join"],
+)
+def test_a_queued_op_is_one_record(tmp_path, hold):
+    """2,000 ops held back at one instant, each delivered in the
+    transmission that brings it, counted with the collector off after a
+    first op warms the path. The bodies exist before the count; a
+    carrier (``Message``, ``ShardBound``) the node keeps counts against
+    it. The count is exact and, unlike a byte count, does not move with
+    the interpreter's free lists."""
     burst = 2_000
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
-        db = Database(str(tmp_path / "queue"))
+        db = Database(str(tmp_path / "held"))
         try:
-            shard = ShardServer(
-                "shard-1", MultimediaObjectStore(db), SimulatedNetwork(SimClock()),
-                "directory", ring_of(("shard-1",)), ring_of(("gw-1",)),
-                service_rate=100.0,
-            )
-            items = [object() for _ in range(burst)]
+            bodies, deliver, waiting = hold(MultimediaObjectStore(db), burst)
+            deliver(bodies.pop())
             gc.collect()
             gc.disable()
             try:
                 before = len(gc.get_objects())
-                for item in items:
-                    shard._enqueue(None, "choice", item)
+                for body in bodies:
+                    deliver(body)
                 added = len(gc.get_objects()) - before
             finally:
                 gc.enable()
+            assert waiting() == burst + 1
         finally:
             db.close()
-    assert shard.queue.pending == burst
     assert added <= QUEUED_OP_OBJECTS * burst, (
-        f"{added / burst:g} GC-tracked objects per queued op against a cap of "
+        f"{added / burst:g} GC-tracked objects per held-back op against a cap of "
         f"{QUEUED_OP_OBJECTS}"
     )
 

@@ -7,7 +7,9 @@ its tracer wraps: a method is replaced in its class's own ``__dict__``
 wherever a ``repro`` module binds it. A refactor that moves one of
 these names breaks the traced ledger without failing anything else in
 tier 1, so this reads the table (by path, read-only: it imports only
-``dataclasses``) and resolves every name the same way.
+``dataclasses``) and resolves every name the same way. A name that
+resolves can still be bypassed: the last test runs the queued gateway
+path under a wrapper installed the tracer's way.
 """
 
 import importlib
@@ -16,6 +18,12 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro import obs
+from repro.cluster import ClusterConfig, ClusterHarness
+from repro.cluster.gateway import Gateway
+from repro.db import Database, MultimediaObjectStore
+from repro.workloads import consultation_events, generate_record
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "layers.py"
 
@@ -60,3 +68,48 @@ def test_every_spanned_boundary_resolves(layer, module_name, class_name, name):
         f"the {layer!r} layer's tracer would not find it"
     )
     assert callable(cls.__dict__[name])
+
+
+def test_a_rated_gateway_serves_its_queue_through_the_spanned_receive(tmp_path, monkeypatch):
+    """The tracer replaces ``Gateway.receive`` in ``Gateway.__dict__``.
+    Every item a rated gateway's queue serves must pass through the
+    replacement: an alias bound when the class was made (``_serve =
+    Gateway.receive``) resolves above but keeps the unwrapped function,
+    and the queued path would vanish from the ``cluster.gateway`` span."""
+    original = Gateway.__dict__["receive"]
+    spanned = []
+
+    def traced(*args, **kwargs):
+        spanned.append(args[3])  # (self, sender, kind, body)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(Gateway, "receive", traced)
+    with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
+        db = Database(str(tmp_path / "spanned"))
+        try:
+            store = MultimediaObjectStore(db)
+            record = generate_record("case-0", sections=2, components_per_section=3, seed=0)
+            store.store_document(record)
+            harness = ClusterHarness(
+                store, ClusterConfig(shards=2, gateways=2, route_rate=50.0)
+            )
+            served = []
+            for gateway in harness.gateways.values():
+                def serve(waiting, work=gateway.queue.serve):
+                    served.append(waiting[3])  # (ctx, kind, sender, body, since)
+                    work(waiting)
+
+                gateway.queue.serve = serve
+            clients = [harness.add_client(f"l-{index}") for index in range(4)]
+            for client in clients:
+                client.join("case-0")
+            harness.run()
+            for turn, (path, value) in enumerate(consultation_events(record, 6, seed=1)):
+                clients[turn % len(clients)].choose(path, value)
+            harness.run()
+        finally:
+            db.close()
+    assert not any(client.errors for client in clients)
+    assert len(served) > 0
+    assert len(spanned) == len(served)
+    assert all(body is queued for body, queued in zip(spanned, served))
