@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from types import MethodType
 from typing import Protocol
 
 from repro.errors import DeliveryFailed, NetworkError
@@ -102,6 +102,7 @@ class SimulatedNetwork:
         #: Typed DeliveryFailed errors surfaced by the reliable layer, in
         #: order (also delivered to senders via ``on_delivery_failed``).
         self.delivery_failures: list[DeliveryFailed] = []
+        self._arrive = self._deliver  # bound once, not once per frame
 
     # ----- topology --------------------------------------------------------------
 
@@ -328,8 +329,8 @@ class SimulatedNetwork:
         stats.bytes_total += size
         stats.bytes_by_kind[kind] += size
         stats.messages_by_kind[kind] += 1
-        # Same arithmetic as an absolute-time schedule: now + (arrival - now).
-        self.clock.schedule(arrival - now, partial(self._deliver, message))
+        # One object per frame in flight, calling _deliver(message) at now + (arrival - now).
+        self.clock.schedule(arrival - now, MethodType(self._arrive, message))
 
     def _deliver(self, message: Message) -> None:
         # The node may have detached between send and arrival; drop the

@@ -20,6 +20,7 @@
 import ast
 import gc
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from repro.cluster.shard import ShardServer
 from repro.cluster.wire import ClientBound, ShardBound
 from repro.db import Database, MultimediaObjectStore
 from repro.net.codec import Frame, encode_message
-from repro.net.message import Message
+from repro.net.message import Message, next_message_id
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.server.protocol import MessageKind
@@ -51,7 +52,7 @@ LINE_BUDGET = {
     "document": 1144,
     "interest": 319,
     "media": 3039,
-    "net": 2088,
+    "net": 2089,
     "obs": 1619,
     "prefetch": 167,
     "presentation": 941,
@@ -395,12 +396,14 @@ def test_a_gateway_queues_what_it_routes_not_its_transmission(tmp_path):
 
 
 #: One more recipient of a shard's fan-out, behind one gateway: the
-#: GC-tracked objects its copy holds in flight (envelope frame, its
-#: ``(to, size, frame)`` record, the message, its clock entry and the
-#: entry's callable), and the Python calls it costs from the shard's
-#: outbox to the client link, of which the only ones into ``repro/obs/``
-#: are its two transmissions' ``net.queue_delay_s`` observes.
-ROUTED_COPY_OBJECTS = 7
+#: five GC-tracked objects its copy holds in flight (the envelope frame,
+#: its ``(to, size, frame)`` record, the message, its clock entry and
+#: the entry's one callable), the bytes they hold (tracemalloc), and the
+#: Python calls it costs from the shard's outbox to the client link, of
+#: which the only ones into ``repro/obs/`` are its two transmissions'
+#: ``net.queue_delay_s`` observes.
+ROUTED_COPY_OBJECTS = 5
+ROUTED_COPY_BYTES = 569
 ROUTED_COPY_CALLS = 31
 ROUTED_COPY_OBS_CALLS = {"observe": 2}
 
@@ -421,10 +424,14 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     recipients homed on one gateway, after a first fan-out to all of
     them (so every recipient is a known name on the shard→gateway
     table and a known owner on the gateway ring); the difference, over
-    16, is the cost of one routed copy. Objects are counted with the
-    collector off right after the send, while the copies are on the
-    backbone; calls from the send until every copy has reached its
-    client. Both repeat exactly. Before a routed copy became a header
+    16, is the cost of one routed copy. Objects and the bytes tracemalloc
+    traces are counted with the collector off right after the send,
+    while the copies are on the backbone; calls from the send until
+    every copy has reached its client. All three repeat exactly. A copy
+    scheduled as ``partial(_deliver, message)`` held the partial, its
+    args tuple and a bound method made per frame: 7 objects in 761 B,
+    where one ``MethodType`` over the once-bound ``_deliver`` leaves 5
+    in 569 B at the same calls. Before a routed copy became a header
     plus its frame, one cost 55 calls and also held 7 objects: a wrapper
     dict where the record is now, with its header dict already freed.
     Reading ``net.messages`` and ``net.bytes_total`` off the network's
@@ -432,6 +439,10 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     counting the codec, the links and the gateway on their own integers
     took its ten counter increments and two registry lookups, 45 to 31."""
     n = 16
+    # Message ids past the interpreter's cached small ints, as in any run
+    # after its first 256 transmissions, whichever tests ran before.
+    while next_message_id() < 256:
+        pass
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         db = Database(str(tmp_path / "fanout"))
         try:
@@ -465,23 +476,28 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
                 gc.disable()
                 try:
                     before = len(gc.get_objects())
+                    tracemalloc.start()
                     sys.setprofile(tally)
                     outbox.send(ids[:count], frame)
                     sys.setprofile(None)
+                    held = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.stop()
                     objects = len(gc.get_objects()) - before
                     sys.setprofile(tally)
                     harness.run()
                 finally:
                     sys.setprofile(None)
+                    tracemalloc.stop()
                     gc.enable()
-                cost[count] = (objects, calls, obs_calls)
+                cost[count] = (objects, calls, obs_calls, held)
         finally:
             db.close()
     objects = (cost[2 * n][0] - cost[n][0]) / n
     calls = (cost[2 * n][1] - cost[n][1]) / n
-    assert (objects, calls) == (ROUTED_COPY_OBJECTS, ROUTED_COPY_CALLS), (
-        f"one routed copy holds {objects:g} objects and costs {calls:g} calls"
-    )
+    held = (cost[2 * n][3] - cost[n][3]) / n
+    assert (objects, held, calls) == (
+        ROUTED_COPY_OBJECTS, ROUTED_COPY_BYTES, ROUTED_COPY_CALLS
+    ), f"one routed copy holds {objects:g} objects in {held:g} B and costs {calls:g} calls"
     wide, narrow = cost[2 * n][2], cost[n][2]
     per_copy = {
         name: (wide.get(name, 0) - narrow.get(name, 0)) / n for name in {*wide, *narrow}

@@ -8,8 +8,9 @@ wherever a ``repro`` module binds it. A refactor that moves one of
 these names breaks the traced ledger without failing anything else in
 tier 1, so this reads the table (by path, read-only: it imports only
 ``dataclasses``) and resolves every name the same way. A name that
-resolves can still be bypassed: the last test runs the queued gateway
-path under a wrapper installed the tracer's way.
+resolves can still be bypassed: the last two tests run the queued
+gateway path under a wrapper installed the tracer's way, and every
+delivery under a ``SimClock.schedule`` carrier of the tracer's shape.
 """
 
 import importlib
@@ -23,6 +24,7 @@ from repro import obs
 from repro.cluster import ClusterConfig, ClusterHarness
 from repro.cluster.gateway import Gateway
 from repro.db import Database, MultimediaObjectStore
+from repro.net.simclock import SimClock
 from repro.workloads import consultation_events, generate_record
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "layers.py"
@@ -113,3 +115,65 @@ def test_a_rated_gateway_serves_its_queue_through_the_spanned_receive(tmp_path, 
     assert len(served) > 0
     assert len(spanned) == len(served)
     assert all(body is queued for body, queued in zip(spanned, served))
+
+
+@pytest.mark.parametrize("reliability", [False, True], ids=["fire-and-forget", "reliable"])
+def test_every_delivery_reaches_its_node_through_the_clocks_one_entry(
+    tmp_path, monkeypatch, reliability
+):
+    """The tracer carries a client op's id across the simulated clock by
+    replacing ``SimClock.schedule`` with a ``(clock, delay, callback)``
+    wrapper that wraps the callback (DESIGN §16). A delivery put on the
+    heap any other way (an entry that carries its argument, a direct
+    ``heappush``) reaches its node outside every carried callback and
+    loses the op. Under a carrier of exactly that signature, every
+    node's ``receive`` in a small clustered conference runs inside one."""
+    original = SimClock.__dict__["schedule"]
+    carried_depth = 0
+
+    def carried(clock, delay, callback):
+        def resume():
+            nonlocal carried_depth
+            carried_depth += 1
+            try:
+                callback()
+            finally:
+                carried_depth -= 1
+
+        return original(clock, delay, resume)
+
+    monkeypatch.setattr(SimClock, "schedule", carried)
+    received = []
+    with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
+        db = Database(str(tmp_path / "carried"))
+        try:
+            store = MultimediaObjectStore(db)
+            record = generate_record("case-0", sections=2, components_per_section=3, seed=0)
+            store.store_document(record)
+            harness = ClusterHarness(
+                store, ClusterConfig(shards=2, gateways=2), reliability=reliability
+            )
+            clients = [harness.add_client(f"c-{index}") for index in range(3)]
+            nodes = [
+                harness.directory, *harness.shards.values(), *harness.gateways.values(),
+                *clients,
+            ]
+            for cls in {type(node) for node in nodes}:
+                def receive(node, message, _receive=cls.receive):
+                    received.append((node.node_id, carried_depth > 0))
+                    return _receive(node, message)
+
+                monkeypatch.setattr(cls, "receive", receive)
+            for client in clients:
+                client.join("case-0")
+            harness.run()
+            for turn, (path, value) in enumerate(consultation_events(record, 6, seed=1)):
+                clients[turn % len(clients)].choose(path, value)
+            harness.run()
+            clients[0].leave()
+            harness.run()
+        finally:
+            db.close()
+    assert not any(client.errors for client in clients)
+    assert {node for node, _ in received} == {node.node_id for node in nodes}
+    assert [entry for entry in received if not entry[1]] == []
