@@ -106,8 +106,7 @@ def main() -> None:
         print("\nAfter the room closed, the stored record's network knows:",
               "imaging.ct_head.segmentation" in reloaded.network)
         print(f"Traffic: {network.stats.messages} messages, "
-              f"{network.stats.bytes_total / 1024:.0f} KB "
-              f"(updates: {network.stats.bytes_by_kind.get('presentation_update', 0)} B)")
+              f"{network.stats.bytes_total / 1024:.0f} KB")
         db.close()
 
 

@@ -151,7 +151,7 @@ class Gateway(ServiceNode):
             self._send_error(sender, type(exc).__name__, str(exc), body)
         finally:
             if telemetry.monitors:
-                telemetry.push(force=False)
+                telemetry.push()
 
     def _send_if_present(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
         """Answer a client that may be gone by now (then: say nothing)."""

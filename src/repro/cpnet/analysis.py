@@ -39,9 +39,9 @@ class AuditReport:
     """All findings for one network."""
 
     network: str
-    findings: list[Finding] = field(default_factory=list)
-    checked_assignments: int = 0
-    skipped_variables: list[str] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list, init=False)
+    checked_assignments: int = field(default=0, init=False)
+    skipped_variables: list[str] = field(default_factory=list, init=False)
 
     @property
     def ok(self) -> bool:
@@ -62,14 +62,18 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit_network(net: CPNet, max_space: int = 4096) -> AuditReport:
-    """Audit every CPT of *net*; parent spaces above *max_space* are skipped
-    (reported in the result) rather than enumerated."""
+#: Largest parent space :func:`audit_network` enumerates.
+AUDIT_SPACE_LIMIT = 4096
+
+
+def audit_network(net: CPNet) -> AuditReport:
+    """Audit every CPT of *net*; parent spaces above :data:`AUDIT_SPACE_LIMIT`
+    are skipped (reported in the result) rather than enumerated."""
     report = AuditReport(network=net.name)
     for name in net.topological_order():
         cpt = net.cpt(name)
         space = cpt.parent_space_size()
-        if space > max_space:
+        if space > AUDIT_SPACE_LIMIT:
             report.skipped_variables.append(name)
             continue
         selected: set[PreferenceRule] = set()

@@ -22,6 +22,9 @@ from repro.cpnet.variable import Variable
 
 Assignment = Mapping[str, str]
 
+#: Largest parent space :meth:`CPT.validate` enumerates.
+VALIDATION_SPACE_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class PreferenceRule:
@@ -66,14 +69,15 @@ class CPT:
         The variable this table orders.
     parents:
         The parent variables, in a fixed order.
-    rules:
-        Preference rules; together they must cover every assignment to the
-        parents unambiguously (checked by :meth:`validate`).
+
+    Its preference rules (:attr:`rules`, appended by :meth:`add_rule`)
+    must together cover every assignment to the parents unambiguously
+    (checked by :meth:`validate`).
     """
 
     variable: Variable
     parents: tuple[Variable, ...]
-    rules: list[PreferenceRule] = field(default_factory=list)
+    rules: list[PreferenceRule] = field(default_factory=list, init=False)
     #: The compiled engine's flat table of this CPT (repro.cpnet.compiled
     #: keeps it here so an edit elsewhere in the net never rebuilds it).
     #: Derived state: not part of the table's value, repr or serialization.
@@ -86,8 +90,6 @@ class CPT:
             raise ValueError(f"duplicate parents for {self.variable.name!r}: {parent_names}")
         if self.variable.name in parent_names:
             raise ValueError(f"variable {self.variable.name!r} cannot be its own parent")
-        for rule in self.rules:
-            self._check_rule(rule)
 
     @property
     def parent_names(self) -> tuple[str, ...]:
@@ -176,19 +178,19 @@ class CPT:
             size *= len(parent.domain)
         return size
 
-    def validate(self, max_space: int = 100_000) -> None:
+    def validate(self) -> None:
         """Check the table covers the whole parent space unambiguously.
 
         Enumerates the parent space, so it refuses when that space exceeds
-        *max_space*; lookups still validate lazily in that case.
+        :data:`VALIDATION_SPACE_LIMIT`; lookups still validate lazily then.
         """
         if not self.rules:
             raise IncompleteTableError(f"CPT({self.variable.name}) has no rules")
         space = self.parent_space_size()
-        if space > max_space:
+        if space > VALIDATION_SPACE_LIMIT:
             raise IncompleteTableError(
                 f"CPT({self.variable.name}) parent space ({space}) exceeds "
-                f"validation limit ({max_space}); validate lazily instead"
+                f"validation limit ({VALIDATION_SPACE_LIMIT}); validate lazily instead"
             )
         for assignment in self.iter_parent_assignments():
             self.rule_for(assignment)

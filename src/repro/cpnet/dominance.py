@@ -22,6 +22,9 @@ DOMINATES = "dominates"
 NOT_DOMINATES = "not-dominates"
 UNKNOWN = "unknown"
 
+#: Outcomes a flip search visits before it answers :data:`UNKNOWN`.
+MAX_VISITED = 100_000
+
 
 def improving_flips(net: CPNet, outcome: Assignment) -> Iterator[dict[str, str]]:
     """Yield every outcome one improving flip away from *outcome*.
@@ -48,16 +51,12 @@ def worsening_flips(net: CPNet, outcome: Assignment) -> Iterator[dict[str, str]]
             yield flipped
 
 
-def dominates(
-    net: CPNet,
-    better: Assignment,
-    worse: Assignment,
-    max_visited: int = 100_000,
-) -> str:
+def dominates(net: CPNet, better: Assignment, worse: Assignment) -> str:
     """Decide whether *better* dominates *worse*.
 
     Returns :data:`DOMINATES`, :data:`NOT_DOMINATES` (flip graph exhausted
-    without reaching *better*), or :data:`UNKNOWN` (node budget exceeded).
+    without reaching *better*), or :data:`UNKNOWN` (more than
+    :data:`MAX_VISITED` outcomes seen).
     Equal outcomes do not dominate each other (the order is strict).
     """
     source = net.check_outcome(worse)
@@ -68,7 +67,7 @@ def dominates(
     seen = {_key(source)}
     queue: deque[dict[str, str]] = deque([source])
     while queue:
-        if len(seen) > max_visited:
+        if len(seen) > MAX_VISITED:
             return UNKNOWN
         current = queue.popleft()
         for flipped in improving_flips(net, current):
@@ -82,10 +81,7 @@ def dominates(
 
 
 def flipping_sequence(
-    net: CPNet,
-    better: Assignment,
-    worse: Assignment,
-    max_visited: int = 100_000,
+    net: CPNet, better: Assignment, worse: Assignment
 ) -> list[dict[str, str]] | None:
     """Return an improving flipping sequence from *worse* to *better*.
 
@@ -100,7 +96,7 @@ def flipping_sequence(
     parent_of: dict[tuple, tuple | None] = {_key(source): None}
     by_key = {_key(source): source}
     queue: deque[dict[str, str]] = deque([source])
-    while queue and len(parent_of) <= max_visited:
+    while queue and len(parent_of) <= MAX_VISITED:
         current = queue.popleft()
         current_key = _key(current)
         for flipped in improving_flips(net, current):
@@ -128,12 +124,7 @@ EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
 
-def compare(
-    net: CPNet,
-    left: Assignment,
-    right: Assignment,
-    max_visited: int = 100_000,
-) -> str:
+def compare(net: CPNet, left: Assignment, right: Assignment) -> str:
     """Full ordering query: how do two outcomes relate under the CP-net?
 
     Returns :data:`BETTER` (left ≻ right), :data:`WORSE` (right ≻ left),
@@ -143,10 +134,10 @@ def compare(
     """
     if net.check_outcome(left) == net.check_outcome(right):
         return EQUAL
-    forward = dominates(net, left, right, max_visited=max_visited)
+    forward = dominates(net, left, right)
     if forward == DOMINATES:
         return BETTER
-    backward = dominates(net, right, left, max_visited=max_visited)
+    backward = dominates(net, right, left)
     if backward == DOMINATES:
         return WORSE
     if UNKNOWN in (forward, backward):

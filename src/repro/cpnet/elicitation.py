@@ -40,7 +40,6 @@ class CPNetBuilder:
         name: str,
         domain: Iterable[str],
         parents: Iterable[str] = (),
-        description: str = "",
     ) -> "CPNetBuilder":
         """Declare a document component and which components it depends on.
 
@@ -48,7 +47,7 @@ class CPNetBuilder:
         also guarantees the network stays acyclic by construction.
         """
         self._check_open()
-        self._net.add_variable(name, domain, parents=parents, description=description)
+        self._net.add_variable(name, domain, parents=parents)
         return self
 
     def prefer(self, name: str, order: Iterable[str]) -> "CPNetBuilder":
@@ -65,12 +64,12 @@ class CPNetBuilder:
         self._net.add_rule(name, condition, order)
         return self
 
-    def build(self, validate: bool = True, max_space: int = 100_000) -> CPNet:
+    def build(self, validate: bool = True) -> CPNet:
         """Finish authoring; by default validates completeness and acyclicity."""
         self._check_open()
         self._built = True
         if validate:
-            self._net.validate(max_space=max_space)
+            self._net.validate()
         return self._net
 
     def _check_open(self) -> None:

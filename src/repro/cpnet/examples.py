@@ -58,14 +58,13 @@ def random_dag_network(
     domain_size: int = 2,
     max_parents: int = 2,
     seed: int = 0,
-    name: str = "random-dag",
 ) -> CPNet:
     """Generate a DAG-shaped CP-net (each variable gets up to *max_parents*
     parents among earlier variables) with fully-enumerated CPTs."""
     if num_variables < 1:
         raise ValueError(f"num_variables must be >= 1, got {num_variables}")
     rng = random.Random(seed)
-    net = CPNet(name=name)
+    net = CPNet(name="random-dag")
     for index in range(num_variables):
         var = f"v{index}"
         domain = [f"{var}_{j}" for j in range(domain_size)]

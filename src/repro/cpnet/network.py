@@ -215,15 +215,15 @@ class CPNet:
     def _assert_acyclic(self) -> None:
         self.topological_order()
 
-    def validate(self, max_space: int = 100_000) -> None:
+    def validate(self) -> None:
         """Full structural validation: acyclicity plus complete CPTs."""
         self.topological_order()
         for cpt in self._cpts.values():
-            cpt.validate(max_space=max_space)
+            cpt.validate()
 
-    def copy(self, name: str | None = None) -> "CPNet":
+    def copy(self) -> "CPNet":
         """Deep-copy the network (variables are immutable and shared)."""
-        clone = CPNet(name=name or self.name)
+        clone = CPNet(name=self.name)
         for var_name in self.topological_order():
             variable = self._variables[var_name]
             cpt = self._cpts[var_name]

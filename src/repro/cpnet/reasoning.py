@@ -50,19 +50,12 @@ def best_completion(net: CPNet, evidence: Assignment) -> dict[str, str]:
     return outcome
 
 
-def iter_outcomes(net: CPNet, limit: int | None = None) -> Iterator[dict[str, str]]:
-    """Enumerate complete outcomes of *net* (lexicographic over domains).
-
-    Intended for tests and small nets; the space is exponential. *limit*
-    caps the number yielded.
-    """
+def iter_outcomes(net: CPNet) -> Iterator[dict[str, str]]:
+    """Enumerate complete outcomes of *net* (lexicographic over domains),
+    lazily: the space is exponential, so take what you need."""
     names = list(net.variable_names)
     domains = [net.variable(n).domain for n in names]
-    count = 0
     for combo in itertools.product(*domains):
-        if limit is not None and count >= limit:
-            return
-        count += 1
         yield dict(zip(names, combo))
 
 

@@ -86,7 +86,6 @@ def apply_operation(
     component: str,
     operation: str,
     active_value: str,
-    prefer_applied: bool = True,
 ) -> OperationVariable:
     """Policy for update kind 3: record an operation as a new child variable.
 
@@ -109,8 +108,7 @@ def apply_operation(
     )
     applied_first = (OPERATION_APPLIED, OPERATION_PLAIN)
     plain_first = (OPERATION_PLAIN, OPERATION_APPLIED)
-    when_active = applied_first if prefer_applied else plain_first
-    net.add_rule(name, {component: active_value}, when_active)
+    net.add_rule(name, {component: active_value}, applied_first)
     net.add_rule(name, {}, plain_first)
     return OperationVariable(
         name=name, component=component, operation=operation, active_value=active_value
@@ -198,7 +196,6 @@ class ViewerExtension:
         component: str,
         operation: str,
         active_value: str,
-        prefer_applied: bool = True,
     ) -> OperationVariable:
         """Viewer-local version of :func:`apply_operation` (same CPT policy)."""
         parent = self.variable(component)
@@ -214,7 +211,7 @@ class ViewerExtension:
         )
         applied_first = (OPERATION_APPLIED, OPERATION_PLAIN)
         plain_first = (OPERATION_PLAIN, OPERATION_APPLIED)
-        self.add_rule(name, {component: active_value}, applied_first if prefer_applied else plain_first)
+        self.add_rule(name, {component: active_value}, applied_first)
         self.add_rule(name, {}, plain_first)
         return OperationVariable(
             name=name, component=component, operation=operation, active_value=active_value

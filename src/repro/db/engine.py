@@ -262,10 +262,11 @@ class Database:
         self._m_query_latency.observe(perf_counter() - started)
         return rows
 
-    def count(self, table_name: str, predicate: Predicate = ALL) -> int:
+    def count(self, table_name: str) -> int:
+        """The number of rows in *table_name*."""
         self._m_queries.inc()
         started = perf_counter()
-        result = self.table(table_name).count(predicate)
+        result = self.table(table_name).count(ALL)
         self._m_query_latency.observe(perf_counter() - started)
         return result
 

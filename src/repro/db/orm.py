@@ -56,8 +56,6 @@ class MultimediaObjectStore:
         name: str,
         mime: str,
         object_table: str,
-        access_type: str = "blob",
-        description: str = "",
     ) -> dict[str, Any]:
         """Add a new multimedia type (its object table must already exist)."""
         self.db.table(object_table)  # raises if missing
@@ -66,9 +64,9 @@ class MultimediaObjectStore:
             {
                 "FLD_NAME": name,
                 "FLD_MIME": mime,
-                "FLD_ACCESSTYPE": access_type,
+                "FLD_ACCESSTYPE": "blob",
                 "OBJECTTABLES": object_table,
-                "DESCRIPTION": description,
+                "DESCRIPTION": "",
             },
         )
 
@@ -167,7 +165,7 @@ class MultimediaObjectStore:
         return StoredObject("Audio", object_table, row["ID"])
 
     def store_compressed(
-        self, payload: bytes, header: bytes, filename: str = "", position: int = 0
+        self, payload: bytes, header: bytes, filename: str = ""
     ) -> StoredObject:
         """Store a multi-layer codec stream (Fig. 7 CMP_OBJECTS_TABLE shape)."""
         object_table = self.object_table_for("Compressed")
@@ -179,7 +177,7 @@ class MultimediaObjectStore:
                 {
                     "FLD_FILENAME": filename,
                     "FLD_FILESIZE": len(payload),
-                    "FLD_CURRENTPOSITION": position,
+                    "FLD_CURRENTPOSITION": 0,
                     "FLD_HEADER": header_ref,
                     "FLD_DATA": data_ref,
                 },

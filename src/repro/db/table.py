@@ -169,7 +169,7 @@ class Table:
         candidates = self._candidate_rows(predicate)
         return [dict(row) for row in candidates if predicate.matches(row)]
 
-    def count(self, predicate: Predicate = ALL) -> int:
+    def count(self, predicate: Predicate) -> int:
         return sum(1 for row in self._candidate_rows(predicate) if predicate.matches(row))
 
     def scan(self) -> Iterator[dict[str, Any]]:

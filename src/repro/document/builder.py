@@ -101,7 +101,7 @@ class DocumentBuilder:
 
     # ----- assembly -----------------------------------------------------------------
 
-    def build(self, validate: bool = True, max_space: int = 100_000) -> MultimediaDocument:
+    def build(self) -> MultimediaDocument:
         """Assemble the document; validates tree/network alignment."""
         self._check_open()
         self._built = True
@@ -121,8 +121,7 @@ class DocumentBuilder:
                     network.add_rule(path, condition, order)
             else:
                 network.add_rule(path, {}, node.domain)
-        if validate:
-            network.validate(max_space=max_space)
+        network.validate()
         return MultimediaDocument(self.doc_id, self._root, network, title=self.title)
 
     def _topological_component_order(self):

@@ -118,13 +118,8 @@ class AudioFragment(MMPresentation):
 class Hidden(MMPresentation):
     """The component is not displayed at all (costs nothing to transfer)."""
 
-    label: str = HIDDEN_LABEL
-    size_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.size_bytes != 0:
-            raise ValueError("a hidden presentation transfers no bytes")
+    label: str = field(default=HIDDEN_LABEL, init=False)
+    size_bytes: int = field(default=0, init=False)
 
     @property
     def is_hidden(self) -> bool:

@@ -9,6 +9,7 @@ receive on join (minus payloads, which stream separately by blob ref).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
 from repro.errors import DocumentError
@@ -57,17 +58,15 @@ def presentation_from_dict(data: dict[str, Any]) -> MMPresentation:
     cls = _PRESENTATION_CLASSES.get(kind or "")
     if cls is None:
         raise DocumentError(f"unknown presentation kind {kind!r}")
-    kwargs: dict[str, Any] = {
+    values: dict[str, Any] = {
         "label": data["label"],
         "size_bytes": data.get("size_bytes", 0),
         "media_ref": data.get("media_ref"),
         "metadata": tuple(sorted((data.get("metadata") or {}).items())),
+        "resolution": data.get("resolution", 0),
+        "duration_s": data.get("duration_s", 0.0),
     }
-    if issubclass(cls, JPGImage):
-        kwargs["resolution"] = data.get("resolution", 0)
-    if issubclass(cls, AudioFragment):
-        kwargs["duration_s"] = data.get("duration_s", 0.0)
-    return cls(**kwargs)
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.init})
 
 
 def component_to_dict(component: MultimediaComponent) -> dict[str, Any]:
@@ -128,8 +127,8 @@ def document_from_dict(data: dict[str, Any]) -> MultimediaDocument:
     )
 
 
-def document_to_json(document: MultimediaDocument, indent: int | None = None) -> str:
-    return json.dumps(document_to_dict(document), indent=indent)
+def document_to_json(document: MultimediaDocument) -> str:
+    return json.dumps(document_to_dict(document))
 
 
 def document_from_json(text: str | bytes) -> MultimediaDocument:

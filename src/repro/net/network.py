@@ -9,7 +9,6 @@ through the shared :class:`~repro.net.simclock.SimClock`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MethodType
 from typing import Protocol
@@ -17,7 +16,7 @@ from typing import Protocol
 from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import BATCH, Frame, mark_reuse
 from repro.net.link import Link
-from repro.net.message import Message, next_message_id
+from repro.net.message import Message
 from repro.net.reliable import NET_ACK, ReliableTransport
 from repro.net.simclock import SimClock
 from repro.obs import LATENCY_BUCKETS, get_event_log, get_registry
@@ -54,12 +53,6 @@ class NetworkStats:
     bytes_total: int = field(default=0, init=False)
     drops: int = field(default=0, init=False)
     batch_unpacked: int = field(default=0, init=False)
-    bytes_by_kind: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int), init=False
-    )
-    messages_by_kind: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int), init=False
-    )
 
 
 class SimulatedNetwork:
@@ -288,7 +281,7 @@ class SimulatedNetwork:
         if self.reliability is None:
             message = tuple.__new__(Message, (  # Message(...), filled in place
                 sender, recipient, frame.kind, frame.payload, frame.size_bytes,
-                next_message_id(), None, None, 0, frame,
+                None, None, 0, frame,
             ))
         else:
             message = self.reliability.prepare(sender, recipient, frame, link)
@@ -327,8 +320,6 @@ class SimulatedNetwork:
         stats = self.stats
         stats.messages += 1
         stats.bytes_total += size
-        stats.bytes_by_kind[kind] += size
-        stats.messages_by_kind[kind] += 1
         # One object per frame in flight, calling _deliver(message) at now + (arrival - now).
         self.clock.schedule(arrival - now, MethodType(self._arrive, message))
 

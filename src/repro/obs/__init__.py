@@ -28,8 +28,8 @@ from typing import Iterator
 
 from repro.obs.metrics import (
     COUNT_BUCKETS,
-    DEFAULT_MAX_SERIES,
     LATENCY_BUCKETS,
+    MAX_SERIES,
     OVERFLOW_LABEL,
     SIZE_BUCKETS,
     Counter,
@@ -66,12 +66,12 @@ from repro.obs.dtrace import (
 __all__ = [
     "COUNT_BUCKETS",
     "DEBUG",
-    "DEFAULT_MAX_SERIES",
     "ERROR",
     "Event",
     "EventLog",
     "INFO",
     "LATENCY_BUCKETS",
+    "MAX_SERIES",
     "MetricFamily",
     "MetricsRegistry",
     "NullRegistry",

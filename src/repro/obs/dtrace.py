@@ -18,8 +18,7 @@ tracing* on the simulated clock:
   critical-path analyzer (:func:`analyze_delivery`) that reconstructs the
   delivery tree of any trace and attributes end-to-end time to queueing
   vs. batch window vs. retransmit backoff vs. wire, with a text view
-  (:func:`render_delivery_tree`) and a flight-recorder event when a
-  delivery breaches the SLO budget.
+  (:func:`render_delivery_tree`).
 
 The default tracer is :class:`NullDeliveryTracer` (disabled): untraced
 runs pay one attribute check per send site. Install a real tracer with
@@ -141,8 +140,12 @@ class TraceRecord:
     room: str | None
     started_at: float
     root_span_id: int
-    spans: list[HopSpan] = field(default_factory=list)
-    deliveries: list[dict[str, Any]] = field(default_factory=list)
+    spans: list[HopSpan] = field(default_factory=list, init=False)
+    deliveries: list[dict[str, Any]] = field(default_factory=list, init=False)
+
+
+#: Traces a tracer's store holds before it evicts the oldest.
+MAX_TRACES = 256
 
 
 class TraceStore:
@@ -153,7 +156,7 @@ class TraceStore:
     them — the store is the debugging view, not the metric source).
     """
 
-    def __init__(self, max_traces: int = 256) -> None:
+    def __init__(self, max_traces: int = MAX_TRACES) -> None:
         self.max_traces = max_traces
         self._records: OrderedDict[int, TraceRecord] = OrderedDict()
         self._next_trace_id = 1
@@ -263,30 +266,18 @@ class DeliveryTracer:
     ``sample_every=N`` traces every Nth root operation (deterministic
     counter, no randomness); sampled-out operations cost one modulo at
     the client and nothing anywhere else, which is how the production
-    profile keeps wire overhead under the E15 budget. ``slo_budget_s``
-    arms a flight-recorder event (``dtrace.slo_breach``) carrying the
-    critical-path breakdown whenever a delivery lands over budget.
+    profile keeps wire overhead under the E15 budget. Its histograms
+    live in the registry installed when it is built.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        max_traces: int = 256,
-        sample_every: int = 1,
-        slo_budget_s: float | None = None,
-        registry: Any | None = None,
-        event_log: Any | None = None,
-    ) -> None:
-        if registry is None or event_log is None:
-            from repro.obs import get_event_log, get_registry
+    def __init__(self, sample_every: int = 1) -> None:
+        from repro.obs import get_registry
 
-            registry = registry if registry is not None else get_registry()
-            event_log = event_log if event_log is not None else get_event_log()
-        self.store = TraceStore(max_traces)
+        registry = get_registry()
+        self.store = TraceStore()
         self.sample_every = max(1, int(sample_every))
-        self.slo_budget_s = slo_budget_s
-        self._event_log = event_log
         self._h_hop = registry.histogram_family("dtrace.hop.latency", ("hop",))
         self._h_e2e = registry.histogram_family("dtrace.e2e.latency", ("room",))
         self._op_counter = 0
@@ -351,20 +342,6 @@ class DeliveryTracer:
         if delivery is None:
             return
         self._h_e2e.labels(record.room or "?").observe(delivery["e2e"])
-        budget = self.slo_budget_s
-        if budget is not None and delivery["e2e"] > budget:
-            breakdown = analyze_delivery(record, delivery)
-            self._event_log.emit(
-                "dtrace.slo_breach",
-                severity="WARN",
-                at=now,
-                trace_id=record.trace_id,
-                room=record.room,
-                node=node,
-                e2e_s=round(delivery["e2e"], 6),
-                budget_s=budget,
-                **{k: round(v, 6) for k, v in breakdown["categories"].items()},
-            )
 
     # -- lifecycle hygiene ---------------------------------------------------------
 
@@ -386,7 +363,6 @@ class NullDeliveryTracer:
     def __init__(self) -> None:
         self.store = TraceStore(0)
         self.sample_every = 1
-        self.slo_budget_s = None
 
     def start_trace(self, origin, kind, now, room=None):
         return None
@@ -517,9 +493,8 @@ def analyze_delivery(
     }
 
 
-def render_delivery_tree(record: TraceRecord, unit: str = "ms") -> str:
-    """Text rendering of one trace's delivery tree (for humans)."""
-    scale = 1_000.0 if unit == "ms" else 1.0
+def render_delivery_tree(record: TraceRecord) -> str:
+    """Text rendering of one trace's delivery tree (for humans), in ms."""
     children = delivery_tree(record)
     delivered_at = {d["span_id"]: d for d in record.deliveries}
     lines = [
@@ -535,11 +510,11 @@ def render_delivery_tree(record: TraceRecord, unit: str = "ms") -> str:
             delivery = delivered_at.get(span.span_id)
             if delivery is not None:
                 marker = (
-                    f"  ← delivered e2e={delivery['e2e'] * scale:.3f}{unit}"
+                    f"  ← delivered e2e={delivery['e2e'] * 1_000:.3f}ms"
                 )
             lines.append(
                 f"{'  ' * depth}- {span.hop} @{span.node} "
-                f"{span.duration * scale:.3f}{unit}{marker}"
+                f"{span.duration * 1_000:.3f}ms{marker}"
             )
             visit(span.span_id, depth + 1)
 

@@ -3,14 +3,13 @@
 Metrics say *how much*; the flight recorder says *what happened, in what
 order*. Components emit events at decision points — a journal
 checkpoint, a room emptying, a propagation fan-out, a prefetch eviction
-— and the :class:`EventLog` keeps the most recent ``capacity`` of them,
+— and the :class:`EventLog` keeps the most recent :data:`CAPACITY` of them,
 evicting oldest first, so an always-on recorder cannot grow without
 bound.
 
 Each event carries a name, a severity (:data:`DEBUG` .. :data:`ERROR`),
-free-form key/value fields and a timestamp from the injectable clock. An
-event that belongs to a delivery trace says so in its own fields
-(``dtrace.slo_breach`` carries its ``trace_id``). Subscribers registered with
+free-form key/value fields and a timestamp from the injectable clock.
+Subscribers registered with
 :meth:`EventLog.subscribe` see every event as it is emitted — the live
 telemetry channel hangs off this hook.
 """
@@ -30,6 +29,10 @@ ERROR = "ERROR"
 
 SEVERITIES: tuple[str, ...] = (DEBUG, INFO, WARN, ERROR)
 _SEVERITY_RANK: dict[str, int] = {name: rank for rank, name in enumerate(SEVERITIES)}
+
+#: Events a log retains; the oldest is evicted when a new one arrives at
+#: capacity (flight-recorder semantics — the recent past survives).
+CAPACITY = 1024
 
 
 def severity_rank(severity: str) -> int:
@@ -78,25 +81,14 @@ class Event:
 class EventLog:
     """Bounded ring buffer of :class:`Event` with live subscribers.
 
-    Parameters
-    ----------
-    capacity:
-        Events retained; the oldest is evicted when a new one arrives at
-        capacity (flight-recorder semantics — the recent past survives).
-    clock:
-        Zero-argument callable supplying timestamps when ``emit`` is not
-        given an explicit ``at``. Inject a simulated clock for
-        determinism.
+    *clock* is a zero-argument callable supplying timestamps when ``emit``
+    is not given an explicit ``at``. Inject a simulated clock for
+    determinism.
     """
 
-    def __init__(
-        self, capacity: int = 1024, clock: Callable[[], float] | None = None
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("EventLog capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
-        self._events: deque[Event] = deque(maxlen=capacity)
+        self._events: deque[Event] = deque(maxlen=CAPACITY)
         self._seq = itertools.count(1)
         self._subscribers: list[Callable[[Event], None]] = []
 
@@ -153,21 +145,13 @@ class EventLog:
             return ()
         return tuple(self._events)[-count:]
 
-    def filter(
-        self, name: str | None = None, min_severity: str = DEBUG
-    ) -> tuple[Event, ...]:
-        """Retained events matching a name prefix and a severity floor."""
-        floor = severity_rank(min_severity)
-        return tuple(
-            event
-            for event in self._events
-            if _SEVERITY_RANK[event.severity] >= floor
-            and (name is None or event.name.startswith(name))
-        )
+    def filter(self, name: str) -> tuple[Event, ...]:
+        """Retained events whose name starts with *name*."""
+        return tuple(event for event in self._events if event.name.startswith(name))
 
     def clear(self) -> None:
         self._events.clear()
 
     def __repr__(self) -> str:
-        return f"EventLog({len(self._events)}/{self.capacity} events)"
+        return f"EventLog({len(self._events)}/{CAPACITY} events)"
 

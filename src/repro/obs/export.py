@@ -27,9 +27,9 @@ from repro.obs.metrics import histogram_summary
 Snapshot = dict[str, Any]
 
 
-def to_json(snapshot: Snapshot, indent: int | None = 2) -> str:
-    """Canonical JSON rendering of a snapshot (sorted keys)."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True, separators=(",", ": "))
+def to_json(snapshot: Snapshot) -> str:
+    """Canonical JSON rendering of a snapshot (sorted keys, indent 2)."""
+    return json.dumps(snapshot, indent=2, sort_keys=True, separators=(",", ": "))
 
 
 def to_lines(snapshot: Snapshot) -> str:

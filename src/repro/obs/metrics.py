@@ -19,7 +19,7 @@ Labelled *families* add bounded dimensionality: a family's children,
 keyed by label values (``registry.counter_family("db.rows_scanned",
 ("table",)).labels("patients")``), register under canonical names such
 as ``db.rows_scanned{table="patients"}``, so every exporter sees them
-with no special casing. Past ``max_series`` label sets, new ones
+with no special casing. Past ``MAX_SERIES`` label sets, new ones
 collapse into one shared ``"__other__"`` child. ``remove`` drops a
 child with its readers; for a label the overflow child absorbed, it
 takes that label's readers off the shared child (a counter keeps what
@@ -209,11 +209,11 @@ def quantile_from_buckets(
     return maximum
 
 
-#: Label values a family collapses to once ``max_series`` is exceeded.
+#: Label values a family collapses to once :data:`MAX_SERIES` is exceeded.
 OVERFLOW_LABEL = "__other__"
 
-#: Default per-family series bound.
-DEFAULT_MAX_SERIES = 64
+#: Per-family series bound.
+MAX_SERIES = 64
 
 
 class MetricFamily:
@@ -226,7 +226,7 @@ class MetricFamily:
     """
 
     __slots__ = (
-        "name", "kind", "label_names", "max_series", "_children", "_absorbed", "_store", "_make"
+        "name", "kind", "label_names", "_children", "_absorbed", "_store", "_make"
     )
 
     def __init__(
@@ -234,20 +234,16 @@ class MetricFamily:
         name: str,
         kind: str,
         label_names: Sequence[str],
-        max_series: int,
         store: dict[str, Any],
         make: Callable[[str], Any],
     ) -> None:
         if not label_names:
             raise ValueError(f"family {name!r} needs at least one label name")
-        if max_series < 1:
-            raise ValueError(f"family {name!r}: max_series must be >= 1")
         self.name = name
         self.kind = kind
         self.label_names = tuple(str(n) for n in label_names)
-        self.max_series = max_series
         self._children: dict[tuple[str, ...], Any] = {}
-        # Readers each label past max_series bound to the overflow child.
+        # Readers each label past MAX_SERIES bound to the overflow child.
         self._absorbed: dict[tuple[str, ...], list[tuple[Any, Reader]]] = {}
         self._store = store
         self._make = make
@@ -273,7 +269,7 @@ class MetricFamily:
         key = tuple(str(v) for v in values)
         child = self._children.get(key)
         if child is None:
-            absorbed = len(self._children) >= self.max_series
+            absorbed = len(self._children) >= MAX_SERIES
             child_key = (OVERFLOW_LABEL,) * len(key) if absorbed else key
             child = self._children.get(child_key)
             if child is None:
@@ -353,48 +349,27 @@ class MetricsRegistry:
 
     # ----- labelled families ------------------------------------------------------
 
-    def counter_family(
-        self,
-        name: str,
-        label_names: Sequence[str],
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> MetricFamily:
-        return self._family(name, "counter", label_names, max_series, self._counters, Counter)
+    def counter_family(self, name: str, label_names: Sequence[str]) -> MetricFamily:
+        return self._family(name, "counter", label_names, self._counters, Counter)
 
-    def gauge_family(
-        self,
-        name: str,
-        label_names: Sequence[str],
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> MetricFamily:
-        return self._family(name, "gauge", label_names, max_series, self._gauges, Gauge)
+    def gauge_family(self, name: str, label_names: Sequence[str]) -> MetricFamily:
+        return self._family(name, "gauge", label_names, self._gauges, Gauge)
 
-    def histogram_family(
-        self,
-        name: str,
-        label_names: Sequence[str],
-        bounds: Sequence[float] = LATENCY_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> MetricFamily:
-        return self._family(
-            name, "histogram", label_names, max_series, self._histograms,
-            lambda full_name: Histogram(full_name, bounds),
-        )
+    def histogram_family(self, name: str, label_names: Sequence[str]) -> MetricFamily:
+        """A family of latency histograms (:data:`LATENCY_BUCKETS`)."""
+        return self._family(name, "histogram", label_names, self._histograms, Histogram)
 
     def _family(
         self,
         name: str,
         kind: str,
         label_names: Sequence[str],
-        max_series: int,
         store: dict[str, Any],
         make: Callable[[str], Any],
     ) -> MetricFamily:
         family = self._families.get(name)
         if family is None:
-            family = self._families[name] = MetricFamily(
-                name, kind, label_names, max_series, store, make
-            )
+            family = self._families[name] = MetricFamily(name, kind, label_names, store, make)
             return family
         if family.kind != kind:
             raise ValueError(

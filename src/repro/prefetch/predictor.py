@@ -20,6 +20,9 @@ from repro.cpnet.reasoning import best_completion
 from repro.document.component import PrimitiveMultimediaComponent
 from repro.document.document import MultimediaDocument
 
+#: Score multiplier for candidates in a section the viewer touched last.
+LOCALITY_BOOST = 4.0
+
 
 @dataclass(frozen=True)
 class PrefetchCandidate:
@@ -71,7 +74,6 @@ class CPNetPredictor:
         outcome: Mapping[str, str],
         evidence: Mapping[str, str] | None = None,
         recent_choices: list[str] | None = None,
-        locality_boost: float = 4.0,
         max_candidates: int | None = None,
     ) -> list[PrefetchCandidate]:
         """Payloads the viewer is likely to need next, best first.
@@ -79,7 +81,7 @@ class CPNetPredictor:
         *outcome* is the currently displayed configuration; *evidence*
         the standing explicit choices (kept fixed in hypotheticals);
         *recent_choices* the components the viewer touched last —
-        candidates in the same top-level section get ``locality_boost``,
+        candidates in the same top-level section get :data:`LOCALITY_BOOST`,
         modelling attention locality within the document hierarchy.
         """
         evidence = dict(evidence or {})
@@ -131,7 +133,7 @@ class CPNetPredictor:
         if hot_sections:
             scores = {
                 (path, value): (
-                    score * locality_boost
+                    score * LOCALITY_BOOST
                     if path.split(".")[0] in hot_sections
                     else score
                 )

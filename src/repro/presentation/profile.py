@@ -19,6 +19,11 @@ from typing import Any
 
 from repro.document.document import MultimediaDocument
 
+#: A habit is stable after this many recorded choices ...
+MIN_OBSERVATIONS = 3
+#: ... with its value holding at least this fraction of them.
+MAJORITY = 0.6
+
 
 class ViewerProfile:
     """Per-viewer choice history with stable-habit extraction."""
@@ -38,37 +43,30 @@ class ViewerProfile:
 
     # ----- habits ---------------------------------------------------------------
 
-    def habitual_value(
-        self, component: str, min_observations: int = 3, majority: float = 0.6
-    ) -> str | None:
+    def habitual_value(self, component: str) -> str | None:
         """The stable habit for *component*, or None.
 
-        Requires at least *min_observations* recorded choices with the
-        top value holding at least the *majority* fraction of them.
+        Requires at least :data:`MIN_OBSERVATIONS` recorded choices with
+        the top value holding at least the :data:`MAJORITY` fraction of them.
         """
         counts = self._counts.get(component)
         if not counts:
             return None
         total = sum(counts.values())
-        if total < min_observations:
+        if total < MIN_OBSERVATIONS:
             return None
         value, top = max(counts.items(), key=lambda item: item[1])
-        if top / total < majority:
+        if top / total < MAJORITY:
             return None
         return value
 
-    def habits_for(
-        self,
-        document: MultimediaDocument,
-        min_observations: int = 3,
-        majority: float = 0.6,
-    ) -> dict[str, str]:
+    def habits_for(self, document: MultimediaDocument) -> dict[str, str]:
         """Stable habits applicable to *document* (valid components+values)."""
         habits: dict[str, str] = {}
         for component in self._counts:
             if component not in document.network:
                 continue
-            value = self.habitual_value(component, min_observations, majority)
+            value = self.habitual_value(component)
             if value is not None and value in document.network.variable(component).domain:
                 habits[component] = value
         return habits

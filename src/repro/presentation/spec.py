@@ -105,11 +105,10 @@ def build_spec(
     document: MultimediaDocument,
     viewer_id: str,
     outcome: Mapping[str, str],
-    computed_at: float = 0.0,
 ) -> PresentationSpec:
     """Assemble a spec from a raw CP-net outcome (copied: the measures
     are read later and must be those of the outcome as given)."""
-    return PresentationView(document, dict(outcome)).spec_for(viewer_id, computed_at)
+    return PresentationView(document, dict(outcome)).spec_for(viewer_id)
 
 
 def diff_presentations(

@@ -8,9 +8,9 @@ automatically, according to some predefined ordering templates."
 
 :func:`install_bandwidth_tuning` is that automatic extension: it adds one
 ``tuning.bandwidth`` root variable (high/medium/low) and, for every
-primitive component with a presentation heavier than *threshold*, rewires
-its CPT so that under reduced bandwidth the author's order is stably
-re-partitioned to put affordable presentations first. The author's
+primitive component with a presentation heavier than :data:`MEDIUM_BUDGET`,
+rewires its CPT so that under reduced bandwidth the author's order is
+stably re-partitioned to put affordable presentations first. The author's
 original preferences remain the high-bandwidth rows verbatim.
 """
 
@@ -29,20 +29,21 @@ BANDWIDTH_MEDIUM = "medium"
 BANDWIDTH_LOW = "low"
 _LEVELS = (BANDWIDTH_HIGH, BANDWIDTH_MEDIUM, BANDWIDTH_LOW)
 
-#: Default byte budgets per presentation at each constrained level.
-DEFAULT_MEDIUM_BUDGET = 128 * 1024
+#: Byte budgets per presentation at each constrained level; a component
+#: is tuned when its heaviest presentation is over the medium budget.
+MEDIUM_BUDGET = 128 * 1024
 DEFAULT_LOW_BUDGET = 16 * 1024
 
+#: Measured bandwidths (bit/s) below which a link is medium, and low.
+MEDIUM_BELOW_BPS = 4_000_000
+LOW_BELOW_BPS = 512_000
 
-def level_for_bandwidth(
-    bits_per_second: float,
-    medium_below: float = 4_000_000,
-    low_below: float = 512_000,
-) -> str:
+
+def level_for_bandwidth(bits_per_second: float) -> str:
     """Map a measured link bandwidth to a tuning level."""
-    if bits_per_second < low_below:
+    if bits_per_second < LOW_BELOW_BPS:
         return BANDWIDTH_LOW
-    if bits_per_second < medium_below:
+    if bits_per_second < MEDIUM_BELOW_BPS:
         return BANDWIDTH_MEDIUM
     return BANDWIDTH_HIGH
 
@@ -65,8 +66,6 @@ def budget_order(
 
 def install_bandwidth_tuning(
     document: MultimediaDocument,
-    threshold: int = DEFAULT_MEDIUM_BUDGET,
-    medium_budget: int = DEFAULT_MEDIUM_BUDGET,
     low_budget: int = DEFAULT_LOW_BUDGET,
 ) -> tuple[str, ...]:
     """Add the tuning variable and condition heavy components on it.
@@ -75,7 +74,7 @@ def install_bandwidth_tuning(
     such component every existing CPT rule ``cond : order`` is kept (it
     answers for high bandwidth) and joined by two more-specific rows::
 
-        cond ∧ bandwidth=medium : budget_order(order, medium_budget)
+        cond ∧ bandwidth=medium : budget_order(order, MEDIUM_BUDGET)
         cond ∧ bandwidth=low    : budget_order(order, low_budget)
 
     Idempotence guard: raises if the tuning variable is already installed.
@@ -90,7 +89,7 @@ def install_bandwidth_tuning(
         if not isinstance(component, PrimitiveMultimediaComponent):
             continue
         heaviest = max(component.presentation_size(v) for v in component.domain)
-        if heaviest <= threshold:
+        if heaviest <= MEDIUM_BUDGET:
             continue
         cpt = net.cpt(path)
         old_rules = list(cpt.rules)
@@ -101,7 +100,7 @@ def install_bandwidth_tuning(
             net.add_rule(
                 path,
                 {**condition, TUNING_VARIABLE: BANDWIDTH_MEDIUM},
-                budget_order(component, rule.order, medium_budget),
+                budget_order(component, rule.order, MEDIUM_BUDGET),
             )
             net.add_rule(
                 path,

@@ -815,10 +815,9 @@ class InteractionServer:
             return None
         finally:
             # Telemetry rides on server activity (a scheduled tick would
-            # keep the simulated clock alive forever); the interval
-            # throttle bounds the cost under load.
+            # keep the simulated clock alive forever).
             if telemetry is not None:
-                telemetry.push(force=False)
+                telemetry.push()
 
     def apply_session_op(
         self, kind: str, payload: dict[str, Any], sender_node: str | None = None

@@ -17,6 +17,10 @@ from repro.server.protocol import PROTOCOL, MessageKind
 from repro.server.session import Session
 from repro.util.ids import IdGenerator
 
+#: Seconds between pushes, as a ``MONITOR_ACK`` tells a monitor: a host
+#: pushes after every one of its activities.
+PUSH_INTERVAL_S = 0.0
+
 
 class TelemetryChannel:
     """Monitor sessions of one host and what is owed to them."""
@@ -38,9 +42,6 @@ class TelemetryChannel:
         self.monitors: dict[str, Session] = {}
         self.pending_events: list[dict[str, Any]] = []
         self.baseline: dict[str, Any] | None = None
-        self._last_push_at: float | None = None
-        #: minimum clock seconds between unforced pushes (0 = every one).
-        self.interval: float = 0.0
 
     def answer(self, sender: str, kind: str, payload: dict[str, Any]) -> bool:
         """Serve one message if it is the channel's: a ``MONITOR`` opens a
@@ -55,7 +56,7 @@ class TelemetryChannel:
                 self.baseline = self._registry.snapshot()
             session = Session(self._ids.next("monitor"), payload["viewer_id"], sender)
             self.monitors[session.session_id] = session
-            ack = {"session_id": session.session_id, "interval": self.interval}
+            ack = {"session_id": session.session_id, "interval": PUSH_INTERVAL_S}
             self._send(sender, MessageKind.MONITOR_ACK, ack)
             return True
         if kind != MessageKind.LEAVE or self.monitors.pop(payload.get("session_id"), None) is None:
@@ -71,17 +72,12 @@ class TelemetryChannel:
     def _on_event(self, event: Any) -> None:
         self.pending_events.append(event.to_dict())
 
-    def push(self, force: bool = True) -> int:
+    def push(self) -> int:
         """Send one metric-diff snapshot + buffered events to every
-        monitor; returns how many there are. With ``force=False`` the
-        ``interval`` throttle applies."""
+        monitor; returns how many there are."""
         if not self.monitors:
             return 0
         now = self._now()
-        if not force and self._last_push_at is not None:
-            if now - self._last_push_at < self.interval:
-                return 0
-        self._last_push_at = now
         current = self._registry.snapshot()
         delta = obs.diff(self.baseline or {}, current)
         self.baseline = current

@@ -48,7 +48,7 @@ class Failpoints:
     def arm(
         self,
         point: str,
-        mode: str = "fire",
+        mode: str,
         after: int = 0,
         count: int = 1,
         match: dict[str, Any] | None = None,
@@ -110,10 +110,9 @@ def set_failpoints(failpoints: Failpoints) -> Failpoints:
 
 
 @contextmanager
-def use_failpoints(failpoints: Failpoints | None = None) -> Iterator[Failpoints]:
-    """Temporarily install *failpoints* (default: a fresh registry)."""
-    if failpoints is None:
-        failpoints = Failpoints()
+def use_failpoints() -> Iterator[Failpoints]:
+    """Temporarily install a fresh registry."""
+    failpoints = Failpoints()
     previous = get_failpoints()
     set_failpoints(failpoints)
     try:

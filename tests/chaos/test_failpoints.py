@@ -41,9 +41,9 @@ class TestArming:
     def test_validation(self):
         fp = Failpoints()
         with pytest.raises(ValueError):
-            fp.arm("p", after=-1)
+            fp.arm("p", "fire", after=-1)
         with pytest.raises(ValueError):
-            fp.arm("p", count=0)
+            fp.arm("p", "fire", count=0)
 
 
 class TestIsolation:
@@ -52,14 +52,14 @@ class TestIsolation:
         with use_failpoints() as fp:
             assert get_failpoints() is fp
             assert fp is not outer
-            fp.arm("p")
+            fp.arm("p", "fire")
             assert get_failpoints().fire("p") == "fire"
         assert get_failpoints() is outer
         assert not outer.armed("p")
 
     def test_clear_disarms_everything(self):
         fp = Failpoints()
-        fp.arm("a")
+        fp.arm("a", "fire")
         fp.fire("b")
         fp.clear()
         assert not fp.armed("a")

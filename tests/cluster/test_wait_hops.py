@@ -139,7 +139,7 @@ def _spy(tracer, clock, owner, name, instants):
 
 @pytest.mark.parametrize("hop", list(CASES))
 def test_each_wait_is_charged_once_to_its_own_hop(tmp_path, hop):
-    tracer = DeliveryTracer(max_traces=4096)
+    tracer = DeliveryTracer()
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()), \
             use_dtrace(tracer):
         db = Database(str(tmp_path / hop))

@@ -72,7 +72,7 @@ class TestAdvisoryFindings:
             net.add_rule(f"p{index}", {}, ("x", "y"))
         net.add_variable("big", ("a", "b"), parents=tuple(f"p{i}" for i in range(14)))
         net.add_rule("big", {}, ("a", "b"))
-        report = audit_network(net, max_space=4096)
+        report = audit_network(net)
         assert "big" in report.skipped_variables
 
 

@@ -89,7 +89,7 @@ class TestCompiledExactness:
         old_limit = compiled_mod.FLAT_SPACE_LIMIT
         compiled_mod.FLAT_SPACE_LIMIT = 0
         try:
-            lazy = compile_cpnet(net.copy("lazy"))
+            lazy = compile_cpnet(net.copy())
         finally:
             compiled_mod.FLAT_SPACE_LIMIT = old_limit
         assert all(not t.orders for t in lazy._sweep)  # nothing eager
@@ -219,7 +219,7 @@ class TestTablesLiveWithTheirCPT:
         from repro.cpnet import compiled as compiled_mod
 
         monkeypatch.setattr(compiled_mod, "FLAT_SPACE_LIMIT", 0)
-        net = figure2_network().copy("lazy")
+        net = figure2_network().copy()
         add_component_variable(net, "note", ("shown", "hidden"), parents=("c1",))
         table = compile_cpnet(net).table("note")
         assert not table.orders

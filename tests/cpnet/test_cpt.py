@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpnet import CPT, PreferenceRule, Variable
+from repro.cpnet import cpt as cpt_module
 from repro.errors import IncompleteTableError, UnknownValueError, UnknownVariableError
 
 
@@ -74,10 +75,11 @@ class TestCPTValidation:
         with pytest.raises(IncompleteTableError, match="no rule"):
             cpt.validate()
 
-    def test_validate_refuses_huge_space(self, cpt):
+    def test_validate_refuses_huge_space(self, cpt, monkeypatch):
         cpt.add_rule({}, ["v1", "v2"])
+        monkeypatch.setattr(cpt_module, "VALIDATION_SPACE_LIMIT", 1)
         with pytest.raises(IncompleteTableError, match="exceeds"):
-            cpt.validate(max_space=1)
+            cpt.validate()
 
 
 class TestCPTLookup:

@@ -129,10 +129,10 @@ class TestOutcomeChecks:
 
 class TestCopyAndValidate:
     def test_copy_is_deep(self, chain):
-        clone = chain.copy("clone")
+        clone = chain.copy()
         clone.add_variable("d", ("d1", "d2"), parents=("c",))
         assert "d" not in chain
-        assert clone.name == "clone"
+        assert clone.name == chain.name
 
     def test_copy_preserves_semantics(self):
         net = figure2_network()

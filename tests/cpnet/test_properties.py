@@ -93,7 +93,7 @@ def test_optimal_dominates_or_equals_any_outcome(net_outcome):
     net, outcome = net_outcome
     best = optimal_outcome(net)
     if outcome != best:
-        assert dominates(net, best, outcome, max_visited=200_000) == DOMINATES
+        assert dominates(net, best, outcome) == DOMINATES
 
 
 @given(net_and_outcome())

@@ -95,11 +95,6 @@ class TestApplyOperation:
         outcome = best_completion(net, {"c3": "c3_1"})
         assert outcome["c3.zoom"] == OPERATION_PLAIN
 
-    def test_prefer_applied_false(self, xray_net):
-        apply_operation(xray_net, "xray", "segmentation", "res2", prefer_applied=False)
-        cpt = xray_net.cpt("xray.segmentation")
-        assert cpt.best_value({"xray": "res2"}) == OPERATION_PLAIN
-
     def test_duplicate_operation_rejected(self, net):
         apply_operation(net, "c3", "zoom", active_value="c3_2")
         with pytest.raises(CPNetError, match="already exists"):

@@ -47,14 +47,14 @@ def assert_eq_matches_model(db, model: dict[int, str], values: set[str]) -> None
     for probe in KEYS:
         expected = [probe] if probe in model else []
         assert [row["id"] for row in db.select("t", Eq("id", probe))] == expected
-        assert db.count("t", Eq("id", probe)) == len(expected)
+        assert db.table("t").count(Eq("id", probe)) == len(expected)
     for probe in values:
         expected = sorted(k for k, v in model.items() if v == probe)
         for column in COPIES:
             rows = db.select("t", Eq(column, probe))
             assert sorted(row["id"] for row in rows) == expected
             assert all(row[copy] == probe for row in rows for copy in COPIES)
-            assert db.count("t", Eq(column, probe)) == len(expected)
+            assert db.table("t").count(Eq(column, probe)) == len(expected)
 
 
 operations = st.lists(

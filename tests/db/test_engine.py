@@ -68,7 +68,7 @@ class TestDML:
     def test_select_count(self, db):
         for name, age in [("a", 30), ("b", 40)]:
             db.insert("patients", {"name": name, "age": age})
-        assert db.count("patients", Eq("age", 40)) == 1
+        assert db.table("patients").count(Eq("age", 40)) == 1
         assert db.select("patients", Eq("name", "a"))[0]["age"] == 30
 
 

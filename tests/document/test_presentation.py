@@ -24,7 +24,7 @@ class TestBasics:
         assert hidden.size_bytes == 0
 
     def test_hidden_rejects_payload(self):
-        with pytest.raises(ValueError, match="no bytes"):
+        with pytest.raises(TypeError, match="size_bytes"):
             Hidden(size_bytes=100)
 
     def test_negative_size_rejected(self):

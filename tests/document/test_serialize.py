@@ -53,7 +53,7 @@ class TestComponentSerialization:
 class TestDocumentSerialization:
     def test_full_round_trip(self):
         doc = build_sample_medical_record()
-        clone = document_from_json(document_to_json(doc, indent=2))
+        clone = document_from_json(document_to_json(doc))
         assert clone.doc_id == doc.doc_id
         assert clone.title == doc.title
         assert clone.component_paths() == doc.component_paths()

@@ -53,9 +53,20 @@ def only(log, name):
 def step_until_sent(network, kind, count):
     """Advance the clock one event at a time until *count* more *kind*
     frames have left: the next crash catches them on the wire."""
-    target = network.stats.messages_by_kind[kind] + count
-    while network.stats.messages_by_kind[kind] < target:
-        assert network.clock.step()
+    sent = []
+    transmit = network._transmit
+
+    def tap(message):
+        if message.kind == kind:
+            sent.append(message)
+        transmit(message)
+
+    network._transmit = tap
+    try:
+        while len(sent) < count:
+            assert network.clock.step()
+    finally:
+        del network._transmit
 
 
 class TestNothingLeft:

@@ -161,7 +161,7 @@ def test_flash_crowd_wire_is_pinned(tmp_path, wire):
         assert sum(c.deferred for c in controllers) > 0
         assert sum(c.by_lane["shed"].get("data", 0) for c in controllers) > 0
         assert not any(c.parked_count for c in controllers)
-        assert harness.network.stats.messages_by_kind["retry_after"] > 0
+        assert sum(sum(member.retry_afters.values()) for member in everyone) > 0
         assert _fingerprint(wire, harness.network) == CROWD_WIRE
     finally:
         db.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import EventLog, MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.dtrace import (
     HOP_BATCH_WAIT,
     HOP_DOWNLINK,
@@ -23,10 +23,9 @@ from repro.obs.dtrace import (
 )
 
 
-def make_tracer(**kwargs):
-    return DeliveryTracer(
-        registry=MetricsRegistry(), event_log=EventLog(), **kwargs
-    )
+def make_tracer(registry=None, **kwargs):
+    with use_registry(registry or MetricsRegistry()):
+        return DeliveryTracer(**kwargs)
 
 
 # ----- TraceStore -----------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_inbound_scope_nests_and_restores():
 
 def test_finish_delivery_feeds_e2e_histogram():
     registry = MetricsRegistry()
-    tracer = DeliveryTracer(registry=registry, event_log=EventLog())
+    tracer = make_tracer(registry)
     root = tracer.start_trace("client-a", "choice", 1.0, room="room-1")
     ctx = tracer.record_hop(root, HOP_UPLINK, "gateway", 1.0, 1.01)
     tracer.finish_delivery(ctx, "client-b", 1.05)
@@ -114,36 +113,9 @@ def test_finish_delivery_feeds_e2e_histogram():
     assert hop["count"] == 1
 
 
-def test_slo_breach_emits_event_with_breakdown():
-    log = EventLog()
-    tracer = DeliveryTracer(
-        registry=MetricsRegistry(), event_log=log, slo_budget_s=0.01
-    )
-    root = tracer.start_trace("client-a", "choice", 0.0, room="room-1")
-    ctx = tracer.record_hop(root, HOP_UPLINK, "gateway", 0.0, 0.02)
-    tracer.finish_delivery(ctx, "client-b", 0.02)
-    breaches = [e for e in log.events if e.name == "dtrace.slo_breach"]
-    assert len(breaches) == 1
-    event = breaches[0]
-    assert event.severity == "WARN"
-    assert event.fields["e2e_s"] == pytest.approx(0.02)
-    assert event.fields["wire"] == pytest.approx(0.02)
-
-
-def test_under_budget_delivery_does_not_breach():
-    log = EventLog()
-    tracer = DeliveryTracer(
-        registry=MetricsRegistry(), event_log=log, slo_budget_s=1.0
-    )
-    root = tracer.start_trace("client-a", "choice", 0.0)
-    ctx = tracer.record_hop(root, HOP_UPLINK, "gateway", 0.0, 0.02)
-    tracer.finish_delivery(ctx, "client-b", 0.02)
-    assert not [e for e in log.events if e.name == "dtrace.slo_breach"]
-
-
 def test_drop_room_retires_the_e2e_series():
     registry = MetricsRegistry()
-    tracer = DeliveryTracer(registry=registry, event_log=EventLog())
+    tracer = make_tracer(registry)
     root = tracer.start_trace("client-a", "choice", 0.0, room="room-1")
     ctx = tracer.record_hop(root, HOP_UPLINK, "gateway", 0.0, 0.01)
     tracer.finish_delivery(ctx, "client-b", 0.01)

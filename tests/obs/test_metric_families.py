@@ -7,6 +7,8 @@ import pytest
 
 from repro.obs.export import to_json, to_lines
 from repro.obs.metrics import (
+    LATENCY_BUCKETS,
+    MAX_SERIES,
     OVERFLOW_LABEL,
     MetricsRegistry,
     NullRegistry,
@@ -16,6 +18,13 @@ from repro.obs.metrics import (
 @pytest.fixture
 def registry():
     return MetricsRegistry()
+
+
+def leave_room(family, series: int):
+    """Fill *family* until only *series* more label sets get their own child."""
+    for index in range(MAX_SERIES - series):
+        family.labels(f"filler-{index}")
+    return family
 
 
 class Tally:
@@ -76,11 +85,11 @@ class TestFamilies:
         family.labels('say "hi"').inc()
         assert 'c{k="say \\"hi\\""}' in registry.counters
 
-    def test_histogram_family_custom_bounds(self, registry):
-        family = registry.histogram_family("h", ("k",), bounds=(1.0, 2.0))
+    def test_histogram_family_children_use_latency_buckets(self, registry):
+        family = registry.histogram_family("h", ("k",))
         child = family.labels("a")
         child.observe(1.5)
-        assert child.bounds == (1.0, 2.0)
+        assert child.bounds == LATENCY_BUCKETS
         assert child.count == 1
 
     def test_remove_drops_child_from_registry(self, registry):
@@ -102,7 +111,7 @@ class TestFamilies:
 
 class TestCardinalityBound:
     def test_overflow_collapses_to_shared_child(self, registry):
-        family = registry.counter_family("c", ("k",), max_series=2)
+        family = leave_room(registry.counter_family("c", ("k",)), 2)
         family.labels("a").inc()
         family.labels("b").inc()
         overflow_1 = family.labels("c")
@@ -110,20 +119,20 @@ class TestCardinalityBound:
         assert overflow_1 is overflow_2
         assert overflow_1.name == f'c{{k="{OVERFLOW_LABEL}"}}'
         overflow_1.inc(3)
-        # Two real series + one overflow series; no unbounded growth.
-        assert len(family.children) == 3
+        # MAX_SERIES real series + one overflow series; no unbounded growth.
+        assert len(family.children) == MAX_SERIES + 1
         family.labels("e").inc()
-        assert len(family.children) == 3
+        assert len(family.children) == MAX_SERIES + 1
 
     def test_known_labels_still_resolve_after_overflow(self, registry):
-        family = registry.counter_family("c", ("k",), max_series=1)
+        family = leave_room(registry.counter_family("c", ("k",)), 1)
         child = family.labels("a")
         family.labels("b")  # overflow
         assert family.labels("a") is child
 
 
     def test_overflow_drops_the_readers_of_a_retired_label(self, registry):
-        family = registry.counter_family("c", ("k",), max_series=2)
+        family = leave_room(registry.counter_family("c", ("k",)), 2)
         family.labels("a").inc()
         family.labels("b").inc()
         overflow = family.labels("c")
@@ -141,7 +150,7 @@ class TestCardinalityBound:
         assert [ref() for ref in tallies] == [None] * 5
 
     def test_overflow_gauge_forgets_a_retired_owner(self, registry):
-        family = registry.gauge_family("g", ("k",), max_series=1)
+        family = leave_room(registry.gauge_family("g", ("k",)), 1)
         family.labels("a", read=lambda: 1)
         tally = Tally(7)
         overflow = family.labels("b", read=tally.read)

@@ -42,10 +42,10 @@ class TestDiffPresentations:
 class TestBuildSpec:
     def test_measures_consistent(self, doc):
         outcome = doc.default_presentation()
-        spec = build_spec(doc, "lee", outcome, computed_at=3.5)
+        spec = build_spec(doc, "lee", outcome)
         assert spec.doc_id == doc.doc_id
         assert spec.viewer_id == "lee"
-        assert spec.computed_at == 3.5
+        assert spec.computed_at == 0.0
         assert spec.total_bytes == doc.presentation_bytes(outcome)
         assert set(spec.visible) == set(doc.visible_components(outcome))
 

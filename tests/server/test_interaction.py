@@ -14,7 +14,7 @@ from repro.db import Database, MultimediaObjectStore
 from repro.document import build_sample_medical_record
 from repro.errors import PermissionError_, ProtocolError, RoomError, ServerError
 from repro.net import SimulatedNetwork, codec
-from repro.obs import DEFAULT_MAX_SERIES, MetricsRegistry, use_registry
+from repro.obs import MAX_SERIES, MetricsRegistry, use_registry
 from repro.obs.dtrace import DeliveryTracer, use_dtrace
 from repro.obs.metrics import OVERFLOW_LABEL
 from repro.server import InteractionServer, PermissionPolicy
@@ -293,7 +293,7 @@ class TestLabelledSeries:
         so a server that had *ever* opened 32 rooms could no longer say
         which room is hot. More cycles than the cap, on one server: no
         family keeps a child of a closed room or document, none overflows."""
-        cycles = DEFAULT_MAX_SERIES + 6
+        cycles = MAX_SERIES + 6
         registry = MetricsRegistry()
         db = Database(str(tmp_path / "cycles"))
         with use_registry(registry):

@@ -15,7 +15,7 @@ from repro.document import build_sample_medical_record
 from repro.net import Link, SimulatedNetwork
 from repro.obs import render_dashboard
 from repro.server import InteractionServer
-from repro.server.telemetry import TelemetryChannel
+from repro.server.telemetry import PUSH_INTERVAL_S, TelemetryChannel
 from repro.server.protocol import MessageKind
 
 MBPS = 1_000_000
@@ -75,7 +75,7 @@ class TestMonitorRegistration:
         monitor.connect()
         network.run()
         assert monitor.session_id is not None
-        assert monitor.interval == server.telemetry.interval
+        assert monitor.interval == PUSH_INTERVAL_S
         assert monitor.session_id in server.telemetry.monitors
         assert server.stats()["monitors"] == 1
         db.close()
@@ -108,9 +108,9 @@ class TestMonitorRegistration:
         assert sent == [
             ("ops-node", MessageKind.MONITOR_ACK, {"session_id": session_id, "interval": 0.0})
         ]
-        assert channel.push(True) == 1
+        assert channel.push() == 1
         assert channel.answer("ops-node", MessageKind.LEAVE, {"session_id": session_id})
-        assert channel.push(True) == 0
+        assert channel.push() == 0
         # A LEAVE naming no monitor session, and any other kind, are the host's.
         assert not channel.answer("ops-node", MessageKind.LEAVE, {"session_id": session_id})
         assert not channel.answer("ops-node", MessageKind.CHOICE, {"session_id": session_id})

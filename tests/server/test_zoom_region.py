@@ -75,6 +75,15 @@ class TestOverNetwork:
         network.attach_client(client)
         client.join("record-17")
         network.run()
+        payloads = []
+        receive = client.receive
+
+        def tap(message):
+            if message.kind == MessageKind.PAYLOAD:
+                payloads.append(message.payload)
+            receive(message)
+
+        client.receive = tap
         body = {
             "session_id": client.session_id,
             "media_ref": handle.media_ref,
@@ -85,7 +94,7 @@ class TestOverNetwork:
             client.node_id, "server", encode_message(MessageKind.FETCH_PAYLOAD, body)
         )
         network.run()
-        # The region payload is observed by the client (raw media payloads
-        # are consumed by media tooling; the message must arrive intact).
-        assert network.stats.messages_by_kind[MessageKind.PAYLOAD] >= 1
+        # The region payload reaches the client (raw media payloads are
+        # consumed by media tooling; the message must arrive intact).
+        assert [p["media_ref"] for p in payloads] == [handle.media_ref]
         db.close()

@@ -32,7 +32,7 @@ from repro.cluster.shard import ShardServer
 from repro.cluster.wire import ClientBound, ShardBound
 from repro.db import Database, MultimediaObjectStore
 from repro.net.codec import Frame, encode_message
-from repro.net.message import Message, next_message_id
+from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.server.protocol import MessageKind
@@ -47,18 +47,18 @@ LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
     "cluster": 2602,
-    "cpnet": 1921,
-    "db": 1892,
-    "document": 1144,
+    "cpnet": 1906,
+    "db": 1891,
+    "document": 1137,
     "interest": 319,
     "media": 3039,
-    "net": 2089,
-    "obs": 1619,
-    "prefetch": 167,
-    "presentation": 941,
+    "net": 2065,
+    "obs": 1553,
+    "prefetch": 169,
+    "presentation": 937,
     "retrieval": 769,
-    "server": 1727,
-    "util": 300,
+    "server": 1722,
+    "util": 299,
     "workloads": 1274,
 }
 
@@ -403,7 +403,7 @@ def test_a_gateway_queues_what_it_routes_not_its_transmission(tmp_path):
 #: which the only ones into ``repro/obs/`` are its two transmissions'
 #: ``net.queue_delay_s`` observes.
 ROUTED_COPY_OBJECTS = 5
-ROUTED_COPY_BYTES = 569
+ROUTED_COPY_BYTES = 533
 ROUTED_COPY_CALLS = 31
 ROUTED_COPY_OBS_CALLS = {"observe": 2}
 
@@ -431,7 +431,9 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     scheduled as ``partial(_deliver, message)`` held the partial, its
     args tuple and a bound method made per frame: 7 objects in 761 B,
     where one ``MethodType`` over the once-bound ``_deliver`` leaves 5
-    in 569 B at the same calls. Before a routed copy became a header
+    in 569 B at the same calls; dropping the message's id (a tuple slot
+    and, past the cached small ints, an int of its own) left 533 B.
+    Before a routed copy became a header
     plus its frame, one cost 55 calls and also held 7 objects: a wrapper
     dict where the record is now, with its header dict already freed.
     Reading ``net.messages`` and ``net.bytes_total`` off the network's
@@ -439,10 +441,6 @@ def test_a_routed_copy_is_a_header_plus_its_frame(tmp_path):
     counting the codec, the links and the gateway on their own integers
     took its ten counter increments and two registry lookups, 45 to 31."""
     n = 16
-    # Message ids past the interpreter's cached small ints, as in any run
-    # after its first 256 transmissions, whichever tests ran before.
-    while next_message_id() < 256:
-        pass
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         db = Database(str(tmp_path / "fanout"))
         try:

@@ -1,6 +1,8 @@
 """Every option in the runtime packages has a setter outside tests.
 
-An *option* is, in ``src/repro/{net,server,client,cluster,chaos,workloads}``,
+An *option* is, in every package under ``src/repro`` except
+:data:`UNAUDITED` (the §3 signal-processing and §1 retrieval libraries,
+whose defaults are their algorithms' own parameters),
 
 - a parameter with a default on a public function, method or
   constructor (``__init__`` of a public class), or
@@ -8,8 +10,9 @@ An *option* is, in ``src/repro/{net,server,client,cluster,chaos,workloads}``,
 
 It is *set* where a call in ``src/repro`` or ``benchmarks/`` passes it:
 the call's bare callee name matches (the class name for a constructor,
-reached as ``Class(...)``, ``cls(...)`` or a subclass's
-``super().__init__(...)``) and the value comes by
+reached as ``Class(...)``, ``cls(...)``, a subclass's
+``super().__init__(...)``, or a subclass that inherits the constructor:
+a dataclass's, or one that defines no ``__init__``) and the value comes by
 keyword or by position. ``**NAME``, where ``NAME`` is a module-level
 dict literal or ``dict(...)`` call, passes that dict's keys; any other
 ``*`` or ``**`` passes everything, so the audit is a floor. A handler
@@ -36,16 +39,39 @@ from tests.source_index import parse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-PACKAGES = ("net", "server", "client", "cluster", "chaos", "workloads")
+UNAUDITED = ("media", "retrieval")
 
 #: ``module.Qualname(option)`` -> why it stays with no setter outside tests.
 ALLOWLIST: dict[str, str] = {
     # Deployment settings: node ids.
     "repro.cluster.harness.ClusterHarness.add_monitor(viewer_id)": "deployment setting: "
     "the monitor's node id (examples/cluster_tour.py, tests/cluster/test_gateway_routing.py)",
+    "repro.document.medical.build_sample_medical_record(doc_id)": "deployment setting: the "
+    "record's id, so one store holds several (examples/medical_consultation.py, "
+    "tests/client/test_display_pins.py, tests/integration/test_end_to_end.py)",
+    "repro.document.medical.build_sample_medical_record(patient)": "deployment setting: whose "
+    "record it is (examples/medical_consultation.py, tests/document/test_medical_record.py)",
+    # Deployment settings: the operator's panel, as the tours print it.
+    "repro.obs.dashboard.render_dashboard(events)": "deployment setting: the flight-recorder "
+    "events on the panel (examples/observability_tour.py's golden, tests/obs/test_dashboard.py)",
+    "repro.obs.dashboard.render_dashboard(title)": "deployment setting: the panel's title "
+    "(examples/observability_tour.py's golden, examples/cpnet_compile_tour.py, "
+    "tests/obs/test_dashboard.py)",
+    "repro.obs.dashboard.render_dashboard(include)": "deployment setting: the series a panel "
+    "shows (examples/interest_tour.py's golden, examples/cpnet_compile_tour.py, "
+    "tests/obs/test_dashboard.py)",
+    "repro.obs.dashboard.render_dashboard(exclude)": "deployment setting: wall-clock series kept "
+    "off a deterministic panel (examples/observability_tour.py's golden, "
+    "tests/server/test_monitor.py)",
+    "repro.obs.dashboard.render_dashboard(max_events)": "deployment setting: how many events "
+    "a panel shows (examples/observability_tour.py's golden, examples/cpnet_compile_tour.py, "
+    "tests/obs/test_dashboard.py)",
     # Safety bounds.
     "repro.net.codec.StringInterner(max_entries)": "safety bound on a connection's "
     "dynamic string table, held at its edge by tests/net/test_codec.py",
+    "repro.db.engine.Database(checkpoint_journal_bytes)": "safety bound on crash-replay time: "
+    "the journal size past which a commit checkpoints, small in tests/db/test_maintenance.py "
+    "and off in tests/db/test_journal.py",
     # Test seams and oracles.
     "repro.chaos.plan.FaultPlan(kinds)": "test seam: faults aimed at one message kind in "
     "tests/chaos/test_plan.py, tests/client/test_degradation.py, "
@@ -60,6 +86,19 @@ ALLOWLIST: dict[str, str] = {
     "tests/integration/test_telemetry_channel.py",
     "repro.net.codec.decode_envelope(inner_interner)": "codec oracle: an interned inner "
     "frame decodes with its own table in tests/net/test_codec.py",
+    "repro.obs.events.EventLog(clock)": "test seam: events stamped on a simulated clock, so a "
+    "recording repeats to the byte (examples/observability_tour.py's golden, "
+    "tests/obs/test_events.py, tests/server/test_monitor.py)",
+    "repro.util.failpoints.Failpoints.arm(after)": "test seam: DESIGN §8 crash injection on a "
+    "later hit, in tests/chaos/test_failpoints.py",
+    "repro.util.failpoints.Failpoints.arm(count)": "test seam: DESIGN §8 crash injection on "
+    "several hits, in tests/chaos/test_failpoints.py",
+    "repro.util.failpoints.Failpoints.arm(match)": "test seam: DESIGN §8 crash injection at one "
+    "shard or journal op, in tests/cluster/test_chaos_crashpoints.py, tests/db/test_journal.py",
+    "repro.cpnet.elicitation.CPNetBuilder.build(validate)": "test seam: a net whose CPTs are "
+    "not yet complete, in tests/cpnet/test_elicitation.py",
+    "repro.prefetch.predictor.CPNetPredictor.candidates(max_candidates)": "test seam: the top "
+    "of the ranking that tests/prefetch/test_predictor.py inspects",
     # The paper's sections and experiments.
     "repro.server.interaction.InteractionServer(use_profiles)": "§4: long-term learning "
     "of viewer preferences, set by tests/presentation/test_profile.py",
@@ -69,9 +108,33 @@ ALLOWLIST: dict[str, str] = {
     "event trigger that fires once, set by tests/server/test_triggers.py",
     "repro.workloads.prefetch.run_prefetch_session(plan)": "E7: §4.4 prefetching over a "
     "lossy link, set by tests/prefetch/test_lossy.py",
+    "repro.prefetch.predictor.CPNetPredictor(rank_decay)": "§4.4 / reference [12]: weight "
+    "between consecutive ranks of an author order, bounded by tests/prefetch/test_predictor.py",
+    "repro.prefetch.predictor.CPNetPredictor(consequence_discount)": "§4.4 / reference [12]: "
+    "weight of a payload a hypothetical choice drags in, bounded by "
+    "tests/prefetch/test_predictor.py",
+    "repro.document.document.MultimediaDocument.add_component(network_parents)": "§4.2 update "
+    "kind 1: a component added under CP-net parents, set by tests/document/test_document.py",
+    "repro.document.document.MultimediaDocument.add_component(preferred_order)": "§4.2 update "
+    "kind 1: the author's order for an added component, set by tests/document/test_document.py",
+    "repro.document.presentation.MMPresentation(media_ref)": "Fig. 6: the database reference of "
+    "a presentation's payload, set by tests/document/test_serialize.py",
+    "repro.document.presentation.MMPresentation(metadata)": "Fig. 6: a presentation's renderer "
+    "hints, set by tests/document/test_presentation.py, tests/document/test_serialize.py",
+    "repro.db.orm.MultimediaObjectStore.store_image(texts)": "Fig. 7: an image's text elements "
+    "(FLD_TEXTS), set by tests/db/test_orm.py, tests/integration/test_media_pipeline.py",
+    "repro.db.orm.MultimediaObjectStore.store_image(compression_matrix)": "Fig. 7: an image's "
+    "compression matrix (FLD_CM), set by tests/db/test_orm.py",
+    "repro.db.orm.MultimediaObjectStore.store_audio(filename)": "Fig. 7: an audio object's file "
+    "name (FLD_FILENAME), set by examples/audio_browsing.py, tests/db/test_orm.py",
+    "repro.db.orm.MultimediaObjectStore.store_audio(sectors)": "§3 / Fig. 7: an audio object's "
+    "browsable sectors (FLD_SECTORS), set by examples/audio_browsing.py, tests/db/test_orm.py, "
+    "tests/integration/test_media_pipeline.py",
+    "repro.db.orm.MultimediaObjectStore.store_compressed(filename)": "Fig. 7: a codec stream's "
+    "file name (FLD_FILENAME), set by examples/multiresolution_imaging.py, tests/db/test_orm.py",
 }
 
-ALLOWLIST_SIZE = 10
+ALLOWLIST_SIZE = 35
 
 #: Everything a ``*`` or ``**`` we cannot see into might pass.
 EVERYTHING = "*"
@@ -143,22 +206,36 @@ def _bound(function: ast.FunctionDef) -> bool:
 def options(module: str, tree: ast.Module) -> dict[str, Option]:
     """The options *tree* defines, as ``module.Qualname(option)``."""
     found: dict[str, Option] = {}
+    #: A dataclass's ``__init__`` fields in order, base classes' first;
+    #: ``None`` where a base is not a dataclass of this module.
+    layouts: dict[str, list[str] | None] = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            layout: list[str] | None = []
+            for base in node.bases:
+                inherited = layouts.get(getattr(base, "id", ""))
+                layout = None if inherited is None or layout is None else layout + inherited
+            fields = [
+                s for s in node.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                and _is_init_field(s)
+            ]
+            own = [s.target.id for s in fields]
+            if layout is not None:
+                layout += [name for name in own if name not in layout]
+            layouts[node.name] = layout
+            if node.name.startswith("_"):
+                continue
+            for statement in fields:
+                if _has_default(statement):
+                    name = statement.target.id
+                    index = None if layout is None else layout.index(name)
+                    found[f"{module}.{node.name}({name})"] = Option(node.name, name, index)
         if getattr(node, "name", "_").startswith("_"):
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found.update(_parameters(node, node.name, f"{module}.{node.name}", False))
         elif isinstance(node, ast.ClassDef):
-            if _is_dataclass(node):
-                fields = [
-                    s for s in node.body
-                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                    and _is_init_field(s)
-                ]
-                for index, statement in enumerate(fields):
-                    if _has_default(statement):
-                        name = statement.target.id
-                        found[f"{module}.{node.name}({name})"] = Option(node.name, name, index)
             for member in node.body:
                 if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
@@ -248,6 +325,34 @@ def passes(tree: ast.Module, dicts: Mapping[str, set[str]]) -> Iterator[tuple[st
                 yield callee, EVERYTHING
 
 
+def heirs(trees: list[ast.Module]) -> dict[str, set[str]]:
+    """Class name -> every subclass whose call reaches its constructor:
+    a dataclass, or a class defining no ``__init__``, and their heirs."""
+    direct: dict[str, set[str]] = defaultdict(set)
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defines = any(
+                isinstance(m, ast.FunctionDef) and m.name == "__init__" for m in node.body
+            )
+            if defines and not _is_dataclass(node):
+                continue
+            for base in node.bases:
+                name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+                direct[name].add(node.name)
+    found: dict[str, set[str]] = {}
+    for name in direct:
+        seen, stack = set(), [name]
+        while stack:
+            for heir in direct.get(stack.pop(), ()):
+                if heir not in seen:
+                    seen.add(heir)
+                    stack.append(heir)
+        found[name] = seen
+    return found
+
+
 def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
     """The options defined in *sources* that no call in *setters* passes.
 
@@ -262,19 +367,32 @@ def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
     for tree in trees:
         for callee, what in passes(tree, dicts):
             passed[callee].add(what)
+    audited = {module: parse(text) for module, text in sources.items()}
+    subclasses = heirs([*audited.values(), *trees])
     return sorted(
         qualified
-        for module, text in sources.items()
-        for qualified, option in options(module, parse(text)).items()
-        if not {EVERYTHING, option.keyword, option.position} & passed[option.callee]
+        for module, tree in audited.items()
+        for qualified, option in options(module, tree).items()
+        if not any(
+            {EVERYTHING, option.keyword, option.position} & passed[callee]
+            for callee in (option.callee, *subclasses.get(option.callee, ()))
+        )
     )
 
 
-def audited_sources() -> dict[str, str]:
+def audited_packages(src: Path = SRC) -> list[str]:
+    """Every package under *src* but :data:`UNAUDITED`."""
+    return sorted(
+        path.name for path in src.iterdir()
+        if (path / "__init__.py").is_file() and path.name not in UNAUDITED
+    )
+
+
+def audited_sources(src: Path = SRC) -> dict[str, str]:
     sources = {}
-    for package in PACKAGES:
-        for path in sorted((SRC / package).rglob("*.py")):
-            module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+    for package in audited_packages(src):
+        for path in sorted((src / package).rglob("*.py")):
+            module = ".".join(path.relative_to(src.parent).with_suffix("").parts)
             sources[module] = path.read_text()
     return sources
 
@@ -387,3 +505,37 @@ def test_a_caller_that_is_only_a_test_does_not_set(tmp_path):
     (tmp_path / "benchmarks").mkdir()
     (tmp_path / "benchmarks" / "bench.py").write_text(call)
     assert "pkg.mod.run(seed)" not in unset({"pkg.mod": AUDITED}, setter_sources(tmp_path))
+
+
+def test_a_new_package_is_audited_by_default(tmp_path):
+    src = tmp_path / "repro"
+    for package in ("net", "media", "newcomer"):
+        (src / package).mkdir(parents=True)
+        (src / package / "__init__.py").write_text("")
+        (src / package / "mod.py").write_text(AUDITED)
+    (src / "notes").mkdir()  # not a package
+    assert audited_packages(src) == ["net", "newcomer"]
+    assert "repro.newcomer.mod.run(seed)" in unset(audited_sources(src), {})
+    assert not any(".media." in name for name in unset(audited_sources(src), {}))
+
+
+def test_a_subclass_that_inherits_the_constructor_sets_its_base():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Shape:\n"
+        "    label: str\n"
+        "    size: int = 0\n"
+        "@dataclass\n"
+        "class Square(Shape):\n"
+        "    side: int = 1\n"
+        "class Own(Shape):\n"
+        "    def __init__(self, label):\n"
+        "        pass\n"
+    )
+    assert unset({"pkg.mod": source}, {"a.py": "Own('x', 3)\n"}) == [
+        "pkg.mod.Shape(size)", "pkg.mod.Square(side)",
+    ]
+    assert unset({"pkg.mod": source}, {"a.py": "Square('x', size=3)\n"}) == [
+        "pkg.mod.Square(side)",
+    ]
