@@ -90,7 +90,7 @@ def main() -> None:
         annotated.add_text("lesion, 9mm", 96, 140)
         annotated.add_line(96, 140, 120, 128)
         gridded, grid = overlay_grid(ct_image, rows=4, cols=4)
-        regions = label_regions(ct_image, levels=5)
+        regions = label_regions(ct_image)
         print(f"\nImage ops: zoomed to {zoomed.shape}, "
               f"{len(annotated.elements)} annotation elements, "
               f"{grid.rows}x{grid.cols} grid, "

@@ -36,7 +36,7 @@ DEADLINE_S = 2.0
 def main() -> None:
     image = ct_phantom(256, seed=11)
     raw_bytes = len(image.to_bytes())
-    codec = MultiLayerCodec(wavelet_levels=3, dct_block=8, base_step=64.0)
+    codec = MultiLayerCodec(base_step=64.0)
     encoded = codec.encode(image, num_layers=4)
     print(f"CT phantom {image.shape}: raw {raw_bytes / 1024:.0f} KB")
     print("\nMulti-layer stream (wavelet approximation + local-cosine residuals):")

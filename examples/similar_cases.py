@@ -96,7 +96,7 @@ def main() -> None:
             fuzzy_and(
                 about("age", 60, 12),
                 at_least("lesion_mm", 8.0, 4.0),
-                fuzzy_or(equals("ward", "icu"), equals("ward", "ward", 0.5, 0.5)),
+                fuzzy_or(equals("ward", "icu"), lambda row: 0.5),  # any other ward: half
             )
         )
         for scored in query.top_k(rows, k=3):

@@ -4,7 +4,7 @@ Simulcast semantics: the server encodes each payload's layers once and
 hands every subscriber the longest layer prefix their §4.4
 ``tuning.bandwidth`` level admits. The byte plan mirrors the real
 :class:`~repro.media.image.codec.MultiLayerCodec` geometry (3 layers,
-``step_decay=4``): each residual layer carries ~4x the bytes of the one
+``codec.STEP_DECAY`` = 4): each residual layer carries ~4x the bytes of the one
 before it, so the cumulative layer weights are 1 : 5 : 21. A one-layer
 prefix is the coarse wavelet approximation (~5% of the stream), two
 layers add the first residual (~24%), all three are the full stream.
@@ -25,7 +25,7 @@ from repro.presentation.tuning import (
 #: Layer count of the wire plan (matches MultiLayerCodec's default).
 NUM_LAYERS = 3
 
-#: Per-layer byte weights under step_decay=4 quantization.
+#: Per-layer byte weights under codec.STEP_DECAY = 4 quantization.
 _LAYER_WEIGHTS = (1, 4, 16)
 _TOTAL_WEIGHT = sum(_LAYER_WEIGHTS)
 

@@ -17,6 +17,9 @@ from repro.errors import AudioError
 from repro.media.audio.signal import AudioSignal
 from repro.media.audio.wordspot import SpotResult, WordSpotter
 
+#: The Sakoe-Chiba corridor, in frames, a spotter's comparisons warp within.
+BAND = 20
+
 
 def dtw_distance(
     first: np.ndarray,
@@ -70,16 +73,13 @@ class DTWWordSpotter:
     """Keyword spotting by nearest-template DTW.
 
     Decision rule: a clip is flagged with keyword *w* when its distance
-    to the nearest *w*-template undercuts both the nearest garbage
-    template and the acceptance *margin*.
+    to the nearest *w*-template undercuts the nearest garbage template's.
     """
 
-    def __init__(self, keywords: tuple[str, ...], margin: float = 0.0, band: int = 20) -> None:
+    def __init__(self, keywords: tuple[str, ...]) -> None:
         if not keywords:
             raise AudioError("need at least one keyword")
         self.keywords = tuple(keywords)
-        self.margin = margin
-        self.band = band
         self._templates: list[_Template] = []
         self._garbage: list[_Template] = []
 
@@ -121,15 +121,15 @@ class DTWWordSpotter:
         best_word: str | None = None
         best_distance = np.inf
         for template in self._templates:
-            distance = dtw_distance(features, template.features, band=self.band)
+            distance = dtw_distance(features, template.features, band=BAND)
             if distance < best_distance:
                 best_distance = distance
                 best_word = template.word
         garbage_distance = min(
-            dtw_distance(features, template.features, band=self.band)
+            dtw_distance(features, template.features, band=BAND)
             for template in self._garbage
         )
         score = garbage_distance - best_distance  # positive = keyword-like
-        if score <= self.margin:
+        if score <= 0.0:
             return SpotResult(keyword=None, score_margin=float(score))
         return SpotResult(keyword=best_word, score_margin=float(score))

@@ -14,14 +14,17 @@ from repro.media.audio.signal import AudioSignal
 
 FRAME_S = 0.025
 HOP_S = 0.010
+#: Cepstral coefficients kept, and the mel filters they summarize.
+NUM_COEFFS = 13
+NUM_FILTERS = 22
+#: The filterbank's lowest edge; its highest is the Nyquist frequency.
+LOW_HZ = 80.0
 
 
-def frame_signal(
-    signal: AudioSignal, frame_s: float = FRAME_S, hop_s: float = HOP_S
-) -> np.ndarray:
+def frame_signal(signal: AudioSignal) -> np.ndarray:
     """Slice into overlapping frames; returns (num_frames, frame_len)."""
-    frame_len = int(round(frame_s * signal.rate))
-    hop_len = int(round(hop_s * signal.rate))
+    frame_len = int(round(FRAME_S * signal.rate))
+    hop_len = int(round(HOP_S * signal.rate))
     if frame_len < 2 or hop_len < 1:
         raise AudioError(f"degenerate framing: frame={frame_len}, hop={hop_len} samples")
     if len(signal) < frame_len:
@@ -33,11 +36,9 @@ def frame_signal(
     return signal.samples[indices]
 
 
-def frame_times(
-    num_frames: int, hop_s: float = HOP_S, frame_s: float = FRAME_S
-) -> np.ndarray:
+def frame_times(num_frames: int) -> np.ndarray:
     """Center time (seconds) of each frame."""
-    return np.arange(num_frames) * hop_s + frame_s / 2
+    return np.arange(num_frames) * HOP_S + FRAME_S / 2
 
 
 def power_spectrum(frames: np.ndarray) -> np.ndarray:
@@ -55,14 +56,11 @@ def mel_to_hz(mel: np.ndarray | float) -> np.ndarray | float:
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    num_filters: int, fft_bins: int, rate: int, low_hz: float = 80.0, high_hz: float | None = None
-) -> np.ndarray:
-    """Triangular mel filters: (num_filters, fft_bins)."""
-    high_hz = high_hz if high_hz is not None else rate / 2
-    if not 0 <= low_hz < high_hz <= rate / 2:
-        raise AudioError(f"bad filterbank range [{low_hz}, {high_hz}] at rate {rate}")
-    mel_points = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), num_filters + 2)
+def mel_filterbank(num_filters: int, fft_bins: int, rate: int) -> np.ndarray:
+    """Triangular mel filters from :data:`LOW_HZ` to Nyquist: (num_filters, fft_bins)."""
+    if rate / 2 <= LOW_HZ:
+        raise AudioError(f"bad filterbank range [{LOW_HZ}, {rate / 2}] at rate {rate}")
+    mel_points = np.linspace(hz_to_mel(LOW_HZ), hz_to_mel(rate / 2), num_filters + 2)
     hz_points = np.asarray(mel_to_hz(mel_points))
     bin_freqs = np.linspace(0, rate / 2, fft_bins)
     bank = np.zeros((num_filters, fft_bins))
@@ -83,24 +81,18 @@ def _dct_matrix(rows: int, cols: int) -> np.ndarray:
 
 
 def mfcc(
-    signal: AudioSignal,
-    num_coeffs: int = 13,
-    num_filters: int = 22,
-    frame_s: float = FRAME_S,
-    hop_s: float = HOP_S,
-    include_energy: bool = True,
-    mean_normalize: bool = True,
+    signal: AudioSignal, include_energy: bool = True, mean_normalize: bool = True
 ) -> np.ndarray:
-    """MFCC features: (num_frames, num_coeffs [+1 energy]).
+    """MFCC features: (num_frames, NUM_COEFFS [+1 energy]).
 
     Cepstral mean normalization (default on) removes per-recording channel
     offsets, which matters for text-independent speaker models.
     """
-    frames = frame_signal(signal, frame_s=frame_s, hop_s=hop_s)
+    frames = frame_signal(signal)
     spectra = power_spectrum(frames)
-    bank = mel_filterbank(num_filters, spectra.shape[1], signal.rate)
+    bank = mel_filterbank(NUM_FILTERS, spectra.shape[1], signal.rate)
     mel_energies = np.log(spectra @ bank.T + 1e-10)
-    coeffs = mel_energies @ _dct_matrix(num_coeffs, num_filters).T
+    coeffs = mel_energies @ _dct_matrix(NUM_COEFFS, NUM_FILTERS).T
     if mean_normalize:
         coeffs = coeffs - coeffs.mean(axis=0, keepdims=True)
     if include_energy:

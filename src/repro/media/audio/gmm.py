@@ -12,6 +12,10 @@ import numpy as np
 from repro.errors import AudioError
 
 _MIN_VAR = 1e-4
+#: EM stops after this many rounds, or once the log likelihood moves by
+#: less than this fraction of itself.
+MAX_ITER = 40
+TOL = 1e-4
 
 
 def logsumexp(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -51,9 +55,7 @@ class DiagonalGMM:
     def is_fitted(self) -> bool:
         return self.means is not None
 
-    def fit(
-        self, data: np.ndarray, max_iter: int = 40, tol: float = 1e-4
-    ) -> "DiagonalGMM":
+    def fit(self, data: np.ndarray) -> "DiagonalGMM":
         """EM training; initialization by distance-spread seeding."""
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or len(data) < self.num_components:
@@ -65,7 +67,7 @@ class DiagonalGMM:
         self.variances = np.tile(np.var(data, axis=0) + _MIN_VAR, (self.num_components, 1))
         self.weights = np.full(self.num_components, 1.0 / self.num_components)
         previous = -np.inf
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             # E step.
             log_joint = _log_gaussian(data, self.means, self.variances) + np.log(
                 self.weights[None, :]
@@ -79,7 +81,7 @@ class DiagonalGMM:
             squared = responsibilities.T @ (data * data) / counts[:, None]
             self.variances = np.maximum(squared - self.means**2, _MIN_VAR)
             total = float(np.sum(log_norm))
-            if abs(total - previous) < tol * max(1.0, abs(previous)):
+            if abs(total - previous) < TOL * max(1.0, abs(previous)):
                 break
             previous = total
         return self

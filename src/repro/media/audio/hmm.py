@@ -4,8 +4,8 @@
 the Continuous Density Hidden Markov Model (CD-HMM). ... It was used both
 for training and for matching purposes."
 
-States carry diagonal-Gaussian *mixture* emissions (``num_mixtures=1``
-gives the plain Gaussian case); training is Baum-Welch over multiple
+States carry diagonal-Gaussian *mixture* emissions (:data:`NUM_MIXTURES`
+= 1 is the plain Gaussian case); training is Baum-Welch over multiple
 observation sequences in log space with per-state-per-mixture posteriors;
 matching uses the forward algorithm (total likelihood) and Viterbi (best
 path). Topology is either ``left_to_right`` (word models: phone-like
@@ -21,6 +21,12 @@ from repro.media.audio.gmm import logsumexp
 
 _MIN_VAR = 1e-4
 _LOG_ZERO = -1e30
+#: Gaussians per state, read when a model is built.
+NUM_MIXTURES = 1
+#: Baum-Welch stops after this many rounds, or once the log likelihood
+#: moves by less than this fraction of itself.
+MAX_ITER = 15
+TOL = 1e-4
 
 
 class CDHMM:
@@ -32,29 +38,18 @@ class CDHMM:
         Number of hidden states.
     topology:
         ``left_to_right`` (word models) or ``ergodic`` (garbage models).
-    num_mixtures:
-        Gaussians per state (1 = single-Gaussian emissions).
-    seed:
-        Reserved for deterministic initialization variants.
+
+    Initialization is deterministic (segment-uniform).
     """
 
-    def __init__(
-        self,
-        num_states: int,
-        topology: str = "left_to_right",
-        num_mixtures: int = 1,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, num_states: int, topology: str = "left_to_right") -> None:
         if num_states < 1:
             raise AudioError(f"num_states must be >= 1, got {num_states}")
-        if num_mixtures < 1:
-            raise AudioError(f"num_mixtures must be >= 1, got {num_mixtures}")
         if topology not in ("left_to_right", "ergodic"):
             raise AudioError(f"unknown topology {topology!r}")
         self.num_states = num_states
-        self.num_mixtures = num_mixtures
+        self.num_mixtures = NUM_MIXTURES
         self.topology = topology
-        self.seed = seed
         self.log_start: np.ndarray | None = None
         self.log_trans: np.ndarray | None = None
         self.means: np.ndarray | None = None        # (states, mixtures, dim)
@@ -182,12 +177,7 @@ class CDHMM:
 
     # ----- training -----------------------------------------------------------------------
 
-    def fit(
-        self,
-        sequences: list[np.ndarray],
-        max_iter: int = 15,
-        tol: float = 1e-4,
-    ) -> "CDHMM":
+    def fit(self, sequences: list[np.ndarray]) -> "CDHMM":
         """Baum-Welch over multiple observation sequences."""
         sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
         if not sequences:
@@ -201,7 +191,7 @@ class CDHMM:
             )
         self._initialize(sequences)
         previous = -np.inf
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             start_acc = np.zeros(self.num_states)
             trans_acc = np.zeros((self.num_states, self.num_states))
             mix_acc = np.zeros((self.num_states, self.num_mixtures))
@@ -238,7 +228,7 @@ class CDHMM:
             self.variances = np.maximum(square_acc / safe - self.means**2, _MIN_VAR)
             state_totals = mix_acc.sum(axis=1, keepdims=True) + 1e-12
             self.log_mix = np.log(mix_acc / state_totals + 1e-12)
-            if abs(total - previous) < tol * max(1.0, abs(previous)):
+            if abs(total - previous) < TOL * max(1.0, abs(previous)):
                 break
             previous = total
         return self

@@ -20,6 +20,9 @@ from repro.media.audio.gmm import DiagonalGMM
 from repro.media.audio.signal import AudioSignal
 from repro.media.audio.synth import LANGUAGES, SpeakerProfile, synth_word
 
+#: Gaussians per language model.
+NUM_COMPONENTS = 8
+
 
 @dataclass(frozen=True)
 class LanguageDecision:
@@ -32,8 +35,7 @@ class LanguageDecision:
 class LanguageIdentifier:
     """One GMM per language over MFCC features."""
 
-    def __init__(self, num_components: int = 8, seed: int = 0) -> None:
-        self.num_components = num_components
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._models: dict[str, DiagonalGMM] = {}
 
@@ -49,9 +51,7 @@ class LanguageIdentifier:
             if not recordings:
                 raise AudioError(f"no samples for language {language!r}")
             features = np.vstack([self._features(r) for r in recordings])
-            self._models[language] = DiagonalGMM(
-                self.num_components, seed=self.seed
-            ).fit(features)
+            self._models[language] = DiagonalGMM(NUM_COMPONENTS, seed=self.seed).fit(features)
         return self
 
     @classmethod
@@ -60,7 +60,6 @@ class LanguageIdentifier:
         speakers: tuple[SpeakerProfile, ...],
         utterances_per_language: int = 12,
         seed: int = 0,
-        **kwargs,
     ) -> "LanguageIdentifier":
         """Train on synthesized multi-speaker samples of every built-in
         language (speaker-independence comes from mixing speakers)."""
@@ -76,7 +75,7 @@ class LanguageIdentifier:
                 )
                 for i in range(utterances_per_language)
             ]
-        return cls(seed=seed, **kwargs).train(samples)
+        return cls(seed=seed).train(samples)
 
     @staticmethod
     def _features(signal: AudioSignal) -> np.ndarray:

@@ -34,6 +34,19 @@ SPEECH = "speech"
 MUSIC = "music"
 NOISE = "noise"
 
+#: Loud frames lie within this many dB of the 95th-percentile frame energy.
+ENERGY_FLOOR_DB = 18.0
+#: Absolute log-energy floor: a silent recording stays silent.
+SILENCE_FLOOR = -15.0
+#: Spectral flatness above which a loud frame is noise.
+FLATNESS_NOISE = 0.02
+#: Energy modulation (std of log energy) over a window of frames (~150 ms)
+#: at or above which a loud, tonal frame is speech.
+MODULATION_SPEECH = 0.45
+MODULATION_WINDOW = 15
+#: Segments shorter than this are absorbed into their longer neighbour.
+MIN_SEGMENT_S = 0.10
+
 
 @dataclass(frozen=True)
 class AudioSegment:
@@ -59,38 +72,31 @@ def _rolling_std(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def classify_frames(
-    signal: AudioSignal,
-    energy_floor_db: float = 18.0,
-    flatness_noise: float = 0.02,
-    modulation_speech: float = 0.45,
-    modulation_window: int = 15,
-    silence_floor: float = -15.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_frames(signal: AudioSignal) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame labels and frame center times.
 
-    *energy_floor_db* is measured below the signal's 95th-percentile
+    :data:`ENERGY_FLOOR_DB` is measured below the signal's 95th-percentile
     frame energy, so levels adapt to the recording. Speech is flagged by
-    energy modulation above *modulation_speech* within a
-    *modulation_window*-frame (~150 ms) neighbourhood — the syllabic
+    energy modulation of at least :data:`MODULATION_SPEECH` within a
+    :data:`MODULATION_WINDOW`-frame neighbourhood — the syllabic
     rise-and-fall sustained music lacks.
     """
     frames = frame_signal(signal)
     spectra = power_spectrum(frames)
     energy = frame_energy(frames)
     flatness = spectral_flatness(spectra)
-    modulation = _rolling_std(energy, modulation_window)
-    loud = (energy > (np.percentile(energy, 95) - energy_floor_db / 4.34)) & (
-        energy > silence_floor  # absolute floor: a silent recording stays silent
+    modulation = _rolling_std(energy, MODULATION_WINDOW)
+    loud = (energy > (np.percentile(energy, 95) - ENERGY_FLOOR_DB / 4.34)) & (
+        energy > SILENCE_FLOOR
     )
     labels = np.empty(len(frames), dtype=object)
     labels[:] = SILENCE
     for index in range(len(frames)):
         if not loud[index]:
             continue
-        if flatness[index] > flatness_noise:
+        if flatness[index] > FLATNESS_NOISE:
             labels[index] = NOISE
-        elif modulation[index] >= modulation_speech:
+        elif modulation[index] >= MODULATION_SPEECH:
             labels[index] = SPEECH
         else:
             labels[index] = MUSIC
@@ -108,17 +114,13 @@ def _median_smooth(labels: np.ndarray, width: int) -> np.ndarray:
     return smoothed
 
 
-def segment_audio(
-    signal: AudioSignal,
-    min_segment_s: float = 0.10,
-    **classify_kwargs,
-) -> list[AudioSegment]:
+def segment_audio(signal: AudioSignal) -> list[AudioSegment]:
     """Segment a recording into labelled stretches.
 
     Runs of equal frame labels merge into segments; segments shorter than
-    *min_segment_s* are absorbed into their longer neighbour.
+    :data:`MIN_SEGMENT_S` are absorbed into their longer neighbour.
     """
-    labels, times = classify_frames(signal, **classify_kwargs)
+    labels, times = classify_frames(signal)
     segments: list[AudioSegment] = []
     start = 0
     for index in range(1, len(labels) + 1):
@@ -131,7 +133,7 @@ def segment_audio(
             )
             segments.append(AudioSegment(start_s, end_s, str(labels[start])))
             start = index
-    return _absorb_short(segments, min_segment_s)
+    return _absorb_short(segments, MIN_SEGMENT_S)
 
 
 def _absorb_short(segments: list[AudioSegment], min_s: float) -> list[AudioSegment]:
@@ -167,18 +169,14 @@ def _absorb_short(segments: list[AudioSegment], min_s: float) -> list[AudioSegme
     return merged_out
 
 
-def segment_accuracy(
-    segments: list[AudioSegment],
-    truth: list,
-    duration_s: float,
-    resolution_s: float = HOP_S,
-) -> float:
-    """Fraction of time the predicted label matches ground truth.
+def segment_accuracy(segments: list[AudioSegment], truth: list, duration_s: float) -> float:
+    """Fraction of time the predicted label matches ground truth, sampled
+    every frame hop.
 
     *truth* is a list of objects with ``start_s``, ``end_s``, ``label``
     (e.g. :class:`repro.media.audio.synth.GroundTruthSegment`).
     """
-    ticks = np.arange(0, duration_s, resolution_s)
+    ticks = np.arange(0, duration_s, HOP_S)
 
     def label_at(stamps: list, t: float) -> str:
         for item in stamps:

@@ -7,6 +7,9 @@ import numpy as np
 from repro.errors import AudioError
 
 DEFAULT_RATE = 8000
+#: The peak amplitude :meth:`AudioSignal.normalized` scales to (headroom
+#: under full scale for the 16-bit export).
+PEAK = 0.9
 
 
 class AudioSignal:
@@ -22,8 +25,8 @@ class AudioSignal:
         self.rate = int(rate)
 
     @classmethod
-    def silence(cls, duration_s: float, rate: int = DEFAULT_RATE) -> "AudioSignal":
-        return cls(np.zeros(max(1, int(round(duration_s * rate)))), rate)
+    def silence(cls, duration_s: float) -> "AudioSignal":
+        return cls(np.zeros(max(1, int(round(duration_s * DEFAULT_RATE)))))
 
     @property
     def duration_s(self) -> float:
@@ -46,11 +49,11 @@ class AudioSignal:
             raise AudioError(f"empty slice [{start_s}, {end_s}] of {self.duration_s}s signal")
         return AudioSignal(self.samples[start:end].copy(), self.rate)
 
-    def normalized(self, peak: float = 0.9) -> "AudioSignal":
+    def normalized(self) -> "AudioSignal":
         top = np.max(np.abs(self.samples))
         if top == 0:
             return AudioSignal(self.samples.copy(), self.rate)
-        return AudioSignal(self.samples * (peak / top), self.rate)
+        return AudioSignal(self.samples * (PEAK / top), self.rate)
 
     def to_bytes(self) -> bytes:
         """16-bit PCM with a tiny header (rate)."""

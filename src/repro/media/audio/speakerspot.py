@@ -22,6 +22,16 @@ from repro.media.audio.gmm import DiagonalGMM
 from repro.media.audio.signal import AudioSignal
 from repro.media.audio.synth import WORDS, SpeakerProfile, synth_word
 
+#: Gaussians per speaker model and in the background model.
+NUM_COMPONENTS = 8
+#: A stretch is a key speaker's when the best model beats the background
+#: by more than this mean per-frame log likelihood.
+THRESHOLD = -6.0
+#: Synthesized enrollment utterances per speaker in :meth:`SpeakerSpotter.enroll_default`.
+ENROLL_UTTERANCES = 14
+#: Seconds trimmed off each end of a segment before identifying it.
+EDGE_TRIM_S = 0.06
+
 
 @dataclass(frozen=True)
 class SpeakerDecision:
@@ -34,14 +44,7 @@ class SpeakerDecision:
 class SpeakerSpotter:
     """Per-speaker GMMs + pooled background model."""
 
-    def __init__(
-        self,
-        num_components: int = 8,
-        threshold: float = -6.0,
-        seed: int = 0,
-    ) -> None:
-        self.num_components = num_components
-        self.threshold = threshold
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._models: dict[str, DiagonalGMM] = {}
         self._background: DiagonalGMM | None = None
@@ -53,7 +56,7 @@ class SpeakerSpotter:
         if not recordings:
             raise AudioError(f"no enrollment recordings for {speaker_name!r}")
         features = np.vstack([self._features(r) for r in recordings])
-        model = DiagonalGMM(self.num_components, seed=self.seed)
+        model = DiagonalGMM(NUM_COMPONENTS, seed=self.seed)
         self._models[speaker_name] = model.fit(features)
 
     def finalize(self, background_recordings: list[AudioSignal] | None = None) -> None:
@@ -65,27 +68,23 @@ class SpeakerSpotter:
                 raise AudioError("enroll speakers before finalizing")
             pooled = [model.means for model in self._models.values()]
             features = np.vstack(pooled)
-            if len(features) < self.num_components:
+            if len(features) < NUM_COMPONENTS:
                 raise AudioError("not enough pooled data for the background model")
-        self._background = DiagonalGMM(self.num_components, seed=self.seed).fit(features)
+        self._background = DiagonalGMM(NUM_COMPONENTS, seed=self.seed).fit(features)
 
     @classmethod
     def enroll_default(
-        cls,
-        speakers: tuple[SpeakerProfile, ...],
-        utterances_per_speaker: int = 14,
-        seed: int = 0,
-        **kwargs,
+        cls, speakers: tuple[SpeakerProfile, ...], seed: int = 0
     ) -> "SpeakerSpotter":
         """Enroll synthesized speakers over a mixed-word corpus
         (text-independence: enrollment words need not match test words)."""
-        spotter = cls(seed=seed, **kwargs)
+        spotter = cls(seed=seed)
         words = sorted(WORDS)
         backgrounds: list[AudioSignal] = []
         for speaker in speakers:
             recordings = [
                 synth_word(words[i % len(words)], speaker, seed=seed + 13 * i)
-                for i in range(utterances_per_speaker)
+                for i in range(ENROLL_UTTERANCES)
             ]
             spotter.enroll(speaker.name, recordings)
             backgrounds.extend(recordings)
@@ -117,23 +116,23 @@ class SpeakerSpotter:
             if margin > best_margin:
                 best_margin = margin
                 best_name = name
-        if best_margin <= self.threshold:
+        if best_margin <= THRESHOLD:
             return SpeakerDecision(speaker=None, score_margin=float(best_margin))
         return SpeakerDecision(speaker=best_name, score_margin=float(best_margin))
 
     def identify_segments(
-        self, signal: AudioSignal, segments: list, edge_trim_s: float = 0.06
+        self, signal: AudioSignal, segments: list
     ) -> list[tuple[object, SpeakerDecision]]:
         """Per-speech-segment identification — Figure 10's colored regions
         ("two colored regions correspond to two voice segments of two
-        different speakers"). Segment edges are trimmed by *edge_trim_s*
+        different speakers"). Segment edges are trimmed by :data:`EDGE_TRIM_S`
         because boundary frames often bleed the neighbouring material."""
         results = []
         for segment in segments:
             if getattr(segment, "label", None) != "speech":
                 continue
-            start = segment.start_s + edge_trim_s
-            end = segment.end_s - edge_trim_s
+            start = segment.start_s + EDGE_TRIM_S
+            end = segment.end_s - EDGE_TRIM_S
             if end - start < 0.08:
                 start, end = segment.start_s, segment.end_s
             if end - start < 0.08:

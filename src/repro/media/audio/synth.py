@@ -81,6 +81,10 @@ class SpeakerProfile:
             raise AudioError(f"pitch must be > 0, got {self.pitch_hz}")
 
 
+#: Breath noise under a rendered word, and the level of background noise.
+WORD_NOISE = 0.01
+NOISE_LEVEL = 0.05
+
 #: A default cast of speakers (male / female / child vocal ranges).
 DEFAULT_SPEAKERS = (
     SpeakerProfile("dr-adams", pitch_hz=110.0, formant_scale=0.92, tilt=-0.25),
@@ -91,14 +95,10 @@ DEFAULT_SPEAKERS = (
 
 
 def synth_word(
-    word: str,
-    speaker: SpeakerProfile,
-    rate: int = DEFAULT_RATE,
-    seed: int = 0,
-    noise_level: float = 0.01,
-    language: str = "lingua-a",
+    word: str, speaker: SpeakerProfile, seed: int = 0, language: str = "lingua-a"
 ) -> AudioSignal:
-    """Render one word in one speaker's voice (and language)."""
+    """Render one word in one speaker's voice (and language), at
+    :data:`DEFAULT_RATE`."""
     vocabulary = LANGUAGES.get(language)
     if vocabulary is None:
         raise AudioError(f"unknown language {language!r}; know {sorted(LANGUAGES)}")
@@ -107,6 +107,7 @@ def synth_word(
         raise AudioError(
             f"unknown word {word!r} in {language}; know {sorted(vocabulary)}"
         )
+    rate = DEFAULT_RATE
     rng = np.random.default_rng(seed)
     pieces = []
     for phone in phones:
@@ -125,18 +126,16 @@ def synth_word(
             harmonic += 1
         envelope = np.hanning(samples) ** 0.5  # soft onset/offset
         signal *= envelope
-        signal += rng.normal(0.0, noise_level, samples)
+        signal += rng.normal(0.0, WORD_NOISE, samples)
         pieces.append(signal)
-    return AudioSignal(np.concatenate(pieces), rate).normalized()
+    return AudioSignal(np.concatenate(pieces)).normalized()
 
 
-def synth_music(
-    duration_s: float, rate: int = DEFAULT_RATE, seed: int = 0
-) -> AudioSignal:
+def synth_music(duration_s: float, seed: int = 0) -> AudioSignal:
     """Sustained harmonic chords (telephone hold music, say)."""
     rng = np.random.default_rng(seed)
-    samples = int(round(duration_s * rate))
-    t = np.arange(samples) / rate
+    samples = int(round(duration_s * DEFAULT_RATE))
+    t = np.arange(samples) / DEFAULT_RATE
     chord_roots = (220.0, 261.6, 196.0, 246.9)
     signal = np.zeros(samples)
     chord_len = max(1, samples // len(chord_roots))
@@ -147,19 +146,17 @@ def synth_music(
         for ratio in (1.0, 1.25, 1.5, 2.0):
             signal[start:end] += 0.5 * np.sin(2 * np.pi * root * ratio * segment_t)
     signal += rng.normal(0.0, 0.003, samples)
-    return AudioSignal(signal, rate).normalized()
+    return AudioSignal(signal).normalized()
 
 
-def synth_noise(
-    duration_s: float, rate: int = DEFAULT_RATE, seed: int = 0, level: float = 0.05
-) -> AudioSignal:
+def synth_noise(duration_s: float, seed: int = 0) -> AudioSignal:
     """Background noise (ventilation, line hiss)."""
     rng = np.random.default_rng(seed)
-    samples = int(round(duration_s * rate))
-    white = rng.normal(0.0, level, samples)
+    samples = int(round(duration_s * DEFAULT_RATE))
+    white = rng.normal(0.0, NOISE_LEVEL, samples)
     # Mild low-pass to make it room-like rather than white.
     kernel = np.ones(5) / 5.0
-    return AudioSignal(np.convolve(white, kernel, mode="same"), rate)
+    return AudioSignal(np.convolve(white, kernel, mode="same"))
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,7 @@ class GroundTruthSegment:
 class ConversationBuilder:
     """Compose a conversation signal and its ground-truth annotation."""
 
-    def __init__(self, rate: int = DEFAULT_RATE, seed: int = 0) -> None:
-        self.rate = rate
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._counter = 0
         self._pieces: list[AudioSignal] = []
@@ -200,27 +196,25 @@ class ConversationBuilder:
         self, speaker: SpeakerProfile, word: str, language: str = "lingua-a"
     ) -> "ConversationBuilder":
         self._append(
-            synth_word(
-                word, speaker, rate=self.rate, seed=self._next_seed(), language=language
-            ),
+            synth_word(word, speaker, seed=self._next_seed(), language=language),
             "speech", speaker.name, word,
         )
         return self
 
     def pause(self, duration_s: float = 0.3) -> "ConversationBuilder":
-        self._append(AudioSignal.silence(duration_s, self.rate), "silence", None, None)
+        self._append(AudioSignal.silence(duration_s), "silence", None, None)
         return self
 
     def music(self, duration_s: float = 1.0) -> "ConversationBuilder":
         self._append(
-            synth_music(duration_s, rate=self.rate, seed=self._next_seed()),
+            synth_music(duration_s, seed=self._next_seed()),
             "music", None, None,
         )
         return self
 
     def noise(self, duration_s: float = 0.5) -> "ConversationBuilder":
         self._append(
-            synth_noise(duration_s, rate=self.rate, seed=self._next_seed()),
+            synth_noise(duration_s, seed=self._next_seed()),
             "noise", None, None,
         )
         return self

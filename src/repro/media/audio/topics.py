@@ -13,10 +13,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.errors import AudioError
-
-#: Keyword -> the topics it signals (weights express specificity).
-DEFAULT_TOPIC_MAP: dict[str, dict[str, float]] = {
+#: Keyword -> the topics it signals (positive weights express specificity).
+TOPIC_MAP: dict[str, dict[str, float]] = {
     "lesion": {"imaging-findings": 1.0},
     "normal": {"imaging-findings": 0.6, "routine-review": 0.8},
     "biopsy": {"intervention-planning": 1.0},
@@ -35,10 +33,7 @@ class TopicScore:
     supporting_keywords: tuple[str, ...]
 
 
-def rank_subjects(
-    spotted: list,
-    topic_map: dict[str, dict[str, float]] | None = None,
-) -> list[TopicScore]:
+def rank_subjects(spotted: list) -> list[TopicScore]:
     """Rank conversation subjects from spotting results.
 
     *spotted* is any list of objects with ``keyword`` and ``score_margin``
@@ -46,13 +41,6 @@ def rank_subjects(
     or :class:`StreamFlag` instances. Keywords absent from the topic map
     are ignored (they flag vocabulary, not subject).
     """
-    topic_map = topic_map if topic_map is not None else DEFAULT_TOPIC_MAP
-    for keyword, topics in topic_map.items():
-        for weight in topics.values():
-            if weight <= 0:
-                raise AudioError(
-                    f"topic weight for {keyword!r} must be > 0, got {weight}"
-                )
     scores: dict[str, float] = defaultdict(float)
     support: dict[str, set[str]] = defaultdict(set)
     for item in spotted:
@@ -60,7 +48,7 @@ def rank_subjects(
         if keyword is None:
             continue
         margin = max(float(getattr(item, "score_margin", 0.0)), 0.0)
-        for topic, weight in topic_map.get(keyword, {}).items():
+        for topic, weight in TOPIC_MAP.get(keyword, {}).items():
             scores[topic] += weight * (1.0 + margin)
             support[topic].add(keyword)
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -74,9 +62,7 @@ def rank_subjects(
     ]
 
 
-def subject_of(
-    spotted: list, topic_map: dict[str, dict[str, float]] | None = None
-) -> str:
+def subject_of(spotted: list) -> str:
     """The single best subject, or :data:`UNKNOWN_SUBJECT`."""
-    ranked = rank_subjects(spotted, topic_map)
+    ranked = rank_subjects(spotted)
     return ranked[0].topic if ranked else UNKNOWN_SUBJECT

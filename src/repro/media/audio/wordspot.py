@@ -10,7 +10,7 @@ trained in advance."
 One left-to-right CD-HMM per keyword, trained on multi-speaker examples;
 one ergodic CD-HMM garbage model trained on everything else. A speech
 stretch flags keyword *w* when the length-normalized likelihood-ratio
-``score_w - score_garbage`` exceeds the decision threshold.
+``score_w - score_garbage`` is positive.
 """
 
 from __future__ import annotations
@@ -21,10 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AudioError
-from repro.media.audio.features import mfcc
+from repro.media.audio.features import frame_energy, frame_signal, mfcc
 from repro.media.audio.hmm import CDHMM
 from repro.media.audio.signal import AudioSignal
 from repro.media.audio.synth import FILLERS, SpeakerProfile, synth_word
+
+#: HMM states of a keyword model and of the garbage model.
+STATES_PER_WORD = 4
+GARBAGE_STATES = 6
+#: Synthesized examples per keyword and speaker in :meth:`WordSpotter.train_default`.
+EXAMPLES_PER_WORD = 3
+#: :meth:`WordSpotter.spot_stream`'s window (about one word) and its hop, in seconds.
+STREAM_WINDOW_S = 0.45
+STREAM_HOP_S = 0.10
+#: The margin a window must beat to raise a stream flag.
+STREAM_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -48,24 +59,14 @@ class StreamFlag:
 class WordSpotter:
     """Keyword models + garbage model over MFCC features."""
 
-    def __init__(
-        self,
-        keywords: tuple[str, ...],
-        states_per_word: int = 4,
-        garbage_states: int = 6,
-        threshold: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, keywords: tuple[str, ...]) -> None:
         if not keywords:
             raise AudioError("need at least one keyword")
         self.keywords = tuple(keywords)
-        self.threshold = threshold
-        self.seed = seed
         self._word_models: dict[str, CDHMM] = {
-            word: CDHMM(states_per_word, topology="left_to_right", seed=seed)
-            for word in keywords
+            word: CDHMM(STATES_PER_WORD, topology="left_to_right") for word in keywords
         }
-        self._garbage = CDHMM(garbage_states, topology="ergodic", seed=seed)
+        self._garbage = CDHMM(GARBAGE_STATES, topology="ergodic")
         self._fitted = False
 
     # ----- training ----------------------------------------------------------------
@@ -92,24 +93,22 @@ class WordSpotter:
         cls,
         keywords: tuple[str, ...],
         speakers: tuple[SpeakerProfile, ...],
-        examples_per_word: int = 3,
         seed: int = 0,
-        **kwargs,
     ) -> "WordSpotter":
         """Train on synthesized multi-speaker examples (the a-priori-known
         keyword list the paper assumes)."""
-        spotter = cls(keywords, seed=seed, **kwargs)
+        spotter = cls(keywords)
         examples = {
             word: [
                 synth_word(word, speaker, seed=seed + 31 * index + zlib.crc32(word.encode()) % 97)
-                for index in range(examples_per_word)
+                for index in range(EXAMPLES_PER_WORD)
                 for speaker in speakers
             ]
             for word in keywords
         }
         garbage = [
             synth_word(filler, speaker, seed=seed + 7 * index)
-            for index in range(examples_per_word)
+            for index in range(EXAMPLES_PER_WORD)
             for speaker in speakers
             for filler in FILLERS
         ]
@@ -145,7 +144,7 @@ class WordSpotter:
             if margin > best_margin:
                 best_margin = margin
                 best_word = word
-        if best_margin <= self.threshold:
+        if best_margin <= 0.0:
             return SpotResult(keyword=None, score_margin=float(best_margin))
         return SpotResult(keyword=best_word, score_margin=float(best_margin))
 
@@ -167,13 +166,7 @@ class WordSpotter:
             results.append((segment, self.spot(clip)))
         return results
 
-    def spot_stream(
-        self,
-        signal: AudioSignal,
-        window_s: float = 0.45,
-        hop_s: float = 0.10,
-        stream_threshold: float = 3.0,
-    ) -> list[StreamFlag]:
+    def spot_stream(self, signal: AudioSignal) -> list[StreamFlag]:
         """Raise flags inside *continuous* speech, no segmentation needed.
 
         "Word spotting algorithms accept a list of keywords, and raise a
@@ -181,20 +174,15 @@ class WordSpotter:
         data" — a window of roughly one word-length slides over the
         recording; windows whose best keyword beats the garbage model are
         flagged, and overlapping flags for the same keyword merge (the
-        span keeps the strongest margin). *stream_threshold* is stricter
-        than the per-utterance threshold because windows see partial
-        words, whose weak margins are mostly coincidence.
+        span keeps the strongest margin). :data:`STREAM_THRESHOLD` is
+        stricter than the per-utterance threshold of zero because windows
+        see partial words, whose weak margins are mostly coincidence.
         """
         self._require_trained()
-        if window_s <= 0 or hop_s <= 0:
-            raise AudioError(f"window_s and hop_s must be > 0, got {window_s}, {hop_s}")
+        window_s, hop_s = STREAM_WINDOW_S, STREAM_HOP_S
         # Energy gate: keyword-vs-garbage scores are only meaningful on
         # speech-like signal; silence must not be scored at all.
-        from repro.media.audio.features import frame_energy, frame_signal
-
         energies = frame_energy(frame_signal(signal))
-        import numpy as np
-
         gate = max(np.percentile(energies, 95) - 4.0, -15.0)
         frames_per_second = len(energies) / signal.duration_s
         flags: list[StreamFlag] = []
@@ -208,7 +196,7 @@ class WordSpotter:
                 continue
             clip = signal.slice_seconds(start, end)
             result = self.spot(clip)
-            if result.keyword is not None and result.score_margin > stream_threshold:
+            if result.keyword is not None and result.score_margin > STREAM_THRESHOLD:
                 previous = flags[-1] if flags else None
                 if (
                     previous is not None

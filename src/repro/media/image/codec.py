@@ -31,6 +31,13 @@ from repro.media.image.quantize import dequantize, pack, quantize, unpack
 from repro.media.image.wavelet import cdf53_forward, cdf53_inverse
 
 _LAYER_LEN = struct.Struct("<I")
+#: Decomposition depth of the layer-0 wavelet approximation.
+WAVELET_LEVELS = 3
+#: Tile size of the local-cosine residual layers.
+DCT_BLOCK = 8
+#: Each residual layer divides the quantization step by this factor, so
+#: layers refine geometrically.
+STEP_DECAY = 4.0
 
 
 @dataclass(frozen=True)
@@ -117,63 +124,42 @@ class EncodedImage:
 class MultiLayerCodec:
     """Encoder/decoder for the hybrid multi-layer representation.
 
-    Parameters
-    ----------
-    wavelet_levels:
-        Decomposition depth of the layer-0 wavelet approximation.
-    dct_block:
-        Tile size of the local-cosine residual layers.
-    base_step:
-        Quantization step of layer 0 (coarse).
-    step_decay:
-        Each residual layer divides the step by this factor, so layers
-        refine geometrically.
+    *base_step* is the quantization step of layer 0 (coarse); the
+    geometry is :data:`WAVELET_LEVELS`, :data:`DCT_BLOCK` and
+    :data:`STEP_DECAY`, written into every stream's header.
     """
 
-    def __init__(
-        self,
-        wavelet_levels: int = 3,
-        dct_block: int = 8,
-        base_step: float = 64.0,
-        step_decay: float = 4.0,
-    ) -> None:
-        if base_step <= 0 or step_decay <= 1:
-            raise CodecError("base_step must be > 0 and step_decay > 1")
-        self.wavelet_levels = wavelet_levels
-        self.dct_block = dct_block
+    def __init__(self, base_step: float = 64.0) -> None:
+        if base_step <= 0:
+            raise CodecError("base_step must be > 0")
         self.base_step = base_step
-        self.step_decay = step_decay
 
     def encode(self, image: Image, num_layers: int = 3) -> EncodedImage:
         """Encode *image* into a main approximation plus residual layers."""
         if num_layers < 1:
             raise CodecError(f"num_layers must be >= 1, got {num_layers}")
-        factor = 2 ** self.wavelet_levels
+        factor = 2 ** WAVELET_LEVELS
         if image.height % factor or image.width % factor or (
-            image.height % self.dct_block or image.width % self.dct_block
+            image.height % DCT_BLOCK or image.width % DCT_BLOCK
         ):
             raise CodecError(
                 f"image {image.shape} must tile by 2**levels ({factor}) "
-                f"and by the DCT block ({self.dct_block})"
+                f"and by the DCT block ({DCT_BLOCK})"
             )
         layers: list[bytes] = []
         # Layer 0: wavelet main approximation, coarse quantization.
-        coeffs = cdf53_forward(image.pixels, self.wavelet_levels)
+        coeffs = cdf53_forward(image.pixels, WAVELET_LEVELS)
         indices = quantize(coeffs, self.base_step)
         layers.append(pack(indices, self.base_step))
-        reconstruction = cdf53_inverse(
-            dequantize(indices, self.base_step), self.wavelet_levels
-        )
+        reconstruction = cdf53_inverse(dequantize(indices, self.base_step), WAVELET_LEVELS)
         # Residual layers: local cosine on what is still missing.
         step = self.base_step
         for _ in range(1, num_layers):
-            step /= self.step_decay
+            step /= STEP_DECAY
             residual = image.pixels - reconstruction
-            dct_coeffs = block_dct(residual, self.dct_block)
+            dct_coeffs = block_dct(residual, DCT_BLOCK)
             dct_indices = quantize(dct_coeffs, step)
-            candidate = reconstruction + block_idct(
-                dequantize(dct_indices, step), self.dct_block
-            )
+            candidate = reconstruction + block_idct(dequantize(dct_indices, step), DCT_BLOCK)
             # Rate-distortion guard: when the step is still coarse relative
             # to a sparse residual, the quantization noise sprayed across
             # the block can exceed the error it removes. Ship an empty
@@ -195,8 +181,8 @@ class MultiLayerCodec:
         return EncodedImage(
             height=image.height,
             width=image.width,
-            wavelet_levels=self.wavelet_levels,
-            dct_block=self.dct_block,
+            wavelet_levels=WAVELET_LEVELS,
+            dct_block=DCT_BLOCK,
             layers=tuple(layers),
         )
 

@@ -11,6 +11,10 @@ import numpy as np
 
 from repro.errors import MediaError
 
+#: The brightest pixel value: PSNR's peak, and the ink that annotations
+#: and grid lines burn in.
+WHITE = 255.0
+
 
 class Image:
     """A 2-D grayscale image."""

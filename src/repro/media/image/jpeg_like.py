@@ -142,10 +142,11 @@ def jpeg_encode_to_budget(image: Image, max_bytes: int) -> tuple[bytes, int]:
     return best
 
 
-def blocking_artifact_index(image: Image, block: int = 8) -> float:
-    """Mean absolute discontinuity across the block grid, normalized by
-    the mean absolute gradient elsewhere (1.0 = no blocking; larger =
+def blocking_artifact_index(image: Image) -> float:
+    """Mean absolute discontinuity across the 8-pixel block grid, normalized
+    by the mean absolute gradient elsewhere (1.0 = no blocking; larger =
     visible 8-pixel seams)."""
+    block = 8
     pixels = image.pixels
     col_jumps = np.abs(np.diff(pixels, axis=1))
     row_jumps = np.abs(np.diff(pixels, axis=0))

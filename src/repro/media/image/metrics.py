@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from repro.errors import MediaError
-from repro.media.image.image import Image
+from repro.media.image.image import WHITE, Image
 
 
 def mse(reference: Image, candidate: Image) -> float:
@@ -20,9 +20,10 @@ def mse(reference: Image, candidate: Image) -> float:
     return float(np.mean(diff * diff))
 
 
-def psnr(reference: Image, candidate: Image, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio in dB (inf for identical images)."""
+def psnr(reference: Image, candidate: Image) -> float:
+    """Peak signal-to-noise ratio in dB against an 8-bit peak (inf for
+    identical images)."""
     error = mse(reference, candidate)
     if error == 0.0:
         return math.inf
-    return 10.0 * math.log10((peak * peak) / error)
+    return 10.0 * math.log10((WHITE * WHITE) / error)

@@ -10,14 +10,12 @@ like the prototype's vector overlay.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MediaError
-from repro.media.image.image import Image
-
-_element_ids = itertools.count(1)
+from repro.media.image.image import WHITE, Image
 
 #: 5x7 bitmap font subset: enough to burn legible annotation markers.
 _GLYPH_HEIGHT = 7
@@ -26,50 +24,45 @@ _GLYPH_WIDTH = 5
 
 @dataclass(frozen=True)
 class TextElement:
-    """A text annotation anchored at (row, col)."""
+    """A text annotation anchored at (row, col); ids count per image."""
 
+    element_id: int
     text: str
     row: int
     col: int
-    intensity: float = 255.0
-    element_id: int = field(default_factory=lambda: next(_element_ids))
 
 
 @dataclass(frozen=True)
 class LineElement:
-    """A straight line annotation between two points."""
+    """A straight line annotation between two points; ids count per image."""
 
+    element_id: int
     row0: int
     col0: int
     row1: int
     col1: int
-    intensity: float = 255.0
-    element_id: int = field(default_factory=lambda: next(_element_ids))
 
 
 class AnnotatedImage:
-    """A base image plus deletable annotation elements."""
+    """A base image plus deletable annotation elements, burnt in :data:`WHITE`."""
 
     def __init__(self, base: Image) -> None:
         self.base = base
         self._elements: dict[int, TextElement | LineElement] = {}
+        self._ids = itertools.count(1)
 
     @property
     def elements(self) -> tuple[TextElement | LineElement, ...]:
         return tuple(self._elements.values())
 
-    def add_text(
-        self, text: str, row: int, col: int, intensity: float = 255.0
-    ) -> TextElement:
+    def add_text(self, text: str, row: int, col: int) -> TextElement:
         """Write text on the image (visible to all partners)."""
-        element = TextElement(text=text, row=row, col=col, intensity=intensity)
+        element = TextElement(next(self._ids), text, row, col)
         self._elements[element.element_id] = element
         return element
 
-    def add_line(
-        self, row0: int, col0: int, row1: int, col1: int, intensity: float = 255.0
-    ) -> LineElement:
-        element = LineElement(row0=row0, col0=col0, row1=row1, col1=col1, intensity=intensity)
+    def add_line(self, row0: int, col0: int, row1: int, col1: int) -> LineElement:
+        element = LineElement(next(self._ids), row0, col0, row1, col1)
         self._elements[element.element_id] = element
         return element
 
@@ -102,7 +95,7 @@ def _draw_line(pixels: np.ndarray, line: LineElement) -> None:
     height, width = pixels.shape
     while True:
         if 0 <= r < height and 0 <= c < width:
-            pixels[r, c] = line.intensity
+            pixels[r, c] = WHITE
         if r == r1 and c == c1:
             return
         doubled = 2 * error
@@ -125,10 +118,10 @@ def _draw_text(pixels: np.ndarray, element: TextElement) -> None:
         if top >= height or left >= width or top < 0 or left < 0:
             continue
         # Hollow box: distinguishable from a filled segmentation region.
-        pixels[top:bottom, left:right][0, :] = element.intensity
-        pixels[top:bottom, left:right][-1, :] = element.intensity
-        pixels[top:bottom, left:right][:, 0] = element.intensity
-        pixels[top:bottom, left:right][:, -1] = element.intensity
+        pixels[top:bottom, left:right][0, :] = WHITE
+        pixels[top:bottom, left:right][-1, :] = WHITE
+        pixels[top:bottom, left:right][:, 0] = WHITE
+        pixels[top:bottom, left:right][:, -1] = WHITE
 
 
 def zoom(image: Image, top: int, left: int, height: int, width: int, factor: int = 2) -> Image:

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MediaError
-from repro.media.image.image import Image
+from repro.media.image.image import WHITE, Image
+
+#: :func:`label_regions` quantizes intensities into this many bands, and
+#: folds regions smaller than :data:`MIN_REGION` pixels into label 0.
+LEVELS = 5
+MIN_REGION = 16
 
 
 @dataclass(frozen=True)
@@ -48,14 +53,14 @@ class SegmentationGrid:
         return top, left, bottom, right
 
 
-def overlay_grid(image: Image, rows: int, cols: int, intensity: float = 255.0) -> tuple[Image, SegmentationGrid]:
+def overlay_grid(image: Image, rows: int, cols: int) -> tuple[Image, SegmentationGrid]:
     """Draw the grid lines onto a copy of the image; returns (image, grid)."""
     grid = SegmentationGrid(rows=rows, cols=cols, height=image.height, width=image.width)
     pixels = image.pixels.copy()
     for row in range(1, rows):
-        pixels[row * image.height // rows, :] = intensity
+        pixels[row * image.height // rows, :] = WHITE
     for col in range(1, cols):
-        pixels[:, col * image.width // cols] = intensity
+        pixels[:, col * image.width // cols] = WHITE
     return Image(pixels), grid
 
 
@@ -72,7 +77,7 @@ def fill_segment(
         raise MediaError("grid does not match this image")
     top, left, bottom, right = grid.cell_bounds(row, col)
     pixels = image.pixels.copy()
-    fill = 255.0 if value is None else float(value)
+    fill = WHITE if value is None else float(value)
     cell = pixels[top:bottom, left:right]
     if pattern == "solid":
         cell[:, :] = fill
@@ -87,16 +92,13 @@ def fill_segment(
     return Image(pixels)
 
 
-def label_regions(image: Image, levels: int = 4, min_size: int = 16) -> np.ndarray:
-    """Automatic segmentation: quantize intensities, then label connected
-    components (4-connectivity). Regions below *min_size* pixels merge into
-    label 0 (background/noise). Returns an int label map.
+def label_regions(image: Image) -> np.ndarray:
+    """Automatic segmentation: quantize intensities into :data:`LEVELS`
+    bands, then label connected components (4-connectivity). Regions below
+    :data:`MIN_REGION` pixels merge into label 0 (background/noise).
+    Returns an int label map.
     """
-    if levels < 2:
-        raise MediaError(f"levels must be >= 2, got {levels}")
-    quantized = np.minimum(
-        (image.pixels / (256.0 / levels)).astype(np.int32), levels - 1
-    )
+    quantized = np.minimum((image.pixels / (256.0 / LEVELS)).astype(np.int32), LEVELS - 1)
     labels = np.zeros(image.shape, dtype=np.int32)
     visited = np.zeros(image.shape, dtype=bool)
     next_label = 1
@@ -118,7 +120,7 @@ def label_regions(image: Image, levels: int = 4, min_size: int = 16) -> np.ndarr
                         if not visited[nr, nc] and quantized[nr, nc] == level:
                             visited[nr, nc] = True
                             stack.append((nr, nc))
-            if len(member) >= min_size:
+            if len(member) >= MIN_REGION:
                 label = next_label
                 next_label += 1
                 for r, c in member:

@@ -12,6 +12,10 @@ import numpy as np
 
 from repro.media.image.image import Image
 
+#: Standard deviation of the sensor noise on a CT and an X-ray phantom.
+CT_NOISE = 2.0
+XRAY_NOISE = 3.0
+
 
 def _ellipse_mask(
     height: int, width: int, cy: float, cx: float, ry: float, rx: float, angle: float = 0.0
@@ -25,7 +29,7 @@ def _ellipse_mask(
     return (xr / rx) ** 2 + (yr / ry) ** 2 <= 1.0
 
 
-def ct_phantom(size: int = 256, seed: int = 0, noise: float = 2.0) -> Image:
+def ct_phantom(size: int = 256, seed: int = 0) -> Image:
     """A head-CT-like phantom: skull ring, brain tissue, ventricles, lesions.
 
     Intensities follow CT-window conventions: air dark, bone bright,
@@ -52,7 +56,7 @@ def ct_phantom(size: int = 256, seed: int = 0, noise: float = 2.0) -> Image:
         radius = rng.uniform(0.02, 0.05) * size
         lesion = _ellipse_mask(size, size, cy, cx, radius, radius)
         pixels[lesion & skull_inner] = rng.uniform(150.0, 190.0)
-    pixels += rng.normal(0.0, noise, pixels.shape)
+    pixels += rng.normal(0.0, CT_NOISE, pixels.shape)
     return Image(np.clip(pixels, 0, 255))
 
 
@@ -92,7 +96,7 @@ def ultrasound_phantom(size: int = 256, seed: int = 0) -> Image:
     return Image(np.clip(pixels, 0, 255))
 
 
-def xray_phantom(height: int = 256, width: int = 192, seed: int = 0, noise: float = 3.0) -> Image:
+def xray_phantom(height: int = 256, width: int = 192, seed: int = 0) -> Image:
     """A chest-X-ray-like phantom: lung fields, rib shadows, mediastinum."""
     rng = np.random.default_rng(seed)
     pixels = np.full((height, width), 190.0)  # soft tissue background
@@ -109,5 +113,5 @@ def xray_phantom(height: int = 256, width: int = 192, seed: int = 0, noise: floa
     # Mediastinum: central bright column.
     mediastinum = _ellipse_mask(height, width, height * 0.5, width * 0.5, height * 0.4, width * 0.09)
     pixels[mediastinum] = 215.0
-    pixels += rng.normal(0.0, noise, pixels.shape)
+    pixels += rng.normal(0.0, XRAY_NOISE, pixels.shape)
     return Image(np.clip(pixels, 0, 255))

@@ -8,7 +8,7 @@ t-norms, returning the best-k instead of a boolean filter — exactly what
 
 Graded predicates here are small callables built by :func:`about`,
 :func:`at_least` and :func:`equals`; combine with
-:func:`fuzzy_and` (min or product t-norm) / :func:`fuzzy_or`; evaluate
+:func:`fuzzy_and` (the min t-norm) / :func:`fuzzy_or`; evaluate
 with :class:`FuzzyQuery`.
 """
 
@@ -59,30 +59,22 @@ def at_least(column: str, threshold: float, ramp: float) -> Grade:
     return grade
 
 
-def equals(column: str, value: Any, weight_if_match: float = 1.0, weight_otherwise: float = 0.0) -> Grade:
-    """Crisp equality embedded in the graded algebra."""
+def equals(column: str, value: Any) -> Grade:
+    """Crisp equality embedded in the graded algebra: 1 or 0."""
 
     def grade(row: Row) -> float:
-        return weight_if_match if row.get(column) == value else weight_otherwise
+        return 1.0 if row.get(column) == value else 0.0
 
     return grade
 
 
-def fuzzy_and(*grades: Grade, t_norm: str = "min") -> Grade:
-    """Conjunction under the chosen t-norm (``min`` or ``product``)."""
+def fuzzy_and(*grades: Grade) -> Grade:
+    """Conjunction under the min t-norm."""
     if not grades:
         raise DatabaseError("fuzzy_and needs at least one predicate")
-    if t_norm not in ("min", "product"):
-        raise DatabaseError(f"unknown t-norm {t_norm!r}; know min/product")
 
     def grade(row: Row) -> float:
-        values = [g(row) for g in grades]
-        if t_norm == "min":
-            return min(values)
-        result = 1.0
-        for value in values:
-            result *= value
-        return result
+        return min(g(row) for g in grades)
 
     return grade
 
@@ -112,14 +104,15 @@ class FuzzyQuery:
     def __init__(self, grade: Grade) -> None:
         self.grade = grade
 
-    def top_k(self, rows: Iterable[Row], k: int = 5, floor: float = 0.0) -> list[ScoredRow]:
-        """The k best rows by grade (ties broken stably), above *floor*."""
+    def top_k(self, rows: Iterable[Row], k: int = 5) -> list[ScoredRow]:
+        """The k best rows by grade (ties broken stably); a row graded 0
+        does not rank."""
         if k < 1:
             raise DatabaseError(f"k must be >= 1, got {k}")
         heap: list[tuple[float, int, dict]] = []
         for index, row in enumerate(rows):
             score = self.grade(row)
-            if score <= floor:
+            if score <= 0.0:
                 continue
             entry = (score, -index, dict(row))
             if len(heap) < k:

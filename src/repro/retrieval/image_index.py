@@ -74,11 +74,9 @@ class SimilarImageIndex:
             self.db.insert(IMAGE_FEATURES_TABLE, row)
         return descriptor
 
-    def add_image(
-        self, image: Image, label: str | None = None, quality: int = 0
-    ) -> StoredObject:
+    def add_image(self, image: Image, label: str | None = None) -> StoredObject:
         """Store a new image and index it in one step."""
-        handle = self.store.store_image(image.to_bytes(), quality=quality)
+        handle = self.store.store_image(image.to_bytes())
         self.add(handle, label=label)
         return handle
 
@@ -94,20 +92,13 @@ class SimilarImageIndex:
 
     # ----- querying ------------------------------------------------------------------
 
-    def query(
-        self,
-        example: Image,
-        k: int = 5,
-        exclude: str | None = None,
-    ) -> list[SimilarImage]:
+    def query(self, example: Image, k: int = 5) -> list[SimilarImage]:
         """The *k* most similar stored images to an example image."""
         if k < 1:
             raise DatabaseError(f"k must be >= 1, got {k}")
         probe = image_descriptor(example)
         hits = []
         for row in self.db.select(IMAGE_FEATURES_TABLE):
-            if exclude is not None and row["FLD_MEDIAREF"] == exclude:
-                continue
             similarity = descriptor_similarity(probe, np.array(row["FLD_VECTOR"]))
             hits.append(
                 SimilarImage(

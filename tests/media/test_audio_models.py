@@ -22,6 +22,7 @@ from repro.media.audio import (
     segment_audio,
     synth_word,
 )
+from repro.media.audio import hmm as hmm_module
 from repro.media.audio.gmm import logsumexp
 from repro.media.audio.synth import DEFAULT_SPEAKERS, KEYWORDS
 
@@ -112,21 +113,21 @@ class TestCDHMM:
         return sequences
 
     def test_viterbi_segments_regimes(self):
-        hmm = CDHMM(2, topology="left_to_right", seed=0).fit(self._sequences())
+        hmm = CDHMM(2, topology="left_to_right").fit(self._sequences())
         path, _ = hmm.viterbi(self._sequences(count=1, seed=9)[0])
         assert path[0] == 0
         assert path[-1] == 1
         assert path == sorted(path)  # left-to-right never goes back
 
     def test_score_prefers_matching_order(self):
-        forward = CDHMM(2, seed=0).fit(self._sequences())
+        forward = CDHMM(2).fit(self._sequences())
         test_match = self._sequences(count=1, seed=5)[0]
         test_flip = self._sequences(flip=True, count=1, seed=5)[0]
         assert forward.score(test_match) > forward.score(test_flip)
 
     def test_training_improves_likelihood(self):
         sequences = self._sequences()
-        hmm = CDHMM(2, seed=0)
+        hmm = CDHMM(2)
         hmm._initialize(sequences)
         before = sum(hmm.score(s) for s in sequences)
         hmm.fit(sequences)
@@ -134,7 +135,7 @@ class TestCDHMM:
         assert after >= before - 1e-6
 
     def test_forward_backward_consistency(self):
-        hmm = CDHMM(3, topology="ergodic", seed=0).fit(self._sequences())
+        hmm = CDHMM(3, topology="ergodic").fit(self._sequences())
         sequence = self._sequences(count=1, seed=3)[0]
         alpha, log_prob = hmm.log_forward(sequence)
         beta = hmm.log_backward(sequence)
@@ -147,8 +148,6 @@ class TestCDHMM:
             CDHMM(0)
         with pytest.raises(AudioError):
             CDHMM(2, topology="ring")
-        with pytest.raises(AudioError):
-            CDHMM(2, num_mixtures=0)
         with pytest.raises(AudioError):
             CDHMM(2).fit([])
         with pytest.raises(AudioError, match="frames"):
@@ -169,21 +168,23 @@ class TestCDHMM:
             out.append(np.vstack([first, second]))
         return out
 
-    def test_mixture_emissions_model_bimodal_states(self):
+    def test_mixture_emissions_model_bimodal_states(self, monkeypatch):
         """The *continuous density mixture* part of CD-HMM: two Gaussians
         per state capture a bimodal emission a single Gaussian cannot."""
         train = self._bimodal_sequences(8, seed=1)
         test = self._bimodal_sequences(3, seed=99)
-        single = CDHMM(2, num_mixtures=1, seed=0).fit(train)
-        double = CDHMM(2, num_mixtures=2, seed=0).fit(train)
+        single = CDHMM(2).fit(train)
+        monkeypatch.setattr(hmm_module, "NUM_MIXTURES", 2)
+        double = CDHMM(2).fit(train)
         assert sum(double.score(s) for s in test) > sum(single.score(s) for s in test) + 10
 
-    def test_mixture_weights_normalized(self):
-        hmm = CDHMM(2, num_mixtures=3, seed=0).fit(self._bimodal_sequences(4, seed=2))
+    def test_mixture_weights_normalized(self, monkeypatch):
+        monkeypatch.setattr(hmm_module, "NUM_MIXTURES", 3)
+        hmm = CDHMM(2).fit(self._bimodal_sequences(4, seed=2))
         assert np.allclose(np.exp(hmm.log_mix).sum(axis=1), 1.0, atol=1e-6)
 
     def test_single_mixture_matches_legacy_shape(self):
-        hmm = CDHMM(2, num_mixtures=1, seed=0).fit(self._sequences())
+        hmm = CDHMM(2).fit(self._sequences())
         assert hmm.means.shape == (2, 1, 2)
         path, _ = hmm.viterbi(self._sequences(count=1, seed=9)[0])
         assert path == sorted(path)

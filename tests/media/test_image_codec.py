@@ -158,13 +158,11 @@ class TestMultiLayerCodec:
     def test_codec_parameter_validation(self):
         with pytest.raises(CodecError):
             MultiLayerCodec(base_step=0)
-        with pytest.raises(CodecError):
-            MultiLayerCodec(step_decay=1.0)
 
     def test_different_bases_fix_artifacts(self, phantom):
         """The hybrid (wavelet + DCT residual) beats wavelet-only re-quantized
         at a comparable rate — the paper's stated strength of mixing bases."""
-        hybrid = MultiLayerCodec(base_step=64.0, step_decay=4.0)
+        hybrid = MultiLayerCodec(base_step=64.0)
         encoded = hybrid.encode(phantom, num_layers=2)
         hybrid_quality = psnr(phantom, MultiLayerCodec.decode(encoded, 2))
         hybrid_size = encoded.prefix_size(2)

@@ -14,6 +14,8 @@ from repro.media.image import (
     xray_phantom,
     zoom,
 )
+from repro.media.image import synthetic
+from repro.media.image.image import WHITE
 from repro.media.image.segmentation import SegmentationGrid
 
 
@@ -108,15 +110,15 @@ class TestZoom:
 class TestAnnotations:
     def test_add_and_render_line(self):
         annotated = AnnotatedImage(Image.zeros(20, 20))
-        annotated.add_line(0, 0, 19, 19, intensity=200.0)
+        annotated.add_line(0, 0, 19, 19)
         rendered = annotated.render()
-        assert rendered.pixels[0, 0] == 200.0
-        assert rendered.pixels[19, 19] == 200.0
+        assert rendered.pixels[0, 0] == WHITE
+        assert rendered.pixels[19, 19] == WHITE
         assert rendered.pixels[0, 19] == 0.0
 
     def test_text_marks_pixels(self):
         annotated = AnnotatedImage(Image.zeros(30, 60))
-        annotated.add_text("ab", 5, 5, intensity=255.0)
+        annotated.add_text("ab", 5, 5)
         rendered = annotated.render()
         assert (rendered.pixels > 0).sum() > 0
 
@@ -128,6 +130,21 @@ class TestAnnotations:
         annotated.delete_element(line.element_id)
         annotated.delete_element(text.element_id)
         assert annotated.render() == base
+
+    def test_element_ids_count_per_image(self):
+        # Whichever image is built and annotated first, each numbers its
+        # own elements from 1: an id does not depend on what ran before.
+        for order in ((0, 1), (1, 0)):
+            images = [AnnotatedImage(Image.zeros(8, 8)), AnnotatedImage(Image.zeros(8, 8))]
+            firsts = {}
+            for index in order:
+                firsts[index] = images[index].add_text("t", 0, 0)
+            assert [firsts[0].element_id, firsts[1].element_id] == [1, 1]
+            line = images[0].add_line(0, 0, 7, 7)
+            assert line.element_id == 2
+            images[0].delete_element(firsts[0].element_id)
+            assert images[0].elements == (line,)
+            assert images[1].elements == (firsts[1],)
 
     def test_delete_unknown(self):
         with pytest.raises(MediaError, match="no annotation"):
@@ -163,8 +180,8 @@ class TestGridSegmentation:
 
     def test_overlay_draws_lines(self):
         image = Image.zeros(30, 30)
-        gridded, grid = overlay_grid(image, 3, 3, intensity=255.0)
-        assert gridded.pixels[10, :].max() == 255.0
+        gridded, grid = overlay_grid(image, 3, 3)
+        assert gridded.pixels[10, :].max() == WHITE
         assert grid.rows == 3
 
     def test_fill_patterns(self):
@@ -193,7 +210,7 @@ class TestLabelRegions:
     def test_finds_contrasting_blob(self):
         pixels = np.zeros((32, 32))
         pixels[8:16, 8:16] = 200.0
-        labels = label_regions(Image(pixels), levels=4, min_size=16)
+        labels = label_regions(Image(pixels))
         blob_labels = set(labels[8:16, 8:16].ravel())
         assert len(blob_labels) == 1
         assert labels[0, 0] != labels[10, 10]
@@ -201,13 +218,10 @@ class TestLabelRegions:
     def test_small_regions_dropped(self):
         pixels = np.zeros((32, 32))
         pixels[4, 4] = 250.0  # single pixel speck
-        labels = label_regions(Image(pixels), levels=4, min_size=16)
+        labels = label_regions(Image(pixels))
         assert labels[4, 4] == 0
 
-    def test_levels_validated(self):
-        with pytest.raises(MediaError):
-            label_regions(Image.zeros(8, 8), levels=1)
-
-    def test_phantom_yields_multiple_regions(self):
-        labels = label_regions(ct_phantom(64, seed=0, noise=0.0), levels=5)
+    def test_phantom_yields_multiple_regions(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "CT_NOISE", 0.0)
+        labels = label_regions(ct_phantom(64, seed=0))
         assert labels.max() >= 3  # air, skull, brain at least

@@ -73,7 +73,7 @@ def test_pack_unpack_lossless(pixels, step):
 @settings(max_examples=25, deadline=None)
 def test_codec_quality_monotone_in_layers(pixels, num_layers):
     image = Image(pixels)
-    encoded = MultiLayerCodec(wavelet_levels=2, dct_block=8).encode(image, num_layers)
+    encoded = MultiLayerCodec().encode(image, num_layers)
     qualities = [
         psnr(image, MultiLayerCodec.decode(encoded, k))
         for k in range(1, num_layers + 1)
@@ -86,7 +86,7 @@ def test_codec_quality_monotone_in_layers(pixels, num_layers):
 @settings(max_examples=25, deadline=None)
 def test_codec_stream_round_trips(pixels, num_layers):
     image = Image(pixels)
-    encoded = MultiLayerCodec(wavelet_levels=2, dct_block=8).encode(image, num_layers)
+    encoded = MultiLayerCodec().encode(image, num_layers)
     restored = EncodedImage.from_bytes(encoded.to_bytes())
     assert restored.layer_sizes() == encoded.layer_sizes()
     assert MultiLayerCodec.decode(restored) == MultiLayerCodec.decode(encoded)

@@ -42,7 +42,7 @@ class TestPhantomStructure:
 class TestUltrasoundThroughCodec:
     def test_progressive_quality(self):
         image = ultrasound_phantom(128, seed=4)
-        encoded = MultiLayerCodec(wavelet_levels=2).encode(image, num_layers=3)
+        encoded = MultiLayerCodec().encode(image, num_layers=3)
         qualities = [
             psnr(image, MultiLayerCodec.decode(encoded, k)) for k in (1, 2, 3)
         ]
@@ -52,7 +52,7 @@ class TestUltrasoundThroughCodec:
     def test_speckle_costs_rate(self):
         """Speckle is incompressible texture: at equal settings the
         ultrasound stream is larger than the smooth CT's."""
-        codec = MultiLayerCodec(wavelet_levels=2)
+        codec = MultiLayerCodec()
         us_size = codec.encode(ultrasound_phantom(128, seed=5), 3).prefix_size(3)
         ct_size = codec.encode(ct_phantom(128, seed=5), 3).prefix_size(3)
         assert us_size > ct_size

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AudioError
-from repro.media.audio import AudioSignal, ConversationBuilder, WordSpotter
+from repro.media.audio import AudioSignal, ConversationBuilder, WordSpotter, wordspot
 from repro.media.audio.synth import DEFAULT_SPEAKERS, KEYWORDS
 
 ADAMS, BAKER, COSTA, _ = DEFAULT_SPEAKERS
@@ -45,9 +45,10 @@ class TestStreamFlags:
         flags = spotter.spot_stream(AudioSignal.silence(2.0))
         assert flags == []
 
-    def test_overlapping_windows_merge(self, spotter, conversation):
+    def test_overlapping_windows_merge(self, spotter, conversation, monkeypatch):
+        monkeypatch.setattr(wordspot, "STREAM_HOP_S", 0.05)
         signal, truth = conversation
-        flags = spotter.spot_stream(signal, hop_s=0.05)
+        flags = spotter.spot_stream(signal)
         # Fine hops produce many positive windows but they merge per word.
         assert len([f for f in flags if f.keyword == "lesion"]) == 1
 
@@ -57,16 +58,10 @@ class TestStreamFlags:
         starts = [flag.start_s for flag in flags]
         assert starts == sorted(starts)
 
-    def test_stricter_threshold_drops_flags(self, spotter, conversation):
+    def test_stricter_threshold_drops_flags(self, spotter, conversation, monkeypatch):
+        monkeypatch.setattr(wordspot, "STREAM_THRESHOLD", 1000.0)
         signal, _ = conversation
-        strict = spotter.spot_stream(signal, stream_threshold=1000.0)
-        assert strict == []
-
-    def test_parameter_validation(self, spotter):
-        with pytest.raises(AudioError):
-            spotter.spot_stream(AudioSignal.silence(1.0), window_s=0)
-        with pytest.raises(AudioError):
-            spotter.spot_stream(AudioSignal.silence(1.0), hop_s=-1)
+        assert spotter.spot_stream(signal) == []
 
     def test_untrained_rejected(self):
         with pytest.raises(AudioError, match="not trained"):

@@ -51,12 +51,12 @@ LINE_BUDGET = {
     "db": 1891,
     "document": 1137,
     "interest": 319,
-    "media": 3039,
+    "media": 2981,
     "net": 2065,
     "obs": 1553,
     "prefetch": 169,
     "presentation": 937,
-    "retrieval": 769,
+    "retrieval": 753,
     "server": 1722,
     "util": 299,
     "workloads": 1274,

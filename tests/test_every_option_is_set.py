@@ -1,23 +1,30 @@
-"""Every option in the runtime packages has a setter outside tests.
+"""Every option in ``src/repro`` has a setter outside tests.
 
-An *option* is, in every package under ``src/repro`` except
-:data:`UNAUDITED` (the §3 signal-processing and §1 retrieval libraries,
-whose defaults are their algorithms' own parameters),
+An *option* is, in every package under ``src/repro`` (a new package
+is audited as soon as it exists),
 
 - a parameter with a default on a public function, method or
   constructor (``__init__`` of a public class), or
 - a defaulted ``__init__`` field of a public dataclass.
 
-It is *set* where a call in ``src/repro`` or ``benchmarks/`` passes it:
-the call's bare callee name matches (the class name for a constructor,
-reached as ``Class(...)``, ``cls(...)``, a subclass's
-``super().__init__(...)``, or a subclass that inherits the constructor:
-a dataclass's, or one that defines no ``__init__``) and the value comes by
-keyword or by position. ``**NAME``, where ``NAME`` is a module-level
+It is *set* where a call in ``src/repro`` or ``benchmarks/`` passes it,
+by keyword or by position, and the call reaches it by name in its
+namespace:
+
+- a bare call ``f(...)`` reaches module functions and classes: the
+  class name for a constructor, reached as ``Class(...)``,
+  ``cls(...)``, a subclass's ``super().__init__(...)``, or a subclass
+  that inherits the constructor (a dataclass's, or one that defines no
+  ``__init__``);
+- an attribute call ``x.f(...)`` reaches methods, and module functions
+  and classes too where ``x`` is an imported name (``codec.encode(...)``).
+
+So a call to a function never sets a same-named method's option, nor
+the reverse. ``**NAME``, where ``NAME`` is a module-level
 dict literal or ``dict(...)`` call, passes that dict's keys; any other
 ``*`` or ``**`` passes everything, so the audit is a floor. A handler
 keyword named in a ``PROTOCOL`` row (a ``KindSpec(...)`` call) is set
-by the wire. Tests and examples are not setters.
+by the wire; the handler is a method. Tests and examples are not setters.
 
 An option nobody sets is a constant wearing a parameter: make it a
 module constant, or put it on :data:`ALLOWLIST` as a deployment
@@ -39,7 +46,6 @@ from tests.source_index import parse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-UNAUDITED = ("media", "retrieval")
 
 #: ``module.Qualname(option)`` -> why it stays with no setter outside tests.
 ALLOWLIST: dict[str, str] = {
@@ -132,9 +138,31 @@ ALLOWLIST: dict[str, str] = {
     "tests/integration/test_media_pipeline.py",
     "repro.db.orm.MultimediaObjectStore.store_compressed(filename)": "Fig. 7: a codec stream's "
     "file name (FLD_FILENAME), set by examples/multiresolution_imaging.py, tests/db/test_orm.py",
+    "repro.db.orm.MultimediaObjectStore.store_image(quality)": "Fig. 7: an image's quality "
+    "(FLD_QUALITY), set by examples/medical_consultation.py, tests/db/test_orm.py, "
+    "tests/server/test_zoom_region.py, tests/integration/test_media_pipeline.py, "
+    "test_end_to_end.py",
+    "repro.media.audio.synth.ConversationBuilder.say(language)": "§3: 'In what language are "
+    "they talking?', a conversation that switches language, set by tests/media/test_language.py",
+    "repro.media.image.segmentation.fill_segment(value)": "§3: 'fill different segments of the "
+    "segmentation with different colors', set by tests/media/test_image_core.py",
+    "repro.media.image.segmentation.fill_segment(pattern)": "§3: 'fill different segments of "
+    "the segmentation with different ... patterns', set by tests/media/test_image_core.py",
+    "repro.media.image.wavelet.haar_inverse(levels)": "codec reconstruction oracle: inverts "
+    "haar_forward at the depth each test picks, in tests/media/test_image_codec.py, "
+    "test_media_properties.py",
+    "repro.retrieval.fuzzy.FuzzyQuery.top_k(k)": "E10 / §1 and reference [14]: Fagin top-k, set "
+    "by examples/similar_cases.py, tests/retrieval/test_fuzzy_spatial.py and, through the "
+    "benchmark fixture, benchmarks/test_bench_sec1_retrieval.py",
+    "repro.retrieval.image_index.SimilarImageIndex.query(k)": "E10 / §1: the k studies most "
+    "like an example, set by examples/similar_cases.py, tests/retrieval/test_features_index.py "
+    "and, through the benchmark fixture, benchmarks/test_bench_sec1_retrieval.py",
+    "repro.retrieval.text.ArticleSearchEngine.search(k)": "E10 / §1: the k best articles, set "
+    "by tests/retrieval/test_text.py and, through the benchmark fixture, "
+    "benchmarks/test_bench_sec1_retrieval.py",
 }
 
-ALLOWLIST_SIZE = 35
+ALLOWLIST_SIZE = 43
 
 #: Everything a ``*`` or ``**`` we cannot see into might pass.
 EVERYTHING = "*"
@@ -142,11 +170,13 @@ EVERYTHING = "*"
 
 @dataclass(frozen=True)
 class Option:
-    """One settable value: the bare callee name that reaches it, its
+    """One settable value: the bare callee name that reaches it, whether
+    that is a method's name (else a module function's or a class's), its
     keyword, and its position among a call's arguments (``None``:
     keyword-only)."""
 
     callee: str
+    method: bool
     keyword: str
     position: int | None
 
@@ -182,7 +212,7 @@ def _has_default(statement: ast.AnnAssign) -> bool:
 
 
 def _parameters(
-    function: ast.FunctionDef, callee: str, qualified: str, bound: bool
+    function: ast.FunctionDef, callee: str, method: bool, qualified: str, bound: bool
 ) -> Iterator[tuple[str, Option]]:
     """The defaulted parameters of *function*, as options."""
     arguments = function.args
@@ -191,10 +221,10 @@ def _parameters(
     for index, argument in enumerate(positional):
         if index < len(positional) - len(arguments.defaults):
             continue
-        yield f"{qualified}({argument.arg})", Option(callee, argument.arg, index - skip)
+        yield f"{qualified}({argument.arg})", Option(callee, method, argument.arg, index - skip)
     for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
         if default is not None:
-            yield f"{qualified}({argument.arg})", Option(callee, argument.arg, None)
+            yield f"{qualified}({argument.arg})", Option(callee, method, argument.arg, None)
 
 
 def _bound(function: ast.FunctionDef) -> bool:
@@ -230,50 +260,71 @@ def options(module: str, tree: ast.Module) -> dict[str, Option]:
                 if _has_default(statement):
                     name = statement.target.id
                     index = None if layout is None else layout.index(name)
-                    found[f"{module}.{node.name}({name})"] = Option(node.name, name, index)
+                    found[f"{module}.{node.name}({name})"] = Option(node.name, False, name, index)
         if getattr(node, "name", "_").startswith("_"):
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found.update(_parameters(node, node.name, f"{module}.{node.name}", False))
+            found.update(_parameters(node, node.name, False, f"{module}.{node.name}", False))
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
                 if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 if member.name == "__init__":
-                    callee, qualified = node.name, f"{module}.{node.name}"
+                    callee, method = node.name, False
+                    qualified = f"{module}.{node.name}"
                 elif member.name.startswith("_"):
                     continue
                 else:
-                    callee, qualified = member.name, f"{module}.{node.name}.{member.name}"
-                found.update(_parameters(member, callee, qualified, _bound(member)))
+                    callee, method = member.name, True
+                    qualified = f"{module}.{node.name}.{member.name}"
+                found.update(_parameters(member, callee, method, qualified, _bound(member)))
     return found
 
 
-def _callee(call: ast.Call, owner: ast.ClassDef | None) -> str:
-    """The bare name a call reaches: ``super().__init__(...)`` and
-    ``cls(...)`` reach the base's and the enclosing class's constructor."""
+def _reach(
+    call: ast.Call, owner: ast.ClassDef | None, modules: set[str]
+) -> tuple[str, tuple[bool, ...]]:
+    """The bare name a call reaches, and which options of that name it
+    can set, as :attr:`Option.method` values: a bare call reaches module
+    functions and classes (``cls(...)`` the enclosing class, and
+    ``super().__init__(...)`` the base's constructor); ``x.f(...)``
+    reaches methods, and module functions and classes too where ``x`` is
+    an imported name."""
     func = call.func
-    if isinstance(func, ast.Attribute):
-        inner = func.value
-        if (
-            func.attr == "__init__" and owner is not None and owner.bases
-            and isinstance(inner, ast.Call) and getattr(inner.func, "id", "") == "super"
-        ):
-            base = owner.bases[0]
-            return base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-        return func.attr
-    name = getattr(func, "id", "")
-    return owner.name if name == "cls" and owner is not None else name
+    if not isinstance(func, ast.Attribute):
+        name = getattr(func, "id", "")
+        return (owner.name if name == "cls" and owner is not None else name), (False,)
+    root = func.value
+    if (
+        func.attr == "__init__" and owner is not None and owner.bases
+        and isinstance(root, ast.Call) and getattr(root.func, "id", "") == "super"
+    ):
+        base = owner.bases[0]
+        return (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")), (False,)
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return func.attr, ((True, False) if getattr(root, "id", None) in modules else (True,))
 
 
-def _calls(node: ast.AST, owner: ast.ClassDef | None = None) -> Iterator[tuple[ast.Call, str]]:
-    """Every call under *node*, with the bare name it reaches."""
+def _imported(tree: ast.Module) -> set[str]:
+    """The names an import statement in *tree* binds."""
+    return {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _calls(
+    node: ast.AST, modules: set[str], owner: ast.ClassDef | None = None
+) -> Iterator[tuple[ast.Call, str, tuple[bool, ...]]]:
+    """Every call under *node*, with what :func:`_reach` says it reaches."""
     if isinstance(node, ast.ClassDef):
         owner = node
     if isinstance(node, ast.Call):
-        yield node, _callee(node, owner)
+        yield node, *_reach(node, owner, modules)
     for child in ast.iter_child_nodes(node):
-        yield from _calls(child, owner)
+        yield from _calls(child, modules, owner)
 
 
 def module_dicts(tree: ast.Module) -> dict[str, set[str]]:
@@ -298,31 +349,41 @@ def module_dicts(tree: ast.Module) -> dict[str, set[str]]:
     return found
 
 
-def passes(tree: ast.Module, dicts: Mapping[str, set[str]]) -> Iterator[tuple[str, object]]:
-    """``(callee, keyword or position)`` for every value a call in *tree*
-    passes; :data:`EVERYTHING` where a ``*`` or ``**`` hides which."""
-    for node, callee in _calls(tree):
+def passes(
+    tree: ast.Module, dicts: Mapping[str, set[str]]
+) -> Iterator[tuple[bool, str, object]]:
+    """``(method, callee, keyword or position)`` for every value a call in
+    *tree* passes; :data:`EVERYTHING` where a ``*`` or ``**`` hides which.
+    A call reaching both methods and module names yields each."""
+    for node, callee, namespaces in _calls(tree, _imported(tree)):
         if callee == "KindSpec" and len(node.args) > 1:
-            # A PROTOCOL row: the payload fields it names reach its handler.
+            # A PROTOCOL row: the payload fields it names reach its handler,
+            # a server method the dispatcher looks up with getattr.
             handler = node.args[1]
             if isinstance(handler, ast.Constant):
                 for part in [*node.args[2:], *(k.value for k in node.keywords)]:
                     for constant in ast.walk(part):
                         if isinstance(constant, ast.Constant):
-                            yield handler.value, constant.value
-        for index, argument in enumerate(node.args):
-            if isinstance(argument, ast.Starred):
-                yield callee, EVERYTHING
-                break
-            yield callee, index
-        for keyword in node.keywords:
-            if keyword.arg is not None:
-                yield callee, keyword.arg
-            elif isinstance(keyword.value, ast.Name) and keyword.value.id in dicts:
-                for key in dicts[keyword.value.id]:
-                    yield callee, key
-            else:
-                yield callee, EVERYTHING
+                            yield True, handler.value, constant.value
+        for method in namespaces:
+            for what in _arguments(node, dicts):
+                yield method, callee, what
+
+
+def _arguments(call: ast.Call, dicts: Mapping[str, set[str]]) -> Iterator[object]:
+    """The keywords and positions *call* passes."""
+    for index, argument in enumerate(call.args):
+        if isinstance(argument, ast.Starred):
+            yield EVERYTHING
+            break
+        yield index
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            yield keyword.arg
+        elif isinstance(keyword.value, ast.Name) and keyword.value.id in dicts:
+            yield from dicts[keyword.value.id]
+        else:
+            yield EVERYTHING
 
 
 def heirs(trees: list[ast.Module]) -> dict[str, set[str]]:
@@ -363,10 +424,10 @@ def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
     dicts: dict[str, set[str]] = {}
     for tree in trees:
         dicts.update(module_dicts(tree))
-    passed: dict[str, set[object]] = defaultdict(set)
+    passed: dict[tuple[bool, str], set[object]] = defaultdict(set)
     for tree in trees:
-        for callee, what in passes(tree, dicts):
-            passed[callee].add(what)
+        for method, callee, what in passes(tree, dicts):
+            passed[method, callee].add(what)
     audited = {module: parse(text) for module, text in sources.items()}
     subclasses = heirs([*audited.values(), *trees])
     return sorted(
@@ -374,18 +435,17 @@ def unset(sources: Mapping[str, str], setters: Mapping[str, str]) -> list[str]:
         for module, tree in audited.items()
         for qualified, option in options(module, tree).items()
         if not any(
-            {EVERYTHING, option.keyword, option.position} & passed[callee]
-            for callee in (option.callee, *subclasses.get(option.callee, ()))
+            {EVERYTHING, option.keyword, option.position} & passed[option.method, callee]
+            for callee in (
+                option.callee, *(() if option.method else subclasses.get(option.callee, ()))
+            )
         )
     )
 
 
 def audited_packages(src: Path = SRC) -> list[str]:
-    """Every package under *src* but :data:`UNAUDITED`."""
-    return sorted(
-        path.name for path in src.iterdir()
-        if (path / "__init__.py").is_file() and path.name not in UNAUDITED
-    )
+    """Every package under *src*."""
+    return sorted(path.name for path in src.iterdir() if (path / "__init__.py").is_file())
 
 
 def audited_sources(src: Path = SRC) -> dict[str, str]:
@@ -490,10 +550,31 @@ def test_a_hidden_star_passes_everything():
 
 
 def test_a_protocol_row_sets_its_handler_keywords():
-    source = "def handle_choice(session_id, value, scope='local'):\n    pass\n"
+    source = (
+        "class Server:\n"
+        "    def handle_choice(self, session_id, value, scope='local'):\n"
+        "        pass\n"
+    )
     row = "KindSpec('choice', 'handle_choice', ('session_id', 'value'), {'scope': 'scope'})\n"
-    assert unset({"pkg.mod": source}, {}) == ["pkg.mod.handle_choice(scope)"]
+    assert unset({"pkg.mod": source}, {}) == ["pkg.mod.Server.handle_choice(scope)"]
     assert unset({"pkg.mod": source}, {"pkg/protocol.py": row}) == []
+
+
+def test_a_call_sets_only_options_in_its_namespace():
+    source = (
+        "def apply(net, value, prefer=True):\n"
+        "    pass\n"
+        "class Extension:\n"
+        "    def apply(self, value, prefer=True):\n"
+        "        pass\n"
+    )
+    both = ["pkg.mod.Extension.apply(prefer)", "pkg.mod.apply(prefer)"]
+    assert unset({"pkg.mod": source}, {"a.py": "apply(net, 1)\n"}) == both
+    # A function's call is not its same-named method's, nor the reverse.
+    assert unset({"pkg.mod": source}, {"a.py": "apply(net, 1, False)\n"}) == both[:1]
+    assert unset({"pkg.mod": source}, {"a.py": "ext.apply(1, False)\n"}) == both[1:]
+    # Through an imported module, an attribute call reaches the function.
+    assert unset({"pkg.mod": source}, {"a.py": "import pkg.mod as m\nm.apply(n, 1, False)\n"}) == []
 
 
 def test_a_caller_that_is_only_a_test_does_not_set(tmp_path):
@@ -507,16 +588,17 @@ def test_a_caller_that_is_only_a_test_does_not_set(tmp_path):
     assert "pkg.mod.run(seed)" not in unset({"pkg.mod": AUDITED}, setter_sources(tmp_path))
 
 
-def test_a_new_package_is_audited_by_default(tmp_path):
+def test_every_package_is_audited(tmp_path):
     src = tmp_path / "repro"
     for package in ("net", "media", "newcomer"):
         (src / package).mkdir(parents=True)
         (src / package / "__init__.py").write_text("")
         (src / package / "mod.py").write_text(AUDITED)
     (src / "notes").mkdir()  # not a package
-    assert audited_packages(src) == ["net", "newcomer"]
-    assert "repro.newcomer.mod.run(seed)" in unset(audited_sources(src), {})
-    assert not any(".media." in name for name in unset(audited_sources(src), {}))
+    assert audited_packages(src) == ["media", "net", "newcomer"]
+    missing = unset(audited_sources(src), {})
+    assert {"repro.media.mod.run(seed)", "repro.newcomer.mod.run(seed)"} <= set(missing)
+    assert len(audited_packages()) == 16
 
 
 def test_a_subclass_that_inherits_the_constructor_sets_its_base():
