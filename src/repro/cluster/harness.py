@@ -183,14 +183,6 @@ class ClusterHarness:
     def owner_of(self, doc_id: str) -> str:
         return self.ring.owner(doc_id)
 
-    def serving_server_of(self, doc_id: str):
-        """The InteractionServer instance currently serving *doc_id*."""
-        shard = self.shards[self.ring.owner(doc_id)]
-        for server in shard.serving_servers():
-            if server.hosts_document(doc_id):
-                return server
-        return shard.server
-
     def stats(self) -> dict[str, Any]:
         return {
             "directory": self.directory.stats(),

@@ -23,7 +23,7 @@ from repro.cluster.admission import (
 from repro.cluster.failover import schedule_periodic
 from repro.net.codec import encode_message
 from repro.net.network import SimulatedNetwork
-from repro.obs.dtrace import HOP_SHED_WAIT, get_dtrace
+from repro.obs.dtrace import get_dtrace
 from repro.server.protocol import MessageKind
 
 
@@ -169,11 +169,11 @@ class ServiceNode(ClusterNode):
             serve(sender, kind, body)
 
     def _resume_deferred(self, record: tuple[Any, ...]) -> None:
-        """Pump callback: re-enter one deferred JOIN into the queue; the
-        backoff is queueing on the op's critical path, not wire."""
+        """Pump callback: re-enter one deferred JOIN into the queue. No
+        client traces a JOIN, so its wait here is charged to no hop."""
         if not self.alive:
             return
-        _ctx, kind, sender, _body, _since = record
+        _ctx, kind, sender, body, _since = record
         if not self.network.has_node(sender):
             # The parked client departed (crash, or a gateway re-home
             # swept it away) before capacity freed up: drop with zero
@@ -182,4 +182,4 @@ class ServiceNode(ClusterNode):
             self.admission.drop_parked()
             self._emit("cluster.admission.deferred_dropped", node=sender, kind=kind)
             return
-        self._work(record, HOP_SHED_WAIT, self._enqueue)
+        self._enqueue(sender, kind, body)

@@ -10,7 +10,8 @@ replication lag. The log is the standby: its shadow
 read-only view of the store) replays the backlog only when it must —
 at promotion, when read, or at a join that opens a room — so replayed
 state is byte-identical to the primary's: presentation outcomes are
-deterministic functions of the op sequence.
+deterministic functions of the op sequence. At promotion the holding
+shard's own server adopts the shadow's rooms and sessions.
 """
 
 from __future__ import annotations
@@ -116,31 +117,31 @@ class ReplicaState:
     standby reads it there too (a reopen mints a new id, so a deferred
     close never hides one). Replay does the room-state work — sweeps,
     diffs, interest filtering, known-spec merges — and, with no outbox,
-    none of the shipping; it writes no store until :meth:`promote`
-    hands over the write path. ``clock`` is the owning shard's, lent
-    for event and spec stamps.
+    none of the shipping, and it writes no store: the server that adopts
+    it at promotion does. ``clock`` is the owning shard's, lent for
+    event and spec stamps. The shadow is named ``replica:<primary>@<holder>``:
+    each standby of one primary reads in its own ``server.*{node}`` series.
     """
 
     def __init__(
         self,
         primary_id: str,
+        holder_id: str,
         store: MultimediaObjectStore,
         clock: SimClock | None = None,
         on_gap: Callable[[int, int], None] | None = None,
         interest_mode: str = "off",
     ) -> None:
         self.applied_seq = 0
-        self.promoted = False
         #: every entry logged, in order — at promotion this becomes the
         #: new primary's room history (so *it* can bootstrap replicas).
         self.applied_log: list[LogEntry] = []
         self._replayed = 0  # applied_log[:_replayed] is in the shadow
         self._pending: dict[int, LogEntry] = {}  # out-of-order buffer
         self._on_gap = on_gap
-        self._store = store
         self._shadow = InteractionServer(
             _ReadOnlyStore(store),  # type: ignore[arg-type]
-            node_id=f"replica:{primary_id}",
+            node_id=f"replica:{primary_id}@{holder_id}",
             interest_mode=interest_mode,
         )
         self._shadow.clock = clock
@@ -202,13 +203,13 @@ class ReplicaState:
     # ----- failover --------------------------------------------------------------
 
     def promote(self) -> InteractionServer:
-        """Catch up and hand over the shadow server as the new primary.
+        """Catch up and return the shadow server, for the new primary to adopt.
 
         Everything acked is logged (acks are sent *after* logging);
         buffered entries past a gap can never apply safely and are
         dropped — they were never acked, so no client-visible state is
         lost. Replay pays, in wall time only, for the backlog since the
-        last room open; then the server gets the store's write path.
+        last room open.
         """
         if self._pending:
             dropped = sorted(self._pending)
@@ -216,6 +217,4 @@ class ReplicaState:
                 self._on_gap(self.applied_seq, len(dropped))
             self._pending.clear()
         self._catch_up()
-        self._shadow.store = self._store
-        self.promoted = True
         return self._shadow

@@ -10,8 +10,9 @@ server response back through the gateway. Room ops the server applied
 refusal) are appended to a per-replica :class:`ShipLog` and shipped as
 ``REPLICATE`` batches over backbone peer links; inbound ``REPLICATE``
 entries log into standby :class:`ReplicaState` mirrors (no outbox, no
-store writes, replay deferred), which a ``PROMOTE`` order catches up and
-turns into live servers with an outbox that routes through the gateways.
+store writes, replay deferred). A ``PROMOTE`` order catches one up and
+folds its rooms and sessions into the shard's own server, so a shard
+serves from one server for its whole life.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ServiceQueue:
 
 
 class ShardServer(ServiceNode):
-    """One shard node: primary server + standby replicas + log shipping."""
+    """One shard node: its server + standby replicas + log shipping."""
 
     role = "shard"
     queue_hop = HOP_SHARD_QUEUE
@@ -131,13 +132,14 @@ class ShardServer(ServiceNode):
         self._gateway_ring = gateway_ring
         self._store = store
         self._interest_mode = interest_mode
-        self._batch_window_s = batch_window_s
         self.server = InteractionServer(store, node_id=shard_id, interest_mode=interest_mode)
-        self._serve_from(self.server)
+        # The server ships on this shard's clock, through an outbox whose
+        # frames leave as ROUTEs to the clients' gateways.
+        self.server.clock = network.clock
+        self.server.outbox = Outbox(network.clock, self.route_to_client, shard_id, batch_window_s)
         self._serve_through(ServiceQueue(network.clock, service_rate, self._work), admission)
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
-        self._promoted: dict[str, InteractionServer] = {}
         #: op history per room key since the room last opened — streamed to
         #: a replica the first time it is asked to mirror that room, so a
         #: replica assigned mid-conference (the ring moves after a node
@@ -203,15 +205,14 @@ class ShardServer(ServiceNode):
                 # The op applied the first time, but its responses may
                 # have died with the client's old gateway — answer the
                 # replay with a catch-up diff instead of silence.
-                target = self._server_for(kind, payload)
-                if target.has_session(session_id):
-                    target.resync_session(session_id)
+                if self.server.has_session(session_id):
+                    self.server.resync_session(session_id)
                 return
-        target = self._server_for(kind, payload)
+        server = self.server  # unknown sessions error out here, routed back
         op = REPLICATED_OPS.get(kind)
         # Read before serving: a LEAVE drops the session (and may close the room).
-        room_key = None if op is None or session_id is None else target.doc_of(session_id)
-        served = target.receive(
+        room_key = None if op is None or session_id is None else server.doc_of(session_id)
+        served = server.receive(
             Message(
                 sender=sender_node, recipient=self.node_id,
                 kind=kind, payload=payload, size_bytes=0,
@@ -224,39 +225,13 @@ class ShardServer(ServiceNode):
         if op == "join":
             data = {
                 "session_id": served,
-                "room_id": target.session(served).room_id,
+                "room_id": server.session(served).room_id,
                 "viewer_id": payload["viewer_id"],
                 "node_id": sender_node,
             }
             self._replicate_op(payload["doc_id"], op, data)
         elif room_key is not None:  # None: read-only traffic (fetches)
             self._replicate_op(room_key, op, dict(payload))
-
-    def _server_for(self, kind: str, payload: dict[str, Any]) -> InteractionServer:
-        """Pick the serving instance: the primary, or a promoted takeover."""
-        if kind == MessageKind.JOIN:
-            doc_id = payload["doc_id"]
-            if self.server.hosts_document(doc_id):
-                return self.server
-            for promoted in self._promoted.values():
-                if promoted.hosts_document(doc_id):
-                    return promoted
-            return self.server
-        session_id = payload.get("session_id")
-        if session_id is not None and not self.server.has_session(session_id):
-            for promoted in self._promoted.values():
-                if promoted.has_session(session_id):
-                    return promoted
-        return self.server  # unknown sessions error out here, routed back
-
-    def _serve_from(self, server: InteractionServer) -> None:
-        """Let *server* ship: on this shard's clock, through an outbox
-        whose frames leave as ROUTEs to the clients' gateways."""
-        server.clock = self.network.clock
-        server.outbox = Outbox(
-            self.network.clock, self.route_to_client, server.node_id, self._batch_window_s
-        )
-        server.claim_interest_gauges()
 
     def route_to_client(self, recipient: str, frame: Frame) -> None:
         """Wrap one server→client frame into a ROUTE envelope to the gateway."""
@@ -396,6 +371,7 @@ class ShardServer(ServiceNode):
         if state is None:
             state = self._replicas[primary_id] = ReplicaState(
                 primary_id,
+                self.node_id,
                 self._store,
                 clock=self.network.clock,
                 on_gap=self._on_replay_gap,
@@ -433,8 +409,7 @@ class ShardServer(ServiceNode):
             return
         routed: ClientBound = error.payload
         if self.network.has_node(error.recipient):
-            for server in self.serving_servers():
-                server.forget_unseen(routed.to, routed.frame.kind)
+            self.server.forget_unseen(routed.to, routed.frame.kind)
             return
         self._send_clientbound(routed.to, routed.frame, routed.size, attempt=0)
 
@@ -446,11 +421,11 @@ class ShardServer(ServiceNode):
         state = self._replicas.pop(primary_id, None)
         sessions = 0
         if state is not None:
-            server = state.promote()
-            # The standby only decided; from here it ships, coalescing
-            # exactly as this shard's own server does.
-            self._serve_from(server)
-            self._promoted[primary_id] = server
+            standby = state.promote()
+            sessions = sum(standby.session(s).in_room for s in standby.session_ids)
+            # The standby only decided; its rooms and sessions become this
+            # shard's own, served, shipped and coalesced by its one server.
+            self.server.adopt(standby)
             # Inherit the replayed ops as this shard's history for the
             # taken-over rooms: the new primary must be able to bootstrap
             # *its* replicas (the ring will name one on the next op).
@@ -466,7 +441,6 @@ class ShardServer(ServiceNode):
                 if op_seq is not None and entry_session is not None:
                     if op_seq > self._op_seen.get(entry_session, 0):
                         self._op_seen[entry_session] = op_seq
-            sessions = sum(server.session(s).in_room for s in server.session_ids)
         self._m_promotions.inc()
         self._send_framed(
             self.directory_id, MessageKind.ACK,
@@ -475,14 +449,6 @@ class ShardServer(ServiceNode):
 
     # ----- introspection ----------------------------------------------------------------
 
-    @property
-    def promoted_primaries(self) -> tuple[str, ...]:
-        return tuple(sorted(self._promoted))
-
-    def serving_servers(self) -> list[InteractionServer]:
-        """The primary plus every promoted takeover (live serving state)."""
-        return [self.server, *self._promoted.values()]
-
     def standby_for(self, primary_id: str) -> ReplicaState | None:
         return self._replicas.get(primary_id)
 
@@ -490,10 +456,9 @@ class ShardServer(ServiceNode):
         stats = {
             "shard": self.node_id,
             "alive": self.alive,
-            "rooms": sum(len(s.room_ids) for s in self.serving_servers()),
-            "sessions": sum(len(s.session_ids) for s in self.serving_servers()),
+            "rooms": len(self.server.room_ids),
+            "sessions": len(self.server.session_ids),
             "standby_primaries": sorted(self._replicas),
-            "promoted_primaries": sorted(self._promoted),
             "queue_max_pending": self.queue.max_pending,
             "replication": {
                 replica: {"shipped": log.shipped_seq, "acked": log.acked_seq, "lag": log.lag}

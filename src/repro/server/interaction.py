@@ -142,7 +142,7 @@ class InteractionServer:
         # One child per server, read from its own tables: every shard
         # primary and standby shadow has its own, and a new one claims its
         # label so a recycled registry never shows a dead server's state.
-        sessions, rooms, node = self._sessions, self._rooms_by_doc, ("node",)
+        sessions, rooms, node = self._sessions, self._rooms, ("node",)
         registry.gauge_family("server.sessions_connected", node).labels(
             node_id, read=sessions.__len__
         )
@@ -226,10 +226,6 @@ class InteractionServer:
         except KeyError:
             raise RoomError(f"no room {room_id!r}") from None
 
-    def hosts_document(self, doc_id: str) -> bool:
-        """True while a room is open on *doc_id*."""
-        return doc_id in self._rooms_by_doc
-
     def doc_of(self, session_id: str) -> str | None:
         """The document open in *session_id*'s room (``None``: no such
         session, or in no room) — the key a cluster shards the room by."""
@@ -296,15 +292,24 @@ class InteractionServer:
 
     def _claim_interest_gauge(self, room: Room) -> None:
         """The serving room whose subscriptions changed last owns its gauge
-        (a primary's and a promoted room share one room id). A standby's
-        shadow has no outbox and never claims it."""
+        (a dead primary's room and the one its successor adopted share one
+        room id). A standby's shadow has no outbox and never claims it."""
         if self.outbox is not None:
             self._g_interest_subs.labels(room.room_id, read=room.interest.explicit_subscriptions)
 
-    def claim_interest_gauges(self) -> None:
-        """Claim every room's gauge (a promoted server, once it has an outbox)."""
-        for room in self._rooms.values():
+    def adopt(self, other: InteractionServer) -> None:
+        """Take over the sessions and rooms of *other*, the standby a shard
+        promoted: ids minted under the dead primary's namespace collide
+        with none here, and a document both have open takes new joins in
+        *other*'s room. Its gauges retire; its rooms' interest gauges move."""
+        self._sessions.update(other._sessions)
+        self._rooms.update(other._rooms)
+        self._rooms_by_doc.update(other._rooms_by_doc)
+        for room in other._rooms.values():
             self._claim_interest_gauge(room)
+        registry = obs.get_registry()
+        for name in ("server.sessions_connected", "server.rooms_open", "server.room_occupancy"):
+            registry.gauge_family(name, ("node",)).remove(other.node_id)
 
     def _profile_of(self, viewer_id: str):
         if viewer_id not in self._profiles:
@@ -339,7 +344,8 @@ class InteractionServer:
                         room.document.doc_id, component, entry["viewer"], data
                     )
             del self._rooms[room.room_id]
-            del self._rooms_by_doc[room.document.doc_id]
+            if self._rooms_by_doc.get(room.document.doc_id) == room.room_id:  # else adopted
+                del self._rooms_by_doc[room.document.doc_id]
             # The room's labelled series die with it: a closed room must
             # leave no live child in any family and no trace-store
             # residue (the flat counters keep the cumulative totals).

@@ -406,9 +406,7 @@ class TestOverloadIntegration:
         assert leaver.session_id is None
         # zero residue: no session, no room membership for the departed
         viewers_in_rooms = {
-            server.session(sid).viewer_id
-            for server in shard.serving_servers()
-            for sid in server.session_ids
+            shard.server.session(sid).viewer_id for sid in shard.server.session_ids
         }
         assert "gone" not in viewers_in_rooms
         assert "stay" in viewers_in_rooms

@@ -108,9 +108,10 @@ class TestFailover:
         assert failover["primary"] == failed["victim"]
         assert failover["completed"] > failover["started"]
 
-        # ...the survivor serves the victim's rooms...
+        # ...the survivor's own server serves the victim's rooms...
         promoted = harness.shards[failover["promoted"]]
-        assert failed["victim"] in promoted.promoted_primaries
+        for client in failed["clients"]["case-0"]:
+            assert promoted.server.doc_of(client.session_id) == "case-0"
 
         # ...and no client can tell: every final displayed presentation is
         # byte-identical to the uninterrupted run.
@@ -171,7 +172,8 @@ class TestFailover:
 
     def test_promoted_server_keeps_the_cluster_batch_window(self, tmp_path, fresh_obs):
         """Regression: a standby used to be built with the default window
-        0, so the rooms it took over silently stopped coalescing."""
+        0, so the rooms it took over silently stopped coalescing. Adopted
+        rooms now ship through the promoted shard's own outbox."""
         registry, _ = fresh_obs
         coalesced = registry.counter("batch.messages_coalesced")
         failed = drive_conference(
@@ -179,13 +181,10 @@ class TestFailover:
         )
         harness = failed["harness"]
         promoted = harness.shards[harness.failovers[0]["promoted"]]
-        successor = harness.serving_server_of("case-0")
-        assert successor is not promoted.server
-        windows = (successor.outbox.batcher.window_s, promoted.server.outbox.batcher.window_s)
-        assert windows == (0.02, 0.02)
+        assert promoted.server.outbox.batcher.window_s == 0.02
         # And it does batch: one more shared choice in the taken-over
         # room sends its peer an update and a peer event, which leave
-        # the successor as one BATCH frame.
+        # the promoted shard as one BATCH frame.
         assert failed["errors"] == []
         before = coalesced.value
         actor, peer = failed["clients"]["case-0"]

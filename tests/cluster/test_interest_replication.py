@@ -68,7 +68,7 @@ class TestGatewayRouting:
             # The ack came back through the ROUTE path, and the serving
             # shard's registry narrowed.
             assert b.membership.subscriptions == tuple(paths[:2])
-            server = harness.serving_server_of(DOC)
+            server = harness.shards[harness.owner_of(DOC)].server
             room = server.room(server.room_ids[0])
             assert room.interest.subscriptions(b.session_id) == tuple(paths[:2])
             assert b.errors == []
@@ -125,7 +125,7 @@ class TestFailover:
             assert harness.failovers  # promotion actually happened
 
             # The promoted replica inherited the narrowed interest set...
-            server = harness.serving_server_of(DOC)
+            server = harness.shards[harness.owner_of(DOC)].server
             room = server.room(server.room_ids[0])
             assert room.interest.subscriptions(b.session_id) == (watched,)
 
@@ -162,7 +162,7 @@ class TestFailover:
             harness.run_until(10.0)
             harness.run()
 
-            server = harness.serving_server_of(DOC)
+            server = harness.shards[harness.owner_of(DOC)].server
             room = server.room(server.room_ids[0])
             assert room.interest.subscriptions(b.session_id) == (paths[1],)
         finally:
@@ -175,7 +175,7 @@ class TestFailover:
             a.join(DOC)
             harness.run()
             primary = harness.shards[harness.owner_of(DOC)]
-            server = harness.serving_server_of(DOC)
+            server = harness.shards[harness.owner_of(DOC)].server
             room = server.room(server.room_ids[0])
             seeded = room.interest.subscriptions(a.session_id)
             assert seeded is not None  # cpnet mode seeds, never implicit ALL
@@ -209,7 +209,7 @@ class TestFailover:
             b.join(DOC)
             harness.run()
             owner = harness.owner_of(DOC)
-            room = harness.serving_server_of(DOC).room(a.room_id)
+            room = harness.shards[harness.owner_of(DOC)].server.room(a.room_id)
             gauge = registry.gauges[f'interest.subscriptions{{room="{room.room_id}"}}']
             assert gauge.value == room.interest.explicit_subscriptions() == 12
 
@@ -233,7 +233,7 @@ class TestFailover:
             harness.crash(owner)
             harness.run()
             assert harness.failovers
-            promoted = harness.serving_server_of(DOC).room(a.room_id)
+            promoted = harness.shards[harness.owner_of(DOC)].server.room(a.room_id)
             assert promoted is not room
             # Promotion claims the gauge before the promoted room serves an op.
             assert gauge._read == promoted.interest.explicit_subscriptions

@@ -119,7 +119,7 @@ class TestReplicaReplay:
                 entry.data["value"], scope=entry.data["scope"],
             )
 
-        state = ReplicaState("primary", store)
+        state = ReplicaState("primary", "replica", store)
         for entry in entries:
             state.offer(entry)
         assert state.applied_seq == len(entries)
@@ -135,7 +135,7 @@ class TestReplicaReplay:
     def test_out_of_order_entries_are_buffered(self, store):
         record = record_for(store)
         first, second, third = self._entries(record, num_events=2)
-        state = ReplicaState("primary", store)
+        state = ReplicaState("primary", "replica", store)
         assert state.offer(third) == 0      # gap: buffered, nothing applied
         assert state.applied_seq == 0
         assert state.offer(first) == 1      # applies just the join
@@ -145,7 +145,7 @@ class TestReplicaReplay:
     def test_duplicates_are_ignored(self, store):
         record = record_for(store)
         entries = self._entries(record, num_events=2)
-        state = ReplicaState("primary", store)
+        state = ReplicaState("primary", "replica", store)
         for entry in entries:
             state.offer(entry)
         applied = state.applied_seq
@@ -155,7 +155,7 @@ class TestReplicaReplay:
     def test_applied_log_records_replay_order(self, store):
         record = record_for(store)
         entries = self._entries(record, num_events=3)
-        state = ReplicaState("primary", store)
+        state = ReplicaState("primary", "replica", store)
         for entry in reversed(entries):  # worst-case arrival order
             state.offer(entry)
         assert [e.seq for e in state.applied_log] == [e.seq for e in entries]
@@ -165,20 +165,19 @@ class TestReplicaReplay:
         entries = self._entries(record, num_events=3)
         gaps = []
         state = ReplicaState(
-            "primary", store, on_gap=lambda seq, dropped: gaps.append((seq, dropped))
+            "primary", "replica", store, on_gap=lambda seq, dropped: gaps.append((seq, dropped))
         )
         state.offer(entries[0])
         state.offer(entries[1])
         state.offer(entries[3])  # seq 3 never arrives
         server = state.promote()
-        assert state.promoted
         assert gaps == [(2, 1)]
         # The acked prefix survived: session exists, un-acked tail dropped.
         assert server.has_session("primary:session-1")
 
     def test_unknown_op_rejected(self, store):
         record_for(store)
-        state = ReplicaState("primary", store)
+        state = ReplicaState("primary", "replica", store)
         with pytest.raises(ClusterError, match="unknown replicated op"):
             state.offer(
                 LogEntry(seq=1, at=0.0, room_key="case-0", op="compact", data={})

@@ -1,10 +1,9 @@
 """Each wait a cluster node imposes is charged once, to its own hop.
 
-A node holds an op back in three places — a rated gateway's routing
-queue, a gateway's route-miss FIFO and a shard's admission parking lot
-— and resumes it through one step that records the wait as a span of
-the op's delivery trace: ``gateway_queue``, ``directory_lookup`` and
-``shed_wait``. Each case drives traced ops into one of those places and
+A gateway holds an op back in two places — its rated routing queue and
+its route-miss FIFO — and resumes it through one step that records the
+wait as a span of the op's delivery trace: ``gateway_queue`` and
+``directory_lookup``. Each case drives traced ops into one of those places and
 notes, by the op's trace context, the instant the node parked each and
 the instant it resumed it (spies on the node's own park and resume
 calls). Every span of that hop must then be exactly one of those waits:
@@ -14,28 +13,15 @@ one per parked op, at the node that held it, from park to resume.
 import pytest
 
 from repro import obs
-from repro.cluster import AdmissionConfig, ClusterConfig, ClusterHarness
+from repro.cluster import ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
-from repro.net.codec import encode_message, stamp_frame
 from repro.obs.dtrace import (
     HOP_DIRECTORY_LOOKUP,
     HOP_GATEWAY_QUEUE,
-    HOP_SHED_WAIT,
     DeliveryTracer,
     use_dtrace,
 )
-from repro.server.protocol import MessageKind
 from repro.workloads import consultation_events, generate_record
-
-
-class _Sink:
-    """A client node that takes delivery and does nothing with it."""
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-
-    def receive(self, message) -> None:
-        pass
 
 
 def _harness(store, **config):
@@ -44,7 +30,7 @@ def _harness(store, **config):
     return ClusterHarness(store, ClusterConfig(**config)), record
 
 
-def _queued_at_a_rated_gateway(store, tracer):
+def _queued_at_a_rated_gateway(store):
     """Choices and their fan-out through one gateway at 20 ops/s."""
     harness, record = _harness(store, shards=1, gateways=1, route_rate=20.0)
     clients = [harness.add_client(f"q-{index}") for index in range(3)]
@@ -61,7 +47,7 @@ def _queued_at_a_rated_gateway(store, tracer):
     return harness, gateway, (gateway.queue, "submit"), (gateway, "_serve"), drive
 
 
-def _missed_after_a_gateway_failover(store, tracer):
+def _missed_after_a_gateway_failover(store):
     """A client's home gateway dies; its op-log replay reaches the
     survivor, whose route cache has never seen the session."""
     harness, record = _harness(store, shards=1, gateways=2, failure_timeout=1.5)
@@ -89,37 +75,9 @@ def _missed_after_a_gateway_failover(store, tracer):
     )
 
 
-def _parked_by_admission(store, tracer):
-    """Traced JOINs reach a shard whose 4 ops/s queue is already busy:
-    admission parks them until it drains."""
-    harness, _ = _harness(
-        store, shards=1, gateways=1, service_rate=4.0,
-        admission=AdmissionConfig(depth_defer=1, depth_shed=64, defer_limit=64),
-    )
-    shard, network = harness.shards["shard-1"], harness.network
-    sinks = [_Sink(f"sink-{index}") for index in range(4)]
-    for sink in sinks:
-        network.attach_client(sink)
-        harness.directory.attach_client(sink)
-
-    def drive():
-        harness.add_client("first").join("case-0")
-        for sink in sinks:
-            ctx = tracer.start_trace(sink.node_id, MessageKind.JOIN, network.clock.now)
-            frame = encode_message(
-                MessageKind.JOIN, {"doc_id": "case-0", "viewer_id": sink.node_id}
-            )
-            network.send(sink.node_id, "gw-1", stamp_frame(frame, (ctx,)))
-        harness.run()
-        assert shard.admission.deferred == len(sinks)
-
-    return harness, shard, (shard.admission, "park"), (shard, "_enqueue"), drive
-
-
 CASES = {
     HOP_GATEWAY_QUEUE: _queued_at_a_rated_gateway,
     HOP_DIRECTORY_LOOKUP: _missed_after_a_gateway_failover,
-    HOP_SHED_WAIT: _parked_by_admission,
 }
 
 
@@ -144,7 +102,7 @@ def test_each_wait_is_charged_once_to_its_own_hop(tmp_path, hop):
             use_dtrace(tracer):
         db = Database(str(tmp_path / hop))
         try:
-            harness, node, park, resume, drive = CASES[hop](MultimediaObjectStore(db), tracer)
+            harness, node, park, resume, drive = CASES[hop](MultimediaObjectStore(db))
             parked, resumed = {}, {}
             _spy(tracer, harness.clock, *park, parked)
             _spy(tracer, harness.clock, *resume, resumed)

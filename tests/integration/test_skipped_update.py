@@ -120,7 +120,7 @@ class TestShardThroughLiveGateway:
         assert [f.kind for f in harness.network.delivery_failures] == [MessageKind.ROUTE]
         client.choose(second, v2)
         harness.run()
-        assert_in_sync(client, harness.serving_server_of(DOC))
+        assert_in_sync(client, harness.shards[harness.owner_of(DOC)].server)
 
     def test_lost_update_does_not_land_after_a_newer_one(self, store, cluster):
         harness, client = cluster
@@ -132,4 +132,4 @@ class TestShardThroughLiveGateway:
         client.choose(path, v2)  # its update queues behind the lost one
         harness.run()
         assert client.displayed()[path] == v2
-        assert_in_sync(client, harness.serving_server_of(DOC))
+        assert_in_sync(client, harness.shards[harness.owner_of(DOC)].server)

@@ -46,7 +46,7 @@ OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 LINE_BUDGET = {
     "chaos": 599,
     "client": 1147,
-    "cluster": 2602,
+    "cluster": 2558,
     "cpnet": 1906,
     "db": 1891,
     "document": 1137,
@@ -57,7 +57,7 @@ LINE_BUDGET = {
     "prefetch": 169,
     "presentation": 937,
     "retrieval": 753,
-    "server": 1722,
+    "server": 1728,
     "util": 299,
     "workloads": 1274,
 }

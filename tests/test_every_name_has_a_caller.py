@@ -81,8 +81,6 @@ ALLOWLIST: dict[str, str] = {
     "tests/cpnet/test_compiled.py",
     "repro.cluster.shard.ShardServer.standby_for": "ROADMAP item 1(ii): "
     "tests/cluster/test_standby_equivalence.py, tests/integration/test_zero_residue.py",
-    "repro.cluster.harness.ClusterHarness.serving_server_of": "who serves a room after "
-    "PROMOTE: tests/cluster/test_failover.py",
     "repro.cluster.gateway.Gateway.shard_of_session": "session route: "
     "tests/cluster/test_gateway_routing.py, test_failover.py",
     "repro.cluster.gatewaytier.GatewayDirectory.shard_of_session": "session route: "
@@ -108,7 +106,7 @@ ALLOWLIST: dict[str, str] = {
     "test_failover.py",
 }
 
-ALLOWLIST_SIZE = 36
+ALLOWLIST_SIZE = 35
 
 #: Calls whose direct string arguments name an attribute or a handler.
 NAMING_CALLS = frozenset({"getattr", "hasattr", "setattr", "delattr", "KindSpec"})

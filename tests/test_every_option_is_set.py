@@ -24,7 +24,10 @@ the reverse. ``**NAME``, where ``NAME`` is a module-level
 dict literal or ``dict(...)`` call, passes that dict's keys; any other
 ``*`` or ``**`` passes everything, so the audit is a floor. A handler
 keyword named in a ``PROTOCOL`` row (a ``KindSpec(...)`` call) is set
-by the wire; the handler is a method. Tests and examples are not setters.
+by the wire; the handler is a method. A pytest-benchmark fixture call,
+``benchmark(f, *args, **kwargs)`` or ``benchmark.pedantic(f, args=(...),
+kwargs={...})``, is also the call of ``f`` it makes. Tests and examples
+are not setters.
 
 An option nobody sets is a constant wearing a parameter: make it a
 module constant, or put it on :data:`ALLOWLIST` as a deployment
@@ -151,18 +154,9 @@ ALLOWLIST: dict[str, str] = {
     "repro.media.image.wavelet.haar_inverse(levels)": "codec reconstruction oracle: inverts "
     "haar_forward at the depth each test picks, in tests/media/test_image_codec.py, "
     "test_media_properties.py",
-    "repro.retrieval.fuzzy.FuzzyQuery.top_k(k)": "E10 / §1 and reference [14]: Fagin top-k, set "
-    "by examples/similar_cases.py, tests/retrieval/test_fuzzy_spatial.py and, through the "
-    "benchmark fixture, benchmarks/test_bench_sec1_retrieval.py",
-    "repro.retrieval.image_index.SimilarImageIndex.query(k)": "E10 / §1: the k studies most "
-    "like an example, set by examples/similar_cases.py, tests/retrieval/test_features_index.py "
-    "and, through the benchmark fixture, benchmarks/test_bench_sec1_retrieval.py",
-    "repro.retrieval.text.ArticleSearchEngine.search(k)": "E10 / §1: the k best articles, set "
-    "by tests/retrieval/test_text.py and, through the benchmark fixture, "
-    "benchmarks/test_bench_sec1_retrieval.py",
 }
 
-ALLOWLIST_SIZE = 43
+ALLOWLIST_SIZE = 40
 
 #: Everything a ``*`` or ``**`` we cannot see into might pass.
 EVERYTHING = "*"
@@ -315,14 +309,41 @@ def _imported(tree: ast.Module) -> set[str]:
     }
 
 
+def _benchmarked(call: ast.Call) -> ast.Call | None:
+    """The call pytest-benchmark's fixture makes of its first argument:
+    ``benchmark(f, *args, **kwargs)`` and ``benchmark.pedantic(f,
+    args=(...), kwargs={...})`` both call ``f(*args, **kwargs)``."""
+    func = call.func
+    if not call.args:
+        return None
+    if getattr(func, "id", None) == "benchmark":
+        return ast.Call(call.args[0], call.args[1:], call.keywords)
+    if getattr(func, "attr", None) != "pedantic" or getattr(func.value, "id", None) != "benchmark":
+        return None
+    given = {keyword.arg: keyword.value for keyword in call.keywords}
+    args, kwargs = given.get("args"), given.get("kwargs")
+    positional = args.elts if isinstance(args, (ast.Tuple, ast.List)) else (
+        [] if args is None else [ast.Starred(args)]
+    )
+    if isinstance(kwargs, ast.Dict) and all(isinstance(k, ast.Constant) for k in kwargs.keys):
+        keywords = [ast.keyword(k.value, v) for k, v in zip(kwargs.keys, kwargs.values)]
+    else:
+        keywords = [] if kwargs is None else [ast.keyword(None, kwargs)]
+    return ast.Call(call.args[0], positional, keywords)
+
+
 def _calls(
     node: ast.AST, modules: set[str], owner: ast.ClassDef | None = None
 ) -> Iterator[tuple[ast.Call, str, tuple[bool, ...]]]:
-    """Every call under *node*, with what :func:`_reach` says it reaches."""
+    """Every call under *node*, with what :func:`_reach` says it reaches;
+    a benchmark fixture's call adds the call it makes."""
     if isinstance(node, ast.ClassDef):
         owner = node
     if isinstance(node, ast.Call):
         yield node, *_reach(node, owner, modules)
+        made = _benchmarked(node)
+        if made is not None:
+            yield made, *_reach(made, owner, modules)
     for child in ast.iter_child_nodes(node):
         yield from _calls(child, modules, owner)
 
@@ -575,6 +596,14 @@ def test_a_call_sets_only_options_in_its_namespace():
     assert unset({"pkg.mod": source}, {"a.py": "ext.apply(1, False)\n"}) == both[1:]
     # Through an imported module, an attribute call reaches the function.
     assert unset({"pkg.mod": source}, {"a.py": "import pkg.mod as m\nm.apply(n, 1, False)\n"}) == []
+
+
+def test_a_benchmark_fixture_call_sets_its_target():
+    source = "class Index:\n    def query(self, probe, k=10, exact=False):\n        pass\n"
+    timed = "benchmark(index.query, probe, 5)\n"
+    assert unset({"pkg.mod": source}, {"b.py": timed}) == ["pkg.mod.Index.query(exact)"]
+    pedantic = "benchmark.pedantic(index.query, args=(probe,), kwargs={'exact': True}, rounds=2)\n"
+    assert unset({"pkg.mod": source}, {"b.py": pedantic}) == ["pkg.mod.Index.query(k)"]
 
 
 def test_a_caller_that_is_only_a_test_does_not_set(tmp_path):

@@ -176,8 +176,7 @@ def ghost_sessions(harness):
         session_id
         for shard_id, shard in harness.shards.items()
         if harness.network.has_node(shard_id)
-        for server in shard.serving_servers()
-        for session_id in server.session_ids
+        for session_id in shard.server.session_ids
         if session_id not in current
     )
 
