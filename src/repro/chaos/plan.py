@@ -126,8 +126,3 @@ class FaultPlan:
         if self.reorder_rate and roll() < self.reorder_rate:
             return (REORDER, roll() * REORDER_MAX_S)
         return None
-
-    @property
-    def horizon(self) -> float:
-        """Latest scheduled window edge (0.0 with no windows)."""
-        return max((w.end for w in self.partitions), default=0.0)

@@ -423,11 +423,7 @@ class ClientModule:
                 self.fetch_payload(path, value)
 
     def _on_payload(self, payload: dict[str, Any]) -> None:
-        component = payload.get("component")
-        value = payload.get("value")
-        size = payload.get("size", 0)
-        if component is None or value is None:
-            return  # raw media_ref payloads are consumed by media tooling
+        component, value, size = payload["component"], payload["value"], payload["size"]
         membership = self.membership
         key = entry_key(component, value)
         if membership is not None:

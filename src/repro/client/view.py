@@ -43,10 +43,6 @@ class RenderTree:
     def __len__(self) -> int:
         return len(self._components)
 
-    @property
-    def paths(self) -> tuple[str, ...]:
-        return tuple(self._components)
-
     def component(self, path: str) -> RenderedComponent:
         try:
             return self._components[path]

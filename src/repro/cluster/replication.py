@@ -97,12 +97,11 @@ class _ReadOnlyStore:
 
     def __init__(self, store: MultimediaObjectStore) -> None:
         self.fetch_document = store.fetch_document
-        self.load_profile = store.load_profile
 
     def _drop(self, *write: Any) -> None:
         pass
 
-    store_document = store_annotation = save_profile = _drop
+    store_document = store_annotation = _drop
 
 
 class ReplicaState:

@@ -32,7 +32,7 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.obs.dtrace import HOP_SHARD_QUEUE
-from repro.server.interaction import InteractionServer, Outbox
+from repro.server.interaction import InteractionServer, Outbox, retire_gauges
 from repro.server.protocol import MessageKind
 from repro.util.failpoints import get_failpoints
 
@@ -441,6 +441,8 @@ class ShardServer(ServiceNode):
                 if op_seq is not None and entry_session is not None:
                     if op_seq > self._op_seen.get(entry_session, 0):
                         self._op_seen[entry_session] = op_seq
+        # The dead primary's tables still hold the sessions just adopted.
+        retire_gauges(primary_id)
         self._m_promotions.inc()
         self._send_framed(
             self.directory_id, MessageKind.ACK,

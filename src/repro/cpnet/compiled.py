@@ -267,9 +267,6 @@ class CompiledCPNet:
         """Flat replacement for ``net.cpt(name).order_for(assignment)``."""
         return self._tables[name].order_for(assignment)
 
-    def best_value(self, name: str, assignment: Assignment) -> str:
-        return self._tables[name].order_for(assignment)[0]
-
     def best_completion(self, evidence: Assignment) -> dict[str, str]:
         """Best outcome consistent with *evidence* — the compiled sweep.
 

@@ -21,7 +21,6 @@ AUDIO_OBJECTS_TABLE = "AUDIO_OBJECTS_TABLE"
 CMP_OBJECTS_TABLE = "CMP_OBJECTS_TABLE"
 DOCUMENT_OBJECTS_TABLE = "DOCUMENT_OBJECTS_TABLE"
 ANNOTATIONS_TABLE = "ANNOTATIONS_TABLE"
-VIEWER_PROFILES_TABLE = "VIEWER_PROFILES_TABLE"
 
 
 def multimedia_objects_schema() -> TableSchema:
@@ -111,19 +110,6 @@ def annotations_schema() -> TableSchema:
     )
 
 
-def viewer_profiles_schema() -> TableSchema:
-    """Optional long-term viewer profiles (paper §4: learning "can be
-    supported" for frequent viewers who consent to it)."""
-    return TableSchema(
-        name=VIEWER_PROFILES_TABLE,
-        columns=(
-            Column("ID", INTEGER, primary_key=True, autoincrement=True),
-            Column("FLD_VIEWER", TEXT, nullable=False),
-            Column("FLD_DATA", JSONB, nullable=False),
-        ),
-    )
-
-
 #: Built-in type registrations: (type name, mime, access, object table, description).
 BUILTIN_TYPES = (
     ("Image", "image/jpeg", "blob", IMAGE_OBJECTS_TABLE, "Raster images (CT, X-ray, ...)"),
@@ -142,12 +128,10 @@ def create_multimedia_catalog(db: Database) -> None:
     db.create_table(cmp_objects_schema(), if_not_exists=True)
     db.create_table(document_objects_schema(), if_not_exists=True)
     db.create_table(annotations_schema(), if_not_exists=True)
-    db.create_table(viewer_profiles_schema(), if_not_exists=True)
     if created_catalog:
         db.create_index(MULTIMEDIA_OBJECTS_TABLE, "FLD_NAME", kind="hash", unique=True)
         db.create_index(DOCUMENT_OBJECTS_TABLE, "FLD_DOCID", kind="hash", unique=True)
         db.create_index(ANNOTATIONS_TABLE, "FLD_DOCID", kind="hash")
-        db.create_index(VIEWER_PROFILES_TABLE, "FLD_VIEWER", kind="hash", unique=True)
         for name, mime, access, object_table, description in BUILTIN_TYPES:
             db.insert(
                 MULTIMEDIA_OBJECTS_TABLE,

@@ -120,10 +120,6 @@ class Database:
 
     # ----- transactions -------------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._journal.in_transaction
-
     def begin(self) -> None:
         self._journal.begin()
         self._undo = []

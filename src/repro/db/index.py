@@ -24,19 +24,6 @@ class Index:
         self.column = column
         self.unique = unique
 
-    def insert(self, value: Any, pk: Any) -> None:
-        raise NotImplementedError
-
-    def delete(self, value: Any, pk: Any) -> None:
-        raise NotImplementedError
-
-    def lookup(self, value: Any) -> tuple[Any, ...]:
-        """Primary keys of rows whose column equals *value*."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
     def _check_unique(self, value: Any, existing: Iterable[Any]) -> None:
         if self.unique and any(True for _ in existing):
             raise DuplicateKeyError(
@@ -71,9 +58,6 @@ class HashIndex(Index):
 
     def lookup(self, value: Any) -> tuple[Any, ...]:
         return tuple(sorted(self._buckets.get(value, ()), key=repr))
-
-    def clear(self) -> None:
-        self._buckets.clear()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -122,10 +106,6 @@ class OrderedIndex(Index):
         if pos < len(self._keys) and self._keys[pos] == value:
             return tuple(sorted(self._pk_sets[pos], key=repr))
         return ()
-
-    def clear(self) -> None:
-        self._keys.clear()
-        self._pk_sets.clear()
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._pk_sets)

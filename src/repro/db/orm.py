@@ -19,7 +19,6 @@ from repro.db.catalog import (
     ANNOTATIONS_TABLE,
     DOCUMENT_OBJECTS_TABLE,
     MULTIMEDIA_OBJECTS_TABLE,
-    VIEWER_PROFILES_TABLE,
     create_multimedia_catalog,
 )
 from repro.db.engine import Database
@@ -249,28 +248,3 @@ class MultimediaObjectStore:
         if component is not None:
             rows = [row for row in rows if row["FLD_COMPONENT"] == component]
         return sorted(rows, key=lambda row: row["ID"])
-
-    # ----- viewer profiles (optional long-term learning, §4) ---------------------
-
-    def save_profile(self, profile: "object") -> None:
-        """Persist a :class:`~repro.presentation.profile.ViewerProfile`."""
-        data = profile.to_dict()
-        existing = self.db.select(
-            VIEWER_PROFILES_TABLE, Eq("FLD_VIEWER", profile.viewer_id)
-        )
-        if existing:
-            self.db.update(VIEWER_PROFILES_TABLE, existing[0]["ID"], {"FLD_DATA": data})
-        else:
-            self.db.insert(
-                VIEWER_PROFILES_TABLE,
-                {"FLD_VIEWER": profile.viewer_id, "FLD_DATA": data},
-            )
-
-    def load_profile(self, viewer_id: str):
-        """Load a viewer's profile, creating an empty one if none exists."""
-        from repro.presentation.profile import ViewerProfile
-
-        rows = self.db.select(VIEWER_PROFILES_TABLE, Eq("FLD_VIEWER", viewer_id))
-        if rows:
-            return ViewerProfile.from_dict(rows[0]["FLD_DATA"])
-        return ViewerProfile(viewer_id)

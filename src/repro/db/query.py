@@ -17,9 +17,6 @@ Row = Mapping[str, Any]
 class Predicate:
     """Base class: a boolean condition over a row."""
 
-    def matches(self, row: Row) -> bool:
-        raise NotImplementedError
-
     def equality_hints(self) -> dict[str, Any]:
         """``{column: value}`` facts that *must* hold for the predicate.
 

@@ -71,14 +71,6 @@ class MultimediaComponent:
 
     # ----- presentation interface -------------------------------------------
 
-    @property
-    def domain(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def presentation_size(self, value: str) -> int:
-        """Bytes a client must receive to render this component as *value*."""
-        raise NotImplementedError
-
     def iter_tree(self) -> Iterator["MultimediaComponent"]:
         """Pre-order traversal of this subtree (self first)."""
         yield self

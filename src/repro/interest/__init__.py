@@ -13,7 +13,6 @@ from repro.interest.layers import (
     NUM_LAYERS,
     SIMULCAST_FLOOR,
     layer_prefix_size,
-    layer_sizes,
     layers_for_level,
 )
 from repro.interest.registry import ALL, InterestRegistry
@@ -25,6 +24,5 @@ __all__ = [
     "SIMULCAST_FLOOR",
     "default_subscriptions",
     "layer_prefix_size",
-    "layer_sizes",
     "layers_for_level",
 ]

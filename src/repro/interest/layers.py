@@ -58,11 +58,3 @@ def layer_prefix_size(total_bytes: int, num_layers: int) -> int:
         return total_bytes
     cumulative = sum(_LAYER_WEIGHTS[:num_layers])
     return max(1, total_bytes * cumulative // _TOTAL_WEIGHT)
-
-
-def layer_sizes(total_bytes: int) -> tuple[int, ...]:
-    """Individual layer sizes; sums exactly to *total_bytes*."""
-    prefixes = [layer_prefix_size(total_bytes, n) for n in range(1, NUM_LAYERS + 1)]
-    return tuple(
-        prefix - (prefixes[i - 1] if i else 0) for i, prefix in enumerate(prefixes)
-    )

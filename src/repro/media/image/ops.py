@@ -124,7 +124,7 @@ def _draw_text(pixels: np.ndarray, element: TextElement) -> None:
         pixels[top:bottom, left:right][:, -1] = WHITE
 
 
-def zoom(image: Image, top: int, left: int, height: int, width: int, factor: int = 2) -> Image:
+def zoom(image: Image, top: int, left: int, height: int, width: int, factor: int) -> Image:
     """Zoom a selected part: crop and magnify by pixel replication.
 
     Replication (nearest-neighbour) matches the prototype's behaviour and

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MethodType
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import BATCH, Frame, mark_reuse
@@ -36,12 +36,11 @@ CONTROL_PLANE_KINDS = ("heartbeat",)
 
 
 class Node(Protocol):
-    """Anything attachable to the network."""
+    """Anything attachable to the network: ``receive(message)`` handles a
+    delivered message at its arrival time."""
 
     node_id: str
-
-    def receive(self, message: Message) -> None:
-        """Handle a delivered message (called at its arrival time)."""
+    receive: Callable[[Message], None]
 
 
 @dataclass

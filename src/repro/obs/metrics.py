@@ -396,10 +396,6 @@ class MetricsRegistry:
     def gauges(self) -> Mapping[str, Gauge]:
         return self._gauges
 
-    @property
-    def histograms(self) -> Mapping[str, Histogram]:
-        return self._histograms
-
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time copy of every instrument (sorted, serializable)."""
         return {

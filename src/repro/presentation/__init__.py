@@ -15,7 +15,6 @@ and the network conditions:
 
 from repro.presentation.engine import PresentationEngine, ViewerChoice
 from repro.presentation.explain import Explanation, explain_for_viewer, explain_outcome
-from repro.presentation.profile import ViewerProfile
 from repro.presentation.spec import PresentationSpec, diff_presentations
 from repro.presentation.tuning import (
     BANDWIDTH_HIGH,
@@ -37,7 +36,6 @@ __all__ = [
     "PresentationSpec",
     "TUNING_VARIABLE",
     "ViewerChoice",
-    "ViewerProfile",
     "diff_presentations",
     "install_bandwidth_tuning",
     "level_for_bandwidth",

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.errors import ProtocolError, RoomError, ServerError
+from repro.errors import RoomError, ServerError
 from repro import obs
 from repro.db.orm import MultimediaObjectStore
-from repro.document.document import MultimediaDocument
 from repro.interest import (
     NUM_LAYERS,
     SIMULCAST_FLOOR,
@@ -39,7 +38,6 @@ from repro.presentation.tuning import BANDWIDTH_HIGH, TUNING_VARIABLE
 from repro.server.permissions import (
     PERM_ANNOTATE,
     PERM_CHOOSE,
-    PERM_MODIFY,
     PERM_VIEW,
     PermissionPolicy,
 )
@@ -81,6 +79,15 @@ class Outbox:
             self.batcher.send(recipient, frame)
 
 
+def retire_gauges(node_id: str) -> None:
+    """Unbind the ``server.*{node}`` gauges of a server that serves
+    nothing any more (an adopted standby, a crashed primary), so a sum
+    over ``node`` counts each live session once."""
+    registry = obs.get_registry()
+    for name in ("server.sessions_connected", "server.rooms_open", "server.room_occupancy"):
+        registry.gauge_family(name, ("node",)).remove(node_id)
+
+
 class InteractionServer:
     """Sessions + rooms + database access + change propagation."""
 
@@ -89,7 +96,6 @@ class InteractionServer:
         store: MultimediaObjectStore,
         network: SimulatedNetwork | None = None,
         node_id: str = "server",
-        use_profiles: bool = False,
         batch_window_s: float = 0.0,
         interest_mode: str = "off",
     ) -> None:
@@ -106,14 +112,12 @@ class InteractionServer:
         #: shard sets both on the servers it serves from, a replica the clock.
         self.clock: SimClock | None = None
         self.outbox: Outbox | None = None
-        self.use_profiles = use_profiles
         #: "off": members start with implicit interest in everything (the
         #: pre-interest behaviour, byte-identical); "cpnet": defaults are
         #: seeded from each viewer's computed presentation (§5.3 "relevant
         #: parts") and per-subscriber layer selection is enabled. Explicit
         #: SUBSCRIBE/UNSUBSCRIBE overrides either way.
         self.interest_mode = interest_mode
-        self._profiles: dict[str, Any] = {}
         # Ids are namespaced by node_id: two servers (cluster shards) can
         # never mint colliding room/session ids at the gateway.
         self._ids = IdGenerator(namespace=node_id)
@@ -188,10 +192,6 @@ class InteractionServer:
 
     def disconnect_session(self, session_id: str) -> None:
         session = self._session(session_id)
-        # Persist the viewer profile before leaving: room exit may close
-        # the room and fire observers that expect the profile on disk.
-        if self.use_profiles and session.viewer_id in self._profiles:
-            self.store.save_profile(self._profiles[session.viewer_id])
         if session.in_room:
             self.leave_room(session_id)
         del self._sessions[session_id]
@@ -266,17 +266,6 @@ class InteractionServer:
             viewer=session.viewer_id,
             occupancy=len(room.member_sessions),
         )
-        if self.use_profiles:
-            profile = self._profile_of(session.viewer_id)
-            # Replay stable habits as personal evidence: the frequent
-            # viewer's usual presentation greets them on join (§4's
-            # optional long-term learning).
-            from repro.presentation.engine import PERSONAL, ViewerChoice
-
-            for component, value in profile.habits_for(room.document).items():
-                room.engine.apply_choice(
-                    ViewerChoice(session.viewer_id, component, value, scope=PERSONAL)
-                )
         spec = room.presentation_for(session.viewer_id, now=self._now())
         session.remember_spec(doc_id, (spec, NOTHING))
         if self.interest_mode == "cpnet":
@@ -307,14 +296,7 @@ class InteractionServer:
         self._rooms_by_doc.update(other._rooms_by_doc)
         for room in other._rooms.values():
             self._claim_interest_gauge(room)
-        registry = obs.get_registry()
-        for name in ("server.sessions_connected", "server.rooms_open", "server.room_occupancy"):
-            registry.gauge_family(name, ("node",)).remove(other.node_id)
-
-    def _profile_of(self, viewer_id: str):
-        if viewer_id not in self._profiles:
-            self._profiles[viewer_id] = self.store.load_profile(viewer_id)
-        return self._profiles[viewer_id]
+        retire_gauges(other.node_id)
 
     def leave_room(self, session_id: str) -> None:
         """Leave; when the room empties, persist the document and close it."""
@@ -371,8 +353,6 @@ class InteractionServer:
         self.policy.require(session.viewer_id, PERM_CHOOSE)
         self._m_choices.inc()
         change = room.apply_choice(session.viewer_id, component, value, scope)
-        if self.use_profiles:
-            self._profile_of(session.viewer_id).record_choice(component, value)
         return self._propagate(room, change)
 
     def handle_operation(
@@ -510,23 +490,6 @@ class InteractionServer:
             )
         return catchup
 
-    def store_document(self, session_id: str, document: MultimediaDocument) -> None:
-        """Explicitly persist a document (requires modify permission)."""
-        session = self._session(session_id)
-        self.policy.require(session.viewer_id, PERM_MODIFY)
-        self.store.store_document(document)
-
-    def fetch_payload(self, session_id: str, media_ref: str) -> bytes:
-        """Stream one presentation payload to a client by blob reference."""
-        session = self._session(session_id)
-        self.policy.require(session.viewer_id, PERM_VIEW)
-        _, payload = self.store.fetch(media_ref)
-        self._send_body(
-            session.node_id, MessageKind.PAYLOAD,
-            {"media_ref": media_ref, "data": payload},
-        )
-        return payload
-
     def fetch_component_payload(
         self, session_id: str, component: str, value: str
     ) -> int:
@@ -564,39 +527,6 @@ class InteractionServer:
             frame = room.payload_frame(component, value, num_layers, shipped)
             self.outbox.send((session.node_id,), frame)
         return shipped
-
-    def fetch_zoom_region(
-        self,
-        session_id: str,
-        media_ref: str,
-        top: int,
-        left: int,
-        height: int,
-        width: int,
-        factor: int = 2,
-    ) -> bytes:
-        """Server-side zoom: crop-and-magnify a stored image payload.
-
-        The image module's "zooming of a selected part of image" executed
-        where the pixels live — only the magnified region crosses the
-        wire, not the full study.
-        """
-        from repro.media.image.image import Image
-        from repro.media.image.ops import zoom
-
-        session = self._session(session_id)
-        self.policy.require(session.viewer_id, PERM_VIEW)
-        _, payload = self.store.fetch(media_ref)
-        zoomed = zoom(Image.from_bytes(payload), top, left, height, width, factor=factor)
-        region_bytes = zoomed.to_bytes()
-        body = {
-            "media_ref": media_ref,
-            "rect": [top, left, height, width],
-            "factor": factor,
-            "data": region_bytes,
-        }
-        self._send_body(session.node_id, MessageKind.PAYLOAD, body)
-        return region_bytes
 
     def _session_room(self, session_id: str) -> tuple[Session, Room]:
         session = self._session(session_id)
@@ -870,24 +800,3 @@ class InteractionServer:
         """A ``MONITOR`` the telemetry channel did not answer: this server
         has none (a shard's, a standby's; a gateway answers for them)."""
         raise ServerError(f"{self.node_id!r} hosts no telemetry channel")
-
-    def _on_fetch_payload(
-        self,
-        session_id: str,
-        media_ref: str | None = None,
-        rect: Sequence[int] | None = None,
-        factor: int = 2,
-        component: str | None = None,
-        value: str | None = None,
-    ) -> None:
-        if media_ref is not None and rect is not None:
-            self.fetch_zoom_region(session_id, media_ref, *rect, factor=factor)
-        elif media_ref is not None:
-            self.fetch_payload(session_id, media_ref)
-        elif component is not None and value is not None:
-            self.fetch_component_payload(session_id, component, value)
-        else:
-            raise ProtocolError(
-                f"{MessageKind.FETCH_PAYLOAD!r} message names neither 'media_ref' "
-                "nor 'component' and 'value'"
-            )

@@ -151,12 +151,7 @@ _ROWS = (
     ),
     KindSpec(MessageKind.FREEZE, "handle_freeze", _ON_COMPONENT, op="freeze", traced=True),
     KindSpec(MessageKind.RELEASE, "handle_release", _ON_COMPONENT, op="release", traced=True),
-    # Three shapes — a blob by reference, a zoomed region of one, one
-    # presentation alternative: the handler picks by which fields came.
-    KindSpec(
-        MessageKind.FETCH_PAYLOAD, "_on_fetch_payload", ("session_id",),
-        {name: name for name in ("media_ref", "rect", "factor", "component", "value")},
-    ),
+    KindSpec(MessageKind.FETCH_PAYLOAD, "fetch_component_payload", (*_ON_COMPONENT, "value")),
     KindSpec(
         MessageKind.ANNOTATE, "handle_annotation", _ON_COMPONENT,
         {"annotation": "annotation"}, op="annotation", traced=True,

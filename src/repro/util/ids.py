@@ -37,8 +37,3 @@ class IdGenerator:
         if self.namespace is not None:
             return f"{self.namespace}:{prefix}-{number}"
         return f"{prefix}-{number}"
-
-    def reset(self) -> None:
-        """Restart every counter at 1."""
-        with self._lock:
-            self._counters.clear()

@@ -96,10 +96,3 @@ class TestWindows:
         assert plan.severed("gw", "shard-1", 0.5) is None
         assert plan.severed("gw", "shard-1", 2.0) is None  # end exclusive
         assert plan.severed("gw", "shard-2", 1.5) is None
-
-    def test_horizon_is_latest_window_edge(self):
-        plan = FaultPlan()
-        assert plan.horizon == 0.0
-        plan.partition({"a"}, {"b"}, 1.0, 4.0)
-        plan.partition({"c"}, {"d"}, 2.0, 6.5)
-        assert plan.horizon == 6.5

@@ -5,6 +5,8 @@ its own ``InteractionServer`` adopts the standby's rooms and sessions.
 From then on that one server serves the adopted rooms (their choices
 and new joins), the standby's ``server.*{node}`` series are retired,
 and a shard that adopted rooms can itself die and hand them all on.
+The dead primary's own series retire too, so a sum over ``node`` counts
+each live session once.
 Each standby's shadow reads in its own series, named by its primary and
 its holder.
 """
@@ -149,6 +151,27 @@ def test_a_shard_that_adopted_rooms_can_die_and_hand_them_all_on(store, registry
     server = harness.shards["shard-3"].server
     assert sorted(server.doc_of(s) for s in server.session_ids) == sorted(DOCS * 2)
     assert final == control
+
+
+def test_a_sum_over_node_counts_each_live_session_once(store, registry):
+    """The dead primaries' ``server.*{node}`` series retire at PROMOTE:
+    summed over the serving nodes, each gauge reads the live tables."""
+    records = stored(store, DOCS)
+    harness, _, errors = chained_conference(store, records, {1: "shard-2", 2: "shard-1"})
+    assert errors == []
+    gauges = registry.snapshot()["gauges"]
+
+    def summed(name):
+        return sum(
+            value for series, value in gauges.items()
+            if series.startswith(name + "{") and 'node="replica:' not in series
+        )
+
+    server = harness.shards["shard-3"].server
+    assert [name for name in gauges if 'node="shard-1"' in name or 'node="shard-2"' in name] == []
+    assert summed("server.sessions_connected") == len(server.session_ids) == 2 * len(DOCS)
+    assert summed("server.room_occupancy") == 2 * len(DOCS)
+    assert summed("server.rooms_open") == len(server.room_ids) == len(DOCS)
 
 
 def test_a_join_that_beats_the_promote_opens_a_room_that_still_closes(store, registry):

@@ -118,6 +118,16 @@ class TestTransactions:
         with pytest.raises(DatabaseError):
             db.table("temp")
 
+    def test_rollback_undoes_create_index(self, db):
+        db.insert("patients", {"name": "a", "age": 30})
+        db.begin()
+        db.create_index("patients", "age", kind="ordered")
+        db.rollback()
+        assert db.table("patients").index_on("age") is None
+        # The dropped index's name is free again.
+        db.create_index("patients", "age", kind="ordered")
+        assert db.table("patients").index_on("age") is not None
+
     def test_rollback_undoes_drop(self, db):
         db.insert("patients", {"name": "a"})
         db.begin()

@@ -9,7 +9,6 @@ from repro.interest import (
     NUM_LAYERS,
     SIMULCAST_FLOOR,
     layer_prefix_size,
-    layer_sizes,
     layers_for_level,
 )
 from repro.presentation.tuning import (
@@ -59,10 +58,10 @@ class TestPrefixSizes:
     @settings(max_examples=200, deadline=None)
     @given(total=st.integers(min_value=1, max_value=2**32))
     def test_layer_sizes_partition_total(self, total):
-        sizes = layer_sizes(total)
-        assert len(sizes) == NUM_LAYERS
-        assert sum(sizes) == total
-        assert all(size >= 0 for size in sizes)
+        prefixes = [layer_prefix_size(total, n) for n in range(1, NUM_LAYERS + 1)]
+        assert prefixes == sorted(prefixes)
+        assert prefixes[-1] == total
+        assert prefixes[0] >= 0
 
 
 class TestAgainstRealCodec:

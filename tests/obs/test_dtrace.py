@@ -134,6 +134,7 @@ def test_default_tracer_is_null_and_inert():
     assert tracer.record_hop(ctx, HOP_UPLINK, "g", 0.0, 1.0) is ctx
     with tracer.inbound(ctx):
         assert tracer.current() is None
+    assert tracer.finish_delivery(ctx, "b", 1.0) is None
     assert len(tracer.store) == 0
 
 

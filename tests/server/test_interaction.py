@@ -54,34 +54,6 @@ class TestSessions:
         server.disconnect_session(session.session_id)
         assert server.room_ids == ()
 
-    def test_disconnect_saves_profile_before_leaving_room(self, store):
-        """Regression: the viewer profile must hit the store *before* the
-        room exit — leaving may close the room and persist the document,
-        and anything observing that close expects the profile on disk."""
-        server = InteractionServer(store, use_profiles=True)
-        session = server.connect_session("lee")
-        server.join_room(session.session_id, "record-17")
-        server.handle_choice(session.session_id, "imaging.ct_head", "segmented")
-
-        calls = []
-        real_save_profile = store.save_profile
-        real_store_document = store.store_document
-        store.save_profile = lambda profile: (
-            calls.append("save_profile"), real_save_profile(profile))[1]
-        store.store_document = lambda document: (
-            calls.append("store_document"), real_store_document(document))[1]
-        try:
-            server.disconnect_session(session.session_id)
-        finally:
-            store.save_profile = real_save_profile
-            store.store_document = real_store_document
-
-        assert "save_profile" in calls
-        assert calls.index("save_profile") < calls.index("store_document")
-        # And the saved profile carries the session's choice.
-        reloaded = store.load_profile("lee")
-        assert reloaded.observations("imaging.ct_head") == 1
-
 
 class TestRooms:
     def test_join_creates_room_and_spec(self, server):
@@ -120,12 +92,12 @@ class TestRooms:
 
     def test_a_refused_join_leaves_the_live_session_alone(self, store):
         # A client already in a room sends a JOIN that fails: only that
-        # JOIN's session goes; the live one keeps its traces and profile.
+        # JOIN's session goes; the live one keeps its traces.
         # (``join`` would leave the room first, so the JOIN goes raw.)
         network = SimulatedNetwork()
         tracer = DeliveryTracer(sample_every=1)
         with use_dtrace(tracer):
-            server = InteractionServer(store, network=network, use_profiles=True)
+            server = InteractionServer(store, network=network)
             client = ClientModule("lee", network=network, auto_fetch=False)
             network.attach_client(client)
             client.join("record-17")
@@ -135,8 +107,6 @@ class TestRooms:
             network.run()
             traces = [r.trace_id for r in tracer.store if r.origin == client.node_id]
             assert traces
-            saved = []
-            store.save_profile = saved.append
             client._dispatch(
                 MessageKind.JOIN, {"viewer_id": "lee", "doc_id": "no-such-doc"}, None
             )
@@ -144,7 +114,6 @@ class TestRooms:
         assert [error["error"] for error in client.errors] == ["DatabaseError"]
         assert server.session_ids == (live,)
         assert [r.trace_id for r in tracer.store if r.origin == client.node_id] == traces
-        assert saved == []
 
     def test_a_refused_join_leaves_no_session_on_a_shard(self, store):
         harness = ClusterHarness(store, ClusterConfig(shards=2))
@@ -462,12 +431,6 @@ class TestPermissions:
         with pytest.raises(PermissionError_, match=PERM_VIEW):
             server.join_room(session.session_id, "record-17")
 
-    def test_store_document_requires_modify(self, store):
-        server = InteractionServer(store)  # default consultant grant: no modify
-        session = server.connect_session("lee")
-        with pytest.raises(PermissionError_, match="modify"):
-            server.store_document(session.session_id, build_sample_medical_record())
-
     def test_unknown_permission_rejected(self):
         policy = PermissionPolicy()
         with pytest.raises(ValueError, match="unknown permission"):
@@ -506,11 +469,6 @@ class TestStats:
 
 
 class TestPayloads:
-    def test_fetch_payload_by_media_ref(self, server, store):
-        obj = store.store_image(b"ct pixels")
-        session = server.connect_session("lee")
-        assert server.fetch_payload(session.session_id, obj.media_ref) == b"ct pixels"
-
     def test_fetch_component_payload_size(self, server):
         session = server.connect_session("lee")
         server.join_room(session.session_id, "record-17")
@@ -563,7 +521,7 @@ class TestMalformedMessages:
     def test_fetch_payload_without_a_shape_is_a_protocol_error(self, server):
         session = server.connect_session("lee")
         server.join_room(session.session_id, "record-17")
-        with pytest.raises(ProtocolError, match="media_ref"):
+        with pytest.raises(ProtocolError, match=f"{MessageKind.FETCH_PAYLOAD!r}.*'component'"):
             server.apply_session_op(
                 MessageKind.FETCH_PAYLOAD, {"session_id": session.session_id}
             )

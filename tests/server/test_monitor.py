@@ -224,3 +224,28 @@ class TestTelemetryDelivery:
             monitor.receive(
                 Message(sender="server", recipient="x", kind=MessageKind.PAYLOAD)
             )
+
+    def test_a_refused_monitor_leave_reaches_the_monitor_as_an_error(self, tmp_path, fresh_obs):
+        from repro.errors import ClientError
+
+        db, _, network, _ = build_rig(tmp_path)
+        monitor = TelemetryMonitor("ops", network=network)
+        network.attach_client(monitor)
+        monitor.session_id = "no-such-monitor"
+        monitor.disconnect()
+        with pytest.raises(ClientError, match="unknown session"):
+            network.run()
+        db.close()
+
+    def test_a_monitor_reaching_a_server_without_telemetry_is_refused(self, tmp_path):
+        from repro.errors import ServerError
+
+        db = Database(str(tmp_path / "db"))
+        server = InteractionServer(MultimediaObjectStore(db))  # direct mode
+        assert server.telemetry is None
+        with pytest.raises(ServerError, match="no telemetry channel"):
+            server.apply_session_op(
+                MessageKind.MONITOR, {"viewer_id": "ops"}, sender_node="monitor-ops"
+            )
+        assert server.session_ids == ()
+        db.close()

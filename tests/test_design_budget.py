@@ -44,21 +44,21 @@ OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
-    "chaos": 599,
-    "client": 1147,
-    "cluster": 2558,
-    "cpnet": 1906,
-    "db": 1891,
-    "document": 1137,
-    "interest": 319,
+    "chaos": 594,
+    "client": 1139,
+    "cluster": 2559,
+    "cpnet": 1903,
+    "db": 1822,
+    "document": 1129,
+    "interest": 309,
     "media": 2981,
-    "net": 2065,
-    "obs": 1553,
+    "net": 2064,
+    "obs": 1549,
     "prefetch": 169,
-    "presentation": 937,
+    "presentation": 844,
     "retrieval": 753,
-    "server": 1728,
-    "util": 299,
+    "server": 1632,
+    "util": 294,
     "workloads": 1274,
 }
 

@@ -18,9 +18,11 @@ the name's own definition (a recursive call, a property's setter).
 
 A name that only tests reach is code kept alive for its tests: delete it
 with them, or put it on :data:`ALLOWLIST` with the section of the paper
-or DESIGN, the ROADMAP item, or the test it serves. The allowlist only
-shrinks: :data:`ALLOWLIST_SIZE` pins its length the way
-``tests/test_design_budget.py`` pins line counts.
+or DESIGN, the ROADMAP item, or the test it serves. That allowlist is the
+run census's (``benchmarks/function_census.py``): such a name never runs
+in a conference either. The census fails on an entry that runs, and its
+``ALLOWLIST_SIZE`` pins the length the way ``tests/test_design_budget.py``
+pins line counts.
 """
 
 from __future__ import annotations
@@ -31,82 +33,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from tests.source_index import parse
+from tests.source_index import function_census, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
-#: ``module.Qualname`` -> why it stays with no caller outside tests.
-ALLOWLIST: dict[str, str] = {
-    # The paper's claims and DESIGN §3's inventory.
-    "repro.cpnet.updates.ViewerExtension.promote_to_base": "§4.2: a viewer's operation "
-    "made important to all viewers",
-    "repro.document.document.MultimediaDocument.add_component": "§4.2 / E8: online "
-    "document edits add components",
-    "repro.document.document.MultimediaDocument.remove_component": "§4.2 / E8: online "
-    "document edits remove components",
-    "repro.db.orm.MultimediaObjectStore.register_type": "Fig. 7: addition of new data types",
-    "repro.media.audio.topics.subject_of": "§3: 'What is the subject of the talk?'",
-    "repro.media.audio.wordspot.WordSpotter.spot_stream": "§3 / DESIGN §3: word spotting "
-    "raises flags in continuous speech",
-    "repro.media.audio.hmm.CDHMM.viterbi": "DESIGN §3: CD-HMM Viterbi decoding",
-    "repro.media.image.segmentation.fill_segment": "DESIGN §3: segmentation grid region fill",
-    "repro.media.image.ops.AnnotatedImage.delete_element": "§3: deleting of text elements "
-    "and line elements",
-    "repro.server.permissions.PermissionPolicy.grant": "DESIGN §3: per-viewer permissions",
-    "repro.net.network.SimulatedNetwork.set_peer_link": "DESIGN §7: a peer link installed "
-    "mid-run carries the next send",
-    "repro.cluster.shard.ShardServer.replication_lag": "ROADMAP item 6a: replication lag "
-    "on the ledger",
-    "repro.util.failpoints.use_failpoints": "DESIGN §8: crash injection at named failpoints",
-    "repro.util.failpoints.Failpoints.armed": "DESIGN §8: crash injection at named failpoints",
-    # Oracles: an independent answer a test checks the program against.
-    "repro.cpnet.dominance.worsening_flips": "dominance oracle, flipping semantics of "
-    "Boutilier et al.: tests/cpnet/test_dominance.py",
-    "repro.cpnet.reasoning.iter_outcomes": "brute-force oracle: tests/cpnet/test_reasoning.py, "
-    "test_dominance.py",
-    "repro.cpnet.reasoning.is_optimal": "optimality oracle: tests/cpnet/test_reasoning.py, "
-    "test_properties.py",
-    "repro.cpnet.cpt.CPT.prefers": "ceteris-paribus comparison a CPT encodes: "
-    "tests/cpnet/test_cpt.py, test_network.py",
-    "repro.media.image.wavelet.haar_inverse": "codec reconstruction oracle: "
-    "tests/media/test_image_codec.py, test_media_properties.py",
-    "repro.media.audio.hmm.CDHMM.log_backward": "forward-backward oracle: "
-    "tests/media/test_audio_models.py",
-    "repro.presentation.spec.build_spec": "from-scratch spec oracle: "
-    "tests/presentation/test_engine.py, test_spec.py",
-    "repro.presentation.engine.PresentationEngine.clear_choice": "inverse of apply_choice in "
-    "the by-definition replay of tests/presentation/test_engine.py",
-    "repro.cpnet.updates.ViewerExtension.extension_names": "viewer-local variables: "
-    "tests/cpnet/test_compiled.py",
-    "repro.cluster.shard.ShardServer.standby_for": "ROADMAP item 1(ii): "
-    "tests/cluster/test_standby_equivalence.py, tests/integration/test_zero_residue.py",
-    "repro.cluster.gateway.Gateway.shard_of_session": "session route: "
-    "tests/cluster/test_gateway_routing.py, test_failover.py",
-    "repro.cluster.gatewaytier.GatewayDirectory.shard_of_session": "session route: "
-    "tests/cluster/test_gateway_routing.py, test_failover.py",
-    "repro.cluster.admission.AdmissionController.shed_floor": "shed floor per session: "
-    "tests/cluster/test_admission.py",
-    "repro.obs.metrics.MetricsRegistry.families": "ROADMAP item 1(iii) label residue: "
-    "tests/server/test_interaction.py",
-    "repro.client.buffer.ClientBuffer.used_bytes": "§4.4 bounded buffer occupancy: "
-    "tests/client/test_buffer.py",
-    "repro.client.client.ClientModule.tuning_level": "§4.4 self-degradation level: "
-    "tests/client/test_degradation.py",
-    "repro.presentation.profile.ViewerProfile.observations": "profile persistence: "
-    "tests/presentation/test_profile.py",
-    "repro.net.batch.Batcher.pending_count": "frames awaiting flush: tests/net/test_batch.py",
-    "repro.net.codec.StringInterner.id_of": "interning lockstep: tests/net/test_codec.py",
-    "repro.net.reliable.ReliableTransport.in_flight": "unacked frames: "
-    "tests/net/test_reliable.py",
-    "repro.obs.events.EventLog.filter": "test seam: the recorded events under one name "
-    "prefix, read by tests/integration/test_fault_events.py, test_unknown_kind.py, "
-    "tests/obs/test_events.py, tests/client/test_instrumentation.py, tests/db/test_engine.py, "
-    "tests/cluster/test_gateway_robustness.py, test_gatewaytier.py, test_admission.py, "
-    "test_failover.py",
-}
-
-ALLOWLIST_SIZE = 35
+#: One allowlist for this audit and the run census: a name with no reader
+#: outside tests never runs, so each is justified once, there.
+ALLOWLIST = function_census().ALLOWLIST
 
 #: Calls whose direct string arguments name an attribute or a handler.
 NAMING_CALLS = frozenset({"getattr", "hasattr", "setattr", "delattr", "KindSpec"})
@@ -266,14 +200,8 @@ def test_every_public_name_has_a_caller():
     )
 
 
-def test_the_allowlist_only_names_uncalled_names():
-    missing = repo_uncalled()
-    assert sorted(set(ALLOWLIST) - set(missing)) == []
-    assert all(reason.strip() for reason in ALLOWLIST.values())
-
-
 def test_the_allowlist_only_shrinks():
-    assert len(ALLOWLIST) == ALLOWLIST_SIZE
+    assert len(ALLOWLIST) == function_census().ALLOWLIST_SIZE
 
 
 def test_the_audit_reports_an_uncalled_name():

@@ -33,12 +33,6 @@ class TestIdGenerator:
         assert gen.next("room") == "room-2"
         assert gen.next("session") == "session-1"
 
-    def test_reset(self):
-        gen = IdGenerator()
-        gen.next("x")
-        gen.reset()
-        assert gen.next("x") == "x-1"
-
     def test_fresh_generators_restart(self):
         assert IdGenerator().next("a") == IdGenerator().next("a")
 
