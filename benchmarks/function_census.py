@@ -196,7 +196,7 @@ ALLOWLIST: dict[str, str] = {
         "oracle, compiled tables checked against the interpreted CPTs: "
         "tests/cpnet/test_compiled.py"
     ),
-    "repro.cpnet.compiled._FlatTable.order_for_key": (
+    "repro.cpnet.compiled._order_for_key": (
         "oracle, compiled tables checked against the interpreted CPTs: "
         "tests/cpnet/test_compiled.py"
     ),
@@ -469,11 +469,6 @@ ALLOWLIST: dict[str, str] = {
         "test seam, tree root: tests/document/test_document.py, "
         "tests/presentation/test_explain.py"
     ),
-    "repro.document.component.MultimediaComponent.parent": (
-        "test seam, tree parent: tests/document/test_component.py, "
-        "tests/document/test_document.py, tests/presentation/test_explain.py, "
-        "tests/server/test_decide_equivalence.py, tests/server/test_outbox.py"
-    ),
     "repro.document.presentation.Hidden.is_hidden": (
         "test seam, hidden alternative: tests/document/test_presentation.py"
     ),
@@ -528,12 +523,6 @@ ALLOWLIST: dict[str, str] = {
         "tests/obs/test_events.py"
     ),
     "repro.obs.events.EventLog.tail": "test seam, the newest events: tests/obs/test_events.py",
-    "repro.obs.metrics.Counter.unbind": (
-        "test seam, a reader unbound from a counter: tests/obs/test_metric_families.py"
-    ),
-    "repro.obs.metrics.Gauge.unbind": (
-        "test seam, a reader unbound from a gauge: tests/obs/test_metric_families.py"
-    ),
     "repro.obs.metrics.MetricFamily.children": (
         "test seam, a family's labelled children: tests/obs/test_metric_families.py, "
         "tests/server/test_interaction.py"
@@ -612,7 +601,7 @@ ALLOWLIST: dict[str, str] = {
     ),
 }
 
-ALLOWLIST_SIZE = 145
+ALLOWLIST_SIZE = 142
 
 #: ``(file, first line, name)`` -> ``module.Qualname`` of a ``def``.
 Definitions = dict[tuple[str, int, str], str]

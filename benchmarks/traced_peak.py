@@ -5,8 +5,11 @@ allocator's layout; the bytes tracemalloc traces do not. This runs one
 workload of ``benchmarks/ledger/workloads.py`` (imported read-only, as
 ``rep.py`` runs it): setup, ``gc.collect()``, then tracemalloc over
 ``world.run(world)`` only. It prints ``traced_peak_kib`` (the highest
-traced total inside the window) and ``retained_kib`` (what the window
-left traced at its end). No threshold: it is a report. Run it under a
+traced total inside the window), ``retained_kib`` (what the window
+left traced at its end) and ``unreachable`` (the objects one
+``gc.collect()`` then finds: cyclic garbage the window left for the
+cycle collector, which reference counting would have freed at once had
+the graphs held no cycle). No threshold: it is a report. Run it under a
 fixed hash seed, one workload per process::
 
     PYTHONHASHSEED=0 python3 benchmarks/traced_peak.py --workload megaconf_day --seed 5
@@ -30,8 +33,9 @@ from repro import obs  # noqa: E402
 import workloads  # noqa: E402
 
 
-def traced_window(workload: str, seed: int, root: str) -> tuple[int, int]:
-    """(peak, retained) traced bytes of *workload*'s timed window."""
+def traced_window(workload: str, seed: int, root: str) -> tuple[int, int, int]:
+    """(peak, retained) traced bytes of *workload*'s timed window, and
+    the unreachable objects it left."""
     with obs.use_registry(obs.MetricsRegistry()), obs.use_event_log(obs.EventLog()):
         world = workloads.WORKLOADS[workload](root, seed, 1.0)
         try:
@@ -42,9 +46,10 @@ def traced_window(workload: str, seed: int, root: str) -> tuple[int, int]:
                 retained, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            unreachable = gc.collect()
         finally:
             world.close()
-    return peak, retained
+    return peak, retained, unreachable
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,8 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as root:
-        peak, retained = traced_window(args.workload, args.seed, root)
-    print(f"traced_peak_kib {peak // 1024} retained_kib {retained // 1024}")
+        peak, retained, unreachable = traced_window(args.workload, args.seed, root)
+    print(
+        f"traced_peak_kib {peak // 1024} retained_kib {retained // 1024} "
+        f"unreachable {unreachable}"
+    )
     return 0
 
 

@@ -35,6 +35,10 @@ class ChaosNetwork(SimulatedNetwork):
         self._injected = LabelCounts(self._obs.counter_family("chaos.injected", ("fault",)))
         self._announced: set[PartitionWindow] = set()
 
+    def close(self) -> None:
+        super().close()
+        self._injected.release()
+
     # ----- fault injection -------------------------------------------------------
 
     def _transmit(self, message: Message) -> None:

@@ -159,6 +159,13 @@ class AdmissionController:
         self.dropped_dead = 0
         self.max_depth_seen = 0
 
+    def close(self) -> None:
+        """Its node is done: unbind the lane readers (each counter keeps
+        its count) and drop the resume step (the node's own method)."""
+        for counts in self.by_lane.values():
+            counts.release()
+        self._resume = None
+
     # ----- admission --------------------------------------------------------------
 
     def admit(

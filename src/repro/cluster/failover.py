@@ -11,6 +11,7 @@ the simulation alive forever).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.net.simclock import SimClock
@@ -65,13 +66,18 @@ def schedule_periodic(
     """
     if interval <= 0:
         raise ValueError(f"interval must be > 0, got {interval}")
+    clock.schedule(interval, partial(_fire, clock, interval, until, tick))
 
-    def fire() -> None:
-        if clock.now > until:
-            return
-        if tick() is False:
-            return
-        if clock.now + interval <= until:
-            clock.schedule(interval, fire)
 
-    clock.schedule(interval, fire)
+def _fire(
+    clock: SimClock, interval: float, until: float, tick: Callable[[], bool | None]
+) -> None:
+    """One tick of a periodic timer, which schedules the next as a new
+    partial: the timer holds no reference to itself, so one past its
+    horizon is freed by reference counting."""
+    if clock.now > until:
+        return
+    if tick() is False:
+        return
+    if clock.now + interval <= until:
+        clock.schedule(interval, partial(_fire, clock, interval, until, tick))

@@ -73,10 +73,11 @@ class Gateway(ServiceNode):
         #: waiting records, (ctx, kind, sender, frame, parked-at time).
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
         registry = obs.get_registry()
+        readers = self._readers = obs.Readers(registry)
         #: Copies routed, routing retries, and bytes routed by (shard, direction).
         routing = self.routing = {"messages": 0, "retries": 0}
-        registry.counter("gateway.routed_messages", read=lambda: routing["messages"])
-        registry.counter("gateway.route_retries", read=lambda: routing["retries"])
+        readers.counter("gateway.routed_messages", read=lambda: routing["messages"])
+        readers.counter("gateway.route_retries", read=lambda: routing["retries"])
         self.routed_bytes = LabelCounts(
             registry.counter_family("gateway.routed_bytes", ("shard", "direction"))
         )
@@ -86,19 +87,28 @@ class Gateway(ServiceNode):
         )
         #: This gateway's route-cache hits, misses and invalidations.
         tally = self.route_cache = {"hits": 0, "misses": 0, "invalidations": 0}
-        registry.counter_family("gateway.route_cache.hits", ("gateway",)).labels(
-            node_id, read=lambda: tally["hits"]
+        readers.labels(
+            registry.counter_family("gateway.route_cache.hits", ("gateway",)), node_id,
+            read=lambda: tally["hits"],
         )
-        registry.counter_family("gateway.route_cache.misses", ("gateway",)).labels(
-            node_id, read=lambda: tally["misses"]
+        readers.labels(
+            registry.counter_family("gateway.route_cache.misses", ("gateway",)), node_id,
+            read=lambda: tally["misses"],
         )
-        registry.counter_family("gateway.route_cache.invalidations", ("gateway",)).labels(
-            node_id, read=lambda: tally["invalidations"]
+        readers.labels(
+            registry.counter_family("gateway.route_cache.invalidations", ("gateway",)), node_id,
+            read=lambda: tally["invalidations"],
         )
         # Telemetry monitors (same channel the single server offers).
         self.telemetry = TelemetryChannel(
             node_id, lambda: network.clock.now, self._send_if_present
         )
+
+    def close(self) -> None:
+        super().close()
+        self._readers.release()
+        self.routed_bytes.release()
+        self.telemetry.close()
 
     # ----- topology ---------------------------------------------------------------
 

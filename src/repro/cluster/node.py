@@ -78,6 +78,15 @@ class ServiceNode(ClusterNode):
             f"cluster.{self.role}_crash", severity="WARN", **{self.role: self.node_id}
         )
 
+    def close(self) -> None:
+        """The run is over: break what serving needs — the queue's and
+        admission's steps bound to this node — and unbind their readers.
+        What the node counted stays readable."""
+        if self.queue is not None:
+            self.queue.close()
+        if self.admission is not None:
+            self.admission.close()
+
     def start_heartbeats(self, interval: float, until: float) -> None:
         """Beat every *interval* clock seconds up to the *until* horizon."""
         clock = self.network.clock

@@ -201,6 +201,12 @@ class ReplicaState:
 
     # ----- failover --------------------------------------------------------------
 
+    def close(self) -> None:
+        """Its holder is done: drop the gap hook (the holder's own method)
+        and close the shadow server."""
+        self._on_gap = None
+        self._shadow.close()
+
     def promote(self) -> InteractionServer:
         """Catch up and return the shadow server, for the new primary to adopt.
 

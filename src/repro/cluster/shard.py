@@ -74,7 +74,12 @@ class ServiceQueue:
         self.max_pending = 0
         self.on_drain = None
         self.records: deque[Any] | None = None if rate is None else deque()
-        self._next = self._run_next  # bound once, not once per op
+        self._next = self._run_next  # bound once, not once per op; close drops it
+
+    def close(self) -> None:
+        """Its node is done: drop the steps bound to it and to this queue.
+        Depths stay readable; nothing is submitted after close."""
+        self.serve = self._next = self.on_drain = None
 
     def submit(self, record: Any) -> None:
         self.pending += 1
@@ -448,6 +453,12 @@ class ShardServer(ServiceNode):
             self.directory_id, MessageKind.ACK,
             {"promote": primary_id, "sessions": sessions},
         )
+
+    def close(self) -> None:
+        super().close()
+        self.server.close()
+        for state in self._replicas.values():
+            state.close()
 
     # ----- introspection ----------------------------------------------------------------
 

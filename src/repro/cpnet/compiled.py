@@ -37,6 +37,12 @@ its completed outcomes keyed by the frozen evidence alone; overlays keep
 none. Ownership is the invalidation: whatever lets go of a compilation
 (a structural edit, a closed room, a re-fetched document) lets go of its
 completions, and nothing else can reach them.
+
+Nothing here points back at its owner: a table does not hold its CPT
+(a sweep is handed its compilation's CPTs), and a compilation holds its
+net — or an overlay its extension — weakly. So a dropped document frees
+its net, tables, compilation and memo by reference counting alone.
+
 Metrics: ``cpnet.compile``, ``cpnet.compiled.completions`` and
 ``cpnet.completion_cache.{hits,misses,evictions,invalidations}`` in
 :mod:`repro.obs`.
@@ -49,6 +55,7 @@ uses it to prove compiled and interpreted runs end byte-identical.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
@@ -101,29 +108,31 @@ class _FlatTable:
     A table belongs to the CPT it flattens (:func:`_flat_table`), not to
     a compilation, and is valid for as long as that CPT holds
     ``rule_count`` rules — so ``orders`` and the sweep entry's ``firsts``
-    may memoize lazily resolved cells across net versions.
+    may memoize lazily resolved cells across net versions. The CPT holds
+    its table, and the table does not hold the CPT: a sweep is handed
+    its compilation's CPTs by name.
 
     ``entry`` is the table's branch-specialized step of the forward sweep,
-    ``(name, kind, const, parent, parents, firsts, table)``:
+    ``(name, kind, const, parent, parents, firsts, orders)``:
 
     * ``_CONST`` — no parents and a resolved row: the best value is a
       compile-time constant;
     * ``_ONE_PARENT`` — ``firsts`` maps the parent's bare value straight
       to the best value (no tuple build per query);
     * ``_GENERAL`` — ``firsts`` maps the parent-value tuple to the best
-      value; misses fall back to the interpreted ``rule_for`` (lazy
-      tables, incomplete cells) and are memoized.
+      value; misses fall back to the interpreted ``rule_for`` of the
+      variable's CPT (lazy tables, incomplete cells) and are memoized in
+      ``orders`` (:func:`_order_for_key`).
     """
 
     __slots__ = (
-        "name", "variable", "parent_names", "orders", "cpt", "rule_count", "entry",
+        "name", "variable", "parent_names", "orders", "rule_count", "entry",
     )
 
     def __init__(self, cpt: CPT) -> None:
         self.name = cpt.variable.name
         self.variable = cpt.variable
         names = self.parent_names = cpt.parent_names
-        self.cpt = cpt
         self.rule_count = len(cpt.rules)
         orders: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.orders = orders
@@ -139,24 +148,17 @@ class _FlatTable:
                     continue
                 orders[combo] = rule.order
         if not names and () in orders:
-            self.entry = (self.name, _CONST, orders[()][0], None, (), None, self)
+            self.entry = (self.name, _CONST, orders[()][0], None, (), None, orders)
         elif len(names) == 1 and orders:
             firsts = {key[0]: order[0] for key, order in orders.items()}
-            self.entry = (self.name, _ONE_PARENT, None, names[0], names, firsts, self)
+            self.entry = (self.name, _ONE_PARENT, None, names[0], names, firsts, orders)
         else:
             firsts = {key: order[0] for key, order in orders.items()}
-            self.entry = (self.name, _GENERAL, None, None, names, firsts, self)
+            self.entry = (self.name, _GENERAL, None, None, names, firsts, orders)
 
-    def order_for_key(self, key: tuple[str, ...]) -> tuple[str, ...]:
-        """Total order for a full parent-value tuple (memoizing misses)."""
-        order = self.orders.get(key)
-        if order is None:
-            order = self.cpt.rule_for(dict(zip(self.parent_names, key))).order
-            self.orders[key] = order
-        return order
-
-    def order_for(self, assignment: Assignment) -> tuple[str, ...]:
-        """Total order given any assignment covering the parents.
+    def order_for(self, cpt: CPT, assignment: Assignment) -> tuple[str, ...]:
+        """Total order given any assignment covering the parents, *cpt*
+        being the table's own.
 
         Partial assignments (a parent unset) bypass the flat table and
         take the interpreted most-specific-rule path, uncached — exactly
@@ -164,12 +166,26 @@ class _FlatTable:
         """
         key = tuple(assignment.get(p) for p in self.parent_names)
         if None in key:
-            return self.cpt.rule_for(assignment).order
+            return cpt.rule_for(assignment).order
         order = self.orders.get(key)  # type: ignore[arg-type]
         if order is None:
-            order = self.cpt.rule_for(assignment).order
+            order = cpt.rule_for(assignment).order
             self.orders[key] = order  # type: ignore[index]
         return order
+
+
+def _order_for_key(
+    orders: dict[tuple[str, ...], tuple[str, ...]],
+    parent_names: tuple[str, ...],
+    cpt: CPT,
+    key: tuple[str, ...],
+) -> tuple[str, ...]:
+    """Total order for a full parent-value tuple: a table's *orders*,
+    memoizing a miss resolved against its *cpt*."""
+    order = orders.get(key)
+    if order is None:
+        order = orders[key] = cpt.rule_for(dict(zip(parent_names, key))).order
+    return order
 
 
 def _flat_table(cpt: CPT) -> _FlatTable:
@@ -188,10 +204,14 @@ def _flat_table(cpt: CPT) -> _FlatTable:
 
 
 def _run_plan(
-    plan: tuple[tuple, ...], fixed: Mapping[str, str], outcome: dict[str, str]
+    plan: tuple[tuple, ...],
+    cpts: Mapping[str, CPT],
+    fixed: Mapping[str, str],
+    outcome: dict[str, str],
 ) -> dict[str, str]:
-    """Execute sweep entries in order, writing into *outcome*."""
-    for name, kind, const, parent, parents, firsts, table in plan:
+    """Execute sweep entries in order, writing into *outcome*; a miss is
+    resolved against the variable's CPT in *cpts*."""
+    for name, kind, const, parent, parents, firsts, orders in plan:
         if name in fixed:
             outcome[name] = fixed[name]
         elif kind == _CONST:
@@ -201,7 +221,7 @@ def _run_plan(
             try:  # subscript-on-hit beats .get(): the hot path is a hit
                 outcome[name] = firsts[value]
             except KeyError:
-                best = table.order_for_key((value,))[0]
+                best = _order_for_key(orders, parents, cpts[name], (value,))[0]
                 firsts[value] = best
                 outcome[name] = best
         else:
@@ -209,7 +229,7 @@ def _run_plan(
             try:
                 outcome[name] = firsts[key]
             except KeyError:
-                best = table.order_for_key(key)[0]
+                best = _order_for_key(orders, parents, cpts[name], key)[0]
                 firsts[key] = best
                 outcome[name] = best
     return outcome
@@ -219,24 +239,25 @@ class CompiledCPNet:
     """A CP-net frozen into a topologically ordered sequence of flat tables.
 
     Built by :func:`compile_cpnet`; valid for exactly one
-    ``net.structure_version``. ``best_completion`` performs the forward
+    ``net.structure_version``. It is the net's memo (``net._compiled``)
+    and holds the net weakly. ``best_completion`` performs the forward
     sweep through a branch-specialized plan — at most one dict lookup per
     free variable; no graph traversal, no rule scan, no specificity
     arbitration, no per-variable function call.
     """
 
     __slots__ = (
-        "net", "version", "order", "_tables", "_sweep", "_plan",
-        "_optimal", "_completions", "_m_completions",
+        "_net", "version", "order", "_cpts", "_tables", "_sweep", "_plan",
+        "_optimal", "_completions", "_m_completions", "__weakref__",
     )
 
     def __init__(self, net: CPNet) -> None:
-        self.net = net
+        self._net = weakref.ref(net)
         self.version = net.structure_version
         self.order: tuple[str, ...] = tuple(net.topological_order())
-        cpts = net._cpts
+        cpts = self._cpts = {name: net._cpts[name] for name in self.order}
         self._tables: dict[str, _FlatTable] = {
-            name: _flat_table(cpts[name]) for name in self.order
+            name: _flat_table(cpt) for name, cpt in cpts.items()
         }
         self._sweep: tuple[_FlatTable, ...] = tuple(self._tables.values())
         self._plan = tuple(table.entry for table in self._sweep)
@@ -250,7 +271,7 @@ class CompiledCPNet:
     @property
     def stale(self) -> bool:
         """True once the net mutated past this compilation."""
-        return self.version != self.net.structure_version
+        return self.version != self._net().structure_version
 
     @property
     def completions(self) -> "CompletionCache":
@@ -265,7 +286,7 @@ class CompiledCPNet:
 
     def order_for(self, name: str, assignment: Assignment) -> tuple[str, ...]:
         """Flat replacement for ``net.cpt(name).order_for(assignment)``."""
-        return self._tables[name].order_for(assignment)
+        return self._tables[name].order_for(self._cpts[name], assignment)
 
     def best_completion(self, evidence: Assignment) -> dict[str, str]:
         """Best outcome consistent with *evidence* — the compiled sweep.
@@ -277,11 +298,11 @@ class CompiledCPNet:
         if not evidence:
             memo = self._optimal
             if memo is None:
-                memo = self._optimal = _run_plan(self._plan, {}, {})
+                memo = self._optimal = _run_plan(self._plan, self._cpts, {}, {})
             self._m_completions.inc()
             return dict(memo)  # callers mutate outcomes (subtree hiding)
-        fixed = self.net.check_partial(evidence)
-        outcome = _run_plan(self._plan, fixed, {})
+        fixed = self._net().check_partial(evidence)
+        outcome = _run_plan(self._plan, self._cpts, fixed, {})
         self._m_completions.inc()
         return outcome
 
@@ -291,7 +312,7 @@ class CompiledCPNet:
     def __repr__(self) -> str:
         flat = sum(len(t.orders) for t in self._sweep)
         return (
-            f"CompiledCPNet({self.net.name!r}, v{self.version}, "
+            f"CompiledCPNet({self._net().name!r}, v{self.version}, "
             f"{len(self.order)} vars, {flat} flat rows)"
         )
 
@@ -301,34 +322,35 @@ class CompiledExtension:
 
     Only the viewer-local variables get their own flat tables, swept over
     a completion of the (shared, never copied) base :class:`CompiledCPNet`.
-    Valid for one (base version, extension version) pair.
+    Valid for one (base version, extension version) pair. It is the
+    extension's memo and holds the extension weakly.
     """
 
-    __slots__ = ("extension", "base", "version", "_sweep", "_plan")
+    __slots__ = ("_extension", "base", "version", "_cpts", "_sweep", "_plan", "__weakref__")
 
     def __init__(self, extension: Any, base: CompiledCPNet) -> None:
-        self.extension = extension
+        self._extension = weakref.ref(extension)
         self.base = base
         self.version = extension.extension_version
         # Insertion order respects parent creation (see ViewerExtension).
-        self._sweep: tuple[_FlatTable, ...] = tuple(
-            map(_flat_table, extension._cpts.values())
-        )
+        self._cpts = dict(extension._cpts)
+        self._sweep: tuple[_FlatTable, ...] = tuple(map(_flat_table, self._cpts.values()))
         self._plan = tuple(table.entry for table in self._sweep)
 
     def overlay(self, evidence: Assignment, values: Assignment) -> dict[str, str]:
         """The viewer-local variables alone, swept over *values*: the base
         net's completion as its sweep left it (read through a working
         copy: plain dict probes beat a chained lookup)."""
-        swept = _run_plan(self._plan, evidence, dict(values))
+        swept = _run_plan(self._plan, self._cpts, evidence, dict(values))
         return {table.name: swept[table.name] for table in self._sweep}
 
     def best_completion(self, evidence: Assignment) -> dict[str, str]:
         """Best outcome over base + extension variables, compiled: the
         base compilation's sweep, then this overlay over it."""
+        extension = self._extension()
         for name, value in evidence.items():
-            self.extension.variable(name).check_value(value)
-        net = self.base.net
+            extension.variable(name).check_value(value)
+        net = self.base._net()
         outcome = self.base.best_completion({n: v for n, v in evidence.items() if n in net})
         outcome.update(self.overlay(evidence, outcome))
         return outcome

@@ -9,10 +9,13 @@ alternatives.
 
 Components are addressed by dotted *paths* from the root, e.g.
 ``"imaging.ct_head"`` — these paths double as CP-network variable names.
+A parent holds its children; a child knows its parent only weakly, so a
+dropped tree is freed by reference counting, not the cycle collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator
 
 from repro.errors import DocumentError
@@ -38,13 +41,13 @@ class MultimediaComponent:
             raise ValueError(f"component names may not contain '.': {name!r}")
         self.name = name
         self.description = description
-        self._parent: CompositeMultimediaComponent | None = None
+        self._parent: weakref.ref[CompositeMultimediaComponent] | None = None
 
     # ----- tree wiring -------------------------------------------------------
 
     @property
     def parent(self) -> "CompositeMultimediaComponent | None":
-        return self._parent
+        return None if self._parent is None else self._parent()
 
     @property
     def path(self) -> str:
@@ -52,22 +55,23 @@ class MultimediaComponent:
 
         The root component's path is its own name.
         """
-        if self._parent is None or self._parent._parent is None:
+        parent = self.parent
+        if parent is None or parent.parent is None:
             return self.name
-        return f"{self._parent.path}.{self.name}"
+        return f"{parent.path}.{self.name}"
 
     @property
     def depth(self) -> int:
         """Root has depth 0."""
-        node, depth = self, 0
-        while node._parent is not None:
-            node = node._parent
+        node, depth = self.parent, 0
+        while node is not None:
+            node = node.parent
             depth += 1
         return depth
 
     @property
     def is_root(self) -> bool:
-        return self._parent is None
+        return self.parent is None
 
     # ----- presentation interface -------------------------------------------
 
@@ -111,11 +115,11 @@ class CompositeMultimediaComponent(MultimediaComponent):
 
     def add(self, child: MultimediaComponent) -> MultimediaComponent:
         """Attach *child* and return it. Names are unique among siblings."""
-        if child._parent is not None:
+        if child._parent is not None and child._parent() is not None:
             raise DocumentError(f"component {child.name!r} is already attached")
         if child.name in self._children:
             raise DocumentError(f"{self.path!r} already has a child {child.name!r}")
-        child._parent = self
+        child._parent = weakref.ref(self)
         self._children[child.name] = child
         self._tree_changed()
         return child
@@ -131,9 +135,9 @@ class CompositeMultimediaComponent(MultimediaComponent):
         return child
 
     def _tree_changed(self) -> None:
-        root = self
-        while root._parent is not None:
-            root = root._parent
+        root, ref = self, self._parent
+        while ref is not None and (parent := ref()) is not None:
+            root, ref = parent, parent._parent
         root._tree_version += 1
 
     def child(self, name: str) -> MultimediaComponent:

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 from repro.net.codec import Frame, encode_batch, stamp_frame
 from repro.net.simclock import SimClock
-from repro.obs import get_registry
+from repro.obs import Readers, get_registry
 from repro.obs.dtrace import HOP_BATCH_WAIT, NULL_CONTEXT, get_dtrace
 
 #: Kinds eligible for coalescing: the high-rate, small propagation
@@ -65,9 +65,16 @@ class Batcher:
         self._armed: set[str] = set()
         self._dtrace = get_dtrace()
         counts = self.counts = {"flushes": 0, "messages_coalesced": 0}
-        registry = get_registry()
-        registry.counter("batch.flushes", read=lambda: counts["flushes"])
-        registry.counter("batch.messages_coalesced", read=lambda: counts["messages_coalesced"])
+        readers = self._readers = Readers(get_registry())
+        readers.counter("batch.flushes", read=lambda: counts["flushes"])
+        readers.counter("batch.messages_coalesced", read=lambda: counts["messages_coalesced"])
+
+    def close(self) -> None:
+        """Its sender is done: unbind the counter readers (each counter
+        keeps its count) and drop the transmit step, which may be bound
+        to the sender."""
+        self._readers.release()
+        self._transmit = None
 
     def send(self, recipient: str, frame: Frame) -> None:
         """Send (possibly deferred and coalesced) one frame."""

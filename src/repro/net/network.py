@@ -19,7 +19,7 @@ from repro.net.link import Link
 from repro.net.message import Message
 from repro.net.reliable import NET_ACK, ReliableTransport
 from repro.net.simclock import SimClock
-from repro.obs import LATENCY_BUCKETS, get_event_log, get_registry
+from repro.obs import LATENCY_BUCKETS, Readers, get_event_log, get_registry
 from repro.obs.dtrace import (
     HOP_DOWNLINK,
     HOP_GATEWAY_ROUTE,
@@ -83,10 +83,12 @@ class SimulatedNetwork:
         self._obs = get_registry()
         self._events = get_event_log()
         self._dtrace = get_dtrace()
-        self._obs.counter("net.drops", read=lambda: stats.drops)
-        self._obs.counter("net.batch_unpacked", read=lambda: stats.batch_unpacked)
-        self._obs.counter("net.messages", read=lambda: stats.messages)
-        self._obs.counter("net.bytes_total", read=lambda: stats.bytes_total)
+        #: Every counter reader this network binds, unbound by :meth:`close`.
+        readers = self._readers = Readers(self._obs)
+        readers.counter("net.drops", read=lambda: stats.drops)
+        readers.counter("net.batch_unpacked", read=lambda: stats.batch_unpacked)
+        readers.counter("net.messages", read=lambda: stats.messages)
+        readers.counter("net.bytes_total", read=lambda: stats.bytes_total)
         self._m_queue_delay = self._obs.histogram("net.queue_delay_s", LATENCY_BUCKETS)
         self.reliability: ReliableTransport | None = (
             ReliableTransport(self) if reliability else None
@@ -94,7 +96,21 @@ class SimulatedNetwork:
         #: Typed DeliveryFailed errors surfaced by the reliable layer, in
         #: order (also delivered to senders via ``on_delivery_failed``).
         self.delivery_failures: list[DeliveryFailed] = []
-        self._arrive = self._deliver  # bound once, not once per frame
+        self._arrive = self._deliver  # bound once, not once per frame; close drops it
+
+    def close(self) -> None:
+        """The run is over. Forget the attached nodes (each holds this
+        network), drop the step bound to it and unbind every counter
+        reader this network and its transport bound, each counter keeping
+        its count. What the run counted stays readable (``stats``, links,
+        homes, the clock); nothing is sent after close.
+        """
+        self._nodes.clear()
+        self._routes.clear()
+        self._arrive = None
+        self._readers.release()
+        if self.reliability is not None:
+            self.reliability.close()
 
     # ----- topology --------------------------------------------------------------
 
@@ -141,8 +157,8 @@ class SimulatedNetwork:
         self._nodes[node.node_id] = node
         up = self._uplinks[node.node_id] = uplink if uplink is not None else Link()
         down = self._downlinks[node.node_id] = downlink if downlink is not None else Link()
-        self._obs.counter(f"net.link.{node.node_id}.up.bytes", read=lambda: up.bytes_sent)
-        self._obs.counter(f"net.link.{node.node_id}.down.bytes", read=lambda: down.bytes_sent)
+        self._readers.counter(f"net.link.{node.node_id}.up.bytes", read=lambda: up.bytes_sent)
+        self._readers.counter(f"net.link.{node.node_id}.down.bytes", read=lambda: down.bytes_sent)
         self._routes.clear()
 
     def attach_backbone(self, node: Node) -> None:
@@ -228,7 +244,7 @@ class SimulatedNetwork:
         """Carry sender→recipient on *link*, read by ``net.peer.<sender>.
         <recipient>.bytes`` from now on: once per link, not per route."""
         self._peer_links[(sender, recipient)] = link
-        self._obs.counter(f"net.peer.{sender}.{recipient}.bytes", read=lambda: link.bytes_sent)
+        self._readers.counter(f"net.peer.{sender}.{recipient}.bytes", read=lambda: link.bytes_sent)
         return link
 
     def _resolve_link(self, sender: str, recipient: str) -> Link:

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import DeliveryFailed, NetworkError
 from repro.net.codec import checksum_of
 from repro.net.message import Message
-from repro.obs import get_event_log, get_registry
+from repro.obs import Readers, get_event_log, get_registry
 from repro.obs.dtrace import HOP_RETRANSMIT, get_dtrace
 from repro.util.tally import LabelCounts
 
@@ -117,11 +117,20 @@ class ReliableTransport:
         self._events = get_event_log()
         self._dtrace = get_dtrace()
         counts = self.counts = {"acks": 0, "corrupt_dropped": 0, "delivery_failed": 0}
-        registry.counter("net.acks", read=lambda: counts["acks"])
-        registry.counter("net.corrupt_dropped", read=lambda: counts["corrupt_dropped"])
-        registry.counter("net.delivery_failed", read=lambda: counts["delivery_failed"])
+        readers = self._readers = Readers(registry)
+        readers.counter("net.acks", read=lambda: counts["acks"])
+        readers.counter("net.corrupt_dropped", read=lambda: counts["corrupt_dropped"])
+        readers.counter("net.delivery_failed", read=lambda: counts["delivery_failed"])
         self.retries = LabelCounts(registry.counter_family("net.retries", ("kind",)))
         self.dup_dropped = LabelCounts(registry.counter_family("net.dup_dropped", ("kind",)))
+
+    def close(self) -> None:
+        """Its network's close: unbind the counter readers, each counter
+        keeping its count, and let go of the network."""
+        self._readers.release()
+        self.retries.release()
+        self.dup_dropped.release()
+        self._network = None
 
     def _emit(self, name: str, severity: str, message: Message, **extra: Any) -> None:
         """One flight-recorder event about *message*, stamped with sim time."""

@@ -38,6 +38,7 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
     NullRegistry,
+    Readers,
 )
 from repro.obs.export import diff, to_json, to_lines
 from repro.obs.events import (
@@ -76,6 +77,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "OVERFLOW_LABEL",
+    "Readers",
     "SEVERITIES",
     "SIZE_BUCKETS",
     "Counter",

@@ -12,7 +12,10 @@ owner, so the registry keeps no server, network or client alive.
 - A counter's value is what ``inc`` added (per-op counts no owner
   keeps) plus the sum of its readers.
 - A reader binds to the registry active when its owner is built, or
-  when the first event of its series happens.
+  when the first event of its series happens. An owner that closes
+  binds through :class:`Readers`, and its close unbinds them all, so a
+  long-lived registry holds no reader of a dead owner and reads the
+  same totals.
 - Histograms stay instruments: ``observe`` is one bisect.
 
 Labelled *families* add bounded dimensionality: a family's children,
@@ -87,6 +90,39 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
+
+
+class Readers:
+    """The readers one owner bound, for its close to unbind: a counter
+    keeps what its reader counted (:meth:`Counter.unbind`), a gauge whose
+    owner is gone reads 0 (:meth:`Gauge.unbind`). :meth:`counter` binds
+    in *registry* (``None`` for an owner that only binds :meth:`labels`,
+    which binds in the family it is given)."""
+
+    __slots__ = ("_registry", "_bound")
+
+    def __init__(self, registry: MetricsRegistry | None) -> None:
+        self._registry = registry
+        self._bound: list[tuple[Any, Reader]] = []
+
+    def counter(self, name: str, read: Reader) -> Counter:
+        """``registry.counter(name, read=read)``, remembered."""
+        return self._keep(self._registry.counter(name, read=read), read)
+
+    def labels(self, family: Any, *values: Any, read: Reader) -> Any:
+        """``family.labels(*values, read=read)``, remembered."""
+        return self._keep(family.labels(*values, read=read), read)
+
+    def _keep(self, instrument: Any, read: Reader) -> Any:
+        if instrument is not _NULL_INSTRUMENT:  # a null registry binds nothing
+            self._bound.append((instrument, read))
+        return instrument
+
+    def release(self) -> None:
+        """Unbind every reader bound here."""
+        for instrument, read in self._bound:
+            instrument.unbind(read)
+        self._bound.clear()
 
 
 class Gauge:

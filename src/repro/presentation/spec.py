@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -28,22 +29,25 @@ class PresentationView:
 
     The measures are taken on first read and kept: a server that only
     diffs outcomes never walks the document tree for them. Overlay
-    variables are never component paths, so they measure nothing.
+    variables are never component paths, so they measure nothing. A view
+    lives in its document's completion memo, so it holds the document
+    weakly: measures are read while the document lives.
     """
 
     before_hiding: Mapping[str, str] = NOTHING
 
     def __init__(self, document: MultimediaDocument, outcome: Mapping[str, str]) -> None:
-        self.document = document
+        self.doc_id = document.doc_id
+        self._document = weakref.ref(document)
         self.outcome = outcome
 
     @cached_property
     def visible(self) -> tuple[str, ...]:
-        return self.document.visible_components(self.outcome)
+        return self._document().visible_components(self.outcome)
 
     @cached_property
     def total_bytes(self) -> int:
-        return self.document.presentation_bytes(self.outcome)
+        return self._document().presentation_bytes(self.outcome)
 
     def spec_for(
         self,
@@ -51,9 +55,7 @@ class PresentationView:
         computed_at: float = 0.0,
         overlay: Mapping[str, str] = NOTHING,
     ) -> PresentationSpec:
-        return PresentationSpec(
-            self.document.doc_id, viewer_id, self, overlay, computed_at
-        )
+        return PresentationSpec(self.doc_id, viewer_id, self, overlay, computed_at)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,8 +66,15 @@ class Outbox:
         self.batcher = Batcher(clock, transmit, node_id, window_s)
         self._dtrace = get_dtrace()
         sent = self.sent = {"messages": 0, "bytes": 0}  # copies and their bytes
-        obs.get_registry().counter("server.messages_out", read=lambda: sent["messages"])
-        obs.get_registry().counter("server.bytes_out", read=lambda: sent["bytes"])
+        readers = self._readers = obs.Readers(obs.get_registry())
+        readers.counter("server.messages_out", read=lambda: sent["messages"])
+        readers.counter("server.bytes_out", read=lambda: sent["bytes"])
+
+    def close(self) -> None:
+        """Its server ships no more: unbind the counter readers (each
+        counter keeps its count) and close the batcher."""
+        self._readers.release()
+        self.batcher.close()
 
     def send(self, recipients: Sequence[str], frame: Frame) -> None:
         ctx = self._dtrace.current() if self._dtrace.enabled else None
@@ -147,12 +154,17 @@ class InteractionServer:
         # primary and standby shadow has its own, and a new one claims its
         # label so a recycled registry never shows a dead server's state.
         sessions, rooms, node = self._sessions, self._rooms, ("node",)
-        registry.gauge_family("server.sessions_connected", node).labels(
-            node_id, read=sessions.__len__
+        readers = self._readers = obs.Readers(registry)
+        readers.labels(
+            registry.gauge_family("server.sessions_connected", node), node_id,
+            read=sessions.__len__,
         )
-        registry.gauge_family("server.rooms_open", node).labels(node_id, read=rooms.__len__)
-        registry.gauge_family("server.room_occupancy", node).labels(
-            node_id, read=lambda: sum(s.room_id is not None for s in sessions.values())
+        readers.labels(
+            registry.gauge_family("server.rooms_open", node), node_id, read=rooms.__len__
+        )
+        readers.labels(
+            registry.gauge_family("server.room_occupancy", node), node_id,
+            read=lambda: sum(s.room_id is not None for s in sessions.values()),
         )
         #: Telemetry monitors (pushed metric diffs + buffered events), on
         #: the hub only: a monitor reaches a cluster through a gateway.
@@ -168,6 +180,16 @@ class InteractionServer:
                     network.send(node_id, recipient, frame)
             self.outbox = Outbox(network.clock, transmit, node_id, batch_window_s)
             self.telemetry = TelemetryChannel(node_id, self._now, self._send_body)
+
+    def close(self) -> None:
+        """The server serves nothing any more: its ``server.*{node}``
+        gauges stop reading its tables, which hold its rooms and their
+        documents (they read 0), and its outbox and telemetry close."""
+        self._readers.release()
+        if self.outbox is not None:
+            self.outbox.close()
+        if self.telemetry is not None:
+            self.telemetry.close()
 
     # ----- sessions -----------------------------------------------------------------
 

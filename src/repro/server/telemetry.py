@@ -69,6 +69,12 @@ class TelemetryChannel:
             self.baseline = None
         return True
 
+    def close(self) -> None:
+        """The host is done: leave the event log and drop the host's clock
+        and send steps (a host's own method holds the host)."""
+        self._events.unsubscribe(self._on_event)
+        self._now = self._send = None
+
     def _on_event(self, event: Any) -> None:
         self.pending_events.append(event.to_dict())
 

@@ -195,7 +195,9 @@ def run_chaos_conference(
     harness.run()
 
     all_clients = [client for room in clients.values() for client in room]
-    return convergence_result(harness, all_clients, victim, gw_victim)
+    result = convergence_result(harness, all_clients, victim, gw_victim)
+    harness.close()
+    return result
 
 
 def convergence_result(

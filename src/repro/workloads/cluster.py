@@ -43,7 +43,7 @@ def run_cluster_conference(
     bottleneck, which is what makes scale-out measurable.
 
     The cluster is built from *config* (default: ``ClusterConfig()``);
-    the summary's ``harness`` is it, for inspection after the run.
+    the summary's ``harness`` is it, closed, for inspection after the run.
     """
     docs = [f"case-{i}" for i in range(num_rooms)]
     records = {}
@@ -87,7 +87,7 @@ def run_cluster_conference(
     for doc_id in docs:
         owner = harness.owner_of(doc_id)
         rooms_by_shard[owner] = rooms_by_shard.get(owner, 0) + 1
-    return {
+    result = {
         "shards": len(harness.shards),
         "rooms": num_rooms,
         "clients": num_rooms * clients_per_room,
@@ -107,3 +107,5 @@ def run_cluster_conference(
         "route_cache": harness.route_cache_stats(),
         "harness": harness,
     }
+    harness.close()
+    return result

@@ -318,7 +318,7 @@ def run_megaconf(
             late_joins += 1
 
     all_clients = list(clients.values())
-    return {
+    result = {
         "harness": harness,
         "schedule": schedule,
         "join_latency": {
@@ -341,6 +341,8 @@ def run_megaconf(
         "network_bytes": harness.network.stats.bytes_total,
         "sim_seconds": clock.now,
     }
+    harness.close()
+    return result
 
 
 #: Timing of the chaos window relative to the keynote slot start.
@@ -426,4 +428,5 @@ def run_megaconf_convergence(
 
     result = convergence_result(harness, list(clients.values()), None, gw_victim)
     result["admission"] = _admission_totals(harness)
+    harness.close()
     return result

@@ -254,7 +254,7 @@ class TestTablesLiveWithTheirCPT:
         ext.promote_to_base()
         assert compile_extension(ext)._sweep == ()
         promoted = compile_cpnet(net).table("c2.crop")
-        assert promoted is not local and promoted.cpt is net.cpt("c2.crop")
+        assert promoted is not local and net.cpt("c2.crop")._flat is promoted
 
     def test_the_table_is_not_part_of_the_cpts_value(self):
         from repro.cpnet.serialize import network_to_dict

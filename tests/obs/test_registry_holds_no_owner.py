@@ -13,7 +13,9 @@ import gc
 import weakref
 
 from repro import obs
+from repro.chaos import FaultPlan
 from repro.client import ClientModule
+from repro.cluster import AdmissionConfig, ClusterConfig, ClusterHarness
 from repro.db import Database, MultimediaObjectStore
 from repro.net import SimulatedNetwork, encode_message
 from repro.net.message import Message
@@ -93,3 +95,58 @@ def test_a_network_dropped_with_frames_in_flight_is_collected():
     assert counters["net.messages"] == 12
     assert counters["net.peer.inflight-gw-1.inflight-gw-2.bytes"] > 0
     assert counters["net.link.inflight-client.up.bytes"] > 0
+
+
+#: The codec's tally is the process's, per registry, not an owner's.
+CODEC_SERIES = {
+    "codec.encodes", "codec.bytes_encoded", "codec.encodes_saved", "codec.bytes_saved",
+    "codec.trace_stamps",
+}
+
+
+def test_a_registry_outliving_ten_closed_networks_holds_no_reader_of_them(tmp_path):
+    """Ten clustered conferences under one registry, as the ledger's
+    chaos workload runs eight: every owner a network carries (its links,
+    the ARQ, the batchers, outboxes, gateways, admission and the chaos
+    tallies) binds counter readers. Closing each harness unbinds them,
+    each counter keeping its count, so the registry reads the same
+    totals and holds no reader of a closed network."""
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry), obs.use_event_log(obs.EventLog()):
+        db = Database(str(tmp_path / "db"))
+        try:
+            store = MultimediaObjectStore(db)
+            store.store_document(
+                generate_record("case-0", sections=2, components_per_section=3, seed=0)
+            )
+            path = store.fetch_document("case-0").component_paths()[0]
+            config = ClusterConfig(
+                shards=2, gateways=2, batch_window_s=0.01, admission=AdmissionConfig()
+            )
+            harnesses = []
+            for run in range(10):
+                plan = FaultPlan(seed=run, drop_rate=0.05, dup_rate=0.05)
+                harness = ClusterHarness(store, config, reliability=True, plan=plan)
+                clients = [harness.add_client(f"dr-{j}") for j in range(3)]
+                for client in clients:
+                    client.join("case-0")
+                harness.run()
+                clients[0].choose(path, "hidden")
+                harness.run()
+                for client in clients:
+                    client.leave()
+                harness.run()
+                harnesses.append(harness)
+            totals = registry.snapshot()["counters"]
+            for harness in harnesses:
+                harness.close()
+            networks = [weakref.ref(harness.network) for harness in harnesses]
+            del harnesses, harness, clients, client
+        finally:
+            db.close()
+    assert [ref() for ref in networks] == [None] * 10
+    assert registry.snapshot()["counters"] == totals
+    assert totals["net.acks"] > 0 and totals["batch.flushes"] > 0
+    assert totals["net.link.client-dr-0.up.bytes"] > 0 and totals["server.messages_out"] > 0
+    bound = {name for name, counter in registry.counters.items() if counter._readers}
+    assert bound <= CODEC_SERIES

@@ -44,22 +44,22 @@ OBS = str(Path(obs.__file__).parent)  # as the profiled frames name it
 
 #: ``wc -l`` per package, as of the last change that touched it.
 LINE_BUDGET = {
-    "chaos": 594,
+    "chaos": 598,
     "client": 1139,
-    "cluster": 2559,
-    "cpnet": 1903,
+    "cluster": 2618,
+    "cpnet": 1925,
     "db": 1822,
-    "document": 1129,
+    "document": 1133,
     "interest": 309,
     "media": 2981,
-    "net": 2064,
-    "obs": 1549,
+    "net": 2096,
+    "obs": 1587,
     "prefetch": 169,
-    "presentation": 844,
+    "presentation": 846,
     "retrieval": 753,
-    "server": 1632,
-    "util": 294,
-    "workloads": 1274,
+    "server": 1660,
+    "util": 301,
+    "workloads": 1281,
 }
 
 MAX_KIND_ARMS = 3
@@ -195,8 +195,10 @@ def test_the_chain_check_sees_both_spellings():
 ROOMS_CALL_CEILING = 34_728
 #: Of those, the calls into ``repro/obs/``: histogram observes, per-op
 #: counters, the delivery tracer's ``current`` checks, and the series
-#: bound as owners are built. Exact.
-ROOMS_OBS_CALLS = 1_684
+#: bound as owners are built. Exact. Binding through ``obs.Readers``, so
+#: that an owner's close can unbind, takes two more calls per reader
+#: bound: 1,684 became 1,738.
+ROOMS_OBS_CALLS = 1_738
 
 
 def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
@@ -228,7 +230,8 @@ def test_the_rooms_conference_stays_inside_its_call_budget(tmp_path):
     ``repro/obs/`` from 6,170 to 1,684; from the 33,192 it read next,
     building each op's waiting record inside ``_submit``, with no
     ``_enqueue`` call per queued op, brought it to 33,075. The ceiling
-    sits under 5% above that."""
+    sits under 5% above that. From the 33,511 it read next, readers
+    bound through ``obs.Readers`` brought it to 33,572."""
     calls = obs_calls = 0
 
     def count(frame, event, arg):
